@@ -26,8 +26,12 @@
 //     piggybacked on every subsequent request: the caller has the
 //     response for every sequence <= Ack, so replay can never be
 //     needed).  A bounded replay cache caps memory regardless of ack
-//     progress: past the cap the oldest completed entries are evicted
-//     and the per-caller retired watermark advances over them.
+//     progress: past the cap the oldest completed entries are evicted,
+//     leaving a tombstone each so that a late duplicate is still
+//     rejected while a lower sequence that has simply not arrived yet —
+//     stamped, then delayed in transit while the caller's other threads
+//     raced ahead — still executes.  Tombstones are bounded too: past
+//     tombstoneFactor x cap the retired watermark advances over them.
 //
 // # Thread safety
 //
@@ -48,6 +52,14 @@ import (
 // entries retained for replay); in-flight entries are bounded by the
 // transport's per-connection in-flight cap, not by this.
 const DefaultWindow = 1024
+
+// tombstoneFactor bounds, as a multiple of the replay-cache cap, how
+// many evicted calls a window remembers individually above the caller's
+// acked watermark.  A tombstone is a key, not a response, so the bound
+// can be generous: it is how many calls a caller's other threads may
+// complete while one stamped call is still in transit before that call
+// is refused as a retired duplicate.
+const tombstoneFactor = 64
 
 // Issuer allocates call tokens for one node incarnation and tracks
 // which sequences have had their responses delivered, maintaining the
@@ -186,10 +198,18 @@ type Window struct {
 	mu      sync.Mutex
 	entries map[entryKey]*Entry
 	// retired is the watermark below which entries have been dropped
-	// (acked by the caller or evicted by the cache bound): every seq <=
-	// retired is settled and a late duplicate of it must be rejected,
-	// not executed.
+	// (acked by the caller, or evicted past the tombstone bound): every
+	// seq <= retired is settled and a late duplicate of it must be
+	// rejected, not executed.
 	retired uint64
+	// evicted holds a tombstone for every completed entry the cache
+	// bound dropped above the watermark: a delivery matching one is a
+	// late duplicate (Stale), while a sequence above the watermark with
+	// neither entry nor tombstone has never been here and executes.
+	// evictedOrder lists them as evicted — ascending by sequence, like
+	// the evictions — so the watermark prunes from the front.
+	evicted      map[entryKey]struct{}
+	evictedOrder []entryKey
 	// completed counts entries in entries with a recorded response (the
 	// replay cache); the cap applies to these, not to in-flight entries.
 	completed int
@@ -269,7 +289,8 @@ func (t *Table) BeginObserved(tok *wire.CallToken, target string) (_ *Entry, _ V
 		}
 		return e, Replay, inFlight
 	}
-	if tok.Seq <= w.retired {
+	_, evicted := w.evicted[entryKey{tok.Seq, target}]
+	if evicted || tok.Seq <= w.retired {
 		w.mu.Unlock()
 		t.stats.StaleRejected.Add(1)
 		return nil, Stale, false
@@ -331,17 +352,34 @@ func (w *Window) retire(ack uint64) {
 		}
 	}
 	w.retired = ack
+	w.dropTombstones()
+}
+
+// dropTombstones forgets the tombstones the watermark now covers.
+// Caller holds w.mu.
+func (w *Window) dropTombstones() {
+	n := 0
+	for n < len(w.evictedOrder) && w.evictedOrder[n].seq <= w.retired {
+		delete(w.evicted, w.evictedOrder[n])
+		n++
+	}
+	if w.evictedOrder = w.evictedOrder[n:]; len(w.evictedOrder) == 0 {
+		w.evictedOrder = nil // release the backing array
+	}
 }
 
 // evictOverCap enforces the replay-cache bound: completed entries past
-// the cap are dropped in ascending sequence order and the retired
-// watermark advances over every sequence at or below the last evicted
-// one, so a late duplicate of an evicted call is rejected as Stale
-// rather than re-executed.  Sibling entries at the evicted sequence
-// (other targets on a forwarding chain) may survive at or below the
-// watermark — in flight or cached — which is why Begin matches the
-// entries map before consulting the watermark: their retries keep
-// parking or replaying.  Caller holds w.mu.
+// the cap are dropped in ascending sequence order, each leaving a
+// tombstone so a late duplicate of an evicted call is rejected as Stale
+// rather than re-executed.  The watermark does not move: a caller with
+// several threads can have a lower sequence still in transit (stamped,
+// its thread descheduled before the send) while the others complete a
+// cap's worth of calls, and advancing over it refused a call that had
+// never run.  Only when the tombstones themselves outgrow their bound
+// does the watermark advance over all of them.  Sibling entries at an
+// evicted sequence (other targets on a forwarding chain) may survive —
+// in flight or cached — which is why Begin matches the entries map
+// first: their retries keep parking or replaying.  Caller holds w.mu.
 func (w *Window) evictOverCap() {
 	for w.completed > w.table.cap {
 		// Find the smallest completed seq at or above the scan cursor.
@@ -366,7 +404,15 @@ func (w *Window) evictOverCap() {
 		// min+1 would orphan the survivors below the scan floor.
 		w.lowSeq = min
 		if min > w.retired {
-			w.retired = min
+			if w.evicted == nil {
+				w.evicted = make(map[entryKey]struct{})
+			}
+			w.evicted[victim] = struct{}{}
+			w.evictedOrder = append(w.evictedOrder, victim)
+			if len(w.evicted) > tombstoneFactor*w.table.cap {
+				w.retired = min // the newest tombstone: covers them all
+				w.dropTombstones()
+			}
 		}
 		w.table.stats.NoteEntries(-1)
 		w.table.stats.Retired.Add(1)
@@ -422,7 +468,8 @@ func (t *Table) Adopt(target string, entries []wire.DedupEntry) {
 			w.mu.Unlock()
 			continue
 		}
-		if _, ok := w.entries[entryKey{in.Seq, target}]; ok {
+		_, evicted := w.evicted[entryKey{in.Seq, target}]
+		if _, ok := w.entries[entryKey{in.Seq, target}]; ok || evicted {
 			w.mu.Unlock()
 			continue
 		}

@@ -145,6 +145,60 @@ func TestEvictionBoundsWindow(t *testing.T) {
 	}
 }
 
+// TestEvictionSparesUndeliveredSequence: one thread of a caller stamps a
+// sequence and is descheduled before its request leaves; the caller's
+// other threads complete more than a cap's worth of later calls, so the
+// cache evicts.  The delayed call has never executed and must — eviction
+// used to advance the watermark over it and refuse it as a duplicate of
+// a retired call — while duplicates of the calls eviction did drop are
+// still rejected, and the tombstones that tell the two apart are
+// themselves bounded and pruned by the caller's ack.
+func TestEvictionSparesUndeliveredSequence(t *testing.T) {
+	const cap = 4
+	tab := NewTable(cap)
+	run := func(seq, ack uint64) {
+		t.Helper()
+		e, v := tab.Begin(tok("c", seq, ack), "g1")
+		if v != Execute {
+			t.Fatalf("seq %d verdict %v want Execute", seq, v)
+		}
+		tab.Complete("c", e, &wire.Response{ID: seq})
+	}
+	// Seq 1 is stamped but delayed; the floor stays 0 while 2..20 run.
+	for seq := uint64(2); seq <= 20; seq++ {
+		run(seq, 0)
+	}
+	if _, v := tab.Begin(tok("c", 5, 0), "g1"); v != Stale {
+		t.Fatalf("duplicate of an evicted call: verdict %v want Stale", v)
+	}
+	run(1, 0) // arrives at last: a first delivery, not a duplicate
+	if _, v := tab.Begin(tok("c", 1, 0), "g1"); v == Execute {
+		t.Fatal("the delayed call executed twice")
+	}
+
+	// The caller's ack covers everything so far: tombstones go with it.
+	run(21, 20)
+	w := tab.window("c")
+	if n := len(w.evicted); n != 0 {
+		t.Fatalf("%d tombstones survive the ack that covers them", n)
+	}
+
+	// A caller that never acks cannot grow the tombstones without
+	// bound: past tombstoneFactor*cap the watermark takes over.
+	for seq := uint64(23); seq < 23+2*tombstoneFactor*cap; seq++ {
+		run(seq, 20)
+	}
+	if n := len(w.evicted); n > tombstoneFactor*cap {
+		t.Fatalf("%d tombstones exceed the bound %d", n, tombstoneFactor*cap)
+	}
+	if _, v := tab.Begin(tok("c", 22, 20), "g1"); v != Stale {
+		t.Fatalf("sequence below the advanced watermark: verdict %v want Stale", v)
+	}
+	if s := tab.Stats().Snapshot(); s.Entries != cap {
+		t.Fatalf("live entries %d want %d", s.Entries, cap)
+	}
+}
+
 // TestWatermarkRetirementUnderWraparound drives many concurrent callers
 // through small windows with acks trailing behind, checking (under
 // -race) that retirement, eviction and parking stay consistent while

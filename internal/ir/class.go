@@ -1,8 +1,8 @@
 package ir
 
 import (
-	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -86,7 +86,7 @@ func (m *Method) Key() string { return MethodKey(m.Name, len(m.Params)) }
 
 // MethodKey builds the lookup key used by Class method tables.
 func MethodKey(name string, nargs int) string {
-	return fmt.Sprintf("%s/%d", name, nargs)
+	return name + "/" + strconv.Itoa(nargs)
 }
 
 // Class describes a class or interface.

@@ -172,6 +172,69 @@ func TestImplementsViaInterfaceExtension(t *testing.T) {
 	}
 }
 
+// TestChainWalksBoundedAndAllocationFree: hierarchy walks are on the VM's
+// link path and the verifier's per-instruction path; they must not
+// allocate on ordinary hierarchies, and malformed cyclic ones — superclass
+// loops, interfaces extending themselves twice over — must terminate with
+// "not found" rather than spin.
+func TestChainWalksBoundedAndAllocationFree(t *testing.T) {
+	p := NewProgram()
+	p.MustAdd(&Class{Name: ObjectClass, Special: true})
+	p.MustAdd(&Class{Name: "I", IsInterface: true, Abstract: true,
+		Methods: []*Method{{Name: "im", Return: Void, Abstract: true}}})
+	p.MustAdd(&Class{Name: "J", IsInterface: true, Abstract: true, Interfaces: []string{"I"}})
+	p.MustAdd(&Class{Name: "Base", Super: ObjectClass, Interfaces: []string{"J"},
+		Fields:  []Field{{Name: "b", Type: Int}},
+		Methods: []*Method{{Name: "m", Return: Void, Code: []Instr{{Op: OpReturn}}}}})
+	p.MustAdd(&Class{Name: "Derived", Super: "Base"})
+	if n := testing.AllocsPerRun(100, func() {
+		if _, _, err := p.ResolveMethod("Derived", "m", 0); err != nil {
+			t.Fatal(err)
+		}
+		if dc, _, err := p.ResolveMethod("Derived", "im", 0); err != nil || dc.Name != "I" {
+			t.Fatal(dc, err)
+		}
+		if _, _, err := p.ResolveField("Derived", "b"); err != nil {
+			t.Fatal(err)
+		}
+		if !p.IsSubclassOf("Derived", ObjectClass) || !p.Implements("Derived", "I") || !p.AssignableTo("Derived", "J") {
+			t.Fatal("hierarchy broken")
+		}
+	}); n != 0 {
+		t.Fatalf("hierarchy walks allocate %.1f times per round, want 0", n)
+	}
+
+	// More interfaces than the walk's in-frame set holds.
+	wide := &Class{Name: "Wide", Super: ObjectClass}
+	for i := 0; i < 40; i++ {
+		name := "W" + string(rune('A'+i))
+		p.MustAdd(&Class{Name: name, IsInterface: true, Interfaces: []string{"I"}})
+		wide.Interfaces = append(wide.Interfaces, name, name)
+	}
+	p.MustAdd(wide)
+	if !p.Implements("Wide", "Wh") || p.Implements("Wide", "Missing") {
+		t.Fatal("wide interface list")
+	}
+
+	c := NewProgram()
+	c.MustAdd(&Class{Name: "A", Super: "B", Interfaces: []string{"X"}})
+	c.MustAdd(&Class{Name: "B", Super: "A", Interfaces: []string{"Y"}})
+	c.MustAdd(&Class{Name: "X", IsInterface: true, Interfaces: []string{"Y", "Y", "X"}})
+	c.MustAdd(&Class{Name: "Y", IsInterface: true, Interfaces: []string{"X", "X", "Y"}})
+	if c.IsSubclassOf("A", "Z") || c.Implements("A", "Z") || c.AssignableTo("B", "Z") {
+		t.Fatal("found Z in a hierarchy that has none")
+	}
+	if !c.IsSubclassOf("A", "B") || !c.Implements("A", "Y") {
+		t.Fatal("cycle guard hides what the walk does reach")
+	}
+	if _, _, err := c.ResolveMethod("A", "m", 0); err == nil {
+		t.Fatal("resolved a method nobody declares")
+	}
+	if _, _, err := c.ResolveField("A", "f"); err == nil {
+		t.Fatal("resolved a field nobody declares")
+	}
+}
+
 func TestReferencedClasses(t *testing.T) {
 	c := sampleClass()
 	c.Methods = append(c.Methods, &Method{

@@ -127,14 +127,14 @@ func (p *Program) ShallowClone() *Program {
 }
 
 // IsSubclassOf reports whether class sub equals sup or transitively extends
-// it via superclass links.  Malformed cyclic hierarchies terminate (false).
+// it via superclass links.  Malformed cyclic hierarchies terminate (false):
+// a superclass chain longer than the class count has revisited a class.
 func (p *Program) IsSubclassOf(sub, sup string) bool {
-	seen := map[string]bool{}
-	for name := sub; name != "" && !seen[name]; {
+	name := sub
+	for steps := 0; name != "" && steps <= len(p.classes); steps++ {
 		if name == sup {
 			return true
 		}
-		seen[name] = true
 		c := p.classes[name]
 		if c == nil {
 			return false
@@ -144,37 +144,71 @@ func (p *Program) IsSubclassOf(sub, sup string) bool {
 	return false
 }
 
+// visited is the set of interfaces one graph walk has entered.  The
+// first few live in the walk's own stack frame, so walks of ordinary
+// hierarchies allocate nothing; only a walk that enters more distinct
+// interfaces than that spills into a map.
+type visited struct {
+	n     int
+	first [16]string
+	more  map[string]bool
+}
+
+// enter records name, reporting false if the walk has been there before.
+func (s *visited) enter(name string) bool {
+	for i := 0; i < s.n && i < len(s.first); i++ {
+		if s.first[i] == name {
+			return false
+		}
+	}
+	if s.more[name] {
+		return false
+	}
+	if s.n < len(s.first) {
+		s.first[s.n] = name
+	} else {
+		if s.more == nil {
+			s.more = make(map[string]bool)
+		}
+		s.more[name] = true
+	}
+	s.n++
+	return true
+}
+
+// ifaceReach reports whether interface i is, or transitively extends,
+// iface.
+func (p *Program) ifaceReach(i, iface string, seen *visited) bool {
+	if i == iface {
+		return true
+	}
+	if !seen.enter(i) {
+		return false
+	}
+	c := p.classes[i]
+	if c == nil {
+		return false
+	}
+	for _, super := range c.Interfaces {
+		if p.ifaceReach(super, iface, seen) {
+			return true
+		}
+	}
+	return false
+}
+
 // Implements reports whether class name (or any superclass) lists iface in
 // its interfaces clause, directly or via interface extension.
 func (p *Program) Implements(name, iface string) bool {
-	seen := map[string]bool{}
-	var ifaceReach func(string) bool
-	ifaceReach = func(i string) bool {
-		if i == iface {
-			return true
-		}
-		if seen[i] {
-			return false
-		}
-		seen[i] = true
-		c := p.classes[i]
-		if c == nil {
-			return false
-		}
-		for _, super := range c.Interfaces {
-			if ifaceReach(super) {
-				return true
-			}
-		}
-		return false
-	}
-	for cur := name; cur != ""; {
+	var seen visited
+	cur := name
+	for steps := 0; cur != "" && steps <= len(p.classes); steps++ {
 		c := p.classes[cur]
 		if c == nil {
 			return false
 		}
 		for _, i := range c.Interfaces {
-			if ifaceReach(i) {
+			if p.ifaceReach(i, iface, &seen) {
 				return true
 			}
 		}
@@ -195,13 +229,33 @@ func (p *Program) AssignableTo(from, to string) bool {
 	return p.Implements(from, to)
 }
 
+// ifaceMethod searches interface iname and its superinterfaces,
+// depth-first, for a declaration of name/nargs.
+func (p *Program) ifaceMethod(iname, name string, nargs int, seen *visited) (*Class, *Method) {
+	if !seen.enter(iname) {
+		return nil, nil
+	}
+	ic := p.classes[iname]
+	if ic == nil {
+		return nil, nil
+	}
+	if m := ic.Method(name, nargs); m != nil {
+		return ic, m
+	}
+	for _, super := range ic.Interfaces {
+		if dc, dm := p.ifaceMethod(super, name, nargs, seen); dm != nil {
+			return dc, dm
+		}
+	}
+	return nil, nil
+}
+
 // ResolveMethod looks up the method `name/nargs` starting at class cname
 // and walking the superclass chain, then superinterfaces.  It returns the
 // declaring class and the method, or an error.
 func (p *Program) ResolveMethod(cname, name string, nargs int) (*Class, *Method, error) {
-	seenSupers := map[string]bool{}
-	for cur := cname; cur != "" && !seenSupers[cur]; {
-		seenSupers[cur] = true
+	cur := cname
+	for steps := 0; cur != "" && steps <= len(p.classes); steps++ {
 		c := p.classes[cur]
 		if c == nil {
 			return nil, nil, fmt.Errorf("resolve %s.%s/%d: unknown class %q", cname, name, nargs, cur)
@@ -213,42 +267,19 @@ func (p *Program) ResolveMethod(cname, name string, nargs int) (*Class, *Method,
 	}
 	// Interface default resolution: search the interface graph for an
 	// abstract declaration (used by the verifier for interface types).
-	if c := p.classes[cname]; c != nil {
-		var search func(string) (*Class, *Method)
-		seen := map[string]bool{}
-		search = func(iname string) (*Class, *Method) {
-			if seen[iname] {
-				return nil, nil
-			}
-			seen[iname] = true
-			ic := p.classes[iname]
-			if ic == nil {
-				return nil, nil
-			}
-			if m := ic.Method(name, nargs); m != nil {
-				return ic, m
-			}
-			for _, super := range ic.Interfaces {
-				if dc, dm := search(super); dm != nil {
-					return dc, dm
-				}
-			}
-			return nil, nil
+	var seen visited
+	cur = cname
+	for steps := 0; cur != "" && steps <= len(p.classes); steps++ {
+		cc := p.classes[cur]
+		if cc == nil {
+			break
 		}
-		seenChain := map[string]bool{}
-		for cur := cname; cur != "" && !seenChain[cur]; {
-			seenChain[cur] = true
-			cc := p.classes[cur]
-			if cc == nil {
-				break
+		for _, i := range cc.Interfaces {
+			if dc, dm := p.ifaceMethod(i, name, nargs, &seen); dm != nil {
+				return dc, dm, nil
 			}
-			for _, i := range cc.Interfaces {
-				if dc, dm := search(i); dm != nil {
-					return dc, dm, nil
-				}
-			}
-			cur = cc.Super
 		}
+		cur = cc.Super
 	}
 	return nil, nil, fmt.Errorf("resolve: no method %s.%s/%d", cname, name, nargs)
 }
@@ -256,9 +287,8 @@ func (p *Program) ResolveMethod(cname, name string, nargs int) (*Class, *Method,
 // ResolveField looks up field `name` starting at class cname and walking
 // the superclass chain.
 func (p *Program) ResolveField(cname, name string) (*Class, *Field, error) {
-	seen := map[string]bool{}
-	for cur := cname; cur != "" && !seen[cur]; {
-		seen[cur] = true
+	cur := cname
+	for steps := 0; cur != "" && steps <= len(p.classes); steps++ {
 		c := p.classes[cur]
 		if c == nil {
 			return nil, nil, fmt.Errorf("resolve field %s.%s: unknown class %q", cname, name, cur)

@@ -3,6 +3,7 @@ package vm
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"rafda/internal/ir"
 	"rafda/internal/stdlib"
@@ -31,68 +32,93 @@ func (v *VM) bumpStep(env *Env) bool {
 	return true
 }
 
-// exec interprets one method activation within env's execution.  Field
-// and static accesses synchronise per object / per slot table; native
-// methods may release the execution's locks via Env.RunUnlocked.
-func (v *VM) exec(env *Env, class *ir.Class, m *ir.Method, recv Value, args []Value) (Value, *Thrown, error) {
+// invoke activates c on the arguments already in place at
+// env.slab[base : base+c.nargs] (receiver first for instance methods):
+// a native is called on a view of them, bytecode runs in a frame that
+// starts at them.  Static methods trigger their class's initialisation.
+func (v *VM) invoke(env *Env, c *code, base int) (Value, *Thrown, error) {
+	m := c.m
 	if m.Abstract {
-		return Value{}, nil, &FaultError{Msg: fmt.Sprintf("abstract method %s.%s invoked", class.Name, m.Name)}
+		return Value{}, nil, &FaultError{Msg: fmt.Sprintf("abstract method %s.%s invoked", c.class.Name, m.Name)}
 	}
-	if env.depth++; env.depth > v.maxDepth {
-		env.depth--
+	if m.Static && !c.state.started.Load() {
+		if thrown, err := v.initClass(env, c.class); thrown != nil || err != nil {
+			return Value{}, thrown, err
+		}
+	}
+	if env.depth >= v.maxDepth {
 		return Value{}, nil, &FaultError{Msg: "call depth limit exceeded"}
 	}
-	defer func() { env.depth-- }()
-
+	env.depth++
+	sp := env.sp
+	var res Value
+	var thrown *Thrown
+	var err error
 	if m.Native {
-		return v.callNative(env, class, m, recv, args)
+		res, thrown, err = v.callNative(env, c, base)
+	} else {
+		res, thrown, err = v.run(env, c, base)
 	}
+	env.sp = sp
+	env.depth--
+	return res, thrown, err
+}
 
-	nlocals := m.MaxLocals
-	min := len(args)
-	if !m.Static {
-		min++
-	}
-	if nlocals < min {
-		nlocals = min
-	}
-	locals := make([]Value, nlocals+4)
-	idx := 0
-	if !m.Static {
-		locals[0] = recv
-		idx = 1
-	}
-	for _, a := range args {
-		locals[idx] = a
-		idx++
-	}
+func (v *VM) initClass(env *Env, c *ir.Class) (*Thrown, error) {
+	l := v.link.Load()
+	return v.ensureInit(env, l, v.classLink(l, c))
+}
 
-	stack := make([]Value, 0, 16)
-	push := func(val Value) { stack = append(stack, val) }
-	pop := func() Value {
-		val := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		return val
+// fault reports malformed code at pc of c.
+func (c *code) fault(pc int, format string, a ...any) (Value, *Thrown, error) {
+	return Value{}, nil, &FaultError{
+		Msg: fmt.Sprintf("%s.%s pc=%d: %s", c.class.Name, c.m.Name, pc, fmt.Sprintf(format, a...)),
 	}
+}
 
+// run interprets one bytecode activation in the frame that starts at
+// env.slab[base].  Field and static accesses synchronise per object / per
+// slot table; native methods may release the execution's locks via
+// Env.RunUnlocked.
+//
+// f is the frame's window on the slab: locals f[:nl], operand stack
+// f[nl:sp].  Anything that can run other code (an invoke, a class
+// initialiser) can grow — that is, move — the slab, so f is re-derived
+// after it.  The frame is one slot longer than the deepest stack the link
+// pass found, and the loop refuses to start an instruction with that slot
+// taken: no instruction pushes more than one operand net, so a push never
+// needs its own bounds test and code that outgrows its frame faults
+// instead of writing into the next.
+func (v *VM) run(env *Env, c *code, base int) (Value, *Thrown, error) {
+	b := c.body.Load()
+	if b == nil {
+		b = v.linkBody(c)
+	}
+	end := base + b.size
+	env.reserve(end)
+	if end > env.hi {
+		env.hi = end
+	}
+	env.sp = end
+	f := env.slab[base:end]
+	nl := b.nlocals
+	clear(f[c.nargs:nl])
+	sp := nl
+
+	m := c.m
 	code := m.Code
 	pc := 0
 	var pendingThrow *Thrown
-
-	fault := func(format string, a ...any) (Value, *Thrown, error) {
-		return Value{}, nil, &FaultError{
-			Msg: fmt.Sprintf("%s.%s pc=%d: %s", class.Name, m.Name, pc, fmt.Sprintf(format, a...)),
-		}
-	}
 
 	for {
 		if pendingThrow != nil {
 			// Search this frame's handler table.
 			handled := false
-			for _, h := range m.Handlers {
+			for i := range m.Handlers {
+				h := &m.Handlers[i]
 				if pc >= h.Start && pc < h.End && v.catches(h, pendingThrow) {
-					stack = stack[:0]
-					push(RefV(pendingThrow.Obj))
+					f[nl] = RefV(pendingThrow.Obj)
+					sp = nl + 1
 					pc = h.Target
 					pendingThrow = nil
 					handled = true
@@ -106,419 +132,454 @@ func (v *VM) exec(env *Env, class *ir.Class, m *ir.Method, recv Value, args []Va
 		}
 
 		if pc < 0 || pc >= len(code) {
-			return fault("pc out of range (len=%d)", len(code))
+			return c.fault(pc, "pc out of range (len=%d)", len(code))
 		}
 		if !v.bumpStep(env) {
-			return fault("step limit exceeded")
+			return c.fault(pc, "step limit exceeded")
+		}
+		if sp >= len(f) {
+			return c.fault(pc, "operand stack overflow")
 		}
 
-		in := code[pc]
+		in := &code[pc]
 		switch in.Op {
 		case ir.OpConstInt:
-			push(IntV(in.A))
+			f[sp] = IntV(in.A)
+			sp++
 		case ir.OpConstBool:
-			push(BoolV(in.A != 0))
+			f[sp] = BoolV(in.A != 0)
+			sp++
 		case ir.OpConstFloat:
-			push(FloatV(in.F))
+			f[sp] = FloatV(in.F)
+			sp++
 		case ir.OpConstString:
-			push(StringV(in.Str))
+			f[sp] = StringV(in.Str)
+			sp++
 		case ir.OpConstNull:
 			if in.TypeRef != nil && in.TypeRef.IsArray() {
-				push(Value{K: ir.KindArray})
+				f[sp] = Value{K: ir.KindArray}
 			} else {
-				push(NullV())
+				f[sp] = NullV()
 			}
+			sp++
 
 		case ir.OpLoad:
-			n := int(in.A)
-			if n < 0 || n >= len(locals) {
-				return fault("load: bad slot %d", n)
+			if in.A < 0 || in.A >= int64(nl) {
+				return c.fault(pc, "load: bad slot %d", in.A)
 			}
-			push(locals[n])
+			f[sp] = f[in.A]
+			sp++
 		case ir.OpStore:
-			n := int(in.A)
-			if n < 0 {
-				return fault("store: bad slot %d", n)
+			if in.A < 0 || in.A >= int64(nl) {
+				return c.fault(pc, "store: bad slot %d", in.A)
 			}
-			for n >= len(locals) {
-				locals = append(locals, Value{})
+			if sp == nl {
+				return c.fault(pc, "store: empty stack")
 			}
-			if len(stack) == 0 {
-				return fault("store: empty stack")
-			}
-			locals[n] = pop()
+			sp--
+			f[in.A] = f[sp]
 
 		case ir.OpDup:
-			if len(stack) == 0 {
-				return fault("dup: empty stack")
+			if sp == nl {
+				return c.fault(pc, "dup: empty stack")
 			}
-			push(stack[len(stack)-1])
+			f[sp] = f[sp-1]
+			sp++
 		case ir.OpPop:
-			if len(stack) == 0 {
-				return fault("pop: empty stack")
+			if sp == nl {
+				return c.fault(pc, "pop: empty stack")
 			}
-			pop()
+			sp--
 		case ir.OpSwap:
-			if len(stack) < 2 {
-				return fault("swap: underflow")
+			if sp-nl < 2 {
+				return c.fault(pc, "swap: underflow")
 			}
-			stack[len(stack)-1], stack[len(stack)-2] = stack[len(stack)-2], stack[len(stack)-1]
+			f[sp-1], f[sp-2] = f[sp-2], f[sp-1]
 
 		case ir.OpNew:
-			if thrown, err := v.ensureInit(env, in.Owner); err != nil {
-				return Value{}, nil, err
-			} else if thrown != nil {
-				pendingThrow = thrown
-				continue
+			at := &b.sites[pc]
+			lk := at.Load()
+			if lk == nil {
+				_, cl := v.linked(in.Owner)
+				if cl == nil {
+					return Value{}, nil, &FaultError{Msg: "init: unknown class " + in.Owner}
+				}
+				lk = &cl.self
+				at.Store(lk)
 			}
-			obj, err := v.alloc(in.Owner)
+			if !lk.state.started.Load() {
+				thrown, err := v.initClass(env, lk.class)
+				f = env.slab[base:end]
+				if err != nil {
+					return Value{}, nil, err
+				}
+				if thrown != nil {
+					pendingThrow = thrown
+					continue
+				}
+			}
+			obj, err := v.alloc(lk.class, lk.state)
 			if err != nil {
 				return Value{}, nil, err
 			}
-			push(RefV(obj))
+			f[sp] = RefV(obj)
+			sp++
 
 		case ir.OpGetField:
-			if len(stack) < 1 {
-				return fault("getfield: underflow")
+			if sp == nl {
+				return c.fault(pc, "getfield: underflow")
 			}
-			ref := pop()
+			ref := &f[sp-1]
 			if ref.IsNullRef() {
 				pendingThrow = v.throwSys(stdlib.NullPointerClass,
 					fmt.Sprintf("read of field %s on null", in.Member))
 				continue
 			}
 			if ref.K != ir.KindRef {
-				return fault("getfield on non-ref %v", ref.K)
+				return c.fault(pc, "getfield on non-ref %v", ref.K)
 			}
-			val, ok := ref.O.Field(in.Member)
+			val, ok := ref.O.load(in.Member, &b.sites[pc])
 			if !ok {
-				return fault("no field %s on %s", in.Member, ref.O.ClassName())
+				return c.fault(pc, "no field %s on %s", in.Member, ref.O.ClassName())
 			}
-			push(val)
+			*ref = val
 
 		case ir.OpPutField:
-			if len(stack) < 2 {
-				return fault("putfield: underflow")
+			if sp-nl < 2 {
+				return c.fault(pc, "putfield: underflow")
 			}
-			val := pop()
-			ref := pop()
+			sp -= 2
+			ref := &f[sp]
 			if ref.IsNullRef() {
 				pendingThrow = v.throwSys(stdlib.NullPointerClass,
 					fmt.Sprintf("write of field %s on null", in.Member))
 				continue
 			}
 			if ref.K != ir.KindRef {
-				return fault("putfield on non-ref %v", ref.K)
+				return c.fault(pc, "putfield on non-ref %v", ref.K)
 			}
-			ref.O.Set(in.Member, val)
+			ref.O.store(in.Member, &b.sites[pc], f[sp+1])
 
-		case ir.OpGetStatic:
-			slots, fld, thrown, err := v.staticSlot(env, in.Owner, in.Member)
-			if err != nil {
-				return Value{}, nil, err
+		case ir.OpGetStatic, ir.OpPutStatic:
+			if in.Op == ir.OpPutStatic && sp == nl {
+				return c.fault(pc, "putstatic: underflow")
 			}
-			if thrown != nil {
-				pendingThrow = thrown
-				continue
-			}
-			val, _ := slots.get(fld)
-			push(val)
-
-		case ir.OpPutStatic:
-			if len(stack) < 1 {
-				return fault("putstatic: underflow")
-			}
-			slots, fld, thrown, err := v.staticSlot(env, in.Owner, in.Member)
-			if err != nil {
-				return Value{}, nil, err
-			}
-			if thrown != nil {
-				pendingThrow = thrown
-				continue
-			}
-			slots.set(fld, pop())
-
-		case ir.OpInvokeStatic:
-			if len(stack) < in.NArgs {
-				return fault("invokestatic: underflow")
-			}
-			callArgs := make([]Value, in.NArgs)
-			for i := in.NArgs - 1; i >= 0; i-- {
-				callArgs[i] = pop()
-			}
-			res, thrown, err := v.call(env, in.Owner, in.Member, Value{}, callArgs)
-			if err != nil {
-				return Value{}, nil, err
-			}
-			if thrown != nil {
-				pendingThrow = thrown
-				continue
-			}
-			if !res.IsVoid() {
-				push(res)
-			}
-
-		case ir.OpInvokeVirtual, ir.OpInvokeInterface, ir.OpInvokeSpecial:
-			if len(stack) < in.NArgs+1 {
-				return fault("%s: underflow", in.Op)
-			}
-			callArgs := make([]Value, in.NArgs)
-			for i := in.NArgs - 1; i >= 0; i-- {
-				callArgs[i] = pop()
-			}
-			ref := pop()
-			if ref.IsNullRef() {
-				pendingThrow = v.throwSys(stdlib.NullPointerClass,
-					fmt.Sprintf("invoke of %s.%s on null", in.Owner, in.Member))
-				continue
-			}
-			var startClass string
-			if in.Op == ir.OpInvokeSpecial {
-				startClass = in.Owner // exact: constructors, super calls
-			} else {
-				if ref.K != ir.KindRef {
-					return fault("%s on non-ref value", in.Op)
+			at := &b.sites[pc]
+			lk := at.Load()
+			if lk == nil {
+				// Static fields are inherited: link to the declaring class.
+				l := v.link.Load()
+				dc, _, err := l.prog.ResolveField(in.Owner, in.Member)
+				if err != nil {
+					return Value{}, nil, &FaultError{Msg: err.Error()}
 				}
-				startClass = ref.O.ClassName() // dynamic dispatch
+				lk = &v.classLink(l, dc).self
+				at.Store(lk)
 			}
-			res, thrown, err := v.call(env, startClass, in.Member, ref, callArgs)
+			if !lk.state.started.Load() {
+				thrown, err := v.initClass(env, lk.class)
+				f = env.slab[base:end]
+				if err != nil {
+					return Value{}, nil, err
+				}
+				if thrown != nil {
+					pendingThrow = thrown
+					continue
+				}
+			}
+			slots := lk.state.slots.Load()
+			var val Value
+			ok := false
+			if slots != nil {
+				val, ok = slots.get(in.Member)
+			}
+			if !ok {
+				return Value{}, nil, &FaultError{Msg: fmt.Sprintf("field %s.%s is not static", lk.class.Name, in.Member)}
+			}
+			if in.Op == ir.OpGetStatic {
+				f[sp] = val
+				sp++
+			} else {
+				sp--
+				slots.set(in.Member, f[sp])
+			}
+
+		case ir.OpInvokeStatic, ir.OpInvokeVirtual, ir.OpInvokeInterface, ir.OpInvokeSpecial:
+			at := &b.sites[pc]
+			lk := at.Load()
+			if in.Op == ir.OpInvokeStatic {
+				if sp-nl < in.NArgs {
+					return c.fault(pc, "invokestatic: underflow")
+				}
+			} else {
+				if sp-nl < in.NArgs+1 {
+					return c.fault(pc, "%s: underflow", in.Op)
+				}
+				ref := &f[sp-in.NArgs-1]
+				if ref.IsNullRef() {
+					pendingThrow = v.throwSys(stdlib.NullPointerClass,
+						fmt.Sprintf("invoke of %s.%s on null", in.Owner, in.Member))
+					continue
+				}
+				if in.Op != ir.OpInvokeSpecial {
+					// Dynamic dispatch: the site remembers the last
+					// receiver class and what the method resolved to there.
+					if ref.K != ir.KindRef {
+						return c.fault(pc, "%s on non-ref value", in.Op)
+					}
+					if rc := ref.O.Class(); lk == nil || lk.class != rc {
+						var err error
+						if lk, err = v.resolve(v.link.Load(), rc, in.Member, in.NArgs); err != nil {
+							return Value{}, nil, &FaultError{Msg: err.Error()}
+						}
+						at.Store(lk)
+					}
+				}
+			}
+			if lk == nil {
+				// Exact dispatch on Owner: statics, constructors, super calls.
+				var err error
+				if lk, err = v.lookup(in.Owner, in.Member, in.NArgs); err != nil {
+					return Value{}, nil, &FaultError{Msg: err.Error()}
+				}
+				at.Store(lk)
+			}
+			callee := lk.code
+			if in.Op == ir.OpInvokeStatic && callee.nargs != in.NArgs {
+				return c.fault(pc, "invokestatic of instance method %s.%s", in.Owner, in.Member)
+			}
+			// The callee's frame starts at its arguments (a static method
+			// reached through an instance invoke leaves the receiver below).
+			res, thrown, err := v.invoke(env, callee, base+sp-callee.nargs)
+			f = env.slab[base:end]
 			if err != nil {
 				return Value{}, nil, err
+			}
+			sp -= in.NArgs
+			if in.Op != ir.OpInvokeStatic {
+				sp--
 			}
 			if thrown != nil {
 				pendingThrow = thrown
 				continue
 			}
 			if !res.IsVoid() {
-				push(res)
+				f[sp] = res
+				sp++
 			}
 
 		case ir.OpNewArray:
-			if len(stack) < 1 {
-				return fault("newarray: underflow")
+			if sp == nl {
+				return c.fault(pc, "newarray: underflow")
 			}
 			if in.TypeRef == nil {
-				return fault("newarray: missing element type")
+				return c.fault(pc, "newarray: missing element type")
 			}
-			n := pop()
+			n := &f[sp-1]
 			if n.I < 0 {
 				pendingThrow = v.throwSys(stdlib.IndexBoundsClass,
 					fmt.Sprintf("array length %d", n.I))
 				continue
 			}
-			push(ArrayV(NewArray(*in.TypeRef, int(n.I))))
+			*n = ArrayV(NewArray(*in.TypeRef, int(n.I)))
 
 		case ir.OpALoad:
-			if len(stack) < 2 {
-				return fault("aload: underflow")
+			if sp-nl < 2 {
+				return c.fault(pc, "aload: underflow")
 			}
-			idx := pop()
-			arr := pop()
+			sp--
+			idx, arr := f[sp].I, &f[sp-1]
 			if arr.IsNullRef() {
 				pendingThrow = v.throwSys(stdlib.NullPointerClass, "index of null array")
 				continue
 			}
-			if idx.I < 0 || int(idx.I) >= len(arr.A.Vals) {
+			if idx < 0 || int(idx) >= len(arr.A.Vals) {
 				pendingThrow = v.throwSys(stdlib.IndexBoundsClass,
-					fmt.Sprintf("index %d out of range %d", idx.I, len(arr.A.Vals)))
+					fmt.Sprintf("index %d out of range %d", idx, len(arr.A.Vals)))
 				continue
 			}
-			push(arr.A.Vals[idx.I])
+			*arr = arr.A.Vals[idx]
 
 		case ir.OpAStore:
-			if len(stack) < 3 {
-				return fault("astore: underflow")
+			if sp-nl < 3 {
+				return c.fault(pc, "astore: underflow")
 			}
-			val := pop()
-			idx := pop()
-			arr := pop()
+			sp -= 3
+			arr, idx := &f[sp], f[sp+1].I
 			if arr.IsNullRef() {
 				pendingThrow = v.throwSys(stdlib.NullPointerClass, "store to null array")
 				continue
 			}
-			if idx.I < 0 || int(idx.I) >= len(arr.A.Vals) {
+			if idx < 0 || int(idx) >= len(arr.A.Vals) {
 				pendingThrow = v.throwSys(stdlib.IndexBoundsClass,
-					fmt.Sprintf("index %d out of range %d", idx.I, len(arr.A.Vals)))
+					fmt.Sprintf("index %d out of range %d", idx, len(arr.A.Vals)))
 				continue
 			}
-			arr.A.Vals[idx.I] = val
+			arr.A.Vals[idx] = f[sp+2]
 
 		case ir.OpArrayLen:
-			if len(stack) < 1 {
-				return fault("arraylen: underflow")
+			if sp == nl {
+				return c.fault(pc, "arraylen: underflow")
 			}
-			arr := pop()
+			arr := &f[sp-1]
 			if arr.IsNullRef() {
 				pendingThrow = v.throwSys(stdlib.NullPointerClass, "length of null array")
 				continue
 			}
-			push(IntV(int64(len(arr.A.Vals))))
+			*arr = IntV(int64(len(arr.A.Vals)))
 
 		case ir.OpAdd, ir.OpSub, ir.OpMul, ir.OpDiv, ir.OpRem:
-			if len(stack) < 2 {
-				return fault("%s: underflow", in.Op)
+			if sp-nl < 2 {
+				return c.fault(pc, "%s: underflow", in.Op)
 			}
-			b := pop()
-			a := pop()
-			res, thrown := v.arith(in.Op, a, b)
+			sp--
+			res, thrown := v.arith(in.Op, &f[sp-1], &f[sp])
 			if thrown != nil {
 				pendingThrow = thrown
 				continue
 			}
-			push(res)
+			f[sp-1] = res
 
 		case ir.OpNeg:
-			if len(stack) < 1 {
-				return fault("neg: underflow")
+			if sp == nl {
+				return c.fault(pc, "neg: underflow")
 			}
-			a := pop()
-			if a.K == ir.KindFloat {
-				push(FloatV(-a.F))
+			if a := &f[sp-1]; a.K == ir.KindFloat {
+				*a = FloatV(-a.F)
 			} else {
-				push(IntV(-a.I))
+				*a = IntV(-a.I)
 			}
 
 		case ir.OpNot:
-			if len(stack) < 1 {
-				return fault("not: underflow")
+			if sp == nl {
+				return c.fault(pc, "not: underflow")
 			}
-			a := pop()
-			push(BoolV(a.I == 0))
+			f[sp-1] = BoolV(f[sp-1].I == 0)
 
 		case ir.OpConcat:
-			if len(stack) < 2 {
-				return fault("concat: underflow")
+			if sp-nl < 2 {
+				return c.fault(pc, "concat: underflow")
 			}
-			b := pop()
-			a := pop()
-			push(StringV(a.S + b.S))
+			sp--
+			f[sp-1] = StringV(f[sp-1].S + f[sp].S)
 
 		case ir.OpCmpEq, ir.OpCmpNe, ir.OpCmpLt, ir.OpCmpLe, ir.OpCmpGt, ir.OpCmpGe:
-			if len(stack) < 2 {
-				return fault("%s: underflow", in.Op)
+			if sp-nl < 2 {
+				return c.fault(pc, "%s: underflow", in.Op)
 			}
-			b := pop()
-			a := pop()
-			res, err := compare(in.Op, a, b)
+			sp--
+			res, err := compare(in.Op, &f[sp-1], &f[sp])
 			if err != nil {
-				return fault("%v", err)
+				return c.fault(pc, "%v", err)
 			}
-			push(BoolV(res))
+			f[sp-1] = BoolV(res)
 
 		case ir.OpJump:
 			pc = int(in.A)
 			continue
 		case ir.OpJumpIf:
-			if len(stack) < 1 {
-				return fault("jump.if: underflow")
+			if sp == nl {
+				return c.fault(pc, "jump.if: underflow")
 			}
-			if pop().Bool() {
+			sp--
+			if f[sp].Bool() {
 				pc = int(in.A)
 				continue
 			}
 		case ir.OpJumpIfNot:
-			if len(stack) < 1 {
-				return fault("jump.ifnot: underflow")
+			if sp == nl {
+				return c.fault(pc, "jump.ifnot: underflow")
 			}
-			if !pop().Bool() {
+			sp--
+			if !f[sp].Bool() {
 				pc = int(in.A)
 				continue
 			}
 
 		case ir.OpCast:
-			if len(stack) < 1 {
-				return fault("cast: underflow")
+			if sp == nl {
+				return c.fault(pc, "cast: underflow")
 			}
 			if in.TypeRef == nil {
-				return fault("cast: missing target type")
+				return c.fault(pc, "cast: missing target type")
 			}
-			val := pop()
-			res, thrown, err := v.cast(val, *in.TypeRef)
+			res, thrown, err := v.cast(f[sp-1], in.TypeRef, &b.sites[pc])
 			if err != nil {
-				return fault("%v", err)
+				return c.fault(pc, "%v", err)
 			}
 			if thrown != nil {
 				pendingThrow = thrown
 				continue
 			}
-			push(res)
+			f[sp-1] = res
 
 		case ir.OpInstanceOf:
-			if len(stack) < 1 {
-				return fault("instanceof: underflow")
+			if sp == nl {
+				return c.fault(pc, "instanceof: underflow")
 			}
 			if in.TypeRef == nil {
-				return fault("instanceof: missing target type")
+				return c.fault(pc, "instanceof: missing target type")
 			}
-			val := pop()
-			ok := val.K == ir.KindRef && val.O != nil && in.TypeRef.Kind == ir.KindRef &&
-				v.prog.Load().AssignableTo(val.O.ClassName(), in.TypeRef.Name)
-			push(BoolV(ok))
+			val := &f[sp-1]
+			*val = BoolV(val.K == ir.KindRef && val.O != nil && in.TypeRef.Kind == ir.KindRef &&
+				v.kindAt(&b.sites[pc], val.O, in.TypeRef.Name).ok)
 
 		case ir.OpReturn:
 			return Value{}, nil, nil
 		case ir.OpReturnValue:
-			if len(stack) < 1 {
-				return fault("return.v: empty stack")
+			if sp == nl {
+				return c.fault(pc, "return.v: empty stack")
 			}
-			return pop(), nil, nil
+			return f[sp-1], nil, nil
 
 		case ir.OpThrow:
-			if len(stack) < 1 {
-				return fault("throw: empty stack")
+			if sp == nl {
+				return c.fault(pc, "throw: empty stack")
 			}
-			ref := pop()
+			sp--
+			ref := &f[sp]
 			if ref.IsNullRef() {
 				pendingThrow = v.throwSys(stdlib.NullPointerClass, "throw of null")
 				continue
 			}
-			if ref.K != ir.KindRef || !v.prog.Load().IsSubclassOf(ref.O.ClassName(), ir.ThrowableClass) {
-				return fault("throw of non-throwable %s", ref)
+			if ref.K != ir.KindRef || !v.kind(ref.O.Class(), ir.ThrowableClass).sub {
+				return c.fault(pc, "throw of non-throwable %s", *ref)
 			}
 			pendingThrow = &Thrown{Obj: ref.O}
 			continue
 
 		default:
-			return fault("unimplemented opcode %s", in.Op)
+			return c.fault(pc, "unimplemented opcode %s", in.Op)
 		}
 		pc++
 	}
 }
 
-func (v *VM) catches(h ir.TryHandler, t *Thrown) bool {
+func (v *VM) catches(h *ir.TryHandler, t *Thrown) bool {
 	if h.CatchClass == "" {
 		return true
 	}
 	if t.Obj == nil {
 		return false
 	}
-	return v.prog.Load().IsSubclassOf(t.Obj.ClassName(), h.CatchClass)
+	return v.kind(t.Obj.Class(), h.CatchClass).sub
 }
 
-// staticSlot resolves Owner.Member through the superclass chain (static
-// fields are inherited in Java) and ensures initialisation.
-func (v *VM) staticSlot(env *Env, owner, member string) (*staticSlots, string, *Thrown, error) {
-	dc, _, err := v.prog.Load().ResolveField(owner, member)
-	if err != nil {
-		return nil, "", nil, &FaultError{Msg: err.Error()}
+// kindAt is kind for a cast/instanceof site, which remembers the verdict
+// for the class of the last object it saw.
+func (v *VM) kindAt(at *atomic.Pointer[link], o *Object, name string) *link {
+	c := o.Class()
+	k := at.Load()
+	if k == nil || k.class != c {
+		k = v.kind(c, name)
+		at.Store(k)
 	}
-	thrown, ierr := v.ensureInit(env, dc.Name)
-	if ierr != nil || thrown != nil {
-		return nil, "", thrown, ierr
-	}
-	slots := v.slotsOf(dc.Name)
-	if slots == nil {
-		return nil, "", nil, &FaultError{Msg: fmt.Sprintf("field %s.%s is not static", dc.Name, member)}
-	}
-	if _, ok := slots.get(member); !ok {
-		return nil, "", nil, &FaultError{Msg: fmt.Sprintf("field %s.%s is not static", dc.Name, member)}
-	}
-	return slots, member, nil, nil
+	return k
 }
 
-func (v *VM) arith(op ir.Op, a, b Value) (Value, *Thrown) {
+func (v *VM) arith(op ir.Op, a, b *Value) (Value, *Thrown) {
 	if a.K == ir.KindFloat || b.K == ir.KindFloat {
-		af, bf := numAsFloat(a), numAsFloat(b)
+		af, bf := numAsFloat(*a), numAsFloat(*b)
 		switch op {
 		case ir.OpAdd:
 			return FloatV(af + bf), nil
@@ -562,10 +623,10 @@ func numAsFloat(v Value) float64 {
 	return float64(v.I)
 }
 
-func compare(op ir.Op, a, b Value) (bool, error) {
+func compare(op ir.Op, a, b *Value) (bool, error) {
 	// Equality on references is identity; on primitives, value equality.
 	if op == ir.OpCmpEq || op == ir.OpCmpNe {
-		eq, err := valuesEqual(a, b)
+		eq, err := valuesEqual(*a, *b)
 		if err != nil {
 			return false, err
 		}
@@ -584,7 +645,7 @@ func compare(op ir.Op, a, b Value) (bool, error) {
 			c = 1
 		}
 	case a.K == ir.KindFloat || b.K == ir.KindFloat:
-		af, bf := numAsFloat(a), numAsFloat(b)
+		af, bf := numAsFloat(*a), numAsFloat(*b)
 		switch {
 		case af < bf:
 			c = -1
@@ -642,7 +703,7 @@ func valuesEqual(a, b Value) (bool, error) {
 }
 
 // cast applies a checked reference cast or a numeric conversion.
-func (v *VM) cast(val Value, target ir.Type) (Value, *Thrown, error) {
+func (v *VM) cast(val Value, target *ir.Type, at *atomic.Pointer[link]) (Value, *Thrown, error) {
 	switch target.Kind {
 	case ir.KindInt:
 		if val.K == ir.KindFloat {
@@ -663,7 +724,7 @@ func (v *VM) cast(val Value, target ir.Type) (Value, *Thrown, error) {
 			return NullV(), nil, nil
 		}
 		if val.K == ir.KindRef {
-			if val.O == nil || v.prog.Load().AssignableTo(val.O.ClassName(), target.Name) {
+			if val.O == nil || v.kindAt(at, val.O, target.Name).ok {
 				return val, nil, nil
 			}
 			return Value{}, v.throwSys(stdlib.ClassCastClass,

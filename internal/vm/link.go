@@ -1,0 +1,300 @@
+package vm
+
+import (
+	"sync"
+	"sync/atomic"
+
+	"rafda/internal/ir"
+)
+
+// Linking resolves each name the interpreter meets — a method, a field, a
+// class to instantiate, a type to test against — once, on first
+// execution, and leaves the answer where the next execution finds it with
+// a pointer compare.  Nothing is resolved before it runs: building a VM
+// costs the same however large the program.
+//
+// Everything resolved against one program snapshot hangs off one linkage;
+// AddClass publishes a new snapshot with an empty linkage, so no record
+// outlives the program it was resolved in.  Native bindings are the one
+// thing a linkage does not own: they are validated against the native
+// registry snapshot on every native call (see VM.callNative), so a late
+// RegisterNative reaches executions already in flight.  Per-class state
+// that must survive relinking — initialisation, static slots, the
+// instance layout — lives in classState, keyed by class name on the VM.
+type linkage struct {
+	prog    *ir.Program
+	classes sync.Map // *ir.Class → *classLink
+}
+
+// link is one resolved reference.  Records are interned in the tables of
+// the class (or layout) they were resolved for, so a site that alternates
+// between receivers re-reads an existing record instead of allocating.
+// Which fields are meaningful depends on the instruction that cached it.
+type link struct {
+	// class is what the record holds for: the receiver's class at an
+	// invoke, the operand's class at a cast/instanceof/catch, the class to
+	// instantiate at a new, the declaring class at a static access.
+	class *ir.Class
+	state *classState // class's runtime state (new, getstatic, putstatic)
+	code  *code       // invoke*: the method to activate
+	ok    bool        // cast, instanceof: class is assignable to the named type
+	sub   bool        // catch, throw: class is the named class or extends it
+
+	// getfield/putfield: objects with this layout keep the field in slot.
+	layout *layout
+	slot   int
+}
+
+type methodKey struct {
+	name  string
+	nargs int
+}
+
+// classLink is one class's link tables within a linkage.
+type classLink struct {
+	class *ir.Class
+	state *classState
+	codes map[*ir.Method]*code // declared methods; immutable
+	self  link                 // {class, state}: what new and static-access sites cache
+
+	mu      sync.Mutex                          // serialises table writers
+	methods atomic.Pointer[map[methodKey]*link] // by-name method table, filled per lookup
+	kinds   atomic.Pointer[map[string]*link]    // assignability verdicts by type name
+}
+
+// code is the link record of one declared method: what an activation
+// needs that the ir.Method does not say.
+type code struct {
+	class *ir.Class // declaring class
+	m     *ir.Method
+	state *classState
+	nargs int // receiver + parameters: the slots the caller fills
+
+	native atomic.Pointer[nativeBinding] // native methods, see callNative
+	body   atomic.Pointer[body]          // bytecode methods, built on first activation
+}
+
+// body is a bytecode method's frame shape and per-instruction caches.
+type body struct {
+	nlocals int // arguments, then every slot a load/store names
+	size    int // nlocals + deepest operand stack + 1 (see VM.run)
+	sites   []atomic.Pointer[link]
+}
+
+// Frame bounds for hand-built code: a load/store slot at or beyond
+// maxFrameLocals faults when executed instead of sizing a frame, and the
+// depth analysis stops following paths deeper than maxFrameOperands (the
+// interpreter's per-instruction overflow check catches them).
+const (
+	maxFrameLocals   = 1 << 16
+	maxFrameOperands = 1 << 10
+)
+
+// put interns v under k in a copy-on-write table; the first record
+// stored for a key wins.
+func put[K comparable](cl *classLink, at *atomic.Pointer[map[K]*link], k K, v *link) *link {
+	cl.mu.Lock()
+	defer cl.mu.Unlock()
+	var cur map[K]*link
+	if m := at.Load(); m != nil {
+		cur = *m
+	}
+	if first := cur[k]; first != nil {
+		return first
+	}
+	next := make(map[K]*link, len(cur)+1)
+	for ck, cv := range cur {
+		next[ck] = cv
+	}
+	next[k] = v
+	at.Store(&next)
+	return v
+}
+
+func get[K comparable](at *atomic.Pointer[map[K]*link], k K) *link {
+	if m := at.Load(); m != nil {
+		return (*m)[k]
+	}
+	return nil
+}
+
+// classLink returns c's link tables, creating them on first use.
+func (v *VM) classLink(l *linkage, c *ir.Class) *classLink {
+	if cl, ok := l.classes.Load(c); ok {
+		return cl.(*classLink)
+	}
+	cl := &classLink{class: c, state: v.classStateOf(c.Name), codes: make(map[*ir.Method]*code, len(c.Methods))}
+	cl.self = link{class: c, state: cl.state}
+	for _, m := range c.Methods {
+		nargs := len(m.Params)
+		if !m.Static {
+			nargs++
+		}
+		cl.codes[m] = &code{class: c, m: m, state: cl.state, nargs: nargs}
+	}
+	actual, _ := l.classes.LoadOrStore(c, cl)
+	return actual.(*classLink)
+}
+
+// resolve finds the method name/nargs for receiver class c: its by-name
+// method table first, the program's resolution order on a miss.
+func (v *VM) resolve(l *linkage, c *ir.Class, name string, nargs int) (*link, error) {
+	if c == nil {
+		_, _, err := l.prog.ResolveMethod("<nil>", name, nargs)
+		return nil, err
+	}
+	cl := v.classLink(l, c)
+	k := methodKey{name, nargs}
+	if t := get(&cl.methods, k); t != nil {
+		return t, nil
+	}
+	dc, m, err := l.prog.ResolveMethod(c.Name, name, nargs)
+	if err != nil {
+		return nil, err
+	}
+	return put(cl, &cl.methods, k, &link{class: c, code: v.classLink(l, dc).codes[m]}), nil
+}
+
+// lookup is resolve for the by-name entry points.
+func (v *VM) lookup(class, method string, nargs int) (*link, error) {
+	l, cl := v.linked(class)
+	if cl == nil {
+		_, _, err := l.prog.ResolveMethod(class, method, nargs)
+		return nil, err
+	}
+	return v.resolve(l, cl.class, method, nargs)
+}
+
+// linked returns the current linkage and the named class's link tables
+// in it (nil when the program has no such class).
+func (v *VM) linked(class string) (*linkage, *classLink) {
+	l := v.link.Load()
+	if c := l.prog.Class(class); c != nil {
+		return l, v.classLink(l, c)
+	}
+	return l, nil
+}
+
+// kind answers whether class c is assignable to (ok) and a subclass of
+// (sub) the named type, from c's verdict table.
+func (v *VM) kind(c *ir.Class, name string) *link {
+	if c == nil {
+		return &link{} // a raw object without a class is nothing
+	}
+	l := v.link.Load()
+	cl := v.classLink(l, c)
+	if k := get(&cl.kinds, name); k != nil {
+		return k
+	}
+	return put(cl, &cl.kinds, name, &link{
+		class: c,
+		ok:    l.prog.AssignableTo(c.Name, name),
+		sub:   l.prog.IsSubclassOf(c.Name, name),
+	})
+}
+
+// linkBody sizes c's frame and allocates its site caches.
+func (v *VM) linkBody(c *code) *body {
+	prog := v.link.Load().prog
+	code := c.m.Code
+	nlocals := c.nargs
+	for i := range code {
+		in := &code[i]
+		if (in.Op == ir.OpLoad || in.Op == ir.OpStore) && in.A >= int64(nlocals) && in.A < maxFrameLocals {
+			nlocals = int(in.A) + 1
+		}
+	}
+	b := &body{
+		nlocals: nlocals,
+		size:    nlocals + operandDepth(prog, c.m) + 1,
+		sites:   make([]atomic.Pointer[link], len(code)),
+	}
+	if !c.body.CompareAndSwap(nil, b) {
+		b = c.body.Load()
+	}
+	return b
+}
+
+// operandDepth returns the deepest operand stack any path through m
+// reaches: a worklist pass over the control-flow graph, handler entries
+// included, that keeps the larger depth where paths join.
+func operandDepth(prog *ir.Program, m *ir.Method) int {
+	code := m.Code
+	seen := make([]int, len(code)) // deepest entry depth seen so far, plus one
+	var work []int
+	deepest := 0
+	enter := func(pc, d int) {
+		if pc < 0 || pc >= len(code) || d > maxFrameOperands {
+			return
+		}
+		if d > deepest {
+			deepest = d
+		}
+		if d+1 > seen[pc] {
+			seen[pc] = d + 1
+			work = append(work, pc)
+		}
+	}
+	enter(0, 0)
+	for _, h := range m.Handlers {
+		enter(h.Target, 1)
+	}
+	for len(work) > 0 {
+		pc := work[len(work)-1]
+		work = work[:len(work)-1]
+		in := &code[pc]
+		pops, pushes := stackEffect(prog, in)
+		d := seen[pc] - 1 - pops
+		if d < 0 {
+			d = 0 // underflows fault when executed
+		}
+		d += pushes
+		switch in.Op {
+		case ir.OpReturn, ir.OpReturnValue, ir.OpThrow:
+			continue
+		case ir.OpJump:
+			enter(int(in.A), d)
+			continue
+		case ir.OpJumpIf, ir.OpJumpIfNot:
+			enter(int(in.A), d)
+		}
+		enter(pc+1, d)
+	}
+	return deepest
+}
+
+// stackEffect returns how many operands in pops and pushes.  An invoke
+// pushes unless its statically resolved target is void.
+func stackEffect(prog *ir.Program, in *ir.Instr) (pops, pushes int) {
+	switch in.Op {
+	case ir.OpConstInt, ir.OpConstFloat, ir.OpConstString, ir.OpConstBool, ir.OpConstNull,
+		ir.OpLoad, ir.OpNew, ir.OpGetStatic:
+		return 0, 1
+	case ir.OpStore, ir.OpPop, ir.OpPutStatic, ir.OpJumpIf, ir.OpJumpIfNot,
+		ir.OpReturnValue, ir.OpThrow:
+		return 1, 0
+	case ir.OpDup:
+		return 1, 2
+	case ir.OpSwap:
+		return 2, 2
+	case ir.OpGetField, ir.OpNewArray, ir.OpArrayLen, ir.OpNeg, ir.OpNot, ir.OpCast, ir.OpInstanceOf:
+		return 1, 1
+	case ir.OpPutField:
+		return 2, 0
+	case ir.OpALoad, ir.OpAdd, ir.OpSub, ir.OpMul, ir.OpDiv, ir.OpRem, ir.OpConcat,
+		ir.OpCmpEq, ir.OpCmpNe, ir.OpCmpLt, ir.OpCmpLe, ir.OpCmpGt, ir.OpCmpGe:
+		return 2, 1
+	case ir.OpAStore:
+		return 3, 0
+	case ir.OpInvokeStatic, ir.OpInvokeVirtual, ir.OpInvokeInterface, ir.OpInvokeSpecial:
+		pops, pushes = in.NArgs, 1
+		if in.Op != ir.OpInvokeStatic {
+			pops++
+		}
+		if _, dm, err := prog.ResolveMethod(in.Owner, in.Member, in.NArgs); err == nil && dm.Return.IsVoid() {
+			pushes = 0
+		}
+		return pops, pushes
+	}
+	return 0, 0
+}

@@ -11,20 +11,45 @@ import (
 	"rafda/internal/stdlib"
 )
 
-// callNative dispatches a native method: exact registration first, then
-// the owning class's fallback handler (used by generated proxy classes).
-// The caller's env is passed through so the native runs inside the same
-// execution (same depth budget, same held locks).
-func (v *VM) callNative(env *Env, class *ir.Class, m *ir.Method, recv Value, args []Value) (Value, *Thrown, error) {
+// nativeBinding is a native method's implementation as found in one
+// registry snapshot.
+type nativeBinding struct {
+	reg   *nativeRegistry
+	exact NativeFunc
+	class ClassNativeFunc
+}
+
+// callNative dispatches the native method c on the arguments at
+// env.slab[base:]: exact registration first, then the owning class's
+// fallback handler (used by generated proxy classes).  The lookup is done
+// once per registry snapshot and kept in c; a registration since then
+// shows as a different snapshot and rebinds.  The caller's env is passed
+// through so the native runs inside the same execution (same depth
+// budget, same held locks); its args are a view of the slab, valid until
+// it returns.
+func (v *VM) callNative(env *Env, c *code, base int) (Value, *Thrown, error) {
 	reg := v.natives.Load()
-	if f, ok := reg.exact[nativeKey(class.Name, m.Name, len(m.Params))]; ok {
-		return f(env, recv, args)
+	nb := c.native.Load()
+	if nb == nil || nb.reg != reg {
+		nb = &nativeBinding{reg: reg, exact: reg.exact[nativeKey{c.class.Name, c.m.Name, len(c.m.Params)}]}
+		if nb.exact == nil {
+			nb.class = reg.class[c.class.Name]
+		}
+		c.native.Store(nb)
 	}
-	if f, ok := reg.class[class.Name]; ok {
-		return f(env, m.Name, recv, args)
+	var recv Value
+	args := env.slab[base : base+c.nargs : base+c.nargs]
+	if !c.m.Static {
+		recv, args = args[0], args[1:]
+	}
+	switch {
+	case nb.exact != nil:
+		return nb.exact(env, recv, args)
+	case nb.class != nil:
+		return nb.class(env, c.m.Name, recv, args)
 	}
 	return Value{}, nil, &FaultError{
-		Msg: fmt.Sprintf("unbound native method %s.%s/%d", class.Name, m.Name, len(m.Params)),
+		Msg: fmt.Sprintf("unbound native method %s.%s/%d", c.class.Name, c.m.Name, len(c.m.Params)),
 	}
 }
 
@@ -33,7 +58,7 @@ func (v *VM) callNative(env *Env, class *ir.Class, m *ir.Method, recv Value, arg
 // write the registry snapshot in place.
 func registerSystemNatives(v *VM) {
 	reg := func(owner, name string, arity int, f NativeFunc) {
-		v.natives.Load().exact[nativeKey(owner, name, arity)] = f
+		v.natives.Load().exact[nativeKey{owner, name, arity}] = f
 	}
 
 	// sys.Object

@@ -1,0 +1,470 @@
+package vm
+
+import (
+	"errors"
+	"strings"
+	"sync"
+	"testing"
+
+	"rafda/internal/ir"
+	"rafda/internal/minijava"
+)
+
+func compileVM(t *testing.T, src string, opts ...Option) *VM {
+	t.Helper()
+	prog, err := minijava.Compile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := New(prog, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
+// mustCall runs class.method in env and fails on a fault or an exception.
+func mustCall(t *testing.T, env *Env, class, method string, recv Value, args ...Value) Value {
+	t.Helper()
+	res, thrown, err := env.Call(class, method, recv, args)
+	if err != nil {
+		t.Fatalf("%s.%s: %v", class, method, err)
+	}
+	if thrown != nil {
+		c, m := ThrownMessage(thrown)
+		t.Fatalf("%s.%s threw %s: %s", class, method, c, m)
+	}
+	return res
+}
+
+// atRest fails unless env is back where an execution starts: no frames,
+// nothing on the slab.
+func atRest(t *testing.T, env *Env) {
+	t.Helper()
+	if env.depth != 0 || env.sp != 0 {
+		t.Fatalf("execution left depth=%d sp=%d behind, want 0 0", env.depth, env.sp)
+	}
+}
+
+// TestSlabGrowsUnderRecursion: a recursion deep enough to move the slab
+// several times returns the right value, which it only can if every live
+// frame below kept its locals (each adds its own `keep` on the way out).
+func TestSlabGrowsUnderRecursion(t *testing.T) {
+	v := compileVM(t, `
+class R {
+    static int sum(int n) {
+        if (n == 0) { return 0; }
+        int keep = n * 7;
+        int below = sum(n - 1);
+        return below + keep;
+    }
+}
+class Main { static void main() {} }`, WithMaxDepth(4096))
+	const n = 3000
+	v.Exec(func(env *Env) {
+		before := len(env.slab)
+		got := mustCall(t, env, "R", "sum", Value{}, IntV(n))
+		if want := int64(7 * n * (n + 1) / 2); got.I != want {
+			t.Fatalf("sum(%d) = %d, want %d", n, got.I, want)
+		}
+		if after := len(env.slab); after < 8*256 || after <= before {
+			t.Fatalf("slab went %d -> %d Values: the recursion was meant to grow it several times", before, after)
+		}
+		atRest(t, env)
+	})
+}
+
+// TestSlabUnwindOnException: an exception thrown five frames down and
+// caught at the top leaves the catching frame intact — its locals, its
+// operand stack base, the depth count — so the same call site works on
+// the next iteration, and the execution ends at rest.
+func TestSlabUnwindOnException(t *testing.T) {
+	v := compileVM(t, `
+class E {
+    static int d5(int i) { if (i % 2 == 0) { throw new sys.RuntimeException("boom"); } return i; }
+    static int d4(int i) { int pad = i + 4; return d5(i) + pad - pad; }
+    static int d3(int i) { int pad = i + 3; return d4(i) + pad - pad; }
+    static int d2(int i) { int pad = i + 2; return d3(i) + pad - pad; }
+    static int d1(int i) { int pad = i + 1; return d2(i) + pad - pad; }
+    static int top() {
+        int acc = 0;
+        int guard = 12345;
+        for (int i = 0; i < 6; i = i + 1) {
+            try { acc = acc + d1(i); } catch (sys.RuntimeException e) { acc = acc + 100; }
+        }
+        if (guard != 12345) { return -1; }
+        return acc;
+    }
+}
+class Main { static void main() {} }`, WithMaxDepth(8))
+	// depth 8 is top + d1..d5 + the exception's constructor chain: a
+	// depth count that leaked on unwind would hit the limit by the
+	// second throw.
+	v.Exec(func(env *Env) {
+		if got := mustCall(t, env, "E", "top", Value{}); got.I != 300+1+3+5 {
+			t.Fatalf("top() = %d, want 309", got.I)
+		}
+		atRest(t, env)
+	})
+}
+
+// interruptProgram: Box.run recurses a few frames, then calls the native
+// Box.hop, which makes a gated call of Svc.slow on another object; slow
+// calls the native Svc.park.  SvcMoved is what the Svc object is morphed
+// into while parked.
+func interruptProgram() *ir.Program {
+	prog, err := minijava.Compile(`
+class Svc {
+    int base;
+    native int park();
+    int slow() { int mine = base + 1; return park() + mine; }
+}
+class SvcMoved {
+    int base;
+    int slow() { return 42; }
+}
+class Box {
+    Svc svc;
+    native int hop();
+    int run(int n) {
+        if (n == 0) { return hop(); }
+        int keep = n * 1000;
+        return run(n - 1) + keep;
+    }
+}
+class Main { static void main() {} }`)
+	if err != nil {
+		panic(err)
+	}
+	return prog
+}
+
+// TestSlabRestoredAfterMigrationInterrupt: a MigrationInterrupt raised in
+// RunUnlocked, several interpreted frames above a nested CallGated,
+// unwinds to that CallGated, which retries against the morphed class.
+// The frames the panic skipped never ran their exits, so the landing
+// site must put depth and slab top back itself.
+func TestSlabRestoredAfterMigrationInterrupt(t *testing.T) {
+	v := MustNew(interruptProgram())
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			box, _ := v.NewObject("Box")
+			svc, _ := v.NewObject("Svc")
+			box.Set("svc", RefV(svc))
+			v.ExecOn(box, func(env *Env) {
+				if got := mustCall(t, env, "Box", "run", RefV(box), IntV(3)); got.I != 42+6000 {
+					t.Errorf("run(3) = %d, want 6042", got.I)
+				}
+				atRest(t, env)
+			})
+		}()
+	}
+	v.RegisterNative("Box", "hop", 0, func(env *Env, recv Value, _ []Value) (Value, *Thrown, error) {
+		depth, sp := env.depth, env.sp
+		res, thrown, err := env.CallGated(recv.O.Get("svc").O, "slow", nil)
+		if env.depth != depth || env.sp != sp {
+			t.Errorf("CallGated returned with depth=%d sp=%d, entered with %d %d", env.depth, env.sp, depth, sp)
+		}
+		return res, thrown, err
+	})
+	v.RegisterNative("Svc", "park", 0, func(env *Env, recv Value, _ []Value) (Value, *Thrown, error) {
+		env.RunUnlocked(func() {
+			// The object migrates away while its invocation is parked.
+			if err := v.Morph(recv.O, "SvcMoved", map[string]Value{"base": IntV(0)}); err != nil {
+				t.Error(err)
+			}
+		})
+		t.Error("park resumed on a morphed object")
+		return IntV(0), nil, nil
+	})
+	wg.Wait()
+}
+
+// whoProgram has one interface call site, Caller.ask, and a class whose
+// method of the same name is native.
+func whoProgram(t *testing.T) *VM {
+	return compileVM(t, `
+interface Who { int who(); }
+class Local implements Who { int who() { return 1; } }
+class Remote implements Who { native int who(); }
+class Caller {
+    static int ask(Who w) { return w.who(); }
+    static int askTwice(Who a, Who b) {
+        int acc = 0;
+        for (int i = 0; i < 4; i = i + 1) { acc = acc * 10 + a.who(); acc = acc * 10 + b.who(); }
+        return acc;
+    }
+}
+class Main { static void main() {} }`)
+}
+
+// TestInlineCacheFollowsMorph: the inline cache is keyed by the
+// receiver's class pointer, so the same site dispatches an object to
+// bytecode before a Morph and to the new class's native after it.
+func TestInlineCacheFollowsMorph(t *testing.T) {
+	v := whoProgram(t)
+	v.RegisterClassNative("Remote", func(env *Env, method string, _ Value, _ []Value) (Value, *Thrown, error) {
+		if method != "who" {
+			t.Errorf("class native got %q", method)
+		}
+		return IntV(2), nil, nil
+	})
+	obj, _ := v.NewObject("Local")
+	other, _ := v.NewObject("Local")
+	ask := func(o *Object) int64 {
+		got, err := v.Invoke("Caller", "ask", Value{}, []Value{RefV(o)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got.I
+	}
+	if got := ask(obj); got != 1 {
+		t.Fatalf("before morph: %d", got)
+	}
+	if err := v.Morph(obj, "Remote", nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := ask(obj); got != 2 {
+		t.Fatalf("after morph the site still answered %d, want the native's 2", got)
+	}
+	if got := ask(other); got != 1 {
+		t.Fatalf("an unmorphed Local at the same site: %d", got)
+	}
+	// Two sites alternating between the two classes: every call misses.
+	got, err := v.Invoke("Caller", "askTwice", Value{}, []Value{RefV(obj), RefV(other)})
+	if err != nil || got.I != 21212121 {
+		t.Fatalf("alternating receivers: %v %v", got, err)
+	}
+}
+
+// TestInlineCacheSeesLateRegistration: a native rebound, and a class
+// added, after a call site and a by-name entry have been linked take
+// effect on the next call; relinking keeps static state.
+func TestInlineCacheSeesLateRegistration(t *testing.T) {
+	v := compileVM(t, `
+class N { static native int f(); }
+class T {
+    static int calls = 0;
+    static int g() { calls = calls + 1; return N.f() * 100 + calls; }
+}
+class Main { static void main() {} }`)
+	bind := func(n int64) {
+		v.RegisterNative("N", "f", 0, func(*Env, Value, []Value) (Value, *Thrown, error) { return IntV(n), nil, nil })
+	}
+	g := func() int64 {
+		got, err := v.Invoke("T", "g", Value{}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got.I
+	}
+	bind(1)
+	if got := g(); got != 101 {
+		t.Fatalf("first call: %d", got)
+	}
+	bind(2)
+	if got := g(); got != 202 {
+		t.Fatalf("after rebinding N.f the linked site answered %d, want 202", got)
+	}
+	late, err := minijava.Compile(`class Late { static int h() { return 7; } } class Main { static void main() {} }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := v.AddClass(late.Class("Late")); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := v.Invoke("Late", "h", Value{}, nil); err != nil || got.I != 7 {
+		t.Fatalf("late class: %v %v", got, err)
+	}
+	if got := g(); got != 203 {
+		t.Fatalf("after AddClass: %d, want 203 (statics survive relinking)", got)
+	}
+}
+
+// TestSlabLimitFaults: depth and step limits keep their messages, and an
+// execution that faulted leaves the VM usable.
+func TestSlabLimitFaults(t *testing.T) {
+	v := compileVM(t, `
+class L {
+    static int down(int n) { if (n == 0) { return 0; } return down(n - 1) + 1; }
+    static void spin() { while (true) {} }
+}
+class Main { static void main() {} }`, WithMaxDepth(50), WithMaxSteps(100_000))
+	var fault *FaultError
+	if _, err := v.Invoke("L", "down", Value{}, []Value{IntV(60)}); !errors.As(err, &fault) ||
+		err.Error() != "vm fault: call depth limit exceeded" {
+		t.Fatalf("depth fault: %v", err)
+	}
+	if got, err := v.Invoke("L", "down", Value{}, []Value{IntV(40)}); err != nil || got.I != 40 {
+		t.Fatalf("after a depth fault: %v %v", got, err)
+	}
+	if _, err := v.Invoke("L", "spin", Value{}, nil); !errors.As(err, &fault) ||
+		!strings.HasPrefix(fault.Msg, "L.spin pc=") || !strings.HasSuffix(fault.Msg, ": step limit exceeded") {
+		t.Fatalf("step fault: %v", err)
+	}
+}
+
+// TestSlabFrameBounds: frames are sized from the code, so hand-built code
+// may use any slot it names, and what it cannot be sized for faults with
+// the interpreter's usual messages instead of touching another frame.
+func TestSlabFrameBounds(t *testing.T) {
+	run := func(code ...ir.Instr) (Value, error) {
+		callee := staticMethod("f", ir.Int, nil, code)
+		callee.MaxLocals = 0 // a lie the frame scan must not believe
+		caller := staticMethod("g", ir.Int, nil, []ir.Instr{
+			{Op: ir.OpConstInt, A: 11}, {Op: ir.OpStore, A: 0},
+			{Op: ir.OpInvokeStatic, Owner: "T", Member: "f"},
+			{Op: ir.OpLoad, A: 0}, {Op: ir.OpAdd}, {Op: ir.OpReturnValue},
+		})
+		return MustNew(buildClass(callee, caller)).Invoke("T", "g", Value{}, nil)
+	}
+	if got, err := run(
+		ir.Instr{Op: ir.OpConstInt, A: 31}, ir.Instr{Op: ir.OpStore, A: 9},
+		ir.Instr{Op: ir.OpLoad, A: 9}, ir.Instr{Op: ir.OpReturnValue},
+	); err != nil || got.I != 42 {
+		t.Fatalf("store to a slot beyond MaxLocals: %v %v", got, err)
+	}
+	for _, tc := range []struct {
+		want string
+		code []ir.Instr
+	}{
+		{"load: bad slot -1", []ir.Instr{{Op: ir.OpLoad, A: -1}, {Op: ir.OpReturnValue}}},
+		{"load: bad slot 70000", []ir.Instr{{Op: ir.OpLoad, A: 70000}, {Op: ir.OpReturnValue}}},
+		{"store: bad slot 70000", []ir.Instr{{Op: ir.OpConstInt}, {Op: ir.OpStore, A: 70000}, {Op: ir.OpReturn}}},
+		{"swap: underflow", []ir.Instr{{Op: ir.OpConstInt}, {Op: ir.OpSwap}, {Op: ir.OpReturnValue}}},
+		{"add: underflow", []ir.Instr{{Op: ir.OpConstInt}, {Op: ir.OpAdd}, {Op: ir.OpReturnValue}}},
+		{"operand stack overflow", []ir.Instr{{Op: ir.OpConstInt, A: 1}, {Op: ir.OpJump, A: 0}}},
+	} {
+		_, err := run(tc.code...)
+		var fault *FaultError
+		if !errors.As(err, &fault) || !strings.HasSuffix(fault.Msg, ": "+tc.want) {
+			t.Errorf("want fault %q, got %v", tc.want, err)
+		}
+	}
+}
+
+// TestObjectFieldsByName: the by-name Object API behaves as it did when
+// fields were a map — migration snapshots and the proxy reference quad
+// depend on every case here.
+func TestObjectFieldsByName(t *testing.T) {
+	v := compileVM(t, `
+class Base { int a; }
+class P extends Base { string s; int read() { return a; } }
+class Q { int a; int read() { return a; } }
+class Main { static void main() {} }`)
+	obj, err := v.NewObject("P")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, fields := obj.View(); len(fields) != 2 || fields["a"].K != ir.KindInt || fields["s"].K != ir.KindString {
+		t.Fatalf("fresh instance: %v", fields)
+	}
+
+	// A field the class does not declare: Set adds it, Field finds it,
+	// View ships it, and instances that never set it are unaffected.
+	if _, ok := obj.Field("__guid"); ok {
+		t.Fatal("undeclared field present before it was set")
+	}
+	obj.Set("__guid", StringV("n#1"))
+	if got, ok := obj.Field("__guid"); !ok || got.S != "n#1" {
+		t.Fatalf("Set of an undeclared field: %v %v", got, ok)
+	}
+	sibling, _ := v.NewObject("P")
+	if _, ok := sibling.Field("__guid"); ok {
+		t.Fatal("a by-name Set leaked into another instance of the class")
+	}
+
+	// SetFields / ReadFields / View round-trip, declared and ad-hoc alike.
+	obj.SetFields(map[string]Value{"a": IntV(5), "__endpoint": StringV("rrp://x"), "s": StringV("hi")})
+	var out [4]Value
+	obj.ReadFields([]string{"a", "__endpoint", "missing", "__guid"}, out[:])
+	if out[0].I != 5 || out[1].S != "rrp://x" || out[2] != (Value{}) || out[3].S != "n#1" {
+		t.Fatalf("ReadFields: %v", out)
+	}
+	cls, fields := obj.View()
+	if cls.Name != "P" || len(fields) != 4 || fields["s"].S != "hi" || fields["__endpoint"].S != "rrp://x" {
+		t.Fatalf("View: %s %v", cls.Name, fields)
+	}
+	fields["a"] = IntV(99) // a copy: the object keeps its own
+	if obj.Get("a").I != 5 {
+		t.Fatal("View returned the live fields")
+	}
+
+	// Morph keeps exactly the fields it is given: extra keys are kept,
+	// declared ones left out are absent until written.
+	if err := v.Morph(obj, "Q", map[string]Value{"__target": StringV("P")}); err != nil {
+		t.Fatal(err)
+	}
+	if cls, fields := obj.View(); cls.Name != "Q" || len(fields) != 1 || fields["__target"].S != "P" {
+		t.Fatalf("after Morph: %s %v", cls.Name, fields)
+	}
+	if _, ok := obj.Field("a"); ok {
+		t.Fatal("Morph without a left it present")
+	}
+	if _, err := v.Invoke("Q", "read", RefV(obj), nil); err == nil || !strings.Contains(err.Error(), "no field a on Q") {
+		t.Fatalf("getfield of a field the morph dropped: %v", err)
+	}
+	obj.Set("a", IntV(8))
+	if got, err := v.Invoke("Q", "read", RefV(obj), nil); err != nil || got.I != 8 {
+		t.Fatalf("getfield after the field was written back: %v %v", got, err)
+	}
+
+	// NewRawObject holds exactly its map, whatever the class declares.
+	raw := NewRawObject(v.Program().Class("P"), map[string]Value{"a": IntV(3), "extra": BoolV(true)})
+	if _, fields := raw.View(); len(fields) != 2 || !fields["extra"].Bool() {
+		t.Fatalf("raw object: %v", fields)
+	}
+	if _, ok := raw.Field("s"); ok {
+		t.Fatal("raw object grew a declared field it was not given")
+	}
+	if got, err := v.Invoke("P", "read", RefV(raw), nil); err != nil || got.I != 3 {
+		t.Fatalf("getfield on a raw object: %v %v", got, err)
+	}
+	if empty := NewRawObject(v.Program().Class("P"), nil); empty.Get("a") != (Value{}) {
+		t.Fatal("nil field map")
+	}
+}
+
+// TestSlabPerExecution: executions on different goroutines never share a
+// slab, whether they overlap or follow one another through the pool.
+func TestSlabPerExecution(t *testing.T) {
+	v := compileVM(t, `
+class R {
+    int seed;
+    int sum(int n) { if (n == 0) { return seed; } int keep = n; return sum(n - 1) + keep; }
+}
+class Main { static void main() {} }`)
+	const workers = 2
+	var inside sync.WaitGroup
+	inside.Add(workers)
+	slabs := make([]*Value, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			obj, _ := v.NewObject("R")
+			obj.Set("seed", IntV(int64(w)))
+			for i := 0; i < 200; i++ {
+				v.ExecOn(obj, func(env *Env) {
+					if got := mustCall(t, env, "R", "sum", RefV(obj), IntV(100)); got.I != 5050+int64(w) {
+						t.Errorf("worker %d: sum = %d", w, got.I)
+					}
+					if i == 0 {
+						// Both executions are in flight here.
+						slabs[w] = &env.slab[0]
+						inside.Done()
+						inside.Wait()
+					}
+				})
+			}
+		}(w)
+	}
+	wg.Wait()
+	if slabs[0] == slabs[1] {
+		t.Fatal("two concurrent executions ran on one slab")
+	}
+}

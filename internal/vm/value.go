@@ -128,8 +128,56 @@ func NewArray(elem ir.Type, n int) *Array {
 	return &Array{Elem: elem, Vals: vals}
 }
 
+// layout maps the field names of one object shape to slots.  Every
+// instance of a class shares the class's layout (built on first
+// allocation, see VM.layoutOf); a by-name write of a field the layout
+// lacks moves the object to the one-field extension of its layout, so
+// ad-hoc fields (proxy reference quads morphed onto any class, migrated
+// snapshots) keep working exactly as they did when objects were maps.
+// Layouts are immutable apart from the extension table.
+type layout struct {
+	names []string
+	index map[string]int
+	refs  []link  // refs[i] is what a getfield/putfield site caches for slot i
+	zeros []Value // slot defaults for a fresh instance (class layouts only)
+
+	mu   sync.Mutex
+	next map[string]*layout // one-field extensions, by added name
+}
+
+func newLayout(names []string) *layout {
+	l := &layout{
+		names: names,
+		index: make(map[string]int, len(names)),
+		refs:  make([]link, len(names)),
+	}
+	for i, n := range names {
+		l.index[n] = i
+		l.refs[i] = link{layout: l, slot: i}
+	}
+	return l
+}
+
+// with returns the layout that has l's fields plus name.
+func (l *layout) with(name string) *layout {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if n := l.next[name]; n != nil {
+		return n
+	}
+	n := newLayout(append(l.names[:len(l.names):len(l.names)], name))
+	if l.next == nil {
+		l.next = make(map[string]*layout)
+	}
+	l.next[name] = n
+	return n
+}
+
 // Object is a heap object: an instance of its class with its instance
-// fields (including inherited ones) flattened into one map.
+// fields (including inherited ones) flattened into one slot vector
+// described by a layout.  A slot holding the zero Value is an absent
+// field: that is how an object morphed with fewer fields than its class
+// declares, or extended by name beyond them, reports what it has.
 //
 // Proxy instances are ordinary Objects whose class was generated by the
 // transformer; the node runtime stores the target GUID and endpoint in
@@ -140,9 +188,12 @@ func NewArray(elem ir.Type, n int) *Array {
 //
 // Thread safety: two locks with distinct roles.
 //
-//   - mu guards the class pointer and the field map for the duration of
-//     one read/write/morph, so individual heap operations are atomic and
-//     the map is never corrupted, no matter which goroutines race.
+//   - mu guards the layout and the slot vector for the duration of one
+//     read/write/morph, so individual heap operations are atomic and a
+//     slot index is never applied to the wrong layout, no matter which
+//     goroutines race.  The class pointer is written under mu together
+//     with them but read with a single atomic load: dispatch needs only
+//     the class, and a morph racing it is ordered either side.
 //   - gate is the object's invocation gate (a monitor): the node runtime
 //     holds it for the whole of an inbound method invocation targeting
 //     this object, and migration holds it across snapshot→ship→morph.
@@ -154,8 +205,9 @@ func NewArray(elem ir.Type, n int) *Array {
 // cannot self-deadlock; see docs/CONCURRENCY.md for the full contract.
 type Object struct {
 	mu     sync.Mutex
-	class  *ir.Class
-	fields map[string]Value
+	class  atomic.Pointer[ir.Class]
+	layout *layout
+	vals   []Value
 
 	gate sync.Mutex
 
@@ -188,51 +240,105 @@ type Object struct {
 func (o *Object) Parked() int32 { return o.parked.Load() }
 
 // NewRawObject builds an object directly from a class and field map; the
-// normal allocation path is VM.NewObject / Env.New.
+// normal allocation path is VM.NewObject / Env.New.  The object gets a
+// private layout of exactly the given fields.
 func NewRawObject(class *ir.Class, fields map[string]Value) *Object {
-	if fields == nil {
-		fields = make(map[string]Value)
+	names := make([]string, 0, len(fields))
+	for k := range fields {
+		names = append(names, k)
 	}
-	return &Object{class: class, fields: fields}
+	l := newLayout(names)
+	o := &Object{layout: l, vals: make([]Value, len(names))}
+	o.class.Store(class)
+	for i, k := range names {
+		o.vals[i] = fields[k]
+	}
+	return o
+}
+
+// newObject builds a zeroed instance of class on its shared layout.
+func newObject(class *ir.Class, l *layout) *Object {
+	o := &Object{layout: l, vals: make([]Value, len(l.zeros))}
+	o.class.Store(class)
+	copy(o.vals, l.zeros)
+	return o
 }
 
 // Class returns the object's current dynamic class.
-func (o *Object) Class() *ir.Class {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.class
-}
+func (o *Object) Class() *ir.Class { return o.class.Load() }
 
 // ClassName returns the current dynamic class name ("<nil>" before the
 // object is fully constructed).
 func (o *Object) ClassName() string {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if o.class == nil {
-		return "<nil>"
+	if c := o.class.Load(); c != nil {
+		return c.Name
 	}
-	return o.class.Name
+	return "<nil>"
+}
+
+// slotLocked returns the slot of name, extending the object's layout by
+// one field when it has none.  Caller holds o.mu.
+func (o *Object) slotLocked(name string) int {
+	if i, ok := o.layout.index[name]; ok {
+		return i
+	}
+	o.layout = o.layout.with(name)
+	o.vals = append(o.vals, Value{})
+	return len(o.vals) - 1
 }
 
 // Get reads a field (zero Value if absent).
 func (o *Object) Get(name string) Value {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.fields[name]
+	v, _ := o.Field(name)
+	return v
 }
 
 // Field reads a field and reports whether it exists.
 func (o *Object) Field(name string) (Value, bool) {
+	var v Value
 	o.mu.Lock()
-	defer o.mu.Unlock()
-	v, ok := o.fields[name]
-	return v, ok
+	if i, ok := o.layout.index[name]; ok {
+		v = o.vals[i]
+	}
+	o.mu.Unlock()
+	return v, v.K != 0
 }
 
 // Set writes a field.
 func (o *Object) Set(name string, v Value) {
 	o.mu.Lock()
-	o.fields[name] = v
+	o.vals[o.slotLocked(name)] = v
+	o.mu.Unlock()
+}
+
+// load is Field for a getfield site: at caches the slot the name had in
+// the layout the site last saw, and is refreshed on a miss (an object of
+// another class, or one morphed or extended since).
+func (o *Object) load(name string, at *atomic.Pointer[link]) (Value, bool) {
+	var v Value
+	ref := at.Load()
+	o.mu.Lock()
+	if ref != nil && ref.layout == o.layout {
+		v = o.vals[ref.slot]
+	} else if i, ok := o.layout.index[name]; ok {
+		v = o.vals[i]
+		at.Store(&o.layout.refs[i])
+	}
+	o.mu.Unlock()
+	return v, v.K != 0
+}
+
+// store is Set for a putfield site; at as in load.
+func (o *Object) store(name string, at *atomic.Pointer[link], v Value) {
+	ref := at.Load()
+	o.mu.Lock()
+	if ref != nil && ref.layout == o.layout {
+		o.vals[ref.slot] = v
+	} else {
+		i := o.slotLocked(name)
+		o.vals[i] = v
+		at.Store(&o.layout.refs[i])
+	}
 	o.mu.Unlock()
 }
 
@@ -242,7 +348,7 @@ func (o *Object) Set(name string, v Value) {
 func (o *Object) SetFields(m map[string]Value) {
 	o.mu.Lock()
 	for k, v := range m {
-		o.fields[k] = v
+		o.vals[o.slotLocked(k)] = v
 	}
 	o.mu.Unlock()
 }
@@ -255,7 +361,11 @@ func (o *Object) SetFields(m map[string]Value) {
 func (o *Object) ReadFields(names []string, out []Value) {
 	o.mu.Lock()
 	for i, n := range names {
-		out[i] = o.fields[n]
+		if s, ok := o.layout.index[n]; ok {
+			out[i] = o.vals[s]
+		} else {
+			out[i] = Value{}
+		}
 	}
 	o.mu.Unlock()
 }
@@ -266,21 +376,25 @@ func (o *Object) ReadFields(names []string, out []Value) {
 func (o *Object) View() (*ir.Class, map[string]Value) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	fields := make(map[string]Value, len(o.fields))
-	for k, v := range o.fields {
-		fields[k] = v
+	fields := make(map[string]Value, len(o.vals))
+	for i, v := range o.vals {
+		if v.K != 0 {
+			fields[o.layout.names[i]] = v
+		}
 	}
-	return o.class, fields
+	return o.class.Load(), fields
 }
 
-// morph atomically re-types the object in place.
-func (o *Object) morph(class *ir.Class, fields map[string]Value) {
-	if fields == nil {
-		fields = make(map[string]Value)
-	}
+// morph atomically re-types the object in place: it takes class's shared
+// layout l, holding exactly the given fields (the rest absent).
+func (o *Object) morph(class *ir.Class, l *layout, fields map[string]Value) {
 	o.mu.Lock()
-	o.class = class
-	o.fields = fields
+	o.class.Store(class)
+	o.layout = l
+	o.vals = make([]Value, len(l.names))
+	for k, v := range fields {
+		o.vals[o.slotLocked(k)] = v
+	}
 	o.epoch.Add(1)
 	o.mu.Unlock()
 }

@@ -13,7 +13,9 @@
 //     published through atomic pointers: method resolution, class lookup
 //     and native dispatch read them without locks.  AddClass /
 //     RegisterNative / RegisterClassNative install a new snapshot
-//     (copy-on-write) and are expected at boot, before traffic.
+//     (copy-on-write) and are expected at boot, before traffic.  What
+//     the interpreter resolved against a snapshot (link.go) is cached per
+//     snapshot and so is dropped with it.
 //   - Every heap Object carries its own state lock (field reads/writes
 //     and morphs are individually atomic) and an invocation gate that
 //     callers acquire via ExecOn to serialise whole invocations — and
@@ -88,10 +90,38 @@ type Thrown struct {
 // An Env is confined to its execution: never retain one beyond the call
 // that delivered it, and never share one between goroutines.
 type Env struct {
+	// Envs are pooled and so long-lived, and the interpreter writes
+	// steps on every instruction and depth/sp on every call: an Env that
+	// shares a cache line with another goroutine's halves the speed of
+	// both for as long as they live (measured: two callers on two cores
+	// ran 20k or 43k steps/s depending on where the allocator put them).
+	// A line of padding at each end keeps every field on lines the Env
+	// owns.
+	_ [64]byte
+
 	vm       *VM
 	depth    int
 	steps    int64 // instructions not yet flushed to vm.steps
 	stepBase int64 // cumulative vm.steps snapshot as of the last flush
+
+	// slab is the execution's frame storage.  A frame is the window
+	// [base, base+size) of it — locals, then operand stack — and a
+	// callee's window starts at its arguments on the caller's operand
+	// stack, so calling copies nothing.  sp is the first index above
+	// every live frame: where a by-name entry (Env.Call from a native, a
+	// static initialiser) places its arguments.  hi is the highest index
+	// any frame has covered, i.e. what to wipe before the Env is reused.
+	//
+	// The slab moves when it grows, so nothing holds a sub-slice of it
+	// across a call: frames re-derive their window from base, and the
+	// args view a native receives stays readable (the old backing array
+	// is intact) but is only guaranteed for the duration of that call.
+	// A panic unwinding through frames (MigrationInterrupt) skips their
+	// exits; the frame that recovers restores depth and sp to what it
+	// recorded on entry.
+	slab []Value
+	sp   int
+	hi   int
 
 	holdsHost bool      // execution entered through the host-compat lock
 	gates     []gateRef // invocation gates held, in acquisition order
@@ -125,6 +155,8 @@ type Env struct {
 	// deadline propagates down a forwarding or fan-out chain.  Same
 	// bare-word, non-one-shot discipline as the trace context above.
 	deadlineUs uint64
+
+	_ [64]byte
 }
 
 // SetForward deposits one-shot forwarding baggage (see Env.forward).
@@ -218,7 +250,7 @@ func (e *Env) CallGated(obj *Object, method string, args []Value) (Value, *Throw
 		return Value{}, nil, &FaultError{Msg: "gated call on nil object"}
 	}
 	if e.vm.coarse || e.holdsGate(obj) {
-		return e.vm.call(e, obj.ClassName(), method, RefV(obj), args)
+		return e.vm.callOn(e, obj, method, args)
 	}
 	for attempt := 0; ; attempt++ {
 		res, thrown, err, interrupted := e.callGatedOnce(obj, method, args)
@@ -238,9 +270,11 @@ func (e *Env) CallGated(obj *Object, method string, args []Value) (Value, *Throw
 // MigrationInterrupt for obj into the interrupted flag (interrupts for
 // other objects keep unwinding to the frame that holds their gate).
 func (e *Env) callGatedOnce(obj *Object, method string, args []Value) (res Value, thrown *Thrown, err error, interrupted bool) {
+	depth, sp := e.depth, e.sp
 	defer func() {
 		if r := recover(); r != nil {
 			if mi, ok := r.(*MigrationInterrupt); ok && mi.Obj == obj {
+				e.depth, e.sp = depth, sp
 				interrupted = true
 				return
 			}
@@ -253,7 +287,7 @@ func (e *Env) callGatedOnce(obj *Object, method string, args []Value) (res Value
 		e.gates = e.gates[:len(e.gates)-1]
 		obj.gate.Unlock()
 	}()
-	res, thrown, err = e.vm.call(e, obj.ClassName(), method, RefV(obj), args)
+	res, thrown, err = e.vm.callOn(e, obj, method, args)
 	return res, thrown, err, false
 }
 
@@ -267,7 +301,7 @@ func (e *Env) holdsGate(obj *Object) bool {
 }
 
 // New allocates an uninitialised instance of the named class.
-func (e *Env) New(class string) (*Object, error) { return e.vm.alloc(class) }
+func (e *Env) New(class string) (*Object, error) { return e.vm.NewObject(class) }
 
 // Construct allocates and runs the matching constructor.
 func (e *Env) Construct(class string, args []Value) (Value, *Thrown, error) {
@@ -298,8 +332,12 @@ func (e *Env) RunUnlocked(f func()) {
 	if e.holdsHost {
 		e.vm.hostMu.Unlock()
 	}
+	depth, sp := e.depth, e.sp
 	completed := false
 	defer func() {
+		// Whether f returned or panicked out of a nested execution, the
+		// parked frame resumes (or is interrupted) where it parked.
+		e.depth, e.sp = depth, sp
 		if e.holdsHost {
 			e.vm.hostMu.Lock()
 		}
@@ -329,8 +367,13 @@ type ClassNativeFunc func(env *Env, method string, recv Value, args []Value) (Va
 
 // nativeRegistry is one immutable snapshot of the native-method tables.
 type nativeRegistry struct {
-	exact map[string]NativeFunc
+	exact map[nativeKey]NativeFunc
 	class map[string]ClassNativeFunc
+}
+
+type nativeKey struct {
+	owner, name string
+	arity       int
 }
 
 // staticSlots is one class's static-field table.
@@ -341,8 +384,8 @@ type staticSlots struct {
 
 func (s *staticSlots) get(name string) (Value, bool) {
 	s.mu.RLock()
-	defer s.mu.RUnlock()
 	v, ok := s.m[name]
+	s.mu.RUnlock()
 	return v, ok
 }
 
@@ -352,10 +395,15 @@ func (s *staticSlots) set(name string, v Value) {
 	s.mu.Unlock()
 }
 
-// classState tracks one class's initialisation; guarded by VM.classMu.
+// classState is one class's runtime state, keyed by class name so that it
+// survives relinking: whether initialisation has been claimed, the static
+// slots (nil until the superclass chain has initialised), and the layout
+// its instances share (nil until the first allocation).  Each is read
+// with one atomic load.
 type classState struct {
-	started bool
-	slots   *staticSlots
+	started atomic.Bool
+	slots   atomic.Pointer[staticSlots]
+	layout  atomic.Pointer[layout]
 }
 
 // syncWriter serialises program output from concurrent executions.
@@ -375,14 +423,19 @@ func (s *syncWriter) Write(p []byte) (int, error) {
 // locking model.
 type VM struct {
 	// Copy-on-write registries: lock-free reads, boot-time writes
-	// serialised by regMu.
-	prog    atomic.Pointer[ir.Program]
+	// serialised by regMu.  link holds the program snapshot together
+	// with everything resolved against it.
+	link    atomic.Pointer[linkage]
 	natives atomic.Pointer[nativeRegistry]
 	regMu   sync.Mutex
 
-	// Class initialisation and static storage.
+	// Per-class runtime state by name; classMu guards the map only.
 	classMu sync.Mutex
 	classes map[string]*classState
+
+	// envs recycles execution contexts, and with them their frame slabs,
+	// so entering the VM allocates nothing in steady state.
+	envs sync.Pool
 
 	// hostMu preserves the seed's sequential semantics for the legacy
 	// public entry points (Invoke and friends).  Gated executions
@@ -447,9 +500,9 @@ func New(prog *ir.Program, opts ...Option) (*VM, error) {
 		maxDepth: DefaultMaxDepth,
 		clock:    time.Now,
 	}
-	v.prog.Store(prog)
+	v.link.Store(&linkage{prog: prog})
 	v.natives.Store(&nativeRegistry{
-		exact: make(map[string]NativeFunc),
+		exact: make(map[nativeKey]NativeFunc),
 		class: make(map[string]ClassNativeFunc),
 	})
 	for _, o := range opts {
@@ -470,14 +523,14 @@ func MustNew(prog *ir.Program, opts ...Option) *VM {
 
 // Program returns the VM's current program snapshot.  Callers must not
 // mutate classes that have already executed.
-func (v *VM) Program() *ir.Program { return v.prog.Load() }
+func (v *VM) Program() *ir.Program { return v.link.Load().prog }
 
 // AddClass loads an additional class definition (e.g. a proxy class
 // shipped from a peer node) by publishing a new program snapshot.
 func (v *VM) AddClass(c *ir.Class) error {
 	v.regMu.Lock()
 	defer v.regMu.Unlock()
-	cur := v.prog.Load()
+	cur := v.Program()
 	if cur.Has(c.Name) {
 		return fmt.Errorf("class %q already loaded", c.Name)
 	}
@@ -485,7 +538,7 @@ func (v *VM) AddClass(c *ir.Class) error {
 	if err := next.Add(c); err != nil {
 		return err
 	}
-	v.prog.Store(next)
+	v.link.Store(&linkage{prog: next})
 	return nil
 }
 
@@ -496,13 +549,13 @@ func (v *VM) RegisterNative(owner, name string, arity int, f NativeFunc) {
 	defer v.regMu.Unlock()
 	cur := v.natives.Load()
 	next := &nativeRegistry{
-		exact: make(map[string]NativeFunc, len(cur.exact)+1),
+		exact: make(map[nativeKey]NativeFunc, len(cur.exact)+1),
 		class: cur.class,
 	}
 	for k, fn := range cur.exact {
 		next.exact[k] = fn
 	}
-	next.exact[nativeKey(owner, name, arity)] = f
+	next.exact[nativeKey{owner, name, arity}] = f
 	v.natives.Store(next)
 }
 
@@ -523,10 +576,6 @@ func (v *VM) RegisterClassNative(owner string, f ClassNativeFunc) {
 	v.natives.Store(next)
 }
 
-func nativeKey(owner, name string, arity int) string {
-	return fmt.Sprintf("%s.%s/%d", owner, name, arity)
-}
-
 // Steps returns the cumulative instruction count executed (flushed with
 // stepQuantum granularity by in-flight executions).
 func (v *VM) Steps() int64 { return v.steps.Load() }
@@ -536,14 +585,51 @@ func (v *VM) ResetSteps() { v.steps.Store(0) }
 
 // newEnv starts an execution context, snapshotting the cumulative step
 // count so the budget binds across many short executions.
-func (v *VM) newEnv() *Env { return &Env{vm: v, stepBase: v.steps.Load()} }
+func (v *VM) newEnv() *Env {
+	env, _ := v.envs.Get().(*Env)
+	if env == nil {
+		env = &Env{vm: v}
+	}
+	env.stepBase = v.steps.Load()
+	return env
+}
 
-// finish flushes an execution's unflushed step count.
+// maxPooledSlab is the largest frame slab (in Values) kept with a pooled
+// Env; an execution that recursed deeper gives its slab back to the
+// collector.
+const maxPooledSlab = 1 << 14
+
+// finish ends an execution: it flushes the unflushed step count and
+// recycles the context.  The Env must not be used afterwards.
 func (v *VM) finish(env *Env) {
 	if env.steps > 0 {
 		v.steps.Add(env.steps)
-		env.steps = 0
 	}
+	slab, gates := env.slab, env.gates
+	clear(slab[:env.hi]) // drop the references dead frames left behind
+	clear(gates)
+	if len(slab) > maxPooledSlab {
+		slab = nil
+	}
+	*env = Env{vm: v, slab: slab, gates: gates[:0]}
+	v.envs.Put(env)
+}
+
+// reserve makes the slab at least n Values long.
+func (e *Env) reserve(n int) {
+	if n <= len(e.slab) {
+		return
+	}
+	size := 2 * len(e.slab)
+	if size < n {
+		size = n
+	}
+	if size < 256 {
+		size = 256
+	}
+	slab := make([]Value, size)
+	copy(slab, e.slab[:e.hi])
+	e.slab = slab
 }
 
 // beginHost enters a legacy (host-compat) execution: serialised on
@@ -650,7 +736,11 @@ func (v *VM) RunMain(class string) error {
 // NewObject allocates an uninitialised instance (no constructor runs, so
 // no lock beyond the registry snapshot read is needed).
 func (v *VM) NewObject(class string) (*Object, error) {
-	return v.alloc(class)
+	_, cl := v.linked(class)
+	if cl == nil {
+		return nil, &FaultError{Msg: "new: unknown class " + class}
+	}
+	return v.alloc(cl.class, cl.state)
 }
 
 // Construct allocates an instance and runs its arity-matching constructor.
@@ -671,12 +761,10 @@ func (v *VM) Construct(class string, args []Value) (Value, error) {
 func (v *VM) GetStatic(class, field string) (Value, error) {
 	env, done := v.beginHost()
 	defer done()
-	if thrown, err := v.ensureInit(env, class); err != nil {
+	slots, err := v.staticsOf(env, class)
+	if err != nil {
 		return Value{}, err
-	} else if thrown != nil {
-		return Value{}, v.uncaught(thrown)
 	}
-	slots := v.slotsOf(class)
 	if slots == nil {
 		return Value{}, &FaultError{Msg: fmt.Sprintf("no static field %s.%s", class, field)}
 	}
@@ -691,12 +779,10 @@ func (v *VM) GetStatic(class, field string) (Value, error) {
 func (v *VM) SetStatic(class, field string, val Value) error {
 	env, done := v.beginHost()
 	defer done()
-	if thrown, err := v.ensureInit(env, class); err != nil {
+	slots, err := v.staticsOf(env, class)
+	if err != nil {
 		return err
-	} else if thrown != nil {
-		return v.uncaught(thrown)
 	}
-	slots := v.slotsOf(class)
 	if slots == nil {
 		return &FaultError{Msg: fmt.Sprintf("no static field %s.%s", class, field)}
 	}
@@ -714,11 +800,11 @@ func (v *VM) SetStatic(class, field string, val Value) error {
 // exclude in-flight invocations (migration) hold the object's gate via
 // ExecOn around the whole snapshot→ship→morph sequence.
 func (v *VM) Morph(obj *Object, newClass string, fields map[string]Value) error {
-	c := v.prog.Load().Class(newClass)
-	if c == nil {
+	_, cl := v.linked(newClass)
+	if cl == nil {
 		return &FaultError{Msg: "morph: unknown class " + newClass}
 	}
-	obj.morph(c, fields)
+	obj.morph(cl.class, v.layoutOf(cl.class, cl.state), fields)
 	return nil
 }
 
@@ -737,23 +823,40 @@ func ThrownMessage(t *Thrown) (class, msg string) {
 	return t.Obj.ClassName(), t.Obj.Get("message").S
 }
 
-// alloc creates a zeroed instance of the named class (no constructor).
-func (v *VM) alloc(class string) (*Object, error) {
-	prog := v.prog.Load()
-	c := prog.Class(class)
-	if c == nil {
-		return nil, &FaultError{Msg: "new: unknown class " + class}
+// staticsOf initialises the named class for the host entry points and
+// returns its static slots (nil when initialisation never got that far).
+func (v *VM) staticsOf(env *Env, class string) (*staticSlots, error) {
+	l, cl := v.linked(class)
+	if cl == nil {
+		return nil, &FaultError{Msg: "init: unknown class " + class}
 	}
-	if c.IsInterface || c.Abstract {
-		return nil, &FaultError{Msg: "new: cannot instantiate " + class}
+	if thrown, err := v.ensureInit(env, l, cl); err != nil {
+		return nil, err
+	} else if thrown != nil {
+		return nil, v.uncaught(thrown)
 	}
-	fields := make(map[string]Value)
-	for cur := c; cur != nil; {
+	return cl.state.slots.Load(), nil
+}
+
+// layoutOf returns the layout c's instances share (st is c's state),
+// building it on first use: every non-static field of the superclass
+// chain, a subclass's declaration shadowing a superclass's of the same
+// name.
+func (v *VM) layoutOf(c *ir.Class, st *classState) *layout {
+	if lay := st.layout.Load(); lay != nil {
+		return lay
+	}
+	prog := v.Program()
+	var names []string
+	var zeros []Value
+	seen := make(map[string]bool)
+	cur := c
+	for steps := 0; cur != nil && steps <= prog.Len(); steps++ {
 		for _, f := range cur.Fields {
-			if !f.Static {
-				if _, shadowed := fields[f.Name]; !shadowed {
-					fields[f.Name] = ZeroValue(f.Type)
-				}
+			if !f.Static && !seen[f.Name] {
+				seen[f.Name] = true
+				names = append(names, f.Name)
+				zeros = append(zeros, ZeroValue(f.Type))
 			}
 		}
 		if cur.Super == "" {
@@ -761,41 +864,83 @@ func (v *VM) alloc(class string) (*Object, error) {
 		}
 		cur = prog.Class(cur.Super)
 	}
-	return NewRawObject(c, fields), nil
+	lay := newLayout(names)
+	lay.zeros = zeros
+	if !st.layout.CompareAndSwap(nil, lay) {
+		lay = st.layout.Load()
+	}
+	return lay
+}
+
+// alloc creates a zeroed instance of c, whose state is st (no
+// constructor).
+func (v *VM) alloc(c *ir.Class, st *classState) (*Object, error) {
+	if c.IsInterface || c.Abstract {
+		return nil, &FaultError{Msg: "new: cannot instantiate " + c.Name}
+	}
+	return newObject(c, v.layoutOf(c, st)), nil
 }
 
 func (v *VM) construct(env *Env, class string, args []Value) (Value, *Thrown, error) {
-	if thrown, err := v.ensureInit(env, class); thrown != nil || err != nil {
+	l, cl := v.linked(class)
+	if cl == nil {
+		return Value{}, nil, &FaultError{Msg: "init: unknown class " + class}
+	}
+	if thrown, err := v.ensureInit(env, l, cl); thrown != nil || err != nil {
 		return Value{}, thrown, err
 	}
-	obj, err := v.alloc(class)
+	obj, err := v.alloc(cl.class, cl.state)
 	if err != nil {
 		return Value{}, nil, err
 	}
-	c := v.prog.Load().Class(class)
-	ctor := c.Method(ir.ConstructorName, len(args))
+	ctor := cl.class.Method(ir.ConstructorName, len(args))
 	if ctor == nil {
 		return Value{}, nil, &FaultError{Msg: fmt.Sprintf("no constructor %s/%d", class, len(args))}
 	}
-	_, thrown, err := v.exec(env, c, ctor, RefV(obj), args)
+	_, thrown, err := v.enter(env, cl.codes[ctor], RefV(obj), args)
 	if thrown != nil || err != nil {
 		return Value{}, thrown, err
 	}
 	return RefV(obj), nil, nil
 }
 
-// call resolves and executes a method within env's execution.
+// call resolves class.method by name and executes it within env's
+// execution.
 func (v *VM) call(env *Env, class, method string, recv Value, args []Value) (Value, *Thrown, error) {
-	dc, m, err := v.prog.Load().ResolveMethod(class, method, len(args))
+	t, err := v.lookup(class, method, len(args))
 	if err != nil {
 		return Value{}, nil, &FaultError{Msg: err.Error()}
 	}
-	if m.Static {
-		if thrown, err := v.ensureInit(env, dc.Name); thrown != nil || err != nil {
-			return Value{}, thrown, err
-		}
+	return v.enter(env, t.code, recv, args)
+}
+
+// callOn is call dispatched on obj's current class.
+func (v *VM) callOn(env *Env, obj *Object, method string, args []Value) (Value, *Thrown, error) {
+	t, err := v.resolve(v.link.Load(), obj.Class(), method, len(args))
+	if err != nil {
+		return Value{}, nil, &FaultError{Msg: err.Error()}
 	}
-	return v.exec(env, dc, m, recv, args)
+	return v.enter(env, t.code, RefV(obj), args)
+}
+
+// enter activates c from outside the interpreter loop: the receiver and
+// arguments are copied to the top of env's slab, above every live frame.
+func (v *VM) enter(env *Env, c *code, recv Value, args []Value) (Value, *Thrown, error) {
+	base := env.sp
+	env.reserve(base + c.nargs)
+	frame := env.slab[base : base+c.nargs]
+	if !c.m.Static {
+		frame[0] = recv
+		frame = frame[1:]
+	}
+	copy(frame, args)
+	env.sp = base + c.nargs
+	if env.sp > env.hi {
+		env.hi = env.sp
+	}
+	res, thrown, err := v.invoke(env, c, base)
+	env.sp = base
+	return res, thrown, err
 }
 
 // classStateOf returns (creating if needed) the named class's state.
@@ -810,42 +955,27 @@ func (v *VM) classStateOf(class string) *classState {
 	return cs
 }
 
-// slotsOf returns the static slot table of an initialised class (nil if
-// the class has not reached initialisation).
-func (v *VM) slotsOf(class string) *staticSlots {
-	v.classMu.Lock()
-	defer v.classMu.Unlock()
-	if cs, ok := v.classes[class]; ok {
-		return cs.slots
-	}
-	return nil
-}
-
-// ensureInit runs the static initialiser of class (and its superclasses)
-// on first use.  The first toucher claims the class (mark-then-run, as
-// the JVM does) so initialisation cycles terminate — re-entrant and
-// concurrent touchers proceed immediately and may observe
+// ensureInit runs the static initialiser of cl's class (and its
+// superclasses) on first use; callers on a hot path test
+// state.started themselves first.  The first toucher claims the class
+// (mark-then-run, as the JVM does) so initialisation cycles terminate —
+// re-entrant and concurrent touchers proceed immediately and may observe
 // partially-initialised statics, mirroring the seed's behaviour across
 // lock-release points and Java's within init cycles.
-func (v *VM) ensureInit(env *Env, class string) (*Thrown, error) {
-	c := v.prog.Load().Class(class)
-	if c == nil {
-		return nil, &FaultError{Msg: "init: unknown class " + class}
-	}
-	cs := v.classStateOf(class)
-	v.classMu.Lock()
-	if cs.started {
-		v.classMu.Unlock()
+func (v *VM) ensureInit(env *Env, l *linkage, cl *classLink) (*Thrown, error) {
+	if cl.state.started.Load() || !cl.state.started.CompareAndSwap(false, true) {
 		return nil, nil
 	}
-	cs.started = true
-	v.classMu.Unlock()
-
+	c := cl.class
 	if c.Super != "" {
-		if thrown, err := v.ensureInit(env, c.Super); thrown != nil || err != nil {
-			// As in the seed, a failed superclass initialisation leaves
-			// this class marked started but slot-less: later static
-			// accesses fault rather than reading phantom zero values.
+		// As in the seed, a failed superclass initialisation leaves
+		// this class marked started but slot-less: later static
+		// accesses fault rather than reading phantom zero values.
+		sc := l.prog.Class(c.Super)
+		if sc == nil {
+			return nil, &FaultError{Msg: "init: unknown class " + c.Super}
+		}
+		if thrown, err := v.ensureInit(env, l, v.classLink(l, sc)); thrown != nil || err != nil {
 			return thrown, err
 		}
 	}
@@ -856,12 +986,10 @@ func (v *VM) ensureInit(env *Env, class string) (*Thrown, error) {
 	for _, f := range c.StaticFields() {
 		sf[f.Name] = ZeroValue(f.Type)
 	}
-	v.classMu.Lock()
-	cs.slots = &staticSlots{m: sf}
-	v.classMu.Unlock()
+	cl.state.slots.Store(&staticSlots{m: sf})
 
 	if clinit := c.StaticInit(); clinit != nil {
-		_, thrown, err := v.exec(env, c, clinit, Value{}, nil)
+		_, thrown, err := v.enter(env, cl.codes[clinit], Value{}, nil)
 		if thrown != nil || err != nil {
 			return thrown, err
 		}
@@ -871,7 +999,7 @@ func (v *VM) ensureInit(env *Env, class string) (*Thrown, error) {
 
 // throwSys builds a Thrown of a sys.* exception class.
 func (v *VM) throwSys(class, msg string) *Thrown {
-	obj, err := v.alloc(class)
+	obj, err := v.NewObject(class)
 	if err != nil {
 		// The system library is always present; this indicates a broken
 		// program set.  Surface as a throwable-less Thrown.
