@@ -572,9 +572,10 @@ func runConcurrentCalls(b *testing.B, parallel int, call func() error) {
 // BenchmarkE7_ConcurrencyThroughput measures node-to-node RRP throughput
 // when N goroutines share one connection, at parallelism 1/8/64, on the
 // raw loopback and under simulated LAN conditions.  "serialized" is the
-// seed transport's behaviour (one call in flight, the connection locked
-// for the round trip); "multiplexed" is the pipelined transport.  The
-// handler is a pure echo, so the numbers isolate transport + codec.
+// seed transport's behaviour (one call in flight for the round trip),
+// reproduced by a benchmark-side lock around each call; "multiplexed" is
+// the pipelined transport.  The handler is a pure echo, so the numbers
+// isolate transport + codec.
 func BenchmarkE7_ConcurrencyThroughput(b *testing.B) {
 	echo := func(req *wire.Request) *wire.Response {
 		return &wire.Response{ID: req.ID, Result: wire.Value{Kind: wire.KInt, Int: 42}}
@@ -601,12 +602,14 @@ func BenchmarkE7_ConcurrencyThroughput(b *testing.B) {
 						b.Fatal(err)
 					}
 					defer client.Close()
-					if mode == "serialized" {
-						client = transport.Lockstep(client)
-					}
+					var lockstep sync.Mutex
 					req := &wire.Request{ID: 1, Op: wire.OpInvoke, GUID: "g", Method: "add",
 						Args: []wire.Value{{Kind: wire.KInt, Int: 20}, {Kind: wire.KInt, Int: 22}}}
 					runConcurrentCalls(b, parallel, func() error {
+						if mode == "serialized" {
+							lockstep.Lock()
+							defer lockstep.Unlock()
+						}
 						resp, err := client.Call(req)
 						if err != nil {
 							return err
@@ -700,12 +703,13 @@ func runConcurrentCallsIdx(b *testing.B, parallel int, call func(g int) error) {
 // buys INSIDE one node: concurrent invocations (the node CallOn path —
 // the same gate discipline inbound dispatch uses) against distinct vs a
 // shared target object, under the sharded design and under the seed's
-// coarse-lock regime (vm.WithCoarseLock).
+// coarse-lock regime, reproduced by one benchmark-side lock around every
+// call.
 //
 //   - distinct/sharded: scales with parallelism — blocking work overlaps
 //     across objects (and CPU work across cores when GOMAXPROCS > 1);
 //   - distinct/coarse: pinned to sequential throughput — one lock
-//     serialises every invocation of the whole VM;
+//     serialises every invocation;
 //   - shared/*: both regimes serialise (per-object monitor semantics);
 //     the stress tests assert no update is lost.
 //
@@ -732,11 +736,7 @@ func BenchmarkE8_IntraNodeParallelism(b *testing.B) {
 						if err != nil {
 							b.Fatal(err)
 						}
-						var vmOpts []vm.Option
-						if mode == "coarse" {
-							vmOpts = append(vmOpts, vm.WithCoarseLock())
-						}
-						n, err := node.New(node.Config{Name: "e8", Result: res, VMOpts: vmOpts})
+						n, err := node.New(node.Config{Name: "e8", Result: res})
 						if err != nil {
 							b.Fatal(err)
 						}
@@ -754,7 +754,12 @@ func BenchmarkE8_IntraNodeParallelism(b *testing.B) {
 							refs[i] = v
 						}
 						arg := []vm.Value{vm.IntV(1)}
+						var coarse sync.Mutex
 						runConcurrentCallsIdx(b, parallel, func(g int) error {
+							if mode == "coarse" {
+								coarse.Lock()
+								defer coarse.Unlock()
+							}
 							_, err := n.CallOn(refs[g%objects], wl.method, arg...)
 							return err
 						})

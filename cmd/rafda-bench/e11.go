@@ -1,9 +1,7 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"time"
 
@@ -75,7 +73,7 @@ func (d poolDriver) Close() error { return nil }
 // cores: on a 1-core host one writer pair already saturates the CPU, so
 // -e11-min-lift is only enforced where it is set (the multicore CI
 // job), and the JSON records gomaxprocs and num_cpu alongside the rows.
-func e11(cfg e11Config, jsonPath string) error {
+func e11(cfg e11Config, out string) error {
 	echo := func(req *wire.Request) *wire.Response {
 		return &wire.Response{ID: req.ID, Result: wire.Value{Kind: wire.KInt, Int: 42}}
 	}
@@ -114,12 +112,12 @@ func e11(cfg e11Config, jsonPath string) error {
 			}
 			// Warm every shard (round-robin reaches all of them) and the
 			// frame pools outside the measurement.
-			if _, err := measureThroughput(bench, cfg.parallel, 64*pool); err != nil {
+			if _, err := measureThroughput(bench, false, cfg.parallel, 64*pool); err != nil {
 				cc.Close()
 				srv.Close()
 				return err
 			}
-			res, err := measureThroughput(bench, cfg.parallel, calls)
+			res, err := measureThroughput(bench, false, cfg.parallel, calls)
 			cc.Close()
 			if err != nil {
 				srv.Close()
@@ -158,16 +156,5 @@ func e11(cfg e11Config, jsonPath string) error {
 			report.CeilingLift, cfg.minLift, report.GoMaxProcs, report.NumCPU)
 	}
 
-	if jsonPath == "" {
-		return nil
-	}
-	b, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(jsonPath, append(b, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("machine-readable results written to %s\n", jsonPath)
-	return nil
+	return writeReport(out, "e11", report)
 }

@@ -1,9 +1,7 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"strconv"
 	"strings"
@@ -135,11 +133,10 @@ func e12Nodes(cfg e12Config, seed uint64) (*rafda.Node, *rafda.Node, string, err
 	if err != nil {
 		return nil, nil, "", err
 	}
-	const steps = int64(1) << 40
 	mk := func(name string) (*rafda.Node, error) {
 		return tr.NewNode(rafda.NodeConfig{
-			Name: name, Network: e12Faults(cfg, seed), MaxSteps: steps,
-			PoolSize: cfg.pool, DedupWindow: cfg.window,
+			Name: name, Network: e12Faults(cfg, seed),
+			PoolSize: cfg.pool, Limits: rafda.LimitsConfig{DedupWindow: cfg.window},
 		})
 	}
 	driver, err := mk("driver")
@@ -344,7 +341,7 @@ func e12Seed(cfg e12Config, seed uint64) (E12SeedResult, error) {
 // chaos creates strand zero orphan instances (the old OpCreate retry
 // exemption is gone), and the per-caller dedup windows stay within
 // their configured memory bound.
-func e12(cfg e12Config, jsonPath string) error {
+func e12(cfg e12Config, out string) error {
 	report := E12Report{
 		Experiment: "e12",
 		Description: "exactly-once invocation under injected faults: seeded frame duplication/drop/kill " +
@@ -404,16 +401,5 @@ func e12(cfg e12Config, jsonPath string) error {
 	fmt.Printf("\nall %d fault schedules held the contract: %d duplicate deliveries suppressed, zero duplicate side-effects, zero orphans\n",
 		len(seeds), suppressed)
 
-	if jsonPath == "" {
-		return nil
-	}
-	b, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(jsonPath, append(b, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("machine-readable results written to %s\n", jsonPath)
-	return nil
+	return writeReport(out, "e12", report)
 }

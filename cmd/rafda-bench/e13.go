@@ -20,9 +20,7 @@ package main
 // reads/s, machine-independent.
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -138,7 +136,7 @@ func e13LocalRead(n *rafda.Node, ref *rafda.Ref) (bool, error) {
 	return n.Stats().RemoteCallsOut == before, nil
 }
 
-func e13(cfg e13Config, jsonPath string) error {
+func e13(cfg e13Config, out string) error {
 	report := E13Report{
 		Experiment: "e13",
 		Description: "read replication: one read-hot object, 3-node cluster; reads route to local " +
@@ -298,16 +296,5 @@ func e13(cfg e13Config, jsonPath string) error {
 	fmt.Printf("\nreplicated reads scale: %.1fx the single-home ceiling with 3 copies, "+
 		"writes still serialise through the primary\n", report.ReadLift)
 
-	if jsonPath == "" {
-		return nil
-	}
-	b, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(jsonPath, append(b, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("machine-readable results written to %s\n", jsonPath)
-	return nil
+	return writeReport(out, "e13", report)
 }

@@ -3,7 +3,6 @@ package main
 import (
 	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"runtime/debug"
 	"sort"
@@ -155,11 +154,10 @@ func e14Pair(cfg e14Config, prefix string, noTrace bool) (driver *rafda.Node, re
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	const steps = int64(1) << 40
 	mk := func(name string) (*rafda.Node, error) {
 		return tr.NewNode(rafda.NodeConfig{
-			Name: prefix + name, Network: rafda.NetLAN, MaxSteps: steps,
-			PoolSize: cfg.pool, NoTrace: noTrace,
+			Name: prefix + name, Network: rafda.NetLAN,
+			PoolSize: cfg.pool, Tracing: rafda.TracingConfig{Disable: noTrace},
 		})
 	}
 	d, err := mk("driver")
@@ -469,11 +467,12 @@ func e14Audit(cfg e14Config, seed uint64) (E14SeedAudit, error) {
 	if err != nil {
 		return row, err
 	}
-	const steps = int64(1) << 40
 	mk := func(name string) (*rafda.Node, error) {
 		return tr.NewNode(rafda.NodeConfig{
-			Name: name, Network: e14Faults(cfg, seed), MaxSteps: steps,
-			PoolSize: cfg.pool, DedupWindow: 256, TraceSpans: cfg.traceSpans,
+			Name: name, Network: e14Faults(cfg, seed),
+			PoolSize: cfg.pool,
+			Limits:   rafda.LimitsConfig{DedupWindow: 256},
+			Tracing:  rafda.TracingConfig{Spans: cfg.traceSpans},
 		})
 	}
 	driver, err := mk("driver")
@@ -661,7 +660,7 @@ func e14Audit(cfg e14Config, seed uint64) (E14SeedAudit, error) {
 // is present and connected across the union of the nodes' bounded
 // rings — zero orphans, no trace that lost the wire).  -e14-rounds 0
 // skips the throughput arm for CI chaos jobs that only want the audit.
-func e14(cfg e14Config, jsonPath string) error {
+func e14(cfg e14Config, out string) error {
 	report := E14Report{
 		Experiment: "e14",
 		Description: "tracing overhead + flight-recorder chaos audit: traced-vs-untraced echo medians within bound; " +
@@ -720,16 +719,5 @@ func e14(cfg e14Config, jsonPath string) error {
 	report.OverheadOK = 1.0
 	fmt.Printf("\nall %d fault schedules left complete connected span trees; tracing stays on\n", len(seeds))
 
-	if jsonPath == "" {
-		return nil
-	}
-	b, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(jsonPath, append(b, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("machine-readable results written to %s\n", jsonPath)
-	return nil
+	return writeReport(out, "e14", report)
 }

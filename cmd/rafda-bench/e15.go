@@ -30,7 +30,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
-	"os"
 	"runtime"
 	"sort"
 	"strings"
@@ -219,7 +218,7 @@ func e15MakeObjects(client transport.Client, ep string, base, n int) ([]*e15Entr
 // (e15shed.go) saturates a shedding-configured node at a multiple of
 // its measured capacity and checks the proactive policies protect the
 // high-priority tenants.  -e15-arm selects main, shed or both.
-func e15(cfg e15Config, jsonPath string) error {
+func e15(cfg e15Config, out string) error {
 	if cfg.objects < 20 || cfg.tenants < 2 {
 		return fmt.Errorf("e15 wants at least 20 objects and 2 tenants (got %d/%d)", cfg.objects, cfg.tenants)
 	}
@@ -256,15 +255,8 @@ func e15(cfg e15Config, jsonPath string) error {
 		}
 	}
 
-	if jsonPath != "" {
-		b, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(jsonPath, append(b, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("machine-readable results written to %s\n", jsonPath)
+	if err := writeReport(out, "e15", report); err != nil {
+		return err
 	}
 	if runMain && report.SloOK != 1.0 {
 		return fmt.Errorf("SLO missed: worst tenant p99 %.2fms (bar %.0fms), clean error rate %.4f (bound %.4f)",
@@ -286,9 +278,8 @@ func e15Main(cfg e15Config, report *E15Report) error {
 	if err != nil {
 		return err
 	}
-	const steps = int64(1) << 40
 	mkNode := func(name string) (*rafda.Node, string, error) {
-		n, err := tr.NewNode(rafda.NodeConfig{Name: name, MaxSteps: steps})
+		n, err := tr.NewNode(rafda.NodeConfig{Name: name})
 		if err != nil {
 			return nil, "", err
 		}

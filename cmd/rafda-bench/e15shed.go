@@ -135,9 +135,8 @@ func e15Shed(cfg e15Config, report *E15Report) error {
 	if err != nil {
 		return err
 	}
-	const steps = int64(1) << 40
 	srv, err := tr.NewNode(rafda.NodeConfig{
-		Name: "shed-srv", MaxSteps: steps,
+		Name:   "shed-srv",
 		Limits: rafda.LimitsConfig{MaxInflight: e15ShedMaxInflight},
 		Shed: rafda.ShedConfig{
 			PriorityAt:  e15ShedPriorityAt,

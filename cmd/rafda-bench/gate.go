@@ -32,9 +32,32 @@ import (
 // side is always the bench-gate job's own runner class, so the
 // comparison tightens automatically once the committed side matches.
 
+// reportPath names experiment exp's BENCH record in dir.
+func reportPath(dir, exp string) string {
+	return filepath.Join(dir, "BENCH_"+strings.ToUpper(exp)+".json")
+}
+
+// writeReport writes experiment exp's record into dir; the empty dir
+// writes nothing.
+func writeReport(dir, exp string, report any) error {
+	if dir == "" {
+		return nil
+	}
+	b, err := json.MarshalIndent(report, "", "  ")
+	if err != nil {
+		return err
+	}
+	path := reportPath(dir, exp)
+	if err := os.WriteFile(path, append(b, '\n'), 0o644); err != nil {
+		return err
+	}
+	fmt.Printf("\nmachine-readable results written to %s\n", path)
+	return nil
+}
+
 // readReport decodes one BENCH record into v.
 func readReport(dir, exp string, v any) error {
-	path := filepath.Join(dir, "BENCH_"+strings.ToUpper(exp)+".json")
+	path := reportPath(dir, exp)
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return err

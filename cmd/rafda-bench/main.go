@@ -8,9 +8,12 @@
 //	rafda-bench -exp e4   §3 wrapper-vs-transformation overhead
 //	rafda-bench -exp e5   proxy protocol comparison
 //	rafda-bench -exp e6   §4 dynamic redistribution
-//	rafda-bench -exp e7   RRP concurrency throughput (writes BENCH_E7.json)
-//	rafda-bench -exp e8   intra-node parallelism: sharded VM locking vs the
-//	                      coarse-lock baseline (writes BENCH_E8.json)
+//	rafda-bench -exp e7   RRP concurrency throughput: multiplexed vs a
+//	                      driver-side lock around each call (writes
+//	                      BENCH_E7.json)
+//	rafda-bench -exp e8   intra-node parallelism: per-object gates vs a
+//	                      driver-side lock around each call (writes
+//	                      BENCH_E8.json)
 //	rafda-bench -exp e9   adaptive placement: a mis-placed hot object is
 //	                      migrated home by the telemetry-driven engine with
 //	                      zero manual calls (writes BENCH_E9.json)
@@ -38,6 +41,9 @@
 //	                      configured SLO (writes BENCH_E15.json)
 //	rafda-bench -exp all  everything
 //
+// e7..e15 write their BENCH_E<N>.json record into the -out directory
+// (default "."; -out "" writes nothing).
+//
 // The -adapt-* flags tune e9's engine (window, threshold, min calls,
 // confirm windows, migration budget); the -e10-* flags tune e10's
 // cluster (heartbeat, phase length, parallelism, acceptance ratio);
@@ -60,7 +66,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -110,15 +115,7 @@ class Main {
 
 func main() {
 	exp := flag.String("exp", "all", "experiment id (e1..e15 or all)")
-	e7json := flag.String("e7json", "BENCH_E7.json", "path for e7's machine-readable results (empty to skip)")
-	e8json := flag.String("e8json", "BENCH_E8.json", "path for e8's machine-readable results (empty to skip)")
-	e9json := flag.String("e9json", "BENCH_E9.json", "path for e9's machine-readable results (empty to skip)")
-	e10json := flag.String("e10json", "BENCH_E10.json", "path for e10's machine-readable results (empty to skip)")
-	e11json := flag.String("e11json", "BENCH_E11.json", "path for e11's machine-readable results (empty to skip)")
-	e12json := flag.String("e12json", "BENCH_E12.json", "path for e12's machine-readable results (empty to skip)")
-	e13json := flag.String("e13json", "BENCH_E13.json", "path for e13's machine-readable results (empty to skip)")
-	e14json := flag.String("e14json", "BENCH_E14.json", "path for e14's machine-readable results (empty to skip)")
-	e15json := flag.String("e15json", "BENCH_E15.json", "path for e15's machine-readable results (empty to skip)")
+	out := flag.String("out", ".", "directory the experiments write their BENCH_E<N>.json records into (empty: write nothing)")
 	pool := flag.Int("pool", 0, "connection pool width of e9/e10's nodes (0: GOMAXPROCS, capped at 8)")
 	gate := flag.String("gate", "", "run the perf-regression gate over these experiments (e.g. \"e7,e9,e10,e11\") instead of benchmarks")
 	gateCommitted := flag.String("gate-committed", ".", "directory holding the committed BENCH_*.json records")
@@ -209,15 +206,15 @@ func main() {
 	run("e4", e4)
 	run("e5", e5)
 	run("e6", e6)
-	run("e7", func() error { return e7(*e7json) })
-	run("e8", func() error { return e8(*e8json) })
-	run("e9", func() error { return e9(e9cfg, *e9json) })
-	run("e10", func() error { return e10(e10cfg, *e10json) })
-	run("e11", func() error { return e11(e11cfg, *e11json) })
-	run("e12", func() error { return e12(e12cfg, *e12json) })
-	run("e13", func() error { return e13(e13cfg, *e13json) })
-	run("e14", func() error { return e14(e14cfg, *e14json) })
-	run("e15", func() error { return e15(e15cfg, *e15json) })
+	run("e7", func() error { return e7(*out) })
+	run("e8", func() error { return e8(*out) })
+	run("e9", func() error { return e9(e9cfg, *out) })
+	run("e10", func() error { return e10(e10cfg, *out) })
+	run("e11", func() error { return e11(e11cfg, *out) })
+	run("e12", func() error { return e12(e12cfg, *out) })
+	run("e13", func() error { return e13(e13cfg, *out) })
+	run("e14", func() error { return e14(e14cfg, *out) })
+	run("e15", func() error { return e15(e15cfg, *out) })
 }
 
 // e1 prints the generated family for the paper's Figure 2 class X,
@@ -669,8 +666,11 @@ type E7Report struct {
 
 // measureThroughput runs `calls` echo calls spread over `parallel`
 // goroutines against client and reports aggregate throughput and
-// allocations per call.
-func measureThroughput(client transport.Client, parallel, calls int) (E7Result, error) {
+// allocations per call.  lockstep is the baseline arm: one lock held
+// around each call, so at most one is in flight on the connection — what
+// the transport did before it multiplexed.
+func measureThroughput(client transport.Client, lockstep bool, parallel, calls int) (E7Result, error) {
+	var oneAtATime sync.Mutex
 	req := &wire.Request{ID: 1, Op: wire.OpInvoke, GUID: "g", Method: "add",
 		Args: []wire.Value{{Kind: wire.KInt, Int: 20}, {Kind: wire.KInt, Int: 22}}}
 	var next atomic.Int64
@@ -685,7 +685,13 @@ func measureThroughput(client transport.Client, parallel, calls int) (E7Result, 
 		go func() {
 			defer wg.Done()
 			for next.Add(1) <= int64(calls) {
+				if lockstep {
+					oneAtATime.Lock()
+				}
 				resp, err := client.Call(req)
+				if lockstep {
+					oneAtATime.Unlock()
+				}
 				if err != nil {
 					errs <- err
 					return
@@ -720,7 +726,7 @@ func measureThroughput(client transport.Client, parallel, calls int) (E7Result, 
 // and 64, on the raw loopback and under simulated LAN conditions.  It
 // prints the comparison and writes the machine-readable record so the
 // perf trajectory is tracked across PRs.
-func e7(jsonPath string) error {
+func e7(out string) error {
 	echo := func(req *wire.Request) *wire.Response {
 		return &wire.Response{ID: req.ID, Result: wire.Value{Kind: wire.KInt, Int: 42}}
 	}
@@ -754,21 +760,18 @@ func e7(jsonPath string) error {
 					srv.Close()
 					return err
 				}
-				bench := client
-				if mode == "serialized" {
-					bench = transport.Lockstep(client)
-				}
+				lockstep := mode == "serialized"
 				calls := 4000
-				if nw.name == "lan" && (mode == "serialized" || parallel == 1) {
+				if nw.name == "lan" && (lockstep || parallel == 1) {
 					calls = 500 // latency-bound: don't wait all day for the baseline
 				}
 				// Warm up connections and pools outside the measurement.
-				if _, err := measureThroughput(bench, parallel, 50); err != nil {
+				if _, err := measureThroughput(client, lockstep, parallel, 50); err != nil {
 					client.Close()
 					srv.Close()
 					return err
 				}
-				res, err := measureThroughput(bench, parallel, calls)
+				res, err := measureThroughput(client, lockstep, parallel, calls)
 				client.Close()
 				if err != nil {
 					srv.Close()
@@ -792,18 +795,7 @@ func e7(jsonPath string) error {
 				nw.name, mux/base, mux, base)
 		}
 	}
-	if jsonPath == "" {
-		return nil
-	}
-	b, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(jsonPath, append(b, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("\nmachine-readable results written to %s\n", jsonPath)
-	return nil
+	return writeReport(out, "e7", report)
 }
 
 // e8Source is the E8 workload (kept in sync with bench_test.go):
@@ -849,9 +841,8 @@ type E8Report struct {
 	Results     []E8Result `json:"results"`
 }
 
-// e8Node builds one single node over the E8 workload, optionally under
-// the seed's coarse VM lock.
-func e8Node(coarse bool) (*node.Node, error) {
+// e8Node builds one single node over the E8 workload.
+func e8Node() (*node.Node, error) {
 	prog, err := minijava.Compile(e8Source)
 	if err != nil {
 		return nil, err
@@ -860,16 +851,16 @@ func e8Node(coarse bool) (*node.Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	var opts []vm.Option
-	if coarse {
-		opts = append(opts, vm.WithCoarseLock())
-	}
-	return node.New(node.Config{Name: "e8", Result: res, VMOpts: opts})
+	return node.New(node.Config{Name: "e8", Result: res})
 }
 
 // e8Measure spreads `calls` CallOn invocations over `parallel`
-// goroutines; goroutine g targets refs[g%len(refs)].
-func e8Measure(n *node.Node, refs []vm.Value, method string, parallel, calls int) (E8Result, error) {
+// goroutines; goroutine g targets refs[g%len(refs)].  The coarse arm is
+// the baseline: one driver-side lock held around every call, which is
+// what a single VM-wide lock amounts to for calls that never leave the
+// node.
+func e8Measure(n *node.Node, refs []vm.Value, method string, coarse bool, parallel, calls int) (E8Result, error) {
+	var vmLock sync.Mutex
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	errs := make(chan error, parallel)
@@ -881,7 +872,14 @@ func e8Measure(n *node.Node, refs []vm.Value, method string, parallel, calls int
 			defer wg.Done()
 			ref := refs[g%len(refs)]
 			for next.Add(1) <= int64(calls) {
-				if _, err := n.CallOn(ref, method, arg...); err != nil {
+				if coarse {
+					vmLock.Lock()
+				}
+				_, err := n.CallOn(ref, method, arg...)
+				if coarse {
+					vmLock.Unlock()
+				}
+				if err != nil {
 					errs <- err
 					return
 				}
@@ -904,13 +902,13 @@ func e8Measure(n *node.Node, refs []vm.Value, method string, parallel, calls int
 }
 
 // e8 measures intra-node invocation throughput under concurrency: the
-// sharded per-object locking vs the seed's coarse VM lock, against
+// sharded per-object locking vs one coarse lock around every call, against
 // distinct vs one shared target object, at parallelism 1, 8 and 64.
 // The "block" workload is the headline (blocking work a coarse lock can
 // never overlap); the "cpu" workload shows GOMAXPROCS-bound scaling on
 // multicore hosts.  It prints the comparison and writes the
 // machine-readable record so the perf trajectory is tracked across PRs.
-func e8(jsonPath string) error {
+func e8(out string) error {
 	report := E8Report{
 		Experiment: "e8",
 		Description: "intra-node parallelism: sharded per-object VM locking vs coarse-lock baseline, " +
@@ -924,7 +922,8 @@ func e8(jsonPath string) error {
 	rate := map[string]float64{}
 	for _, wl := range []struct{ name, method string }{{"cpu", "deposit"}, {"block", "slowDeposit"}} {
 		for _, mode := range []string{"coarse", "sharded"} {
-			n, err := e8Node(mode == "coarse")
+			coarse := mode == "coarse"
+			n, err := e8Node()
 			if err != nil {
 				return err
 			}
@@ -956,11 +955,11 @@ func e8(jsonPath string) error {
 						}
 					}
 					// Warm-up outside the measurement.
-					if _, err := e8Measure(n, refs, wl.method, parallel, 2*parallel+16); err != nil {
+					if _, err := e8Measure(n, refs, wl.method, coarse, parallel, 2*parallel+16); err != nil {
 						n.Close()
 						return err
 					}
-					res, err := e8Measure(n, refs, wl.method, parallel, calls)
+					res, err := e8Measure(n, refs, wl.method, coarse, parallel, calls)
 					if err != nil {
 						n.Close()
 						return err
@@ -989,18 +988,7 @@ func e8(jsonPath string) error {
 				wl, ss/sb)
 		}
 	}
-	if jsonPath == "" {
-		return nil
-	}
-	b, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(jsonPath, append(b, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("\nmachine-readable results written to %s\n", jsonPath)
-	return nil
+	return writeReport(out, "e8", report)
 }
 
 // ----- E9: adaptive placement -----
@@ -1093,14 +1081,11 @@ func e9Nodes(pool int) (*rafda.Node, *rafda.Node, string, string, error) {
 	if err != nil {
 		return nil, nil, "", "", err
 	}
-	// The measured phases interpret hundreds of millions of instructions;
-	// lift the anti-runaway budget well clear of them.
-	const steps = int64(1) << 40
-	nodeA, err := tr.NewNode(rafda.NodeConfig{Name: "driver", Network: rafda.NetLAN, MaxSteps: steps, PoolSize: pool})
+	nodeA, err := tr.NewNode(rafda.NodeConfig{Name: "driver", Network: rafda.NetLAN, PoolSize: pool})
 	if err != nil {
 		return nil, nil, "", "", err
 	}
-	nodeB, err := tr.NewNode(rafda.NodeConfig{Name: "server", Network: rafda.NetLAN, MaxSteps: steps, PoolSize: pool})
+	nodeB, err := tr.NewNode(rafda.NodeConfig{Name: "server", Network: rafda.NetLAN, PoolSize: pool})
 	if err != nil {
 		nodeA.Close()
 		return nil, nil, "", "", err
@@ -1187,7 +1172,7 @@ func e9Drive(n *rafda.Node, ref *rafda.Ref, cfg e9Config) ([]E9Bucket, float64, 
 // driver (zero manual Migrate/PlaceClass), and converge throughput to
 // at least cfg.minRatio of the manual-optimal deployment — without
 // ping-ponging the object (budget respected).
-func e9(cfg e9Config, jsonPath string) error {
+func e9(cfg e9Config, out string) error {
 	report := E9Report{
 		Experiment: "e9",
 		Description: "adaptive placement: mis-placed hot object, telemetry-driven migration " +
@@ -1342,18 +1327,7 @@ func e9(cfg e9Config, jsonPath string) error {
 	fmt.Printf("\nclosed loop converged: %.0f%% of manual-optimal with %d automatic migration(s), zero manual calls\n",
 		100*report.ConvergedRatio, correct)
 
-	if jsonPath == "" {
-		return nil
-	}
-	b, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(jsonPath, append(b, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("machine-readable results written to %s\n", jsonPath)
-	return nil
+	return writeReport(out, "e9", report)
 }
 
 // ----- E10: cluster coordination (multi-hop adaptive migration) -----
@@ -1408,8 +1382,7 @@ type E10Report struct {
 
 // e10Node builds one cluster-member node over the simulated LAN.
 func e10Node(tr *rafda.Transformed, name string, pool int) (*rafda.Node, string, error) {
-	const steps = int64(1) << 40
-	n, err := tr.NewNode(rafda.NodeConfig{Name: name, Network: rafda.NetLAN, MaxSteps: steps, PoolSize: pool})
+	n, err := tr.NewNode(rafda.NodeConfig{Name: name, Network: rafda.NetLAN, PoolSize: pool})
 	if err != nil {
 		return nil, "", err
 	}
@@ -1432,7 +1405,7 @@ func e10Node(tr *rafda.Transformed, name string, pool int) (*rafda.Node, string,
 // calls, no adapt engine anywhere.  The caller's stale proxy resolves
 // the new home through the shared directory, and throughput converges
 // to the manual-optimal deployment.
-func e10(cfg e10Config, jsonPath string) error {
+func e10(cfg e10Config, out string) error {
 	report := E10Report{
 		Experiment: "e10",
 		Description: "cluster coordination: 3-node gossip cluster converges a mis-placed hot object " +
@@ -1611,16 +1584,5 @@ func e10(cfg e10Config, jsonPath string) error {
 	fmt.Printf("\nmulti-hop converged: scheduler proposed, host executed, caller received — "+
 		"%.0f%% of manual-optimal, zero manual calls\n", 100*report.ConvergedRatio)
 
-	if jsonPath == "" {
-		return nil
-	}
-	b, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(jsonPath, append(b, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("machine-readable results written to %s\n", jsonPath)
-	return nil
+	return writeReport(out, "e10", report)
 }

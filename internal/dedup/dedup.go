@@ -41,7 +41,6 @@
 package dedup
 
 import (
-	"fmt"
 	"sync"
 
 	"rafda/internal/telemetry"
@@ -317,14 +316,6 @@ func (t *Table) Complete(caller string, e *Entry, resp *wire.Response) {
 	}
 	w.mu.Unlock()
 	close(e.done)
-}
-
-// Abandon withdraws an entry whose execution never produced a response
-// (the dispatcher panicked past it); parked duplicates fail over to
-// executing... they cannot — so the entry records a terminal error
-// response instead.  Kept minimal: the node runtime always completes.
-func (t *Table) Abandon(caller string, e *Entry) {
-	t.Complete(caller, e, &wire.Response{Err: fmt.Sprintf("call %d abandoned mid-execution", e.seq)})
 }
 
 // Response returns the recorded response re-addressed to wire id.  The

@@ -150,15 +150,6 @@ type Instr struct {
 	TypeRef *Type  // type operand for new/newarray/cast/instanceof/const.null
 }
 
-// IsInvoke reports whether the instruction is any invocation opcode.
-func (in Instr) IsInvoke() bool {
-	switch in.Op {
-	case OpInvokeVirtual, OpInvokeInterface, OpInvokeStatic, OpInvokeSpecial:
-		return true
-	}
-	return false
-}
-
 // IsJump reports whether the instruction transfers control to Instr.A.
 func (in Instr) IsJump() bool {
 	switch in.Op {

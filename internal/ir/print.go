@@ -52,18 +52,6 @@ func Sprint(c *Class, opts PrintOptions) string {
 	return b.String()
 }
 
-// SprintProgram renders every class of the program in sorted-name order.
-func SprintProgram(p *Program, opts PrintOptions) string {
-	var b strings.Builder
-	for i, name := range p.SortedNames() {
-		if i > 0 {
-			b.WriteByte('\n')
-		}
-		Fprint(&b, p.Class(name), opts)
-	}
-	return b.String()
-}
-
 func printMethod(w io.Writer, m *Method, opts PrintOptions) {
 	var params []string
 	for i, p := range m.Params {

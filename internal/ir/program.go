@@ -37,14 +37,6 @@ func (p *Program) MustAdd(c *Class) {
 	}
 }
 
-// Replace inserts or overwrites a class.
-func (p *Program) Replace(c *Class) {
-	if _, ok := p.classes[c.Name]; !ok {
-		p.order = append(p.order, c.Name)
-	}
-	p.classes[c.Name] = c
-}
-
 // Remove deletes a class by name; missing names are ignored.
 func (p *Program) Remove(name string) {
 	if _, ok := p.classes[name]; !ok {
@@ -89,16 +81,6 @@ func (p *Program) Classes() []*Class {
 		out = append(out, p.classes[n])
 	}
 	return out
-}
-
-// Merge adds every class of q into p, erroring on duplicates.
-func (p *Program) Merge(q *Program) error {
-	for _, c := range q.Classes() {
-		if err := p.Add(c); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Clone returns a deep copy of the program; mutating the copy (as the

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"rafda/internal/policy"
+	"rafda/internal/transport"
 	"rafda/internal/vm"
 	"rafda/internal/wire"
 )
@@ -277,10 +278,11 @@ func TestForwardedRetryReusesToken(t *testing.T) {
 	}
 }
 
-// TestLegacyPeerInteropWithoutTokens pins the capability flag: an
-// untokened client (legacy peer) works against a tokened server — its
-// calls carry no token, bypass the dedup window entirely, and keep the
-// historical semantics — while the tokened default stamps every call.
+// TestLegacyPeerInteropWithoutTokens pins the server's tolerance of
+// untokened inbound requests (a legacy peer, the control plane, rafdac):
+// they are served, bypass the dedup window entirely and keep the
+// historical semantics — while a node, which stamps every call it sends,
+// opens a window.
 func TestLegacyPeerInteropWithoutTokens(t *testing.T) {
 	res := transformSource(t, dedupSource)
 	server, err := New(Config{Name: "server", Result: res})
@@ -293,45 +295,44 @@ func TestLegacyPeerInteropWithoutTokens(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	mkClient := func(name string, untokened bool) *Node {
-		t.Helper()
-		c, err := New(Config{Name: name, Result: transformSource(t, dedupSource), UntokenedWire: untokened})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { c.Close() })
-		pl, err := policy.RemoteAt(endpoint)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c.Policy().SetClass("Cell", pl)
-		return c
-	}
-
-	legacy := mkClient("legacy", true)
-	ref, err := legacy.InvokeStatic("Mk", "make")
+	legacy, err := transport.NewRRP(transport.Options{}).Dial(endpoint)
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { legacy.Close() })
+	created, err := legacy.Call(&wire.Request{ID: 1, Op: wire.OpCreate, Class: "Cell"})
+	if err != nil || created.Err != "" || created.Result.Kind != wire.KRef {
+		t.Fatalf("legacy create: %+v %v", created, err)
+	}
 	for i := int64(1); i <= 3; i++ {
-		v, err := legacy.CallOn(ref, "bump")
-		if err != nil {
-			t.Fatal(err)
+		resp, err := legacy.Call(&wire.Request{ID: uint64(1 + i), Op: wire.OpInvoke,
+			GUID: created.Result.Ref.GUID, Method: "bump"})
+		if err != nil || resp.Err != "" {
+			t.Fatalf("legacy bump %d: %+v %v", i, resp, err)
 		}
-		if v.I != i {
-			t.Fatalf("legacy bump %d returned %d", i, v.I)
+		if resp.Result.Int != i {
+			t.Fatalf("legacy bump %d returned %d", i, resp.Result.Int)
 		}
 	}
 	if s := server.DedupSnapshot(); s.Windows != 0 {
 		t.Fatalf("legacy client opened %d dedup windows, want 0", s.Windows)
 	}
 
-	modern := mkClient("modern", false)
-	ref2, err := modern.InvokeStatic("Mk", "make")
+	modern, err := New(Config{Name: "modern", Result: transformSource(t, dedupSource)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := modern.CallOn(ref2, "bump"); err != nil {
+	t.Cleanup(func() { modern.Close() })
+	pl, err := policy.RemoteAt(endpoint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	modern.Policy().SetClass("Cell", pl)
+	ref, err := modern.InvokeStatic("Mk", "make")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := modern.CallOn(ref, "bump"); err != nil {
 		t.Fatal(err)
 	}
 	if s := server.DedupSnapshot(); s.Windows == 0 {

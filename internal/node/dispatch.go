@@ -29,9 +29,8 @@ import (
 // including callbacks targeting the original object — do not deadlock
 // on invocation gates.  The exception is singleton *creation*
 // (localSingleton): an execution that waits for another execution's
-// in-progress creation can deadlock if that creation transitively
-// depends on the waiter — the JVM has the same property for
-// cross-thread class-initialisation cycles (docs/CONCURRENCY.md §7).
+// in-progress creation deadlocks if that creation depends on the waiter
+// through the wire (docs/CONCURRENCY.md §7).
 //
 // Structurally, dispatch runs the request through the node's
 // interceptor chain (chain.go): counting, plane short-circuits, the
@@ -430,40 +429,50 @@ func proxyRefOf(obj *vm.Object) (wire.RemoteRef, bool) {
 // policy — a remote caller's policy decided the singleton lives here.
 //
 // Creation runs program code, so the singleton table tracks it by owner
-// execution: the owner re-enters freely once the instance exists
-// (initialisation cycles terminate before the clinit completes, as in
-// the JVM), other executions block until the creation finishes, and a
-// failed creation is withdrawn so the next toucher retries.
+// execution.  The owner re-enters freely once the instance exists —
+// initialisation cycles terminate by observing the instance before its
+// clinit completed, as in the JVM — and so does an execution the owner is
+// itself waiting on (two executions initialising classes that name each
+// other).  Every other execution waits, its gates parked, until the
+// creation finishes; a failed creation is withdrawn so the next toucher
+// retries.
 func (n *Node) localSingleton(env *vm.Env, class string) (vm.Value, *vm.Thrown, error) {
-	if !n.machine.Program().Has(transform.CLocal(class)) {
-		return vm.Value{}, nil, fmt.Errorf("node %s: no statics implementation for %s", n.name, class)
-	}
 	key := "local:" + class
 	var entry *singletonEntry
 	for {
 		n.singMu.Lock()
 		e, ok := n.singletons[key]
 		if !ok {
-			entry = &singletonEntry{local: true, owner: env, ready: make(chan struct{})}
+			if !n.machine.Program().Has(transform.CLocal(class)) {
+				n.singMu.Unlock()
+				return vm.Value{}, nil, fmt.Errorf("node %s: no statics implementation for %s", n.name, class)
+			}
+			entry = &singletonEntry{owner: env, ready: make(chan struct{})}
 			n.singletons[key] = entry
 			n.singMu.Unlock()
 			break
 		}
-		if e.valSet {
-			val := e.val
+		if e.owner == nil || e.owner == env || n.waitsOn(e.owner, env) {
+			val, ok := e.val, e.valSet
 			n.singMu.Unlock()
+			if !ok {
+				// Inside the cycle before the instance exists: the
+				// singleton's own accessor depends on itself.  The seed
+				// recursed to the depth limit here; fail deterministically.
+				return vm.Value{}, nil, fmt.Errorf("node %s: recursive initialisation of %s statics", n.name, class)
+			}
 			return val, nil, nil
 		}
-		if e.owner == env {
-			// Re-entered before the instance exists: the singleton's own
-			// accessor depends on itself.  The seed recursed to the depth
-			// limit here; fail deterministically instead.
-			n.singMu.Unlock()
-			return vm.Value{}, nil, fmt.Errorf("node %s: recursive initialisation of %s statics", n.name, class)
-		}
+		n.singWait[env] = e
 		ready := e.ready
 		n.singMu.Unlock()
-		<-ready // another execution is creating it; wait and re-check
+		// Another execution is creating it: wait, then re-check.
+		env.RunUnlocked(func() {
+			<-ready
+			n.singMu.Lock()
+			delete(n.singWait, env)
+			n.singMu.Unlock()
+		})
 	}
 
 	fail := func() {
@@ -494,6 +503,17 @@ func (n *Node) localSingleton(env *vm.Env, class string) (vm.Value, *vm.Thrown, 
 	n.singMu.Unlock()
 	close(entry.ready)
 	return me, nil, nil
+}
+
+// waitsOn reports whether execution o is blocked, directly or through
+// other waiters, on a singleton that env is creating.  singMu is held.
+func (n *Node) waitsOn(o, env *vm.Env) bool {
+	for e := n.singWait[o]; e != nil; e = n.singWait[e.owner] {
+		if e.owner == env {
+			return true
+		}
+	}
+	return false
 }
 
 // remoteError builds the sys.RemoteException thrown when infrastructure

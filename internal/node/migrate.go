@@ -181,7 +181,7 @@ func (n *Node) shipAndMorph(obj *vm.Object, base string, fields map[string]vm.Va
 	// nothing to ship.
 	var shipped []wire.DedupEntry
 	oldGUID, exported := n.exports.GUIDOf(obj)
-	if exported && !n.untokened {
+	if exported {
 		shipped = n.dedupTab.ExtractFor(oldGUID)
 		req.Dedup = shipped
 	}
@@ -192,19 +192,10 @@ func (n *Node) shipAndMorph(obj *vm.Object, base string, fields map[string]vm.Va
 	// duplicate delivery after the target already adopted the object
 	// hits the target's dedup window and replays the recorded response
 	// — same GUID, no second orphan copy — which is what lets migration
-	// survive a mid-flight connection death instead of keeping the old
-	// shard-0 no-retry exemption.  Untokened legacy interop keeps that
-	// exemption: the ship fails, the morph never happens, and the
-	// object stays live here (CONCURRENCY.md §10).
-	var resp *wire.Response
-	var err error
+	// survive a mid-flight connection death (CONCURRENCY.md §10).
 	shipStart := time.Now()
-	if n.untokened {
-		resp, err = n.cache.Call(targetEndpoint, req)
-	} else {
-		defer n.issuer.Finish(n.issuer.Stamp(req))
-		resp, err = n.callEndpoint(targetEndpoint, oldGUID, req)
-	}
+	defer n.issuer.Finish(n.issuer.Stamp(req))
+	resp, err := n.callEndpoint(targetEndpoint, oldGUID, req)
 	ship := time.Since(shipStart)
 	if err != nil || resp.Err != "" {
 		// The ship failed outright: the object stays live here, so its
@@ -276,9 +267,7 @@ func (n *Node) migrateViaHome(proxy *vm.Object, targetEndpoint string, ctx trace
 		if sp != nil {
 			req.Trace = wireCtx(sp)
 		}
-		if !n.untokened {
-			defer n.issuer.Finish(n.issuer.Stamp(req))
-		}
+		defer n.issuer.Finish(n.issuer.Stamp(req))
 		resp, err := n.callEndpoint(home, id, req)
 		if err != nil {
 			n.finishSpan(sp, err.Error())

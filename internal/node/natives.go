@@ -66,32 +66,25 @@ func (n *Node) remoteCreate(env *vm.Env, class string, pl policy.Placement) (vm.
 }
 
 // discover implements the class factory's discover(): local singleton or
-// statics proxy per policy, cached until the policy version changes (so
-// run-time re-policy takes effect — §4 dynamic reconfiguration).  The
-// cache lives in the singleton table under its own lock; concurrent
-// discoveries of the same class at the same policy version converge on
-// one cached value (for the local kind, localSingleton already
-// guarantees a single instance).
+// statics proxy per policy.  The local kind is localSingleton's entry —
+// only that entry knows whether initialisation has finished, so nothing
+// else caches it.  A statics proxy is cached in the same table until the
+// policy version changes (so run-time re-policy takes effect — §4 dynamic
+// reconfiguration); concurrent discoveries at one policy version converge
+// on one cached value.
 func (n *Node) discover(env *vm.Env, class string) (vm.Value, *vm.Thrown, error) {
 	pl, ver := n.pol.For(class)
+	if pl.Kind != policy.Remote {
+		return n.localSingleton(env, class)
+	}
 	key := "discover:" + class
 	n.singMu.Lock()
-	if e, ok := n.singletons[key]; ok && e.valSet && e.version == ver {
+	if e, ok := n.singletons[key]; ok && e.version == ver {
 		val := e.val
 		n.singMu.Unlock()
 		return val, nil, nil
 	}
 	n.singMu.Unlock()
-	if pl.Kind != policy.Remote {
-		me, thrown, err := n.localSingleton(env, class)
-		if thrown != nil || err != nil {
-			return vm.Value{}, thrown, err
-		}
-		n.singMu.Lock()
-		n.singletons[key] = &singletonEntry{val: me, valSet: true, version: ver, local: true}
-		n.singMu.Unlock()
-		return me, nil, nil
-	}
 	proxyClass := transform.CProxy(class, pl.Proto)
 	if !n.machine.Program().Has(proxyClass) {
 		return vm.Value{}, remoteError(env, "no %s proxy generated for statics of %s", pl.Proto, class), nil
@@ -341,28 +334,19 @@ func (n *Node) proxyInvoke(env *vm.Env, classSide bool, method string, recv vm.V
 //
 // Exactly-once regime (docs/CONCURRENCY.md §10): unless the request
 // already carries a token (a forwarded call reusing its inbound token)
-// or untokened legacy interop is configured, the call is stamped with a
-// fresh (caller, seq, attempt) token and rides the pool's persistent
-// failover retry — the callee's dedup window makes a duplicate delivery
-// replay the recorded response instead of executing twice, so even
-// OpCreate retries safely (a replayed create returns the original GUID
-// rather than stranding an orphan instance).  The historical OpCreate
-// exemption survives only for untokened requests: without a token a
-// duplicate create really would run the constructor twice, so legacy
-// creates keep the shard-0 no-retry path and a mid-flight connection
-// death surfaces as the pre-pool sys.RemoteException.
+// the call is stamped with a fresh (caller, seq, attempt) token and rides
+// the pool's persistent failover retry — the callee's dedup window makes
+// a duplicate delivery replay the recorded response instead of executing
+// twice, so even OpCreate retries safely (a replayed create returns the
+// original GUID rather than stranding an orphan instance).
 func (n *Node) callRemote(env *vm.Env, endpoint string, req *wire.Request) (*wire.Response, error) {
-	if req.Token == nil && !n.untokened {
+	if req.Token == nil {
 		defer n.issuer.Finish(n.issuer.Stamp(req))
 	}
 	var resp *wire.Response
 	var err error
 	env.RunUnlocked(func() {
-		if req.Op == wire.OpCreate && req.Token == nil {
-			resp, err = n.cache.Call(endpoint, req)
-		} else {
-			resp, err = n.callEndpoint(endpoint, affinityKey(req), req)
-		}
+		resp, err = n.callEndpoint(endpoint, affinityKey(req), req)
 	})
 	return resp, err
 }

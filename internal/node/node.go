@@ -69,12 +69,6 @@ type Config struct {
 	// entries retained per calling node); <= 0 takes
 	// dedup.DefaultWindow.  See docs/CONCURRENCY.md §10.
 	DedupWindow int
-	// UntokenedWire disables call-token stamping on outgoing requests —
-	// the capability flag for interop with legacy peers whose binary
-	// decoder rejects the token extension.  Untokened calls keep the
-	// historical at-least-once/no-retry semantics; inbound tokened
-	// requests are still deduplicated regardless.
-	UntokenedWire bool
 	// TraceSpans sizes the flight recorder's span ring (rounded up to a
 	// power of two); <= 0 takes trace.DefaultSpans.  Memory is fixed at
 	// construction and the recorder overwrites oldest — see
@@ -137,9 +131,12 @@ type Node struct {
 	// table tracks in-progress creations by owner execution: the owner
 	// proceeds re-entrantly (initialisation cycles terminate, as in the
 	// JVM), other executions wait for the creation to finish, and a
-	// failed creation is withdrawn so a later toucher retries.
+	// failed creation is withdrawn so a later toucher retries.  singWait
+	// records which creation each waiting execution is blocked on, so a
+	// wait that would close a cycle is never started.
 	singMu     sync.Mutex
 	singletons map[string]*singletonEntry
+	singWait   map[*vm.Env]*singletonEntry
 
 	// Lock-free state: transports dispatch requests concurrently, so
 	// request ids and activity counters stay off the node mutex.
@@ -167,13 +164,11 @@ type Node struct {
 	volunteerState atomic.Int32
 
 	// Exactly-once plane (docs/CONCURRENCY.md §10): issuer stamps every
-	// outgoing logical call with a (caller, seq, attempt) token unless
-	// untokened legacy interop is configured; dedupTab recognises
-	// duplicate deliveries of inbound tokened calls and replays their
-	// recorded responses instead of re-executing.
-	issuer    *dedup.Issuer
-	dedupTab  *dedup.Table
-	untokened bool
+	// outgoing logical call with a (caller, seq, attempt) token;
+	// dedupTab recognises duplicate deliveries of inbound tokened calls
+	// and replays their recorded responses instead of re-executing.
+	issuer   *dedup.Issuer
+	dedupTab *dedup.Table
 
 	// Replication plane (docs/REPLICATION.md).  effects is the
 	// verifier's whole-program method-effect classification, computed
@@ -221,7 +216,6 @@ type singletonEntry struct {
 	val     vm.Value
 	valSet  bool
 	version uint64
-	local   bool
 	owner   *vm.Env       // execution performing the creation; nil once done
 	ready   chan struct{} // closed when creation finished (or failed)
 }
@@ -283,10 +277,10 @@ func New(cfg Config) (*Node, error) {
 		endpoints:  make(map[string]string),
 		cache:      transport.NewClientCachePool(reg, cfg.PoolSize),
 		singletons: make(map[string]*singletonEntry),
+		singWait:   make(map[*vm.Env]*singletonEntry),
 		volunteer:  cfg.VolunteerCallback,
 		issuer:     dedup.NewIssuer(fmt.Sprintf("%s!%d", cfg.Name, nodeSeq.Add(1))),
 		dedupTab:   dedup.NewTable(cfg.DedupWindow),
-		untokened:  cfg.UntokenedWire,
 		overload:   overload,
 	}
 	// Method-effect classification for the replication plane.  The alias
@@ -334,10 +328,6 @@ func New(cfg Config) (*Node, error) {
 	return n, nil
 }
 
-// Tracer returns the node's flight recorder, or nil when tracing is
-// disabled (Config.NoTrace).
-func (n *Node) Tracer() *trace.Recorder { return n.tracer }
-
 // Overload returns the node's overload counters (never nil).
 func (n *Node) Overload() *telemetry.OverloadStats { return n.overload }
 
@@ -359,9 +349,7 @@ func (n *Node) EnableTelemetry() *telemetry.Recorder {
 		return r
 	}
 	n.telem.CompareAndSwap(nil, telemetry.NewRecorder())
-	r := n.telem.Load()
-	r.AttachDedup(n.dedupTab.Stats())
-	return r
+	return n.telem.Load()
 }
 
 // DedupSnapshot returns the exactly-once plane's counters (replay hits,
@@ -553,37 +541,52 @@ func (n *Node) RunMain(mainClass string) error {
 	return nil
 }
 
-// InvokeStatic calls an original static method through the transformed
-// program's class factory forwarder (or directly when the class was not
-// transformed).  It is the host-language entry point used by examples,
-// tests and benchmarks.
+// InvokeStatic calls an original static method.  It is the host-language
+// entry point used by examples, tests and benchmarks.
 func (n *Node) InvokeStatic(class, method string, args ...vm.Value) (vm.Value, error) {
-	target := class
-	if n.machine.Program().Has(transform.CFactory(class)) {
-		target = transform.CFactory(class)
+	if !n.machine.Program().Has(transform.CFactory(class)) {
+		return n.machine.Invoke(class, method, vm.Value{}, args)
 	}
-	return n.machine.Invoke(target, method, vm.Value{}, args)
+	return n.callStatics(class, method, args)
 }
 
-// ReadStatic reads an original static field through the factory
-// forwarder.
+// ReadStatic reads an original static field.
 func (n *Node) ReadStatic(class, field string) (vm.Value, error) {
-	target := transform.CFactory(class)
-	if !n.machine.Program().Has(target) {
+	if !n.machine.Program().Has(transform.CFactory(class)) {
 		return n.machine.GetStatic(class, field)
 	}
-	return n.machine.Invoke(target, transform.Getter(field), vm.Value{}, nil)
+	return n.callStatics(class, transform.Getter(field), nil)
 }
 
-// WriteStatic writes an original static field through the factory
-// forwarder.
+// WriteStatic writes an original static field.
 func (n *Node) WriteStatic(class, field string, val vm.Value) error {
-	target := transform.CFactory(class)
-	if !n.machine.Program().Has(target) {
+	if !n.machine.Program().Has(transform.CFactory(class)) {
 		return n.machine.SetStatic(class, field, val)
 	}
-	_, err := n.machine.Invoke(target, transform.Setter(field), vm.Value{}, []vm.Value{val})
+	_, err := n.callStatics(class, transform.Setter(field), []vm.Value{val})
 	return err
+}
+
+// callStatics does what a transformed class's factory forwarder does —
+// discover() the statics holder (the local singleton, or a statics proxy
+// per policy), then call it — but holding the holder's invocation gate, as
+// the same call arriving over the wire would: host and wire callers of one
+// class's statics are one monitor.
+func (n *Node) callStatics(class, method string, args []vm.Value) (res vm.Value, err error) {
+	n.machine.Exec(func(env *vm.Env) {
+		holder, thrown, derr := n.discover(env, class)
+		if thrown == nil && derr == nil {
+			res, thrown, derr = env.CallGated(holder.O, method, args)
+		}
+		if err = derr; err == nil && thrown != nil {
+			cls, msg := vm.ThrownMessage(thrown)
+			err = &vm.UncaughtError{Class: cls, Message: msg}
+		}
+	})
+	if err != nil {
+		return vm.Value{}, err
+	}
+	return res, nil
 }
 
 // CallOn invokes a method on an object reference previously obtained

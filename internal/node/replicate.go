@@ -196,14 +196,10 @@ func (n *Node) Replicate(ref vm.Value, endpoints ...string) error {
 	return retErr
 }
 
-// sendReplicaOp performs one replica-maintenance request, tokened unless
-// the node is configured for untokened legacy interop, so a transport
-// retry of an install or update is recognised by the receiver's dedup
-// window instead of executing twice.
+// sendReplicaOp performs one replica-maintenance request, tokened so a
+// transport retry of an install or update is recognised by the receiver's
+// dedup window instead of executing twice.
 func (n *Node) sendReplicaOp(endpoint string, req *wire.Request) (*wire.Response, error) {
-	if n.untokened {
-		return n.cache.Call(endpoint, req)
-	}
 	defer n.issuer.Finish(n.issuer.Stamp(req))
 	return n.callEndpoint(endpoint, req.GUID, req)
 }

@@ -444,3 +444,127 @@ class Main { static void main() {} }`
 		t.Fatalf("lost updates on shared object: %d want %d", got.I, workers*callsEach)
 	}
 }
+
+// TestConcurrentInvokeStaticOnSingleton races static calls at one class
+// whose statics live in a singleton — including the very first touch,
+// which creates the singleton and runs the class initialiser.  Host entry
+// holds no VM-wide lock: it takes the singleton's gate, the one a call
+// arriving over the wire takes.  So there is one singleton and one
+// initialisation, every caller sees it complete, and a read-modify-write
+// of a static loses no update whether its callers enter from the host,
+// over the wire, or both at once.
+func TestConcurrentInvokeStaticOnSingleton(t *testing.T) {
+	src := `
+class Cell {
+    int n;
+    Cell(int n) { this.n = n; }
+}
+class Reg {
+    static int inits = 0;
+    static int count = 0;
+    static Cell shared = Reg.boot();
+    static Cell boot() { inits = inits + 1; return new Cell(7); }
+    static Cell shared() { return shared; }
+    static int inits() { return inits; }
+    static int inc() { count = count + 1; return count; }
+}
+class Main { static void main() {} }`
+	remote, home, endpoint := twoNodes(t, transformSource(t, src), "rrp")
+	pl, err := policy.RemoteAt(endpoint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	remote.Policy().SetClass("Reg", pl)
+
+	const workers = 8
+	const callsEach = 100
+	shared := make([]*vm.Object, workers)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			<-start
+			ref, err := home.InvokeStatic("Reg", "shared")
+			if err != nil || ref.O == nil {
+				t.Errorf("shared: %v %v", ref, err)
+				return
+			}
+			shared[w] = ref.O
+			via := home // even workers enter from the host, odd ones over the wire
+			if w%2 == 1 {
+				via = remote
+			}
+			for c := 0; c < callsEach; c++ {
+				if _, err := via.InvokeStatic("Reg", "inc"); err != nil {
+					t.Errorf("inc: %v", err)
+					return
+				}
+			}
+		}(w)
+	}
+	close(start)
+	wg.Wait()
+	for w, obj := range shared {
+		if obj != shared[0] {
+			t.Fatalf("caller %d saw a different Reg.shared: initialisation ran more than once or was observed half-done", w)
+		}
+	}
+	if inits, err := home.InvokeStatic("Reg", "inits"); err != nil || inits.I != 1 {
+		t.Fatalf("class initialiser ran %v times (%v), want 1", inits.I, err)
+	}
+	if got, err := home.ReadStatic("Reg", "count"); err != nil || got.I != workers*callsEach {
+		t.Fatalf("lost updates on a static: %v (%v), want %d", got.I, err, workers*callsEach)
+	}
+}
+
+// TestCyclicSingletonInitAcrossExecutions: two executions each creating a
+// statics singleton whose initialiser reads the other's.  Each sleeps
+// inside its initialiser first, so both creations are in progress when
+// either asks for the other's class.  One of them must be let through to
+// the half-initialised instance (as the JVM lets a thread through inside
+// its own initialisation cycle) or both wait for ever.
+func TestCyclicSingletonInitAcrossExecutions(t *testing.T) {
+	src := `
+class X {
+    static int v = X.boot();
+    static int boot() { sys.Clock.sleepMicros(5000); return Y.get() + 1; }
+    static int get() { return v; }
+}
+class Y {
+    static int v = Y.boot();
+    static int boot() { sys.Clock.sleepMicros(5000); return X.get() + 1; }
+    static int get() { return v; }
+}
+class Main { static void main() {} }`
+	n, err := New(Config{Name: "solo", Result: transformSource(t, src)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { n.Close() })
+
+	got := make(chan int64, 2)
+	for _, class := range []string{"X", "Y"} {
+		go func() {
+			v, err := n.InvokeStatic(class, "get")
+			if err != nil {
+				t.Errorf("%s.get: %v", class, err)
+			}
+			got <- v.I
+		}()
+	}
+	var sum int64
+	for i := 0; i < 2; i++ {
+		select {
+		case v := <-got:
+			sum += v
+		case <-time.After(10 * time.Second):
+			t.Fatal("cross-referencing static initialisers deadlocked")
+		}
+	}
+	// Whichever execution was let through saw the other's v as 0.
+	if sum != 3 {
+		t.Fatalf("X.v + Y.v = %d, want 3 (one initialiser saw 0, the other 1)", sum)
+	}
+}

@@ -231,8 +231,7 @@ func PeerKey(endpoint string) string {
 // dedup table always records (the counters are the E12 chaos
 // experiment's pass/fail evidence and the operator's only view of
 // suppression working), so the struct lives here but is owned by the
-// dedup table and merely attached to a Recorder when telemetry is on.
-// All fields are atomics; recording never blocks.
+// dedup table.  All fields are atomics; recording never blocks.
 type DedupStats struct {
 	// ReplayHits counts duplicates answered from the replay cache (the
 	// first attempt had completed; its recorded response was re-sent).
@@ -306,22 +305,6 @@ type Recorder struct {
 	objs    sync.Map // guid -> *ObjStats
 	classes sync.Map // class -> *ClassStats
 	peers   sync.Map // endpoint -> *PeerStats
-	dedup   atomic.Pointer[DedupStats]
-}
-
-// AttachDedup publishes the node's dedup counters through the recorder,
-// so the metrics plane exposes suppression alongside affinity.
-func (r *Recorder) AttachDedup(s *DedupStats) { r.dedup.Store(s) }
-
-// SnapshotDedup returns the attached dedup counters, or nil when the
-// node runs without a dedup table.
-func (r *Recorder) SnapshotDedup() *DedupSample {
-	s := r.dedup.Load()
-	if s == nil {
-		return nil
-	}
-	sample := s.Snapshot()
-	return &sample
 }
 
 // NewRecorder returns an empty metrics plane.

@@ -167,17 +167,6 @@ func (a *Analysis) Transformable(name string) bool {
 // is transformable).
 func (a *Analysis) Cause(name string) Cause { return a.causes[name] }
 
-// TransformableClasses returns the sorted transformable class names.
-func (a *Analysis) TransformableClasses() []string {
-	var out []string
-	for _, n := range a.prog.SortedNames() {
-		if a.Transformable(n) {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
 // Stats summarises the analysis, reproducing the shape of the paper's
 // §2.4 statistic ("about 40% ... cannot be transformed").
 type Stats struct {

@@ -19,8 +19,8 @@ func BindLocal(machine *vm.VM, r *Result) {
 	// the map operations atomic and the publish below discards a losing
 	// racer's instance, but full once-semantics for concurrent first
 	// discovery needs the node runtime's owner-tracked table — BindLocal
-	// is the single-address-space harness, where discovery arrives
-	// through the VM's serialised Invoke path.
+	// is the single-address-space harness; a host that races first
+	// discovery from several goroutines wants a node.
 	var mu sync.Mutex
 	singletons := make(map[string]vm.Value)
 	for _, class := range r.Transformed {

@@ -90,9 +90,6 @@ func newPool(reg *Registry, endpoint string, size int, onFailover FailoverFunc) 
 		onFailover: onFailover}
 }
 
-// Size returns the pool's shard count.
-func (p *Pool) Size() int { return len(p.shards) }
-
 // Endpoint returns the pooled endpoint.
 func (p *Pool) Endpoint() string { return p.endpoint }
 

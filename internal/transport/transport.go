@@ -59,25 +59,6 @@ type Client interface {
 	Close() error
 }
 
-// Lockstep wraps a client so at most one call is in flight at a time —
-// the pre-multiplexing transport behaviour.  The E7 experiment uses it
-// as the "before" baseline; it is also a serialisation tool for callers
-// that need strict one-at-a-time ordering over a shared connection.
-func Lockstep(c Client) Client { return &lockstepClient{c: c} }
-
-type lockstepClient struct {
-	mu sync.Mutex
-	c  Client
-}
-
-func (l *lockstepClient) Call(req *wire.Request) (*wire.Response, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.c.Call(req)
-}
-
-func (l *lockstepClient) Close() error { return l.c.Close() }
-
 // Transport is one wire protocol.
 type Transport interface {
 	// Proto returns the scheme, e.g. "rrp".

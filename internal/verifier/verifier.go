@@ -44,13 +44,6 @@ func Verify(p *ir.Program) []error {
 	return v.errs
 }
 
-// VerifyOne checks a single class against the program.
-func VerifyOne(p *ir.Program, c *ir.Class) []error {
-	v := &verifier{p: p}
-	v.checkClass(c)
-	return v.errs
-}
-
 type verifier struct {
 	p    *ir.Program
 	errs []error

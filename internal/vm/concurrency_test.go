@@ -4,6 +4,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"rafda/internal/ir"
 	"rafda/internal/stdlib"
@@ -158,55 +159,163 @@ func TestRunUnlockedReleasesGate(t *testing.T) {
 	<-done
 }
 
-// TestCoarseLockOptionStillCorrect: the E8 baseline regime must keep the
-// same observable behaviour, just without parallelism.
-func TestCoarseLockOptionStillCorrect(t *testing.T) {
-	v := MustNew(cellProgram(), WithCoarseLock())
+// TestInvokeSameObjectLosesNoUpdates: host-entered calls take the
+// receiver's gate, so bumps of ONE object through VM.Invoke, through
+// ExecOn, or through both at once are a monitor.
+func TestInvokeSameObjectLosesNoUpdates(t *testing.T) {
+	v := MustNew(cellProgram())
 	obj, err := v.NewObject("Cell")
 	if err != nil {
 		t.Fatal(err)
 	}
-	const workers = 4
-	const per = 100
+	const workers = 8
+	const per = 300
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func() {
+		go func(gated bool) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				v.ExecOn(obj, func(env *Env) {
-					if _, thrown, err := env.Call("Cell", "bump", RefV(obj), nil); thrown != nil || err != nil {
-						t.Errorf("bump: %v %v", thrown, err)
-					}
-				})
+				if gated {
+					v.ExecOn(obj, func(env *Env) {
+						if _, thrown, err := env.Call("Cell", "bump", RefV(obj), nil); thrown != nil || err != nil {
+							t.Errorf("bump: %v %v", thrown, err)
+						}
+					})
+				} else if _, err := v.Invoke("Cell", "bump", RefV(obj), nil); err != nil {
+					t.Errorf("bump: %v", err)
+				}
 			}
-		}()
+		}(w%2 == 0)
 	}
 	wg.Wait()
 	if got := obj.Get("n"); got.I != workers*per {
-		t.Fatalf("coarse mode lost updates: %d want %d", got.I, workers*per)
+		t.Fatalf("lost updates: %d want %d", got.I, workers*per)
 	}
 }
 
-// TestStepLimitCumulative: the step budget binds ACROSS executions,
-// not just within one long activation — many short invocations must
-// eventually fault, as they did under the seed's per-instruction check.
-func TestStepLimitCumulative(t *testing.T) {
-	v := MustNew(cellProgram(), WithMaxSteps(500))
+// TestInvokeDistinctObjectsOverlap: host-entered calls on different
+// objects share no lock.  Each call blocks in a native (gate held, not
+// parked) until every other one has arrived; if VM.Invoke serialised them
+// the barrier would never fill.
+func TestInvokeDistinctObjectsOverlap(t *testing.T) {
+	p := stdlib.Program()
+	p.MustAdd(&ir.Class{
+		Name: "Blocker", Super: ir.ObjectClass,
+		Methods: []*ir.Method{{Name: "wait", Return: ir.Void, Access: ir.AccessPublic, Native: true}},
+	})
+	v := MustNew(p)
+	const callers = 4
+	var arrived sync.WaitGroup
+	arrived.Add(callers)
+	v.RegisterNative("Blocker", "wait", 0, func(*Env, Value, []Value) (Value, *Thrown, error) {
+		arrived.Done()
+		arrived.Wait()
+		return Value{}, nil, nil
+	})
+	done := make(chan error, callers)
+	for i := 0; i < callers; i++ {
+		obj, err := v.NewObject("Blocker")
+		if err != nil {
+			t.Fatal(err)
+		}
+		go func() {
+			_, err := v.Invoke("Blocker", "wait", RefV(obj), nil)
+			done <- err
+		}()
+	}
+	for i := 0; i < callers; i++ {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("host-entered calls on distinct objects did not overlap")
+		}
+	}
+}
+
+// TestInvokeSerialisesWithExecOn: a host-entered call and a gated
+// execution of the same object exclude each other.
+func TestInvokeSerialisesWithExecOn(t *testing.T) {
+	v := MustNew(cellProgram())
+	obj, _ := v.NewObject("Cell")
+	done := make(chan error, 1)
+	v.ExecOn(obj, func(*Env) {
+		go func() {
+			_, err := v.Invoke("Cell", "bump", RefV(obj), nil)
+			done <- err
+		}()
+		select {
+		case <-done:
+			t.Error("VM.Invoke ran inside another execution's gate")
+		case <-time.After(20 * time.Millisecond):
+		}
+	})
+	if !t.Failed() {
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := obj.Get("n"); got.I != 1 {
+		t.Fatalf("bump lost: %d", got.I)
+	}
+}
+
+// TestInvokeResolvesInClassDispatchesOnReceiver pins VM.Invoke's naming
+// contract: the method must exist in the named class; a static one runs
+// whatever receiver it is handed; an instance one dispatches on the
+// receiver's own class, as invokevirtual does.
+func TestInvokeResolvesInClassDispatchesOnReceiver(t *testing.T) {
+	tag := func(name string, static bool, n int64) *ir.Method {
+		return &ir.Method{Name: name, Return: ir.Int, Static: static, Access: ir.AccessPublic, MaxLocals: 1,
+			Code: []ir.Instr{{Op: ir.OpConstInt, A: n}, {Op: ir.OpReturnValue}}}
+	}
+	p := stdlib.Program()
+	p.MustAdd(&ir.Class{Name: "Base", Super: ir.ObjectClass,
+		Methods: []*ir.Method{tag("tag", false, 1), tag("kind", true, 10)}})
+	p.MustAdd(&ir.Class{Name: "Derived", Super: "Base",
+		Methods: []*ir.Method{tag("tag", false, 2), tag("extra", false, 3)}})
+	v := MustNew(p)
+	obj, err := v.NewObject("Derived")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := v.Invoke("Base", "tag", RefV(obj), nil); err != nil || got.I != 2 {
+		t.Fatalf("instance method named via the superclass: %v %v, want the receiver's override", got, err)
+	}
+	if got, err := v.Invoke("Derived", "kind", RefV(obj), nil); err != nil || got.I != 10 {
+		t.Fatalf("static method with an object receiver: %v %v", got, err)
+	}
+	if _, err := v.Invoke("Base", "extra", RefV(obj), nil); err == nil {
+		t.Fatal("a method the named class lacks was found on the receiver")
+	}
+}
+
+// TestStepLimitPerExecution: the step budget bounds one execution, not the
+// VM's lifetime — a long-lived VM serves any number of short calls, while
+// a spinning one still faults.
+func TestStepLimitPerExecution(t *testing.T) {
+	p := cellProgram()
+	p.MustAdd(&ir.Class{
+		Name: "Spin", Super: ir.ObjectClass,
+		Methods: []*ir.Method{{Name: "spin", Return: ir.Void, Static: true, Access: ir.AccessPublic,
+			Code: []ir.Instr{{Op: ir.OpJump, A: 0}}}},
+	})
+	v := MustNew(p, WithMaxSteps(500))
 	obj, err := v.NewObject("Cell")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// bump() is ~9 instructions; well under stepQuantum per call.
 	for i := 0; i < 10_000; i++ {
 		if _, err := v.Invoke("Cell", "bump", RefV(obj), nil); err != nil {
-			if !strings.Contains(err.Error(), "step limit") {
-				t.Fatalf("unexpected error: %v", err)
-			}
-			return
+			t.Fatalf("short call %d charged for its predecessors: %v", i, err)
 		}
 	}
-	t.Fatal("cumulative step budget never enforced across short executions")
+	if _, err := v.Invoke("Spin", "spin", Value{}, nil); err == nil || !strings.Contains(err.Error(), "step limit exceeded") {
+		t.Fatalf("spinning execution: %v", err)
+	}
 }
 
 // TestFailedSuperInitLeavesNoPhantomStatics: when a superclass clinit

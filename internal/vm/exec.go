@@ -9,29 +9,6 @@ import (
 	"rafda/internal/stdlib"
 )
 
-// bumpStep counts one interpreted instruction against the step budget.
-// Every instruction is checked against the execution's snapshot of the
-// cumulative count (env.stepBase, taken at entry and refreshed on each
-// flush), so the budget binds short executions too; the shared atomic
-// is only touched every stepQuantum instructions.  Concurrent
-// executions each enforce against their own snapshot, so under
-// parallelism the cumulative limit has quantum-sized slack per
-// in-flight execution.  Returns false when the budget is exhausted.
-func (v *VM) bumpStep(env *Env) bool {
-	env.steps++
-	if env.stepBase+env.steps > v.maxSteps {
-		return false
-	}
-	if env.steps >= stepQuantum {
-		env.stepBase = v.steps.Add(env.steps)
-		env.steps = 0
-		if env.stepBase > v.maxSteps {
-			return false
-		}
-	}
-	return true
-}
-
 // invoke activates c on the arguments already in place at
 // env.slab[base : base+c.nargs] (receiver first for instance methods):
 // a native is called on a view of them, bytecode runs in a frame that
@@ -134,7 +111,7 @@ func (v *VM) run(env *Env, c *code, base int) (Value, *Thrown, error) {
 		if pc < 0 || pc >= len(code) {
 			return c.fault(pc, "pc out of range (len=%d)", len(code))
 		}
-		if !v.bumpStep(env) {
+		if env.steps++; env.steps > v.maxSteps {
 			return c.fault(pc, "step limit exceeded")
 		}
 		if sp >= len(f) {

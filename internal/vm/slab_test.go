@@ -146,22 +146,6 @@ class Main { static void main() {} }`)
 // site must put depth and slab top back itself.
 func TestSlabRestoredAfterMigrationInterrupt(t *testing.T) {
 	v := MustNew(interruptProgram())
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			box, _ := v.NewObject("Box")
-			svc, _ := v.NewObject("Svc")
-			box.Set("svc", RefV(svc))
-			v.ExecOn(box, func(env *Env) {
-				if got := mustCall(t, env, "Box", "run", RefV(box), IntV(3)); got.I != 42+6000 {
-					t.Errorf("run(3) = %d, want 6042", got.I)
-				}
-				atRest(t, env)
-			})
-		}()
-	}
 	v.RegisterNative("Box", "hop", 0, func(env *Env, recv Value, _ []Value) (Value, *Thrown, error) {
 		depth, sp := env.depth, env.sp
 		res, thrown, err := env.CallGated(recv.O.Get("svc").O, "slow", nil)
@@ -180,6 +164,22 @@ func TestSlabRestoredAfterMigrationInterrupt(t *testing.T) {
 		t.Error("park resumed on a morphed object")
 		return IntV(0), nil, nil
 	})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			box, _ := v.NewObject("Box")
+			svc, _ := v.NewObject("Svc")
+			box.Set("svc", RefV(svc))
+			v.ExecOn(box, func(env *Env) {
+				if got := mustCall(t, env, "Box", "run", RefV(box), IntV(3)); got.I != 42+6000 {
+					t.Errorf("run(3) = %d, want 6042", got.I)
+				}
+				atRest(t, env)
+			})
+		}()
+	}
 	wg.Wait()
 }
 

@@ -26,13 +26,12 @@
 //     touchers may observe partially-initialised statics, exactly as
 //     they could in the seed across I/O points and as the JVM permits
 //     within initialisation cycles).
-//   - The legacy public entry points (Invoke, Construct, RunMain,
-//     GetStatic, SetStatic) serialise on one host lock, preserving the
-//     seed's sequential semantics for host-driven programs.  The
-//     parallel paths are Exec (ungated scope) and ExecOn (per-object
-//     gate); the node runtime dispatches through those.
-//   - WithCoarseLock restores the seed's single global lock on every
-//     entry point — kept as the measurable baseline for experiment E8.
+//   - There is one execution regime.  Exec opens an ungated scope and
+//     ExecOn one that holds an object's gate; the host entry points
+//     (Invoke, Construct, RunMain, GetStatic, SetStatic) are those two.
+//     Invoke enters under a monitor: an instance method takes its
+//     receiver's gate through Env.CallGated exactly as a dispatched call
+//     does, a static method its declaring class's monitor.
 package vm
 
 import (
@@ -51,12 +50,6 @@ const (
 	DefaultMaxSteps = int64(200_000_000)
 	DefaultMaxDepth = 1024
 )
-
-// stepQuantum is how many interpreted instructions an execution runs
-// between flushes of its private step counter into the VM's shared one.
-// Batching keeps the hot loop off a contended atomic; the step budget is
-// therefore enforced with quantum granularity.
-const stepQuantum = 256
 
 // FaultError reports a VM-level fault: malformed code, unknown classes,
 // step or depth limits.  Distinct from program-level thrown exceptions.
@@ -84,8 +77,8 @@ type Thrown struct {
 // Env is one execution of the VM: the context threaded through every
 // frame of one entry-point activation, and the capability handed to
 // native methods.  It carries the per-execution interpreter state (call
-// depth, batched step count) and records which locks the execution holds
-// so that RunUnlocked can release them around blocking I/O.
+// depth, step count) and records which gates the execution holds so that
+// RunUnlocked can release them around blocking I/O.
 //
 // An Env is confined to its execution: never retain one beyond the call
 // that delivered it, and never share one between goroutines.
@@ -99,10 +92,9 @@ type Env struct {
 	// owns.
 	_ [64]byte
 
-	vm       *VM
-	depth    int
-	steps    int64 // instructions not yet flushed to vm.steps
-	stepBase int64 // cumulative vm.steps snapshot as of the last flush
+	vm    *VM
+	depth int
+	steps int64 // instructions this execution has run, against vm.maxSteps
 
 	// slab is the execution's frame storage.  A frame is the window
 	// [base, base+size) of it — locals, then operand stack — and a
@@ -123,8 +115,7 @@ type Env struct {
 	sp   int
 	hi   int
 
-	holdsHost bool      // execution entered through the host-compat lock
-	gates     []gateRef // invocation gates held, in acquisition order
+	gates []gateRef // invocation gates held, in acquisition order
 
 	// forward is one-shot baggage for the node runtime: when an inbound
 	// tokened invocation's target turns out to be a forwarding proxy,
@@ -238,18 +229,17 @@ func (e *Env) Call(class, method string, recv Value, args []Value) (Value, *Thro
 
 // CallGated invokes method on obj while holding obj's invocation gate,
 // serialising against other gated invocations of — and migrations of —
-// the same object.  If this execution already holds the gate (or the VM
-// runs under the coarse lock) the call proceeds re-entrantly.  The node
-// runtime uses it when a proxy collapses to a direct local call, so the
-// call keeps monitor semantics no matter which side of the wire it
-// entered from.  Gate acquisition follows monitor rules: programs that
-// nest gated calls in conflicting orders can deadlock, as Java monitors
-// can.
+// the same object.  If this execution already holds the gate the call
+// proceeds re-entrantly.  The node runtime uses it when a proxy collapses
+// to a direct local call, and VM.Invoke for a host-entered one, so a call
+// keeps monitor semantics no matter where it entered from.  Gate
+// acquisition follows monitor rules: programs that nest gated calls in
+// conflicting orders can deadlock, as Java monitors can.
 func (e *Env) CallGated(obj *Object, method string, args []Value) (Value, *Thrown, error) {
 	if obj == nil {
 		return Value{}, nil, &FaultError{Msg: "gated call on nil object"}
 	}
-	if e.vm.coarse || e.holdsGate(obj) {
+	if e.holdsGate(obj) {
 		return e.vm.callOn(e, obj, method, args)
 	}
 	for attempt := 0; ; attempt++ {
@@ -311,9 +301,8 @@ func (e *Env) Construct(class string, args []Value) (Value, *Thrown, error) {
 // Throw builds a Thrown of the given system exception class.
 func (e *Env) Throw(class, msg string) *Thrown { return e.vm.throwSys(class, msg) }
 
-// RunUnlocked releases every execution-scoped lock this execution holds
-// (its invocation gates and, for host-entered executions, the host lock)
-// around f, then re-acquires them in hierarchy order.  Native methods
+// RunUnlocked releases every invocation gate this execution holds around
+// f, then re-acquires them in acquisition order.  Native methods
 // that perform blocking I/O (remote proxy calls) must use it so that
 // incoming remote invocations — including re-entrant callbacks targeting
 // the same object — can proceed meanwhile.
@@ -329,18 +318,12 @@ func (e *Env) RunUnlocked(f func()) {
 		e.gates[i].obj.parked.Add(1)
 		e.gates[i].obj.gate.Unlock()
 	}
-	if e.holdsHost {
-		e.vm.hostMu.Unlock()
-	}
 	depth, sp := e.depth, e.sp
 	completed := false
 	defer func() {
 		// Whether f returned or panicked out of a nested execution, the
 		// parked frame resumes (or is interrupted) where it parked.
 		e.depth, e.sp = depth, sp
-		if e.holdsHost {
-			e.vm.hostMu.Lock()
-		}
 		for _, g := range e.gates {
 			g.obj.gate.Lock()
 			g.obj.parked.Add(-1)
@@ -404,6 +387,9 @@ type classState struct {
 	started atomic.Bool
 	slots   atomic.Pointer[staticSlots]
 	layout  atomic.Pointer[layout]
+	// monitor is the class's monitor: only its gate is used, by
+	// host-entered static calls (VM.Invoke).
+	monitor Object
 }
 
 // syncWriter serialises program output from concurrent executions.
@@ -437,19 +423,6 @@ type VM struct {
 	// so entering the VM allocates nothing in steady state.
 	envs sync.Pool
 
-	// hostMu preserves the seed's sequential semantics for the legacy
-	// public entry points (Invoke and friends).  Gated executions
-	// (ExecOn) never take it, so the two never deadlock: the hierarchy
-	// is hostMu before gates, and nothing acquires hostMu while holding
-	// a gate.
-	hostMu sync.Mutex
-
-	// coarse restores the seed's one-big-lock regime: every entry point
-	// serialises on hostMu and the per-object gates go unused.  It is
-	// the baseline experiment E8 measures the sharded design against.
-	coarse bool
-
-	steps    atomic.Int64
 	maxSteps int64
 	maxDepth int
 
@@ -463,7 +436,7 @@ type Option func(*VM)
 // WithOutput directs sys.System print natives to w.
 func WithOutput(w io.Writer) Option { return func(v *VM) { v.out.w = w } }
 
-// WithMaxSteps overrides the execution step budget.
+// WithMaxSteps overrides the step budget of each execution.
 func WithMaxSteps(n int64) Option { return func(v *VM) { v.maxSteps = n } }
 
 // WithMaxDepth overrides the call-depth budget.
@@ -471,12 +444,6 @@ func WithMaxDepth(n int) Option { return func(v *VM) { v.maxDepth = n } }
 
 // WithClock overrides the time source used by sys.Clock.
 func WithClock(f func() time.Time) Option { return func(v *VM) { v.clock = f } }
-
-// WithCoarseLock reverts the VM to the seed's coarse locking: one global
-// mutex serialises every entry point and ExecOn ignores per-object
-// gates.  It exists so experiment E8 can measure the sharded design
-// against the regime it replaced; production nodes never set it.
-func WithCoarseLock() Option { return func(v *VM) { v.coarse = true } }
 
 // New builds a VM over prog.  If prog lacks the system library it is
 // merged in automatically.  The system natives are pre-registered.
@@ -576,21 +543,12 @@ func (v *VM) RegisterClassNative(owner string, f ClassNativeFunc) {
 	v.natives.Store(next)
 }
 
-// Steps returns the cumulative instruction count executed (flushed with
-// stepQuantum granularity by in-flight executions).
-func (v *VM) Steps() int64 { return v.steps.Load() }
-
-// ResetSteps zeroes the instruction counter.
-func (v *VM) ResetSteps() { v.steps.Store(0) }
-
-// newEnv starts an execution context, snapshotting the cumulative step
-// count so the budget binds across many short executions.
+// newEnv starts an execution context.
 func (v *VM) newEnv() *Env {
 	env, _ := v.envs.Get().(*Env)
 	if env == nil {
 		env = &Env{vm: v}
 	}
-	env.stepBase = v.steps.Load()
 	return env
 }
 
@@ -599,12 +557,9 @@ func (v *VM) newEnv() *Env {
 // collector.
 const maxPooledSlab = 1 << 14
 
-// finish ends an execution: it flushes the unflushed step count and
-// recycles the context.  The Env must not be used afterwards.
+// finish ends an execution and recycles its context.  The Env must not
+// be used afterwards.
 func (v *VM) finish(env *Env) {
-	if env.steps > 0 {
-		v.steps.Add(env.steps)
-	}
 	slab, gates := env.slab, env.gates
 	clear(slab[:env.hi]) // drop the references dead frames left behind
 	clear(gates)
@@ -632,30 +587,12 @@ func (e *Env) reserve(n int) {
 	e.slab = slab
 }
 
-// beginHost enters a legacy (host-compat) execution: serialised on
-// hostMu, as every entry point was in the seed.
-func (v *VM) beginHost() (*Env, func()) {
-	v.hostMu.Lock()
-	env := v.newEnv()
-	env.holdsHost = true
-	return env, func() {
-		v.finish(env)
-		v.hostMu.Unlock()
-	}
-}
-
 // Exec runs f in a fresh execution scope with no gate held: executions
 // entered this way run in parallel with everything else, synchronising
 // only through the per-object and per-slot locks they touch.  The node
 // runtime uses it for work on objects not yet shared (creation,
 // migration adoption).
 func (v *VM) Exec(f func(env *Env)) {
-	if v.coarse {
-		env, done := v.beginHost()
-		defer done()
-		f(env)
-		return
-	}
 	env := v.newEnv()
 	defer v.finish(env)
 	f(env)
@@ -667,12 +604,6 @@ func (v *VM) Exec(f func(env *Env)) {
 // parallel.  This is the scheduler primitive behind concurrent inbound
 // dispatch.
 func (v *VM) ExecOn(obj *Object, f func(env *Env)) {
-	if v.coarse {
-		env, done := v.beginHost()
-		defer done()
-		f(env)
-		return
-	}
 	obj.gate.Lock()
 	defer obj.gate.Unlock()
 	env := v.newEnv()
@@ -700,15 +631,42 @@ func (v *VM) ExecOnCatching(obj *Object, f func(env *Env)) (interrupted bool) {
 	return false
 }
 
-// Invoke calls class.method with an explicit receiver (use NullV or a
-// previously obtained object reference; pass Value{} for statics too —
-// the method's own staticness decides).  It is the legacy public entry
-// point: host-driven executions serialise on one lock, as in the seed.
-// Errors are *FaultError or *UncaughtError.
-func (v *VM) Invoke(class, method string, recv Value, args []Value) (Value, error) {
-	env, done := v.beginHost()
-	defer done()
-	res, thrown, err := v.call(env, class, method, recv, args)
+// Invoke calls class.method from the host; the method is resolved in
+// class, and every call enters under a monitor.  An instance method on an
+// object receiver takes the receiver's invocation gate and dispatches on
+// its current class, as invokevirtual and a call arriving over the wire do
+// (Env.CallGated), so an override wins and a morphed receiver forwards.  A
+// static method holds its declaring class's monitor, as a static
+// synchronized method does in Java: host-entered statics of one class
+// serialise, while static code reached from inside another execution
+// interleaves with them at slot granularity.  Errors are *FaultError or
+// *UncaughtError.
+func (v *VM) Invoke(class, method string, recv Value, args []Value) (res Value, err error) {
+	t, lerr := v.lookup(class, method, len(args))
+	if lerr != nil {
+		return Value{}, &FaultError{Msg: lerr.Error()}
+	}
+	c := t.code
+	run := func(env *Env) {
+		var thrown *Thrown
+		if recv.O != nil && !c.m.Static {
+			res, thrown, err = env.CallGated(recv.O, method, args)
+		} else {
+			res, thrown, err = v.enter(env, c, recv, args)
+		}
+		res, err = v.flatten(res, thrown, err)
+	}
+	if c.m.Static {
+		v.ExecOn(&c.state.monitor, run)
+	} else {
+		v.Exec(run)
+	}
+	return res, err
+}
+
+// flatten turns an execution's outcome into the host entry points'
+// (value, error) shape.
+func (v *VM) flatten(res Value, thrown *Thrown, err error) (Value, error) {
 	if err != nil {
 		return Value{}, err
 	}
@@ -716,15 +674,6 @@ func (v *VM) Invoke(class, method string, recv Value, args []Value) (Value, erro
 		return Value{}, v.uncaught(thrown)
 	}
 	return res, nil
-}
-
-// InvokeCatching is Invoke but returns program exceptions as a Thrown
-// rather than flattening them to an error; the node runtime uses it so
-// exceptions can propagate across the wire.
-func (v *VM) InvokeCatching(class, method string, recv Value, args []Value) (Value, *Thrown, error) {
-	env, done := v.beginHost()
-	defer done()
-	return v.call(env, class, method, recv, args)
 }
 
 // RunMain locates `static void main()` on the named class and runs it.
@@ -744,53 +693,33 @@ func (v *VM) NewObject(class string) (*Object, error) {
 }
 
 // Construct allocates an instance and runs its arity-matching constructor.
-func (v *VM) Construct(class string, args []Value) (Value, error) {
-	env, done := v.beginHost()
-	defer done()
-	res, thrown, err := v.construct(env, class, args)
-	if err != nil {
-		return Value{}, err
-	}
-	if thrown != nil {
-		return Value{}, v.uncaught(thrown)
-	}
-	return res, nil
+func (v *VM) Construct(class string, args []Value) (res Value, err error) {
+	v.Exec(func(env *Env) {
+		res, err = v.flatten(v.construct(env, class, args))
+	})
+	return res, err
 }
 
 // GetStatic reads a static field (running <clinit> if needed).
-func (v *VM) GetStatic(class, field string) (Value, error) {
-	env, done := v.beginHost()
-	defer done()
-	slots, err := v.staticsOf(env, class)
-	if err != nil {
-		return Value{}, err
-	}
-	if slots == nil {
-		return Value{}, &FaultError{Msg: fmt.Sprintf("no static field %s.%s", class, field)}
-	}
-	val, ok := slots.get(field)
-	if !ok {
-		return Value{}, &FaultError{Msg: fmt.Sprintf("no static field %s.%s", class, field)}
-	}
-	return val, nil
+func (v *VM) GetStatic(class, field string) (val Value, err error) {
+	v.Exec(func(env *Env) {
+		var slots *staticSlots
+		if slots, err = v.staticsOf(env, class, field); err == nil {
+			val, _ = slots.get(field)
+		}
+	})
+	return val, err
 }
 
 // SetStatic writes a static field (running <clinit> if needed).
-func (v *VM) SetStatic(class, field string, val Value) error {
-	env, done := v.beginHost()
-	defer done()
-	slots, err := v.staticsOf(env, class)
-	if err != nil {
-		return err
-	}
-	if slots == nil {
-		return &FaultError{Msg: fmt.Sprintf("no static field %s.%s", class, field)}
-	}
-	if _, ok := slots.get(field); !ok {
-		return &FaultError{Msg: fmt.Sprintf("no static field %s.%s", class, field)}
-	}
-	slots.set(field, val)
-	return nil
+func (v *VM) SetStatic(class, field string, val Value) (err error) {
+	v.Exec(func(env *Env) {
+		var slots *staticSlots
+		if slots, err = v.staticsOf(env, class, field); err == nil {
+			slots.set(field, val)
+		}
+	})
+	return err
 }
 
 // Morph re-types obj in place: it becomes an instance of newClass with the
@@ -824,8 +753,8 @@ func ThrownMessage(t *Thrown) (class, msg string) {
 }
 
 // staticsOf initialises the named class for the host entry points and
-// returns its static slots (nil when initialisation never got that far).
-func (v *VM) staticsOf(env *Env, class string) (*staticSlots, error) {
+// returns the static slots that hold field.
+func (v *VM) staticsOf(env *Env, class, field string) (*staticSlots, error) {
 	l, cl := v.linked(class)
 	if cl == nil {
 		return nil, &FaultError{Msg: "init: unknown class " + class}
@@ -835,7 +764,14 @@ func (v *VM) staticsOf(env *Env, class string) (*staticSlots, error) {
 	} else if thrown != nil {
 		return nil, v.uncaught(thrown)
 	}
-	return cl.state.slots.Load(), nil
+	// The slots are nil when initialisation never got that far.
+	slots := cl.state.slots.Load()
+	if slots != nil {
+		if _, ok := slots.get(field); ok {
+			return slots, nil
+		}
+	}
+	return nil, &FaultError{Msg: fmt.Sprintf("no static field %s.%s", class, field)}
 }
 
 // layoutOf returns the layout c's instances share (st is c's state),

@@ -130,9 +130,9 @@ type NodeConfig struct {
 	Name    string
 	Output  io.Writer
 	Network NetProfile
-	// MaxSteps overrides the VM's instruction budget (0 keeps the
-	// default).  Long-running benchmark and server deployments raise it;
-	// the default exists to stop runaway programs in tests.
+	// MaxSteps overrides the instruction budget of one execution (an
+	// inbound call, a RunMain); 0 keeps the default, 200 M.  It stops a
+	// runaway method and does not accumulate over the node's lifetime.
 	MaxSteps int64
 	// NoCallback keeps a node serving no transport fully anonymous: by
 	// default such a node volunteers a callback endpoint the first time
@@ -146,11 +146,6 @@ type NodeConfig struct {
 	// <= 0 sizes the pool from GOMAXPROCS (capped at 8); 1 restores the
 	// historical one-connection-per-peer shape.
 	PoolSize int
-	// UntokenedWire disables call-token stamping on outgoing requests —
-	// the capability flag for interop with legacy peers that predate the
-	// token extension.  Untokened calls keep the historical
-	// at-least-once/no-retry semantics.
-	UntokenedWire bool
 
 	// Limits, Tracing and Shed are the grouped server-policy surface:
 	// capacity, observability and proactive shedding in one place.
@@ -162,35 +157,6 @@ type NodeConfig struct {
 	// inbound effectful request; Node.Use appends more at run time.
 	// See docs/INTERCEPT.md for the contract and a worked example.
 	Interceptors []Interceptor
-
-	// Deprecated: flat aliases kept for source compatibility with the
-	// pre-grouped configuration surface.  Each applies only when its
-	// grouped counterpart is zero.
-	//
-	// Deprecated: use Limits.DedupWindow.
-	DedupWindow int
-	// Deprecated: use Tracing.Spans.
-	TraceSpans int
-	// Deprecated: use Tracing.Disable.
-	NoTrace bool
-	// Deprecated: use Limits.MaxInflight.
-	MaxInflight int
-}
-
-// resolve folds the deprecated flat aliases into the grouped surface
-// (group wins when set) and returns the effective configuration.
-func (cfg NodeConfig) resolve() NodeConfig {
-	if cfg.Limits.MaxInflight == 0 {
-		cfg.Limits.MaxInflight = cfg.MaxInflight
-	}
-	if cfg.Limits.DedupWindow == 0 {
-		cfg.Limits.DedupWindow = cfg.DedupWindow
-	}
-	if cfg.Tracing.Spans == 0 {
-		cfg.Tracing.Spans = cfg.TraceSpans
-	}
-	cfg.Tracing.Disable = cfg.Tracing.Disable || cfg.NoTrace
-	return cfg
 }
 
 // CallContext is the per-call state a dispatch interceptor sees: the
@@ -236,7 +202,6 @@ func (n *Node) attachCluster(c *Cluster) {
 
 // NewNode builds a node for the transformed program.
 func (t *Transformed) NewNode(cfg NodeConfig) (*Node, error) {
-	cfg = cfg.resolve()
 	// One overload-counter instance shared by the node and its
 	// transports: admission rejects at the rrp server and gate-queue
 	// expiries at dispatch land in the same introspection snapshot, and
@@ -261,7 +226,6 @@ func (t *Transformed) NewNode(cfg NodeConfig) (*Node, error) {
 		VolunteerCallback: !cfg.NoCallback,
 		PoolSize:          cfg.PoolSize,
 		DedupWindow:       cfg.Limits.DedupWindow,
-		UntokenedWire:     cfg.UntokenedWire,
 		TraceSpans:        cfg.Tracing.Spans,
 		NoTrace:           cfg.Tracing.Disable,
 		Overload:          overload,

@@ -59,7 +59,7 @@ func traceFixture(t *testing.T) *Transformed {
 // span is ever overwritten (the orphan audits need complete history).
 func traceNode(t *testing.T, tr *Transformed, name string, net NetProfile) (*Node, string) {
 	t.Helper()
-	n, err := tr.NewNode(NodeConfig{Name: name, Network: net, TraceSpans: 32768})
+	n, err := tr.NewNode(NodeConfig{Name: name, Network: net, Tracing: TracingConfig{Spans: 32768}})
 	if err != nil {
 		t.Fatal(err)
 	}
