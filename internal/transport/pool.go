@@ -13,7 +13,7 @@ import (
 // shards by a cheap affinity hash (callers pass an object GUID; the
 // empty key round-robins).  One multiplexed connection pipelines any
 // number of in-flight calls, but every frame still funnels through that
-// connection's single writer/reader goroutine pair — on many-core
+// connection's one write lock and one reader goroutine — on many-core
 // clients that pair is the throughput ceiling (the E11 experiment
 // measures the lift from widening it).  Affinity keeps all of one
 // object's calls on one socket, so per-object request order on the wire

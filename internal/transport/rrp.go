@@ -19,15 +19,16 @@ import (
 // the paper's "RMI-based proxy" role: persistent connections carrying
 // length-prefixed frames in the wire package's binary encoding.
 //
-// The protocol is fully multiplexed.  A client runs one writer and one
-// reader goroutine per connection and correlates responses to in-flight
-// calls by request ID, so any number of goroutines share one connection
-// with their calls pipelined rather than serialised behind a per-call
-// round-trip lock.  The server decodes frames on the connection's read
-// loop and dispatches each request on its own (bounded) goroutine;
-// responses return in completion order, not arrival order.  Both
-// directions coalesce frames queued behind a busy writer into vectored
-// writes.  DESIGN.md documents the framing and correlation rules.
+// The protocol is fully multiplexed.  A client correlates responses to
+// in-flight calls by request ID, so any number of goroutines share one
+// connection with their calls pipelined rather than serialised behind a
+// per-call round-trip lock.  The server decodes frames on the
+// connection's read loop and runs each request on one of the
+// connection's (bounded) warm workers; responses return in completion
+// order, not arrival order.  Both directions write a frame through when
+// the socket is idle and coalesce frames queued behind a busy writer
+// into vectored writes.  DESIGN.md documents the framing and
+// correlation rules.
 type RRP struct {
 	opts Options
 }
@@ -118,27 +119,29 @@ func (s *rrpServer) acceptLoop(h Handler) {
 }
 
 // serveRRPConn is one connection's read loop: decode each frame, admit
-// it (see admit), hand the request to a worker goroutine (at most
-// maxInflight concurrently), and let workers queue their responses — in
-// completion order, not arrival order — to the connection's writer
-// goroutine, which batches them into vectored writes.  A slow call
-// therefore delays only itself; later requests on the same connection
-// overtake it and their responses go out first.
+// it (see admit) and hand the request to a parked worker of this
+// connection, starting a new worker only while fewer than maxInflight
+// exist.  Workers send their responses themselves — in completion
+// order, not arrival order — so a slow call delays only itself; later
+// requests on the same connection overtake it and their responses go
+// out first.
 func serveRRPConn(conn net.Conn, h Handler, maxInflight int, ov *telemetry.OverloadStats) {
 	br := bufio.NewReaderSize(conn, rrpBufSize)
-	outbox := make(chan outFrame, outboxDepth)
+	sc := &rrpServeConn{h: h, sem: make(chan struct{}, maxInflight), work: make(chan *wire.Request)}
+	sc.out = sender{conn: conn, outbox: make(chan outFrame, outboxDepth), ov: ov,
+		fail: func(error) { _ = conn.Close() }} // stops the read loop below
 	writerDone := make(chan struct{})
 	go func() {
 		defer close(writerDone)
-		serverWriteLoop(conn, outbox)
+		sc.out.writeLoop()
 	}()
-	var wg sync.WaitGroup
 	defer func() {
-		wg.Wait()     // all workers have queued their responses
-		close(outbox) // then the writer drains and exits
+		close(sc.work)       // parked workers exit, busy ones after their call
+		sc.wg.Wait()         // all workers have sent their responses
+		close(sc.out.outbox) // then the writer drains and exits
 		<-writerDone
 	}()
-	sem := make(chan struct{}, maxInflight)
+	workers := 0
 	for {
 		bufp, frame, err := readFrame(br)
 		if err != nil {
@@ -149,20 +152,47 @@ func serveRRPConn(conn net.Conn, h Handler, maxInflight int, ov *telemetry.Overl
 		if err != nil {
 			return
 		}
-		slotWaitUs, ok := admit(req, sem, ov, outbox)
+		slotWaitUs, ok := sc.admit(req)
 		if !ok {
-			continue // rejected: error response queued, no slot taken
+			continue // rejected: error response sent, no slot taken
 		}
 		// Deposit the measured slot wait for the dispatch chain's queue
 		// management (server-local; never serialized).
 		req.SlotWaitUs = slotWaitUs
 		ov.NoteInflight(1)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() { <-sem; ov.NoteInflight(-1) }()
-			queueResponse(outbox, h(req), ov)
-		}()
+		select {
+		case sc.work <- req: // a parked worker took it, on its warm stack
+		default:
+			if workers < maxInflight {
+				workers++
+				sc.wg.Add(1)
+				go sc.worker(req)
+			} else {
+				// Every worker exists and this request holds a slot, so
+				// one of them has released its own and is about to park.
+				sc.work <- req
+			}
+		}
+	}
+}
+
+// rrpServeConn is the dispatch state of one served connection.
+type rrpServeConn struct {
+	out  sender
+	h    Handler
+	sem  chan struct{}      // dispatch slots: at most maxInflight handlers run
+	work chan *wire.Request // unbuffered: a send lands only in a parked worker
+	wg   sync.WaitGroup
+}
+
+// worker owns one request at a time: handler, response, slot release,
+// then it parks for the next request and exits with the connection.
+func (sc *rrpServeConn) worker(req *wire.Request) {
+	defer sc.wg.Done()
+	for ok := true; ok; req, ok = <-sc.work {
+		sc.out.respond(sc.h(req))
+		<-sc.sem
+		sc.out.ov.NoteInflight(-1)
 	}
 }
 
@@ -177,7 +207,8 @@ func serveRRPConn(conn net.Conn, h Handler, maxInflight int, ov *telemetry.Overl
 // call consumes no slot and no handler work (docs/CONCURRENCY.md §15)
 // — and a slot granted in time is charged for the wait by decrementing
 // the budget the call carries on.
-func admit(req *wire.Request, sem chan struct{}, ov *telemetry.OverloadStats, outbox chan<- outFrame) (slotWaitUs uint64, ok bool) {
+func (sc *rrpServeConn) admit(req *wire.Request) (slotWaitUs uint64, ok bool) {
+	sem, out := sc.sem, &sc.out
 	select {
 	case sem <- struct{}{}: // fast path: free slot, no wait, no clock read
 		return 0, true
@@ -199,15 +230,15 @@ func admit(req *wire.Request, sem chan struct{}, ov *telemetry.OverloadStats, ou
 			// slot back rather than burn it on a call whose caller has
 			// already given up.
 			<-sem
-			ov.NoteAdmissionReject(true)
-			queueResponse(outbox, deadlineReject(req), ov)
+			out.ov.NoteAdmissionReject(true)
+			out.respond(deadlineReject(req))
 			return 0, false
 		}
 		req.DeadlineUs -= waited
 		return waited, true
 	case <-timer.C:
-		ov.NoteAdmissionReject(true)
-		queueResponse(outbox, deadlineReject(req), ov)
+		out.ov.NoteAdmissionReject(true)
+		out.respond(deadlineReject(req))
 		return 0, false
 	}
 }
@@ -220,32 +251,91 @@ func deadlineReject(req *wire.Request) *wire.Response {
 		"deadline expired in admission queue (budget was %dµs)", req.DeadlineUs)}
 }
 
-// queueResponse encodes resp into a pooled frame and hands it to the
-// connection's writer, counting — but still honouring — outbox
-// backpressure when the writer has fallen outboxDepth frames behind.
-func queueResponse(outbox chan<- outFrame, resp *wire.Response, ov *telemetry.OverloadStats) {
-	respBufp := getFrameBuf()
-	full := wire.AppendResponse((*respBufp)[:frameHeadroom], resp)
-	*respBufp = full // adopt the (possibly grown) backing
-	of := outFrame{bufp: respBufp, frame: appendLengthPrefix(full)}
+// outFrame is a ready-to-send frame: frame aliases bufp's backing array
+// (prefix already applied), and bufp is returned to the pool after the
+// frame is written.
+type outFrame struct {
+	bufp  *[]byte
+	frame []byte
+}
+
+// sender is the write side of one connection, the same on both ends.
+// A sender that finds the write side idle and nothing queued writes its
+// own frame under wmu; otherwise it queues to the writer goroutine,
+// which batches whatever queued up behind a busy socket into one
+// vectored write.  Either way a frame goes out whole, and frames of
+// different senders were never ordered.  wmu is a leaf lock: nothing is
+// acquired under it, and fail runs after it is released.
+type sender struct {
+	conn   net.Conn
+	outbox chan outFrame
+	dead   chan struct{}            // client: closed by fail; server: nil, its writer outlives errors
+	fail   func(error)              // poisons the connection after a failed write
+	ov     *telemetry.OverloadStats // server only
+
+	wmu    sync.Mutex
+	broken bool // under wmu: a write failed, later frames are dropped
+}
+
+// respond encodes resp into a pooled frame and sends it.
+func (s *sender) respond(resp *wire.Response) {
+	bufp := getFrameBuf()
+	full := wire.AppendResponse((*bufp)[:frameHeadroom], resp)
+	*bufp = full // adopt the (possibly grown) backing
+	s.send(outFrame{bufp: bufp, frame: appendLengthPrefix(full)})
+}
+
+// send writes of through or queues it, counting — but still honouring —
+// outbox backpressure when the writer has fallen outboxDepth frames
+// behind.
+func (s *sender) send(of outFrame) {
+	if len(s.outbox) == 0 && s.wmu.TryLock() {
+		var err error
+		if !s.broken {
+			_, err = s.conn.Write(of.frame)
+			s.broken = err != nil
+		}
+		s.wmu.Unlock()
+		putFrameBuf(of.bufp)
+		if err != nil {
+			s.fail(err)
+		}
+		return
+	}
 	select {
-	case outbox <- of:
+	case s.outbox <- of:
+		return
 	default:
-		ov.NoteOutboxStall()
-		outbox <- of
+		s.ov.NoteOutboxStall()
+	}
+	select {
+	case s.outbox <- of:
+	case <-s.dead:
+		putFrameBuf(of.bufp)
 	}
 }
 
-// serverWriteLoop drains a connection's response queue, batching queued
-// frames into single vectored writes.  After a write error it closes the
-// connection (stopping the read loop) but keeps consuming the queue so
-// workers never block on a dead connection; it exits when the queue is
-// closed.
-func serverWriteLoop(conn net.Conn, outbox chan outFrame) {
+// writeLoop is the connection's writer goroutine: it takes the next
+// queued frame, opportunistically drains whatever else queued up behind
+// it, and sends the batch as one vectored write — under concurrent load
+// many frames ride one syscall.  A failed write poisons the framing, so
+// it fails the connection (every in-flight call learns immediately) and
+// drops later frames; the loop ends with dead or a closed outbox.
+func (s *sender) writeLoop() {
 	recycle := make([]*[]byte, 0, maxWriteBatch)
 	backing := make([][]byte, maxWriteBatch) // WriteTo nils entries; refilled each round
-	var werr error
-	for first := range outbox {
+	var batch net.Buffers                    // escapes through WriteTo: one header for the loop's life
+	for {
+		var first outFrame
+		var ok bool
+		select {
+		case first, ok = <-s.outbox:
+			if !ok {
+				return
+			}
+		case <-s.dead:
+			return
+		}
 		n := 0
 		backing[n] = first.frame
 		n++
@@ -253,7 +343,7 @@ func serverWriteLoop(conn net.Conn, outbox chan outFrame) {
 	drain:
 		for n < maxWriteBatch {
 			select {
-			case f, ok := <-outbox:
+			case f, ok := <-s.outbox:
 				if !ok {
 					break drain
 				}
@@ -264,15 +354,19 @@ func serverWriteLoop(conn net.Conn, outbox chan outFrame) {
 				break drain
 			}
 		}
-		if werr == nil {
-			batch := net.Buffers(backing[:n])
-			if _, err := batch.WriteTo(conn); err != nil {
-				werr = err
-				_ = conn.Close()
-			}
+		var err error
+		s.wmu.Lock()
+		if !s.broken {
+			batch = backing[:n]
+			_, err = batch.WriteTo(s.conn)
+			s.broken = err != nil
 		}
+		s.wmu.Unlock()
 		for _, bufp := range recycle {
 			putFrameBuf(bufp)
+		}
+		if err != nil {
+			s.fail(err)
 		}
 	}
 }
@@ -290,13 +384,9 @@ func (t *RRP) Dial(endpoint string) (Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("rrp dial %s: %w", addr, err)
 	}
-	c := &rrpClient{
-		conn:    conn,
-		pending: make(map[uint64]chan rrpResult),
-		outbox:  make(chan outFrame, outboxDepth),
-		dead:    make(chan struct{}),
-	}
-	go c.writeLoop()
+	c := &rrpClient{conn: conn, pending: make(map[uint64]chan rrpResult)}
+	c.out = sender{conn: conn, outbox: make(chan outFrame, outboxDepth), dead: make(chan struct{}), fail: c.fail}
+	go c.out.writeLoop()
 	go c.readLoop()
 	return c, nil
 }
@@ -306,28 +396,21 @@ type rrpResult struct {
 	err  error
 }
 
-// outFrame is a ready-to-send frame: frame aliases bufp's backing array
-// (prefix already applied), and bufp is returned to the pool after the
-// frame is written.
-type outFrame struct {
-	bufp  *[]byte
-	frame []byte
-}
+// resultChans recycles the one-slot channels calls wait on.  A channel
+// sees exactly one send per registration in a pending map — the reader
+// or fail, whichever removes the entry — so it comes back empty.
+var resultChans = sync.Pool{New: func() any { return make(chan rrpResult, 1) }}
 
 // rrpClient multiplexes calls from any number of goroutines over one
-// connection: each call registers a channel in the pending map under a
-// client-assigned wire ID, hands its encoded frame to the writer
-// goroutine, and blocks on its channel until the reader goroutine
+// connection: each call registers a pooled channel in the pending map
+// under a client-assigned wire ID, sends its encoded frame (see
+// sender), and blocks on its channel until the reader goroutine
 // delivers the matching response.  No lock is held across the round
-// trip, so N callers put N requests in flight; the writer coalesces
-// frames queued while it was busy into a single vectored write,
-// amortising syscalls under load.
+// trip, so N callers put N requests in flight.
 type rrpClient struct {
 	conn net.Conn
 	seq  atomic.Uint64
-
-	outbox chan outFrame
-	dead   chan struct{} // closed by fail(); unblocks outbox senders
+	out  sender // out.dead is closed by fail(): it unblocks outbox senders and the writer
 
 	mu      sync.Mutex
 	pending map[uint64]chan rrpResult
@@ -339,12 +422,13 @@ func (c *rrpClient) Call(req *wire.Request) (*wire.Response, error) {
 	// among in-flight calls on this connection is what makes correlation
 	// sound, and callers are free to reuse request IDs.
 	wireID := c.seq.Add(1)
-	ch := make(chan rrpResult, 1)
+	ch := resultChans.Get().(chan rrpResult)
 
 	c.mu.Lock()
 	if c.err != nil {
 		err := c.err
 		c.mu.Unlock()
+		resultChans.Put(ch)
 		return nil, fmt.Errorf("rrp call: %w", err)
 	}
 	c.pending[wireID] = ch
@@ -355,68 +439,18 @@ func (c *rrpClient) Call(req *wire.Request) (*wire.Response, error) {
 	bufp := getFrameBuf()
 	full := wire.AppendRequest((*bufp)[:frameHeadroom], &wreq)
 	*bufp = full // adopt the (possibly grown) backing so the pool keeps it
-	frame := appendLengthPrefix(full)
-	select {
-	case c.outbox <- outFrame{bufp: bufp, frame: frame}:
-	case <-c.dead:
-		c.unregister(wireID)
-		putFrameBuf(bufp)
-		c.mu.Lock()
-		err := c.err
-		c.mu.Unlock()
-		return nil, fmt.Errorf("rrp send: %w", err)
-	}
+	c.out.send(outFrame{bufp: bufp, frame: appendLengthPrefix(full)})
 
+	// The response — or fail()'s error, which is also how a failed or
+	// abandoned send ends: the entry was registered before fail ran.
 	res := <-ch
+	resultChans.Put(ch)
 	if res.err != nil {
 		return nil, fmt.Errorf("rrp receive: %w", res.err)
 	}
 	resp := res.resp
 	resp.ID = req.ID // restore the caller's correlation ID
 	return resp, nil
-}
-
-// writeLoop is the client's single writer: it takes the next queued
-// frame, opportunistically drains whatever else queued up behind it, and
-// sends the batch as one vectored write — under concurrent load many
-// requests ride one syscall.
-func (c *rrpClient) writeLoop() {
-	recycle := make([]*[]byte, 0, maxWriteBatch)
-	backing := make([][]byte, maxWriteBatch) // WriteTo nils entries; refilled each round
-	for {
-		var first outFrame
-		select {
-		case first = <-c.outbox:
-		case <-c.dead:
-			return
-		}
-		n := 0
-		backing[n] = first.frame
-		n++
-		recycle = append(recycle[:0], first.bufp)
-	drain:
-		for n < maxWriteBatch {
-			select {
-			case f := <-c.outbox:
-				backing[n] = f.frame
-				n++
-				recycle = append(recycle, f.bufp)
-			default:
-				break drain
-			}
-		}
-		batch := net.Buffers(backing[:n])
-		_, err := batch.WriteTo(c.conn)
-		for _, bufp := range recycle {
-			putFrameBuf(bufp)
-		}
-		if err != nil {
-			// A failed write poisons the framing; tear the connection
-			// down so every in-flight call learns immediately.
-			c.fail(err)
-			return
-		}
-	}
 }
 
 // readLoop is the client's single reader: it decodes response frames as
@@ -458,12 +492,6 @@ func (c *rrpClient) readLoop() {
 	}
 }
 
-func (c *rrpClient) unregister(wireID uint64) {
-	c.mu.Lock()
-	delete(c.pending, wireID)
-	c.mu.Unlock()
-}
-
 // fail marks the connection dead, stops the writer, and wakes every
 // in-flight call with err.
 func (c *rrpClient) fail(err error) {
@@ -477,7 +505,7 @@ func (c *rrpClient) fail(err error) {
 	failure := c.err
 	c.mu.Unlock()
 	if first {
-		close(c.dead)
+		close(c.out.dead)
 	}
 	_ = c.conn.Close()
 	for _, ch := range abandoned {

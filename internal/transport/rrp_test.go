@@ -4,12 +4,15 @@ import (
 	"bufio"
 	"fmt"
 	"net"
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"rafda/internal/netsim"
 	"rafda/internal/wire"
 )
 
@@ -65,17 +68,42 @@ func TestRRPConcurrentSharedClient(t *testing.T) {
 	wg.Wait()
 }
 
-// TestRRPOutOfOrderResponses proves the multiplexing is real: a fast call
-// issued after a deliberately stuck slow call completes first, on the
-// same connection.
+// goid returns the calling goroutine's id, read off its stack header —
+// a test-only way to tell warm workers from a goroutine per request.
+func goid() string {
+	var buf [64]byte
+	return strings.Fields(string(buf[:runtime.Stack(buf[:], false)]))[1]
+}
+
+// TestRRPOutOfOrderResponses proves the multiplexing is real — a fast
+// call issued after a deliberately stuck slow call completes first, on
+// the same connection — and that the server runs it on slot-owned warm
+// workers: 10 000 serial calls then a 64-wide burst at MaxInflight 8
+// never run more than 8 handlers at once, on no more than 8 goroutines
+// in total (one per request at the parent of this test).
 func TestRRPOutOfOrderResponses(t *testing.T) {
+	const maxInflight = 8
 	slowEntered := make(chan struct{})
 	release := make(chan struct{})
-	tr := NewRRP(Options{})
+	var running, peak atomic.Int64
+	var mu sync.Mutex
+	workers := make(map[string]bool)
+	tr := NewRRP(Options{MaxInflight: maxInflight})
 	srv, err := tr.Listen("", func(req *wire.Request) *wire.Response {
-		if req.Method == "slow" {
+		cur := running.Add(1)
+		defer running.Add(-1)
+		for p := peak.Load(); cur > p && !peak.CompareAndSwap(p, cur); p = peak.Load() {
+		}
+		id := goid()
+		mu.Lock()
+		workers[id] = true
+		mu.Unlock()
+		switch req.Method {
+		case "slow":
 			close(slowEntered)
 			<-release
+		case "burst":
+			time.Sleep(200 * time.Microsecond) // long enough for the burst to pile up
 		}
 		return &wire.Response{ID: req.ID, Result: wire.Value{Kind: wire.KString, Str: req.Method}}
 	})
@@ -89,6 +117,27 @@ func TestRRPOutOfOrderResponses(t *testing.T) {
 	}
 	defer c.Close()
 
+	if _, err := c.Call(&wire.Request{Method: "warm"}); err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	for i := 0; i < 10000; i++ {
+		if _, err := c.Call(&wire.Request{ID: uint64(i), Method: "serial"}); err != nil {
+			t.Fatalf("serial call %d: %v", i, err)
+		}
+	}
+	// Serial calls need one worker; a second appears when a request
+	// arrives before the first has parked again.
+	if after := runtime.NumGoroutine(); after > before+2 {
+		t.Fatalf("serial phase grew the process from %d to %d goroutines", before, after)
+	}
+	mu.Lock()
+	serialWorkers := len(workers)
+	mu.Unlock()
+	if serialWorkers > 3 {
+		t.Fatalf("10000 serial calls ran on %d goroutines; want a warm worker, not one per request", serialWorkers)
+	}
+
 	slowDone := make(chan error, 1)
 	go func() {
 		_, err := c.Call(&wire.Request{ID: 1, Method: "slow"})
@@ -96,14 +145,22 @@ func TestRRPOutOfOrderResponses(t *testing.T) {
 	}()
 	<-slowEntered // the slow request is parked inside the handler
 
-	// A later call on the same connection must overtake it.
-	resp, err := c.Call(&wire.Request{ID: 2, Method: "fast"})
-	if err != nil {
-		t.Fatalf("fast call blocked behind slow call: %v", err)
+	// Later calls on the same connection must overtake it: a 64-wide
+	// burst through the 7 slots the stuck handler leaves.
+	var wg sync.WaitGroup
+	for i := 0; i < 64; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := c.Call(&wire.Request{ID: 2, Method: "burst"})
+			if err != nil {
+				t.Errorf("burst call blocked behind slow call: %v", err)
+			} else if resp.Result.Str != "burst" {
+				t.Errorf("bad response %+v", resp)
+			}
+		}()
 	}
-	if resp.Result.Str != "fast" {
-		t.Fatalf("bad response %+v", resp)
-	}
+	wg.Wait()
 	select {
 	case err := <-slowDone:
 		t.Fatalf("slow call finished before release (err=%v); ordering broken", err)
@@ -112,6 +169,123 @@ func TestRRPOutOfOrderResponses(t *testing.T) {
 	close(release)
 	if err := <-slowDone; err != nil {
 		t.Fatalf("slow call: %v", err)
+	}
+	if p := peak.Load(); p > maxInflight || p < 2 {
+		t.Fatalf("peak concurrent handlers %d; want 2..%d", p, maxInflight)
+	}
+	if len(workers) > maxInflight {
+		t.Fatalf("the calls ran on %d goroutines; want at most %d workers", len(workers), maxInflight)
+	}
+}
+
+// TestRRPWriteFailurePoisonsConnection kills connections under the
+// senders' feet: with a 5 % chance that any frame write — a caller's or
+// a worker's own write-through, or the writer goroutine's batch — kills
+// the link, 16 callers on one client must all get an error promptly
+// (none hangs), every answer delivered before that must be the caller's
+// own (a frame is never interleaved with another: the terminal error is
+// the link's, not the decoder's), and the server's workers must all
+// have exited when Close returns.
+func TestRRPWriteFailurePoisonsConnection(t *testing.T) {
+	before := runtime.NumGoroutine()
+	var answered atomic.Int64
+	for round := uint64(0); round < 20; round++ {
+		tr := NewRRP(Options{MaxInflight: 4, Profile: netsim.Profile{
+			Faults: &netsim.Faults{Seed: round, KillPerMille: 50, FirstSafeWrites: 8}}})
+		srv, err := tr.Listen("", func(req *wire.Request) *wire.Response {
+			return &wire.Response{ID: req.ID, Result: wire.Value{Kind: wire.KString, Str: req.Method}}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := tr.Dial(srv.Endpoint())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < 16; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				// Frames of very different lengths: a torn or interleaved
+				// one cannot decode to the caller's own method.
+				method := strings.Repeat(string(rune('a'+g)), 1+g*257)
+				for {
+					resp, err := c.Call(&wire.Request{ID: uint64(g), Method: method})
+					if err == nil && resp.Result.Str == method {
+						answered.Add(1)
+						continue
+					}
+					if err == nil {
+						t.Errorf("round %d caller %d: someone else's answer (%d bytes)", round, g, len(resp.Result.Str))
+					} else if m := err.Error(); strings.Contains(m, "decode") ||
+						strings.Contains(m, "never issued") || strings.Contains(m, "too large") {
+						t.Errorf("round %d caller %d: framing broke: %v", round, g, err)
+					}
+					return
+				}
+			}(g)
+		}
+		done := make(chan struct{})
+		go func() { wg.Wait(); close(done) }()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("round %d: callers still hung 10s after the link was due to die", round)
+		}
+		if _, err := c.Call(&wire.Request{Method: "after"}); err == nil {
+			t.Fatalf("round %d: call on a poisoned connection succeeded", round)
+		}
+		c.Close()
+		srv.Close() // waits for the connection's workers and writer
+	}
+	if answered.Load() < 20 {
+		t.Fatalf("only %d calls were answered before the links died; the test exercised nothing", answered.Load())
+	}
+	// The client's reader and writer exit on their own; give them a moment.
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before+2 && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if after := runtime.NumGoroutine(); after > before+2 {
+		t.Fatalf("goroutines leaked: %d before, %d after 20 killed connections", before, after)
+	}
+}
+
+// TestRRPRoundTripAllocs pins the carriers: a bare loopback round trip
+// allocates what decoding the request (4) and the response (1) and the
+// handler's own response (1) cost, plus one — no result channel,
+// dispatch closure or vectored-write header per call (12 before).
+func TestRRPRoundTripAllocs(t *testing.T) {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, kv := range bi.Settings {
+			if kv.Key == "-race" && kv.Value == "true" {
+				t.Skip("sync.Pool drops a quarter of its items under the race detector")
+			}
+		}
+	}
+	tr := NewRRP(Options{})
+	srv, err := tr.Listen("", func(req *wire.Request) *wire.Response {
+		return &wire.Response{ID: req.ID, Result: wire.Value{Kind: wire.KInt, Int: 3}}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	c, err := tr.Dial(srv.Endpoint())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	req := &wire.Request{ID: 1, Op: wire.OpInvoke, GUID: "0123456789abcdef", Method: "add",
+		Args: []wire.Value{{Kind: wire.KInt, Int: 1}, {Kind: wire.KInt, Int: 2}}}
+	allocs := testing.AllocsPerRun(2000, func() {
+		if _, err := c.Call(req); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 7 {
+		t.Fatalf("a bare rrp round trip allocates %.1f times; want at most 7", allocs)
 	}
 }
 

@@ -9,17 +9,18 @@
 // Every type in this package is safe for concurrent use.  A Client's
 // Call may be issued from any number of goroutines: rrp multiplexes
 // them over one connection (client-assigned wire IDs correlate
-// out-of-order responses; a writer and a reader goroutine own the
-// socket), soap/json ride net/http's pooled connections, and inproc
-// invokes the handler directly.  No implementation holds a lock across
+// out-of-order responses; a sender writes its own frame when the write
+// side is idle and queues to the writer goroutine otherwise), soap/json
+// ride net/http's pooled connections, and inproc invokes the handler
+// directly.  No implementation holds a lock across
 // a network round trip.  A node additionally pools rrp connections per
 // endpoint (ClientCache/Pool): calls are distributed across up to
 // GOMAXPROCS multiplexed connections by object-GUID affinity, lifting
 // the single writer/reader-pair ceiling on many-core clients while
-// keeping each object's calls on one socket.  Servers dispatch each
-// inbound request on its own goroutine (rrp bounds in-flight requests
-// per connection by Options.MaxInflight), so the Handler — the node
-// runtime — must be concurrency-safe; the contract it follows is
+// keeping each object's calls on one socket.  Servers dispatch inbound
+// requests concurrently (rrp on at most Options.MaxInflight warm
+// workers per connection), so the Handler — the node runtime — must be
+// concurrency-safe; the contract it follows is
 // docs/CONCURRENCY.md.  Connection failures poison only their
 // connection: every in-flight call on it fails immediately, the pool
 // evicts the broken shard (retrying the call on the survivors), and
