@@ -3,6 +3,8 @@
 // for the paper's LAN testbed: experiments run over real sockets on one
 // machine while netsim supplies the propagation characteristics, so the
 // protocol comparisons measure shape rather than this machine's loopback.
+// On Linux a link wakes on a timerfd, so it keeps its published delay
+// even in an idle process, where a Go timer rounds up to a millisecond.
 package netsim
 
 import (
@@ -16,22 +18,23 @@ import (
 // Profile describes simulated link conditions.  The zero value is a
 // perfect link.
 //
-// Delay model: bandwidth is serialisation delay — the sender occupies
-// the link while the bits go out, so Write blocks for it.  Latency and
-// jitter are propagation delay — bits already in flight don't stop later
-// sends — so Write returns immediately and the payload is delivered to
-// the peer after the delay by a per-connection delivery goroutine,
-// preserving write order.  A pipelined protocol (the multiplexed RRP
-// transport) can therefore keep many frames in flight across a simulated
-// link, exactly as it could on a real one.
+// Delay model: each connection keeps a link clock.  A frame starts
+// serialising once the link is free, occupies it for len*8/BandwidthBps,
+// and is delivered to the peer one Latency (plus jitter) after its last
+// bit went out, in write order, by a per-connection delivery goroutine.
+// Write returns at once unless the link's backlog exceeds one Latency, so
+// a link buffers one bandwidth × delay of bytes and blocks the sender
+// beyond that, as a socket's send window would.  A pipelined protocol
+// (the multiplexed RRP transport) can therefore keep many frames in
+// flight across a simulated link, exactly as it could on a real one.
 type Profile struct {
 	// Latency is the one-way propagation delay applied to each write.
 	Latency time.Duration
 	// Jitter adds a deterministic pseudo-random extra delay in
 	// [0, Jitter) per write.
 	Jitter time.Duration
-	// BandwidthBps, when positive, adds len(p)*8/BandwidthBps of
-	// serialisation delay per write.
+	// BandwidthBps, when positive, gives each write len(p)*8/BandwidthBps
+	// of serialisation time on the link clock.
 	BandwidthBps int64
 	// FailAfterWrites, when positive, makes every write after the Nth
 	// fail with a connection error — the §4 network-failure caveat.
@@ -156,25 +159,31 @@ type conn struct {
 	killed atomic.Bool // fault-injected death; later writes fail fast
 
 	mu   sync.Mutex
-	rng  uint64
 	frng uint64 // fault stream, separate so faults don't perturb jitter
 
-	// Delivery queue for propagation delay (latency/jitter): writes are
-	// timestamped and handed to a single goroutine that releases them to
-	// the underlying connection in order once their delay elapses.
+	// The link: bytes accepted but not yet delivered, in write order, and
+	// one mark per frame giving where it ends in pend and when it is due.
+	// A single delivery goroutine, started by the first delayed write,
+	// hands every due byte to the underlying connection in one Write.
 	dmu     sync.Mutex
-	dcond   *sync.Cond
-	queue   []delivery
-	last    time.Time // latest scheduled delivery, keeps FIFO order
-	started bool
+	rng     uint64        // jitter stream
+	busy    time.Duration // link clock: when the last accepted frame is serialised
+	last    time.Duration // latest due time, keeps FIFO order
+	pend    []byte
+	marks   []mark
+	wake    chan struct{} // rouses an idle delivery goroutine; nil until it starts
 	dclosed bool
 	derr    error // first background delivery error
 }
 
-type delivery struct {
-	data []byte
-	at   time.Time
+// mark is one frame on the link: pend[:end] ends with it, and it reaches
+// the peer at due.
+type mark struct {
+	end int
+	due time.Duration
 }
+
+var epoch = time.Now() // link clocks are monotonic durations since epoch
 
 // FailedError reports an injected connection failure.
 type FailedError struct{ Writes int64 }
@@ -218,27 +227,6 @@ func (c *conn) Write(p []byte) (int, error) {
 			dup = true
 		}
 	}
-	// Serialisation delay: the sender occupies the link.
-	if c.p.BandwidthBps > 0 {
-		time.Sleep(time.Duration(int64(len(p)) * 8 * int64(time.Second) / c.p.BandwidthBps))
-	}
-	// Propagation delay: the payload travels while the sender moves on.
-	if c.p.Latency <= 0 && c.p.Jitter <= 0 {
-		if dup {
-			if _, err := c.Conn.Write(p); err != nil {
-				return 0, err
-			}
-		}
-		return c.Conn.Write(p)
-	}
-	d := c.p.Latency
-	if c.p.Jitter > 0 {
-		c.mu.Lock()
-		c.rng = splitmix(c.rng)
-		j := time.Duration(c.rng % uint64(c.p.Jitter))
-		c.mu.Unlock()
-		d += j
-	}
 	c.dmu.Lock()
 	if c.derr != nil {
 		err := c.derr
@@ -249,27 +237,66 @@ func (c *conn) Write(p []byte) (int, error) {
 		c.dmu.Unlock()
 		return 0, net.ErrClosed
 	}
-	if !c.started {
-		c.started = true
-		c.dcond = sync.NewCond(&c.dmu)
-		go c.deliverLoop()
+	// Serialisation: the frame goes out once the link is free.  The
+	// sender waits only for backlog beyond one propagation delay.
+	now := time.Since(epoch)
+	c.busy = max(c.busy, now)
+	if c.p.BandwidthBps > 0 {
+		c.busy += time.Duration(int64(len(p)) * 8 * int64(time.Second) / c.p.BandwidthBps)
 	}
-	at := time.Now().Add(d)
-	if at.Before(c.last) {
-		at = c.last // jitter must not reorder frames
+	block := c.busy - now - c.p.Latency
+	if c.p.Latency <= 0 && c.p.Jitter <= 0 {
+		c.dmu.Unlock()
+		if block > 0 {
+			time.Sleep(block)
+		}
+		if dup {
+			if _, err := c.Conn.Write(p); err != nil {
+				return 0, err
+			}
+		}
+		return c.Conn.Write(p)
 	}
-	c.last = at
+	// Propagation: the frame travels while the sender moves on.
+	due := c.busy + c.p.Latency
+	if c.p.Jitter > 0 {
+		c.rng = splitmix(c.rng)
+		due += time.Duration(c.rng % uint64(c.p.Jitter))
+	}
+	due = max(due, c.last) // jitter must not reorder frames
+	c.last = due
+	if c.wake == nil {
+		t, err := newTimer()
+		if err != nil {
+			c.dmu.Unlock()
+			return 0, err
+		}
+		c.wake = make(chan struct{}, 1)
+		go c.deliver(t)
+	}
+	if len(c.marks) == 0 {
+		c.rouse()
+	}
 	// Copy: callers recycle their buffers as soon as Write returns.
-	data := append([]byte(nil), p...)
-	c.queue = append(c.queue, delivery{data: data, at: at})
+	c.pend = append(c.pend, p...)
 	if dup {
-		// Duplicate delivered back to back (the delivery loop never
-		// mutates the payload, so the copies share one backing array).
-		c.queue = append(c.queue, delivery{data: data, at: at})
+		c.pend = append(c.pend, p...) // delivered back to back
 	}
-	c.dcond.Signal()
+	c.marks = append(c.marks, mark{end: len(c.pend), due: due})
 	c.dmu.Unlock()
+	if block > 0 {
+		time.Sleep(block) // back-pressure: only beyond one bandwidth × delay
+	}
 	return len(p), nil
+}
+
+// rouse wakes the delivery goroutine, if any, when it waits for a first
+// frame or for Close; c.dmu is held.
+func (c *conn) rouse() {
+	select {
+	case c.wake <- struct{}{}:
+	default:
+	}
 }
 
 // kill marks the connection dead to future writes and tears it down,
@@ -281,23 +308,43 @@ func (c *conn) kill() {
 	_ = c.Close()
 }
 
-func (c *conn) deliverLoop() {
+// deliver is the link's delivery goroutine; it owns t.  It waits until
+// the head frame is due, then writes every due byte at once.  Two buffers
+// alternate between pend and the write in progress, so a warm link copies
+// each frame once and allocates nothing.
+func (c *conn) deliver(t *timer) {
+	defer t.close()
+	var spare []byte
 	for {
 		c.dmu.Lock()
-		for len(c.queue) == 0 && !c.dclosed {
-			c.dcond.Wait()
+		for len(c.marks) == 0 && !c.dclosed {
+			c.dmu.Unlock()
+			<-c.wake
+			c.dmu.Lock()
 		}
 		if c.dclosed {
 			c.dmu.Unlock()
 			return
 		}
-		item := c.queue[0]
-		c.queue = c.queue[1:]
-		c.dmu.Unlock()
-		if wait := time.Until(item.at); wait > 0 {
-			time.Sleep(wait)
+		now := time.Since(epoch)
+		if wait := c.marks[0].due - now; wait > 0 {
+			c.dmu.Unlock()
+			t.sleep(wait)
+			continue
 		}
-		if _, err := c.Conn.Write(item.data); err != nil {
+		n := 1
+		for n < len(c.marks) && c.marks[n].due <= now {
+			n++
+		}
+		end := c.marks[n-1].end
+		out := c.pend[:end]
+		c.pend = append(spare[:0], c.pend[end:]...)
+		c.marks = c.marks[:copy(c.marks, c.marks[n:])]
+		for i := range c.marks {
+			c.marks[i].end -= end
+		}
+		c.dmu.Unlock()
+		if _, err := c.Conn.Write(out); err != nil {
 			c.dmu.Lock()
 			if c.derr == nil {
 				c.derr = err
@@ -305,17 +352,16 @@ func (c *conn) deliverLoop() {
 			c.dmu.Unlock()
 			return
 		}
+		spare = out
 	}
 }
 
-// Close tears the link down immediately: frames still "in flight" in the
-// delivery queue are lost, as on a real abruptly-closed connection.
+// Close tears the link down immediately: frames still "in flight" on the
+// link are lost, as on a real abruptly-closed connection.
 func (c *conn) Close() error {
 	c.dmu.Lock()
 	c.dclosed = true
-	if c.started {
-		c.dcond.Signal()
-	}
+	c.rouse()
 	c.dmu.Unlock()
 	return c.Conn.Close()
 }

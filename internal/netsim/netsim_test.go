@@ -1,9 +1,14 @@
 package netsim
 
 import (
+	"encoding/binary"
 	"errors"
 	"io"
 	"net"
+	"os"
+	"runtime"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 )
@@ -13,6 +18,232 @@ func pipePair(t *testing.T, p Profile) (net.Conn, net.Conn) {
 	a, b := net.Pipe()
 	t.Cleanup(func() { a.Close(); b.Close() })
 	return p.Conn(a), b
+}
+
+// tcpPair connects two loopback TCP endpoints, wrapping each end with its
+// own profile.
+func tcpPair(t *testing.T, pa, pb Profile) (net.Conn, net.Conn) {
+	t.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		c, err := l.Accept()
+		if err != nil {
+			close(accepted)
+			return
+		}
+		accepted <- c
+	}()
+	a, err := net.Dial("tcp", l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, ok := <-accepted
+	if !ok {
+		a.Close()
+		t.Fatal("accept failed")
+	}
+	wa, wb := pa.Conn(a), pb.Conn(b)
+	t.Cleanup(func() { wa.Close(); wb.Close() })
+	return wa, wb
+}
+
+// drain reads c until it fails.
+func drain(c net.Conn) {
+	buf := make([]byte, 64<<10)
+	for {
+		if _, err := c.Read(buf); err != nil {
+			return
+		}
+	}
+}
+
+// TestSerialRoundTripIsPunctual pins the delay a delayed link publishes:
+// with 100 µs each way, an idle process's serial ping-pong must cost
+// about 200 µs, not the millisecond per leg a Go timer rounds up to when
+// every P is idle.
+func TestSerialRoundTripIsPunctual(t *testing.T) {
+	p := Profile{Latency: 100 * time.Microsecond}
+	a, b := tcpPair(t, p, p)
+	go func() {
+		buf := make([]byte, 1)
+		for {
+			if _, err := io.ReadFull(b, buf); err != nil {
+				return
+			}
+			if _, err := b.Write(buf); err != nil {
+				return
+			}
+		}
+	}()
+	rtts := make([]time.Duration, 200)
+	buf := make([]byte, 1)
+	for i := range rtts {
+		start := time.Now()
+		if _, err := a.Write(buf); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.ReadFull(a, buf); err != nil {
+			t.Fatal(err)
+		}
+		rtts[i] = time.Since(start)
+	}
+	slices.Sort(rtts)
+	med := rtts[len(rtts)/2]
+	t.Logf("median round trip %v, p90 %v", med, rtts[len(rtts)*9/10])
+	if med < 2*p.Latency || med >= 600*time.Microsecond {
+		t.Fatalf("median round trip %v over two %v legs; want within [%v, 600µs)", med, p.Latency, 2*p.Latency)
+	}
+}
+
+// TestWarmWriteAllocatesNothing: a small frame on a warm LAN link is
+// copied into the link's buffer, with no per-frame heap copy or record.
+func TestWarmWriteAllocatesNothing(t *testing.T) {
+	a, b := tcpPair(t, LAN, Profile{})
+	go drain(b)
+	frame := make([]byte, 64)
+	for range 3 {
+		for range 200 {
+			if _, err := a.Write(frame); err != nil {
+				t.Fatal(err)
+			}
+		}
+		time.Sleep(time.Millisecond) // let the burst drain, so both buffers grow
+	}
+	if n := testing.AllocsPerRun(200, func() { _, _ = a.Write(frame) }); n != 0 {
+		t.Fatalf("warm 64-byte LAN write: %v allocs, want 0", n)
+	}
+}
+
+// TestFramesArriveInOrder: jitter never reorders frames, and a duplicated
+// frame arrives twice back to back.
+func TestFramesArriveInOrder(t *testing.T) {
+	const frames = 1000
+	for _, tc := range []struct {
+		name   string
+		faults *Faults
+		copies int
+	}{
+		{"jitter", nil, 1},
+		{"jitter+dup", &Faults{Seed: 3, DupPerMille: 1000}, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a, b := tcpPair(t, Profile{Jitter: 200 * time.Microsecond, Seed: 5, Faults: tc.faults}, Profile{})
+			go func() {
+				var f [4]byte
+				for i := range frames {
+					binary.BigEndian.PutUint32(f[:], uint32(i))
+					if _, err := a.Write(f[:]); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}()
+			got := make([]byte, 4*frames*tc.copies)
+			if _, err := io.ReadFull(b, got); err != nil {
+				t.Fatal(err)
+			}
+			for k := range frames * tc.copies {
+				if n := binary.BigEndian.Uint32(got[4*k:]); n != uint32(k/tc.copies) {
+					t.Fatalf("frame %d is #%d, want #%d", k, n, k/tc.copies)
+				}
+			}
+		})
+	}
+}
+
+// TestSmallWritesDoNotBlock: frames inside one bandwidth × delay never
+// hold the sender, however many writers share the link.  The latency is
+// stretched past LAN so "long before one latency" survives the race
+// detector.
+func TestSmallWritesDoNotBlock(t *testing.T) {
+	p := LAN
+	p.Latency = 50 * time.Millisecond
+	a, b := tcpPair(t, p, Profile{})
+	const writers, each, size = 8, 100, 8
+	arrived := make(chan error, 1)
+	go func() {
+		_, err := io.ReadFull(b, make([]byte, writers*each*size))
+		arrived <- err
+	}()
+	var wg sync.WaitGroup
+	start := time.Now()
+	for range writers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			frame := make([]byte, size)
+			for range each {
+				if _, err := a.Write(frame); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got := time.Since(start); got >= p.Latency/2 {
+		t.Fatalf("%d small writes held their senders for %v; latency is %v", writers*each, got, p.Latency)
+	}
+	if err := <-arrived; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestLargeWriteAppliesBackPressure: a 64 KiB frame at 1 Gb/s serialises
+// for 524 µs, of which everything beyond the 100 µs in flight holds the
+// sender.
+func TestLargeWriteAppliesBackPressure(t *testing.T) {
+	a, b := tcpPair(t, LAN, Profile{})
+	go drain(b)
+	start := time.Now()
+	if _, err := a.Write(make([]byte, 64<<10)); err != nil {
+		t.Fatal(err)
+	}
+	if got := time.Since(start); got < 300*time.Microsecond {
+		t.Fatalf("64 KiB LAN write returned after %v; want >= 300µs of back-pressure", got)
+	}
+}
+
+// TestClosedLinksReleaseEverything: every delivery goroutine exits with
+// its link and returns the descriptor it waited on.
+func TestClosedLinksReleaseEverything(t *testing.T) {
+	fds := func() int {
+		ents, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			return -1
+		}
+		return len(ents)
+	}
+	goroutines, fds0 := runtime.NumGoroutine(), fds()
+	p := Profile{Latency: time.Millisecond}
+	var links []net.Conn
+	for i := range 500 {
+		a, b := net.Pipe()
+		w := p.Conn(a)
+		if _, err := w.Write([]byte{1}); err != nil {
+			t.Fatal(err)
+		}
+		if i%2 == 0 {
+			go drain(b) // half the links are mid-delivery at close
+		}
+		links = append(links, w, b)
+	}
+	for _, c := range links {
+		c.Close()
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > goroutines || (runtime.GOOS == "linux" && fds() > fds0) {
+		if time.Now().After(deadline) {
+			t.Fatalf("after closing 500 links: %d goroutines (started with %d), %d fds (started with %d)",
+				runtime.NumGoroutine(), goroutines, fds(), fds0)
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 func TestZeroProfilePassThrough(t *testing.T) {

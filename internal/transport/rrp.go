@@ -79,6 +79,8 @@ func (s *rrpServer) Close() error {
 	return err
 }
 
+// track registers conn and counts it in s.wg; under s.mu, so the Add is
+// ordered before Close's Wait.
 func (s *rrpServer) track(conn net.Conn) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -89,6 +91,7 @@ func (s *rrpServer) track(conn net.Conn) bool {
 		s.conns = make(map[net.Conn]struct{})
 	}
 	s.conns[conn] = struct{}{}
+	s.wg.Add(1)
 	return true
 }
 
@@ -108,7 +111,6 @@ func (s *rrpServer) acceptLoop(h Handler) {
 			_ = conn.Close()
 			return
 		}
-		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
 			defer s.untrack(conn)
