@@ -2,10 +2,6 @@ package main
 
 import (
 	"fmt"
-	"runtime"
-	"strconv"
-	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -14,44 +10,22 @@ import (
 
 // ----- E12: exactly-once invocation under injected faults -----
 
-// e12Source is the chaos workload: an E9-style hot counter whose bump
-// is observably non-idempotent (each bump(1) adds exactly 100), plus a
-// read so the final audit does not mutate.  A duplicate delivery that
-// re-executes shows up as counter > 100 × acked calls; a lost
-// execution shows up as counter < it.
-const e12Source = `
-class Counter {
-    int n;
-    Counter(int n) { this.n = n; }
-    int bump(int x) {
-        int acc = 0;
-        for (int i = 0; i < 100; i = i + 1) { acc = acc + x; }
-        n = n + acc;
-        return n;
-    }
-    int read() { return n; }
-}
-class Setup {
-    static Counter make() { return new Counter(0); }
-}
-class Main { static void main() {} }`
+// The chaos workload is counterSource: bump is observably
+// non-idempotent (each bump(1) adds exactly bumpDelta) and read does
+// not mutate, so the final audit reads without disturbing the count.  A
+// duplicate delivery that re-executes shows up as counter > bumpDelta ×
+// acked calls; a lost execution shows up as counter < it.
 
 // bumpDelta is what one acked bump(1) must add to the counter — the
 // unit the exactly-once audit is denominated in.
 const bumpDelta = 100
 
-// e12Config carries the -e12-* flag values.
-type e12Config struct {
-	phase    time.Duration
-	parallel int
-	seeds    string
-	dup      int // per-mille duplicated frames
-	drop     int // per-mille swallowed frames (link then torn down)
-	kill     int // per-mille kill-mid-flight
-	window   int // per-caller dedup window cap
-	creates  int // phase-B chaos creates for the orphan audit
-	pool     int
-}
+// The E12 workload shape under audit.
+const (
+	e12Parallel = 8
+	e12Window   = 256 // per-caller dedup window cap
+	e12Creates  = 150 // phase-B chaos creates for the orphan audit
+)
 
 // E12NodeDedup is one node's exactly-once counters after a seed run.
 type E12NodeDedup struct {
@@ -89,11 +63,7 @@ type E12SeedResult struct {
 // (1.0 or the gate fails — there is no acceptable partial credit for
 // duplicated side-effects).
 type E12Report struct {
-	Experiment  string `json:"experiment"`
-	Description string `json:"description"`
-	Timestamp   string `json:"timestamp"`
-	GoMaxProcs  int    `json:"gomaxprocs"`
-	NumCPU      int    `json:"num_cpu"`
+	header
 
 	Parallel     int    `json:"parallelism"`
 	Phase        string `json:"phase"`
@@ -107,63 +77,28 @@ type E12Report struct {
 	Seeds []E12SeedResult `json:"seeds"`
 }
 
-// e12Faults builds the per-seed chaos profile.  The first writes of
-// every connection are exempt so dial-time traffic (and the short
-// phase-B control exchanges) cannot be starved outright — chaos is
-// meant to exercise retries, not to make the workload undeliverable.
-func e12Faults(cfg e12Config, seed uint64) rafda.NetProfile {
-	p := rafda.NetLAN
-	p.Faults = &rafda.NetFaults{
-		Seed:            seed,
-		DupPerMille:     cfg.dup,
-		DropPerMille:    cfg.drop,
-		KillPerMille:    cfg.kill,
-		FirstSafeWrites: 4,
-	}
-	return p
-}
-
-// e12Nodes builds a faulty two-node deployment (driver, server).
-func e12Nodes(cfg e12Config, seed uint64) (*rafda.Node, *rafda.Node, string, error) {
-	prog, err := rafda.CompileString(e12Source)
+// e12Nodes deploys a faulty two-node pair (driver, server) and returns
+// the server's endpoint.
+func e12Nodes(seed uint64) (driver, server *rafda.Node, epServer string, closeAll func(), err error) {
+	tr, err := transformed(counterSource, "rrp")
 	if err != nil {
-		return nil, nil, "", err
+		return nil, nil, "", nil, err
 	}
-	tr, err := prog.Transform(rafda.WithProtocols("rrp"))
+	mk := func(name string) rafda.NodeConfig {
+		return rafda.NodeConfig{Name: name, Network: chaosNet(seed), Limits: rafda.LimitsConfig{DedupWindow: e12Window}}
+	}
+	nodes, eps, closeAll, err := deploy(tr, "rrp", mk("driver"), mk("server"))
 	if err != nil {
-		return nil, nil, "", err
+		return nil, nil, "", nil, err
 	}
-	mk := func(name string) (*rafda.Node, error) {
-		return tr.NewNode(rafda.NodeConfig{
-			Name: name, Network: e12Faults(cfg, seed),
-			PoolSize: cfg.pool, Limits: rafda.LimitsConfig{DedupWindow: cfg.window},
-		})
-	}
-	driver, err := mk("driver")
-	if err != nil {
-		return nil, nil, "", err
-	}
-	server, err := mk("server")
-	if err != nil {
-		driver.Close()
-		return nil, nil, "", err
-	}
-	if _, err := driver.Serve("rrp", ""); err == nil {
-		var epB string
-		if epB, err = server.Serve("rrp", ""); err == nil {
-			return driver, server, epB, nil
-		}
-	}
-	driver.Close()
-	server.Close()
-	return nil, nil, "", err
+	return nodes[0], nodes[1], eps[1], closeAll, nil
 }
 
 // dedupRows snapshots both nodes' exactly-once counters and checks the
 // bounded-memory contract: a node's live replay cache never exceeded
 // (cap+1) entries per caller window it tracks (the +1 is the in-flight
 // entry Begin admits before eviction runs).
-func dedupRows(cfg e12Config, driver, server *rafda.Node) ([]E12NodeDedup, uint64, error) {
+func dedupRows(driver, server *rafda.Node) ([]E12NodeDedup, uint64, error) {
 	var rows []E12NodeDedup
 	var suppressed uint64
 	for _, nn := range []struct {
@@ -171,7 +106,7 @@ func dedupRows(cfg e12Config, driver, server *rafda.Node) ([]E12NodeDedup, uint6
 		n    *rafda.Node
 	}{{"driver", driver}, {"server", server}} {
 		s := nn.n.DedupStats()
-		bound := s.Windows * int64(cfg.window+1)
+		bound := s.Windows * int64(e12Window+1)
 		rows = append(rows, E12NodeDedup{
 			Node: nn.name, ReplayHits: s.ReplayHits, Parked: s.ParkedDuplicates,
 			StaleRejected: s.StaleRejected, Retired: s.Retired, Adopted: s.Adopted,
@@ -181,14 +116,14 @@ func dedupRows(cfg e12Config, driver, server *rafda.Node) ([]E12NodeDedup, uint6
 		suppressed += s.Suppressed()
 		if s.EntriesHighWater > bound {
 			return rows, suppressed, fmt.Errorf("%s dedup window unbounded: high water %d over bound %d (%d windows, cap %d)",
-				nn.name, s.EntriesHighWater, bound, s.Windows, cfg.window)
+				nn.name, s.EntriesHighWater, bound, s.Windows, e12Window)
 		}
 	}
 	return rows, suppressed, nil
 }
 
 // e12Seed runs the full audit for one fault schedule.
-func e12Seed(cfg e12Config, seed uint64) (E12SeedResult, error) {
+func e12Seed(phase time.Duration, seed uint64) (E12SeedResult, error) {
 	row := E12SeedResult{Seed: seed}
 
 	// Phase A — invoke chaos with adaptive migration mid-flight: the
@@ -197,12 +132,11 @@ func e12Seed(cfg e12Config, seed uint64) (E12SeedResult, error) {
 	// it to the driver while the chaos runs (the dedup window must
 	// travel with it).  Every CallOn that returns is one acked logical
 	// call; transport-level retries of the same call reuse its token.
-	driver, server, epB, err := e12Nodes(cfg, seed)
+	driver, server, epServer, closeAll, err := e12Nodes(seed)
 	if err != nil {
 		return row, err
 	}
-	defer driver.Close()
-	defer server.Close()
+	defer closeAll()
 
 	var migrations atomic.Int32
 	acfg := rafda.AdaptConfig{
@@ -217,7 +151,7 @@ func e12Seed(cfg e12Config, seed uint64) (E12SeedResult, error) {
 	adA := driver.StartAdapter(acfg)
 	adB := server.StartAdapter(acfg)
 
-	if err := driver.PlaceClass("Counter", epB); err != nil {
+	if err := driver.PlaceClass("Counter", epServer); err != nil {
 		return row, err
 	}
 	made, err := driver.Call("Setup", "make")
@@ -226,42 +160,19 @@ func e12Seed(cfg e12Config, seed uint64) (E12SeedResult, error) {
 	}
 	ref := made.(*rafda.Ref)
 
-	var acked atomic.Int64
-	errs := make(chan error, cfg.parallel)
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for g := 0; g < cfg.parallel; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				if _, err := driver.CallOn(ref, "bump", 1); err != nil {
-					errs <- err
-					return
-				}
-				acked.Add(1)
-			}
-		}()
-	}
-	time.Sleep(cfg.phase)
-	close(stop)
-	wg.Wait()
+	d, err := drive(load{parallel: e12Parallel, phase: phase}, func(int) error {
+		_, err := driver.CallOn(ref, "bump", 1)
+		return err
+	})
 	adA.Stop()
 	adB.Stop()
-	select {
-	case err := <-errs:
+	if err != nil {
 		// With tokened transport retries an exhausted call is an
 		// ambiguous outcome the audit cannot score; at the configured
 		// fault rates it should never happen.
 		return row, fmt.Errorf("caller saw an unrecovered error (retries exhausted): %w", err)
-	default:
 	}
-	row.AckedCalls = acked.Load()
+	row.AckedCalls = d.calls
 	row.Migrations = int(migrations.Load())
 
 	v, err := driver.CallOn(ref, "read")
@@ -271,7 +182,7 @@ func e12Seed(cfg e12Config, seed uint64) (E12SeedResult, error) {
 	row.CounterValue = v.(int64)
 	row.Expected = row.AckedCalls * bumpDelta
 
-	rows, suppressed, err := dedupRows(cfg, driver, server)
+	rows, suppressed, err := dedupRows(driver, server)
 	row.Dedup = rows
 	row.Suppressed = suppressed
 	if err != nil {
@@ -298,26 +209,22 @@ func e12Seed(cfg e12Config, seed uint64) (E12SeedResult, error) {
 	// The audit is two side-effect meters at the server: exported
 	// objects and executed constructions, both exactly one per acked
 	// create.
-	cDriver, cServer, cEpB, err := e12Nodes(cfg, seed+0x5eed)
+	cDriver, cServer, cEpServer, cClose, err := e12Nodes(seed + 0x5eed)
 	if err != nil {
 		return row, err
 	}
-	defer cDriver.Close()
-	defer cServer.Close()
-	if err := cDriver.PlaceClass("Counter", cEpB); err != nil {
+	defer cClose()
+	if err := cDriver.PlaceClass("Counter", cEpServer); err != nil {
 		return row, err
 	}
 	before := cServer.Stats()
-	refs := make([]*rafda.Ref, 0, cfg.creates)
-	for i := 0; i < cfg.creates; i++ {
-		made, err := cDriver.Call("Setup", "make")
-		if err != nil {
+	for i := 0; i < e12Creates; i++ {
+		if _, err := cDriver.Call("Setup", "make"); err != nil {
 			return row, fmt.Errorf("chaos create %d: %w", i, err)
 		}
-		refs = append(refs, made.(*rafda.Ref))
+		row.AckedCreates++
 	}
 	after := cServer.Stats()
-	row.AckedCreates = len(refs)
 	row.ExportDelta = after.Exports - before.Exports
 	row.CreateDelta = int(after.Creates - before.Creates)
 	if row.ExportDelta != row.AckedCreates {
@@ -338,68 +245,46 @@ func e12Seed(cfg e12Config, seed uint64) (E12SeedResult, error) {
 // and three audits must hold for every seed — the non-idempotent
 // counter equals acked-calls × bumpDelta exactly (no duplicate and no
 // lost side-effects, across an adapter-driven migration mid-chaos),
-// chaos creates strand zero orphan instances (the old OpCreate retry
-// exemption is gone), and the per-caller dedup windows stay within
-// their configured memory bound.
-func e12(cfg e12Config, out string) error {
+// chaos creates strand zero orphan instances, and the per-caller dedup
+// windows stay within their configured memory bound.  Every seed runs
+// and the record keeps every row, so a failing schedule is named in it.
+func e12(p profile, out string) error {
 	report := E12Report{
-		Experiment: "e12",
-		Description: "exactly-once invocation under injected faults: seeded frame duplication/drop/kill " +
-			"chaos over the adaptive two-node workload; counter==acked-calls, zero create orphans, bounded windows",
-		Timestamp:    time.Now().UTC().Format(time.RFC3339),
-		GoMaxProcs:   runtime.GOMAXPROCS(0),
-		NumCPU:       runtime.NumCPU(),
-		Parallel:     cfg.parallel,
-		Phase:        cfg.phase.String(),
-		DupPerMille:  cfg.dup,
-		DropPerMille: cfg.drop,
-		KillPerMille: cfg.kill,
-		WindowCap:    cfg.window,
+		header:       newHeader("e12"),
+		Parallel:     e12Parallel,
+		Phase:        p.phase.String(),
+		DupPerMille:  chaosDup,
+		DropPerMille: chaosDrop,
+		KillPerMille: chaosKill,
+		WindowCap:    e12Window,
 	}
-	var seeds []uint64
-	for _, s := range strings.Split(cfg.seeds, ",") {
-		s = strings.TrimSpace(s)
-		if s == "" {
-			continue
-		}
-		v, err := strconv.ParseUint(s, 10, 64)
-		if err != nil {
-			return fmt.Errorf("bad -e12-seeds entry %q: %w", s, err)
-		}
-		seeds = append(seeds, v)
-	}
-	if len(seeds) == 0 {
-		return fmt.Errorf("empty -e12-seeds")
-	}
-
 	fmt.Printf("injected chaos (dup %d‰, drop %d‰, kill %d‰ per frame), %d callers, %v per seed, window cap %d\n\n",
-		cfg.dup, cfg.drop, cfg.kill, cfg.parallel, cfg.phase, cfg.window)
+		chaosDup, chaosDrop, chaosKill, e12Parallel, p.phase, e12Window)
 	fmt.Printf("  %-6s %10s %12s %10s %6s %8s %8s %7s  %s\n",
 		"seed", "acked", "counter", "suppressed", "migr", "creates", "exports", "constr", "verdict")
-	ok := 0
-	for _, seed := range seeds {
-		row, err := e12Seed(cfg, seed)
+	var failed []uint64
+	var suppressed uint64
+	for _, seed := range p.seeds {
+		row, err := e12Seed(p.phase, seed)
 		verdict := "exactly-once"
 		if err != nil {
 			verdict = "FAILED: " + err.Error()
-		} else {
-			ok++
+			failed = append(failed, seed)
 		}
 		report.Seeds = append(report.Seeds, row)
+		suppressed += row.Suppressed
 		fmt.Printf("  %-6d %10d %12d %10d %6d %8d %8d %7d  %s\n",
 			row.Seed, row.AckedCalls, row.CounterValue, row.Suppressed,
 			row.Migrations, row.AckedCreates, row.ExportDelta, row.CreateDelta, verdict)
-		if err != nil {
-			return fmt.Errorf("seed %d: %w", seed, err)
-		}
 	}
-	report.ExactlyOnceOK = float64(ok) / float64(len(seeds))
-	var suppressed uint64
-	for _, r := range report.Seeds {
-		suppressed += r.Suppressed
+	report.ExactlyOnceOK = float64(len(p.seeds)-len(failed)) / float64(len(p.seeds))
+	if err := writeReport(out, "e12", report); err != nil {
+		return err
+	}
+	if len(failed) > 0 {
+		return fmt.Errorf("fault schedule(s) %v broke the contract (reproduce one with -exp e12 -seeds N)", failed)
 	}
 	fmt.Printf("\nall %d fault schedules held the contract: %d duplicate deliveries suppressed, zero duplicate side-effects, zero orphans\n",
-		len(seeds), suppressed)
-
-	return writeReport(out, "e12", report)
+		len(p.seeds), suppressed)
+	return nil
 }

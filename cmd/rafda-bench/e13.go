@@ -21,9 +21,6 @@ package main
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"rafda"
@@ -42,24 +39,18 @@ class Setup {
 }
 class Main { static void main() {} }`
 
-type e13Config struct {
-	heartbeat time.Duration
-	phase     time.Duration
-	parallel  int // caller goroutines per reader node
-	minLift   float64
-	pool      int
-}
+// The E13 caller count per reader node and its acceptance bar.
+const (
+	e13Parallel = 4
+	e13MinLift  = 2.0 // replicated / single-home aggregate reads/s
+)
 
 // E13Report is the top-level BENCH_E13.json document.
 type E13Report struct {
-	Experiment  string `json:"experiment"`
-	Description string `json:"description"`
-	Timestamp   string `json:"timestamp"`
-	GoMaxProcs  int    `json:"gomaxprocs"`
-	NumCPU      int    `json:"num_cpu"`
-	Parallel    int    `json:"parallelism_per_reader"`
-	Heartbeat   string `json:"cluster_heartbeat"`
-	Replicas    int    `json:"replicas"` // copies incl. the primary
+	header
+	Parallel  int    `json:"parallelism_per_reader"`
+	Heartbeat string `json:"cluster_heartbeat"`
+	Replicas  int    `json:"replicas"` // copies incl. the primary
 
 	SingleHomeReadsPerSec float64 `json:"single_home_reads_per_sec"`
 	ReplicatedReadsPerSec float64 `json:"replicated_reads_per_sec"`
@@ -67,62 +58,18 @@ type E13Report struct {
 
 	WriteVisibleImmediately bool `json:"write_visible_immediately"`
 
-	SingleHomeBuckets []E9Bucket `json:"single_home_buckets"`
-	ReplicatedBuckets []E9Bucket `json:"replicated_buckets"`
+	SingleHomeBuckets []Bucket `json:"single_home_buckets"`
+	ReplicatedBuckets []Bucket `json:"replicated_buckets"`
 }
 
-// e13Drive hammers ref's read method from parallel goroutines on every
-// reader simultaneously and samples aggregate throughput into 100ms
-// buckets.
-func e13Drive(nodes []*rafda.Node, refs []*rafda.Ref, parallel int, phase time.Duration) ([]E9Bucket, error) {
-	var calls atomic.Int64
-	errs := make(chan error, len(nodes)*parallel)
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for i, n := range nodes {
-		ref := refs[i]
-		for g := 0; g < parallel; g++ {
-			wg.Add(1)
-			go func(n *rafda.Node, ref *rafda.Ref) {
-				defer wg.Done()
-				for {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-					if _, err := n.CallOn(ref, "get"); err != nil {
-						errs <- err
-						return
-					}
-					calls.Add(1)
-				}
-			}(n, ref)
-		}
-	}
-	const bucket = 100 * time.Millisecond
-	var buckets []E9Bucket
-	start := time.Now()
-	prev := int64(0)
-	tick := time.NewTicker(bucket)
-	for time.Since(start) < phase {
-		<-tick.C
-		cur := calls.Load()
-		buckets = append(buckets, E9Bucket{
-			OffsetMs:    time.Since(start).Milliseconds(),
-			CallsPerSec: float64(cur-prev) / bucket.Seconds(),
-		})
-		prev = cur
-	}
-	tick.Stop()
-	close(stop)
-	wg.Wait()
-	select {
-	case err := <-errs:
-		return nil, err
-	default:
-	}
-	return buckets, nil
+// e13Reads hammers ref's read method from e13Parallel goroutines on
+// every reader at once for a timed phase.
+func e13Reads(readers []*rafda.Node, refs []*rafda.Ref, phase time.Duration) ([]Bucket, error) {
+	return timedPhase(load{parallel: len(readers) * e13Parallel, phase: phase}, func(g int) error {
+		i := g % len(readers)
+		_, err := readers[i].CallOn(refs[i], "get")
+		return err
+	})
 }
 
 // e13LocalRead probes whether n currently serves a read of ref without
@@ -136,62 +83,31 @@ func e13LocalRead(n *rafda.Node, ref *rafda.Ref) (bool, error) {
 	return n.Stats().RemoteCallsOut == before, nil
 }
 
-func e13(cfg e13Config, out string) error {
+func e13(p profile, out string) error {
 	report := E13Report{
-		Experiment: "e13",
-		Description: "read replication: one read-hot object, 3-node cluster; reads route to local " +
-			"replicas while writes serialise through the lease-holding primary",
-		Timestamp:  time.Now().UTC().Format(time.RFC3339),
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-		Parallel:   cfg.parallel,
-		Heartbeat:  cfg.heartbeat.String(),
-		Replicas:   3,
+		header:    newHeader("e13"),
+		Parallel:  e13Parallel,
+		Heartbeat: e10Heartbeat.String(),
+		Replicas:  3,
 	}
-	prog, err := rafda.CompileString(e13Source)
+	tr, err := transformed(e13Source, "rrp")
 	if err != nil {
 		return err
 	}
-	tr, err := prog.Transform(rafda.WithProtocols("rrp"))
+	nodes, eps, closeAll, err := lanNodes(tr, "home", "reader-a", "reader-b")
 	if err != nil {
 		return err
 	}
-
-	home, epHome, err := e10Node(tr, "home", cfg.pool)
-	if err != nil {
-		return err
+	defer closeAll()
+	home, readers := nodes[0], nodes[1:]
+	for i, n := range nodes {
+		cl, err := n.JoinCluster(rafda.ClusterConfig{Seeds: eps[:i], Heartbeat: e10Heartbeat, Fanout: 3})
+		if err != nil {
+			return err
+		}
+		cl.Start()
+		defer cl.Stop()
 	}
-	defer home.Close()
-	readerA, epA, err := e10Node(tr, "reader-a", cfg.pool)
-	if err != nil {
-		return err
-	}
-	defer readerA.Close()
-	readerB, epB, err := e10Node(tr, "reader-b", cfg.pool)
-	if err != nil {
-		return err
-	}
-	defer readerB.Close()
-
-	ccfg := func(seeds ...string) rafda.ClusterConfig {
-		return rafda.ClusterConfig{Seeds: seeds, Heartbeat: cfg.heartbeat, Fanout: 3}
-	}
-	clHome, err := home.JoinCluster(ccfg())
-	if err != nil {
-		return err
-	}
-	clA, err := readerA.JoinCluster(ccfg(epHome))
-	if err != nil {
-		return err
-	}
-	clB, err := readerB.JoinCluster(ccfg(epHome, epA))
-	if err != nil {
-		return err
-	}
-	clHome.Start()
-	clA.Start()
-	clB.Start()
-	defer func() { clHome.Stop(); clA.Stop(); clB.Stop() }()
 
 	// The hot object materialises at its home (Setup's class init runs
 	// there); each reader resolves the same instance into a proxy.
@@ -199,31 +115,23 @@ func e13(cfg e13Config, out string) error {
 	if err != nil {
 		return err
 	}
-	homeRef := hot.(*rafda.Ref)
-	for _, r := range []*rafda.Node{readerA, readerB} {
-		if err := r.PlaceClass("Setup", epHome); err != nil {
+	var refs []*rafda.Ref
+	for _, r := range readers {
+		if err := r.PlaceClass("Setup", eps[0]); err != nil {
 			return err
 		}
+		ref, err := r.Call("Setup", "get")
+		if err != nil {
+			return err
+		}
+		refs = append(refs, ref.(*rafda.Ref))
 	}
-	ra, err := readerA.Call("Setup", "get")
-	if err != nil {
-		return err
-	}
-	rb, err := readerB.Call("Setup", "get")
-	if err != nil {
-		return err
-	}
-	readers := []*rafda.Node{readerA, readerB}
-	refs := []*rafda.Ref{ra.(*rafda.Ref), rb.(*rafda.Ref)}
 
 	// Phase A — single home: every read from the readers is a LAN
 	// round trip to the primary.
-	buckets, err := e13Drive(readers, refs, cfg.parallel, cfg.phase)
+	buckets, err := e13Reads(readers, refs, p.phase)
 	if err != nil {
 		return err
-	}
-	if len(buckets) < 6 {
-		return fmt.Errorf("phase too short: %d buckets (raise -e13-seconds)", len(buckets))
 	}
 	report.SingleHomeBuckets = buckets
 	report.SingleHomeReadsPerSec = tailMean(buckets)
@@ -231,16 +139,16 @@ func e13(cfg e13Config, out string) error {
 	// Replicate to both readers; the home stays the lease-holding
 	// primary.  Wait for the replica routes to reach the readers
 	// through gossip before re-measuring.
-	if err := home.Replicate(homeRef, epA, epB); err != nil {
+	if err := home.Replicate(hot.(*rafda.Ref), eps[1], eps[2]); err != nil {
 		return fmt.Errorf("replicate: %w", err)
 	}
-	deadline := time.Now().Add(50 * cfg.heartbeat)
+	deadline := time.Now().Add(50 * e10Heartbeat)
 	for {
-		okA, err := e13LocalRead(readerA, refs[0])
+		okA, err := e13LocalRead(readers[0], refs[0])
 		if err != nil {
 			return err
 		}
-		okB, err := e13LocalRead(readerB, refs[1])
+		okB, err := e13LocalRead(readers[1], refs[1])
 		if err != nil {
 			return err
 		}
@@ -248,18 +156,15 @@ func e13(cfg e13Config, out string) error {
 			break
 		}
 		if time.Now().After(deadline) {
-			return fmt.Errorf("replica routes did not reach the readers within %v", 50*cfg.heartbeat)
+			return fmt.Errorf("replica routes did not reach the readers within %v", 50*e10Heartbeat)
 		}
-		time.Sleep(cfg.heartbeat)
+		time.Sleep(e10Heartbeat)
 	}
 
 	// Phase B — replicated: reads collapse to the local copies.
-	buckets, err = e13Drive(readers, refs, cfg.parallel, cfg.phase)
+	buckets, err = e13Reads(readers, refs, p.phase)
 	if err != nil {
 		return err
-	}
-	if len(buckets) < 6 {
-		return fmt.Errorf("phase too short: %d buckets (raise -e13-seconds)", len(buckets))
 	}
 	report.ReplicatedBuckets = buckets
 	report.ReplicatedReadsPerSec = tailMean(buckets)
@@ -268,30 +173,29 @@ func e13(cfg e13Config, out string) error {
 	// Write-visibility coda: a write through a reader's proxy
 	// serialises at the primary and must update every copy before it
 	// acknowledges — both readers' very next reads see the new value.
-	if _, err := readerA.CallOn(refs[0], "set", 1234); err != nil {
+	if _, err := readers[0].CallOn(refs[0], "set", 1234); err != nil {
 		return fmt.Errorf("write through replica proxy: %w", err)
 	}
-	report.WriteVisibleImmediately = true
 	for i, r := range readers {
 		got, err := r.CallOn(refs[i], "get")
 		if err != nil {
 			return err
 		}
 		if got != int64(1234) {
-			report.WriteVisibleImmediately = false
 			return fmt.Errorf("reader %d read %v immediately after the acked write, want 1234 (stale replica)", i, got)
 		}
 	}
+	report.WriteVisibleImmediately = true
 
 	fmt.Printf("read replication, %d readers x %d callers over simulated LAN (heartbeat %v)\n\n",
-		len(readers), cfg.parallel, cfg.heartbeat)
+		len(readers), e13Parallel, e10Heartbeat)
 	fmt.Printf("  %-34s %12.0f reads/s\n", "single home (all reads remote)", report.SingleHomeReadsPerSec)
 	fmt.Printf("  %-34s %12.0f reads/s  (%.1fx)\n", "replicated x3 (reads local)",
 		report.ReplicatedReadsPerSec, report.ReadLift)
 	fmt.Printf("  %-34s %12v\n", "write visible immediately", report.WriteVisibleImmediately)
 
-	if report.ReadLift < cfg.minLift {
-		return fmt.Errorf("read lift %.2fx below the %.1fx bar", report.ReadLift, cfg.minLift)
+	if report.ReadLift < e13MinLift {
+		return fmt.Errorf("read lift %.2fx below the %.1fx bar", report.ReadLift, e13MinLift)
 	}
 	fmt.Printf("\nreplicated reads scale: %.1fx the single-home ceiling with 3 copies, "+
 		"writes still serialise through the primary\n", report.ReadLift)

@@ -5,12 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
-	"sort"
-	"strconv"
-	"strings"
-	"sync"
 	"sync/atomic"
-	"syscall"
 	"time"
 
 	"rafda"
@@ -18,43 +13,16 @@ import (
 
 // ----- E14: tracing overhead + chaos flight-recorder audit -----
 
-// e14Source is the observability workload: echo() is the pure
-// round-trip the overhead arm hammers (no writes, so the traced and
-// untraced arms compare nothing but the tracing plane itself), and
-// bump()/read() reuse the E12 non-idempotent counter semantics so the
-// chaos audit can cross-check exactly-once while it audits spans.
-const e14Source = `
-class Counter {
-    int n;
-    Counter(int n) { this.n = n; }
-    int echo(int x) { return x; }
-    int bump(int x) {
-        int acc = 0;
-        for (int i = 0; i < 100; i = i + 1) { acc = acc + x; }
-        n = n + acc;
-        return n;
-    }
-    int read() { return n; }
-}
-class Setup {
-    static Counter make() { return new Counter(0); }
-}
-class Main { static void main() {} }`
+// The observability workload is counterSource: echo is the pure round
+// trip the overhead arm hammers (no writes, so the traced and untraced
+// arms compare nothing but the tracing plane itself), and bump/read
+// carry the E12 non-idempotent counter semantics so the chaos audit can
+// cross-check exactly-once while it audits spans.
 
-// e14Config carries the -e14-* flag values.
-type e14Config struct {
-	rounds      int     // alternating overhead rounds per arm (0: audit only)
-	calls       int     // echo calls per overhead round
-	parallel    int     // concurrent caller goroutines
-	maxOverhead float64 // tolerated traced-vs-untraced throughput loss
-	seeds       string  // chaos audit fault-schedule seeds
-	auditCalls  int     // acked bumps per audit seed
-	dup         int     // per-mille duplicated frames
-	drop        int     // per-mille swallowed frames
-	kill        int     // per-mille kill-mid-flight
-	traceSpans  int     // audit ring capacity per node
-	pool        int
-}
+const (
+	e14Parallel   = 64      // overhead-arm callers
+	e14TraceSpans = 1 << 15 // per-node flight-recorder ring capacity under audit
+)
 
 // E14NodeRing is one audited node's flight-recorder occupancy after a
 // seed run — Emitted must stay within Capacity or the orphan audit
@@ -91,11 +59,7 @@ type E14SeedAudit struct {
 // within MaxOverhead of the untraced arm's AND every chaos seed's span
 // forest was complete and connected, else 0.0.
 type E14Report struct {
-	Experiment  string `json:"experiment"`
-	Description string `json:"description"`
-	Timestamp   string `json:"timestamp"`
-	GoMaxProcs  int    `json:"gomaxprocs"`
-	NumCPU      int    `json:"num_cpu"`
+	header
 
 	Parallel    int     `json:"parallelism"`
 	Rounds      int     `json:"rounds"`
@@ -128,133 +92,40 @@ type e14Span struct {
 	Err    string `json:"err"`
 }
 
-// e14Faults is the audit arm's chaos profile (the E12 schedule: dial
-// handshakes exempt, everything after fair game).
-func e14Faults(cfg e14Config, seed uint64) rafda.NetProfile {
-	p := rafda.NetLAN
-	p.Faults = &rafda.NetFaults{
-		Seed:            seed,
-		DupPerMille:     cfg.dup,
-		DropPerMille:    cfg.drop,
-		KillPerMille:    cfg.kill,
-		FirstSafeWrites: 4,
-	}
-	return p
-}
-
 // e14Pair builds one measured driver/server deployment for the
 // overhead arm — a clean simulated LAN, tracing on or off on BOTH
 // sides — with the counter placed remotely and one instance made.
-func e14Pair(cfg e14Config, prefix string, noTrace bool) (driver *rafda.Node, ref *rafda.Ref, cleanup func(), err error) {
-	prog, err := rafda.CompileString(e14Source)
+func e14Pair(prefix string, noTrace bool) (driver *rafda.Node, ref *rafda.Ref, closeAll func(), err error) {
+	tr, err := transformed(counterSource, "rrp")
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	tr, err := prog.Transform(rafda.WithProtocols("rrp"))
+	mk := func(name string) rafda.NodeConfig {
+		return rafda.NodeConfig{Name: prefix + name, Network: rafda.NetLAN, Tracing: rafda.TracingConfig{Disable: noTrace}}
+	}
+	nodes, eps, closeAll, err := deploy(tr, "rrp", mk("driver"), mk("server"))
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	mk := func(name string) (*rafda.Node, error) {
-		return tr.NewNode(rafda.NodeConfig{
-			Name: prefix + name, Network: rafda.NetLAN,
-			PoolSize: cfg.pool, Tracing: rafda.TracingConfig{Disable: noTrace},
-		})
-	}
-	d, err := mk("driver")
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	s, err := mk("server")
-	if err != nil {
-		d.Close()
-		return nil, nil, nil, err
-	}
-	cleanup = func() { d.Close(); s.Close() }
-	if _, err = d.Serve("rrp", ""); err == nil {
-		var ep string
-		if ep, err = s.Serve("rrp", ""); err == nil {
-			if err = d.PlaceClass("Counter", ep); err == nil {
-				var made any
-				if made, err = d.Call("Setup", "make"); err == nil {
-					return d, made.(*rafda.Ref), cleanup, nil
-				}
-			}
+	if err = nodes[0].PlaceClass("Counter", eps[1]); err == nil {
+		var made any
+		if made, err = nodes[0].Call("Setup", "make"); err == nil {
+			return nodes[0], made.(*rafda.Ref), closeAll, nil
 		}
 	}
-	cleanup()
+	closeAll()
 	return nil, nil, nil, err
 }
 
-// cpuNow reads the process's consumed CPU time (user+system).  Unlike
-// wall clock, CPU time is immune to what the rest of the host is doing
-// — on a contended runner it is the only stable base for a small-ratio
-// comparison.
-func cpuNow() time.Duration {
-	var ru syscall.Rusage
-	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
-		return 0
-	}
-	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
-}
-
-// e14Echo runs `calls` remote echo round-trips over `parallel`
-// goroutines and reports the elapsed wall time, process-CPU time and
-// heap allocation count.
-func e14Echo(driver *rafda.Node, ref *rafda.Ref, parallel, calls int) (wall, cpu time.Duration, allocs uint64, err error) {
-	var next atomic.Int64
-	errs := make(chan error, parallel)
-	var wg sync.WaitGroup
-	var ms0, ms1 runtime.MemStats
-	runtime.ReadMemStats(&ms0)
-	cpu0 := cpuNow()
-	start := time.Now()
-	for g := 0; g < parallel; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for next.Add(1) <= int64(calls) {
-				v, err := driver.CallOn(ref, "echo", 7)
-				if err != nil {
-					errs <- err
-					return
-				}
-				if v.(int64) != 7 {
-					errs <- fmt.Errorf("bad echo %v", v)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	wall = time.Since(start)
-	cpu = cpuNow() - cpu0
-	runtime.ReadMemStats(&ms1)
-	select {
-	case err := <-errs:
-		return 0, 0, 0, err
-	default:
-	}
-	return wall, cpu, ms1.Mallocs - ms0.Mallocs, nil
-}
-
-// median of a non-empty sample (mean of the middle pair when even).
-func median(xs []float64) float64 {
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	if n := len(s); n%2 == 1 {
-		return s[n/2]
-	} else {
-		return (s[n/2-1] + s[n/2]) / 2
-	}
-}
-
-// q25 is the lower quartile of a non-empty sample (the element a
-// quarter of the way up the sorted order — for 5 rounds, the
-// second-lowest).
-func q25(xs []float64) float64 {
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	return s[(len(s)-1)/4]
+// e14Echo makes calls remote echo round trips from e14Parallel callers.
+func e14Echo(driver *rafda.Node, ref *rafda.Ref, calls int) (driven, error) {
+	return drive(load{parallel: e14Parallel, calls: calls}, func(int) error {
+		v, err := driver.CallOn(ref, "echo", 7)
+		if err == nil && v.(int64) != 7 {
+			err = fmt.Errorf("bad echo %v", v)
+		}
+		return err
+	})
 }
 
 // e14Overhead measures the tracing plane's cost: the same remote echo
@@ -289,51 +160,47 @@ func q25(xs []float64) float64 {
 // before the ratio, cancelling any run-second advantage) — an A/A
 // calibration still shows pair-identity wall noise on a busy 1-core
 // host, so the wall ratio is informative while CPU is the gate.
-func e14Overhead(cfg e14Config, report *E14Report) error {
-	traced, tRef, tClean, err := e14Pair(cfg, "t-", false)
+func e14Overhead(p profile, report *E14Report) error {
+	traced, tRef, tClose, err := e14Pair("t-", false)
 	if err != nil {
 		return err
 	}
-	defer tClean()
-	plain, pRef, pClean, err := e14Pair(cfg, "p-", true)
+	defer tClose()
+	plain, pRef, pClose, err := e14Pair("p-", true)
 	if err != nil {
 		return err
 	}
-	defer pClean()
+	defer pClose()
 
-	warm := cfg.calls / 10
-	if warm < 50 {
-		warm = 50
-	}
-	if _, _, _, err := e14Echo(traced, tRef, cfg.parallel, warm); err != nil {
+	warm := max(p.calls/10, 50)
+	if _, err := e14Echo(traced, tRef, warm); err != nil {
 		return err
 	}
-	if _, _, _, err := e14Echo(plain, pRef, cfg.parallel, warm); err != nil {
+	if _, err := e14Echo(plain, pRef, warm); err != nil {
 		return err
 	}
 
-	slice := cfg.calls / 16
-	if slice < 200 {
-		slice = 200
-	}
+	slice := max(p.calls/16, 200)
 	fmt.Printf("tracing overhead: %d echo calls/round in interleaved %d-call slices, p=%d, %d rounds\n\n",
-		cfg.calls, slice, cfg.parallel, cfg.rounds)
+		p.calls, slice, e14Parallel, p.rounds)
 	fmt.Printf("  %-6s %14s %14s %8s\n", "round", "traced c/s", "untraced c/s", "ratio")
-	var wallQuads []float64 // one wall ratio per ABBA quad (two opposite-order pairs)
-	var cpuRounds []float64 // one CPU ratio per round — the gated sample
-	var tCPU, pCPU time.Duration
-	var tAllocs, pAllocs uint64
-	totalCalls := 0
+	var wallQuads []float64       // one wall ratio per ABBA quad (two opposite-order pairs)
+	var cpuRounds []float64       // one CPU ratio per round — the gated sample
+	var cpuTotal [2]time.Duration // per arm: 0 traced, 1 untraced
+	var allocs [2]uint64
+	arms := [2]struct {
+		n   *rafda.Node
+		ref *rafda.Ref
+	}{{traced, tRef}, {plain, pRef}}
 	// Collector off while a slice is measured: GC runs only at the
 	// forced points between slices, so no mark cycle's CPU lands inside
 	// an arm's timing window.
 	prevGC := debug.SetGCPercent(-1)
 	defer debug.SetGCPercent(prevGC)
-	for r := 0; r < cfg.rounds; r++ {
-		var tTime, pTime time.Duration
-		var tCPURound, pCPURound time.Duration
-		var tEls, pEls []time.Duration // per-slice wall times, index = slice ordinal
-		for done, s := 0, 0; done < cfg.calls; done, s = done+slice, s+1 {
+	for r := 0; r < p.rounds; r++ {
+		var slices [2][]time.Duration // per arm, per-slice wall times
+		var wall, cpu [2]time.Duration
+		for done, s := 0, 0; done < p.calls; done, s = done+slice, s+1 {
 			// Two collections, not one: a cycle's sweep work is lazy and
 			// runs in background (or on the next allocating goroutine) —
 			// inside the following slice's CPU window, since getrusage is
@@ -341,73 +208,53 @@ func e14Overhead(cfg e14Config, report *E14Report) error {
 			// sweep to complete synchronously, here, outside every window.
 			runtime.GC()
 			runtime.GC()
-			n := slice
-			if cfg.calls-done < n {
-				n = cfg.calls - done
-			}
-			arms := []struct {
-				d      *rafda.Node
-				ref    *rafda.Ref
-				wall   *time.Duration
-				cpu    *time.Duration
-				allocs *uint64
-			}{
-				{traced, tRef, &tTime, &tCPURound, &tAllocs},
-				{plain, pRef, &pTime, &pCPURound, &pAllocs},
-			}
-			if s%2 == 1 {
-				arms[0], arms[1] = arms[1], arms[0]
-			}
-			var el [2]time.Duration
-			for i, a := range arms {
-				wall, cpu, allocs, err := e14Echo(a.d, a.ref, cfg.parallel, n)
+			for i := range arms {
+				arm := (i + s) % 2 // the order flips each slice
+				d, err := e14Echo(arms[arm].n, arms[arm].ref, min(slice, p.calls-done))
 				if err != nil {
 					return err
 				}
-				el[i] = wall
-				*a.wall += wall
-				*a.cpu += cpu
-				*a.allocs += allocs
+				slices[arm] = append(slices[arm], d.wall)
+				wall[arm] += d.wall
+				cpu[arm] += d.cpu
+				allocs[arm] += d.allocs
 			}
-			if s%2 == 1 {
-				el[0], el[1] = el[1], el[0]
-			}
-			tEls, pEls = append(tEls, el[0]), append(pEls, el[1])
 		}
-		totalCalls += cfg.calls
-		tCPU += tCPURound
-		pCPU += pCPURound
-		cpuRounds = append(cpuRounds, tCPURound.Seconds()/pCPURound.Seconds())
+		cpuTotal[0] += cpu[0]
+		cpuTotal[1] += cpu[1]
+		cpuRounds = append(cpuRounds, cpu[0].Seconds()/cpu[1].Seconds())
 		// ABBA quads: adjacent slices run the arms in opposite order, so
 		// summing a slice with its neighbour before taking the ratio
 		// cancels any run-second advantage (warm timers, just-exited
 		// goroutines) that a single pair's ratio would carry as bias.
-		for q := 0; q+1 < len(tEls); q += 2 {
-			wallQuads = append(wallQuads,
-				(pEls[q]+pEls[q+1]).Seconds()/(tEls[q]+tEls[q+1]).Seconds())
+		t, u := slices[0], slices[1]
+		for q := 0; q+1 < len(t); q += 2 {
+			wallQuads = append(wallQuads, (u[q]+u[q+1]).Seconds()/(t[q]+t[q+1]).Seconds())
 		}
-		tCps := float64(cfg.calls) / tTime.Seconds()
-		pCps := float64(cfg.calls) / pTime.Seconds()
+		tCps := float64(p.calls) / wall[0].Seconds()
+		pCps := float64(p.calls) / wall[1].Seconds()
 		report.TracedCallsPerSec = append(report.TracedCallsPerSec, tCps)
 		report.PlainCallsPerSec = append(report.PlainCallsPerSec, pCps)
 		fmt.Printf("  %-6d %14.0f %14.0f %8.3f\n", r+1, tCps, pCps, tCps/pCps)
 	}
-	report.TracedMedian = median(report.TracedCallsPerSec)
-	report.PlainMedian = median(report.PlainCallsPerSec)
-	report.WallOverhead = 1 - median(wallQuads)
-	report.TracedCPUPerCall = float64(tCPU.Microseconds()) / float64(totalCalls)
-	report.PlainCPUPerCall = float64(pCPU.Microseconds()) / float64(totalCalls)
-	report.Overhead = q25(cpuRounds) - 1
+	totalCalls := p.rounds * p.calls
+	report.TracedMedian = pctile(sorted(report.TracedCallsPerSec), 0.5)
+	report.PlainMedian = pctile(sorted(report.PlainCallsPerSec), 0.5)
+	wallMedian := pctile(sorted(wallQuads), 0.5)
+	report.WallOverhead = 1 - wallMedian
+	report.TracedCPUPerCall = float64(cpuTotal[0].Microseconds()) / float64(totalCalls)
+	report.PlainCPUPerCall = float64(cpuTotal[1].Microseconds()) / float64(totalCalls)
+	report.Overhead = pctile(sorted(cpuRounds), 0.25) - 1
 	fmt.Printf("\n  wall: median of %d order-balanced slice-quad ratios %.3f (traced median %.0f, untraced median %.0f calls/s)\n",
-		len(wallQuads), median(wallQuads), report.TracedMedian, report.PlainMedian)
+		len(wallQuads), wallMedian, report.TracedMedian, report.PlainMedian)
 	fmt.Printf("  cpu:  traced %.1fµs/call vs untraced %.1fµs/call; lower quartile of %d round ratios: overhead %.2f%% (bound %.0f%%)\n",
 		report.TracedCPUPerCall, report.PlainCPUPerCall, len(cpuRounds),
-		100*report.Overhead, 100*cfg.maxOverhead)
+		100*report.Overhead, 100*p.maxOverhead)
 	fmt.Printf("  heap: traced %.1f vs untraced %.1f allocs/call\n",
-		float64(tAllocs)/float64(totalCalls), float64(pAllocs)/float64(totalCalls))
-	if report.Overhead > cfg.maxOverhead {
+		float64(allocs[0])/float64(totalCalls), float64(allocs[1])/float64(totalCalls))
+	if report.Overhead > p.maxOverhead {
 		return fmt.Errorf("tracing overhead %.2f%% CPU/call exceeds the %.0f%% bound (traced %.1fµs vs untraced %.1fµs per call)",
-			100*report.Overhead, 100*cfg.maxOverhead, report.TracedCPUPerCall, report.PlainCPUPerCall)
+			100*report.Overhead, 100*p.maxOverhead, report.TracedCPUPerCall, report.PlainCPUPerCall)
 	}
 	return nil
 }
@@ -444,7 +291,7 @@ func e14NodeSpans(n *rafda.Node) ([]e14Span, E14NodeRing, error) {
 	}
 	ring = E14NodeRing{Node: m.Node, Spans: m.Trace.Spans, Capacity: m.Trace.Capacity, Emitted: m.Trace.Emitted}
 	if ring.Emitted > uint64(ring.Capacity) {
-		return nil, ring, fmt.Errorf("%s: ring overflowed (%d spans emitted into %d slots) — the orphan audit needs the whole history; raise -e14-trace-spans or lower -e14-audit-calls",
+		return nil, ring, fmt.Errorf("%s: ring overflowed (%d spans emitted into %d slots) — the orphan audit needs the whole history; the profile's auditCalls outgrew e14TraceSpans",
 			m.Node, ring.Emitted, ring.Capacity)
 	}
 	return spans, ring, nil
@@ -456,51 +303,25 @@ func e14NodeSpans(n *rafda.Node) ([]e14Span, E14NodeRing, error) {
 // tree across the union of the three rings — one error-free client
 // root per acked call, a remote-side span on every such trace, and not
 // one span whose parent is missing from the union.
-func e14Audit(cfg e14Config, seed uint64) (E14SeedAudit, error) {
+func e14Audit(auditCalls int, seed uint64) (E14SeedAudit, error) {
 	row := E14SeedAudit{Seed: seed}
-
-	prog, err := rafda.CompileString(e14Source)
+	tr, err := transformed(counterSource, "rrp")
 	if err != nil {
 		return row, err
 	}
-	tr, err := prog.Transform(rafda.WithProtocols("rrp"))
+	mk := func(name string) rafda.NodeConfig {
+		return rafda.NodeConfig{
+			Name: name, Network: chaosNet(seed),
+			Limits:  rafda.LimitsConfig{DedupWindow: e12Window},
+			Tracing: rafda.TracingConfig{Spans: e14TraceSpans},
+		}
+	}
+	nodes, eps, closeAll, err := deploy(tr, "rrp", mk("driver"), mk("server"), mk("spare"))
 	if err != nil {
 		return row, err
 	}
-	mk := func(name string) (*rafda.Node, error) {
-		return tr.NewNode(rafda.NodeConfig{
-			Name: name, Network: e14Faults(cfg, seed),
-			PoolSize: cfg.pool,
-			Limits:   rafda.LimitsConfig{DedupWindow: 256},
-			Tracing:  rafda.TracingConfig{Spans: cfg.traceSpans},
-		})
-	}
-	driver, err := mk("driver")
-	if err != nil {
-		return row, err
-	}
-	defer driver.Close()
-	server, err := mk("server")
-	if err != nil {
-		return row, err
-	}
-	defer server.Close()
-	spare, err := mk("spare")
-	if err != nil {
-		return row, err
-	}
-	defer spare.Close()
-	if _, err := driver.Serve("rrp", ""); err != nil {
-		return row, err
-	}
-	epServer, err := server.Serve("rrp", "")
-	if err != nil {
-		return row, err
-	}
-	epSpare, err := spare.Serve("rrp", "")
-	if err != nil {
-		return row, err
-	}
+	defer closeAll()
+	driver, epServer, epSpare := nodes[0], eps[1], eps[2]
 
 	if err := driver.PlaceClass("Counter", epServer); err != nil {
 		return row, err
@@ -517,25 +338,19 @@ func e14Audit(cfg e14Config, seed uint64) (E14SeedAudit, error) {
 	// the callers keep hammering — the migration legs, the forwarded
 	// calls through the old home, and the proxy retargets all have to
 	// land on the traces of the calls that rode them.
-	// Audit parallelism caps at the E12 level: every caller on a shard
+	// Audit parallelism is the E12 level, not e14Parallel: every caller on a shard
 	// shares its multiplexed socket, so one killed frame fails all the
 	// calls in flight on it — at p=64 on a single shard the per-attempt
 	// blast radius outruns the tokened retry budget and a transient
 	// kill can surface to the caller, which is a transport-sizing
 	// artifact, not the tracing property under audit.
-	par := cfg.parallel
-	if par > 8 {
-		par = 8
-	}
-	var next, acked atomic.Int64
-	errs := make(chan error, par)
-	var wg sync.WaitGroup
+	var acked atomic.Int64
 	var migErr error
 	workDone := make(chan struct{}) // frees the trigger if callers die early
 	migDone := make(chan struct{})
 	go func() {
 		defer close(migDone)
-		for acked.Load() < int64(cfg.auditCalls/2) {
+		for acked.Load() < int64(auditCalls/2) {
 			select {
 			case <-workDone:
 				return
@@ -544,31 +359,22 @@ func e14Audit(cfg e14Config, seed uint64) (E14SeedAudit, error) {
 		}
 		migErr = driver.Migrate(ref, epSpare)
 	}()
-	for g := 0; g < par; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for next.Add(1) <= int64(cfg.auditCalls) {
-				if _, err := driver.CallOn(ref, "bump", 1); err != nil {
-					errs <- err
-					return
-				}
-				acked.Add(1)
-			}
-		}()
-	}
-	wg.Wait()
+	d, err := drive(load{parallel: e12Parallel, calls: auditCalls}, func(int) error {
+		_, err := driver.CallOn(ref, "bump", 1)
+		if err == nil {
+			acked.Add(1)
+		}
+		return err
+	})
 	close(workDone)
 	<-migDone
-	select {
-	case err := <-errs:
+	if err != nil {
 		return row, fmt.Errorf("caller saw an unrecovered error: %w", err)
-	default:
 	}
 	if migErr != nil {
 		return row, fmt.Errorf("mid-run migration: %w", migErr)
 	}
-	row.AckedCalls = acked.Load()
+	row.AckedCalls = d.calls
 
 	v, err := driver.CallOn(ref, "read")
 	if err != nil {
@@ -580,7 +386,7 @@ func e14Audit(cfg e14Config, seed uint64) (E14SeedAudit, error) {
 		return row, fmt.Errorf("exactly-once violated under the audit: counter %d after %d acked calls (expected %d)",
 			row.CounterValue, row.AckedCalls, row.Expected)
 	}
-	for _, n := range []*rafda.Node{driver, server, spare} {
+	for _, n := range nodes {
 		row.Suppressed += n.DedupStats().Suppressed()
 	}
 	if row.Suppressed == 0 {
@@ -589,7 +395,7 @@ func e14Audit(cfg e14Config, seed uint64) (E14SeedAudit, error) {
 
 	// The quiesced rings, unioned, are the evidence.
 	var spans []e14Span
-	for _, n := range []*rafda.Node{driver, server, spare} {
+	for _, n := range nodes {
 		part, ring, err := e14NodeSpans(n)
 		if err != nil {
 			return row, err
@@ -658,52 +464,34 @@ func e14Audit(cfg e14Config, seed uint64) (E14SeedAudit, error) {
 // complete under fire (seeded chaos with frame duplication/drop/kill
 // plus a mid-run migration, after which every acked call's span tree
 // is present and connected across the union of the nodes' bounded
-// rings — zero orphans, no trace that lost the wire).  -e14-rounds 0
-// skips the throughput arm for CI chaos jobs that only want the audit.
-func e14(cfg e14Config, out string) error {
-	report := E14Report{
-		Experiment: "e14",
-		Description: "tracing overhead + flight-recorder chaos audit: traced-vs-untraced echo medians within bound; " +
-			"under dup/drop/kill chaos and a mid-run migration every acked call leaves a complete connected span tree",
-		Timestamp:   time.Now().UTC().Format(time.RFC3339),
-		GoMaxProcs:  runtime.GOMAXPROCS(0),
-		NumCPU:      runtime.NumCPU(),
-		Parallel:    cfg.parallel,
-		Rounds:      cfg.rounds,
-		Calls:       cfg.calls,
-		MaxOverhead: cfg.maxOverhead,
+// rings — zero orphans, no trace that lost the wire).  A -race build
+// runs the audit alone: the detector's slowdown makes the overhead
+// ratio meaningless.
+func e14(p profile, out string) error {
+	if raceEnabled() {
+		p.rounds = 0
 	}
-
-	if cfg.rounds > 0 {
-		if err := e14Overhead(cfg, &report); err != nil {
+	report := E14Report{
+		header:      newHeader("e14"),
+		Parallel:    e14Parallel,
+		Rounds:      p.rounds,
+		Calls:       p.calls,
+		MaxOverhead: p.maxOverhead,
+	}
+	if p.rounds > 0 {
+		if err := e14Overhead(p, &report); err != nil {
 			return err
 		}
 	} else {
-		fmt.Println("overhead arm skipped (-e14-rounds 0): chaos trace audit only")
-	}
-
-	var seeds []uint64
-	for _, s := range strings.Split(cfg.seeds, ",") {
-		s = strings.TrimSpace(s)
-		if s == "" {
-			continue
-		}
-		v, err := strconv.ParseUint(s, 10, 64)
-		if err != nil {
-			return fmt.Errorf("bad -e14-seeds entry %q: %w", s, err)
-		}
-		seeds = append(seeds, v)
-	}
-	if len(seeds) == 0 {
-		return fmt.Errorf("empty -e14-seeds")
+		fmt.Println("overhead arm skipped under the race detector: chaos trace audit only")
 	}
 
 	fmt.Printf("\nflight-recorder chaos audit: %d calls per seed (dup %d‰, drop %d‰, kill %d‰), mid-run migration, ring %d\n\n",
-		cfg.auditCalls, cfg.dup, cfg.drop, cfg.kill, cfg.traceSpans)
+		p.auditCalls, chaosDup, chaosDrop, chaosKill, e14TraceSpans)
 	fmt.Printf("  %-6s %8s %8s %8s %9s %8s %6s %6s %5s  %s\n",
 		"seed", "acked", "spans", "roots", "crossnode", "orphans", "migr", "dedup", "fail", "verdict")
-	for _, seed := range seeds {
-		row, err := e14Audit(cfg, seed)
+	for _, seed := range p.seeds {
+		row, err := e14Audit(p.auditCalls, seed)
 		verdict := "complete"
 		if err != nil {
 			verdict = "FAILED: " + err.Error()
@@ -717,7 +505,7 @@ func e14(cfg e14Config, out string) error {
 		}
 	}
 	report.OverheadOK = 1.0
-	fmt.Printf("\nall %d fault schedules left complete connected span trees; tracing stays on\n", len(seeds))
+	fmt.Printf("\nall %d fault schedules left complete connected span trees; tracing stays on\n", len(p.seeds))
 
 	return writeReport(out, "e14", report)
 }

@@ -30,7 +30,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -61,22 +60,13 @@ class Mk {
 }
 class Main { static void main() {} }`
 
-type e15Config struct {
-	rate     float64 // offered load, calls/s
-	warm     time.Duration
-	churn    time.Duration
-	recover  time.Duration
-	objects  int
-	tenants  int
-	zipfS    float64
-	seed     uint64
-	deadline time.Duration // per-call wire deadline
-	sloP99   time.Duration // per-tenant clean-phase p99 bar
-	maxErr   float64       // tolerated clean-phase error fraction
-
-	arm        string  // main | shed | both
-	shedFactor float64 // shed arm: offered-load multiple of measured capacity
-}
+// The E15 workload shape that both profiles share.
+const (
+	e15Tenants  = 20                     // tenant identities cycling through arrivals
+	e15ZipfS    = 1.1                    // Zipf skew of object popularity (>1)
+	e15Deadline = 250 * time.Millisecond // per-call wire deadline budget
+	e15MaxErr   = 0.01                   // tolerated clean-phase error fraction
+)
 
 // e15Phases names the run's three windows in timeline order.
 var e15Phases = [3]string{"warm", "churn", "recovery"}
@@ -115,11 +105,7 @@ type E15Overload struct {
 
 // E15Report is the top-level BENCH_E15.json document.
 type E15Report struct {
-	Experiment  string `json:"experiment"`
-	Description string `json:"description"`
-	Timestamp   string `json:"timestamp"`
-	GoMaxProcs  int    `json:"gomaxprocs"`
-	NumCPU      int    `json:"num_cpu"`
+	header
 
 	RatePerSec   float64 `json:"rate_per_sec"`
 	Objects      int     `json:"objects"`
@@ -181,18 +167,6 @@ func (b *e15Bucket) fail(resp string, sent bool) {
 	b.mu.Unlock()
 }
 
-// pctile returns the q-quantile (nearest rank) of sorted.
-func pctile(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := int(q*float64(len(sorted)-1) + 0.5)
-	if i >= len(sorted) {
-		i = len(sorted) - 1
-	}
-	return sorted[i]
-}
-
 // e15MakeObjects creates n objects through the class factory over the
 // raw wire and returns their table entries.
 func e15MakeObjects(client transport.Client, ep string, base, n int) ([]*e15Entry, error) {
@@ -213,98 +187,54 @@ func e15MakeObjects(client transport.Client, ep string, base, n int) ([]*e15Entr
 	return entries, nil
 }
 
-// e15 orchestrates the experiment's two arms.  The main arm is the
-// churn/SLO timeline described atop this file; the shed arm
-// (e15shed.go) saturates a shedding-configured node at a multiple of
-// its measured capacity and checks the proactive policies protect the
-// high-priority tenants.  -e15-arm selects main, shed or both.
-func e15(cfg e15Config, out string) error {
-	if cfg.objects < 20 || cfg.tenants < 2 {
-		return fmt.Errorf("e15 wants at least 20 objects and 2 tenants (got %d/%d)", cfg.objects, cfg.tenants)
-	}
-	runMain := cfg.arm == "" || cfg.arm == "main" || cfg.arm == "both"
-	runShed := cfg.arm == "shed" || cfg.arm == "both"
-	if !runMain && !runShed {
-		return fmt.Errorf("bad -e15-arm %q (want main, shed or both)", cfg.arm)
-	}
+// e15 runs the experiment's two arms.  The main arm is the churn/SLO
+// timeline described atop this file; the shed arm (e15shed.go)
+// saturates a shedding-configured node at a multiple of its measured
+// capacity and checks the proactive policies protect the high-priority
+// tenants.
+func e15(p profile, out string) error {
 	report := E15Report{
-		Experiment: "e15",
-		Description: "open-loop latency SLO: Poisson arrivals, Zipf object popularity, per-tenant " +
-			"deadlined calls; node churn + link degradation mid-run; exact clean-phase percentiles vs SLO; " +
-			"plus a proactive load-shedding arm at >=3x measured capacity",
-		Timestamp:  time.Now().UTC().Format(time.RFC3339),
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-		RatePerSec: cfg.rate,
-		Objects:    cfg.objects,
-		Tenants:    cfg.tenants,
-		ZipfS:      cfg.zipfS,
-		Seed:       cfg.seed,
-		DeadlineMs: float64(cfg.deadline) / float64(time.Millisecond),
-		SloP99Ms:   float64(cfg.sloP99) / float64(time.Millisecond),
-		MaxErrRate: cfg.maxErr,
+		header:     newHeader("e15"),
+		RatePerSec: p.rate,
+		Objects:    p.objects,
+		Tenants:    e15Tenants,
+		ZipfS:      e15ZipfS,
+		Seed:       p.seeds[0],
+		DeadlineMs: float64(e15Deadline) / float64(time.Millisecond),
+		SloP99Ms:   float64(p.sloP99) / float64(time.Millisecond),
+		MaxErrRate: e15MaxErr,
 	}
-	if runMain {
-		if err := e15Main(cfg, &report); err != nil {
-			return err
-		}
+	if err := e15Main(p, &report); err != nil {
+		return err
 	}
-	if runShed {
-		if err := e15Shed(cfg, &report); err != nil {
-			return err
-		}
+	if err := e15Shed(p, &report); err != nil {
+		return err
 	}
-
 	if err := writeReport(out, "e15", report); err != nil {
 		return err
 	}
-	if runMain && report.SloOK != 1.0 {
+	if report.SloOK != 1.0 {
 		return fmt.Errorf("SLO missed: worst tenant p99 %.2fms (bar %.0fms), clean error rate %.4f (bound %.4f)",
-			report.WorstTenantP99Ms, report.SloP99Ms, report.CleanErrorRate, cfg.maxErr)
+			report.WorstTenantP99Ms, report.SloP99Ms, report.CleanErrorRate, e15MaxErr)
 	}
-	if runShed && report.ShedOK != 1.0 {
+	if report.ShedOK != 1.0 {
 		return fmt.Errorf("shed arm failed: shed_ok = 0 (see the shed-arm table above)")
 	}
 	return nil
 }
 
 // e15Main runs the churn/SLO arm and fills the report's main-arm rows.
-func e15Main(cfg e15Config, report *E15Report) error {
-	prog, err := rafda.CompileString(e15Source)
+func e15Main(p profile, report *E15Report) error {
+	tr, err := transformed(e15Source, "rrp")
 	if err != nil {
 		return err
 	}
-	tr, err := prog.Transform(rafda.WithProtocols("rrp"))
+	nodes, eps, closeAll, err := deploy(tr, "rrp", rafda.NodeConfig{Name: "srv-a"}, rafda.NodeConfig{Name: "srv-b"})
 	if err != nil {
 		return err
 	}
-	mkNode := func(name string) (*rafda.Node, string, error) {
-		n, err := tr.NewNode(rafda.NodeConfig{Name: name})
-		if err != nil {
-			return nil, "", err
-		}
-		ep, err := n.Serve("rrp", "")
-		if err != nil {
-			n.Close()
-			return nil, "", err
-		}
-		return n, ep, nil
-	}
-	nodeA, epA, err := mkNode("srv-a")
-	if err != nil {
-		return err
-	}
-	defer nodeA.Close()
-	nodeB, epB, err := mkNode("srv-b")
-	if err != nil {
-		return err
-	}
-	var bClosed atomic.Bool
-	defer func() {
-		if !bClosed.Load() {
-			nodeB.Close()
-		}
-	}()
+	defer closeAll()
+	nodeA, nodeB, epA, epB := nodes[0], nodes[1], eps[0], eps[1]
 
 	// Two client planes to each server: a clean loopback transport and a
 	// degraded one (client-side netsim latency+jitter) that the churn
@@ -312,7 +242,7 @@ func e15Main(cfg e15Config, report *E15Report) error {
 	clean := transport.NewRRP(transport.Options{})
 	degradedProfile := netsim.Profile{
 		Latency: 5 * time.Millisecond, Jitter: time.Millisecond,
-		BandwidthBps: 1e8, Seed: cfg.seed | 1,
+		BandwidthBps: 1e8, Seed: report.Seed | 1,
 	}
 	degraded := transport.NewRRP(transport.Options{Profile: degradedProfile})
 	cleanA, err := clean.Dial(epA)
@@ -342,9 +272,9 @@ func e15Main(cfg e15Config, report *E15Report) error {
 
 	// Object table: ~90% of objects on A, every 10th on B (the churn
 	// shard lost mid-run).  Entries swap atomically when re-homed.
-	objs := make([]atomic.Pointer[e15Entry], cfg.objects)
+	objs := make([]atomic.Pointer[e15Entry], p.objects)
 	var aIdx, bIdx []int
-	for i := 0; i < cfg.objects; i++ {
+	for i := 0; i < p.objects; i++ {
 		if i%10 == 9 {
 			bIdx = append(bIdx, i)
 		} else {
@@ -369,11 +299,11 @@ func e15Main(cfg e15Config, report *E15Report) error {
 
 	// (phase, tenant) outcome cells.
 	buckets := make([][]e15Bucket, len(e15Phases))
-	for p := range buckets {
-		buckets[p] = make([]e15Bucket, cfg.tenants)
+	for ph := range buckets {
+		buckets[ph] = make([]e15Bucket, e15Tenants)
 	}
-	total := cfg.warm + cfg.churn + cfg.recover
-	churnAt, recoverAt := cfg.warm, cfg.warm+cfg.churn
+	total := 2*p.phase + p.churn
+	churnAt, recoverAt := p.phase, p.phase+p.churn
 	phaseOf := func(off time.Duration) int {
 		switch {
 		case off < churnAt:
@@ -392,7 +322,7 @@ func e15Main(cfg e15Config, report *E15Report) error {
 	var useDegraded atomic.Bool
 	var rehomeNs atomic.Int64
 	var timelineWG sync.WaitGroup
-	deadlineUs := uint64(cfg.deadline / time.Microsecond)
+	deadlineUs := uint64(e15Deadline / time.Microsecond)
 	start := time.Now()
 	timelineWG.Add(1)
 	go func() {
@@ -403,10 +333,9 @@ func e15Main(cfg e15Config, report *E15Report) error {
 		for _, i := range bIdx {
 			objs[i].Store(nil) // shard dark until re-homed
 		}
-		bClosed.Store(true)
 		nodeB.Close()
 		for k, i := range bIdx {
-			re, err := e15MakeObjects(cleanA, epA, cfg.objects+k, 1)
+			re, err := e15MakeObjects(cleanA, epA, p.objects+k, 1)
 			if err != nil {
 				return // arrivals keep counting the shard unavailable
 			}
@@ -424,17 +353,17 @@ func e15Main(cfg e15Config, report *E15Report) error {
 	// The open-loop generator: absolute Poisson schedule, one goroutine
 	// per arrival, never waiting for completions.  A late scheduler
 	// fires immediately and the lateness lands in the measured latency.
-	rng := rand.New(rand.NewSource(int64(cfg.seed)))
-	zipf := rand.NewZipf(rng, cfg.zipfS, 1, uint64(cfg.objects-1))
+	rng := rand.New(rand.NewSource(int64(report.Seed)))
+	zipf := rand.NewZipf(rng, e15ZipfS, 1, uint64(p.objects-1))
 	var callWG sync.WaitGroup
 	offered := 0
 	for next := time.Duration(0); ; {
-		next += time.Duration(rng.ExpFloat64() / cfg.rate * float64(time.Second))
+		next += time.Duration(rng.ExpFloat64() / p.rate * float64(time.Second))
 		if next >= total {
 			break
 		}
 		obj := int(zipf.Uint64())
-		tenant := offered % cfg.tenants
+		tenant := offered % e15Tenants
 		write := offered%10 == 0
 		offered++
 		sched := start.Add(next)
@@ -476,11 +405,11 @@ func e15Main(cfg e15Config, report *E15Report) error {
 
 	// Aggregate: per-phase rows over all tenants, per-tenant rows over
 	// the clean phases (warm + recovery) for the SLO verdict.
-	for p, name := range e15Phases {
+	for ph, name := range e15Phases {
 		var all []float64
 		row := E15Phase{Phase: name}
-		for t := range buckets[p] {
-			b := &buckets[p][t]
+		for t := range buckets[ph] {
+			b := &buckets[ph][t]
 			all = append(all, b.latMs...)
 			row.Errors += b.errors
 			row.Unavailable += b.unavailable
@@ -496,11 +425,11 @@ func e15Main(cfg e15Config, report *E15Report) error {
 	}
 	sloOK := true
 	var cleanCalls, cleanErrs int
-	for t := 0; t < cfg.tenants; t++ {
+	for t := 0; t < e15Tenants; t++ {
 		var lat []float64
 		row := E15Tenant{Tenant: fmt.Sprintf("tenant-%02d", t)}
-		for _, p := range []int{0, 2} {
-			b := &buckets[p][t]
+		for _, ph := range []int{0, 2} {
+			b := &buckets[ph][t]
 			lat = append(lat, b.latMs...)
 			row.Errors += b.errors
 		}
@@ -524,7 +453,7 @@ func e15Main(cfg e15Config, report *E15Report) error {
 	if cleanCalls > 0 {
 		report.CleanErrorRate = float64(cleanErrs) / float64(cleanCalls)
 	}
-	if report.CleanErrorRate > cfg.maxErr {
+	if report.CleanErrorRate > e15MaxErr {
 		sloOK = false
 	}
 	if sloOK {
@@ -553,12 +482,12 @@ func e15Main(cfg e15Config, report *E15Report) error {
 
 	fmt.Printf("open-loop %.0f calls/s, %d objects (Zipf s=%.2f, %d on the churn shard), %d tenants, "+
 		"deadline %v, %d arrivals offered\n\n",
-		cfg.rate, cfg.objects, cfg.zipfS, report.ChurnObjects, cfg.tenants, cfg.deadline, offered)
+		p.rate, p.objects, e15ZipfS, report.ChurnObjects, e15Tenants, e15Deadline, offered)
 	fmt.Printf("  %-9s %8s %7s %7s %9s %9s %9s %9s\n",
 		"phase", "calls", "errors", "unavail", "p50", "p99", "p999", "max")
-	for _, p := range report.Phases {
+	for _, ph := range report.Phases {
 		fmt.Printf("  %-9s %8d %7d %7d %7.2fms %7.2fms %7.2fms %7.2fms\n",
-			p.Phase, p.Calls, p.Errors, p.Unavailable, p.P50Ms, p.P99Ms, p.P999Ms, p.MaxMs)
+			ph.Phase, ph.Calls, ph.Errors, ph.Unavailable, ph.P50Ms, ph.P99Ms, ph.P999Ms, ph.MaxMs)
 	}
 	fmt.Printf("\n  clean-phase per-tenant percentiles vs SLO p99 <= %.0fms:\n", report.SloP99Ms)
 	fmt.Printf("  %-10s %7s %7s %9s %9s %9s  %s\n", "tenant", "calls", "errors", "p50", "p99", "p999", "slo")
@@ -577,6 +506,6 @@ func e15Main(cfg e15Config, report *E15Report) error {
 	fmt.Printf("\n\n  churn shard (%d objects) re-homed onto srv-a in %.1fms\n",
 		report.ChurnObjects, report.RehomeMs)
 	fmt.Printf("  worst tenant p99 %.2fms, clean error rate %.4f (bound %.4f): slo_ok = %.0f\n",
-		report.WorstTenantP99Ms, report.CleanErrorRate, cfg.maxErr, report.SloOK)
+		report.WorstTenantP99Ms, report.CleanErrorRate, e15MaxErr, report.SloOK)
 	return nil
 }

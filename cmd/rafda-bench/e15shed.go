@@ -22,22 +22,21 @@ package main
 // measurement as much as the system, and every tenant's latency
 // drowns in scheduler noise before any policy can act.
 //
-// Key row (gate): shed_ok — 1.0 iff the offered factor reached the
-// configured bar (>=3), the priority and fair-share policies both
-// refused work, and every high-priority tenant kept its clean p99
-// under the SLO with at most a bounded shed fraction.  Latency is
+// Key row (gate): shed_ok — 1.0 iff the priority and fair-share
+// policies both refused work and every high-priority tenant kept its
+// clean p99 under the SLO with at most a bounded shed fraction.  Latency is
 // again measured from scheduled arrival time (coordinated-omission
 // correction), and refusals are recognised by the wire "load-shed:"
 // marker every shedding interceptor prefixes.
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"rafda"
@@ -115,10 +114,11 @@ const (
 	e15ShedDuration    = 2500 * time.Millisecond
 	e15ShedCalPar      = 36 // capacity probe width: below every shed threshold
 	e15ShedHPMaxShed   = 0.25
+	e15ShedFactor      = 3.0 // offered load over measured capacity
 )
 
 // e15Shed runs the shed arm and fills the report's shed rows.
-func e15Shed(cfg e15Config, report *E15Report) error {
+func e15Shed(p profile, report *E15Report) error {
 	specs := []e15ShedSpec{
 		{"hp-00", "hp", 1, 0.03},
 		{"hp-01", "hp", 1, 0.03},
@@ -127,15 +127,11 @@ func e15Shed(cfg e15Config, report *E15Report) error {
 		{"bg-01", "bg", 0, 0.09},
 	}
 
-	prog, err := rafda.CompileString(e15Source)
+	tr, err := transformed(e15Source, "rrp")
 	if err != nil {
 		return err
 	}
-	tr, err := prog.Transform(rafda.WithProtocols("rrp"))
-	if err != nil {
-		return err
-	}
-	srv, err := tr.NewNode(rafda.NodeConfig{
+	nodes, eps, closeAll, err := deploy(tr, "rrp", rafda.NodeConfig{
 		Name:   "shed-srv",
 		Limits: rafda.LimitsConfig{MaxInflight: e15ShedMaxInflight},
 		Shed: rafda.ShedConfig{
@@ -147,13 +143,9 @@ func e15Shed(cfg e15Config, report *E15Report) error {
 	if err != nil {
 		return err
 	}
-	defer srv.Close()
-	ep, err := srv.Serve("rrp", "")
-	if err != nil {
-		return err
-	}
-	clientT := transport.NewRRP(transport.Options{})
-	client, err := clientT.Dial(ep)
+	defer closeAll()
+	srv, ep := nodes[0], eps[0]
+	client, err := transport.NewRRP(transport.Options{}).Dial(ep)
 	if err != nil {
 		return err
 	}
@@ -177,44 +169,23 @@ func e15Shed(cfg e15Config, report *E15Report) error {
 	// completed calls.  The blocking service time makes the measure
 	// machine-independent (~calPar/hold), but it is still measured, not
 	// assumed — it includes the node's real dispatch and wire costs.
-	const calSpan = 600 * time.Millisecond
-	var calDone atomic.Int64
-	calStop := make(chan struct{})
-	var calWG sync.WaitGroup
-	for g := 0; g < e15ShedCalPar; g++ {
-		calWG.Add(1)
-		go func(g int) {
-			defer calWG.Done()
-			for {
-				select {
-				case <-calStop:
-					return
-				default:
-				}
-				if resp, err := holdCall(entries[g%len(entries)], "calibrate", 0, 0); err != nil || resp.Err != "" {
-					return
-				}
-				calDone.Add(1)
-			}
-		}(g)
+	d, err := drive(load{parallel: e15ShedCalPar, phase: 600 * time.Millisecond}, func(g int) error {
+		resp, err := holdCall(entries[g%len(entries)], "calibrate", 0, 0)
+		if err == nil && resp.Err != "" {
+			err = errors.New(resp.Err)
+		}
+		return err
+	})
+	if err != nil {
+		return fmt.Errorf("shed calibration: %w", err)
 	}
-	time.Sleep(calSpan)
-	close(calStop)
-	calWG.Wait()
-	capacity := float64(calDone.Load()) / calSpan.Seconds()
-	if capacity <= 0 {
-		return fmt.Errorf("shed calibration measured zero capacity")
-	}
-	factor := cfg.shedFactor
-	if factor <= 0 {
-		factor = 3
-	}
-	offeredRate := capacity * factor
+	capacity := d.perSec()
+	offeredRate := capacity * e15ShedFactor
 
 	arm := &E15ShedArm{
 		CapacityPerSec: capacity,
 		OfferedPerSec:  offeredRate,
-		Factor:         factor,
+		Factor:         e15ShedFactor,
 		HoldUs:         e15ShedHoldUs,
 		MaxInflight:    e15ShedMaxInflight,
 		PriorityAt:     e15ShedPriorityAt,
@@ -246,8 +217,8 @@ func e15Shed(cfg e15Config, report *E15Report) error {
 		}
 		return len(specs) - 1
 	}
-	rng := rand.New(rand.NewSource(int64(cfg.seed) + 42))
-	deadlineUs := uint64(cfg.deadline / time.Microsecond)
+	rng := rand.New(rand.NewSource(int64(report.Seed) + 42))
+	deadlineUs := uint64(e15Deadline / time.Microsecond)
 	var callWG sync.WaitGroup
 	offered := make([]int, len(specs))
 	start := time.Now()
@@ -305,7 +276,7 @@ func e15Shed(cfg e15Config, report *E15Report) error {
 	arm.ByPriority = sample.ByPriority
 	arm.ByTenant = sample.ByTenant
 
-	sloBarMs := float64(cfg.sloP99) / float64(time.Millisecond)
+	sloBarMs := float64(p.sloP99) / float64(time.Millisecond)
 	hpOK := true
 	for i, s := range specs {
 		c := &cells[i]
@@ -336,13 +307,13 @@ func e15Shed(cfg e15Config, report *E15Report) error {
 	}
 
 	report.ShedArm = arm
-	if hpOK && factor >= 3 && arm.ShedPriority > 0 && arm.ShedFairShare > 0 {
+	if hpOK && arm.ShedPriority > 0 && arm.ShedFairShare > 0 {
 		report.ShedOK = 1.0
 	}
 
 	fmt.Printf("\nshed arm: %.1fx saturation (offered %.0f vs measured capacity %.0f calls/s), "+
 		"%dms blocking service/call, %d arrivals over %v\n",
-		factor, offeredRate, capacity, e15ShedHoldUs/1000, arm.Offered, e15ShedDuration)
+		e15ShedFactor, offeredRate, capacity, e15ShedHoldUs/1000, arm.Offered, e15ShedDuration)
 	fmt.Printf("  knobs: max-inflight %d, priority-at %d, fairshare-at %d, codel %v\n\n",
 		e15ShedMaxInflight, e15ShedPriorityAt, e15ShedFairShareAt, e15ShedCoDelTarget)
 	fmt.Printf("  %-8s %-6s %3s %8s %8s %8s %7s %9s %9s  %s\n",
