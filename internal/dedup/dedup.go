@@ -81,9 +81,6 @@ func NewIssuer(caller string) *Issuer {
 	return &Issuer{caller: caller, pending: make(map[uint64]struct{})}
 }
 
-// Caller returns the issuer's incarnation id.
-func (i *Issuer) Caller() string { return i.caller }
-
 // Stamp allocates the next sequence and stamps req with a fresh token
 // carrying the current ack watermark.  It returns the sequence for the
 // matching Finish call.
@@ -95,18 +92,6 @@ func (i *Issuer) Stamp(req *wire.Request) uint64 {
 	i.mu.Unlock()
 	req.Token = tok
 	return seq
-}
-
-// Retry bumps req's token attempt ordinal in place (same logical call,
-// next physical delivery) and refreshes the piggybacked watermark.
-func (i *Issuer) Retry(req *wire.Request) {
-	if req.Token == nil {
-		return
-	}
-	req.Token.Attempt++
-	i.mu.Lock()
-	req.Token.Ack = i.floor
-	i.mu.Unlock()
 }
 
 // Finish marks seq's logical call settled at the caller: its response

@@ -1,0 +1,66 @@
+package node
+
+import (
+	"runtime/debug"
+	"testing"
+
+	"rafda/internal/policy"
+	"rafda/internal/vm"
+)
+
+// remoteCallPin is the allocation count of one serial proxy call over
+// loopback rrp in the default (traced) configuration, both ends
+// included: proxy native, token, request encode, pool, server decode,
+// dispatch chain, gate, interpreter, response, and the caller's decode.
+// A refactor of the outbound path must not raise it; a change that
+// lowers it should lower the pin with it.
+const remoteCallPin = 16
+
+// TestAllocPinRemoteCall pins remoteCallPin.  AllocsPerRun counts every
+// goroutine's allocations, so the server's half of the call is measured
+// too.  Skipped under -race, where sync.Pool drops items at random.
+func TestAllocPinRemoteCall(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("sync.Pool drops a quarter of its items under the race detector")
+	}
+	res := transformSource(t, `
+class EchoSvc {
+    int add(int a, int b) { return a + b; }
+}
+class Setup { static EchoSvc make() { return new EchoSvc(); } }
+class Main { static void main() {} }`)
+	client, _, endpoint := twoNodes(t, res, "rrp")
+	pl, err := policy.RemoteAt(endpoint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	client.Policy().SetClass("EchoSvc", pl)
+	ref, err := client.InvokeStatic("Setup", "make")
+	if err != nil {
+		t.Fatal(err)
+	}
+	args := []vm.Value{vm.IntV(20), vm.IntV(22)}
+	allocs := testing.AllocsPerRun(2000, func() {
+		if v, err := client.CallOn(ref, "add", args...); err != nil || v.I != 42 {
+			t.Fatalf("add = %v, %v", v, err)
+		}
+	})
+	if allocs > remoteCallPin {
+		t.Fatalf("a remote call allocates %.0f times; want at most %d", allocs, remoteCallPin)
+	}
+	t.Logf("%.0f allocs per remote call (pin %d)", allocs, remoteCallPin)
+}
+
+// raceEnabled reports whether the test binary was built with -race.
+func raceEnabled() bool {
+	bi, ok := debug.ReadBuildInfo()
+	if !ok {
+		return false
+	}
+	for _, kv := range bi.Settings {
+		if kv.Key == "-race" && kv.Value == "true" {
+			return true
+		}
+	}
+	return false
+}

@@ -107,11 +107,11 @@ func (r *clusterRuntime) MigrateGUID(guid, endpoint string) (wire.RemoteRef, err
 	if err := r.n.Migrate(vm.RefV(obj), endpoint); err != nil {
 		return wire.RemoteRef{}, err
 	}
-	ref, forwarding := proxyRefOf(obj)
-	if !forwarding {
+	ref := proxyRefOf(obj)
+	if ref == nil {
 		return wire.RemoteRef{}, fmt.Errorf("node %s: %s did not morph after migration", r.n.name, guid)
 	}
-	return ref, nil
+	return *ref, nil
 }
 
 // OwnsGUID implements cluster.Runtime.

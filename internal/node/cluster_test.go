@@ -95,8 +95,8 @@ func TestRedirectChainCollapses(t *testing.T) {
 		if err := home.Migrate(vm.RefV(obj), targets[i]); err != nil {
 			t.Fatalf("hop %d: %v", i, err)
 		}
-		newRef, forwarding := proxyRefOf(obj)
-		if !forwarding {
+		newRef := proxyRefOf(obj)
+		if newRef == nil {
 			t.Fatalf("hop %d: object did not morph", i)
 		}
 		guid = newRef.GUID

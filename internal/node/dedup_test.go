@@ -193,8 +193,8 @@ func TestDedupWindowTravelsWithMigration(t *testing.T) {
 	if err := a.Migrate(ref, endpoint); err != nil {
 		t.Fatal(err)
 	}
-	newRef, forwarding := proxyRefOf(ref.O)
-	if !forwarding {
+	newRef := proxyRefOf(ref.O)
+	if newRef == nil {
 		t.Fatal("object did not morph into a forwarding proxy")
 	}
 	if got := b.DedupSnapshot().Adopted; got != 1 {

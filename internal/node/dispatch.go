@@ -137,13 +137,9 @@ func (n *Node) dispatchInvoke(cc *intercept.CallCtx) *wire.Response {
 	// the object went, so its proxy retargets and subsequent calls skip
 	// the forwarding hop.  Without this, an adaptively migrated object
 	// would be reached through its old home forever and the placement
-	// loop could not converge (docs/ADAPTIVE.md).  The class check is
-	// the allocation-free common case; only actual proxies pay for the
-	// field snapshot.
-	if !classGUID && resp.Err == "" && isProxyObject(target) {
-		if ref, forwarding := proxyRefOf(target); forwarding {
-			resp.Redirect = &ref
-		}
+	// loop could not converge (docs/ADAPTIVE.md).
+	if !classGUID && resp.Err == "" {
+		resp.Redirect = proxyRefOf(target)
 	}
 	return resp
 }
@@ -214,10 +210,11 @@ func (n *Node) servedInvoke(cc *intercept.CallCtx, resp *wire.Response, target *
 			// *same logical call* to the new home, so it must reuse the
 			// inbound token rather than stamp a fresh one — the new
 			// home's adopted window then recognises a duplicate of work
-			// the old home already completed.  The class check is stable
-			// here: migration morphs only under this gate.
-			if req.Token != nil && isProxyObject(target) {
-				env.SetForward(req.Token)
+			// the old home already completed — and keep its priority.
+			// The class check is stable here: migration morphs only
+			// under this gate.
+			if isProxyObject(target) {
+				env.SetForward(req)
 			}
 			if sp != nil {
 				env.SetTraceCtx(sp.Trace, sp.ID)
@@ -395,33 +392,14 @@ func (n *Node) dispatchMigrateOut(req *wire.Request) *wire.Response {
 	}
 	// Already forwarding?  Then the object moved on; report its current
 	// location so the caller can retarget (and retry there if needed).
-	// View gives a consistent class+fields snapshot against concurrent
-	// morphs.
-	if ref, forwarding := proxyRefOf(obj); forwarding {
-		return &wire.Response{ID: req.ID, Result: wire.Value{Kind: wire.KRef, Ref: &ref}}
+	if ref := proxyRefOf(obj); ref != nil {
+		return &wire.Response{ID: req.ID, Result: wire.Value{Kind: wire.KRef, Ref: ref}}
 	}
 	if err := n.migrate(vm.RefV(obj), req.Endpoint, traceCtxOf(req)); err != nil {
 		return wire.Errorf(req, "%v", err)
 	}
 	// After Migrate the object is a proxy holding the new location.
-	ref, _ := proxyRefOf(obj)
-	return &wire.Response{ID: req.ID, Result: wire.Value{Kind: wire.KRef, Ref: &ref}}
-}
-
-// proxyRefOf snapshots obj and, when it is a forwarding proxy, returns
-// the remote reference it holds.
-func proxyRefOf(obj *vm.Object) (wire.RemoteRef, bool) {
-	cls, fields := obj.View()
-	if !isProxyClass(cls) {
-		return wire.RemoteRef{}, false
-	}
-	base, proto, _, _ := transform.IsProxyClass(cls.Name)
-	return wire.RemoteRef{
-		GUID:     fields[transform.ProxyFieldGUID].S,
-		Endpoint: fields[transform.ProxyFieldEndpoint].S,
-		Proto:    proto,
-		Target:   base,
-	}, true
+	return &wire.Response{ID: req.ID, Result: wire.Value{Kind: wire.KRef, Ref: proxyRefOf(obj)}}
 }
 
 // localSingleton returns (creating and initialising on first use) the

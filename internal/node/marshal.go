@@ -64,25 +64,16 @@ func (n *Node) marshalValue(v vm.Value, viaProto string) (wire.Value, error) {
 }
 
 func (n *Node) marshalObject(obj *vm.Object, viaProto string) (wire.Value, error) {
-	cls, fields := obj.View()
-	if isProxyClass(cls) {
+	if ref := proxyRefOf(obj); ref != nil {
 		// Re-export the reference the proxy holds: the receiver will
-		// talk to the object's home directly.  View keeps the
-		// GUID/endpoint pair consistent against a concurrent retarget.
-		base, proto, classSide, _ := transform.IsProxyClass(cls.Name)
-		return wire.Value{Kind: wire.KRef, Ref: &wire.RemoteRef{
-			GUID:      fields[transform.ProxyFieldGUID].S,
-			Endpoint:  fields[transform.ProxyFieldEndpoint].S,
-			Proto:     proto,
-			Target:    orString(fields[transform.ProxyFieldTarget].S, base),
-			ClassSide: classSide,
-		}}, nil
+		// talk to the object's home directly.
+		return wire.Value{Kind: wire.KRef, Ref: ref}, nil
 	}
-	base := baseClassOf(cls.Name)
+	base := baseClassOf(obj.ClassName())
 	if !n.result.Substitutable(base) {
 		// Throwables travel via the response exception channel; any
 		// other non-substitutable object cannot cross the boundary.
-		return wire.Value{}, fmt.Errorf("object of class %s is not substitutable and cannot cross address spaces", cls.Name)
+		return wire.Value{}, fmt.Errorf("object of class %s is not substitutable and cannot cross address spaces", obj.ClassName())
 	}
 	ep := n.anyEndpoint(viaProto)
 	if ep == "" {
@@ -171,15 +162,41 @@ func (n *Node) unmarshalRef(env *vm.Env, ref *wire.RemoteRef) (vm.Value, error) 
 	return vm.RefV(obj), nil
 }
 
+// proxyRefOf returns the remote reference obj holds when it is a proxy
+// — a reference it was handed, or its own forwarding address once
+// migrated away — and nil otherwise.  The class check keeps
+// non-proxies allocation-free (a proxy never morphs back); View keeps
+// the GUID/endpoint pair consistent against a concurrent retarget.
+func proxyRefOf(obj *vm.Object) *wire.RemoteRef {
+	if !isProxyObject(obj) {
+		return nil
+	}
+	cls, fields := obj.View()
+	base, proto, classSide, _ := transform.IsProxyClass(cls.Name)
+	return &wire.RemoteRef{
+		GUID:      fields[transform.ProxyFieldGUID].S,
+		Endpoint:  fields[transform.ProxyFieldEndpoint].S,
+		Proto:     proto,
+		Target:    orString(fields[transform.ProxyFieldTarget].S, base),
+		ClassSide: classSide,
+	}
+}
+
 // setProxyFields writes the proxy reference quadruple in one atomic
 // update, so a concurrent reader never sees a torn GUID/endpoint pair.
 func setProxyFields(obj *vm.Object, id, endpoint, proto, target string) {
-	obj.SetFields(map[string]vm.Value{
+	obj.SetFields(proxyFields(id, endpoint, proto, target))
+}
+
+// proxyFields is a proxy's reference quadruple, as written by a retarget
+// or a morph into a proxy.
+func proxyFields(id, endpoint, proto, target string) map[string]vm.Value {
+	return map[string]vm.Value{
 		transform.ProxyFieldGUID:     vm.StringV(id),
 		transform.ProxyFieldEndpoint: vm.StringV(endpoint),
 		transform.ProxyFieldProto:    vm.StringV(proto),
 		transform.ProxyFieldTarget:   vm.StringV(target),
-	})
+	}
 }
 
 // servesEndpoint reports whether endpoint is one of this node's own

@@ -161,10 +161,7 @@ func (n *Node) migrate(ref vm.Value, targetEndpoint string, ctx trace.Ctx) error
 func (n *Node) shipAndMorph(obj *vm.Object, base string, fields map[string]vm.Value, proto, targetEndpoint string, sp *trace.Span) error {
 	// Snapshot.  Referenced objects are exported and travel as
 	// references back to this node.
-	req := &wire.Request{ID: n.nextReqID(), Op: wire.OpMigrateIn, Class: base}
-	if sp != nil {
-		req.Trace = wireCtx(sp)
-	}
+	req := &wire.Request{Op: wire.OpMigrateIn, Class: base}
 	for name, val := range fields {
 		mv, err := n.marshalValue(val, proto)
 		if err != nil {
@@ -194,8 +191,7 @@ func (n *Node) shipAndMorph(obj *vm.Object, base string, fields map[string]vm.Va
 	// — same GUID, no second orphan copy — which is what lets migration
 	// survive a mid-flight connection death (CONCURRENCY.md §10).
 	shipStart := time.Now()
-	defer n.issuer.Finish(n.issuer.Stamp(req))
-	resp, err := n.callEndpoint(targetEndpoint, oldGUID, req)
+	resp, err := n.send(req, leg{endpoint: targetEndpoint, key: oldGUID, parent: sp.Ctx()})
 	ship := time.Since(shipStart)
 	if err != nil || resp.Err != "" {
 		// The ship failed outright: the object stays live here, so its
@@ -217,14 +213,8 @@ func (n *Node) shipAndMorph(obj *vm.Object, base string, fields map[string]vm.Va
 	// Morph the local object into a proxy to its new home.  All
 	// existing references (including this node's export-table entry,
 	// which now forwards) follow automatically.
-	proxyClass := transform.OProxy(base, newRef.Proto)
-	pf := map[string]vm.Value{
-		transform.ProxyFieldGUID:     vm.StringV(newRef.GUID),
-		transform.ProxyFieldEndpoint: vm.StringV(newRef.Endpoint),
-		transform.ProxyFieldProto:    vm.StringV(newRef.Proto),
-		transform.ProxyFieldTarget:   vm.StringV(base),
-	}
-	if err := n.machine.Morph(obj, proxyClass, pf); err != nil {
+	pf := proxyFields(newRef.GUID, newRef.Endpoint, newRef.Proto, base)
+	if err := n.machine.Morph(obj, transform.OProxy(base, newRef.Proto), pf); err != nil {
 		return fmt.Errorf("node %s: morph after migrate: %w", n.name, err)
 	}
 	if sp != nil {
@@ -258,35 +248,21 @@ func (n *Node) migrateViaHome(proxy *vm.Object, targetEndpoint string, ctx trace
 		// duplicate delivery is either replayed from the home's dedup
 		// window or — for an untokened legacy peer — finds the home's
 		// export already forwarding and just returns the new reference.
-		req := &wire.Request{
-			ID: n.nextReqID(), Op: wire.OpMigrateOut, GUID: id, Endpoint: targetEndpoint,
-		}
-		// The migrate-out leg continues ctx's trace; the home's own
-		// migration span (its n.migrate) parents to this one.
-		sp := n.startSpan(ctx, trace.KindMigration, "migrate-out", home)
-		if sp != nil {
-			req.Trace = wireCtx(sp)
-		}
-		defer n.issuer.Finish(n.issuer.Stamp(req))
-		resp, err := n.callEndpoint(home, id, req)
-		if err != nil {
-			n.finishSpan(sp, err.Error())
+		// The migrate-out leg opens its own span on ctx's trace; the
+		// home's migration span (its n.migrate) parents to this one.
+		req := &wire.Request{Op: wire.OpMigrateOut, GUID: id, Endpoint: targetEndpoint}
+		resp, err := n.send(req, leg{endpoint: home, parent: ctx, kind: trace.KindMigration, name: "migrate-out"})
+		switch {
+		case err != nil:
 			retErr = fmt.Errorf("node %s: migrate-out: %w", n.name, err)
-			return
-		}
-		if resp.Err != "" {
-			n.finishSpan(sp, resp.Err)
+		case resp.Err != "":
 			retErr = fmt.Errorf("node %s: migrate-out rejected: %s", n.name, resp.Err)
-			return
-		}
-		newRef := resp.Result.Ref
-		if resp.Result.Kind != wire.KRef || newRef == nil {
-			n.finishSpan(sp, "migrate-out returned no reference")
+		case resp.Result.Kind != wire.KRef || resp.Result.Ref == nil:
 			retErr = fmt.Errorf("node %s: migrate-out returned no reference", n.name)
-			return
+		default:
+			r := resp.Result.Ref
+			setProxyFields(proxy, r.GUID, r.Endpoint, r.Proto, r.Target)
 		}
-		n.finishSpan(sp, "")
-		setProxyFields(proxy, newRef.GUID, newRef.Endpoint, newRef.Proto, newRef.Target)
 	})
 	return retErr
 }

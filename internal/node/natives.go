@@ -1,6 +1,7 @@
 package node
 
 import (
+	"fmt"
 	"strings"
 	"time"
 
@@ -46,23 +47,15 @@ func (n *Node) registerFactoryNatives() {
 // placement's node to instantiate the class and wrap the returned
 // reference in a proxy.  The subsequent factory init call runs locally
 // and initialises the remote object through the proxy's properties.
+// The create leg is a client span on the execution's trace and spends
+// from its deadline, like any call the execution makes.
 func (n *Node) remoteCreate(env *vm.Env, class string, pl policy.Placement) (vm.Value, *vm.Thrown, error) {
-	req := &wire.Request{ID: n.nextReqID(), Op: wire.OpCreate, Class: class, Caller: n.callerEndpoint(pl.Proto)}
-	resp, callErr := n.callRemote(env, pl.Endpoint, req)
-	if callErr != nil {
-		return vm.Value{}, remoteError(env, "create %s at %s: %v", class, pl.Endpoint, callErr), nil
-	}
-	if resp.Err != "" {
-		return vm.Value{}, remoteError(env, "create %s: %s", class, resp.Err), nil
-	}
-	if resp.ExClass != "" {
-		return vm.Value{}, n.rethrow(env, resp), nil
-	}
-	val, err := n.unmarshalValue(env, resp.Result)
-	if err != nil {
-		return vm.Value{}, remoteError(env, "create %s: %v", class, err), nil
-	}
-	return val, nil, nil
+	req := &wire.Request{Op: wire.OpCreate, Class: class, Caller: n.callerEndpoint(pl.Proto)}
+	resp, err := n.send(req, leg{
+		endpoint: pl.Endpoint, parent: envCtx(env), kind: trace.KindClient, name: wire.OpCreate.String(),
+		deadline: env.DeadlineUs(), unlock: env,
+	})
+	return n.decodeResult(env, resp, err, pl.Endpoint, class, "<init>")
 }
 
 // discover implements the class factory's discover(): local singleton or
@@ -116,7 +109,7 @@ func (n *Node) registerProxyNatives() {
 	}
 }
 
-// proxyTripleFields is the proxy reference triple proxyInvoke reads on
+// proxyTripleFields is the proxy reference triple resolveProxy reads on
 // every call, in ReadFields order.
 var proxyTripleFields = [3]string{
 	transform.ProxyFieldEndpoint,
@@ -124,30 +117,101 @@ var proxyTripleFields = [3]string{
 	transform.ProxyFieldGUID,
 }
 
-// proxyInvoke performs one remote method invocation on behalf of a proxy
-// object.
+// proxyInvoke performs one method invocation on behalf of a proxy
+// object: resolve where the call goes, collapse it to a local call when
+// that is this node or send it otherwise, and decode the reply.
 func (n *Node) proxyInvoke(env *vm.Env, classSide bool, method string, recv vm.Value, args []vm.Value) (vm.Value, *vm.Thrown, error) {
 	if recv.O == nil {
 		return vm.Value{}, remoteError(env, "proxy invocation on null"), nil
 	}
-	// Consume forwarded-token baggage first, whichever path the call
-	// takes below: this execution is a forwarding hop for an inbound
-	// tokened call (the dispatcher deposited the token when the gate
-	// opened onto a proxy), and the re-send must reuse that token so the
-	// new home recognises a duplicate of work the old home already
-	// completed.  Taking it unconditionally keeps it from leaking into a
-	// later nested call of the same execution.
-	fwd, _ := env.TakeForward().(*wire.CallToken)
+	// Consume forward baggage first, whichever path the call takes
+	// below: this execution is a forwarding hop for an inbound call (the
+	// dispatcher deposited the request when the gate opened onto a
+	// proxy), and the re-send continues that logical call — same token,
+	// same priority — so the new home recognises a duplicate of work the
+	// old home already completed.  Taking it unconditionally keeps it
+	// from leaking into a later nested call of the same execution.
+	fwd, _ := env.TakeForward().(*wire.Request)
+	t := n.resolveProxy(recv.O, classSide, method, len(args))
+
+	// Same node: this node's own replica serving a routed read, or a
+	// proxy pointing at this very node (e.g. after an object is migrated
+	// back home).
+	if t.replica != nil {
+		return n.callLocal(env, t.replica, method, args)
+	}
+	if n.servesEndpoint(t.endpoint) {
+		if classSide {
+			me, thrown, err := n.localSingleton(env, t.class)
+			if thrown != nil || err != nil {
+				return vm.Value{}, thrown, err
+			}
+			return n.callLocal(env, me.O, method, args)
+		}
+		if obj, ok := n.exports.Get(t.id); ok {
+			return n.callLocal(env, obj, method, args)
+		}
+		return vm.Value{}, remoteError(env, "%s.%s: stale self-reference %s", t.class, method, t.id), nil
+	}
+
+	req, err := n.invokeRequest(classSide, t, method, args)
+	if err != nil {
+		return vm.Value{}, remoteError(env, "%v", err), nil
+	}
+	n.stats.remoteCallsOut.Add(1)
+	l := leg{
+		endpoint: t.endpoint, parent: envCtx(env), kind: trace.KindClient, name: method,
+		deadline: env.DeadlineUs(), fwd: fwd, unlock: env,
+	}
+	if t.routed {
+		l.note = "routed-read"
+	}
+	rec := n.telem.Load()
+	var start time.Time
+	if rec != nil {
+		start = time.Now()
+	}
+	resp, err := n.send(req, l)
+	if err == nil {
+		if rec != nil {
+			rec.RecordOutbound(t.class, t.endpoint,
+				telemetry.RequestSize(req)+telemetry.ResponseSize(resp), time.Since(start))
+		}
+		// The callee served through a forwarding proxy and told us where
+		// the object now lives: retarget our proxy so the next call goes
+		// to the new home directly (and, when the new home is this node,
+		// collapses to a local call).  SetFields writes the reference
+		// quadruple atomically; racing retargets both carry valid homes,
+		// last wins.
+		if r := resp.Redirect; r != nil && !classSide && !t.routed && r.GUID != "" && r.Endpoint != "" {
+			setProxyFields(recv.O, r.GUID, r.Endpoint, r.Proto, orString(r.Target, t.class))
+		}
+	}
+	return n.decodeResult(env, resp, err, t.endpoint, t.class, method)
+}
+
+// proxyTarget is where one call through a proxy goes.
+type proxyTarget struct {
+	class, id, endpoint string
+	// routed marks a read sent to a remote replica: the proxy keeps
+	// naming the primary, because writes must keep serialising there.
+	routed bool
+	// replica is this node's own lease-valid copy, serving a routed read.
+	replica *vm.Object
+}
+
+// resolveProxy reads proxy's reference and resolves it for one call.
+func (n *Node) resolveProxy(proxy *vm.Object, classSide bool, method string, nargs int) proxyTarget {
 	// One consistent snapshot of the proxy's reference triple: a
 	// concurrent retarget (migration) can never hand us the GUID of one
 	// home and the endpoint of another.  ReadFields is the
 	// allocation-free form of View — this runs on every proxy call.
 	var triple [3]vm.Value
-	recv.O.ReadFields(proxyTripleFields[:], triple[:])
-	endpoint := triple[0].S
-	target := triple[1].S
-	id := triple[2].S
-
+	proxy.ReadFields(proxyTripleFields[:], triple[:])
+	t := proxyTarget{endpoint: triple[0].S, class: triple[1].S, id: triple[2].S}
+	if classSide {
+		return t
+	}
 	// Directory-first resolution: when this node is in a cluster and the
 	// placement directory knows a fresher home for the object, retarget
 	// the proxy *before* dialling.  The directory is chain-collapsed, so
@@ -155,211 +219,118 @@ func (n *Node) proxyInvoke(env *vm.Env, classSide bool, method string, recv vm.V
 	// without this, each call would walk the whole Response.Redirect
 	// forwarding chain one hop at a time (and pay every intermediate
 	// node once more).  Costs one atomic load when not clustered.
-	if !classSide {
-		if ref, ok := n.resolveViaDirectory(id, endpoint); ok {
-			if p, _, err := splitProto(ref.Endpoint); err == nil {
-				setProxyFields(recv.O, ref.GUID, ref.Endpoint, p, orString(ref.Target, target))
-				id, endpoint = ref.GUID, ref.Endpoint
-			}
+	if ref, ok := n.resolveViaDirectory(t.id, t.endpoint); ok {
+		if p, _, err := splitProto(ref.Endpoint); err == nil {
+			setProxyFields(proxy, ref.GUID, ref.Endpoint, p, orString(ref.Target, t.class))
+			t.id, t.endpoint = ref.GUID, ref.Endpoint
 		}
 	}
-
 	// Read routing (docs/REPLICATION.md): a provably read-only call on a
 	// replicated object is served by the nearest lease-valid replica —
 	// this node's own copy when it holds one, else a live remote replica
 	// — instead of the primary.  The retarget is per-call: the proxy's
-	// stored reference keeps naming the primary, because writes must
-	// keep serialising there.  Effect classification keys on the proxy
-	// class itself (the alias hook gave proxy natives their local twins'
-	// effects), so this is two map reads plus one atomic load; routing
-	// is skipped when the proxy points at this very node (the
-	// self-collapse below serves primary-fresh state directly).
-	routedRead := false
-	if !classSide && n.effects.ReadOnly(recv.O.ClassName(), ir.MethodKey(method, len(args))) {
-		if co := n.coord.Load(); co != nil {
-			if route, ok := co.ReadTarget(id); ok {
-				switch {
-				case route.Local:
-					if obj, exp := n.exports.Get(route.GUID); exp {
-						if rec := n.telem.Load(); rec != nil {
-							st := rec.ForObject(obj, route.GUID, target)
-							st.RecordLocal()
-							st.RecordEffect(false)
-						}
-						return env.CallGated(obj, method, args)
-					}
-				case route.Endpoint != "" && route.Endpoint != endpoint && !n.servesEndpoint(endpoint):
-					id, endpoint = route.GUID, route.Endpoint
-					routedRead = true
-				}
+	// stored reference keeps naming the primary.  Effect classification
+	// keys on the proxy class itself (the alias hook gave proxy natives
+	// their local twins' effects), so this is one atomic load plus two
+	// map reads; routing is skipped when the proxy points at this very
+	// node (the self-collapse serves primary-fresh state directly).
+	co := n.coord.Load()
+	if co == nil || !n.effects.ReadOnly(proxy.ClassName(), ir.MethodKey(method, nargs)) {
+		return t
+	}
+	if route, ok := co.ReadTarget(t.id); ok {
+		switch {
+		case route.Local:
+			if obj, exp := n.exports.Get(route.GUID); exp {
+				t.id, t.replica = route.GUID, obj
 			}
+		case route.Endpoint != "" && route.Endpoint != t.endpoint && !n.servesEndpoint(t.endpoint):
+			t.id, t.endpoint, t.routed = route.GUID, route.Endpoint, true
 		}
 	}
-	proto, _, _ := splitProto(endpoint)
+	return t
+}
 
-	// A proxy can end up pointing at this very node (e.g. after an
-	// object is migrated back home): collapse to a direct call.  The
-	// collapsed call still acquires the target's invocation gate
-	// (re-entrantly if this execution already holds it), so it keeps the
-	// same monitor semantics it would have had arriving over the wire.
-	// Telemetry counts it as a local call — this is the steady-state
-	// path after an adaptive migration lands the object next to its
-	// caller, so it stays clock-free.
-	if n.servesEndpoint(endpoint) {
-		if classSide {
-			me, thrown, err := n.localSingleton(env, target)
-			if thrown != nil || err != nil {
-				return vm.Value{}, thrown, err
-			}
-			if rec := n.telem.Load(); rec != nil {
-				rec.ForObject(me.O, guid.ClassGUID(target), target).RecordLocal()
-			}
-			return env.CallGated(me.O, method, args)
-		}
-		if obj, ok := n.exports.Get(id); ok {
-			writer := n.isWriter(obj.ClassName(), method, len(args))
-			if rec := n.telem.Load(); rec != nil {
-				st := rec.ForObject(obj, id, target)
-				st.RecordLocal()
-				st.RecordEffect(writer)
-			}
-			res, thrown, callErr := env.CallGated(obj, method, args)
-			// A collapsed write on a replicated primary fans out before
-			// returning, like any dispatched write.  RunUnlocked releases
-			// this execution's locks while the barrier re-acquires the
-			// object's gate for its snapshot.
-			if callErr == nil && writer && n.replActive.Load() {
-				if _, replicated := n.replPrim.Load(id); replicated {
-					env.RunUnlocked(func() { n.replicaWriteBarrier(obj, id, envCtx(env)) })
-				}
-			}
-			return res, thrown, callErr
-		}
-		return vm.Value{}, remoteError(env, "%s.%s: stale self-reference %s", target, method, id), nil
-	}
-
-	req := &wire.Request{ID: n.nextReqID(), Method: method, Caller: n.callerEndpoint(proto)}
-	if fwd != nil {
-		// Same logical call, next physical delivery: copy the inbound
-		// token with the attempt ordinal bumped (the copy keeps the
-		// original request's token immutable for its own replay path).
-		t := *fwd
-		t.Attempt++
-		req.Token = &t
-	}
+// invokeRequest is the wire form of one call through a proxy resolved
+// to t, before send stamps it.
+func (n *Node) invokeRequest(classSide bool, t proxyTarget, method string, args []vm.Value) (*wire.Request, error) {
+	proto, _, _ := splitProto(t.endpoint)
+	req := &wire.Request{Op: wire.OpInvoke, GUID: t.id, Method: method, Caller: n.callerEndpoint(proto)}
 	if classSide {
-		req.Op = wire.OpInvokeClass
-		req.Class = target
-	} else {
-		req.Op = wire.OpInvoke
-		req.GUID = id
+		req.Op, req.GUID, req.Class = wire.OpInvokeClass, "", t.class
 	}
 	req.Args = make([]wire.Value, len(args))
 	for i, a := range args {
 		mv, err := n.marshalValue(a, proto)
 		if err != nil {
-			return vm.Value{}, remoteError(env, "marshal argument %d of %s.%s: %v", i+1, target, method, err), nil
+			return nil, fmt.Errorf("marshal argument %d of %s.%s: %v", i+1, t.class, method, err)
 		}
 		req.Args[i] = mv
 	}
+	return req, nil
+}
 
-	n.stats.remoteCallsOut.Add(1)
-	rec := n.telem.Load()
-	// Client span: parented to the server span that started this
-	// execution (env baggage) so the remote leg joins the inbound
-	// call's trace — or rooting a fresh trace for host-driven calls.
-	// The context rides the request, so the callee's server span (and
-	// any failover spans the pool emits en route) parent to this one.
-	sp := n.startSpan(envCtx(env), trace.KindClient, method, endpoint)
-	if sp != nil {
-		if routedRead {
-			sp.Note = "routed-read"
+// callLocal performs a call that reached obj on this node without
+// crossing the wire — a collapsed proxy call or a host CallOn — with
+// the bookkeeping a dispatched call gets.  It holds obj's invocation
+// gate (re-entrantly if the execution already does), so it keeps the
+// monitor semantics it would have had arriving over the wire.
+// Telemetry counts it as a local call — the steady-state path after an
+// adaptive migration lands an object next to its caller, so it stays
+// clock-free.  A write on a replicated primary fans out before
+// returning, like any dispatched write.
+func (n *Node) callLocal(env *vm.Env, obj *vm.Object, method string, args []vm.Value) (vm.Value, *vm.Thrown, error) {
+	writer := n.isWriter(obj.ClassName(), method, len(args))
+	if rec := n.telem.Load(); rec != nil {
+		st, _ := obj.Telemetry().(*telemetry.ObjStats)
+		if st == nil {
+			// First touch, e.g. a host call before any peer's: without a
+			// record here the placement engine would weigh the object's
+			// local usage as zero against the first burst of remote
+			// traffic.
+			st = rec.ForObject(obj, n.exports.Ensure(obj), baseClassOf(obj.ClassName()))
 		}
-		req.Trace = wireCtx(sp)
+		st.RecordLocal()
+		st.RecordEffect(writer)
 	}
-	// Deadline propagation: an execution started by a deadlined dispatch
-	// carries its remaining budget as env baggage (already charged for
-	// this node's queue and gate waits); stamp it on the outbound leg so
-	// the next hop's admission and gate checks spend from the same
-	// budget (docs/OBSERVABILITY.md).
-	req.DeadlineUs = env.DeadlineUs()
-	var start time.Time
-	if rec != nil {
-		start = time.Now()
-	}
-	resp, callErr := n.callRemote(env, endpoint, req)
-	if sp != nil {
-		// Dur from the span's own Start stamp — no second clock read on
-		// the traced path when telemetry is off.
-		sp.Dur = time.Now().UnixNano() - sp.Start
-		if callErr != nil {
-			sp.Err = callErr.Error()
-		} else if resp.Err != "" {
-			sp.Err = resp.Err
+	res, thrown, err := env.CallGated(obj, method, args)
+	// One atomic load when the node replicates nothing.  RunUnlocked
+	// releases this execution's gates while the barrier re-acquires the
+	// object's for its snapshot.
+	if err == nil && writer && n.replActive.Load() {
+		if id, ok := n.exports.GUIDOf(obj); ok {
+			if _, replicated := n.replPrim.Load(id); replicated {
+				env.RunUnlocked(func() { n.replicaWriteBarrier(obj, id, envCtx(env)) })
+			}
 		}
-		n.tracer.Emit(sp)
 	}
-	if callErr != nil {
-		return vm.Value{}, remoteError(env, "%s.%s at %s: %v", target, method, endpoint, callErr), nil
-	}
-	if rec != nil {
-		rec.RecordOutbound(target, endpoint,
-			telemetry.RequestSize(req)+telemetry.ResponseSize(resp), time.Since(start))
-	}
-	// The callee served through a forwarding proxy and told us where the
-	// object now lives: retarget our proxy so the next call goes to the
-	// new home directly (and, when the new home is this node, collapses
-	// to a local call).  SetFields writes the reference quadruple
-	// atomically; racing retargets both carry valid homes, last wins.
-	if r := resp.Redirect; r != nil && !classSide && !routedRead && r.GUID != "" && r.Endpoint != "" {
-		setProxyFields(recv.O, r.GUID, r.Endpoint, r.Proto, orString(r.Target, target))
-	}
-	if resp.Err != "" {
-		return vm.Value{}, remoteError(env, "%s.%s: %s", target, method, resp.Err), nil
-	}
-	if resp.ExClass != "" {
-		return vm.Value{}, n.rethrow(env, resp), nil
+	return res, thrown, err
+}
+
+// decodeResult turns a remote leg's outcome into the VM's: a transport
+// failure or an infrastructure error surfaces as sys.RemoteException, a
+// program exception is re-thrown here, and anything else is the
+// unmarshalled result.  class and method name the call in messages.
+func (n *Node) decodeResult(env *vm.Env, resp *wire.Response, err error, endpoint, class, method string) (vm.Value, *vm.Thrown, error) {
+	switch {
+	case err != nil:
+		return vm.Value{}, remoteError(env, "%s.%s at %s: %v", class, method, endpoint, err), nil
+	case resp.Err != "":
+		return vm.Value{}, remoteError(env, "%s.%s: %s", class, method, resp.Err), nil
+	case resp.ExClass != "":
+		// The exception class always exists locally (both nodes run the
+		// same transformed program); if it somehow does not, degrade to
+		// sys.RemoteException.
+		obj, err := env.New(resp.ExClass)
+		if err != nil {
+			return vm.Value{}, remoteError(env, "remote exception %s: %s", resp.ExClass, resp.ExMsg), nil
+		}
+		obj.Set("message", vm.StringV(resp.ExMsg))
+		return vm.Value{}, &vm.Thrown{Obj: obj}, nil
 	}
 	val, err := n.unmarshalValue(env, resp.Result)
 	if err != nil {
-		return vm.Value{}, remoteError(env, "unmarshal result of %s.%s: %v", target, method, err), nil
+		return vm.Value{}, remoteError(env, "unmarshal result of %s.%s: %v", class, method, err), nil
 	}
 	return val, nil, nil
-}
-
-// callRemote sends a request while the VM lock is released, so incoming
-// work (including callbacks from the callee) can execute meanwhile.
-// The call rides the pool shard its affinity key selects — the target
-// GUID, so one object's calls share one socket.
-//
-// Exactly-once regime (docs/CONCURRENCY.md §10): unless the request
-// already carries a token (a forwarded call reusing its inbound token)
-// the call is stamped with a fresh (caller, seq, attempt) token and rides
-// the pool's persistent failover retry — the callee's dedup window makes
-// a duplicate delivery replay the recorded response instead of executing
-// twice, so even OpCreate retries safely (a replayed create returns the
-// original GUID rather than stranding an orphan instance).
-func (n *Node) callRemote(env *vm.Env, endpoint string, req *wire.Request) (*wire.Response, error) {
-	if req.Token == nil {
-		defer n.issuer.Finish(n.issuer.Stamp(req))
-	}
-	var resp *wire.Response
-	var err error
-	env.RunUnlocked(func() {
-		resp, err = n.callEndpoint(endpoint, affinityKey(req), req)
-	})
-	return resp, err
-}
-
-// rethrow re-materialises a remote program exception locally.  The
-// exception class always exists locally (both nodes run the same
-// transformed program); if it somehow does not, degrade to
-// sys.RemoteException.
-func (n *Node) rethrow(env *vm.Env, resp *wire.Response) *vm.Thrown {
-	obj, err := env.New(resp.ExClass)
-	if err != nil {
-		return remoteError(env, "remote exception %s: %s", resp.ExClass, resp.ExMsg)
-	}
-	obj.Set("message", vm.StringV(resp.ExMsg))
-	return &vm.Thrown{Obj: obj}
 }

@@ -40,7 +40,6 @@ import (
 	"rafda/internal/transport"
 	"rafda/internal/verifier"
 	"rafda/internal/vm"
-	"rafda/internal/wire"
 )
 
 // Config configures a node.
@@ -501,29 +500,6 @@ func (n *Node) Close() error {
 	return firstErr
 }
 
-// callEndpoint performs one request against endpoint through the shared
-// connection pool, routed by affinity key ("" round-robins, with shard
-// failover).  Dispatch, proxy calls and migration all go through here;
-// gossip uses cache.Call (shard 0) instead, so its RTT samples always
-// measure one stable socket.
-func (n *Node) callEndpoint(endpoint, key string, req *wire.Request) (*wire.Response, error) {
-	return n.cache.CallKey(endpoint, key, req)
-}
-
-// affinityKey picks the pool affinity key for a request: the target
-// object's GUID when there is one (per-object calls stay on one shard,
-// preserving wire order per object), the class for statics-singleton
-// invocations, and "" (round-robin) otherwise.
-func affinityKey(req *wire.Request) string {
-	if req.GUID != "" {
-		return req.GUID
-	}
-	if req.Op == wire.OpInvokeClass {
-		return req.Class
-	}
-	return ""
-}
-
 // PoolShards returns the per-endpoint connection pool width.
 func (n *Node) PoolShards() int { return n.cache.Shards() }
 
@@ -572,21 +548,14 @@ func (n *Node) WriteStatic(class, field string, val vm.Value) error {
 // per policy), then call it — but holding the holder's invocation gate, as
 // the same call arriving over the wire would: host and wire callers of one
 // class's statics are one monitor.
-func (n *Node) callStatics(class, method string, args []vm.Value) (res vm.Value, err error) {
-	n.machine.Exec(func(env *vm.Env) {
-		holder, thrown, derr := n.discover(env, class)
-		if thrown == nil && derr == nil {
-			res, thrown, derr = env.CallGated(holder.O, method, args)
+func (n *Node) callStatics(class, method string, args []vm.Value) (vm.Value, error) {
+	return n.hostCall(func(env *vm.Env) (vm.Value, *vm.Thrown, error) {
+		holder, thrown, err := n.discover(env, class)
+		if thrown != nil || err != nil {
+			return vm.Value{}, thrown, err
 		}
-		if err = derr; err == nil && thrown != nil {
-			cls, msg := vm.ThrownMessage(thrown)
-			err = &vm.UncaughtError{Class: cls, Message: msg}
-		}
+		return env.CallGated(holder.O, method, args)
 	})
-	if err != nil {
-		return vm.Value{}, err
-	}
-	return res, nil
 }
 
 // CallOn invokes a method on an object reference previously obtained
@@ -594,62 +563,32 @@ func (n *Node) callStatics(class, method string, args []vm.Value) (res vm.Value,
 // invocation gate, so host-driven calls obey the same per-object
 // monitor discipline as inbound remote invocations: CallOn on different
 // objects runs in parallel, CallOn on one object serialises, and a
-// migration of the object cannot interleave with the call.
+// migration of the object cannot interleave with the call.  It is the
+// call a collapsed proxy makes (callLocal), entered from the host, so a
+// write on a replicated primary reaches every replica before CallOn
+// returns — the host's ack is an ack like any caller's.
 func (n *Node) CallOn(recv vm.Value, method string, args ...vm.Value) (vm.Value, error) {
 	if recv.K == 0 || recv.O == nil {
 		return vm.Value{}, fmt.Errorf("node %s: CallOn with nil receiver", n.name)
 	}
-	// Host-driven calls count as local affinity evidence.  The common
-	// case is one atomic slot load; when telemetry is on and the object
-	// has no stats record yet (host touched it before any peer did), the
-	// record is created here — otherwise every pre-remote host call is
-	// invisible and the placement engine weighs the object's local usage
-	// as zero against the first burst of remote traffic.
-	writer := n.isWriter(recv.O.ClassName(), method, len(args))
-	if s, ok := recv.O.Telemetry().(*telemetry.ObjStats); ok && s != nil {
-		s.RecordLocal()
-		s.RecordEffect(writer)
-	} else if rec := n.telem.Load(); rec != nil {
-		guid := n.exports.Ensure(recv.O)
-		st := rec.ForObject(recv.O, guid, baseClassOf(recv.O.ClassName()))
-		st.RecordLocal()
-		st.RecordEffect(writer)
-	}
-	var res vm.Value
-	var thrown *vm.Thrown
-	var err error
-	// A MigrationInterrupt means the target was migrated away while this
-	// call was parked in a nested remote call: the object is a proxy
-	// now, so the retried call transparently forwards to its new home.
-	for attempt := 0; ; attempt++ {
-		interrupted := n.machine.ExecOnCatching(recv.O, func(env *vm.Env) {
-			res, thrown, err = env.Call(recv.O.ClassName(), method, recv, args)
-		})
-		if !interrupted {
-			break
+	return n.hostCall(func(env *vm.Env) (vm.Value, *vm.Thrown, error) {
+		return n.callLocal(env, recv.O, method, args)
+	})
+}
+
+// hostCall runs one host-entered call in a fresh execution, reporting a
+// program exception that escapes it as *vm.UncaughtError.
+func (n *Node) hostCall(call func(env *vm.Env) (vm.Value, *vm.Thrown, error)) (res vm.Value, err error) {
+	n.machine.Exec(func(env *vm.Env) {
+		var thrown *vm.Thrown
+		res, thrown, err = call(env)
+		if err == nil && thrown != nil {
+			cls, msg := vm.ThrownMessage(thrown)
+			err = &vm.UncaughtError{Class: cls, Message: msg}
 		}
-		if attempt >= vm.MaxMigrationRetries {
-			return vm.Value{}, fmt.Errorf("node %s: CallOn %s abandoned: target migrated %d times mid-call",
-				n.name, method, attempt+1)
-		}
-	}
+	})
 	if err != nil {
 		return vm.Value{}, err
-	}
-	// A host-driven write on a replicated primary must reach every
-	// replica before CallOn returns — the host's ack is an ack like any
-	// caller's (docs/REPLICATION.md).  One atomic load when the node
-	// replicates nothing.
-	if writer && n.replActive.Load() {
-		if guid, ok := n.exports.GUIDOf(recv.O); ok {
-			// Host-driven: no inbound span to continue, so the barrier
-			// roots its own trace.
-			n.replicaWriteBarrier(recv.O, guid, trace.Ctx{})
-		}
-	}
-	if thrown != nil {
-		cls, msg := vm.ThrownMessage(thrown)
-		return vm.Value{}, &vm.UncaughtError{Class: cls, Message: msg}
 	}
 	return res, nil
 }

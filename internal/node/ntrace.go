@@ -21,9 +21,9 @@ func traceCtxOf(req *wire.Request) trace.Ctx {
 	return trace.Ctx{Trace: req.Trace.Trace, Span: req.Trace.Span}
 }
 
-// wireCtx renders a span's context for the request that continues it.
-func wireCtx(sp *trace.Span) wire.TraceContext {
-	return wire.TraceContext{Trace: sp.Trace, Span: sp.ID}
+// wireCtx renders a span context for the request that continues it.
+func wireCtx(ctx trace.Ctx) wire.TraceContext {
+	return wire.TraceContext{Trace: ctx.Trace, Span: ctx.Span}
 }
 
 // envCtx reads the span context the current execution was started

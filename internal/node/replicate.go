@@ -165,11 +165,11 @@ func (n *Node) Replicate(ref vm.Value, endpoints ...string) error {
 				continue
 			}
 			req := &wire.Request{
-				ID: n.nextReqID(), Op: wire.OpReplicaInstall, GUID: id, Class: base,
+				Op: wire.OpReplicaInstall, GUID: id, Class: base,
 				Endpoint: co.Self(), Epoch: firstEpoch, Fields: fvs,
 				Caller: n.callerEndpoint(proto),
 			}
-			resp, err := n.sendReplicaOp(ep, req)
+			resp, err := n.send(req, leg{endpoint: ep})
 			switch {
 			case err != nil:
 				failures = append(failures, fmt.Sprintf("%s: %v", ep, err))
@@ -194,14 +194,6 @@ func (n *Node) Replicate(ref vm.Value, endpoints ...string) error {
 		})
 	})
 	return retErr
-}
-
-// sendReplicaOp performs one replica-maintenance request, tokened so a
-// transport retry of an install or update is recognised by the receiver's
-// dedup window instead of executing twice.
-func (n *Node) sendReplicaOp(endpoint string, req *wire.Request) (*wire.Response, error) {
-	defer n.issuer.Finish(n.issuer.Stamp(req))
-	return n.callEndpoint(endpoint, req.GUID, req)
 }
 
 // replicaWriteBarrier propagates a completed write on a replicated
@@ -281,14 +273,9 @@ func (n *Node) replicaWriteBarrier(obj *vm.Object, id string, ctx trace.Ctx) uin
 	evicted := make(map[string]bool)
 	var wait time.Duration
 	for _, m := range members {
-		req := &wire.Request{
-			ID: n.nextReqID(), Op: wire.OpReplicaUpdate,
-			GUID: m.GUID, Fields: fvs, Epoch: epoch,
-		}
-		if sp != nil {
-			req.Trace = wireCtx(sp) // fan-out legs join the write's trace
-		}
-		resp, err := n.sendReplicaOp(m.Endpoint, req)
+		// Fan-out legs ride the barrier span, on the write's trace.
+		req := &wire.Request{Op: wire.OpReplicaUpdate, GUID: m.GUID, Fields: fvs, Epoch: epoch}
+		resp, err := n.send(req, leg{endpoint: m.Endpoint, parent: sp.Ctx()})
 		if err == nil && resp.Err == "" && resp.Epoch == epoch {
 			continue
 		}
@@ -351,8 +338,8 @@ func (n *Node) dropReplication(id string) {
 		co.DropReplicaSet(pr.guid)
 	}
 	for _, m := range members {
-		req := &wire.Request{ID: n.nextReqID(), Op: wire.OpReplicaDrop, GUID: m.GUID}
-		_, _ = n.sendReplicaOp(m.Endpoint, req) // best-effort; the tombstone converges anyway
+		req := &wire.Request{Op: wire.OpReplicaDrop, GUID: m.GUID}
+		_, _ = n.send(req, leg{endpoint: m.Endpoint}) // best-effort; the tombstone converges anyway
 	}
 }
 
@@ -405,39 +392,30 @@ func (n *Node) serveAtReplica(cc *intercept.CallCtx, obj *vm.Object, rc *replica
 }
 
 // forwardToPrimary relays one replica-refused invocation to the set's
-// primary and tells the caller to go there directly next time.
+// primary and tells the caller to go there directly next time.  The
+// forward is the caller's logical call continued through this hop: its
+// token (attempt bumped), its priority and its remaining budget
+// (admission already charged the slot wait) travel on, and the forward
+// span parents to the caller's client span — or, untraced here, the
+// caller's context passes straight through — so the primary's server
+// span stays on the caller's trace.
 func (n *Node) forwardToPrimary(req *wire.Request, rc *replicaCopy) *wire.Response {
-	fwd := &wire.Request{
-		ID: n.nextReqID(), Op: wire.OpInvoke, GUID: rc.primaryGUID,
-		Method: req.Method, Args: req.Args, Caller: req.Caller,
-	}
-	if req.Token != nil {
-		t := *req.Token
-		t.Attempt++
-		fwd.Token = &t
-	}
-	// The forward leg continues the caller's trace through this hop: the
-	// forward span parents to the caller's client span, and the primary's
-	// server span parents to the forward span.
-	sp := n.startSpan(traceCtxOf(req), trace.KindReplicaRead, "forward-primary", rc.primaryGUID)
-	if sp != nil {
-		fwd.Trace = wireCtx(sp)
-	} else {
-		fwd.Trace = req.Trace
-	}
+	fwd := &wire.Request{Op: wire.OpInvoke, GUID: rc.primaryGUID, Method: req.Method, Args: req.Args, Caller: req.Caller}
+	resp, err := n.send(fwd, leg{
+		endpoint: rc.primaryEndpoint, parent: traceCtxOf(req),
+		kind: trace.KindReplicaRead, name: "forward-primary", target: rc.primaryGUID,
+		deadline: req.DeadlineUs, fwd: req,
+	})
 	redirect := &wire.RemoteRef{
 		GUID: rc.primaryGUID, Endpoint: rc.primaryEndpoint,
 		Proto: rc.primaryProto, Target: rc.class,
 	}
-	resp, err := n.callEndpoint(rc.primaryEndpoint, rc.primaryGUID, fwd)
 	if err != nil {
-		n.finishSpan(sp, err.Error())
 		out := wire.Errorf(req, "node %s: replica %s cannot reach primary %s: %v",
 			n.name, req.GUID, rc.primaryEndpoint, err)
 		out.Redirect = redirect
 		return out
 	}
-	n.finishSpan(sp, resp.Err)
 	out := *resp
 	out.ID = req.ID
 	out.Redirect = redirect
@@ -634,11 +612,6 @@ func (n *Node) demoteReplica(id string) {
 		if isProxyObject(obj) {
 			return // already morphed (e.g. a racing migration)
 		}
-		_ = n.machine.Morph(obj, transform.OProxy(pr.class, proto), map[string]vm.Value{
-			transform.ProxyFieldGUID:     vm.StringV(id),
-			transform.ProxyFieldEndpoint: vm.StringV(set.Primary),
-			transform.ProxyFieldProto:    vm.StringV(proto),
-			transform.ProxyFieldTarget:   vm.StringV(pr.class),
-		})
+		_ = n.machine.Morph(obj, transform.OProxy(pr.class, proto), proxyFields(id, set.Primary, proto, pr.class))
 	})
 }

@@ -119,8 +119,14 @@ type Span struct {
 	Err    string `json:"err,omitempty"`
 }
 
-// Ctx returns the context for children of this span.
-func (s *Span) Ctx() Ctx { return Ctx{Trace: s.Trace, Span: s.ID} }
+// Ctx returns the context for children of this span; zero for a nil
+// span, which is what an untraced caller holds.
+func (s *Span) Ctx() Ctx {
+	if s == nil {
+		return Ctx{}
+	}
+	return Ctx{Trace: s.Trace, Span: s.ID}
+}
 
 // Recorder is the bounded flight recorder: a power-of-two ring of
 // atomically published spans plus per-kind latency histograms.  Memory

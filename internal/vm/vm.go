@@ -118,12 +118,12 @@ type Env struct {
 	gates []gateRef // invocation gates held, in acquisition order
 
 	// forward is one-shot baggage for the node runtime: when an inbound
-	// tokened invocation's target turns out to be a forwarding proxy,
-	// the dispatcher deposits the inbound call token here and the proxy
-	// native consumes it, so the forwarded request reuses the original
-	// token — the new home recognises a retry of work the old home
-	// already completed (docs/CONCURRENCY.md §8).  Typed any to keep the
-	// vm layer free of wire types.
+	// invocation's target turns out to be a forwarding proxy, the
+	// dispatcher deposits the inbound request here and the proxy native
+	// consumes it, so the forwarded request continues the original call
+	// (its token, its priority) — the new home recognises a retry of
+	// work the old home already completed (docs/CONCURRENCY.md §8).
+	// Typed any to keep the vm layer free of wire types.
 	forward any
 
 	// traceID/spanID are the causal span context of this execution: the
