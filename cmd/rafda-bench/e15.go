@@ -37,8 +37,8 @@ import (
 	"time"
 
 	"rafda"
+	"rafda/internal/metrics"
 	"rafda/internal/netsim"
-	"rafda/internal/telemetry"
 	"rafda/internal/transport"
 	"rafda/internal/wire"
 )
@@ -99,8 +99,12 @@ type E15Tenant struct {
 
 // E15Overload is one server node's overload counters after the run.
 type E15Overload struct {
-	Node string `json:"node"`
-	telemetry.OverloadSample
+	Node              string `json:"node"`
+	AdmissionRejects  int64  `json:"admission_rejects"`
+	DeadlineExpiries  int64  `json:"deadline_expiries"`
+	OutboxStalls      int64  `json:"outbox_stalls"`
+	Inflight          int64  `json:"inflight"`
+	InflightHighWater int64  `json:"inflight_high_water"`
 }
 
 // E15Report is the top-level BENCH_E15.json document.
@@ -467,17 +471,24 @@ func e15Main(p profile, report *E15Report) error {
 		name string
 		n    *rafda.Node
 	}{{"srv-a", nodeA}, {"srv-b", nodeB}} {
-		out, err := sv.n.IntrospectJSON("metrics", "")
+		rows, err := metricRows(sv.n)
 		if err != nil {
-			return err
-		}
-		var in struct {
-			Overload telemetry.OverloadSample `json:"overload"`
-		}
-		if err := json.Unmarshal([]byte(out), &in); err != nil {
 			return fmt.Errorf("%s introspection: %w", sv.name, err)
 		}
-		report.Overload = append(report.Overload, E15Overload{Node: sv.name, OverloadSample: in.Overload})
+		ov := E15Overload{Node: sv.name}
+		for _, r := range rows {
+			switch r.Name {
+			case "overload.admission_rejects":
+				ov.AdmissionRejects = r.Value
+			case "overload.deadline_expiries":
+				ov.DeadlineExpiries = r.Value
+			case "overload.outbox_stalls":
+				ov.OutboxStalls = r.Value
+			case "overload.inflight":
+				ov.Inflight, ov.InflightHighWater = r.Value, r.High
+			}
+		}
+		report.Overload = append(report.Overload, ov)
 	}
 
 	fmt.Printf("open-loop %.0f calls/s, %d objects (Zipf s=%.2f, %d on the churn shard), %d tenants, "+
@@ -508,4 +519,18 @@ func e15Main(p profile, report *E15Report) error {
 	fmt.Printf("  worst tenant p99 %.2fms, clean error rate %.4f (bound %.4f): slo_ok = %.0f\n",
 		report.WorstTenantP99Ms, report.CleanErrorRate, e15MaxErr, report.SloOK)
 	return nil
+}
+
+// metricRows reads a node's metrics registry out of the same
+// introspection snapshot rafdac top and /debug/rafda render.
+func metricRows(n *rafda.Node) ([]metrics.Row, error) {
+	out, err := n.IntrospectJSON("metrics", "")
+	if err != nil {
+		return nil, err
+	}
+	var in struct {
+		Metrics []metrics.Row `json:"metrics"`
+	}
+	err = json.Unmarshal([]byte(out), &in)
+	return in.Metrics, err
 }

@@ -30,7 +30,6 @@ package main
 // marker every shedding interceptor prefixes.
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -40,7 +39,6 @@ import (
 	"time"
 
 	"rafda"
-	"rafda/internal/telemetry"
 	"rafda/internal/transport"
 	"rafda/internal/wire"
 )
@@ -257,21 +255,22 @@ func e15Shed(p profile, report *E15Report) error {
 	}
 	callWG.Wait()
 
-	// Server-side truth: the overload counters and the per-class/
-	// per-tenant shed tables out of the introspection snapshot.
-	out, err := srv.IntrospectJSON("metrics", "")
+	// Server-side truth: the shed rows of the introspection snapshot.  A
+	// policy's total is the sum of its rows (per class, per tenant).
+	rows, err := metricRows(srv)
 	if err != nil {
-		return err
-	}
-	var in struct {
-		Overload telemetry.OverloadSample `json:"overload"`
-	}
-	if err := json.Unmarshal([]byte(out), &in); err != nil {
 		return fmt.Errorf("shed-srv introspection: %w", err)
 	}
-	arm.ShedPriority = in.Overload.ShedPriority
-	arm.ShedFairShare = in.Overload.ShedFairShare
-	arm.ShedCoDel = in.Overload.ShedCoDel
+	for _, r := range rows {
+		switch r.Name {
+		case "shed.priority":
+			arm.ShedPriority += uint64(r.Value)
+		case "shed.fairshare":
+			arm.ShedFairShare += uint64(r.Value)
+		case "shed.codel":
+			arm.ShedCoDel += uint64(r.Value)
+		}
+	}
 	sample := srv.ShedStats()
 	arm.ByPriority = sample.ByPriority
 	arm.ByTenant = sample.ByTenant

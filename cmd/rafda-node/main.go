@@ -65,12 +65,13 @@ func main() {
 
 func run() error {
 	var serves, places, joins multiFlag
+	cfg := rafda.NodeConfig{Output: os.Stdout}
 	archive := flag.String("archive", "", "transformed program archive (.rar)")
-	name := flag.String("name", "node", "node name (appears in GUIDs)")
+	flag.StringVar(&cfg.Name, "name", "node", "node name (appears in GUIDs)")
 	mainClass := flag.String("main", "", "entry class to run after start (empty: serve only)")
 	flag.Var(&serves, "serve", "endpoint to serve, proto://host:port (repeatable)")
 	flag.Var(&places, "place", "placement rule Class=endpoint or Class=local (repeatable)")
-	poolSize := flag.Int("pool", 0, "connections pooled per peer endpoint (0: GOMAXPROCS, capped at 8; 1: single socket)")
+	flag.IntVar(&cfg.PoolSize, "pool", 0, "connections pooled per peer endpoint (0: GOMAXPROCS, capped at 8; 1: single socket)")
 	adaptOn := flag.Bool("adapt", false, "run the adaptive placement engine (docs/ADAPTIVE.md)")
 	adaptWindow := flag.Duration("adapt-window", 250*time.Millisecond, "adaptive engine evaluation window")
 	clusterOn := flag.Bool("cluster", false, "join the cluster coordination plane (docs/CLUSTER.md); implied by -join")
@@ -79,14 +80,14 @@ func run() error {
 	clusterFanout := flag.Int("cluster-fanout", 2, "peers gossiped to per round")
 	clusterPropose := flag.Bool("cluster-propose", false, "propose multi-hop migrations from gossiped affinity evidence")
 	pprofAddr := flag.String("pprof", "", "debug HTTP address serving net/http/pprof and /debug/rafda (empty: off)")
-	traceSpans := flag.Int("trace-spans", 0, "flight recorder ring capacity (0: default 4096)")
-	noTrace := flag.Bool("no-trace", false, "disable the distributed-tracing plane (docs/OBSERVABILITY.md)")
-	maxInflight := flag.Int("max-inflight", 0, "per-connection dispatch concurrency bound; with per-call deadlines this is the overload-control knob (0: default 256)")
-	dedupWindow := flag.Int("dedup-window", 0, "per-caller replay cache entries for the exactly-once plane (0: default 1024)")
-	shedPriorityAt := flag.Int("shed-priority-at", 0, "inflight depth where priority-class-0 requests are shed; class p survives to depth<<p (0: off; docs/INTERCEPT.md)")
-	shedFairShareAt := flag.Int("shed-fairshare-at", 0, "inflight depth where tenants over their 1/active fair share are shed (0: off)")
-	codelTarget := flag.Duration("codel-target", 0, "CoDel target for measured dispatch-slot wait (0: off)")
-	codelInterval := flag.Duration("codel-interval", 0, "CoDel sliding window (0: default 100ms)")
+	flag.IntVar(&cfg.Tracing.Spans, "trace-spans", 0, "flight recorder ring capacity (0: default 4096)")
+	flag.BoolVar(&cfg.Tracing.Disable, "no-trace", false, "disable the distributed-tracing plane (docs/OBSERVABILITY.md)")
+	flag.IntVar(&cfg.Limits.MaxInflight, "max-inflight", 0, "per-connection dispatch concurrency bound; with per-call deadlines this is the overload-control knob (0: default 256)")
+	flag.IntVar(&cfg.Limits.DedupWindow, "dedup-window", 0, "per-caller replay cache entries for the exactly-once plane (0: default 1024)")
+	flag.IntVar(&cfg.Shed.PriorityAt, "shed-priority-at", 0, "inflight depth where priority-class-0 requests are shed; class p survives to depth<<p (0: off; docs/INTERCEPT.md)")
+	flag.IntVar(&cfg.Shed.FairShareAt, "shed-fairshare-at", 0, "inflight depth where tenants over their 1/active fair share are shed (0: off)")
+	flag.DurationVar(&cfg.Shed.CoDelTarget, "codel-target", 0, "CoDel target for measured dispatch-slot wait (0: off)")
+	flag.DurationVar(&cfg.Shed.CoDelInterval, "codel-interval", 0, "CoDel sliding window (0: default 100ms)")
 	flag.Parse()
 
 	if *archive == "" {
@@ -112,17 +113,7 @@ func run() error {
 		return err
 	}
 
-	node, err := tr.NewNode(rafda.NodeConfig{
-		Name: *name, Output: os.Stdout, PoolSize: *poolSize,
-		Limits:  rafda.LimitsConfig{MaxInflight: *maxInflight, DedupWindow: *dedupWindow},
-		Tracing: rafda.TracingConfig{Spans: *traceSpans, Disable: *noTrace},
-		Shed: rafda.ShedConfig{
-			PriorityAt:    *shedPriorityAt,
-			FairShareAt:   *shedFairShareAt,
-			CoDelTarget:   *codelTarget,
-			CoDelInterval: *codelInterval,
-		},
-	})
+	node, err := tr.NewNode(cfg)
 	if err != nil {
 		return err
 	}

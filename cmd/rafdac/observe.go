@@ -4,11 +4,16 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
+	"os"
 	"sort"
 	"strings"
 	"time"
 
 	"rafda"
+	"rafda/internal/metrics"
+	"rafda/internal/node"
+	"rafda/internal/trace"
 )
 
 type multiFlag []string
@@ -24,82 +29,7 @@ func (m *multiFlag) Set(v string) error {
 // "rafdac top" pull nodes' flight recorders and unified metrics over
 // the effect-free wire.OpIntrospect op and render them — a trace as a
 // causally-ordered span tree assembled across every queried node, top
-// as per-node latency digests.
-
-// span mirrors internal/trace.Span's JSON shape.
-type span struct {
-	Trace  uint64 `json:"trace"`
-	ID     uint64 `json:"id"`
-	Parent uint64 `json:"parent"`
-	Node   string `json:"node"`
-	Kind   string `json:"kind"`
-	Name   string `json:"name"`
-	Target string `json:"target"`
-	Start  int64  `json:"start"`
-	Queue  int64  `json:"queue"`
-	Dur    int64  `json:"dur"`
-	Note   string `json:"note"`
-	Err    string `json:"err"`
-}
-
-// keyRow mirrors internal/trace.KeyStat's JSON shape: one row of a
-// keyed (per-op or per-tenant) latency digest.
-type keyRow struct {
-	Key    string  `json:"key"`
-	Count  uint64  `json:"count"`
-	P50us  float64 `json:"p50_us"`
-	P99us  float64 `json:"p99_us"`
-	P999us float64 `json:"p999_us"`
-	MaxUs  float64 `json:"max_us"`
-}
-
-// metrics mirrors the slice of internal/node.Introspection that top
-// renders.
-type metrics struct {
-	Node     string `json:"node"`
-	Exports  int    `json:"exports"`
-	Activity struct {
-		RemoteCallsOut uint64
-		RemoteCallsIn  uint64
-		Creates        uint64
-		MigrationsOut  uint64
-		MigrationsIn   uint64
-	} `json:"activity"`
-	Dedup struct {
-		ReplayHits    uint64 `json:"replay_hits"`
-		Parked        uint64 `json:"parked_duplicates"`
-		StaleRejected uint64 `json:"stale_rejected"`
-	} `json:"dedup"`
-	Overload struct {
-		AdmissionRejects  uint64 `json:"admission_rejects"`
-		DeadlineExpiries  uint64 `json:"deadline_expiries"`
-		OutboxStalls      uint64 `json:"outbox_stalls"`
-		Inflight          int64  `json:"inflight"`
-		InflightHighWater int64  `json:"inflight_high_water"`
-		ShedPriority      uint64 `json:"shed_priority"`
-		ShedFairShare     uint64 `json:"shed_fairshare"`
-		ShedCoDel         uint64 `json:"shed_codel"`
-	} `json:"overload"`
-	Shed *struct {
-		ByPriority map[string]uint64 `json:"by_priority"`
-		ByTenant   map[string]uint64 `json:"by_tenant"`
-	} `json:"shed"`
-	Trace *struct {
-		Spans    int    `json:"spans"`
-		Capacity int    `json:"capacity"`
-		Emitted  uint64 `json:"emitted"`
-		Kinds    []struct {
-			Kind   string  `json:"kind"`
-			Count  uint64  `json:"count"`
-			P50us  float64 `json:"p50_us"`
-			P99us  float64 `json:"p99_us"`
-			P999us float64 `json:"p999_us"`
-			MaxUs  float64 `json:"max_us"`
-		} `json:"kinds"`
-		Ops     []keyRow `json:"ops"`
-		Tenants []keyRow `json:"tenants"`
-	} `json:"trace"`
-}
+// as every row of each node's metrics registry.
 
 // cmdTrace assembles and prints one distributed call trace: every
 // -node is asked for its spans of the given hex trace id, and the
@@ -118,13 +48,13 @@ func cmdTrace(args []string) error {
 		return fmt.Errorf("usage: rafdac trace -node ep [-node ep...] <hex-trace-id>")
 	}
 	id := fs.Arg(0)
-	var spans []span
+	var spans []trace.Span
 	for _, ep := range nodes {
 		out, err := rafda.IntrospectEndpoint(ep, "trace", id)
 		if err != nil {
 			return err
 		}
-		var part []span
+		var part []trace.Span
 		if err := json.Unmarshal([]byte(out), &part); err != nil {
 			return fmt.Errorf("%s: bad trace payload: %w", ep, err)
 		}
@@ -141,14 +71,14 @@ func cmdTrace(args []string) error {
 // printTree renders spans as an indented causal tree.  A span whose
 // parent is unknown (rolled out of some ring) prints as a root marked
 // detached, so partial traces stay readable.
-func printTree(id string, spans []span) {
+func printTree(id string, spans []trace.Span) {
 	sort.Slice(spans, func(i, j int) bool { return spans[i].Start < spans[j].Start })
 	known := make(map[uint64]bool, len(spans))
 	for _, s := range spans {
 		known[s.ID] = true
 	}
-	children := make(map[uint64][]span)
-	var roots []span
+	children := make(map[uint64][]trace.Span)
+	var roots []trace.Span
 	for _, s := range spans {
 		if s.Parent != 0 && known[s.Parent] {
 			children[s.Parent] = append(children[s.Parent], s)
@@ -161,8 +91,8 @@ func printTree(id string, spans []span) {
 		nodes[s.Node] = true
 	}
 	fmt.Printf("trace %s: %d span(s) across %d node(s)\n", id, len(spans), len(nodes))
-	var walk func(s span, depth int)
-	walk = func(s span, depth int) {
+	var walk func(s trace.Span, depth int)
+	walk = func(s trace.Span, depth int) {
 		for i := 0; i < depth; i++ {
 			fmt.Print("  ")
 		}
@@ -195,11 +125,12 @@ func printTree(id string, spans []span) {
 	}
 }
 
-// cmdTop prints each node's unified metrics snapshot: activity, dedup
-// and overload counters plus the flight recorder's per-kind, per-op and
-// per-tenant latency digests.  With -watch it re-polls at the given
-// interval and redraws in place, so an operator can watch the overload
-// counters and tail percentiles move under load.
+// cmdTop prints each node's unified metrics snapshot: every instrument
+// of its registry — activity, dedup, overload and shed counters and
+// gauges, then the per-kind, per-op and per-tenant latency digests.
+// With -watch it re-polls at the given interval and redraws in place,
+// so an operator can watch the overload counters and tail percentiles
+// move under load.
 func cmdTop(args []string) error {
 	fs := flag.NewFlagSet("top", flag.ContinueOnError)
 	var nodes multiFlag
@@ -212,93 +143,56 @@ func cmdTop(args []string) error {
 		return fmt.Errorf("top needs at least one -node endpoint")
 	}
 	if *watch <= 0 {
-		return topOnce(nodes)
+		return topOnce(os.Stdout, nodes)
 	}
 	for {
 		// Clear screen and home the cursor before each frame so the
 		// display updates in place rather than scrolling.
 		fmt.Print("\x1b[2J\x1b[H")
 		fmt.Printf("rafdac top  every %v  %s\n\n", *watch, time.Now().Format("15:04:05"))
-		if err := topOnce(nodes); err != nil {
+		if err := topOnce(os.Stdout, nodes); err != nil {
 			return err
 		}
 		time.Sleep(*watch)
 	}
 }
 
-// topOnce polls every node and prints one frame.
-func topOnce(nodes []string) error {
+// topOnce polls every node and writes one frame to w.  Rows render by
+// kind alone, so an instrument a plane adds shows up here unchanged.
+func topOnce(w io.Writer, nodes []string) error {
 	for _, ep := range nodes {
 		out, err := rafda.IntrospectEndpoint(ep, "metrics", "")
 		if err != nil {
 			return err
 		}
-		var m metrics
-		if err := json.Unmarshal([]byte(out), &m); err != nil {
+		var in node.Introspection
+		if err := json.Unmarshal([]byte(out), &in); err != nil {
 			return fmt.Errorf("%s: bad metrics payload: %w", ep, err)
 		}
-		fmt.Printf("%s (%s)\n", m.Node, ep)
-		fmt.Printf("  calls in %d  out %d  creates %d  migrations out %d in %d  exports %d\n",
-			m.Activity.RemoteCallsIn, m.Activity.RemoteCallsOut, m.Activity.Creates,
-			m.Activity.MigrationsOut, m.Activity.MigrationsIn, m.Exports)
-		fmt.Printf("  dedup replay %d  parked %d  stale %d\n",
-			m.Dedup.ReplayHits, m.Dedup.Parked, m.Dedup.StaleRejected)
-		ov := m.Overload
-		fmt.Printf("  overload rejects %d  expiries %d  outbox stalls %d  inflight %d (hw %d)\n",
-			ov.AdmissionRejects, ov.DeadlineExpiries, ov.OutboxStalls,
-			ov.Inflight, ov.InflightHighWater)
-		if ov.ShedPriority+ov.ShedFairShare+ov.ShedCoDel > 0 {
-			fmt.Printf("  shed priority %d  fair-share %d  codel %d\n",
-				ov.ShedPriority, ov.ShedFairShare, ov.ShedCoDel)
+		fmt.Fprintf(w, "%s (%s)  exports %d\n", in.Node, ep, in.Exports)
+		if in.Trace == nil {
+			fmt.Fprintln(w, "  tracing disabled")
+		} else {
+			fmt.Fprintf(w, "  recorder %d/%d spans (%d emitted)\n", in.Trace.Spans, in.Trace.Capacity, in.Trace.Emitted)
 		}
-		if m.Shed != nil {
-			printShed("shed class", m.Shed.ByPriority)
-			printShed("shed tenant", m.Shed.ByTenant)
-		}
-		if m.Trace == nil {
-			fmt.Println("  tracing disabled")
-			continue
-		}
-		fmt.Printf("  recorder %d/%d spans (%d emitted)\n", m.Trace.Spans, m.Trace.Capacity, m.Trace.Emitted)
-		if len(m.Trace.Kinds) > 0 {
-			fmt.Printf("  %-13s %9s %10s %10s %10s %10s\n", "kind", "count", "p50", "p99", "p999", "max")
-			for _, k := range m.Trace.Kinds {
-				fmt.Printf("  %-13s %9d %9.1fµs %9.1fµs %9.1fµs %9.1fµs\n",
-					k.Kind, k.Count, k.P50us, k.P99us, k.P999us, k.MaxUs)
+		var hists []metrics.Row
+		for _, r := range in.Metrics {
+			switch r.Kind {
+			case "hist":
+				hists = append(hists, r)
+			case "gauge":
+				fmt.Fprintf(w, "  %-26s %-22s %9d  (high %d)\n", r.Name, r.Key, r.Value, r.High)
+			default:
+				fmt.Fprintf(w, "  %-26s %-22s %9d\n", r.Name, r.Key, r.Value)
 			}
 		}
-		printKeyed("op", m.Trace.Ops)
-		printKeyed("tenant", m.Trace.Tenants)
+		if len(hists) > 0 {
+			fmt.Fprintf(w, "  %-26s %-22s %9s %10s %10s %10s %10s\n", "latency", "key", "count", "p50", "p99", "p999", "max")
+		}
+		for _, r := range hists {
+			fmt.Fprintf(w, "  %-26s %-22s %9d %8.1fµs %8.1fµs %8.1fµs %8.1fµs\n",
+				r.Name, r.Key, r.Value, r.P50us, r.P99us, r.P999us, r.MaxUs)
+		}
 	}
 	return nil
-}
-
-// printShed renders one shed-refusal table (per priority class or per
-// tenant), keys sorted, largest tables still one line per key.
-func printShed(axis string, rows map[string]uint64) {
-	if len(rows) == 0 {
-		return
-	}
-	keys := make([]string, 0, len(rows))
-	for k := range rows {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	fmt.Printf("  %-13s %9s\n", axis, "shed")
-	for _, k := range keys {
-		fmt.Printf("  %-13s %9d\n", k, rows[k])
-	}
-}
-
-// printKeyed renders one keyed digest (per-op or per-tenant) in the
-// same column layout as the per-kind table.
-func printKeyed(axis string, rows []keyRow) {
-	if len(rows) == 0 {
-		return
-	}
-	fmt.Printf("  %-13s %9s %10s %10s %10s %10s\n", axis, "count", "p50", "p99", "p999", "max")
-	for _, r := range rows {
-		fmt.Printf("  %-13s %9d %9.1fµs %9.1fµs %9.1fµs %9.1fµs\n",
-			r.Key, r.Count, r.P50us, r.P99us, r.P999us, r.MaxUs)
-	}
 }

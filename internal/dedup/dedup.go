@@ -43,7 +43,7 @@ package dedup
 import (
 	"sync"
 
-	"rafda/internal/telemetry"
+	"rafda/internal/metrics"
 	"rafda/internal/wire"
 )
 
@@ -123,26 +123,48 @@ func (i *Issuer) Ack() uint64 {
 }
 
 // Table is one node's dedup state: a window per caller incarnation.
+//
+// Its instruments always record: they are the E12 chaos experiment's
+// pass/fail evidence and the operator's only view of suppression
+// working.  replayHits counts duplicates answered from the replay
+// cache; parked those that waited for an in-flight first attempt;
+// staleRejected duplicates of retired calls, refused and never
+// re-executed; retired entries dropped by ack watermark or cache
+// eviction; adopted entries seeded from migration snapshots.  entries
+// is the live completed-entry gauge across all windows, windows the
+// live per-caller window gauge.
 type Table struct {
-	cap   int
-	stats *telemetry.DedupStats
+	cap int
+
+	replayHits, parked, staleRejected, retired, adopted *metrics.Counter
+	entries, windowCount                                *metrics.Gauge
 
 	mu      sync.Mutex
 	windows map[string]*Window
 }
 
 // NewTable builds a table whose windows retain up to cap completed
-// entries each (cap <= 0 takes DefaultWindow).
-func NewTable(cap int) *Table {
+// entries each (cap <= 0 takes DefaultWindow), counting into
+// unregistered instruments.
+func NewTable(cap int) *Table { return NewTableIn(nil, cap) }
+
+// NewTableIn is NewTable counting into reg's "dedup.*" instruments.
+func NewTableIn(reg *metrics.Registry, cap int) *Table {
 	if cap <= 0 {
 		cap = DefaultWindow
 	}
-	return &Table{cap: cap, stats: &telemetry.DedupStats{}, windows: make(map[string]*Window)}
+	return &Table{
+		cap:           cap,
+		replayHits:    reg.Counter("dedup.replay_hits"),
+		parked:        reg.Counter("dedup.parked"),
+		staleRejected: reg.Counter("dedup.stale_rejected"),
+		retired:       reg.Counter("dedup.retired"),
+		adopted:       reg.Counter("dedup.adopted"),
+		entries:       reg.Gauge("dedup.entries"),
+		windowCount:   reg.Gauge("dedup.windows"),
+		windows:       make(map[string]*Window),
+	}
 }
-
-// Stats returns the table's live counters (always recording; attach to
-// a telemetry.Recorder to expose them through the metrics plane).
-func (t *Table) Stats() *telemetry.DedupStats { return t.stats }
 
 // Cap returns the per-caller completed-entry bound.
 func (t *Table) Cap() int { return t.cap }
@@ -155,7 +177,7 @@ func (t *Table) window(caller string) *Window {
 	if !ok {
 		w = &Window{table: t, entries: make(map[entryKey]*Entry)}
 		t.windows[caller] = w
-		t.stats.Windows.Add(1)
+		t.windowCount.Add(1)
 	}
 	return w
 }
@@ -266,17 +288,17 @@ func (t *Table) BeginObserved(tok *wire.CallToken, target string) (_ *Entry, _ V
 		inFlight := e.resp == nil
 		w.mu.Unlock()
 		if inFlight {
-			t.stats.Parked.Add(1)
+			t.parked.Inc()
 			<-e.done // first attempt completes and records its response
 		} else {
-			t.stats.ReplayHits.Add(1)
+			t.replayHits.Inc()
 		}
 		return e, Replay, inFlight
 	}
 	_, evicted := w.evicted[entryKey{tok.Seq, target}]
 	if evicted || tok.Seq <= w.retired {
 		w.mu.Unlock()
-		t.stats.StaleRejected.Add(1)
+		t.staleRejected.Inc()
 		return nil, Stale, false
 	}
 	e := &Entry{seq: tok.Seq, target: target, done: make(chan struct{})}
@@ -296,7 +318,7 @@ func (t *Table) Complete(caller string, e *Entry, resp *wire.Response) {
 	// this completion; only count it if it is still ours.
 	if w.entries[entryKey{e.seq, e.target}] == e {
 		w.completed++
-		t.stats.NoteEntries(1)
+		t.entries.Add(1)
 		w.evictOverCap()
 	}
 	w.mu.Unlock()
@@ -323,8 +345,8 @@ func (w *Window) retire(ack uint64) {
 		if k.seq <= ack && e.resp != nil {
 			delete(w.entries, k)
 			w.completed--
-			w.table.stats.NoteEntries(-1)
-			w.table.stats.Retired.Add(1)
+			w.table.entries.Add(-1)
+			w.table.retired.Inc()
 		}
 	}
 	w.retired = ack
@@ -390,8 +412,8 @@ func (w *Window) evictOverCap() {
 				w.dropTombstones()
 			}
 		}
-		w.table.stats.NoteEntries(-1)
-		w.table.stats.Retired.Add(1)
+		w.table.entries.Add(-1)
+		w.table.retired.Inc()
 	}
 }
 
@@ -424,7 +446,7 @@ func (t *Table) ExtractFor(target string) []wire.DedupEntry {
 			out = append(out, wire.DedupEntry{Caller: r.caller, Seq: k.seq, Resp: *e.resp})
 			delete(r.w.entries, k)
 			r.w.completed--
-			t.stats.NoteEntries(-1)
+			t.entries.Add(-1)
 		}
 		r.w.mu.Unlock()
 	}
@@ -454,8 +476,8 @@ func (t *Table) Adopt(target string, entries []wire.DedupEntry) {
 		close(e.done)
 		w.entries[entryKey{in.Seq, target}] = e
 		w.completed++
-		t.stats.NoteEntries(1)
-		t.stats.Adopted.Add(1)
+		t.entries.Add(1)
+		t.adopted.Inc()
 		w.evictOverCap()
 		w.mu.Unlock()
 	}

@@ -71,9 +71,8 @@ func TestTableExecuteReplayStale(t *testing.T) {
 	if _, v := tab.Begin(tok("c", 1, 1), "g1"); v != Stale {
 		t.Fatalf("retired duplicate verdict %v want Stale", v)
 	}
-	s := tab.Stats().Snapshot()
-	if s.ReplayHits != 1 || s.StaleRejected != 1 || s.Retired != 1 {
-		t.Fatalf("stats %+v", s)
+	if tab.replayHits.Load() != 1 || tab.staleRejected.Load() != 1 || tab.retired.Load() != 1 {
+		t.Fatalf("replay %d stale %d retired %d", tab.replayHits.Load(), tab.staleRejected.Load(), tab.retired.Load())
 	}
 }
 
@@ -95,14 +94,14 @@ func TestDuplicateWhileInFlightParks(t *testing.T) {
 	// Wait until the duplicate is actually parked (the counter bumps
 	// before the wait), then complete the first attempt: the duplicate
 	// must resume with the recorded response.
-	for tab.Stats().Parked.Load() == 0 {
+	for tab.parked.Load() == 0 {
 		runtime.Gosched()
 	}
 	tab.Complete("c", e, &wire.Response{ID: 1, Result: wire.Value{Kind: wire.KInt, Int: 7}})
 	if r := <-got; r != 7 {
 		t.Fatalf("parked duplicate got %d want 7", r)
 	}
-	if p := tab.Stats().Parked.Load(); p != 1 {
+	if p := tab.parked.Load(); p != 1 {
 		t.Fatalf("parked counter %d want 1", p)
 	}
 }
@@ -122,12 +121,11 @@ func TestEvictionBoundsWindow(t *testing.T) {
 		}
 		tab.Complete("c", e, &wire.Response{ID: seq})
 	}
-	s := tab.Stats().Snapshot()
-	if s.Entries != cap {
-		t.Fatalf("live entries %d want %d", s.Entries, cap)
+	if n := tab.entries.Load(); n != cap {
+		t.Fatalf("live entries %d want %d", n, cap)
 	}
-	if s.EntriesHighWater > cap+1 {
-		t.Fatalf("high water %d exceeded cap+1", s.EntriesHighWater)
+	if hw := tab.entries.HighWater(); hw > cap+1 {
+		t.Fatalf("high water %d exceeded cap+1", hw)
 	}
 	// Seqs 1..6 were evicted: duplicates are rejected, not executed.
 	if _, v := tab.Begin(tok("c", 3, 0), "g1"); v != Stale {
@@ -188,8 +186,8 @@ func TestEvictionSparesUndeliveredSequence(t *testing.T) {
 	if _, v := tab.Begin(tok("c", 22, 20), "g1"); v != Stale {
 		t.Fatalf("sequence below the advanced watermark: verdict %v want Stale", v)
 	}
-	if s := tab.Stats().Snapshot(); s.Entries != cap {
-		t.Fatalf("live entries %d want %d", s.Entries, cap)
+	if n := tab.entries.Load(); n != cap {
+		t.Fatalf("live entries %d want %d", n, cap)
 	}
 }
 
@@ -229,15 +227,14 @@ func TestWatermarkRetirementUnderWraparound(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	s := tab.Stats().Snapshot()
-	if s.Entries > callers*cap {
-		t.Fatalf("live entries %d exceed bound %d", s.Entries, callers*cap)
+	if n := tab.entries.Load(); n > callers*cap {
+		t.Fatalf("live entries %d exceed bound %d", n, callers*cap)
 	}
-	if s.EntriesHighWater > int64(callers*(cap+1)) {
-		t.Fatalf("high water %d exceeds bound %d", s.EntriesHighWater, callers*(cap+1))
+	if hw := tab.entries.HighWater(); hw > int64(callers*(cap+1)) {
+		t.Fatalf("high water %d exceeds bound %d", hw, callers*(cap+1))
 	}
-	if s.Windows != callers {
-		t.Fatalf("windows %d want %d", s.Windows, callers)
+	if n := tab.windowCount.Load(); n != callers {
+		t.Fatalf("windows %d want %d", n, callers)
 	}
 }
 
@@ -269,7 +266,7 @@ func TestExtractAdoptMovesHistory(t *testing.T) {
 	if e.Response(5).Result.Int != 2 {
 		t.Fatal("adopted entry replays wrong response")
 	}
-	if dst.Stats().Adopted.Load() != 2 {
+	if dst.adopted.Load() != 2 {
 		t.Fatal("adopted counter")
 	}
 	// Entries at or below the destination's retired watermark are

@@ -9,7 +9,7 @@ import (
 	"testing"
 	"time"
 
-	"rafda/internal/telemetry"
+	"rafda/internal/metrics"
 	"rafda/internal/wire"
 )
 
@@ -128,45 +128,57 @@ func shedChain(t *testing.T, ic Interceptor) *Chain {
 	return New(okRoot("served"), ic)
 }
 
+// setLevel moves a gauge to v, standing in for the transport's
+// around-dispatch bumps.
+func setLevel(g *metrics.Gauge, v int64) { g.Add(v - g.Load()) }
+
+// shedCounts reads one shed family's rows as key -> count.
+func shedCounts(reg *metrics.Registry, name string) map[string]int64 {
+	out := map[string]int64{}
+	for _, r := range reg.Snapshot() {
+		if r.Name == name {
+			out[r.Key] = r.Value
+		}
+	}
+	return out
+}
+
 // TestPriorityShed pins the strict-priority admission rule: class p is
 // refused at inflight >= at<<p, and the threshold doubling stops at the
 // clamp so a hostile priority cannot disable admission control.
 func TestPriorityShed(t *testing.T) {
-	var ov telemetry.OverloadStats
-	var stats ShedStats
-	ch := shedChain(t, Priority(4, &ov, &stats))
+	reg := metrics.New()
+	inflight := reg.Gauge("overload.inflight")
+	ch := shedChain(t, Priority(4, reg))
 	call := func(prio uint32) *wire.Response {
 		return ch.Dispatch(&wire.Request{ID: 1, Priority: prio})
 	}
 
-	ov.Inflight.Store(3)
+	setLevel(inflight, 3)
 	if resp := call(0); resp.Err != "" {
 		t.Fatalf("class 0 under threshold shed: %s", resp.Err)
 	}
-	ov.Inflight.Store(4)
+	setLevel(inflight, 4)
 	if resp := call(0); !strings.HasPrefix(resp.Err, "load-shed:") {
 		t.Fatalf("class 0 at threshold not shed: %+v", resp)
 	}
 	if resp := call(1); resp.Err != "" {
 		t.Fatalf("class 1 shed below its doubled threshold: %s", resp.Err)
 	}
-	ov.Inflight.Store(8)
+	setLevel(inflight, 8)
 	if resp := call(1); !strings.HasPrefix(resp.Err, "load-shed:") {
 		t.Fatalf("class 1 at 2x threshold not shed: %+v", resp)
 	}
 	// The clamp: class 40 does not get 4<<40 slots — it saturates at
 	// the class-8 threshold.
-	ov.Inflight.Store(4 << 8)
+	setLevel(inflight, 4<<8)
 	if resp := call(40); !strings.HasPrefix(resp.Err, "load-shed:") {
 		t.Fatalf("hostile priority escaped the clamp: %+v", resp)
 	}
 
-	if got := ov.ShedPriority.Load(); got != 3 {
-		t.Fatalf("ShedPriority = %d, want 3", got)
-	}
-	s := stats.Snapshot()
-	if s.ByPriority["0"] != 1 || s.ByPriority["1"] != 1 || s.ByPriority["8"] != 1 {
-		t.Fatalf("per-class shed table = %v", s.ByPriority)
+	// Each refusal bumped exactly one row: its clamped class.
+	if s := shedCounts(reg, "shed.priority"); len(s) != 3 || s["0"] != 1 || s["1"] != 1 || s["8"] != 1 {
+		t.Fatalf("per-class shed table = %v", s)
 	}
 }
 
@@ -174,15 +186,14 @@ func TestPriorityShed(t *testing.T) {
 // reaches at, a tenant holding more than its 1/active share is refused
 // while tenants within share pass.
 func TestFairShareShed(t *testing.T) {
-	var ov telemetry.OverloadStats
-	var stats ShedStats
+	reg := metrics.New()
 	var inside atomic.Int64
 	block := make(chan struct{})
 	ch := New(func(cc *CallCtx) (*wire.Response, error) {
 		inside.Add(1)
 		<-block
 		return okRoot("served")(cc)
-	}, FairShare(8, &ov, &stats))
+	}, FairShare(8, reg))
 
 	// Park 6 hog calls and 1 meek call inside the chain while the global
 	// gauge sits below the threshold (policy disengaged, everything
@@ -202,7 +213,7 @@ func TestFairShareShed(t *testing.T) {
 		}(caller)
 	}
 	waitFor(t, func() bool { return inside.Load() == 7 })
-	ov.Inflight.Store(8)
+	setLevel(reg.Gauge("overload.inflight"), 8)
 
 	// The hog holds 6 > 4: its next call is refused.
 	if resp := ch.Dispatch(&wire.Request{ID: 2, Caller: "hog"}); !strings.HasPrefix(resp.Err, "load-shed:") {
@@ -223,12 +234,12 @@ func TestFairShareShed(t *testing.T) {
 		}
 	}
 
-	s := stats.Snapshot()
-	if s.ByTenant["hog"] == 0 {
-		t.Fatalf("hog missing from per-tenant shed table: %v", s.ByTenant)
+	s := shedCounts(reg, "shed.fairshare")
+	if s["hog"] == 0 {
+		t.Fatalf("hog missing from per-tenant shed table: %v", s)
 	}
-	if s.ByTenant["meek"] != 0 {
-		t.Fatalf("meek wrongly shed: %v", s.ByTenant)
+	if s["meek"] != 0 {
+		t.Fatalf("meek wrongly shed: %v", s)
 	}
 }
 
@@ -243,29 +254,19 @@ func waitFor(t *testing.T, cond func() bool) {
 	}
 }
 
-// TestFairShareTenantFold pins the bounded table: past tenantMax
-// distinct callers, new tenants compete for the single "~other" share
-// instead of growing the table.
+// TestFairShareTenantFold pins the bounded table: past
+// metrics.FamilyMax distinct callers, new tenants compete for the
+// single "~other" share instead of growing the table.
 func TestFairShareTenantFold(t *testing.T) {
-	var stats ShedStats
-	f := &fairTable{}
-	for i := 0; i < tenantMax; i++ {
-		f.slot(fmt.Sprintf("tenant-%03d", i))
+	var f fairTable
+	for i := 0; i < metrics.FamilyMax; i++ {
+		f.tenants.Get(tenantKey(fmt.Sprintf("tenant-%03d", i)))
 	}
-	if got := f.slot("one-too-many"); got != f.slot("another") {
+	if f.tenants.Get("one-too-many") != f.tenants.Get("another") {
 		t.Fatal("overflow tenants did not fold into a shared slot")
 	}
-	if got, other := f.slot("one-too-many"), f.slot(tenantOther); got != other {
+	if f.tenants.Get("one-too-many") != f.tenants.Get(metrics.Other) {
 		t.Fatal("overflow slot is not ~other")
-	}
-	// The stats table folds the same way.
-	for i := 0; i < tenantMax; i++ {
-		stats.noteTenant(fmt.Sprintf("tenant-%03d", i))
-	}
-	stats.noteTenant("one-too-many")
-	stats.noteTenant("another")
-	if s := stats.Snapshot(); s.ByTenant[tenantOther] != 2 {
-		t.Fatalf("~other = %d, want 2 (table %d entries)", s.ByTenant[tenantOther], len(s.ByTenant))
 	}
 }
 
@@ -274,10 +275,10 @@ func TestFairShareTenantFold(t *testing.T) {
 // after a full interval, then at inverse-sqrt spacing; a dip below
 // target resets the cycle.
 func TestCoDel(t *testing.T) {
-	var ov telemetry.OverloadStats
+	reg := metrics.New()
 	clock := int64(0)
 	now := func() int64 { return clock }
-	ch := New(okRoot("served"), CoDel(5*time.Millisecond, 100*time.Millisecond, &ov, now))
+	ch := New(okRoot("served"), CoDel(5*time.Millisecond, 100*time.Millisecond, reg, now))
 	call := func(waitUs uint64) bool {
 		resp := ch.Dispatch(&wire.Request{ID: 1, SlotWaitUs: waitUs})
 		return strings.HasPrefix(resp.Err, "load-shed:")
@@ -321,8 +322,8 @@ func TestCoDel(t *testing.T) {
 	if call(10_000) {
 		t.Fatal("above-target after reset dropped without re-arming the window")
 	}
-	if got := ov.ShedCoDel.Load(); got != 2 {
-		t.Fatalf("ShedCoDel = %d, want 2", got)
+	if got := reg.Counter("shed.codel").Load(); got != 2 {
+		t.Fatalf("shed.codel = %d, want 2", got)
 	}
 }
 
@@ -340,13 +341,13 @@ func TestShedConfigEnabled(t *testing.T) {
 	}
 }
 
-// TestShedStatsNilSafe pins that a node without shedding configured can
-// still be snapshotted through the same call path.
-func TestShedStatsNilSafe(t *testing.T) {
-	var s *ShedStats
-	s.notePriority(1)
-	s.noteTenant("x")
-	if sample := s.Snapshot(); sample.ByPriority != nil || sample.ByTenant != nil {
-		t.Fatalf("nil stats produced a non-zero sample: %+v", sample)
+// TestShedNilRegistry pins that the shedding interceptors need no
+// registry: built from a nil one they count into unregistered
+// instruments, and with no transport moving their private inflight
+// gauge they never engage.
+func TestShedNilRegistry(t *testing.T) {
+	ch := New(okRoot("served"), Priority(1, nil), FairShare(1, nil), CoDel(time.Millisecond, 0, nil, nil))
+	if resp := ch.Dispatch(&wire.Request{ID: 1, Caller: "x"}); resp.Err != "" {
+		t.Fatalf("unregistered shedding refused a call: %s", resp.Err)
 	}
 }

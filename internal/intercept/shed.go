@@ -2,22 +2,25 @@ package intercept
 
 import (
 	"math"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"rafda/internal/telemetry"
+	"rafda/internal/metrics"
 	"rafda/internal/wire"
 )
 
 // The proactive shedding tier: three policies that refuse work while
 // the server still has headroom to say no cheaply, instead of queueing
 // until deadlines burn out.  All three key off the shared inflight
-// gauge (telemetry.OverloadStats.Inflight, maintained by the RRP
-// transport around each dispatch slot) and the transport-measured slot
-// wait — they engage only on transports that maintain those signals.
-// Every shed response carries the "load-shed:" marker so clients and
-// the E15 harness can bucket them.
+// gauge ("overload.inflight" in the node's metrics registry, maintained
+// by the RRP transport around each dispatch slot) and the
+// transport-measured slot wait — they engage only behind transports
+// that share the registry.  Each refusal bumps exactly one instrument:
+// "shed.priority" keyed by priority class, "shed.fairshare" keyed by
+// tenant, or "shed.codel".  Every shed response carries the
+// "load-shed:" marker so clients and the E15 harness can bucket them.
 //
 // Ordering contract (enforced by the node's chain assembly): shedding
 // runs after the control plane (ping/gossip/introspect stay answerable
@@ -54,104 +57,15 @@ func (c ShedConfig) Enabled() bool {
 // effectively unbounded admission.
 const maxPriorityShift = 8
 
-// tenantMax bounds the fair-share tenant table and the per-tenant shed
-// table, mirroring trace/keyed.go: the first tenantMax distinct callers
-// get their own entry, the rest fold into "~other" — bounded memory
-// under caller-id churn at the cost of blurring the long tail.
-const tenantMax = 256
-
-const tenantOther = "~other"
-
-// ShedStats itemises shed decisions by the axis each policy acts on:
-// per priority class for the strict-priority policy, per tenant for
-// fair-share.  Bounded like the keyed latency digests; nil-safe.
-type ShedStats struct {
-	priority sync.Map // uint32 (clamped class) -> *atomic.Uint64
-	tenant   sync.Map // caller string -> *atomic.Uint64
-	tenantN  atomic.Int64
-}
-
-func (s *ShedStats) notePriority(class uint32) {
-	if s == nil {
-		return
-	}
-	if class > maxPriorityShift {
-		class = maxPriorityShift
-	}
-	c, ok := s.priority.Load(class)
-	if !ok {
-		c, _ = s.priority.LoadOrStore(class, new(atomic.Uint64))
-	}
-	c.(*atomic.Uint64).Add(1)
-}
-
-func (s *ShedStats) noteTenant(caller string) {
-	if s == nil {
-		return
-	}
+// tenantKey names a caller in the fair-share and shed tables; both are
+// metrics families, so past metrics.FamilyMax distinct callers the
+// rest share one "~other" entry — bounded memory under caller-id churn
+// at the cost of blurring the long tail.
+func tenantKey(caller string) string {
 	if caller == "" {
-		caller = "~anonymous"
+		return "~anonymous"
 	}
-	c, ok := s.tenant.Load(caller)
-	if !ok {
-		if s.tenantN.Load() >= tenantMax {
-			caller = tenantOther
-			c, ok = s.tenant.Load(caller)
-		}
-		if !ok {
-			var loaded bool
-			c, loaded = s.tenant.LoadOrStore(caller, new(atomic.Uint64))
-			if !loaded {
-				s.tenantN.Add(1)
-			}
-		}
-	}
-	c.(*atomic.Uint64).Add(1)
-}
-
-// ShedSample is a ShedStats snapshot for the introspection plane.
-type ShedSample struct {
-	// ByPriority maps the decimal priority class to its shed count.
-	ByPriority map[string]uint64 `json:"by_priority,omitempty"`
-	// ByTenant maps the caller endpoint (or "~other") to its shed count.
-	ByTenant map[string]uint64 `json:"by_tenant,omitempty"`
-}
-
-// Snapshot reads the tables; nil-safe.
-func (s *ShedStats) Snapshot() ShedSample {
-	var out ShedSample
-	if s == nil {
-		return out
-	}
-	s.priority.Range(func(k, v any) bool {
-		if out.ByPriority == nil {
-			out.ByPriority = make(map[string]uint64)
-		}
-		out.ByPriority[itoa(uint64(k.(uint32)))] = v.(*atomic.Uint64).Load()
-		return true
-	})
-	s.tenant.Range(func(k, v any) bool {
-		if out.ByTenant == nil {
-			out.ByTenant = make(map[string]uint64)
-		}
-		out.ByTenant[k.(string)] = v.(*atomic.Uint64).Load()
-		return true
-	})
-	return out
-}
-
-func itoa(v uint64) string {
-	if v == 0 {
-		return "0"
-	}
-	var b [20]byte
-	i := len(b)
-	for v > 0 {
-		i--
-		b[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(b[i:])
+	return caller
 }
 
 // Priority returns the strict-priority admission interceptor: a class-p
@@ -160,16 +74,16 @@ func itoa(v uint64) string {
 // slot (the transport bumps it before dispatch runs), so with at=N the
 // N-th concurrent class-0 call is the first one shed — deterministic
 // under concurrent arrival.
-func Priority(at int, ov *telemetry.OverloadStats, stats *ShedStats) Interceptor {
+func Priority(at int, reg *metrics.Registry) Interceptor {
+	gauge, shed := reg.Gauge("overload.inflight"), reg.Counters("shed.priority")
 	return func(cc *CallCtx, next Handler) (*wire.Response, error) {
 		p := cc.Req.Priority
 		if p > maxPriorityShift {
 			p = maxPriorityShift
 		}
 		threshold := int64(at) << p
-		if inflight := ov.Inflight.Load(); inflight >= threshold {
-			ov.NoteShedPriority()
-			stats.notePriority(p)
+		if inflight := gauge.Load(); inflight >= threshold {
+			shed.Get(strconv.Itoa(int(p))).Inc()
 			return wire.Errorf(cc.Req,
 				"load-shed: priority class %d refused at inflight %d (threshold %d)",
 				cc.Req.Priority, inflight, threshold), nil
@@ -186,10 +100,11 @@ func Priority(at int, ov *telemetry.OverloadStats, stats *ShedStats) Interceptor
 // before the check (the request counts itself), so with a share of S
 // a tenant's S+1-th concurrent call is deterministically the first
 // refused no matter how the scheduler interleaves arrivals.
-func FairShare(at int, ov *telemetry.OverloadStats, stats *ShedStats) Interceptor {
+func FairShare(at int, reg *metrics.Registry) Interceptor {
+	inflight, shed := reg.Gauge("overload.inflight"), reg.Counters("shed.fairshare")
 	f := &fairTable{}
 	return func(cc *CallCtx, next Handler) (*wire.Response, error) {
-		slot := f.slot(cc.Req.Caller)
+		slot := f.tenants.Get(tenantKey(cc.Req.Caller))
 		mine := slot.Add(1)
 		if mine == 1 {
 			f.active.Add(1)
@@ -199,7 +114,7 @@ func FairShare(at int, ov *telemetry.OverloadStats, stats *ShedStats) Intercepto
 				f.active.Add(-1)
 			}
 		}
-		if global := ov.Inflight.Load(); global >= int64(at) {
+		if global := inflight.Load(); global >= int64(at) {
 			active := f.active.Load()
 			if active < 1 {
 				active = 1
@@ -210,8 +125,7 @@ func FairShare(at int, ov *telemetry.OverloadStats, stats *ShedStats) Intercepto
 			}
 			if mine > share {
 				release()
-				ov.NoteShedFairShare()
-				stats.noteTenant(cc.Req.Caller)
+				shed.Get(tenantKey(cc.Req.Caller)).Inc()
 				return wire.Errorf(cc.Req,
 					"load-shed: tenant %q over fair share (%d inflight, share %d of %d)",
 					cc.Req.Caller, mine, share, at), nil
@@ -223,35 +137,13 @@ func FairShare(at int, ov *telemetry.OverloadStats, stats *ShedStats) Intercepto
 	}
 }
 
-// fairTable tracks live per-tenant inflight, bounded like ShedStats'
-// tenant table: past tenantMax distinct callers new ones share the
-// "~other" counter (they compete for one share — fail-safe in the
-// shedding direction under tenant-id churn).
+// fairTable tracks live per-tenant inflight.  Past metrics.FamilyMax
+// distinct callers new ones share the "~other" counter: they compete
+// for one share — fail-safe in the shedding direction under tenant-id
+// churn.
 type fairTable struct {
-	tenants sync.Map // caller string -> *atomic.Int64
-	n       atomic.Int64
+	tenants metrics.Family[atomic.Int64]
 	active  atomic.Int64
-}
-
-func (f *fairTable) slot(caller string) *atomic.Int64 {
-	if caller == "" {
-		caller = "~anonymous"
-	}
-	c, ok := f.tenants.Load(caller)
-	if !ok {
-		if f.n.Load() >= tenantMax {
-			caller = tenantOther
-			c, ok = f.tenants.Load(caller)
-		}
-		if !ok {
-			var loaded bool
-			c, loaded = f.tenants.LoadOrStore(caller, new(atomic.Int64))
-			if !loaded {
-				f.n.Add(1)
-			}
-		}
-	}
-	return c.(*atomic.Int64)
 }
 
 // CoDel returns the CoDel queue-management interceptor, the classic
@@ -262,7 +154,8 @@ func (f *fairTable) slot(caller string) *atomic.Int64 {
 // shrink with the inverse square root of the drop count until the wait
 // dips back under target.  now is the clock (nanoseconds), injectable
 // for deterministic tests; pass nil for the real clock.
-func CoDel(target, interval time.Duration, ov *telemetry.OverloadStats, now func() int64) Interceptor {
+func CoDel(target, interval time.Duration, reg *metrics.Registry, now func() int64) Interceptor {
+	shed := reg.Counter("shed.codel")
 	if interval <= 0 {
 		interval = 100 * time.Millisecond
 	}
@@ -273,7 +166,7 @@ func CoDel(target, interval time.Duration, ov *telemetry.OverloadStats, now func
 	return func(cc *CallCtx, next Handler) (*wire.Response, error) {
 		sojourn := int64(cc.SlotWaitUs) * int64(time.Microsecond)
 		if c.drop(sojourn) {
-			ov.NoteShedCoDel()
+			shed.Inc()
 			return wire.Errorf(cc.Req,
 				"load-shed: queue delay %v over CoDel target %v",
 				time.Duration(sojourn), time.Duration(c.target)), nil

@@ -1,20 +1,13 @@
-package trace
+package metrics
 
 import (
 	"math/bits"
 	"sync/atomic"
 )
 
-// hist is an HDR-style log-linear latency histogram over nanosecond
-// durations: values below 128ns land in exact one-ns buckets, larger
-// ones in 16 linear sub-buckets per power of two, bounding relative
-// quantile error at 1/32 (~3%) across the full uint64 range.  Buckets
-// are plain atomic counters, so observe() is lock-free and emission
-// stays safe at any lock tier.
-//
-// Layout: indexes [0,128) are exact values; above that, each major
-// octave m (values in [2^(m-1), 2^m), m >= 8) contributes 16 buckets
-// selected by the four bits below the leading bit.
+// Histogram layout: indexes [0,128) are exact values; above that, each
+// major octave m (values in [2^(m-1), 2^m), m >= 8) contributes 16
+// buckets selected by the four bits below the leading bit.
 const (
 	histExact  = 128 // exact buckets for v < 128
 	histMinMaj = 8   // first log-linear octave: values >= 128 = 2^7
@@ -23,7 +16,13 @@ const (
 	histSize   = histExact + histMajors*histSub
 )
 
-type hist struct {
+// Hist is an HDR-style log-linear latency histogram over nanosecond
+// durations: values below 128ns land in exact one-ns buckets, larger
+// ones in 16 linear sub-buckets per power of two, bounding relative
+// quantile error at 1/32 (~3%) across the full uint64 range.  Buckets
+// are plain atomic counters, so Observe is lock-free and safe at any
+// lock tier.
+type Hist struct {
 	buckets [histSize]atomic.Uint64
 	count   atomic.Uint64
 	max     atomic.Uint64
@@ -51,7 +50,8 @@ func histValue(idx int) uint64 {
 	return lo + uint64(1)<<(maj-5)/2
 }
 
-func (h *hist) observe(v uint64) {
+// Observe records one value.
+func (h *Hist) Observe(v uint64) {
 	h.buckets[histIndex(v)].Add(1)
 	h.count.Add(1)
 	for {
@@ -64,8 +64,8 @@ func (h *hist) observe(v uint64) {
 
 // quantile walks the buckets for the q-th (0..1) value.  Counts may
 // move under a concurrent snapshot; the result is approximate in the
-// same best-effort sense as the span ring.
-func (h *hist) quantile(q float64) uint64 {
+// same best-effort sense as any other snapshot.
+func (h *Hist) quantile(q float64) uint64 {
 	total := h.count.Load()
 	if total == 0 {
 		return 0
@@ -84,20 +84,22 @@ func (h *hist) quantile(q float64) uint64 {
 	return h.max.Load()
 }
 
-// stat renders the histogram as a snapshot row; ok is false when no
-// value was ever observed (the row is omitted).
-func (h *hist) stat(kind string) (KindStat, bool) {
+// rows renders the histogram as one row, omitted when no value was
+// ever observed.
+func (h *Hist) rows(out []Row, name, key string) []Row {
 	n := h.count.Load()
 	if n == 0 {
-		return KindStat{}, false
+		return out
 	}
 	us := func(ns uint64) float64 { return float64(ns) / 1e3 }
-	return KindStat{
-		Kind:   kind,
-		Count:  n,
+	return append(out, Row{
+		Name:   name,
+		Key:    key,
+		Kind:   "hist",
+		Value:  int64(n),
 		P50us:  us(h.quantile(0.50)),
 		P99us:  us(h.quantile(0.99)),
 		P999us: us(h.quantile(0.999)),
 		MaxUs:  us(h.max.Load()),
-	}, true
+	})
 }

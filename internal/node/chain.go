@@ -49,16 +49,9 @@ func (n *Node) Use(ics ...intercept.Interceptor) {
 	n.chain.Store(n.buildChain(slices.Clone(n.userIcs)))
 }
 
-// ShedConfigured reports whether any proactive shedding policy is on.
-func (n *Node) ShedConfigured() bool { return n.shedCfg.Enabled() }
-
-// ShedSnapshot reads the per-priority/per-tenant shed tables (zero
-// value when no policy is configured).
-func (n *Node) ShedSnapshot() intercept.ShedSample { return n.shedStats.Snapshot() }
-
 // countInterceptor is the outermost tier: the inbound-call counter.
 func (n *Node) countInterceptor(cc *intercept.CallCtx, next intercept.Handler) (*wire.Response, error) {
-	n.stats.remoteCallsIn.Add(1)
+	n.callsIn.Inc()
 	return next(cc)
 }
 

@@ -116,18 +116,18 @@ func TestRedirectChainCollapses(t *testing.T) {
 	// The assertion: one call from the stale reference, no traffic
 	// through n1/n2/n3.  (No coordinator ticks in this window, so the
 	// inbound counters isolate the invocation itself.)
-	in1, in2, in3 := n1.Snapshot().RemoteCallsIn, n2.Snapshot().RemoteCallsIn, n3.Snapshot().RemoteCallsIn
+	in1, in2, in3 := count(n1, "node.calls_in"), count(n2, "node.calls_in"), count(n3, "node.calls_in")
 	got, err := n0.CallOn(ref, "bump")
 	if err != nil || got.I != 2 {
 		t.Fatalf("bump after chain: %v %v (state lost across migrations?)", got, err)
 	}
-	if d := n1.Snapshot().RemoteCallsIn - in1; d != 0 {
+	if d := count(n1, "node.calls_in") - in1; d != 0 {
 		t.Fatalf("call flowed through n1 (%d requests)", d)
 	}
-	if d := n2.Snapshot().RemoteCallsIn - in2; d != 0 {
+	if d := count(n2, "node.calls_in") - in2; d != 0 {
 		t.Fatalf("call flowed through n2 (%d requests)", d)
 	}
-	if d := n3.Snapshot().RemoteCallsIn - in3; d != 0 {
+	if d := count(n3, "node.calls_in") - in3; d != 0 {
 		t.Fatalf("call flowed through n3 (%d requests)", d)
 	}
 	// And the proxy is permanently retargeted at the final home.

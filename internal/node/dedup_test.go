@@ -79,9 +79,8 @@ func TestDuplicateInvokeSuppressed(t *testing.T) {
 	if v, _ := n.CallOn(ref, "peek"); v.I != 2 {
 		t.Fatalf("stale duplicate executed: counter %d", v.I)
 	}
-	s := n.DedupSnapshot()
-	if s.ReplayHits != 1 || s.StaleRejected != 1 {
-		t.Fatalf("dedup counters: %+v", s)
+	if r, st := count(n, "dedup.replay_hits"), count(n, "dedup.stale_rejected"); r != 1 || st != 1 {
+		t.Fatalf("dedup counters: replay %d stale %d", r, st)
 	}
 }
 
@@ -164,8 +163,8 @@ func TestConcurrentDuplicateParks(t *testing.T) {
 	if v, _ := n.CallOn(ref, "peek"); v.I != 1 {
 		t.Fatalf("parked duplicates re-executed: counter %d", v.I)
 	}
-	if s := n.DedupSnapshot(); s.Parked+s.ReplayHits != dups-1 {
-		t.Fatalf("suppression counters: %+v", s)
+	if p, r := count(n, "dedup.parked"), count(n, "dedup.replay_hits"); p+r != dups-1 {
+		t.Fatalf("suppression counters: parked %d replay %d", p, r)
 	}
 }
 
@@ -197,7 +196,7 @@ func TestDedupWindowTravelsWithMigration(t *testing.T) {
 	if newRef == nil {
 		t.Fatal("object did not morph into a forwarding proxy")
 	}
-	if got := b.DedupSnapshot().Adopted; got != 1 {
+	if got := count(b, "dedup.adopted"); got != 1 {
 		t.Fatalf("adopted %d shipped entries, want 1", got)
 	}
 
@@ -212,8 +211,8 @@ func TestDedupWindowTravelsWithMigration(t *testing.T) {
 		t.Fatalf("counter after replay: %+v", peek)
 	}
 	// And the old home no longer holds the entry: its window shipped.
-	if s := a.DedupSnapshot(); s.Entries != 0 {
-		t.Fatalf("old home kept %d shipped entries", s.Entries)
+	if n := level(a, "dedup.entries"); n != 0 {
+		t.Fatalf("old home kept %d shipped entries", n)
 	}
 }
 
@@ -269,8 +268,7 @@ func TestForwardedRetryReusesToken(t *testing.T) {
 	// The new home's window is keyed by the *client's* caller
 	// incarnation: reused tokens mean no window for the old home's
 	// issuer beyond the migration ops it sent directly.
-	snap := newHome.DedupSnapshot()
-	if snap.Windows == 0 {
+	if level(newHome, "dedup.windows") == 0 {
 		t.Fatal("new home recorded no caller windows")
 	}
 	if v, _ := client.CallOn(clientRef, "peek"); v.I != 2 {
@@ -314,8 +312,8 @@ func TestLegacyPeerInteropWithoutTokens(t *testing.T) {
 			t.Fatalf("legacy bump %d returned %d", i, resp.Result.Int)
 		}
 	}
-	if s := server.DedupSnapshot(); s.Windows != 0 {
-		t.Fatalf("legacy client opened %d dedup windows, want 0", s.Windows)
+	if w := level(server, "dedup.windows"); w != 0 {
+		t.Fatalf("legacy client opened %d dedup windows, want 0", w)
 	}
 
 	modern, err := New(Config{Name: "modern", Result: transformSource(t, dedupSource)})
@@ -335,7 +333,7 @@ func TestLegacyPeerInteropWithoutTokens(t *testing.T) {
 	if _, err := modern.CallOn(ref, "bump"); err != nil {
 		t.Fatal(err)
 	}
-	if s := server.DedupSnapshot(); s.Windows == 0 {
+	if level(server, "dedup.windows") == 0 {
 		t.Fatal("tokened client opened no dedup window")
 	}
 }
@@ -361,14 +359,12 @@ func TestIssuerAckRetiresServerEntries(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s := server.DedupSnapshot()
 	// Sequential calls ack as they go: all but the last few entries
 	// must have retired via the watermark, far below the window cap.
-	if s.Entries > 3 {
-		t.Fatalf("watermark retirement stalled: %d live entries after %d sequential calls (%+v)",
-			s.Entries, calls, s)
+	if n := level(server, "dedup.entries"); n > 3 {
+		t.Fatalf("watermark retirement stalled: %d live entries after %d sequential calls", n, calls)
 	}
-	if s.Retired == 0 {
-		t.Fatalf("no entries retired: %+v", s)
+	if count(server, "dedup.retired") == 0 {
+		t.Fatal("no entries retired")
 	}
 }

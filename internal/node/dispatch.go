@@ -59,7 +59,7 @@ func (n *Node) dispatchCreate(req *wire.Request) *wire.Response {
 	if !n.result.Substitutable(req.Class) {
 		return wire.Errorf(req, "node %s: class %s is not substitutable", n.name, req.Class)
 	}
-	n.stats.creates.Add(1)
+	n.creates.Inc()
 	if rec := n.telem.Load(); rec != nil {
 		rec.RecordCreateServed(req.Class, req.Caller)
 	}
@@ -243,7 +243,7 @@ func (n *Node) servedInvoke(cc *intercept.CallCtx, resp *wire.Response, target *
 			call(env)
 		})
 		if expired {
-			n.overload.NoteDeadlineExpiry()
+			n.expiries.Inc()
 			resp.Err = fmt.Sprintf("node %s: %s deadline expired in gate queue (budget %dµs, waited %v)",
 				n.name, name, req.DeadlineUs, queue.Round(time.Microsecond))
 			break
@@ -345,7 +345,7 @@ func (n *Node) dispatchMigrateIn(req *wire.Request) *wire.Response {
 	if !n.result.Substitutable(req.Class) {
 		return wire.Errorf(req, "node %s: cannot adopt non-substitutable class %s", n.name, req.Class)
 	}
-	n.stats.migrationsIn.Add(1)
+	n.migIn.Inc()
 	resp := &wire.Response{ID: req.ID}
 	// Like creation: the adopted object is unshared until its reference
 	// is returned, so the rebuild runs ungated.

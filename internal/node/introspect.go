@@ -6,7 +6,7 @@ import (
 	"sort"
 	"strconv"
 
-	"rafda/internal/intercept"
+	"rafda/internal/metrics"
 	"rafda/internal/telemetry"
 	"rafda/internal/trace"
 	"rafda/internal/wire"
@@ -14,9 +14,10 @@ import (
 
 // Unified introspection plane (docs/OBSERVABILITY.md): one effect-free
 // wire op — OpIntrospect — exposes everything a node knows about
-// itself: activity counters, the exactly-once plane's dedup counters,
-// telemetry samples (when enabled), the cluster's view (when attached),
-// and the flight recorder's per-kind latency digests and span ring.
+// itself: every instrument in its metrics registry (activity, dedup,
+// overload, shedding, latency digests), telemetry samples (when
+// enabled), the cluster's view (when attached), and the flight
+// recorder's span ring.
 // Effect-free means exactly that: serving an introspection request
 // mutates nothing, takes no object gate, and rides the same dispatch
 // path as OpPing, so it is safe to poll a wedged node.
@@ -30,19 +31,9 @@ type Introspection struct {
 	Exports    int      `json:"exports"`
 	PoolShards int      `json:"pool_shards"`
 
-	Activity Stats                 `json:"activity"`
-	Dedup    telemetry.DedupSample `json:"dedup"`
-
-	// Overload is the SLO plane's refusal/pressure counters: admission
-	// rejects, deadline expiries, the in-flight dispatch high-water and
-	// outbox backpressure stalls.  Always present — the counters are
-	// always on.
-	Overload telemetry.OverloadSample `json:"overload"`
-
-	// Shed breaks the proactive-shedding refusals down by priority
-	// class and by tenant; nil unless a Shed policy is configured
-	// (aggregate per-policy totals ride in Overload either way).
-	Shed *intercept.ShedSample `json:"shed,omitempty"`
+	// Metrics enumerates the node's metrics registry, sorted by
+	// instrument name and key (docs/OBSERVABILITY.md §3 names them).
+	Metrics []metrics.Row `json:"metrics"`
 
 	// Telemetry samples; nil slices when EnableTelemetry was never
 	// called on this node.
@@ -52,8 +43,8 @@ type Introspection struct {
 
 	Cluster *ClusterIntro `json:"cluster,omitempty"`
 
-	// Trace is the flight recorder's digest — per-kind HDR-style
-	// latency quantiles and ring occupancy — nil under Config.NoTrace.
+	// Trace is the flight recorder's ring occupancy, nil under
+	// Config.NoTrace.
 	Trace *trace.Stats `json:"trace,omitempty"`
 }
 
@@ -98,15 +89,9 @@ func (n *Node) introspection() *Introspection {
 		Endpoints:  n.Endpoints(),
 		Exports:    n.exports.Len(),
 		PoolShards: n.cache.Shards(),
-		Activity:   n.Snapshot(),
-		Dedup:      n.DedupSnapshot(),
-		Overload:   n.overload.Snapshot(),
+		Metrics:    n.metrics.Snapshot(),
 	}
 	sort.Strings(in.Endpoints)
-	if n.ShedConfigured() {
-		s := n.ShedSnapshot()
-		in.Shed = &s
-	}
 	if rec := n.telem.Load(); rec != nil {
 		for _, s := range rec.SnapshotObjects() {
 			in.Objects = append(in.Objects, ObjIntro{

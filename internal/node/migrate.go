@@ -222,7 +222,7 @@ func (n *Node) shipAndMorph(obj *vm.Object, base string, fields map[string]vm.Va
 		sp.Note = fmt.Sprintf("ship %v morph %v",
 			ship.Round(time.Microsecond), morph.Round(time.Microsecond))
 	}
-	n.stats.migrationsOut.Add(1)
+	n.migOut.Inc()
 	// Publish the move into the cluster's placement directory (if
 	// this node is in one): peers learn the object's new home via
 	// gossip and resolve it directly instead of walking our

@@ -158,7 +158,7 @@ func (n *Node) proxyInvoke(env *vm.Env, classSide bool, method string, recv vm.V
 	if err != nil {
 		return vm.Value{}, remoteError(env, "%v", err), nil
 	}
-	n.stats.remoteCallsOut.Add(1)
+	n.callsOut.Inc()
 	l := leg{
 		endpoint: t.endpoint, parent: envCtx(env), kind: trace.KindClient, name: method,
 		deadline: env.DeadlineUs(), fwd: fwd, unlock: env,

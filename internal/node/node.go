@@ -32,6 +32,7 @@ import (
 	"rafda/internal/dedup"
 	"rafda/internal/intercept"
 	"rafda/internal/ir"
+	"rafda/internal/metrics"
 	"rafda/internal/policy"
 	"rafda/internal/registry"
 	"rafda/internal/telemetry"
@@ -78,18 +79,19 @@ type Config struct {
 	// <5% of the echo tier); this flag exists for that measurement and
 	// for memory-constrained embeddings.
 	NoTrace bool
-	// Overload, when non-nil, is the overload-counter instance the node
-	// records into (deadline expiries at the dispatch gate; admission
-	// events if the same instance is wired into the transports'
-	// Options.Overload, as the facade does).  Nil allocates a private
-	// one — the counters are always on; they are a few atomics.
-	Overload *telemetry.OverloadStats
+	// Metrics, when non-nil, is the registry every plane of the node
+	// takes its instruments from (activity, dedup, overload, shedding,
+	// trace histograms); transport-side overload instruments land in it
+	// too if the same registry is wired into the transports'
+	// Options.Metrics, as the facade does.  Nil allocates a private one
+	// — the instruments are always on; they are a few atomics.
+	Metrics *metrics.Registry
 	// Shed configures the proactive shedding interceptors (zero = all
-	// off).  The policies read the shared inflight gauge
-	// (Overload.Inflight), which the RRP transport maintains around
-	// each dispatch slot — so they engage only behind transports that
-	// wire the same OverloadStats into their Options, as the facade
-	// does.  See internal/intercept and docs/CONCURRENCY.md §16.
+	// off).  The policies read the shared "overload.inflight" gauge,
+	// which the RRP transport maintains around each dispatch slot — so
+	// they engage only behind transports that share the node's
+	// registry, as the facade's do.  See internal/intercept and
+	// docs/CONCURRENCY.md §16.
 	Shed intercept.ShedConfig
 	// Interceptors are user dispatch interceptors, spliced between the
 	// shedding tier and the dedup window in the given order; Node.Use
@@ -138,9 +140,18 @@ type Node struct {
 	singWait   map[*vm.Env]*singletonEntry
 
 	// Lock-free state: transports dispatch requests concurrently, so
-	// request ids and activity counters stay off the node mutex.
+	// request ids and instruments stay off the node mutex.
 	reqSeq uint64
-	stats  statCounters
+
+	// metrics is the node's instrument registry (never nil), the single
+	// source of the introspection snapshot's "metrics" rows.  The
+	// activity counters below are its "node.*" instruments: proxy
+	// invocations sent, inbound requests, constructions served, and
+	// migrations shipped and adopted.  expiries counts calls whose
+	// budget ran out in an object's gate queue, into the same
+	// "overload.deadline_expiries" counter transport admission bumps.
+	metrics                                             *metrics.Registry
+	callsOut, callsIn, creates, migOut, migIn, expiries *metrics.Counter
 
 	// telem is the optional metrics plane (nil = disabled, the zero-cost
 	// default).  Loaded with one atomic read on the dispatch and
@@ -189,22 +200,14 @@ type Node struct {
 	// blocks (internal/trace, docs/OBSERVABILITY.md).
 	tracer *trace.Recorder
 
-	// overload counts the SLO plane's refusals and pressure points
-	// (admission rejects, deadline expiries, inflight high-water,
-	// outbox stalls).  Never nil; shared with the transports when the
-	// embedder wires the same instance into their Options.
-	overload *telemetry.OverloadStats
-
 	// Dispatch chain (chain.go): the precomposed interceptor pipeline
 	// every inbound request runs through, swapped atomically by Use.
 	// shedIcs holds the constructed shedding interceptors so a rebuild
 	// preserves their live state (per-tenant inflight, CoDel cycle);
 	// userIcs (under mu) is the user tier's accumulated order.
-	chain     atomic.Pointer[intercept.Chain]
-	shedIcs   []intercept.Interceptor
-	userIcs   []intercept.Interceptor
-	shedCfg   intercept.ShedConfig
-	shedStats *intercept.ShedStats
+	chain   atomic.Pointer[intercept.Chain]
+	shedIcs []intercept.Interceptor
+	userIcs []intercept.Interceptor
 }
 
 // nodeSeq decorrelates caller-incarnation ids of same-named nodes in
@@ -217,26 +220,6 @@ type singletonEntry struct {
 	version uint64
 	owner   *vm.Env       // execution performing the creation; nil once done
 	ready   chan struct{} // closed when creation finished (or failed)
-}
-
-// Stats counts node activity (read with Snapshot).
-type Stats struct {
-	RemoteCallsOut uint64
-	RemoteCallsIn  uint64
-	Creates        uint64
-	MigrationsOut  uint64
-	MigrationsIn   uint64
-}
-
-// statCounters is the live, concurrently-updated form of Stats: every
-// incoming request runs on its own transport goroutine, so the counters
-// are atomics rather than mutex-guarded fields.
-type statCounters struct {
-	remoteCallsOut atomic.Uint64
-	remoteCallsIn  atomic.Uint64
-	creates        atomic.Uint64
-	migrationsOut  atomic.Uint64
-	migrationsIn   atomic.Uint64
 }
 
 // New builds a node over a transformed program and registers the factory
@@ -256,15 +239,15 @@ func New(cfg Config) (*Node, error) {
 	if err != nil {
 		return nil, fmt.Errorf("node %q: %w", cfg.Name, err)
 	}
-	overload := cfg.Overload
-	if overload == nil {
-		overload = &telemetry.OverloadStats{}
+	mreg := cfg.Metrics
+	if mreg == nil {
+		mreg = metrics.New()
 	}
 	reg := cfg.Transports
 	if reg == nil {
-		// A defaulted registry shares the node's overload counters, so
+		// Defaulted transports share the node's registry, so
 		// transport-admission rejects land in the same snapshot.
-		reg = transport.Default(transport.Options{Overload: overload})
+		reg = transport.Default(transport.Options{Metrics: mreg})
 	}
 	n := &Node{
 		name:       cfg.Name,
@@ -279,8 +262,14 @@ func New(cfg Config) (*Node, error) {
 		singWait:   make(map[*vm.Env]*singletonEntry),
 		volunteer:  cfg.VolunteerCallback,
 		issuer:     dedup.NewIssuer(fmt.Sprintf("%s!%d", cfg.Name, nodeSeq.Add(1))),
-		dedupTab:   dedup.NewTable(cfg.DedupWindow),
-		overload:   overload,
+		dedupTab:   dedup.NewTableIn(mreg, cfg.DedupWindow),
+		metrics:    mreg,
+		callsOut:   mreg.Counter("node.calls_out"),
+		callsIn:    mreg.Counter("node.calls_in"),
+		creates:    mreg.Counter("node.creates"),
+		migOut:     mreg.Counter("node.migrations_out"),
+		migIn:      mreg.Counter("node.migrations_in"),
+		expiries:   mreg.Counter("overload.deadline_expiries"),
 	}
 	// Method-effect classification for the replication plane.  The alias
 	// hook gives each generated proxy native the effects of its local
@@ -297,7 +286,7 @@ func New(cfg Config) (*Node, error) {
 		return transform.OLocal(base), true
 	})
 	if !cfg.NoTrace {
-		n.tracer = trace.New(cfg.Name, cfg.TraceSpans)
+		n.tracer = trace.NewIn(mreg, cfg.Name, cfg.TraceSpans)
 		// Transport failover attempts become spans on the trace of the
 		// request that failed over, so a call tree shows every redial
 		// between a client span and its eventual server span.
@@ -309,26 +298,22 @@ func New(cfg Config) (*Node, error) {
 	// over fully-initialised node state.  Shedding interceptors are
 	// constructed once here and reused across Use rebuilds, so their
 	// live state (per-tenant inflight, CoDel drop cycle) survives.
-	n.shedCfg = cfg.Shed
-	if cfg.Shed.Enabled() {
-		n.shedStats = &intercept.ShedStats{}
-		if cfg.Shed.PriorityAt > 0 {
-			n.shedIcs = append(n.shedIcs, intercept.Priority(cfg.Shed.PriorityAt, overload, n.shedStats))
-		}
-		if cfg.Shed.FairShareAt > 0 {
-			n.shedIcs = append(n.shedIcs, intercept.FairShare(cfg.Shed.FairShareAt, overload, n.shedStats))
-		}
-		if cfg.Shed.CoDelTarget > 0 {
-			n.shedIcs = append(n.shedIcs, intercept.CoDel(cfg.Shed.CoDelTarget, cfg.Shed.CoDelInterval, overload, nil))
-		}
+	if cfg.Shed.PriorityAt > 0 {
+		n.shedIcs = append(n.shedIcs, intercept.Priority(cfg.Shed.PriorityAt, mreg))
+	}
+	if cfg.Shed.FairShareAt > 0 {
+		n.shedIcs = append(n.shedIcs, intercept.FairShare(cfg.Shed.FairShareAt, mreg))
+	}
+	if cfg.Shed.CoDelTarget > 0 {
+		n.shedIcs = append(n.shedIcs, intercept.CoDel(cfg.Shed.CoDelTarget, cfg.Shed.CoDelInterval, mreg, nil))
 	}
 	n.userIcs = append(n.userIcs, cfg.Interceptors...)
 	n.chain.Store(n.buildChain(cfg.Interceptors))
 	return n, nil
 }
 
-// Overload returns the node's overload counters (never nil).
-func (n *Node) Overload() *telemetry.OverloadStats { return n.overload }
+// Metrics returns the node's instrument registry (never nil).
+func (n *Node) Metrics() *metrics.Registry { return n.metrics }
 
 // Name returns the node name.
 func (n *Node) Name() string { return n.name }
@@ -349,15 +334,6 @@ func (n *Node) EnableTelemetry() *telemetry.Recorder {
 	}
 	n.telem.CompareAndSwap(nil, telemetry.NewRecorder())
 	return n.telem.Load()
-}
-
-// DedupSnapshot returns the exactly-once plane's counters (replay hits,
-// parked duplicates, window occupancy high-water, ...).  Unlike the rest
-// of the metrics plane these are always live — the dedup table counts
-// regardless of EnableTelemetry — so chaos experiments can assert on
-// them without paying for full telemetry.
-func (n *Node) DedupSnapshot() telemetry.DedupSample {
-	return n.dedupTab.Stats().Snapshot()
 }
 
 // Telemetry returns the node's recorder, or nil when telemetry is
@@ -389,17 +365,6 @@ func (n *Node) IsMigratable(obj *vm.Object) bool {
 
 // Exports returns the number of exported objects.
 func (n *Node) Exports() int { return n.exports.Len() }
-
-// Snapshot returns a copy of the activity counters.
-func (n *Node) Snapshot() Stats {
-	return Stats{
-		RemoteCallsOut: n.stats.remoteCallsOut.Load(),
-		RemoteCallsIn:  n.stats.remoteCallsIn.Load(),
-		Creates:        n.stats.creates.Load(),
-		MigrationsOut:  n.stats.migrationsOut.Load(),
-		MigrationsIn:   n.stats.migrationsIn.Load(),
-	}
-}
 
 // Serve starts listening on the given protocol ("" addr picks a free
 // port, or an auto name for inproc) and returns the endpoint.

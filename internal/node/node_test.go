@@ -91,6 +91,12 @@ func twoNodes(t *testing.T, res *transform.Result, proto string) (client, server
 	return client, server, endpoint
 }
 
+// count reads one of n's registered counters.
+func count(n *Node, name string) uint64 { return n.Metrics().Counter(name).Load() }
+
+// level reads one of n's registered gauges.
+func level(n *Node, name string) int64 { return n.Metrics().Gauge(name).Load() }
+
 func TestFigure1AllProtocols(t *testing.T) {
 	res := transformSource(t, figure1Source)
 	// Local baseline.
@@ -127,15 +133,13 @@ func TestFigure1AllProtocols(t *testing.T) {
 				t.Fatalf("distributed output %q want %q", got, want)
 			}
 			// The shared C instance really lived on the server.
-			sst := server.Snapshot()
-			if sst.Creates == 0 {
+			if count(server, "node.creates") == 0 {
 				t.Error("server created no objects; C was not remote")
 			}
-			if sst.RemoteCallsIn == 0 {
+			if count(server, "node.calls_in") == 0 {
 				t.Error("server served no calls")
 			}
-			cst := client.Snapshot()
-			if cst.RemoteCallsOut == 0 {
+			if count(client, "node.calls_out") == 0 {
 				t.Error("client made no remote calls")
 			}
 		})
@@ -317,8 +321,7 @@ class Main {
 	if got.I != 111 {
 		t.Fatalf("counter=%d want 111 (callback mutation lost)", got.I)
 	}
-	cst := client.Snapshot()
-	if cst.RemoteCallsIn == 0 {
+	if count(client, "node.calls_in") == 0 {
 		t.Error("client never served the callback")
 	}
 }
@@ -362,11 +365,10 @@ class Main { static void main() { } }`
 	if got.I != 1011 {
 		t.Fatalf("post-migration total=%d want 1011", got.I)
 	}
-	sst := server.Snapshot()
-	if sst.MigrationsIn != 1 {
-		t.Errorf("server migrations=%d want 1", sst.MigrationsIn)
+	if in := count(server, "node.migrations_in"); in != 1 {
+		t.Errorf("server migrations=%d want 1", in)
 	}
-	if sst.RemoteCallsIn == 0 {
+	if count(server, "node.calls_in") == 0 {
 		t.Error("server served no post-migration calls")
 	}
 	// The client-side object really morphed into a proxy.
@@ -395,7 +397,7 @@ class Main {
 	if got, err := client.InvokeStatic("Main", "mk", vm.IntV(1)); err != nil || got.I != 1 {
 		t.Fatalf("phase1: %v %v", got, err)
 	}
-	before := server.Snapshot().Creates
+	before := count(server, "node.creates")
 	if before != 0 {
 		t.Fatalf("server already created %d objects", before)
 	}
@@ -405,16 +407,16 @@ class Main {
 	if got, err := client.InvokeStatic("Main", "mk", vm.IntV(2)); err != nil || got.I != 2 {
 		t.Fatalf("phase2: %v %v", got, err)
 	}
-	if server.Snapshot().Creates != 1 {
-		t.Fatalf("server creates=%d want 1", server.Snapshot().Creates)
+	if count(server, "node.creates") != 1 {
+		t.Fatalf("server creates=%d want 1", count(server, "node.creates"))
 	}
 	// Phase 3: revert.
 	client.Policy().SetClass("Item", policy.LocalPlacement)
 	if got, err := client.InvokeStatic("Main", "mk", vm.IntV(3)); err != nil || got.I != 3 {
 		t.Fatalf("phase3: %v %v", got, err)
 	}
-	if server.Snapshot().Creates != 1 {
-		t.Fatalf("server creates=%d want still 1", server.Snapshot().Creates)
+	if count(server, "node.creates") != 1 {
+		t.Fatalf("server creates=%d want still 1", count(server, "node.creates"))
 	}
 }
 
@@ -473,10 +475,10 @@ class Main {
 	}
 	// n2 must have called n3 directly: the Tail reference it received
 	// pointed at n3, not at n1.
-	if n2.Snapshot().RemoteCallsOut == 0 {
+	if count(n2, "node.calls_out") == 0 {
 		t.Error("mid node made no outgoing calls; reference did not retarget")
 	}
-	if n3.Snapshot().RemoteCallsIn == 0 {
+	if count(n3, "node.calls_in") == 0 {
 		t.Error("tail node served no calls")
 	}
 }
@@ -548,10 +550,23 @@ class Main {
 	}
 }
 
+// TestStatsString pins that the activity counters print where operators
+// read them: every "node.*" instrument is a row of the introspection
+// snapshot's metrics section from construction on, before any traffic.
 func TestStatsString(t *testing.T) {
-	s := Stats{RemoteCallsOut: 1, RemoteCallsIn: 2, Creates: 3}
-	if fmt.Sprintf("%+v", s) == "" {
-		t.Fatal("unprintable stats")
+	n, err := New(Config{Name: "n", Result: transformSource(t, "class Main { static void main() {} }")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { n.Close() })
+	out, err := n.Introspect("metrics", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"node.calls_in", "node.calls_out", "node.creates", "node.migrations_in", "node.migrations_out"} {
+		if !strings.Contains(out, fmt.Sprintf("%q: %q", "name", name)) {
+			t.Fatalf("metrics section lacks %s:\n%s", name, out)
+		}
 	}
 }
 
@@ -608,7 +623,7 @@ class Main { static void main() {} }`
 	}
 	wg.Wait()
 
-	if in := server.Snapshot().RemoteCallsIn; in < goroutines*callsEach {
+	if in := count(server, "node.calls_in"); in < goroutines*callsEach {
 		t.Errorf("server saw %d calls, want at least %d", in, goroutines*callsEach)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"rafda/internal/metrics"
 	"rafda/internal/trace"
 	"rafda/internal/wire"
 )
@@ -49,7 +50,7 @@ func TestDeadlineGateQueueExpiry(t *testing.T) {
 	if !strings.Contains(doomed.Err, "deadline expired in gate queue") {
 		t.Fatalf("want gate-queue expiry, got %+v", doomed)
 	}
-	if got := n.Overload().DeadlineExpiries.Load(); got != 1 {
+	if got := count(n, "overload.deadline_expiries"); got != 1 {
 		t.Fatalf("deadline_expiries = %d, want 1", got)
 	}
 	peek := n.dispatch(&wire.Request{ID: 3, Op: wire.OpInvoke, GUID: g, Method: "peek"})
@@ -103,7 +104,8 @@ func TestIntrospectConcurrentWithRingWrap(t *testing.T) {
 
 	stop := make(chan struct{})
 	go func() { wg.Wait(); close(stop) }()
-	var prevEmitted, prevServed uint64
+	var prevEmitted uint64
+	var prevServed int64
 	snapshots := 0
 	for done := false; !done; {
 		select {
@@ -125,10 +127,11 @@ func TestIntrospectConcurrentWithRingWrap(t *testing.T) {
 		if in.Trace.Emitted < prevEmitted {
 			t.Fatalf("emitted ran backwards: %d -> %d", prevEmitted, in.Trace.Emitted)
 		}
-		if in.Activity.RemoteCallsIn < prevServed {
-			t.Fatalf("calls-in ran backwards: %d -> %d", prevServed, in.Activity.RemoteCallsIn)
+		served := rowsNamed(in.Metrics, "node.calls_in")[0].Value
+		if served < prevServed {
+			t.Fatalf("calls-in ran backwards: %d -> %d", prevServed, served)
 		}
-		prevEmitted, prevServed = in.Trace.Emitted, in.Activity.RemoteCallsIn
+		prevEmitted, prevServed = in.Trace.Emitted, served
 		if in.Trace.Spans > in.Trace.Capacity {
 			t.Fatalf("ring occupancy %d over capacity %d", in.Trace.Spans, in.Trace.Capacity)
 		}
@@ -152,21 +155,33 @@ func TestIntrospectConcurrentWithRingWrap(t *testing.T) {
 	if final.Trace.Emitted <= uint64(final.Trace.Capacity) {
 		t.Fatalf("ring never wrapped: emitted %d, cap %d", final.Trace.Emitted, final.Trace.Capacity)
 	}
-	ops := map[string]uint64{}
-	for _, row := range final.Trace.Ops {
-		ops[row.Key] = row.Count
+	ops := map[string]int64{}
+	for _, row := range rowsNamed(final.Metrics, "trace.op") {
+		ops[row.Key] = row.Value
 	}
 	if ops["peek"] == 0 || ops["bump"] == 0 {
-		t.Fatalf("per-op rows missing: %+v", final.Trace.Ops)
+		t.Fatalf("per-op rows missing: %+v", ops)
 	}
-	if len(final.Trace.Tenants) != writers {
-		t.Fatalf("tenant rows = %d, want %d: %+v", len(final.Trace.Tenants), writers, final.Trace.Tenants)
+	tenants := rowsNamed(final.Metrics, "trace.tenant")
+	if len(tenants) != writers {
+		t.Fatalf("tenant rows = %d, want %d: %+v", len(tenants), writers, tenants)
 	}
-	var tenantTotal uint64
-	for _, row := range final.Trace.Tenants {
-		tenantTotal += row.Count
+	var tenantTotal int64
+	for _, row := range tenants {
+		tenantTotal += row.Value
 	}
 	if tenantTotal != writers*callsEach {
 		t.Fatalf("tenant counts sum to %d, want %d", tenantTotal, writers*callsEach)
 	}
+}
+
+// rowsNamed returns the snapshot rows of one instrument.
+func rowsNamed(rows []metrics.Row, name string) []metrics.Row {
+	var out []metrics.Row
+	for _, r := range rows {
+		if r.Name == name {
+			out = append(out, r)
+		}
+	}
+	return out
 }

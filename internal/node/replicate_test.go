@@ -123,7 +123,7 @@ func TestReplicatedReadsServeLocally(t *testing.T) {
 
 	// No ticks from here: the primary's inbound counter isolates the
 	// reads themselves.
-	before := home.Snapshot().RemoteCallsIn
+	before := count(home, "node.calls_in")
 	for i, rd := range []struct {
 		n   *Node
 		ref vm.Value
@@ -133,7 +133,7 @@ func TestReplicatedReadsServeLocally(t *testing.T) {
 			t.Fatalf("reader %d local read: %v %v", i, got, err)
 		}
 	}
-	if after := home.Snapshot().RemoteCallsIn; after != before {
+	if after := count(home, "node.calls_in"); after != before {
 		t.Fatalf("replicated reads still reached the primary: %d -> %d", before, after)
 	}
 }

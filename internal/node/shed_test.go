@@ -7,27 +7,25 @@ import (
 	"time"
 
 	"rafda/internal/intercept"
-	"rafda/internal/telemetry"
 	"rafda/internal/transport"
 	"rafda/internal/wire"
 )
 
-// shedNode builds a node wired to an in-proc RRP server sharing one
-// OverloadStats instance, the same topology the facade assembles: the
+// shedNode builds a node wired to an in-proc RRP server sharing the
+// node's metrics registry, the same topology the facade assembles: the
 // transport maintains the inflight gauge and slot-wait measurement the
-// shedding interceptors key off.  Returns the node, the shared
-// counters, a connected client, and the exported guids of two Cells —
-// one for the flood to hold, one for the victim to probe.
-func shedNode(t *testing.T, maxInflight int, shed intercept.ShedConfig) (*Node, *telemetry.OverloadStats, transport.Client, string, string) {
+// shedding interceptors key off.  Returns the node, a connected
+// client, and the exported guids of two Cells — one for the flood to
+// hold, one for the victim to probe.
+func shedNode(t *testing.T, maxInflight int, shed intercept.ShedConfig) (*Node, transport.Client, string, string) {
 	t.Helper()
 	res := transformSource(t, dedupSource)
-	ov := &telemetry.OverloadStats{}
-	n, err := New(Config{Name: "srv", Result: res, Overload: ov, Shed: shed})
+	n, err := New(Config{Name: "srv", Result: res, Shed: shed})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { n.Close() })
-	tr := transport.NewRRP(transport.Options{MaxInflight: maxInflight, Overload: ov})
+	tr := transport.NewRRP(transport.Options{MaxInflight: maxInflight, Metrics: n.Metrics()})
 	srv, err := tr.Listen("", n.dispatch)
 	if err != nil {
 		t.Fatal(err)
@@ -46,19 +44,30 @@ func shedNode(t *testing.T, maxInflight int, shed intercept.ShedConfig) (*Node, 
 		}
 		guids[i] = n.exports.Ensure(ref.O)
 	}
-	return n, ov, c, guids[0], guids[1]
+	return n, c, guids[0], guids[1]
 }
 
 // waitInflight polls the shared gauge until it reaches want.
-func waitInflight(t *testing.T, ov *telemetry.OverloadStats, want int64) {
+func waitInflight(t *testing.T, n *Node, want int64) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	for ov.Inflight.Load() < want {
+	for level(n, "overload.inflight") < want {
 		if time.Now().After(deadline) {
-			t.Fatalf("inflight gauge stuck at %d, want %d", ov.Inflight.Load(), want)
+			t.Fatalf("inflight gauge stuck at %d, want %d", level(n, "overload.inflight"), want)
 		}
 		time.Sleep(time.Millisecond)
 	}
+}
+
+// shedCounts reads one shed family's rows as key -> count.
+func shedCounts(n *Node, name string) map[string]int64 {
+	out := map[string]int64{}
+	for _, r := range n.Metrics().Snapshot() {
+		if r.Name == name {
+			out[r.Key] = r.Value
+		}
+	}
+	return out
 }
 
 // TestFIFOUnfairnessPin pins the failure mode the shedding tier exists
@@ -69,7 +78,7 @@ func waitInflight(t *testing.T, ov *telemetry.OverloadStats, want int64) {
 // victim through on a shed-free node, the admission path has grown an
 // implicit policy and the interceptor ordering docs need revisiting.
 func TestFIFOUnfairnessPin(t *testing.T) {
-	_, ov, c, flood, victim := shedNode(t, 2, intercept.ShedConfig{})
+	n, c, flood, victim := shedNode(t, 2, intercept.ShedConfig{})
 
 	var wg sync.WaitGroup
 	for i := 0; i < 2; i++ {
@@ -84,7 +93,7 @@ func TestFIFOUnfairnessPin(t *testing.T) {
 			}
 		}(uint64(i + 1))
 	}
-	waitInflight(t, ov, 2) // both slots held for ~200ms
+	waitInflight(t, n, 2) // both slots held for ~200ms
 
 	resp, err := c.Call(&wire.Request{ID: 10, Op: wire.OpInvoke, GUID: victim,
 		Method: "peek", Priority: 1, Caller: "vip", DeadlineUs: 20_000})
@@ -94,7 +103,7 @@ func TestFIFOUnfairnessPin(t *testing.T) {
 	if !strings.Contains(resp.Err, "deadline expired") {
 		t.Fatalf("FIFO admission served the victim past full slots: %+v", resp)
 	}
-	if ov.AdmissionRejects.Load() == 0 {
+	if count(n, "overload.admission_rejects") == 0 {
 		t.Fatal("victim expiry not counted as an admission reject")
 	}
 	wg.Wait()
@@ -105,7 +114,7 @@ func TestFIFOUnfairnessPin(t *testing.T) {
 // work at the door while a class-1 call sails through — the victim of
 // the FIFO test is served, and the refusals are itemised per class.
 func TestPriorityPreemptionAtSaturation(t *testing.T) {
-	n, ov, c, flood, victim := shedNode(t, 8, intercept.ShedConfig{PriorityAt: 2})
+	n, c, flood, victim := shedNode(t, 8, intercept.ShedConfig{PriorityAt: 2})
 
 	var wg sync.WaitGroup
 	for i := 0; i < 2; i++ {
@@ -122,7 +131,7 @@ func TestPriorityPreemptionAtSaturation(t *testing.T) {
 			}
 		}(uint64(i + 1))
 	}
-	waitInflight(t, ov, 2)
+	waitInflight(t, n, 2)
 
 	// Class 0 at the threshold: refused immediately, no queueing.
 	shed, err := c.Call(&wire.Request{ID: 10, Op: wire.OpInvoke, GUID: victim,
@@ -135,7 +144,7 @@ func TestPriorityPreemptionAtSaturation(t *testing.T) {
 	}
 	// The transport gives the refused call's slot back after queueing its
 	// response, so the gauge can still read 3 when the answer arrives.
-	for ov.Inflight.Load() > 2 {
+	for level(n, "overload.inflight") > 2 {
 		time.Sleep(time.Millisecond)
 	}
 	// Class 1 under its doubled threshold: served while the flood runs.
@@ -149,12 +158,8 @@ func TestPriorityPreemptionAtSaturation(t *testing.T) {
 	}
 	wg.Wait()
 
-	if got := ov.ShedPriority.Load(); got != 1 {
-		t.Fatalf("shed_priority = %d, want 1", got)
-	}
-	s := n.ShedSnapshot()
-	if s.ByPriority["0"] != 1 {
-		t.Fatalf("per-class shed table = %v, want class 0 -> 1", s.ByPriority)
+	if s := shedCounts(n, "shed.priority"); len(s) != 1 || s["0"] != 1 {
+		t.Fatalf("per-class shed table = %v, want class 0 -> 1", s)
 	}
 }
 
@@ -163,7 +168,7 @@ func TestPriorityPreemptionAtSaturation(t *testing.T) {
 // refused by name, while a meek tenant arriving at the same instant is
 // served within its share.
 func TestFairShareUnderFlooding(t *testing.T) {
-	n, ov, c, flood, victim := shedNode(t, 8, intercept.ShedConfig{FairShareAt: 2})
+	n, c, flood, victim := shedNode(t, 8, intercept.ShedConfig{FairShareAt: 2})
 
 	var wg sync.WaitGroup
 	for i := 0; i < 2; i++ {
@@ -178,7 +183,7 @@ func TestFairShareUnderFlooding(t *testing.T) {
 			}
 		}(uint64(i + 1))
 	}
-	waitInflight(t, ov, 2)
+	waitInflight(t, n, 2)
 
 	shed, err := c.Call(&wire.Request{ID: 10, Op: wire.OpInvoke, GUID: victim,
 		Method: "peek", Caller: "flood"})
@@ -198,11 +203,8 @@ func TestFairShareUnderFlooding(t *testing.T) {
 	}
 	wg.Wait()
 
-	if got := ov.ShedFairShare.Load(); got != 1 {
-		t.Fatalf("shed_fairshare = %d, want 1", got)
-	}
-	if s := n.ShedSnapshot(); s.ByTenant["flood"] != 1 || s.ByTenant["meek"] != 0 {
-		t.Fatalf("per-tenant shed table = %v", s.ByTenant)
+	if s := shedCounts(n, "shed.fairshare"); len(s) != 1 || s["flood"] != 1 {
+		t.Fatalf("per-tenant shed table = %v, want flood -> 1", s)
 	}
 }
 
@@ -214,7 +216,7 @@ func TestFairShareUnderFlooding(t *testing.T) {
 // internal/intercept; this is the wiring test — transport-measured
 // SlotWaitUs reaching the controller.)
 func TestCoDelRejectsSustainedQueueing(t *testing.T) {
-	_, ov, c, flood, _ := shedNode(t, 1, intercept.ShedConfig{
+	n, c, flood, _ := shedNode(t, 1, intercept.ShedConfig{
 		CoDelTarget: time.Millisecond, CoDelInterval: 5 * time.Millisecond})
 
 	var wg sync.WaitGroup
@@ -256,7 +258,7 @@ func TestCoDelRejectsSustainedQueueing(t *testing.T) {
 	default:
 		t.Fatal("workers exited without observing a CoDel shed")
 	}
-	if ov.ShedCoDel.Load() == 0 {
+	if count(n, "shed.codel") == 0 {
 		t.Fatal("shed_codel counter never moved")
 	}
 }
@@ -267,9 +269,7 @@ func TestCoDelRejectsSustainedQueueing(t *testing.T) {
 // become the token's permanent replay answer.
 func TestShedNeverCachedByDedup(t *testing.T) {
 	res := transformSource(t, dedupSource)
-	ov := &telemetry.OverloadStats{}
-	n, err := New(Config{Name: "srv", Result: res, Overload: ov,
-		Shed: intercept.ShedConfig{PriorityAt: 1}})
+	n, err := New(Config{Name: "srv", Result: res, Shed: intercept.ShedConfig{PriorityAt: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,16 +279,17 @@ func TestShedNeverCachedByDedup(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := n.exports.Ensure(ref.O)
+	inflight := n.Metrics().Gauge("overload.inflight")
 
 	// Saturated: the tokened first attempt is refused.
-	ov.Inflight.Store(1)
+	inflight.Add(1)
 	tok := dedupToken("c!1", 1)
 	if resp := n.dispatch(bumpReq(1, g, "bump", tok)); !strings.HasPrefix(resp.Err, "load-shed:") {
 		t.Fatalf("first attempt not shed: %+v", resp)
 	}
 	// Load drops: the retry of the same token must execute, not replay
 	// the refusal.
-	ov.Inflight.Store(0)
+	inflight.Add(-1)
 	retry := n.dispatch(bumpReq(2, g, "bump", tok))
 	if retry.Err != "" || retry.Result.Int != 1 {
 		t.Fatalf("retry after shed did not execute: %+v", retry)
@@ -307,9 +308,7 @@ func TestShedNeverCachedByDedup(t *testing.T) {
 // answers), and below the plane (they never see ping/introspect).
 func TestUserInterceptorPlacement(t *testing.T) {
 	res := transformSource(t, dedupSource)
-	ov := &telemetry.OverloadStats{}
-	n, err := New(Config{Name: "srv", Result: res, Overload: ov,
-		Shed: intercept.ShedConfig{PriorityAt: 1}})
+	n, err := New(Config{Name: "srv", Result: res, Shed: intercept.ShedConfig{PriorityAt: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,6 +318,7 @@ func TestUserInterceptorPlacement(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := n.exports.Ensure(ref.O)
+	inflight := n.Metrics().Gauge("overload.inflight")
 
 	var seen []string
 	n.Use(func(cc *intercept.CallCtx, next intercept.Handler) (*wire.Response, error) {
@@ -334,11 +334,11 @@ func TestUserInterceptorPlacement(t *testing.T) {
 		t.Fatalf("ping: %+v", resp)
 	}
 	// Shed call: refused above the user tier.
-	ov.Inflight.Store(1)
+	inflight.Add(1)
 	if resp := n.dispatch(&wire.Request{ID: 2, Op: wire.OpInvoke, GUID: g, Method: "peek"}); !strings.HasPrefix(resp.Err, "load-shed:") {
 		t.Fatalf("expected shed: %+v", resp)
 	}
-	ov.Inflight.Store(0)
+	inflight.Add(-1)
 	// Admitted call: the user tier sees it and may short-circuit.
 	if resp := n.dispatch(&wire.Request{ID: 3, Op: wire.OpInvoke, GUID: g, Method: "forbidden"}); resp.Err != "policy: forbidden method" {
 		t.Fatalf("user short-circuit: %+v", resp)

@@ -99,8 +99,8 @@ class Main { static void main() {} }`
 	if want := bumps.Load(); got.I != want {
 		t.Fatalf("lost updates under migration: counter=%d, successful bumps=%d", got.I, want)
 	}
-	inB := nodeB.Snapshot().MigrationsIn
-	inA := nodeA.Snapshot().MigrationsIn
+	inB := count(nodeB, "node.migrations_in")
+	inA := count(nodeA, "node.migrations_in")
 	if inB == 0 {
 		t.Error("object never reached node B — the race was not exercised")
 	}
@@ -180,7 +180,7 @@ class Main { static void main() {} }`
 	if got.I != 7 {
 		t.Fatalf("work() = %d, want 7 (retry must land on the migrated state)", got.I)
 	}
-	if in := nodeB.Snapshot().MigrationsIn; in != 1 {
+	if in := count(nodeB, "node.migrations_in"); in != 1 {
 		t.Fatalf("migrations into B = %d, want 1", in)
 	}
 	// The interrupted attempt completed its nested call once, and the

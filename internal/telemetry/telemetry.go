@@ -31,6 +31,7 @@ import (
 	"time"
 	"weak"
 
+	"rafda/internal/metrics"
 	"rafda/internal/vm"
 	"rafda/internal/wire"
 )
@@ -41,7 +42,10 @@ const ewmaAlpha = 0.2
 
 // epSet is an immutable endpoint→counter list published through an
 // atomic pointer.  Nodes talk to a handful of peers, so linear scans
-// beat a map and stay allocation-free on the hit path.
+// beat a map and stay allocation-free on the hit path.  Callers arrive
+// off the wire, so a set itemises at most metrics.FamilyMax endpoints;
+// past that, bump refuses and the recording site counts the event
+// unitemised, the way it counts an anonymous caller.
 type epSet struct {
 	entries []epEntry
 }
@@ -51,9 +55,15 @@ type epEntry struct {
 	n  *atomic.Uint64
 }
 
-// bump increments the counter for ep, installing it on first use.
-func bump(p *atomic.Pointer[epSet], ep string) {
-	counterIn(p, ep).Add(1)
+// bump increments the counter for ep, installing it on first use; it
+// reports false, counting nothing, when ep is new and the set is full.
+func bump(p *atomic.Pointer[epSet], ep string) bool {
+	c := counterIn(p, ep)
+	if c == nil {
+		return false
+	}
+	c.Add(1)
+	return true
 }
 
 func counterIn(p *atomic.Pointer[epSet], ep string) *atomic.Uint64 {
@@ -64,6 +74,9 @@ func counterIn(p *atomic.Pointer[epSet], ep string) *atomic.Uint64 {
 				if s.entries[i].ep == ep {
 					return s.entries[i].n
 				}
+			}
+			if len(s.entries) >= metrics.FamilyMax {
+				return nil
 			}
 		}
 		next := &epSet{}
@@ -135,7 +148,7 @@ type ObjStats struct {
 
 	localCalls  atomic.Uint64 // host-driven and collapsed same-node calls
 	remoteCalls atomic.Uint64 // inbound invocations from identified peers
-	anonCalls   atomic.Uint64 // inbound from peers serving no endpoint
+	anonCalls   atomic.Uint64 // inbound from peers serving no endpoint, or past the callers cap
 	bytesIn     atomic.Uint64
 	bytesOut    atomic.Uint64
 	reads       atomic.Uint64         // calls the effect analysis proved read-only
@@ -145,16 +158,16 @@ type ObjStats struct {
 }
 
 // RecordInbound counts one served invocation: caller is the requesting
-// node's serving endpoint ("" when unidentified), sizes are the
+// node's serving endpoint ("" when unidentified; a caller past the
+// itemisation cap counts as unidentified too), sizes are the
 // estimated wire payloads, lat the service time measured under the
 // object's gate (queueing for the gate is excluded, so a contended but
 // fast object does not read as a slow one).
 func (s *ObjStats) RecordInbound(caller string, reqBytes, respBytes int, lat time.Duration) {
-	if caller == "" {
-		s.anonCalls.Add(1)
-	} else {
+	if caller != "" && bump(&s.callers, caller) {
 		s.remoteCalls.Add(1)
-		bump(&s.callers, caller)
+	} else {
+		s.anonCalls.Add(1)
 	}
 	s.bytesIn.Add(uint64(reqBytes))
 	s.bytesOut.Add(uint64(respBytes))
@@ -225,79 +238,6 @@ func PeerKey(endpoint string) string {
 	return endpoint
 }
 
-// DedupStats counts the exactly-once machinery's work at one node: how
-// often the per-caller dedup windows suppressed duplicate deliveries,
-// and how much window memory is live.  Unlike the affinity plane the
-// dedup table always records (the counters are the E12 chaos
-// experiment's pass/fail evidence and the operator's only view of
-// suppression working), so the struct lives here but is owned by the
-// dedup table.  All fields are atomics; recording never blocks.
-type DedupStats struct {
-	// ReplayHits counts duplicates answered from the replay cache (the
-	// first attempt had completed; its recorded response was re-sent).
-	ReplayHits atomic.Uint64
-	// Parked counts duplicates that arrived while the first attempt was
-	// still executing and waited for its completion instead of running.
-	Parked atomic.Uint64
-	// StaleRejected counts duplicates of calls already retired from the
-	// window (acked or evicted): they are refused, never re-executed.
-	StaleRejected atomic.Uint64
-	// Retired counts entries dropped by ack watermark or cache eviction.
-	Retired atomic.Uint64
-	// Adopted counts entries seeded from migration snapshots.
-	Adopted atomic.Uint64
-	// Entries is the live completed-entry gauge across all windows;
-	// EntriesHighWater its observed maximum.  Windows is the live
-	// per-caller window count.
-	Entries          atomic.Int64
-	EntriesHighWater atomic.Int64
-	Windows          atomic.Int64
-}
-
-// NoteEntries bumps the live-entry gauge by delta and folds the result
-// into the high-water mark.
-func (s *DedupStats) NoteEntries(delta int64) {
-	n := s.Entries.Add(delta)
-	for {
-		hw := s.EntriesHighWater.Load()
-		if n <= hw || s.EntriesHighWater.CompareAndSwap(hw, n) {
-			return
-		}
-	}
-}
-
-// DedupSample is one node's dedup counters at snapshot time.
-type DedupSample struct {
-	ReplayHits       uint64 `json:"replay_hits"`
-	Parked           uint64 `json:"parked_duplicates"`
-	StaleRejected    uint64 `json:"stale_rejected"`
-	Retired          uint64 `json:"retired"`
-	Adopted          uint64 `json:"adopted"`
-	Entries          int64  `json:"entries"`
-	EntriesHighWater int64  `json:"entries_high_water"`
-	Windows          int64  `json:"windows"`
-}
-
-// Suppressed returns the total duplicate deliveries that did not
-// re-execute: replayed, parked-then-replayed, or rejected as stale.
-func (s DedupSample) Suppressed() uint64 {
-	return s.ReplayHits + s.Parked + s.StaleRejected
-}
-
-// Snapshot reads the counters.
-func (s *DedupStats) Snapshot() DedupSample {
-	return DedupSample{
-		ReplayHits:       s.ReplayHits.Load(),
-		Parked:           s.Parked.Load(),
-		StaleRejected:    s.StaleRejected.Load(),
-		Retired:          s.Retired.Load(),
-		Adopted:          s.Adopted.Load(),
-		Entries:          s.Entries.Load(),
-		EntriesHighWater: s.EntriesHighWater.Load(),
-		Windows:          s.Windows.Load(),
-	}
-}
-
 // Recorder is one node's metrics plane.  The zero value is not usable;
 // construct with NewRecorder.  A nil *Recorder is the disabled plane:
 // the node runtime checks for nil before the (cheap) record calls.
@@ -348,14 +288,12 @@ func (r *Recorder) RecordCreateRemote(class, target string) {
 }
 
 // RecordCreateServed counts one construction of class served for the
-// peer at caller ("" when unidentified).
+// peer at caller ("" when unidentified, like a caller past the cap).
 func (r *Recorder) RecordCreateServed(class, caller string) {
 	cs := r.forClass(class)
-	if caller == "" {
+	if caller == "" || !bump(&cs.servedCreates, caller) {
 		cs.servedAnon.Add(1)
-		return
 	}
-	bump(&cs.servedCreates, caller)
 }
 
 // RecordOutbound counts one outgoing proxy invocation on an instance (or
@@ -397,7 +335,7 @@ type ObjSample struct {
 	Obj   *vm.Object
 	// Local counts host-driven and same-node collapsed calls, Remote
 	// calls from identified peers (itemised in Callers), Anon calls
-	// from peers serving no endpoint.
+	// from peers serving no endpoint or past the itemisation cap.
 	Local, Remote, Anon uint64
 	Callers             map[string]uint64
 	BytesIn, BytesOut   uint64
@@ -449,7 +387,7 @@ type ClassSample struct {
 	LocalCreates  uint64
 	RemoteCreates map[string]uint64 // by construction target endpoint
 	ServedCreates map[string]uint64 // by requesting peer endpoint
-	ServedAnon    uint64
+	ServedAnon    uint64            // unidentified or past the cap
 	OutCalls      map[string]uint64 // by callee endpoint
 	OutBytes      uint64
 	OutEWMANs     float64

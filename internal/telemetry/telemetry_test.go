@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"rafda/internal/ir"
+	"rafda/internal/metrics"
 	"rafda/internal/vm"
 	"rafda/internal/wire"
 )
@@ -55,6 +56,36 @@ func TestAnonymousCallerCountsSeparately(t *testing.T) {
 	}
 	if got.Calls() != 1 {
 		t.Fatalf("Calls() = %d", got.Calls())
+	}
+}
+
+// TestCallerItemisationCapped floods one object and one class with
+// wire-supplied caller identities: at most metrics.FamilyMax are
+// itemised, the rest count exactly as anonymous callers do, and the
+// totals stay exact.
+func TestCallerItemisationCapped(t *testing.T) {
+	const callers = 10000
+	r := NewRecorder()
+	s := r.ForObject(obj(), "g", "C")
+	for i := 0; i < callers; i++ {
+		ep := fmt.Sprintf("rrp://10.0.%d.%d:1", i/256, i%256)
+		s.RecordInbound(ep, 1, 1, time.Microsecond)
+		r.RecordCreateServed("C", ep)
+	}
+	got := r.SnapshotObjects()[0]
+	if len(got.Callers) > metrics.FamilyMax {
+		t.Fatalf("%d callers itemised, cap %d", len(got.Callers), metrics.FamilyMax)
+	}
+	if got.Calls() != callers || got.Remote != uint64(len(got.Callers)) {
+		t.Fatalf("totals: calls %d remote %d anon %d, %d itemised", got.Calls(), got.Remote, got.Anon, len(got.Callers))
+	}
+	cs := r.SnapshotClasses()[0]
+	served := cs.ServedAnon
+	for _, n := range cs.ServedCreates {
+		served += n
+	}
+	if len(cs.ServedCreates) > metrics.FamilyMax || served != callers {
+		t.Fatalf("served creates: %d itemised, %d total", len(cs.ServedCreates), served)
 	}
 }
 

@@ -14,6 +14,11 @@
 // (rafdac, OpIntrospect) assembles the cross-node call tree by parent
 // span id.
 //
+// Latency digests — per span kind, the server gate-wait split, and
+// served-call latency per op and per tenant — are histograms registered
+// in the node's metrics registry (internal/metrics), so the unified
+// snapshot enumerates them alongside every other plane's counters.
+//
 // Concurrency contract (docs/CONCURRENCY.md §14): Emit takes no locks
 // and never blocks — one atomic fetch-add claims a slot, one atomic
 // pointer store publishes the span, and histogram buckets are plain
@@ -28,10 +33,13 @@ import (
 	"math/bits"
 	"sync/atomic"
 	"time"
+
+	"rafda/internal/metrics"
 )
 
 // Kind classifies a span by the subsystem that emitted it.  Histograms
-// are kept per kind, so p50/p99/p999 are answerable per op class.
+// are kept per kind ("trace.kind"), so p50/p99/p999 are answerable per
+// op class.
 type Kind uint8
 
 const (
@@ -129,7 +137,7 @@ func (s *Span) Ctx() Ctx {
 }
 
 // Recorder is the bounded flight recorder: a power-of-two ring of
-// atomically published spans plus per-kind latency histograms.  Memory
+// atomically published spans plus the latency histograms.  Memory
 // is fixed at construction (cap slots); writers never block and never
 // wait for readers — a snapshot may miss a slot being overwritten
 // mid-read, which is the accepted cost of lock-freedom.
@@ -141,14 +149,14 @@ type Recorder struct {
 	ids   atomic.Uint64 // id sequence, whitened through splitmix64
 	seed  uint64
 	block atomic.Pointer[spanBlock] // NewSpan's current allocation batch
-	hists [numKinds]hist
-	queue hist // gate-wait split of server spans
+	kinds [numKinds]*metrics.Hist
+	queue *metrics.Hist // gate-wait split of server spans
 
 	// Keyed distributions for the SLO plane: served-call latency by
-	// dispatched method and by caller identity (tenant).  Fed by
-	// ObserveCall, cardinality-capped (keyed.go).
-	ops     keyedHists
-	tenants keyedHists
+	// dispatched method and by caller identity (tenant), fed by
+	// ObserveCall, cardinality-capped by the family.
+	ops     *metrics.Family[metrics.Hist]
+	tenants *metrics.Family[metrics.Hist]
 }
 
 // spanBlockSize is NewSpan's allocation batch: spans are bump-allocated
@@ -199,8 +207,13 @@ var recorderNonce atomic.Uint64
 const DefaultSpans = 4096
 
 // New builds a recorder whose ring holds capacity spans (rounded up to
-// a power of two, floor 64; <=0 selects DefaultSpans).
-func New(node string, capacity int) *Recorder {
+// a power of two, floor 64; <=0 selects DefaultSpans), recording its
+// histograms into unregistered instruments.
+func New(node string, capacity int) *Recorder { return NewIn(nil, node, capacity) }
+
+// NewIn is New with the histograms registered in reg: "trace.kind"
+// (keyed by span kind), "trace.queue", "trace.op" and "trace.tenant".
+func NewIn(reg *metrics.Registry, node string, capacity int) *Recorder {
 	if capacity <= 0 {
 		capacity = DefaultSpans
 	}
@@ -211,12 +224,20 @@ func New(node string, capacity int) *Recorder {
 	h := fnv.New64a()
 	h.Write([]byte(node))
 	seed := h.Sum64() ^ uint64(time.Now().UnixNano()) ^ (recorderNonce.Add(1) << 32)
-	return &Recorder{
-		node:  node,
-		mask:  uint64(size - 1),
-		slots: make([]atomic.Pointer[Span], size),
-		seed:  seed,
+	r := &Recorder{
+		node:    node,
+		mask:    uint64(size - 1),
+		slots:   make([]atomic.Pointer[Span], size),
+		seed:    seed,
+		queue:   reg.Hist("trace.queue"),
+		ops:     reg.Hists("trace.op"),
+		tenants: reg.Hists("trace.tenant"),
 	}
+	kinds := reg.Hists("trace.kind")
+	for k := range r.kinds {
+		r.kinds[k] = kinds.Get(kindNames[k])
+	}
+	return r
 }
 
 // splitmix64 whitens a counter into a well-distributed 64-bit id.
@@ -247,10 +268,10 @@ func (r *Recorder) Emit(s *Span) {
 		s.Node = r.node
 	}
 	if s.Kind < numKinds {
-		r.hists[s.Kind].observe(uint64(s.Dur))
+		r.kinds[s.Kind].Observe(uint64(s.Dur))
 	}
 	if s.Queue > 0 {
-		r.queue.observe(uint64(s.Queue))
+		r.queue.Observe(uint64(s.Queue))
 	}
 	seq := r.pos.Add(1) - 1
 	r.slots[seq&r.mask].Store(s)
@@ -292,45 +313,34 @@ func (r *Recorder) Spans() []Span {
 	return out
 }
 
-// KindStat is one kind's latency distribution at snapshot time.
-type KindStat struct {
-	Kind   string  `json:"kind"`
-	Count  uint64  `json:"count"`
-	P50us  float64 `json:"p50_us"`
-	P99us  float64 `json:"p99_us"`
-	P999us float64 `json:"p999_us"`
-	MaxUs  float64 `json:"max_us"`
+// ObserveCall feeds one served call into the per-op and per-tenant
+// histograms.  op is the dispatched method, tenant the caller identity
+// (the wire Caller endpoint); empty strings skip their axis.  Lock-free
+// and nil-safe, so dispatch can call it unconditionally.
+func (r *Recorder) ObserveCall(op, tenant string, durNs int64) {
+	if r == nil || durNs < 0 {
+		return
+	}
+	if op != "" {
+		r.ops.Get(op).Observe(uint64(durNs))
+	}
+	if tenant != "" {
+		r.tenants.Get(tenant).Observe(uint64(durNs))
+	}
 }
 
-// Stats summarises the recorder for the unified metrics snapshot.
+// Stats is the ring's occupancy for the unified metrics snapshot (the
+// latency digests are registry rows).
 type Stats struct {
-	Spans    int        `json:"spans"`
-	Capacity int        `json:"capacity"`
-	Emitted  uint64     `json:"emitted"`
-	Kinds    []KindStat `json:"kinds,omitempty"`
-	// Ops and Tenants are served-call latency by dispatched method and
-	// by caller identity, busiest first (ObserveCall's view); present
-	// only once calls have been observed.
-	Ops     []KeyStat `json:"ops,omitempty"`
-	Tenants []KeyStat `json:"tenants,omitempty"`
+	Spans    int    `json:"spans"`
+	Capacity int    `json:"capacity"`
+	Emitted  uint64 `json:"emitted"`
 }
 
-// Stats snapshots the per-kind histograms (plus the server gate-wait
-// split, reported as pseudo-kind "queue").
+// Stats snapshots the ring's occupancy.
 func (r *Recorder) Stats() Stats {
 	if r == nil {
 		return Stats{}
 	}
-	st := Stats{Spans: r.Len(), Capacity: r.Cap(), Emitted: r.Emitted()}
-	for k := Kind(0); k < numKinds; k++ {
-		if row, ok := r.hists[k].stat(k.String()); ok {
-			st.Kinds = append(st.Kinds, row)
-		}
-	}
-	if row, ok := r.queue.stat("queue"); ok {
-		st.Kinds = append(st.Kinds, row)
-	}
-	st.Ops = r.ops.stats()
-	st.Tenants = r.tenants.stats()
-	return st
+	return Stats{Spans: r.Len(), Capacity: r.Cap(), Emitted: r.Emitted()}
 }

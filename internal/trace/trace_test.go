@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"rafda/internal/metrics"
 )
 
 func TestRingOverwritesOldest(t *testing.T) {
@@ -61,7 +63,8 @@ func TestNewIDUniqueNonzero(t *testing.T) {
 // Emitters must never block and the snapshot must only ever see fully
 // published spans.
 func TestConcurrentWrapRace(t *testing.T) {
-	r := New("n", 128)
+	reg := metrics.New()
+	r := NewIn(reg, "n", 128)
 	const emitters = 8
 	const each = 5000
 	var wg sync.WaitGroup
@@ -94,6 +97,7 @@ func TestConcurrentWrapRace(t *testing.T) {
 					}
 				}
 				r.Stats()
+				reg.Snapshot()
 			}
 		}()
 	}
@@ -126,62 +130,13 @@ func TestEmitNeverBlocks(t *testing.T) {
 	}
 }
 
-func TestHistogramQuantiles(t *testing.T) {
-	var h hist
-	// Uniform 1..1000 microseconds in ns.
-	for i := 1; i <= 1000; i++ {
-		h.observe(uint64(i) * 1000)
-	}
-	st, ok := h.stat("x")
-	if !ok || st.Count != 1000 {
-		t.Fatalf("stat: %+v ok=%v", st, ok)
-	}
-	// Log-linear error bound is 1/32; allow 5%.
-	near := func(got, want float64) bool {
-		return got > want*0.95 && got < want*1.05
-	}
-	if !near(st.P50us, 500) {
-		t.Fatalf("p50 %.1fus, want ~500us", st.P50us)
-	}
-	if !near(st.P99us, 990) {
-		t.Fatalf("p99 %.1fus, want ~990us", st.P99us)
-	}
-	if st.MaxUs != 1000 {
-		t.Fatalf("max %.1fus, want 1000us", st.MaxUs)
-	}
-}
-
-func TestHistogramExactSmallValues(t *testing.T) {
-	var h hist
-	for i := 0; i < 100; i++ {
-		h.observe(uint64(i))
-	}
-	if got := h.quantile(0.5); got != 50 {
-		t.Fatalf("small-value p50 = %d, want exactly 50", got)
-	}
-	if histValue(histIndex(77)) != 77 {
-		t.Fatal("exact bucket not exact")
-	}
-}
-
 func TestStatsIncludesQueueSplit(t *testing.T) {
-	r := New("n", 64)
+	reg := metrics.New()
+	r := NewIn(reg, "n", 64)
 	r.Emit(&Span{Trace: 1, ID: 1, Kind: KindServer, Dur: 1000, Queue: 500})
-	st := r.Stats()
-	var kinds []string
-	for _, k := range st.Kinds {
-		kinds = append(kinds, k.Kind)
-	}
-	want := map[string]bool{"server": false, "queue": false}
-	for _, k := range kinds {
-		if _, ok := want[k]; ok {
-			want[k] = true
-		}
-	}
-	for k, seen := range want {
-		if !seen {
-			t.Fatalf("stats missing %q row: %v", k, kinds)
-		}
+	rows := reg.Snapshot()
+	if len(rows) != 2 || rows[0].Name != "trace.kind" || rows[0].Key != "server" || rows[1].Name != "trace.queue" {
+		t.Fatalf("want the server kind row and the queue row, got %+v", rows)
 	}
 }
 

@@ -7,7 +7,7 @@ import (
 	"testing"
 	"time"
 
-	"rafda/internal/telemetry"
+	"rafda/internal/metrics"
 	"rafda/internal/wire"
 )
 
@@ -20,11 +20,11 @@ import (
 // gets the slot once the stuck call releases it, proving the reject
 // left the semaphore untouched.  Run under -race in CI.
 func TestDeadlineRejectedAtAdmission(t *testing.T) {
-	ov := &telemetry.OverloadStats{}
+	reg := metrics.New()
 	var handled atomic.Int64
 	block := make(chan struct{})
 	entered := make(chan struct{})
-	tr := NewRRP(Options{MaxInflight: 1, Overload: ov})
+	tr := NewRRP(Options{MaxInflight: 1, Metrics: reg})
 	srv, err := tr.Listen("", func(req *wire.Request) *wire.Response {
 		handled.Add(1)
 		if req.Method == "stuck" {
@@ -61,10 +61,10 @@ func TestDeadlineRejectedAtAdmission(t *testing.T) {
 	if !strings.Contains(resp.Err, "deadline expired") {
 		t.Fatalf("want admission rejection, got %+v", resp)
 	}
-	if got := ov.AdmissionRejects.Load(); got != 1 {
+	if got := reg.Counter("overload.admission_rejects").Load(); got != 1 {
 		t.Fatalf("admission_rejects = %d, want 1", got)
 	}
-	if got := ov.DeadlineExpiries.Load(); got != 1 {
+	if got := reg.Counter("overload.deadline_expiries").Load(); got != 1 {
 		t.Fatalf("deadline_expiries = %d, want 1", got)
 	}
 	if got := handled.Load(); got != 1 {
@@ -82,7 +82,7 @@ func TestDeadlineRejectedAtAdmission(t *testing.T) {
 	if got := handled.Load(); got != 2 {
 		t.Fatalf("handled = %d, want 2", got)
 	}
-	if hw := ov.InflightHighWater.Load(); hw != 1 {
+	if hw := reg.Gauge("overload.inflight").HighWater(); hw != 1 {
 		t.Fatalf("inflight high-water = %d, want 1 (slot never double-granted)", hw)
 	}
 }

@@ -11,7 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"rafda/internal/telemetry"
+	"rafda/internal/metrics"
 	"rafda/internal/wire"
 )
 
@@ -31,10 +31,26 @@ import (
 // correlation rules.
 type RRP struct {
 	opts Options
+	ov   overload
+}
+
+// overload is the serve plane's instruments, shared by every server
+// and connection of one transport.
+type overload struct {
+	rejects, expiries, stalls *metrics.Counter
+	inflight                  *metrics.Gauge
 }
 
 // NewRRP returns the RRP transport.
-func NewRRP(opts Options) *RRP { return &RRP{opts: opts} }
+func NewRRP(opts Options) *RRP {
+	reg := opts.Metrics
+	return &RRP{opts: opts, ov: overload{
+		rejects:  reg.Counter("overload.admission_rejects"),
+		expiries: reg.Counter("overload.deadline_expiries"),
+		stalls:   reg.Counter("overload.outbox_stalls"),
+		inflight: reg.Gauge("overload.inflight"),
+	}}
+}
 
 // Proto returns "rrp".
 func (*RRP) Proto() string { return "rrp" }
@@ -45,7 +61,7 @@ func (t *RRP) Listen(addr string, h Handler) (Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("rrp listen: %w", err)
 	}
-	s := &rrpServer{l: l, inflight: t.opts.maxInflight(), ov: t.opts.Overload}
+	s := &rrpServer{l: l, inflight: t.opts.maxInflight(), ov: &t.ov}
 	go s.acceptLoop(h)
 	return s, nil
 }
@@ -53,7 +69,7 @@ func (t *RRP) Listen(addr string, h Handler) (Server, error) {
 type rrpServer struct {
 	l        net.Listener
 	inflight int
-	ov       *telemetry.OverloadStats
+	ov       *overload
 	wg       sync.WaitGroup
 	closed   sync.Once
 
@@ -127,10 +143,10 @@ func (s *rrpServer) acceptLoop(h Handler) {
 // order, not arrival order — so a slow call delays only itself; later
 // requests on the same connection overtake it and their responses go
 // out first.
-func serveRRPConn(conn net.Conn, h Handler, maxInflight int, ov *telemetry.OverloadStats) {
+func serveRRPConn(conn net.Conn, h Handler, maxInflight int, ov *overload) {
 	br := bufio.NewReaderSize(conn, rrpBufSize)
-	sc := &rrpServeConn{h: h, sem: make(chan struct{}, maxInflight), work: make(chan *wire.Request)}
-	sc.out = sender{conn: conn, outbox: make(chan outFrame, outboxDepth), ov: ov,
+	sc := &rrpServeConn{h: h, sem: make(chan struct{}, maxInflight), work: make(chan *wire.Request), ov: ov}
+	sc.out = sender{conn: conn, outbox: make(chan outFrame, outboxDepth), stalls: ov.stalls,
 		fail: func(error) { _ = conn.Close() }} // stops the read loop below
 	writerDone := make(chan struct{})
 	go func() {
@@ -161,7 +177,7 @@ func serveRRPConn(conn net.Conn, h Handler, maxInflight int, ov *telemetry.Overl
 		// Deposit the measured slot wait for the dispatch chain's queue
 		// management (server-local; never serialized).
 		req.SlotWaitUs = slotWaitUs
-		ov.NoteInflight(1)
+		ov.inflight.Add(1)
 		select {
 		case sc.work <- req: // a parked worker took it, on its warm stack
 		default:
@@ -181,6 +197,7 @@ func serveRRPConn(conn net.Conn, h Handler, maxInflight int, ov *telemetry.Overl
 // rrpServeConn is the dispatch state of one served connection.
 type rrpServeConn struct {
 	out  sender
+	ov   *overload
 	h    Handler
 	sem  chan struct{}      // dispatch slots: at most maxInflight handlers run
 	work chan *wire.Request // unbuffered: a send lands only in a parked worker
@@ -194,7 +211,7 @@ func (sc *rrpServeConn) worker(req *wire.Request) {
 	for ok := true; ok; req, ok = <-sc.work {
 		sc.out.respond(sc.h(req))
 		<-sc.sem
-		sc.out.ov.NoteInflight(-1)
+		sc.ov.inflight.Add(-1)
 	}
 }
 
@@ -210,7 +227,7 @@ func (sc *rrpServeConn) worker(req *wire.Request) {
 // — and a slot granted in time is charged for the wait by decrementing
 // the budget the call carries on.
 func (sc *rrpServeConn) admit(req *wire.Request) (slotWaitUs uint64, ok bool) {
-	sem, out := sc.sem, &sc.out
+	sem, out, ov := sc.sem, &sc.out, sc.ov
 	select {
 	case sem <- struct{}{}: // fast path: free slot, no wait, no clock read
 		return 0, true
@@ -232,17 +249,24 @@ func (sc *rrpServeConn) admit(req *wire.Request) (slotWaitUs uint64, ok bool) {
 			// slot back rather than burn it on a call whose caller has
 			// already given up.
 			<-sem
-			out.ov.NoteAdmissionReject(true)
+			ov.rejectExpired()
 			out.respond(deadlineReject(req))
 			return 0, false
 		}
 		req.DeadlineUs -= waited
 		return waited, true
 	case <-timer.C:
-		out.ov.NoteAdmissionReject(true)
+		ov.rejectExpired()
 		out.respond(deadlineReject(req))
 		return 0, false
 	}
+}
+
+// rejectExpired counts one request refused at admission because its
+// deadline ran out: it is both an admission reject and an expiry.
+func (ov *overload) rejectExpired() {
+	ov.rejects.Inc()
+	ov.expiries.Inc()
 }
 
 // deadlineReject is the admission-rejection response: a transport-level
@@ -271,9 +295,9 @@ type outFrame struct {
 type sender struct {
 	conn   net.Conn
 	outbox chan outFrame
-	dead   chan struct{}            // client: closed by fail; server: nil, its writer outlives errors
-	fail   func(error)              // poisons the connection after a failed write
-	ov     *telemetry.OverloadStats // server only
+	dead   chan struct{}    // client: closed by fail; server: nil, its writer outlives errors
+	fail   func(error)      // poisons the connection after a failed write
+	stalls *metrics.Counter // server only: outbox backpressure
 
 	wmu    sync.Mutex
 	broken bool // under wmu: a write failed, later frames are dropped
@@ -308,7 +332,9 @@ func (s *sender) send(of outFrame) {
 	case s.outbox <- of:
 		return
 	default:
-		s.ov.NoteOutboxStall()
+		if s.stalls != nil {
+			s.stalls.Inc()
+		}
 	}
 	select {
 	case s.outbox <- of:

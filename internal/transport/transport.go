@@ -33,8 +33,8 @@ import (
 	"strings"
 	"sync"
 
+	"rafda/internal/metrics"
 	"rafda/internal/netsim"
-	"rafda/internal/telemetry"
 	"rafda/internal/wire"
 )
 
@@ -79,13 +79,14 @@ type Options struct {
 	// MaxInflight bounds the number of requests a server dispatches
 	// concurrently per connection (rrp); 0 means DefaultMaxInflight.
 	MaxInflight int
-	// Overload, when non-nil, receives the serve plane's overload
-	// events: admission rejects and admission-queue deadline expiries,
-	// the in-flight dispatch-slot gauge/high-water, and outbox
-	// backpressure stalls.  The node shares its own instance here so
-	// one snapshot covers transport and dispatch (nil disables nothing
-	// — all methods are nil-safe — it just records nowhere).
-	Overload *telemetry.OverloadStats
+	// Metrics is the registry the serve plane's overload instruments
+	// come from: "overload.admission_rejects",
+	// "overload.deadline_expiries" (admission-queue expiries),
+	// "overload.inflight" (the dispatch-slot gauge) and
+	// "overload.outbox_stalls".  The node shares its own registry here
+	// so one snapshot covers transport and dispatch; nil records into
+	// unregistered instruments.
+	Metrics *metrics.Registry
 }
 
 // DefaultMaxInflight is the per-connection concurrent-dispatch bound used

@@ -8,10 +8,10 @@ import (
 
 	"rafda/internal/intercept"
 	"rafda/internal/ir"
+	"rafda/internal/metrics"
 	"rafda/internal/netsim"
 	"rafda/internal/node"
 	"rafda/internal/policy"
-	"rafda/internal/telemetry"
 	"rafda/internal/transport"
 	"rafda/internal/vm"
 )
@@ -29,15 +29,9 @@ type NetProfile struct {
 	Faults *NetFaults
 }
 
-// NetFaults mirrors internal/netsim.Faults: seeded per-mille schedules
-// of injected write faults, applied independently per connection.
-type NetFaults struct {
-	Seed            uint64
-	DupPerMille     int
-	DropPerMille    int
-	KillPerMille    int
-	FirstSafeWrites int64
-}
+// NetFaults is a seeded per-mille schedule of injected write faults,
+// applied independently per connection (see internal/netsim.Faults).
+type NetFaults = netsim.Faults
 
 // Predefined profiles mirroring internal/netsim.
 var (
@@ -47,23 +41,14 @@ var (
 )
 
 func (np NetProfile) profile() netsim.Profile {
-	p := netsim.Profile{
+	return netsim.Profile{
 		Latency:         np.Latency,
 		Jitter:          np.Jitter,
 		BandwidthBps:    np.BandwidthBps,
 		FailAfterWrites: np.FailAfterWrites,
 		Seed:            1,
+		Faults:          np.Faults,
 	}
-	if f := np.Faults; f != nil {
-		p.Faults = &netsim.Faults{
-			Seed:            f.Seed,
-			DupPerMille:     f.DupPerMille,
-			DropPerMille:    f.DropPerMille,
-			KillPerMille:    f.KillPerMille,
-			FirstSafeWrites: f.FirstSafeWrites,
-		}
-	}
-	return p
 }
 
 // LimitsConfig groups a node's server-capacity knobs.
@@ -73,7 +58,7 @@ type LimitsConfig struct {
 	// default (256).  Together with per-call deadlines it is the
 	// reactive overload-control knob: deadlined calls that cannot get a
 	// dispatch slot within their budget are rejected at admission and
-	// counted in the overload section of IntrospectJSON
+	// counted in IntrospectJSON's "overload.*" rows
 	// (docs/OBSERVABILITY.md).  It is also the saturation depth the
 	// Shed policies act relative to.
 	MaxInflight int
@@ -98,32 +83,15 @@ type TracingConfig struct {
 }
 
 // ShedConfig groups the proactive load-shedding knobs (zero = all
-// policies off).  The policies run as dispatch interceptors after the
+// policies off): strict-priority admission (PriorityAt), per-tenant
+// fair share (FairShareAt) and CoDel on the measured dispatch-slot wait
+// (CoDelTarget, CoDelInterval); internal/intercept.ShedConfig documents
+// each field.  The policies run as dispatch interceptors after the
 // control plane and before the dedup window; each refusal is an
 // infrastructure-error response carrying a "load-shed:" marker and is
-// counted in the overload and shed sections of IntrospectJSON.  See
-// docs/INTERCEPT.md and docs/CONCURRENCY.md §16.
-type ShedConfig struct {
-	// PriorityAt enables strict-priority admission: once the server's
-	// inflight gauge reaches PriorityAt, priority-class-0 requests are
-	// shed; class p survives until PriorityAt<<p.  Callers carry the
-	// class in the request's tag-5 wire extension (zero — the default —
-	// encodes nothing and stays byte-identical to the old protocol).
-	PriorityAt int
-	// FairShareAt enables per-tenant fair-share admission: once the
-	// inflight gauge reaches FairShareAt, a tenant (request Caller)
-	// holding more than its 1/active-tenants share of FairShareAt slots
-	// is shed.  The tenant table is bounded; past 256 distinct callers
-	// the rest share one "~other" bucket.
-	FairShareAt int
-	// CoDelTarget enables CoDel queue management on the measured
-	// dispatch-slot wait: waits persistently above the target for a
-	// full CoDelInterval start a drop cycle with the classic
-	// inverse-sqrt control law.  Zero disables.
-	CoDelTarget time.Duration
-	// CoDelInterval is CoDel's sliding window; <= 0 takes 100ms.
-	CoDelInterval time.Duration
-}
+// counted in IntrospectJSON's "shed.*" rows.  See docs/INTERCEPT.md and
+// docs/CONCURRENCY.md §16.
+type ShedConfig = intercept.ShedConfig
 
 // NodeConfig configures a RAFDA address space.
 type NodeConfig struct {
@@ -202,16 +170,15 @@ func (n *Node) attachCluster(c *Cluster) {
 
 // NewNode builds a node for the transformed program.
 func (t *Transformed) NewNode(cfg NodeConfig) (*Node, error) {
-	// One overload-counter instance shared by the node and its
-	// transports: admission rejects at the rrp server and gate-queue
-	// expiries at dispatch land in the same introspection snapshot, and
-	// the shedding interceptors read the same inflight gauge the rrp
-	// server maintains.
-	overload := &telemetry.OverloadStats{}
+	// One metrics registry shared by the node and its transports:
+	// admission rejects at the rrp server and gate-queue expiries at
+	// dispatch land in the same introspection snapshot, and the shedding
+	// interceptors read the same inflight gauge the rrp server maintains.
+	mreg := metrics.New()
 	reg := transport.Default(transport.Options{
 		Profile:     cfg.Network.profile(),
 		MaxInflight: cfg.Limits.MaxInflight,
-		Overload:    overload,
+		Metrics:     mreg,
 	})
 	var vmOpts []vm.Option
 	if cfg.MaxSteps > 0 {
@@ -228,14 +195,9 @@ func (t *Transformed) NewNode(cfg NodeConfig) (*Node, error) {
 		DedupWindow:       cfg.Limits.DedupWindow,
 		TraceSpans:        cfg.Tracing.Spans,
 		NoTrace:           cfg.Tracing.Disable,
-		Overload:          overload,
-		Shed: intercept.ShedConfig{
-			PriorityAt:    cfg.Shed.PriorityAt,
-			FairShareAt:   cfg.Shed.FairShareAt,
-			CoDelTarget:   cfg.Shed.CoDelTarget,
-			CoDelInterval: cfg.Shed.CoDelInterval,
-		},
-		Interceptors: cfg.Interceptors,
+		Metrics:           mreg,
+		Shed:              cfg.Shed,
+		Interceptors:      cfg.Interceptors,
 	})
 	if err != nil {
 		return nil, err
@@ -389,7 +351,9 @@ func (n *Node) IsReplicated(ref *Ref) bool {
 	return ref != nil && ref.v.O != nil && n.n.IsReplicated(ref.v.O)
 }
 
-// NodeStats counts node activity.
+// NodeStats counts node activity.  RemoteCallsOut counts proxy
+// invocations only — the forward-hop count — not every leg the node
+// sends.
 type NodeStats struct {
 	RemoteCallsOut uint64
 	RemoteCallsIn  uint64
@@ -401,13 +365,13 @@ type NodeStats struct {
 
 // Stats returns a snapshot of activity counters.
 func (n *Node) Stats() NodeStats {
-	s := n.n.Snapshot()
+	m := n.n.Metrics()
 	return NodeStats{
-		RemoteCallsOut: s.RemoteCallsOut,
-		RemoteCallsIn:  s.RemoteCallsIn,
-		Creates:        s.Creates,
-		MigrationsOut:  s.MigrationsOut,
-		MigrationsIn:   s.MigrationsIn,
+		RemoteCallsOut: m.Counter("node.calls_out").Load(),
+		RemoteCallsIn:  m.Counter("node.calls_in").Load(),
+		Creates:        m.Counter("node.creates").Load(),
+		MigrationsOut:  m.Counter("node.migrations_out").Load(),
+		MigrationsIn:   m.Counter("node.migrations_in").Load(),
 		Exports:        n.n.Exports(),
 	}
 }
@@ -435,28 +399,49 @@ func (s DedupStats) Suppressed() uint64 {
 // DedupStats snapshots the exactly-once plane's counters.  Always live,
 // independent of EnableTelemetry.
 func (n *Node) DedupStats() DedupStats {
-	s := n.n.DedupSnapshot()
+	m := n.n.Metrics()
+	entries := m.Gauge("dedup.entries")
 	return DedupStats{
-		ReplayHits:       s.ReplayHits,
-		ParkedDuplicates: s.Parked,
-		StaleRejected:    s.StaleRejected,
-		Retired:          s.Retired,
-		Adopted:          s.Adopted,
-		Entries:          s.Entries,
-		EntriesHighWater: s.EntriesHighWater,
-		Windows:          s.Windows,
+		ReplayHits:       m.Counter("dedup.replay_hits").Load(),
+		ParkedDuplicates: m.Counter("dedup.parked").Load(),
+		StaleRejected:    m.Counter("dedup.stale_rejected").Load(),
+		Retired:          m.Counter("dedup.retired").Load(),
+		Adopted:          m.Counter("dedup.adopted").Load(),
+		Entries:          entries.Load(),
+		EntriesHighWater: entries.HighWater(),
+		Windows:          m.Gauge("dedup.windows").Load(),
 	}
 }
 
-// ShedSample snapshots the load-shedding plane's per-priority-class and
-// per-tenant refusal counters (both maps nil when no Shed policy is
-// configured or nothing was shed).  Aggregate per-policy totals live in
-// the overload section of IntrospectJSON.
-type ShedSample = intercept.ShedSample
+// ShedSample is the load-shedding plane's refusals by priority class
+// (decimal) and by tenant (caller endpoint, or "~other" past the
+// table's bound); a map is nil when nothing was shed on its axis.
+type ShedSample struct {
+	ByPriority map[string]uint64
+	ByTenant   map[string]uint64
+}
 
-// ShedStats snapshots the cumulative shed tables.  Always live when a
-// Shed policy is configured, independent of EnableTelemetry.
-func (n *Node) ShedStats() ShedSample { return n.n.ShedSnapshot() }
+// ShedStats snapshots the cumulative shed tables, read from the
+// "shed.priority" and "shed.fairshare" rows of the metrics registry.
+func (n *Node) ShedStats() ShedSample {
+	var s ShedSample
+	for _, r := range n.n.Metrics().Snapshot() {
+		var m *map[string]uint64
+		switch r.Name {
+		case "shed.priority":
+			m = &s.ByPriority
+		case "shed.fairshare":
+			m = &s.ByTenant
+		default:
+			continue
+		}
+		if *m == nil {
+			*m = make(map[string]uint64)
+		}
+		(*m)[r.Key] = uint64(r.Value)
+	}
+	return s
+}
 
 // IntrospectJSON renders one introspection section of this node as
 // JSON — the same snapshot wire.OpIntrospect serves to remote callers
