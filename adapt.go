@@ -130,12 +130,6 @@ func (n *Node) NewAdapter(cfg AdaptConfig) *Adapter {
 		IsReplicated:  in.IsReplicated,
 		SelfEndpoints: in.Endpoints,
 		StateBytes:    in.StateBytes,
-		PeerRTTs: func() map[string]float64 {
-			if rec := in.Telemetry(); rec != nil {
-				return rec.PeerRTTs()
-			}
-			return nil
-		},
 		// Cluster delegation: a confirmed migration becomes a placement
 		// intent the cluster reconciles (tie-break by priority, then
 		// node id) and the object's home executes.  Checked per call, so

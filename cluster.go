@@ -45,26 +45,10 @@ type ClusterConfig struct {
 }
 
 // ClusterEvent is one observable coordination occurrence.
-type ClusterEvent struct {
-	Tick uint64
-	// Kind: peer-join, peer-suspect, peer-dead, peer-leave, intent,
-	// propose, migrate, migrate-fail, dir, class-apply, gossip-fail.
-	Kind   string
-	Peer   string
-	GUID   string
-	Class  string
-	From   string
-	To     string
-	Detail string
-}
+type ClusterEvent = cluster.Event
 
 // ClusterPeer is one row of the membership table.
-type ClusterPeer struct {
-	ID        string
-	Endpoint  string
-	Heartbeat uint64
-	Health    string // alive | suspect | dead
-}
+type ClusterPeer = cluster.PeerInfo
 
 // Cluster is a node's handle on the coordination plane.
 type Cluster struct {
@@ -94,9 +78,7 @@ func (n *Node) JoinCluster(cfg ClusterConfig) (*Cluster, error) {
 		MinCalls:              uint64(max(cfg.MinCalls, 0)),
 		FollowClassPlacements: !cfg.NoFollowPlacements,
 		Seed:                  cfg.Seed,
-	}
-	if cfg.OnEvent != nil {
-		ccfg.OnEvent = func(e cluster.Event) { cfg.OnEvent(fromClusterEvent(e)) }
+		OnEvent:               cfg.OnEvent,
 	}
 	co, err := n.n.StartCluster(ccfg, cfg.Seeds)
 	if err != nil {
@@ -122,24 +104,10 @@ func (c *Cluster) Tick() { c.co.Tick() }
 func (c *Cluster) Leave() { c.co.Leave() }
 
 // Peers returns the membership table, sorted by id.
-func (c *Cluster) Peers() []ClusterPeer {
-	ps := c.co.Peers()
-	out := make([]ClusterPeer, len(ps))
-	for i, p := range ps {
-		out[i] = ClusterPeer{ID: p.ID, Endpoint: p.Endpoint, Heartbeat: p.Heartbeat, Health: p.Health}
-	}
-	return out
-}
+func (c *Cluster) Peers() []ClusterPeer { return c.co.Peers() }
 
 // Events returns the retained coordination event log.
-func (c *Cluster) Events() []ClusterEvent {
-	es := c.co.Events()
-	out := make([]ClusterEvent, len(es))
-	for i, e := range es {
-		out[i] = fromClusterEvent(e)
-	}
-	return out
-}
+func (c *Cluster) Events() []ClusterEvent { return c.co.Events() }
 
 // ProposeMigration submits a placement intent to the cluster: move the
 // object exported under guid to the node serving endpoint.  The intent
@@ -161,11 +129,4 @@ func (c *Cluster) ResolveObject(guid string) (currentGUID, endpoint string, ok b
 		return "", "", false
 	}
 	return ref.GUID, ref.Endpoint, true
-}
-
-func fromClusterEvent(e cluster.Event) ClusterEvent {
-	return ClusterEvent{
-		Tick: e.Tick, Kind: e.Kind, Peer: e.Peer, GUID: e.GUID,
-		Class: e.Class, From: e.From, To: e.To, Detail: e.Detail,
-	}
 }

@@ -20,8 +20,9 @@
 //     policy.Table.SetClassIf against the version read at window start,
 //     so the engine never overwrites a concurrent operator re-policy.
 //
-// The engine runs above the node's lock hierarchy: it holds no lock
-// while reading counters (snapshots are atomic loads) and executes
+// The engine runs above the node's lock hierarchy: it reads counters
+// through its own telemetry.Window cursor (atomic loads behind the
+// cursor's private mutex, no node lock) and executes
 // decisions through the same public paths a human operator would use,
 // which acquire the object gate / policy lock themselves
 // (docs/ADAPTIVE.md, docs/CONCURRENCY.md).
@@ -122,24 +123,11 @@ type Decision struct {
 	Err       string
 }
 
-// ObjWindow is one object's activity during the evaluated window
-// (deltas, not cumulative counts).
+// ObjWindow is one object's activity during the evaluated window — the
+// deltas from the engine's telemetry cursor — plus what the engine
+// derives from the node.
 type ObjWindow struct {
-	GUID   string
-	Class  string
-	Obj    *vm.Object
-	Local  uint64
-	Remote uint64
-	Anon   uint64
-	// Reads / Writes split the window's invocations by the verifier's
-	// method-effect classification (unclassified calls count as writes) —
-	// the replication rule's eligibility signal.
-	Reads   uint64
-	Writes  uint64
-	Callers map[string]uint64
-	// EWMALatencyNs is the smoothed inbound service latency (cumulative
-	// EWMA, not a delta).
-	EWMALatencyNs float64
+	telemetry.ObjSample
 	// StateBytes estimates the object's shipped-state size — the cost
 	// side of a cost-based migration decision (0 when the node supplies
 	// no estimator).
@@ -157,17 +145,9 @@ type ObjWindow struct {
 	Replicated bool
 }
 
-// Calls returns the window's total inbound invocations.
-func (w ObjWindow) Calls() uint64 { return w.Local + w.Remote + w.Anon }
-
 // ClassWindow is one class's activity during the evaluated window.
 type ClassWindow struct {
-	Class         string
-	LocalCreates  uint64
-	RemoteCreates map[string]uint64
-	ServedCreates map[string]uint64
-	ServedAnon    uint64
-	OutCalls      map[string]uint64
+	telemetry.ClassSample
 	// PlacedAt is the class's current policy placement endpoint (""
 	// when placed locally), read at window start.
 	PlacedAt string
@@ -217,9 +197,6 @@ type Actions struct {
 	// StateBytes estimates obj's shipped-state size (optional; enables
 	// cost-based rules).
 	StateBytes func(obj *vm.Object) int64
-	// PeerRTTs returns the RTT EWMA per peer endpoint in nanoseconds
-	// (optional; enables cost-based rules).
-	PeerRTTs func() map[string]float64
 	// ReplicateObject installs read replicas of obj at the given
 	// endpoints, leaving this node as the lease-holding primary.  Unlike
 	// migration, replication is not delegated through the intent plane:
@@ -338,22 +315,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// objCum / classCum are the cumulative counters at the previous tick,
-// kept so each tick evaluates deltas.
-type objCum struct {
-	local, remote, anon uint64
-	reads, writes       uint64
-	callers             map[string]uint64
-}
-
-type classCum struct {
-	localCreates uint64
-	servedAnon   uint64
-	remote       map[string]uint64
-	served       map[string]uint64
-	out          map[string]uint64
-}
-
 type confirmState struct {
 	endpoint string // proposed destination being confirmed
 	streak   int
@@ -365,17 +326,16 @@ type confirmState struct {
 type Engine struct {
 	cfg Config
 	rec *telemetry.Recorder
+	win *telemetry.Window // the engine's own cursor: one Next per tick
 	act Actions
 
-	mu        sync.Mutex
-	tick      int
-	seq       int // decisions ever made (Seq is monotonic across log trims)
-	log       []Decision
-	pending   []Decision // this tick's decisions, for post-unlock callbacks
-	prevObj   map[string]objCum
-	prevClass map[string]classCum
-	confirm   map[string]confirmState
-	spent     map[string][]int // proposal key -> ticks of executed actions
+	mu      sync.Mutex
+	tick    int
+	seq     int // decisions ever made (Seq is monotonic across log trims)
+	log     []Decision
+	pending []Decision // this tick's decisions, for post-unlock callbacks
+	confirm map[string]confirmState
+	spent   map[string][]int // proposal key -> ticks of executed actions
 
 	// running/stop/done carry the periodic loop's lifecycle (guarded by
 	// mu); Start and Stop form a restartable pair.
@@ -387,13 +347,12 @@ type Engine struct {
 // New builds an engine over a node's recorder and action set.
 func New(rec *telemetry.Recorder, act Actions, cfg Config) *Engine {
 	return &Engine{
-		cfg:       cfg.withDefaults(),
-		rec:       rec,
-		act:       act,
-		prevObj:   make(map[string]objCum),
-		prevClass: make(map[string]classCum),
-		confirm:   make(map[string]confirmState),
-		spent:     make(map[string][]int),
+		cfg:     cfg.withDefaults(),
+		rec:     rec,
+		win:     rec.NewWindow(),
+		act:     act,
+		confirm: make(map[string]confirmState),
+		spent:   make(map[string][]int),
 	}
 }
 
@@ -453,7 +412,7 @@ func (e *Engine) Decisions() []Decision {
 	return append([]Decision(nil), e.log...)
 }
 
-// Tick runs one evaluation: snapshot → window deltas → rules →
+// Tick runs one evaluation: cursor → window deltas → rules →
 // hysteresis → budget → execute.  Exported so tests and harnesses can
 // step the loop deterministically.  OnDecision callbacks fire after the
 // engine lock is released, so a callback may freely use the engine's
@@ -640,34 +599,19 @@ func (e *Engine) logDecision(d Decision) {
 	e.pending = append(e.pending, d)
 }
 
-// buildView snapshots the recorder and converts cumulative counters into
-// window deltas.  Caller holds e.mu.
+// buildView advances the engine's telemetry cursor and annotates the
+// window with what the node knows about each object and class.  Caller
+// holds e.mu.
 func (e *Engine) buildView() *View {
-	v := &View{Self: map[string]bool{}}
+	v := &View{Self: map[string]bool{}, PeerRTTNs: e.rec.PeerRTTs()}
 	if e.act.SelfEndpoints != nil {
 		for _, ep := range e.act.SelfEndpoints() {
 			v.Self[ep] = true
 		}
 	}
-	if e.act.PeerRTTs != nil {
-		v.PeerRTTNs = e.act.PeerRTTs()
-	}
-	seen := make(map[string]bool)
-	for _, s := range e.rec.SnapshotObjects() {
-		seen[s.GUID] = true
-		prev := e.prevObj[s.GUID]
-		w := ObjWindow{
-			GUID:          s.GUID,
-			Class:         s.Class,
-			Obj:           s.Obj,
-			Local:         s.Local - prev.local,
-			Remote:        s.Remote - prev.remote,
-			Anon:          s.Anon - prev.anon,
-			Reads:         s.Reads - prev.reads,
-			Writes:        s.Writes - prev.writes,
-			Callers:       deltaMap(s.Callers, prev.callers),
-			EWMALatencyNs: s.EWMALatencyNs,
-		}
+	objs, classes := e.win.Next()
+	for _, s := range objs {
+		w := ObjWindow{ObjSample: s}
 		if e.act.IsLocalObject != nil {
 			w.Migratable = e.act.IsLocalObject(s.Obj)
 		}
@@ -677,54 +621,14 @@ func (e *Engine) buildView() *View {
 		if e.act.IsReplicated != nil {
 			w.Replicated = e.act.IsReplicated(s.Obj)
 		}
-		e.prevObj[s.GUID] = objCum{local: s.Local, remote: s.Remote, anon: s.Anon,
-			reads: s.Reads, writes: s.Writes, callers: s.Callers}
-		if w.Calls() > 0 {
-			v.Objects = append(v.Objects, w)
-		}
+		v.Objects = append(v.Objects, w)
 	}
-	// The recorder evicts collected objects from its snapshot; drop the
-	// mirrored delta baselines too, so the engine's state stays bounded
-	// by the live working set.
-	for g := range e.prevObj {
-		if !seen[g] {
-			delete(e.prevObj, g)
-		}
-	}
-	for _, s := range e.rec.SnapshotClasses() {
-		prev := e.prevClass[s.Class]
-		w := ClassWindow{
-			Class:         s.Class,
-			LocalCreates:  s.LocalCreates - prev.localCreates,
-			RemoteCreates: deltaMap(s.RemoteCreates, prev.remote),
-			ServedCreates: deltaMap(s.ServedCreates, prev.served),
-			ServedAnon:    s.ServedAnon - prev.servedAnon,
-			OutCalls:      deltaMap(s.OutCalls, prev.out),
-		}
+	for _, s := range classes {
+		w := ClassWindow{ClassSample: s}
 		if e.act.ClassPlacement != nil {
 			w.PlacedAt = e.act.ClassPlacement(s.Class)
-		}
-		e.prevClass[s.Class] = classCum{
-			localCreates: s.LocalCreates,
-			servedAnon:   s.ServedAnon,
-			remote:       s.RemoteCreates,
-			served:       s.ServedCreates,
-			out:          s.OutCalls,
 		}
 		v.Classes = append(v.Classes, w)
 	}
 	return v
-}
-
-func deltaMap(cur, prev map[string]uint64) map[string]uint64 {
-	if len(cur) == 0 {
-		return nil
-	}
-	out := make(map[string]uint64, len(cur))
-	for k, n := range cur {
-		if d := n - prev[k]; d > 0 {
-			out[k] = d
-		}
-	}
-	return out
 }

@@ -349,9 +349,9 @@ func TestCostRuleWeighsStateAgainstTraffic(t *testing.T) {
 			Self:      map[string]bool{epB: true},
 			PeerRTTNs: map[string]float64{epA: rttNs},
 			Objects: []ObjWindow{{
-				GUID: "g", Class: "C", Obj: obj, Migratable: true,
-				Remote: calls, Callers: map[string]uint64{epA: calls},
-				StateBytes: stateBytes,
+				ObjSample: telemetry.ObjSample{GUID: "g", Class: "C", Obj: obj,
+					Remote: calls, Callers: map[string]uint64{epA: calls}},
+				Migratable: true, StateBytes: stateBytes,
 			}},
 		}
 	}
@@ -372,14 +372,14 @@ func TestCostRuleWeighsStateAgainstTraffic(t *testing.T) {
 	}
 }
 
-// TestCostRuleFedByEngineView checks the engine threads StateBytes and
-// peer RTTs from the Actions into the rule's view.
+// TestCostRuleFedByEngineView checks the engine threads StateBytes from
+// the Actions and peer RTTs from its recorder into the rule's view.
 func TestCostRuleFedByEngineView(t *testing.T) {
 	h := newHarness(t, Config{
 		Threshold: 0.6, MinCalls: 10, Confirm: 1, CostBased: true, NsPerByte: 10,
 	})
 	h.eng.act.StateBytes = func(*vm.Object) int64 { return 256 }
-	h.eng.act.PeerRTTs = func() map[string]float64 { return map[string]float64{epA: 5e5} }
+	h.rec.RecordPeerRTT(epA, 500*time.Microsecond)
 	h.hotObject("g1", 50, epA)
 	h.eng.Tick()
 	if len(h.migrated) != 1 {

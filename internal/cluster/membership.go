@@ -41,10 +41,10 @@ type peerState struct {
 
 // PeerInfo is the public peer-table row.
 type PeerInfo struct {
-	ID        string
-	Endpoint  string
-	Heartbeat uint64
-	Health    string
+	ID        string `json:"id"`
+	Endpoint  string `json:"endpoint"`
+	Heartbeat uint64 `json:"heartbeat"`
+	Health    string `json:"health"` // alive | suspect | dead
 }
 
 // mergeDigestLocked folds one membership digest into the peer table.

@@ -3,11 +3,11 @@ package node
 import (
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"rafda/internal/cluster"
 	"rafda/internal/policy"
+	"rafda/internal/telemetry"
 	"rafda/internal/vm"
 	"rafda/internal/wire"
 )
@@ -32,7 +32,9 @@ func (n *Node) StartCluster(cfg cluster.Config, seeds []string) (*cluster.Coordi
 	if cfg.Self == "" {
 		return nil, fmt.Errorf("node %s: cluster needs a serving endpoint (Serve first)", n.name)
 	}
-	cfg.Runtime = &clusterRuntime{n: n}
+	// Rollups and RTT need the metrics plane; the rollups read it
+	// through the runtime's own cursor.
+	cfg.Runtime = &clusterRuntime{n: n, win: n.EnableTelemetry().NewWindow()}
 	// Replication failover hooks, chained ahead of any caller-supplied
 	// observers: promotion re-homes the replica copy as the new primary
 	// and demotion stands a deposed primary down (internal/node
@@ -57,7 +59,6 @@ func (n *Node) StartCluster(cfg cluster.Config, seeds []string) (*cluster.Coordi
 	if !n.coord.CompareAndSwap(nil, co) {
 		return nil, fmt.Errorf("node %s: already in a cluster", n.name)
 	}
-	n.EnableTelemetry() // rollups and RTT need the metrics plane
 	if err := co.Join(seeds); err != nil {
 		n.coord.Store(nil)
 		return nil, err
@@ -71,17 +72,10 @@ func (n *Node) Cluster() *cluster.Coordinator { return n.coord.Load() }
 // clusterRuntime adapts the node to the coordinator's Runtime interface.
 type clusterRuntime struct {
 	n *Node
-
-	// affinity window state: AffinitySamples reports deltas between
-	// consecutive calls, so rollups describe recent traffic, not
-	// history (mirrors the adapt engine's windowing).
-	affMu   sync.Mutex
-	affPrev map[string]affCum
-}
-
-type affCum struct {
-	total   uint64
-	callers map[string]uint64
+	// win is the rollups' telemetry cursor: AffinitySamples reports
+	// deltas between consecutive calls, so rollups describe recent
+	// traffic, not history.
+	win *telemetry.Window
 }
 
 // Call implements cluster.Runtime over the node's shared client cache.
@@ -124,54 +118,31 @@ func (r *clusterRuntime) OwnsGUID(guid string) bool {
 // the hottest locally hosted migratable objects, the evidence gossip
 // disseminates for multi-hop placement.
 func (r *clusterRuntime) AffinitySamples(max int) []wire.ObjAffinity {
-	rec := r.n.telem.Load()
-	if rec == nil || max <= 0 {
+	if max <= 0 {
 		return nil
 	}
-	r.affMu.Lock()
-	defer r.affMu.Unlock()
-	if r.affPrev == nil {
-		r.affPrev = make(map[string]affCum)
+	objs, _ := r.win.Next()
+	hot := objs[:0]
+	for _, s := range objs {
+		if r.n.IsMigratable(s.Obj) {
+			hot = append(hot, s)
+		}
 	}
-	seen := make(map[string]bool)
-	var out []wire.ObjAffinity
-	for _, s := range rec.SnapshotObjects() {
-		seen[s.GUID] = true
-		prev := r.affPrev[s.GUID]
-		total := s.Calls()
-		cur := affCum{total: total, callers: s.Callers}
-		r.affPrev[s.GUID] = cur
-		delta := total - prev.total
-		if delta == 0 || !r.n.IsMigratable(s.Obj) {
-			continue
+	sort.Slice(hot, func(i, j int) bool {
+		if ci, cj := hot[i].Calls(), hot[j].Calls(); ci != cj {
+			return ci > cj
 		}
-		a := wire.ObjAffinity{
-			GUID:       s.GUID,
-			Class:      s.Class,
-			Calls:      delta,
-			StateBytes: r.n.StateBytes(s.Obj),
-		}
+		return hot[i].GUID < hot[j].GUID
+	})
+	hot = hot[:min(len(hot), max)]
+	out := make([]wire.ObjAffinity, len(hot))
+	for i, s := range hot {
+		a := wire.ObjAffinity{GUID: s.GUID, Class: s.Class, Calls: s.Calls(), StateBytes: r.n.StateBytes(s.Obj)}
 		for ep, c := range s.Callers {
-			if d := c - prev.callers[ep]; d > 0 {
-				a.Callers = append(a.Callers, wire.EndpointCount{Endpoint: ep, Calls: d})
-			}
+			a.Callers = append(a.Callers, wire.EndpointCount{Endpoint: ep, Calls: c})
 		}
 		sort.Slice(a.Callers, func(i, j int) bool { return a.Callers[i].Endpoint < a.Callers[j].Endpoint })
-		out = append(out, a)
-	}
-	for g := range r.affPrev {
-		if !seen[g] {
-			delete(r.affPrev, g)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Calls != out[j].Calls {
-			return out[i].Calls > out[j].Calls
-		}
-		return out[i].GUID < out[j].GUID
-	})
-	if len(out) > max {
-		out = out[:max]
+		out[i] = a
 	}
 	return out
 }

@@ -1,12 +1,16 @@
 package node
 
 import (
+	"reflect"
 	"testing"
+	"time"
 
 	"rafda/internal/cluster"
+	"rafda/internal/ir"
 	"rafda/internal/policy"
 	"rafda/internal/transform"
 	"rafda/internal/vm"
+	"rafda/internal/wire"
 )
 
 const chainSource = `
@@ -137,6 +141,64 @@ func TestRedirectChainCollapses(t *testing.T) {
 	_ = n4
 }
 
+// TestAffinitySamplesWindowRollups pins the evidence a home gossips for
+// multi-hop placement: only migratable objects called since the
+// previous rollup, with window-delta counts, callers sorted by
+// endpoint, rollups hottest first (ties by GUID), truncated to max with
+// StateBytes priced on what is returned — and nothing after a quiet
+// window.
+func TestAffinitySamplesWindowRollups(t *testing.T) {
+	n, err := New(Config{Name: "home", Result: transformSource(t, chainSource)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { n.Close() })
+	rec := n.EnableTelemetry()
+	rt := &clusterRuntime{n: n, win: rec.NewWindow()}
+	const epA, epB, epC = "rrp://a:1", "rrp://b:1", "rrp://c:1"
+	objs := map[string]*vm.Object{}
+	call := func(guid, class, from string, times int) {
+		o := objs[guid]
+		if o == nil {
+			o = vm.NewRawObject(&ir.Class{Name: class}, map[string]vm.Value{"n": vm.IntV(1)})
+			objs[guid] = o
+		}
+		s := rec.ForObject(o, guid, "Counter")
+		for i := 0; i < times; i++ {
+			s.RecordInbound(from, 8, 8, time.Microsecond)
+		}
+	}
+
+	call("hot", "Counter_O_Local", epB, 7) // before the window: not counted below
+	if got := rt.AffinitySamples(8); len(got) != 1 || got[0].GUID != "hot" || got[0].Calls != 7 {
+		t.Fatalf("first rollup = %+v", got)
+	}
+
+	call("hot", "Counter_O_Local", epB, 30)
+	call("hot", "Counter_O_Local", epA, 10)
+	call("warm", "Counter_O_Local", epA, 12)
+	call("warm2", "Counter_O_Local", epC, 12)
+	call("proxy", "Counter_O_Proxy", epA, 100) // not migratable
+	got := rt.AffinitySamples(2)
+	if len(got) != 2 || got[0].GUID != "hot" || got[1].GUID != "warm" {
+		t.Fatalf("rollups = %+v, want [hot warm]", got)
+	}
+	h := got[0]
+	wantCallers := []wire.EndpointCount{{Endpoint: epA, Calls: 10}, {Endpoint: epB, Calls: 30}}
+	if h.Calls != 40 || h.Class != "Counter" || !reflect.DeepEqual(h.Callers, wantCallers) {
+		t.Fatalf("hot rollup = %+v, want 40 window calls from %+v", h, wantCallers)
+	}
+	for _, a := range got {
+		if want := n.StateBytes(objs[a.GUID]); a.StateBytes != want || want == 0 {
+			t.Fatalf("%s StateBytes = %d, want %d", a.GUID, a.StateBytes, want)
+		}
+	}
+
+	if got := rt.AffinitySamples(8); len(got) != 0 {
+		t.Fatalf("rollups after a quiet window: %+v", got)
+	}
+}
+
 // TestVolunteeredCallbackMakesAffinityActionable: a pure-client node
 // (serving nothing) must volunteer a callback endpoint at dial time, so
 // the server attributes its calls to a real endpoint instead of the
@@ -179,7 +241,8 @@ func TestVolunteeredCallbackMakesAffinityActionable(t *testing.T) {
 		t.Fatal("client did not volunteer a callback endpoint")
 	}
 	var found bool
-	for _, s := range rec.SnapshotObjects() {
+	objs, _ := rec.NewWindow().Next()
+	for _, s := range objs {
 		if s.Anon != 0 {
 			t.Fatalf("calls still anonymous: %+v", s)
 		}
@@ -239,7 +302,8 @@ func TestNoVolunteerStaysAnonymous(t *testing.T) {
 	if client.Endpoint("inproc") != "" {
 		t.Fatal("client served without opting in")
 	}
-	for _, s := range rec.SnapshotObjects() {
+	objs, _ := rec.NewWindow().Next()
+	for _, s := range objs {
 		if s.Anon == 0 {
 			t.Fatalf("expected anonymous attribution: %+v", s)
 		}

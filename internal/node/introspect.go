@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strconv"
 
+	"rafda/internal/cluster"
 	"rafda/internal/metrics"
 	"rafda/internal/telemetry"
 	"rafda/internal/trace"
@@ -37,7 +38,7 @@ type Introspection struct {
 
 	// Telemetry samples; nil slices when EnableTelemetry was never
 	// called on this node.
-	Objects []ObjIntro              `json:"objects,omitempty"`
+	Objects []telemetry.ObjSample   `json:"objects,omitempty"`
 	Classes []telemetry.ClassSample `json:"classes,omitempty"`
 	Peers   []telemetry.PeerSample  `json:"peers,omitempty"`
 
@@ -48,38 +49,14 @@ type Introspection struct {
 	Trace *trace.Stats `json:"trace,omitempty"`
 }
 
-// ObjIntro is telemetry.ObjSample without its live object pointer,
-// shaped for the wire.
-type ObjIntro struct {
-	GUID          string            `json:"guid"`
-	Class         string            `json:"class"`
-	Local         uint64            `json:"local"`
-	Remote        uint64            `json:"remote"`
-	Anon          uint64            `json:"anon,omitempty"`
-	Callers       map[string]uint64 `json:"callers,omitempty"`
-	BytesIn       uint64            `json:"bytes_in"`
-	BytesOut      uint64            `json:"bytes_out"`
-	Reads         uint64            `json:"reads"`
-	Writes        uint64            `json:"writes"`
-	EWMALatencyNs float64           `json:"ewma_latency_ns"`
-}
-
 // ClusterIntro is the coordinator's current view: membership,
 // placement directory, replica sets and in-flight placement intents.
 type ClusterIntro struct {
-	Self        string            `json:"self"`
-	Peers       []PeerIntro       `json:"peers,omitempty"`
-	Directory   []wire.DirEntry   `json:"directory,omitempty"`
-	ReplicaSets []wire.ReplicaSet `json:"replica_sets,omitempty"`
-	Intents     []wire.Intent     `json:"intents,omitempty"`
-}
-
-// PeerIntro is one membership-table row.
-type PeerIntro struct {
-	ID        string `json:"id"`
-	Endpoint  string `json:"endpoint"`
-	Heartbeat uint64 `json:"heartbeat"`
-	Health    string `json:"health"`
+	Self        string             `json:"self"`
+	Peers       []cluster.PeerInfo `json:"peers,omitempty"`
+	Directory   []wire.DirEntry    `json:"directory,omitempty"`
+	ReplicaSets []wire.ReplicaSet  `json:"replica_sets,omitempty"`
+	Intents     []wire.Intent      `json:"intents,omitempty"`
 }
 
 // introspection assembles the unified snapshot.
@@ -93,31 +70,21 @@ func (n *Node) introspection() *Introspection {
 	}
 	sort.Strings(in.Endpoints)
 	if rec := n.telem.Load(); rec != nil {
-		for _, s := range rec.SnapshotObjects() {
-			in.Objects = append(in.Objects, ObjIntro{
-				GUID: s.GUID, Class: s.Class,
-				Local: s.Local, Remote: s.Remote, Anon: s.Anon,
-				Callers: s.Callers, BytesIn: s.BytesIn, BytesOut: s.BytesOut,
-				Reads: s.Reads, Writes: s.Writes, EWMALatencyNs: s.EWMALatencyNs,
-			})
-		}
+		// A fresh cursor's first window is the cumulative snapshot.
+		in.Objects, in.Classes = rec.NewWindow().Next()
 		sort.Slice(in.Objects, func(i, j int) bool { return in.Objects[i].GUID < in.Objects[j].GUID })
-		in.Classes = rec.SnapshotClasses()
 		sort.Slice(in.Classes, func(i, j int) bool { return in.Classes[i].Class < in.Classes[j].Class })
 		in.Peers = rec.SnapshotPeers()
 		sort.Slice(in.Peers, func(i, j int) bool { return in.Peers[i].Endpoint < in.Peers[j].Endpoint })
 	}
 	if co := n.coord.Load(); co != nil {
-		ci := &ClusterIntro{Self: co.Self()}
-		for _, p := range co.Peers() {
-			ci.Peers = append(ci.Peers, PeerIntro{
-				ID: p.ID, Endpoint: p.Endpoint, Heartbeat: p.Heartbeat, Health: p.Health,
-			})
+		in.Cluster = &ClusterIntro{
+			Self:        co.Self(),
+			Peers:       co.Peers(),
+			Directory:   co.Directory(),
+			ReplicaSets: co.ReplicaSets(),
+			Intents:     co.Intents(),
 		}
-		ci.Directory = co.Directory()
-		ci.ReplicaSets = co.ReplicaSets()
-		ci.Intents = co.Intents()
-		in.Cluster = ci
 	}
 	if tr := n.tracer; tr != nil {
 		st := tr.Stats()

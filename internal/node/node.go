@@ -336,10 +336,6 @@ func (n *Node) EnableTelemetry() *telemetry.Recorder {
 	return n.telem.Load()
 }
 
-// Telemetry returns the node's recorder, or nil when telemetry is
-// disabled.
-func (n *Node) Telemetry() *telemetry.Recorder { return n.telem.Load() }
-
 // Endpoints returns every endpoint this node is serving.
 func (n *Node) Endpoints() []string {
 	n.mu.Lock()

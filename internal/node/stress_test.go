@@ -317,7 +317,7 @@ class Main { static void main() {} }`
 	if _, err := n.CallOn(ref, "bump"); err != nil {
 		t.Fatal(err)
 	}
-	got := rec.SnapshotObjects()
+	got, _ := rec.NewWindow().Next()
 	if len(got) != 1 || got[0].Local != 1 || got[0].Class != "Cell" {
 		t.Fatalf("first host call not tracked: %+v", got)
 	}
@@ -329,7 +329,7 @@ class Main { static void main() {} }`
 			t.Fatal(err)
 		}
 	}
-	samples := rec.SnapshotObjects()
+	samples, _ := rec.NewWindow().Next()
 	if len(samples) != 1 || samples[0].Local != 4 || samples[0].Remote != 1 {
 		t.Fatalf("host calls not counted as local affinity: %+v", samples)
 	}

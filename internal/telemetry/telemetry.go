@@ -19,8 +19,9 @@
 //   - The recorder's object and class indexes are sync.Maps, touched on
 //     the first record for an object/class only.
 //
-// Snapshots return cumulative counters; window deltas are the reader's
-// job (the adapt engine diffs consecutive snapshots).
+// Readers take object and class counters through a Window cursor,
+// which turns them into deltas since that reader's previous read; peer
+// rollups are read cumulatively (SnapshotPeers, PeerRTTs).
 package telemetry
 
 import (
@@ -142,8 +143,8 @@ type ObjStats struct {
 	// obj is weak: the object itself holds this record strongly through
 	// its telemetry slot, and a strong back-reference here would pin
 	// every object ever observed for the recorder's lifetime.  Once the
-	// object is collected, SnapshotObjects evicts the index entry, so
-	// the recorder tracks the live working set, not history.
+	// object is collected, the next Window.Next evicts the index entry,
+	// so the recorder tracks the live working set, not history.
 	obj weak.Pointer[vm.Object]
 
 	localCalls  atomic.Uint64 // host-driven and collapsed same-node calls
@@ -328,97 +329,182 @@ func (r *Recorder) RecordPeerRTT(endpoint string, lat time.Duration) {
 	r.forPeer(endpoint).rtt.observe(lat)
 }
 
-// ObjSample is one object's cumulative counters at snapshot time.
+// ObjSample is one object's counters over a window (see Window).
 type ObjSample struct {
-	GUID  string
-	Class string
-	Obj   *vm.Object
+	GUID  string     `json:"guid"`
+	Class string     `json:"class"`
+	Obj   *vm.Object `json:"-"`
 	// Local counts host-driven and same-node collapsed calls, Remote
 	// calls from identified peers (itemised in Callers), Anon calls
 	// from peers serving no endpoint or past the itemisation cap.
-	Local, Remote, Anon uint64
-	Callers             map[string]uint64
-	BytesIn, BytesOut   uint64
+	Local    uint64            `json:"local"`
+	Remote   uint64            `json:"remote"`
+	Anon     uint64            `json:"anon,omitempty"`
+	Callers  map[string]uint64 `json:"callers,omitempty"`
+	BytesIn  uint64            `json:"bytes_in"`
+	BytesOut uint64            `json:"bytes_out"`
 	// Reads counts calls proven read-only by the effect analysis,
 	// Writes everything else; they partition the calls that went through
 	// an effect-classified site (proxy dispatch and host CallOn).
-	Reads, Writes uint64
-	EWMALatencyNs float64
+	Reads  uint64 `json:"reads"`
+	Writes uint64 `json:"writes"`
+	// EWMALatencyNs is the smoothed inbound service latency: the
+	// current EWMA, not a window delta.
+	EWMALatencyNs float64 `json:"ewma_latency_ns"`
 }
 
 // Calls returns the total inbound invocation count.
 func (s ObjSample) Calls() uint64 { return s.Local + s.Remote + s.Anon }
 
-// SnapshotObjects returns cumulative per-object samples for every
-// still-live object that has recorded at least one event.  Entries
-// whose object has been collected are evicted as a side effect, so the
-// index is bounded by the live working set.
-func (r *Recorder) SnapshotObjects() []ObjSample {
-	var out []ObjSample
-	r.objs.Range(func(k, v any) bool {
+// sample reads s's cumulative counters; ok is false once the object
+// has been collected.
+func (s *ObjStats) sample() (out ObjSample, ok bool) {
+	obj := s.obj.Value()
+	if obj == nil {
+		return out, false
+	}
+	return ObjSample{
+		GUID:          s.guid,
+		Class:         s.class,
+		Obj:           obj,
+		Local:         s.localCalls.Load(),
+		Remote:        s.remoteCalls.Load(),
+		Anon:          s.anonCalls.Load(),
+		Callers:       snapshotSet(&s.callers),
+		BytesIn:       s.bytesIn.Load(),
+		BytesOut:      s.bytesOut.Load(),
+		Reads:         s.reads.Load(),
+		Writes:        s.writes.Load(),
+		EWMALatencyNs: s.lat.load(),
+	}, true
+}
+
+// ClassSample is one class's counters over a window (see Window).
+type ClassSample struct {
+	Class         string            `json:"class"`
+	LocalCreates  uint64            `json:"local_creates"`
+	RemoteCreates map[string]uint64 `json:"remote_creates,omitempty"` // by construction target endpoint
+	ServedCreates map[string]uint64 `json:"served_creates,omitempty"` // by requesting peer endpoint
+	ServedAnon    uint64            `json:"served_anon"`              // unidentified or past the cap
+	OutCalls      map[string]uint64 `json:"out_calls,omitempty"`      // by callee endpoint
+	OutBytes      uint64            `json:"out_bytes"`
+	OutEWMANs     float64           `json:"out_ewma_ns"` // current EWMA, not a delta
+}
+
+func (s *ClassStats) sample(class string) ClassSample {
+	return ClassSample{
+		Class:         class,
+		LocalCreates:  s.localCreates.Load(),
+		RemoteCreates: snapshotSet(&s.remoteCreates),
+		ServedCreates: snapshotSet(&s.servedCreates),
+		ServedAnon:    s.servedAnon.Load(),
+		OutCalls:      snapshotSet(&s.outCalls),
+		OutBytes:      s.outBytes.Load(),
+		OutEWMANs:     s.outLat.load(),
+	}
+}
+
+// Window is one reader's cursor over the recorder's object and class
+// counters, and the only place cumulative counts become deltas.  Each
+// reader that wants "what happened lately" — the adapt engine's
+// evaluation window, the cluster's gossip rollups — holds its own
+// cursor, so readers at different cadences never steal each other's
+// deltas; a fresh cursor's first Next is the cumulative snapshot.
+//
+// A Window is safe for concurrent use.  Its baselines sit behind its
+// own mutex, which Next holds only across atomic counter loads and
+// sync.Map ranges, never while calling out (docs/CONCURRENCY.md §11).
+type Window struct {
+	r       *Recorder
+	mu      sync.Mutex
+	objs    map[*ObjStats]ObjSample // cumulative counts at the previous Next
+	classes map[string]ClassSample
+}
+
+// NewWindow returns a cursor positioned at the start of recording.
+func (r *Recorder) NewWindow() *Window {
+	return &Window{r: r, objs: map[*ObjStats]ObjSample{}, classes: map[string]ClassSample{}}
+}
+
+// Next advances the cursor.  It returns a sample for every live object
+// called since the cursor's previous Next (since recording began, on
+// the first), and one for every class; counters are the deltas over
+// that span, EWMAs their current values.  Objects whose object has been
+// collected leave the recorder's index, and their baselines leave this
+// cursor, so both stay bounded by the live working set.  Baselines are
+// kept per stats record, so an object re-indexed under a reused GUID
+// starts from zero rather than underflowing against its predecessor.
+func (w *Window) Next() (objs []ObjSample, classes []ClassSample) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	base := make(map[*ObjStats]ObjSample, len(w.objs))
+	w.r.objs.Range(func(k, v any) bool {
 		s := v.(*ObjStats)
-		obj := s.obj.Value()
-		if obj == nil {
-			r.objs.Delete(k)
+		cur, ok := s.sample()
+		if !ok {
+			w.r.objs.CompareAndDelete(k, v)
 			return true
 		}
-		out = append(out, ObjSample{
-			GUID:          s.guid,
-			Class:         s.class,
-			Obj:           obj,
-			Local:         s.localCalls.Load(),
-			Remote:        s.remoteCalls.Load(),
-			Anon:          s.anonCalls.Load(),
-			Callers:       snapshotSet(&s.callers),
-			BytesIn:       s.bytesIn.Load(),
-			BytesOut:      s.bytesOut.Load(),
-			Reads:         s.reads.Load(),
-			Writes:        s.writes.Load(),
-			EWMALatencyNs: s.lat.load(),
-		})
+		if d := cur.minus(w.objs[s]); d.Calls() > 0 {
+			objs = append(objs, d)
+		}
+		cur.Obj = nil // a baseline must not pin its object
+		base[s] = cur
 		return true
 	})
-	return out
-}
-
-// ClassSample is one class's cumulative counters at snapshot time.
-type ClassSample struct {
-	Class         string
-	LocalCreates  uint64
-	RemoteCreates map[string]uint64 // by construction target endpoint
-	ServedCreates map[string]uint64 // by requesting peer endpoint
-	ServedAnon    uint64            // unidentified or past the cap
-	OutCalls      map[string]uint64 // by callee endpoint
-	OutBytes      uint64
-	OutEWMANs     float64
-}
-
-// SnapshotClasses returns cumulative per-class samples.
-func (r *Recorder) SnapshotClasses() []ClassSample {
-	var out []ClassSample
-	r.classes.Range(func(k, v any) bool {
-		s := v.(*ClassStats)
-		out = append(out, ClassSample{
-			Class:         k.(string),
-			LocalCreates:  s.localCreates.Load(),
-			RemoteCreates: snapshotSet(&s.remoteCreates),
-			ServedCreates: snapshotSet(&s.servedCreates),
-			ServedAnon:    s.servedAnon.Load(),
-			OutCalls:      snapshotSet(&s.outCalls),
-			OutBytes:      s.outBytes.Load(),
-			OutEWMANs:     s.outLat.load(),
-		})
+	w.objs = base
+	w.r.classes.Range(func(k, v any) bool {
+		cur := v.(*ClassStats).sample(k.(string))
+		classes = append(classes, cur.minus(w.classes[cur.Class]))
+		w.classes[cur.Class] = cur
 		return true
 	})
+	return objs, classes
+}
+
+func (s ObjSample) minus(b ObjSample) ObjSample {
+	s.Local -= b.Local
+	s.Remote -= b.Remote
+	s.Anon -= b.Anon
+	s.Callers = minusSet(s.Callers, b.Callers)
+	s.BytesIn -= b.BytesIn
+	s.BytesOut -= b.BytesOut
+	s.Reads -= b.Reads
+	s.Writes -= b.Writes
+	return s
+}
+
+func (s ClassSample) minus(b ClassSample) ClassSample {
+	s.LocalCreates -= b.LocalCreates
+	s.RemoteCreates = minusSet(s.RemoteCreates, b.RemoteCreates)
+	s.ServedCreates = minusSet(s.ServedCreates, b.ServedCreates)
+	s.ServedAnon -= b.ServedAnon
+	s.OutCalls = minusSet(s.OutCalls, b.OutCalls)
+	s.OutBytes -= b.OutBytes
+	return s
+}
+
+// minusSet returns a fresh map of cur's positive deltas over prev (nil
+// when none), so a returned sample never aliases a cursor's baseline.
+func minusSet(cur, prev map[string]uint64) map[string]uint64 {
+	var out map[string]uint64
+	for k, n := range cur {
+		if d := n - prev[k]; d > 0 {
+			if out == nil {
+				out = make(map[string]uint64, len(cur))
+			}
+			out[k] = d
+		}
+	}
 	return out
 }
 
 // PeerSample is one endpoint's cumulative rollup at snapshot time.
 type PeerSample struct {
-	Endpoint  string
-	Calls     uint64
-	Bytes     uint64
-	RTTEWMANs float64
+	Endpoint  string  `json:"endpoint"`
+	Calls     uint64  `json:"calls"`
+	Bytes     uint64  `json:"bytes"`
+	RTTEWMANs float64 `json:"rtt_ewma_ns"`
 }
 
 // SnapshotPeers returns cumulative per-peer samples.

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"fmt"
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
@@ -17,6 +18,148 @@ func obj() *vm.Object {
 	return vm.NewRawObject(&ir.Class{Name: "C_O_Local"}, map[string]vm.Value{})
 }
 
+// pinned returns an object kept alive until the test ends: the recorder
+// holds objects weakly, and a collected one drops out of every window.
+func pinned(t *testing.T) *vm.Object {
+	o := obj()
+	t.Cleanup(func() { runtime.KeepAlive(o) })
+	return o
+}
+
+// objects and classes read r through a fresh cursor: the cumulative
+// counts.
+func objects(r *Recorder) []ObjSample {
+	o, _ := r.NewWindow().Next()
+	return o
+}
+
+func classes(r *Recorder) []ClassSample {
+	_, c := r.NewWindow().Next()
+	return c
+}
+
+// TestWindowsReadIndependentDeltas: two cursors read at different
+// cadences, and neither steals the other's deltas.
+func TestWindowsReadIndependentDeltas(t *testing.T) {
+	r := NewRecorder()
+	s := r.ForObject(pinned(t), "g", "C")
+	a, b := r.NewWindow(), r.NewWindow()
+	calls := func(n int) {
+		for i := 0; i < n; i++ {
+			s.RecordInbound("rrp://a:1", 1, 2, time.Microsecond)
+			r.RecordOutbound("C", "rrp://b:1", 4, time.Microsecond)
+		}
+	}
+	read := func(w *Window) (uint64, uint64, uint64) {
+		objs, cls := w.Next()
+		if len(objs) != 1 || len(cls) != 1 {
+			t.Fatalf("window: %d objects, %d classes", len(objs), len(cls))
+		}
+		return objs[0].Remote, objs[0].Callers["rrp://a:1"], cls[0].OutCalls["rrp://b:1"]
+	}
+	calls(10)
+	if rem, ca, out := read(a); rem != 10 || ca != 10 || out != 10 {
+		t.Fatalf("A's first window: remote %d caller %d out %d, want 10", rem, ca, out)
+	}
+	calls(15)
+	if rem, ca, out := read(b); rem != 25 || ca != 25 || out != 25 {
+		t.Fatalf("B's first window: remote %d caller %d out %d, want 25", rem, ca, out)
+	}
+	if rem, ca, out := read(a); rem != 15 || ca != 15 || out != 15 {
+		t.Fatalf("A's second window: remote %d caller %d out %d, want 15", rem, ca, out)
+	}
+}
+
+// TestFreshWindowIsCumulative: however far other cursors have advanced,
+// a fresh cursor's first Next is the recorder's cumulative state.
+func TestFreshWindowIsCumulative(t *testing.T) {
+	r := NewRecorder()
+	o := obj()
+	s := r.ForObject(o, "g", "C")
+	old := r.NewWindow()
+	for i := 0; i < 3; i++ {
+		s.RecordInbound("rrp://a:1", 10, 20, time.Millisecond)
+		s.RecordLocal()
+		s.RecordEffect(i == 0)
+		r.RecordCreateServed("C", "rrp://a:1")
+		r.RecordOutbound("C", "rrp://b:1", 8, time.Millisecond)
+		old.Next()
+	}
+	objs, cls := r.NewWindow().Next()
+	want := ObjSample{GUID: "g", Class: "C", Obj: o, Local: 3, Remote: 3,
+		Callers: map[string]uint64{"rrp://a:1": 3}, BytesIn: 30, BytesOut: 60,
+		Reads: 2, Writes: 1, EWMALatencyNs: float64(time.Millisecond)}
+	if len(objs) != 1 || !reflect.DeepEqual(objs[0], want) {
+		t.Fatalf("fresh cursor objects = %+v, want %+v", objs, want)
+	}
+	wantC := ClassSample{Class: "C", ServedCreates: map[string]uint64{"rrp://a:1": 3},
+		OutCalls: map[string]uint64{"rrp://b:1": 3}, OutBytes: 24, OutEWMANs: float64(time.Millisecond)}
+	if len(cls) != 1 || !reflect.DeepEqual(cls[0], wantC) {
+		t.Fatalf("fresh cursor classes = %+v, want %+v", cls, wantC)
+	}
+}
+
+// TestIdleObjectAbsentFromNext: an object not called since the cursor's
+// previous Next is absent; its class still reports, with zero deltas.
+func TestIdleObjectAbsentFromNext(t *testing.T) {
+	r := NewRecorder()
+	w := r.NewWindow()
+	r.ForObject(pinned(t), "g", "C").RecordLocal()
+	r.RecordCreateLocal("C")
+	if objs, _ := w.Next(); len(objs) != 1 {
+		t.Fatalf("first window objects = %+v", objs)
+	}
+	objs, cls := w.Next()
+	if len(objs) != 0 {
+		t.Fatalf("idle object reported: %+v", objs)
+	}
+	if len(cls) != 1 || cls[0].LocalCreates != 0 || cls[0].Class != "C" {
+		t.Fatalf("idle class window = %+v", cls)
+	}
+}
+
+// TestConcurrentNextPartitionsDeltas: readers sharing one cursor split
+// its deltas between them — every call is reported exactly once.
+func TestConcurrentNextPartitionsDeltas(t *testing.T) {
+	r := NewRecorder()
+	s := r.ForObject(pinned(t), "g", "C")
+	w := r.NewWindow()
+	const calls = 2000
+	var seen [3]uint64
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for i := range seen {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				objs, _ := w.Next()
+				for _, o := range objs {
+					seen[i] += o.Calls()
+				}
+			}
+		}(i)
+	}
+	for i := 0; i < calls; i++ {
+		s.RecordLocal()
+	}
+	close(stop)
+	wg.Wait()
+	objs, _ := w.Next()
+	total := seen[0] + seen[1] + seen[2]
+	for _, o := range objs {
+		total += o.Calls()
+	}
+	if total != calls {
+		t.Fatalf("cursor reported %d calls, want %d", total, calls)
+	}
+}
+
 func TestForObjectInstallsOnce(t *testing.T) {
 	r := NewRecorder()
 	o := obj()
@@ -27,7 +170,7 @@ func TestForObjectInstallsOnce(t *testing.T) {
 	}
 	s1.RecordInbound("rrp://a:1", 10, 20, time.Millisecond)
 	s1.RecordLocal()
-	samples := r.SnapshotObjects()
+	samples := objects(r)
 	if len(samples) != 1 {
 		t.Fatalf("samples = %d, want 1", len(samples))
 	}
@@ -48,9 +191,9 @@ func TestForObjectInstallsOnce(t *testing.T) {
 
 func TestAnonymousCallerCountsSeparately(t *testing.T) {
 	r := NewRecorder()
-	s := r.ForObject(obj(), "g", "C")
+	s := r.ForObject(pinned(t), "g", "C")
 	s.RecordInbound("", 1, 1, time.Microsecond)
-	got := r.SnapshotObjects()[0]
+	got := objects(r)[0]
 	if got.Anon != 1 || got.Remote != 0 || len(got.Callers) != 0 {
 		t.Fatalf("anonymous caller misattributed: %+v", got)
 	}
@@ -66,20 +209,20 @@ func TestAnonymousCallerCountsSeparately(t *testing.T) {
 func TestCallerItemisationCapped(t *testing.T) {
 	const callers = 10000
 	r := NewRecorder()
-	s := r.ForObject(obj(), "g", "C")
+	s := r.ForObject(pinned(t), "g", "C")
 	for i := 0; i < callers; i++ {
 		ep := fmt.Sprintf("rrp://10.0.%d.%d:1", i/256, i%256)
 		s.RecordInbound(ep, 1, 1, time.Microsecond)
 		r.RecordCreateServed("C", ep)
 	}
-	got := r.SnapshotObjects()[0]
+	got := objects(r)[0]
 	if len(got.Callers) > metrics.FamilyMax {
 		t.Fatalf("%d callers itemised, cap %d", len(got.Callers), metrics.FamilyMax)
 	}
 	if got.Calls() != callers || got.Remote != uint64(len(got.Callers)) {
 		t.Fatalf("totals: calls %d remote %d anon %d, %d itemised", got.Calls(), got.Remote, got.Anon, len(got.Callers))
 	}
-	cs := r.SnapshotClasses()[0]
+	cs := classes(r)[0]
 	served := cs.ServedAnon
 	for _, n := range cs.ServedCreates {
 		served += n
@@ -97,7 +240,7 @@ func TestClassCounters(t *testing.T) {
 	r.RecordCreateServed("C", "")
 	r.RecordOutbound("C", "rrp://b:1", 32, 2*time.Millisecond)
 	r.RecordOutbound("C", "rrp://b:1", 32, 2*time.Millisecond)
-	samples := r.SnapshotClasses()
+	samples := classes(r)
 	if len(samples) != 1 {
 		t.Fatalf("class samples = %d", len(samples))
 	}
@@ -119,7 +262,7 @@ func TestClassCounters(t *testing.T) {
 // CI).
 func TestConcurrentRecording(t *testing.T) {
 	r := NewRecorder()
-	o := obj()
+	o := pinned(t)
 	const workers = 8
 	const each = 500
 	var wg sync.WaitGroup
@@ -138,7 +281,7 @@ func TestConcurrentRecording(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	got := r.SnapshotObjects()[0]
+	got := objects(r)[0]
 	if got.Remote != workers*each || got.Local != workers*each {
 		t.Fatalf("lost object updates: %+v", got)
 	}
@@ -149,7 +292,7 @@ func TestConcurrentRecording(t *testing.T) {
 	if sum != workers*each {
 		t.Fatalf("caller counters sum %d, want %d", sum, workers*each)
 	}
-	cs := r.SnapshotClasses()[0]
+	cs := classes(r)[0]
 	var out uint64
 	for _, n := range cs.OutCalls {
 		out += n
@@ -175,7 +318,7 @@ func TestSnapshotEvictsCollectedObjects(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		runtime.GC()
-		samples := r.SnapshotObjects()
+		samples := objects(r)
 		if len(samples) == 1 && samples[0].GUID == "keep" {
 			break
 		}
@@ -186,6 +329,44 @@ func TestSnapshotEvictsCollectedObjects(t *testing.T) {
 	if r.ForObject(keep, "keep", "C") == nil {
 		t.Fatal("live object lost its stats")
 	}
+}
+
+// TestWindowDropsCollectedBaselines: a cursor's baseline for an object
+// goes when the object is collected, so a long-lived reader's state is
+// bounded by the live working set too.
+func TestWindowDropsCollectedBaselines(t *testing.T) {
+	r := NewRecorder()
+	w := r.NewWindow()
+	keep := obj()
+	r.ForObject(keep, "keep", "C").RecordLocal()
+	func() {
+		dead := obj()
+		r.ForObject(dead, "dead", "C").RecordLocal()
+	}()
+	if objs, _ := w.Next(); len(objs) != 2 || len(w.objs) != 2 {
+		t.Fatalf("first window: %d samples, %d baselines", len(objs), len(w.objs))
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		runtime.GC()
+		w.Next()
+		if len(w.objs) == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("collected object's baseline never dropped: %d baselines", len(w.objs))
+		}
+	}
+	for _, base := range w.objs {
+		if base.GUID != "keep" {
+			t.Fatalf("kept the wrong baseline: %+v", base)
+		}
+	}
+	r.ForObject(keep, "keep", "C").RecordLocal()
+	if objs, _ := w.Next(); len(objs) != 1 || objs[0].Local != 1 {
+		t.Fatalf("live object's window after eviction: %+v", objs)
+	}
+	runtime.KeepAlive(keep)
 }
 
 func TestSizeEstimates(t *testing.T) {
