@@ -85,13 +85,20 @@ func NewIssuer(caller string) *Issuer {
 // carrying the current ack watermark.  It returns the sequence for the
 // matching Finish call.
 func (i *Issuer) Stamp(req *wire.Request) uint64 {
+	tok := i.Issue()
+	req.Token = &tok
+	return tok.Seq
+}
+
+// Issue allocates the next sequence and returns its token, carrying the
+// current ack watermark, by value: a caller that owns storage for the
+// token stamps it there instead of allocating one.  Finish(tok.Seq)
+// settles it.
+func (i *Issuer) Issue() wire.CallToken {
 	i.mu.Lock()
+	defer i.mu.Unlock()
 	i.next++
-	seq := i.next
-	tok := &wire.CallToken{Caller: i.caller, Seq: seq, Ack: i.floor}
-	i.mu.Unlock()
-	req.Token = tok
-	return seq
+	return wire.CallToken{Caller: i.caller, Seq: i.next, Ack: i.floor}
 }
 
 // Finish marks seq's logical call settled at the caller: its response
@@ -228,10 +235,14 @@ type Window struct {
 // Entry tracks one logical call at the callee.
 type Entry struct {
 	seq    uint64
-	target string // GUID or class key the call executed against (migration filter)
+	target string  // GUID or class key the call executed against (migration filter)
+	w      *Window // the window the entry was admitted to; Complete locks only it
 
-	done chan struct{}  // closed once resp is set
-	resp *wire.Response // recorded response; nil while in flight
+	// done is made, under w.mu, by the first duplicate that parks on the
+	// in-flight entry, and closed by Complete once resp is set: a call
+	// nobody re-delivers never allocates one.
+	done chan struct{}
+	resp *wire.Response // recorded response, under w.mu; nil while in flight
 }
 
 // Verdict says what a delivery should do.
@@ -286,10 +297,14 @@ func (t *Table) BeginObserved(tok *wire.CallToken, target string) (_ *Entry, _ V
 	// sequence with no surviving entry is judged by the watermark.
 	if e, ok := w.entries[entryKey{tok.Seq, target}]; ok {
 		inFlight := e.resp == nil
+		if inFlight && e.done == nil {
+			e.done = make(chan struct{})
+		}
+		done := e.done
 		w.mu.Unlock()
 		if inFlight {
 			t.parked.Inc()
-			<-e.done // first attempt completes and records its response
+			<-done // first attempt completes and records its response
 		} else {
 			t.replayHits.Inc()
 		}
@@ -301,7 +316,7 @@ func (t *Table) BeginObserved(tok *wire.CallToken, target string) (_ *Entry, _ V
 		t.staleRejected.Inc()
 		return nil, Stale, false
 	}
-	e := &Entry{seq: tok.Seq, target: target, done: make(chan struct{})}
+	e := &Entry{seq: tok.Seq, target: target, w: w}
 	w.entries[entryKey{tok.Seq, target}] = e
 	w.mu.Unlock()
 	return e, Execute, false
@@ -309,9 +324,11 @@ func (t *Table) BeginObserved(tok *wire.CallToken, target string) (_ *Entry, _ V
 
 // Complete records the executed call's response on e and releases any
 // parked duplicates.  The response is retained for replay until the
-// entry retires; callers must not mutate it afterwards.
+// entry retires; callers must not mutate it afterwards.  The entry
+// remembers the window Begin admitted it to — caller's — so completion
+// takes only that window's lock, never the table's.
 func (t *Table) Complete(caller string, e *Entry, resp *wire.Response) {
-	w := t.window(caller)
+	w := e.w
 	w.mu.Lock()
 	e.resp = resp
 	// The entry may already have been shipped out by a migration racing
@@ -321,8 +338,11 @@ func (t *Table) Complete(caller string, e *Entry, resp *wire.Response) {
 		t.entries.Add(1)
 		w.evictOverCap()
 	}
+	done := e.done
 	w.mu.Unlock()
-	close(e.done)
+	if done != nil {
+		close(done)
+	}
 }
 
 // Response returns the recorded response re-addressed to wire id.  The
@@ -472,8 +492,8 @@ func (t *Table) Adopt(target string, entries []wire.DedupEntry) {
 			continue
 		}
 		resp := in.Resp
-		e := &Entry{seq: in.Seq, target: target, done: make(chan struct{}), resp: &resp}
-		close(e.done)
+		// Already complete: nothing will ever park on it, so no done channel.
+		e := &Entry{seq: in.Seq, target: target, w: w, resp: &resp}
 		w.entries[entryKey{in.Seq, target}] = e
 		w.completed++
 		t.entries.Add(1)

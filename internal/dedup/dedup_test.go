@@ -106,6 +106,63 @@ func TestDuplicateWhileInFlightParks(t *testing.T) {
 	}
 }
 
+// TestManyDuplicatesShareOnePark: the first duplicate to park makes the
+// entry's done channel, later ones wait on the same channel, and one
+// Complete wakes them all with the recorded response.
+func TestManyDuplicatesShareOnePark(t *testing.T) {
+	const dups = 8
+	tab := NewTable(8)
+	e, v := tab.Begin(tok("c", 1, 0), "g1")
+	if v != Execute {
+		t.Fatal("first delivery should execute")
+	}
+	if e.done != nil {
+		t.Fatal("an entry nobody parked on already has a done channel")
+	}
+	got := make(chan int64, dups)
+	for range dups {
+		go func() {
+			dup, v := tab.Begin(tok("c", 1, 0), "g1")
+			if v != Replay {
+				got <- -1
+				return
+			}
+			got <- dup.Response(2).Result.Int
+		}()
+	}
+	for tab.parked.Load() < dups {
+		runtime.Gosched()
+	}
+	tab.Complete("c", e, &wire.Response{ID: 1, Result: wire.Value{Kind: wire.KInt, Int: 7}})
+	for range dups {
+		if r := <-got; r != 7 {
+			t.Fatalf("parked duplicate got %d want 7", r)
+		}
+	}
+}
+
+// TestExecutePathAllocs pins the dedup window's cost on a call nobody
+// re-delivers: Begin then Complete allocate the entry and nothing else.
+func TestExecutePathAllocs(t *testing.T) {
+	tab := NewTable(0)
+	resp := &wire.Response{ID: 1}
+	tk := wire.CallToken{Caller: "c", Seq: 1}
+	e, _ := tab.Begin(&tk, "g1") // creates the caller's window
+	tab.Complete(tk.Caller, e, resp)
+	allocs := testing.AllocsPerRun(1000, func() {
+		tk.Ack = tk.Seq // the caller has the previous response
+		tk.Seq++
+		e, v := tab.Begin(&tk, "g1")
+		if v != Execute {
+			t.Fatalf("seq %d verdict %v", tk.Seq, v)
+		}
+		tab.Complete(tk.Caller, e, resp)
+	})
+	if allocs != 1 {
+		t.Fatalf("Begin+Complete allocate %.1f times; want 1", allocs)
+	}
+}
+
 // TestEvictionBoundsWindow pins the replay-cache bound: completed
 // entries past the cap evict in ascending seq order, the retired
 // watermark advances over them, and a late duplicate of an evicted call

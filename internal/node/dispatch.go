@@ -311,7 +311,14 @@ func (n *Node) singletonTarget(resp *wire.Response, class string) (vm.Value, boo
 // invokeOn performs the call on a resolved receiver and fills resp.  The
 // caller holds the receiver's invocation gate.
 func (n *Node) invokeOn(env *vm.Env, resp *wire.Response, recv vm.Value, req *wire.Request) {
-	args := make([]vm.Value, len(req.Args))
+	// Calls copy their arguments onto the execution's slab, so the common
+	// short argument list converts on the stack.
+	var buf [4]vm.Value
+	args := buf[:]
+	if len(req.Args) > len(buf) {
+		args = make([]vm.Value, len(req.Args))
+	}
+	args = args[:len(req.Args)]
 	for i, wv := range req.Args {
 		av, err := n.unmarshalValue(env, wv)
 		if err != nil {

@@ -154,14 +154,15 @@ func (n *Node) proxyInvoke(env *vm.Env, classSide bool, method string, recv vm.V
 		return vm.Value{}, remoteError(env, "%s.%s: stale self-reference %s", t.class, method, t.id), nil
 	}
 
-	req, err := n.invokeRequest(classSide, t, method, args)
+	oc, err := n.invokeRequest(classSide, t, method, args)
 	if err != nil {
 		return vm.Value{}, remoteError(env, "%v", err), nil
 	}
+	req := &oc.req
 	n.callsOut.Inc()
 	l := leg{
 		endpoint: t.endpoint, parent: envCtx(env), kind: trace.KindClient, name: method,
-		deadline: env.DeadlineUs(), fwd: fwd, unlock: env,
+		deadline: env.DeadlineUs(), fwd: fwd, tok: &oc.tok, unlock: env,
 	}
 	if t.routed {
 		l.note = "routed-read"
@@ -251,15 +252,30 @@ func (n *Node) resolveProxy(proxy *vm.Object, classSide bool, method string, nar
 	return t
 }
 
+// outCall is one call through a proxy on the wire: the request together
+// with the storage its token and up to two arguments need, so the
+// outbound leg is one allocation.
+type outCall struct {
+	req  wire.Request
+	tok  wire.CallToken // send stamps the token here
+	args [2]wire.Value
+}
+
 // invokeRequest is the wire form of one call through a proxy resolved
 // to t, before send stamps it.
-func (n *Node) invokeRequest(classSide bool, t proxyTarget, method string, args []vm.Value) (*wire.Request, error) {
+func (n *Node) invokeRequest(classSide bool, t proxyTarget, method string, args []vm.Value) (*outCall, error) {
 	proto, _, _ := splitProto(t.endpoint)
-	req := &wire.Request{Op: wire.OpInvoke, GUID: t.id, Method: method, Caller: n.callerEndpoint(proto)}
+	oc := &outCall{}
+	req := &oc.req
+	req.Op, req.GUID, req.Method, req.Caller = wire.OpInvoke, t.id, method, n.callerEndpoint(proto)
 	if classSide {
 		req.Op, req.GUID, req.Class = wire.OpInvokeClass, "", t.class
 	}
-	req.Args = make([]wire.Value, len(args))
+	if len(args) <= len(oc.args) {
+		req.Args = oc.args[:len(args):len(args)]
+	} else {
+		req.Args = make([]wire.Value, len(args))
+	}
 	for i, a := range args {
 		mv, err := n.marshalValue(a, proto)
 		if err != nil {
@@ -267,7 +283,7 @@ func (n *Node) invokeRequest(classSide bool, t proxyTarget, method string, args 
 		}
 		req.Args[i] = mv
 	}
-	return req, nil
+	return oc, nil
 }
 
 // callLocal performs a call that reached obj on this node without

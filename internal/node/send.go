@@ -23,6 +23,9 @@ type leg struct {
 	// primary): its token travels with the attempt bumped, its priority
 	// unchanged.
 	fwd *wire.Request
+	// tok is storage the request owns for its token (the proxy call's
+	// outCall); nil allocates one.
+	tok *wire.CallToken
 	// unlock is the sending execution, whose gates are released for the
 	// send so callbacks can run meanwhile; nil for legs that must hold
 	// their gate across it (the migration shipment and migrate-out).
@@ -42,13 +45,18 @@ type leg struct {
 // span, if it opens one, closes with the transport error or resp.Err.
 func (n *Node) send(req *wire.Request, l leg) (*wire.Response, error) {
 	req.ID = n.nextReqID()
-	if l.fwd != nil && l.fwd.Token != nil {
-		t := *l.fwd.Token
-		t.Attempt++
-		req.Token = &t
-	} else {
-		defer n.issuer.Finish(n.issuer.Stamp(req))
+	tok := l.tok
+	if tok == nil {
+		tok = new(wire.CallToken)
 	}
+	if l.fwd != nil && l.fwd.Token != nil {
+		*tok = *l.fwd.Token
+		tok.Attempt++
+	} else {
+		*tok = n.issuer.Issue()
+		defer n.issuer.Finish(tok.Seq)
+	}
+	req.Token = tok
 	if l.fwd != nil {
 		req.Priority = l.fwd.Priority
 	}

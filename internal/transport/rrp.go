@@ -136,7 +136,8 @@ func (s *rrpServer) acceptLoop(h Handler) {
 	}
 }
 
-// serveRRPConn is one connection's read loop: decode each frame, admit
+// serveRRPConn is one connection's read loop: decode each frame (its
+// identifiers interned in the loop's own bounded string table), admit
 // it (see admit) and hand the request to a parked worker of this
 // connection, starting a new worker only while fewer than maxInflight
 // exist.  Workers send their responses themselves — in completion
@@ -160,12 +161,13 @@ func serveRRPConn(conn net.Conn, h Handler, maxInflight int, ov *overload) {
 		<-writerDone
 	}()
 	workers := 0
+	var strs wire.StringTable // this loop's alone: the identifiers its frames repeat
 	for {
 		bufp, frame, err := readFrame(br)
 		if err != nil {
 			return
 		}
-		req, err := wire.DecodeRequestBytes(frame)
+		req, err := strs.DecodeRequest(frame)
 		putFrameBuf(bufp)
 		if err != nil {
 			return

@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"rafda/internal/netsim"
 	"rafda/internal/wire"
@@ -253,9 +254,10 @@ func TestRRPWriteFailurePoisonsConnection(t *testing.T) {
 }
 
 // TestRRPRoundTripAllocs pins the carriers: a bare loopback round trip
-// allocates what decoding the request (4) and the response (1) and the
-// handler's own response (1) cost, plus one — no result channel,
-// dispatch closure or vectored-write header per call (12 before).
+// allocates what decoding the request (1: its arguments ride inline and
+// its identifiers are interned per connection), the response (1) and the
+// handler's own response (1) cost — no result channel, dispatch closure
+// or vectored-write header per call.
 func TestRRPRoundTripAllocs(t *testing.T) {
 	if bi, ok := debug.ReadBuildInfo(); ok {
 		for _, kv := range bi.Settings {
@@ -284,8 +286,65 @@ func TestRRPRoundTripAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 7 {
-		t.Fatalf("a bare rrp round trip allocates %.1f times; want at most 7", allocs)
+	if allocs > 3 {
+		t.Fatalf("a bare rrp round trip allocates %.1f times; want at most 3", allocs)
+	}
+}
+
+// TestRRPInternTableBounded sends 10 000 distinct GUIDs over one
+// connection.  The server's string table shares a repeated GUID before
+// the flood and after it: a full table is dropped, so it follows the
+// current working set, and a GUID first seen after the flood is shared
+// from its second delivery on.  Every request still decodes its own
+// GUID.  (The table's size bound is pinned in package wire, where the
+// table is reachable.)
+func TestRRPInternTableBounded(t *testing.T) {
+	var mu sync.Mutex
+	var kept []string // holds every decoded GUID, so no address is reused
+	tr := NewRRP(Options{})
+	srv, err := tr.Listen("", func(req *wire.Request) *wire.Response {
+		mu.Lock()
+		kept = append(kept, req.GUID)
+		mu.Unlock()
+		return &wire.Response{ID: req.ID, Result: wire.Value{Kind: wire.KInt,
+			Int: int64(uintptr(unsafe.Pointer(unsafe.StringData(req.GUID))))}}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	c, err := tr.Dial(srv.Endpoint())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	storage := func(guid string) int64 {
+		t.Helper()
+		resp, err := c.Call(&wire.Request{Op: wire.OpInvoke, GUID: guid, Method: "m"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.Result.Int
+	}
+	hot := storage("hot#1")
+	if storage("hot#1") != hot {
+		t.Fatal("a repeated GUID was copied, not shared")
+	}
+	for i := range 10000 {
+		storage(fmt.Sprintf("flood#%d", i))
+	}
+	if storage("hot#1") != storage("hot#1") {
+		t.Fatal("after the flood a repeated GUID was copied, not shared")
+	}
+	if storage("late#1") != storage("late#1") {
+		t.Fatal("after the flood a new GUID was copied on every delivery")
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for i, g := range kept[2 : 2+10000] { // after the two hot#1 calls
+		if want := fmt.Sprintf("flood#%d", i); g != want {
+			t.Fatalf("request %d decoded GUID %q, want %q", i, g, want)
+		}
 	}
 }
 

@@ -16,8 +16,11 @@ import (
 // byte slice (typically a sync.Pool-recycled frame buffer with headroom
 // reserved for the transport's length prefix), and
 // DecodeRequestBytes/DecodeResponseBytes read straight from a frame
-// without intermediate readers.  Decoded messages never alias the input
-// slice — all strings are copied — so frame buffers can be recycled
+// without intermediate readers.  A decoded request is one allocation
+// when its token and arguments fit the inline storage (see reqStore).
+// Decoded messages never alias the input slice: every string is either
+// copied or, for the identifiers a StringTable interns, shared from that
+// bounded per-connection table, so frame buffers can be recycled
 // immediately after decoding.  The io.Reader/io.Writer forms are thin
 // wrappers for stream-oriented callers.
 
@@ -184,17 +187,51 @@ func appendRef(dst []byte, ref *RemoteRef) []byte {
 
 // DecodeRequestBytes decodes exactly one request from b.  Trailing bytes
 // are a protocol error: a frame delimits one message.
-func DecodeRequestBytes(b []byte) (*Request, error) {
-	d := &bdec{b: b}
-	req := &Request{}
+func DecodeRequestBytes(b []byte) (*Request, error) { return decodeRequest(b, nil) }
+
+// reqStore is a decoded request together with the storage its token and
+// up to inlineArgs arguments need, so the common invocation decodes in
+// one allocation: Token points into it and Args slices it.
+type reqStore struct {
+	req  Request
+	tok  CallToken
+	args [inlineArgs]Value
+}
+
+const (
+	// inlineArgs is how many arguments a decoded request carries without
+	// a separate slice allocation.
+	inlineArgs = 2
+	// maxPresize caps how many arguments are allocated before any of
+	// them decodes (88 KiB of Values).
+	maxPresize = 1024
+)
+
+func decodeRequest(b []byte, strs *StringTable) (*Request, error) {
+	d := &bdec{b: b, strs: strs}
+	s := &reqStore{}
+	req := &s.req
 	req.ID = d.u64()
 	req.Op = Op(d.u64())
-	req.GUID = d.str()
-	req.Class = d.str()
-	req.Method = d.str()
+	req.GUID = d.ident()
+	req.Class = d.ident()
+	req.Method = d.ident()
 	n := d.u64()
-	if d.err == nil && n > maxSeq {
-		return nil, fmt.Errorf("args length %d too large", n)
+	// Every value takes at least one byte, so a count the rest of the
+	// frame cannot hold is malformed, as is one over maxSeq.  Both are
+	// rejected before they size anything.
+	if d.err == nil && (n > maxSeq || n > uint64(len(d.b)-d.off)) {
+		return nil, fmt.Errorf("args length %d too large for the %d bytes left in the frame", n, len(d.b)-d.off)
+	}
+	switch {
+	case n == 0:
+	case n <= inlineArgs:
+		req.Args = s.args[:0:n]
+	default:
+		// Sized once from the declared count, up to maxPresize: a large
+		// count over garbage bytes then costs at most that much before
+		// decoding fails, and a genuinely long list grows past it.
+		req.Args = make([]Value, 0, min(n, maxPresize))
 	}
 	for i := uint64(0); i < n && d.err == nil; i++ {
 		req.Args = append(req.Args, d.value())
@@ -209,7 +246,7 @@ func DecodeRequestBytes(b []byte) (*Request, error) {
 		req.Fields = append(req.Fields, nv)
 	}
 	req.Endpoint = d.str()
-	req.Caller = d.str()
+	req.Caller = d.ident()
 	req.Cluster = d.cluster()
 	// Legacy frames end here; extension sections are optional
 	// tag-length-value, in ascending tag order.  Unknown tags are
@@ -232,7 +269,7 @@ func DecodeRequestBytes(b []byte) (*Request, error) {
 		switch ext {
 		case reqExtTokens:
 			if d.boolean() {
-				req.Token = d.token()
+				req.Token = d.token(&s.tok)
 			}
 			n = d.u64()
 			if d.err == nil && n > maxSeq {
@@ -352,9 +389,10 @@ func (d *bdec) response(resp *Response) {
 	resp.Cluster = d.cluster()
 }
 
-// token decodes a CallToken written by appendToken.
-func (d *bdec) token() *CallToken {
-	t := &CallToken{Caller: d.str(), Seq: d.u64()}
+// token decodes a CallToken written by appendToken into t.
+func (d *bdec) token(t *CallToken) *CallToken {
+	t.Caller = d.ident()
+	t.Seq = d.u64()
 	t.Attempt = uint32(d.u64())
 	t.Ack = d.u64()
 	if d.err != nil {
@@ -510,11 +548,62 @@ func appendDigest(dst []byte, p *PeerDigest) []byte {
 	return appendBool(dst, p.Leaving)
 }
 
+// StringTable interns the identifiers of the requests one connection
+// decodes — object GUIDs, class and method names, caller endpoints and
+// token callers: a hit shares the table's string instead of copying the
+// frame's bytes.  It pays off when a connection keeps reusing a working
+// set of fewer than maxInterned identifiers; that is an assumption about
+// the traffic, not a guarantee.  It is bounded: at most maxInterned
+// entries of at most maxInternLen bytes each.  A longer string is
+// copied, exactly as DecodeRequestBytes does, and a full table is
+// dropped before the next insert, so it follows the current working set
+// rather than keeping the first identifiers it saw (a connection cycling
+// through more identifiers re-copies its working set once per fill).
+// The zero value is ready to use.  A table is not safe for concurrent
+// use — the connection's read loop owns it — but the strings it hands
+// out are ordinary immutable strings, safe anywhere.
+type StringTable struct {
+	m map[string]string
+}
+
+const (
+	// maxInterned bounds a table's entries, so a peer cycling through
+	// distinct identifiers costs at most this many strings per connection.
+	maxInterned = 512
+	// maxInternLen bounds an interned string's length: identifiers are
+	// short, and a long string is unlikely to repeat.
+	maxInternLen = 64
+)
+
+// DecodeRequest is DecodeRequestBytes with the request's identifiers
+// interned in t.
+func (t *StringTable) DecodeRequest(b []byte) (*Request, error) { return decodeRequest(b, t) }
+
+// intern returns b as a string, shared from the table when present and
+// otherwise added to it, emptying the table first if it is full.
+func (t *StringTable) intern(b []byte) string {
+	if len(b) > maxInternLen {
+		return string(b)
+	}
+	if s, ok := t.m[string(b)]; ok { // the lookup's conversion does not allocate
+		return s
+	}
+	s := string(b)
+	if t.m == nil {
+		t.m = make(map[string]string)
+	} else if len(t.m) >= maxInterned {
+		clear(t.m)
+	}
+	t.m[s] = s
+	return s
+}
+
 // bdec decodes from a byte slice with sticky errors.
 type bdec struct {
-	b   []byte
-	off int
-	err error
+	b    []byte
+	off  int
+	err  error
+	strs *StringTable // interns ident() strings; nil copies them
 }
 
 func (d *bdec) fail(format string, a ...any) {
@@ -560,22 +649,37 @@ func (d *bdec) i64() int64 {
 }
 
 func (d *bdec) str() string {
+	// string() copies, so the decoded message never aliases the frame.
+	return string(d.strBytes())
+}
+
+// ident decodes a string that names something — a GUID, class, method
+// or caller — interning it when the decoder has a table.
+func (d *bdec) ident() string {
+	b := d.strBytes()
+	if d.strs == nil {
+		return string(b)
+	}
+	return d.strs.intern(b)
+}
+
+// strBytes reads a length-prefixed string's bytes, aliasing the frame.
+func (d *bdec) strBytes() []byte {
 	n := d.u64()
 	if d.err != nil {
-		return ""
+		return nil
 	}
 	if n > maxSeq {
 		d.fail("string length %d too large", n)
-		return ""
+		return nil
 	}
 	if uint64(len(d.b)-d.off) < n {
 		d.fail("truncated string at offset %d", d.off)
-		return ""
+		return nil
 	}
-	// string() copies, so the decoded message never aliases the frame.
-	s := string(d.b[d.off : d.off+int(n)])
+	b := d.b[d.off : d.off+int(n)]
 	d.off += int(n)
-	return s
+	return b
 }
 
 func (d *bdec) boolean() bool { return d.u64() != 0 }

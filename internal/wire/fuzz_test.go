@@ -88,13 +88,22 @@ func seedResponses() []*Response {
 // FuzzDecodeRequest feeds the binary request decoder arbitrary frames.
 // The decoder must never panic; any frame it accepts must re-encode and
 // re-decode to the same message (the codec is canonical for everything
-// the decoder admits).
+// the decoder admits), and decoding through a string table — cold, then
+// warm — must agree with decoding without one.
 func FuzzDecodeRequest(f *testing.F) {
 	for _, req := range seedRequests() {
 		f.Add(AppendRequest(nil, req))
 	}
+	f.Add(hostileArgsFrame(maxSeq, nil))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		req, err := DecodeRequestBytes(b)
+		var strs StringTable
+		for range 2 {
+			interned, ierr := strs.DecodeRequest(b)
+			if (ierr == nil) != (err == nil) || !reflect.DeepEqual(interned, req) {
+				t.Fatalf("interned decode disagrees:\nplain: %+v, %v\ninterned: %+v, %v", req, err, interned, ierr)
+			}
+		}
 		if err != nil {
 			return
 		}
