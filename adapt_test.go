@@ -96,7 +96,7 @@ func TestAdaptiveMigrationConverges(t *testing.T) {
 	// B must have migrated the object to A — no manual Migrate call.
 	var migrations int
 	for _, d := range adB.Decisions() {
-		if d.Action == "migrate" && d.Executed {
+		if d.Kind.String() == "migrate" && d.Executed {
 			migrations++
 			if d.Endpoint != epA {
 				t.Fatalf("migrated to %s, want %s", d.Endpoint, epA)
@@ -123,7 +123,7 @@ func TestAdaptiveMigrationConverges(t *testing.T) {
 	// class-pull rule), so new instances stop being mis-placed.
 	var flips int
 	for _, d := range adA.Decisions() {
-		if d.Action == "place-class" && d.Executed {
+		if d.Kind.String() == "place-class" && d.Executed {
 			flips++
 			if d.Class != "Counter" || d.Endpoint != "" {
 				t.Fatalf("unexpected flip: %+v", d)
@@ -149,13 +149,13 @@ func TestAdaptiveMigrationConverges(t *testing.T) {
 		adB.Tick()
 	}
 	for _, d := range append(adA.Decisions(), adB.Decisions()...) {
-		if d.Action == "migrate" && d.Executed && d.Endpoint != epA {
+		if d.Kind.String() == "migrate" && d.Executed && d.Endpoint != epA {
 			t.Fatalf("ping-pong: %+v", d)
 		}
 	}
 	var total int
 	for _, d := range append(adA.Decisions(), adB.Decisions()...) {
-		if d.Action == "migrate" && d.Executed {
+		if d.Kind.String() == "migrate" && d.Executed {
 			total++
 		}
 	}

@@ -8,7 +8,10 @@ import (
 )
 
 // ClusterConfig tunes a node's membership in the cluster coordination
-// plane (docs/CLUSTER.md).  Zero fields take the plane's defaults.
+// plane (docs/CLUSTER.md).  Zero fields take the plane's defaults; the
+// liveness ladder, settle and cooldown windows and the multi-hop rule's
+// threshold are the plane's fixed defaults, and every member follows
+// gossiped class placements.
 type ClusterConfig struct {
 	// Seeds are existing members' endpoints to join through (empty for
 	// the first node).
@@ -17,31 +20,12 @@ type ClusterConfig struct {
 	Heartbeat time.Duration
 	// Fanout is how many peers each round gossips to.
 	Fanout int
-	// SuspectAfter / DeadAfter are the liveness ladder, in heartbeats
-	// without an observed advance.
-	SuspectAfter int
-	DeadAfter    int
-	// SettleWindows is how many heartbeats a winning placement intent
-	// must stay the winner before the object's home executes it.
-	SettleWindows int
-	// CooldownWindows refuses new intents for an object after it
-	// migrated — the cluster-wide ping-pong guard.
-	CooldownWindows int
 	// Propose enables the multi-hop rule on this member: evaluate
 	// gossiped affinity rollups and propose migrations anywhere in the
 	// cluster (B→C proposed by A).
 	Propose bool
-	// Threshold is the dominant-caller share a multi-hop proposal needs;
-	// MinCalls the minimum rollup activity.
-	Threshold float64
-	MinCalls  int
-	// NoFollowPlacements stops this member from applying gossiped class
-	// placement epochs to its local policy table.
-	NoFollowPlacements bool
 	// OnEvent observes every membership/directory/intent event.
 	OnEvent func(ClusterEvent)
-	// Seed fixes gossip-target shuffling for deterministic harnesses.
-	Seed int64
 }
 
 // ClusterEvent is one observable coordination occurrence.
@@ -66,21 +50,13 @@ type Cluster struct {
 // The returned handle is not yet gossiping: call Start for the timed
 // loop, or Tick from a deterministic harness.  Close stops it.
 func (n *Node) JoinCluster(cfg ClusterConfig) (*Cluster, error) {
-	ccfg := cluster.Config{
+	co, err := n.n.StartCluster(cluster.Config{
 		Heartbeat:             cfg.Heartbeat,
 		Fanout:                cfg.Fanout,
-		SuspectAfter:          cfg.SuspectAfter,
-		DeadAfter:             cfg.DeadAfter,
-		SettleTicks:           cfg.SettleWindows,
-		CooldownTicks:         cfg.CooldownWindows,
 		Propose:               cfg.Propose,
-		Threshold:             cfg.Threshold,
-		MinCalls:              uint64(max(cfg.MinCalls, 0)),
-		FollowClassPlacements: !cfg.NoFollowPlacements,
-		Seed:                  cfg.Seed,
+		FollowClassPlacements: true,
 		OnEvent:               cfg.OnEvent,
-	}
-	co, err := n.n.StartCluster(ccfg, cfg.Seeds)
+	}, cfg.Seeds)
 	if err != nil {
 		return nil, err
 	}

@@ -20,9 +20,10 @@ class Main { static void main() {} }`
 
 // clusterTrio builds three rrp nodes joined into one cluster, with the
 // multi-hop proposer rule enabled only where propose[i] says so.  All
-// coordination is driven by manual Ticks — no timed loops — so every
-// test on it is deterministic.
-func clusterTrio(t *testing.T, propose [3]bool, minCalls int) (nodes [3]*Node, clusters [3]*Cluster, eps [3]string) {
+// coordination is driven by manual Ticks — no timed loops — and with a
+// fan-out of 3 every round reaches every peer, so every test on it is
+// deterministic.
+func clusterTrio(t *testing.T, propose [3]bool) (nodes [3]*Node, clusters [3]*Cluster, eps [3]string) {
 	t.Helper()
 	prog, err := CompileString(clusterSource)
 	if err != nil {
@@ -47,13 +48,7 @@ func clusterTrio(t *testing.T, propose [3]bool, minCalls int) (nodes [3]*Node, c
 		if i > 0 {
 			seeds = []string{eps[0]}
 		}
-		cl, err := n.JoinCluster(ClusterConfig{
-			Seeds:    seeds,
-			Fanout:   3,
-			Propose:  propose[i],
-			MinCalls: minCalls,
-			Seed:     int64(i) + 11,
-		})
+		cl, err := n.JoinCluster(ClusterConfig{Seeds: seeds, Fanout: 3, Propose: propose[i]})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,7 +87,7 @@ func refGUID(t *testing.T, ref *Ref) string {
 // intent afterwards must not move the object again — no ping-pong,
 // one stable home.
 func TestClusterConflictingIntentsConverge(t *testing.T) {
-	nodes, clusters, eps := clusterTrio(t, [3]bool{false, false, false}, 0)
+	nodes, clusters, eps := clusterTrio(t, [3]bool{false, false, false})
 	a, b, c := nodes[0], nodes[1], nodes[2]
 	tickRounds(2, clusters) // membership settles
 
@@ -154,7 +149,7 @@ func TestClusterConflictingIntentsConverge(t *testing.T) {
 // through the directory.  Further traffic and rounds must not move the
 // object again.
 func TestClusterMultiHopMigrationConverges(t *testing.T) {
-	nodes, clusters, eps := clusterTrio(t, [3]bool{true, false, false}, 10)
+	nodes, clusters, eps := clusterTrio(t, [3]bool{true, false, false})
 	b, c := nodes[1], nodes[2]
 	tickRounds(2, clusters)
 
@@ -242,7 +237,7 @@ func TestClusterMultiHopMigrationConverges(t *testing.T) {
 // the migration must still land, moving the object to the engine's
 // chosen destination.
 func TestClusterAdapterDelegatesIntent(t *testing.T) {
-	nodes, clusters, eps := clusterTrio(t, [3]bool{false, false, false}, 0)
+	nodes, clusters, eps := clusterTrio(t, [3]bool{false, false, false})
 	a, b := nodes[0], nodes[1]
 	tickRounds(2, clusters)
 
@@ -275,7 +270,7 @@ func TestClusterAdapterDelegatesIntent(t *testing.T) {
 
 	var delegated bool
 	for _, d := range adB.Decisions() {
-		if d.Action == "migrate" {
+		if d.Kind.String() == "migrate" {
 			if d.Executed {
 				t.Fatalf("clustered engine executed unilaterally: %+v", d)
 			}
@@ -290,5 +285,96 @@ func TestClusterAdapterDelegatesIntent(t *testing.T) {
 	tickRounds(4, clusters)
 	if in := a.Stats().MigrationsIn; in != 1 {
 		t.Fatalf("delegated intent did not land on a: migrations-in %d; events %+v", in, clusters[1].Events())
+	}
+}
+
+// TestPlaceClassAtOwnEndpointIsLocal: placing a class at the node's own
+// endpoint is local placement, so creations build plain local instances
+// instead of looping an OpCreate (an export, a dedup entry, a server
+// span) through the node's own server.
+func TestPlaceClassAtOwnEndpointIsLocal(t *testing.T) {
+	prog, err := CompileString(clusterSource)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := prog.Transform(WithProtocols("rrp"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := tr.NewNode(NodeConfig{Name: "solo"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	ep, err := n.Serve("rrp", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := n.PlaceClass("Counter", ep); err != nil {
+		t.Fatal(err)
+	}
+	made, err := n.Call("Setup", "make")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := made.(*Ref)
+	if got, err := n.CallOn(ref, "bump"); err != nil || got.(int64) != 1 {
+		t.Fatalf("bump: %v %v", got, err)
+	}
+	if st := n.Stats(); st.Creates != 0 || st.RemoteCallsIn != 0 {
+		t.Fatalf("own-endpoint placement went through the server: %+v", st)
+	}
+	if cn := ref.ClassName(); !strings.HasSuffix(cn, "_O_Local") {
+		t.Fatalf("handle is %s, want the local implementation", cn)
+	}
+}
+
+// TestClusterPlacementsAnnounceAndFollow: class placements made on one
+// member — by an operator's PlaceClass or by its adapter's flip — reach
+// every other member's policy table through the directory, and a
+// placement announced at a member's own endpoint lands there as local.
+func TestClusterPlacementsAnnounceAndFollow(t *testing.T) {
+	nodes, clusters, eps := clusterTrio(t, [3]bool{})
+	a, b, c := nodes[0], nodes[1], nodes[2]
+	tickRounds(2, clusters)
+	placedAt := func(n *Node) string { return n.n.ClassPlacement("Counter") }
+
+	// Operator placement on a at b's endpoint: a and c place remotely at
+	// b, b itself locally.
+	if err := a.PlaceClass("Counter", eps[1]); err != nil {
+		t.Fatal(err)
+	}
+	tickRounds(2, clusters)
+	for i, want := range [3]string{eps[1], "", eps[1]} {
+		if got := placedAt(nodes[i]); got != want {
+			t.Fatalf("node %d places Counter at %q, want %q", i, got, want)
+		}
+	}
+
+	// a's traffic all goes to b, so a's adapter pulls the class home
+	// (class-pull, applied through PlaceClassIf); the flip is a new epoch
+	// c follows too.
+	adA := a.NewAdapter(AdaptConfig{Threshold: 0.6, MinCalls: 10, Confirm: 2})
+	made, err := a.Call("Setup", "make")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for w := 0; w < 2; w++ {
+		for i := 0; i < 30; i++ {
+			if _, err := a.CallOn(made.(*Ref), "bump"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		adA.Tick()
+	}
+	if got := placedAt(a); got != "" {
+		t.Fatalf("a's adapter did not flip Counter local (at %q); log %+v", got, adA.Decisions())
+	}
+	tickRounds(2, clusters)
+	if got := placedAt(c); got != "" {
+		t.Fatalf("c did not follow a's flip: Counter at %q", got)
+	}
+	if got := placedAt(b); got != "" {
+		t.Fatalf("b places Counter at %q after the flip, want local", got)
 	}
 }

@@ -411,7 +411,7 @@ func BenchmarkE9_AdaptivePlacement(b *testing.B) {
 			}
 			adServer.Tick()
 			for _, d := range adServer.Decisions() {
-				converged = converged || d.Action == "migrate" && d.Executed
+				converged = converged || d.Kind.String() == "migrate" && d.Executed
 			}
 		}
 		if !converged {

@@ -143,7 +143,7 @@ func e12Seed(phase time.Duration, seed uint64) (E12SeedResult, error) {
 		Window: 75 * time.Millisecond, Threshold: 0.6, MinCalls: 24,
 		Confirm: 2, Budget: 4,
 		OnDecision: func(d rafda.AdaptDecision) {
-			if d.Action == "migrate" && d.Executed {
+			if d.Kind.String() == "migrate" && d.Executed {
 				migrations.Add(1)
 			}
 		},

@@ -170,7 +170,7 @@ func e9(p profile, out string) error {
 				decMu.Lock()
 				report.Decisions = append(report.Decisions, E9Decision{
 					Node: name, AtMs: time.Since(phaseStart).Milliseconds(),
-					Window: d.Window, Rule: d.Rule, Action: d.Action,
+					Window: d.Window, Rule: d.Rule, Action: d.Kind.String(),
 					GUID: d.GUID, Class: d.Class, Endpoint: d.Endpoint,
 					Reason: d.Reason, Executed: d.Executed, Err: d.Err,
 				})

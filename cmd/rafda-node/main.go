@@ -207,7 +207,7 @@ func run() error {
 				if target == "" {
 					target = "class " + d.Class
 				}
-				fmt.Printf("adapt: %s %s -> %q (%s): %s\n", d.Action, target, d.Endpoint, status, d.Reason)
+				fmt.Printf("adapt: %s %s -> %q (%s): %s\n", d.Kind, target, d.Endpoint, status, d.Reason)
 			},
 		})
 		fmt.Println("adaptive placement engine running")

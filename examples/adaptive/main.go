@@ -90,7 +90,7 @@ func run() error {
 			if target == "" {
 				target = "class " + d.Class
 			}
-			fmt.Printf("  [engine] %-11s %s -> %q (%s)\n", d.Action, target, d.Endpoint, status)
+			fmt.Printf("  [engine] %-11s %s -> %q (%s)\n", d.Kind, target, d.Endpoint, status)
 		},
 	}
 	app.StartAdapter(cfg)

@@ -14,8 +14,8 @@
 //   - hysteresis: a rule must propose the same action for Confirm
 //     consecutive windows before it runs;
 //   - a per-target migration budget: at most Budget executed migrations
-//     per object (and flips per class) within the last BudgetWindows
-//     windows — the loop can move an object, but never ping-pong it;
+//     per object (and flips per class) within the last 64 windows —
+//     the loop can move an object, but never ping-pong it;
 //   - versioned re-policy: class flips apply through
 //     policy.Table.SetClassIf against the version read at window start,
 //     so the engine never overwrites a concurrent operator re-policy.
@@ -29,6 +29,7 @@
 package adapt
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -129,8 +130,8 @@ type Decision struct {
 type ObjWindow struct {
 	telemetry.ObjSample
 	// StateBytes estimates the object's shipped-state size — the cost
-	// side of a cost-based migration decision (0 when the node supplies
-	// no estimator).
+	// side of a cost-based migration decision (0 for non-migratable
+	// objects).
 	StateBytes int64
 	// Migratable reports whether the object is currently a live local
 	// transformed instance (statics singletons and already-morphed
@@ -173,47 +174,47 @@ type Rule interface {
 	Evaluate(v *View) []Proposal
 }
 
-// Actions are the node capabilities the engine drives.  They execute
-// through the same paths an operator uses: MigrateObject acquires the
-// object's gate for the snapshot→ship→morph sequence, PlaceClass goes
-// through the versioned policy table.
-type Actions struct {
-	// MigrateObject moves obj to endpoint.
-	MigrateObject func(obj *vm.Object, endpoint string) error
-	// PlaceClass re-points class ("" endpoint = local) iff the policy
+// Node is the node the engine observes and acts on; *node.Node is the
+// production implementation.  Every action runs through the same path
+// an operator uses: Migrate acquires the object's gate for the
+// snapshot→ship→morph sequence, PlaceClassIf goes through the versioned
+// policy table.
+type Node interface {
+	// Migrate moves the object behind ref to endpoint.
+	Migrate(ref vm.Value, endpoint string) error
+	// Replicate installs read replicas of the object behind ref at the
+	// given endpoints, leaving this node as the lease-holding primary.
+	// Unlike migration, replication is not delegated through the intent
+	// plane: only the primary can install replicas of its own object, so
+	// there is no cross-node conflict to reconcile.
+	Replicate(ref vm.Value, endpoints ...string) error
+	// IsMigratable reports whether obj is currently a live local
+	// transformed instance (not a proxy, not a statics singleton) — the
+	// only things migration and replication can act on.
+	IsMigratable(obj *vm.Object) bool
+	// IsReplicated reports whether obj already belongs to a replica set.
+	IsReplicated(obj *vm.Object) bool
+	// Endpoints returns the endpoints this node serves.
+	Endpoints() []string
+	// StateBytes estimates obj's shipped-state size, the cost side of a
+	// cost-based migration decision.
+	StateBytes(obj *vm.Object) int64
+	// PlaceClassIf re-points class ("" endpoint = local) iff the policy
 	// table version still equals ifVersion.
-	PlaceClass func(class, endpoint string, ifVersion uint64) error
+	PlaceClassIf(class, endpoint string, ifVersion uint64) error
 	// PolicyVersion returns the policy table version.
-	PolicyVersion func() uint64
+	PolicyVersion() uint64
 	// ClassPlacement returns the endpoint class is currently placed at
 	// ("" for local).
-	ClassPlacement func(class string) string
-	// IsLocalObject reports whether obj is currently a live local
-	// transformed instance (not a proxy, not a statics singleton) — the
-	// only things migration can move.
-	IsLocalObject func(obj *vm.Object) bool
-	// SelfEndpoints returns the endpoints this node serves.
-	SelfEndpoints func() []string
-	// StateBytes estimates obj's shipped-state size (optional; enables
-	// cost-based rules).
-	StateBytes func(obj *vm.Object) int64
-	// ReplicateObject installs read replicas of obj at the given
-	// endpoints, leaving this node as the lease-holding primary.  Unlike
-	// migration, replication is not delegated through the intent plane:
-	// only the primary can install replicas of its own object, so there
-	// is no cross-node conflict to reconcile.
-	ReplicateObject func(obj *vm.Object, endpoints []string) error
-	// IsReplicated reports whether obj already belongs to a replica set
-	// with this node as primary (optional; nil reports every object
-	// unreplicated).
-	IsReplicated func(obj *vm.Object) bool
-	// SubmitIntent, when set, delegates a confirmed migration to the
-	// cluster coordination plane instead of executing it here: the
-	// cluster reconciles conflicting intents cluster-wide and the
-	// object's home executes the winner.  It returns whether the intent
-	// was accepted (false when no cluster is attached — the engine then
-	// executes directly — or with a reason when the cluster refused it).
-	SubmitIntent func(p Proposal) (accepted bool, reason string)
+	ClassPlacement(class string) string
+	// SubmitIntent delegates a confirmed migration to the cluster
+	// coordination plane instead of executing it here: the cluster
+	// reconciles conflicting intents cluster-wide and the object's home
+	// executes the winner.  It returns whether the intent was accepted
+	// (false with an empty reason when no cluster is attached — the
+	// engine then executes directly — or with a reason when the cluster
+	// refused it).
+	SubmitIntent(p Proposal) (accepted bool, reason string)
 }
 
 // Config tunes the engine.  Zero fields take the defaults.
@@ -230,52 +231,41 @@ type Config struct {
 	// before it executes.
 	Confirm int
 	// Budget caps executed migrations per object (and flips per class)
-	// within the trailing BudgetWindows windows.
+	// within the trailing budgetWindows (64) windows.
 	Budget int
-	// BudgetWindows is the budget horizon, in windows.
-	BudgetWindows int
-	// MaxWriteShare is the write fraction (writes over classified calls)
-	// above which an object no longer counts as read-mostly and the
-	// replication rule abstains (0 = DefaultMaxWriteShare).
-	MaxWriteShare float64
-	// ReplicaFanout caps how many caller endpoints a replication
-	// proposal targets — the rule's top-k (0 = DefaultReplicaFanout).
-	ReplicaFanout int
 	// CostBased swaps the count-based object affinity rule for the
 	// cost-based one: migrate only when the traffic saved (remote calls
 	// × peer RTT EWMA) outweighs the shipping cost (estimated state
-	// bytes × NsPerByte plus a fixed per-migration overhead).
+	// bytes × nsPerByte, 10 ns/B, plus two round trips).
 	CostBased bool
-	// NsPerByte converts shipped-state bytes into time for the
-	// cost-based comparison (0 = DefaultNsPerByte, i.e. ~100 MB/s).
-	NsPerByte float64
-	// Rules overrides the rule set (nil = DefaultRules()).
-	Rules []Rule
 	// OnDecision, when set, observes every decision as it is logged.
 	OnDecision func(Decision)
-	// Now overrides the clock (tests).
-	Now func() time.Time
 }
 
 // Defaults.
 const (
-	DefaultWindow        = 250 * time.Millisecond
-	DefaultThreshold     = 0.6
-	DefaultMinCalls      = 16
-	DefaultConfirm       = 2
-	DefaultBudget        = 2
-	DefaultBudgetWindows = 64
-	// DefaultNsPerByte prices shipped state at ~100 MB/s — deliberately
+	DefaultWindow    = 250 * time.Millisecond
+	DefaultThreshold = 0.6
+	DefaultMinCalls  = 16
+	DefaultConfirm   = 2
+	DefaultBudget    = 2
+)
+
+// Fixed tuning: knobs no deployment has needed to turn.
+const (
+	// budgetWindows is the budget horizon, in windows.
+	budgetWindows = 64
+	// nsPerByte prices shipped state at ~100 MB/s — deliberately
 	// pessimistic, so borderline bulky objects stay put.
-	DefaultNsPerByte = 10.0
-	// DefaultMaxWriteShare admits at most one classified write per ten
+	nsPerByte = 10.0
+	// maxWriteShare admits at most one classified write per ten
 	// classified calls before replication stops paying: every write fans
 	// out to all replicas synchronously, so write-heavy objects lose.
-	DefaultMaxWriteShare = 0.1
-	// DefaultReplicaFanout replicates to at most the top two caller
-	// endpoints — enough for the three-node read-scaling experiments
-	// without inflating every write's fan-out.
-	DefaultReplicaFanout = 2
+	maxWriteShare = 0.1
+	// replicaFanout replicates to at most the top two caller endpoints —
+	// enough for the three-node read-scaling experiments without
+	// inflating every write's fan-out.
+	replicaFanout = 2
 )
 
 func (c Config) withDefaults() Config {
@@ -294,24 +284,6 @@ func (c Config) withDefaults() Config {
 	if c.Budget <= 0 {
 		c.Budget = DefaultBudget
 	}
-	if c.BudgetWindows <= 0 {
-		c.BudgetWindows = DefaultBudgetWindows
-	}
-	if c.NsPerByte <= 0 {
-		c.NsPerByte = DefaultNsPerByte
-	}
-	if c.MaxWriteShare <= 0 || c.MaxWriteShare > 1 {
-		c.MaxWriteShare = DefaultMaxWriteShare
-	}
-	if c.ReplicaFanout <= 0 {
-		c.ReplicaFanout = DefaultReplicaFanout
-	}
-	if c.Rules == nil {
-		c.Rules = DefaultRules(c)
-	}
-	if c.Now == nil {
-		c.Now = time.Now
-	}
 	return c
 }
 
@@ -327,7 +299,10 @@ type Engine struct {
 	cfg Config
 	rec *telemetry.Recorder
 	win *telemetry.Window // the engine's own cursor: one Next per tick
-	act Actions
+	// node is what the engine observes and acts on; rules is the
+	// built-in rule set for cfg.
+	node  Node
+	rules []Rule
 
 	mu      sync.Mutex
 	tick    int
@@ -344,20 +319,19 @@ type Engine struct {
 	done    chan struct{}
 }
 
-// New builds an engine over a node's recorder and action set.
-func New(rec *telemetry.Recorder, act Actions, cfg Config) *Engine {
+// New builds an engine over a node and its telemetry recorder.
+func New(rec *telemetry.Recorder, node Node, cfg Config) *Engine {
+	cfg = cfg.withDefaults()
 	return &Engine{
-		cfg:     cfg.withDefaults(),
+		cfg:     cfg,
 		rec:     rec,
 		win:     rec.NewWindow(),
-		act:     act,
+		node:    node,
+		rules:   defaultRules(cfg),
 		confirm: make(map[string]confirmState),
 		spent:   make(map[string][]int),
 	}
 }
-
-// Config returns the engine's effective (defaulted) configuration.
-func (e *Engine) Config() Config { return e.cfg }
 
 // Start launches the periodic decision loop (no-op while one is
 // running).  Start after Stop resumes the loop — the engine's window
@@ -432,11 +406,11 @@ func (e *Engine) tickLocked() []Decision {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.tick++
-	polVersion := e.act.PolicyVersion()
+	polVersion := e.node.PolicyVersion()
 	view := e.buildView()
 
 	var proposals []Proposal
-	for _, r := range e.cfg.Rules {
+	for _, r := range e.rules {
 		for _, p := range r.Evaluate(view) {
 			p := p
 			p.Rule = r.Name()
@@ -487,7 +461,7 @@ func (e *Engine) decide(p Proposal, polVersion *uint64) {
 	e.seq++
 	d := Decision{
 		Seq:      e.seq,
-		At:       e.cfg.Now(),
+		At:       time.Now(),
 		Window:   e.tick,
 		Rule:     p.Rule,
 		Kind:     p.Kind,
@@ -498,7 +472,7 @@ func (e *Engine) decide(p Proposal, polVersion *uint64) {
 	}
 
 	k := p.key()
-	horizon := e.tick - e.cfg.BudgetWindows
+	horizon := e.tick - budgetWindows
 	spent := e.spent[k][:0]
 	for _, t := range e.spent[k] {
 		if t > horizon {
@@ -508,17 +482,34 @@ func (e *Engine) decide(p Proposal, polVersion *uint64) {
 	e.spent[k] = spent
 	if len(spent) >= e.cfg.Budget {
 		d.Err = fmt.Sprintf("suppressed: budget %d/%d spent in the last %d windows",
-			len(spent), e.cfg.Budget, e.cfg.BudgetWindows)
-		e.logDecision(d)
-		return
+			len(spent), e.cfg.Budget, budgetWindows)
+	} else if delegated, err := e.act(p, polVersion); err != nil {
+		d.Err = err.Error()
+	} else if delegated {
+		d.Delegated = true
+	} else {
+		d.Executed = true
+		e.spent[k] = append(e.spent[k], e.tick)
 	}
+	e.logDecision(d)
+}
 
+// act executes one confirmed, in-budget proposal through the node;
+// delegated reports that a migration became a cluster intent instead.
+// Caller holds e.mu.
+func (e *Engine) act(p Proposal, polVersion *uint64) (delegated bool, err error) {
 	switch p.Kind {
-	case KindMigrate:
-		if e.act.IsLocalObject != nil && !e.act.IsLocalObject(p.Obj) {
-			d.Err = "suppressed: object is no longer a live local instance"
-			e.logDecision(d)
-			return
+	case KindMigrate, KindReplicate:
+		// The object must still be a live local instance: a concurrent
+		// migration turns the proposal stale.
+		if !e.node.IsMigratable(p.Obj) {
+			return false, errors.New("suppressed: object is no longer a live local instance")
+		}
+		if p.Kind == KindReplicate {
+			// Replication never delegates: only the primary can install
+			// replicas of its own object, so the intent plane has nothing
+			// to reconcile.
+			return false, e.node.Replicate(vm.RefV(p.Obj), p.Endpoints...)
 		}
 		// Cluster mode: don't act, propose.  The decision becomes a
 		// placement intent the cluster reconciles against every other
@@ -527,59 +518,22 @@ func (e *Engine) decide(p Proposal, polVersion *uint64) {
 		// own ping-pong guard — so a delegated decision spends no local
 		// budget.  A refusal (cooldown, outweighed, already satisfied) is
 		// logged and nothing runs; with no cluster attached SubmitIntent
-		// reports false with an empty reason and the engine acts alone as
-		// before.
-		if e.act.SubmitIntent != nil {
-			if ok, why := e.act.SubmitIntent(p); ok {
-				d.Delegated = true
-				e.logDecision(d)
-				return
-			} else if why != "" {
-				d.Err = "intent refused: " + why
-				e.logDecision(d)
-				return
-			}
+		// reports false with an empty reason and the engine acts alone.
+		if ok, why := e.node.SubmitIntent(p); ok {
+			return true, nil
+		} else if why != "" {
+			return false, errors.New("intent refused: " + why)
 		}
-		if err := e.act.MigrateObject(p.Obj, p.Endpoint); err != nil {
-			d.Err = err.Error()
-			e.logDecision(d)
-			return
-		}
-	case KindReplicate:
-		// Replication never delegates: only the primary can install
-		// replicas of its own object, so the intent plane has nothing to
-		// reconcile.  The object must still be a live local instance —
-		// a concurrent migration turns the proposal stale.
-		if e.act.ReplicateObject == nil {
-			d.Err = "suppressed: node has no replication capability"
-			e.logDecision(d)
-			return
-		}
-		if e.act.IsLocalObject != nil && !e.act.IsLocalObject(p.Obj) {
-			d.Err = "suppressed: object is no longer a live local instance"
-			e.logDecision(d)
-			return
-		}
-		if err := e.act.ReplicateObject(p.Obj, p.Endpoints); err != nil {
-			d.Err = err.Error()
-			e.logDecision(d)
-			return
-		}
+		return false, e.node.Migrate(vm.RefV(p.Obj), p.Endpoint)
 	case KindPlaceClass:
-		if err := e.act.PlaceClass(p.Class, p.Endpoint, *polVersion); err != nil {
-			d.Err = err.Error()
-			e.logDecision(d)
-			return
+		if err := e.node.PlaceClassIf(p.Class, p.Endpoint, *polVersion); err != nil {
+			return false, err
 		}
-		*polVersion = e.act.PolicyVersion()
+		*polVersion = e.node.PolicyVersion()
+		return false, nil
 	default:
-		d.Err = fmt.Sprintf("unknown decision kind %v", p.Kind)
-		e.logDecision(d)
-		return
+		return false, fmt.Errorf("unknown decision kind %v", p.Kind)
 	}
-	d.Executed = true
-	e.spent[k] = append(e.spent[k], e.tick)
-	e.logDecision(d)
 }
 
 // maxDecisionLog bounds the retained decision log: a daemon node with a
@@ -604,31 +558,19 @@ func (e *Engine) logDecision(d Decision) {
 // holds e.mu.
 func (e *Engine) buildView() *View {
 	v := &View{Self: map[string]bool{}, PeerRTTNs: e.rec.PeerRTTs()}
-	if e.act.SelfEndpoints != nil {
-		for _, ep := range e.act.SelfEndpoints() {
-			v.Self[ep] = true
-		}
+	for _, ep := range e.node.Endpoints() {
+		v.Self[ep] = true
 	}
 	objs, classes := e.win.Next()
 	for _, s := range objs {
-		w := ObjWindow{ObjSample: s}
-		if e.act.IsLocalObject != nil {
-			w.Migratable = e.act.IsLocalObject(s.Obj)
-		}
-		if w.Migratable && e.act.StateBytes != nil {
-			w.StateBytes = e.act.StateBytes(s.Obj)
-		}
-		if e.act.IsReplicated != nil {
-			w.Replicated = e.act.IsReplicated(s.Obj)
+		w := ObjWindow{ObjSample: s, Migratable: e.node.IsMigratable(s.Obj), Replicated: e.node.IsReplicated(s.Obj)}
+		if w.Migratable {
+			w.StateBytes = e.node.StateBytes(s.Obj)
 		}
 		v.Objects = append(v.Objects, w)
 	}
 	for _, s := range classes {
-		w := ClassWindow{ClassSample: s}
-		if e.act.ClassPlacement != nil {
-			w.PlacedAt = e.act.ClassPlacement(s.Class)
-		}
-		v.Classes = append(v.Classes, w)
+		v.Classes = append(v.Classes, ClassWindow{ClassSample: s, PlacedAt: e.node.ClassPlacement(s.Class)})
 	}
 	return v
 }

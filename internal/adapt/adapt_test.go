@@ -15,10 +15,41 @@ const (
 	epB = "rrp://b:1"
 )
 
-// harness wires an engine over a real recorder with scripted actions.
+// fakeNode scripts the node the engine drives: each method calls the
+// func field of the same name.
+type fakeNode struct {
+	migrate        func(obj *vm.Object, endpoint string) error
+	placeClassIf   func(class, endpoint string, ifVersion uint64) error
+	policyVersion  func() uint64
+	classPlacement func(class string) string
+	isMigratable   func(obj *vm.Object) bool
+	endpoints      func() []string
+	stateBytes     func(obj *vm.Object) int64
+	replicate      func(obj *vm.Object, endpoints []string) error
+	isReplicated   func(obj *vm.Object) bool
+	submitIntent   func(p Proposal) (bool, string)
+}
+
+func (f *fakeNode) Migrate(ref vm.Value, ep string) error { return f.migrate(ref.O, ep) }
+func (f *fakeNode) Replicate(ref vm.Value, eps ...string) error {
+	return f.replicate(ref.O, eps)
+}
+func (f *fakeNode) IsMigratable(obj *vm.Object) bool       { return f.isMigratable(obj) }
+func (f *fakeNode) IsReplicated(obj *vm.Object) bool       { return f.isReplicated(obj) }
+func (f *fakeNode) Endpoints() []string                    { return f.endpoints() }
+func (f *fakeNode) StateBytes(obj *vm.Object) int64        { return f.stateBytes(obj) }
+func (f *fakeNode) PolicyVersion() uint64                  { return f.policyVersion() }
+func (f *fakeNode) ClassPlacement(class string) string     { return f.classPlacement(class) }
+func (f *fakeNode) SubmitIntent(p Proposal) (bool, string) { return f.submitIntent(p) }
+func (f *fakeNode) PlaceClassIf(class, ep string, ifVersion uint64) error {
+	return f.placeClassIf(class, ep, ifVersion)
+}
+
+// harness wires an engine over a real recorder and a scripted node.
 type harness struct {
 	rec       *telemetry.Recorder
 	eng       *Engine
+	node      *fakeNode
 	migrated  []string // "guid->endpoint"
 	placed    []string // "class->endpoint"
 	local     map[*vm.Object]bool
@@ -35,13 +66,13 @@ func newHarness(t *testing.T, cfg Config) *harness {
 		placement: map[string]string{},
 		replicas:  map[*vm.Object][]string{},
 	}
-	act := Actions{
-		MigrateObject: func(obj *vm.Object, ep string) error {
+	h.node = &fakeNode{
+		migrate: func(obj *vm.Object, ep string) error {
 			h.migrated = append(h.migrated, fmt.Sprintf("%p->%s", obj, ep))
 			h.local[obj] = false
 			return nil
 		},
-		PlaceClass: func(class, ep string, ifVersion uint64) error {
+		placeClassIf: func(class, ep string, ifVersion uint64) error {
 			if ifVersion != h.polV {
 				return fmt.Errorf("policy version moved")
 			}
@@ -50,17 +81,19 @@ func newHarness(t *testing.T, cfg Config) *harness {
 			h.polV++
 			return nil
 		},
-		PolicyVersion:  func() uint64 { return h.polV },
-		ClassPlacement: func(class string) string { return h.placement[class] },
-		IsLocalObject:  func(obj *vm.Object) bool { return h.local[obj] },
-		SelfEndpoints:  func() []string { return []string{epB} },
-		ReplicateObject: func(obj *vm.Object, eps []string) error {
+		policyVersion:  func() uint64 { return h.polV },
+		classPlacement: func(class string) string { return h.placement[class] },
+		isMigratable:   func(obj *vm.Object) bool { return h.local[obj] },
+		endpoints:      func() []string { return []string{epB} },
+		stateBytes:     func(*vm.Object) int64 { return 0 },
+		replicate: func(obj *vm.Object, eps []string) error {
 			h.replicas[obj] = append([]string(nil), eps...)
 			return nil
 		},
-		IsReplicated: func(obj *vm.Object) bool { return len(h.replicas[obj]) > 0 },
+		isReplicated: func(obj *vm.Object) bool { return len(h.replicas[obj]) > 0 },
+		submitIntent: func(Proposal) (bool, string) { return false, "" },
 	}
-	h.eng = New(h.rec, act, cfg)
+	h.eng = New(h.rec, h.node, cfg)
 	return h
 }
 
@@ -144,7 +177,7 @@ func TestChangedDestinationRestartsStreak(t *testing.T) {
 }
 
 func TestBudgetSuppressesPingPong(t *testing.T) {
-	h := newHarness(t, Config{Threshold: 0.6, MinCalls: 10, Confirm: 1, Budget: 1, BudgetWindows: 100})
+	h := newHarness(t, Config{Threshold: 0.6, MinCalls: 10, Confirm: 1, Budget: 1})
 	obj := h.hotObject("g1", 50, epA)
 	s := h.rec.ForObject(obj, "g1", "C")
 	h.eng.Tick()
@@ -278,8 +311,8 @@ func TestPlaceClassRespectsPolicyVersion(t *testing.T) {
 	// An "operator" re-policies between the engine's version read and
 	// its apply: simulate by bumping the version inside PolicyVersion's
 	// next read... simplest: wrap PlaceClass to bump first.
-	innerPlace := h.eng.act.PlaceClass
-	h.eng.act.PlaceClass = func(class, ep string, ifVersion uint64) error {
+	innerPlace := h.node.placeClassIf
+	h.node.placeClassIf = func(class, ep string, ifVersion uint64) error {
 		h.polV++ // concurrent operator flip wins
 		return innerPlace(class, ep, ifVersion)
 	}
@@ -342,7 +375,7 @@ func TestStartStopLoop(t *testing.T) {
 // must move a chatty small object and hold a bulky rarely-called one —
 // the trade-off the count-based rule ignores.
 func TestCostRuleWeighsStateAgainstTraffic(t *testing.T) {
-	r := &CostAffinityRule{Threshold: 0.6, MinCalls: 10, NsPerByte: 10}
+	r := &CostAffinityRule{Threshold: 0.6, MinCalls: 10}
 	obj := vm.NewRawObject(&ir.Class{Name: "C_O_Local"}, map[string]vm.Value{})
 	mkView := func(calls uint64, stateBytes int64, rttNs float64) *View {
 		return &View{
@@ -373,12 +406,12 @@ func TestCostRuleWeighsStateAgainstTraffic(t *testing.T) {
 }
 
 // TestCostRuleFedByEngineView checks the engine threads StateBytes from
-// the Actions and peer RTTs from its recorder into the rule's view.
+// the node and peer RTTs from its recorder into the rule's view.
 func TestCostRuleFedByEngineView(t *testing.T) {
 	h := newHarness(t, Config{
-		Threshold: 0.6, MinCalls: 10, Confirm: 1, CostBased: true, NsPerByte: 10,
+		Threshold: 0.6, MinCalls: 10, Confirm: 1, CostBased: true,
 	})
-	h.eng.act.StateBytes = func(*vm.Object) int64 { return 256 }
+	h.node.stateBytes = func(*vm.Object) int64 { return 256 }
 	h.rec.RecordPeerRTT(epA, 500*time.Microsecond)
 	h.hotObject("g1", 50, epA)
 	h.eng.Tick()
@@ -387,14 +420,14 @@ func TestCostRuleFedByEngineView(t *testing.T) {
 	}
 }
 
-// TestMigrationDelegatesToCluster: with a SubmitIntent hook the engine
+// TestMigrationDelegatesToCluster: when SubmitIntent accepts, the engine
 // must propose instead of act, spend no budget, and fall back to direct
-// execution when the hook reports no cluster.
+// execution when it reports no cluster.
 func TestMigrationDelegatesToCluster(t *testing.T) {
 	h := newHarness(t, Config{Threshold: 0.6, MinCalls: 10, Confirm: 1, Budget: 1})
 	var intents []Proposal
 	clustered := true
-	h.eng.act.SubmitIntent = func(p Proposal) (bool, string) {
+	h.node.submitIntent = func(p Proposal) (bool, string) {
 		if !clustered {
 			return false, ""
 		}
@@ -489,7 +522,7 @@ func TestWriteHeavyObjectNotReplicated(t *testing.T) {
 	const epC = "rrp://c:1"
 	obj := h.hotObject("g1", 0, epA)
 	s := h.rec.ForObject(obj, "g1", "C")
-	// 20% writes > DefaultMaxWriteShare: replication would tax every
+	// 20% writes > maxWriteShare: replication would tax every
 	// write with a synchronous fan-out for little read win.
 	readTraffic(s, map[string]int{epA: 30, epC: 25}, 44, 11)
 	h.eng.Tick()
@@ -515,12 +548,12 @@ func TestDominantCallerPrefersMigration(t *testing.T) {
 }
 
 func TestReplicateFanoutPicksHottestCallers(t *testing.T) {
-	h := newHarness(t, Config{Threshold: 0.9, MinCalls: 10, Confirm: 1, ReplicaFanout: 2})
+	h := newHarness(t, Config{Threshold: 0.9, MinCalls: 10, Confirm: 1})
 	const epC = "rrp://c:1"
 	const epD = "rrp://d:1"
 	obj := h.hotObject("g1", 0, epA)
 	s := h.rec.ForObject(obj, "g1", "C")
-	// Three remote callers; fan-out 2 must take the two heaviest.
+	// Three remote callers; replicaFanout (2) must take the two heaviest.
 	readTraffic(s, map[string]int{epA: 40, epC: 35, epD: 5}, 80, 0)
 	h.eng.Tick()
 	got := h.replicas[obj]

@@ -6,23 +6,20 @@ import (
 	"strings"
 )
 
-// DefaultRules returns the built-in rule set: per-object call-affinity
+// defaultRules returns the built-in rule set: per-object call-affinity
 // migration (count-based, or cost-based under Config.CostBased), the
 // two class-placement flips (pull-local and push-remote), and
 // read-replication of read-mostly objects.
-func DefaultRules(cfg Config) []Rule {
+func defaultRules(cfg Config) []Rule {
 	objRule := Rule(&AffinityRule{Threshold: cfg.Threshold, MinCalls: cfg.MinCalls})
 	if cfg.CostBased {
-		objRule = &CostAffinityRule{
-			Threshold: cfg.Threshold, MinCalls: cfg.MinCalls, NsPerByte: cfg.NsPerByte,
-		}
+		objRule = &CostAffinityRule{Threshold: cfg.Threshold, MinCalls: cfg.MinCalls}
 	}
 	return []Rule{
 		objRule,
 		&ClassPullRule{Threshold: cfg.Threshold, MinCalls: cfg.MinCalls},
 		&ClassPushRule{Threshold: cfg.Threshold, MinCalls: cfg.MinCalls},
-		&ReplicateRule{MinCalls: cfg.MinCalls, MaxWriteShare: cfg.MaxWriteShare,
-			Fanout: cfg.ReplicaFanout, MigrateThreshold: cfg.Threshold},
+		&ReplicateRule{MinCalls: cfg.MinCalls, MigrateThreshold: cfg.Threshold},
 	}
 }
 
@@ -95,7 +92,7 @@ func (r *AffinityRule) Evaluate(v *View) []Proposal {
 // shipping the object costs —
 //
 //	benefit = dominant caller's window calls × RTT EWMA to that peer
-//	cost    = estimated shipped-state bytes × NsPerByte + 2 × RTT
+//	cost    = estimated shipped-state bytes × nsPerByte + 2 × RTT
 //
 // so a chatty small object moves and a bulky rarely-called one stays,
 // the trade-off the count-based rule ignores.  Both inputs come from
@@ -106,8 +103,6 @@ func (r *AffinityRule) Evaluate(v *View) []Proposal {
 type CostAffinityRule struct {
 	Threshold float64
 	MinCalls  uint64
-	// NsPerByte converts state bytes to time (0 = DefaultNsPerByte).
-	NsPerByte float64
 }
 
 // Name implements Rule.
@@ -115,10 +110,6 @@ func (r *CostAffinityRule) Name() string { return "cost-affinity" }
 
 // Evaluate implements Rule.
 func (r *CostAffinityRule) Evaluate(v *View) []Proposal {
-	nsPerByte := r.NsPerByte
-	if nsPerByte <= 0 {
-		nsPerByte = DefaultNsPerByte
-	}
 	var out []Proposal
 	for _, w := range v.Objects {
 		if !w.Migratable {
@@ -170,21 +161,18 @@ func (r *CostAffinityRule) Evaluate(v *View) []Proposal {
 //
 //   - the object is a live local instance and not already replicated;
 //   - window activity ≥ MinCalls, with at least one classified read;
-//   - writes / (reads + writes) ≤ MaxWriteShare — every write fans out
+//   - writes / (reads + writes) ≤ maxWriteShare — every write fans out
 //     to all replicas synchronously, so write-heavy objects lose;
 //   - no single remote endpoint exceeds MigrateThreshold of the
 //     window's calls: that shape is the affinity rule's territory, and
 //     a whole-object migration beats pinning a replica set there.
 //
-// The proposal targets the top-Fanout remote caller endpoints by call
-// count (deterministic tie-break), sorted into Endpoints with their
-// canonical join in Endpoint so hysteresis restarts when the hot set
-// shifts.
+// The proposal targets the top-replicaFanout remote caller endpoints by
+// call count (deterministic tie-break), sorted into Endpoints with
+// their canonical join in Endpoint so hysteresis restarts when the hot
+// set shifts.
 type ReplicateRule struct {
-	MinCalls      uint64
-	MaxWriteShare float64
-	// Fanout caps the replica target count (top-k callers).
-	Fanout int
+	MinCalls uint64
 	// MigrateThreshold is the dominant-caller share above which the rule
 	// abstains in favour of migration.
 	MigrateThreshold float64
@@ -208,7 +196,7 @@ func (r *ReplicateRule) Evaluate(v *View) []Proposal {
 		if classified == 0 || w.Reads == 0 {
 			continue // nothing provably read-only to scale
 		}
-		if float64(w.Writes)/float64(classified) > r.MaxWriteShare {
+		if float64(w.Writes)/float64(classified) > maxWriteShare {
 			continue
 		}
 		// Remote callers by window calls, heaviest first (lexicographic
@@ -236,13 +224,9 @@ func (r *ReplicateRule) Evaluate(v *View) []Proposal {
 		if float64(remote[0].n)/float64(total) >= r.MigrateThreshold {
 			continue // one dominant caller: migration's territory
 		}
-		k := r.Fanout
-		if k <= 0 || k > len(remote) {
-			k = len(remote)
-		}
-		eps := make([]string, 0, k)
+		eps := make([]string, 0, replicaFanout)
 		var covered uint64
-		for _, rc := range remote[:k] {
+		for _, rc := range remote[:min(replicaFanout, len(remote))] {
 			eps = append(eps, rc.ep)
 			covered += rc.n
 		}

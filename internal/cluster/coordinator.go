@@ -94,11 +94,6 @@ type Config struct {
 	CooldownTicks int
 	// IntentTTL drops intents not re-asserted for this many ticks.
 	IntentTTL int
-	// RollupTTL drops affinity rollups not refreshed for this many
-	// ticks.
-	RollupTTL int
-	// MaxRollups bounds the local affinity samples gossiped per tick.
-	MaxRollups int
 	// Propose enables the multi-hop rule on this member: evaluate the
 	// gossiped affinity evidence and propose migrations anywhere in the
 	// cluster.  Any subset of members may propose; reconciliation keeps
@@ -143,14 +138,19 @@ const (
 	DefaultSettleTicks   = 2
 	DefaultCooldownTicks = 16
 	DefaultIntentTTL     = 8
-	DefaultRollupTTL     = 4
-	DefaultMaxRollups    = 8
 	DefaultThreshold     = 0.6
 	DefaultMinCalls      = 16
 	// DefaultLeaseTicks matches the suspicion ladder: a replica stops
 	// serving reads at the same horizon its peers would start doubting
 	// the link that stopped renewing it.
 	DefaultLeaseTicks = DefaultSuspectAfter
+)
+
+// Fixed rollup tuning: affinity rollups not refreshed for rollupTTL
+// ticks drop, and each tick gossips at most maxRollups local samples.
+const (
+	rollupTTL  = 4
+	maxRollups = 8
 )
 
 func (c Config) withDefaults() Config {
@@ -174,12 +174,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.IntentTTL <= 0 {
 		c.IntentTTL = DefaultIntentTTL
-	}
-	if c.RollupTTL <= 0 {
-		c.RollupTTL = DefaultRollupTTL
-	}
-	if c.MaxRollups <= 0 {
-		c.MaxRollups = DefaultMaxRollups
 	}
 	if c.Threshold <= 0 || c.Threshold > 1 {
 		c.Threshold = DefaultThreshold
@@ -378,7 +372,7 @@ func (c *Coordinator) Leave() {
 // deterministically; the timed loop calls it on every heartbeat.
 func (c *Coordinator) Tick() {
 	// Local telemetry first — a Runtime call, so outside the lock.
-	samples := c.rt.AffinitySamples(c.cfg.MaxRollups)
+	samples := c.rt.AffinitySamples(maxRollups)
 
 	c.mu.Lock()
 	c.tick++
@@ -403,10 +397,7 @@ func (c *Coordinator) Tick() {
 			targets = append(targets, ep)
 		}
 	}
-	fired := c.pending
-	c.pending = nil
-	c.mu.Unlock()
-	c.deliver(fired)
+	c.unlockAndDeliver()
 	for _, p := range promos {
 		if c.cfg.OnPromote != nil {
 			c.cfg.OnPromote(p.guid, p.class, p.selfGUID)
@@ -427,20 +418,14 @@ func (c *Coordinator) Tick() {
 			c.logLocked(Event{Kind: "migrate", GUID: in.GUID, Class: in.Class,
 				From: in.From, To: in.To, Peer: in.Proposer, Detail: in.Reason})
 		}
-		fired = c.pending
-		c.pending = nil
-		c.mu.Unlock()
-		c.deliver(fired)
+		c.unlockAndDeliver()
 	}
 
 	for _, ep := range targets {
 		if err := c.gossipTo(ep); err != nil {
 			c.mu.Lock()
 			c.logLocked(Event{Kind: "gossip-fail", Peer: ep, Detail: err.Error()})
-			fired = c.pending
-			c.pending = nil
-			c.mu.Unlock()
-			c.deliver(fired)
+			c.unlockAndDeliver()
 		}
 	}
 }
@@ -499,10 +484,7 @@ func (c *Coordinator) merge(in *wire.ClusterPayload) {
 		c.rollups[s.GUID] = &rollupState{s: s, seen: c.tick}
 	}
 	demoted := c.mergeReplicasLocked(in.Replicas, in.From)
-	fired := c.pending
-	c.pending = nil
-	c.mu.Unlock()
-	c.deliver(fired)
+	c.unlockAndDeliver()
 	for _, guid := range demoted {
 		if c.cfg.OnDemote != nil {
 			c.cfg.OnDemote(guid)
@@ -524,10 +506,7 @@ func (c *Coordinator) merge(in *wire.ClusterPayload) {
 			}
 			c.logLocked(Event{Kind: "class-apply", Class: a.class, To: a.endpoint})
 		}
-		fired = c.pending
-		c.pending = nil
-		c.mu.Unlock()
-		c.deliver(fired)
+		c.unlockAndDeliver()
 	}
 }
 
@@ -559,7 +538,7 @@ func (c *Coordinator) buildPayload() *wire.ClusterPayload {
 	}
 	sort.Slice(p.Intents, func(i, j int) bool { return p.Intents[i].GUID < p.Intents[j].GUID })
 	for _, r := range c.rollups {
-		if r.s.Home == c.cfg.Self && c.tick-r.seen < uint64(c.cfg.RollupTTL) {
+		if r.s.Home == c.cfg.Self && c.tick-r.seen < rollupTTL {
 			p.Stats = append(p.Stats, r.s)
 		}
 	}
@@ -594,7 +573,7 @@ func (c *Coordinator) expireLocked() {
 		}
 	}
 	for g, r := range c.rollups {
-		if c.tick-r.seen >= uint64(c.cfg.RollupTTL) {
+		if c.tick-r.seen >= rollupTTL {
 			delete(c.rollups, g)
 		}
 	}
@@ -647,12 +626,17 @@ func (c *Coordinator) proposeMultiHopLocked() {
 	}
 }
 
-// deliver fires OnEvent callbacks outside the coordinator lock.
-func (c *Coordinator) deliver(events []Event) {
+// unlockAndDeliver releases c.mu and then fires OnEvent for the events
+// logged while it was held, so callbacks run outside the coordinator
+// lock.  Caller holds c.mu.
+func (c *Coordinator) unlockAndDeliver() {
+	fired := c.pending
+	c.pending = nil
+	c.mu.Unlock()
 	if c.cfg.OnEvent == nil {
 		return
 	}
-	for _, e := range events {
+	for _, e := range fired {
 		c.cfg.OnEvent(e)
 	}
 }

@@ -111,10 +111,7 @@ func (c *Coordinator) RecordMove(key, class string, ref wire.RemoteRef) {
 	delete(c.rollups, key)
 	c.rebuildSnapLocked()
 	c.logLocked(Event{Kind: "dir", GUID: key, Class: class, To: ref.Endpoint, Detail: ref.GUID})
-	fired := c.pending
-	c.pending = nil
-	c.mu.Unlock()
-	c.deliver(fired)
+	c.unlockAndDeliver()
 }
 
 // RecordClassPlacement publishes a class placement (endpoint "" = local)
@@ -134,10 +131,7 @@ func (c *Coordinator) RecordClassPlacement(class, endpoint string) {
 	c.applied[class] = v
 	c.rebuildSnapLocked()
 	c.logLocked(Event{Kind: "dir", Class: class, To: endpoint})
-	fired := c.pending
-	c.pending = nil
-	c.mu.Unlock()
-	c.deliver(fired)
+	c.unlockAndDeliver()
 }
 
 // maxChain bounds chain-following during snapshot collapse (a cycle

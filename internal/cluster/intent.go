@@ -111,10 +111,7 @@ func (c *Coordinator) Submit(in wire.Intent) (accepted bool, reason string) {
 		}
 		accepted = true
 	}
-	fired := c.pending
-	c.pending = nil
-	c.mu.Unlock()
-	c.deliver(fired)
+	c.unlockAndDeliver()
 	return accepted, reason
 }
 

@@ -93,10 +93,7 @@ func (c *Coordinator) RecordReplicaSet(set wire.ReplicaSet) {
 	c.rebuildReplSnapLocked()
 	c.logLocked(Event{Kind: "replica-set", GUID: set.GUID, Class: set.Class,
 		To: set.Primary, Detail: memberList(set)})
-	fired := c.pending
-	c.pending = nil
-	c.mu.Unlock()
-	c.deliver(fired)
+	c.unlockAndDeliver()
 }
 
 // UpdateReplicaEpoch records a write the primary has fully acknowledged:
@@ -135,10 +132,7 @@ func (c *Coordinator) EvictReplica(guid, endpoint string) time.Duration {
 		c.logLocked(Event{Kind: "replica-evict", GUID: guid, Class: st.set.Class,
 			From: endpoint, Detail: memberList(st.set)})
 	}
-	fired := c.pending
-	c.pending = nil
-	c.mu.Unlock()
-	c.deliver(fired)
+	c.unlockAndDeliver()
 	if !ok {
 		return 0
 	}
@@ -157,10 +151,7 @@ func (c *Coordinator) DropReplicaSet(guid string) {
 		c.rebuildReplSnapLocked()
 		c.logLocked(Event{Kind: "replica-drop", GUID: guid, Class: st.set.Class})
 	}
-	fired := c.pending
-	c.pending = nil
-	c.mu.Unlock()
-	c.deliver(fired)
+	c.unlockAndDeliver()
 }
 
 // ReplicaSet returns the plane's current view of guid's set.

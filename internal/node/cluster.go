@@ -5,8 +5,8 @@ import (
 	"sort"
 	"time"
 
+	"rafda/internal/adapt"
 	"rafda/internal/cluster"
-	"rafda/internal/policy"
 	"rafda/internal/telemetry"
 	"rafda/internal/vm"
 	"rafda/internal/wire"
@@ -155,13 +155,10 @@ func (r *clusterRuntime) ObservePeerRTT(endpoint string, d time.Duration) {
 }
 
 // ApplyClassPlacement implements cluster.Runtime: follow a gossiped
-// class placement epoch in the local policy table.
+// class placement epoch in the local policy table (without announcing
+// it again — the epoch is already the directory's).
 func (r *clusterRuntime) ApplyClassPlacement(class, endpoint string) error {
-	if endpoint == "" || r.n.servesEndpoint(endpoint) {
-		r.n.pol.SetClass(class, policy.LocalPlacement)
-		return nil
-	}
-	pl, err := policy.RemoteAt(endpoint)
+	pl, err := r.n.placement(endpoint)
 	if err != nil {
 		return err
 	}
@@ -238,12 +235,29 @@ func (n *Node) resolveViaDirectory(guid, endpoint string) (wire.RemoteRef, bool)
 	return ref, true
 }
 
-// AnnounceClassPlacement publishes a class placement into the cluster
-// directory (no-op outside a cluster).
-func (n *Node) AnnounceClassPlacement(class, endpoint string) {
-	if co := n.coord.Load(); co != nil {
-		co.RecordClassPlacement(class, endpoint)
+// SubmitIntent implements adapt.Node's cluster delegation: a confirmed
+// migration becomes a placement intent the cluster reconciles
+// (tie-break by priority, then node id) and the object's home executes.
+// Checked per call, so an adapter built before StartCluster delegates
+// from the moment the node joins; with no cluster attached it reports
+// false with no reason and the engine acts alone.
+func (n *Node) SubmitIntent(p adapt.Proposal) (accepted bool, reason string) {
+	co := n.coord.Load()
+	if co == nil {
+		return false, ""
 	}
+	return co.Submit(wire.Intent{
+		GUID:     p.GUID,
+		Class:    p.Class,
+		From:     co.Self(),
+		To:       p.Endpoint,
+		Proposer: co.ID(),
+		Priority: p.Priority,
+		Reason:   p.Rule + ": " + p.Reason,
+	})
 }
 
-var _ cluster.Runtime = (*clusterRuntime)(nil)
+var (
+	_ cluster.Runtime = (*clusterRuntime)(nil)
+	_ adapt.Node      = (*Node)(nil)
+)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"rafda/internal/adapt"
 	"rafda/internal/trace"
 	"rafda/internal/vm"
 	"rafda/internal/wire"
@@ -101,20 +102,20 @@ func (n *Node) emitFailover(endpoint string, shard, attempt int, tctx wire.Trace
 // them but the engine's own evaluation tick), carrying the rule and
 // outcome, so a flight-recorder dump interleaves placement decisions
 // with the call traffic that triggered them.
-func (n *Node) RecordAdaptDecision(rule, action, guidStr, class, endpoint, reason string, executed, delegated bool, errMsg string) {
+func (n *Node) RecordAdaptDecision(d adapt.Decision) {
 	tr := n.tracer
 	if tr == nil {
 		return
 	}
-	sp := n.startSpan(trace.Ctx{}, trace.KindAdapt, action, guidStr)
+	sp := n.startSpan(trace.Ctx{}, trace.KindAdapt, d.Kind.String(), d.GUID)
 	outcome := "skipped"
 	switch {
-	case executed:
+	case d.Executed:
 		outcome = "executed"
-	case delegated:
+	case d.Delegated:
 		outcome = "delegated"
 	}
-	sp.Note = fmt.Sprintf("rule=%s class=%s to=%s %s: %s", rule, class, endpoint, outcome, reason)
-	sp.Err = errMsg
+	sp.Note = fmt.Sprintf("rule=%s class=%s to=%s %s: %s", d.Rule, d.Class, d.Endpoint, outcome, d.Reason)
+	sp.Err = d.Err
 	tr.Emit(sp)
 }

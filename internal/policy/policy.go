@@ -105,14 +105,6 @@ func (t *Table) SetClassIf(class string, p Placement, ifVersion uint64) bool {
 	return true
 }
 
-// Clear removes a class rule, reverting it to the default.
-func (t *Table) Clear(class string) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	delete(t.rules, class)
-	t.version++
-}
-
 // For returns the placement for class and the table version it was read
 // at.
 func (t *Table) For(class string) (Placement, uint64) {
@@ -129,15 +121,4 @@ func (t *Table) Version() uint64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.version
-}
-
-// Snapshot returns a copy of the rules plus the default, for reporting.
-func (t *Table) Snapshot() (map[string]Placement, Placement) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make(map[string]Placement, len(t.rules))
-	for k, v := range t.rules {
-		out[k] = v
-	}
-	return out, t.def
 }

@@ -30,10 +30,10 @@ func TestRulesAndVersioning(t *testing.T) {
 	if other, _ := tab.For("D"); other.Kind != Local {
 		t.Fatal("rule leaked")
 	}
-	tab.Clear("C")
+	tab.SetClass("C", LocalPlacement)
 	pl, v2 := tab.For("C")
 	if pl.Kind != Local || v2 <= v1 {
-		t.Fatalf("clear: %+v v1=%d v2=%d", pl, v1, v2)
+		t.Fatalf("re-place local: %+v v1=%d v2=%d", pl, v1, v2)
 	}
 	tab.SetDefault(remote)
 	if pl, _ := tab.For("Anything"); pl.Kind != Remote {
@@ -44,20 +44,6 @@ func TestRulesAndVersioning(t *testing.T) {
 func TestRemoteAtRejectsGarbage(t *testing.T) {
 	if _, err := RemoteAt("not-an-endpoint"); err == nil {
 		t.Fatal("garbage endpoint accepted")
-	}
-}
-
-func TestSnapshotIsACopy(t *testing.T) {
-	tab := NewTable()
-	remote, _ := RemoteAt("soap://h:1")
-	tab.SetClass("C", remote)
-	rules, def := tab.Snapshot()
-	if def.Kind != Local || len(rules) != 1 {
-		t.Fatalf("%+v %+v", rules, def)
-	}
-	rules["C"] = Placement{Kind: Local}
-	if pl, _ := tab.For("C"); pl.Kind != Remote {
-		t.Fatal("snapshot aliased internal state")
 	}
 }
 
@@ -73,7 +59,7 @@ func TestConcurrentAccess(t *testing.T) {
 				if i%2 == 0 {
 					tab.SetClass("C", remote)
 				} else {
-					tab.Clear("C")
+					tab.SetClass("C", LocalPlacement)
 				}
 				tab.For("C")
 				tab.Version()

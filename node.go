@@ -11,7 +11,6 @@ import (
 	"rafda/internal/metrics"
 	"rafda/internal/netsim"
 	"rafda/internal/node"
-	"rafda/internal/policy"
 	"rafda/internal/transport"
 	"rafda/internal/vm"
 )
@@ -237,40 +236,15 @@ func (n *Node) Close() error {
 }
 
 // PlaceClass places future instances (and the statics singleton) of
-// class at the node serving endpoint; the empty endpoint or "local"
-// restores local placement.  Placement changes take effect immediately
-// for subsequent creations and discoveries — the §4 dynamic
-// reconfiguration lever.
-func (n *Node) PlaceClass(class, endpoint string) error {
-	if endpoint == "" || endpoint == "local" {
-		n.n.Policy().SetClass(class, policy.LocalPlacement)
-		n.n.AnnounceClassPlacement(class, "")
-		return nil
-	}
-	pl, err := policy.RemoteAt(endpoint)
-	if err != nil {
-		return err
-	}
-	n.n.Policy().SetClass(class, pl)
-	// In a cluster the placement is a new policy epoch every member
-	// converges on via the shared directory (no-op otherwise).
-	n.n.AnnounceClassPlacement(class, endpoint)
-	return nil
-}
+// class at the node serving endpoint; the empty endpoint, "local" or
+// one of this node's own endpoints places them locally.  Placement
+// changes take effect immediately for subsequent creations and
+// discoveries — the §4 dynamic reconfiguration lever.  In a cluster the
+// placement is a new policy epoch every member converges on.
+func (n *Node) PlaceClass(class, endpoint string) error { return n.n.PlaceClass(class, endpoint) }
 
 // PlaceDefault sets the fallback placement for all classes.
-func (n *Node) PlaceDefault(endpoint string) error {
-	if endpoint == "" || endpoint == "local" {
-		n.n.Policy().SetDefault(policy.LocalPlacement)
-		return nil
-	}
-	pl, err := policy.RemoteAt(endpoint)
-	if err != nil {
-		return err
-	}
-	n.n.Policy().SetDefault(pl)
-	return nil
-}
+func (n *Node) PlaceDefault(endpoint string) error { return n.n.PlaceDefault(endpoint) }
 
 // RunMain executes the program entry point on this node.
 func (n *Node) RunMain(mainClass string) error { return n.n.RunMain(mainClass) }

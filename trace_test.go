@@ -266,7 +266,7 @@ func TestTraceReplicaReadAndWriteBarrier(t *testing.T) {
 		if i > 0 {
 			seeds = []string{eps[0]}
 		}
-		cl, err := nodes[i].JoinCluster(ClusterConfig{Seeds: seeds, Fanout: 3, Seed: int64(i) + 11})
+		cl, err := nodes[i].JoinCluster(ClusterConfig{Seeds: seeds, Fanout: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
