@@ -2,10 +2,12 @@ package adapt
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
 	"rafda/internal/ir"
+	"rafda/internal/metrics"
 	"rafda/internal/telemetry"
 	"rafda/internal/vm"
 )
@@ -61,7 +63,7 @@ type harness struct {
 func newHarness(t *testing.T, cfg Config) *harness {
 	t.Helper()
 	h := &harness{
-		rec:       telemetry.NewRecorder(),
+		rec:       telemetry.NewRecorder(nil),
 		local:     map[*vm.Object]bool{},
 		placement: map[string]string{},
 		replicas:  map[*vm.Object][]string{},
@@ -574,5 +576,54 @@ func TestUnclassifiedTrafficNotReplicated(t *testing.T) {
 	h.eng.Tick()
 	if len(h.eng.Decisions()) != 0 {
 		t.Fatalf("replicated on unclassified traffic: %+v", h.eng.Decisions())
+	}
+}
+
+// TestOverflowNeverProposed floods an object's callers and the peer
+// index past metrics.FamilyMax, with the unitemised overflow carrying
+// most of the traffic: the overflow instrument's metrics.Other key must
+// never surface as a destination or an RTT, only as unitemised calls.
+func TestOverflowNeverProposed(t *testing.T) {
+	rec := telemetry.NewRecorder(nil)
+	obj := vm.NewRawObject(&ir.Class{Name: "C_O_Local"}, map[string]vm.Value{})
+	s := rec.ForObject(obj, "g", "C")
+	for i := 0; i < metrics.FamilyMax+10; i++ {
+		ep := fmt.Sprintf("rrp://10.0.%d.%d:1", i/256, i%256)
+		s.RecordInbound(ep, 8, 8, time.Microsecond)
+		rec.RecordPeerRTT(ep, time.Millisecond)
+	}
+	const late = 2000 // one past-cap caller, dominant
+	for i := 0; i < late; i++ {
+		s.RecordInbound("rrp://late:1", 8, 8, time.Microsecond)
+		s.RecordEffect(false)
+	}
+	objs, _ := rec.NewWindow().Next()
+	if len(objs) != 1 || objs[0].Anon < late || objs[0].Calls() != metrics.FamilyMax+10+late {
+		t.Fatalf("overflow not counted unitemised: %+v", objs)
+	}
+	rtts := rec.PeerRTTs()
+	if _, ok := rtts[metrics.Other]; ok || len(rtts) > metrics.FamilyMax {
+		t.Fatalf("PeerRTTs surfaced the overflow: %d peers, other %v", len(rtts), rtts[metrics.Other])
+	}
+	v := &View{
+		Objects:   []ObjWindow{{ObjSample: objs[0], Migratable: true}},
+		Self:      map[string]bool{},
+		PeerRTTNs: rtts,
+	}
+	rules := []Rule{
+		&AffinityRule{Threshold: 0.5, MinCalls: 1},
+		&ReplicateRule{MinCalls: 1, MigrateThreshold: 0.5},
+	}
+	var proposals int
+	for _, r := range rules {
+		for _, p := range r.Evaluate(v) {
+			proposals++
+			if p.Endpoint == metrics.Other || slices.Contains(p.Endpoints, metrics.Other) {
+				t.Fatalf("%s proposed the overflow key: %+v", r.Name(), p)
+			}
+		}
+	}
+	if proposals != 1 {
+		t.Fatalf("%d proposals, want the replication to itemised callers only", proposals)
 	}
 }

@@ -147,15 +147,7 @@ func (c *Coordinator) rebuildSnapLocked() {
 		if _, isClass := isClassKey(key); isClass {
 			continue
 		}
-		ref := c.dir[key].Ref
-		for hop := 0; hop < maxChain; hop++ {
-			next, ok := c.dir[ref.GUID]
-			if !ok || ref.GUID == key || ref.GUID == "" {
-				break
-			}
-			ref = next.Ref
-		}
-		snap[key] = ref
+		snap[key], _ = c.resolveLocked(key)
 	}
 	c.dirSnap.Store(&snap)
 }
@@ -173,7 +165,8 @@ func (c *Coordinator) Resolve(guid string) (wire.RemoteRef, bool) {
 }
 
 // resolveLocked is Resolve for callers already holding c.mu (reads the
-// raw directory, following chains).
+// raw directory, following chains); the snapshot Resolve reads is built
+// from it.
 func (c *Coordinator) resolveLocked(guid string) (wire.RemoteRef, bool) {
 	e, ok := c.dir[guid]
 	if !ok {

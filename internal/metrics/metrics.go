@@ -1,10 +1,11 @@
 // Package metrics is a node's instrument registry: counters, gauges
 // (a live level plus its high-water mark), log-linear latency
-// histograms, and bounded string-keyed families of them.  Every plane
-// of a node — transport admission, dispatch, dedup, shedding, tracing —
-// asks the node's Registry for its instruments by name once, at
-// construction, and records into the returned pointers: a hot path
-// does an atomic add, never a name lookup.  Snapshot enumerates every
+// histograms, latency moving averages, and bounded string-keyed
+// families of them.  Every plane of a node — transport admission,
+// dispatch, dedup, shedding, tracing, call affinity — asks the node's
+// Registry for its instruments by name once, at construction, and
+// records into the returned pointers: a hot path does an atomic add,
+// never a name lookup.  Snapshot enumerates every
 // registered instrument as sorted rows, so a reader (the introspection
 // plane, rafdac top) needs to know no plane's shape and nothing
 // downstream knows which plane owns which instrument.
@@ -19,9 +20,11 @@
 package metrics
 
 import (
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // Counter is a monotonically increasing count.
@@ -29,6 +32,9 @@ type Counter struct{ v atomic.Uint64 }
 
 // Inc adds one.
 func (c *Counter) Inc() { c.v.Add(1) }
+
+// Add adds n.
+func (c *Counter) Add(n uint64) { c.v.Add(n) }
 
 // Load reads the count.
 func (c *Counter) Load() uint64 { return c.v.Load() }
@@ -54,6 +60,34 @@ func (g *Gauge) Load() int64 { return g.v.Load() }
 
 // HighWater reads the highest level observed.
 func (g *Gauge) HighWater() int64 { return g.hw.Load() }
+
+// ewmaAlpha is the smoothing factor of EWMA: ~the last 10 observations
+// dominate.
+const ewmaAlpha = 0.2
+
+// EWMA is an exponentially weighted moving average of durations,
+// float64 nanoseconds held as bits in a CAS loop.
+type EWMA struct {
+	bits atomic.Uint64 // 0 = no observation yet
+}
+
+// Observe folds d into the average; the first observation seeds it.
+func (e *EWMA) Observe(d time.Duration) {
+	ns := float64(d.Nanoseconds())
+	for {
+		old := e.bits.Load()
+		next := ns
+		if old != 0 {
+			next = (1-ewmaAlpha)*math.Float64frombits(old) + ewmaAlpha*ns
+		}
+		if e.bits.CompareAndSwap(old, math.Float64bits(next)) {
+			return
+		}
+	}
+}
+
+// Load reads the average in nanoseconds, 0 before any observation.
+func (e *EWMA) Load() float64 { return math.Float64frombits(e.bits.Load()) }
 
 // FamilyMax caps a family's distinct keys.  Keys arrive off the wire
 // (caller endpoints, method names), so without a cap a hostile caller
@@ -94,14 +128,23 @@ func (f *Family[T]) Get(key string) *T {
 	return v.(*T)
 }
 
+// Each calls fn for every key's instrument, Other included once the
+// family is full, in no particular order.
+func (f *Family[T]) Each(fn func(key string, v *T)) {
+	f.m.Range(func(k, v any) bool {
+		fn(k.(string), v.(*T))
+		return true
+	})
+}
+
 // Row is one instrument (or one key of a family) at snapshot time.
 type Row struct {
 	Name string `json:"name"`
 	Key  string `json:"key,omitempty"`
-	// Kind is "counter", "gauge" or "hist".
+	// Kind is "counter", "gauge", "hist" or "ewma".
 	Kind string `json:"kind"`
-	// Value is a counter's count, a gauge's level, or a histogram's
-	// observation count.
+	// Value is a counter's count, a gauge's level, a histogram's
+	// observation count, or an EWMA's current average in nanoseconds.
 	Value int64 `json:"value"`
 	// High is a gauge's high-water mark.
 	High int64 `json:"high,omitempty"`
@@ -125,12 +168,20 @@ func (g *Gauge) rows(out []Row, name, key string) []Row {
 	return append(out, Row{Name: name, Key: key, Kind: "gauge", Value: g.Load(), High: g.HighWater()})
 }
 
+// rows renders the average as one row, omitted before any observation.
+func (e *EWMA) rows(out []Row, name, key string) []Row {
+	ns := e.Load()
+	if ns == 0 {
+		return out
+	}
+	return append(out, Row{Name: name, Key: key, Kind: "ewma", Value: int64(ns)})
+}
+
 func (f *Family[T]) rows(out []Row, name, _ string) []Row {
-	f.m.Range(func(k, v any) bool {
-		if r, ok := v.(rower); ok {
-			out = r.rows(out, name, k.(string))
+	f.Each(func(key string, v *T) {
+		if r, ok := any(v).(rower); ok {
+			out = r.rows(out, name, key)
 		}
-		return true
 	})
 	return out
 }
@@ -183,9 +234,12 @@ func (r *Registry) Counters(name string) *Family[Counter] {
 // Hists returns the histogram family registered under name.
 func (r *Registry) Hists(name string) *Family[Hist] { return instrument[Family[Hist]](r, name) }
 
+// EWMAs returns the moving-average family registered under name.
+func (r *Registry) EWMAs(name string) *Family[EWMA] { return instrument[Family[EWMA]](r, name) }
+
 // Snapshot enumerates every registered instrument, sorted by name and
-// then key.  Histograms that never observed a value are omitted: they
-// have no quantiles to report.
+// then key.  Histograms and EWMAs that never observed a value are
+// omitted: they have nothing to report.
 func (r *Registry) Snapshot() []Row {
 	if r == nil {
 		return nil

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestHistogramQuantiles(t *testing.T) {
@@ -127,6 +128,8 @@ func TestRegistrySnapshot(t *testing.T) {
 	fam.Get("x").Inc()
 	r.Hist("d.empty")
 	r.Hists("e.lat").Get("op").Observe(1500)
+	r.EWMAs("f.rtt").Get("p").Observe(2 * time.Microsecond)
+	r.EWMAs("f.rtt").Get("unobserved")
 
 	got := r.Snapshot()
 	want := []Row{
@@ -135,8 +138,8 @@ func TestRegistrySnapshot(t *testing.T) {
 		{Name: "c.fam", Key: "x", Kind: "counter", Value: 2},
 		{Name: "c.fam", Key: "y", Kind: "counter", Value: 1},
 	}
-	if len(got) != len(want)+1 {
-		t.Fatalf("snapshot has %d rows, want %d: %+v", len(got), len(want)+1, got)
+	if len(got) != len(want)+2 {
+		t.Fatalf("snapshot has %d rows, want %d: %+v", len(got), len(want)+2, got)
 	}
 	for i, w := range want {
 		if got[i] != w {
@@ -146,11 +149,52 @@ func TestRegistrySnapshot(t *testing.T) {
 	if h := got[len(want)]; h.Name != "e.lat" || h.Key != "op" || h.Value != 1 || h.MaxUs != 1.5 {
 		t.Fatalf("hist row = %+v", h)
 	}
+	if e := got[len(want)+1]; e != (Row{Name: "f.rtt", Key: "p", Kind: "ewma", Value: 2000}) {
+		t.Fatalf("ewma row = %+v", e)
+	}
 
 	var none *Registry
 	c := none.Counter("x")
 	c.Inc()
 	if c.Load() != 1 || none.Counter("x") == c || none.Snapshot() != nil {
 		t.Fatal("nil registry must hand out fresh, working, unlisted instruments")
+	}
+}
+
+// TestEWMA pins the moving average: zero until the first observation,
+// which seeds it, then each observation weighs ewmaAlpha.
+func TestEWMA(t *testing.T) {
+	var e EWMA
+	if e.Load() != 0 {
+		t.Fatal("unobserved average not zero")
+	}
+	e.Observe(time.Millisecond)
+	if e.Load() != 1e6 {
+		t.Fatalf("first observation %v, want it as the seed", e.Load())
+	}
+	e.Observe(2 * time.Millisecond)
+	if want := 0.8*1e6 + 0.2*2e6; e.Load() != want {
+		t.Fatalf("average %v, want %v", e.Load(), want)
+	}
+}
+
+// TestFamilyEach visits every key, Other included, and Counter.Add
+// adds exactly.
+func TestFamilyEach(t *testing.T) {
+	var f Family[Counter]
+	for i := 0; i < FamilyMax+5; i++ {
+		f.Get(fmt.Sprint(i)).Add(2)
+	}
+	var keys int
+	var sum, other uint64
+	f.Each(func(key string, c *Counter) {
+		keys++
+		sum += c.Load()
+		if key == Other {
+			other = c.Load()
+		}
+	})
+	if keys != FamilyMax+1 || sum != 2*(FamilyMax+5) || other != 10 {
+		t.Fatalf("Each saw %d keys, sum %d, other %d", keys, sum, other)
 	}
 }

@@ -362,13 +362,9 @@ func (n *Node) dispatchMigrateIn(req *wire.Request) *wire.Response {
 			resp.Err = err.Error()
 			return
 		}
-		for _, f := range req.Fields {
-			fv, err := n.unmarshalValue(env, f.Value)
-			if err != nil {
-				resp.Err = err.Error()
-				return
-			}
-			obj.Set(f.Name, fv)
+		if err := n.setFields(env, obj, req.Fields); err != nil {
+			resp.Err = err.Error()
+			return
 		}
 		mv, err := n.marshalValue(vm.RefV(obj), "")
 		if err != nil {

@@ -16,8 +16,9 @@ import (
 // Unified introspection plane (docs/OBSERVABILITY.md): one effect-free
 // wire op — OpIntrospect — exposes everything a node knows about
 // itself: every instrument in its metrics registry (activity, dedup,
-// overload, shedding, latency digests), telemetry samples (when
-// enabled), the cluster's view (when attached), and the flight
+// overload, shedding, latency digests, and per-peer rollups when
+// telemetry is enabled), telemetry's object and class samples, the
+// cluster's view (when attached), and the flight
 // recorder's span ring.
 // Effect-free means exactly that: serving an introspection request
 // mutates nothing, takes no object gate, and rides the same dispatch
@@ -40,7 +41,6 @@ type Introspection struct {
 	// called on this node.
 	Objects []telemetry.ObjSample   `json:"objects,omitempty"`
 	Classes []telemetry.ClassSample `json:"classes,omitempty"`
-	Peers   []telemetry.PeerSample  `json:"peers,omitempty"`
 
 	Cluster *ClusterIntro `json:"cluster,omitempty"`
 
@@ -74,8 +74,6 @@ func (n *Node) introspection() *Introspection {
 		in.Objects, in.Classes = rec.NewWindow().Next()
 		sort.Slice(in.Objects, func(i, j int) bool { return in.Objects[i].GUID < in.Objects[j].GUID })
 		sort.Slice(in.Classes, func(i, j int) bool { return in.Classes[i].Class < in.Classes[j].Class })
-		in.Peers = rec.SnapshotPeers()
-		sort.Slice(in.Peers, func(i, j int) bool { return in.Peers[i].Endpoint < in.Peers[j].Endpoint })
 	}
 	if co := n.coord.Load(); co != nil {
 		in.Cluster = &ClusterIntro{

@@ -6,6 +6,7 @@ import (
 	"rafda/internal/guid"
 	"rafda/internal/ir"
 	"rafda/internal/transform"
+	"rafda/internal/transport"
 	"rafda/internal/vm"
 	"rafda/internal/wire"
 )
@@ -80,7 +81,7 @@ func (n *Node) marshalObject(obj *vm.Object, viaProto string) (wire.Value, error
 		return wire.Value{}, fmt.Errorf("node %s exports object of %s but serves no transport", n.name, base)
 	}
 	id := n.exports.Ensure(obj)
-	proto, _, _ := splitProto(ep)
+	proto, _, _ := transport.SplitEndpoint(ep)
 	return wire.Value{Kind: wire.KRef, Ref: &wire.RemoteRef{
 		GUID:     id,
 		Endpoint: ep,
@@ -215,13 +216,32 @@ func (n *Node) servesEndpoint(endpoint string) bool {
 	return false
 }
 
-func splitProto(endpoint string) (proto, addr string, err error) {
-	for i := 0; i+2 < len(endpoint); i++ {
-		if endpoint[i] == ':' && endpoint[i+1] == '/' && endpoint[i+2] == '/' {
-			return endpoint[:i], endpoint[i+3:], nil
+// marshalFields encodes an object's field snapshot for shipping, each
+// value marshalled for viaProto — the one state codec migration and
+// replication share.
+func (n *Node) marshalFields(fields map[string]vm.Value, viaProto string) ([]wire.NamedValue, error) {
+	fvs := make([]wire.NamedValue, 0, len(fields))
+	for name, val := range fields {
+		mv, err := n.marshalValue(val, viaProto)
+		if err != nil {
+			return nil, fmt.Errorf("node %s: marshal field %s: %w", n.name, name, err)
 		}
+		fvs = append(fvs, wire.NamedValue{Name: name, Value: mv})
 	}
-	return "", "", fmt.Errorf("bad endpoint %q", endpoint)
+	return fvs, nil
+}
+
+// setFields unmarshals shipped field state into obj, marshalFields'
+// inverse.
+func (n *Node) setFields(env *vm.Env, obj *vm.Object, fields []wire.NamedValue) error {
+	for _, f := range fields {
+		fv, err := n.unmarshalValue(env, f.Value)
+		if err != nil {
+			return err
+		}
+		obj.Set(f.Name, fv)
+	}
+	return nil
 }
 
 func orString(a, b string) string {

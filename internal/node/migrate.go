@@ -6,6 +6,7 @@ import (
 
 	"rafda/internal/trace"
 	"rafda/internal/transform"
+	"rafda/internal/transport"
 	"rafda/internal/vm"
 	"rafda/internal/wire"
 )
@@ -66,7 +67,7 @@ func (n *Node) migrate(ref vm.Value, targetEndpoint string, ctx trace.Ctx) error
 		return fmt.Errorf("node %s: migrate of nil reference", n.name)
 	}
 	obj := ref.O
-	proto, _, err := splitProto(targetEndpoint)
+	proto, _, err := transport.SplitEndpoint(targetEndpoint)
 	if err != nil {
 		return err
 	}
@@ -161,14 +162,11 @@ func (n *Node) migrate(ref vm.Value, targetEndpoint string, ctx trace.Ctx) error
 func (n *Node) shipAndMorph(obj *vm.Object, base string, fields map[string]vm.Value, proto, targetEndpoint string, sp *trace.Span) error {
 	// Snapshot.  Referenced objects are exported and travel as
 	// references back to this node.
-	req := &wire.Request{Op: wire.OpMigrateIn, Class: base}
-	for name, val := range fields {
-		mv, err := n.marshalValue(val, proto)
-		if err != nil {
-			return fmt.Errorf("node %s: marshal field %s: %w", n.name, name, err)
-		}
-		req.Fields = append(req.Fields, wire.NamedValue{Name: name, Value: mv})
+	fvs, err := n.marshalFields(fields, proto)
+	if err != nil {
+		return err
 	}
+	req := &wire.Request{Op: wire.OpMigrateIn, Class: base, Fields: fvs}
 
 	// The object's slice of the dedup window travels inside the
 	// snapshot: a caller's post-migration retry of a call this node

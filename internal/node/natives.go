@@ -11,6 +11,7 @@ import (
 	"rafda/internal/telemetry"
 	"rafda/internal/trace"
 	"rafda/internal/transform"
+	"rafda/internal/transport"
 	"rafda/internal/vm"
 	"rafda/internal/wire"
 )
@@ -221,7 +222,7 @@ func (n *Node) resolveProxy(proxy *vm.Object, classSide bool, method string, nar
 	// forwarding chain one hop at a time (and pay every intermediate
 	// node once more).  Costs one atomic load when not clustered.
 	if ref, ok := n.resolveViaDirectory(t.id, t.endpoint); ok {
-		if p, _, err := splitProto(ref.Endpoint); err == nil {
+		if p, _, err := transport.SplitEndpoint(ref.Endpoint); err == nil {
 			setProxyFields(proxy, ref.GUID, ref.Endpoint, p, orString(ref.Target, t.class))
 			t.id, t.endpoint = ref.GUID, ref.Endpoint
 		}
@@ -264,7 +265,7 @@ type outCall struct {
 // invokeRequest is the wire form of one call through a proxy resolved
 // to t, before send stamps it.
 func (n *Node) invokeRequest(classSide bool, t proxyTarget, method string, args []vm.Value) (*outCall, error) {
-	proto, _, _ := splitProto(t.endpoint)
+	proto, _, _ := transport.SplitEndpoint(t.endpoint)
 	oc := &outCall{}
 	req := &oc.req
 	req.Op, req.GUID, req.Method, req.Caller = wire.OpInvoke, t.id, method, n.callerEndpoint(proto)

@@ -166,8 +166,8 @@ type Node struct {
 	// volunteer enables callback-endpoint volunteering: a node serving
 	// no transport starts serving lazily at first dial, so its calls
 	// carry a real Caller endpoint and its affinity is actionable
-	// (ObjStats.anonCalls otherwise records traffic no engine can ever
-	// migrate toward).  volunteerState makes the attempt one-shot and
+	// (an ObjSample's Anon count otherwise records traffic no engine can
+	// ever migrate toward).  volunteerState makes the attempt one-shot and
 	// keeps the proxy hot path off the node mutex: 0 = untried,
 	// 1 = in progress, 2 = settled (one atomic load thereafter).
 	volunteer      bool
@@ -326,13 +326,14 @@ func (n *Node) Policy() *policy.Table { return n.pol }
 
 // EnableTelemetry switches on the node's metrics plane (idempotent) and
 // returns the recorder.  Dispatch and proxy-call sites start recording
-// per-object caller affinity, byte volumes and latency; until then the
-// only per-call cost is one nil atomic load.
+// per-object caller affinity, byte volumes and latency, and the per-peer
+// rollups appear in the node's registry as peer.calls, peer.bytes and
+// peer.rtt_ns; until then the only per-call cost is one nil atomic load.
 func (n *Node) EnableTelemetry() *telemetry.Recorder {
 	if r := n.telem.Load(); r != nil {
 		return r
 	}
-	n.telem.CompareAndSwap(nil, telemetry.NewRecorder())
+	n.telem.CompareAndSwap(nil, telemetry.NewRecorder(n.metrics))
 	return n.telem.Load()
 }
 

@@ -11,6 +11,7 @@ import (
 	"rafda/internal/ir"
 	"rafda/internal/trace"
 	"rafda/internal/transform"
+	"rafda/internal/transport"
 	"rafda/internal/vm"
 	"rafda/internal/wire"
 )
@@ -142,14 +143,10 @@ func (n *Node) Replicate(ref vm.Value, endpoints ...string) error {
 		// neutral "" proto (exactly as the write barrier does), so a
 		// mixed-proto endpoint list never receives values marshalled for
 		// a different transport.
-		fvs := make([]wire.NamedValue, 0, len(fields))
-		for name, val := range fields {
-			mv, err := n.marshalValue(val, "")
-			if err != nil {
-				retErr = fmt.Errorf("node %s: marshal field %s: %w", n.name, name, err)
-				return
-			}
-			fvs = append(fvs, wire.NamedValue{Name: name, Value: mv})
+		fvs, err := n.marshalFields(fields, "")
+		if err != nil {
+			retErr = err
+			return
 		}
 
 		const firstEpoch = 1
@@ -159,7 +156,7 @@ func (n *Node) Replicate(ref vm.Value, endpoints ...string) error {
 			if ep == "" || n.servesEndpoint(ep) {
 				continue // replicating to the primary itself is a no-op
 			}
-			proto, _, err := splitProto(ep)
+			proto, _, err := transport.SplitEndpoint(ep)
 			if err != nil {
 				failures = append(failures, fmt.Sprintf("%s: %v", ep, err))
 				continue
@@ -250,14 +247,9 @@ func (n *Node) replicaWriteBarrier(obj *vm.Object, id string, ctx trace.Ctx) uin
 		pr.epoch++
 		epoch = pr.epoch
 		pr.mu.Unlock()
-		fvs = make([]wire.NamedValue, 0, len(fields))
-		for name, val := range fields {
-			mv, err := n.marshalValue(val, "")
-			if err != nil {
-				skip = true // unshippable state: skip this round
-				return
-			}
-			fvs = append(fvs, wire.NamedValue{Name: name, Value: mv})
+		var err error
+		if fvs, err = n.marshalFields(fields, ""); err != nil {
+			skip = true // unshippable state: skip this round
 		}
 	})
 	if skip {
@@ -433,7 +425,7 @@ func (n *Node) dispatchReplicaInstall(req *wire.Request) *wire.Response {
 	if req.GUID == "" || req.Endpoint == "" {
 		return wire.Errorf(req, "node %s: replica install without primary identity", n.name)
 	}
-	proto, _, err := splitProto(req.Endpoint)
+	proto, _, err := transport.SplitEndpoint(req.Endpoint)
 	if err != nil {
 		return wire.Errorf(req, "node %s: replica install: %v", n.name, err)
 	}
@@ -444,13 +436,9 @@ func (n *Node) dispatchReplicaInstall(req *wire.Request) *wire.Response {
 			resp.Err = err.Error()
 			return
 		}
-		for _, f := range req.Fields {
-			fv, err := n.unmarshalValue(env, f.Value)
-			if err != nil {
-				resp.Err = err.Error()
-				return
-			}
-			obj.Set(f.Name, fv)
+		if err := n.setFields(env, obj, req.Fields); err != nil {
+			resp.Err = err.Error()
+			return
 		}
 		mv, err := n.marshalValue(vm.RefV(obj), "")
 		if err != nil {
@@ -491,13 +479,9 @@ func (n *Node) dispatchReplicaUpdate(req *wire.Request) *wire.Response {
 			resp.Epoch = rc.epoch.Load()
 			return
 		}
-		for _, f := range req.Fields {
-			fv, err := n.unmarshalValue(env, f.Value)
-			if err != nil {
-				resp.Err = err.Error()
-				return
-			}
-			obj.Set(f.Name, fv)
+		if err := n.setFields(env, obj, req.Fields); err != nil {
+			resp.Err = err.Error()
+			return
 		}
 		rc.epoch.Store(req.Epoch)
 		resp.Epoch = req.Epoch
@@ -563,7 +547,7 @@ func (n *Node) promoteReplica(id, class, selfGUID string) {
 		n.replPrim.Store(selfGUID, pr)
 	}
 	n.replActive.Store(true)
-	if proto, _, err := splitProto(co.Self()); err == nil {
+	if proto, _, err := transport.SplitEndpoint(co.Self()); err == nil {
 		co.RecordMove(id, class, wire.RemoteRef{
 			GUID: id, Endpoint: co.Self(), Proto: proto, Target: class,
 		})
@@ -604,7 +588,7 @@ func (n *Node) demoteReplica(id string) {
 	if !okSet || set.Primary == "" || n.servesEndpoint(set.Primary) {
 		return
 	}
-	proto, _, err := splitProto(set.Primary)
+	proto, _, err := transport.SplitEndpoint(set.Primary)
 	if err != nil || !n.machine.Program().Has(transform.OProxy(pr.class, proto)) {
 		return
 	}

@@ -3,6 +3,14 @@
 // read periodically by the adaptive placement engine (internal/adapt)
 // that redraws the program's distribution boundaries.
 //
+// Every instrument is an internal/metrics one: counts are Counters,
+// endpoint-keyed counts are Family[Counter]s under the registry's one
+// overflow rule (past FamilyMax keys, traffic folds into metrics.Other,
+// which samples report as unitemised), and latencies are EWMAs.  The
+// per-peer rollups are families on the node's registry — peer.calls,
+// peer.bytes, peer.rtt_ns — so the introspection snapshot lists them as
+// ordinary rows.
+//
 // # Thread safety and lock hierarchy
 //
 // Recording happens on the hottest paths in the system — inside inbound
@@ -10,25 +18,20 @@
 // invocation gate — so every update is a handful of atomic operations
 // and no recording path ever blocks on a lock (docs/CONCURRENCY.md):
 //
-//   - Per-object counters live in an ObjStats reached through the
+//   - Per-object instruments live in an ObjStats reached through the
 //     object's telemetry slot (vm.Object.Telemetry, one atomic load).
-//   - Per-endpoint counters are copy-on-write endpoint→counter lists
-//     published through atomic pointers; bumping an existing endpoint is
-//     one atomic add, adding a new endpoint is a CAS loop.
-//   - The EWMA latency is float64 bits in a uint64 CAS loop.
+//   - A family lookup is a sync.Map load on the hit path.
 //   - The recorder's object and class indexes are sync.Maps, touched on
 //     the first record for an object/class only.
 //
 // Readers take object and class counters through a Window cursor,
 // which turns them into deltas since that reader's previous read; peer
-// rollups are read cumulatively (SnapshotPeers, PeerRTTs).
+// rollups are read cumulatively (PeerRTTs, the registry snapshot).
 package telemetry
 
 import (
-	"math"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 	"weak"
 
@@ -36,102 +39,6 @@ import (
 	"rafda/internal/vm"
 	"rafda/internal/wire"
 )
-
-// ewmaAlpha is the smoothing factor of the latency EWMA: ~the last 10
-// observations dominate.
-const ewmaAlpha = 0.2
-
-// epSet is an immutable endpoint→counter list published through an
-// atomic pointer.  Nodes talk to a handful of peers, so linear scans
-// beat a map and stay allocation-free on the hit path.  Callers arrive
-// off the wire, so a set itemises at most metrics.FamilyMax endpoints;
-// past that, bump refuses and the recording site counts the event
-// unitemised, the way it counts an anonymous caller.
-type epSet struct {
-	entries []epEntry
-}
-
-type epEntry struct {
-	ep string
-	n  *atomic.Uint64
-}
-
-// bump increments the counter for ep, installing it on first use; it
-// reports false, counting nothing, when ep is new and the set is full.
-func bump(p *atomic.Pointer[epSet], ep string) bool {
-	c := counterIn(p, ep)
-	if c == nil {
-		return false
-	}
-	c.Add(1)
-	return true
-}
-
-func counterIn(p *atomic.Pointer[epSet], ep string) *atomic.Uint64 {
-	for {
-		s := p.Load()
-		if s != nil {
-			for i := range s.entries {
-				if s.entries[i].ep == ep {
-					return s.entries[i].n
-				}
-			}
-			if len(s.entries) >= metrics.FamilyMax {
-				return nil
-			}
-		}
-		next := &epSet{}
-		if s != nil {
-			next.entries = append(next.entries, s.entries...)
-		}
-		ctr := &atomic.Uint64{}
-		next.entries = append(next.entries, epEntry{ep: ep, n: ctr})
-		if p.CompareAndSwap(s, next) {
-			return ctr
-		}
-	}
-}
-
-func snapshotSet(p *atomic.Pointer[epSet]) map[string]uint64 {
-	s := p.Load()
-	if s == nil {
-		return nil
-	}
-	out := make(map[string]uint64, len(s.entries))
-	for i := range s.entries {
-		out[s.entries[i].ep] = s.entries[i].n.Load()
-	}
-	return out
-}
-
-// ewma is a lock-free exponentially weighted moving average.
-type ewma struct {
-	bits atomic.Uint64 // float64 bits; 0 = no observation yet
-}
-
-func (e *ewma) observe(d time.Duration) {
-	ns := float64(d.Nanoseconds())
-	for {
-		old := e.bits.Load()
-		var next float64
-		if old == 0 {
-			next = ns
-		} else {
-			next = (1-ewmaAlpha)*math.Float64frombits(old) + ewmaAlpha*ns
-		}
-		if e.bits.CompareAndSwap(old, math.Float64bits(next)) {
-			return
-		}
-	}
-}
-
-func (e *ewma) load() float64 {
-	b := e.bits.Load()
-	if b == 0 {
-		return 0
-	}
-	return math.Float64frombits(b)
-}
 
 // ObjStats is one object's activity record.  It is installed in the
 // object's telemetry slot, so it survives migration morphs (the slot
@@ -147,15 +54,13 @@ type ObjStats struct {
 	// so the recorder tracks the live working set, not history.
 	obj weak.Pointer[vm.Object]
 
-	localCalls  atomic.Uint64 // host-driven and collapsed same-node calls
-	remoteCalls atomic.Uint64 // inbound invocations from identified peers
-	anonCalls   atomic.Uint64 // inbound from peers serving no endpoint, or past the callers cap
-	bytesIn     atomic.Uint64
-	bytesOut    atomic.Uint64
-	reads       atomic.Uint64         // calls the effect analysis proved read-only
-	writes      atomic.Uint64         // calls that may mutate (incl. unprovable ones)
-	callers     atomic.Pointer[epSet] // inbound calls by caller endpoint
-	lat         ewma                  // in-gate service latency of inbound calls
+	localCalls metrics.Counter // host-driven and collapsed same-node calls
+	bytesIn    metrics.Counter
+	bytesOut   metrics.Counter
+	reads      metrics.Counter                 // calls the effect analysis proved read-only
+	writes     metrics.Counter                 // calls that may mutate (incl. unprovable ones)
+	callers    metrics.Family[metrics.Counter] // inbound calls by caller endpoint, "" unidentified
+	lat        metrics.EWMA                    // in-gate service latency of inbound calls
 }
 
 // RecordInbound counts one served invocation: caller is the requesting
@@ -165,21 +70,17 @@ type ObjStats struct {
 // object's gate (queueing for the gate is excluded, so a contended but
 // fast object does not read as a slow one).
 func (s *ObjStats) RecordInbound(caller string, reqBytes, respBytes int, lat time.Duration) {
-	if caller != "" && bump(&s.callers, caller) {
-		s.remoteCalls.Add(1)
-	} else {
-		s.anonCalls.Add(1)
-	}
+	s.callers.Get(caller).Inc()
 	s.bytesIn.Add(uint64(reqBytes))
 	s.bytesOut.Add(uint64(respBytes))
-	s.lat.observe(lat)
+	s.lat.Observe(lat)
 }
 
 // RecordLocal counts one same-address-space invocation (host CallOn or a
 // proxy call collapsed onto the live local object).  Deliberately
 // minimal — one atomic add, no clock read — because this is the
 // post-convergence steady-state path.
-func (s *ObjStats) RecordLocal() { s.localCalls.Add(1) }
+func (s *ObjStats) RecordLocal() { s.localCalls.Inc() }
 
 // RecordEffect counts one invocation by its method-effect class: write
 // when the verifier's analysis could not prove the method read-only.
@@ -188,50 +89,28 @@ func (s *ObjStats) RecordLocal() { s.localCalls.Add(1) }
 // (docs/REPLICATION.md).
 func (s *ObjStats) RecordEffect(write bool) {
 	if write {
-		s.writes.Add(1)
+		s.writes.Inc()
 	} else {
-		s.reads.Add(1)
+		s.reads.Inc()
 	}
 }
 
 // ClassStats is one class's activity record: where instances are
 // created, and where this node's outgoing proxy calls for the class go.
 type ClassStats struct {
-	localCreates  atomic.Uint64         // factory make under local placement
-	remoteCreates atomic.Pointer[epSet] // factory make under remote placement, by target
-	servedCreates atomic.Pointer[epSet] // OpCreate served for peers, by caller
-	servedAnon    atomic.Uint64
-	outCalls      atomic.Pointer[epSet] // outgoing proxy calls, by callee endpoint
-	outBytes      atomic.Uint64
-	outLat        ewma // round-trip latency of outgoing proxy calls
-}
-
-// PeerStats is one remote endpoint's rollup: how often this node talks
-// to it, how many bytes cross, and the smoothed round-trip time.  The
-// RTT EWMA is the latency input of cost-based placement rules (benefit
-// of migrating = remote calls × RTT) and of multi-hop evidence in the
-// cluster plane; it is fed by outgoing proxy calls and by gossip pings,
-// so a peer's RTT is known even before any invocation targets it.
-//
-// Rollups are per *peer*, never per socket: the transport pools several
-// connections per endpoint, and an RTT fragmented across pool shards
-// would hand CostAffinityRule and the gossip suspicion ladder N thin,
-// noisy estimates instead of one coherent latency.  Today's recording
-// sites (proxy calls, gossip pings) already pass canonical endpoints;
-// forPeer folds through PeerKey anyway so the invariant holds even if
-// a shard-qualified socket name (transport.Pool.ShardID) ever reaches
-// a recording path — the guard the pool sharding made worth pinning.
-type PeerStats struct {
-	calls atomic.Uint64
-	bytes atomic.Uint64
-	rtt   ewma
+	localCreates  metrics.Counter                 // factory make under local placement
+	remoteCreates metrics.Family[metrics.Counter] // factory make under remote placement, by target
+	servedCreates metrics.Family[metrics.Counter] // OpCreate served for peers, by caller, "" unidentified
+	outCalls      metrics.Family[metrics.Counter] // outgoing proxy calls, by callee endpoint
+	outBytes      metrics.Counter
+	outLat        metrics.EWMA // round-trip latency of outgoing proxy calls
 }
 
 // PeerKey canonicalises an endpoint for per-peer aggregation: the
 // shard-qualified socket names the connection pool uses in diagnostics
 // ("rrp://h:p#3", transport.Pool.ShardID) fold back to their peer
 // endpoint, so observations from different pool shards land in one
-// PeerStats.  Canonical endpoints pass through unchanged.
+// peer row.  Canonical endpoints pass through unchanged.
 func PeerKey(endpoint string) string {
 	if i := strings.LastIndexByte(endpoint, '#'); i >= 0 {
 		return endpoint[:i]
@@ -242,14 +121,40 @@ func PeerKey(endpoint string) string {
 // Recorder is one node's metrics plane.  The zero value is not usable;
 // construct with NewRecorder.  A nil *Recorder is the disabled plane:
 // the node runtime checks for nil before the (cheap) record calls.
+//
+// Its per-peer rollups are the registry families peer.calls, peer.bytes
+// and peer.rtt_ns: how often this node talks to each peer, how many
+// bytes cross, and the smoothed round-trip time.  The RTT is the
+// latency input of cost-based placement rules (benefit of migrating =
+// remote calls × RTT) and of multi-hop evidence in the cluster plane;
+// it is fed by outgoing proxy calls and by gossip pings, so a peer's RTT
+// is known even before any invocation targets it.
+//
+// Rollups are per *peer*, never per socket: the transport pools several
+// connections per endpoint, and an RTT fragmented across pool shards
+// would hand CostAffinityRule and the gossip suspicion ladder N thin,
+// noisy estimates instead of one coherent latency.  Today's recording
+// sites (proxy calls, gossip pings) already pass canonical endpoints;
+// every peer key folds through PeerKey anyway so the invariant holds
+// even if a shard-qualified socket name (transport.Pool.ShardID) ever
+// reaches a recording path.
 type Recorder struct {
-	objs    sync.Map // guid -> *ObjStats
-	classes sync.Map // class -> *ClassStats
-	peers   sync.Map // endpoint -> *PeerStats
+	objs      sync.Map // guid -> *ObjStats
+	classes   sync.Map // class -> *ClassStats
+	peerCalls *metrics.Family[metrics.Counter]
+	peerBytes *metrics.Family[metrics.Counter]
+	peerRTT   *metrics.Family[metrics.EWMA]
 }
 
-// NewRecorder returns an empty metrics plane.
-func NewRecorder() *Recorder { return &Recorder{} }
+// NewRecorder returns an empty metrics plane whose peer rollups are
+// registered on reg (nil: unregistered, as for every other plane).
+func NewRecorder(reg *metrics.Registry) *Recorder {
+	return &Recorder{
+		peerCalls: reg.Counters("peer.calls"),
+		peerBytes: reg.Counters("peer.bytes"),
+		peerRTT:   reg.EWMAs("peer.rtt_ns"),
+	}
+}
 
 // ForObject returns obj's stats record, installing one (and indexing it
 // under guid) on first use.  The fast path is a single atomic load from
@@ -279,54 +184,40 @@ func (r *Recorder) forClass(class string) *ClassStats {
 
 // RecordCreateLocal counts one local factory construction of class.
 func (r *Recorder) RecordCreateLocal(class string) {
-	r.forClass(class).localCreates.Add(1)
+	r.forClass(class).localCreates.Inc()
 }
 
 // RecordCreateRemote counts one remote factory construction of class at
 // target (this node asked target to instantiate).
 func (r *Recorder) RecordCreateRemote(class, target string) {
-	bump(&r.forClass(class).remoteCreates, target)
+	r.forClass(class).remoteCreates.Get(target).Inc()
 }
 
 // RecordCreateServed counts one construction of class served for the
 // peer at caller ("" when unidentified, like a caller past the cap).
 func (r *Recorder) RecordCreateServed(class, caller string) {
-	cs := r.forClass(class)
-	if caller == "" || !bump(&cs.servedCreates, caller) {
-		cs.servedAnon.Add(1)
-	}
+	r.forClass(class).servedCreates.Get(caller).Inc()
 }
 
 // RecordOutbound counts one outgoing proxy invocation on an instance (or
 // the statics singleton) of class at endpoint.  The call also rolls into
-// the per-peer stats, so every invocation refreshes the peer's RTT EWMA.
+// the per-peer rows, so every invocation refreshes the peer's RTT EWMA.
 func (r *Recorder) RecordOutbound(class, endpoint string, bytes int, lat time.Duration) {
 	cs := r.forClass(class)
-	bump(&cs.outCalls, endpoint)
+	cs.outCalls.Get(endpoint).Inc()
 	cs.outBytes.Add(uint64(bytes))
-	cs.outLat.observe(lat)
-	ps := r.forPeer(endpoint)
-	ps.calls.Add(1)
-	ps.bytes.Add(uint64(bytes))
-	ps.rtt.observe(lat)
-}
-
-// forPeer returns endpoint's rollup, creating it on first use.  The
-// index key is always the PeerKey form, so per-socket names aggregate.
-func (r *Recorder) forPeer(endpoint string) *PeerStats {
-	endpoint = PeerKey(endpoint)
-	if s, ok := r.peers.Load(endpoint); ok {
-		return s.(*PeerStats)
-	}
-	s, _ := r.peers.LoadOrStore(endpoint, &PeerStats{})
-	return s.(*PeerStats)
+	cs.outLat.Observe(lat)
+	peer := PeerKey(endpoint)
+	r.peerCalls.Get(peer).Inc()
+	r.peerBytes.Get(peer).Add(uint64(bytes))
+	r.peerRTT.Get(peer).Observe(lat)
 }
 
 // RecordPeerRTT folds one observed round trip to endpoint into its RTT
 // EWMA without counting an invocation — the gossip plane's heartbeat
 // exchanges feed this, keeping RTT estimates fresh for idle peers.
 func (r *Recorder) RecordPeerRTT(endpoint string, lat time.Duration) {
-	r.forPeer(endpoint).rtt.observe(lat)
+	r.peerRTT.Get(PeerKey(endpoint)).Observe(lat)
 }
 
 // ObjSample is one object's counters over a window (see Window).
@@ -363,20 +254,39 @@ func (s *ObjStats) sample() (out ObjSample, ok bool) {
 	if obj == nil {
 		return out, false
 	}
-	return ObjSample{
+	out = ObjSample{
 		GUID:          s.guid,
 		Class:         s.class,
 		Obj:           obj,
 		Local:         s.localCalls.Load(),
-		Remote:        s.remoteCalls.Load(),
-		Anon:          s.anonCalls.Load(),
-		Callers:       snapshotSet(&s.callers),
 		BytesIn:       s.bytesIn.Load(),
 		BytesOut:      s.bytesOut.Load(),
 		Reads:         s.reads.Load(),
 		Writes:        s.writes.Load(),
-		EWMALatencyNs: s.lat.load(),
-	}, true
+		EWMALatencyNs: s.lat.Load(),
+	}
+	out.Callers, out.Remote, out.Anon = itemise(&s.callers)
+	return out, true
+}
+
+// itemise splits an endpoint family into its itemised counts (nil when
+// none) and their sum, and the unitemised count: the unidentified ""
+// key plus metrics.Other.  No sample map ever holds either key, so no
+// rule can propose one as a destination.
+func itemise(f *metrics.Family[metrics.Counter]) (byEp map[string]uint64, itemised, unitemised uint64) {
+	f.Each(func(ep string, c *metrics.Counter) {
+		n := c.Load()
+		if ep == "" || ep == metrics.Other {
+			unitemised += n
+			return
+		}
+		if byEp == nil {
+			byEp = map[string]uint64{}
+		}
+		byEp[ep] = n
+		itemised += n
+	})
+	return byEp, itemised, unitemised
 }
 
 // ClassSample is one class's counters over a window (see Window).
@@ -392,16 +302,16 @@ type ClassSample struct {
 }
 
 func (s *ClassStats) sample(class string) ClassSample {
-	return ClassSample{
-		Class:         class,
-		LocalCreates:  s.localCreates.Load(),
-		RemoteCreates: snapshotSet(&s.remoteCreates),
-		ServedCreates: snapshotSet(&s.servedCreates),
-		ServedAnon:    s.servedAnon.Load(),
-		OutCalls:      snapshotSet(&s.outCalls),
-		OutBytes:      s.outBytes.Load(),
-		OutEWMANs:     s.outLat.load(),
+	out := ClassSample{
+		Class:        class,
+		LocalCreates: s.localCreates.Load(),
+		OutBytes:     s.outBytes.Load(),
+		OutEWMANs:    s.outLat.Load(),
 	}
+	out.RemoteCreates, _, _ = itemise(&s.remoteCreates)
+	out.ServedCreates, _, out.ServedAnon = itemise(&s.servedCreates)
+	out.OutCalls, _, _ = itemise(&s.outCalls)
+	return out
 }
 
 // Window is one reader's cursor over the recorder's object and class
@@ -499,39 +409,16 @@ func minusSet(cur, prev map[string]uint64) map[string]uint64 {
 	return out
 }
 
-// PeerSample is one endpoint's cumulative rollup at snapshot time.
-type PeerSample struct {
-	Endpoint  string  `json:"endpoint"`
-	Calls     uint64  `json:"calls"`
-	Bytes     uint64  `json:"bytes"`
-	RTTEWMANs float64 `json:"rtt_ewma_ns"`
-}
-
-// SnapshotPeers returns cumulative per-peer samples.
-func (r *Recorder) SnapshotPeers() []PeerSample {
-	var out []PeerSample
-	r.peers.Range(func(k, v any) bool {
-		s := v.(*PeerStats)
-		out = append(out, PeerSample{
-			Endpoint:  k.(string),
-			Calls:     s.calls.Load(),
-			Bytes:     s.bytes.Load(),
-			RTTEWMANs: s.rtt.load(),
-		})
-		return true
-	})
-	return out
-}
-
 // PeerRTTs returns the current RTT EWMA per endpoint, in nanoseconds —
-// the form the adapt engine's cost rules consume.
+// the form the adapt engine's cost rules consume.  Peers past the
+// family cap share metrics.Other, which is no endpoint and is skipped:
+// a cost rule abstains for them as for a peer with no RTT yet.
 func (r *Recorder) PeerRTTs() map[string]float64 {
 	out := map[string]float64{}
-	r.peers.Range(func(k, v any) bool {
-		if ns := v.(*PeerStats).rtt.load(); ns > 0 {
-			out[k.(string)] = ns
+	r.peerRTT.Each(func(ep string, e *metrics.EWMA) {
+		if ns := e.Load(); ns > 0 && ep != metrics.Other {
+			out[ep] = ns
 		}
-		return true
 	})
 	return out
 }

@@ -41,7 +41,7 @@ func classes(r *Recorder) []ClassSample {
 // TestWindowsReadIndependentDeltas: two cursors read at different
 // cadences, and neither steals the other's deltas.
 func TestWindowsReadIndependentDeltas(t *testing.T) {
-	r := NewRecorder()
+	r := NewRecorder(nil)
 	s := r.ForObject(pinned(t), "g", "C")
 	a, b := r.NewWindow(), r.NewWindow()
 	calls := func(n int) {
@@ -73,7 +73,7 @@ func TestWindowsReadIndependentDeltas(t *testing.T) {
 // TestFreshWindowIsCumulative: however far other cursors have advanced,
 // a fresh cursor's first Next is the recorder's cumulative state.
 func TestFreshWindowIsCumulative(t *testing.T) {
-	r := NewRecorder()
+	r := NewRecorder(nil)
 	o := obj()
 	s := r.ForObject(o, "g", "C")
 	old := r.NewWindow()
@@ -102,7 +102,7 @@ func TestFreshWindowIsCumulative(t *testing.T) {
 // TestIdleObjectAbsentFromNext: an object not called since the cursor's
 // previous Next is absent; its class still reports, with zero deltas.
 func TestIdleObjectAbsentFromNext(t *testing.T) {
-	r := NewRecorder()
+	r := NewRecorder(nil)
 	w := r.NewWindow()
 	r.ForObject(pinned(t), "g", "C").RecordLocal()
 	r.RecordCreateLocal("C")
@@ -121,7 +121,7 @@ func TestIdleObjectAbsentFromNext(t *testing.T) {
 // TestConcurrentNextPartitionsDeltas: readers sharing one cursor split
 // its deltas between them — every call is reported exactly once.
 func TestConcurrentNextPartitionsDeltas(t *testing.T) {
-	r := NewRecorder()
+	r := NewRecorder(nil)
 	s := r.ForObject(pinned(t), "g", "C")
 	w := r.NewWindow()
 	const calls = 2000
@@ -161,7 +161,7 @@ func TestConcurrentNextPartitionsDeltas(t *testing.T) {
 }
 
 func TestForObjectInstallsOnce(t *testing.T) {
-	r := NewRecorder()
+	r := NewRecorder(nil)
 	o := obj()
 	s1 := r.ForObject(o, "g1", "C")
 	s2 := r.ForObject(o, "g1", "C")
@@ -190,7 +190,7 @@ func TestForObjectInstallsOnce(t *testing.T) {
 }
 
 func TestAnonymousCallerCountsSeparately(t *testing.T) {
-	r := NewRecorder()
+	r := NewRecorder(nil)
 	s := r.ForObject(pinned(t), "g", "C")
 	s.RecordInbound("", 1, 1, time.Microsecond)
 	got := objects(r)[0]
@@ -208,7 +208,7 @@ func TestAnonymousCallerCountsSeparately(t *testing.T) {
 // totals stay exact.
 func TestCallerItemisationCapped(t *testing.T) {
 	const callers = 10000
-	r := NewRecorder()
+	r := NewRecorder(nil)
 	s := r.ForObject(pinned(t), "g", "C")
 	for i := 0; i < callers; i++ {
 		ep := fmt.Sprintf("rrp://10.0.%d.%d:1", i/256, i%256)
@@ -233,7 +233,7 @@ func TestCallerItemisationCapped(t *testing.T) {
 }
 
 func TestClassCounters(t *testing.T) {
-	r := NewRecorder()
+	r := NewRecorder(nil)
 	r.RecordCreateLocal("C")
 	r.RecordCreateRemote("C", "rrp://b:1")
 	r.RecordCreateServed("C", "rrp://a:1")
@@ -261,7 +261,7 @@ func TestClassCounters(t *testing.T) {
 // goroutines; exact totals prove no update was lost (run under -race in
 // CI).
 func TestConcurrentRecording(t *testing.T) {
-	r := NewRecorder()
+	r := NewRecorder(nil)
 	o := pinned(t)
 	const workers = 8
 	const each = 500
@@ -308,7 +308,7 @@ func TestConcurrentRecording(t *testing.T) {
 // — a long-running node's recorder tracks the live working set, not
 // every object it ever served.
 func TestSnapshotEvictsCollectedObjects(t *testing.T) {
-	r := NewRecorder()
+	r := NewRecorder(nil)
 	keep := obj()
 	r.ForObject(keep, "keep", "C").RecordLocal()
 	func() {
@@ -335,7 +335,7 @@ func TestSnapshotEvictsCollectedObjects(t *testing.T) {
 // goes when the object is collected, so a long-lived reader's state is
 // bounded by the live working set too.
 func TestWindowDropsCollectedBaselines(t *testing.T) {
-	r := NewRecorder()
+	r := NewRecorder(nil)
 	w := r.NewWindow()
 	keep := obj()
 	r.ForObject(keep, "keep", "C").RecordLocal()
@@ -394,27 +394,33 @@ func TestSizeEstimates(t *testing.T) {
 	}
 }
 
+// peerRows indexes reg's peer.* rows as "name{key}".
+func peerRows(reg *metrics.Registry) map[string]metrics.Row {
+	out := map[string]metrics.Row{}
+	for _, row := range reg.Snapshot() {
+		out[row.Name+"{"+row.Key+"}"] = row
+	}
+	return out
+}
+
 func TestPeerRollups(t *testing.T) {
-	r := NewRecorder()
+	reg := metrics.New()
+	r := NewRecorder(reg)
 	r.RecordOutbound("C", "rrp://b:1", 100, 2*time.Millisecond)
 	r.RecordOutbound("D", "rrp://b:1", 50, 4*time.Millisecond)
 	r.RecordPeerRTT("rrp://c:1", time.Millisecond)
 
-	byEp := map[string]PeerSample{}
-	for _, s := range r.SnapshotPeers() {
-		byEp[s.Endpoint] = s
+	rows := peerRows(reg)
+	if calls, bytes := rows["peer.calls{rrp://b:1}"], rows["peer.bytes{rrp://b:1}"]; calls.Value != 2 || bytes.Value != 150 {
+		t.Fatalf("peer b rollup: calls %+v bytes %+v", calls, bytes)
 	}
-	b := byEp["rrp://b:1"]
-	if b.Calls != 2 || b.Bytes != 150 {
-		t.Fatalf("peer b rollup: %+v", b)
-	}
-	if b.RTTEWMANs < float64(time.Millisecond) || b.RTTEWMANs > float64(4*time.Millisecond) {
-		t.Fatalf("peer b RTT EWMA out of range: %v", b.RTTEWMANs)
+	rtt := rows["peer.rtt_ns{rrp://b:1}"]
+	if rtt.Kind != "ewma" || rtt.Value < int64(time.Millisecond) || rtt.Value > int64(4*time.Millisecond) {
+		t.Fatalf("peer b RTT EWMA out of range: %+v", rtt)
 	}
 	// A ping-only peer has an RTT but no invocation counts.
-	c := byEp["rrp://c:1"]
-	if c.Calls != 0 || c.RTTEWMANs != float64(time.Millisecond) {
-		t.Fatalf("ping-only peer rollup: %+v", c)
+	if _, ok := rows["peer.calls{rrp://c:1}"]; ok || rows["peer.rtt_ns{rrp://c:1}"].Value != int64(time.Millisecond) {
+		t.Fatalf("ping-only peer rollup: %+v", rows)
 	}
 	rtts := r.PeerRTTs()
 	if len(rtts) != 2 || rtts["rrp://c:1"] != float64(time.Millisecond) {
@@ -435,22 +441,22 @@ func TestPeerRTTAggregatesAcrossPoolShards(t *testing.T) {
 		t.Fatalf("PeerKey canonical form: %q", got)
 	}
 
-	r := NewRecorder()
+	reg := metrics.New()
+	r := NewRecorder(reg)
 	r.RecordOutbound("C", "rrp://b:1#0", 100, 2*time.Millisecond)
 	r.RecordOutbound("C", "rrp://b:1#1", 100, 2*time.Millisecond)
 	r.RecordOutbound("C", "rrp://b:1", 100, 2*time.Millisecond)
 	r.RecordPeerRTT("rrp://b:1#7", 2*time.Millisecond)
 
-	peers := r.SnapshotPeers()
-	if len(peers) != 1 {
-		t.Fatalf("shard-qualified endpoints fragmented the rollup: %+v", peers)
+	rows := peerRows(reg)
+	if len(rows) != 3 {
+		t.Fatalf("shard-qualified endpoints fragmented the rollup: %+v", rows)
 	}
-	p := peers[0]
-	if p.Endpoint != "rrp://b:1" || p.Calls != 3 || p.Bytes != 300 {
-		t.Fatalf("aggregated peer rollup: %+v", p)
+	if calls, bytes := rows["peer.calls{rrp://b:1}"], rows["peer.bytes{rrp://b:1}"]; calls.Value != 3 || bytes.Value != 300 {
+		t.Fatalf("aggregated peer rollup: calls %+v bytes %+v", calls, bytes)
 	}
-	if p.RTTEWMANs != float64(2*time.Millisecond) {
-		t.Fatalf("aggregated RTT EWMA: %v", p.RTTEWMANs)
+	if rtt := rows["peer.rtt_ns{rrp://b:1}"]; rtt.Value != int64(2*time.Millisecond) {
+		t.Fatalf("aggregated RTT EWMA: %+v", rtt)
 	}
 	rtts := r.PeerRTTs()
 	if len(rtts) != 1 || rtts["rrp://b:1"] == 0 {

@@ -19,10 +19,9 @@ import (
 // object's calls on one socket, so per-object request order on the wire
 // matches issue order exactly as it did with a single connection.
 //
-// Shard 0 is the canonical connection: ClientCache.Get and
-// ClientCache.Call pin it, so the cluster plane's gossip exchanges and
-// RTT pings always ride the same socket and membership timing is not
-// smeared across shards.
+// Shard 0 is the canonical connection: ClientCache.Call pins it, so the
+// cluster plane's gossip exchanges and RTT pings always ride the same
+// socket and membership timing is not smeared across shards.
 //
 // # Thread safety
 //
@@ -190,9 +189,10 @@ const TokenedRetryRounds = 4
 // failover safe — the server's dedup window recognises the token and
 // replays the recorded response instead of executing twice
 // (docs/CONCURRENCY.md §10) — so they retry persistently, for
-// TokenedRetryRounds passes over the pool, and each retry bumps the
-// token's attempt ordinal.  Untokened (legacy) requests get one pass,
-// the historical at-least-once regime.  With every attempt exhausted
+// TokenedRetryRounds passes over the pool, and each send after a failed
+// send bumps the token's attempt ordinal (a failed dial sends nothing,
+// so it makes no retry).  Untokened (legacy) requests get one pass, the
+// historical at-least-once regime.  With every attempt exhausted
 // the last error is returned and surfaces as sys.RemoteException.
 func (p *Pool) CallKey(key string, req *wire.Request) (*wire.Response, error) {
 	start := p.shardIndex(key)
@@ -201,6 +201,7 @@ func (p *Pool) CallKey(key string, req *wire.Request) (*wire.Response, error) {
 		attempts *= TokenedRetryRounds
 	}
 	var lastErr error
+	retry := false // a send has failed, so the next send is a retry
 	for attempt := 0; attempt < attempts; attempt++ {
 		i := (start + attempt) % len(p.shards)
 		c, err := p.client(i)
@@ -211,13 +212,14 @@ func (p *Pool) CallKey(key string, req *wire.Request) (*wire.Response, error) {
 			}
 			continue
 		}
-		if attempt > 0 && req.Token != nil {
+		if retry && req.Token != nil {
 			req.Token.Attempt++
 		}
 		resp, err := c.Call(req)
 		if err == nil {
 			return resp, nil
 		}
+		retry = true
 		lastErr = fmt.Errorf("%s: %w", p.ShardID(i), err)
 		p.evict(i, c)
 		if p.onFailover != nil {

@@ -13,8 +13,9 @@ import (
 // fakeTransport hands out controllable clients so pool tests can count
 // dials, kill shards and count Close calls exactly.
 type fakeTransport struct {
-	mu      sync.Mutex
-	clients []*fakeClient
+	mu        sync.Mutex
+	clients   []*fakeClient
+	failDials int // the next failDials dials fail
 }
 
 func (f *fakeTransport) Proto() string { return "fake" }
@@ -26,6 +27,10 @@ func (f *fakeTransport) Listen(addr string, h Handler) (Server, error) {
 func (f *fakeTransport) Dial(endpoint string) (Client, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	if f.failDials > 0 {
+		f.failDials--
+		return nil, fmt.Errorf("fake dial refused")
+	}
 	c := &fakeClient{}
 	f.clients = append(f.clients, c)
 	return c, nil
@@ -38,9 +43,10 @@ func (f *fakeTransport) dialled() []*fakeClient {
 }
 
 type fakeClient struct {
-	dead   atomic.Bool
-	calls  atomic.Int64
-	closes atomic.Int64
+	dead    atomic.Bool
+	calls   atomic.Int64
+	closes  atomic.Int64
+	attempt atomic.Uint32 // the token attempt of the last delivered call
 }
 
 func (c *fakeClient) Call(req *wire.Request) (*wire.Response, error) {
@@ -48,6 +54,9 @@ func (c *fakeClient) Call(req *wire.Request) (*wire.Response, error) {
 		return nil, fmt.Errorf("fake connection dead")
 	}
 	c.calls.Add(1)
+	if req.Token != nil {
+		c.attempt.Store(req.Token.Attempt)
+	}
 	return &wire.Response{ID: req.ID}, nil
 }
 
@@ -94,7 +103,7 @@ func TestPoolShard0PinnedForGossipPath(t *testing.T) {
 	cc, ft := fakeCache(t, 4)
 	defer cc.Close()
 	const ep = "fake://peer"
-	// Call (the gossip path) must pin one socket; Get must return it.
+	// Call (the gossip path) must pin one socket: the pool's shard 0.
 	for i := 0; i < 20; i++ {
 		if _, err := cc.Call(ep, &wire.Request{ID: uint64(i)}); err != nil {
 			t.Fatal(err)
@@ -103,12 +112,16 @@ func TestPoolShard0PinnedForGossipPath(t *testing.T) {
 	if n := len(ft.dialled()); n != 1 {
 		t.Fatalf("shard-0 path dialled %d connections, want 1", n)
 	}
-	c0, err := cc.Get(ep)
+	p, err := cc.Pool(ep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c0, err := p.client(0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if c0 != Client(ft.dialled()[0]) {
-		t.Fatal("Get did not return the shard-0 connection Call uses")
+		t.Fatal("shard 0 is not the connection Call uses")
 	}
 }
 
@@ -191,8 +204,8 @@ func TestClientCacheCloseDrainsEveryShardExactlyOnce(t *testing.T) {
 			t.Fatalf("after double Close, shard %d closed %d times", i, got)
 		}
 	}
-	if _, err := cc.Get(ep); err == nil {
-		t.Fatal("Get after Close succeeded")
+	if _, err := cc.Pool(ep); err == nil {
+		t.Fatal("Pool after Close succeeded")
 	}
 	if _, err := cc.CallKey(ep, "k", &wire.Request{ID: 9}); err == nil {
 		t.Fatal("CallKey after Close succeeded")
@@ -373,5 +386,25 @@ func TestPoolTokenedRetryPersists(t *testing.T) {
 	}
 	if req.Token.Seq != 9 || req.Token.Caller != "n!1" {
 		t.Fatalf("retry mutated token identity: %+v", req.Token)
+	}
+}
+
+// TestPoolSendAfterFailedDialIsFirstAttempt: a failed dial sends
+// nothing, so the send after it is the call's first delivery and must
+// carry attempt 0 — only a send after a failed send is a retry.
+func TestPoolSendAfterFailedDialIsFirstAttempt(t *testing.T) {
+	cc, ft := fakeCache(t, 2)
+	defer cc.Close()
+	ft.failDials = 1
+	req := &wire.Request{ID: 1, Token: &wire.CallToken{Caller: "n!1", Seq: 1}}
+	if _, err := cc.CallKey("fake://peer", "", req); err != nil {
+		t.Fatal(err)
+	}
+	clients := ft.dialled()
+	if len(clients) != 1 || clients[0].calls.Load() != 1 {
+		t.Fatalf("want one delivery on the second shard, got %d connections", len(clients))
+	}
+	if got := clients[0].attempt.Load(); got != 0 || req.Token.Attempt != 0 {
+		t.Fatalf("first delivery stamped attempt %d (token %d), want 0", got, req.Token.Attempt)
 	}
 }

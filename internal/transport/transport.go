@@ -163,15 +163,6 @@ func (r *Registry) Get(proto string) (Transport, error) {
 	return t, nil
 }
 
-// Protos returns the registered protocol names.
-func (r *Registry) Protos() []string {
-	out := make([]string, 0, len(r.byProto))
-	for p := range r.byProto {
-		out = append(out, p)
-	}
-	return out
-}
-
 // Dial resolves the endpoint's protocol and dials it.
 func (r *Registry) Dial(endpoint string) (Client, error) {
 	proto, _, err := SplitEndpoint(endpoint)
@@ -202,12 +193,6 @@ type ClientCache struct {
 	pools      map[string]*Pool
 	closed     bool
 	onFailover FailoverFunc
-}
-
-// NewClientCache returns an empty cache dialling through reg, with the
-// default pool width (one shard per scheduler processor, capped).
-func NewClientCache(reg *Registry) *ClientCache {
-	return NewClientCachePool(reg, 0)
 }
 
 // NewClientCachePool returns an empty cache whose per-endpoint pools
@@ -246,19 +231,6 @@ func (cc *ClientCache) Pool(endpoint string) (*Pool, error) {
 		cc.pools[endpoint] = p
 	}
 	return p, nil
-}
-
-// Get returns the endpoint's canonical (shard 0) client, dialling on
-// first use.  Two racing first uses both dial; the loser's connection
-// is closed and every caller converges on one client per shard.  The
-// cluster plane gets its connection here, so gossip and RTT pings ride
-// one stable socket regardless of the pool width.
-func (cc *ClientCache) Get(endpoint string) (Client, error) {
-	p, err := cc.Pool(endpoint)
-	if err != nil {
-		return nil, err
-	}
-	return p.client(0)
 }
 
 // Call performs one request on the endpoint's canonical shard-0

@@ -143,9 +143,10 @@ func TestServerCloseUnblocksClients(t *testing.T) {
 
 func TestRegistry(t *testing.T) {
 	reg := Default(Options{})
-	protos := reg.Protos()
-	if len(protos) != 4 {
-		t.Fatalf("protos: %v", protos)
+	for _, proto := range []string{"inproc", "rrp", "soap", "json"} {
+		if tr, err := reg.Get(proto); err != nil || tr.Proto() != proto {
+			t.Fatalf("protocol %s not registered: %v", proto, err)
+		}
 	}
 	if _, err := reg.Get("nope"); err == nil {
 		t.Fatal("unknown proto accepted")
@@ -242,7 +243,7 @@ func TestClientCacheSharesConnections(t *testing.T) {
 	}
 	defer srv.Close()
 
-	cc := NewClientCache(reg)
+	cc := NewClientCachePool(reg, 0)
 	defer cc.Close()
 	var wg sync.WaitGroup
 	clients := make([]Client, 8)
@@ -250,7 +251,12 @@ func TestClientCacheSharesConnections(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			c, err := cc.Get(srv.Endpoint())
+			p, err := cc.Pool(srv.Endpoint())
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			c, err := p.client(0)
 			if err != nil {
 				t.Error(err)
 				return
@@ -271,7 +277,7 @@ func TestClientCacheSharesConnections(t *testing.T) {
 	if err := cc.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cc.Get(srv.Endpoint()); err == nil {
-		t.Fatal("Get after Close succeeded")
+	if _, err := cc.Pool(srv.Endpoint()); err == nil {
+		t.Fatal("Pool after Close succeeded")
 	}
 }

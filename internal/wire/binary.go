@@ -3,7 +3,6 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
 )
 
@@ -21,8 +20,7 @@ import (
 // Decoded messages never alias the input slice: every string is either
 // copied or, for the identifiers a StringTable interns, shared from that
 // bounded per-connection table, so frame buffers can be recycled
-// immediately after decoding.  The io.Reader/io.Writer forms are thin
-// wrappers for stream-oriented callers.
+// immediately after decoding.
 
 // AppendRequest appends req's encoding to dst and returns the extended
 // slice.
@@ -399,38 +397,6 @@ func (d *bdec) token(t *CallToken) *CallToken {
 		return nil
 	}
 	return t
-}
-
-// EncodeRequest serialises req to a stream.
-func EncodeRequest(w io.Writer, req *Request) error {
-	_, err := w.Write(AppendRequest(nil, req))
-	return err
-}
-
-// DecodeRequest reads one request from a stream holding exactly one
-// encoded request.
-func DecodeRequest(r io.Reader) (*Request, error) {
-	b, err := io.ReadAll(r)
-	if err != nil {
-		return nil, err
-	}
-	return DecodeRequestBytes(b)
-}
-
-// EncodeResponse serialises resp to a stream.
-func EncodeResponse(w io.Writer, resp *Response) error {
-	_, err := w.Write(AppendResponse(nil, resp))
-	return err
-}
-
-// DecodeResponse reads one response from a stream holding exactly one
-// encoded response.
-func DecodeResponse(r io.Reader) (*Response, error) {
-	b, err := io.ReadAll(r)
-	if err != nil {
-		return nil, err
-	}
-	return DecodeResponseBytes(b)
 }
 
 const maxSeq = 1 << 24

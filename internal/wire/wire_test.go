@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"encoding/xml"
+	"io"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -193,11 +194,7 @@ func TestBinaryRequestRoundTripProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		req := randomRequest(r)
-		var buf bytes.Buffer
-		if err := EncodeRequest(&buf, req); err != nil {
-			return false
-		}
-		back, err := DecodeRequest(&buf)
+		back, err := DecodeRequestBytes(AppendRequest(nil, req))
 		if err != nil {
 			return false
 		}
@@ -229,11 +226,7 @@ func TestBinaryResponseRoundTripProperty(t *testing.T) {
 		if r.Intn(2) == 1 {
 			resp.Epoch = r.Uint64()
 		}
-		var buf bytes.Buffer
-		if err := EncodeResponse(&buf, resp); err != nil {
-			return false
-		}
-		back, err := DecodeResponse(&buf)
+		back, err := DecodeResponseBytes(AppendResponse(nil, resp))
 		if err != nil {
 			return false
 		}
@@ -351,23 +344,6 @@ func TestBytesCodecRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestBytesCodecMatchesStreamCodec pins the two entry points to one wire
-// format: the stream wrappers must produce byte-identical output to the
-// append codec.
-func TestBytesCodecMatchesStreamCodec(t *testing.T) {
-	r := rand.New(rand.NewSource(11))
-	for i := 0; i < 50; i++ {
-		req := randomRequest(r)
-		var buf bytes.Buffer
-		if err := EncodeRequest(&buf, req); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(buf.Bytes(), AppendRequest(nil, req)) {
-			t.Fatalf("stream and bytes encodings diverge for %+v", req)
-		}
 	}
 }
 
@@ -605,13 +581,9 @@ func TestTokenHTTPCodecs(t *testing.T) {
 func TestDecodeRejectsTruncation(t *testing.T) {
 	req := &Request{ID: 1, Op: OpInvoke, GUID: "g", Method: "m",
 		Args: []Value{{Kind: KString, Str: "payload-payload"}}}
-	var buf bytes.Buffer
-	if err := EncodeRequest(&buf, req); err != nil {
-		t.Fatal(err)
-	}
-	full := buf.Bytes()
+	full := AppendRequest(nil, req)
 	for cut := 1; cut < len(full)-1; cut += 3 {
-		if _, err := DecodeRequest(bytes.NewReader(full[:cut])); err == nil {
+		if _, err := DecodeRequestBytes(full[:cut]); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
 	}
@@ -630,7 +602,7 @@ func BenchmarkSeedEncodeChain(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var buf bytes.Buffer
 		bw := bufio.NewWriter(&buf)
-		if err := EncodeRequest(bw, benchReq); err != nil {
+		if _, err := bw.Write(AppendRequest(nil, benchReq)); err != nil {
 			b.Fatal(err)
 		}
 		bw.Flush()
@@ -639,7 +611,11 @@ func BenchmarkSeedEncodeChain(b *testing.B) {
 		frame := make([]byte, 0, n+buf.Len())
 		frame = append(frame, hdr[:n]...)
 		frame = append(frame, buf.Bytes()...)
-		if _, err := DecodeRequest(bufio.NewReader(bytes.NewReader(frame[n:]))); err != nil {
+		payload, err := io.ReadAll(bufio.NewReader(bytes.NewReader(frame[n:])))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := DecodeRequestBytes(payload); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -4,15 +4,20 @@ import (
 	"encoding/json"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
+
+	"rafda/internal/metrics"
 )
 
-// TestIntrospectTelemetrySections reads the three telemetry sections of
-// the "metrics" snapshot — objects, classes, peers — on a pair where
+// TestIntrospectTelemetrySections reads the telemetry facts of the
+// "metrics" snapshot — the objects and classes sections, and the
+// peer.calls, peer.bytes and peer.rtt_ns registry rows — on a pair where
 // each node serves one call and makes one outgoing proxy call: a calls
 // relay() on the Outer placed at b, whose relay calls get() on the
 // Inner that stayed at a.  Every section must use snake_case keys, and
-// each count must be exactly that one call.
+// each count must be exactly that one call: peer.calls{b} is the class's
+// out_calls[b] and peer.bytes{b} its out_bytes.
 func TestIntrospectTelemetrySections(t *testing.T) {
 	tr := traceFixture(t)
 	a, epA := traceNode(t, tr, "a", NetProfile{})
@@ -47,7 +52,7 @@ func TestIntrospectTelemetrySections(t *testing.T) {
 		var snap struct {
 			Objects []map[string]any `json:"objects"`
 			Classes []map[string]any `json:"classes"`
-			Peers   []map[string]any `json:"peers"`
+			Metrics []metrics.Row    `json:"metrics"`
 		}
 		if err := json.Unmarshal([]byte(out), &snap); err != nil {
 			t.Fatal(err)
@@ -80,14 +85,20 @@ func TestIntrospectTelemetrySections(t *testing.T) {
 			t.Fatalf("%s class = %v, want one %s call to %s", name, c, tc.called, tc.peer)
 		}
 
-		if len(snap.Peers) != 1 {
-			t.Fatalf("%s peers = %v, want %s", name, snap.Peers, tc.peer)
+		// The peer rollups are registry rows, one per family.
+		peer := map[string]metrics.Row{}
+		for _, row := range snap.Metrics {
+			if strings.HasPrefix(row.Name, "peer.") {
+				if row.Key != tc.peer {
+					t.Fatalf("%s peer row %+v, want only %s", name, row, tc.peer)
+				}
+				peer[row.Name] = row
+			}
 		}
-		p := snap.Peers[0]
-		wantKeys(t, name+" peer", p, "endpoint", "calls", "bytes", "rtt_ewma_ns")
-		if p["endpoint"] != tc.peer || p["calls"] != 1.0 ||
-			p["bytes"] != c["out_bytes"] || p["rtt_ewma_ns"].(float64) <= 0 {
-			t.Fatalf("%s peer = %v, want one call to %s", name, p, tc.peer)
+		if len(peer) != 3 || float64(peer["peer.calls"].Value) != c["out_calls"].(map[string]any)[tc.peer] ||
+			float64(peer["peer.bytes"].Value) != c["out_bytes"] ||
+			peer["peer.rtt_ns"].Kind != "ewma" || peer["peer.rtt_ns"].Value <= 0 {
+			t.Fatalf("%s peer rows = %+v, want one call to %s", name, peer, tc.peer)
 		}
 	}
 }
