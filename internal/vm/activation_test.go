@@ -11,7 +11,8 @@ import (
 // bankSource is the benchmark's app.local program: one step() makes 65
 // transfers between Account objects, each a withdraw and a deposit that
 // the transformation routes through an _O_Int interface and get_/set_
-// accessors — about 590 method activations.
+// accessors — 200 method activations, the accessors run at their call
+// sites without one.
 const bankSource = `
 class Account {
     int balance;
@@ -45,11 +46,21 @@ class Setup {
 }
 class Main { static void main() {} }`
 
-// localBank builds the transformed bank program on a VM the way the
+// counterSource: tally's loop reads and writes a field of this, which
+// the transformation turns into a get_n and a set_n call per iteration.
+const counterSource = `
+class Counter {
+    int n;
+    int tally(int k) { for (int i = 0; i < k; i = i + 1) { n = n + 1; } return n; }
+}
+class Setup { static Counter make() { return new Counter(); } }
+class Main { static void main() {} }`
+
+// local builds the transformed program src on a VM the way the
 // benchmark's vm probe does: BindLocal after vm.New.
-func localBank(tb testing.TB) (*vm.VM, *transform.Result) {
+func local(tb testing.TB, src string) *vm.VM {
 	tb.Helper()
-	prog, err := minijava.Compile(bankSource)
+	prog, err := minijava.Compile(src)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -62,7 +73,7 @@ func localBank(tb testing.TB) (*vm.VM, *transform.Result) {
 		tb.Fatal(err)
 	}
 	transform.BindLocal(m, res)
-	return m, res
+	return m
 }
 
 func make1(tb testing.TB, m *vm.VM, method string, args ...vm.Value) vm.Value {
@@ -76,7 +87,7 @@ func make1(tb testing.TB, m *vm.VM, method string, args ...vm.Value) vm.Value {
 
 // stepper returns a function running one verified Driver.step().
 func stepper(tb testing.TB) func() {
-	m, _ := localBank(tb)
+	m := local(tb, bankSource)
 	driver := make1(tb, m, "make", vm.IntV(3))
 	class := driver.O.ClassName()
 	return func() {
@@ -93,7 +104,7 @@ func stepper(tb testing.TB) func() {
 // accessorPair returns a function doing one set_balance/get_balance pair
 // on an Account through the entry point a node dispatch uses.
 func accessorPair(tb testing.TB) func() {
-	m, _ := localBank(tb)
+	m := local(tb, bankSource)
 	acct := make1(tb, m, "account")
 	class := acct.O.ClassName()
 	get, set := transform.Getter("balance"), transform.Setter("balance")
@@ -121,6 +132,53 @@ func BenchmarkActivationAccessor(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		pair()
+	}
+}
+
+// BenchmarkAccessorSite: the interpreted caller's side of
+// BenchmarkActivationAccessor — get_n/set_n reached from call sites in a
+// loop, which run them without an activation.  One op is one tally of
+// sitePairs iterations.
+func BenchmarkAccessorSite(b *testing.B) {
+	const sitePairs = 64
+	m := local(b, counterSource)
+	counter := make1(b, m, "make")
+	class := counter.O.ClassName()
+	args := []vm.Value{vm.IntV(sitePairs)}
+	tally := func() int64 {
+		got, err := m.Invoke(class, "tally", counter, args)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return got.I
+	}
+	start := tally()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tally()
+	}
+	b.StopTimer()
+	if got, want := tally(), start+int64(b.N+1)*sitePairs; got != want {
+		b.Fatalf("tally reached %d, want %d", got, want)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*sitePairs), "ns/pair")
+}
+
+// TestAccessorSiteBank: what step() writes through accessors run at
+// their call sites is what a by-name accessor, which activates, reads
+// back, and the bank's total is conserved step after step.
+func TestAccessorSiteBank(t *testing.T) {
+	m := local(t, bankSource)
+	driver := make1(t, m, "make", vm.IntV(3))
+	class := driver.O.ClassName()
+	for i := 0; i < 5; i++ {
+		if got, err := m.Invoke(class, "step", driver, nil); err != nil || got.I != 4000 {
+			t.Fatalf("step %d = %v %v, want the conserved total 4000", i, got, err)
+		}
+	}
+	if got, err := m.Invoke(class, transform.Getter("salt"), driver, nil); err != nil || got.I != 3+5 {
+		t.Fatalf("get_salt after five steps = %v %v, want 8", got, err)
 	}
 }
 

@@ -325,6 +325,13 @@ func (v *VM) run(env *Env, c *code, base int) (Value, *Thrown, error) {
 			if in.Op == ir.OpInvokeStatic && callee.nargs != in.NArgs {
 				return c.fault(pc, "invokestatic of instance method %s.%s", in.Owner, in.Member)
 			}
+			// Accessors are instance methods, which invokestatic refused.
+			if callee.accessor != notAccessor {
+				if next, ok := v.accessorAt(env, callee, f, sp); ok {
+					sp = next
+					break
+				}
+			}
 			// The callee's frame starts at its arguments (a static method
 			// reached through an instance invoke leaves the receiver below).
 			res, thrown, err := v.invoke(env, callee, base+sp-callee.nargs)
@@ -370,6 +377,9 @@ func (v *VM) run(env *Env, c *code, base int) (Value, *Thrown, error) {
 				pendingThrow = v.throwSys(stdlib.NullPointerClass, "index of null array")
 				continue
 			}
+			if arr.K != ir.KindArray {
+				return c.fault(pc, "aload on non-array %v", arr.K)
+			}
 			if idx < 0 || int(idx) >= len(arr.A.Vals) {
 				pendingThrow = v.throwSys(stdlib.IndexBoundsClass,
 					fmt.Sprintf("index %d out of range %d", idx, len(arr.A.Vals)))
@@ -387,6 +397,9 @@ func (v *VM) run(env *Env, c *code, base int) (Value, *Thrown, error) {
 				pendingThrow = v.throwSys(stdlib.NullPointerClass, "store to null array")
 				continue
 			}
+			if arr.K != ir.KindArray {
+				return c.fault(pc, "astore on non-array %v", arr.K)
+			}
 			if idx < 0 || int(idx) >= len(arr.A.Vals) {
 				pendingThrow = v.throwSys(stdlib.IndexBoundsClass,
 					fmt.Sprintf("index %d out of range %d", idx, len(arr.A.Vals)))
@@ -402,6 +415,9 @@ func (v *VM) run(env *Env, c *code, base int) (Value, *Thrown, error) {
 			if arr.IsNullRef() {
 				pendingThrow = v.throwSys(stdlib.NullPointerClass, "length of null array")
 				continue
+			}
+			if arr.K != ir.KindArray {
+				return c.fault(pc, "arraylen on non-array %v", arr.K)
 			}
 			*arr = IntV(int64(len(arr.A.Vals)))
 
@@ -530,6 +546,40 @@ func (v *VM) run(env *Env, c *code, base int) (Value, *Thrown, error) {
 		}
 		pc++
 	}
+}
+
+// accessorAt runs callee, a trivial accessor, at its call site on the
+// operands on top of f[:sp] (the receiver, then a setter's value) instead
+// of activating it, and returns the caller's new stack top.  It charges
+// the steps the activation would have, and shares the accessor's own
+// field-site caches with it.  Whenever the activation would do anything
+// but read or write the field — a receiver that is no object, the depth
+// limit, a step budget that runs out inside the accessor, a field the
+// receiver lacks — it reports false having changed nothing, and the call
+// goes through invoke, which faults exactly as it always has.
+func (v *VM) accessorAt(env *Env, callee *code, f []Value, sp int) (int, bool) {
+	n := int64(callee.nargs) + 2 // the loads, the field access, the return
+	recv := &f[sp-callee.nargs]
+	if env.depth >= v.maxDepth || env.steps > v.maxSteps-n || recv.K != ir.KindRef || recv.O == nil {
+		return sp, false
+	}
+	b := callee.body.Load()
+	if b == nil {
+		b = v.linkBody(callee)
+	}
+	code := callee.m.Code
+	if callee.accessor == getter {
+		val, _ := recv.O.load(code[1].Member, &b.sites[1])
+		if val.IsVoid() {
+			return sp, false
+		}
+		*recv = val
+	} else {
+		recv.O.store(code[2].Member, &b.sites[2], f[sp-1])
+		sp -= 2
+	}
+	env.steps += n
+	return sp, true
 }
 
 func (v *VM) catches(h *ir.TryHandler, t *Thrown) bool {

@@ -70,6 +70,10 @@ type code struct {
 	state *classState
 	nargs int // receiver + parameters: the slots the caller fills
 
+	// accessor marks a trivial getter or setter, which an invoke site
+	// runs without an activation (see VM.accessorAt).
+	accessor accessorKind
+
 	native atomic.Pointer[nativeBinding] // native methods, see callNative
 	body   atomic.Pointer[body]          // bytecode methods, built on first activation
 }
@@ -130,10 +134,45 @@ func (v *VM) classLink(l *linkage, c *ir.Class) *classLink {
 		if !m.Static {
 			nargs++
 		}
-		cl.codes[m] = &code{class: c, m: m, state: cl.state, nargs: nargs}
+		cl.codes[m] = &code{class: c, m: m, state: cl.state, nargs: nargs, accessor: accessorOf(m)}
 	}
 	actual, _ := l.classes.LoadOrStore(c, cl)
 	return actual.(*classLink)
+}
+
+// accessorKind classifies a method as a trivial field accessor.
+type accessorKind uint8
+
+const (
+	notAccessor accessorKind = iota
+	getter                   // load 0; getfield f; return.v
+	setter                   // load 0; load 1; putfield f; return
+)
+
+// accessorOf recognises the bodies property-isation generates for every
+// field, and hand-written Java-style accessors of the same shape: an
+// instance method that only reads or only writes one field of its
+// receiver.  Code after the return never runs (a compiler's guard against
+// falling off the end), so it does not matter.
+func accessorOf(m *ir.Method) accessorKind {
+	if m.Static || m.Native || m.Abstract || len(m.Handlers) != 0 {
+		return notAccessor
+	}
+	code := m.Code
+	switch {
+	case len(m.Params) == 0 && len(code) >= 3 &&
+		code[0].Op == ir.OpLoad && code[0].A == 0 &&
+		code[1].Op == ir.OpGetField &&
+		code[2].Op == ir.OpReturnValue:
+		return getter
+	case len(m.Params) == 1 && len(code) >= 4 &&
+		code[0].Op == ir.OpLoad && code[0].A == 0 &&
+		code[1].Op == ir.OpLoad && code[1].A == 1 &&
+		code[2].Op == ir.OpPutField &&
+		code[3].Op == ir.OpReturn:
+		return setter
+	}
+	return notAccessor
 }
 
 // resolve finds the method name/nargs for receiver class c: its by-name

@@ -8,6 +8,7 @@ import (
 
 	"rafda/internal/ir"
 	"rafda/internal/minijava"
+	"rafda/internal/stdlib"
 )
 
 func compileVM(t *testing.T, src string, opts ...Option) *VM {
@@ -240,6 +241,257 @@ func TestInlineCacheFollowsMorph(t *testing.T) {
 	}
 }
 
+// accessorProgram: P's get_x and set_x are trivial accessors, Q overrides
+// get_x with one that is not, and R's get_x is native, as a proxy's is.
+// Loop's call sites are what the tests drive; Special reaches P's
+// accessors through invokespecial, which minijava never emits.
+func accessorProgram(t *testing.T) *ir.Program {
+	t.Helper()
+	prog, err := minijava.Compile(`
+class P {
+    int x;
+    int get_x() { return x; }
+    void set_x(int v) { x = v; }
+}
+class Q extends P { int get_x() { return x + 100; } }
+class R { int x; native int get_x(); }
+class Loop {
+    static int bump(P p, int n) {
+        for (int i = 0; i < n; i = i + 1) { p.set_x(p.get_x() + 1); }
+        return p.get_x();
+    }
+    static int read(P p) { return p.get_x(); }
+    static int alternate(P a, P b) {
+        int acc = 0;
+        for (int i = 0; i < 4; i = i + 1) {
+            P p = a;
+            if (i % 2 == 1) { p = b; }
+            acc = acc * 1000 + p.get_x();
+        }
+        return acc;
+    }
+}
+class Main { static void main() {} }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	special := func(name string, params []ir.Type, code ...ir.Instr) *ir.Method {
+		return &ir.Method{Name: name, Params: params, Return: ir.Int, Static: true,
+			Access: ir.AccessPublic, MaxLocals: len(params), Code: code}
+	}
+	prog.MustAdd(&ir.Class{Name: "Special", Super: ir.ObjectClass, Methods: []*ir.Method{
+		special("put", []ir.Type{ir.Ref("P"), ir.Int},
+			ir.Instr{Op: ir.OpLoad, A: 0}, ir.Instr{Op: ir.OpLoad, A: 1},
+			ir.Instr{Op: ir.OpInvokeSpecial, Owner: "P", Member: "set_x", NArgs: 1},
+			ir.Instr{Op: ir.OpLoad, A: 0},
+			ir.Instr{Op: ir.OpInvokeSpecial, Owner: "P", Member: "get_x"},
+			ir.Instr{Op: ir.OpReturnValue}),
+		special("onInt", nil,
+			ir.Instr{Op: ir.OpConstInt, A: 7},
+			ir.Instr{Op: ir.OpInvokeSpecial, Owner: "P", Member: "get_x"},
+			ir.Instr{Op: ir.OpReturnValue}),
+	}})
+	return prog
+}
+
+// newX allocates an instance of class holding x, without a constructor.
+func newX(t *testing.T, v *VM, class string, x int64) Value {
+	t.Helper()
+	obj, err := v.NewObject(class)
+	if err != nil {
+		t.Fatal(err)
+	}
+	obj.Set("x", IntV(x))
+	return RefV(obj)
+}
+
+// TestAccessorSite: a call site runs a trivial accessor without
+// activating it, and nothing shows: results, the step and depth budgets,
+// every fault, and dispatch to overrides and morphed receivers are what
+// an activation gives.
+func TestAccessorSite(t *testing.T) {
+	prog := accessorProgram(t)
+	fault := func(t *testing.T, err error, want string) {
+		t.Helper()
+		var f *FaultError
+		if !errors.As(err, &f) || f.Msg != want {
+			t.Fatalf("want fault %q, got %v", want, err)
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		opts []Option
+		run  func(t *testing.T, v *VM)
+	}{
+		{"getter and setter", nil, func(t *testing.T, v *VM) {
+			p := newX(t, v, "P", 5)
+			if got, err := v.Invoke("Loop", "bump", Value{}, []Value{p, IntV(1000)}); err != nil || got.I != 1005 {
+				t.Fatalf("bump = %v %v, want 1005", got, err)
+			}
+			if got := p.O.Get("x").I; got != 1005 {
+				t.Fatalf("field after bump: %d", got)
+			}
+		}},
+		{"step budget", nil, func(t *testing.T, _ *VM) {
+			// bump(p, 3) takes need steps; every smaller budget faults,
+			// and it runs out inside an accessor once per accessor
+			// instruction executed: 3 for each of the four get_x
+			// calls, 4 for each of the three set_x calls.
+			const n, need = 3, 78
+			at := map[string]int{}
+			for k := int64(1); ; k++ {
+				v := MustNew(prog, WithMaxSteps(k))
+				got, err := v.Invoke("Loop", "bump", Value{}, []Value{newX(t, v, "P", 0), IntV(n)})
+				var f *FaultError
+				if errors.As(err, &f) && strings.HasSuffix(f.Msg, ": step limit exceeded") && k < 2*need {
+					at[f.Msg[:strings.Index(f.Msg, " pc=")]]++
+					continue
+				}
+				if k != need || err != nil || got.I != n {
+					t.Fatalf("budget %d: %v %v, want %d at budget %d and a step fault below", k, got, err, n, need)
+				}
+				break
+			}
+			if at["P.get_x"] != 3*(n+1) || at["P.set_x"] != 4*n {
+				t.Fatalf("step faults by method: %v", at)
+			}
+		}},
+		{"depth limit", []Option{WithMaxDepth(1)}, func(t *testing.T, v *VM) {
+			_, err := v.Invoke("Loop", "read", Value{}, []Value{newX(t, v, "P", 1)})
+			fault(t, err, "call depth limit exceeded")
+		}},
+		{"one below the depth limit", []Option{WithMaxDepth(2)}, func(t *testing.T, v *VM) {
+			if got, err := v.Invoke("Loop", "read", Value{}, []Value{newX(t, v, "P", 1)}); err != nil || got.I != 1 {
+				t.Fatalf("read = %v %v", got, err)
+			}
+		}},
+		{"null receiver", nil, func(t *testing.T, v *VM) {
+			_, err := v.Invoke("Loop", "read", Value{}, []Value{NullV()})
+			var unc *UncaughtError
+			if !errors.As(err, &unc) || unc.Class != stdlib.NullPointerClass || unc.Message != "invoke of P.get_x on null" {
+				t.Fatalf("want NPE, got %v", err)
+			}
+		}},
+		{"receiver without the field", nil, func(t *testing.T, v *VM) {
+			raw := NewRawObject(v.Program().Class("P"), map[string]Value{"y": IntV(1)})
+			_, err := v.Invoke("Loop", "read", Value{}, []Value{RefV(raw)})
+			fault(t, err, "P.get_x pc=1: no field x on P")
+		}},
+		{"override that is no accessor", nil, func(t *testing.T, v *VM) {
+			got, err := v.Invoke("Loop", "alternate", Value{}, []Value{newX(t, v, "P", 1), newX(t, v, "Q", 2)})
+			if err != nil || got.I != 1_102_001_102 {
+				t.Fatalf("alternate = %v %v, want 1102001102", got, err)
+			}
+		}},
+		{"morph to a native accessor", nil, func(t *testing.T, v *VM) {
+			v.RegisterClassNative("R", func(_ *Env, method string, recv Value, _ []Value) (Value, *Thrown, error) {
+				return IntV(recv.O.Get("x").I + 1000), nil, nil
+			})
+			p := newX(t, v, "P", 4)
+			read := func() int64 {
+				got, err := v.Invoke("Loop", "read", Value{}, []Value{p})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return got.I
+			}
+			if got := read(); got != 4 {
+				t.Fatalf("before morph: %d", got)
+			}
+			if err := v.Morph(p.O, "R", map[string]Value{"x": IntV(4)}); err != nil {
+				t.Fatal(err)
+			}
+			if got := read(); got != 1004 {
+				t.Fatalf("after morph the site answered %d, want the native's 1004", got)
+			}
+		}},
+		{"invokespecial", nil, func(t *testing.T, v *VM) {
+			if got, err := v.Invoke("Special", "put", Value{}, []Value{newX(t, v, "P", 0), IntV(21)}); err != nil || got.I != 21 {
+				t.Fatalf("put = %v %v", got, err)
+			}
+		}},
+		{"invokespecial on an int", nil, func(t *testing.T, v *VM) {
+			_, err := v.Invoke("Special", "onInt", Value{}, nil)
+			fault(t, err, "P.get_x pc=1: getfield on non-ref int")
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) { tc.run(t, MustNew(prog, tc.opts...)) })
+	}
+}
+
+// TestAccessorMarking: the link pass marks exactly the accessor shapes;
+// near misses keep their activation.
+func TestAccessorMarking(t *testing.T) {
+	prog := accessorProgram(t)
+	get, set := prog.Class("P").Method("get_x", 0), prog.Class("P").Method("set_x", 1)
+	variant := func(m *ir.Method, edit func(*ir.Method)) *ir.Method {
+		c := *m
+		c.Code = append([]ir.Instr(nil), m.Code...)
+		edit(&c)
+		return &c
+	}
+	for _, tc := range []struct {
+		name string
+		m    *ir.Method
+		want accessorKind
+	}{
+		{"getter", get, getter},
+		{"setter", set, setter},
+		{"override that adds", prog.Class("Q").Method("get_x", 0), notAccessor},
+		{"native", prog.Class("R").Method("get_x", 0), notAccessor},
+		{"static getter shape", variant(get, func(m *ir.Method) { m.Static = true }), notAccessor},
+		{"getter with a handler", variant(get, func(m *ir.Method) {
+			m.Handlers = []ir.TryHandler{{Start: 0, End: 2, Target: 2}}
+		}), notAccessor},
+		{"native with a getter body", variant(get, func(m *ir.Method) { m.Native = true }), notAccessor},
+		{"setter storing its receiver", variant(set, func(m *ir.Method) { m.Code[1].A = 0 }), notAccessor},
+		{"getter of another slot", variant(get, func(m *ir.Method) { m.Code[0].A = 1 }), notAccessor},
+	} {
+		if got := accessorOf(tc.m); got != tc.want {
+			t.Errorf("%s: classified %d, want %d", tc.name, got, tc.want)
+		}
+	}
+	v := MustNew(prog)
+	if _, cl := v.linked("P"); cl.codes[get].accessor != getter || cl.codes[set].accessor != setter {
+		t.Fatal("the link records of P's accessors are not marked")
+	}
+}
+
+// TestAccessorSiteConcurrent: executions on two goroutines run accessors
+// at their sites on objects of their own and on one they share (run it
+// under -race).
+func TestAccessorSiteConcurrent(t *testing.T) {
+	v := MustNew(accessorProgram(t))
+	shared := newX(t, v, "P", 0)
+	const rounds, per = 50, 20
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		own := newX(t, v, "P", 0)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				v.Exec(func(env *Env) {
+					for _, p := range []Value{own, shared} {
+						if _, thrown, err := env.Call("Loop", "bump", Value{}, []Value{p, IntV(per)}); thrown != nil || err != nil {
+							t.Error(thrown, err)
+						}
+					}
+				})
+			}
+			if got := own.O.Get("x").I; got != rounds*per {
+				t.Errorf("own object counted %d, want %d", got, rounds*per)
+			}
+		}()
+	}
+	wg.Wait()
+	// Increments of the shared object race (no gate is held), so some may
+	// be lost; none may be invented.
+	if got := shared.O.Get("x").I; got < 1 || got > 2*rounds*per {
+		t.Fatalf("shared object counted %d", got)
+	}
+}
+
 // TestInlineCacheSeesLateRegistration: a native rebound, and a class
 // added, after a call site and a by-name entry have been linked take
 // effect on the next call; relinking keeps static state.
@@ -337,6 +589,12 @@ func TestSlabFrameBounds(t *testing.T) {
 		{"swap: underflow", []ir.Instr{{Op: ir.OpConstInt}, {Op: ir.OpSwap}, {Op: ir.OpReturnValue}}},
 		{"add: underflow", []ir.Instr{{Op: ir.OpConstInt}, {Op: ir.OpAdd}, {Op: ir.OpReturnValue}}},
 		{"operand stack overflow", []ir.Instr{{Op: ir.OpConstInt, A: 1}, {Op: ir.OpJump, A: 0}}},
+		{"arraylen on non-array int", []ir.Instr{{Op: ir.OpConstInt, A: 5}, {Op: ir.OpArrayLen}, {Op: ir.OpReturnValue}}},
+		{"aload on non-array int", []ir.Instr{{Op: ir.OpConstInt, A: 5}, {Op: ir.OpConstInt}, {Op: ir.OpALoad}, {Op: ir.OpReturnValue}}},
+		{"astore on non-array ref", []ir.Instr{
+			{Op: ir.OpNew, Owner: "T"}, {Op: ir.OpConstInt}, {Op: ir.OpConstInt, A: 1}, {Op: ir.OpAStore},
+			{Op: ir.OpConstInt}, {Op: ir.OpReturnValue},
+		}},
 	} {
 		_, err := run(tc.code...)
 		var fault *FaultError
