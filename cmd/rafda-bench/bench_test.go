@@ -14,8 +14,6 @@ import (
 	"rafda/internal/corpus"
 	"rafda/internal/minijava"
 	"rafda/internal/transform"
-	"rafda/internal/transport"
-	"rafda/internal/wire"
 )
 
 // benchCalls drives b.N calls from parallel goroutines and reports
@@ -255,92 +253,37 @@ func BenchmarkE6_Redistribution(b *testing.B) {
 	})
 }
 
-// BenchmarkE7_ConcurrencyThroughput measures node-to-node RRP throughput
-// when N goroutines share one connection, at parallelism 1/8/64, on the
-// raw loopback and under simulated LAN conditions.  "serialized" is the
-// seed transport's behaviour (one call in flight for the round trip),
-// reproduced by a benchmark-side lock around each call; "multiplexed" is
-// the pipelined transport.  The handler is a pure echo, so the numbers
-// isolate transport + codec.
-func BenchmarkE7_ConcurrencyThroughput(b *testing.B) {
-	for _, nw := range echoNetworks {
-		for _, mode := range []string{"serialized", "multiplexed"} {
-			for _, parallel := range []int{1, 8, 64} {
-				b.Run(fmt.Sprintf("%s/%s/p%d", nw.name, mode, parallel), func(b *testing.B) {
-					tr := transport.NewRRP(transport.Options{Profile: nw.profile})
-					srv, err := tr.Listen("", echoHandler)
-					if err != nil {
-						b.Fatal(err)
-					}
-					defer srv.Close()
-					client, err := tr.Dial(srv.Endpoint())
-					if err != nil {
-						b.Fatal(err)
-					}
-					defer client.Close()
-					benchEchoCalls(b, client.Call, mode == "serialized", parallel)
-				})
-			}
-		}
-	}
-}
-
-// benchEchoCalls measures b.N E7/E11 echo requests through call.
-func benchEchoCalls(b *testing.B, call func(*wire.Request) (*wire.Response, error), serialized bool, parallel int) {
-	b.ReportAllocs()
-	b.ResetTimer()
-	d, err := echoCalls(call, serialized, load{parallel: parallel, calls: b.N})
-	b.StopTimer()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(d.perSec(), "calls/s")
-}
-
-// BenchmarkE7_NodeConcurrency is the end-to-end version: concurrent
-// proxy invocations between two full nodes (VM, marshalling, dispatch)
-// over the shared multiplexed RRP connection.
-func BenchmarkE7_NodeConcurrency(b *testing.B) {
-	for _, parallel := range []int{1, 8, 64} {
-		b.Run(fmt.Sprintf("p%d", parallel), func(b *testing.B) {
-			benchEcho(b, "rrp", rafda.NetProfile{}, parallel, int64(42), "add", 20, 22)
-		})
-	}
-}
-
 // BenchmarkE8_IntraNodeParallelism measures what the sharded VM lock
 // buys INSIDE one node: concurrent invocations (the node CallOn path —
 // the same gate discipline inbound dispatch uses) against distinct vs a
 // shared target object, under the sharded design and under the seed's
 // coarse-lock regime, reproduced by one benchmark-side lock around every
-// call.  The "block" workload (200µs of in-call blocking) is the
-// headline: it is the component a coarse lock cannot overlap no matter
-// the core count.  e8Measure fails the run if any update was lost.
+// call.  Each call blocks 200µs inside the VM, the component a coarse
+// lock cannot overlap no matter the core count.  e8Measure fails the
+// run if any update was lost.
 func BenchmarkE8_IntraNodeParallelism(b *testing.B) {
-	for _, wl := range e8Workloads {
-		for _, mode := range []string{"coarse", "sharded"} {
-			for _, target := range []string{"distinct", "shared"} {
-				for _, parallel := range []int{1, 8, 64} {
-					b.Run(fmt.Sprintf("%s/%s/%s/p%d", wl.name, mode, target, parallel), func(b *testing.B) {
-						objects := 1
-						if target == "distinct" {
-							objects = parallel
-						}
-						n, refs, err := e8Node(objects)
-						if err != nil {
-							b.Fatal(err)
-						}
-						defer n.Close()
-						b.ReportAllocs()
-						b.ResetTimer()
-						d, err := e8Measure(n, refs, wl.method, mode == "coarse", load{parallel: parallel, calls: b.N})
-						b.StopTimer()
-						if err != nil {
-							b.Fatal(err)
-						}
-						b.ReportMetric(d.perSec(), "calls/s")
-					})
-				}
+	for _, mode := range []string{"coarse", "sharded"} {
+		for _, target := range []string{"distinct", "shared"} {
+			for _, parallel := range []int{1, 8, 64} {
+				b.Run(fmt.Sprintf("%s/%s/p%d", mode, target, parallel), func(b *testing.B) {
+					objects := 1
+					if target == "distinct" {
+						objects = parallel
+					}
+					n, refs, err := e8Node(objects)
+					if err != nil {
+						b.Fatal(err)
+					}
+					defer n.Close()
+					b.ReportAllocs()
+					b.ResetTimer()
+					d, err := e8Measure(n, refs, mode == "coarse", load{parallel: parallel, calls: b.N})
+					b.StopTimer()
+					if err != nil {
+						b.Fatal(err)
+					}
+					b.ReportMetric(d.perSec(), "calls/s")
+				})
 			}
 		}
 	}
@@ -422,30 +365,4 @@ func BenchmarkE9_AdaptivePlacement(b *testing.B) {
 			return err
 		})
 	})
-}
-
-// BenchmarkE11_PooledTransport measures the pooled-transport saturation
-// experiment's core comparison: echo throughput at parallelism 64 over
-// a per-endpoint connection pool of width 1 (the E7 single-socket
-// configuration), 2, 4 and 8, under simulated LAN conditions.  On a
-// multicore host widening the pool lifts the calls/s ceiling — every
-// frame no longer funnels through one writer/reader goroutine pair; on
-// one core the rows stay flat (the pair already saturates the CPU).
-func BenchmarkE11_PooledTransport(b *testing.B) {
-	lan := echoNetworks[1]
-	for _, pool := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("%s/pool%d/p%d", lan.name, pool, e11Parallel), func(b *testing.B) {
-			tr := transport.NewRRP(transport.Options{Profile: lan.profile})
-			srv, err := tr.Listen("", echoHandler)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer srv.Close()
-			cc := transport.NewClientCachePool(transport.NewRegistry(tr), pool)
-			defer cc.Close()
-			benchEchoCalls(b, func(req *wire.Request) (*wire.Response, error) {
-				return cc.CallKey(srv.Endpoint(), "", req)
-			}, false, e11Parallel)
-		})
-	}
 }

@@ -59,9 +59,9 @@ type E12SeedResult struct {
 }
 
 // E12Report is the top-level BENCH_E12.json document.  ExactlyOnceOK
-// is the gate's key row: the fraction of seeds whose audits all held
-// (1.0 or the gate fails — there is no acceptable partial credit for
-// duplicated side-effects).
+// is the fraction of seeds whose audits all held; the run fails below
+// 1.0 — there is no acceptable partial credit for duplicated
+// side-effects.
 type E12Report struct {
 	header
 

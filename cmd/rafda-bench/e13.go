@@ -16,8 +16,9 @@ package main
 // asserts both callers immediately read the new value (no stale window
 // after the ack; docs/REPLICATION.md).
 //
-// Key row (gate): read_lift — replicated / single-home aggregate
-// reads/s, machine-independent.
+// Acceptance: read_lift — replicated / single-home aggregate reads/s —
+// must reach e13MinLift, which a replica read that went remote cannot,
+// and the write must be visible at every copy the moment it acks.
 
 import (
 	"fmt"

@@ -55,9 +55,9 @@ type E14SeedAudit struct {
 }
 
 // E14Report is the top-level BENCH_E14.json document.  OverheadOK is
-// the gate's key row: 1.0 when the traced arm's median throughput sits
+// the run's acceptance: 1.0 when the traced arm's CPU per call sits
 // within MaxOverhead of the untraced arm's AND every chaos seed's span
-// forest was complete and connected, else 0.0.
+// forest was complete and connected; the run fails otherwise.
 type E14Report struct {
 	header
 

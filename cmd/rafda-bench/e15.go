@@ -22,9 +22,9 @@ package main
 // the system rather than being silently omitted (the open-loop
 // correction for coordinated omission).
 //
-// Key row (gate): slo_ok — 1.0 iff every tenant's clean-phase p99 met
-// the SLO and the clean-phase error rate stayed under the bound.
-// Binary, machine-independent.
+// Acceptance: slo_ok — 1.0 iff every tenant's clean-phase p99 met the
+// SLO and the clean-phase error rate stayed under the bound; the run
+// fails otherwise.
 
 import (
 	"encoding/json"

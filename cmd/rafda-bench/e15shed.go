@@ -22,7 +22,7 @@ package main
 // measurement as much as the system, and every tenant's latency
 // drowns in scheduler noise before any policy can act.
 //
-// Key row (gate): shed_ok — 1.0 iff the priority and fair-share
+// Acceptance: shed_ok — 1.0 iff the priority and fair-share
 // policies both refused work and every high-priority tenant kept its
 // clean p99 under the SLO with at most a bounded shed fraction.  Latency is
 // again measured from scheduled arrival time (coordinated-omission

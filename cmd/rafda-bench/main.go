@@ -3,20 +3,14 @@
 // one entry of the table below; `rafda-bench -h` lists their ids.
 //
 //	rafda-bench [-exp ids] [-out dir] [-smoke] [-seeds n,...]
-//	rafda-bench -gate -exp ids -out dir
 //
 // -exp takes a comma list of ids, or all.  Experiments that keep a
 // record write BENCH_<ID>.json into -out (default "."; "" writes
 // nothing).  -smoke runs every experiment's short profile with its
 // slackened acceptance bars.  -seeds replaces a profile's schedule
-// seeds, to reproduce one chaos schedule.
-//
-// -gate is the perf-regression gate: it runs the listed experiments'
-// full profiles with their smoke acceptance bars (so a noisy run
-// reaches the comparison instead of failing before it) into -out, then
-// compares each entry's key row against the committed record in the
-// working directory and fails on a regression beyond the entry's
-// tolerance.
+// seeds, to reproduce one chaos schedule.  An experiment's acceptance
+// bars are its verdict: the command exits non-zero when any selected
+// entry misses them.
 //
 // bench_test.go runs the same workloads as testing.B benchmarks.
 package main
@@ -25,7 +19,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"runtime/debug"
 	"strconv"
 	"strings"
@@ -35,46 +28,26 @@ import (
 // profile is one way to run an experiment: its phase lengths, seeds
 // and acceptance bars.  Each experiment reads the fields it needs.
 type profile struct {
-	phase      time.Duration // e9/e10/e12/e13: each measured phase; e15: warm and recovery
-	churn      time.Duration // e15: node death + link degradation window
-	window     time.Duration // e9: adapter evaluation window
-	seeds      []uint64      // e12/e14: fault schedules; e15: arrival schedule (first)
-	rounds     int           // e14: alternating overhead rounds per arm
-	calls      int           // e14: echo calls per overhead round
-	auditCalls int           // e14: acked calls per audit seed (must fit the span ring)
-	rate       float64       // e15: offered arrivals/s
-	objects    int           // e15: object population
-
-	// e14: tolerated traced-vs-untraced CPU/call, as fine as the
-	// profile's rounds can resolve — so it is not one of the bars.
-	maxOverhead float64
-	bars
+	phase       time.Duration // e9/e10/e12/e13: each measured phase; e15: warm and recovery
+	churn       time.Duration // e15: node death + link degradation window
+	window      time.Duration // e9: adapter evaluation window
+	seeds       []uint64      // e12/e14: fault schedules; e15: arrival schedule (first)
+	rounds      int           // e14: alternating overhead rounds per arm
+	calls       int           // e14: echo calls per overhead round
+	auditCalls  int           // e14: acked calls per audit seed (must fit the span ring)
+	rate        float64       // e15: offered arrivals/s
+	objects     int           // e15: object population
+	maxOverhead float64       // e14: tolerated traced-vs-untraced CPU/call
+	minRatio    float64       // e9/e10: converged / manual-optimal throughput
+	sloP99      time.Duration // e15: per-tenant clean-phase p99
 }
 
-// bars are the acceptance bars a noisy run slackens.
-type bars struct {
-	minRatio float64       // e9/e10: converged / manual-optimal throughput
-	sloP99   time.Duration // e15: per-tenant clean-phase p99
-}
-
-// experiment is one row of the table.  An entry with a key is gated:
-// key reads its row out of a BENCH record and tol is how far the row
-// may fall below the committed record.
+// experiment is one row of the table.
 type experiment struct {
 	id, desc    string
 	run         func(p profile, out string) error
 	full, smoke profile
-	of          string // the entry whose run writes this entry's record; "" for itself
-	key         func(record []byte) (name string, val float64, err error)
-	tol         float64
 }
-
-// Gate tolerances: the stable tiers are held to 20 %; the convergence
-// ratios and the chaos pass fraction get 30 %.
-const (
-	tolStable = 0.20
-	tolNoisy  = 0.30
-)
 
 var experiments []*experiment
 
@@ -82,7 +55,7 @@ func init() {
 	chaos := profile{phase: 3 * time.Second, seeds: []uint64{1, 2, 3}}
 	e14full := profile{rounds: 5, calls: 12000, maxOverhead: 0.05, seeds: []uint64{1, 2}, auditCalls: 1200}
 	e15full := profile{rate: 1200, objects: 2000, phase: 2 * time.Second, churn: 1500 * time.Millisecond,
-		seeds: []uint64{1}, bars: bars{sloP99: 100 * time.Millisecond}}
+		seeds: []uint64{1}, sloP99: 100 * time.Millisecond}
 	experiments = []*experiment{
 		{id: "e1", desc: "Figures 2-5: transformed listings for class X", run: e1},
 		{id: "e2", desc: "§2.4 transformability over the JDK-like corpus", run: e2},
@@ -90,87 +63,42 @@ func init() {
 		{id: "e4", desc: "§3 wrapper-vs-transformation overhead", run: e4},
 		{id: "e5", desc: "proxy protocol comparison", run: e5},
 		{id: "e6", desc: "§4 dynamic redistribution", run: e6},
-		{id: "e7", run: e7,
-			desc: "RRP concurrency throughput: multiplexed transport vs lock-step baseline, echo workload",
-			key: keyRow("lan/multiplexed/p64 calls/s", func(r E7Report) float64 {
-				for _, row := range r.Results {
-					if row.Network == "lan" && row.Mode == "multiplexed" && row.Parallelism == 64 {
-						return row.CallsPerSec
-					}
-				}
-				return 0
-			}),
-			tol: tolStable},
 		{id: "e8", run: e8,
 			desc: "intra-node parallelism: sharded per-object VM locking vs coarse-lock baseline, " +
-				"CallOn invocations against distinct vs shared target objects"},
+				"blocking CallOn invocations against distinct vs shared target objects"},
 		{id: "e9", run: e9,
 			desc: "adaptive placement: mis-placed hot object, telemetry-driven migration " +
 				"vs manual-optimal placement, two nodes over simulated LAN",
-			full:  profile{phase: 3 * time.Second, window: 75 * time.Millisecond, bars: bars{minRatio: 0.8}},
-			smoke: profile{phase: 1500 * time.Millisecond, window: 50 * time.Millisecond, bars: bars{minRatio: 0.5}},
-			key:   keyRow("converged_ratio", func(r E9Report) float64 { return r.ConvergedRatio }),
-			tol:   tolNoisy},
+			full:  profile{phase: 3 * time.Second, window: 75 * time.Millisecond, minRatio: 0.8},
+			smoke: profile{phase: 1500 * time.Millisecond, window: 50 * time.Millisecond, minRatio: 0.5}},
 		{id: "e10", run: e10,
 			desc: "cluster coordination: 3-node gossip cluster converges a mis-placed hot object " +
 				"via a multi-hop migration (proposer != source != target), zero manual calls",
-			full:  profile{phase: 3 * time.Second, bars: bars{minRatio: 0.8}},
-			smoke: profile{phase: 1500 * time.Millisecond, bars: bars{minRatio: 0.5}},
-			key:   keyRow("converged_ratio", func(r E10Report) float64 { return r.ConvergedRatio }),
-			tol:   tolNoisy},
-		{id: "e11", run: e11,
-			desc: "pooled-transport saturation: sharded per-endpoint connection pools vs the " +
-				"single-socket baseline, echo workload at parallelism 64",
-			// Pool > 1 only: the key row must measure the *pooled*
-			// ceiling — counting the pool=1 baseline would let a total
-			// pooling collapse pass on the baseline's own throughput.
-			key: keyRow("best pooled lan/p64 calls/s", func(r E11Report) float64 {
-				var best float64
-				for _, row := range r.Results {
-					if row.Network == "lan" && row.Parallelism == 64 && row.Pool > 1 && row.CallsPerSec > best {
-						best = row.CallsPerSec
-					}
-				}
-				return best
-			}),
-			tol: tolStable},
+			full:  profile{phase: 3 * time.Second, minRatio: 0.8},
+			smoke: profile{phase: 1500 * time.Millisecond, minRatio: 0.5}},
 		{id: "e12", run: e12,
 			desc: "exactly-once invocation under injected faults: seeded frame duplication/drop/kill " +
 				"chaos over the adaptive two-node workload; counter==acked-calls, zero create orphans, bounded windows",
 			full:  chaos,
-			smoke: profile{phase: time.Second, seeds: []uint64{1}},
-			key:   keyRow("exactly_once_ok", func(r E12Report) float64 { return r.ExactlyOnceOK }),
-			tol:   tolNoisy},
+			smoke: profile{phase: time.Second, seeds: []uint64{1}}},
 		{id: "e13", run: e13,
 			desc: "read replication: one read-hot object, 3-node cluster; reads route to local " +
 				"replicas while writes serialise through the lease-holding primary",
 			full:  profile{phase: 3 * time.Second},
-			smoke: profile{phase: 1500 * time.Millisecond},
-			key:   keyRow("read_lift", func(r E13Report) float64 { return r.ReadLift }),
-			tol:   tolStable},
+			smoke: profile{phase: 1500 * time.Millisecond}},
 		{id: "e14", run: e14,
 			desc: "tracing overhead + flight-recorder chaos audit: traced-vs-untraced echo medians within bound; " +
 				"under dup/drop/kill chaos and a mid-run migration every acked call leaves a complete connected span tree",
 			full: e14full,
 			// Two short rounds on a noisy runner cannot resolve 5 %.
-			smoke: profile{rounds: 2, calls: 4000, maxOverhead: 0.15, seeds: []uint64{1}, auditCalls: 600},
-			key:   keyRow("overhead_ok", func(r E14Report) float64 { return r.OverheadOK }),
-			tol:   tolStable},
+			smoke: profile{rounds: 2, calls: 4000, maxOverhead: 0.15, seeds: []uint64{1}, auditCalls: 600}},
 		{id: "e15", run: e15,
 			desc: "open-loop latency SLO: Poisson arrivals, Zipf object popularity, per-tenant " +
 				"deadlined calls; node churn + link degradation mid-run; exact clean-phase percentiles vs SLO; " +
 				"plus a proactive load-shedding arm at >=3x measured capacity",
 			full: e15full,
 			smoke: profile{rate: 500, objects: 600, phase: 1200 * time.Millisecond, churn: time.Second,
-				seeds: []uint64{1}, bars: bars{sloP99: 250 * time.Millisecond}},
-			key: keyRow("slo_ok", func(r E15Report) float64 { return r.SloOK }),
-			tol: tolStable},
-		// The shed arm rides in e15's record; it gets its own gate row so
-		// a shedding regression is named, not folded into slo_ok.
-		{id: "e15shed", of: "e15",
-			desc: "e15's proactive shedding arm: high-priority tenants keep their SLO at >=3x saturation",
-			key:  keyRow("shed_ok", func(r E15Report) float64 { return r.ShedOK }),
-			tol:  tolStable},
+				seeds: []uint64{1}, sloP99: 250 * time.Millisecond}},
 	}
 }
 
@@ -184,23 +112,25 @@ func lookup(id string) *experiment {
 	panic("rafda-bench: no experiment " + id)
 }
 
-// selectExperiments resolves -exp: a comma list of ids, or all.
+// selectExperiments resolves -exp, a comma list of ids or all, to the
+// entries that run: each once, in table order.
 func selectExperiments(list string) ([]*experiment, error) {
 	if list == "all" {
 		return experiments, nil
 	}
-	var sel []*experiment
+	want := map[string]bool{}
 	for _, id := range strings.Split(list, ",") {
-		id = strings.TrimSpace(id)
-		found := false
-		for _, e := range experiments {
-			if e.id == id {
-				sel, found = append(sel, e), true
-			}
+		want[strings.TrimSpace(id)] = true
+	}
+	var sel []*experiment
+	for _, e := range experiments {
+		if want[e.id] {
+			sel = append(sel, e)
+			delete(want, e.id)
 		}
-		if !found {
-			return nil, fmt.Errorf("unknown experiment %q (valid: %s, all)", id, strings.Join(ids(), ", "))
-		}
+	}
+	for id := range want {
+		return nil, fmt.Errorf("unknown experiment %q (valid: %s, all)", id, strings.Join(ids(), ", "))
 	}
 	return sel, nil
 }
@@ -209,26 +139,6 @@ func ids() []string {
 	var out []string
 	for _, e := range experiments {
 		out = append(out, e.id)
-	}
-	return out
-}
-
-// runnable maps the selection onto the entries that run, each once, in
-// table order: a row read out of another entry's record runs that entry.
-func runnable(sel []*experiment) []*experiment {
-	want := map[string]bool{}
-	for _, e := range sel {
-		if e.of != "" {
-			want[e.of] = true
-		} else {
-			want[e.id] = true
-		}
-	}
-	var out []*experiment
-	for _, e := range experiments {
-		if want[e.id] {
-			out = append(out, e)
-		}
 	}
 	return out
 }
@@ -262,16 +172,11 @@ func raceEnabled() bool {
 }
 
 func usage() {
-	fmt.Fprintf(os.Stderr, "usage: rafda-bench [-exp ids] [-out dir] [-smoke] [-seeds n,...]\n"+
-		"       rafda-bench -gate -exp ids -out dir\n\n")
+	fmt.Fprintf(os.Stderr, "usage: rafda-bench [-exp ids] [-out dir] [-smoke] [-seeds n,...]\n\n")
 	flag.PrintDefaults()
-	fmt.Fprintf(os.Stderr, "\nexperiments (gated rows marked *):\n")
+	fmt.Fprintf(os.Stderr, "\nexperiments:\n")
 	for _, e := range experiments {
-		mark := " "
-		if e.key != nil {
-			mark = "*"
-		}
-		fmt.Fprintf(os.Stderr, "  %s %-8s %s\n", mark, e.id, e.desc)
+		fmt.Fprintf(os.Stderr, "  %-4s %s\n", e.id, e.desc)
 	}
 }
 
@@ -279,7 +184,6 @@ func main() {
 	exp := flag.String("exp", "all", "comma list of experiment ids, or all")
 	out := flag.String("out", ".", "directory for the BENCH_<ID>.json records (empty: write nothing)")
 	smoke := flag.Bool("smoke", false, "run the short smoke profiles with their slackened bars")
-	gate := flag.Bool("gate", false, "run the full profiles with the smoke bars into -out, then compare key rows against the committed records")
 	seedList := flag.String("seeds", "", "comma list of seeds replacing the profiles' schedule seeds")
 	flag.Usage = usage
 	flag.Parse()
@@ -295,9 +199,6 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	if *gate && (*smoke || *out == "" || filepath.Clean(*out) == ".") {
-		fail(fmt.Errorf("-gate takes no -smoke and wants an -out apart from the committed records"))
-	}
 	if *out != "" {
 		if err := os.MkdirAll(*out, 0o755); err != nil {
 			fail(err)
@@ -305,13 +206,10 @@ func main() {
 	}
 
 	var failed []string
-	for _, e := range runnable(sel) {
+	for _, e := range sel {
 		p := e.full
 		if *smoke {
 			p = e.smoke
-		}
-		if *gate {
-			p.bars = e.smoke.bars
 		}
 		if seeds != nil {
 			p.seeds = seeds
@@ -320,12 +218,6 @@ func main() {
 		if err := e.run(p, *out); err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", e.id, err)
 			failed = append(failed, e.id)
-		}
-	}
-	if *gate {
-		if err := runGate(sel, ".", *out); err != nil {
-			fmt.Fprintf(os.Stderr, "gate: %v\n", err)
-			failed = append(failed, "gate")
 		}
 	}
 	if len(failed) > 0 {

@@ -1,79 +1,69 @@
 package main
 
 import (
+	"maps"
+	"slices"
 	"strings"
 	"testing"
 )
 
-// committed is where the committed BENCH_*.json records live, seen
-// from this package's directory.
-const committed = "../.."
-
-func gated(t *testing.T) []*experiment {
-	var out []*experiment
-	for _, e := range experiments {
-		if e.key != nil {
-			out = append(out, e)
-		}
-	}
-	if len(out) == 0 {
-		t.Fatal("no gated experiments in the table")
-	}
-	return out
-}
-
-// Every gated entry's committed record parses, carries its key row, and
-// passes the gate against itself.
-func TestGateCommittedAgainstItself(t *testing.T) {
-	for _, e := range gated(t) {
-		name, val, err := keyAt(e, committed)
-		if err != nil {
-			t.Fatalf("%s: %v", e.id, err)
-		}
-		if val <= 0 {
-			t.Fatalf("%s: committed %s is %v", e.id, name, val)
-		}
-		if err := verdict(e, name, val, val); err != nil {
-			t.Errorf("%s against itself: %v", e.id, err)
-		}
-	}
-	if err := runGate(experiments, committed, committed); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// A fresh row just past the tolerance fails, and the failure names the row.
-func TestGateFailsPastTolerance(t *testing.T) {
-	for _, e := range gated(t) {
-		name, val, err := keyAt(e, committed)
-		if err != nil {
-			t.Fatalf("%s: %v", e.id, err)
-		}
-		err = verdict(e, name, val, val*(1-e.tol-0.01))
-		if err == nil || !strings.Contains(err.Error(), e.id+" "+name) {
-			t.Errorf("%s scaled by %.2f: got %v, want a failure naming %q", e.id, 1-e.tol-0.01, err, e.id+" "+name)
-		}
-	}
-}
-
-// A binary verdict dropping 1 -> 0 fails whatever the tolerance.
-func TestGateBinaryDropFails(t *testing.T) {
-	for _, id := range []string{"e12", "e14", "e15", "e15shed"} {
-		if err := verdict(lookup(id), "ok", 1, 0); err == nil {
-			t.Errorf("%s: 1 -> 0 passed the gate", id)
-		}
-	}
-}
-
+// -exp resolves to the entries that run: each once, in table order.
 func TestSelectExperiments(t *testing.T) {
-	sel, err := selectExperiments("e12, e15shed")
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		list string
+		want []string
+	}{
+		{"e12, e9", []string{"e9", "e12"}},
+		{"e9,e9", []string{"e9"}},
+		{"all", ids()},
+	} {
+		sel, err := selectExperiments(tc.list)
+		if err != nil {
+			t.Fatalf("%q: %v", tc.list, err)
+		}
+		var got []string
+		seen := map[string]bool{}
+		for _, e := range sel {
+			if seen[e.id] {
+				t.Errorf("%q runs %s twice", tc.list, e.id)
+			}
+			seen[e.id] = true
+			got = append(got, e.id)
+		}
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("%q runs %v, want %v", tc.list, got, tc.want)
+		}
 	}
-	if run := runnable(sel); len(run) != 2 || run[0].id != "e12" || run[1].id != "e15" {
-		t.Fatalf("e12,e15shed runs %v, want e12 then e15", run)
+	for _, list := range []string{"e99", "e9,e7"} {
+		_, err := selectExperiments(list)
+		if err == nil || !strings.Contains(err.Error(), strings.Join(ids(), ", ")) {
+			t.Errorf("%q: got %v, want an error listing the valid ids", list, err)
+		}
 	}
-	if _, err := selectExperiments("e99"); err == nil || !strings.Contains(err.Error(), "e15shed") {
-		t.Fatalf("unknown id: got %v, want an error listing the valid ids", err)
+}
+
+// e8Rows are the p64 rows of the committed BENCH_E8.json, in calls/s.
+var e8Rows = map[string]float64{
+	"coarse/distinct/p64":  909.6,
+	"sharded/distinct/p64": 53966.3,
+	"coarse/shared/p64":    902.8,
+	"sharded/shared/p64":   901.6,
+}
+
+func TestE8Verdict(t *testing.T) {
+	if err := e8Verdict(e8Rows); err != nil {
+		t.Fatalf("committed rows: %v", err)
+	}
+
+	overlapped := maps.Clone(e8Rows)
+	overlapped["sharded/shared/p64"] *= 2
+	if err := e8Verdict(overlapped); err == nil || !strings.Contains(err.Error(), "sharded/shared/p64") {
+		t.Errorf("shared/p64 doubled: got %v, want a failure naming sharded/shared/p64", err)
+	}
+
+	serial := maps.Clone(e8Rows)
+	serial["sharded/distinct/p64"] = 2 * serial["coarse/distinct/p64"]
+	if err := e8Verdict(serial); err == nil || !strings.Contains(err.Error(), "sharded/distinct/p64") {
+		t.Errorf("distinct lift 2x: got %v, want a failure naming sharded/distinct/p64", err)
 	}
 }

@@ -568,3 +568,76 @@ class Main { static void main() {} }`
 		t.Fatalf("X.v + Y.v = %d, want 3 (one initialiser saw 0, the other 1)", sum)
 	}
 }
+
+// TestSingletonWaiterParksItsGates: execution B is creating Reg, whose
+// initialiser sleeps and then pokes box through a relay on a second
+// node, so the poke arrives back as an inbound call that needs box's
+// gate.  Meanwhile execution A holds box's gate and touches Reg, so it
+// waits for B's creation.  The waiter must release its gates while it
+// waits, or A waits on B, B on the poke and the poke on A.
+func TestSingletonWaiterParksItsGates(t *testing.T) {
+	src := `
+class Box {
+    int n;
+    int poke() { n = n + 1; return n; }
+    int touch() { return Reg.get(); }
+}
+class Holder {
+    static Box box = new Box();
+    static Box box() { return box; }
+}
+class Relay {
+    static int poke(Box b) { return b.poke(); }
+}
+class Reg {
+    static int v = Reg.boot();
+    static int boot() { sys.Clock.sleepMicros(100000); return Relay.poke(Holder.box()); }
+    static int get() { return v; }
+}
+class Main { static void main() {} }`
+	home, _, endpoint := twoNodes(t, transformSource(t, src), "rrp")
+	pl, err := policy.RemoteAt(endpoint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	home.Policy().SetClass("Relay", pl)
+	box, err := home.InvokeStatic("Holder", "box")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	type result struct {
+		v   int64
+		err error
+	}
+	b := make(chan result, 1)
+	go func() {
+		v, err := home.InvokeStatic("Reg", "get")
+		b <- result{v.I, err}
+	}()
+	creating := func() bool {
+		home.singMu.Lock()
+		defer home.singMu.Unlock()
+		_, ok := home.singletons["local:Reg"]
+		return ok
+	}
+	for !creating() {
+		time.Sleep(time.Millisecond)
+	}
+	a := make(chan result, 1)
+	go func() {
+		v, err := home.CallOn(box, "touch")
+		a <- result{v.I, err}
+	}()
+	deadline := time.After(10 * time.Second)
+	for _, ch := range []chan result{a, b} {
+		select {
+		case r := <-ch:
+			if r.err != nil || r.v != 1 {
+				t.Fatalf("Reg.get = %d, %v; want 1", r.v, r.err)
+			}
+		case <-deadline:
+			t.Fatal("a singleton waiter holding box's gate blocked the initialiser's call into box")
+		}
+	}
+}
