@@ -38,19 +38,9 @@ func (n *Node) StartAdapter(cfg AdaptConfig) *Adapter {
 // loop; drive it with Tick for deterministic harnesses, or Start it for
 // the timed loop.
 func (n *Node) NewAdapter(cfg AdaptConfig) *Adapter {
-	in := n.n
 	// Every decision lands in the node's flight recorder as an adapt
-	// span (a no-op under NoTrace), interleaving placement decisions
-	// with the call traffic that triggered them; a user callback chains
-	// after the recording.
-	user := cfg.OnDecision
-	cfg.OnDecision = func(d adapt.Decision) {
-		in.RecordAdaptDecision(d)
-		if user != nil {
-			user(d)
-		}
-	}
-	a := &Adapter{eng: adapt.New(in.EnableTelemetry(), in, cfg)}
+	// span (a no-op under NoTrace) before cfg.OnDecision sees it.
+	a := &Adapter{eng: adapt.New(n.n.EnableTelemetry(), n.n, cfg)}
 	n.attachAdapter(a)
 	return a
 }

@@ -163,3 +163,49 @@ func TestAdaptiveMigrationConverges(t *testing.T) {
 		t.Fatalf("object migrated %d times in total, want exactly 1", total)
 	}
 }
+
+// TestAdapterDecisionsLeaveSpans: every decision lands in the node's
+// flight recorder as an adapt span, whether or not the caller set an
+// OnDecision observer.
+func TestAdapterDecisionsLeaveSpans(t *testing.T) {
+	prog, err := CompileString(adaptSource)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := prog.Transform(WithProtocols("rrp"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodeA, _ := traceNode(t, tr, "a", NetProfile{})
+	nodeB, epB := traceNode(t, tr, "b", NetProfile{})
+	adB := nodeB.NewAdapter(AdaptConfig{Threshold: 0.6, MinCalls: 10, Confirm: 2})
+
+	if err := nodeA.PlaceClass("Counter", epB); err != nil {
+		t.Fatal(err)
+	}
+	made, err := nodeA.Call("Setup", "make")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for w := 0; w < 2; w++ {
+		for i := 0; i < 30; i++ {
+			if _, err := nodeA.CallOn(made.(*Ref), "bump"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		adB.Tick()
+	}
+	decisions := adB.Decisions()
+	var adaptSpans int
+	for _, s := range ringUnion(t, nodeB) {
+		if s.Kind == "adapt" {
+			adaptSpans++
+		}
+	}
+	if len(decisions) == 0 || adaptSpans != len(decisions) {
+		t.Fatalf("%d adapt spans for %d decisions: %+v", adaptSpans, len(decisions), decisions)
+	}
+	oneSpan(t, ringUnion(t, nodeB), "migrate span", func(s tSpan) bool {
+		return s.Kind == "adapt" && s.Name == "migrate" && s.Err == ""
+	})
+}

@@ -51,11 +51,10 @@ type Cluster struct {
 // loop, or Tick from a deterministic harness.  Close stops it.
 func (n *Node) JoinCluster(cfg ClusterConfig) (*Cluster, error) {
 	co, err := n.n.StartCluster(cluster.Config{
-		Heartbeat:             cfg.Heartbeat,
-		Fanout:                cfg.Fanout,
-		Propose:               cfg.Propose,
-		FollowClassPlacements: true,
-		OnEvent:               cfg.OnEvent,
+		Heartbeat: cfg.Heartbeat,
+		Fanout:    cfg.Fanout,
+		Propose:   cfg.Propose,
+		OnEvent:   cfg.OnEvent,
 	}, cfg.Seeds)
 	if err != nil {
 		return nil, err

@@ -197,18 +197,8 @@ func run() error {
 
 	if *adaptOn {
 		node.StartAdapter(rafda.AdaptConfig{
-			Window: *adaptWindow,
-			OnDecision: func(d rafda.AdaptDecision) {
-				status := "held"
-				if d.Executed {
-					status = "executed"
-				}
-				target := d.GUID
-				if target == "" {
-					target = "class " + d.Class
-				}
-				fmt.Printf("adapt: %s %s -> %q (%s): %s\n", d.Kind, target, d.Endpoint, status, d.Reason)
-			},
+			Window:     *adaptWindow,
+			OnDecision: func(d rafda.AdaptDecision) { fmt.Println(decisionLine(d)) },
 		})
 		fmt.Println("adaptive placement engine running")
 	}
@@ -250,4 +240,24 @@ func hasFactories(p *rafda.Program) bool {
 		}
 	}
 	return false
+}
+
+// decisionLine formats one adapter decision for the -adapt log.  The
+// outcome reads "executed", "delegated" (handed to the cluster as an
+// intent) or "held: <why>".
+func decisionLine(d rafda.AdaptDecision) string {
+	status := "held"
+	switch {
+	case d.Executed:
+		status = "executed"
+	case d.Delegated:
+		status = "delegated"
+	case d.Err != "":
+		status = "held: " + d.Err
+	}
+	target := d.GUID
+	if target == "" {
+		target = "class " + d.Class
+	}
+	return fmt.Sprintf("adapt: %s %s -> %q (%s): %s", d.Kind, target, d.Endpoint, status, d.Reason)
 }

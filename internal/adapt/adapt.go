@@ -129,10 +129,6 @@ type Decision struct {
 // derives from the node.
 type ObjWindow struct {
 	telemetry.ObjSample
-	// StateBytes estimates the object's shipped-state size — the cost
-	// side of a cost-based migration decision (0 for non-migratable
-	// objects).
-	StateBytes int64
 	// Migratable reports whether the object is currently a live local
 	// transformed instance (statics singletons and already-morphed
 	// proxies are not).  Rules must not propose migrating
@@ -161,10 +157,6 @@ type View struct {
 	// Self reports the endpoints this node serves (rules must not
 	// propose moving anything to ourselves-as-remote).
 	Self map[string]bool
-	// PeerRTTNs is the smoothed round-trip time to each known peer
-	// endpoint, in nanoseconds (cumulative EWMA fed by proxy calls and
-	// gossip pings) — the latency input of cost-based rules.
-	PeerRTTNs map[string]float64
 }
 
 // Rule proposes placement actions from one window of telemetry.  Rules
@@ -196,9 +188,6 @@ type Node interface {
 	IsReplicated(obj *vm.Object) bool
 	// Endpoints returns the endpoints this node serves.
 	Endpoints() []string
-	// StateBytes estimates obj's shipped-state size, the cost side of a
-	// cost-based migration decision.
-	StateBytes(obj *vm.Object) int64
 	// PlaceClassIf re-points class ("" endpoint = local) iff the policy
 	// table version still equals ifVersion.
 	PlaceClassIf(class, endpoint string, ifVersion uint64) error
@@ -215,6 +204,10 @@ type Node interface {
 	// engine then executes directly — or with a reason when the cluster
 	// refused it).
 	SubmitIntent(p Proposal) (accepted bool, reason string)
+	// RecordDecision surfaces one logged decision on the node (its flight
+	// recorder's adapt span).  Called after the engine lock is released
+	// and before Config.OnDecision, so it may use the engine's own API.
+	RecordDecision(d Decision)
 }
 
 // Config tunes the engine.  Zero fields take the defaults.
@@ -233,11 +226,6 @@ type Config struct {
 	// Budget caps executed migrations per object (and flips per class)
 	// within the trailing budgetWindows (64) windows.
 	Budget int
-	// CostBased swaps the count-based object affinity rule for the
-	// cost-based one: migrate only when the traffic saved (remote calls
-	// × peer RTT EWMA) outweighs the shipping cost (estimated state
-	// bytes × nsPerByte, 10 ns/B, plus two round trips).
-	CostBased bool
 	// OnDecision, when set, observes every decision as it is logged.
 	OnDecision func(Decision)
 }
@@ -255,9 +243,6 @@ const (
 const (
 	// budgetWindows is the budget horizon, in windows.
 	budgetWindows = 64
-	// nsPerByte prices shipped state at ~100 MB/s — deliberately
-	// pessimistic, so borderline bulky objects stay put.
-	nsPerByte = 10.0
 	// maxWriteShare admits at most one classified write per ten
 	// classified calls before replication stops paying: every write fans
 	// out to all replicas synchronously, so write-heavy objects lose.
@@ -297,7 +282,6 @@ type confirmState struct {
 // decisions.  Safe for concurrent use; evaluation is serialised.
 type Engine struct {
 	cfg Config
-	rec *telemetry.Recorder
 	win *telemetry.Window // the engine's own cursor: one Next per tick
 	// node is what the engine observes and acts on; rules is the
 	// built-in rule set for cfg.
@@ -324,7 +308,6 @@ func New(rec *telemetry.Recorder, node Node, cfg Config) *Engine {
 	cfg = cfg.withDefaults()
 	return &Engine{
 		cfg:     cfg,
-		rec:     rec,
 		win:     rec.NewWindow(),
 		node:    node,
 		rules:   defaultRules(cfg),
@@ -388,13 +371,13 @@ func (e *Engine) Decisions() []Decision {
 
 // Tick runs one evaluation: cursor → window deltas → rules →
 // hysteresis → budget → execute.  Exported so tests and harnesses can
-// step the loop deterministically.  OnDecision callbacks fire after the
-// engine lock is released, so a callback may freely use the engine's
-// own API (Decisions, even Tick).
+// step the loop deterministically.  Each decision reaches the node's
+// RecordDecision and then OnDecision after the engine lock is released,
+// so either may freely use the engine's own API (Decisions, even Tick).
 func (e *Engine) Tick() {
-	fired := e.tickLocked()
-	if e.cfg.OnDecision != nil {
-		for _, d := range fired {
+	for _, d := range e.tickLocked() {
+		e.node.RecordDecision(d)
+		if e.cfg.OnDecision != nil {
 			e.cfg.OnDecision(d)
 		}
 	}
@@ -557,17 +540,14 @@ func (e *Engine) logDecision(d Decision) {
 // window with what the node knows about each object and class.  Caller
 // holds e.mu.
 func (e *Engine) buildView() *View {
-	v := &View{Self: map[string]bool{}, PeerRTTNs: e.rec.PeerRTTs()}
+	v := &View{Self: map[string]bool{}}
 	for _, ep := range e.node.Endpoints() {
 		v.Self[ep] = true
 	}
 	objs, classes := e.win.Next()
 	for _, s := range objs {
-		w := ObjWindow{ObjSample: s, Migratable: e.node.IsMigratable(s.Obj), Replicated: e.node.IsReplicated(s.Obj)}
-		if w.Migratable {
-			w.StateBytes = e.node.StateBytes(s.Obj)
-		}
-		v.Objects = append(v.Objects, w)
+		v.Objects = append(v.Objects, ObjWindow{ObjSample: s,
+			Migratable: e.node.IsMigratable(s.Obj), Replicated: e.node.IsReplicated(s.Obj)})
 	}
 	for _, s := range classes {
 		v.Classes = append(v.Classes, ClassWindow{ClassSample: s, PlacedAt: e.node.ClassPlacement(s.Class)})

@@ -26,10 +26,10 @@ type fakeNode struct {
 	classPlacement func(class string) string
 	isMigratable   func(obj *vm.Object) bool
 	endpoints      func() []string
-	stateBytes     func(obj *vm.Object) int64
 	replicate      func(obj *vm.Object, endpoints []string) error
 	isReplicated   func(obj *vm.Object) bool
 	submitIntent   func(p Proposal) (bool, string)
+	recordDecision func(d Decision)
 }
 
 func (f *fakeNode) Migrate(ref vm.Value, ep string) error { return f.migrate(ref.O, ep) }
@@ -39,10 +39,10 @@ func (f *fakeNode) Replicate(ref vm.Value, eps ...string) error {
 func (f *fakeNode) IsMigratable(obj *vm.Object) bool       { return f.isMigratable(obj) }
 func (f *fakeNode) IsReplicated(obj *vm.Object) bool       { return f.isReplicated(obj) }
 func (f *fakeNode) Endpoints() []string                    { return f.endpoints() }
-func (f *fakeNode) StateBytes(obj *vm.Object) int64        { return f.stateBytes(obj) }
 func (f *fakeNode) PolicyVersion() uint64                  { return f.policyVersion() }
 func (f *fakeNode) ClassPlacement(class string) string     { return f.classPlacement(class) }
 func (f *fakeNode) SubmitIntent(p Proposal) (bool, string) { return f.submitIntent(p) }
+func (f *fakeNode) RecordDecision(d Decision)              { f.recordDecision(d) }
 func (f *fakeNode) PlaceClassIf(class, ep string, ifVersion uint64) error {
 	return f.placeClassIf(class, ep, ifVersion)
 }
@@ -87,13 +87,13 @@ func newHarness(t *testing.T, cfg Config) *harness {
 		classPlacement: func(class string) string { return h.placement[class] },
 		isMigratable:   func(obj *vm.Object) bool { return h.local[obj] },
 		endpoints:      func() []string { return []string{epB} },
-		stateBytes:     func(*vm.Object) int64 { return 0 },
 		replicate: func(obj *vm.Object, eps []string) error {
 			h.replicas[obj] = append([]string(nil), eps...)
 			return nil
 		},
-		isReplicated: func(obj *vm.Object) bool { return len(h.replicas[obj]) > 0 },
-		submitIntent: func(Proposal) (bool, string) { return false, "" },
+		isReplicated:   func(obj *vm.Object) bool { return len(h.replicas[obj]) > 0 },
+		submitIntent:   func(Proposal) (bool, string) { return false, "" },
+		recordDecision: func(Decision) {},
 	}
 	h.eng = New(h.rec, h.node, cfg)
 	return h
@@ -355,6 +355,53 @@ func TestOnDecisionMayUseEngineAPI(t *testing.T) {
 	}
 }
 
+// TestRecordDecisionPrecedesOnDecision pins the node-side recording
+// contract: RecordDecision fires once per logged decision — executed or
+// suppressed — before OnDecision sees it, and outside the engine lock,
+// so it may read the decision log.
+func TestRecordDecisionPrecedesOnDecision(t *testing.T) {
+	var h *harness
+	var calls []string
+	cfg := Config{Threshold: 0.6, MinCalls: 10, Confirm: 1, Budget: 1,
+		OnDecision: func(d Decision) { calls = append(calls, fmt.Sprintf("observe %d", d.Seq)) }}
+	h = newHarness(t, cfg)
+	h.node.recordDecision = func(d Decision) {
+		calls = append(calls, fmt.Sprintf("record %d/%d", d.Seq, len(h.eng.Decisions())))
+	}
+	obj := h.hotObject("g1", 50, epA)
+	h.hotObject("g2", 50, epA)
+	done := make(chan struct{})
+	go func() {
+		h.eng.Tick()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Tick deadlocked delivering RecordDecision")
+	}
+	want := []string{"record 1/2", "observe 1", "record 2/2", "observe 2"}
+	if !slices.Equal(calls, want) {
+		t.Fatalf("calls = %v, want %v", calls, want)
+	}
+
+	// g1 comes back and turns hot again: its budget is spent, so the
+	// decision is suppressed — and still recorded.
+	calls = nil
+	h.local[obj] = true
+	s := h.rec.ForObject(obj, "g1", "C")
+	for i := 0; i < 50; i++ {
+		s.RecordInbound(epA, 8, 8, time.Microsecond)
+	}
+	h.eng.Tick()
+	if d := h.eng.Decisions(); len(d) != 3 || d[2].Executed || d[2].Err == "" {
+		t.Fatalf("want a suppressed third decision: %+v", d)
+	}
+	if want := []string{"record 3/3", "observe 3"}; !slices.Equal(calls, want) {
+		t.Fatalf("calls = %v, want %v", calls, want)
+	}
+}
+
 func TestStartStopLoop(t *testing.T) {
 	h := newHarness(t, Config{Window: 5 * time.Millisecond, Threshold: 0.6, MinCalls: 10, Confirm: 1})
 	s := h.rec.ForObject(h.hotObject("g1", 0, epA), "g1", "C")
@@ -370,55 +417,6 @@ func TestStartStopLoop(t *testing.T) {
 	h.eng.Stop() // idempotent
 	if len(h.eng.Decisions()) == 0 {
 		t.Fatal("ticker loop never decided")
-	}
-}
-
-// TestCostRuleWeighsStateAgainstTraffic: the cost-based object rule
-// must move a chatty small object and hold a bulky rarely-called one —
-// the trade-off the count-based rule ignores.
-func TestCostRuleWeighsStateAgainstTraffic(t *testing.T) {
-	r := &CostAffinityRule{Threshold: 0.6, MinCalls: 10}
-	obj := vm.NewRawObject(&ir.Class{Name: "C_O_Local"}, map[string]vm.Value{})
-	mkView := func(calls uint64, stateBytes int64, rttNs float64) *View {
-		return &View{
-			Self:      map[string]bool{epB: true},
-			PeerRTTNs: map[string]float64{epA: rttNs},
-			Objects: []ObjWindow{{
-				ObjSample: telemetry.ObjSample{GUID: "g", Class: "C", Obj: obj,
-					Remote: calls, Callers: map[string]uint64{epA: calls}},
-				Migratable: true, StateBytes: stateBytes,
-			}},
-		}
-	}
-
-	// Chatty and small over a slow link: 100 calls × 1ms ≫ 1KiB shipped.
-	if got := r.Evaluate(mkView(100, 1024, 1e6)); len(got) != 1 {
-		t.Fatalf("chatty small object not proposed: %+v", got)
-	} else if got[0].Endpoint != epA || got[0].Priority != 100 {
-		t.Fatalf("bad proposal: %+v", got[0])
-	}
-	// Bulky and quiet: 12 calls × 10µs ≪ 100MB shipped.
-	if got := r.Evaluate(mkView(12, 100<<20, 1e4)); len(got) != 0 {
-		t.Fatalf("bulky object proposed anyway: %+v", got)
-	}
-	// Unpriced link: abstain rather than migrate blind.
-	if got := r.Evaluate(mkView(100, 1024, 0)); len(got) != 0 {
-		t.Fatalf("proposed without an RTT sample: %+v", got)
-	}
-}
-
-// TestCostRuleFedByEngineView checks the engine threads StateBytes from
-// the node and peer RTTs from its recorder into the rule's view.
-func TestCostRuleFedByEngineView(t *testing.T) {
-	h := newHarness(t, Config{
-		Threshold: 0.6, MinCalls: 10, Confirm: 1, CostBased: true,
-	})
-	h.node.stateBytes = func(*vm.Object) int64 { return 256 }
-	h.rec.RecordPeerRTT(epA, 500*time.Microsecond)
-	h.hotObject("g1", 50, epA)
-	h.eng.Tick()
-	if len(h.migrated) != 1 {
-		t.Fatalf("cost-based engine did not migrate: %v (log %+v)", h.migrated, h.eng.Decisions())
 	}
 }
 
@@ -579,10 +577,10 @@ func TestUnclassifiedTrafficNotReplicated(t *testing.T) {
 	}
 }
 
-// TestOverflowNeverProposed floods an object's callers and the peer
-// index past metrics.FamilyMax, with the unitemised overflow carrying
-// most of the traffic: the overflow instrument's metrics.Other key must
-// never surface as a destination or an RTT, only as unitemised calls.
+// TestOverflowNeverProposed floods an object's callers past
+// metrics.FamilyMax, with the unitemised overflow carrying most of the
+// traffic: the overflow instrument's metrics.Other key must never
+// surface as a destination, only as unitemised calls.
 func TestOverflowNeverProposed(t *testing.T) {
 	rec := telemetry.NewRecorder(nil)
 	obj := vm.NewRawObject(&ir.Class{Name: "C_O_Local"}, map[string]vm.Value{})
@@ -590,7 +588,6 @@ func TestOverflowNeverProposed(t *testing.T) {
 	for i := 0; i < metrics.FamilyMax+10; i++ {
 		ep := fmt.Sprintf("rrp://10.0.%d.%d:1", i/256, i%256)
 		s.RecordInbound(ep, 8, 8, time.Microsecond)
-		rec.RecordPeerRTT(ep, time.Millisecond)
 	}
 	const late = 2000 // one past-cap caller, dominant
 	for i := 0; i < late; i++ {
@@ -601,14 +598,9 @@ func TestOverflowNeverProposed(t *testing.T) {
 	if len(objs) != 1 || objs[0].Anon < late || objs[0].Calls() != metrics.FamilyMax+10+late {
 		t.Fatalf("overflow not counted unitemised: %+v", objs)
 	}
-	rtts := rec.PeerRTTs()
-	if _, ok := rtts[metrics.Other]; ok || len(rtts) > metrics.FamilyMax {
-		t.Fatalf("PeerRTTs surfaced the overflow: %d peers, other %v", len(rtts), rtts[metrics.Other])
-	}
 	v := &View{
-		Objects:   []ObjWindow{{ObjSample: objs[0], Migratable: true}},
-		Self:      map[string]bool{},
-		PeerRTTNs: rtts,
+		Objects: []ObjWindow{{ObjSample: objs[0], Migratable: true}},
+		Self:    map[string]bool{},
 	}
 	rules := []Rule{
 		&AffinityRule{Threshold: 0.5, MinCalls: 1},

@@ -7,16 +7,11 @@ import (
 )
 
 // defaultRules returns the built-in rule set: per-object call-affinity
-// migration (count-based, or cost-based under Config.CostBased), the
-// two class-placement flips (pull-local and push-remote), and
-// read-replication of read-mostly objects.
+// migration, the two class-placement flips (pull-local and push-remote),
+// and read-replication of read-mostly objects.
 func defaultRules(cfg Config) []Rule {
-	objRule := Rule(&AffinityRule{Threshold: cfg.Threshold, MinCalls: cfg.MinCalls})
-	if cfg.CostBased {
-		objRule = &CostAffinityRule{Threshold: cfg.Threshold, MinCalls: cfg.MinCalls}
-	}
 	return []Rule{
-		objRule,
+		&AffinityRule{Threshold: cfg.Threshold, MinCalls: cfg.MinCalls},
 		&ClassPullRule{Threshold: cfg.Threshold, MinCalls: cfg.MinCalls},
 		&ClassPushRule{Threshold: cfg.Threshold, MinCalls: cfg.MinCalls},
 		&ReplicateRule{MinCalls: cfg.MinCalls, MigrateThreshold: cfg.Threshold},
@@ -81,69 +76,6 @@ func (r *AffinityRule) Evaluate(v *View) []Proposal {
 			Priority: int64(n),
 			Reason: fmt.Sprintf("object received %d/%d calls (%.0f%%) from %s this window",
 				n, total, 100*share, ep),
-		})
-	}
-	return out
-}
-
-// CostAffinityRule is the cost-based form of the object rule: affinity
-// picks the candidate destination exactly as AffinityRule does, but the
-// migration only proposes when the traffic it would save outweighs what
-// shipping the object costs —
-//
-//	benefit = dominant caller's window calls × RTT EWMA to that peer
-//	cost    = estimated shipped-state bytes × nsPerByte + 2 × RTT
-//
-// so a chatty small object moves and a bulky rarely-called one stays,
-// the trade-off the count-based rule ignores.  Both inputs come from
-// the telemetry plane: per-peer RTT rollups (proxy calls + gossip
-// pings) and the node's state-size estimator.  With no RTT sample for
-// the candidate peer the rule abstains — migrating on unpriced evidence
-// is how ping-pong starts.
-type CostAffinityRule struct {
-	Threshold float64
-	MinCalls  uint64
-}
-
-// Name implements Rule.
-func (r *CostAffinityRule) Name() string { return "cost-affinity" }
-
-// Evaluate implements Rule.
-func (r *CostAffinityRule) Evaluate(v *View) []Proposal {
-	var out []Proposal
-	for _, w := range v.Objects {
-		if !w.Migratable {
-			continue
-		}
-		total := w.Calls()
-		if total < r.MinCalls {
-			continue
-		}
-		ep, n := dominant(w.Callers)
-		if ep == "" || v.Self[ep] {
-			continue
-		}
-		if float64(n)/float64(total) < r.Threshold {
-			continue
-		}
-		rtt := v.PeerRTTNs[ep]
-		if rtt <= 0 {
-			continue // unpriced link: abstain
-		}
-		benefit := float64(n) * rtt
-		cost := float64(w.StateBytes)*nsPerByte + 2*rtt
-		if benefit <= cost {
-			continue
-		}
-		out = append(out, Proposal{
-			Kind:     KindMigrate,
-			Obj:      w.Obj,
-			GUID:     w.GUID,
-			Class:    w.Class,
-			Endpoint: ep,
-			Priority: int64(n),
-			Reason: fmt.Sprintf("saving %d calls × %.0fµs RTT (%.0fµs) beats shipping %dB (%.0fµs)",
-				n, rtt/1e3, benefit/1e3, w.StateBytes, cost/1e3),
 		})
 	}
 	return out

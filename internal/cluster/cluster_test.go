@@ -34,6 +34,9 @@ type fakeRuntime struct {
 	self    string
 	samples []wire.ObjAffinity // returned once per AffinitySamples call
 	applied map[string]string  // class placements applied locally
+	// promoted ("guid/class/selfGUID") and demoted (guid) record the
+	// replica failover calls in order.
+	promoted, demoted []string
 }
 
 func (r *fakeRuntime) Call(endpoint string, req *wire.Request) (*wire.Response, error) {
@@ -97,6 +100,12 @@ func (r *fakeRuntime) ApplyClassPlacement(class, endpoint string) error {
 	r.applied[class] = endpoint
 	return nil
 }
+
+func (r *fakeRuntime) Promote(guid, class, selfGUID string) {
+	r.promoted = append(r.promoted, guid+"/"+class+"/"+selfGUID)
+}
+
+func (r *fakeRuntime) Demote(guid string) { r.demoted = append(r.demoted, guid) }
 
 // addNode builds a coordinator + fake runtime pair on net.
 func (net *fakeNet) addNode(t *testing.T, id string, cfg Config) (*Coordinator, *fakeRuntime) {
@@ -379,8 +388,8 @@ func TestMultiHopProposalFlowsFromRollup(t *testing.T) {
 
 func TestClassPlacementFollows(t *testing.T) {
 	net := newFakeNet()
-	a, _ := net.addNode(t, "a", Config{FollowClassPlacements: true})
-	b, rtb := net.addNode(t, "b", Config{FollowClassPlacements: true})
+	a, _ := net.addNode(t, "a", Config{})
+	b, rtb := net.addNode(t, "b", Config{})
 	joinAll(t, a, b)
 	a.RecordClassPlacement("C", "rrp://somewhere")
 	tickAll(2, a, b)
@@ -527,22 +536,15 @@ func TestLeaseNeedsDirectPrimaryContact(t *testing.T) {
 
 // TestDeadPrimaryPromotesSmallestReplica drives the failover path: the
 // primary dies, the lexicographically smallest live replica endpoint
-// promotes itself (Version+1, OnPromote fired), the other replica
+// promotes itself (Version+1, Runtime.Promote called), the other replica
 // follows the new primary and regains a lease from it, and the deposed
 // primary is told to stand down when it reconnects.
 func TestDeadPrimaryPromotesSmallestReplica(t *testing.T) {
 	net := newFakeNet()
 	cfg := Config{SuspectAfter: 2, DeadAfter: 4, LeaseTicks: 3}
-	var promoted, demoted []string
-	cfgB := cfg
-	cfgB.OnPromote = func(guid, class, selfGUID string) {
-		promoted = append(promoted, guid+"/"+class+"/"+selfGUID)
-	}
-	cfgA := cfg
-	cfgA.OnDemote = func(guid string) { demoted = append(demoted, guid) }
-	a, _ := net.addNode(t, "a", cfgA)
-	b, _ := net.addNode(t, "b", cfgB)
-	c, _ := net.addNode(t, "c", cfg)
+	a, rta := net.addNode(t, "a", cfg)
+	b, rtb := net.addNode(t, "b", cfg)
+	c, rtc := net.addNode(t, "c", cfg)
 	joinAll(t, a, b, c)
 	a.RecordReplicaSet(replicaSet(a.Self()))
 	tickAll(2, a, b, c)
@@ -554,8 +556,8 @@ func TestDeadPrimaryPromotesSmallestReplica(t *testing.T) {
 	net.down[a.Self()] = true
 	net.mu.Unlock()
 	tickAll(6, b, c)
-	if len(promoted) != 1 || promoted[0] != "g/C/rb" {
-		t.Fatalf("promotions = %v, want [g/C/rb]", promoted)
+	if len(rtb.promoted) != 1 || rtb.promoted[0] != "g/C/rb" || len(rtc.promoted) != 0 {
+		t.Fatalf("promotions b=%v c=%v, want b=[g/C/rb]", rtb.promoted, rtc.promoted)
 	}
 	set, ok := b.ReplicaSet("g")
 	if !ok || set.Primary != b.Self() || set.Version <= before.Version {
@@ -579,8 +581,8 @@ func TestDeadPrimaryPromotesSmallestReplica(t *testing.T) {
 	net.down[a.Self()] = false
 	net.mu.Unlock()
 	tickAll(2, a, b, c)
-	if len(demoted) != 1 || demoted[0] != "g" {
-		t.Fatalf("demotions = %v, want [g]", demoted)
+	if len(rta.demoted) != 1 || rta.demoted[0] != "g" || len(rtb.demoted)+len(rtc.demoted) != 0 {
+		t.Fatalf("demotions a=%v b=%v c=%v, want a=[g]", rta.demoted, rtb.demoted, rtc.demoted)
 	}
 	aset, _ := a.ReplicaSet("g")
 	if aset.Primary != b.Self() {

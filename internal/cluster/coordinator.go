@@ -62,8 +62,19 @@ type Runtime interface {
 	// telemetry plane, keeping RTT estimates fresh for idle peers.
 	ObservePeerRTT(endpoint string, d time.Duration)
 	// ApplyClassPlacement points the node's policy table for class at
-	// endpoint ("" = local placement).
+	// endpoint ("" = local placement); every gossiped class placement
+	// epoch is applied, converging creation policy cluster-wide.
 	ApplyClassPlacement(class, endpoint string) error
+	// Promote is called after this node promotes itself to primary of a
+	// replica set whose old primary died: guid is the object's
+	// cluster-wide key, selfGUID this node's replica export that now
+	// carries the state.  The node re-routes writes from here
+	// (RecordMove).  Called outside the coordinator lock.
+	Promote(guid, class, selfGUID string)
+	// Demote is called when a Version merge shows this node was deposed
+	// as guid's primary while partitioned (split-brain repair).  Called
+	// outside the coordinator lock.
+	Demote(guid string)
 }
 
 // Config tunes a coordinator.  Zero fields take the defaults.
@@ -104,23 +115,10 @@ type Config struct {
 	// MinCalls is the minimum rollup activity below which no multi-hop
 	// proposal is made.
 	MinCalls uint64
-	// FollowClassPlacements applies gossiped class placement entries to
-	// the local policy table, converging creation policy cluster-wide.
-	FollowClassPlacements bool
 	// LeaseTicks is how many local ticks a replica's read lease lasts
 	// after direct primary contact; an expired lease falls reads back to
 	// the primary (docs/REPLICATION.md).
 	LeaseTicks int
-	// OnPromote, when set, is called after this node promotes itself to
-	// primary of a replica set whose old primary died: guid is the
-	// object's cluster-wide key, selfGUID this node's replica export
-	// that now carries the state.  The node runtime re-routes writes
-	// from here (RecordMove).  Called outside the coordinator lock.
-	OnPromote func(guid, class, selfGUID string)
-	// OnDemote, when set, is called when a Version merge shows this node
-	// was deposed as guid's primary while partitioned (split-brain
-	// repair).  Called outside the coordinator lock.
-	OnDemote func(guid string)
 	// OnEvent observes every event as it is logged (called outside the
 	// coordinator lock).
 	OnEvent func(Event)
@@ -399,9 +397,7 @@ func (c *Coordinator) Tick() {
 	}
 	c.unlockAndDeliver()
 	for _, p := range promos {
-		if c.cfg.OnPromote != nil {
-			c.cfg.OnPromote(p.guid, p.class, p.selfGUID)
-		}
+		c.rt.Promote(p.guid, p.class, p.selfGUID)
 	}
 
 	// Execute won intents (we are the home): the migration goes through
@@ -486,9 +482,7 @@ func (c *Coordinator) merge(in *wire.ClusterPayload) {
 	demoted := c.mergeReplicasLocked(in.Replicas, in.From)
 	c.unlockAndDeliver()
 	for _, guid := range demoted {
-		if c.cfg.OnDemote != nil {
-			c.cfg.OnDemote(guid)
-		}
+		c.rt.Demote(guid)
 	}
 
 	// Apply class placements outside the lock (policy table has its own

@@ -37,8 +37,7 @@ func (c *Coordinator) mergeDirLocked(entries []wire.DirEntry) []classApply {
 		if ok && !newerEntry(e, cur) {
 			// Known entry — but an epoch whose local apply failed earlier
 			// is still pending, so re-gossip of the same entry retries it.
-			if class, isClass := isClassKey(e.Key); isClass &&
-				c.cfg.FollowClassPlacements && c.applied[class] < cur.Version {
+			if class, isClass := isClassKey(e.Key); isClass && c.applied[class] < cur.Version {
 				applies = append(applies, classApply{class: class, endpoint: cur.Ref.Endpoint, version: cur.Version})
 			}
 			continue
@@ -49,7 +48,7 @@ func (c *Coordinator) mergeDirLocked(entries []wire.DirEntry) []classApply {
 			Detail: e.Ref.GUID, Peer: e.Origin})
 		class, isClass := isClassKey(e.Key)
 		if isClass {
-			if c.cfg.FollowClassPlacements && c.applied[class] < e.Version {
+			if c.applied[class] < e.Version {
 				applies = append(applies, classApply{class: class, endpoint: e.Ref.Endpoint, version: e.Version})
 			}
 		} else {

@@ -29,10 +29,10 @@ import (
 //   - when the primary's peer entry turns Dead, the lexicographically
 //     smallest live replica endpoint promotes itself: Version+1, same
 //     Epoch, itself removed from the member list, and the node runtime
-//     notified (Config.OnPromote) so it can re-export the state and
+//     notified (Runtime.Promote) so it can re-export the state and
 //     re-route writes through RecordMove.  A deposed primary that
 //     reconnects loses the Version merge and is told to stand down
-//     (Config.OnDemote).
+//     (Runtime.Demote).
 //
 // Every write the primary acknowledges has either reached all replicas
 // or evicted the unreachable ones AND waited out their leases — so no
@@ -61,7 +61,7 @@ type ReadRoute struct {
 	Epoch uint64
 }
 
-// promotion is one deferred OnPromote callback (fired outside the lock).
+// promotion is one deferred Runtime.Promote call (made outside the lock).
 type promotion struct {
 	guid  string
 	class string

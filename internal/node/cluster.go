@@ -35,23 +35,6 @@ func (n *Node) StartCluster(cfg cluster.Config, seeds []string) (*cluster.Coordi
 	// Rollups and RTT need the metrics plane; the rollups read it
 	// through the runtime's own cursor.
 	cfg.Runtime = &clusterRuntime{n: n, win: n.EnableTelemetry().NewWindow()}
-	// Replication failover hooks, chained ahead of any caller-supplied
-	// observers: promotion re-homes the replica copy as the new primary
-	// and demotion stands a deposed primary down (internal/node
-	// replicate.go) before tests or dashboards hear about it.
-	userPromote, userDemote := cfg.OnPromote, cfg.OnDemote
-	cfg.OnPromote = func(guid, class, selfGUID string) {
-		n.promoteReplica(guid, class, selfGUID)
-		if userPromote != nil {
-			userPromote(guid, class, selfGUID)
-		}
-	}
-	cfg.OnDemote = func(guid string) {
-		n.demoteReplica(guid)
-		if userDemote != nil {
-			userDemote(guid)
-		}
-	}
 	co, err := cluster.New(cfg)
 	if err != nil {
 		return nil, err
@@ -80,8 +63,8 @@ type clusterRuntime struct {
 
 // Call implements cluster.Runtime over the node's shared client cache.
 // Gossip is pinned to each pool's shard-0 connection (cache.Call), so
-// the RTT the coordinator observes — and feeds into suspicion timing —
-// always measures the same socket instead of smearing across shards.
+// the RTT the coordinator observes always measures the same socket
+// instead of smearing across shards.
 func (r *clusterRuntime) Call(endpoint string, req *wire.Request) (*wire.Response, error) {
 	req.ID = r.n.nextReqID()
 	return r.n.cache.Call(endpoint, req)
@@ -137,7 +120,7 @@ func (r *clusterRuntime) AffinitySamples(max int) []wire.ObjAffinity {
 	hot = hot[:min(len(hot), max)]
 	out := make([]wire.ObjAffinity, len(hot))
 	for i, s := range hot {
-		a := wire.ObjAffinity{GUID: s.GUID, Class: s.Class, Calls: s.Calls(), StateBytes: r.n.StateBytes(s.Obj)}
+		a := wire.ObjAffinity{GUID: s.GUID, Class: s.Class, Calls: s.Calls()}
 		for ep, c := range s.Callers {
 			a.Callers = append(a.Callers, wire.EndpointCount{Endpoint: ep, Calls: c})
 		}
@@ -166,6 +149,16 @@ func (r *clusterRuntime) ApplyClassPlacement(class, endpoint string) error {
 	return nil
 }
 
+// Promote implements cluster.Runtime: re-home the replica copy as the
+// new primary (replicate.go).
+func (r *clusterRuntime) Promote(guid, class, selfGUID string) {
+	r.n.promoteReplica(guid, class, selfGUID)
+}
+
+// Demote implements cluster.Runtime: stand a deposed primary down
+// (replicate.go).
+func (r *clusterRuntime) Demote(guid string) { r.n.demoteReplica(guid) }
+
 // dispatchGossip serves one inbound gossip exchange.
 func (n *Node) dispatchGossip(req *wire.Request) *wire.Response {
 	co := n.coord.Load()
@@ -173,36 +166,6 @@ func (n *Node) dispatchGossip(req *wire.Request) *wire.Response {
 		return wire.Errorf(req, "node %s: not in a cluster", n.name)
 	}
 	return &wire.Response{ID: req.ID, Cluster: co.HandleGossip(req.Cluster)}
-}
-
-// StateBytes estimates the wire size of obj's field state — what a
-// migration would ship.  It prices vm values the way the telemetry
-// plane prices wire values (relative magnitudes, not exact frames).
-func (n *Node) StateBytes(obj *vm.Object) int64 {
-	_, fields := obj.View()
-	var sz int64
-	for name, v := range fields {
-		sz += int64(len(name)) + vmValueSize(v)
-	}
-	return sz
-}
-
-func vmValueSize(v vm.Value) int64 {
-	switch {
-	case v.S != "":
-		return 1 + int64(len(v.S))
-	case v.A != nil:
-		var sz int64 = 9
-		for _, el := range v.A.Vals {
-			sz += vmValueSize(el)
-		}
-		return sz
-	case v.O != nil:
-		// Referenced objects travel as remote references, not copies.
-		return 48
-	default:
-		return 9
-	}
 }
 
 // recordMove publishes a completed outbound migration of the export

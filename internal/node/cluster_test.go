@@ -144,9 +144,8 @@ func TestRedirectChainCollapses(t *testing.T) {
 // TestAffinitySamplesWindowRollups pins the evidence a home gossips for
 // multi-hop placement: only migratable objects called since the
 // previous rollup, with window-delta counts, callers sorted by
-// endpoint, rollups hottest first (ties by GUID), truncated to max with
-// StateBytes priced on what is returned — and nothing after a quiet
-// window.
+// endpoint, rollups hottest first (ties by GUID), truncated to max —
+// and nothing after a quiet window.
 func TestAffinitySamplesWindowRollups(t *testing.T) {
 	n, err := New(Config{Name: "home", Result: transformSource(t, chainSource)})
 	if err != nil {
@@ -188,14 +187,57 @@ func TestAffinitySamplesWindowRollups(t *testing.T) {
 	if h.Calls != 40 || h.Class != "Counter" || !reflect.DeepEqual(h.Callers, wantCallers) {
 		t.Fatalf("hot rollup = %+v, want 40 window calls from %+v", h, wantCallers)
 	}
-	for _, a := range got {
-		if want := n.StateBytes(objs[a.GUID]); a.StateBytes != want || want == 0 {
-			t.Fatalf("%s StateBytes = %d, want %d", a.GUID, a.StateBytes, want)
-		}
-	}
 
 	if got := rt.AffinitySamples(8); len(got) != 0 {
 		t.Fatalf("rollups after a quiet window: %+v", got)
+	}
+}
+
+// TestZeroConfigMembersFollowClassPlacements: following gossiped class
+// placements is not an option — members joined with a zero
+// cluster.Config apply a placement one member announces, each through
+// the one endpoint→placement rule (its own endpoint lands local).
+func TestZeroConfigMembersFollowClassPlacements(t *testing.T) {
+	res := transformSource(t, chainSource)
+	var nodes []*Node
+	var coords []*cluster.Coordinator
+	var eps []string
+	for _, name := range []string{"a", "b", "c"} {
+		n, err := New(Config{Name: name, Result: res})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { n.Close() })
+		ep, err := n.Serve("inproc", "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var seeds []string
+		if len(eps) > 0 {
+			seeds = eps[:1]
+		}
+		co, err := n.StartCluster(cluster.Config{}, seeds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes, coords, eps = append(nodes, n), append(coords, co), append(eps, ep)
+	}
+	tick := func(rounds int) {
+		for i := 0; i < rounds; i++ {
+			for _, co := range coords {
+				co.Tick()
+			}
+		}
+	}
+	tick(2)
+	if err := nodes[0].PlaceClass("Counter", eps[1]); err != nil {
+		t.Fatal(err)
+	}
+	tick(3)
+	for i, want := range []string{eps[1], "", eps[1]} {
+		if got := nodes[i].ClassPlacement("Counter"); got != want {
+			t.Fatalf("node %d places Counter at %q, want %q", i, got, want)
+		}
 	}
 }
 

@@ -97,12 +97,13 @@ func (n *Node) emitFailover(endpoint string, shard, attempt int, tctx wire.Trace
 	tr.Emit(sp)
 }
 
-// RecordAdaptDecision surfaces one adaptive-engine decision as a trace
-// event: decisions are root spans of their own traces (nothing causes
-// them but the engine's own evaluation tick), carrying the rule and
-// outcome, so a flight-recorder dump interleaves placement decisions
-// with the call traffic that triggered them.
-func (n *Node) RecordAdaptDecision(d adapt.Decision) {
+// RecordDecision implements adapt.Node: it surfaces one adaptive-engine
+// decision as a trace event (a no-op with tracing off).  Decisions are
+// root spans of their own traces (nothing causes them but the engine's
+// own evaluation tick), carrying the rule and outcome, so a
+// flight-recorder dump interleaves placement decisions with the call
+// traffic that triggered them.
+func (n *Node) RecordDecision(d adapt.Decision) {
 	tr := n.tracer
 	if tr == nil {
 		return

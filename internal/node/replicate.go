@@ -499,7 +499,7 @@ func (n *Node) dispatchReplicaDrop(req *wire.Request) *wire.Response {
 	return &wire.Response{ID: req.ID}
 }
 
-// promoteReplica is the coordinator's OnPromote callback: the primary of
+// promoteReplica is the node's cluster.Runtime.Promote: the primary of
 // a set this node replicates is dead and this node won the deterministic
 // election (smallest live replica endpoint).  The local copy stops being
 // a replica, re-exports under the old primary identity — callers' stale
@@ -554,7 +554,7 @@ func (n *Node) promoteReplica(id, class, selfGUID string) {
 	}
 }
 
-// demoteReplica is the coordinator's OnDemote callback: a Version merge
+// demoteReplica is the node's cluster.Runtime.Demote: a Version merge
 // showed this node was failed over while partitioned — another replica
 // is the primary now.  Stand down: stop running barriers, and morph the
 // local copy into a proxy at the new primary so local references follow

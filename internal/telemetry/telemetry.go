@@ -26,7 +26,7 @@
 //
 // Readers take object and class counters through a Window cursor,
 // which turns them into deltas since that reader's previous read; peer
-// rollups are read cumulatively (PeerRTTs, the registry snapshot).
+// rollups are read cumulatively, as registry snapshot rows.
 package telemetry
 
 import (
@@ -124,16 +124,15 @@ func PeerKey(endpoint string) string {
 //
 // Its per-peer rollups are the registry families peer.calls, peer.bytes
 // and peer.rtt_ns: how often this node talks to each peer, how many
-// bytes cross, and the smoothed round-trip time.  The RTT is the
-// latency input of cost-based placement rules (benefit of migrating =
-// remote calls × RTT) and of multi-hop evidence in the cluster plane;
-// it is fed by outgoing proxy calls and by gossip pings, so a peer's RTT
-// is known even before any invocation targets it.
+// bytes cross, and the smoothed round-trip time.  They are an
+// observability surface (rafdac top, introspection); no placement rule
+// reads them.  The RTT is fed by outgoing proxy calls and by gossip
+// pings, so a peer's RTT is known even before any invocation targets it.
 //
 // Rollups are per *peer*, never per socket: the transport pools several
 // connections per endpoint, and an RTT fragmented across pool shards
-// would hand CostAffinityRule and the gossip suspicion ladder N thin,
-// noisy estimates instead of one coherent latency.  Today's recording
+// would show an operator N thin, noisy rows instead of one coherent
+// latency.  Today's recording
 // sites (proxy calls, gossip pings) already pass canonical endpoints;
 // every peer key folds through PeerKey anyway so the invariant holds
 // even if a shard-qualified socket name (transport.Pool.ShardID) ever
@@ -406,20 +405,6 @@ func minusSet(cur, prev map[string]uint64) map[string]uint64 {
 			out[k] = d
 		}
 	}
-	return out
-}
-
-// PeerRTTs returns the current RTT EWMA per endpoint, in nanoseconds —
-// the form the adapt engine's cost rules consume.  Peers past the
-// family cap share metrics.Other, which is no endpoint and is skipped:
-// a cost rule abstains for them as for a peer with no RTT yet.
-func (r *Recorder) PeerRTTs() map[string]float64 {
-	out := map[string]float64{}
-	r.peerRTT.Each(func(ep string, e *metrics.EWMA) {
-		if ns := e.Load(); ns > 0 && ep != metrics.Other {
-			out[ep] = ns
-		}
-	})
 	return out
 }
 

@@ -14,8 +14,8 @@ import (
 // empty key round-robins).  One multiplexed connection pipelines any
 // number of in-flight calls, but every frame still funnels through that
 // connection's one write lock and one reader goroutine — on many-core
-// clients that pair is the throughput ceiling (the E11 experiment
-// measures the lift from widening it).  Affinity keeps all of one
+// clients that pair is the throughput ceiling, which widening the pool
+// lifts.  Affinity keeps all of one
 // object's calls on one socket, so per-object request order on the wire
 // matches issue order exactly as it did with a single connection.
 //

@@ -482,7 +482,6 @@ func appendCluster(dst []byte, c *ClusterPayload) []byte {
 		dst = appendString(dst, s.Class)
 		dst = appendString(dst, s.Home)
 		dst = appendUvarint(dst, s.Calls)
-		dst = binary.AppendVarint(dst, s.StateBytes)
 		dst = appendUvarint(dst, uint64(len(s.Callers)))
 		for j := range s.Callers {
 			dst = appendString(dst, s.Callers[j].Endpoint)
@@ -713,8 +712,7 @@ func (d *bdec) cluster() *ClusterPayload {
 		return nil
 	}
 	for i := uint64(0); i < n && d.err == nil; i++ {
-		s := ObjAffinity{GUID: d.str(), Class: d.str(), Home: d.str(),
-			Calls: d.u64(), StateBytes: d.i64()}
+		s := ObjAffinity{GUID: d.str(), Class: d.str(), Home: d.str(), Calls: d.u64()}
 		m := d.u64()
 		if d.err == nil && m > maxSeq {
 			d.fail("caller list length %d too large", m)

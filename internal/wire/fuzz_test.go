@@ -59,7 +59,7 @@ func seedRequests() []*Request {
 			Intents: []Intent{{GUID: "g#1", Class: "C", From: "rrp://b:1",
 				To: "rrp://c:1", Proposer: "a", Priority: 12, Reason: "affinity"}},
 			Stats: []ObjAffinity{{GUID: "g#1", Class: "C", Home: "rrp://b:1",
-				Calls: 100, StateBytes: 64,
+				Calls:   100,
 				Callers: []EndpointCount{{Endpoint: "rrp://c:1", Calls: 90}}}},
 			Replicas: []ReplicaSet{{GUID: "g#1", Class: "C", Primary: "rrp://b:1",
 				Epoch: 17, Version: 3, Origin: "b",

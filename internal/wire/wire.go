@@ -422,9 +422,9 @@ type Intent struct {
 }
 
 // ObjAffinity is one hosted object's caller-affinity rollup as gossiped
-// by its home node: which endpoints its calls come from and what moving
-// it would cost.  It is the evidence a third node needs to propose a
-// multi-hop migration.
+// by its home node: how many calls it received in the rollup window and
+// which endpoints they came from.  It is the evidence a third node needs
+// to propose a multi-hop migration.
 type ObjAffinity struct {
 	GUID  string `json:"guid" xml:"guid,attr"`
 	Class string `json:"class,omitempty" xml:"class,attr,omitempty"`
@@ -434,9 +434,6 @@ type ObjAffinity struct {
 	Calls uint64 `json:"calls" xml:"calls,attr"`
 	// Callers itemises the window's calls by caller endpoint.
 	Callers []EndpointCount `json:"callers,omitempty" xml:"caller,omitempty"`
-	// StateBytes estimates the object's shipped-state size (the cost
-	// side of a cost-based migration decision).
-	StateBytes int64 `json:"stateBytes,omitempty" xml:"stateBytes,attr,omitempty"`
 }
 
 // ReplicaSet is one replicated object's membership fact as gossiped by

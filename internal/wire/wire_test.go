@@ -120,7 +120,7 @@ func randomCluster(r *rand.Rand) *ClusterPayload {
 	}
 	for i := 0; i < r.Intn(3); i++ {
 		s := ObjAffinity{GUID: randString(r), Class: randString(r),
-			Home: randString(r), Calls: r.Uint64(), StateBytes: r.Int63()}
+			Home: randString(r), Calls: r.Uint64()}
 		for j := 0; j < r.Intn(3); j++ {
 			s.Callers = append(s.Callers, EndpointCount{Endpoint: randString(r), Calls: r.Uint64()})
 		}

@@ -18,10 +18,9 @@ import (
 // NetProfile configures simulated network conditions for a node's
 // transports (zero value: the real loopback network untouched).
 type NetProfile struct {
-	Latency         time.Duration
-	Jitter          time.Duration
-	BandwidthBps    int64
-	FailAfterWrites int64
+	Latency      time.Duration
+	Jitter       time.Duration
+	BandwidthBps int64
 	// Faults injects deterministic per-connection chaos (seeded frame
 	// drop/duplicate/kill-mid-flight schedules); nil leaves the link
 	// healthy.  Drives the E12 fault-injection experiment.
@@ -41,12 +40,11 @@ var (
 
 func (np NetProfile) profile() netsim.Profile {
 	return netsim.Profile{
-		Latency:         np.Latency,
-		Jitter:          np.Jitter,
-		BandwidthBps:    np.BandwidthBps,
-		FailAfterWrites: np.FailAfterWrites,
-		Seed:            1,
-		Faults:          np.Faults,
+		Latency:      np.Latency,
+		Jitter:       np.Jitter,
+		BandwidthBps: np.BandwidthBps,
+		Seed:         1,
+		Faults:       np.Faults,
 	}
 }
 
@@ -77,7 +75,9 @@ type TracingConfig struct {
 	Spans int
 	// Disable turns the tracing plane off entirely — no flight
 	// recorder, no span extensions on outgoing requests.  The E14
-	// experiment bounds what this saves (<5% on the echo tier).
+	// experiment measures what this saves: about 8 % CPU per call on
+	// its echo tier at GOMAXPROCS=2, against a 5 % bar it does not yet
+	// meet (EXPERIMENTS.md).
 	Disable bool
 }
 
@@ -101,12 +101,6 @@ type NodeConfig struct {
 	// inbound call, a RunMain); 0 keeps the default, 200 M.  It stops a
 	// runaway method and does not accumulate over the node's lifetime.
 	MaxSteps int64
-	// NoCallback keeps a node serving no transport fully anonymous: by
-	// default such a node volunteers a callback endpoint the first time
-	// it dials out, so peers can attribute its call affinity (and
-	// migrate hot objects toward it) instead of binning its traffic as
-	// anonymous.
-	NoCallback bool
 	// PoolSize is the per-peer connection pool width: outgoing calls
 	// spread across this many multiplexed connections per endpoint,
 	// routed by object affinity so per-object ordering is preserved.
@@ -189,7 +183,7 @@ func (t *Transformed) NewNode(cfg NodeConfig) (*Node, error) {
 		Transports:        reg,
 		Output:            cfg.Output,
 		VMOpts:            vmOpts,
-		VolunteerCallback: !cfg.NoCallback,
+		VolunteerCallback: true,
 		PoolSize:          cfg.PoolSize,
 		DedupWindow:       cfg.Limits.DedupWindow,
 		TraceSpans:        cfg.Tracing.Spans,
