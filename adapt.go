@@ -38,16 +38,15 @@ func (n *Node) StartAdapter(cfg AdaptConfig) *Adapter {
 // loop; drive it with Tick for deterministic harnesses, or Start it for
 // the timed loop.
 func (n *Node) NewAdapter(cfg AdaptConfig) *Adapter {
-	// Every decision lands in the node's flight recorder as an adapt
-	// span (a no-op under NoTrace) before cfg.OnDecision sees it.
+	// Every decision lands in the node's control log (Node.Events)
+	// before cfg.OnDecision sees it.
 	a := &Adapter{eng: adapt.New(n.n.EnableTelemetry(), n.n, cfg)}
 	n.attachAdapter(a)
 	return a
 }
 
 // Start launches the adapter's periodic loop (no-op if running).
-// Start after Stop resumes it; window state, budgets and the decision
-// log carry over.
+// Start after Stop resumes it; window state and budgets carry over.
 func (a *Adapter) Start() { a.eng.Start() }
 
 // Stop halts the decision loop, waiting out an in-flight evaluation;
@@ -57,6 +56,3 @@ func (a *Adapter) Stop() { a.eng.Stop() }
 // Tick runs one evaluation immediately — the deterministic alternative
 // to the timed loop, used by tests and the E9 harness.
 func (a *Adapter) Tick() { a.eng.Tick() }
-
-// Decisions returns the adapter's decision log.
-func (a *Adapter) Decisions() []AdaptDecision { return a.eng.Decisions() }

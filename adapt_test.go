@@ -1,6 +1,7 @@
 package rafda
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -95,7 +96,7 @@ func TestAdaptiveMigrationConverges(t *testing.T) {
 
 	// B must have migrated the object to A — no manual Migrate call.
 	var migrations int
-	for _, d := range adB.Decisions() {
+	for _, d := range decisionsOf(nodeB) {
 		if d.Kind.String() == "migrate" && d.Executed {
 			migrations++
 			if d.Endpoint != epA {
@@ -104,7 +105,7 @@ func TestAdaptiveMigrationConverges(t *testing.T) {
 		}
 	}
 	if migrations != 1 {
-		t.Fatalf("executed migrations on B = %d, want 1; log: %+v", migrations, adB.Decisions())
+		t.Fatalf("executed migrations on B = %d, want 1; log: %+v", migrations, decisionsOf(nodeB))
 	}
 	if in := nodeA.Stats().MigrationsIn; in != 1 {
 		t.Fatalf("node A migrations-in = %d, want 1", in)
@@ -122,7 +123,7 @@ func TestAdaptiveMigrationConverges(t *testing.T) {
 	// A's adapter must have flipped the class policy local (the
 	// class-pull rule), so new instances stop being mis-placed.
 	var flips int
-	for _, d := range adA.Decisions() {
+	for _, d := range decisionsOf(nodeA) {
 		if d.Kind.String() == "place-class" && d.Executed {
 			flips++
 			if d.Class != "Counter" || d.Endpoint != "" {
@@ -131,7 +132,7 @@ func TestAdaptiveMigrationConverges(t *testing.T) {
 		}
 	}
 	if flips != 1 {
-		t.Fatalf("executed class flips on A = %d, want 1; log: %+v", flips, adA.Decisions())
+		t.Fatalf("executed class flips on A = %d, want 1; log: %+v", flips, decisionsOf(nodeA))
 	}
 	made2, err := nodeA.Call("Setup", "make")
 	if err != nil {
@@ -148,13 +149,13 @@ func TestAdaptiveMigrationConverges(t *testing.T) {
 		adA.Tick()
 		adB.Tick()
 	}
-	for _, d := range append(adA.Decisions(), adB.Decisions()...) {
+	for _, d := range append(decisionsOf(nodeA), decisionsOf(nodeB)...) {
 		if d.Kind.String() == "migrate" && d.Executed && d.Endpoint != epA {
 			t.Fatalf("ping-pong: %+v", d)
 		}
 	}
 	var total int
-	for _, d := range append(adA.Decisions(), adB.Decisions()...) {
+	for _, d := range append(decisionsOf(nodeA), decisionsOf(nodeB)...) {
 		if d.Kind.String() == "migrate" && d.Executed {
 			total++
 		}
@@ -164,10 +165,22 @@ func TestAdaptiveMigrationConverges(t *testing.T) {
 	}
 }
 
-// TestAdapterDecisionsLeaveSpans: every decision lands in the node's
-// flight recorder as an adapt span, whether or not the caller set an
+// decisionsOf returns the adapter decisions in n's control log.
+func decisionsOf(n *Node) []AdaptDecision {
+	var ds []AdaptDecision
+	for _, e := range n.Events() {
+		if e.Adapt != nil {
+			ds = append(ds, *e.Adapt)
+		}
+	}
+	return ds
+}
+
+// TestAdapterDecisionsReachSnapshot: every decision lands in the node's
+// control log, which the "events" introspection section serves — also
+// on a node with tracing disabled, and whether or not the caller set an
 // OnDecision observer.
-func TestAdapterDecisionsLeaveSpans(t *testing.T) {
+func TestAdapterDecisionsReachSnapshot(t *testing.T) {
 	prog, err := CompileString(adaptSource)
 	if err != nil {
 		t.Fatal(err)
@@ -177,8 +190,18 @@ func TestAdapterDecisionsLeaveSpans(t *testing.T) {
 		t.Fatal(err)
 	}
 	nodeA, _ := traceNode(t, tr, "a", NetProfile{})
-	nodeB, epB := traceNode(t, tr, "b", NetProfile{})
-	adB := nodeB.NewAdapter(AdaptConfig{Threshold: 0.6, MinCalls: 10, Confirm: 2})
+	nodeB, err := tr.NewNode(NodeConfig{Name: "b", Tracing: TracingConfig{Disable: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { nodeB.Close() })
+	epB, err := nodeB.Serve("rrp", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var observed []AdaptDecision
+	adB := nodeB.NewAdapter(AdaptConfig{Threshold: 0.6, MinCalls: 10, Confirm: 2,
+		OnDecision: func(d AdaptDecision) { observed = append(observed, d) }})
 
 	if err := nodeA.PlaceClass("Counter", epB); err != nil {
 		t.Fatal(err)
@@ -195,17 +218,36 @@ func TestAdapterDecisionsLeaveSpans(t *testing.T) {
 		}
 		adB.Tick()
 	}
-	decisions := adB.Decisions()
-	var adaptSpans int
-	for _, s := range ringUnion(t, nodeB) {
-		if s.Kind == "adapt" {
-			adaptSpans++
+
+	out, err := nodeB.IntrospectJSON("events", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var served []struct {
+		Seq   uint64 `json:"seq"`
+		Adapt *struct {
+			Kind     string `json:"kind"`
+			GUID     string `json:"guid"`
+			Endpoint string `json:"endpoint"`
+			Executed bool   `json:"executed"`
+		} `json:"adapt"`
+	}
+	if err := json.Unmarshal([]byte(out), &served); err != nil {
+		t.Fatalf("events section: %v\n%s", err, out)
+	}
+	if len(observed) == 0 || len(served) != len(observed) {
+		t.Fatalf("events section lists %d entries for %d decisions:\n%s", len(served), len(observed), out)
+	}
+	var migrated bool
+	for i, e := range served {
+		d := observed[i]
+		if e.Adapt == nil || e.Adapt.Kind != d.Kind.String() || e.Adapt.GUID != d.GUID ||
+			e.Adapt.Executed != d.Executed || e.Seq != uint64(i+1) {
+			t.Fatalf("entry %d = %+v, want decision %+v", i, e, d)
 		}
+		migrated = migrated || (e.Adapt.Kind == "migrate" && e.Adapt.Executed && e.Adapt.Endpoint != "")
 	}
-	if len(decisions) == 0 || adaptSpans != len(decisions) {
-		t.Fatalf("%d adapt spans for %d decisions: %+v", adaptSpans, len(decisions), decisions)
+	if !migrated {
+		t.Fatalf("events section has no executed migration:\n%s", out)
 	}
-	oneSpan(t, ringUnion(t, nodeB), "migrate span", func(s tSpan) bool {
-		return s.Kind == "adapt" && s.Name == "migrate" && s.Err == ""
-	})
 }

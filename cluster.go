@@ -24,7 +24,8 @@ type ClusterConfig struct {
 	// gossiped affinity rollups and propose migrations anywhere in the
 	// cluster (B→C proposed by A).
 	Propose bool
-	// OnEvent observes every membership/directory/intent event.
+	// OnEvent observes every membership/directory/intent event, after
+	// it lands in the node's control log (Node.Events).
 	OnEvent func(ClusterEvent)
 }
 
@@ -80,9 +81,6 @@ func (c *Cluster) Leave() { c.co.Leave() }
 
 // Peers returns the membership table, sorted by id.
 func (c *Cluster) Peers() []ClusterPeer { return c.co.Peers() }
-
-// Events returns the retained coordination event log.
-func (c *Cluster) Events() []ClusterEvent { return c.co.Events() }
 
 // ProposeMigration submits a placement intent to the cluster: move the
 // object exported under guid to the node serving endpoint.  The intent

@@ -65,6 +65,17 @@ func tickRounds(rounds int, clusters [3]*Cluster) {
 	}
 }
 
+// clusterEventsOf returns the cluster events in n's control log.
+func clusterEventsOf(n *Node) []ClusterEvent {
+	var evs []ClusterEvent
+	for _, e := range n.Events() {
+		if e.Cluster != nil {
+			evs = append(evs, *e.Cluster)
+		}
+	}
+	return evs
+}
+
 // refGUID digs the exported GUID out of a proxy handle (test-only; real
 // operators read GUIDs from telemetry and cluster events).
 func refGUID(t *testing.T, ref *Ref) string {
@@ -112,7 +123,7 @@ func TestClusterConflictingIntentsConverge(t *testing.T) {
 	tickRounds(6, clusters)
 
 	if out := b.Stats().MigrationsOut; out != 1 {
-		t.Fatalf("home executed %d migrations, want exactly 1; events: %+v", out, clusters[1].Events())
+		t.Fatalf("home executed %d migrations, want exactly 1; events: %+v", out, clusterEventsOf(nodes[1]))
 	}
 	if in := a.Stats().MigrationsIn; in != 1 {
 		t.Fatalf("winner a received %d migrations, want 1", in)
@@ -189,7 +200,7 @@ func TestClusterMultiHopMigrationConverges(t *testing.T) {
 		tickRounds(1, clusters)
 	}
 	if out := b.Stats().MigrationsOut; out != 1 {
-		t.Fatalf("b executed %d migrations, want 1; a events: %+v", out, clusters[0].Events())
+		t.Fatalf("b executed %d migrations, want 1; a events: %+v", out, clusterEventsOf(nodes[0]))
 	}
 	if in := c.Stats().MigrationsIn; in != 1 {
 		t.Fatalf("c received %d migrations, want 1", in)
@@ -197,7 +208,7 @@ func TestClusterMultiHopMigrationConverges(t *testing.T) {
 
 	// Multi-hop provenance: the executed intent's proposer is a.
 	var migrated bool
-	for _, e := range clusters[1].Events() {
+	for _, e := range clusterEventsOf(nodes[1]) {
 		if e.Kind == "migrate" && e.GUID == guid {
 			if e.Peer != "a" {
 				t.Fatalf("migration proposed by %q, want a (multi-hop: proposer != source != target)", e.Peer)
@@ -209,7 +220,7 @@ func TestClusterMultiHopMigrationConverges(t *testing.T) {
 		}
 	}
 	if !migrated {
-		t.Fatalf("no migrate event on b: %+v", clusters[1].Events())
+		t.Fatalf("no migrate event on b: %+v", clusterEventsOf(nodes[1]))
 	}
 
 	// One call may pay the forwarding hop; after it, c reaches its own
@@ -269,7 +280,7 @@ func TestClusterAdapterDelegatesIntent(t *testing.T) {
 	adB.Tick()
 
 	var delegated bool
-	for _, d := range adB.Decisions() {
+	for _, d := range decisionsOf(b) {
 		if d.Kind.String() == "migrate" {
 			if d.Executed {
 				t.Fatalf("clustered engine executed unilaterally: %+v", d)
@@ -280,11 +291,11 @@ func TestClusterAdapterDelegatesIntent(t *testing.T) {
 		}
 	}
 	if !delegated {
-		t.Fatalf("no delegated migration decision: %+v", adB.Decisions())
+		t.Fatalf("no delegated migration decision: %+v", decisionsOf(b))
 	}
 	tickRounds(4, clusters)
 	if in := a.Stats().MigrationsIn; in != 1 {
-		t.Fatalf("delegated intent did not land on a: migrations-in %d; events %+v", in, clusters[1].Events())
+		t.Fatalf("delegated intent did not land on a: migrations-in %d; events %+v", in, clusterEventsOf(nodes[1]))
 	}
 }
 
@@ -368,7 +379,7 @@ func TestClusterPlacementsAnnounceAndFollow(t *testing.T) {
 		adA.Tick()
 	}
 	if got := placedAt(a); got != "" {
-		t.Fatalf("a's adapter did not flip Counter local (at %q); log %+v", got, adA.Decisions())
+		t.Fatalf("a's adapter did not flip Counter local (at %q); log %+v", got, decisionsOf(a))
 	}
 	tickRounds(2, clusters)
 	if got := placedAt(c); got != "" {

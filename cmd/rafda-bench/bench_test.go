@@ -353,8 +353,8 @@ func BenchmarkE9_AdaptivePlacement(b *testing.B) {
 				}
 			}
 			adServer.Tick()
-			for _, d := range adServer.Decisions() {
-				converged = converged || d.Kind.String() == "migrate" && d.Executed
+			for _, e := range server.Events() {
+				converged = converged || e.Adapt != nil && e.Adapt.Kind.String() == "migrate" && e.Adapt.Executed
 			}
 		}
 		if !converged {

@@ -37,6 +37,7 @@ import (
 	"time"
 
 	"rafda"
+	"rafda/internal/guid"
 	"rafda/internal/metrics"
 	"rafda/internal/netsim"
 	"rafda/internal/transport"
@@ -177,7 +178,7 @@ func e15MakeObjects(client transport.Client, ep string, base, n int) ([]*e15Entr
 	entries := make([]*e15Entry, 0, n)
 	for i := 0; i < n; i++ {
 		resp, err := client.Call(&wire.Request{
-			ID: 1, Op: wire.OpInvokeClass, Class: "Mk", Method: "make",
+			ID: 1, Op: wire.OpInvoke, GUID: guid.ClassGUID("Mk"), Method: "make",
 			Args: []wire.Value{{Kind: wire.KInt, Int: int64(base + i)}},
 		})
 		if err != nil {

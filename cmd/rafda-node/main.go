@@ -29,8 +29,10 @@
 // Observability (docs/OBSERVABILITY.md): the node always runs a
 // bounded flight recorder of call spans unless -no-trace.  -pprof
 // serves net/http/pprof plus /debug/rafda (the unified introspection
-// snapshot, also reachable remotely via rafdac), and SIGQUIT dumps the
-// recorder and metrics to stderr without stopping the node.
+// snapshot, also reachable remotely via rafdac; ?section=events is the
+// control log of adapt decisions and cluster events), and SIGQUIT dumps
+// the metrics, control log and recorder to stderr without stopping the
+// node.
 package main
 
 import (
@@ -120,10 +122,11 @@ func run() error {
 	defer node.Close()
 
 	// Debug surfaces: -pprof serves the standard net/http/pprof tree
-	// plus /debug/rafda?section=metrics|spans|trace&id=<hex> — the same
-	// snapshot wire.OpIntrospect serves remotely.  SIGQUIT dumps the
-	// flight recorder and metrics to stderr without stopping the node
-	// (replacing the Go runtime's default die-with-stacks behaviour).
+	// plus /debug/rafda?section=metrics|events|spans|trace&id=<hex> — the
+	// same snapshot wire.OpIntrospect serves remotely.  SIGQUIT dumps the
+	// metrics, the control log and the flight recorder to stderr without
+	// stopping the node (replacing the Go runtime's default
+	// die-with-stacks behaviour).
 	if *pprofAddr != "" {
 		http.HandleFunc("/debug/rafda", func(w http.ResponseWriter, r *http.Request) {
 			out, err := node.IntrospectJSON(r.URL.Query().Get("section"), r.URL.Query().Get("id"))
@@ -220,10 +223,10 @@ func run() error {
 	return nil
 }
 
-// dumpDebug writes the unified metrics snapshot and the flight
-// recorder's ring to stderr — the SIGQUIT crash-cart view.
+// dumpDebug writes the unified metrics snapshot, the control log and
+// the flight recorder's ring to stderr — the SIGQUIT crash-cart view.
 func dumpDebug(node *rafda.Node) {
-	for _, section := range []string{"metrics", "spans"} {
+	for _, section := range []string{"metrics", "events", "spans"} {
 		out, err := node.IntrospectJSON(section, "")
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "rafda-node: dump %s: %v\n", section, err)
@@ -242,22 +245,12 @@ func hasFactories(p *rafda.Program) bool {
 	return false
 }
 
-// decisionLine formats one adapter decision for the -adapt log.  The
-// outcome reads "executed", "delegated" (handed to the cluster as an
-// intent) or "held: <why>".
+// decisionLine formats one adapter decision for the -adapt log, with
+// its Outcome in parentheses.
 func decisionLine(d rafda.AdaptDecision) string {
-	status := "held"
-	switch {
-	case d.Executed:
-		status = "executed"
-	case d.Delegated:
-		status = "delegated"
-	case d.Err != "":
-		status = "held: " + d.Err
-	}
 	target := d.GUID
 	if target == "" {
 		target = "class " + d.Class
 	}
-	return fmt.Sprintf("adapt: %s %s -> %q (%s): %s", d.Kind, target, d.Endpoint, status, d.Reason)
+	return fmt.Sprintf("adapt: %s %s -> %q (%s): %s", d.Kind, target, d.Endpoint, d.Outcome(), d.Reason)
 }

@@ -82,15 +82,11 @@ func run() error {
 		MinCalls:  8,
 		Confirm:   2,
 		OnDecision: func(d rafda.AdaptDecision) {
-			status := "held"
-			if d.Executed {
-				status = "executed"
-			}
 			target := d.GUID
 			if target == "" {
 				target = "class " + d.Class
 			}
-			fmt.Printf("  [engine] %-11s %s -> %q (%s)\n", d.Kind, target, d.Endpoint, status)
+			fmt.Printf("  [engine] %-11s %s -> %q (%s)\n", d.Kind, target, d.Endpoint, d.Outcome())
 		},
 	}
 	app.StartAdapter(cfg)

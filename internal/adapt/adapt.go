@@ -104,25 +104,44 @@ func (p Proposal) key() string {
 // Decision is one engine outcome: a proposal that survived hysteresis,
 // recorded whether or not it executed.
 type Decision struct {
-	Seq      int
-	At       time.Time
-	Window   int // evaluation tick the decision was made in
-	Rule     string
-	Kind     DecisionKind
-	GUID     string
-	Class    string
-	Endpoint string
-	Reason   string
+	Window   int          `json:"window"` // evaluation tick the decision was made in
+	Rule     string       `json:"rule"`
+	Kind     DecisionKind `json:"kind"`
+	GUID     string       `json:"guid,omitempty"`
+	Class    string       `json:"class,omitempty"`
+	Endpoint string       `json:"endpoint,omitempty"`
+	Reason   string       `json:"reason,omitempty"`
 	// Executed reports the action ran (and, for migrations, succeeded).
-	// A false value with empty Err means a thrash guard suppressed it.
-	Executed bool
+	Executed bool `json:"executed,omitempty"`
 	// Delegated reports the decision was handed to the cluster
 	// coordination plane as a placement intent instead of executed
 	// directly: the cluster reconciles conflicting intents and the
 	// object's home executes the winner (docs/CLUSTER.md).
-	Delegated bool
-	Err       string
+	Delegated bool `json:"delegated,omitempty"`
+	// Err says why a decision that neither executed nor was delegated
+	// was held: a thrash guard suppressed it or its action failed.
+	Err string `json:"err,omitempty"`
 }
+
+// Outcome names what became of the decision: "executed", "delegated"
+// (handed to the cluster as an intent), "held: <why>" when a thrash
+// guard or a failed action stopped it, or "held".
+func (d Decision) Outcome() string {
+	switch {
+	case d.Executed:
+		return "executed"
+	case d.Delegated:
+		return "delegated"
+	case d.Err != "":
+		return "held: " + d.Err
+	default:
+		return "held"
+	}
+}
+
+// MarshalText encodes the kind by name, so a logged decision reads
+// "migrate" in JSON rather than an ordinal.
+func (k DecisionKind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
 
 // ObjWindow is one object's activity during the evaluated window — the
 // deltas from the engine's telemetry cursor — plus what the engine
@@ -204,9 +223,9 @@ type Node interface {
 	// engine then executes directly — or with a reason when the cluster
 	// refused it).
 	SubmitIntent(p Proposal) (accepted bool, reason string)
-	// RecordDecision surfaces one logged decision on the node (its flight
-	// recorder's adapt span).  Called after the engine lock is released
-	// and before Config.OnDecision, so it may use the engine's own API.
+	// RecordDecision appends one decision to the node's control log.
+	// Called after the engine lock is released and before
+	// Config.OnDecision, so it may use the engine's own API.
 	RecordDecision(d Decision)
 }
 
@@ -290,8 +309,6 @@ type Engine struct {
 
 	mu      sync.Mutex
 	tick    int
-	seq     int // decisions ever made (Seq is monotonic across log trims)
-	log     []Decision
 	pending []Decision // this tick's decisions, for post-unlock callbacks
 	confirm map[string]confirmState
 	spent   map[string][]int // proposal key -> ticks of executed actions
@@ -318,7 +335,7 @@ func New(rec *telemetry.Recorder, node Node, cfg Config) *Engine {
 
 // Start launches the periodic decision loop (no-op while one is
 // running).  Start after Stop resumes the loop — the engine's window
-// state, budgets and log carry over.
+// state and budgets carry over.
 func (e *Engine) Start() {
 	e.mu.Lock()
 	if e.running {
@@ -360,20 +377,11 @@ func (e *Engine) Stop() {
 	<-done
 }
 
-// Decisions returns a copy of the decision log (the most recent
-// maxDecisionLog entries; Seq is monotonic, so trimmed history is
-// detectable).
-func (e *Engine) Decisions() []Decision {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return append([]Decision(nil), e.log...)
-}
-
 // Tick runs one evaluation: cursor → window deltas → rules →
 // hysteresis → budget → execute.  Exported so tests and harnesses can
 // step the loop deterministically.  Each decision reaches the node's
 // RecordDecision and then OnDecision after the engine lock is released,
-// so either may freely use the engine's own API (Decisions, even Tick).
+// so either may freely use the engine's own API (even Tick or Stop).
 func (e *Engine) Tick() {
 	for _, d := range e.tickLocked() {
 		e.node.RecordDecision(d)
@@ -441,10 +449,7 @@ func (e *Engine) tickLocked() []Decision {
 // e.mu.
 func (e *Engine) decide(p Proposal, polVersion *uint64) {
 	defer delete(e.confirm, p.key())
-	e.seq++
 	d := Decision{
-		Seq:      e.seq,
-		At:       time.Now(),
 		Window:   e.tick,
 		Rule:     p.Rule,
 		Kind:     p.Kind,
@@ -474,7 +479,7 @@ func (e *Engine) decide(p Proposal, polVersion *uint64) {
 		d.Executed = true
 		e.spent[k] = append(e.spent[k], e.tick)
 	}
-	e.logDecision(d)
+	e.pending = append(e.pending, d)
 }
 
 // act executes one confirmed, in-budget proposal through the node;
@@ -517,23 +522,6 @@ func (e *Engine) act(p Proposal, polVersion *uint64) (delegated bool, err error)
 	default:
 		return false, fmt.Errorf("unknown decision kind %v", p.Kind)
 	}
-}
-
-// maxDecisionLog bounds the retained decision log: a daemon node with a
-// persistently recurring (budget-suppressed) proposal logs one entry
-// per Confirm windows forever, so the log is a sliding window of the
-// most recent decisions.  Seq stays monotonic across trims, so a
-// consumer can detect that older entries were dropped; OnDecision sees
-// every decision regardless.
-const maxDecisionLog = 1024
-
-func (e *Engine) logDecision(d Decision) {
-	if len(e.log) >= maxDecisionLog {
-		n := copy(e.log, e.log[len(e.log)-maxDecisionLog/2:])
-		e.log = e.log[:n]
-	}
-	e.log = append(e.log, d)
-	e.pending = append(e.pending, d)
 }
 
 // buildView advances the engine's telemetry cursor and annotates the

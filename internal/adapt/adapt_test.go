@@ -3,6 +3,7 @@ package adapt
 import (
 	"fmt"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -58,6 +59,23 @@ type harness struct {
 	polV      uint64
 	placement map[string]string
 	replicas  map[*vm.Object][]string
+
+	mu   sync.Mutex // guards decs: the timed loop records from its goroutine
+	decs []Decision // every decision the engine recorded on the node
+}
+
+// decisions returns the decisions recorded so far.
+func (h *harness) decisions() []Decision {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return slices.Clone(h.decs)
+}
+
+// record is the harness node's RecordDecision.
+func (h *harness) record(d Decision) {
+	h.mu.Lock()
+	h.decs = append(h.decs, d)
+	h.mu.Unlock()
 }
 
 func newHarness(t *testing.T, cfg Config) *harness {
@@ -93,7 +111,7 @@ func newHarness(t *testing.T, cfg Config) *harness {
 		},
 		isReplicated:   func(obj *vm.Object) bool { return len(h.replicas[obj]) > 0 },
 		submitIntent:   func(Proposal) (bool, string) { return false, "" },
-		recordDecision: func(Decision) {},
+		recordDecision: h.record,
 	}
 	h.eng = New(h.rec, h.node, cfg)
 	return h
@@ -124,7 +142,7 @@ func TestAffinityMigratesAfterConfirm(t *testing.T) {
 	if len(h.migrated) != 1 {
 		t.Fatalf("migrations = %v, want one", h.migrated)
 	}
-	dl := h.eng.Decisions()
+	dl := h.decisions()
 	if len(dl) != 1 || !dl[0].Executed || dl[0].Kind != KindMigrate || dl[0].Endpoint != epA {
 		t.Fatalf("bad decision log: %+v", dl)
 	}
@@ -138,8 +156,8 @@ func TestQuietObjectNeverProposed(t *testing.T) {
 	h.hotObject("g1", 50, epA) // below MinCalls
 	h.eng.Tick()
 	h.eng.Tick()
-	if len(h.eng.Decisions()) != 0 {
-		t.Fatalf("decisions on a quiet object: %+v", h.eng.Decisions())
+	if len(h.decisions()) != 0 {
+		t.Fatalf("decisions on a quiet object: %+v", h.decisions())
 	}
 }
 
@@ -151,8 +169,8 @@ func TestMixedAffinityBelowThresholdHolds(t *testing.T) {
 		s.RecordLocal() // 50/90 from A < 0.9
 	}
 	h.eng.Tick()
-	if len(h.eng.Decisions()) != 0 {
-		t.Fatalf("migrated below threshold: %+v", h.eng.Decisions())
+	if len(h.decisions()) != 0 {
+		t.Fatalf("migrated below threshold: %+v", h.decisions())
 	}
 }
 
@@ -199,7 +217,7 @@ func TestBudgetSuppressesPingPong(t *testing.T) {
 		t.Fatalf("budget failed to suppress repeat migrations: %v", h.migrated)
 	}
 	var suppressed int
-	for _, d := range h.eng.Decisions() {
+	for _, d := range h.decisions() {
 		if !d.Executed && d.Err != "" {
 			suppressed++
 		}
@@ -220,7 +238,7 @@ func TestProxiedObjectNotMigrated(t *testing.T) {
 	}
 	// Non-migratable objects are filtered before hysteresis: no
 	// decision (not even a suppressed one) may recur in the log.
-	if dl := h.eng.Decisions(); len(dl) != 0 {
+	if dl := h.decisions(); len(dl) != 0 {
 		t.Fatalf("proxy produced decisions: %+v", dl)
 	}
 }
@@ -239,7 +257,7 @@ func TestTwoClassFlipsInOneTick(t *testing.T) {
 	if len(h.placed) != 2 {
 		t.Fatalf("placements = %v, want both C and D flipped", h.placed)
 	}
-	for _, d := range h.eng.Decisions() {
+	for _, d := range h.decisions() {
 		if !d.Executed {
 			t.Fatalf("same-tick flip vetoed: %+v", d)
 		}
@@ -253,14 +271,14 @@ func TestRestartAfterStop(t *testing.T) {
 	s := h.rec.ForObject(h.hotObject("g1", 0, epA), "g1", "C")
 	h.eng.Start() // must actually resume the loop
 	deadline := time.Now().Add(2 * time.Second)
-	for len(h.eng.Decisions()) == 0 && time.Now().Before(deadline) {
+	for len(h.decisions()) == 0 && time.Now().Before(deadline) {
 		for i := 0; i < 50; i++ {
 			s.RecordInbound(epA, 8, 8, time.Microsecond)
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
 	h.eng.Stop()
-	if len(h.eng.Decisions()) == 0 {
+	if len(h.decisions()) == 0 {
 		t.Fatal("restarted loop never ticked")
 	}
 }
@@ -269,8 +287,8 @@ func TestSelfEndpointNeverATarget(t *testing.T) {
 	h := newHarness(t, Config{Threshold: 0.5, MinCalls: 10, Confirm: 1})
 	h.hotObject("g1", 50, epB) // all calls "from" our own endpoint
 	h.eng.Tick()
-	if len(h.eng.Decisions()) != 0 {
-		t.Fatalf("proposed migrating to self: %+v", h.eng.Decisions())
+	if len(h.decisions()) != 0 {
+		t.Fatalf("proposed migrating to self: %+v", h.decisions())
 	}
 }
 
@@ -319,7 +337,7 @@ func TestPlaceClassRespectsPolicyVersion(t *testing.T) {
 		return innerPlace(class, ep, ifVersion)
 	}
 	h.eng.Tick()
-	dl := h.eng.Decisions()
+	dl := h.decisions()
 	if len(dl) != 1 || dl[0].Executed {
 		t.Fatalf("stale-version flip must not execute: %+v", dl)
 	}
@@ -329,14 +347,15 @@ func TestPlaceClassRespectsPolicyVersion(t *testing.T) {
 }
 
 // TestOnDecisionMayUseEngineAPI pins the callback contract: OnDecision
-// fires outside the engine lock, so a callback that reads the decision
-// log (or even re-enters Tick) must not deadlock.
+// fires outside the engine lock, so a callback that uses the engine's
+// own API (here Stop, which takes the engine lock) must not deadlock.
 func TestOnDecisionMayUseEngineAPI(t *testing.T) {
 	var h *harness
 	var observed int
 	cfg := Config{Threshold: 0.6, MinCalls: 10, Confirm: 1,
 		OnDecision: func(d Decision) {
-			observed = len(h.eng.Decisions()) // would deadlock if called under e.mu
+			h.eng.Stop() // would deadlock if called under e.mu
+			observed++
 		}}
 	h = newHarness(t, cfg)
 	h.hotObject("g1", 50, epA)
@@ -350,23 +369,25 @@ func TestOnDecisionMayUseEngineAPI(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("Tick deadlocked delivering OnDecision")
 	}
-	if observed != 1 {
-		t.Fatalf("callback saw %d logged decisions, want 1", observed)
+	if observed != 1 || len(h.decisions()) != 1 {
+		t.Fatalf("callback saw %d decisions, node recorded %d; want 1 each", observed, len(h.decisions()))
 	}
 }
 
 // TestRecordDecisionPrecedesOnDecision pins the node-side recording
-// contract: RecordDecision fires once per logged decision — executed or
+// contract: RecordDecision fires once per decision — executed or
 // suppressed — before OnDecision sees it, and outside the engine lock,
-// so it may read the decision log.
+// so it may use the engine's own API.
 func TestRecordDecisionPrecedesOnDecision(t *testing.T) {
 	var h *harness
 	var calls []string
 	cfg := Config{Threshold: 0.6, MinCalls: 10, Confirm: 1, Budget: 1,
-		OnDecision: func(d Decision) { calls = append(calls, fmt.Sprintf("observe %d", d.Seq)) }}
+		OnDecision: func(d Decision) { calls = append(calls, fmt.Sprintf("observe %d", len(h.decisions()))) }}
 	h = newHarness(t, cfg)
 	h.node.recordDecision = func(d Decision) {
-		calls = append(calls, fmt.Sprintf("record %d/%d", d.Seq, len(h.eng.Decisions())))
+		h.eng.Stop() // would deadlock if called under e.mu
+		h.record(d)
+		calls = append(calls, fmt.Sprintf("record %d", len(h.decisions())))
 	}
 	obj := h.hotObject("g1", 50, epA)
 	h.hotObject("g2", 50, epA)
@@ -380,7 +401,7 @@ func TestRecordDecisionPrecedesOnDecision(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("Tick deadlocked delivering RecordDecision")
 	}
-	want := []string{"record 1/2", "observe 1", "record 2/2", "observe 2"}
+	want := []string{"record 1", "observe 1", "record 2", "observe 2"}
 	if !slices.Equal(calls, want) {
 		t.Fatalf("calls = %v, want %v", calls, want)
 	}
@@ -394,10 +415,10 @@ func TestRecordDecisionPrecedesOnDecision(t *testing.T) {
 		s.RecordInbound(epA, 8, 8, time.Microsecond)
 	}
 	h.eng.Tick()
-	if d := h.eng.Decisions(); len(d) != 3 || d[2].Executed || d[2].Err == "" {
+	if d := h.decisions(); len(d) != 3 || d[2].Executed || d[2].Err == "" {
 		t.Fatalf("want a suppressed third decision: %+v", d)
 	}
-	if want := []string{"record 3/3", "observe 3"}; !slices.Equal(calls, want) {
+	if want := []string{"record 3", "observe 3"}; !slices.Equal(calls, want) {
 		t.Fatalf("calls = %v, want %v", calls, want)
 	}
 }
@@ -407,7 +428,7 @@ func TestStartStopLoop(t *testing.T) {
 	s := h.rec.ForObject(h.hotObject("g1", 0, epA), "g1", "C")
 	h.eng.Start()
 	deadline := time.Now().Add(2 * time.Second)
-	for len(h.eng.Decisions()) == 0 && time.Now().Before(deadline) {
+	for len(h.decisions()) == 0 && time.Now().Before(deadline) {
 		for i := 0; i < 50; i++ {
 			s.RecordInbound(epA, 8, 8, time.Microsecond)
 		}
@@ -415,7 +436,7 @@ func TestStartStopLoop(t *testing.T) {
 	}
 	h.eng.Stop()
 	h.eng.Stop() // idempotent
-	if len(h.eng.Decisions()) == 0 {
+	if len(h.decisions()) == 0 {
 		t.Fatal("ticker loop never decided")
 	}
 }
@@ -442,7 +463,7 @@ func TestMigrationDelegatesToCluster(t *testing.T) {
 	if len(intents) != 1 || intents[0].Endpoint != epA || intents[0].Priority != 50 {
 		t.Fatalf("intent not submitted: %+v", intents)
 	}
-	ds := h.eng.Decisions()
+	ds := h.decisions()
 	if len(ds) != 1 || !ds[0].Delegated || ds[0].Executed {
 		t.Fatalf("decision not marked delegated: %+v", ds)
 	}
@@ -464,7 +485,7 @@ func TestMigrationDelegatesToCluster(t *testing.T) {
 	}
 	h.eng.Tick()
 	if len(h.migrated) != 1 {
-		t.Fatalf("fallback to direct execution failed: %v (log %+v)", h.migrated, h.eng.Decisions())
+		t.Fatalf("fallback to direct execution failed: %v (log %+v)", h.migrated, h.decisions())
 	}
 }
 
@@ -502,7 +523,7 @@ func TestReplicateReadMostlySpreadObject(t *testing.T) {
 	if len(got) != 2 || got[0] != epA || got[1] != epC {
 		t.Fatalf("replica targets = %v, want [%s %s]", got, epA, epC)
 	}
-	dl := h.eng.Decisions()
+	dl := h.decisions()
 	if len(dl) != 1 || !dl[0].Executed || dl[0].Kind != KindReplicate || dl[0].Rule != "replicate" {
 		t.Fatalf("bad decision log: %+v", dl)
 	}
@@ -512,8 +533,8 @@ func TestReplicateReadMostlySpreadObject(t *testing.T) {
 	h.eng.Tick()
 	readTraffic(s, map[string]int{epA: 30, epC: 25}, 55, 0)
 	h.eng.Tick()
-	if len(h.eng.Decisions()) != 1 {
-		t.Fatalf("re-proposed for a replicated object: %+v", h.eng.Decisions())
+	if len(h.decisions()) != 1 {
+		t.Fatalf("re-proposed for a replicated object: %+v", h.decisions())
 	}
 }
 
@@ -526,8 +547,8 @@ func TestWriteHeavyObjectNotReplicated(t *testing.T) {
 	// write with a synchronous fan-out for little read win.
 	readTraffic(s, map[string]int{epA: 30, epC: 25}, 44, 11)
 	h.eng.Tick()
-	if len(h.eng.Decisions()) != 0 {
-		t.Fatalf("write-heavy object replicated: %+v", h.eng.Decisions())
+	if len(h.decisions()) != 0 {
+		t.Fatalf("write-heavy object replicated: %+v", h.decisions())
 	}
 }
 
@@ -543,7 +564,7 @@ func TestDominantCallerPrefersMigration(t *testing.T) {
 		t.Fatalf("replicated a single-caller object: %v", h.replicas)
 	}
 	if len(h.migrated) != 1 {
-		t.Fatalf("affinity migration missing: %+v", h.eng.Decisions())
+		t.Fatalf("affinity migration missing: %+v", h.decisions())
 	}
 }
 
@@ -572,8 +593,8 @@ func TestUnclassifiedTrafficNotReplicated(t *testing.T) {
 	// proof of read-mostliness, no replication.
 	readTraffic(s, map[string]int{epA: 30, epC: 25}, 0, 0)
 	h.eng.Tick()
-	if len(h.eng.Decisions()) != 0 {
-		t.Fatalf("replicated on unclassified traffic: %+v", h.eng.Decisions())
+	if len(h.decisions()) != 0 {
+		t.Fatalf("replicated on unclassified traffic: %+v", h.decisions())
 	}
 }
 
@@ -617,5 +638,25 @@ func TestOverflowNeverProposed(t *testing.T) {
 	}
 	if proposals != 1 {
 		t.Fatalf("%d proposals, want the replication to itemised callers only", proposals)
+	}
+}
+
+// TestDecisionOutcome pins the outcome word every decision log line
+// prints: a delegated decision is not mistaken for a held one, and a
+// held decision says why.
+func TestDecisionOutcome(t *testing.T) {
+	for _, tc := range []struct {
+		d    Decision
+		want string
+	}{
+		{Decision{Executed: true}, "executed"},
+		{Decision{Delegated: true}, "delegated"},
+		{Decision{Err: "suppressed: budget 2/2 spent in the last 64 windows"},
+			"held: suppressed: budget 2/2 spent in the last 64 windows"},
+		{Decision{}, "held"},
+	} {
+		if got := tc.d.Outcome(); got != tc.want {
+			t.Errorf("%+v: Outcome() = %q, want %q", tc.d, got, tc.want)
+		}
 	}
 }

@@ -37,6 +37,9 @@ type fakeRuntime struct {
 	// promoted ("guid/class/selfGUID") and demoted (guid) record the
 	// replica failover calls in order.
 	promoted, demoted []string
+
+	mu     sync.Mutex
+	events []Event // every event RecordEvent received, in order
 }
 
 func (r *fakeRuntime) Call(endpoint string, req *wire.Request) (*wire.Response, error) {
@@ -107,6 +110,19 @@ func (r *fakeRuntime) Promote(guid, class, selfGUID string) {
 
 func (r *fakeRuntime) Demote(guid string) { r.demoted = append(r.demoted, guid) }
 
+func (r *fakeRuntime) RecordEvent(e Event) {
+	r.mu.Lock()
+	r.events = append(r.events, e)
+	r.mu.Unlock()
+}
+
+// recorded returns the events RecordEvent received so far.
+func (r *fakeRuntime) recorded() []Event {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return append([]Event(nil), r.events...)
+}
+
 // addNode builds a coordinator + fake runtime pair on net.
 func (net *fakeNet) addNode(t *testing.T, id string, cfg Config) (*Coordinator, *fakeRuntime) {
 	t.Helper()
@@ -114,7 +130,6 @@ func (net *fakeNet) addNode(t *testing.T, id string, cfg Config) (*Coordinator, 
 	cfg.ID = id
 	cfg.Self = rt.self
 	cfg.Runtime = rt
-	cfg.Seed = int64(len(id)) + 7
 	if cfg.Fanout == 0 {
 		cfg.Fanout = 8 // gossip to everyone: deterministic full propagation
 	}
@@ -149,9 +164,9 @@ func tickAll(n int, cs ...*Coordinator) {
 
 func TestMembershipConvergesAndSuspects(t *testing.T) {
 	net := newFakeNet()
-	a, _ := net.addNode(t, "a", Config{SuspectAfter: 3, DeadAfter: 6})
-	b, _ := net.addNode(t, "b", Config{SuspectAfter: 3, DeadAfter: 6})
-	c, _ := net.addNode(t, "c", Config{SuspectAfter: 3, DeadAfter: 6})
+	a, _ := net.addNode(t, "a", Config{})
+	b, _ := net.addNode(t, "b", Config{})
+	c, _ := net.addNode(t, "c", Config{})
 	joinAll(t, a, b, c)
 	tickAll(2, a, b, c)
 
@@ -169,11 +184,11 @@ func TestMembershipConvergesAndSuspects(t *testing.T) {
 
 	// c stops ticking: its heartbeat freezes and a/b walk it down the
 	// suspicion ladder.
-	tickAll(4, a, b)
+	tickAll(suspectAfter+1, a, b)
 	if h := healthOf(a, "c"); h != "suspect" {
 		t.Fatalf("c should be suspect on a, is %s", h)
 	}
-	tickAll(4, a, b)
+	tickAll(deadAfter-suspectAfter, a, b)
 	if h := healthOf(a, "c"); h != "dead" {
 		t.Fatalf("c should be dead on a, is %s", h)
 	}
@@ -251,9 +266,9 @@ func TestDirectoryVersionWins(t *testing.T) {
 
 func TestConflictingIntentsReconcileToOneWinner(t *testing.T) {
 	net := newFakeNet()
-	a, _ := net.addNode(t, "a", Config{SettleTicks: 2, CooldownTicks: 30})
-	b, _ := net.addNode(t, "b", Config{SettleTicks: 2, CooldownTicks: 30})
-	c, _ := net.addNode(t, "c", Config{SettleTicks: 2, CooldownTicks: 30})
+	a, _ := net.addNode(t, "a", Config{})
+	b, _ := net.addNode(t, "b", Config{})
+	c, _ := net.addNode(t, "c", Config{})
 	joinAll(t, a, b, c)
 	net.owners["g"] = b.Self() // b hosts the contested object
 
@@ -319,8 +334,8 @@ func TestConflictingIntentsReconcileToOneWinner(t *testing.T) {
 
 func TestEqualPriorityTieBreaksOnProposer(t *testing.T) {
 	net := newFakeNet()
-	a, _ := net.addNode(t, "a", Config{SettleTicks: 1})
-	b, _ := net.addNode(t, "b", Config{SettleTicks: 1})
+	a, _ := net.addNode(t, "a", Config{})
+	b, _ := net.addNode(t, "b", Config{})
 	joinAll(t, a, b)
 	in1 := wire.Intent{GUID: "g", From: "rrp://x", To: "rrp://t1", Proposer: "zeta", Priority: 10}
 	in2 := wire.Intent{GUID: "g", From: "rrp://x", To: "rrp://t2", Proposer: "alpha", Priority: 10}
@@ -344,9 +359,9 @@ func TestEqualPriorityTieBreaksOnProposer(t *testing.T) {
 func TestMultiHopProposalFlowsFromRollup(t *testing.T) {
 	net := newFakeNet()
 	// Only a proposes; b hosts; c is the dominant caller.
-	a, _ := net.addNode(t, "a", Config{Propose: true, MinCalls: 10, SettleTicks: 2})
-	b, rtb := net.addNode(t, "b", Config{SettleTicks: 2})
-	c, _ := net.addNode(t, "c", Config{SettleTicks: 2})
+	a, _ := net.addNode(t, "a", Config{Propose: true})
+	b, rtb := net.addNode(t, "b", Config{})
+	c, _ := net.addNode(t, "c", Config{})
 	joinAll(t, a, b, c)
 	net.owners["g"] = b.Self()
 
@@ -373,7 +388,7 @@ func TestMultiHopProposalFlowsFromRollup(t *testing.T) {
 	}
 	// The proposer must be a (multi-hop: proposer != source != target).
 	var proposed bool
-	for _, e := range b.Events() {
+	for _, e := range rtb.recorded() {
 		if e.Kind == "migrate" && e.GUID == "g" {
 			if e.Peer != "a" {
 				t.Fatalf("winning intent proposed by %q, want a", e.Peer)
@@ -421,9 +436,9 @@ func TestSubmitRefusalsExplain(t *testing.T) {
 // peers must not keep each other's copies alive by echoing them.
 func TestIntentsExpireWhenOriginStops(t *testing.T) {
 	net := newFakeNet()
-	a, _ := net.addNode(t, "a", Config{IntentTTL: 4, SettleTicks: 50})
-	b, _ := net.addNode(t, "b", Config{IntentTTL: 4, SettleTicks: 50})
-	c, _ := net.addNode(t, "c", Config{IntentTTL: 4, SettleTicks: 50})
+	a, _ := net.addNode(t, "a", Config{})
+	b, _ := net.addNode(t, "b", Config{})
+	c, _ := net.addNode(t, "c", Config{})
 	joinAll(t, a, b, c)
 	tickAll(1, a, b, c)
 
@@ -434,8 +449,11 @@ func TestIntentsExpireWhenOriginStops(t *testing.T) {
 	if len(b.Intents()) != 1 || len(c.Intents()) != 1 {
 		t.Fatalf("intent did not disseminate: b=%d c=%d", len(b.Intents()), len(c.Intents()))
 	}
-	// The proposer never re-asserts; everyone keeps gossiping.
-	tickAll(8, a, b, c)
+	// The proposer never re-asserts; everyone keeps gossiping.  The
+	// origin's own copy gossips until it ages out, and each peer's copy
+	// ages out one TTL after the last copy it received.  (No member owns
+	// g, so the intent never executes.)
+	tickAll(2*intentTTL+1, a, b, c)
 	for _, co := range []*Coordinator{a, b, c} {
 		if n := len(co.Intents()); n != 0 {
 			t.Fatalf("%s still holds %d intents after the origin went quiet (echo keeps TTL alive)", co.ID(), n)
@@ -498,13 +516,12 @@ func TestReplicaSetDisseminatesAndRoutesReads(t *testing.T) {
 
 // TestLeaseNeedsDirectPrimaryContact pins the lease soundness rule: a
 // replica partitioned from its primary must stop serving reads after
-// LeaseTicks even while third parties keep relaying the set to it.
+// leaseTicks even while third parties keep relaying the set to it.
 func TestLeaseNeedsDirectPrimaryContact(t *testing.T) {
 	net := newFakeNet()
-	cfg := Config{LeaseTicks: 3, SuspectAfter: 10, DeadAfter: 20}
-	a, _ := net.addNode(t, "a", cfg)
-	b, _ := net.addNode(t, "b", cfg)
-	c, _ := net.addNode(t, "c", cfg)
+	a, _ := net.addNode(t, "a", Config{})
+	b, _ := net.addNode(t, "b", Config{})
+	c, _ := net.addNode(t, "c", Config{})
 	joinAll(t, a, b, c)
 	a.RecordReplicaSet(replicaSet(a.Self()))
 	tickAll(1, a, b, c)
@@ -512,11 +529,12 @@ func TestLeaseNeedsDirectPrimaryContact(t *testing.T) {
 		t.Fatal("lease not granted by direct primary gossip")
 	}
 
-	// a partitions away; b and c keep gossiping the set at each other.
+	// a partitions away; b and c keep gossiping the set at each other,
+	// past the lease but short of declaring a dead (which would promote).
 	net.mu.Lock()
 	net.down[a.Self()] = true
 	net.mu.Unlock()
-	tickAll(5, b, c)
+	tickAll(leaseTicks+2, b, c)
 	if b.LeaseValid("g") {
 		t.Fatal("relayed gossip renewed the lease: stale reads now possible")
 	}
@@ -541,10 +559,9 @@ func TestLeaseNeedsDirectPrimaryContact(t *testing.T) {
 // primary is told to stand down when it reconnects.
 func TestDeadPrimaryPromotesSmallestReplica(t *testing.T) {
 	net := newFakeNet()
-	cfg := Config{SuspectAfter: 2, DeadAfter: 4, LeaseTicks: 3}
-	a, rta := net.addNode(t, "a", cfg)
-	b, rtb := net.addNode(t, "b", cfg)
-	c, rtc := net.addNode(t, "c", cfg)
+	a, rta := net.addNode(t, "a", Config{})
+	b, rtb := net.addNode(t, "b", Config{})
+	c, rtc := net.addNode(t, "c", Config{})
 	joinAll(t, a, b, c)
 	a.RecordReplicaSet(replicaSet(a.Self()))
 	tickAll(2, a, b, c)
@@ -555,7 +572,7 @@ func TestDeadPrimaryPromotesSmallestReplica(t *testing.T) {
 	net.mu.Lock()
 	net.down[a.Self()] = true
 	net.mu.Unlock()
-	tickAll(6, b, c)
+	tickAll(deadAfter+1, b, c)
 	if len(rtb.promoted) != 1 || rtb.promoted[0] != "g/C/rb" || len(rtc.promoted) != 0 {
 		t.Fatalf("promotions b=%v c=%v, want b=[g/C/rb]", rtb.promoted, rtc.promoted)
 	}
@@ -597,7 +614,7 @@ func TestDeadPrimaryPromotesSmallestReplica(t *testing.T) {
 // acks.
 func TestEvictReplicaWaitsOutLease(t *testing.T) {
 	net := newFakeNet()
-	cfg := Config{LeaseTicks: 3, Heartbeat: 10 * time.Millisecond}
+	cfg := Config{Heartbeat: 10 * time.Millisecond}
 	a, _ := net.addNode(t, "a", cfg)
 	b, _ := net.addNode(t, "b", cfg)
 	joinAll(t, a, b)
@@ -605,7 +622,7 @@ func TestEvictReplicaWaitsOutLease(t *testing.T) {
 	before, _ := a.ReplicaSet("g")
 
 	wait := a.EvictReplica("g", "rrp://b")
-	if want := 4 * 10 * time.Millisecond; wait != want {
+	if want := (leaseTicks + 1) * 10 * time.Millisecond; wait != want {
 		t.Fatalf("lease wait = %v, want %v", wait, want)
 	}
 	set, _ := a.ReplicaSet("g")

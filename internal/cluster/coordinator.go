@@ -75,6 +75,9 @@ type Runtime interface {
 	// as guid's primary while partitioned (split-brain repair).  Called
 	// outside the coordinator lock.
 	Demote(guid string)
+	// RecordEvent appends one coordination event to the node's control
+	// log.  Called outside the coordinator lock, before Config.OnEvent.
+	RecordEvent(e Event)
 }
 
 // Config tunes a coordinator.  Zero fields take the defaults.
@@ -92,61 +95,50 @@ type Config struct {
 	Heartbeat time.Duration
 	// Fanout is how many peers each tick gossips to.
 	Fanout int
-	// SuspectAfter is how many ticks without a heartbeat advance turn a
-	// peer suspect; DeadAfter, dead.
-	SuspectAfter int
-	DeadAfter    int
-	// SettleTicks is how long a winning intent must stay the winner
-	// before the object's home executes it — the reconciliation window
-	// in which a conflicting higher-priority intent can still arrive.
-	SettleTicks int
-	// CooldownTicks refuses new intents for an object for this many
-	// ticks after it migrated — the cluster-wide ping-pong guard.
-	CooldownTicks int
-	// IntentTTL drops intents not re-asserted for this many ticks.
-	IntentTTL int
 	// Propose enables the multi-hop rule on this member: evaluate the
 	// gossiped affinity evidence and propose migrations anywhere in the
 	// cluster.  Any subset of members may propose; reconciliation keeps
 	// them consistent.
 	Propose bool
-	// Threshold is the dominant-caller share a multi-hop proposal needs.
-	Threshold float64
-	// MinCalls is the minimum rollup activity below which no multi-hop
-	// proposal is made.
-	MinCalls uint64
-	// LeaseTicks is how many local ticks a replica's read lease lasts
-	// after direct primary contact; an expired lease falls reads back to
-	// the primary (docs/REPLICATION.md).
-	LeaseTicks int
 	// OnEvent observes every event as it is logged (called outside the
-	// coordinator lock).
+	// coordinator lock, after Runtime.RecordEvent).
 	OnEvent func(Event)
-	// Seed fixes the gossip target shuffle for deterministic tests
-	// (0 = seeded from the id).
-	Seed int64
 }
 
 // Defaults.
 const (
-	DefaultHeartbeat     = 100 * time.Millisecond
-	DefaultFanout        = 2
-	DefaultSuspectAfter  = 5
-	DefaultDeadAfter     = 15
-	DefaultSettleTicks   = 2
-	DefaultCooldownTicks = 16
-	DefaultIntentTTL     = 8
-	DefaultThreshold     = 0.6
-	DefaultMinCalls      = 16
-	// DefaultLeaseTicks matches the suspicion ladder: a replica stops
-	// serving reads at the same horizon its peers would start doubting
-	// the link that stopped renewing it.
-	DefaultLeaseTicks = DefaultSuspectAfter
+	DefaultHeartbeat = 100 * time.Millisecond
+	DefaultFanout    = 2
 )
 
-// Fixed rollup tuning: affinity rollups not refreshed for rollupTTL
-// ticks drop, and each tick gossips at most maxRollups local samples.
+// Fixed tuning: knobs no deployment has needed to turn, all counted in
+// ticks (heartbeats) except the multi-hop rule's two evidence bars.
 const (
+	// suspectAfter ticks without a heartbeat advance turn a peer
+	// suspect; deadAfter, dead.
+	suspectAfter = 5
+	deadAfter    = 15
+	// settleTicks is how long a winning intent must stay the winner
+	// before the object's home executes it — the reconciliation window
+	// in which a conflicting higher-priority intent can still arrive.
+	settleTicks = 2
+	// cooldownTicks refuses new intents for an object for this many
+	// ticks after it migrated — the cluster-wide ping-pong guard.
+	cooldownTicks = 16
+	// intentTTL drops intents not re-asserted for this many ticks.
+	intentTTL = 8
+	// threshold is the dominant-caller share a multi-hop proposal
+	// needs; minCalls the rollup activity below which none is made.
+	threshold = 0.6
+	minCalls  = 16
+	// leaseTicks is how many local ticks a replica's read lease lasts
+	// after direct primary contact (docs/REPLICATION.md).  It matches
+	// the suspicion ladder: a replica stops serving reads at the same
+	// horizon its peers would start doubting the link that stopped
+	// renewing it.
+	leaseTicks = suspectAfter
+	// Affinity rollups not refreshed for rollupTTL ticks drop, and each
+	// tick gossips at most maxRollups local samples.
 	rollupTTL  = 4
 	maxRollups = 8
 )
@@ -158,53 +150,24 @@ func (c Config) withDefaults() Config {
 	if c.Fanout <= 0 {
 		c.Fanout = DefaultFanout
 	}
-	if c.SuspectAfter <= 0 {
-		c.SuspectAfter = DefaultSuspectAfter
-	}
-	if c.DeadAfter <= c.SuspectAfter {
-		c.DeadAfter = max(DefaultDeadAfter, c.SuspectAfter+1)
-	}
-	if c.SettleTicks <= 0 {
-		c.SettleTicks = DefaultSettleTicks
-	}
-	if c.CooldownTicks <= 0 {
-		c.CooldownTicks = DefaultCooldownTicks
-	}
-	if c.IntentTTL <= 0 {
-		c.IntentTTL = DefaultIntentTTL
-	}
-	if c.Threshold <= 0 || c.Threshold > 1 {
-		c.Threshold = DefaultThreshold
-	}
-	if c.MinCalls == 0 {
-		c.MinCalls = DefaultMinCalls
-	}
-	if c.LeaseTicks <= 0 {
-		c.LeaseTicks = DefaultLeaseTicks
-	}
-	if c.Seed == 0 {
-		for _, b := range []byte(c.ID) {
-			c.Seed = c.Seed*131 + int64(b)
-		}
-		c.Seed++
-	}
 	return c
 }
 
-// Event is one observable coordination occurrence, for logs, tests and
-// the E10 convergence trajectory.
+// Event is one observable coordination occurrence, for the node's
+// control log, tests and the E10 convergence trajectory.
 type Event struct {
-	Tick uint64
+	Tick uint64 `json:"tick"`
 	// Kind is one of: peer-join, peer-suspect, peer-dead, peer-leave,
 	// intent, propose, migrate, migrate-fail, dir, class-apply,
-	// gossip-fail.
-	Kind   string
-	Peer   string
-	GUID   string
-	Class  string
-	From   string
-	To     string
-	Detail string
+	// gossip-fail, replica-set, replica-evict, replica-drop,
+	// replica-promote, replica-demote.
+	Kind   string `json:"kind"`
+	Peer   string `json:"peer,omitempty"`
+	GUID   string `json:"guid,omitempty"`
+	Class  string `json:"class,omitempty"`
+	From   string `json:"from,omitempty"`
+	To     string `json:"to,omitempty"`
+	Detail string `json:"detail,omitempty"`
 }
 
 // rollupState is one affinity rollup plus its local receipt tick.
@@ -229,8 +192,7 @@ type Coordinator struct {
 	rollups map[string]*rollupState  // by object GUID
 	repl    map[string]*replState    // replica sets, by primary GUID
 	applied map[string]uint64        // class -> directory version last applied locally
-	events  []Event
-	pending []Event // events this call, delivered to OnEvent after unlock
+	pending []Event                  // events this call, delivered after unlock
 	rng     *rand.Rand
 
 	// dirSnap is the chain-collapsed, lock-free resolution view consumed
@@ -260,6 +222,13 @@ func New(cfg Config) (*Coordinator, error) {
 		return nil, fmt.Errorf("cluster: nil runtime")
 	}
 	cfg = cfg.withDefaults()
+	// The gossip target shuffle is seeded from the id, so a member's
+	// fan-out order is reproducible run to run.
+	var seed int64
+	for _, b := range []byte(cfg.ID) {
+		seed = seed*131 + int64(b)
+	}
+	seed++
 	return &Coordinator{
 		cfg:     cfg,
 		rt:      cfg.Runtime,
@@ -270,7 +239,7 @@ func New(cfg Config) (*Coordinator, error) {
 		rollups: make(map[string]*rollupState),
 		repl:    make(map[string]*replState),
 		applied: make(map[string]uint64),
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
+		rng:     rand.New(rand.NewSource(seed)),
 	}, nil
 }
 
@@ -562,7 +531,7 @@ func contains(eps []string, ep string) bool {
 // within their TTLs.  Caller holds c.mu.
 func (c *Coordinator) expireLocked() {
 	for g, st := range c.intents {
-		if c.tick-st.lastSeen >= uint64(c.cfg.IntentTTL) {
+		if c.tick-st.lastSeen >= intentTTL {
 			delete(c.intents, g)
 		}
 	}
@@ -580,13 +549,13 @@ func (c *Coordinator) expireLocked() {
 
 // proposeMultiHopLocked evaluates the gossiped affinity evidence: an
 // object (wherever it lives) whose dominant caller holds at least
-// Threshold of a rollup window's calls, and is not its home, draws a
+// threshold of a rollup window's calls, and is not its home, draws a
 // migration intent from this node — the multi-hop case when neither the
 // home nor the dominant caller is us.  Caller holds c.mu.
 func (c *Coordinator) proposeMultiHopLocked() {
 	for _, r := range c.rollups {
 		s := r.s
-		if s.Calls < c.cfg.MinCalls {
+		if s.Calls < minCalls {
 			continue
 		}
 		var bestEp string
@@ -599,7 +568,7 @@ func (c *Coordinator) proposeMultiHopLocked() {
 		if bestEp == "" || bestEp == s.Home {
 			continue
 		}
-		if float64(best)/float64(s.Calls) < c.cfg.Threshold {
+		if float64(best)/float64(s.Calls) < threshold {
 			continue
 		}
 		if home, ok := c.resolveLocked(s.GUID); ok && home.Endpoint != s.Home {
@@ -620,41 +589,25 @@ func (c *Coordinator) proposeMultiHopLocked() {
 	}
 }
 
-// unlockAndDeliver releases c.mu and then fires OnEvent for the events
-// logged while it was held, so callbacks run outside the coordinator
-// lock.  Caller holds c.mu.
+// unlockAndDeliver releases c.mu and then hands the events logged while
+// it was held to Runtime.RecordEvent and OnEvent, so neither runs under
+// the coordinator lock.  Caller holds c.mu.
 func (c *Coordinator) unlockAndDeliver() {
 	fired := c.pending
 	c.pending = nil
 	c.mu.Unlock()
-	if c.cfg.OnEvent == nil {
-		return
-	}
 	for _, e := range fired {
-		c.cfg.OnEvent(e)
+		c.rt.RecordEvent(e)
+		if c.cfg.OnEvent != nil {
+			c.cfg.OnEvent(e)
+		}
 	}
 }
 
-// maxEventLog bounds the retained event log (Seq-free: the log is a
-// debugging and experiment aid, OnEvent sees everything).
-const maxEventLog = 512
-
-// logLocked appends an event.  Caller holds c.mu.
+// logLocked queues an event for delivery.  Caller holds c.mu.
 func (c *Coordinator) logLocked(e Event) {
 	e.Tick = c.tick
-	if len(c.events) >= maxEventLog {
-		n := copy(c.events, c.events[len(c.events)-maxEventLog/2:])
-		c.events = c.events[:n]
-	}
-	c.events = append(c.events, e)
 	c.pending = append(c.pending, e)
-}
-
-// Events returns a copy of the retained event log.
-func (c *Coordinator) Events() []Event {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]Event(nil), c.events...)
 }
 
 // isClassKey reports whether a directory key names a class placement.

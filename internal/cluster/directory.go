@@ -80,7 +80,7 @@ type classApply struct {
 // startCooldownLocked opens the intent-refusal window for an object's
 // old and new identities.  Caller holds c.mu.
 func (c *Coordinator) startCooldownLocked(key, newGUID string) {
-	until := c.tick + uint64(c.cfg.CooldownTicks)
+	until := c.tick + cooldownTicks
 	c.cool[key] = until
 	if newGUID != "" && newGUID != key {
 		c.cool[newGUID] = until

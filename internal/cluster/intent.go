@@ -10,7 +10,7 @@ import (
 // member may propose moving any object (its own adapt engine delegating
 // a local decision, or the multi-hop rule acting on gossiped evidence);
 // conflicting intents for one object reconcile to a single deterministic
-// winner everywhere, the winner must stay stable for SettleTicks, and
+// winner everywhere, the winner must stay stable for settleTicks, and
 // only the object's home executes it.  The result: engines that used to
 // act unilaterally — and could ping-pong an object between two nodes
 // that each saw themselves as the dominant caller — now converge on one
@@ -117,13 +117,13 @@ func (c *Coordinator) Submit(in wire.Intent) (accepted bool, reason string) {
 
 // dueIntentsLocked collects the intents this node must execute now: we
 // are the object's home (we own the live export), the intent has been
-// the stable winner for SettleTicks, and no cooldown blocks it.  The
+// the stable winner for settleTicks, and no cooldown blocks it.  The
 // returned intents are executed by Tick outside the lock.  Caller holds
 // c.mu.
 func (c *Coordinator) dueIntentsLocked() []wire.Intent {
 	var due []wire.Intent
 	for g, st := range c.intents {
-		if c.tick-st.since < uint64(c.cfg.SettleTicks) {
+		if c.tick-st.since < settleTicks {
 			continue
 		}
 		if _, cooling := c.cool[g]; cooling {

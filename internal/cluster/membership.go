@@ -10,8 +10,8 @@ import (
 type PeerHealth uint8
 
 // Liveness states: a peer whose heartbeat keeps advancing is alive;
-// SuspectAfter ticks without an advance make it suspect (still gossiped
-// to, so a partitioned peer recovers), DeadAfter ticks make it dead
+// suspectAfter ticks without an advance make it suspect (still gossiped
+// to, so a partitioned peer recovers), deadAfter ticks make it dead
 // (dropped from gossip targets; its intents age out by TTL).
 const (
 	Alive PeerHealth = iota
@@ -93,10 +93,10 @@ func (c *Coordinator) refreshPeersLocked() {
 		}
 		idle := c.tick - ps.lastAdvance
 		switch {
-		case idle >= uint64(c.cfg.DeadAfter):
+		case idle >= deadAfter:
 			ps.health = Dead
 			c.logLocked(Event{Kind: "peer-dead", Peer: id, From: ps.digest.Endpoint})
-		case idle >= uint64(c.cfg.SuspectAfter):
+		case idle >= suspectAfter:
 			if ps.health != Suspect {
 				ps.health = Suspect
 				c.logLocked(Event{Kind: "peer-suspect", Peer: id, From: ps.digest.Endpoint})

@@ -21,7 +21,7 @@ import (
 //     is the primary itself, either its push to us or its half of a
 //     push-pull round we initiated.  Relayed copies of the set renew
 //     nothing: a replica partitioned from its primary must fall back to
-//     primary-only reads after LeaseTicks even if third parties keep
+//     primary-only reads after leaseTicks even if third parties keep
 //     echoing the set to it;
 //   - the primary gossips directly to its replicas every tick (in
 //     addition to the random fan-out), so a healthy link keeps leases
@@ -136,7 +136,7 @@ func (c *Coordinator) EvictReplica(guid, endpoint string) time.Duration {
 	if !ok {
 		return 0
 	}
-	return time.Duration(c.cfg.LeaseTicks+1) * c.cfg.Heartbeat
+	return time.Duration(leaseTicks+1) * c.cfg.Heartbeat
 }
 
 // DropReplicaSet dissolves a set this node primaries: a tombstone
@@ -280,7 +280,7 @@ func (c *Coordinator) mergeReplicasLocked(sets []wire.ReplicaSet, from wire.Peer
 			changed = true
 		}
 		if from.Endpoint == st.set.Primary && replicaMember(st.set, c.cfg.Self) {
-			st.leaseUntil = c.tick + uint64(c.cfg.LeaseTicks)
+			st.leaseUntil = c.tick + leaseTicks
 			changed = true
 		}
 	}

@@ -86,7 +86,9 @@ func (n *Node) dedupInterceptor(cc *intercept.CallCtx, next intercept.Handler) (
 	if req.Token == nil {
 		return next(cc)
 	}
-	e, verdict, parked := n.dedupTab.BeginObserved(req.Token, dedupTarget(req))
+	// The entry records its target, so migration can ship the object's
+	// slice of the window along with it (dedup.Table.ExtractFor).
+	e, verdict, parked := n.dedupTab.BeginObserved(req.Token, req.GUID)
 	switch verdict {
 	case dedup.Stale:
 		n.emitDedup(req, "stale")
@@ -125,7 +127,7 @@ func (n *Node) dedupInterceptor(cc *intercept.CallCtx, next intercept.Handler) (
 func (n *Node) traceInterceptor(cc *intercept.CallCtx, next intercept.Handler) (*wire.Response, error) {
 	req := cc.Req
 	switch req.Op {
-	case wire.OpInvoke, wire.OpInvokeClass:
+	case wire.OpInvoke:
 		resp, err := next(cc)
 		// The SLO plane's keyed view: served-call latency by method and
 		// by caller identity.  Expired calls never ran, so they would
@@ -169,9 +171,6 @@ func (n *Node) rootDispatch(cc *intercept.CallCtx) (*wire.Response, error) {
 
 	case wire.OpInvoke:
 		return n.dispatchInvoke(cc), nil
-
-	case wire.OpInvokeClass:
-		return n.dispatchInvokeClass(cc), nil
 
 	case wire.OpMigrateIn:
 		return n.dispatchMigrateIn(req), nil

@@ -41,7 +41,7 @@ func clusterNode(t *testing.T, res *transform.Result, name, seed string) (*Node,
 	if seed != "" {
 		seeds = []string{seed}
 	}
-	co, err := n.StartCluster(cluster.Config{Fanout: 8, Seed: int64(len(name)) + 3}, seeds)
+	co, err := n.StartCluster(cluster.Config{Fanout: 8}, seeds)
 	if err != nil {
 		t.Fatal(err)
 	}

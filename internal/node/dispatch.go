@@ -42,19 +42,6 @@ func (n *Node) dispatch(req *wire.Request) *wire.Response {
 	return n.chain.Load().Dispatch(req)
 }
 
-// dedupTarget names what a tokened call executes against, recorded on
-// its dedup entry so migration can ship the target object's slice of
-// the window along with the object (dedup.Table.ExtractFor).
-func dedupTarget(req *wire.Request) string {
-	if req.GUID != "" {
-		return req.GUID
-	}
-	if req.Op == wire.OpInvokeClass {
-		return guid.ClassGUID(req.Class)
-	}
-	return ""
-}
-
 func (n *Node) dispatchCreate(req *wire.Request) *wire.Response {
 	if !n.result.Substitutable(req.Class) {
 		return wire.Errorf(req, "node %s: class %s is not substitutable", n.name, req.Class)
@@ -141,19 +128,6 @@ func (n *Node) dispatchInvoke(cc *intercept.CallCtx) *wire.Response {
 	if !classGUID && resp.Err == "" {
 		resp.Redirect = proxyRefOf(target)
 	}
-	return resp
-}
-
-func (n *Node) dispatchInvokeClass(cc *intercept.CallCtx) *wire.Response {
-	req := cc.Req
-	resp := &wire.Response{ID: req.ID}
-	me, ok := n.singletonTarget(resp, req.Class)
-	if !ok {
-		return resp
-	}
-	n.servedInvoke(cc, resp, me.O, guid.ClassGUID(req.Class), func(env *vm.Env) {
-		n.invokeOn(env, resp, me, req)
-	})
 	return resp
 }
 

@@ -18,8 +18,8 @@ import (
 // itself: every instrument in its metrics registry (activity, dedup,
 // overload, shedding, latency digests, and per-peer rollups when
 // telemetry is enabled), telemetry's object and class samples, the
-// cluster's view (when attached), and the flight
-// recorder's span ring.
+// cluster's view (when attached), the control log of adapt decisions
+// and cluster events, and the flight recorder's span ring.
 // Effect-free means exactly that: serving an introspection request
 // mutates nothing, takes no object gate, and rides the same dispatch
 // path as OpPing, so it is safe to poll a wedged node.
@@ -94,6 +94,8 @@ func (n *Node) introspection() *Introspection {
 // Introspect renders one introspection section as JSON.  Sections:
 //
 //	"metrics" (or ""): the unified Introspection snapshot
+//	"events":          the control log (adapt decisions and cluster
+//	                   events), oldest first; kept under NoTrace too
 //	"spans":           the flight recorder's ring, oldest first
 //	"trace":           spans of the one trace whose hex id is arg
 //
@@ -105,6 +107,8 @@ func (n *Node) Introspect(section, arg string) (string, error) {
 	switch section {
 	case "", "metrics":
 		v = n.introspection()
+	case "events":
+		v = n.Events()
 	case "spans":
 		if n.tracer == nil {
 			return "", fmt.Errorf("node %s: tracing disabled", n.name)

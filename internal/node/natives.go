@@ -155,7 +155,7 @@ func (n *Node) proxyInvoke(env *vm.Env, classSide bool, method string, recv vm.V
 		return vm.Value{}, remoteError(env, "%s.%s: stale self-reference %s", t.class, method, t.id), nil
 	}
 
-	oc, err := n.invokeRequest(classSide, t, method, args)
+	oc, err := n.invokeRequest(t, method, args)
 	if err != nil {
 		return vm.Value{}, remoteError(env, "%v", err), nil
 	}
@@ -264,14 +264,11 @@ type outCall struct {
 
 // invokeRequest is the wire form of one call through a proxy resolved
 // to t, before send stamps it.
-func (n *Node) invokeRequest(classSide bool, t proxyTarget, method string, args []vm.Value) (*outCall, error) {
+func (n *Node) invokeRequest(t proxyTarget, method string, args []vm.Value) (*outCall, error) {
 	proto, _, _ := transport.SplitEndpoint(t.endpoint)
 	oc := &outCall{}
 	req := &oc.req
 	req.Op, req.GUID, req.Method, req.Caller = wire.OpInvoke, t.id, method, n.callerEndpoint(proto)
-	if classSide {
-		req.Op, req.GUID, req.Class = wire.OpInvokeClass, "", t.class
-	}
 	if len(args) <= len(oc.args) {
 		req.Args = oc.args[:len(args):len(args)]
 	} else {

@@ -94,10 +94,6 @@ type Config struct {
 	// registry, as the facade's do.  See internal/intercept and
 	// docs/CONCURRENCY.md §16.
 	Shed intercept.ShedConfig
-	// Interceptors are user dispatch interceptors, spliced between the
-	// shedding tier and the dedup window in the given order; Node.Use
-	// appends more at run time.  See docs/INTERCEPT.md.
-	Interceptors []intercept.Interceptor
 }
 
 // Node is one address space.
@@ -163,6 +159,10 @@ type Node struct {
 	// cluster).  Loaded with one atomic read on the proxy hot path
 	// (directory-first resolution) and in dispatch; see docs/CLUSTER.md.
 	coord atomic.Pointer[cluster.Coordinator]
+
+	// events is the control log: adapt decisions and cluster events
+	// (events.go).
+	events controlLog
 
 	// volunteer enables callback-endpoint volunteering: a node serving
 	// no transport starts serving lazily at first dial, so its calls
@@ -308,8 +308,7 @@ func New(cfg Config) (*Node, error) {
 	if cfg.Shed.CoDelTarget > 0 {
 		n.shedIcs = append(n.shedIcs, intercept.CoDel(cfg.Shed.CoDelTarget, cfg.Shed.CoDelInterval, mreg, nil))
 	}
-	n.userIcs = append(n.userIcs, cfg.Interceptors...)
-	n.chain.Store(n.buildChain(cfg.Interceptors))
+	n.chain.Store(n.buildChain(nil))
 	return n, nil
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"rafda/internal/adapt"
 	"rafda/internal/trace"
 	"rafda/internal/vm"
 	"rafda/internal/wire"
@@ -77,7 +76,7 @@ func (n *Node) emitDedup(req *wire.Request, verdict string) {
 	if tr == nil {
 		return
 	}
-	sp := n.startSpan(traceCtxOf(req), trace.KindDedup, verdict, dedupTarget(req))
+	sp := n.startSpan(traceCtxOf(req), trace.KindDedup, verdict, req.GUID)
 	sp.Note = fmt.Sprintf("%s/%d attempt %d", req.Token.Caller, req.Token.Seq, req.Token.Attempt)
 	tr.Emit(sp)
 }
@@ -94,29 +93,5 @@ func (n *Node) emitFailover(endpoint string, shard, attempt int, tctx wire.Trace
 		fmt.Sprintf("%s#%d", endpoint, shard))
 	sp.Note = fmt.Sprintf("attempt %d", attempt)
 	sp.Err = err.Error()
-	tr.Emit(sp)
-}
-
-// RecordDecision implements adapt.Node: it surfaces one adaptive-engine
-// decision as a trace event (a no-op with tracing off).  Decisions are
-// root spans of their own traces (nothing causes them but the engine's
-// own evaluation tick), carrying the rule and outcome, so a
-// flight-recorder dump interleaves placement decisions with the call
-// traffic that triggered them.
-func (n *Node) RecordDecision(d adapt.Decision) {
-	tr := n.tracer
-	if tr == nil {
-		return
-	}
-	sp := n.startSpan(trace.Ctx{}, trace.KindAdapt, d.Kind.String(), d.GUID)
-	outcome := "skipped"
-	switch {
-	case d.Executed:
-		outcome = "executed"
-	case d.Delegated:
-		outcome = "delegated"
-	}
-	sp.Note = fmt.Sprintf("rule=%s class=%s to=%s %s: %s", d.Rule, d.Class, d.Endpoint, outcome, d.Reason)
-	sp.Err = d.Err
 	tr.Emit(sp)
 }

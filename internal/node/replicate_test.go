@@ -30,9 +30,8 @@ class Main { static void main() {} }`
 
 // replCluster builds the canonical three-node replication deployment:
 // the object lives at home, readerA and readerB hold proxies to it, and
-// all three are cluster members driven by deterministic Ticks.  tweak
-// edits each member's cluster config before it joins.
-func replCluster(t *testing.T, tweak func(*cluster.Config)) (home, readerA, readerB *Node, coords []*cluster.Coordinator, eps [3]string, obj *vm.Object, refA, refB vm.Value) {
+// all three are cluster members driven by deterministic Ticks.
+func replCluster(t *testing.T) (home, readerA, readerB *Node, coords []*cluster.Coordinator, eps [3]string, obj *vm.Object, refA, refB vm.Value) {
 	t.Helper()
 	res := transformSource(t, replSource)
 	mk := func(name, seed string) (*Node, *cluster.Coordinator, string) {
@@ -45,15 +44,11 @@ func replCluster(t *testing.T, tweak func(*cluster.Config)) (home, readerA, read
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg := cluster.Config{Fanout: 8, Seed: int64(len(name)) + 7}
-		if tweak != nil {
-			tweak(&cfg)
-		}
 		var seeds []string
 		if seed != "" {
 			seeds = []string{seed}
 		}
-		co, err := n.StartCluster(cfg, seeds)
+		co, err := n.StartCluster(cluster.Config{Fanout: 8}, seeds)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,7 +95,7 @@ func tickAll(coords []*cluster.Coordinator, rounds int) {
 // rounds, both readers' classified reads route to their local copies —
 // zero traffic at the primary — and still observe the object's state.
 func TestReplicatedReadsServeLocally(t *testing.T) {
-	home, readerA, readerB, coords, eps, obj, refA, refB := replCluster(t, nil)
+	home, readerA, readerB, coords, eps, obj, refA, refB := replCluster(t)
 
 	if home.IsReplicated(obj) {
 		t.Fatal("not yet replicated")
@@ -145,7 +140,7 @@ func TestReplicatedReadsServeLocally(t *testing.T) {
 // gossip ticks in between — observes the written value.  No replica
 // serves a read older than the last acknowledged write.
 func TestWriteInvalidatesReplicasBeforeAck(t *testing.T) {
-	home, readerA, readerB, coords, eps, obj, refA, refB := replCluster(t, nil)
+	home, readerA, readerB, coords, eps, obj, refA, refB := replCluster(t)
 	if err := home.Replicate(vm.RefV(obj), eps[1], eps[2]); err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +227,7 @@ func TestWriteInvalidatesReplicasBeforeAck(t *testing.T) {
 // as a post-redirect retry — replays instead of re-executing.  The PR6
 // dedup plane and the replication plane compose.
 func TestWriteRetryThroughReplicaIsExactlyOnce(t *testing.T) {
-	home, readerA, _, coords, eps, obj, _, _ := replCluster(t, nil)
+	home, readerA, _, coords, eps, obj, _, _ := replCluster(t)
 	if err := home.Replicate(vm.RefV(obj), eps[1], eps[2]); err != nil {
 		t.Fatal(err)
 	}
@@ -287,9 +282,7 @@ func TestWriteRetryThroughReplicaIsExactlyOnce(t *testing.T) {
 // the new primary, and no read anywhere observes state older than the
 // last write the dead primary acknowledged.
 func TestPrimaryFailoverPromotesReplica(t *testing.T) {
-	home, readerA, readerB, coords, eps, obj, refA, refB := replCluster(t, func(c *cluster.Config) {
-		c.SuspectAfter, c.DeadAfter, c.LeaseTicks = 2, 3, 3
-	})
+	home, readerA, readerB, coords, eps, obj, refA, refB := replCluster(t)
 	if err := home.Replicate(vm.RefV(obj), eps[1], eps[2]); err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +351,7 @@ func TestPrimaryFailoverPromotesReplica(t *testing.T) {
 // object is single-homed at its new node and replica copies do not
 // linger serving stale state.
 func TestMigrationDissolvesReplication(t *testing.T) {
-	home, readerA, _, coords, eps, obj, refA, _ := replCluster(t, nil)
+	home, readerA, _, coords, eps, obj, refA, _ := replCluster(t)
 	if err := home.Replicate(vm.RefV(obj), eps[1], eps[2]); err != nil {
 		t.Fatal(err)
 	}
@@ -394,9 +387,7 @@ func TestMigrationDissolvesReplication(t *testing.T) {
 // write was acknowledged, breaking the stale-read invariant across
 // failover.
 func TestFailoverEpochJumpNoStaleReadAtDivergedReplica(t *testing.T) {
-	home, readerA, readerB, coords, eps, obj, refA, refB := replCluster(t, func(c *cluster.Config) {
-		c.SuspectAfter, c.DeadAfter, c.LeaseTicks = 2, 3, 3
-	})
+	home, readerA, readerB, coords, eps, obj, refA, refB := replCluster(t)
 	if err := home.Replicate(vm.RefV(obj), eps[1], eps[2]); err != nil {
 		t.Fatal(err)
 	}
@@ -479,10 +470,7 @@ func TestFailoverEpochJumpNoStaleReadAtDivergedReplica(t *testing.T) {
 // acknowledged.  It forwards to the primary instead, surfacing the
 // primary's unavailability rather than stale state.
 func TestReplicaReadQueuedPastLeaseExpiryForwards(t *testing.T) {
-	home, readerA, _, coords, eps, obj, _, _ := replCluster(t, func(c *cluster.Config) {
-		// Failover must not fire mid-test: only the lease lapses.
-		c.SuspectAfter, c.DeadAfter, c.LeaseTicks = 50, 100, 3
-	})
+	home, readerA, _, coords, eps, obj, _, _ := replCluster(t)
 	if err := home.Replicate(vm.RefV(obj), eps[1], eps[2]); err != nil {
 		t.Fatal(err)
 	}
@@ -528,7 +516,9 @@ func TestReplicaReadQueuedPastLeaseExpiryForwards(t *testing.T) {
 	}()
 	// Let the read pass the pre-gate lease check and park on the gate,
 	// then lapse the lease: the primary goes silent and the replica's
-	// own ticks carry its clock past the lease deadline.
+	// own ticks carry its clock past the lease deadline (5 ticks) but
+	// short of declaring the primary dead (15), so failover does not
+	// fire mid-test.
 	time.Sleep(50 * time.Millisecond)
 	if err := home.Close(); err != nil {
 		t.Fatal(err)

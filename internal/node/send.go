@@ -10,7 +10,7 @@ import (
 // it continues.
 type leg struct {
 	endpoint string
-	key      string    // pool affinity key; "" takes affinityKey(req)
+	key      string    // pool affinity key; "" takes the request's GUID
 	parent   trace.Ctx // span context the leg continues
 	// name, when set, opens a span of kind for the leg (target defaults
 	// to the endpoint); otherwise the leg rides parent, as the migration
@@ -72,7 +72,7 @@ func (n *Node) send(req *wire.Request, l leg) (*wire.Response, error) {
 	req.DeadlineUs = l.deadline
 	key := l.key
 	if key == "" {
-		key = affinityKey(req)
+		key = req.GUID // per-object calls keep wire order on one shard
 	}
 	var resp *wire.Response
 	var err error
@@ -95,18 +95,4 @@ func (n *Node) send(req *wire.Request, l leg) (*wire.Response, error) {
 // one stable socket.
 func (n *Node) callEndpoint(endpoint, key string, req *wire.Request) (*wire.Response, error) {
 	return n.cache.CallKey(endpoint, key, req)
-}
-
-// affinityKey picks the pool affinity key for a request: the target
-// object's GUID when there is one (per-object calls stay on one shard,
-// preserving wire order per object), the class for statics-singleton
-// invocations, and "" (round-robin) otherwise.
-func affinityKey(req *wire.Request) string {
-	if req.GUID != "" {
-		return req.GUID
-	}
-	if req.Op == wire.OpInvokeClass {
-		return req.Class
-	}
-	return ""
 }

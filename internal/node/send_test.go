@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"rafda/internal/guid"
 	"rafda/internal/intercept"
 	"rafda/internal/policy"
 	"rafda/internal/trace"
@@ -103,7 +104,7 @@ func TestForwardedLegsKeepPriorityAndDeadline(t *testing.T) {
 	})
 
 	t.Run("replica-forward", func(t *testing.T) {
-		home, readerA, _, coords, eps, obj, _, _ := replCluster(t, nil)
+		home, readerA, _, coords, eps, obj, _, _ := replCluster(t)
 		if err := home.Replicate(vm.RefV(obj), eps[1]); err != nil {
 			t.Fatal(err)
 		}
@@ -171,7 +172,7 @@ func TestRemoteCreateCarriesTraceAndDeadline(t *testing.T) {
 
 	// Dispatched: the creating execution serves a traced, deadlined call.
 	const budget = 5_000_000
-	resp := rawCall(t, client.Endpoint("rrp"), &wire.Request{ID: 1, Op: wire.OpInvokeClass, Class: "Mk", Method: "make",
+	resp := rawCall(t, client.Endpoint("rrp"), &wire.Request{ID: 1, Op: wire.OpInvoke, GUID: guid.ClassGUID("Mk"), Method: "make",
 		Trace: wire.TraceContext{Trace: 0xfeed, Span: 0xbeef}, DeadlineUs: budget})
 	if resp.Err != "" || resp.Result.Kind != wire.KRef {
 		t.Fatalf("dispatched make: %+v", resp)

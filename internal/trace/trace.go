@@ -1,10 +1,9 @@
 // Package trace is the per-node flight recorder: every logical call —
 // proxy send, server dispatch, dedup verdict, migration, replica read,
-// write barrier, transport failover, adaptive decision — emits spans
-// into a bounded lock-free ring buffer with fixed memory that
-// overwrites the oldest entry, so tracing can stay on in production at
-// negligible cost and a post-mortem always has the recent causal
-// history.
+// write barrier, transport failover — emits spans into a bounded
+// lock-free ring buffer with fixed memory that overwrites the oldest
+// entry, so tracing can stay on in production at negligible cost and a
+// post-mortem always has the recent causal history.
 //
 // A span context (trace id + span id) crosses the wire as a trailing
 // request extension and rides the VM environment as baggage between a
@@ -60,8 +59,6 @@ const (
 	// KindFailover is one failed transport delivery attempt inside the
 	// pool's shard-failover loop.
 	KindFailover
-	// KindAdapt is an adaptive-engine decision surfaced as an event.
-	KindAdapt
 
 	numKinds
 )
@@ -70,7 +67,7 @@ const (
 // "server"/"client" instead of opaque ordinals.
 var kindNames = [numKinds]string{
 	"client", "server", "dedup", "replica-read", "barrier",
-	"migration", "failover", "adapt",
+	"migration", "failover",
 }
 
 func (k Kind) String() string {

@@ -17,10 +17,9 @@ type Op uint8
 // Request operations.
 const (
 	OpInvalid Op = iota
-	// OpInvoke calls a method on an exported object (GUID).
+	// OpInvoke calls a method on an exported object (GUID); a class GUID
+	// (guid.ClassGUID) names the class's statics singleton.
 	OpInvoke
-	// OpInvokeClass calls a method on a class's statics singleton.
-	OpInvokeClass
 	// OpCreate instantiates Class's local implementation on the callee
 	// and returns a remote reference (the remote half of factory make).
 	OpCreate
@@ -54,9 +53,10 @@ const (
 	OpReplicaDrop
 	// OpIntrospect is an effect-free observability probe: the callee
 	// answers with a JSON snapshot of its unified metrics (stats,
-	// dedup, telemetry, pool, cluster, trace histograms) or recorded
-	// spans, selected by Method ("metrics", "spans", "trace"); for
-	// "trace", GUID carries the hexadecimal trace id to filter on.
+	// dedup, telemetry, pool, cluster, trace histograms), its control
+	// log or its recorded spans, selected by Method ("metrics",
+	// "events", "spans", "trace"); for "trace", GUID carries the
+	// hexadecimal trace id to filter on.
 	OpIntrospect
 )
 
@@ -64,8 +64,6 @@ func (o Op) String() string {
 	switch o {
 	case OpInvoke:
 		return "invoke"
-	case OpInvokeClass:
-		return "invoke-class"
 	case OpCreate:
 		return "create"
 	case OpMigrateIn:

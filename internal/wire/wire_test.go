@@ -652,7 +652,7 @@ func TestErrorfHelper(t *testing.T) {
 }
 
 func TestOpAndKindStrings(t *testing.T) {
-	for _, o := range []Op{OpInvoke, OpInvokeClass, OpCreate, OpMigrateIn, OpPing, OpMigrateOut, Op(99)} {
+	for _, o := range []Op{OpInvoke, OpCreate, OpMigrateIn, OpPing, OpMigrateOut, Op(99)} {
 		if o.String() == "" {
 			t.Error("empty op string")
 		}

@@ -113,11 +113,6 @@ type NodeConfig struct {
 	Limits  LimitsConfig
 	Tracing TracingConfig
 	Shed    ShedConfig
-	// Interceptors are user dispatch interceptors, run between the
-	// shedding tier and the dedup window in the given order on every
-	// inbound effectful request; Node.Use appends more at run time.
-	// See docs/INTERCEPT.md for the contract and a worked example.
-	Interceptors []Interceptor
 }
 
 // CallContext is the per-call state a dispatch interceptor sees: the
@@ -190,7 +185,6 @@ func (t *Transformed) NewNode(cfg NodeConfig) (*Node, error) {
 		NoTrace:           cfg.Tracing.Disable,
 		Metrics:           mreg,
 		Shed:              cfg.Shed,
-		Interceptors:      cfg.Interceptors,
 	})
 	if err != nil {
 		return nil, err
@@ -199,7 +193,8 @@ func (t *Transformed) NewNode(cfg NodeConfig) (*Node, error) {
 }
 
 // Use appends dispatch interceptors to the node's chain at run time, in
-// order, after any configured via NodeConfig.Interceptors.  The swap is
+// order, between the shedding tier and the dedup window; they run on
+// every inbound effectful request (docs/INTERCEPT.md).  The swap is
 // atomic with respect to in-flight dispatches: calls already running
 // finish on the chain they started on.
 func (n *Node) Use(ics ...Interceptor) { n.n.Use(ics...) }
@@ -415,11 +410,22 @@ func (n *Node) ShedStats() ShedSample {
 // JSON — the same snapshot wire.OpIntrospect serves to remote callers
 // (rafdac's trace/top views, rafda-node's /debug/rafda endpoint).
 // Sections: "metrics" (or ""), the unified counters/histograms
-// snapshot; "spans", the flight recorder's ring oldest-first; "trace",
-// the spans of the one trace whose hex id is arg.
+// snapshot; "events", the control log (Events) oldest-first; "spans",
+// the flight recorder's ring oldest-first; "trace", the spans of the
+// one trace whose hex id is arg.
 func (n *Node) IntrospectJSON(section, arg string) (string, error) {
 	return n.n.Introspect(section, arg)
 }
+
+// Event is one entry of the node's control log: an adapter decision
+// (Adapt) or a cluster coordination event (Cluster), stamped with a
+// monotonic Seq and the time it was logged.
+type Event = node.Event
+
+// Events returns the node's control log, oldest first: every decision
+// its adapters made and every event of its cluster membership, the most
+// recent 1024 of them.  The log is kept even with tracing disabled.
+func (n *Node) Events() []Event { return n.n.Events() }
 
 // Ref is an opaque handle to a program object owned by some node.
 type Ref struct {
