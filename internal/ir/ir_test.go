@@ -66,6 +66,44 @@ func TestParseDescriptorErrors(t *testing.T) {
 	}
 }
 
+// TestParseDescriptorDimsBounded pins the dimension bound: maxArrayDims
+// levels parse, one more is rejected, and a frame-sized prefix of '['
+// is rejected instead of exhausting the stack.
+func TestParseDescriptorDimsBounded(t *testing.T) {
+	deepest := strings.Repeat("[", maxArrayDims) + "I"
+	typ, err := ParseDescriptor(deepest)
+	if err != nil {
+		t.Fatalf("%d dimensions rejected: %v", maxArrayDims, err)
+	}
+	if typ.Descriptor() != deepest {
+		t.Fatalf("%d dimensions did not round-trip", maxArrayDims)
+	}
+	for _, dims := range []int{maxArrayDims + 1, 16 << 20} {
+		if _, err := ParseDescriptor(strings.Repeat("[", dims) + "I"); err == nil {
+			t.Errorf("%d dimensions accepted", dims)
+		}
+	}
+}
+
+// FuzzParseDescriptor feeds the descriptor parser arbitrary input.  It
+// must never panic, and any descriptor it accepts must render back to
+// exactly the input.
+func FuzzParseDescriptor(f *testing.F) {
+	for _, s := range []string{"V", "Z", "I", "F", "S", "Lpkg.C;", "[[I", "[Lsys.Object;",
+		strings.Repeat("[", maxArrayDims) + "S"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		typ, err := ParseDescriptor(s)
+		if err != nil {
+			return
+		}
+		if d := typ.Descriptor(); d != s {
+			t.Fatalf("accepted %q renders as %q", s, d)
+		}
+	})
+}
+
 func TestMethodKeysAndSignature(t *testing.T) {
 	m := &Method{Name: "m", Params: []Type{Int, Ref("X")}, Return: ArrayOf(Int)}
 	if m.Key() != "m/2" {

@@ -144,19 +144,36 @@ func (t Type) Descriptor() string {
 	}
 }
 
+// maxArrayDims bounds the array dimensions a descriptor may declare —
+// the JVM's limit.  Descriptors arrive from the wire (every marshalled
+// array names its element type), so an unbounded prefix of '[' would let
+// a peer build a type chain as long as its frame.
+const maxArrayDims = 255
+
 // ParseDescriptor parses a descriptor produced by Descriptor.
 func ParseDescriptor(s string) (Type, error) {
-	t, rest, err := parseDescriptor(s)
+	dims := 0
+	for dims < len(s) && s[dims] == '[' {
+		if dims == maxArrayDims {
+			return Type{}, fmt.Errorf("descriptor has more than %d array dimensions", maxArrayDims)
+		}
+		dims++
+	}
+	t, rest, err := parseBase(s[dims:])
 	if err != nil {
 		return Type{}, err
 	}
 	if rest != "" {
 		return Type{}, fmt.Errorf("trailing descriptor input %q", rest)
 	}
+	for range dims {
+		t = ArrayOf(t)
+	}
 	return t, nil
 }
 
-func parseDescriptor(s string) (Type, string, error) {
+// parseBase parses one non-array descriptor from the front of s.
+func parseBase(s string) (Type, string, error) {
 	if s == "" {
 		return Type{}, "", fmt.Errorf("empty type descriptor")
 	}
@@ -177,12 +194,6 @@ func parseDescriptor(s string) (Type, string, error) {
 			return Type{}, "", fmt.Errorf("unterminated class descriptor %q", s)
 		}
 		return Ref(s[1:i]), s[i+1:], nil
-	case '[':
-		elem, rest, err := parseDescriptor(s[1:])
-		if err != nil {
-			return Type{}, "", err
-		}
-		return ArrayOf(elem), rest, nil
 	default:
 		return Type{}, "", fmt.Errorf("bad type descriptor %q", s)
 	}

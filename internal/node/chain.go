@@ -77,10 +77,10 @@ func (n *Node) planeInterceptor(cc *intercept.CallCtx, next intercept.Handler) (
 // call parks inside Begin until the first attempt completes; a
 // duplicate of a completed call replays the recorded response; a
 // duplicate of a retired call is rejected — never re-executed.
-// Untokened requests (legacy peers) keep the historical at-least-once
-// path.  Each suppressed duplicate leaves a dedup event span on the
-// call's trace, so a call tree shows which delivery executed and which
-// were absorbed.
+// Untokened requests — the control plane's ping, gossip and introspect
+// probes, and rafdac's — keep the at-least-once path.  Each suppressed
+// duplicate leaves a dedup event span on the call's trace, so a call
+// tree shows which delivery executed and which were absorbed.
 func (n *Node) dedupInterceptor(cc *intercept.CallCtx, next intercept.Handler) (*wire.Response, error) {
 	req := cc.Req
 	if req.Token == nil {

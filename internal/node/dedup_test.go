@@ -277,7 +277,7 @@ func TestForwardedRetryReusesToken(t *testing.T) {
 }
 
 // TestLegacyPeerInteropWithoutTokens pins the server's tolerance of
-// untokened inbound requests (a legacy peer, the control plane, rafdac):
+// untokened inbound requests (the control plane's probes, rafdac's):
 // they are served, bypass the dedup window entirely and keep the
 // historical semantics — while a node, which stamps every call it sends,
 // opens a window.

@@ -109,7 +109,7 @@ func (n *Node) unmarshalValue(env *vm.Env, v wire.Value) (vm.Value, error) {
 	case wire.KArray:
 		elem, err := ir.ParseDescriptor(v.Elem)
 		if err != nil {
-			return vm.Value{}, fmt.Errorf("bad array element descriptor %q: %w", v.Elem, err)
+			return vm.Value{}, fmt.Errorf("bad array element descriptor: %w", err)
 		}
 		arr := vm.NewArray(elem, len(v.Arr))
 		for i, wv := range v.Arr {

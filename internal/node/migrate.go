@@ -244,8 +244,9 @@ func (n *Node) migrateViaHome(proxy *vm.Object, targetEndpoint string, ctx trace
 		}
 		// OpMigrateOut rides the pool's failover retry with a token: a
 		// duplicate delivery is either replayed from the home's dedup
-		// window or — for an untokened legacy peer — finds the home's
-		// export already forwarding and just returns the new reference.
+		// window or — for an untokened sender such as rafdac — finds the
+		// home's export already forwarding and just returns the new
+		// reference.
 		// The migrate-out leg opens its own span on ctx's trace; the
 		// home's migration span (its n.migrate) parents to this one.
 		req := &wire.Request{Op: wire.OpMigrateOut, GUID: id, Endpoint: targetEndpoint}

@@ -409,7 +409,9 @@ func minusSet(cur, prev map[string]uint64) map[string]uint64 {
 }
 
 // RequestSize estimates req's wire payload in bytes (codec-independent:
-// the adaptive rules need relative magnitudes, not exact frame lengths).
+// it feeds only the byte counters operators read — the telemetry
+// snapshot's and peer.bytes — which need relative magnitudes, not
+// exact frame lengths).
 func RequestSize(req *wire.Request) int {
 	n := 16 + len(req.GUID) + len(req.Class) + len(req.Method) + len(req.Endpoint) + len(req.Caller)
 	for i := range req.Args {

@@ -5,13 +5,13 @@
 // entry, so tracing can stay on in production at negligible cost and a
 // post-mortem always has the recent causal history.
 //
-// A span context (trace id + span id) crosses the wire as a trailing
-// request extension and rides the VM environment as baggage between a
-// server dispatch and the nested proxy calls it makes, so forwarded
-// retries, migration re-sends and replica fan-outs all stay on the
-// trace that caused them.  Spans are stored node-locally; a reader
-// (rafdac, OpIntrospect) assembles the cross-node call tree by parent
-// span id.
+// A span context (trace id + span id) crosses the wire in the fixed
+// trace_id/span_id fields of every request frame and rides the VM
+// environment as baggage between a server dispatch and the nested proxy
+// calls it makes, so forwarded retries, migration re-sends and replica
+// fan-outs all stay on the trace that caused them.  Spans are stored
+// node-locally; a reader (rafdac, OpIntrospect) assembles the cross-node
+// call tree by parent span id.
 //
 // Latency digests — per span kind, the server gate-wait split, and
 // served-call latency per op and per tenant — are histograms registered

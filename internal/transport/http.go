@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -34,7 +35,13 @@ func (t *httpBase) Listen(addr string, h Handler) (Server, error) {
 			http.Error(w, "POST required", http.StatusMethodNotAllowed)
 			return
 		}
-		req, err := t.decodeReq(r.Body)
+		// The body is capped at rrp's frame limit, so no carrier
+		// decodes more than any other accepts.
+		req, err := t.decodeReq(http.MaxBytesReader(w, r.Body, maxFrame))
+		if tooLarge := (*http.MaxBytesError)(nil); errors.As(err, &tooLarge) {
+			http.Error(w, fmt.Sprintf("request body over %d bytes", tooLarge.Limit), http.StatusRequestEntityTooLarge)
+			return
+		}
 		if err != nil {
 			http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
 			return

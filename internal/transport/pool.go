@@ -174,7 +174,8 @@ func (p *Pool) Call(req *wire.Request) (*wire.Response, error) {
 // request makes before giving up (each attempt redials its slot, so one
 // pass already survives every connection dying once).  Untokened
 // requests keep the single pass: without a dedup token a retry risks
-// double execution, so legacy traffic fails fast instead.
+// double execution, so the untokened senders — the control plane's
+// probes and rafdac — fail fast instead.
 const TokenedRetryRounds = 4
 
 // CallKey performs one request on the shard the affinity key hashes to
@@ -191,9 +192,10 @@ const TokenedRetryRounds = 4
 // (docs/CONCURRENCY.md §10) — so they retry persistently, for
 // TokenedRetryRounds passes over the pool, and each send after a failed
 // send bumps the token's attempt ordinal (a failed dial sends nothing,
-// so it makes no retry).  Untokened (legacy) requests get one pass, the
-// historical at-least-once regime.  With every attempt exhausted
-// the last error is returned and surfaces as sys.RemoteException.
+// so it makes no retry).  Untokened requests (control-plane probes,
+// rafdac) get one pass, the at-least-once regime.  With every attempt
+// exhausted the last error is returned and surfaces as
+// sys.RemoteException.
 func (p *Pool) CallKey(key string, req *wire.Request) (*wire.Response, error) {
 	start := p.shardIndex(key)
 	attempts := len(p.shards)

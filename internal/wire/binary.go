@@ -8,7 +8,10 @@ import (
 
 // Binary codec used by the RRP transport: varint integers,
 // length-prefixed strings, recursive values.  Frames are written with an
-// outer uvarint length by the transport.
+// outer uvarint length by the transport.  Every field of a message is
+// always present, in the fixed order of DESIGN.md's "Message encoding"
+// grammar; the layout belongs to one build, and no compatibility across
+// builds is promised.
 //
 // The primary entry points are the allocation-free Append/DecodeBytes
 // pairs: AppendRequest/AppendResponse encode directly into a caller-owned
@@ -42,109 +45,31 @@ func AppendRequest(dst []byte, req *Request) []byte {
 	dst = appendString(dst, req.Endpoint)
 	dst = appendString(dst, req.Caller)
 	dst = appendCluster(dst, req.Cluster)
-	// Extension sections: each is emitted only when its content is
-	// present, so an extension-free request encodes byte-for-byte as the
-	// pre-extension protocol and legacy decoders (which reject trailing
-	// bytes) still accept it.  Each section is tag-length-value — a
-	// uvarint tag, a uvarint byte length, then the payload — in strictly
-	// ascending tag order.  The length makes every section skippable: a
-	// decoder that does not know a tag jumps over its payload instead of
-	// rejecting the frame, so new extensions (the trace context below,
-	// and future ones) degrade gracefully on old peers.
-	if req.Token != nil || len(req.Dedup) > 0 {
-		dst = appendUvarint(dst, reqExtTokens)
-		mark := len(dst)
-		if req.Token == nil {
-			dst = append(dst, 0)
-		} else {
-			dst = append(dst, 1)
-			dst = appendToken(dst, req.Token)
-		}
-		dst = appendUvarint(dst, uint64(len(req.Dedup)))
-		for i := range req.Dedup {
-			e := &req.Dedup[i]
-			dst = appendString(dst, e.Caller)
-			dst = appendUvarint(dst, e.Seq)
-			// Entries embed a full response as a length-prefixed blob:
-			// responses grew their own trailing extension (the read
-			// epoch), so they are no longer self-delimiting and the
-			// prefix marks where each nested response ends.
-			blob := AppendResponse(nil, &e.Resp)
-			dst = appendUvarint(dst, uint64(len(blob)))
-			dst = append(dst, blob...)
-		}
-		dst = insertLength(dst, mark)
+	if req.Token == nil {
+		dst = append(dst, 0)
+	} else {
+		dst = append(dst, 1)
+		dst = appendToken(dst, req.Token)
 	}
-	if req.Epoch != 0 {
-		dst = appendUvarint(dst, reqExtReplica)
-		mark := len(dst)
-		dst = appendUvarint(dst, req.Epoch)
-		dst = insertLength(dst, mark)
+	dst = appendUvarint(dst, uint64(len(req.Dedup)))
+	for i := range req.Dedup {
+		e := &req.Dedup[i]
+		dst = appendString(dst, e.Caller)
+		dst = appendUvarint(dst, e.Seq)
+		dst = AppendResponse(dst, &e.Resp)
 	}
-	if req.Trace != (TraceContext{}) {
-		dst = appendUvarint(dst, reqExtTrace)
-		mark := len(dst)
-		dst = appendUvarint(dst, req.Trace.Trace)
-		dst = appendUvarint(dst, req.Trace.Span)
-		dst = insertLength(dst, mark)
-	}
-	if req.DeadlineUs != 0 {
-		dst = appendUvarint(dst, reqExtDeadline)
-		mark := len(dst)
-		dst = appendUvarint(dst, req.DeadlineUs)
-		dst = insertLength(dst, mark)
-	}
-	if req.Priority != 0 {
-		dst = appendUvarint(dst, reqExtPriority)
-		mark := len(dst)
-		dst = appendUvarint(dst, uint64(req.Priority))
-		dst = insertLength(dst, mark)
-	}
-	return dst
+	dst = appendUvarint(dst, req.Epoch)
+	dst = appendUvarint(dst, req.Trace.Trace)
+	dst = appendUvarint(dst, req.Trace.Span)
+	dst = appendUvarint(dst, req.DeadlineUs)
+	return appendUvarint(dst, uint64(req.Priority))
 }
-
-// Request extension section tags, emitted in ascending order.
-const (
-	// reqExtTokens carries the exactly-once call token and migrated
-	// dedup entries.
-	reqExtTokens = 1
-	// reqExtReplica carries the write epoch on replica-maintenance ops.
-	reqExtReplica = 2
-	// reqExtTrace carries the causal span context (trace id, parent
-	// span id) the request runs under.
-	reqExtTrace = 3
-	// reqExtDeadline carries the call's remaining latency budget in
-	// microseconds; each hop decrements it by measured queue/gate wait.
-	reqExtDeadline = 4
-	// reqExtPriority carries the call's admission priority class;
-	// higher classes survive deeper into server overload.
-	reqExtPriority = 5
-)
-
-// respExtEpoch tags the response extension section carrying the read
-// epoch of a replicated object's state.
-const respExtEpoch = 1
 
 func appendToken(dst []byte, t *CallToken) []byte {
 	dst = appendString(dst, t.Caller)
 	dst = appendUvarint(dst, t.Seq)
 	dst = appendUvarint(dst, uint64(t.Attempt))
 	return appendUvarint(dst, t.Ack)
-}
-
-// insertLength turns dst[mark:] into a length-prefixed TLV payload by
-// inserting its uvarint byte length at mark.  The payload is encoded
-// first and shifted (a short memmove — extension payloads are tens of
-// bytes except for migration dedup shipments) so the encoder stays
-// allocation-free.
-func insertLength(dst []byte, mark int) []byte {
-	body := len(dst) - mark
-	var lb [binary.MaxVarintLen64]byte
-	ln := binary.PutUvarint(lb[:], uint64(body))
-	dst = append(dst, lb[:ln]...)
-	copy(dst[mark+ln:], dst[mark:mark+body])
-	copy(dst[mark:mark+ln], lb[:ln])
-	return dst
 }
 
 // AppendResponse appends resp's encoding to dst and returns the extended
@@ -157,16 +82,7 @@ func AppendResponse(dst []byte, resp *Response) []byte {
 	dst = appendString(dst, resp.Err)
 	dst = appendRef(dst, resp.Redirect)
 	dst = appendCluster(dst, resp.Cluster)
-	// Trailing extension, omitted when zero: epoch-free responses stay
-	// byte-identical to the pre-replication protocol.  Same skippable
-	// tag-length-value grammar as request extensions.
-	if resp.Epoch != 0 {
-		dst = appendUvarint(dst, respExtEpoch)
-		mark := len(dst)
-		dst = appendUvarint(dst, resp.Epoch)
-		dst = insertLength(dst, mark)
-	}
-	return dst
+	return appendUvarint(dst, resp.Epoch)
 }
 
 // appendRef encodes an optional RemoteRef as a presence byte plus the
@@ -232,7 +148,7 @@ func decodeRequest(b []byte, strs *StringTable) (*Request, error) {
 		req.Args = make([]Value, 0, min(n, maxPresize))
 	}
 	for i := uint64(0); i < n && d.err == nil; i++ {
-		req.Args = append(req.Args, d.value())
+		req.Args = append(req.Args, d.value(0))
 	}
 	n = d.u64()
 	if d.err == nil && n > maxSeq {
@@ -240,101 +156,34 @@ func decodeRequest(b []byte, strs *StringTable) (*Request, error) {
 	}
 	for i := uint64(0); i < n && d.err == nil; i++ {
 		nv := NamedValue{Name: d.str()}
-		nv.Value = d.value()
+		nv.Value = d.value(0)
 		req.Fields = append(req.Fields, nv)
 	}
 	req.Endpoint = d.str()
 	req.Caller = d.ident()
 	req.Cluster = d.cluster()
-	// Legacy frames end here; extension sections are optional
-	// tag-length-value, in ascending tag order.  Unknown tags are
-	// skipped over their declared length so frames from newer peers
-	// degrade gracefully; known tags must consume exactly their length.
-	prev := uint64(0)
-	for d.err == nil && d.off < len(d.b) {
-		ext := d.u64()
-		if d.err != nil {
-			break
-		}
-		if ext <= prev {
-			return nil, fmt.Errorf("request extension %d out of order", ext)
-		}
-		prev = ext
-		end, ok := d.extBody(ext)
-		if !ok {
-			break
-		}
-		switch ext {
-		case reqExtTokens:
-			if d.boolean() {
-				req.Token = d.token(&s.tok)
-			}
-			n = d.u64()
-			if d.err == nil && n > maxSeq {
-				return nil, fmt.Errorf("dedup list length %d too large", n)
-			}
-			for i := uint64(0); i < n && d.err == nil; i++ {
-				e := DedupEntry{Caller: d.str(), Seq: d.u64()}
-				d.nestedResponse(&e.Resp)
-				req.Dedup = append(req.Dedup, e)
-			}
-		case reqExtReplica:
-			req.Epoch = d.u64()
-		case reqExtTrace:
-			req.Trace = TraceContext{Trace: d.u64(), Span: d.u64()}
-		case reqExtDeadline:
-			req.DeadlineUs = d.u64()
-		case reqExtPriority:
-			p := d.u64()
-			if p > math.MaxUint32 {
-				p = math.MaxUint32
-			}
-			req.Priority = uint32(p)
-		default:
-			d.off = end
-		}
-		if d.err == nil && d.off != end {
-			return nil, fmt.Errorf("request extension %d length mismatch", ext)
-		}
+	if d.boolean() {
+		req.Token = d.token(&s.tok)
 	}
+	n = d.u64()
+	if d.err == nil && n > maxSeq {
+		return nil, fmt.Errorf("dedup list length %d too large", n)
+	}
+	for i := uint64(0); i < n && d.err == nil; i++ {
+		e := DedupEntry{Caller: d.str(), Seq: d.u64()}
+		d.response(&e.Resp)
+		req.Dedup = append(req.Dedup, e)
+	}
+	req.Epoch = d.u64()
+	req.Trace = TraceContext{Trace: d.u64(), Span: d.u64()}
+	req.DeadlineUs = d.u64()
+	// A class past uint32 clamps to the highest rather than truncating
+	// into a surprise low one.
+	req.Priority = uint32(min(d.u64(), math.MaxUint32))
 	if err := d.finish(); err != nil {
 		return nil, err
 	}
 	return req, nil
-}
-
-// extBody reads a TLV extension section's declared byte length and
-// returns the offset where the section's payload ends.
-func (d *bdec) extBody(ext uint64) (end int, ok bool) {
-	n := d.u64()
-	if d.err != nil {
-		return 0, false
-	}
-	if n > uint64(len(d.b)-d.off) {
-		d.fail("truncated extension %d at offset %d", ext, d.off)
-		return 0, false
-	}
-	return d.off + int(n), true
-}
-
-// nestedResponse decodes a length-prefixed response blob embedded in a
-// request extension section (written by AppendRequest's dedup loop).
-func (d *bdec) nestedResponse(resp *Response) {
-	n := d.u64()
-	if d.err != nil {
-		return
-	}
-	if n > maxSeq || uint64(len(d.b)-d.off) < n {
-		d.fail("truncated nested response at offset %d", d.off)
-		return
-	}
-	sub, err := DecodeResponseBytes(d.b[d.off : d.off+int(n)])
-	if err != nil {
-		d.fail("nested response: %v", err)
-		return
-	}
-	*resp = *sub
-	d.off += int(n)
 }
 
 // DecodeResponseBytes decodes exactly one response from b.
@@ -342,49 +191,23 @@ func DecodeResponseBytes(b []byte) (*Response, error) {
 	d := &bdec{b: b}
 	resp := &Response{}
 	d.response(resp)
-	// Legacy responses end here; extension sections are optional
-	// tag-length-value, unknown tags skipped (same grammar as request
-	// extensions).
-	prev := uint64(0)
-	for d.err == nil && d.off < len(d.b) {
-		ext := d.u64()
-		if d.err != nil {
-			break
-		}
-		if ext <= prev {
-			return nil, fmt.Errorf("response extension %d out of order", ext)
-		}
-		prev = ext
-		end, ok := d.extBody(ext)
-		if !ok {
-			break
-		}
-		switch ext {
-		case respExtEpoch:
-			resp.Epoch = d.u64()
-		default:
-			d.off = end
-		}
-		if d.err == nil && d.off != end {
-			return nil, fmt.Errorf("response extension %d length mismatch", ext)
-		}
-	}
 	if err := d.finish(); err != nil {
 		return nil, err
 	}
 	return resp, nil
 }
 
-// response decodes the fixed (pre-extension) part of a response written
-// by AppendResponse.
+// response decodes a response written by AppendResponse.  Responses are
+// self-delimiting, so a dedup entry embeds one directly.
 func (d *bdec) response(resp *Response) {
 	resp.ID = d.u64()
-	resp.Result = d.value()
+	resp.Result = d.value(0)
 	resp.ExClass = d.str()
 	resp.ExMsg = d.str()
 	resp.Err = d.str()
 	resp.Redirect = d.ref()
 	resp.Cluster = d.cluster()
+	resp.Epoch = d.u64()
 }
 
 // token decodes a CallToken written by appendToken into t.
@@ -753,7 +576,14 @@ func (d *bdec) digest() PeerDigest {
 	return p
 }
 
-func (d *bdec) value() Value {
+// maxArrayDepth bounds how deeply arrays nest in one value — the JVM's
+// array-dimension limit, which ir.ParseDescriptor applies to element
+// descriptors too — so a frame of nested one-element arrays cannot
+// recurse the decoder off its stack.
+const maxArrayDepth = 255
+
+// value decodes one value nested inside depth arrays.
+func (d *bdec) value(depth int) Value {
 	v := Value{Kind: ValueKind(d.u64())}
 	switch v.Kind {
 	case KBool:
@@ -773,6 +603,10 @@ func (d *bdec) value() Value {
 		}
 		v.Ref.ClassSide = d.boolean()
 	case KArray:
+		if depth == maxArrayDepth {
+			d.fail("arrays nested deeper than %d", maxArrayDepth)
+			return v
+		}
 		v.Elem = d.str()
 		n := d.u64()
 		if n > maxSeq {
@@ -780,7 +614,7 @@ func (d *bdec) value() Value {
 			return v
 		}
 		for i := uint64(0); i < n && d.err == nil; i++ {
-			v.Arr = append(v.Arr, d.value())
+			v.Arr = append(v.Arr, d.value(depth+1))
 		}
 	case KVoid, KNull, KInvalid:
 	default:

@@ -3,37 +3,13 @@ package wire
 import (
 	"bytes"
 	"reflect"
-	"strings"
 	"testing"
 )
 
-// TestDeadlineExtensionLegacyInterop pins the deadline extension's
-// capability contract, mirroring TestEpochExtensionLegacyInterop:
-// deadline-free requests encode byte-identically to the pre-deadline
-// protocol, and deadline-bearing ones extend that prefix with tag 4.
-func TestDeadlineExtensionLegacyInterop(t *testing.T) {
-	req := &Request{ID: 13, Op: OpInvoke, GUID: "g#1", Method: "m",
-		Args:   []Value{{Kind: KInt, Int: 7}},
-		Caller: "rrp://c:1"}
-	plain := AppendRequest(nil, req)
-	withDeadline := *req
-	withDeadline.DeadlineUs = 5000
-	ext := AppendRequest(nil, &withDeadline)
-	if !bytes.HasPrefix(ext, plain) {
-		t.Fatal("deadline-bearing request does not extend the plain encoding byte-for-byte")
-	}
-	back, err := DecodeRequestBytes(ext)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.DeadlineUs != 5000 {
-		t.Fatalf("deadline lost: %+v", back)
-	}
-}
-
-// TestDeadlineWithTraceOrdering covers tag 3 and tag 4 on one frame: the
-// trace section must precede the deadline section and both survive a
-// round trip alongside the earlier token/epoch extensions.
+// TestDeadlineWithTraceOrdering covers the trace context and the
+// deadline on one frame, beside a token and an epoch: all survive a
+// round trip, and the fixed layout writes trace_id span_id before
+// deadline_us, then priority, as the frame's last fields.
 func TestDeadlineWithTraceOrdering(t *testing.T) {
 	req := &Request{ID: 14, Op: OpInvoke, GUID: "g#1", Method: "m",
 		Token:      &CallToken{Caller: "n!1", Seq: 3, Attempt: 1},
@@ -48,31 +24,8 @@ func TestDeadlineWithTraceOrdering(t *testing.T) {
 	if !reflect.DeepEqual(req, back) {
 		t.Fatalf("trace+deadline round trip:\n%+v\n%+v", req, back)
 	}
-	// The encoding of trace-only must be a strict prefix of
-	// trace+deadline: tag 4 is emitted after tag 3.
-	traceOnly := *req
-	traceOnly.DeadlineUs = 0
-	if !bytes.HasPrefix(b, AppendRequest(nil, &traceOnly)) {
-		t.Fatal("deadline section not appended after the trace section")
-	}
-}
-
-// TestDeadlineOutOfOrderRejected hand-builds a frame whose extension
-// sections appear as tag 4 then tag 3 and checks the decoder rejects it:
-// the ascending-tag rule is what keeps sections skippable.
-func TestDeadlineOutOfOrderRejected(t *testing.T) {
-	base := AppendRequest(nil, &Request{ID: 15, Op: OpInvoke, GUID: "g#1", Method: "m"})
-	b := appendUvarint(base, reqExtDeadline)
-	mark := len(b)
-	b = appendUvarint(b, 1000)
-	b = insertLength(b, mark)
-	b = appendUvarint(b, reqExtTrace)
-	mark = len(b)
-	b = appendUvarint(b, 1)
-	b = appendUvarint(b, 2)
-	b = insertLength(b, mark)
-	if _, err := DecodeRequestBytes(b); err == nil ||
-		!strings.Contains(err.Error(), "out of order") {
-		t.Fatalf("out-of-order tags accepted: err=%v", err)
+	tail := spec{}.uv(9, 0xabad1dea, 0x1234, 750, 0)
+	if !bytes.HasSuffix(b, tail) {
+		t.Fatalf("frame does not end epoch trace_id span_id deadline_us priority: %x", b)
 	}
 }

@@ -1,18 +1,17 @@
 package wire
 
 import (
-	"bytes"
 	"reflect"
 	"testing"
 )
 
-// Seed corpus for the decoder fuzzers: valid encodings exercising every
-// optional section — the token trailing extension, migrated dedup
-// entries (with their length-prefixed nested responses), the replica
-// epoch extensions on both directions, the trace-context extension,
-// OpIntrospect probes, and a gossip payload with every list populated
-// including replica sets.  The fuzzer mutates from these so it reaches
-// the deep sections instead of bouncing off the header.
+// Seed corpus for the decoder fuzzers: valid encodings populating every
+// trailing field — the call token, migrated dedup entries (each
+// embedding a response), the replica epoch on both directions, the
+// trace context, deadline and priority — plus OpIntrospect probes and a
+// gossip payload with every list populated including replica sets.  The
+// fuzzer mutates from these so it reaches the deep fields instead of
+// bouncing off the header.
 func seedRequests() []*Request {
 	return []*Request{
 		{ID: 1, Op: OpPing},
@@ -95,6 +94,7 @@ func FuzzDecodeRequest(f *testing.F) {
 		f.Add(AppendRequest(nil, req))
 	}
 	f.Add(hostileArgsFrame(maxSeq, nil))
+	f.Add(deepArrayFrame(256))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		req, err := DecodeRequestBytes(b)
 		var strs StringTable
@@ -119,7 +119,7 @@ func FuzzDecodeRequest(f *testing.F) {
 }
 
 // FuzzDecodeResponse is FuzzDecodeRequest's counterpart for responses,
-// covering the epoch trailing extension and the gossip payload reply.
+// covering the redirect, the gossip payload reply and the epoch.
 func FuzzDecodeResponse(f *testing.F) {
 	for _, resp := range seedResponses() {
 		f.Add(AppendResponse(nil, resp))
@@ -163,56 +163,5 @@ func TestSeedCorpusRoundTrips(t *testing.T) {
 		if !reflect.DeepEqual(resp, back) {
 			t.Fatalf("seed response %d round trip:\n%+v\n%+v", resp.ID, resp, back)
 		}
-	}
-}
-
-// TestEpochExtensionLegacyInterop pins the epoch extensions' capability
-// contract, mirroring TestTokenExtensionLegacyInterop: epoch-free
-// messages encode byte-identically to the pre-replication protocol, and
-// epoch-bearing ones extend that prefix.
-func TestEpochExtensionLegacyInterop(t *testing.T) {
-	req := &Request{ID: 9, Op: OpReplicaUpdate, GUID: "r#1",
-		Fields: []NamedValue{{Name: "v", Value: Value{Kind: KInt, Int: 3}}}}
-	plain := AppendRequest(nil, req)
-	withEpoch := *req
-	withEpoch.Epoch = 21
-	ext := AppendRequest(nil, &withEpoch)
-	if !bytes.HasPrefix(ext, plain) {
-		t.Fatal("epoch-bearing request does not extend the plain encoding byte-for-byte")
-	}
-	back, err := DecodeRequestBytes(ext)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Epoch != 21 {
-		t.Fatalf("request epoch lost: %+v", back)
-	}
-
-	resp := &Response{ID: 9, Result: Value{Kind: KInt, Int: 3}}
-	plainR := AppendResponse(nil, resp)
-	withEpochR := *resp
-	withEpochR.Epoch = 22
-	extR := AppendResponse(nil, &withEpochR)
-	if !bytes.HasPrefix(extR, plainR) {
-		t.Fatal("epoch-bearing response does not extend the plain encoding byte-for-byte")
-	}
-	backR, err := DecodeResponseBytes(extR)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if backR.Epoch != 22 {
-		t.Fatalf("response epoch lost: %+v", backR)
-	}
-	// Both extensions together on one request: tokens section first,
-	// then the replica section, in tag order.
-	both := withEpoch
-	both.Token = &CallToken{Caller: "n!1", Seq: 5}
-	bb := AppendRequest(nil, &both)
-	backB, err := DecodeRequestBytes(bb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(&both, backB) {
-		t.Fatalf("combined extensions round trip:\n%+v\n%+v", &both, backB)
 	}
 }

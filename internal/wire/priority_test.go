@@ -3,39 +3,12 @@ package wire
 import (
 	"bytes"
 	"reflect"
-	"strings"
 	"testing"
 )
 
-// TestPriorityExtensionLegacyInterop pins the priority extension's
-// capability contract, mirroring TestDeadlineExtensionLegacyInterop:
-// priority-free requests encode byte-identically to the pre-priority
-// protocol (class 0 is never emitted), and priority-bearing ones extend
-// that prefix with tag 5.
-func TestPriorityExtensionLegacyInterop(t *testing.T) {
-	req := &Request{ID: 21, Op: OpInvoke, GUID: "g#1", Method: "m",
-		Args:   []Value{{Kind: KInt, Int: 7}},
-		Caller: "rrp://c:1"}
-	plain := AppendRequest(nil, req)
-	withPri := *req
-	withPri.Priority = 2
-	ext := AppendRequest(nil, &withPri)
-	if !bytes.HasPrefix(ext, plain) {
-		t.Fatal("priority-bearing request does not extend the plain encoding byte-for-byte")
-	}
-	back, err := DecodeRequestBytes(ext)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Priority != 2 {
-		t.Fatalf("priority lost: %+v", back)
-	}
-}
-
-// TestPriorityWithDeadlineOrdering covers tags 4 and 5 on one frame: the
-// deadline section must precede the priority section, both survive a
-// round trip, and the deadline-only encoding is a strict byte prefix of
-// the combined one.
+// TestPriorityWithDeadlineOrdering covers the deadline and the priority
+// class on one frame: both survive a round trip, and priority is the
+// frame's last field, right after deadline_us.
 func TestPriorityWithDeadlineOrdering(t *testing.T) {
 	req := &Request{ID: 22, Op: OpInvoke, GUID: "g#1", Method: "m",
 		Token:      &CallToken{Caller: "n!1", Seq: 4, Attempt: 1},
@@ -50,42 +23,19 @@ func TestPriorityWithDeadlineOrdering(t *testing.T) {
 	if !reflect.DeepEqual(req, back) {
 		t.Fatalf("deadline+priority round trip:\n%+v\n%+v", req, back)
 	}
-	noPri := *req
-	noPri.Priority = 0
-	if !bytes.HasPrefix(b, AppendRequest(nil, &noPri)) {
-		t.Fatal("priority section not appended after the deadline section")
+	if !bytes.HasSuffix(b, spec{}.uv(750, 1)) {
+		t.Fatalf("frame does not end deadline_us priority: %x", b)
 	}
 }
 
-// TestPriorityOutOfOrderRejected hand-builds a frame with tag 5 before
-// tag 4 and checks the decoder rejects it — the ascending-tag rule is
-// what keeps sections skippable.
-func TestPriorityOutOfOrderRejected(t *testing.T) {
-	base := AppendRequest(nil, &Request{ID: 23, Op: OpInvoke, GUID: "g#1", Method: "m"})
-	b := appendUvarint(base, reqExtPriority)
-	mark := len(b)
-	b = appendUvarint(b, 1)
-	b = insertLength(b, mark)
-	b = appendUvarint(b, reqExtDeadline)
-	mark = len(b)
-	b = appendUvarint(b, 500)
-	b = insertLength(b, mark)
-	if _, err := DecodeRequestBytes(b); err == nil ||
-		!strings.Contains(err.Error(), "out of order") {
-		t.Fatalf("out-of-order tags accepted: err=%v", err)
-	}
-}
-
-// TestPriorityOverflowClamped hand-builds a tag-5 section whose payload
+// TestPriorityOverflowClamped hand-builds a frame whose priority field
 // exceeds uint32 and checks the decoder clamps instead of truncating
 // into a surprise low class.
 func TestPriorityOverflowClamped(t *testing.T) {
-	base := AppendRequest(nil, &Request{ID: 24, Op: OpInvoke, GUID: "g#1", Method: "m"})
-	b := appendUvarint(base, reqExtPriority)
-	mark := len(b)
-	b = appendUvarint(b, 1<<40)
-	b = insertLength(b, mark)
-	back, err := DecodeRequestBytes(b)
+	frame := AppendRequest(nil, &Request{ID: 24, Op: OpInvoke, GUID: "g#1", Method: "m"})
+	// The zero priority is the frame's one last byte; swap in 2^40.
+	frame = spec(frame[:len(frame)-1]).uv(1 << 40)
+	back, err := DecodeRequestBytes(frame)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -176,12 +176,9 @@ type Request struct {
 	// callee's per-caller dedup window: a retry (transport failover, a
 	// duplicated frame, a post-migration re-send) carries the same
 	// (Caller, Seq) and is suppressed or answered from the replay cache
-	// instead of executing twice.  nil on untokened requests — legacy
-	// peers and the side-effect-free ops (ping, gossip) — which bypass
-	// dedup entirely.  The binary codec emits it as a trailing optional
-	// section, omitted byte-for-byte when nil, so tokenless frames are
-	// identical to the pre-token protocol (capability flag:
-	// docs/DESIGN.md wire spec).
+	// instead of executing twice.  nil on untokened requests — the
+	// control plane's ping, gossip and introspect probes, and rafdac's —
+	// which bypass dedup entirely.
 	Token *CallToken `json:"token,omitempty" xml:"token,omitempty"`
 	// Dedup ships completed dedup-window entries alongside an
 	// OpMigrateIn snapshot: the adopting node seeds its own windows with
@@ -192,37 +189,27 @@ type Request struct {
 	// Epoch carries the write epoch on replica-maintenance ops
 	// (OpReplicaInstall: the epoch of the shipped state;
 	// OpReplicaUpdate: the epoch of the committed write).  Zero on
-	// every other op.  The binary codec emits it as an optional trailing
-	// extension section, so epoch-free frames stay byte-identical to the
-	// pre-replication protocol (docs/REPLICATION.md).
+	// every other op (docs/REPLICATION.md).
 	Epoch uint64 `json:"epoch,omitempty" xml:"epoch,attr,omitempty"`
 	// Trace carries the causal span context this request runs under:
 	// the server-side spans it produces parent to Trace.Span and join
 	// trace Trace.Trace, so forwarded retries, migration re-sends and
 	// replica fan-outs assemble into one cross-node call tree
 	// (internal/trace, docs/OBSERVABILITY.md).  The zero value means the
-	// sender records no trace; the binary codec emits it as an optional
-	// trailing extension, skipped gracefully by peers that predate it.
-	// A value (not a pointer) so stamping a context on the request hot
-	// path allocates nothing; all three codecs omit the zero value, so
-	// untraced frames stay byte-identical to the pre-trace protocol.
+	// sender records no trace.  A value (not a pointer) so stamping a
+	// context on the request hot path allocates nothing.
 	Trace TraceContext `json:"trace,omitzero" xml:"trace"`
 	// DeadlineUs is the call's remaining latency budget in microseconds.
 	// Zero means no deadline.  Each hop decrements it by the queue/gate
 	// wait it measured before executing the call; a server that finds
 	// the budget exhausted rejects at admission instead of burning a
-	// dispatch slot.  The binary codec emits it as an optional trailing
-	// extension (tag 4), so deadline-free frames stay byte-identical to
-	// the pre-deadline protocol and older peers skip the tag gracefully.
+	// dispatch slot.
 	DeadlineUs uint64 `json:"deadline_us,omitempty" xml:"deadline-us,attr,omitempty"`
 	// Priority is the call's admission priority class.  Zero — the
 	// default — is the lowest class; higher classes survive deeper into
 	// overload: when a server's shedding policies engage, a class-p call
 	// is admitted at saturation depths that shed class-(p-1) traffic
-	// (internal/intercept).  The binary codec emits it as an optional
-	// trailing extension (tag 5), so priority-free frames stay
-	// byte-identical to the pre-priority protocol and older peers skip
-	// the tag gracefully.
+	// (internal/intercept).
 	Priority uint32 `json:"priority,omitempty" xml:"priority,attr,omitempty"`
 	// SlotWaitUs is the dispatch-slot wait the receiving transport
 	// measured for this request (microseconds spent blocked on the
@@ -329,9 +316,7 @@ type Response struct {
 	// Epoch stamps a read served by a replicated object with the write
 	// epoch of the state it observed, letting callers (and the staleness
 	// audit in E13's deterministic test) order reads against acknowledged
-	// writes.  Zero for non-replicated objects; the binary codec emits it
-	// as an optional trailing extension, so epoch-free responses stay
-	// byte-identical to the pre-replication protocol.
+	// writes.  Zero for non-replicated objects.
 	Epoch uint64 `json:"epoch,omitempty" xml:"epoch,attr,omitempty"`
 }
 

@@ -90,6 +90,11 @@ func randomRequest(r *rand.Rand) *Request {
 	if r.Intn(2) == 1 {
 		req.Epoch = r.Uint64()
 	}
+	if r.Intn(2) == 1 {
+		req.Trace = TraceContext{Trace: r.Uint64(), Span: r.Uint64()}
+		req.DeadlineUs = r.Uint64()
+		req.Priority = r.Uint32()
+	}
 	return req
 }
 
@@ -371,6 +376,58 @@ func TestBytesCodecEdgeValues(t *testing.T) {
 	}
 }
 
+// nestedArrays is depth one-element arrays around a null.
+func nestedArrays(depth int) Value {
+	v := Value{Kind: KNull}
+	for range depth {
+		v = Value{Kind: KArray, Elem: "[I", Arr: []Value{v}}
+	}
+	return v
+}
+
+// TestArrayNestingBounded: the decoder recurses once per array level,
+// so nesting is capped at 255 levels (the JVM's array-dimension limit)
+// in requests, dedup-embedded responses and responses alike.  Deeper
+// frames are rejected with an error instead of exhausting the stack; a
+// hand-built 3 MiB frame of a million levels is turned away at level
+// 256.
+func TestArrayNestingBounded(t *testing.T) {
+	for _, c := range []struct {
+		depth int
+		ok    bool
+	}{{255, true}, {256, false}} {
+		req := &Request{ID: 1, Op: OpInvoke, GUID: "g#1", Method: "m",
+			Args: []Value{nestedArrays(c.depth)}}
+		back, err := DecodeRequestBytes(AppendRequest(nil, req))
+		if c.ok && (err != nil || !reflect.DeepEqual(req, back)) {
+			t.Fatalf("request with %d nested arrays: %v", c.depth, err)
+		}
+		if !c.ok && err == nil {
+			t.Fatalf("request with %d nested arrays accepted", c.depth)
+		}
+		resp := &Response{ID: 1, Result: nestedArrays(c.depth)}
+		migrate := &Request{ID: 2, Op: OpMigrateIn, Class: "C",
+			Dedup: []DedupEntry{{Caller: "n!1", Seq: 1, Resp: *resp}}}
+		if _, err := DecodeRequestBytes(AppendRequest(nil, migrate)); (err == nil) != c.ok {
+			t.Fatalf("dedup response with %d nested arrays: err=%v", c.depth, err)
+		}
+		if _, err := DecodeResponseBytes(AppendResponse(nil, resp)); (err == nil) != c.ok {
+			t.Fatalf("response with %d nested arrays: err=%v", c.depth, err)
+		}
+	}
+	if _, err := DecodeRequestBytes(deepArrayFrame(1 << 20)); err == nil {
+		t.Fatal("a million nested arrays accepted")
+	}
+}
+
+// deepArrayFrame is a request frame whose one argument nests depth
+// one-element arrays, built without recursion.
+func deepArrayFrame(depth int) []byte {
+	level := appendString([]byte{byte(KArray)}, "")
+	level = appendUvarint(level, 1)
+	return hostileArgsFrame(1, append(bytes.Repeat(level, depth), byte(KNull)))
+}
+
 func TestDecodeBytesRejectsTrailingGarbage(t *testing.T) {
 	b := AppendResponse(nil, &Response{ID: 3})
 	if _, err := DecodeResponseBytes(append(b, 0xff)); err == nil {
@@ -382,139 +439,12 @@ func TestDecodeBytesRejectsTrailingGarbage(t *testing.T) {
 	}
 }
 
-// TestTokenExtensionLegacyInterop pins the capability contract of the
-// token extension: an untokened request encodes to the exact byte
-// prefix a tokened one extends — i.e. tokenless frames are
-// byte-identical to the pre-extension format, so legacy decoders (which
-// reject any trailing bytes) still parse everything an untokened peer
-// sends, and the current decoder parses legacy frames as Token == nil.
-func TestTokenExtensionLegacyInterop(t *testing.T) {
-	base := &Request{ID: 9, Op: OpInvoke, GUID: "g#1", Method: "m",
-		Args: []Value{{Kind: KInt, Int: 5}}, Caller: "rrp://c:1"}
-	legacy := AppendRequest(nil, base)
-
-	tokened := *base
-	tokened.Token = &CallToken{Caller: "n!1", Seq: 7, Attempt: 1, Ack: 3}
-	tokened.Dedup = []DedupEntry{{Caller: "n!1", Seq: 6,
-		Resp: Response{ID: 2, Result: Value{Kind: KInt, Int: 1}}}}
-	ext := AppendRequest(nil, &tokened)
-
-	if !bytes.HasPrefix(ext, legacy) {
-		t.Fatal("tokened frame does not extend the legacy encoding byte-for-byte")
-	}
-	if len(ext) == len(legacy) {
-		t.Fatal("token extension emitted no bytes")
-	}
-	// A legacy frame decodes with no token.
-	back, err := DecodeRequestBytes(legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Token != nil || back.Dedup != nil {
-		t.Fatalf("legacy frame decoded with token state: %+v", back)
-	}
-	// The tokened frame round-trips the extension.
-	back, err = DecodeRequestBytes(ext)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(&tokened, back) {
-		t.Fatalf("token round trip:\n%+v\n%+v", &tokened, back)
-	}
-	// A bare unknown tag with no length is a truncated TLV section and
-	// still rejected — skipping requires the declared length.
-	if _, err := DecodeRequestBytes(append(append([]byte{}, legacy...), 0x7f)); err == nil {
-		t.Fatal("truncated unknown extension accepted")
-	}
-}
-
-// TestUnknownExtensionSkipped pins the forward-compatibility half of
-// the TLV grammar: a well-formed extension section with a tag this
-// decoder does not know is skipped over its declared length — the rest
-// of the frame (including later known extensions) still decodes — so
-// peers that predate an extension degrade gracefully instead of
-// rejecting traffic from newer nodes.
-func TestUnknownExtensionSkipped(t *testing.T) {
-	base := &Request{ID: 9, Op: OpInvoke, GUID: "g#1", Method: "m",
-		Token: &CallToken{Caller: "n!1", Seq: 7}}
-	frame := AppendRequest(nil, base)
-	// Append an unknown tag 9 with a 3-byte payload.
-	frame = append(frame, 9, 3, 0xde, 0xad, 0xbf)
-	back, err := DecodeRequestBytes(frame)
-	if err != nil {
-		t.Fatalf("well-formed unknown extension rejected: %v", err)
-	}
-	if back.Token == nil || back.Token.Seq != 7 {
-		t.Fatalf("known extension lost while skipping unknown one: %+v", back)
-	}
-
-	// Several unknown sections in a row (a frame from a peer two
-	// protocol generations ahead) skip independently, and the known
-	// sections before them survive intact.
-	ahead := &Request{ID: 10, Op: OpReplicaUpdate, GUID: "r#1",
-		Token: &CallToken{Caller: "n!1", Seq: 8}, Epoch: 21}
-	multi := AppendRequest(nil, ahead)
-	multi = append(multi, 9, 2, 0x01, 0x02)
-	multi = append(multi, 12, 0) // empty payload is a valid section
-	back, err = DecodeRequestBytes(multi)
-	if err != nil {
-		t.Fatalf("consecutive unknown extensions rejected: %v", err)
-	}
-	if back.Token == nil || back.Token.Seq != 8 || back.Epoch != 21 {
-		t.Fatalf("known extensions lost while skipping unknown ones: %+v", back)
-	}
-
-	// Out-of-order and duplicate tags stay protocol errors: skipping is
-	// for unknown content, not for malformed framing.
-	if _, err := DecodeRequestBytes(append(AppendRequest(nil, base), 0)); err == nil {
-		t.Fatal("extension tag 0 accepted")
-	}
-	dup := AppendRequest(nil, base)
-	dup = append(dup, 1, 0)
-	if _, err := DecodeRequestBytes(dup); err == nil {
-		t.Fatal("duplicate extension tag accepted")
-	}
-	// Truncated payload (declared length runs past the frame) rejected.
-	trunc := AppendRequest(nil, base)
-	trunc = append(trunc, 9, 200, 0x00)
-	if _, err := DecodeRequestBytes(trunc); err == nil {
-		t.Fatal("truncated extension payload accepted")
-	}
-
-	// Responses share the grammar.
-	rfrm := AppendResponse(nil, &Response{ID: 3, Epoch: 4})
-	rfrm = append(rfrm, 7, 1, 0xee)
-	rback, err := DecodeResponseBytes(rfrm)
-	if err != nil {
-		t.Fatalf("unknown response extension rejected: %v", err)
-	}
-	if rback.Epoch != 4 {
-		t.Fatalf("response epoch lost while skipping: %+v", rback)
-	}
-}
-
-// TestTraceExtensionInterop pins the trace context's capability
-// contract, mirroring the token and epoch interop tests: trace-free
-// requests encode byte-identically to the pre-trace protocol, and the
-// context rides after the token and epoch sections in tag order.
+// TestTraceExtensionInterop checks the span context rides both HTTP
+// carriers: it round-trips through JSON and through XML.
 func TestTraceExtensionInterop(t *testing.T) {
-	base := &Request{ID: 11, Op: OpInvoke, GUID: "g#1", Method: "m",
-		Token: &CallToken{Caller: "n!1", Seq: 3}, Epoch: 5}
-	plain := AppendRequest(nil, base)
-	traced := *base
-	traced.Trace = TraceContext{Trace: 0xabcdef, Span: 0x1234}
-	ext := AppendRequest(nil, &traced)
-	if !bytes.HasPrefix(ext, plain) {
-		t.Fatal("traced request does not extend the trace-free encoding byte-for-byte")
-	}
-	back, err := DecodeRequestBytes(ext)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(&traced, back) {
-		t.Fatalf("trace round trip:\n%+v\n%+v", &traced, back)
-	}
-	// The span context survives the HTTP carriers too.
+	traced := Request{ID: 11, Op: OpInvoke, GUID: "g#1", Method: "m",
+		Token: &CallToken{Caller: "n!1", Seq: 3}, Epoch: 5,
+		Trace: TraceContext{Trace: 0xabcdef, Span: 0x1234}}
 	jb, err := json.Marshal(&traced)
 	if err != nil {
 		t.Fatal(err)
@@ -540,8 +470,8 @@ func TestTraceExtensionInterop(t *testing.T) {
 }
 
 // TestTokenHTTPCodecs checks the token rides the SOAP/JSON carriers: the
-// whole-struct marshal picks up the new optional fields for free, and
-// their absence round-trips as nil for legacy payloads.
+// whole-struct marshal picks up the optional fields for free, and their
+// absence round-trips as nil for untokened payloads.
 func TestTokenHTTPCodecs(t *testing.T) {
 	req := &Request{ID: 1, Op: OpInvoke, GUID: "g", Method: "m",
 		Token: &CallToken{Caller: "n!2", Seq: 4, Ack: 2},
@@ -568,13 +498,13 @@ func TestTokenHTTPCodecs(t *testing.T) {
 	if !reflect.DeepEqual(req.Token, xback.Token) {
 		t.Fatalf("xml token round trip: %+v\n%s", xback.Token, xb)
 	}
-	// Legacy payload without the fields.
+	// An untokened payload omits the fields.
 	var lback Request
 	if err := json.Unmarshal([]byte(`{"id":1,"op":2,"guid":"g"}`), &lback); err != nil {
 		t.Fatal(err)
 	}
 	if lback.Token != nil {
-		t.Fatal("token materialised from legacy json")
+		t.Fatal("token materialised from untokened json")
 	}
 }
 
