@@ -3,6 +3,8 @@ package ir
 import (
 	"fmt"
 	"sort"
+
+	"rafda/internal/par"
 )
 
 // Program is a set of classes closed under reference (when complete).
@@ -15,6 +17,12 @@ type Program struct {
 // NewProgram returns an empty program.
 func NewProgram() *Program {
 	return &Program{classes: make(map[string]*Class)}
+}
+
+// NewProgramSize returns an empty program with room for n classes, so a
+// builder that knows its class count adds them without regrowing.
+func NewProgramSize(n int) *Program {
+	return &Program{classes: make(map[string]*Class, n), order: make([]string, 0, n)}
 }
 
 // Add inserts a class.  Adding a duplicate name returns an error.
@@ -285,13 +293,21 @@ func (p *Program) ResolveField(cname, name string) (*Class, *Field, error) {
 
 // MissingReferences returns, for each class, referenced class names absent
 // from the program (sorted).  An empty result means the program is closed.
+// Classes are scanned on par.For's workers.
 func (p *Program) MissingReferences() []string {
-	missing := map[string]bool{}
-	for _, c := range p.Classes() {
-		for _, r := range c.ReferencedClasses() {
+	classes := p.Classes()
+	perClass := make([][]string, len(classes))
+	par.For(len(classes), func(i int) {
+		for _, r := range classes[i].ReferencedClasses() {
 			if !p.Has(r) {
-				missing[r] = true
+				perClass[i] = append(perClass[i], r)
 			}
+		}
+	})
+	missing := map[string]bool{}
+	for _, refs := range perClass {
+		for _, r := range refs {
+			missing[r] = true
 		}
 	}
 	out := make([]string, 0, len(missing))

@@ -116,7 +116,12 @@ func Analyze(prog *ir.Program, exclude ...string) *Analysis {
 		}
 	}
 
-	// Closure rules to fixpoint.
+	// Closure rules to fixpoint.  A non-transformable class is expanded
+	// (its superclass and references marked) only on the first pass that
+	// sees it: that expansion marks every target, so repeating it on a
+	// later pass would mark nothing.
+	classes := prog.Classes()
+	expanded := make([]bool, len(classes))
 	for changed := true; changed; {
 		changed = false
 		mark := func(name string, cause Cause) {
@@ -132,8 +137,12 @@ func Analyze(prog *ir.Program, exclude ...string) *Analysis {
 			a.causes[name] = cause
 			changed = true
 		}
-		for _, c := range prog.Classes() {
+		for i, c := range classes {
 			if _, nt := a.causes[c.Name]; nt {
+				if expanded[i] {
+					continue
+				}
+				expanded[i] = true
 				// Superclass of a non-transformable class.
 				mark(c.Super, Cause{Reason: ReasonSuperOfNonTransformable, Via: c.Name})
 				// Everything a non-transformable class references.

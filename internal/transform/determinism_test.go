@@ -1,0 +1,76 @@
+package transform
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"runtime"
+	"testing"
+
+	"rafda/internal/corpus"
+	"rafda/internal/ir"
+)
+
+// The transformation fans its per-class work out across cores; these
+// pins hold its output to the bytes the serial pipeline produced, at
+// one and at four workers.  The JDK-like corpus spans many chunks, so
+// under -race the fan-out itself is raced.
+const (
+	// jdkTransformSHA256 is the sha256 of ir.EncodeProgram over the
+	// JDKLike() corpus (seed 1) transformed with protocols [rrp].
+	jdkTransformSHA256 = "7c77efe42ed2718b2540cb5e04385a6d9ce5b0cf74d53aba517a90125e81594e"
+	// jdkGeneratedClasses is that output's class count.
+	jdkGeneratedClasses = 42598
+	// jdkCausesSHA256 digests Analyze's cause map over the same corpus
+	// (see causesDigest).
+	jdkCausesSHA256 = "73eb820d23f6434df04616023d753df81354142386cb753193c26c3c7cb2e908"
+)
+
+// causesDigest hashes every class's cause, in program order, as
+// "name\treason\tvia\n"; transformable classes hash reason 0.
+func causesDigest(prog *ir.Program, a *Analysis) string {
+	h := sha256.New()
+	for _, n := range prog.Names() {
+		c := a.Cause(n)
+		fmt.Fprintf(h, "%s\t%d\t%s\n", n, c.Reason, c.Via)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+func TestCorpusTransformDeterministic(t *testing.T) {
+	prog := corpus.Generate(corpus.JDKLike())
+	if got := causesDigest(prog, Analyze(prog)); got != jdkCausesSHA256 {
+		t.Errorf("cause map digest = %s, want %s", got, jdkCausesSHA256)
+	}
+	for _, procs := range []int{1, 4} {
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			res, err := Transform(prog, Options{Protocols: []string{"rrp"}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := res.Program.Len(); n != jdkGeneratedClasses {
+				t.Errorf("output has %d classes, want %d", n, jdkGeneratedClasses)
+			}
+			h := sha256.New()
+			if err := ir.EncodeProgram(h, res.Program); err != nil {
+				t.Fatal(err)
+			}
+			if got := hex.EncodeToString(h.Sum(nil)); got != jdkTransformSHA256 {
+				t.Errorf("encoded output sha256 = %s, want %s", got, jdkTransformSHA256)
+			}
+			if got := causesDigest(prog, res.Analysis); got != jdkCausesSHA256 {
+				t.Errorf("Transform's analysis digest = %s, want %s", got, jdkCausesSHA256)
+			}
+			var want []string
+			for _, n := range prog.Names() {
+				if res.Analysis.Transformable(n) {
+					want = append(want, n)
+				}
+			}
+			if fmt.Sprint(res.Transformed) != fmt.Sprint(want) {
+				t.Errorf("Transformed is not the transformable classes in program order")
+			}
+		})
+	}
+}

@@ -1,53 +1,46 @@
 package transform
 
-import (
-	"fmt"
+import "rafda/internal/ir"
 
-	"rafda/internal/ir"
-)
-
-// transformer carries shared state while generating one program.
+// transformer carries the read-only state shared while generating one
+// program: the source program and its finished analysis.  Its methods
+// only read it, so families for different classes build concurrently.
 type transformer struct {
 	a         *Analysis
 	src       *ir.Program
-	out       *ir.Program
 	protocols []string
 }
 
-// generateClass emits the full generated family for one transformable
-// class: _O_Int, _O_Local, _O_Proxy_*, _C_Int, _C_Local, _C_Proxy_*,
-// _O_Factory, _C_Factory.
-func (t *transformer) generateClass(c *ir.Class) error {
+// family builds the full generated family for one transformable class:
+// _O_Int, _O_Local, _C_Int, _C_Local, _O_Factory, _C_Factory, then
+// _O_Proxy_* and _C_Proxy_* per protocol.
+func (t *transformer) family(c *ir.Class) ([]*ir.Class, error) {
 	oint := t.makeOInt(c)
 	olocal, err := t.makeOLocal(c)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	cint := t.makeCInt(c)
 	clocal, err := t.makeCLocal(c)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	ofac, err := t.makeOFactory(c)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	cfac, err := t.makeCFactory(c)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	generated := []*ir.Class{oint, olocal, cint, clocal, ofac, cfac}
+	generated := make([]*ir.Class, 0, 6+2*len(t.protocols))
+	generated = append(generated, oint, olocal, cint, clocal, ofac, cfac)
 	for _, proto := range t.protocols {
 		generated = append(generated,
 			t.makeOProxy(c, proto),
 			t.makeCProxy(c, proto))
 	}
-	for _, g := range generated {
-		if err := t.out.Add(g); err != nil {
-			return fmt.Errorf("generate for %s: %w", c.Name, err)
-		}
-	}
-	return nil
+	return generated, nil
 }
 
 // propertyPair builds the abstract get_/set_ declarations for one field.

@@ -2,9 +2,11 @@ package transform
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"rafda/internal/ir"
+	"rafda/internal/par"
 )
 
 // DefaultProtocols is the proxy family generated when none is specified,
@@ -81,36 +83,67 @@ func Reconstruct(prog *ir.Program) (*Result, error) {
 
 // Transform applies the paper's full §2 transformation pipeline to prog
 // and returns the componentised program.  The input program is not
-// modified.
+// modified.  Each class's family (or, for a non-transformable class, its
+// copy) is built on par.For's workers and merged in program order, so
+// the output is the same at any GOMAXPROCS.
 func Transform(prog *ir.Program, opts Options) (*Result, error) {
 	protocols := opts.Protocols
 	if len(protocols) == 0 {
 		protocols = append([]string(nil), DefaultProtocols...)
 	}
 	analysis := Analyze(prog, opts.Exclude...)
+	t := &transformer{a: analysis, src: prog, protocols: protocols}
 
-	t := &transformer{
-		a:         analysis,
-		src:       prog,
-		out:       ir.NewProgram(),
-		protocols: protocols,
-	}
-	res := &Result{
-		Analysis:  analysis,
-		Protocols: protocols,
-	}
-	for _, c := range prog.Classes() {
+	classes := prog.Classes()
+	families := make([][]*ir.Class, len(classes))
+	errs := make([]error, len(classes))
+	par.For(len(classes), func(i int) {
+		c := classes[i]
 		if !analysis.Transformable(c.Name) {
-			t.out.MustAdd(ir.CloneClass(c))
-			continue
+			families[i] = []*ir.Class{ir.CloneClass(c)}
+			return
 		}
-		if err := t.generateClass(c); err != nil {
-			return nil, fmt.Errorf("transform %s: %w", c.Name, err)
-		}
-		res.Transformed = append(res.Transformed, c.Name)
+		families[i], errs[i] = t.family(c)
+	})
+
+	total := 0
+	for _, f := range families {
+		total += len(f)
 	}
-	res.Program = t.out
+	out := ir.NewProgramSize(total)
+	res := &Result{Program: out, Analysis: analysis, Protocols: protocols}
+	for i, c := range classes {
+		if errs[i] != nil {
+			return nil, fmt.Errorf("transform %s: %w", c.Name, errs[i])
+		}
+		for _, g := range families[i] {
+			if out.Add(g) != nil { // every class here is named: a duplicate
+				return nil, duplicateError(analysis, classes, families, i, g.Name)
+			}
+		}
+		if analysis.Transformable(c.Name) {
+			res.Transformed = append(res.Transformed, c.Name)
+		}
+	}
 	return res, nil
+}
+
+// duplicateError reports a class name produced twice: once by an earlier
+// source class (or earlier in the same family) and again by classes[i]'s
+// output.  It names both source classes and whether each one generated
+// the name or declares it.
+func duplicateError(a *Analysis, classes []*ir.Class, families [][]*ir.Class, i int, name string) error {
+	origin := func(j int) string {
+		if a.Transformable(classes[j].Name) {
+			return "generated for " + classes[j].Name
+		}
+		return "original class " + classes[j].Name
+	}
+	j := 0
+	for !slices.ContainsFunc(families[j], func(g *ir.Class) bool { return g.Name == name }) {
+		j++
+	}
+	return fmt.Errorf("transform: duplicate class %q: %s and %s", name, origin(j), origin(i))
 }
 
 // MainEntry returns the invocation target for the program entry point

@@ -604,3 +604,24 @@ func TestStatsReport(t *testing.T) {
 		t.Errorf("report missing system-class row:\n%s", rep)
 	}
 }
+
+// TestGeneratedNameCollision: a transformable class whose generated
+// family names a class the program already declares is refused with one
+// error naming both source classes, whichever comes first.
+func TestGeneratedNameCollision(t *testing.T) {
+	const a, oint = "class A { int x; }", "class A_O_Int { native void f(); }"
+	const main = "class Main { static void main() {} }"
+	for _, tc := range []struct{ src, want string }{
+		{a + oint + main, `transform: duplicate class "A_O_Int": generated for A and original class A_O_Int`},
+		{oint + a + main, `transform: duplicate class "A_O_Int": original class A_O_Int and generated for A`},
+	} {
+		prog, err := minijava.Compile(tc.src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Transform(prog, Options{})
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("Transform(%q) = %v, %v; want error %q", tc.src, res, err, tc.want)
+		}
+	}
+}

@@ -10,6 +10,7 @@ import (
 	"fmt"
 
 	"rafda/internal/ir"
+	"rafda/internal/par"
 )
 
 // Error is one verification failure.
@@ -31,15 +32,24 @@ func (e *Error) Error() string {
 	}
 }
 
-// Verify checks the whole program and returns every problem found.
+// Verify checks the whole program and returns every problem found.  The
+// per-class checks fan out across cores (par.For); each class's errors
+// merge in program order, so the list is the same at any GOMAXPROCS.
 func Verify(p *ir.Program) []error {
 	v := &verifier{p: p}
 	for _, missing := range p.MissingReferences() {
 		v.errs = append(v.errs, &Error{Class: missing, PC: -1, Msg: "referenced class is missing from the program"})
 	}
 	v.checkHierarchy()
-	for _, c := range p.Classes() {
-		v.checkClass(c)
+	classes := p.Classes()
+	perClass := make([][]error, len(classes))
+	par.For(len(classes), func(i int) {
+		cv := &verifier{p: p}
+		cv.checkClass(classes[i])
+		perClass[i] = cv.errs
+	})
+	for _, errs := range perClass {
+		v.errs = append(v.errs, errs...)
 	}
 	return v.errs
 }
