@@ -7,9 +7,8 @@
 //
 // Every server-side concern that used to be hard-wired inline in
 // internal/node/dispatch.go — plane routing, overload shedding, dedup,
-// tracing — is an Interceptor; user policies (rafda.NodeConfig's
-// Interceptors, Node.Use) splice into the same chain between the
-// shedding tier and dedup.  Ordering rules are documented in
+// tracing — is an Interceptor; user policies, added with Node.Use,
+// splice into the same chain between the shedding tier and dedup.  Ordering rules are documented in
 // docs/CONCURRENCY.md §16 and docs/INTERCEPT.md.
 package intercept
 

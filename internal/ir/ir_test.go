@@ -430,3 +430,51 @@ func TestProgramMissingReferences(t *testing.T) {
 		}
 	}
 }
+
+// TestRewrite: jumps and handler ranges follow the instructions they
+// named past inserted and dropped ones, and a target outside the body is
+// an error.
+func TestRewrite(t *testing.T) {
+	code := []Instr{
+		{Op: OpConstInt, A: 1},  // 0: dropped
+		{Op: OpNew, Owner: "A"}, // 1: becomes new; dup
+		{Op: OpPop},             // 2
+		{Op: OpJump, A: 2},      // 3
+		{Op: OpReturn},          // 4
+	}
+	handlers := []TryHandler{{Start: 1, End: 3, Target: 4, CatchClass: "E"}}
+	fn := func(out []Instr, pc int, in Instr) ([]Instr, error) {
+		switch in.Op {
+		case OpConstInt:
+			return out, nil
+		case OpNew:
+			return append(out, in, Instr{Op: OpDup}), nil
+		}
+		return append(out, in), nil
+	}
+	out, hs, err := Rewrite(code, handlers, fn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Op{OpNew, OpDup, OpPop, OpJump, OpReturn}
+	for i, in := range out {
+		if in.Op != want[i] {
+			t.Fatalf("pc %d: %v, want %v", i, in.Op, want[i])
+		}
+	}
+	if len(out) != len(want) || out[3].A != 2 {
+		t.Fatalf("rewritten %v", out)
+	}
+	if h := hs[0]; h != (TryHandler{Start: 0, End: 3, Target: 4, CatchClass: "E"}) {
+		t.Fatalf("handler %+v", h)
+	}
+
+	code[3].A = 99
+	if _, _, err := Rewrite(code, handlers, fn); err == nil || err.Error() != "jump target 99 out of range" {
+		t.Fatalf("jump past the body: %v", err)
+	}
+	code[3].A = 2
+	if _, _, err := Rewrite(code, []TryHandler{{Start: 0, End: 9, Target: 4}}, fn); err == nil {
+		t.Fatal("handler past the body rewrote")
+	}
+}

@@ -50,96 +50,89 @@ func mapTypes(a *Analysis, ts []ir.Type) []ir.Type {
 	return out
 }
 
-// rewriteCode rewrites one method body for the transformed world and
-// remaps jump targets and exception-handler ranges.
+// rewriteCode rewrites one method body for the transformed world
+// (ir.Rewrite remaps jump targets and exception-handler ranges).
 func rewriteCode(a *Analysis, ctx codeCtx, code []ir.Instr, handlers []ir.TryHandler) ([]ir.Instr, []ir.TryHandler, error) {
-	out := make([]ir.Instr, 0, len(code)+8)
-	newPC := make([]int, len(code)+1)
-
-	emit := func(in ir.Instr) { out = append(out, in) }
-
-	for pc, in := range code {
-		newPC[pc] = len(out)
+	out, outH, err := ir.Rewrite(code, handlers, func(out []ir.Instr, pc int, in ir.Instr) ([]ir.Instr, error) {
 		if ctx.skip[pc] {
-			continue
+			return out, nil
 		}
 		switch in.Op {
 		case ir.OpLoad, ir.OpStore:
 			in.A += int64(ctx.slotShift)
-			emit(in)
+			out = append(out, in)
 
 		case ir.OpGetField:
 			if a.Transformable(in.Owner) {
-				emit(ir.Instr{Op: ir.OpInvokeInterface, Owner: OInt(in.Owner), Member: Getter(in.Member)})
+				out = append(out, ir.Instr{Op: ir.OpInvokeInterface, Owner: OInt(in.Owner), Member: Getter(in.Member)})
 			} else {
-				emit(in)
+				out = append(out, in)
 			}
 
 		case ir.OpPutField:
 			if a.Transformable(in.Owner) {
-				emit(ir.Instr{Op: ir.OpInvokeInterface, Owner: OInt(in.Owner), Member: Setter(in.Member), NArgs: 1})
+				out = append(out, ir.Instr{Op: ir.OpInvokeInterface, Owner: OInt(in.Owner), Member: Setter(in.Member), NArgs: 1})
 			} else {
-				emit(in)
+				out = append(out, in)
 			}
 
 		case ir.OpGetStatic:
 			if !a.Transformable(in.Owner) {
-				emit(in)
+				out = append(out, in)
 				break
 			}
 			if ctx.ownStaticsViaLocal0 && in.Owner == ctx.ownClass {
-				emit(ir.Instr{Op: ir.OpLoad, A: 0})
-				emit(ir.Instr{Op: ir.OpInvokeInterface, Owner: CInt(in.Owner), Member: Getter(in.Member)})
+				out = append(out, ir.Instr{Op: ir.OpLoad, A: 0})
+				out = append(out, ir.Instr{Op: ir.OpInvokeInterface, Owner: CInt(in.Owner), Member: Getter(in.Member)})
 			} else {
-				emit(ir.Instr{Op: ir.OpInvokeStatic, Owner: CFactory(in.Owner), Member: Getter(in.Member)})
+				out = append(out, ir.Instr{Op: ir.OpInvokeStatic, Owner: CFactory(in.Owner), Member: Getter(in.Member)})
 			}
 
 		case ir.OpPutStatic:
 			if !a.Transformable(in.Owner) {
-				emit(in)
+				out = append(out, in)
 				break
 			}
 			if ctx.ownStaticsViaLocal0 && in.Owner == ctx.ownClass {
-				emit(ir.Instr{Op: ir.OpLoad, A: 0})
-				emit(ir.Instr{Op: ir.OpSwap})
-				emit(ir.Instr{Op: ir.OpInvokeInterface, Owner: CInt(in.Owner), Member: Setter(in.Member), NArgs: 1})
+				out = append(out, ir.Instr{Op: ir.OpLoad, A: 0})
+				out = append(out, ir.Instr{Op: ir.OpSwap})
+				out = append(out, ir.Instr{Op: ir.OpInvokeInterface, Owner: CInt(in.Owner), Member: Setter(in.Member), NArgs: 1})
 			} else {
-				emit(ir.Instr{Op: ir.OpInvokeStatic, Owner: CFactory(in.Owner), Member: Setter(in.Member), NArgs: 1})
+				out = append(out, ir.Instr{Op: ir.OpInvokeStatic, Owner: CFactory(in.Owner), Member: Setter(in.Member), NArgs: 1})
 			}
 
 		case ir.OpInvokeVirtual, ir.OpInvokeInterface:
 			if a.Transformable(in.Owner) {
-				emit(ir.Instr{Op: ir.OpInvokeInterface, Owner: OInt(in.Owner), Member: in.Member, NArgs: in.NArgs})
+				out = append(out, ir.Instr{Op: ir.OpInvokeInterface, Owner: OInt(in.Owner), Member: in.Member, NArgs: in.NArgs})
 			} else {
-				emit(in)
+				out = append(out, in)
 			}
 
 		case ir.OpInvokeStatic:
 			if a.Transformable(in.Owner) {
-				emit(ir.Instr{Op: ir.OpInvokeStatic, Owner: CFactory(in.Owner), Member: in.Member, NArgs: in.NArgs})
+				out = append(out, ir.Instr{Op: ir.OpInvokeStatic, Owner: CFactory(in.Owner), Member: in.Member, NArgs: in.NArgs})
 			} else {
-				emit(in)
+				out = append(out, in)
 			}
 
 		case ir.OpInvokeSpecial:
 			if !a.Transformable(in.Owner) {
-				emit(in)
+				out = append(out, in)
 				break
 			}
 			if in.Member != ir.ConstructorName {
-				return nil, nil, fmt.Errorf("%s: invokespecial of non-constructor %s.%s in transformable code",
-					ctx.ownClass, in.Owner, in.Member)
+				return nil, fmt.Errorf("invokespecial of non-constructor %s.%s in transformable code", in.Owner, in.Member)
 			}
 			// NEW A; DUP; args; INVOKESPECIAL A.<init>/n  becomes
 			// make(); DUP; args; INVOKESTATIC A_O_Factory.init/n+1 —
 			// init takes the object as an extra leading parameter.
-			emit(ir.Instr{Op: ir.OpInvokeStatic, Owner: OFactory(in.Owner), Member: InitMethod, NArgs: in.NArgs + 1})
+			out = append(out, ir.Instr{Op: ir.OpInvokeStatic, Owner: OFactory(in.Owner), Member: InitMethod, NArgs: in.NArgs + 1})
 
 		case ir.OpNew:
 			if a.Transformable(in.Owner) {
-				emit(ir.Instr{Op: ir.OpInvokeStatic, Owner: OFactory(in.Owner), Member: MakeMethod})
+				out = append(out, ir.Instr{Op: ir.OpInvokeStatic, Owner: OFactory(in.Owner), Member: MakeMethod})
 			} else {
-				emit(in)
+				out = append(out, in)
 			}
 
 		case ir.OpCast, ir.OpInstanceOf, ir.OpNewArray, ir.OpConstNull:
@@ -147,33 +140,15 @@ func rewriteCode(a *Analysis, ctx codeCtx, code []ir.Instr, handlers []ir.TryHan
 				mt := mapType(a, *in.TypeRef)
 				in.TypeRef = &mt
 			}
-			emit(in)
+			out = append(out, in)
 
 		default:
-			emit(in)
+			out = append(out, in)
 		}
-	}
-	newPC[len(code)] = len(out)
-
-	// Remap jump targets.
-	for i := range out {
-		if out[i].IsJump() {
-			old := out[i].A
-			if old < 0 || int(old) > len(code) {
-				return nil, nil, fmt.Errorf("%s: jump target %d out of range", ctx.ownClass, old)
-			}
-			out[i].A = int64(newPC[old])
-		}
-	}
-	// Remap handler ranges.
-	var outH []ir.TryHandler
-	for _, h := range handlers {
-		outH = append(outH, ir.TryHandler{
-			Start:      newPC[h.Start],
-			End:        newPC[h.End],
-			Target:     newPC[h.Target],
-			CatchClass: h.CatchClass, // throwables are never transformable
-		})
+		return out, nil
+	})
+	if err != nil {
+		return nil, nil, fmt.Errorf("%s: %w", ctx.ownClass, err)
 	}
 	return out, outH, nil
 }

@@ -4,255 +4,102 @@ import (
 	"rafda/internal/ir"
 )
 
-// checkCode performs a stack-effect dataflow analysis of a method body:
-// every instruction's operands must resolve, jump targets must be in
-// range, the operand-stack depth must be consistent at every join point,
-// no instruction may underflow the stack, and execution may not fall off
-// the end of the code.
+// checkCode checks a method body: every instruction's operands must
+// resolve and its jump target be in range; then the program's stack walk
+// (ir.Program.Depths) must find no underflow, no join reached at two
+// depths and no path falling off the end of the code.
 func (v *verifier) checkCode(c *ir.Class, m *ir.Method) {
-	code := m.Code
-	n := len(code)
-
-	// First pass: per-instruction validity and stack effects.
-	type effect struct {
-		pop, push int
-		ends      bool // return/throw
-		jumps     bool
-		condJump  bool
-	}
-	effects := make([]effect, n)
 	ok := true
-	for pc, in := range code {
-		eff, valid := v.instrEffect(c, m, pc, in)
-		if !valid {
+	for pc := range m.Code {
+		if !v.checkInstr(c, m, pc, &m.Code[pc]) {
 			ok = false
-			continue
-		}
-		effects[pc] = eff
-		if in.IsJump() {
-			if in.A < 0 || in.A >= int64(n) {
-				v.errf(c.Name, m.Name, pc, "jump target %d out of range [0,%d)", in.A, n)
-				ok = false
-			}
 		}
 	}
 	if !ok {
 		return
 	}
-
-	// Second pass: worklist depth analysis over the CFG, including
-	// exception edges (handler entry has depth 1: the thrown object).
-	depth := make([]int, n)
-	for i := range depth {
-		depth[i] = -1 // unvisited
-	}
-	var work []int
-	setDepth := func(pc, d int) {
-		if pc < 0 || pc >= n {
-			return
-		}
-		if depth[pc] == -1 {
-			depth[pc] = d
-			work = append(work, pc)
-		} else if depth[pc] != d {
-			v.errf(c.Name, m.Name, pc, "inconsistent stack depth at join: %d vs %d", depth[pc], d)
-			ok = false
-		}
-	}
-	setDepth(0, 0)
-	for _, h := range m.Handlers {
-		setDepth(h.Target, 1)
-	}
-	for len(work) > 0 && ok {
-		pc := work[len(work)-1]
-		work = work[:len(work)-1]
-		d := depth[pc]
-		eff := effects[pc]
-		if d < eff.pop {
-			v.errf(c.Name, m.Name, pc, "stack underflow: depth %d, need %d", d, eff.pop)
-			return
-		}
-		next := d - eff.pop + eff.push
-		if eff.ends {
-			continue
-		}
-		in := code[pc]
-		if eff.jumps {
-			setDepth(int(in.A), next)
-			if !eff.condJump {
-				continue
-			}
-		}
-		if pc+1 >= n {
-			v.errf(c.Name, m.Name, pc, "execution can fall off the end of the code")
-			return
-		}
-		setDepth(pc+1, next)
+	if _, fault := v.p.Depths(m); fault != nil {
+		v.errf(c.Name, m.Name, fault.PC, "%s", fault.Msg)
 	}
 }
 
-// instrEffect computes (pop, push) for one instruction and validates its
-// operands.
-func (v *verifier) instrEffect(c *ir.Class, m *ir.Method, pc int, in ir.Instr) (eff struct {
-	pop, push int
-	ends      bool
-	jumps     bool
-	condJump  bool
-}, ok bool) {
-	fail := func(format string, a ...any) {
+// checkInstr validates one instruction's operands.
+func (v *verifier) checkInstr(c *ir.Class, m *ir.Method, pc int, in *ir.Instr) bool {
+	fail := func(format string, a ...any) bool {
 		v.errf(c.Name, m.Name, pc, format, a...)
+		return false
 	}
-	push := func(n int) { eff.push = n }
-	pop := func(n int) { eff.pop = n }
-
 	switch in.Op {
-	case ir.OpConstInt, ir.OpConstFloat, ir.OpConstString, ir.OpConstBool, ir.OpConstNull:
-		push(1)
-
 	case ir.OpLoad:
 		if in.A < 0 {
-			fail("load of negative slot %d", in.A)
-			return eff, false
+			return fail("load of negative slot %d", in.A)
 		}
-		push(1)
 	case ir.OpStore:
 		if in.A < 0 {
-			fail("store to negative slot %d", in.A)
-			return eff, false
+			return fail("store to negative slot %d", in.A)
 		}
-		pop(1)
-
-	case ir.OpDup:
-		pop(1)
-		push(2)
-	case ir.OpPop:
-		pop(1)
-	case ir.OpSwap:
-		pop(2)
-		push(2)
 
 	case ir.OpNew:
 		tc := v.p.Class(in.Owner)
 		if tc == nil {
-			fail("new of unknown class %s", in.Owner)
-			return eff, false
+			return fail("new of unknown class %s", in.Owner)
 		}
 		if tc.IsInterface || tc.Abstract {
-			fail("new of non-instantiable %s", in.Owner)
-			return eff, false
+			return fail("new of non-instantiable %s", in.Owner)
 		}
-		push(1)
 
 	case ir.OpGetField, ir.OpPutField:
 		if _, _, err := v.p.ResolveField(in.Owner, in.Member); err != nil {
-			fail("unresolved field %s.%s", in.Owner, in.Member)
-			return eff, false
-		}
-		if in.Op == ir.OpGetField {
-			pop(1)
-			push(1)
-		} else {
-			pop(2)
+			return fail("unresolved field %s.%s", in.Owner, in.Member)
 		}
 
 	case ir.OpGetStatic, ir.OpPutStatic:
-		dc, f, err := v.p.ResolveField(in.Owner, in.Member)
-		if err != nil || !f.Static {
-			fail("unresolved static field %s.%s", in.Owner, in.Member)
-			return eff, false
-		}
-		_ = dc
-		if in.Op == ir.OpGetStatic {
-			push(1)
-		} else {
-			pop(1)
+		if _, f, err := v.p.ResolveField(in.Owner, in.Member); err != nil || !f.Static {
+			return fail("unresolved static field %s.%s", in.Owner, in.Member)
 		}
 
 	case ir.OpInvokeStatic, ir.OpInvokeVirtual, ir.OpInvokeInterface, ir.OpInvokeSpecial:
-		dc, dm, err := v.p.ResolveMethod(in.Owner, in.Member, in.NArgs)
+		_, dm, err := v.p.ResolveMethod(in.Owner, in.Member, in.NArgs)
 		if err != nil {
-			fail("unresolved method %s.%s/%d", in.Owner, in.Member, in.NArgs)
-			return eff, false
+			return fail("unresolved method %s.%s/%d", in.Owner, in.Member, in.NArgs)
 		}
-		_ = dc
 		if in.Op == ir.OpInvokeStatic && !dm.Static {
-			fail("invokestatic of instance method %s.%s", in.Owner, in.Member)
-			return eff, false
+			return fail("invokestatic of instance method %s.%s", in.Owner, in.Member)
 		}
 		if in.Op != ir.OpInvokeStatic && dm.Static {
-			fail("instance invoke of static method %s.%s", in.Owner, in.Member)
-			return eff, false
-		}
-		npop := in.NArgs
-		if in.Op != ir.OpInvokeStatic {
-			npop++
-		}
-		pop(npop)
-		if !dm.Return.IsVoid() {
-			push(1)
+			return fail("instance invoke of static method %s.%s", in.Owner, in.Member)
 		}
 
 	case ir.OpNewArray:
 		if in.TypeRef == nil {
-			fail("newarray without element type")
-			return eff, false
+			return fail("newarray without element type")
 		}
 		v.checkType(c.Name, m.Name, *in.TypeRef, false)
-		pop(1)
-		push(1)
-	case ir.OpALoad:
-		pop(2)
-		push(1)
-	case ir.OpAStore:
-		pop(3)
-	case ir.OpArrayLen:
-		pop(1)
-		push(1)
-
-	case ir.OpAdd, ir.OpSub, ir.OpMul, ir.OpDiv, ir.OpRem, ir.OpConcat,
-		ir.OpCmpEq, ir.OpCmpNe, ir.OpCmpLt, ir.OpCmpLe, ir.OpCmpGt, ir.OpCmpGe:
-		pop(2)
-		push(1)
-	case ir.OpNeg, ir.OpNot:
-		pop(1)
-		push(1)
-
-	case ir.OpJump:
-		eff.jumps = true
-	case ir.OpJumpIf, ir.OpJumpIfNot:
-		pop(1)
-		eff.jumps = true
-		eff.condJump = true
 
 	case ir.OpCast, ir.OpInstanceOf:
 		if in.TypeRef == nil {
-			fail("%s without target type", in.Op)
-			return eff, false
+			return fail("%s without target type", in.Op)
 		}
 		v.checkType(c.Name, m.Name, *in.TypeRef, false)
-		pop(1)
-		push(1)
+
+	case ir.OpJump, ir.OpJumpIf, ir.OpJumpIfNot:
+		if in.A < 0 || in.A >= int64(len(m.Code)) {
+			return fail("jump target %d out of range [0,%d)", in.A, len(m.Code))
+		}
 
 	case ir.OpReturn:
 		if !m.Return.IsVoid() {
-			fail("void return in non-void method")
-			return eff, false
+			return fail("void return in non-void method")
 		}
-		eff.ends = true
 	case ir.OpReturnValue:
 		if m.Return.IsVoid() {
-			fail("value return in void method")
-			return eff, false
+			return fail("value return in void method")
 		}
-		pop(1)
-		eff.ends = true
-	case ir.OpThrow:
-		pop(1)
-		eff.ends = true
 
 	default:
-		fail("invalid opcode %v", in.Op)
-		return eff, false
+		if !in.Op.Valid() {
+			return fail("invalid opcode %v", in.Op)
+		}
 	}
-	return eff, true
+	return true
 }

@@ -170,137 +170,78 @@ func scanMethod(p *ir.Program, m *ir.Method, overrides map[string][]string) (wri
 		stack = stack[:len(stack)-1]
 		return v
 	}
-	popN := func(n int) {
-		for i := 0; i < n; i++ {
-			pop()
-		}
-	}
 	push := func(v absVal) { stack = append(stack, v) }
 
-	for pc, in := range m.Code {
+	for pc := range m.Code {
+		in := &m.Code[pc]
 		if joins[pc] {
 			stack = stack[:0]
 		}
-		switch in.Op {
-		case ir.OpConstInt, ir.OpConstFloat, ir.OpConstString, ir.OpConstBool,
-			ir.OpConstNull, ir.OpGetStatic:
-			push(avOther)
-		case ir.OpLoad:
-			if in.A == 0 && !m.Static {
-				push(avSelf)
-			} else {
-				push(avOther)
-			}
-		case ir.OpStore, ir.OpPop:
-			pop()
-		case ir.OpDup:
-			v := pop()
-			push(v)
-			push(v)
-		case ir.OpSwap:
+		if in.Op == ir.OpSwap {
 			a, b := pop(), pop()
 			push(a)
 			push(b)
-		case ir.OpNew:
-			push(avFresh)
-		case ir.OpNewArray:
-			pop() // length
-			push(avFresh)
-		case ir.OpGetField:
-			pop()
-			push(avOther)
+			continue
+		}
+		// The deepest operand an instruction pops is the one freshness
+		// turns on: the receiver of a field store or invoke, the array
+		// of an element store, the value a dup copies.
+		pops, pushes := p.StackEffect(in)
+		deepest := avOther
+		for range pops {
+			deepest = pop()
+		}
+		result := avOther
+		switch in.Op {
+		case ir.OpLoad:
+			if in.A == 0 && !m.Static {
+				result = avSelf
+			}
+		case ir.OpDup:
+			result = deepest
+		case ir.OpNew, ir.OpNewArray:
+			result = avFresh
 		case ir.OpPutField:
-			pop() // value
-			switch recv := pop(); {
-			case recv == avFresh:
-				// Initialising an object this method just allocated
-				// mutates nothing that existed before the call.
-			case recv == avSelf && inCtor:
-				// A constructor initialising its own receiver: confined
-				// to the object under construction.
-			default:
+			// Initialising an object this method just allocated, or a
+			// constructor initialising its own receiver, mutates nothing
+			// that existed before the call.
+			if deepest != avFresh && !(deepest == avSelf && inCtor) {
 				writes = true
 			}
 		case ir.OpPutStatic:
-			pop()
 			writes = true
-		case ir.OpALoad:
-			popN(2)
-			push(avOther)
 		case ir.OpAStore:
-			pop() // value
-			pop() // index
-			if pop() != avFresh {
+			if deepest != avFresh {
 				writes = true
 			}
-		case ir.OpArrayLen:
-			pop()
-			push(avOther)
-		case ir.OpAdd, ir.OpSub, ir.OpMul, ir.OpDiv, ir.OpRem, ir.OpConcat,
-			ir.OpCmpEq, ir.OpCmpNe, ir.OpCmpLt, ir.OpCmpLe, ir.OpCmpGt, ir.OpCmpGe:
-			popN(2)
-			push(avOther)
-		case ir.OpNeg, ir.OpNot, ir.OpCast, ir.OpInstanceOf:
-			pop()
-			push(avOther)
 		case ir.OpInvokeStatic:
-			popN(in.NArgs)
 			callees = append(callees, resolveExact(p, in))
-			if !isVoidCall(p, in) {
-				push(avOther)
-			}
 		case ir.OpInvokeSpecial:
-			popN(in.NArgs)
-			recv := pop()
-			if in.Member == ir.ConstructorName {
-				// Constructing a fresh object (or chaining to super from
-				// inside a constructor) confines the callee's
-				// self-writes to an object that didn't exist before this
-				// call; the callee's classification still propagates any
-				// writes beyond its own receiver.  Any other receiver
-				// shape would re-initialise pre-existing state: writer.
-				if recv != avFresh && !(recv == avSelf && inCtor) {
-					writes = true
-				}
-				callees = append(callees, resolveExact(p, in))
-			} else {
-				callees = append(callees, resolveExact(p, in))
+			// Constructing a fresh object (or chaining to super from
+			// inside a constructor) confines the callee's self-writes to
+			// an object that didn't exist before this call; the callee's
+			// classification still propagates any writes beyond its own
+			// receiver.  Any other receiver shape would re-initialise
+			// pre-existing state: writer.
+			if in.Member == ir.ConstructorName && deepest != avFresh && !(deepest == avSelf && inCtor) {
+				writes = true
 			}
-			if !isVoidCall(p, in) {
-				push(avOther)
-			}
+			callees = append(callees, resolveExact(p, in))
 		case ir.OpInvokeVirtual, ir.OpInvokeInterface:
-			popN(in.NArgs + 1)
 			callees = append(callees, overrides[ir.MethodKey(in.Member, in.NArgs)]...)
-			if !isVoidCall(p, in) {
-				push(avOther)
-			}
-		case ir.OpJump, ir.OpJumpIf, ir.OpJumpIfNot:
-			if in.Op != ir.OpJump {
-				pop()
-			}
+		case ir.OpJump, ir.OpJumpIf, ir.OpJumpIfNot, ir.OpReturn, ir.OpReturnValue, ir.OpThrow:
 			stack = stack[:0]
-		case ir.OpReturn, ir.OpReturnValue, ir.OpThrow:
-			stack = stack[:0]
+		}
+		for range pushes {
+			push(result)
 		}
 	}
 	return writes, callees
 }
 
-// isVoidCall reports whether the invoke at in returns nothing.  An
-// unresolvable callee claims a pushed result; the stack being off by
-// one after it only loses freshness precision, never soundness.
-func isVoidCall(p *ir.Program, in ir.Instr) bool {
-	_, m, err := p.ResolveMethod(in.Owner, in.Member, in.NArgs)
-	if err != nil || m == nil {
-		return false
-	}
-	return m.Return.Kind == ir.KindVoid
-}
-
 // resolveExact names the single target of a static/special invoke,
 // walking the super chain the way the VM's exact dispatch does.
-func resolveExact(p *ir.Program, in ir.Instr) string {
+func resolveExact(p *ir.Program, in *ir.Instr) string {
 	cls, m, err := p.ResolveMethod(in.Owner, in.Member, in.NArgs)
 	if err != nil || cls == nil || m == nil {
 		return unknownTarget

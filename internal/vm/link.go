@@ -86,9 +86,9 @@ type body struct {
 }
 
 // Frame bounds for hand-built code: a load/store slot at or beyond
-// maxFrameLocals faults when executed instead of sizing a frame, and the
-// depth analysis stops following paths deeper than maxFrameOperands (the
-// interpreter's per-instruction overflow check catches them).
+// maxFrameLocals faults when executed instead of sizing a frame, and a
+// frame holds at most maxFrameOperands operands (the interpreter's
+// per-instruction overflow check catches code that goes deeper).
 const (
 	maxFrameLocals   = 1 << 16
 	maxFrameOperands = 1 << 10
@@ -243,97 +243,14 @@ func (v *VM) linkBody(c *code) *body {
 			nlocals = int(in.A) + 1
 		}
 	}
+	deepest, _ := prog.Depths(c.m) // faulty code faults in run instead
 	b := &body{
 		nlocals: nlocals,
-		size:    nlocals + operandDepth(prog, c.m) + 1,
+		size:    nlocals + min(deepest, maxFrameOperands) + 1,
 		sites:   make([]atomic.Pointer[link], len(code)),
 	}
 	if !c.body.CompareAndSwap(nil, b) {
 		b = c.body.Load()
 	}
 	return b
-}
-
-// operandDepth returns the deepest operand stack any path through m
-// reaches: a worklist pass over the control-flow graph, handler entries
-// included, that keeps the larger depth where paths join.
-func operandDepth(prog *ir.Program, m *ir.Method) int {
-	code := m.Code
-	seen := make([]int, len(code)) // deepest entry depth seen so far, plus one
-	var work []int
-	deepest := 0
-	enter := func(pc, d int) {
-		if pc < 0 || pc >= len(code) || d > maxFrameOperands {
-			return
-		}
-		if d > deepest {
-			deepest = d
-		}
-		if d+1 > seen[pc] {
-			seen[pc] = d + 1
-			work = append(work, pc)
-		}
-	}
-	enter(0, 0)
-	for _, h := range m.Handlers {
-		enter(h.Target, 1)
-	}
-	for len(work) > 0 {
-		pc := work[len(work)-1]
-		work = work[:len(work)-1]
-		in := &code[pc]
-		pops, pushes := stackEffect(prog, in)
-		d := seen[pc] - 1 - pops
-		if d < 0 {
-			d = 0 // underflows fault when executed
-		}
-		d += pushes
-		switch in.Op {
-		case ir.OpReturn, ir.OpReturnValue, ir.OpThrow:
-			continue
-		case ir.OpJump:
-			enter(int(in.A), d)
-			continue
-		case ir.OpJumpIf, ir.OpJumpIfNot:
-			enter(int(in.A), d)
-		}
-		enter(pc+1, d)
-	}
-	return deepest
-}
-
-// stackEffect returns how many operands in pops and pushes.  An invoke
-// pushes unless its statically resolved target is void.
-func stackEffect(prog *ir.Program, in *ir.Instr) (pops, pushes int) {
-	switch in.Op {
-	case ir.OpConstInt, ir.OpConstFloat, ir.OpConstString, ir.OpConstBool, ir.OpConstNull,
-		ir.OpLoad, ir.OpNew, ir.OpGetStatic:
-		return 0, 1
-	case ir.OpStore, ir.OpPop, ir.OpPutStatic, ir.OpJumpIf, ir.OpJumpIfNot,
-		ir.OpReturnValue, ir.OpThrow:
-		return 1, 0
-	case ir.OpDup:
-		return 1, 2
-	case ir.OpSwap:
-		return 2, 2
-	case ir.OpGetField, ir.OpNewArray, ir.OpArrayLen, ir.OpNeg, ir.OpNot, ir.OpCast, ir.OpInstanceOf:
-		return 1, 1
-	case ir.OpPutField:
-		return 2, 0
-	case ir.OpALoad, ir.OpAdd, ir.OpSub, ir.OpMul, ir.OpDiv, ir.OpRem, ir.OpConcat,
-		ir.OpCmpEq, ir.OpCmpNe, ir.OpCmpLt, ir.OpCmpLe, ir.OpCmpGt, ir.OpCmpGe:
-		return 2, 1
-	case ir.OpAStore:
-		return 3, 0
-	case ir.OpInvokeStatic, ir.OpInvokeVirtual, ir.OpInvokeInterface, ir.OpInvokeSpecial:
-		pops, pushes = in.NArgs, 1
-		if in.Op != ir.OpInvokeStatic {
-			pops++
-		}
-		if _, dm, err := prog.ResolveMethod(in.Owner, in.Member, in.NArgs); err == nil && dm.Return.IsVoid() {
-			pushes = 0
-		}
-		return pops, pushes
-	}
-	return 0, 0
 }

@@ -103,7 +103,10 @@ func augmentClass(a *transform.Analysis, c *ir.Class) (*ir.Class, error) {
 		if isAccessor(c, m) {
 			continue
 		}
-		m.Code = rewriteWrapped(a, m.Code)
+		var err error
+		if m.Code, m.Handlers, err = rewriteWrapped(a, m.Code, m.Handlers); err != nil {
+			return nil, err
+		}
 	}
 	return n, nil
 }
@@ -123,18 +126,14 @@ func isAccessor(c *ir.Class, m *ir.Method) bool {
 }
 
 // rewriteWrapped rewrites a body: field accesses on wrapped classes
-// become accessor calls; constructions gain a wrap() call.  Instruction
-// counts change, so jumps are remapped like the RAFDA rewriter does.
+// become accessor calls; constructions gain a wrap() call.
 //
 // Construction sites are distinguished from super-constructor calls by
 // matching each constructor invocation against pending OpNew owners in
 // LIFO order (the stack discipline construction sequences follow).
-func rewriteWrapped(a *transform.Analysis, code []ir.Instr) []ir.Instr {
-	out := make([]ir.Instr, 0, len(code)+8)
-	newPC := make([]int, len(code)+1)
+func rewriteWrapped(a *transform.Analysis, code []ir.Instr, handlers []ir.TryHandler) ([]ir.Instr, []ir.TryHandler, error) {
 	var pendingNew []string
-	for pc, in := range code {
-		newPC[pc] = len(out)
+	return ir.Rewrite(code, handlers, func(out []ir.Instr, _ int, in ir.Instr) ([]ir.Instr, error) {
 		switch {
 		case in.Op == ir.OpNew:
 			pendingNew = append(pendingNew, in.Owner)
@@ -153,12 +152,6 @@ func rewriteWrapped(a *transform.Analysis, code []ir.Instr) []ir.Instr {
 		default:
 			out = append(out, in)
 		}
-	}
-	newPC[len(code)] = len(out)
-	for i := range out {
-		if out[i].IsJump() {
-			out[i].A = int64(newPC[out[i].A])
-		}
-	}
-	return out
+		return out, nil
+	})
 }

@@ -2,8 +2,10 @@ package wrapper
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
+	"rafda/internal/ir"
 	"rafda/internal/minijava"
 	"rafda/internal/verifier"
 	"rafda/internal/vm"
@@ -107,6 +109,49 @@ class Main {
         sys.System.println("t=" + p.twice());
     }
 }`)
+}
+
+// boxSource constructs wrapped objects before and inside a try block, so
+// every inserted wrap call shifts the handler's range.
+const boxSource = `
+class Box {
+    int v;
+    Box(int v) { this.v = v; }
+    int get() { if (v < 0) { throw new sys.RuntimeException("neg"); } return v; }
+}
+class Main {
+    static void main() {
+        Box a = new Box(1);
+        Box b = new Box(2);
+        try {
+            Box c = new Box(-1);
+            sys.System.println("got " + c.get());
+        } catch (sys.RuntimeException e) {
+            sys.System.println("caught " + e.getMessage());
+        }
+        sys.System.println("end " + a.v + b.v);
+    }
+}`
+
+func TestWrapperEquivalenceHandlers(t *testing.T) {
+	if out := runBoth(t, boxSource); out != "caught neg\nend 12\n" {
+		t.Fatalf("unexpected output %q", out)
+	}
+}
+
+// TestWrapperJumpOutOfRange: a jump past the body is an error naming the
+// class, not a panic.
+func TestWrapperJumpOutOfRange(t *testing.T) {
+	prog, err := minijava.Compile(boxSource)
+	if err != nil {
+		t.Fatal(err)
+	}
+	get := prog.Class("Box").Method("get", 0)
+	get.Code = append([]ir.Instr{{Op: ir.OpJump, A: 99}}, get.Code...)
+	_, err = Transform(prog)
+	if err == nil || !strings.HasPrefix(err.Error(), "wrap Box: ") || !strings.Contains(err.Error(), "99 out of range") {
+		t.Fatalf("want a wrap Box error for jump target 99, got %v", err)
+	}
 }
 
 func TestEveryInstanceIsWrapped(t *testing.T) {
