@@ -101,21 +101,6 @@ func (p *Program) Clone() *Program {
 	return q
 }
 
-// ShallowClone returns a copy of the program's class *set* that shares
-// the underlying Class values.  It supports copy-on-write class loading:
-// the VM publishes an immutable Program snapshot per load, so readers
-// resolve classes without locks while a writer builds the next snapshot.
-func (p *Program) ShallowClone() *Program {
-	q := &Program{
-		classes: make(map[string]*Class, len(p.classes)),
-		order:   append([]string(nil), p.order...),
-	}
-	for n, c := range p.classes {
-		q.classes[n] = c
-	}
-	return q
-}
-
 // IsSubclassOf reports whether class sub equals sup or transitively extends
 // it via superclass links.  Malformed cyclic hierarchies terminate (false):
 // a superclass chain longer than the class count has revisited a class.

@@ -258,7 +258,7 @@ func TestVolunteeredCallbackMakesAffinityActionable(t *testing.T) {
 	}
 	rec := server.EnableTelemetry()
 
-	client, err := New(Config{Name: "client", Result: res, VolunteerCallback: true})
+	client, err := New(Config{Name: "client", Result: res})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,47 +307,5 @@ func TestVolunteeredCallbackMakesAffinityActionable(t *testing.T) {
 	}
 	if got, err := client.CallOn(ref, "bump"); err != nil || got.I != 6 {
 		t.Fatalf("post-migration bump: %v %v", got, err)
-	}
-}
-
-// TestNoVolunteerStaysAnonymous pins the default: without the opt-in, a
-// pure client's calls stay anonymous (seed behaviour preserved).
-func TestNoVolunteerStaysAnonymous(t *testing.T) {
-	res := transformSource(t, chainSource)
-	server, err := New(Config{Name: "server", Result: res})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { server.Close() })
-	ep, err := server.Serve("inproc", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := server.EnableTelemetry()
-	client, err := New(Config{Name: "client", Result: res})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { client.Close() })
-	pl, err := policy.RemoteAt(ep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	client.Policy().SetClass("Counter", pl)
-	ref, err := client.InvokeStatic("Setup", "make")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := client.CallOn(ref, "bump"); err != nil {
-		t.Fatal(err)
-	}
-	if client.Endpoint("inproc") != "" {
-		t.Fatal("client served without opting in")
-	}
-	objs, _ := rec.NewWindow().Next()
-	for _, s := range objs {
-		if s.Anon == 0 {
-			t.Fatalf("expected anonymous attribution: %+v", s)
-		}
 	}
 }

@@ -204,12 +204,8 @@ func proxyFields(id, endpoint, proto, target string) map[string]vm.Value {
 // (lock-free: reads the published endpoint snapshot — this runs on
 // every proxy invocation to detect self-collapse).
 func (n *Node) servesEndpoint(endpoint string) bool {
-	eps := n.epSnap.Load()
-	if eps == nil {
-		return false
-	}
-	for _, ep := range *eps {
-		if ep == endpoint {
+	for _, s := range n.served() {
+		if s.ep == endpoint {
 			return true
 		}
 	}

@@ -56,10 +56,6 @@ type Config struct {
 	Output io.Writer
 	// VMOpts are extra VM options (step limits, clock).
 	VMOpts []vm.Option
-	// VolunteerCallback lets a node serving no transport start serving
-	// lazily when it first dials out, so peers can attribute (and
-	// migrate toward) its call affinity.
-	VolunteerCallback bool
 	// PoolSize is the per-endpoint connection pool width (shards per
 	// peer); <= 0 takes transport.DefaultPoolShards() (GOMAXPROCS,
 	// capped).  Outgoing invocations spread across the shards by
@@ -105,11 +101,11 @@ type Node struct {
 	exports *registry.Table
 	pol     *policy.Table
 
-	// mu guards servers and endpoints (not VM state).
-	mu        sync.Mutex
-	servers   []transport.Server
-	endpoints map[string]string // proto -> this node's endpoint
-	closed    bool
+	// mu guards servers and serialises Serve's endpoint publishes (not
+	// VM state).
+	mu      sync.Mutex
+	servers []transport.Server
+	closed  bool
 
 	// cache holds one sharded connection pool per dialled endpoint
 	// (Config.PoolSize shards, defaulting from GOMAXPROCS).  It is
@@ -119,10 +115,11 @@ type Node struct {
 	// invocations spread across the pool by object-GUID affinity.
 	cache *transport.ClientCache
 
-	// epSnap is a lock-free copy of endpoints, republished by Serve:
-	// the proxy fast paths (self-collapse detection, caller stamping)
-	// read it on every call and must not touch the node mutex.
-	epSnap atomic.Pointer[map[string]string]
+	// epSnap is every endpoint the node serves, in serve order,
+	// republished by Serve: the proxy fast paths (self-collapse
+	// detection, caller stamping) read it on every call and must not
+	// touch the node mutex.
+	epSnap atomic.Pointer[[]served]
 
 	// singMu guards the singleton table.  Creation of a local singleton
 	// executes program code (SingletonGet + the class clinit), so the
@@ -164,14 +161,13 @@ type Node struct {
 	// (events.go).
 	events controlLog
 
-	// volunteer enables callback-endpoint volunteering: a node serving
-	// no transport starts serving lazily at first dial, so its calls
-	// carry a real Caller endpoint and its affinity is actionable
+	// volunteerState tracks callback-endpoint volunteering: a node
+	// serving no transport starts serving lazily at first dial, so its
+	// calls carry a real Caller endpoint and its affinity is actionable
 	// (an ObjSample's Anon count otherwise records traffic no engine can
-	// ever migrate toward).  volunteerState makes the attempt one-shot and
-	// keeps the proxy hot path off the node mutex: 0 = untried,
-	// 1 = in progress, 2 = settled (one atomic load thereafter).
-	volunteer      bool
+	// ever migrate toward).  It makes the attempt one-shot and keeps the
+	// proxy hot path off the node mutex: 0 = untried, 1 = in progress,
+	// 2 = settled (one atomic load thereafter).
 	volunteerState atomic.Int32
 
 	// Exactly-once plane (docs/CONCURRENCY.md §10): issuer stamps every
@@ -224,7 +220,8 @@ type singletonEntry struct {
 }
 
 // New builds a node over a transformed program and registers the factory
-// and proxy natives.
+// and proxy natives.  The node's VM runs on cfg.Result.Program itself:
+// every node built from one Result shares it.
 func New(cfg Config) (*Node, error) {
 	if cfg.Result == nil {
 		return nil, fmt.Errorf("node %q: nil transform result", cfg.Name)
@@ -236,7 +233,7 @@ func New(cfg Config) (*Node, error) {
 	if cfg.Output != nil {
 		opts = append(opts, vm.WithOutput(cfg.Output))
 	}
-	machine, err := vm.New(cfg.Result.Program.Clone(), opts...)
+	machine, err := vm.New(cfg.Result.Program, opts...)
 	if err != nil {
 		return nil, fmt.Errorf("node %q: %w", cfg.Name, err)
 	}
@@ -257,11 +254,9 @@ func New(cfg Config) (*Node, error) {
 		reg:        reg,
 		exports:    registry.New(cfg.Name),
 		pol:        policy.NewTable(),
-		endpoints:  make(map[string]string),
 		cache:      transport.NewClientCachePool(reg, cfg.PoolSize),
 		singletons: make(map[string]*singletonEntry),
 		singWait:   make(map[*vm.Env]*singletonEntry),
-		volunteer:  cfg.VolunteerCallback,
 		issuer:     dedup.NewIssuer(fmt.Sprintf("%s!%d", cfg.Name, nodeSeq.Add(1))),
 		dedupTab:   dedup.NewTableIn(mreg, cfg.DedupWindow),
 		metrics:    mreg,
@@ -337,13 +332,12 @@ func (n *Node) EnableTelemetry() *telemetry.Recorder {
 	return n.telem.Load()
 }
 
-// Endpoints returns every endpoint this node is serving.
+// Endpoints returns every endpoint this node is serving, in serve order.
 func (n *Node) Endpoints() []string {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	out := make([]string, 0, len(n.endpoints))
-	for _, ep := range n.endpoints {
-		out = append(out, ep)
+	eps := n.served()
+	out := make([]string, len(eps))
+	for i, s := range eps {
+		out[i] = s.ep
 	}
 	return out
 }
@@ -383,53 +377,64 @@ func (n *Node) Serve(proto, addr string) (string, error) {
 		return "", fmt.Errorf("node %s serve %s: node closed", n.name, proto)
 	}
 	n.servers = append(n.servers, srv)
-	n.endpoints[proto] = srv.Endpoint()
-	snap := make(map[string]string, len(n.endpoints))
-	for k, v := range n.endpoints {
-		snap[k] = v
-	}
-	n.epSnap.Store(&snap)
+	cur := n.served()
+	next := append(cur[:len(cur):len(cur)], served{proto, srv.Endpoint()})
+	n.epSnap.Store(&next)
 	return srv.Endpoint(), nil
 }
 
-// Endpoint returns this node's endpoint for proto ("" when not serving).
-func (n *Node) Endpoint(proto string) string {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.endpoints[proto]
+// served is one endpoint a node serves.
+type served struct{ proto, ep string }
+
+// served returns the published endpoint snapshot (lock-free).
+func (n *Node) served() []served {
+	if eps := n.epSnap.Load(); eps != nil {
+		return *eps
+	}
+	return nil
 }
 
-// anyEndpoint returns a serving endpoint, preferring proto (lock-free:
-// reads the published endpoint snapshot).
+// Endpoint returns this node's endpoint for proto ("" when not serving);
+// the latest one when it serves proto more than once.
+func (n *Node) Endpoint(proto string) string {
+	eps := n.served()
+	for i := len(eps) - 1; i >= 0; i-- {
+		if eps[i].proto == proto {
+			return eps[i].ep
+		}
+	}
+	return ""
+}
+
+// anyEndpoint returns proto's endpoint when the node serves proto, else
+// the endpoint it served first: every reference handed out without a
+// preference names the same protocol, the one the node was set up on,
+// not whichever a map iteration yields (lock-free: reads the published
+// snapshot).
 func (n *Node) anyEndpoint(proto string) string {
-	eps := n.epSnap.Load()
-	if eps == nil {
-		return ""
-	}
-	if ep, ok := (*eps)[proto]; ok {
+	if ep := n.Endpoint(proto); ep != "" {
 		return ep
 	}
-	for _, ep := range *eps {
-		return ep
+	if eps := n.served(); len(eps) > 0 {
+		return eps[0].ep
 	}
 	return ""
 }
 
 // callerEndpoint returns the endpoint peers should attribute this
 // node's calls to (and can call back on), preferring proto.  A node
-// serving no transport normally returns "" — its calls are anonymous
-// and its affinity can never attract a migration — so, when volunteering
-// is enabled, the first outbound call lazily starts a server for the
-// dialled protocol on an ephemeral address.  The attempt is one-shot
-// (whichever protocol dials first wins; a node that cannot listen
-// stays a pure anonymous client), and its outcome is a single atomic
-// load afterwards — like the endpoint snapshot, this path must not
+// serving no transport would make anonymous calls, whose affinity can
+// never attract a migration, so its first outbound call volunteers: it
+// lazily starts a server for the dialled protocol on an ephemeral
+// address.  The attempt is one-shot (whichever protocol dials first
+// wins; a node that cannot listen stays a pure anonymous client), and
+// its outcome is a single atomic load afterwards — like the endpoint snapshot, this path must not
 // touch the node mutex (it runs on every proxy invocation).
 func (n *Node) callerEndpoint(proto string) string {
 	if ep := n.anyEndpoint(proto); ep != "" {
 		return ep
 	}
-	if !n.volunteer || proto == "" || n.volunteerState.Load() != 0 ||
+	if proto == "" || n.volunteerState.Load() != 0 ||
 		!n.volunteerState.CompareAndSwap(0, 1) {
 		return ""
 	}

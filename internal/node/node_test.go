@@ -627,3 +627,68 @@ class Main { static void main() {} }`
 		t.Errorf("server saw %d calls, want at least %d", in, goroutines*callsEach)
 	}
 }
+
+// TestReferenceProtocolIsFirstServed: a node serving rrp and then soap,
+// running a program transformed for rrp alone, hands out every
+// reference on rrp.  With no protocol preferred — a method result, a
+// created object — the node falls back to the endpoint it served first,
+// not to whichever its endpoint table yields; a soap reference would
+// reach the client as a proxy class its program lacks.
+func TestReferenceProtocolIsFirstServed(t *testing.T) {
+	prog, err := minijava.Compile(`
+class Item {
+    int v;
+    Item(int v) { this.v = v; }
+    int get() { return v; }
+}
+class Shop {
+    Shop() {}
+    Item make(int v) { return new Item(v); }
+}
+class Setup {
+    static Shop open() { return new Shop(); }
+}
+class Main { static void main() {} }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := transform.Transform(prog, transform.Options{Protocols: []string{"rrp"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	server, err := New(Config{Name: "server", Result: res})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { server.Close() })
+	ep, err := server.Serve("rrp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := server.Serve("soap", "127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	client, err := New(Config{Name: "client", Result: res})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { client.Close() })
+	pl, err := policy.RemoteAt(ep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	client.Policy().SetClass("Shop", pl)
+	shop, err := client.InvokeStatic("Setup", "open")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(0); i < 40; i++ {
+		item, err := client.CallOn(shop, "make", vm.IntV(i))
+		if err != nil {
+			t.Fatalf("call %d: %v", i, err)
+		}
+		if got, err := client.CallOn(item, "get"); err != nil || got.I != i {
+			t.Fatalf("call %d: item.get() = %v %v", i, got, err)
+		}
+	}
+}

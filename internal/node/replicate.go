@@ -31,8 +31,10 @@ import (
 // then primaryReplica.mu (a leaf — held only for field access, never
 // across the gate, the network, or a lease wait).  replicaWriteBarrier
 // follows the full chain; dropReplication and demoteReplica take only
-// mu, so dissolving or demoting a set never blocks behind an in-flight
-// fan-out or its eviction wait (CONCURRENCY.md §13).
+// mu, inside retirePrimary and released before any drop request is sent,
+// so dissolving or demoting a set never blocks behind an in-flight
+// fan-out or its eviction wait, nor a barrier behind the drop's sends
+// (CONCURRENCY.md §13).
 
 // primaryReplica is this node's bookkeeping for an object it primaries.
 type primaryReplica struct {
@@ -309,23 +311,10 @@ func (n *Node) replicaWriteBarrier(obj *vm.Object, id string, ctx trace.Ctx) uin
 // after this returns — see the lock-order note above) and as the first
 // half of demotion.
 func (n *Node) dropReplication(id string) {
-	v, ok := n.replPrim.LoadAndDelete(id)
-	if !ok {
+	pr, members := n.retirePrimary(id)
+	if pr == nil {
 		return
 	}
-	pr := v.(*primaryReplica)
-	// Remove promotion-time aliases pointing at the same set.
-	n.replPrim.Range(func(k, val any) bool {
-		if val == v {
-			n.replPrim.Delete(k)
-		}
-		return true
-	})
-	pr.mu.Lock()
-	defer pr.mu.Unlock()
-	pr.dropped = true
-	members := pr.members
-	pr.members = nil
 	if co := n.coord.Load(); co != nil {
 		co.DropReplicaSet(pr.guid)
 	}
@@ -333,6 +322,32 @@ func (n *Node) dropReplication(id string) {
 		req := &wire.Request{Op: wire.OpReplicaDrop, GUID: m.GUID}
 		_, _ = n.send(req, leg{endpoint: m.Endpoint}) // best-effort; the tombstone converges anyway
 	}
+}
+
+// retirePrimary stands this node down as primary of the set at id: it
+// forgets the set under every identity (promotion stores an alias),
+// marks it dropped so barriers become no-ops, and returns it with the
+// members it had — nil when this node primaries no set at id.  pr.mu is
+// released before it returns, so the caller's sends to the members never
+// hold it.
+func (n *Node) retirePrimary(id string) (*primaryReplica, []wire.ReplicaInfo) {
+	v, ok := n.replPrim.LoadAndDelete(id)
+	if !ok {
+		return nil, nil
+	}
+	n.replPrim.Range(func(k, val any) bool {
+		if val == v {
+			n.replPrim.Delete(k)
+		}
+		return true
+	})
+	pr := v.(*primaryReplica)
+	pr.mu.Lock()
+	defer pr.mu.Unlock()
+	pr.dropped = true
+	members := pr.members
+	pr.members = nil
+	return pr, members
 }
 
 // serveAtReplica handles an OpInvoke addressed to a replica copy.  A
@@ -563,22 +578,10 @@ func (n *Node) promoteReplica(id, class, selfGUID string) {
 // failure matrix); leases bound the window in which the *other* side
 // could serve stale reads, not the deposed primary's solo writes.
 func (n *Node) demoteReplica(id string) {
-	v, ok := n.replPrim.Load(id)
-	if !ok {
+	pr, _ := n.retirePrimary(id)
+	if pr == nil {
 		return
 	}
-	pr := v.(*primaryReplica)
-	n.replPrim.Delete(id)
-	n.replPrim.Range(func(k, val any) bool {
-		if val == v {
-			n.replPrim.Delete(k)
-		}
-		return true
-	})
-	pr.mu.Lock()
-	pr.dropped = true
-	pr.members = nil
-	pr.mu.Unlock()
 	co := n.coord.Load()
 	obj, okObj := n.exports.Get(id)
 	if co == nil || !okObj {

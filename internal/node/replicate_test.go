@@ -7,6 +7,7 @@ import (
 
 	"rafda/internal/cluster"
 	"rafda/internal/policy"
+	"rafda/internal/transport"
 	"rafda/internal/vm"
 	"rafda/internal/wire"
 )
@@ -534,4 +535,54 @@ func TestReplicaReadQueuedPastLeaseExpiryForwards(t *testing.T) {
 	if resp.Redirect == nil {
 		t.Fatalf("queued read served from the local copy after lease expiry: %+v, want a forward to the primary", resp)
 	}
+}
+
+// TestDropReplicationReleasesMu: dissolving a replica set sends its drop
+// requests with primaryReplica.mu released (CONCURRENCY.md §13: mu is
+// never held across the network), so a write barrier waiting on mu
+// under the object's gate does not stall the object for the sends.
+func TestDropReplicationReleasesMu(t *testing.T) {
+	n, err := New(Config{Name: "primary", Result: transformSource(t, replSource)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { n.Close() })
+	entered, release := make(chan struct{}), make(chan struct{})
+	member, err := transport.NewInproc().Listen("", func(req *wire.Request) *wire.Response {
+		if req.Op == wire.OpReplicaDrop {
+			close(entered)
+			<-release
+		}
+		return &wire.Response{}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { member.Close() })
+	pr := &primaryReplica{guid: "home#1", class: "Item",
+		members: []wire.ReplicaInfo{{Endpoint: member.Endpoint(), GUID: "replica#1"}}}
+	n.replPrim.Store(pr.guid, pr)
+	n.replPrim.Store("alias#1", pr)
+	done := make(chan struct{})
+	go func() {
+		n.dropReplication(pr.guid)
+		close(done)
+	}()
+	<-entered
+	locked := pr.mu.TryLock()
+	if locked {
+		pr.mu.Unlock()
+	}
+	close(release)
+	<-done
+	if !locked {
+		t.Fatal("primaryReplica.mu held while the drop request was in flight")
+	}
+	if !pr.dropped || pr.members != nil {
+		t.Fatalf("set not retired: dropped=%v members=%v", pr.dropped, pr.members)
+	}
+	n.replPrim.Range(func(k, _ any) bool {
+		t.Errorf("replPrim still holds %v", k)
+		return true
+	})
 }

@@ -28,7 +28,8 @@ type Options struct {
 // Result is a completed transformation.
 type Result struct {
 	// Program is the transformed program: generated classes plus
-	// untouched non-transformable originals.
+	// untouched non-transformable originals.  Every node and VM built
+	// from the Result shares it, so it must not change once built.
 	Program *ir.Program
 	// Analysis is the substitutability analysis the transformation used;
 	// nil when the Result was reconstructed from an archive.

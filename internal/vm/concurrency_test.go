@@ -350,8 +350,8 @@ func TestFailedSuperInitLeavesNoPhantomStatics(t *testing.T) {
 	}
 }
 
-// TestRegistrationAfterBootVisible: copy-on-write registries publish new
-// natives and classes to already-running readers.
+// TestRegistrationAfterBootVisible: a call that found no native binds
+// nothing, so a native registered after it is seen by the next call.
 func TestRegistrationAfterBootVisible(t *testing.T) {
 	p := stdlib.Program()
 	p.MustAdd(&ir.Class{
@@ -369,16 +369,5 @@ func TestRegistrationAfterBootVisible(t *testing.T) {
 	})
 	if got, err := v.Invoke("N", "f", Value{}, nil); err != nil || got.I != 7 {
 		t.Fatalf("late-registered native: %v %v", got, err)
-	}
-	if err := v.AddClass(&ir.Class{Name: "Late", Super: ir.ObjectClass,
-		Methods: []*ir.Method{{Name: ir.ConstructorName, Return: ir.Void, Access: ir.AccessPublic, MaxLocals: 1,
-			Code: []ir.Instr{{Op: ir.OpReturn}}}}}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := v.NewObject("Late"); err != nil {
-		t.Fatalf("late-added class not visible: %v", err)
-	}
-	if err := v.AddClass(&ir.Class{Name: "Late"}); err == nil {
-		t.Fatal("duplicate class accepted")
 	}
 }

@@ -42,8 +42,7 @@ func (v *VM) invoke(env *Env, c *code, base int) (Value, *Thrown, error) {
 }
 
 func (v *VM) initClass(env *Env, c *ir.Class) (*Thrown, error) {
-	l := v.link.Load()
-	return v.ensureInit(env, l, v.classLink(l, c))
+	return v.ensureInit(env, v.classLink(c))
 }
 
 // fault reports malformed code at pc of c.
@@ -177,7 +176,7 @@ func (v *VM) run(env *Env, c *code, base int) (Value, *Thrown, error) {
 			at := &b.sites[pc]
 			lk := at.Load()
 			if lk == nil {
-				_, cl := v.linked(in.Owner)
+				cl := v.linked(in.Owner)
 				if cl == nil {
 					return Value{}, nil, &FaultError{Msg: "init: unknown class " + in.Owner}
 				}
@@ -245,12 +244,11 @@ func (v *VM) run(env *Env, c *code, base int) (Value, *Thrown, error) {
 			lk := at.Load()
 			if lk == nil {
 				// Static fields are inherited: link to the declaring class.
-				l := v.link.Load()
-				dc, _, err := l.prog.ResolveField(in.Owner, in.Member)
+				dc, _, err := v.prog.ResolveField(in.Owner, in.Member)
 				if err != nil {
 					return Value{}, nil, &FaultError{Msg: err.Error()}
 				}
-				lk = &v.classLink(l, dc).self
+				lk = &v.classLink(dc).self
 				at.Store(lk)
 			}
 			if !lk.state.started.Load() {
@@ -306,7 +304,7 @@ func (v *VM) run(env *Env, c *code, base int) (Value, *Thrown, error) {
 					}
 					if rc := ref.O.Class(); lk == nil || lk.class != rc {
 						var err error
-						if lk, err = v.resolve(v.link.Load(), rc, in.Member, in.NArgs); err != nil {
+						if lk, err = v.resolve(rc, in.Member, in.NArgs); err != nil {
 							return Value{}, nil, &FaultError{Msg: err.Error()}
 						}
 						at.Store(lk)

@@ -13,18 +13,12 @@ import (
 // a pointer compare.  Nothing is resolved before it runs: building a VM
 // costs the same however large the program.
 //
-// Everything resolved against one program snapshot hangs off one linkage;
-// AddClass publishes a new snapshot with an empty linkage, so no record
-// outlives the program it was resolved in.  Native bindings are the one
-// thing a linkage does not own: they are validated against the native
-// registry snapshot on every native call (see VM.callNative), so a late
-// RegisterNative reaches executions already in flight.  Per-class state
-// that must survive relinking — initialisation, static slots, the
-// instance layout — lives in classState, keyed by class name on the VM.
-type linkage struct {
-	prog    *ir.Program
-	classes sync.Map // *ir.Class → *classLink
-}
+// A VM's program is fixed when it is built, so a record, once made, is
+// right for the VM's lifetime: each class's link tables (classLink) hang
+// off the VM, keyed by class, together with the class's runtime state —
+// initialisation, static slots, the instance layout.  A native method
+// binds on its first successful call and keeps that binding (see
+// VM.callNative).
 
 // link is one resolved reference.  Records are interned in the tables of
 // the class (or layout) they were resolved for, so a site that alternates
@@ -50,10 +44,10 @@ type methodKey struct {
 	nargs int
 }
 
-// classLink is one class's link tables within a linkage.
+// classLink is one class's link tables and runtime state.
 type classLink struct {
 	class *ir.Class
-	state *classState
+	state classState
 	codes map[*ir.Method]*code // declared methods; immutable
 	self  link                 // {class, state}: what new and static-access sites cache
 
@@ -123,20 +117,20 @@ func get[K comparable](at *atomic.Pointer[map[K]*link], k K) *link {
 }
 
 // classLink returns c's link tables, creating them on first use.
-func (v *VM) classLink(l *linkage, c *ir.Class) *classLink {
-	if cl, ok := l.classes.Load(c); ok {
+func (v *VM) classLink(c *ir.Class) *classLink {
+	if cl, ok := v.classes.Load(c); ok {
 		return cl.(*classLink)
 	}
-	cl := &classLink{class: c, state: v.classStateOf(c.Name), codes: make(map[*ir.Method]*code, len(c.Methods))}
-	cl.self = link{class: c, state: cl.state}
+	cl := &classLink{class: c, codes: make(map[*ir.Method]*code, len(c.Methods))}
+	cl.self = link{class: c, state: &cl.state}
 	for _, m := range c.Methods {
 		nargs := len(m.Params)
 		if !m.Static {
 			nargs++
 		}
-		cl.codes[m] = &code{class: c, m: m, state: cl.state, nargs: nargs, accessor: accessorOf(m)}
+		cl.codes[m] = &code{class: c, m: m, state: &cl.state, nargs: nargs, accessor: accessorOf(m)}
 	}
-	actual, _ := l.classes.LoadOrStore(c, cl)
+	actual, _ := v.classes.LoadOrStore(c, cl)
 	return actual.(*classLink)
 }
 
@@ -177,41 +171,40 @@ func accessorOf(m *ir.Method) accessorKind {
 
 // resolve finds the method name/nargs for receiver class c: its by-name
 // method table first, the program's resolution order on a miss.
-func (v *VM) resolve(l *linkage, c *ir.Class, name string, nargs int) (*link, error) {
+func (v *VM) resolve(c *ir.Class, name string, nargs int) (*link, error) {
 	if c == nil {
-		_, _, err := l.prog.ResolveMethod("<nil>", name, nargs)
+		_, _, err := v.prog.ResolveMethod("<nil>", name, nargs)
 		return nil, err
 	}
-	cl := v.classLink(l, c)
+	cl := v.classLink(c)
 	k := methodKey{name, nargs}
 	if t := get(&cl.methods, k); t != nil {
 		return t, nil
 	}
-	dc, m, err := l.prog.ResolveMethod(c.Name, name, nargs)
+	dc, m, err := v.prog.ResolveMethod(c.Name, name, nargs)
 	if err != nil {
 		return nil, err
 	}
-	return put(cl, &cl.methods, k, &link{class: c, code: v.classLink(l, dc).codes[m]}), nil
+	return put(cl, &cl.methods, k, &link{class: c, code: v.classLink(dc).codes[m]}), nil
 }
 
 // lookup is resolve for the by-name entry points.
 func (v *VM) lookup(class, method string, nargs int) (*link, error) {
-	l, cl := v.linked(class)
+	cl := v.linked(class)
 	if cl == nil {
-		_, _, err := l.prog.ResolveMethod(class, method, nargs)
+		_, _, err := v.prog.ResolveMethod(class, method, nargs)
 		return nil, err
 	}
-	return v.resolve(l, cl.class, method, nargs)
+	return v.resolve(cl.class, method, nargs)
 }
 
-// linked returns the current linkage and the named class's link tables
-// in it (nil when the program has no such class).
-func (v *VM) linked(class string) (*linkage, *classLink) {
-	l := v.link.Load()
-	if c := l.prog.Class(class); c != nil {
-		return l, v.classLink(l, c)
+// linked returns the named class's link tables (nil when the program has
+// no such class).
+func (v *VM) linked(class string) *classLink {
+	if c := v.prog.Class(class); c != nil {
+		return v.classLink(c)
 	}
-	return l, nil
+	return nil
 }
 
 // kind answers whether class c is assignable to (ok) and a subclass of
@@ -220,21 +213,19 @@ func (v *VM) kind(c *ir.Class, name string) *link {
 	if c == nil {
 		return &link{} // a raw object without a class is nothing
 	}
-	l := v.link.Load()
-	cl := v.classLink(l, c)
+	cl := v.classLink(c)
 	if k := get(&cl.kinds, name); k != nil {
 		return k
 	}
 	return put(cl, &cl.kinds, name, &link{
 		class: c,
-		ok:    l.prog.AssignableTo(c.Name, name),
-		sub:   l.prog.IsSubclassOf(c.Name, name),
+		ok:    v.prog.AssignableTo(c.Name, name),
+		sub:   v.prog.IsSubclassOf(c.Name, name),
 	})
 }
 
 // linkBody sizes c's frame and allocates its site caches.
 func (v *VM) linkBody(c *code) *body {
-	prog := v.link.Load().prog
 	code := c.m.Code
 	nlocals := c.nargs
 	for i := range code {
@@ -243,7 +234,7 @@ func (v *VM) linkBody(c *code) *body {
 			nlocals = int(in.A) + 1
 		}
 	}
-	deepest, _ := prog.Depths(c.m) // faulty code faults in run instead
+	deepest, _ := v.prog.Depths(c.m) // faulty code faults in run instead
 	b := &body{
 		nlocals: nlocals,
 		size:    nlocals + min(deepest, maxFrameOperands) + 1,

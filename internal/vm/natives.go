@@ -11,54 +11,65 @@ import (
 	"rafda/internal/stdlib"
 )
 
-// nativeBinding is a native method's implementation as found in one
-// registry snapshot.
+// nativeBinding is a native method's implementation: an exact
+// registration, or else its class's fallback handler.
 type nativeBinding struct {
-	reg   *nativeRegistry
 	exact NativeFunc
 	class ClassNativeFunc
 }
 
 // callNative dispatches the native method c on the arguments at
 // env.slab[base:]: exact registration first, then the owning class's
-// fallback handler (used by generated proxy classes).  The lookup is done
-// once per registry snapshot and kept in c; a registration since then
-// shows as a different snapshot and rebinds.  The caller's env is passed
-// through so the native runs inside the same execution (same depth
-// budget, same held locks); its args are a view of the slab, valid until
-// it returns.
+// fallback handler (used by generated proxy classes).  The first call
+// that finds an implementation keeps it in c; a call that finds none
+// keeps nothing, so a later registration is still seen.  The caller's env
+// is passed through so the native runs inside the same execution (same
+// depth budget, same held locks); its args are a view of the slab, valid
+// until it returns.
 func (v *VM) callNative(env *Env, c *code, base int) (Value, *Thrown, error) {
-	reg := v.natives.Load()
 	nb := c.native.Load()
-	if nb == nil || nb.reg != reg {
-		nb = &nativeBinding{reg: reg, exact: reg.exact[nativeKey{c.class.Name, c.m.Name, len(c.m.Params)}]}
-		if nb.exact == nil {
-			nb.class = reg.class[c.class.Name]
+	if nb == nil {
+		if nb = v.bindNative(c); nb == nil {
+			return Value{}, nil, &FaultError{
+				Msg: fmt.Sprintf("unbound native method %s.%s/%d", c.class.Name, c.m.Name, len(c.m.Params)),
+			}
 		}
-		c.native.Store(nb)
 	}
 	var recv Value
 	args := env.slab[base : base+c.nargs : base+c.nargs]
 	if !c.m.Static {
 		recv, args = args[0], args[1:]
 	}
-	switch {
-	case nb.exact != nil:
+	if nb.exact != nil {
 		return nb.exact(env, recv, args)
-	case nb.class != nil:
-		return nb.class(env, c.m.Name, recv, args)
 	}
-	return Value{}, nil, &FaultError{
-		Msg: fmt.Sprintf("unbound native method %s.%s/%d", c.class.Name, c.m.Name, len(c.m.Params)),
+	return nb.class(env, c.m.Name, recv, args)
+}
+
+// bindNative looks c's implementation up in the native tables and keeps
+// it in c; nil when there is none.
+func (v *VM) bindNative(c *code) *nativeBinding {
+	v.regMu.Lock()
+	defer v.regMu.Unlock()
+	if nb := c.native.Load(); nb != nil {
+		return nb
 	}
+	nb := &nativeBinding{exact: v.natives[nativeKey{c.class.Name, c.m.Name, len(c.m.Params)}]}
+	if nb.exact == nil {
+		if nb.class = v.classNatives[c.class.Name]; nb.class == nil {
+			return nil
+		}
+	}
+	c.native.Store(nb)
+	return nb
 }
 
 // registerSystemNatives binds the sys.* library implementations.  It runs
 // during New, before the VM is visible to any other goroutine, so it may
-// write the registry snapshot in place.
+// write the native table without the lock.
 func registerSystemNatives(v *VM) {
 	reg := func(owner, name string, arity int, f NativeFunc) {
-		v.natives.Load().exact[nativeKey{owner, name, arity}] = f
+		v.natives[nativeKey{owner, name, arity}] = f
 	}
 
 	// sys.Object

@@ -452,7 +452,7 @@ func TestAccessorMarking(t *testing.T) {
 		}
 	}
 	v := MustNew(prog)
-	if _, cl := v.linked("P"); cl.codes[get].accessor != getter || cl.codes[set].accessor != setter {
+	if cl := v.linked("P"); cl.codes[get].accessor != getter || cl.codes[set].accessor != setter {
 		t.Fatal("the link records of P's accessors are not marked")
 	}
 }
@@ -489,50 +489,6 @@ func TestAccessorSiteConcurrent(t *testing.T) {
 	// be lost; none may be invented.
 	if got := shared.O.Get("x").I; got < 1 || got > 2*rounds*per {
 		t.Fatalf("shared object counted %d", got)
-	}
-}
-
-// TestInlineCacheSeesLateRegistration: a native rebound, and a class
-// added, after a call site and a by-name entry have been linked take
-// effect on the next call; relinking keeps static state.
-func TestInlineCacheSeesLateRegistration(t *testing.T) {
-	v := compileVM(t, `
-class N { static native int f(); }
-class T {
-    static int calls = 0;
-    static int g() { calls = calls + 1; return N.f() * 100 + calls; }
-}
-class Main { static void main() {} }`)
-	bind := func(n int64) {
-		v.RegisterNative("N", "f", 0, func(*Env, Value, []Value) (Value, *Thrown, error) { return IntV(n), nil, nil })
-	}
-	g := func() int64 {
-		got, err := v.Invoke("T", "g", Value{}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return got.I
-	}
-	bind(1)
-	if got := g(); got != 101 {
-		t.Fatalf("first call: %d", got)
-	}
-	bind(2)
-	if got := g(); got != 202 {
-		t.Fatalf("after rebinding N.f the linked site answered %d, want 202", got)
-	}
-	late, err := minijava.Compile(`class Late { static int h() { return 7; } } class Main { static void main() {} }`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := v.AddClass(late.Class("Late")); err != nil {
-		t.Fatal(err)
-	}
-	if got, err := v.Invoke("Late", "h", Value{}, nil); err != nil || got.I != 7 {
-		t.Fatalf("late class: %v %v", got, err)
-	}
-	if got := g(); got != 203 {
-		t.Fatalf("after AddClass: %d, want 203 (statics survive relinking)", got)
 	}
 }
 

@@ -9,13 +9,13 @@
 // interpreter lock.  The concurrency contract (docs/CONCURRENCY.md spells
 // it out in full) is:
 //
-//   - The class/native registries are immutable-after-boot snapshots
-//     published through atomic pointers: method resolution, class lookup
-//     and native dispatch read them without locks.  AddClass /
-//     RegisterNative / RegisterClassNative install a new snapshot
-//     (copy-on-write) and are expected at boot, before traffic.  What
-//     the interpreter resolved against a snapshot (link.go) is cached per
-//     snapshot and so is dropped with it.
+//   - The program is fixed when the VM is built: nothing adds, removes or
+//     edits a class afterwards, so what the interpreter resolves against
+//     it (link.go) stays right for the VM's lifetime and is read without
+//     locks.  RegisterNative / RegisterClassNative write plain tables
+//     under a mutex and are expected at boot, before traffic; a native
+//     method looks them up on its first successful call and keeps that
+//     binding, so registering it again later changes nothing.
 //   - Every heap Object carries its own state lock (field reads/writes
 //     and morphs are individually atomic) and an invocation gate that
 //     callers acquire via ExecOn to serialise whole invocations — and
@@ -348,12 +348,6 @@ type NativeFunc func(env *Env, recv Value, args []Value) (Value, *Thrown, error)
 // runtime registers these for generated proxy classes.
 type ClassNativeFunc func(env *Env, method string, recv Value, args []Value) (Value, *Thrown, error)
 
-// nativeRegistry is one immutable snapshot of the native-method tables.
-type nativeRegistry struct {
-	exact map[nativeKey]NativeFunc
-	class map[string]ClassNativeFunc
-}
-
 type nativeKey struct {
 	owner, name string
 	arity       int
@@ -378,11 +372,10 @@ func (s *staticSlots) set(name string, v Value) {
 	s.mu.Unlock()
 }
 
-// classState is one class's runtime state, keyed by class name so that it
-// survives relinking: whether initialisation has been claimed, the static
-// slots (nil until the superclass chain has initialised), and the layout
-// its instances share (nil until the first allocation).  Each is read
-// with one atomic load.
+// classState is one class's runtime state, held in its classLink: whether
+// initialisation has been claimed, the static slots (nil until the
+// superclass chain has initialised), and the layout its instances share
+// (nil until the first allocation).  Each is read with one atomic load.
 type classState struct {
 	started atomic.Bool
 	slots   atomic.Pointer[staticSlots]
@@ -408,16 +401,17 @@ func (s *syncWriter) Write(p []byte) (int, error) {
 // state, and a native-method registry.  See the package comment for the
 // locking model.
 type VM struct {
-	// Copy-on-write registries: lock-free reads, boot-time writes
-	// serialised by regMu.  link holds the program snapshot together
-	// with everything resolved against it.
-	link    atomic.Pointer[linkage]
-	natives atomic.Pointer[nativeRegistry]
-	regMu   sync.Mutex
+	// prog is the program the VM resolves against, fixed for its
+	// lifetime; classes holds each class's link tables and runtime
+	// state, created on first use.
+	prog    *ir.Program
+	classes sync.Map // *ir.Class → *classLink
 
-	// Per-class runtime state by name; classMu guards the map only.
-	classMu sync.Mutex
-	classes map[string]*classState
+	// The native tables, written at boot and read by a native method's
+	// first call (callNative), both under regMu.
+	regMu        sync.Mutex
+	natives      map[nativeKey]NativeFunc
+	classNatives map[string]ClassNativeFunc
 
 	// envs recycles execution contexts, and with them their frame slabs,
 	// so entering the VM allocates nothing in steady state.
@@ -461,17 +455,14 @@ func New(prog *ir.Program, opts ...Option) (*VM, error) {
 		prog = merged
 	}
 	v := &VM{
-		classes:  make(map[string]*classState),
-		out:      &syncWriter{w: io.Discard},
-		maxSteps: DefaultMaxSteps,
-		maxDepth: DefaultMaxDepth,
-		clock:    time.Now,
+		prog:         prog,
+		natives:      make(map[nativeKey]NativeFunc),
+		classNatives: make(map[string]ClassNativeFunc),
+		out:          &syncWriter{w: io.Discard},
+		maxSteps:     DefaultMaxSteps,
+		maxDepth:     DefaultMaxDepth,
+		clock:        time.Now,
 	}
-	v.link.Store(&linkage{prog: prog})
-	v.natives.Store(&nativeRegistry{
-		exact: make(map[nativeKey]NativeFunc),
-		class: make(map[string]ClassNativeFunc),
-	})
 	for _, o := range opts {
 		o(v)
 	}
@@ -488,59 +479,25 @@ func MustNew(prog *ir.Program, opts ...Option) *VM {
 	return v
 }
 
-// Program returns the VM's current program snapshot.  Callers must not
-// mutate classes that have already executed.
-func (v *VM) Program() *ir.Program { return v.link.Load().prog }
+// Program returns the program the VM was built over.  The VM shares it
+// with whoever built it; neither may mutate it.
+func (v *VM) Program() *ir.Program { return v.prog }
 
-// AddClass loads an additional class definition (e.g. a proxy class
-// shipped from a peer node) by publishing a new program snapshot.
-func (v *VM) AddClass(c *ir.Class) error {
-	v.regMu.Lock()
-	defer v.regMu.Unlock()
-	cur := v.Program()
-	if cur.Has(c.Name) {
-		return fmt.Errorf("class %q already loaded", c.Name)
-	}
-	next := cur.ShallowClone()
-	if err := next.Add(c); err != nil {
-		return err
-	}
-	v.link.Store(&linkage{prog: next})
-	return nil
-}
-
-// RegisterNative binds one native method: owner.name with the given arity.
-// Registration is a boot-time operation (copy-on-write snapshot publish).
+// RegisterNative binds one native method: owner.name with the given
+// arity.  Registration is a boot-time operation: a native method that has
+// already run keeps the implementation it first ran.
 func (v *VM) RegisterNative(owner, name string, arity int, f NativeFunc) {
 	v.regMu.Lock()
-	defer v.regMu.Unlock()
-	cur := v.natives.Load()
-	next := &nativeRegistry{
-		exact: make(map[nativeKey]NativeFunc, len(cur.exact)+1),
-		class: cur.class,
-	}
-	for k, fn := range cur.exact {
-		next.exact[k] = fn
-	}
-	next.exact[nativeKey{owner, name, arity}] = f
-	v.natives.Store(next)
+	v.natives[nativeKey{owner, name, arity}] = f
+	v.regMu.Unlock()
 }
 
 // RegisterClassNative binds a fallback handler for every native method of
 // owner that has no exact registration.  Boot-time, like RegisterNative.
 func (v *VM) RegisterClassNative(owner string, f ClassNativeFunc) {
 	v.regMu.Lock()
-	defer v.regMu.Unlock()
-	cur := v.natives.Load()
-	next := &nativeRegistry{
-		exact: cur.exact,
-		class: make(map[string]ClassNativeFunc, len(cur.class)+1),
-	}
-	for k, fn := range cur.class {
-		next.class[k] = fn
-	}
-	next.class[owner] = f
-	v.natives.Store(next)
+	v.classNatives[owner] = f
+	v.regMu.Unlock()
 }
 
 // newEnv starts an execution context.
@@ -683,13 +640,13 @@ func (v *VM) RunMain(class string) error {
 }
 
 // NewObject allocates an uninitialised instance (no constructor runs, so
-// no lock beyond the registry snapshot read is needed).
+// no lock is needed).
 func (v *VM) NewObject(class string) (*Object, error) {
-	_, cl := v.linked(class)
+	cl := v.linked(class)
 	if cl == nil {
 		return nil, &FaultError{Msg: "new: unknown class " + class}
 	}
-	return v.alloc(cl.class, cl.state)
+	return v.alloc(cl.class, &cl.state)
 }
 
 // Construct allocates an instance and runs its arity-matching constructor.
@@ -729,11 +686,11 @@ func (v *VM) SetStatic(class, field string, val Value) (err error) {
 // exclude in-flight invocations (migration) hold the object's gate via
 // ExecOn around the whole snapshot→ship→morph sequence.
 func (v *VM) Morph(obj *Object, newClass string, fields map[string]Value) error {
-	_, cl := v.linked(newClass)
+	cl := v.linked(newClass)
 	if cl == nil {
 		return &FaultError{Msg: "morph: unknown class " + newClass}
 	}
-	obj.morph(cl.class, v.layoutOf(cl.class, cl.state), fields)
+	obj.morph(cl.class, v.layoutOf(cl.class, &cl.state), fields)
 	return nil
 }
 
@@ -755,11 +712,11 @@ func ThrownMessage(t *Thrown) (class, msg string) {
 // staticsOf initialises the named class for the host entry points and
 // returns the static slots that hold field.
 func (v *VM) staticsOf(env *Env, class, field string) (*staticSlots, error) {
-	l, cl := v.linked(class)
+	cl := v.linked(class)
 	if cl == nil {
 		return nil, &FaultError{Msg: "init: unknown class " + class}
 	}
-	if thrown, err := v.ensureInit(env, l, cl); err != nil {
+	if thrown, err := v.ensureInit(env, cl); err != nil {
 		return nil, err
 	} else if thrown != nil {
 		return nil, v.uncaught(thrown)
@@ -782,7 +739,7 @@ func (v *VM) layoutOf(c *ir.Class, st *classState) *layout {
 	if lay := st.layout.Load(); lay != nil {
 		return lay
 	}
-	prog := v.Program()
+	prog := v.prog
 	var names []string
 	var zeros []Value
 	seen := make(map[string]bool)
@@ -818,14 +775,14 @@ func (v *VM) alloc(c *ir.Class, st *classState) (*Object, error) {
 }
 
 func (v *VM) construct(env *Env, class string, args []Value) (Value, *Thrown, error) {
-	l, cl := v.linked(class)
+	cl := v.linked(class)
 	if cl == nil {
 		return Value{}, nil, &FaultError{Msg: "init: unknown class " + class}
 	}
-	if thrown, err := v.ensureInit(env, l, cl); thrown != nil || err != nil {
+	if thrown, err := v.ensureInit(env, cl); thrown != nil || err != nil {
 		return Value{}, thrown, err
 	}
-	obj, err := v.alloc(cl.class, cl.state)
+	obj, err := v.alloc(cl.class, &cl.state)
 	if err != nil {
 		return Value{}, nil, err
 	}
@@ -852,7 +809,7 @@ func (v *VM) call(env *Env, class, method string, recv Value, args []Value) (Val
 
 // callOn is call dispatched on obj's current class.
 func (v *VM) callOn(env *Env, obj *Object, method string, args []Value) (Value, *Thrown, error) {
-	t, err := v.resolve(v.link.Load(), obj.Class(), method, len(args))
+	t, err := v.resolve(obj.Class(), method, len(args))
 	if err != nil {
 		return Value{}, nil, &FaultError{Msg: err.Error()}
 	}
@@ -879,18 +836,6 @@ func (v *VM) enter(env *Env, c *code, recv Value, args []Value) (Value, *Thrown,
 	return res, thrown, err
 }
 
-// classStateOf returns (creating if needed) the named class's state.
-func (v *VM) classStateOf(class string) *classState {
-	v.classMu.Lock()
-	defer v.classMu.Unlock()
-	cs, ok := v.classes[class]
-	if !ok {
-		cs = &classState{}
-		v.classes[class] = cs
-	}
-	return cs
-}
-
 // ensureInit runs the static initialiser of cl's class (and its
 // superclasses) on first use; callers on a hot path test
 // state.started themselves first.  The first toucher claims the class
@@ -898,7 +843,7 @@ func (v *VM) classStateOf(class string) *classState {
 // re-entrant and concurrent touchers proceed immediately and may observe
 // partially-initialised statics, mirroring the seed's behaviour across
 // lock-release points and Java's within init cycles.
-func (v *VM) ensureInit(env *Env, l *linkage, cl *classLink) (*Thrown, error) {
+func (v *VM) ensureInit(env *Env, cl *classLink) (*Thrown, error) {
 	if cl.state.started.Load() || !cl.state.started.CompareAndSwap(false, true) {
 		return nil, nil
 	}
@@ -907,11 +852,11 @@ func (v *VM) ensureInit(env *Env, l *linkage, cl *classLink) (*Thrown, error) {
 		// As in the seed, a failed superclass initialisation leaves
 		// this class marked started but slot-less: later static
 		// accesses fault rather than reading phantom zero values.
-		sc := l.prog.Class(c.Super)
+		sc := v.prog.Class(c.Super)
 		if sc == nil {
 			return nil, &FaultError{Msg: "init: unknown class " + c.Super}
 		}
-		if thrown, err := v.ensureInit(env, l, v.classLink(l, sc)); thrown != nil || err != nil {
+		if thrown, err := v.ensureInit(env, v.classLink(sc)); thrown != nil || err != nil {
 			return thrown, err
 		}
 	}

@@ -3,6 +3,8 @@ package vm
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -270,6 +272,43 @@ func TestNativeRegistration(t *testing.T) {
 	})
 	if got, err := v.Invoke("N", "other", Value{}, nil); err != nil || got.I != 7 {
 		t.Fatalf("class native: %v %v", got, err)
+	}
+	// A native keeps the binding of its first successful call.
+	v.RegisterNative("N", "twice", 1, func(env *Env, _ Value, args []Value) (Value, *Thrown, error) {
+		return IntV(0), nil, nil
+	})
+	if got, err := v.Invoke("N", "twice", Value{}, []Value{IntV(21)}); err != nil || got.I != 42 {
+		t.Fatalf("rebound native: %v %v, want the first binding's 42", got, err)
+	}
+}
+
+// TestNativeRegistrationLinear: a registration writes one table entry.
+// A node registers a factory native per transformed class and a class
+// native per proxy class, so a registration that copied the table made
+// booting over a large program quadratic.
+func TestNativeRegistrationLinear(t *testing.T) {
+	const n = 4096
+	owners := make([]string, n)
+	for i := range owners {
+		owners[i] = fmt.Sprintf("C%d", i)
+	}
+	exact := func(*Env, Value, []Value) (Value, *Thrown, error) { return Value{}, nil, nil }
+	class := func(*Env, string, Value, []Value) (Value, *Thrown, error) { return Value{}, nil, nil }
+	v := MustNew(nil)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for _, o := range owners {
+		v.RegisterNative(o, "make", 0, exact)
+	}
+	for _, o := range owners {
+		v.RegisterClassNative(o, class)
+	}
+	runtime.ReadMemStats(&after)
+	per := (after.TotalAlloc - before.TotalAlloc) / (2 * n)
+	t.Logf("%d bytes allocated per registration", per)
+	if per > 4<<10 {
+		t.Fatalf("%d bytes allocated per registration, want at most 4 KiB", per)
 	}
 }
 

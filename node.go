@@ -156,7 +156,9 @@ func (n *Node) attachCluster(c *Cluster) {
 	n.adaptMu.Unlock()
 }
 
-// NewNode builds a node for the transformed program.
+// NewNode builds a node for the transformed program.  Every node built
+// from t shares t's program: the class set is complete before the program
+// is distributed, and no node mutates it.
 func (t *Transformed) NewNode(cfg NodeConfig) (*Node, error) {
 	// One metrics registry shared by the node and its transports:
 	// admission rejects at the rrp server and gate-queue expiries at
@@ -173,18 +175,17 @@ func (t *Transformed) NewNode(cfg NodeConfig) (*Node, error) {
 		vmOpts = append(vmOpts, vm.WithMaxSteps(cfg.MaxSteps))
 	}
 	n, err := node.New(node.Config{
-		Name:              cfg.Name,
-		Result:            t.res,
-		Transports:        reg,
-		Output:            cfg.Output,
-		VMOpts:            vmOpts,
-		VolunteerCallback: true,
-		PoolSize:          cfg.PoolSize,
-		DedupWindow:       cfg.Limits.DedupWindow,
-		TraceSpans:        cfg.Tracing.Spans,
-		NoTrace:           cfg.Tracing.Disable,
-		Metrics:           mreg,
-		Shed:              cfg.Shed,
+		Name:        cfg.Name,
+		Result:      t.res,
+		Transports:  reg,
+		Output:      cfg.Output,
+		VMOpts:      vmOpts,
+		PoolSize:    cfg.PoolSize,
+		DedupWindow: cfg.Limits.DedupWindow,
+		TraceSpans:  cfg.Tracing.Spans,
+		NoTrace:     cfg.Tracing.Disable,
+		Metrics:     mreg,
+		Shed:        cfg.Shed,
 	})
 	if err != nil {
 		return nil, err

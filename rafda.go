@@ -72,13 +72,14 @@ func (p *Program) Disassemble(class string, full bool) (string, error) {
 func (p *Program) Verify() []error { return verifier.Verify(p.ir) }
 
 // Run executes `static void main()` on mainClass in a fresh VM without
-// any transformation, writing console output to out.
+// any transformation, writing console output to out.  The VM runs on the
+// program itself, which it never mutates.
 func (p *Program) Run(mainClass string, out io.Writer) error {
 	opts := []vm.Option{}
 	if out != nil {
 		opts = append(opts, vm.WithOutput(out))
 	}
-	machine, err := vm.New(p.ir.Clone(), opts...)
+	machine, err := vm.New(p.ir, opts...)
 	if err != nil {
 		return err
 	}
@@ -206,13 +207,14 @@ func (t *Transformed) Analysis() *Analysis { return &Analysis{a: t.res.Analysis}
 
 // RunLocal executes the transformed program in a single address space
 // with the all-local policy — the paper's §4 "local version" — writing
-// output to out.
+// output to out.  Like every node built from t, the VM shares t's
+// program.
 func (t *Transformed) RunLocal(mainClass string, out io.Writer) error {
 	opts := []vm.Option{}
 	if out != nil {
 		opts = append(opts, vm.WithOutput(out))
 	}
-	machine, err := vm.New(t.res.Program.Clone(), opts...)
+	machine, err := vm.New(t.res.Program, opts...)
 	if err != nil {
 		return err
 	}
