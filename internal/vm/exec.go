@@ -9,36 +9,40 @@ import (
 	"rafda/internal/stdlib"
 )
 
+// maxArrayLen is the longest array newarray builds: the wire's bound on a
+// sequence, so every array a program makes is one a call can carry.
+// Past it newarray throws, as it does for a negative length.
+const maxArrayLen = 1 << 24
+
 // invoke activates c on the arguments already in place at
 // env.slab[base : base+c.nargs] (receiver first for instance methods):
 // a native is called on a view of them, bytecode runs in a frame that
 // starts at them.  Static methods trigger their class's initialisation.
-func (v *VM) invoke(env *Env, c *code, base int) (Value, *Thrown, error) {
+// A result comes back in env.slab[base], the slot where the caller's push
+// would put it; ret reports whether there is one.
+func (v *VM) invoke(env *Env, c *code, base int) (ret bool, thrown *Thrown, err error) {
 	m := c.m
 	if m.Abstract {
-		return Value{}, nil, &FaultError{Msg: fmt.Sprintf("abstract method %s.%s invoked", c.class.Name, m.Name)}
+		return false, nil, &FaultError{Msg: fmt.Sprintf("abstract method %s.%s invoked", c.class.Name, m.Name)}
 	}
 	if m.Static && !c.state.started.Load() {
 		if thrown, err := v.initClass(env, c.class); thrown != nil || err != nil {
-			return Value{}, thrown, err
+			return false, thrown, err
 		}
 	}
 	if env.depth >= v.maxDepth {
-		return Value{}, nil, &FaultError{Msg: "call depth limit exceeded"}
+		return false, nil, &FaultError{Msg: "call depth limit exceeded"}
 	}
 	env.depth++
 	sp := env.sp
-	var res Value
-	var thrown *Thrown
-	var err error
 	if m.Native {
-		res, thrown, err = v.callNative(env, c, base)
+		ret, thrown, err = v.callNative(env, c, base)
 	} else {
-		res, thrown, err = v.run(env, c, base)
+		ret, thrown, err = v.run(env, c, base)
 	}
 	env.sp = sp
 	env.depth--
-	return res, thrown, err
+	return ret, thrown, err
 }
 
 func (v *VM) initClass(env *Env, c *ir.Class) (*Thrown, error) {
@@ -46,8 +50,8 @@ func (v *VM) initClass(env *Env, c *ir.Class) (*Thrown, error) {
 }
 
 // fault reports malformed code at pc of c.
-func (c *code) fault(pc int, format string, a ...any) (Value, *Thrown, error) {
-	return Value{}, nil, &FaultError{
+func (c *code) fault(pc int, format string, a ...any) (bool, *Thrown, error) {
+	return false, nil, &FaultError{
 		Msg: fmt.Sprintf("%s.%s pc=%d: %s", c.class.Name, c.m.Name, pc, fmt.Sprintf(format, a...)),
 	}
 }
@@ -65,7 +69,11 @@ func (c *code) fault(pc int, format string, a ...any) (Value, *Thrown, error) {
 // taken: no instruction pushes more than one operand net, so a push never
 // needs its own bounds test and code that outgrows its frame faults
 // instead of writing into the next.
-func (v *VM) run(env *Env, c *code, base int) (Value, *Thrown, error) {
+//
+// Every throw site sets pendingThrow and jumps to the throw block at the
+// end of the loop body, which looks the exception up in this frame's
+// handler table at the site's pc.
+func (v *VM) run(env *Env, c *code, base int) (bool, *Thrown, error) {
 	b := c.body.Load()
 	if b == nil {
 		b = v.linkBody(c)
@@ -87,26 +95,6 @@ func (v *VM) run(env *Env, c *code, base int) (Value, *Thrown, error) {
 	var pendingThrow *Thrown
 
 	for {
-		if pendingThrow != nil {
-			// Search this frame's handler table.
-			handled := false
-			for i := range m.Handlers {
-				h := &m.Handlers[i]
-				if pc >= h.Start && pc < h.End && v.catches(h, pendingThrow) {
-					f[nl] = RefV(pendingThrow.Obj)
-					sp = nl + 1
-					pc = h.Target
-					pendingThrow = nil
-					handled = true
-					break
-				}
-			}
-			if !handled {
-				return Value{}, pendingThrow, nil
-			}
-			continue
-		}
-
 		if pc < 0 || pc >= len(code) {
 			return c.fault(pc, "pc out of range (len=%d)", len(code))
 		}
@@ -178,7 +166,7 @@ func (v *VM) run(env *Env, c *code, base int) (Value, *Thrown, error) {
 			if lk == nil {
 				cl := v.linked(in.Owner)
 				if cl == nil {
-					return Value{}, nil, &FaultError{Msg: "init: unknown class " + in.Owner}
+					return false, nil, &FaultError{Msg: "init: unknown class " + in.Owner}
 				}
 				lk = &cl.self
 				at.Store(lk)
@@ -187,16 +175,16 @@ func (v *VM) run(env *Env, c *code, base int) (Value, *Thrown, error) {
 				thrown, err := v.initClass(env, lk.class)
 				f = env.slab[base:end]
 				if err != nil {
-					return Value{}, nil, err
+					return false, nil, err
 				}
 				if thrown != nil {
 					pendingThrow = thrown
-					continue
+					goto throw
 				}
 			}
 			obj, err := v.alloc(lk.class, lk.state)
 			if err != nil {
-				return Value{}, nil, err
+				return false, nil, err
 			}
 			f[sp] = RefV(obj)
 			sp++
@@ -206,19 +194,17 @@ func (v *VM) run(env *Env, c *code, base int) (Value, *Thrown, error) {
 				return c.fault(pc, "getfield: underflow")
 			}
 			ref := &f[sp-1]
-			if ref.IsNullRef() {
+			if isNull(ref) {
 				pendingThrow = v.throwSys(stdlib.NullPointerClass,
 					fmt.Sprintf("read of field %s on null", in.Member))
-				continue
+				goto throw
 			}
 			if ref.K != ir.KindRef {
 				return c.fault(pc, "getfield on non-ref %v", ref.K)
 			}
-			val, ok := ref.O.load(in.Member, &b.sites[pc])
-			if !ok {
+			if !ref.O.load(ref, in.Member, &b.sites[pc]) {
 				return c.fault(pc, "no field %s on %s", in.Member, ref.O.ClassName())
 			}
-			*ref = val
 
 		case ir.OpPutField:
 			if sp-nl < 2 {
@@ -226,15 +212,15 @@ func (v *VM) run(env *Env, c *code, base int) (Value, *Thrown, error) {
 			}
 			sp -= 2
 			ref := &f[sp]
-			if ref.IsNullRef() {
+			if isNull(ref) {
 				pendingThrow = v.throwSys(stdlib.NullPointerClass,
 					fmt.Sprintf("write of field %s on null", in.Member))
-				continue
+				goto throw
 			}
 			if ref.K != ir.KindRef {
 				return c.fault(pc, "putfield on non-ref %v", ref.K)
 			}
-			ref.O.store(in.Member, &b.sites[pc], f[sp+1])
+			ref.O.store(in.Member, &b.sites[pc], &f[sp+1])
 
 		case ir.OpGetStatic, ir.OpPutStatic:
 			if in.Op == ir.OpPutStatic && sp == nl {
@@ -246,7 +232,7 @@ func (v *VM) run(env *Env, c *code, base int) (Value, *Thrown, error) {
 				// Static fields are inherited: link to the declaring class.
 				dc, _, err := v.prog.ResolveField(in.Owner, in.Member)
 				if err != nil {
-					return Value{}, nil, &FaultError{Msg: err.Error()}
+					return false, nil, &FaultError{Msg: err.Error()}
 				}
 				lk = &v.classLink(dc).self
 				at.Store(lk)
@@ -255,11 +241,11 @@ func (v *VM) run(env *Env, c *code, base int) (Value, *Thrown, error) {
 				thrown, err := v.initClass(env, lk.class)
 				f = env.slab[base:end]
 				if err != nil {
-					return Value{}, nil, err
+					return false, nil, err
 				}
 				if thrown != nil {
 					pendingThrow = thrown
-					continue
+					goto throw
 				}
 			}
 			slots := lk.state.slots.Load()
@@ -269,7 +255,7 @@ func (v *VM) run(env *Env, c *code, base int) (Value, *Thrown, error) {
 				val, ok = slots.get(in.Member)
 			}
 			if !ok {
-				return Value{}, nil, &FaultError{Msg: fmt.Sprintf("field %s.%s is not static", lk.class.Name, in.Member)}
+				return false, nil, &FaultError{Msg: fmt.Sprintf("field %s.%s is not static", lk.class.Name, in.Member)}
 			}
 			if in.Op == ir.OpGetStatic {
 				f[sp] = val
@@ -291,10 +277,10 @@ func (v *VM) run(env *Env, c *code, base int) (Value, *Thrown, error) {
 					return c.fault(pc, "%s: underflow", in.Op)
 				}
 				ref := &f[sp-in.NArgs-1]
-				if ref.IsNullRef() {
+				if isNull(ref) {
 					pendingThrow = v.throwSys(stdlib.NullPointerClass,
 						fmt.Sprintf("invoke of %s.%s on null", in.Owner, in.Member))
-					continue
+					goto throw
 				}
 				if in.Op != ir.OpInvokeSpecial {
 					// Dynamic dispatch: the site remembers the last
@@ -305,7 +291,7 @@ func (v *VM) run(env *Env, c *code, base int) (Value, *Thrown, error) {
 					if rc := ref.O.Class(); lk == nil || lk.class != rc {
 						var err error
 						if lk, err = v.resolve(rc, in.Member, in.NArgs); err != nil {
-							return Value{}, nil, &FaultError{Msg: err.Error()}
+							return false, nil, &FaultError{Msg: err.Error()}
 						}
 						at.Store(lk)
 					}
@@ -315,7 +301,7 @@ func (v *VM) run(env *Env, c *code, base int) (Value, *Thrown, error) {
 				// Exact dispatch on Owner: statics, constructors, super calls.
 				var err error
 				if lk, err = v.lookup(in.Owner, in.Member, in.NArgs); err != nil {
-					return Value{}, nil, &FaultError{Msg: err.Error()}
+					return false, nil, &FaultError{Msg: err.Error()}
 				}
 				at.Store(lk)
 			}
@@ -330,12 +316,15 @@ func (v *VM) run(env *Env, c *code, base int) (Value, *Thrown, error) {
 					break
 				}
 			}
-			// The callee's frame starts at its arguments (a static method
-			// reached through an instance invoke leaves the receiver below).
-			res, thrown, err := v.invoke(env, callee, base+sp-callee.nargs)
+			// The callee's frame starts at its arguments, and its result
+			// comes back in the frame's first slot: where the push goes,
+			// unless a static method reached through an instance invoke
+			// left the receiver below.
+			cb := sp - callee.nargs
+			ret, thrown, err := v.invoke(env, callee, base+cb)
 			f = env.slab[base:end]
 			if err != nil {
-				return Value{}, nil, err
+				return false, nil, err
 			}
 			sp -= in.NArgs
 			if in.Op != ir.OpInvokeStatic {
@@ -343,10 +332,12 @@ func (v *VM) run(env *Env, c *code, base int) (Value, *Thrown, error) {
 			}
 			if thrown != nil {
 				pendingThrow = thrown
-				continue
+				goto throw
 			}
-			if !res.IsVoid() {
-				f[sp] = res
+			if ret {
+				if sp != cb {
+					f[sp] = f[cb]
+				}
 				sp++
 			}
 
@@ -358,10 +349,10 @@ func (v *VM) run(env *Env, c *code, base int) (Value, *Thrown, error) {
 				return c.fault(pc, "newarray: missing element type")
 			}
 			n := &f[sp-1]
-			if n.I < 0 {
+			if n.I < 0 || n.I > maxArrayLen {
 				pendingThrow = v.throwSys(stdlib.IndexBoundsClass,
 					fmt.Sprintf("array length %d", n.I))
-				continue
+				goto throw
 			}
 			*n = ArrayV(NewArray(*in.TypeRef, int(n.I)))
 
@@ -371,9 +362,9 @@ func (v *VM) run(env *Env, c *code, base int) (Value, *Thrown, error) {
 			}
 			sp--
 			idx, arr := f[sp].I, &f[sp-1]
-			if arr.IsNullRef() {
+			if isNull(arr) {
 				pendingThrow = v.throwSys(stdlib.NullPointerClass, "index of null array")
-				continue
+				goto throw
 			}
 			if arr.K != ir.KindArray {
 				return c.fault(pc, "aload on non-array %v", arr.K)
@@ -381,7 +372,7 @@ func (v *VM) run(env *Env, c *code, base int) (Value, *Thrown, error) {
 			if idx < 0 || int(idx) >= len(arr.A.Vals) {
 				pendingThrow = v.throwSys(stdlib.IndexBoundsClass,
 					fmt.Sprintf("index %d out of range %d", idx, len(arr.A.Vals)))
-				continue
+				goto throw
 			}
 			*arr = arr.A.Vals[idx]
 
@@ -391,9 +382,9 @@ func (v *VM) run(env *Env, c *code, base int) (Value, *Thrown, error) {
 			}
 			sp -= 3
 			arr, idx := &f[sp], f[sp+1].I
-			if arr.IsNullRef() {
+			if isNull(arr) {
 				pendingThrow = v.throwSys(stdlib.NullPointerClass, "store to null array")
-				continue
+				goto throw
 			}
 			if arr.K != ir.KindArray {
 				return c.fault(pc, "astore on non-array %v", arr.K)
@@ -401,7 +392,7 @@ func (v *VM) run(env *Env, c *code, base int) (Value, *Thrown, error) {
 			if idx < 0 || int(idx) >= len(arr.A.Vals) {
 				pendingThrow = v.throwSys(stdlib.IndexBoundsClass,
 					fmt.Sprintf("index %d out of range %d", idx, len(arr.A.Vals)))
-				continue
+				goto throw
 			}
 			arr.A.Vals[idx] = f[sp+2]
 
@@ -410,9 +401,9 @@ func (v *VM) run(env *Env, c *code, base int) (Value, *Thrown, error) {
 				return c.fault(pc, "arraylen: underflow")
 			}
 			arr := &f[sp-1]
-			if arr.IsNullRef() {
+			if isNull(arr) {
 				pendingThrow = v.throwSys(stdlib.NullPointerClass, "length of null array")
-				continue
+				goto throw
 			}
 			if arr.K != ir.KindArray {
 				return c.fault(pc, "arraylen on non-array %v", arr.K)
@@ -424,12 +415,31 @@ func (v *VM) run(env *Env, c *code, base int) (Value, *Thrown, error) {
 				return c.fault(pc, "%s: underflow", in.Op)
 			}
 			sp--
-			res, thrown := v.arith(in.Op, &f[sp-1], &f[sp])
-			if thrown != nil {
-				pendingThrow = thrown
-				continue
+			x, y := &f[sp-1], &f[sp]
+			if x.K == ir.KindFloat || y.K == ir.KindFloat {
+				*x = floatArith(in.Op, numAsFloat(x), numAsFloat(y))
+				break
 			}
-			f[sp-1] = res
+			switch in.Op {
+			case ir.OpAdd:
+				*x = IntV(x.I + y.I)
+			case ir.OpSub:
+				*x = IntV(x.I - y.I)
+			case ir.OpMul:
+				*x = IntV(x.I * y.I)
+			case ir.OpDiv:
+				if y.I == 0 {
+					pendingThrow = v.throwSys(stdlib.ArithmeticClass, "division by zero")
+					goto throw
+				}
+				*x = IntV(x.I / y.I)
+			case ir.OpRem:
+				if y.I == 0 {
+					pendingThrow = v.throwSys(stdlib.ArithmeticClass, "remainder by zero")
+					goto throw
+				}
+				*x = IntV(x.I % y.I)
+			}
 
 		case ir.OpNeg:
 			if sp == nl {
@@ -500,7 +510,7 @@ func (v *VM) run(env *Env, c *code, base int) (Value, *Thrown, error) {
 			}
 			if thrown != nil {
 				pendingThrow = thrown
-				continue
+				goto throw
 			}
 			f[sp-1] = res
 
@@ -516,12 +526,13 @@ func (v *VM) run(env *Env, c *code, base int) (Value, *Thrown, error) {
 				v.kindAt(&b.sites[pc], val.O, in.TypeRef.Name).ok)
 
 		case ir.OpReturn:
-			return Value{}, nil, nil
+			return false, nil, nil
 		case ir.OpReturnValue:
 			if sp == nl {
 				return c.fault(pc, "return.v: empty stack")
 			}
-			return f[sp-1], nil, nil
+			f[0] = f[sp-1]
+			return true, nil, nil
 
 		case ir.OpThrow:
 			if sp == nl {
@@ -529,20 +540,30 @@ func (v *VM) run(env *Env, c *code, base int) (Value, *Thrown, error) {
 			}
 			sp--
 			ref := &f[sp]
-			if ref.IsNullRef() {
+			if isNull(ref) {
 				pendingThrow = v.throwSys(stdlib.NullPointerClass, "throw of null")
-				continue
+				goto throw
 			}
 			if ref.K != ir.KindRef || !v.kind(ref.O.Class(), ir.ThrowableClass).sub {
 				return c.fault(pc, "throw of non-throwable %s", *ref)
 			}
 			pendingThrow = &Thrown{Obj: ref.O}
-			continue
+			goto throw
 
 		default:
 			return c.fault(pc, "unimplemented opcode %s", in.Op)
 		}
 		pc++
+		continue
+
+	throw:
+		h := v.handler(m, pc, pendingThrow)
+		if h == nil {
+			return false, pendingThrow, nil
+		}
+		f[nl] = RefV(pendingThrow.Obj)
+		sp = nl + 1
+		pc = h.Target
 	}
 }
 
@@ -567,17 +588,26 @@ func (v *VM) accessorAt(env *Env, callee *code, f []Value, sp int) (int, bool) {
 	}
 	code := callee.m.Code
 	if callee.accessor == getter {
-		val, _ := recv.O.load(code[1].Member, &b.sites[1])
-		if val.IsVoid() {
+		if !recv.O.load(recv, code[1].Member, &b.sites[1]) {
 			return sp, false
 		}
-		*recv = val
 	} else {
-		recv.O.store(code[2].Member, &b.sites[2], f[sp-1])
+		recv.O.store(code[2].Member, &b.sites[2], &f[sp-1])
 		sp -= 2
 	}
 	env.steps += n
 	return sp, true
+}
+
+// handler returns the first entry of m's handler table that covers pc
+// and catches t, or nil when t leaves the frame.
+func (v *VM) handler(m *ir.Method, pc int, t *Thrown) *ir.TryHandler {
+	for i := range m.Handlers {
+		if h := &m.Handlers[i]; pc >= h.Start && pc < h.End && v.catches(h, t) {
+			return h
+		}
+	}
+	return nil
 }
 
 func (v *VM) catches(h *ir.TryHandler, t *Thrown) bool {
@@ -602,46 +632,26 @@ func (v *VM) kindAt(at *atomic.Pointer[link], o *Object, name string) *link {
 	return k
 }
 
-func (v *VM) arith(op ir.Op, a, b *Value) (Value, *Thrown) {
-	if a.K == ir.KindFloat || b.K == ir.KindFloat {
-		af, bf := numAsFloat(*a), numAsFloat(*b)
-		switch op {
-		case ir.OpAdd:
-			return FloatV(af + bf), nil
-		case ir.OpSub:
-			return FloatV(af - bf), nil
-		case ir.OpMul:
-			return FloatV(af * bf), nil
-		case ir.OpDiv:
-			return FloatV(af / bf), nil
-		case ir.OpRem:
-			return FloatV(math.Mod(af, bf)), nil
-		}
-	}
+// floatArith is add, sub, mul, div or rem on operands of which at least
+// one is a float.
+func floatArith(op ir.Op, a, b float64) Value {
 	switch op {
 	case ir.OpAdd:
-		return IntV(a.I + b.I), nil
+		return FloatV(a + b)
 	case ir.OpSub:
-		return IntV(a.I - b.I), nil
+		return FloatV(a - b)
 	case ir.OpMul:
-		return IntV(a.I * b.I), nil
+		return FloatV(a * b)
 	case ir.OpDiv:
-		if b.I == 0 {
-			return Value{}, v.throwSys(stdlib.ArithmeticClass, "division by zero")
-		}
-		return IntV(a.I / b.I), nil
-	case ir.OpRem:
-		if b.I == 0 {
-			return Value{}, v.throwSys(stdlib.ArithmeticClass, "remainder by zero")
-		}
-		return IntV(a.I % b.I), nil
+		return FloatV(a / b)
+	default:
+		return FloatV(math.Mod(a, b))
 	}
-	return Value{}, nil
 }
 
 func numericKind(k ir.Kind) bool { return k == ir.KindInt || k == ir.KindFloat }
 
-func numAsFloat(v Value) float64 {
+func numAsFloat(v *Value) float64 {
 	if v.K == ir.KindFloat {
 		return v.F
 	}
@@ -651,7 +661,7 @@ func numAsFloat(v Value) float64 {
 func compare(op ir.Op, a, b *Value) (bool, error) {
 	// Equality on references is identity; on primitives, value equality.
 	if op == ir.OpCmpEq || op == ir.OpCmpNe {
-		eq, err := valuesEqual(*a, *b)
+		eq, err := valuesEqual(a, b)
 		if err != nil {
 			return false, err
 		}
@@ -670,7 +680,7 @@ func compare(op ir.Op, a, b *Value) (bool, error) {
 			c = 1
 		}
 	case a.K == ir.KindFloat || b.K == ir.KindFloat:
-		af, bf := numAsFloat(*a), numAsFloat(*b)
+		af, bf := numAsFloat(a), numAsFloat(b)
 		switch {
 		case af < bf:
 			c = -1
@@ -700,9 +710,9 @@ func compare(op ir.Op, a, b *Value) (bool, error) {
 	return false, fmt.Errorf("bad comparison op %s", op)
 }
 
-func refLike(v Value) bool { return v.K == ir.KindRef || v.K == ir.KindArray }
+func refLike(v *Value) bool { return v.K == ir.KindRef || v.K == ir.KindArray }
 
-func valuesEqual(a, b Value) (bool, error) {
+func valuesEqual(a, b *Value) (bool, error) {
 	switch {
 	case a.K == ir.KindRef && b.K == ir.KindRef:
 		return a.O == b.O, nil
@@ -712,7 +722,7 @@ func valuesEqual(a, b Value) (bool, error) {
 		// Mixed object/array comparison (e.g. a null literal, which is
 		// typed as an object reference, against an array): equal only
 		// when both are null.
-		return a.IsNullRef() && b.IsNullRef(), nil
+		return isNull(a) && isNull(b), nil
 	case a.K == ir.KindString && b.K == ir.KindString:
 		return a.S == b.S, nil
 	case a.K == ir.KindBool && b.K == ir.KindBool:

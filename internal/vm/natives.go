@@ -25,12 +25,13 @@ type nativeBinding struct {
 // keeps nothing, so a later registration is still seen.  The caller's env
 // is passed through so the native runs inside the same execution (same
 // depth budget, same held locks); its args are a view of the slab, valid
-// until it returns.
-func (v *VM) callNative(env *Env, c *code, base int) (Value, *Thrown, error) {
+// until it returns.  A non-void result goes to env.slab[base], as a
+// bytecode method's does.
+func (v *VM) callNative(env *Env, c *code, base int) (bool, *Thrown, error) {
 	nb := c.native.Load()
 	if nb == nil {
 		if nb = v.bindNative(c); nb == nil {
-			return Value{}, nil, &FaultError{
+			return false, nil, &FaultError{
 				Msg: fmt.Sprintf("unbound native method %s.%s/%d", c.class.Name, c.m.Name, len(c.m.Params)),
 			}
 		}
@@ -40,10 +41,19 @@ func (v *VM) callNative(env *Env, c *code, base int) (Value, *Thrown, error) {
 	if !c.m.Static {
 		recv, args = args[0], args[1:]
 	}
+	var res Value
+	var thrown *Thrown
+	var err error
 	if nb.exact != nil {
-		return nb.exact(env, recv, args)
+		res, thrown, err = nb.exact(env, recv, args)
+	} else {
+		res, thrown, err = nb.class(env, c.m.Name, recv, args)
 	}
-	return nb.class(env, c.m.Name, recv, args)
+	if thrown != nil || err != nil || res.IsVoid() {
+		return false, thrown, err
+	}
+	env.slab[base] = res
+	return true, nil, nil
 }
 
 // bindNative looks c's implementation up in the native tables and keeps

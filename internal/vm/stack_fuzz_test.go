@@ -70,10 +70,22 @@ func fuzzBody(data []byte) *ir.Method {
 	return m
 }
 
+// fuzzCaller is T.g, which calls f and returns what f returns.
+func fuzzCaller(f *ir.Method) *ir.Method {
+	ret := ir.Instr{Op: ir.OpReturn}
+	if f.Return.Kind != ir.KindVoid {
+		ret.Op = ir.OpReturnValue
+	}
+	return staticMethod("g", f.Return, nil, []ir.Instr{{Op: ir.OpInvokeStatic, Owner: "T", Member: "f"}, ret})
+}
+
 // FuzzStackDepths holds the one operand-stack walk (ir.Program.Depths) to
 // its two readers: it terminates on any body; a body the verifier accepts
 // never overflows the frame the interpreter sized from it; and a fault it
-// reports is the verifier's error, message and pc alike.
+// reports is the verifier's error, message and pc alike.  It also holds
+// the calling convention to a direct call: when f, invoked directly, ends
+// with a value or an uncaught exception, g, which calls it, ends the same
+// way.
 func FuzzStackDepths(f *testing.F) {
 	for _, seed := range [][]byte{
 		{0},                           // return
@@ -86,12 +98,15 @@ func FuzzStackDepths(f *testing.F) {
 		{2, 0, 0, 0, 19, 0},                                                       // handler entered at pc 0: bad join
 		{1, 0, 5, 4, 0, 3, 1, 2, 1, 7, 0, 19, 0},                                  // dup, store, load, add
 		{0, 0, 0, 3, 0, 2, 0, 0, 1, 7, 0, 4, 0, 3, 0, 0, 10, 14, 0, 17, 2, 19, 0}, // counted loop
+		{1, 0, 1, 0, 0, 10, 0, 19, 0},                                             // div by zero, uncaught
+		{3, 0, 2, 4, 0, 7, 0, 0, 10, 0, 19, 0, 5, 0, 0, 42, 19, 0},                // div by zero caught: 42
+		{3, 0, 2, 4, 0, 5, 0, 0, 11, 0, 19, 0, 5, 0, 0, 3, 0, 4, 7, 0, 19, 0},     // rem by zero caught: 3+4
 	} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m := fuzzBody(data)
-		p := buildClass(m)
+		p := buildClass(m, fuzzCaller(m))
 		_, fault := p.Depths(m)
 		var errs []string
 		for _, err := range verifier.Verify(p) {
@@ -106,10 +121,19 @@ func FuzzStackDepths(f *testing.F) {
 		if len(errs) > 0 {
 			return
 		}
-		_, err := MustNew(p, WithMaxSteps(2000)).Invoke("T", "f", Value{}, nil)
+		res, err := MustNew(p, WithMaxSteps(2000)).Invoke("T", "f", Value{}, nil)
 		var fe *FaultError
 		if errors.As(err, &fe) && strings.Contains(fe.Msg, "operand stack overflow") {
 			t.Fatalf("verified body overflowed its frame: %v\n%s", err, ir.Sprint(p.Class("T"), ir.PrintOptions{Code: true}))
+		}
+		if fe != nil {
+			return
+		}
+		// g spends two steps of its own: the invoke and the return.  The
+		// runs are on two VMs, so an object compares by its class.
+		gres, gerr := MustNew(p, WithMaxSteps(2002)).Invoke("T", "g", Value{}, nil)
+		if gres.K != res.K || gres.String() != res.String() || fmt.Sprint(gerr) != fmt.Sprint(err) {
+			t.Fatalf("f() = %v, %v but g() = %v, %v\n%s", res, err, gres, gerr, ir.Sprint(p.Class("T"), ir.PrintOptions{Code: true}))
 		}
 	})
 }

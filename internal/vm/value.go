@@ -53,7 +53,11 @@ func ArrayV(a *Array) Value { return Value{K: ir.KindArray, A: a} }
 func (v Value) IsVoid() bool { return v.K == 0 || v.K == ir.KindVoid }
 
 // IsNullRef reports whether v is a null object or array reference.
-func (v Value) IsNullRef() bool {
+func (v Value) IsNullRef() bool { return isNull(&v) }
+
+// isNull is IsNullRef for the interpreter, which tests an operand in its
+// slot instead of copying it.
+func isNull(v *Value) bool {
 	return (v.K == ir.KindRef && v.O == nil) || (v.K == ir.KindArray && v.A == nil)
 }
 
@@ -311,32 +315,38 @@ func (o *Object) Set(name string, v Value) {
 	o.mu.Unlock()
 }
 
-// load is Field for a getfield site: at caches the slot the name had in
-// the layout the site last saw, and is refreshed on a miss (an object of
-// another class, or one morphed or extended since).
-func (o *Object) load(name string, at *atomic.Pointer[link]) (Value, bool) {
-	var v Value
+// load is Field for a getfield site: it copies the field into *dst and
+// reports whether the object has it, leaving *dst alone when not.  at
+// caches the slot the name had in the layout the site last saw, and is
+// refreshed on a miss (an object of another class, or one morphed or
+// extended since).
+func (o *Object) load(dst *Value, name string, at *atomic.Pointer[link]) bool {
+	var v *Value
 	ref := at.Load()
 	o.mu.Lock()
 	if ref != nil && ref.layout == o.layout {
-		v = o.vals[ref.slot]
+		v = &o.vals[ref.slot]
 	} else if i, ok := o.layout.index[name]; ok {
-		v = o.vals[i]
+		v = &o.vals[i]
 		at.Store(&o.layout.refs[i])
 	}
+	ok := v != nil && v.K != 0
+	if ok {
+		*dst = *v
+	}
 	o.mu.Unlock()
-	return v, v.K != 0
+	return ok
 }
 
 // store is Set for a putfield site; at as in load.
-func (o *Object) store(name string, at *atomic.Pointer[link], v Value) {
+func (o *Object) store(name string, at *atomic.Pointer[link], v *Value) {
 	ref := at.Load()
 	o.mu.Lock()
 	if ref != nil && ref.layout == o.layout {
-		o.vals[ref.slot] = v
+		o.vals[ref.slot] = *v
 	} else {
 		i := o.slotLocked(name)
-		o.vals[i] = v
+		o.vals[i] = *v
 		at.Store(&o.layout.refs[i])
 	}
 	o.mu.Unlock()

@@ -99,7 +99,9 @@ type Env struct {
 	// slab is the execution's frame storage.  A frame is the window
 	// [base, base+size) of it — locals, then operand stack — and a
 	// callee's window starts at its arguments on the caller's operand
-	// stack, so calling copies nothing.  sp is the first index above
+	// stack, so calling copies nothing; a callee's result comes back in
+	// the first slot of its window, where the caller's push would put
+	// it, so returning copies nothing either.  sp is the first index above
 	// every live frame: where a by-name entry (Env.Call from a native, a
 	// static initialiser) places its arguments.  hi is the highest index
 	// any frame has covered, i.e. what to wipe before the Env is reused.
@@ -817,21 +819,28 @@ func (v *VM) callOn(env *Env, obj *Object, method string, args []Value) (Value, 
 }
 
 // enter activates c from outside the interpreter loop: the receiver and
-// arguments are copied to the top of env's slab, above every live frame.
+// arguments are copied to the top of env's slab, above every live frame,
+// and the result is read back from the first slot of that window (which
+// a method without arguments is given too).
 func (v *VM) enter(env *Env, c *code, recv Value, args []Value) (Value, *Thrown, error) {
 	base := env.sp
-	env.reserve(base + c.nargs)
+	end := base + max(c.nargs, 1)
+	env.reserve(end)
 	frame := env.slab[base : base+c.nargs]
 	if !c.m.Static {
 		frame[0] = recv
 		frame = frame[1:]
 	}
 	copy(frame, args)
-	env.sp = base + c.nargs
-	if env.sp > env.hi {
-		env.hi = env.sp
+	env.sp = end
+	if end > env.hi {
+		env.hi = end
 	}
-	res, thrown, err := v.invoke(env, c, base)
+	ret, thrown, err := v.invoke(env, c, base)
+	var res Value
+	if ret {
+		res = env.slab[base]
+	}
 	env.sp = base
 	return res, thrown, err
 }
