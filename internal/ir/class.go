@@ -104,7 +104,10 @@ type Class struct {
 	Fields  []Field
 	Methods []*Method
 
-	// Meta records provenance, e.g. "generated:proxy:soap"; informational.
+	// Meta records provenance, e.g. "generated:o-proxy:soap:Counter".
+	// It is not informational: the runtime tells a generated proxy by
+	// this mark (transform.ProxyOf), never by its name, so archives must
+	// carry it.
 	Meta string
 }
 

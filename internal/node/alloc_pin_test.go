@@ -4,7 +4,9 @@ import (
 	"runtime/debug"
 	"testing"
 
+	"rafda/internal/corpus"
 	"rafda/internal/policy"
+	"rafda/internal/transform"
 	"rafda/internal/vm"
 )
 
@@ -66,4 +68,35 @@ func raceEnabled() bool {
 		}
 	}
 	return false
+}
+
+// bootAllocsPerClass bounds node.New's allocations per class of the
+// program it boots: one native registration per factory and proxy
+// class, and nothing that grows with the program's call graph.  The
+// effect verdicts belong to the transform.Result and are solved on the
+// first query, not at boot.
+const bootAllocsPerClass = 2
+
+// TestNodeBootAllocsPerClass pins bootAllocsPerClass over a 1,000-class
+// JDK-like corpus (5,102 classes once transformed).  AllocsPerRun
+// counts the node's Close too.
+func TestNodeBootAllocsPerClass(t *testing.T) {
+	params := corpus.JDKLike()
+	params.Classes = 1000
+	res, err := transform.Transform(corpus.Generate(params), transform.Options{Protocols: []string{"rrp"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(1, func() {
+		n, err := New(Config{Name: "boot", Result: res})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n.Close()
+	})
+	classes := res.Program.Len()
+	if per := allocs / float64(classes); per > bootAllocsPerClass {
+		t.Fatalf("node.New allocates %.2f times per class over %d classes; want at most %d", per, classes, bootAllocsPerClass)
+	}
+	t.Logf("%.0f allocs to boot %d classes (%.2f per class, pin %d)", allocs, classes, allocs/float64(classes), bootAllocsPerClass)
 }

@@ -173,7 +173,7 @@ func proxyRefOf(obj *vm.Object) *wire.RemoteRef {
 		return nil
 	}
 	cls, fields := obj.View()
-	base, proto, classSide, _ := transform.IsProxyClass(cls.Name)
+	base, proto, classSide, _ := transform.ProxyOf(cls)
 	return &wire.RemoteRef{
 		GUID:      fields[transform.ProxyFieldGUID].S,
 		Endpoint:  fields[transform.ProxyFieldEndpoint].S,

@@ -2,7 +2,6 @@ package node
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"rafda/internal/guid"
@@ -100,8 +99,8 @@ func (n *Node) discover(env *vm.Env, class string) (vm.Value, *vm.Thrown, error)
 // an invocation over the proxy's transport, and unmarshals the reply.
 func (n *Node) registerProxyNatives() {
 	for _, c := range n.result.Program.Classes() {
-		classSide := strings.HasPrefix(c.Meta, "generated:c-proxy:")
-		if !classSide && !strings.HasPrefix(c.Meta, "generated:o-proxy:") {
+		_, _, classSide, ok := transform.ProxyOf(c)
+		if !ok {
 			continue
 		}
 		n.machine.RegisterClassNative(c.Name, func(env *vm.Env, method string, recv vm.Value, args []vm.Value) (vm.Value, *vm.Thrown, error) {
@@ -232,12 +231,12 @@ func (n *Node) resolveProxy(proxy *vm.Object, classSide bool, method string, nar
 	// this node's own copy when it holds one, else a live remote replica
 	// — instead of the primary.  The retarget is per-call: the proxy's
 	// stored reference keeps naming the primary.  Effect classification
-	// keys on the proxy class itself (the alias hook gave proxy natives
-	// their local twins' effects), so this is one atomic load plus two
+	// keys on the proxy class itself (a proxy's natives take their local
+	// twin's verdicts), so this is one atomic load plus two
 	// map reads; routing is skipped when the proxy points at this very
 	// node (the self-collapse serves primary-fresh state directly).
 	co := n.coord.Load()
-	if co == nil || !n.effects.ReadOnly(proxy.ClassName(), ir.MethodKey(method, nargs)) {
+	if co == nil || !n.result.ReadOnly(proxy.ClassName(), ir.MethodKey(method, nargs)) {
 		return t
 	}
 	if route, ok := co.ReadTarget(t.id); ok {

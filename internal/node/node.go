@@ -24,7 +24,6 @@ package node
 import (
 	"fmt"
 	"io"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -39,7 +38,6 @@ import (
 	"rafda/internal/trace"
 	"rafda/internal/transform"
 	"rafda/internal/transport"
-	"rafda/internal/verifier"
 	"rafda/internal/vm"
 )
 
@@ -177,16 +175,15 @@ type Node struct {
 	issuer   *dedup.Issuer
 	dedupTab *dedup.Table
 
-	// Replication plane (docs/REPLICATION.md).  effects is the
-	// verifier's whole-program method-effect classification, computed
-	// once at construction and read lock-free: it splits invocations
-	// into provable reads (routable to any lease-valid replica) and
-	// writes (serialised through the lease-holding primary).  replPrim
-	// maps exported GUIDs of objects this node primaries to their
-	// *primaryReplica bookkeeping; replCopies maps replica GUIDs this
-	// node serves to their *replicaCopy.  replActive short-circuits
-	// IsReplicated on nodes that never replicate (one atomic load).
-	effects    *verifier.Effects
+	// Replication plane (docs/REPLICATION.md).  The Result's effect
+	// verdicts (transform.Result.ReadOnly, solved on the first query for
+	// every node sharing the program) split invocations into provable
+	// reads (routable to any lease-valid replica) and writes (serialised
+	// through the lease-holding primary).  replPrim maps exported GUIDs
+	// of objects this node primaries to their *primaryReplica
+	// bookkeeping; replCopies maps replica GUIDs this node serves to
+	// their *replicaCopy.  replActive short-circuits IsReplicated on
+	// nodes that never replicate (one atomic load).
 	replPrim   sync.Map
 	replCopies sync.Map
 	replActive atomic.Bool
@@ -267,20 +264,6 @@ func New(cfg Config) (*Node, error) {
 		migIn:      mreg.Counter("node.migrations_in"),
 		expiries:   mreg.Counter("overload.deadline_expiries"),
 	}
-	// Method-effect classification for the replication plane.  The alias
-	// hook gives each generated proxy native the effects of its local
-	// twin — the method it forwards to — so transformed programs keep
-	// their provably-read-only methods (verifier.AnalyzeEffectsAliased).
-	n.effects = verifier.AnalyzeEffectsAliased(machine.Program(), func(class string) (string, bool) {
-		base, _, classSide, ok := transform.IsProxyClass(class)
-		if !ok {
-			return "", false
-		}
-		if classSide {
-			return transform.CLocal(base), true
-		}
-		return transform.OLocal(base), true
-	})
 	if !cfg.NoTrace {
 		n.tracer = trace.NewIn(mreg, cfg.Name, cfg.TraceSpans)
 		// Transport failover attempts become spans on the trace of the
@@ -572,8 +555,8 @@ func baseClassOf(name string) string {
 
 // isProxyClass reports whether c is a generated proxy class.
 func isProxyClass(c *ir.Class) bool {
-	return c != nil && (strings.HasPrefix(c.Meta, "generated:o-proxy:") ||
-		strings.HasPrefix(c.Meta, "generated:c-proxy:"))
+	_, _, _, ok := transform.ProxyOf(c)
+	return ok
 }
 
 // isProxyObject reports whether obj is currently a generated proxy

@@ -73,13 +73,13 @@ type replicaCopy struct {
 	epoch atomic.Uint64
 }
 
-// isWriter classifies one invocation using the verifier's effect
-// analysis: true unless the method is provably free of writes to
-// pre-existing state.  Unknown methods — including anything the effects
+// isWriter classifies one invocation by the program's effect verdicts
+// (transform.Result.ReadOnly): true unless the method is provably free
+// of writes to pre-existing state.  Unknown methods — including anything the effects
 // pass never saw — are writers, so misclassification costs read scaling,
 // never correctness.
 func (n *Node) isWriter(class, method string, nargs int) bool {
-	return !n.effects.ReadOnly(class, ir.MethodKey(method, nargs))
+	return !n.result.ReadOnly(class, ir.MethodKey(method, nargs))
 }
 
 // IsReplicated reports whether obj participates in a replica set on this

@@ -2,11 +2,14 @@ package node
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
 	"rafda/internal/cluster"
+	"rafda/internal/ir"
 	"rafda/internal/policy"
+	"rafda/internal/transform"
 	"rafda/internal/transport"
 	"rafda/internal/vm"
 	"rafda/internal/wire"
@@ -585,4 +588,118 @@ func TestDropReplicationReleasesMu(t *testing.T) {
 		t.Errorf("replPrim still holds %v", k)
 		return true
 	})
+}
+
+// TestConcurrentFirstVerdicts: two nodes share one Result whose effect
+// verdicts nothing has asked for yet.  Many goroutines then make their
+// first verdict-deciding calls at once: host calls on the primary and
+// routed reads through the reader's proxy.  Every verdict either node
+// then reports equals the one a separate Result gives serially, and the
+// routed reads stay at the reader's replica.
+func TestConcurrentFirstVerdicts(t *testing.T) {
+	serial := transformSource(t, replSource)
+	res := transformSource(t, replSource)
+	// Nothing below queries a verdict until the goroutines start: no
+	// coordinator or telemetry is on while the reader fetches its
+	// proxy, and replication itself classifies no call.
+	mk := func(name string) (*Node, string) {
+		n, err := New(Config{Name: name, Result: res})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { n.Close() })
+		ep, err := n.Serve("inproc", "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n, ep
+	}
+	home, epHome := mk("home")
+	reader, epReader := mk("reader")
+	ref, err := home.InvokeStatic("Mk", "get")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl, err := policy.RemoteAt(epHome)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reader.Policy().SetClass("Mk", pl)
+	proxy, err := reader.InvokeStatic("Mk", "get")
+	if err != nil {
+		t.Fatal(err)
+	}
+	coHome, err := home.StartCluster(cluster.Config{Fanout: 8}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coReader, err := reader.StartCluster(cluster.Config{Fanout: 8}, []string{coHome.Self()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := home.Replicate(ref, epReader); err != nil {
+		t.Fatal(err)
+	}
+	tickAll([]*cluster.Coordinator{coHome, coReader}, 4)
+
+	type query struct {
+		class, method string
+		nargs         int
+		writer        bool // the serial verdict
+	}
+	var queries []query
+	for _, class := range []string{transform.OLocal("Item"), transform.OProxy("Item", "inproc")} {
+		for _, m := range []struct {
+			name  string
+			nargs int
+		}{{"get", 0}, {"set", 1}, {"bump", 0}} {
+			writer := !serial.ReadOnly(class, ir.MethodKey(m.name, m.nargs))
+			queries = append(queries, query{class, m.name, m.nargs, writer})
+		}
+	}
+	before := count(home, "node.calls_in")
+	const workers = 16
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < workers; i++ {
+		n, recv := home, ref
+		if i%2 == 1 {
+			n, recv = reader, proxy
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			if got, err := n.CallOn(recv, "get"); err != nil || got.I != 41 {
+				t.Errorf("%s: get = %v, %v", n.Name(), got, err)
+			}
+			for _, q := range queries {
+				if got := n.isWriter(q.class, q.method, q.nargs); got != q.writer {
+					t.Errorf("%s: isWriter(%s.%s/%d) = %v, want %v", n.Name(), q.class, q.method, q.nargs, got, q.writer)
+				}
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	if after := count(home, "node.calls_in"); after != before {
+		t.Errorf("routed reads reached the primary: calls_in %d -> %d", before, after)
+	}
+}
+
+// TestDeclaredProxyLookalikeIsWriter: a declared class named like a
+// generated proxy is not one, so its native method keeps the blanket
+// writer verdict instead of borrowing a local twin's.
+func TestDeclaredProxyLookalikeIsWriter(t *testing.T) {
+	n, err := New(Config{Name: "solo", Result: transformSource(t, `
+class A { int n; int get() { return n; } }
+class A_O_Proxy_zz { native int get(); }
+class Main { static void main() { } }`)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { n.Close() })
+	if !n.isWriter("A_O_Proxy_zz", "get", 0) {
+		t.Error("native A_O_Proxy_zz.get/0 classified read-only")
+	}
 }

@@ -24,6 +24,13 @@ const (
 	// jdkCausesSHA256 digests Analyze's cause map over the same corpus
 	// (see causesDigest).
 	jdkCausesSHA256 = "73eb820d23f6434df04616023d753df81354142386cb753193c26c3c7cb2e908"
+	// jdkVerdictsSHA256 digests that output's effect verdicts (see
+	// verdictsDigest); jdkAnalysed and jdkReadOnly count the methods
+	// digested and those read-only.  Constructors and static
+	// initialisers always answer writer.
+	jdkVerdictsSHA256 = "53dec498741de475274cbe41934b32d5ef1b513ddbf9dc6194d97a0c5e5ee77b"
+	jdkAnalysed       = 104591
+	jdkReadOnly       = 46716
 )
 
 // causesDigest hashes every class's cause, in program order, as
@@ -35,6 +42,28 @@ func causesDigest(prog *ir.Program, a *Analysis) string {
 		fmt.Fprintf(h, "%s\t%d\t%s\n", n, c.Reason, c.Via)
 	}
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// verdictsDigest hashes r.ReadOnly for every concrete method, in
+// program and declaration order, as "class\x00key\t" then 'r' or 'w'
+// and a newline.
+func verdictsDigest(r *Result) (digest string, analysed, readOnly int) {
+	h := sha256.New()
+	for _, c := range r.Program.Classes() {
+		for _, m := range c.Methods {
+			if m.Abstract {
+				continue
+			}
+			analysed++
+			verdict := 'w'
+			if r.ReadOnly(c.Name, m.Key()) {
+				verdict = 'r'
+				readOnly++
+			}
+			fmt.Fprintf(h, "%s\x00%s\t%c\n", c.Name, m.Key(), verdict)
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil)), analysed, readOnly
 }
 
 func TestCorpusTransformDeterministic(t *testing.T) {
@@ -61,6 +90,11 @@ func TestCorpusTransformDeterministic(t *testing.T) {
 			}
 			if got := causesDigest(prog, res.Analysis); got != jdkCausesSHA256 {
 				t.Errorf("Transform's analysis digest = %s, want %s", got, jdkCausesSHA256)
+			}
+			if got, analysed, readOnly := verdictsDigest(res); got != jdkVerdictsSHA256 ||
+				analysed != jdkAnalysed || readOnly != jdkReadOnly {
+				t.Errorf("effect verdicts: digest %s over %d methods, %d read-only; want %s, %d, %d",
+					got, analysed, readOnly, jdkVerdictsSHA256, jdkAnalysed, jdkReadOnly)
 			}
 			var want []string
 			for _, n := range prog.Names() {

@@ -287,8 +287,10 @@ class Main { static void main() { } }`)
 
 // TestSubstitutableAndReconstruct covers the archive-reload path.
 func TestSubstitutableAndReconstruct(t *testing.T) {
+	// C_O_Proxy_zz is a declared class that only looks like a proxy.
 	prog, err := minijava.Compile(`
-class C { int v; C(int v) { this.v = v; } }
+class C { int v; C(int v) { this.v = v; } int get() { return v; } }
+class C_O_Proxy_zz { native int get(); }
 class Main { static void main() {} }`)
 	if err != nil {
 		t.Fatal(err)
@@ -311,8 +313,11 @@ class Main { static void main() {} }`)
 	for _, p := range rec.Protocols {
 		protos[p] = true
 	}
-	if !protos["rrp"] || !protos["soap"] {
+	if len(protos) != 2 || !protos["rrp"] || !protos["soap"] {
 		t.Fatalf("reconstructed protocols %v", rec.Protocols)
+	}
+	if !rec.ReadOnly(OProxy("C", "rrp"), "get/0") || rec.ReadOnly("C_O_Proxy_zz", "get/0") {
+		t.Fatal("a proxy's native must take its twin's verdict, a declared native stays a writer")
 	}
 	// A plain program is rejected.
 	if _, err := Reconstruct(prog); err == nil {

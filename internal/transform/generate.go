@@ -204,7 +204,7 @@ func (t *transformer) makeOProxy(c *ir.Class, proto string) *ir.Class {
 		Name:       OProxy(c.Name, proto),
 		Super:      ir.ObjectClass,
 		Interfaces: []string{OInt(c.Name)},
-		Meta:       "generated:o-proxy:" + proto + ":" + c.Name,
+		Meta:       metaOProxy + proto + ":" + c.Name,
 		Fields:     proxyFields(),
 	}
 	p.Methods = append(p.Methods, proxyCtor(p.Name))
@@ -329,7 +329,7 @@ func (t *transformer) makeCProxy(c *ir.Class, proto string) *ir.Class {
 		Name:       CProxy(c.Name, proto),
 		Super:      ir.ObjectClass,
 		Interfaces: []string{CInt(c.Name)},
-		Meta:       "generated:c-proxy:" + proto + ":" + c.Name,
+		Meta:       metaCProxy + proto + ":" + c.Name,
 		Fields:     proxyFields(),
 	}
 	p.Methods = append(p.Methods, proxyCtor(p.Name))

@@ -18,7 +18,11 @@
 // interfaces, so only make and discover are implementation-aware.
 package transform
 
-import "strings"
+import (
+	"strings"
+
+	"rafda/internal/ir"
+)
 
 // Name suffixes of generated classes, following the paper's naming.
 const (
@@ -104,14 +108,40 @@ func BaseOfGenerated(name string) (base, kind string) {
 	return "", ""
 }
 
-// IsProxyClass reports whether name is a generated proxy class and, if
-// so, whether it is a statics (class-side) proxy, plus its protocol.
-func IsProxyClass(name string) (base, proto string, classSide, ok bool) {
-	if i := strings.LastIndex(name, SuffixOProxy); i > 0 {
-		return name[:i], name[i+len(SuffixOProxy):], false, true
+// Meta marks of generated proxy classes, followed by "<protocol>:<base>".
+// A declared class may share a proxy's name but never its mark.
+const (
+	metaOProxy = "generated:o-proxy:"
+	metaCProxy = "generated:c-proxy:"
+)
+
+// ProxyOf reports whether c is a generated proxy class and, if so, the
+// original class it stands for, its protocol and whether it is a
+// statics (class-side) proxy.
+func ProxyOf(c *ir.Class) (base, proto string, classSide, ok bool) {
+	if c == nil {
+		return "", "", false, false
 	}
-	if i := strings.LastIndex(name, SuffixCProxy); i > 0 {
-		return name[:i], name[i+len(SuffixCProxy):], true, true
+	rest, ok := strings.CutPrefix(c.Meta, metaOProxy)
+	if !ok {
+		rest, ok = strings.CutPrefix(c.Meta, metaCProxy)
+		classSide = ok
 	}
-	return "", "", false, false
+	if ok {
+		proto, base, _ = strings.Cut(rest, ":")
+	}
+	return base, proto, classSide, ok
+}
+
+// proxyTwin is ReadOnly's effects alias: a generated proxy's natives
+// forward to the local class of the same side.
+func proxyTwin(c *ir.Class) string {
+	base, _, classSide, ok := ProxyOf(c)
+	switch {
+	case !ok:
+		return ""
+	case classSide:
+		return CLocal(base)
+	}
+	return OLocal(base)
 }

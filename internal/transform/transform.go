@@ -7,6 +7,7 @@ import (
 
 	"rafda/internal/ir"
 	"rafda/internal/par"
+	"rafda/internal/verifier"
 )
 
 // DefaultProtocols is the proxy family generated when none is specified,
@@ -42,6 +43,9 @@ type Result struct {
 
 	subOnce       sync.Once
 	substitutable map[string]bool
+
+	effectsOnce sync.Once
+	effects     *verifier.Effects
 }
 
 // Substitutable reports whether the named original class was transformed
@@ -59,6 +63,18 @@ func (r *Result) Substitutable(class string) bool {
 	return r.substitutable[class]
 }
 
+// ReadOnly reports whether methodKey (name/nargs) on class is provably
+// free of writes to state that existed before the call
+// (verifier.Effects; a proxy's natives take their local twin's).  The
+// verdicts belong to the program: the first query solves them once, for
+// every node built from the Result.
+func (r *Result) ReadOnly(class, methodKey string) bool {
+	r.effectsOnce.Do(func() {
+		r.effects = verifier.AnalyzeEffects(r.Program, proxyTwin)
+	})
+	return r.effects.ReadOnly(class, methodKey)
+}
+
 // Reconstruct rebuilds a Result from an already-transformed program
 // (e.g. decoded from an archive): substituted classes are recognised by
 // their generated factories, protocols by the proxy classes present.
@@ -69,7 +85,7 @@ func Reconstruct(prog *ir.Program) (*Result, error) {
 		if base, kind := BaseOfGenerated(c.Name); kind == SuffixOFactory {
 			res.Transformed = append(res.Transformed, base)
 		}
-		if _, proto, _, ok := IsProxyClass(c.Name); ok {
+		if _, proto, _, ok := ProxyOf(c); ok {
 			protos[proto] = true
 		}
 	}

@@ -40,8 +40,8 @@ import (
 // initialising.  A constructor that writes statics or foreign objects
 // is a writer like any other method.
 //
-// The classification is computed once over the immutable post-boot
-// program (CONCURRENCY.md §3) and read lock-free afterwards.
+// transform.Result.ReadOnly solves it once per program, on the first
+// query (CONCURRENCY.md §3); it is read lock-free afterwards.
 type Effects struct {
 	writer map[string]bool // effectKey -> mutates pre-existing state
 }
@@ -50,10 +50,16 @@ func effectKey(class, methodKey string) string {
 	return class + "\x00" + methodKey
 }
 
-// unknownTarget is the sentinel callee for invokes the resolver cannot
-// name; it is pre-marked writer so calling into the unknown is never
-// proven pure.
-const unknownTarget = "\x00unknown"
+// dispatchKey names the graph node that virtual and interface call
+// sites of methodKey call and that calls every concrete declaration of
+// it.  No class name is empty, so it never collides with an effectKey.
+func dispatchKey(methodKey string) string { return "\x00" + methodKey }
+
+func isDispatchKey(node string) bool { return strings.HasPrefix(node, "\x00") }
+
+// unknownTarget is the callee of an invoke the resolver cannot name.
+// Like every callee the analysis never saw, it is a writer.
+const unknownTarget = "unknown"
 
 // absVal abstracts one operand-stack slot for the freshness simulation.
 type absVal uint8
@@ -64,78 +70,77 @@ const (
 	avSelf                // the receiver (local slot 0 of an instance method)
 )
 
-// AnalyzeEffects classifies every concrete method in p.  Native methods
-// are writers; use AnalyzeEffectsAliased to classify programs containing
-// generated forwarding classes.
-func AnalyzeEffects(p *ir.Program) *Effects {
-	return AnalyzeEffectsAliased(p, nil)
-}
-
-// AnalyzeEffectsAliased classifies every concrete method in p, with an
-// optional alias hook for forwarding classes: when alias(class) returns
-// a twin class, each native method of class is given the effects of the
-// same method key on the twin instead of the blanket writer rule.  The
-// transformed programs the runtime executes need this for their proxy
-// families — a proxy's native method forwards the invocation to the
-// remote A_O_Local twin, so its effect on the target object's state is
-// exactly the twin method's; without the alias every interface call
-// site would taint through the proxy implementations and nothing in a
+// AnalyzeEffects classifies every concrete method in p.  alias, which
+// may be nil, names a forwarding class's twin ("" for none): the
+// class's native methods take the verdicts of the same method keys on
+// the twin instead of the blanket writer rule.  Transformed programs
+// need this for their proxies: a proxy's native forwards to the remote
+// A_O_Local twin, so its effect on the target's state is the twin
+// method's, and without the alias no interface call site in a
 // transformed program could classify read-only.
-func AnalyzeEffectsAliased(p *ir.Program, alias func(class string) (twin string, ok bool)) *Effects {
+//
+// The call graph has one node per method and one per dispatch key: a
+// static or special invoke is an edge to its resolved target, a virtual
+// or interface invoke an edge to its key, and a key has an edge to
+// every concrete declaration of it.  Taint starts at every writer and
+// every callee the analysis never saw (an unresolved invoke, an alias
+// edge to a method the twin does not declare), and one worklist carries
+// it back along reverse edges, walking each edge once.
+func AnalyzeEffects(p *ir.Program, alias func(c *ir.Class) (twin string)) *Effects {
 	e := &Effects{writer: make(map[string]bool)}
-	e.writer[unknownTarget] = true
-	// calls[m] lists the method keys m invokes (resolved targets for
-	// exact dispatch, every concrete declaration for dynamic dispatch);
-	// a caller is tainted by any tainted callee.
-	calls := make(map[string][]string)
-	overrides := overrideTable(p)
-
+	// callers[n] lists the graph nodes with an edge to n.
+	callers := make(map[string][]string)
 	for _, c := range p.Classes() {
 		var twin string
 		if alias != nil {
-			twin, _ = alias(c.Name)
+			twin = alias(c)
 		}
 		for _, m := range c.Methods {
-			key := effectKey(c.Name, m.Key())
-			switch {
-			case m.Native && twin != "":
-				e.writer[key] = false
-				calls[key] = []string{effectKey(twin, m.Key())}
-				continue
-			case m.Native:
-				e.writer[key] = true
-				continue
-			case m.Abstract:
+			if m.Abstract {
 				// No body of its own; dynamic dispatch reaches the
 				// overrides directly, so the declaration is neutral.
 				continue
 			}
-			writes, callees := scanMethod(p, m, overrides)
+			mk := m.Key()
+			key := effectKey(c.Name, mk)
+			if !m.IsConstructor() && !m.IsStaticInit() {
+				callers[key] = append(callers[key], dispatchKey(mk))
+			}
+			var writes bool
+			var callees []string
+			switch {
+			case m.Native && twin != "":
+				callees = []string{effectKey(twin, mk)}
+			case m.Native:
+				writes = true
+			default:
+				writes, callees = scanMethod(p, m)
+			}
 			e.writer[key] = writes
-			if !writes {
-				calls[key] = callees
+			for _, callee := range callees {
+				callers[callee] = append(callers[callee], key)
 			}
 		}
 	}
 
-	// Fixpoint: taint along call edges until stable.  The call graph is
-	// small (one transformed program), so the quadratic worst case is
-	// irrelevant next to clarity.
-	for changed := true; changed; {
-		changed = false
-		for caller, callees := range calls {
-			if e.writer[caller] {
-				continue
+	var work []string
+	for n := range callers {
+		if w, analysed := e.writer[n]; w || (!analysed && !isDispatchKey(n)) {
+			work = append(work, n)
+		}
+	}
+	taintedKeys := make(map[string]bool)
+	for len(work) > 0 {
+		n := work[len(work)-1]
+		work = work[:len(work)-1]
+		for _, c := range callers[n] {
+			tainted := e.writer
+			if isDispatchKey(c) {
+				tainted = taintedKeys
 			}
-			for _, callee := range callees {
-				// A callee the analysis never saw (e.g. an alias edge to
-				// a method the twin doesn't declare) is a writer.
-				if w, ok := e.writer[callee]; ok && !w {
-					continue
-				}
-				e.writer[caller] = true
-				changed = true
-				break
+			if !tainted[c] {
+				tainted[c] = true
+				work = append(work, c)
 			}
 		}
 	}
@@ -149,7 +154,7 @@ func AnalyzeEffectsAliased(p *ir.Program, alias func(class string) (twin string,
 // post-terminator), where popping an empty stack conservatively yields
 // avOther — so control-flow merges can only lose freshness, never
 // invent it.
-func scanMethod(p *ir.Program, m *ir.Method, overrides map[string][]string) (writes bool, callees []string) {
+func scanMethod(p *ir.Program, m *ir.Method) (writes bool, callees []string) {
 	joins := make(map[int]bool)
 	for _, in := range m.Code {
 		if in.IsJump() {
@@ -228,7 +233,7 @@ func scanMethod(p *ir.Program, m *ir.Method, overrides map[string][]string) (wri
 			}
 			callees = append(callees, resolveExact(p, in))
 		case ir.OpInvokeVirtual, ir.OpInvokeInterface:
-			callees = append(callees, overrides[ir.MethodKey(in.Member, in.NArgs)]...)
+			callees = append(callees, dispatchKey(ir.MethodKey(in.Member, in.NArgs)))
 		case ir.OpJump, ir.OpJumpIf, ir.OpJumpIfNot, ir.OpReturn, ir.OpReturnValue, ir.OpThrow:
 			stack = stack[:0]
 		}
@@ -249,34 +254,11 @@ func resolveExact(p *ir.Program, in *ir.Instr) string {
 	return effectKey(cls.Name, m.Key())
 }
 
-// overrideTable maps each method key to every concrete declaration of it
-// anywhere in the program.  Dynamic dispatch on a receiver of declared
-// type T can, after subtyping, land on any of them; distinguishing by
-// assignability to the call site's Owner would prune very little in the
-// transformed programs this runs on (every A_O_Local implements its
-// interface) and costs a per-site subtype walk, so the table is shared.
-func overrideTable(p *ir.Program) map[string][]string {
-	t := make(map[string][]string)
-	for _, c := range p.Classes() {
-		for _, m := range c.Methods {
-			if m.Abstract || m.IsConstructor() || m.IsStaticInit() {
-				continue
-			}
-			mk := m.Key()
-			t[mk] = append(t[mk], effectKey(c.Name, mk))
-		}
-	}
-	return t
-}
-
 // ReadOnly reports whether method (name/nargs key) on class is provably
 // free of writes to pre-existing state.  Unknown methods are writers;
 // constructor and static-initialiser keys always report writer — they
 // exist to write, and the replication plane never routes them.
 func (e *Effects) ReadOnly(class, methodKey string) bool {
-	if e == nil {
-		return false
-	}
 	if strings.HasPrefix(methodKey, ir.ConstructorName+"/") ||
 		strings.HasPrefix(methodKey, ir.StaticInitName+"/") {
 		return false
@@ -287,20 +269,4 @@ func (e *Effects) ReadOnly(class, methodKey string) bool {
 	}
 	// Not analysed (e.g. a runtime-registered native): writer.
 	return false
-}
-
-// ReadOnlyCount reports how many analysed methods of class are
-// read-only, for diagnostics and tests.
-func (e *Effects) ReadOnlyCount(class string) (readOnly, total int) {
-	prefix := class + "\x00"
-	for key, w := range e.writer {
-		if !strings.HasPrefix(key, prefix) {
-			continue
-		}
-		total++
-		if !w {
-			readOnly++
-		}
-	}
-	return readOnly, total
 }

@@ -1,10 +1,11 @@
 package verifier
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"rafda/internal/ir"
-	"rafda/internal/transform"
 )
 
 const effectsSource = `
@@ -32,7 +33,7 @@ class Main {
 func analyze(t *testing.T) *Effects {
 	t.Helper()
 	p := compile(t, effectsSource)
-	return AnalyzeEffects(p)
+	return AnalyzeEffects(p, nil)
 }
 
 func TestEffectsDirectClassification(t *testing.T) {
@@ -85,7 +86,7 @@ class B extends A {
     int probe() { x = x + 1; return x; }
 }
 class Main { static void main() { sys.System.println("x"); } }`
-	e := AnalyzeEffects(compile(t, src))
+	e := AnalyzeEffects(compile(t, src), nil)
 	if e.ReadOnly("A", ir.MethodKey("use", 1)) {
 		t.Error("use/1 should be tainted by B's writing override of probe/0")
 	}
@@ -94,45 +95,104 @@ class Main { static void main() { sys.System.println("x"); } }`
 	}
 }
 
-// TestEffectsSurviveTransform checks the classification holds on the
-// transformed program — where the runtime actually queries it: the
-// A_O_Local class carries the original bodies, so its read-only methods
-// stay provable, while the generated accessors split correctly into
-// getter (read) and setter (write).
-func TestEffectsSurviveTransform(t *testing.T) {
-	p := compile(t, effectsSource)
-	res, err := transform.Transform(p, transform.Options{Protocols: []string{"rrp"}})
-	if err != nil {
-		t.Fatalf("transform: %v", err)
+// TestEffectsKeyWithoutConcreteDeclaration: a virtual or interface
+// call site whose method key is declared only abstractly has nothing to
+// dispatch to, so it taints nothing.
+func TestEffectsKeyWithoutConcreteDeclaration(t *testing.T) {
+	src := `
+interface Shape { int area(); }
+abstract class Base { abstract int perimeter(); }
+class User {
+    int use(Shape s, Base b) { return s.area() + b.perimeter(); }
+}
+class Main { static void main() { sys.System.println("x"); } }`
+	e := AnalyzeEffects(compile(t, src), nil)
+	if !e.ReadOnly("User", ir.MethodKey("use", 2)) {
+		t.Error("use/2 calls only keys with no concrete declaration and should classify read-only")
 	}
-	e := AnalyzeEffectsAliased(res.Program, func(name string) (string, bool) {
-		base, _, classSide, ok := transform.IsProxyClass(name)
-		if !ok {
-			return "", false
+}
+
+// TestEffectsAliasToUndeclaredMethod: an aliased native takes its
+// twin's verdict, and one whose twin does not declare the method is a
+// writer, as are its callers.
+func TestEffectsAliasToUndeclaredMethod(t *testing.T) {
+	src := `
+class Twin {
+    int n;
+    int get() { return n; }
+}
+class Fwd {
+    native int get();
+    native int other();
+}
+class User {
+    int viaGet(Fwd f) { return f.get(); }
+    int viaOther(Fwd f) { return f.other(); }
+}
+class Main { static void main() { sys.System.println("x"); } }`
+	e := AnalyzeEffects(compile(t, src), func(c *ir.Class) string {
+		if c.Name == "Fwd" {
+			return "Twin"
 		}
-		if classSide {
-			return transform.CLocal(base), true
-		}
-		return transform.OLocal(base), true
+		return ""
 	})
-	local := transform.OLocal("Counter")
-	if !e.ReadOnly(local, ir.MethodKey("get", 0)) {
-		t.Errorf("%s.get/0 not read-only after transform", local)
+	cases := []struct {
+		class, key string
+		readOnly   bool
+	}{
+		{"Fwd", ir.MethodKey("get", 0), true},
+		{"Fwd", ir.MethodKey("other", 0), false},
+		{"User", ir.MethodKey("viaGet", 1), true},
+		{"User", ir.MethodKey("viaOther", 1), false},
 	}
-	if !e.ReadOnly(local, ir.MethodKey("doubled", 0)) {
-		t.Errorf("%s.doubled/0 not read-only after transform", local)
+	for _, c := range cases {
+		if got := e.ReadOnly(c.class, c.key); got != c.readOnly {
+			t.Errorf("%s.%s: ReadOnly = %v, want %v", c.class, c.key, got, c.readOnly)
+		}
 	}
-	if e.ReadOnly(local, ir.MethodKey("bump", 0)) {
-		t.Errorf("%s.bump/0 classified read-only after transform", local)
+}
+
+// TestEffectsLongChain: taint crosses a 10,000-method call chain from
+// the writer at its tail to its head.  Each link is its own class, so
+// compiling the chain stays linear.
+func TestEffectsLongChain(t *testing.T) {
+	const n = 10000
+	var b strings.Builder
+	for i := 0; i < n-1; i++ {
+		fmt.Fprintf(&b, "class L%d { static int m() { return L%d.m(); } }\n", i, i+1)
 	}
-	if !e.ReadOnly(local, ir.MethodKey(transform.Getter("n"), 0)) {
-		t.Errorf("generated getter not read-only")
+	fmt.Fprintf(&b, "class L%d { static int hits; static int m() { hits = hits + 1; return hits; } }\n", n-1)
+	b.WriteString(`class Main { static void main() { sys.System.println("x"); } }`)
+	e := AnalyzeEffects(compile(t, b.String()), nil)
+	for _, i := range []int{0, n / 2, n - 1} {
+		if e.ReadOnly(fmt.Sprintf("L%d", i), ir.MethodKey("m", 0)) {
+			t.Errorf("L%d.m/0 reaches a writer and should not classify read-only", i)
+		}
 	}
-	if e.ReadOnly(local, ir.MethodKey(transform.Setter("n"), 1)) {
-		t.Errorf("generated setter classified read-only")
-	}
-	ro, total := e.ReadOnlyCount(local)
-	if total == 0 || ro == 0 || ro >= total {
-		t.Errorf("ReadOnlyCount(%s) = %d/%d, want a strict mix", local, ro, total)
+}
+
+// TestEffectsMutualRecursion: a cycle of pure methods stays read-only,
+// and one write anywhere on the cycle taints all of it.
+func TestEffectsMutualRecursion(t *testing.T) {
+	const src = `
+class Ping {
+    int n;
+    int ping(int k) { if (k > 0) { return this.pong(k - 1); } return n; }
+    int pong(int k) { %s return this.ping(k); }
+}
+class Main { static void main() { sys.System.println("x"); } }`
+	for _, c := range []struct {
+		body     string
+		readOnly bool
+	}{
+		{"", true},
+		{"n = k;", false},
+	} {
+		e := AnalyzeEffects(compile(t, fmt.Sprintf(src, c.body)), nil)
+		for _, m := range []string{"ping", "pong"} {
+			if got := e.ReadOnly("Ping", ir.MethodKey(m, 1)); got != c.readOnly {
+				t.Errorf("pong body %q: Ping.%s/1 ReadOnly = %v, want %v", c.body, m, got, c.readOnly)
+			}
+		}
 	}
 }
