@@ -1,0 +1,159 @@
+package node
+
+import (
+	"errors"
+	"strings"
+	"testing"
+
+	"rafda/internal/intercept"
+	"rafda/internal/policy"
+	"rafda/internal/stdlib"
+	"rafda/internal/transform"
+	"rafda/internal/vm"
+	"rafda/internal/wire"
+)
+
+// fieldsSource's Cell has a field of each kind a shipped value is
+// checked against: an int, a reference and an array.
+const fieldsSource = `
+class Cell {
+    int n; Cell next; int[] xs;
+    Cell(int n) { this.n = n; }
+    int bump() { n = n + 1; return n; }
+}
+class Mk { static Cell make() { return new Cell(0); } }
+class Main { static void main() {} }`
+
+// TestMigrateInChecksShippedFields sends OpMigrateIn requests from a raw
+// peer: a snapshot naming a field Cell does not declare, or shipping a
+// value of the wrong kind into a declared one, gets an error response
+// and exports nothing; a snapshot of declared fields, nulls in the
+// reference and array fields, is adopted as it was shipped.
+func TestMigrateInChecksShippedFields(t *testing.T) {
+	n, err := New(Config{Name: "home", Result: transformSource(t, fieldsSource)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { n.Close() })
+	ep, err := n.Serve("rrp", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	migrateIn := func(fields ...wire.NamedValue) *wire.Response {
+		return rawCall(t, ep, &wire.Request{ID: 1, Op: wire.OpMigrateIn, Class: "Cell", Fields: fields})
+	}
+	null := wire.Value{Kind: wire.KNull}
+	for _, tc := range []struct {
+		what   string
+		fields []wire.NamedValue
+		want   string
+	}{
+		{"undeclared field", []wire.NamedValue{{Name: "bogus", Value: wire.Value{Kind: wire.KInt, Int: 1}}},
+			"no field bogus on Cell_O_Local"},
+		{"string into int n", []wire.NamedValue{{Name: "n", Value: wire.Value{Kind: wire.KString, Str: "7"}}},
+			"field n of Cell_O_Local holds int, not string"},
+		{"int into array xs", []wire.NamedValue{{Name: "xs", Value: wire.Value{Kind: wire.KInt, Int: 7}}},
+			"field xs of Cell_O_Local holds array, not int"},
+	} {
+		resp := migrateIn(tc.fields...)
+		if !strings.Contains(resp.Err, tc.want) {
+			t.Errorf("%s: response %+v, want an error containing %q", tc.what, resp, tc.want)
+		}
+		if got := n.exports.Len(); got != 0 {
+			t.Fatalf("%s: %d objects exported after a refused adoption", tc.what, got)
+		}
+	}
+
+	resp := migrateIn(
+		wire.NamedValue{Name: "n", Value: wire.Value{Kind: wire.KInt, Int: 41}},
+		wire.NamedValue{Name: "next", Value: null},
+		wire.NamedValue{Name: "xs", Value: null})
+	if resp.Err != "" || resp.Result.Ref == nil {
+		t.Fatalf("declared fields: %+v", resp)
+	}
+	bump := rawCall(t, ep, &wire.Request{ID: 2, Op: wire.OpInvoke, GUID: resp.Result.Ref.GUID, Method: "bump"})
+	if bump.Err != "" || bump.Result.Int != 42 {
+		t.Fatalf("bump of the adopted Cell: %+v, want 42", bump)
+	}
+}
+
+// TestReplicaStateChecksShippedFields: a replica install or update from
+// a raw peer is held to the same rule as a migration's snapshot.  A
+// refused install exports nothing, and a refused update leaves the copy
+// and its epoch as they were.
+func TestReplicaStateChecksShippedFields(t *testing.T) {
+	n, err := New(Config{Name: "reader", Result: transformSource(t, fieldsSource)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { n.Close() })
+	ep, err := n.Serve("rrp", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	state := func(name string, v wire.Value) []wire.NamedValue { return []wire.NamedValue{{Name: name, Value: v}} }
+	install := func(fields []wire.NamedValue) *wire.Response {
+		return rawCall(t, ep, &wire.Request{ID: 1, Op: wire.OpReplicaInstall, Class: "Cell",
+			GUID: "primary#1", Endpoint: "rrp://127.0.0.1:1", Epoch: 1, Fields: fields})
+	}
+	if resp := install(state("bogus", wire.Value{Kind: wire.KInt, Int: 1})); !strings.Contains(resp.Err, "no field bogus on Cell_O_Local") {
+		t.Fatalf("install with an undeclared field: %+v", resp)
+	}
+	if got := n.exports.Len(); got != 0 {
+		t.Fatalf("%d objects exported after a refused install", got)
+	}
+	resp := install(state("n", wire.Value{Kind: wire.KInt, Int: 5}))
+	if resp.Err != "" || resp.Result.Ref == nil {
+		t.Fatalf("install: %+v", resp)
+	}
+	replica := resp.Result.Ref.GUID
+	update := func(epoch uint64, v wire.Value) *wire.Response {
+		return rawCall(t, ep, &wire.Request{ID: 2, Op: wire.OpReplicaUpdate, GUID: replica, Epoch: epoch, Fields: state("n", v)})
+	}
+	if resp := update(2, wire.Value{Kind: wire.KString, Str: "9"}); !strings.Contains(resp.Err, "field n of Cell_O_Local holds int, not string") {
+		t.Fatalf("update of a string into int n: %+v", resp)
+	}
+	if resp := update(2, wire.Value{Kind: wire.KInt, Int: 9}); resp.Err != "" || resp.Epoch != 2 {
+		t.Fatalf("update at the epoch the refused one named: %+v", resp)
+	}
+	if obj, ok := n.exports.Get(replica); !ok || obj.Get("n") != vm.IntV(9) {
+		t.Fatalf("replica copy after the updates: %v %v, want n = 9", obj, ok)
+	}
+}
+
+// TestRemoteExceptionMustBeThrowable: a response naming an exception
+// class is re-thrown as that class only when it is a throwable; a peer
+// naming any other class makes the caller throw sys.RemoteException, not
+// an instance of that class whose constructor never ran.
+func TestRemoteExceptionMustBeThrowable(t *testing.T) {
+	res := transformSource(t, fieldsSource)
+	client, server, endpoint := twoNodes(t, res, "rrp")
+	var exClass string
+	server.Use(func(cc *intercept.CallCtx, next intercept.Handler) (*wire.Response, error) {
+		if cc.Req.Op == wire.OpInvoke && cc.Req.Method == "bump" {
+			return &wire.Response{ID: cc.Req.ID, ExClass: exClass, ExMsg: "forged"}, nil
+		}
+		return next(cc)
+	})
+	pl, err := policy.RemoteAt(endpoint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	client.Policy().SetClass("Cell", pl)
+	ref, err := client.InvokeStatic("Mk", "make")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ exClass, wantClass, wantMsg string }{
+		{transform.OLocal("Cell"), stdlib.RemoteExceptionClass, "remote exception Cell_O_Local: forged"},
+		{"NoSuchClass", stdlib.RemoteExceptionClass, "remote exception NoSuchClass: forged"},
+		{stdlib.ArithmeticClass, stdlib.ArithmeticClass, "forged"},
+	} {
+		exClass = tc.exClass
+		_, err := client.CallOn(ref, "bump")
+		var uncaught *vm.UncaughtError
+		if !errors.As(err, &uncaught) || uncaught.Class != tc.wantClass || uncaught.Message != tc.wantMsg {
+			t.Errorf("ExClass %s: %v, want uncaught %s: %s", tc.exClass, err, tc.wantClass, tc.wantMsg)
+		}
+	}
+}

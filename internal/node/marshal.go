@@ -185,8 +185,10 @@ func proxyRefOf(obj *vm.Object) *wire.RemoteRef {
 
 // setProxyFields writes the proxy reference quadruple in one atomic
 // update, so a concurrent reader never sees a torn GUID/endpoint pair.
+// Every generated proxy class declares the quadruple as strings, so the
+// write to a proxy is never refused.
 func setProxyFields(obj *vm.Object, id, endpoint, proto, target string) {
-	obj.SetFields(proxyFields(id, endpoint, proto, target))
+	_ = obj.SetFields(proxyFields(id, endpoint, proto, target))
 }
 
 // proxyFields is a proxy's reference quadruple, as written by a retarget
@@ -228,14 +230,20 @@ func (n *Node) marshalFields(fields map[string]vm.Value, viaProto string) ([]wir
 }
 
 // setFields unmarshals shipped field state into obj, marshalFields'
-// inverse.
+// inverse.  Each field must be one obj's class declares, holding a value
+// of the declared type's kind (null for a reference or array field):
+// anything else is an error for the peer and leaves obj as it was.
 func (n *Node) setFields(env *vm.Env, obj *vm.Object, fields []wire.NamedValue) error {
+	vals := make(map[string]vm.Value, len(fields))
 	for _, f := range fields {
 		fv, err := n.unmarshalValue(env, f.Value)
 		if err != nil {
 			return err
 		}
-		obj.Set(f.Name, fv)
+		vals[f.Name] = fv
+	}
+	if err := obj.SetFields(vals); err != nil {
+		return fmt.Errorf("node %s: %w", n.name, err)
 	}
 	return nil
 }

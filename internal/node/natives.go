@@ -331,15 +331,17 @@ func (n *Node) decodeResult(env *vm.Env, resp *wire.Response, err error, endpoin
 	case resp.Err != "":
 		return vm.Value{}, remoteError(env, "%s.%s: %s", class, method, resp.Err), nil
 	case resp.ExClass != "":
-		// The exception class always exists locally (both nodes run the
-		// same transformed program); if it somehow does not, degrade to
-		// sys.RemoteException.
-		obj, err := env.New(resp.ExClass)
-		if err != nil {
-			return vm.Value{}, remoteError(env, "remote exception %s: %s", resp.ExClass, resp.ExMsg), nil
+		// A program exception is re-thrown as the class the peer named:
+		// both nodes run the same transformed program, so it exists here.
+		// A name that is no throwable class of it — a peer that does not,
+		// or one naming any other class — degrades to sys.RemoteException
+		// rather than throwing an object that cannot be one.
+		if n.machine.Program().IsSubclassOf(resp.ExClass, ir.ThrowableClass) {
+			if obj, err := env.New(resp.ExClass); err == nil && obj.Set("message", vm.StringV(resp.ExMsg)) == nil {
+				return vm.Value{}, &vm.Thrown{Obj: obj}, nil
+			}
 		}
-		obj.Set("message", vm.StringV(resp.ExMsg))
-		return vm.Value{}, &vm.Thrown{Obj: obj}, nil
+		return vm.Value{}, remoteError(env, "remote exception %s: %s", resp.ExClass, resp.ExMsg), nil
 	}
 	val, err := n.unmarshalValue(env, resp.Result)
 	if err != nil {

@@ -45,10 +45,6 @@ func (v *VM) invoke(env *Env, c *code, base int) (ret bool, thrown *Thrown, err 
 	return ret, thrown, err
 }
 
-func (v *VM) initClass(env *Env, c *ir.Class) (*Thrown, error) {
-	return v.ensureInit(env, v.classLink(c))
-}
-
 // fault reports malformed code at pc of c.
 func (c *code) fault(pc int, format string, a ...any) (bool, *Thrown, error) {
 	return false, nil, &FaultError{
@@ -57,9 +53,9 @@ func (c *code) fault(pc int, format string, a ...any) (bool, *Thrown, error) {
 }
 
 // run interprets one bytecode activation in the frame that starts at
-// env.slab[base].  Field and static accesses synchronise per object / per
-// slot table; native methods may release the execution's locks via
-// Env.RunUnlocked.
+// env.slab[base].  Field and static accesses synchronise on the state
+// lock of the object or class monitor that holds the field; native
+// methods may release the execution's locks via Env.RunUnlocked.
 //
 // f is the frame's window on the slab: locals f[:nl], operand stack
 // f[nl:sp].  Anything that can run other code (an invoke, a class
@@ -220,7 +216,9 @@ func (v *VM) run(env *Env, c *code, base int) (bool, *Thrown, error) {
 			if ref.K != ir.KindRef {
 				return c.fault(pc, "putfield on non-ref %v", ref.K)
 			}
-			ref.O.store(in.Member, &b.sites[pc], &f[sp+1])
+			if !ref.O.store(in.Member, &b.sites[pc], &f[sp+1]) {
+				return c.fault(pc, "no field %s on %s", in.Member, ref.O.ClassName())
+			}
 
 		case ir.OpGetStatic, ir.OpPutStatic:
 			if in.Op == ir.OpPutStatic && sp == nl {
@@ -248,21 +246,19 @@ func (v *VM) run(env *Env, c *code, base int) (bool, *Thrown, error) {
 					goto throw
 				}
 			}
-			slots := lk.state.slots.Load()
-			var val Value
+			// The site's record is the declaring class's until the first
+			// access finds the field, then the field's slot in the class
+			// monitor's layout, which names the class too.
 			ok := false
-			if slots != nil {
-				val, ok = slots.get(in.Member)
-			}
-			if !ok {
-				return false, nil, &FaultError{Msg: fmt.Sprintf("field %s.%s is not static", lk.class.Name, in.Member)}
-			}
-			if in.Op == ir.OpGetStatic {
-				f[sp] = val
+			if mon := &lk.state.monitor; in.Op == ir.OpGetStatic {
+				ok = mon.load(&f[sp], in.Member, at)
 				sp++
 			} else {
 				sp--
-				slots.set(in.Member, f[sp])
+				ok = mon.store(in.Member, at, &f[sp])
+			}
+			if !ok {
+				return false, nil, &FaultError{Msg: fmt.Sprintf("field %s.%s is not static", lk.class.Name, in.Member)}
 			}
 
 		case ir.OpInvokeStatic, ir.OpInvokeVirtual, ir.OpInvokeInterface, ir.OpInvokeSpecial:
@@ -592,7 +588,9 @@ func (v *VM) accessorAt(env *Env, callee *code, f []Value, sp int) (int, bool) {
 			return sp, false
 		}
 	} else {
-		recv.O.store(code[2].Member, &b.sites[2], &f[sp-1])
+		if !recv.O.store(code[2].Member, &b.sites[2], &f[sp-1]) {
+			return sp, false
+		}
 		sp -= 2
 	}
 	env.steps += n

@@ -16,9 +16,9 @@ import (
 // A VM's program is fixed when it is built, so a record, once made, is
 // right for the VM's lifetime: each class's link tables (classLink) hang
 // off the VM, keyed by class, together with the class's runtime state —
-// initialisation, static slots, the instance layout.  A native method
-// binds on its first successful call and keeps that binding (see
-// VM.callNative).
+// initialisation, the instance layout, the monitor that holds the static
+// fields.  A native method binds on its first successful call and keeps
+// that binding (see VM.callNative).
 
 // link is one resolved reference.  Records are interned in the tables of
 // the class (or layout) they were resolved for, so a site that alternates
@@ -34,7 +34,8 @@ type link struct {
 	ok    bool        // cast, instanceof: class is assignable to the named type
 	sub   bool        // catch, throw: class is the named class or extends it
 
-	// getfield/putfield: objects with this layout keep the field in slot.
+	// Field and static sites: objects with this layout — a static site's
+	// class monitor once its slots exist — keep the field in slot.
 	layout *layout
 	slot   int
 }
@@ -49,7 +50,7 @@ type classLink struct {
 	class *ir.Class
 	state classState
 	codes map[*ir.Method]*code // declared methods; immutable
-	self  link                 // {class, state}: what new and static-access sites cache
+	self  link                 // {class, state}: what new and not yet resolved static sites cache
 
 	mu      sync.Mutex                          // serialises table writers
 	methods atomic.Pointer[map[methodKey]*link] // by-name method table, filled per lookup
@@ -123,6 +124,8 @@ func (v *VM) classLink(c *ir.Class) *classLink {
 	}
 	cl := &classLink{class: c, codes: make(map[*ir.Method]*code, len(c.Methods))}
 	cl.self = link{class: c, state: &cl.state}
+	cl.state.monitor.class.Store(c)
+	cl.state.monitor.layout = noFields
 	for _, m := range c.Methods {
 		nargs := len(m.Params)
 		if !m.Static {

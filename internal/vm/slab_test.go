@@ -560,85 +560,156 @@ func TestSlabFrameBounds(t *testing.T) {
 	}
 }
 
-// TestObjectFieldsByName: the by-name Object API behaves as it did when
-// fields were a map — migration snapshots and the proxy reference quad
-// depend on every case here.
+// TestObjectFieldsByName pins the by-name Object API's contract: an
+// object holds exactly the fields its class declares, so a write of any
+// other name, or of a value that does not fit the field's type, is
+// refused with the object unchanged; Morph starts from the new class's
+// zero values; and a raw object holds exactly the map it was given.
 func TestObjectFieldsByName(t *testing.T) {
 	v := compileVM(t, `
 class Base { int a; }
-class P extends Base { string s; int read() { return a; } }
-class Q { int a; int read() { return a; } }
+class P extends Base { string s; Q q; int[] xs; int read() { return a; } }
+class Q { int a; string t; int read() { return a; } }
+class W { int a; void put(int n) { a = n; } }
+class Caller { static void put(W w) { w.put(2); } }
 class Main { static void main() {} }`)
 	obj, err := v.NewObject("P")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, fields := obj.View(); len(fields) != 2 || fields["a"].K != ir.KindInt || fields["s"].K != ir.KindString {
-		t.Fatalf("fresh instance: %v", fields)
+	want := func(what string, o *Object, class string, n int) map[string]Value {
+		t.Helper()
+		cls, fields := o.View()
+		if cls.Name != class || len(fields) != n {
+			t.Fatalf("%s: %s %v, want a %s of %d fields", what, cls.Name, fields, class, n)
+		}
+		return fields
+	}
+	fields := want("fresh instance", obj, "P", 4)
+	if fields["a"].K != ir.KindInt || fields["s"].K != ir.KindString || fields["q"] != NullV() || fields["xs"] != (Value{K: ir.KindArray}) {
+		t.Fatalf("fresh instance holds %v, want its declared zero values", fields)
 	}
 
-	// A field the class does not declare: Set adds it, Field finds it,
-	// View ships it, and instances that never set it are unaffected.
+	// A name the class does not declare is absent and cannot be written.
 	if _, ok := obj.Field("__guid"); ok {
-		t.Fatal("undeclared field present before it was set")
+		t.Fatal("undeclared field present")
 	}
-	obj.Set("__guid", StringV("n#1"))
-	if got, ok := obj.Field("__guid"); !ok || got.S != "n#1" {
-		t.Fatalf("Set of an undeclared field: %v %v", got, ok)
+	if obj.Set("__guid", StringV("n#1")) == nil {
+		t.Fatal("Set of an undeclared field accepted")
 	}
-	sibling, _ := v.NewObject("P")
-	if _, ok := sibling.Field("__guid"); ok {
-		t.Fatal("a by-name Set leaked into another instance of the class")
+	if _, ok := obj.Field("__guid"); ok {
+		t.Fatal("a refused Set left the field behind")
 	}
 
-	// SetFields / ReadFields / View round-trip, declared and ad-hoc alike.
-	obj.SetFields(map[string]Value{"a": IntV(5), "__endpoint": StringV("rrp://x"), "s": StringV("hi")})
-	var out [4]Value
-	obj.ReadFields([]string{"a", "__endpoint", "missing", "__guid"}, out[:])
-	if out[0].I != 5 || out[1].S != "rrp://x" || out[2] != (Value{}) || out[3].S != "n#1" {
+	// A declared field takes a value of its kind, or null if it is a
+	// reference or array field, and nothing else.
+	for _, tc := range []struct {
+		name string
+		val  Value
+		ok   bool
+	}{
+		{"a", IntV(5), true},
+		{"a", StringV("5"), false},
+		{"a", Value{}, false},
+		{"s", StringV("hi"), true},
+		{"s", NullV(), false},
+		{"q", Value{K: ir.KindArray}, true},
+		{"q", ArrayV(NewArray(ir.Int, 1)), false},
+		{"xs", NullV(), true},
+		{"xs", RefV(obj), false},
+		{"xs", ArrayV(NewArray(ir.Int, 2)), true},
+	} {
+		before := obj.Get(tc.name)
+		if err := obj.Set(tc.name, tc.val); (err == nil) != tc.ok {
+			t.Errorf("Set(%s, %v) = %v, want it to succeed: %v", tc.name, tc.val, err, tc.ok)
+		}
+		if after := obj.Get(tc.name); !tc.ok && after != before {
+			t.Errorf("refused Set(%s, %v) changed the field to %v", tc.name, tc.val, after)
+		}
+	}
+
+	// SetFields writes all of its fields or none.
+	if err := obj.SetFields(map[string]Value{"a": IntV(6), "__endpoint": StringV("rrp://x")}); err == nil ||
+		!strings.Contains(err.Error(), "no field __endpoint on P") {
+		t.Fatalf("SetFields with an undeclared field: %v", err)
+	}
+	if err := obj.SetFields(map[string]Value{"a": IntV(6), "s": IntV(1)}); err == nil ||
+		!strings.Contains(err.Error(), "field s of P holds string, not int") {
+		t.Fatalf("SetFields with a value of the wrong kind: %v", err)
+	}
+	if obj.Get("a").I != 5 {
+		t.Fatal("a refused SetFields wrote some of its fields")
+	}
+	if err := obj.SetFields(map[string]Value{"a": IntV(7), "s": StringV("ho")}); err != nil {
+		t.Fatal(err)
+	}
+	var out [3]Value
+	obj.ReadFields([]string{"a", "missing", "s"}, out[:])
+	if out[0].I != 7 || out[1] != (Value{}) || out[2].S != "ho" {
 		t.Fatalf("ReadFields: %v", out)
 	}
-	cls, fields := obj.View()
-	if cls.Name != "P" || len(fields) != 4 || fields["s"].S != "hi" || fields["__endpoint"].S != "rrp://x" {
-		t.Fatalf("View: %s %v", cls.Name, fields)
-	}
+	fields = want("View", obj, "P", 4)
 	fields["a"] = IntV(99) // a copy: the object keeps its own
-	if obj.Get("a").I != 5 {
+	if obj.Get("a").I != 7 {
 		t.Fatal("View returned the live fields")
 	}
 
-	// Morph keeps exactly the fields it is given: extra keys are kept,
-	// declared ones left out are absent until written.
-	if err := v.Morph(obj, "Q", map[string]Value{"__target": StringV("P")}); err != nil {
+	// Morph starts from the new class's zero values, and a key it does
+	// not declare refuses the whole morph.
+	epoch := obj.Epoch()
+	for _, bad := range []map[string]Value{
+		{"t": StringV("x"), "s": StringV("P's")},
+		{"t": IntV(1)},
+	} {
+		if err := v.Morph(obj, "Q", bad); err == nil {
+			t.Fatalf("Morph with %v accepted", bad)
+		}
+	}
+	if obj.Epoch() != epoch || want("after refused morphs", obj, "P", 4)["a"].I != 7 {
+		t.Fatal("a refused Morph changed the object")
+	}
+	if err := v.Morph(obj, "Q", map[string]Value{"t": StringV("x")}); err != nil {
 		t.Fatal(err)
 	}
-	if cls, fields := obj.View(); cls.Name != "Q" || len(fields) != 1 || fields["__target"].S != "P" {
-		t.Fatalf("after Morph: %s %v", cls.Name, fields)
+	if fields := want("after Morph", obj, "Q", 2); fields["a"] != IntV(0) || fields["t"].S != "x" {
+		t.Fatalf("after Morph: %v", fields)
 	}
-	if _, ok := obj.Field("a"); ok {
-		t.Fatal("Morph without a left it present")
-	}
-	if _, err := v.Invoke("Q", "read", RefV(obj), nil); err == nil || !strings.Contains(err.Error(), "no field a on Q") {
-		t.Fatalf("getfield of a field the morph dropped: %v", err)
-	}
-	obj.Set("a", IntV(8))
-	if got, err := v.Invoke("Q", "read", RefV(obj), nil); err != nil || got.I != 8 {
-		t.Fatalf("getfield after the field was written back: %v %v", got, err)
+	if got, err := v.Invoke("Q", "read", RefV(obj), nil); err != nil || got.I != 0 {
+		t.Fatalf("getfield of a field the morph zero-filled: %v %v", got, err)
 	}
 
-	// NewRawObject holds exactly its map, whatever the class declares.
+	// NewRawObject holds exactly its map, whatever the class declares:
+	// its names take any value, and no other name is written.
 	raw := NewRawObject(v.Program().Class("P"), map[string]Value{"a": IntV(3), "extra": BoolV(true)})
-	if _, fields := raw.View(); len(fields) != 2 || !fields["extra"].Bool() {
+	if fields := want("raw object", raw, "P", 2); !fields["extra"].Bool() {
 		t.Fatalf("raw object: %v", fields)
 	}
-	if _, ok := raw.Field("s"); ok {
+	if raw.Set("s", StringV("declared by P")) == nil {
 		t.Fatal("raw object grew a declared field it was not given")
+	}
+	if raw.Set("extra", IntV(4)) != nil || raw.Get("extra") != IntV(4) {
+		t.Fatal("raw object refused a write to a field it was given")
 	}
 	if got, err := v.Invoke("P", "read", RefV(raw), nil); err != nil || got.I != 3 {
 		t.Fatalf("getfield on a raw object: %v %v", got, err)
 	}
 	if empty := NewRawObject(v.Program().Class("P"), nil); empty.Get("a") != (Value{}) {
 		t.Fatal("nil field map")
+	}
+
+	// A putfield of a field the receiver lacks faults, at the accessor's
+	// call site and in its own activation alike.
+	lacking := NewRawObject(v.Program().Class("W"), map[string]Value{"b": IntV(1)})
+	if _, err := v.Invoke("W", "put", RefV(lacking), []Value{IntV(2)}); err == nil ||
+		!strings.HasSuffix(err.Error(), "W.put pc=2: no field a on W") {
+		t.Fatalf("putfield of a field the receiver lacks: %v", err)
+	}
+	if _, err := v.Invoke("Caller", "put", Value{}, []Value{RefV(lacking)}); err == nil ||
+		!strings.HasSuffix(err.Error(), "W.put pc=2: no field a on W") {
+		t.Fatalf("setter call site on a receiver that lacks the field: %v", err)
+	}
+	if want("after the refused putfield", lacking, "W", 1)["b"] != IntV(1) {
+		t.Fatal("a refused putfield changed the object")
 	}
 }
 

@@ -49,7 +49,7 @@ func NullV() Value { return Value{K: ir.KindRef} }
 // ArrayV returns an array reference value.
 func ArrayV(a *Array) Value { return Value{K: ir.KindArray, A: a} }
 
-// IsVoid reports whether v is the void (absent) value.
+// IsVoid reports whether v is the void value.
 func (v Value) IsVoid() bool { return v.K == 0 || v.K == ir.KindVoid }
 
 // IsNullRef reports whether v is a null object or array reference.
@@ -134,54 +134,78 @@ func NewArray(elem ir.Type, n int) *Array {
 
 // layout maps the field names of one object shape to slots.  Every
 // instance of a class shares the class's layout (built on first
-// allocation, see VM.layoutOf); a by-name write of a field the layout
-// lacks moves the object to the one-field extension of its layout, so
-// ad-hoc fields (proxy reference quads morphed onto any class, migrated
-// snapshots) keep working exactly as they did when objects were maps.
-// Layouts are immutable apart from the extension table.
+// allocation, see VM.layoutOf), and a class's static fields are the
+// slots of its monitor on a layout of their own (built when the class
+// initialises, see VM.initClass); NewRawObject gives its object a
+// private layout of exactly the fields it is given.  An object holds
+// exactly the fields of its layout: a write of a name the layout lacks
+// is refused, never added.  Layouts are immutable.
 type layout struct {
 	names []string
 	index map[string]int
-	refs  []link  // refs[i] is what a getfield/putfield site caches for slot i
-	zeros []Value // slot defaults for a fresh instance (class layouts only)
-
-	mu   sync.Mutex
-	next map[string]*layout // one-field extensions, by added name
+	refs  []link  // refs[i] is what a field or static site caches for slot i
+	zeros []Value // slot defaults, one per name (nil for a raw object's layout)
 }
 
-func newLayout(names []string) *layout {
+// newLayout builds the layout of names, whose slots start at zeros (nil
+// or one per name).  Each slot's site record is self plus the slot: a
+// static layout's records carry the class and state, so one record
+// serves a static site's init check and its slot.
+func newLayout(self link, names []string, zeros []Value) *layout {
 	l := &layout{
 		names: names,
 		index: make(map[string]int, len(names)),
 		refs:  make([]link, len(names)),
+		zeros: zeros,
 	}
 	for i, n := range names {
 		l.index[n] = i
-		l.refs[i] = link{layout: l, slot: i}
+		l.refs[i] = self
+		l.refs[i].layout, l.refs[i].slot = l, i
 	}
 	return l
 }
 
-// with returns the layout that has l's fields plus name.
-func (l *layout) with(name string) *layout {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if n := l.next[name]; n != nil {
-		return n
+// noFields is the layout of a class monitor before its class's
+// initialisation has made its static slots.
+var noFields = newLayout(link{}, nil, nil)
+
+// slotFor returns the slot a by-name write of v to name goes to, or an
+// error when the layout has no such field or v does not fit its type: a
+// value of the declared kind, or null in a reference or array field.  A
+// raw object's layout knows no types and takes any value.
+func (l *layout) slotFor(owner, name string, v *Value) (int, error) {
+	i, ok := l.index[name]
+	if !ok {
+		return 0, &FaultError{Msg: fmt.Sprintf("no field %s on %s", name, owner)}
 	}
-	n := newLayout(append(l.names[:len(l.names):len(l.names)], name))
-	if l.next == nil {
-		l.next = make(map[string]*layout)
+	if l.zeros != nil {
+		if z := &l.zeros[i]; v.K != z.K && !(refLike(z) && isNull(v)) {
+			return 0, &FaultError{Msg: fmt.Sprintf("field %s of %s holds %s, not %s", name, owner, z.K, v.K)}
+		}
 	}
-	l.next[name] = n
-	return n
+	return i, nil
+}
+
+// fill writes fields into vals, slots of l, once every one has passed
+// slotFor: all of them or, when one is refused, none.
+func (l *layout) fill(owner string, vals []Value, fields map[string]Value) error {
+	for k, v := range fields {
+		if _, err := l.slotFor(owner, k, &v); err != nil {
+			return err
+		}
+	}
+	for k, v := range fields {
+		vals[l.index[k]] = v
+	}
+	return nil
 }
 
 // Object is a heap object: an instance of its class with its instance
 // fields (including inherited ones) flattened into one slot vector
-// described by a layout.  A slot holding the zero Value is an absent
-// field: that is how an object morphed with fewer fields than its class
-// declares, or extended by name beyond them, reports what it has.
+// described by a layout, every declared field present from allocation
+// on.  A class's monitor is an Object too, whose slots are the class's
+// static fields.
 //
 // Proxy instances are ordinary Objects whose class was generated by the
 // transformer; the node runtime stores the target GUID and endpoint in
@@ -251,20 +275,12 @@ func NewRawObject(class *ir.Class, fields map[string]Value) *Object {
 	for k := range fields {
 		names = append(names, k)
 	}
-	l := newLayout(names)
+	l := newLayout(link{}, names, nil)
 	o := &Object{layout: l, vals: make([]Value, len(names))}
 	o.class.Store(class)
 	for i, k := range names {
 		o.vals[i] = fields[k]
 	}
-	return o
-}
-
-// newObject builds a zeroed instance of class on its shared layout.
-func newObject(class *ir.Class, l *layout) *Object {
-	o := &Object{layout: l, vals: make([]Value, len(l.zeros))}
-	o.class.Store(class)
-	copy(o.vals, l.zeros)
 	return o
 }
 
@@ -280,94 +296,90 @@ func (o *Object) ClassName() string {
 	return "<nil>"
 }
 
-// slotLocked returns the slot of name, extending the object's layout by
-// one field when it has none.  Caller holds o.mu.
-func (o *Object) slotLocked(name string) int {
-	if i, ok := o.layout.index[name]; ok {
-		return i
-	}
-	o.layout = o.layout.with(name)
-	o.vals = append(o.vals, Value{})
-	return len(o.vals) - 1
-}
-
-// Get reads a field (zero Value if absent).
+// Get reads a field (the zero Value if the object has none of that name).
 func (o *Object) Get(name string) Value {
 	v, _ := o.Field(name)
 	return v
 }
 
-// Field reads a field and reports whether it exists.
+// Field reads a field and reports whether the object has it.
 func (o *Object) Field(name string) (Value, bool) {
-	var v Value
 	o.mu.Lock()
+	defer o.mu.Unlock()
 	if i, ok := o.layout.index[name]; ok {
-		v = o.vals[i]
+		return o.vals[i], true
 	}
-	o.mu.Unlock()
-	return v, v.K != 0
+	return Value{}, false
 }
 
-// Set writes a field.
-func (o *Object) Set(name string, v Value) {
+// Set writes a field.  A name the object's layout lacks, or a value that
+// does not fit the field's type, is refused and the object left as it was.
+func (o *Object) Set(name string, v Value) error {
 	o.mu.Lock()
-	o.vals[o.slotLocked(name)] = v
-	o.mu.Unlock()
+	defer o.mu.Unlock()
+	i, err := o.layout.slotFor(o.ClassName(), name, &v)
+	if err == nil {
+		o.vals[i] = v
+	}
+	return err
 }
 
-// load is Field for a getfield site: it copies the field into *dst and
-// reports whether the object has it, leaving *dst alone when not.  at
-// caches the slot the name had in the layout the site last saw, and is
-// refreshed on a miss (an object of another class, or one morphed or
-// extended since).
+// load is Field for a field or static site: it copies the field into
+// *dst and reports whether the object has it, leaving *dst alone when
+// not.  at caches the slot the name had in the layout the site last saw.
 func (o *Object) load(dst *Value, name string, at *atomic.Pointer[link]) bool {
-	var v *Value
-	ref := at.Load()
 	o.mu.Lock()
-	if ref != nil && ref.layout == o.layout {
-		v = &o.vals[ref.slot]
-	} else if i, ok := o.layout.index[name]; ok {
-		v = &o.vals[i]
-		at.Store(&o.layout.refs[i])
-	}
-	ok := v != nil && v.K != 0
-	if ok {
-		*dst = *v
+	i := o.siteSlot(name, at)
+	if i >= 0 {
+		*dst = o.vals[i]
 	}
 	o.mu.Unlock()
-	return ok
+	return i >= 0
 }
 
-// store is Set for a putfield site; at as in load.
-func (o *Object) store(name string, at *atomic.Pointer[link], v *Value) {
-	ref := at.Load()
+// store is Set for a field or static site, whose value the verifier has
+// type-checked; at as in load.  A name the object lacks is refused.
+func (o *Object) store(name string, at *atomic.Pointer[link], v *Value) bool {
 	o.mu.Lock()
-	if ref != nil && ref.layout == o.layout {
-		o.vals[ref.slot] = *v
-	} else {
-		i := o.slotLocked(name)
+	i := o.siteSlot(name, at)
+	if i >= 0 {
 		o.vals[i] = *v
-		at.Store(&o.layout.refs[i])
 	}
 	o.mu.Unlock()
+	return i >= 0
+}
+
+// siteSlot returns the slot of name, or -1 when the object has none:
+// from the site cache at when it holds the object's layout, else from
+// the layout, refreshing at (an object of another class, or one morphed
+// since the site last ran).  Caller holds o.mu.
+func (o *Object) siteSlot(name string, at *atomic.Pointer[link]) int {
+	if ref := at.Load(); ref != nil && ref.layout == o.layout {
+		return ref.slot
+	}
+	i, ok := o.layout.index[name]
+	if !ok {
+		return -1
+	}
+	at.Store(&o.layout.refs[i])
+	return i
 }
 
 // SetFields writes several fields under one lock acquisition, so readers
 // never observe a torn multi-field update (proxy retargeting writes the
-// GUID/endpoint/proto/target quadruple this way).
-func (o *Object) SetFields(m map[string]Value) {
+// GUID/endpoint/proto/target quadruple this way).  When Set would refuse
+// one of them, it writes none.
+func (o *Object) SetFields(m map[string]Value) error {
 	o.mu.Lock()
-	for k, v := range m {
-		o.vals[o.slotLocked(k)] = v
-	}
-	o.mu.Unlock()
+	defer o.mu.Unlock()
+	return o.layout.fill(o.ClassName(), o.vals, m)
 }
 
 // ReadFields copies the values of the named fields into out (same
 // length, same order) under one lock acquisition — the allocation-free
 // consistent multi-field read the proxy hot path uses for the
 // GUID/endpoint/target triple (a concurrent retarget can never be
-// observed torn).
+// observed torn).  A name the object lacks reads as the zero Value.
 func (o *Object) ReadFields(names []string, out []Value) {
 	o.mu.Lock()
 	for i, n := range names {
@@ -388,25 +400,9 @@ func (o *Object) View() (*ir.Class, map[string]Value) {
 	defer o.mu.Unlock()
 	fields := make(map[string]Value, len(o.vals))
 	for i, v := range o.vals {
-		if v.K != 0 {
-			fields[o.layout.names[i]] = v
-		}
+		fields[o.layout.names[i]] = v
 	}
 	return o.class.Load(), fields
-}
-
-// morph atomically re-types the object in place: it takes class's shared
-// layout l, holding exactly the given fields (the rest absent).
-func (o *Object) morph(class *ir.Class, l *layout, fields map[string]Value) {
-	o.mu.Lock()
-	o.class.Store(class)
-	o.layout = l
-	o.vals = make([]Value, len(l.names))
-	for k, v := range fields {
-		o.vals[o.slotLocked(k)] = v
-	}
-	o.epoch.Add(1)
-	o.mu.Unlock()
 }
 
 // Epoch returns the object's morph count.  Executions record it at gate

@@ -21,11 +21,12 @@
 //     callers acquire via ExecOn to serialise whole invocations — and
 //     migrations — per object.  Executions entered through different
 //     objects run in parallel.
-//   - Static fields live in per-class slot tables with their own locks;
-//     <clinit> runs once, triggered by the first toucher (concurrent
-//     touchers may observe partially-initialised statics, exactly as
-//     they could in the seed across I/O points and as the JVM permits
-//     within initialisation cycles).
+//   - Static fields are the slots of their class's monitor, an Object
+//     like any other, so each static access is atomic under the
+//     monitor's state lock; <clinit> runs once, triggered by the first
+//     toucher (concurrent touchers may observe partially-initialised
+//     statics, exactly as they could in the seed across I/O points and
+//     as the JVM permits within initialisation cycles).
 //   - There is one execution regime.  Exec opens an ungated scope and
 //     ExecOn one that holds an object's gate; the host entry points
 //     (Invoke, Construct, RunMain, GetStatic, SetStatic) are those two.
@@ -37,6 +38,7 @@ package vm
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -355,35 +357,16 @@ type nativeKey struct {
 	arity       int
 }
 
-// staticSlots is one class's static-field table.
-type staticSlots struct {
-	mu sync.RWMutex
-	m  map[string]Value
-}
-
-func (s *staticSlots) get(name string) (Value, bool) {
-	s.mu.RLock()
-	v, ok := s.m[name]
-	s.mu.RUnlock()
-	return v, ok
-}
-
-func (s *staticSlots) set(name string, v Value) {
-	s.mu.Lock()
-	s.m[name] = v
-	s.mu.Unlock()
-}
-
 // classState is one class's runtime state, held in its classLink: whether
-// initialisation has been claimed, the static slots (nil until the
-// superclass chain has initialised), and the layout its instances share
-// (nil until the first allocation).  Each is read with one atomic load.
+// initialisation has been claimed, the layout its instances share (nil
+// until the first allocation), and the class's monitor.
 type classState struct {
 	started atomic.Bool
-	slots   atomic.Pointer[staticSlots]
 	layout  atomic.Pointer[layout]
-	// monitor is the class's monitor: only its gate is used, by
-	// host-entered static calls (VM.Invoke).
+	// monitor is the class's monitor.  Its gate is held by host-entered
+	// static calls (VM.Invoke); its slots are the class's static fields,
+	// which it has none of (layout noFields) until the superclass chain
+	// has initialised (see VM.initClass).
 	monitor Object
 }
 
@@ -660,39 +643,48 @@ func (v *VM) Construct(class string, args []Value) (res Value, err error) {
 }
 
 // GetStatic reads a static field (running <clinit> if needed).
-func (v *VM) GetStatic(class, field string) (val Value, err error) {
-	v.Exec(func(env *Env) {
-		var slots *staticSlots
-		if slots, err = v.staticsOf(env, class, field); err == nil {
-			val, _ = slots.get(field)
-		}
-	})
-	return val, err
+func (v *VM) GetStatic(class, field string) (Value, error) {
+	mon, err := v.monitorOf(class, field)
+	if err != nil {
+		return Value{}, err
+	}
+	return mon.Get(field), nil
 }
 
-// SetStatic writes a static field (running <clinit> if needed).
-func (v *VM) SetStatic(class, field string, val Value) (err error) {
-	v.Exec(func(env *Env) {
-		var slots *staticSlots
-		if slots, err = v.staticsOf(env, class, field); err == nil {
-			slots.set(field, val)
-		}
-	})
-	return err
+// SetStatic writes a static field (running <clinit> if needed).  A value
+// that does not fit the field's type is refused, as Object.Set refuses it.
+func (v *VM) SetStatic(class, field string, val Value) error {
+	mon, err := v.monitorOf(class, field)
+	if err != nil {
+		return err
+	}
+	return mon.Set(field, val)
 }
 
-// Morph re-types obj in place: it becomes an instance of newClass with the
-// given fields.  Every existing reference to obj now observes the new
-// class — this implements proxy substitution for live objects.  The swap
-// itself is atomic under the object's state lock; callers that must also
-// exclude in-flight invocations (migration) hold the object's gate via
-// ExecOn around the whole snapshot→ship→morph sequence.
+// Morph re-types obj in place: it becomes an instance of newClass, its
+// fields at their zero values but for the given ones.  Every existing
+// reference to obj now observes the new class — this implements proxy
+// substitution for live objects.  A field newClass does not declare, or a
+// value that does not fit its type, refuses the morph and leaves obj
+// unchanged.  The swap itself is atomic under the object's state lock;
+// callers that must also exclude in-flight invocations (migration) hold
+// the object's gate via ExecOn around the whole snapshot→ship→morph
+// sequence.
 func (v *VM) Morph(obj *Object, newClass string, fields map[string]Value) error {
 	cl := v.linked(newClass)
 	if cl == nil {
 		return &FaultError{Msg: "morph: unknown class " + newClass}
 	}
-	obj.morph(cl.class, v.layoutOf(cl.class, &cl.state), fields)
+	l := v.layoutOf(cl.class, &cl.state)
+	vals := slices.Clone(l.zeros)
+	if err := l.fill(newClass, vals, fields); err != nil {
+		return err
+	}
+	obj.mu.Lock()
+	obj.class.Store(cl.class)
+	obj.layout, obj.vals = l, vals
+	obj.epoch.Add(1)
+	obj.mu.Unlock()
 	return nil
 }
 
@@ -711,60 +703,64 @@ func ThrownMessage(t *Thrown) (class, msg string) {
 	return t.Obj.ClassName(), t.Obj.Get("message").S
 }
 
-// staticsOf initialises the named class for the host entry points and
-// returns the static slots that hold field.
-func (v *VM) staticsOf(env *Env, class, field string) (*staticSlots, error) {
+// monitorOf initialises the named class for the host entry points and
+// returns its monitor, whose slots hold the static field.
+func (v *VM) monitorOf(class, field string) (mon *Object, err error) {
 	cl := v.linked(class)
 	if cl == nil {
 		return nil, &FaultError{Msg: "init: unknown class " + class}
 	}
-	if thrown, err := v.ensureInit(env, cl); err != nil {
-		return nil, err
-	} else if thrown != nil {
-		return nil, v.uncaught(thrown)
-	}
-	// The slots are nil when initialisation never got that far.
-	slots := cl.state.slots.Load()
-	if slots != nil {
-		if _, ok := slots.get(field); ok {
-			return slots, nil
+	v.Exec(func(env *Env) {
+		var thrown *Thrown
+		if thrown, err = v.initClass(env, cl.class); thrown != nil {
+			err = v.uncaught(thrown)
 		}
+	})
+	if err != nil {
+		return nil, err
 	}
-	return nil, &FaultError{Msg: fmt.Sprintf("no static field %s.%s", class, field)}
+	// The monitor has no slots when initialisation never got that far.
+	if _, ok := cl.state.monitor.Field(field); !ok {
+		return nil, &FaultError{Msg: fmt.Sprintf("no static field %s.%s", class, field)}
+	}
+	return &cl.state.monitor, nil
 }
 
 // layoutOf returns the layout c's instances share (st is c's state),
-// building it on first use: every non-static field of the superclass
-// chain, a subclass's declaration shadowing a superclass's of the same
-// name.
+// building it on first use.
 func (v *VM) layoutOf(c *ir.Class, st *classState) *layout {
 	if lay := st.layout.Load(); lay != nil {
 		return lay
 	}
-	prog := v.prog
+	lay := v.fieldLayout(link{}, c, false)
+	if !st.layout.CompareAndSwap(nil, lay) {
+		lay = st.layout.Load()
+	}
+	return lay
+}
+
+// fieldLayout builds the layout of c's static fields, or of its
+// instances: every non-static field of the superclass chain, a
+// subclass's declaration shadowing a superclass's of the same name.  self
+// is what each slot's site record carries besides the slot.
+func (v *VM) fieldLayout(self link, c *ir.Class, static bool) *layout {
 	var names []string
 	var zeros []Value
 	seen := make(map[string]bool)
-	cur := c
-	for steps := 0; cur != nil && steps <= prog.Len(); steps++ {
+	for cur, steps := c, 0; cur != nil && steps <= v.prog.Len(); steps++ {
 		for _, f := range cur.Fields {
-			if !f.Static && !seen[f.Name] {
+			if f.Static == static && !seen[f.Name] {
 				seen[f.Name] = true
 				names = append(names, f.Name)
 				zeros = append(zeros, ZeroValue(f.Type))
 			}
 		}
-		if cur.Super == "" {
+		if static || cur.Super == "" {
 			break
 		}
-		cur = prog.Class(cur.Super)
+		cur = v.prog.Class(cur.Super)
 	}
-	lay := newLayout(names)
-	lay.zeros = zeros
-	if !st.layout.CompareAndSwap(nil, lay) {
-		lay = st.layout.Load()
-	}
-	return lay
+	return newLayout(self, names, zeros)
 }
 
 // alloc creates a zeroed instance of c, whose state is st (no
@@ -773,7 +769,10 @@ func (v *VM) alloc(c *ir.Class, st *classState) (*Object, error) {
 	if c.IsInterface || c.Abstract {
 		return nil, &FaultError{Msg: "new: cannot instantiate " + c.Name}
 	}
-	return newObject(c, v.layoutOf(c, st)), nil
+	l := v.layoutOf(c, st)
+	o := &Object{layout: l, vals: slices.Clone(l.zeros)}
+	o.class.Store(c)
+	return o, nil
 }
 
 func (v *VM) construct(env *Env, class string, args []Value) (Value, *Thrown, error) {
@@ -781,7 +780,7 @@ func (v *VM) construct(env *Env, class string, args []Value) (Value, *Thrown, er
 	if cl == nil {
 		return Value{}, nil, &FaultError{Msg: "init: unknown class " + class}
 	}
-	if thrown, err := v.ensureInit(env, cl); thrown != nil || err != nil {
+	if thrown, err := v.initClass(env, cl.class); thrown != nil || err != nil {
 		return Value{}, thrown, err
 	}
 	obj, err := v.alloc(cl.class, &cl.state)
@@ -845,18 +844,18 @@ func (v *VM) enter(env *Env, c *code, recv Value, args []Value) (Value, *Thrown,
 	return res, thrown, err
 }
 
-// ensureInit runs the static initialiser of cl's class (and its
-// superclasses) on first use; callers on a hot path test
-// state.started themselves first.  The first toucher claims the class
+// initClass runs the static initialiser of c (and its superclasses) on
+// first use; callers on a hot path test their class state's started
+// flag themselves first.  The first toucher claims the class
 // (mark-then-run, as the JVM does) so initialisation cycles terminate —
 // re-entrant and concurrent touchers proceed immediately and may observe
 // partially-initialised statics, mirroring the seed's behaviour across
 // lock-release points and Java's within init cycles.
-func (v *VM) ensureInit(env *Env, cl *classLink) (*Thrown, error) {
+func (v *VM) initClass(env *Env, c *ir.Class) (*Thrown, error) {
+	cl := v.classLink(c)
 	if cl.state.started.Load() || !cl.state.started.CompareAndSwap(false, true) {
 		return nil, nil
 	}
-	c := cl.class
 	if c.Super != "" {
 		// As in the seed, a failed superclass initialisation leaves
 		// this class marked started but slot-less: later static
@@ -865,18 +864,19 @@ func (v *VM) ensureInit(env *Env, cl *classLink) (*Thrown, error) {
 		if sc == nil {
 			return nil, &FaultError{Msg: "init: unknown class " + c.Super}
 		}
-		if thrown, err := v.ensureInit(env, v.classLink(sc)); thrown != nil || err != nil {
+		if thrown, err := v.initClass(env, sc); thrown != nil || err != nil {
 			return thrown, err
 		}
 	}
 	// Slots appear only now — after the super chain initialised, before
 	// the clinit runs (which populates them) — mirroring the seed's
-	// observable windows exactly.
-	sf := make(map[string]Value)
-	for _, f := range c.StaticFields() {
-		sf[f.Name] = ZeroValue(f.Type)
-	}
-	cl.state.slots.Store(&staticSlots{m: sf})
+	// observable windows exactly.  The monitor's epoch stays: it is no
+	// morph, and a static call may hold the monitor's gate meanwhile.
+	l := v.fieldLayout(cl.self, c, true)
+	mon := &cl.state.monitor
+	mon.mu.Lock()
+	mon.layout, mon.vals = l, slices.Clone(l.zeros)
+	mon.mu.Unlock()
 
 	if clinit := c.StaticInit(); clinit != nil {
 		_, thrown, err := v.enter(env, cl.codes[clinit], Value{}, nil)
