@@ -27,10 +27,11 @@ import (
 // Nested outgoing proxy calls release the execution's locks while
 // blocked (Env.RunUnlocked), so re-entrant call chains between nodes —
 // including callbacks targeting the original object — do not deadlock
-// on invocation gates.  The exception is singleton *creation*
-// (localSingleton): an execution that waits for another execution's
-// in-progress creation deadlocks if that creation depends on the waiter
-// through the wire (docs/CONCURRENCY.md §7).
+// on invocation gates.  The exception is class initialisation
+// (VM.initClass, which makes statics singletons): an execution that waits
+// for another execution's initialisation deadlocks if that
+// initialisation depends on the waiter through the wire
+// (docs/CONCURRENCY.md §7).
 //
 // Structurally, dispatch runs the request through the node's
 // interceptor chain (chain.go): counting, plane short-circuits, the
@@ -379,96 +380,26 @@ func (n *Node) dispatchMigrateOut(req *wire.Request) *wire.Response {
 	return &wire.Response{ID: req.ID, Result: wire.Value{Kind: wire.KRef, Ref: proxyRefOf(obj)}}
 }
 
-// localSingleton returns (creating and initialising on first use) the
-// local statics singleton for class, regardless of this node's own
-// policy — a remote caller's policy decided the singleton lives here.
-//
-// Creation runs program code, so the singleton table tracks it by owner
-// execution.  The owner re-enters freely once the instance exists —
-// initialisation cycles terminate by observing the instance before its
-// clinit completed, as in the JVM — and so does an execution the owner is
-// itself waiting on (two executions initialising classes that name each
-// other).  Every other execution waits, its gates parked, until the
-// creation finishes; a failed creation is withdrawn so the next toucher
-// retries.
+// localSingleton returns the local statics singleton for class,
+// regardless of this node's own policy — a remote caller's policy decided
+// the singleton lives here — and exports it under the class GUID.  The
+// singleton is A_C_Local's static, made by that class's initialisation,
+// which runs the class's own initialiser too: the VM runs it once and
+// makes every other execution wait, its gates parked, until it has
+// finished (VM.initClass).
 func (n *Node) localSingleton(env *vm.Env, class string) (vm.Value, *vm.Thrown, error) {
-	key := "local:" + class
-	var entry *singletonEntry
-	for {
-		n.singMu.Lock()
-		e, ok := n.singletons[key]
-		if !ok {
-			if !n.machine.Program().Has(transform.CLocal(class)) {
-				n.singMu.Unlock()
-				return vm.Value{}, nil, fmt.Errorf("node %s: no statics implementation for %s", n.name, class)
-			}
-			entry = &singletonEntry{owner: env, ready: make(chan struct{})}
-			n.singletons[key] = entry
-			n.singMu.Unlock()
-			break
-		}
-		if e.owner == nil || e.owner == env || n.waitsOn(e.owner, env) {
-			val, ok := e.val, e.valSet
-			n.singMu.Unlock()
-			if !ok {
-				// Inside the cycle before the instance exists: the
-				// singleton's own accessor depends on itself.  The seed
-				// recursed to the depth limit here; fail deterministically.
-				return vm.Value{}, nil, fmt.Errorf("node %s: recursive initialisation of %s statics", n.name, class)
-			}
-			return val, nil, nil
-		}
-		n.singWait[env] = e
-		ready := e.ready
-		n.singMu.Unlock()
-		// Another execution is creating it: wait, then re-check.
-		env.RunUnlocked(func() {
-			<-ready
-			n.singMu.Lock()
-			delete(n.singWait, env)
-			n.singMu.Unlock()
-		})
+	local := transform.CLocal(class)
+	if !n.machine.Program().Has(local) {
+		return vm.Value{}, nil, fmt.Errorf("node %s: no statics implementation for %s", n.name, class)
 	}
-
-	fail := func() {
-		n.singMu.Lock()
-		delete(n.singletons, key)
-		n.singMu.Unlock()
-		close(entry.ready)
-	}
-	me, thrown, err := env.Call(transform.CLocal(class), transform.SingletonGet, vm.Value{}, nil)
+	me, thrown, err := env.Call(local, transform.SingletonGet, vm.Value{}, nil)
 	if thrown != nil || err != nil {
-		fail()
 		return vm.Value{}, thrown, err
 	}
-	// Publish (and export) before clinit so initialisation cycles
-	// terminate, mirroring JVM class-initialisation semantics; only the
-	// owner observes the entry until ready closes.
-	n.singMu.Lock()
-	entry.val = me
-	entry.valSet = true
-	n.singMu.Unlock()
-	n.exports.Put(guid.ClassGUID(class), me.O)
-	if _, thrown, err := env.Call(transform.CFactory(class), transform.ClinitMethod, vm.Value{}, []vm.Value{me}); thrown != nil || err != nil {
-		fail()
-		return vm.Value{}, thrown, err
+	if _, ok := n.exports.GUIDOf(me.O); !ok {
+		n.exports.Put(guid.ClassGUID(class), me.O)
 	}
-	n.singMu.Lock()
-	entry.owner = nil
-	n.singMu.Unlock()
-	close(entry.ready)
 	return me, nil, nil
-}
-
-// waitsOn reports whether execution o is blocked, directly or through
-// other waiters, on a singleton that env is creating.  singMu is held.
-func (n *Node) waitsOn(o, env *vm.Env) bool {
-	for e := n.singWait[o]; e != nil; e = n.singWait[e.owner] {
-		if e.owner == env {
-			return true
-		}
-	}
-	return false
 }
 
 // remoteError builds the sys.RemoteException thrown when infrastructure

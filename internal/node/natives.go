@@ -59,10 +59,8 @@ func (n *Node) remoteCreate(env *vm.Env, class string, pl policy.Placement) (vm.
 }
 
 // discover implements the class factory's discover(): local singleton or
-// statics proxy per policy.  The local kind is localSingleton's entry —
-// only that entry knows whether initialisation has finished, so nothing
-// else caches it.  A statics proxy is cached in the same table until the
-// policy version changes (so run-time re-policy takes effect — §4 dynamic
+// statics proxy per policy.  A statics proxy is cached until the policy
+// version changes (so run-time re-policy takes effect — §4 dynamic
 // reconfiguration); concurrent discoveries at one policy version converge
 // on one cached value.
 func (n *Node) discover(env *vm.Env, class string) (vm.Value, *vm.Thrown, error) {
@@ -70,9 +68,8 @@ func (n *Node) discover(env *vm.Env, class string) (vm.Value, *vm.Thrown, error)
 	if pl.Kind != policy.Remote {
 		return n.localSingleton(env, class)
 	}
-	key := "discover:" + class
 	n.singMu.Lock()
-	if e, ok := n.singletons[key]; ok && e.version == ver {
+	if e, ok := n.singletons[class]; ok && e.version == ver {
 		val := e.val
 		n.singMu.Unlock()
 		return val, nil, nil
@@ -89,7 +86,7 @@ func (n *Node) discover(env *vm.Env, class string) (vm.Value, *vm.Thrown, error)
 	setProxyFields(obj, guid.ClassGUID(class), pl.Endpoint, pl.Proto, class)
 	me := vm.RefV(obj)
 	n.singMu.Lock()
-	n.singletons[key] = &singletonEntry{val: me, valSet: true, version: ver}
+	n.singletons[class] = singletonEntry{val: me, version: ver}
 	n.singMu.Unlock()
 	return me, nil, nil
 }

@@ -119,17 +119,10 @@ type Node struct {
 	// touch the node mutex.
 	epSnap atomic.Pointer[[]served]
 
-	// singMu guards the singleton table.  Creation of a local singleton
-	// executes program code (SingletonGet + the class clinit), so the
-	// table tracks in-progress creations by owner execution: the owner
-	// proceeds re-entrantly (initialisation cycles terminate, as in the
-	// JVM), other executions wait for the creation to finish, and a
-	// failed creation is withdrawn so a later toucher retries.  singWait
-	// records which creation each waiting execution is blocked on, so a
-	// wait that would close a cycle is never started.
+	// singMu guards discover's statics-proxy cache, one proxy per
+	// remotely placed class and policy version.
 	singMu     sync.Mutex
-	singletons map[string]*singletonEntry
-	singWait   map[*vm.Env]*singletonEntry
+	singletons map[string]singletonEntry
 
 	// Lock-free state: transports dispatch requests concurrently, so
 	// request ids and instruments stay off the node mutex.
@@ -210,10 +203,7 @@ var nodeSeq atomic.Uint64
 
 type singletonEntry struct {
 	val     vm.Value
-	valSet  bool
 	version uint64
-	owner   *vm.Env       // execution performing the creation; nil once done
-	ready   chan struct{} // closed when creation finished (or failed)
 }
 
 // New builds a node over a transformed program and registers the factory
@@ -252,8 +242,7 @@ func New(cfg Config) (*Node, error) {
 		exports:    registry.New(cfg.Name),
 		pol:        policy.NewTable(),
 		cache:      transport.NewClientCachePool(reg, cfg.PoolSize),
-		singletons: make(map[string]*singletonEntry),
-		singWait:   make(map[*vm.Env]*singletonEntry),
+		singletons: make(map[string]singletonEntry),
 		issuer:     dedup.NewIssuer(fmt.Sprintf("%s!%d", cfg.Name, nodeSeq.Add(1))),
 		dedupTab:   dedup.NewTableIn(mreg, cfg.DedupWindow),
 		metrics:    mreg,

@@ -190,6 +190,83 @@ class Main {
 	}
 }
 
+// TestFailedStaticInitRunsOnce: K's initialiser throws on its first run
+// and main catches the exception and touches K again.  The original
+// program's VM ran the initialiser once, so the second touch reads K.v
+// unset; every placement of the transformed program must print the same,
+// the statics living on this node or on a peer.
+func TestFailedStaticInitRunsOnce(t *testing.T) {
+	src := `
+class Tries {
+    static int n = 0;
+}
+class K {
+    static int v = K.boot();
+    static int boot() {
+        Tries.n = Tries.n + 1;
+        if (Tries.n == 1) { throw new sys.RuntimeException("first"); }
+        return 20;
+    }
+}
+class Main {
+    static void main() {
+        try {
+            sys.System.println("first " + K.v);
+        } catch (sys.RuntimeException e) {
+            sys.System.println("caught " + e.getMessage());
+        }
+        sys.System.println("second " + K.v);
+        K.boot();
+        sys.System.println("tries " + Tries.n);
+    }
+}`
+	prog, err := minijava.Compile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := vm.MustNew(prog, vm.WithOutput(&want)).RunMain("Main"); err != nil {
+		t.Fatal(err)
+	}
+	if want.String() != "caught first\nsecond 0\ntries 2\n" {
+		t.Fatalf("original program printed %q", want.String())
+	}
+	res := transformSource(t, src)
+	for _, remote := range []bool{false, true} {
+		t.Run(fmt.Sprintf("statics remote=%v", remote), func(t *testing.T) {
+			var out bytes.Buffer
+			n, err := New(Config{Name: "main", Result: res, Output: &out})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { n.Close() })
+			if remote {
+				peer, err := New(Config{Name: "peer", Result: res})
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { peer.Close() })
+				endpoint, err := peer.Serve("rrp", "")
+				if err != nil {
+					t.Fatal(err)
+				}
+				pl, err := policy.RemoteAt(endpoint)
+				if err != nil {
+					t.Fatal(err)
+				}
+				n.Policy().SetClass("K", pl)
+				n.Policy().SetClass("Tries", pl)
+			}
+			if err := n.RunMain("Main"); err != nil {
+				t.Fatal(err)
+			}
+			if out.String() != want.String() {
+				t.Fatalf("transformed program printed %q, the original %q", out.String(), want.String())
+			}
+		})
+	}
+}
+
 func TestRemoteExceptionPropagation(t *testing.T) {
 	src := `
 class Risky {

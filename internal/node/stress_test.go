@@ -570,11 +570,11 @@ class Main { static void main() {} }`
 }
 
 // TestSingletonWaiterParksItsGates: execution B is creating Reg, whose
-// initialiser sleeps and then pokes box through a relay on a second
-// node, so the poke arrives back as an inbound call that needs box's
-// gate.  Meanwhile execution A holds box's gate and touches Reg, so it
-// waits for B's creation.  The waiter must release its gates while it
-// waits, or A waits on B, B on the poke and the poke on A.
+// initialiser raises Flag.up, sleeps and then pokes box through a relay
+// on a second node, so the poke arrives back as an inbound call that
+// needs box's gate.  Meanwhile execution A holds box's gate and touches
+// Reg, so it waits for B's creation.  The waiter must release its gates
+// while it waits, or A waits on B, B on the poke and the poke on A.
 func TestSingletonWaiterParksItsGates(t *testing.T) {
 	src := `
 class Box {
@@ -589,9 +589,12 @@ class Holder {
 class Relay {
     static int poke(Box b) { return b.poke(); }
 }
+class Flag {
+    static int up;
+}
 class Reg {
     static int v = Reg.boot();
-    static int boot() { sys.Clock.sleepMicros(100000); return Relay.poke(Holder.box()); }
+    static int boot() { Flag.up = 1; sys.Clock.sleepMicros(100000); return Relay.poke(Holder.box()); }
     static int get() { return v; }
 }
 class Main { static void main() {} }`
@@ -615,14 +618,18 @@ class Main { static void main() {} }`
 		v, err := home.InvokeStatic("Reg", "get")
 		b <- result{v.I, err}
 	}()
-	creating := func() bool {
-		home.singMu.Lock()
-		defer home.singMu.Unlock()
-		_, ok := home.singletons["local:Reg"]
-		return ok
-	}
-	for !creating() {
-		time.Sleep(time.Millisecond)
+	// Reg's creation is in progress once its initialiser raised the flag.
+	for start := time.Now(); ; time.Sleep(time.Millisecond) {
+		up, err := home.ReadStatic("Flag", "up")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if up.I == 1 {
+			break
+		}
+		if time.Since(start) > 10*time.Second {
+			t.Fatal("Reg's initialiser never raised Flag.up")
+		}
 	}
 	a := make(chan result, 1)
 	go func() {

@@ -18,7 +18,7 @@ import (
 const (
 	// jdkTransformSHA256 is the sha256 of ir.EncodeProgram over the
 	// JDKLike() corpus (seed 1) transformed with protocols [rrp].
-	jdkTransformSHA256 = "7c77efe42ed2718b2540cb5e04385a6d9ce5b0cf74d53aba517a90125e81594e"
+	jdkTransformSHA256 = "81d90e908303735f3c8e80add3b4cfeff6899191790abb1bf62e25742542ef54"
 	// jdkGeneratedClasses is that output's class count.
 	jdkGeneratedClasses = 42598
 	// jdkCausesSHA256 digests Analyze's cause map over the same corpus

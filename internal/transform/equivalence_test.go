@@ -11,8 +11,8 @@ import (
 // TestEquivalenceAdvanced pushes less common shapes through the full
 // pipeline: deep inheritance of transformed classes, abstract bases,
 // cross-class static initialisation order, exceptions thrown in
-// constructors, and policy exclusion mixing transformed and
-// untransformed classes.
+// constructors and static initialisers, and policy exclusion mixing
+// transformed and untransformed classes.
 func TestEquivalenceAdvanced(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -161,6 +161,30 @@ class Main {
         sys.System.println("n=" + l.count());
         Link r = l.reverse(null);
         sys.System.println("head=" + r.v + " n=" + r.count());
+    }
+}`, nil},
+		{"failed static initialiser runs once", `
+class Tries {
+    static int n = 0;
+}
+class K {
+    static int v = K.boot();
+    static int boot() {
+        Tries.n = Tries.n + 1;
+        if (Tries.n == 1) { throw new sys.RuntimeException("first"); }
+        return 20;
+    }
+}
+class Main {
+    static void main() {
+        try {
+            sys.System.println("first " + K.v);
+        } catch (sys.RuntimeException e) {
+            sys.System.println("caught " + e.getMessage());
+        }
+        sys.System.println("second " + K.v);
+        K.boot();
+        sys.System.println("tries " + Tries.n);
     }
 }`, nil},
 	}

@@ -246,8 +246,10 @@ func (t *transformer) makeCLocal(c *ir.Class) (*ir.Class, error) {
 		Interfaces: []string{CInt(c.Name)},
 		Meta:       "generated:c-local:" + c.Name,
 	}
-	// Singleton declarations: private static C_Int me = new C_Local();
-	// public static C_Int get_me().
+	// Singleton declarations: private static C_Int me = new C_Local(),
+	// then the class's rewritten initialiser, C_Factory.clinit(me), so
+	// the original initialisation runs as this class's, with the VM's
+	// run-once and wait rules; public static C_Int get_me().
 	cl.Fields = append(cl.Fields, ir.Field{
 		Name: SingletonField, Type: ir.Ref(CInt(c.Name)), Static: true, Access: ir.AccessPrivate,
 	})
@@ -259,6 +261,8 @@ func (t *transformer) makeCLocal(c *ir.Class) (*ir.Class, error) {
 				{Op: ir.OpDup},
 				{Op: ir.OpInvokeSpecial, Owner: name, Member: ir.ConstructorName},
 				{Op: ir.OpPutStatic, Owner: name, Member: SingletonField},
+				{Op: ir.OpGetStatic, Owner: name, Member: SingletonField},
+				{Op: ir.OpInvokeStatic, Owner: CFactory(c.Name), Member: ClinitMethod, NArgs: 1},
 				{Op: ir.OpReturn},
 			},
 		},

@@ -25,7 +25,7 @@ func (v *VM) invoke(env *Env, c *code, base int) (ret bool, thrown *Thrown, err 
 	if m.Abstract {
 		return false, nil, &FaultError{Msg: fmt.Sprintf("abstract method %s.%s invoked", c.class.Name, m.Name)}
 	}
-	if m.Static && !c.state.started.Load() {
+	if m.Static && !c.state.done.Load() {
 		if thrown, err := v.initClass(env, c.class); thrown != nil || err != nil {
 			return false, thrown, err
 		}
@@ -167,7 +167,7 @@ func (v *VM) run(env *Env, c *code, base int) (bool, *Thrown, error) {
 				lk = &cl.self
 				at.Store(lk)
 			}
-			if !lk.state.started.Load() {
+			if !lk.state.done.Load() {
 				thrown, err := v.initClass(env, lk.class)
 				f = env.slab[base:end]
 				if err != nil {
@@ -235,7 +235,7 @@ func (v *VM) run(env *Env, c *code, base int) (bool, *Thrown, error) {
 				lk = &v.classLink(dc).self
 				at.Store(lk)
 			}
-			if !lk.state.started.Load() {
+			if !lk.state.done.Load() {
 				thrown, err := v.initClass(env, lk.class)
 				f = env.slab[base:end]
 				if err != nil {

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"rafda/internal/ir"
 	"rafda/internal/stdlib"
@@ -22,14 +23,8 @@ class Main { static void main() {} }`
 // on their own (no monitor gate) and the host's GetStatic/SetStatic all
 // reach the statics through the class monitor's state lock, so none of
 // them races another (run under -race) and every read is a whole int.
-// The class is initialised first: a toucher racing the first one
-// proceeds without waiting and can find the slots not yet made (see
-// VM.initClass), which is not what this test is about.
 func TestStaticsConcurrentWithHost(t *testing.T) {
 	v := compileVM(t, staticsSource)
-	if _, err := v.GetStatic("K", "n"); err != nil {
-		t.Fatal(err)
-	}
 	const workers, rounds = 4, 300
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -69,6 +64,98 @@ func TestStaticsConcurrentWithHost(t *testing.T) {
 	}
 	if got, err := v.GetStatic("K", "n"); err != nil || got.I < 1 || got.I > workers*rounds {
 		t.Fatalf("n = %v %v after %d bumps", got, err, workers*rounds)
+	}
+}
+
+// TestFirstTouchWaitsForInit: four executions and the host race the
+// first touch of a class whose initialiser sleeps before it sets the
+// statics.  One of them runs the initialiser; every other waits until it
+// has finished, so none faults on slots not yet made and every one reads
+// the initialised values.
+func TestFirstTouchWaitsForInit(t *testing.T) {
+	v := compileVM(t, `
+class K {
+    static int inits = 0;
+    static int a = K.boot();
+    static int b = 9;
+    static int boot() { sys.Clock.sleepMicros(20000); inits = inits + 1; return 7; }
+    static int sum() { return a + b; }
+}
+class Main { static void main() {} }`)
+	const workers = 4
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			v.Exec(func(env *Env) {
+				got, thrown, err := env.Call("K", "sum", Value{}, nil)
+				if err != nil || thrown != nil || got.I != 16 {
+					t.Errorf("K.sum() = %v, %v, %v; want 16", got, thrown, err)
+				}
+			})
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		<-start
+		if got, err := v.GetStatic("K", "b"); err != nil || got.I != 9 {
+			t.Errorf("GetStatic(K.b) = %v, %v; want 9", got, err)
+		}
+	}()
+	close(start)
+	wg.Wait()
+	if got, err := v.GetStatic("K", "inits"); err != nil || got.I != 1 {
+		t.Fatalf("initialiser ran %v times (%v), want 1", got.I, err)
+	}
+}
+
+// TestCyclicInitAcrossExecutions: two executions each initialising a
+// class whose initialiser reads the other's.  Each sleeps inside its
+// initialiser first, so both initialisations are in progress when either
+// touches the other's class.  One of them must be let through to the
+// half-initialised class, as the JVM lets a thread through inside its own
+// initialisation cycle, or both wait for ever.
+func TestCyclicInitAcrossExecutions(t *testing.T) {
+	v := compileVM(t, `
+class X {
+    static int v = X.boot();
+    static int boot() { sys.Clock.sleepMicros(5000); return Y.get() + 1; }
+    static int get() { return v; }
+}
+class Y {
+    static int v = Y.boot();
+    static int boot() { sys.Clock.sleepMicros(5000); return X.get() + 1; }
+    static int get() { return v; }
+}
+class Main { static void main() {} }`)
+	got := make(chan int64, 2)
+	for _, class := range []string{"X", "Y"} {
+		go func() {
+			v.Exec(func(env *Env) {
+				res, thrown, err := env.Call(class, "get", Value{}, nil)
+				if err != nil || thrown != nil {
+					t.Errorf("%s.get: %v %v", class, thrown, err)
+				}
+				got <- res.I
+			})
+		}()
+	}
+	var sum int64
+	for i := 0; i < 2; i++ {
+		select {
+		case v := <-got:
+			sum += v
+		case <-time.After(10 * time.Second):
+			t.Fatal("cross-referencing static initialisers deadlocked")
+		}
+	}
+	// Whichever execution was let through saw the other's v as 0.
+	if sum != 3 {
+		t.Fatalf("X.v + Y.v = %d, want 3 (one initialiser saw 0, the other 1)", sum)
 	}
 }
 

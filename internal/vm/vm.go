@@ -23,10 +23,11 @@
 //     objects run in parallel.
 //   - Static fields are the slots of their class's monitor, an Object
 //     like any other, so each static access is atomic under the
-//     monitor's state lock; <clinit> runs once, triggered by the first
-//     toucher (concurrent touchers may observe partially-initialised
-//     statics, exactly as they could in the seed across I/O points and
-//     as the JVM permits within initialisation cycles).
+//     monitor's state lock.  <clinit> runs once, as the JVM runs it
+//     (VM.initClass): the first toucher initialises the class and
+//     re-enters freely, every other execution waits until it has
+//     finished, and a wait that would close a cycle among executions is
+//     let through to the half-initialised class.
 //   - There is one execution regime.  Exec opens an ungated scope and
 //     ExecOn one that holds an object's gate; the host entry points
 //     (Invoke, Construct, RunMain, GetStatic, SetStatic) are those two.
@@ -120,6 +121,10 @@ type Env struct {
 	hi   int
 
 	gates []gateRef // invocation gates held, in acquisition order
+
+	// initWait is the class whose initialisation this execution waits
+	// for another to finish (nil when none), guarded by VM.initMu.
+	initWait *classState
 
 	// forward is one-shot baggage for the node runtime: when an inbound
 	// invocation's target turns out to be a forwarding proxy, the
@@ -357,12 +362,16 @@ type nativeKey struct {
 	arity       int
 }
 
-// classState is one class's runtime state, held in its classLink: whether
-// initialisation has been claimed, the layout its instances share (nil
-// until the first allocation), and the class's monitor.
+// classState is one class's runtime state, held in its classLink: its
+// initialisation, the layout its instances share (nil until the first
+// allocation), and the class's monitor.
 type classState struct {
-	started atomic.Bool
-	layout  atomic.Pointer[layout]
+	// done is set once initialisation has finished, successfully or
+	// not; owner is the execution running it meanwhile.  Both are
+	// written under VM.initMu.
+	done   atomic.Bool
+	owner  atomic.Pointer[Env]
+	layout atomic.Pointer[layout]
 	// monitor is the class's monitor.  Its gate is held by host-entered
 	// static calls (VM.Invoke); its slots are the class's static fields,
 	// which it has none of (layout noFields) until the superclass chain
@@ -391,6 +400,12 @@ type VM struct {
 	// state, created on first use.
 	prog    *ir.Program
 	classes sync.Map // *ir.Class → *classLink
+
+	// initMu guards every class's initialisation owner and every
+	// execution's initWait; initDone, on it, is broadcast whenever an
+	// initialisation finishes.  Nothing is acquired while holding it.
+	initMu   sync.Mutex
+	initDone sync.Cond
 
 	// The native tables, written at boot and read by a native method's
 	// first call (callNative), both under regMu.
@@ -448,6 +463,7 @@ func New(prog *ir.Program, opts ...Option) (*VM, error) {
 		maxDepth:     DefaultMaxDepth,
 		clock:        time.Now,
 	}
+	v.initDone.L = &v.initMu
 	for _, o := range opts {
 		o(v)
 	}
@@ -844,22 +860,76 @@ func (v *VM) enter(env *Env, c *code, recv Value, args []Value) (Value, *Thrown,
 	return res, thrown, err
 }
 
-// initClass runs the static initialiser of c (and its superclasses) on
-// first use; callers on a hot path test their class state's started
-// flag themselves first.  The first toucher claims the class
-// (mark-then-run, as the JVM does) so initialisation cycles terminate —
-// re-entrant and concurrent touchers proceed immediately and may observe
-// partially-initialised statics, mirroring the seed's behaviour across
-// lock-release points and Java's within init cycles.
+// initClass initialises c (and its superclasses) on first use, as the
+// JVM does; callers on a hot path test their class state's done flag
+// themselves first.  The first toucher owns the initialisation and
+// re-enters freely, so a class's initialiser can reach its own statics;
+// every other execution waits, its gates parked, until the owner has
+// finished.  A wait that would close a cycle among executions — the
+// owner waits, directly or through other waiters, on a class this
+// execution is initialising — is never started: the execution is let
+// through to the half-initialised class, as the owner itself would be.
+// An initialiser that fails has still run: it never runs again.
 func (v *VM) initClass(env *Env, c *ir.Class) (*Thrown, error) {
 	cl := v.classLink(c)
-	if cl.state.started.Load() || !cl.state.started.CompareAndSwap(false, true) {
+	st := &cl.state
+	if st.done.Load() || st.owner.Load() == env {
 		return nil, nil
 	}
+	v.initMu.Lock()
+	for !st.done.Load() {
+		owner := st.owner.Load()
+		if owner == nil {
+			st.owner.Store(env)
+			v.initMu.Unlock()
+			defer func() {
+				v.initMu.Lock()
+				st.owner.Store(nil)
+				st.done.Store(true)
+				v.initDone.Broadcast()
+				v.initMu.Unlock()
+			}()
+			return v.runInit(env, c, cl)
+		}
+		if waitsOn(owner, env) {
+			break
+		}
+		env.initWait = st
+		v.initMu.Unlock()
+		env.RunUnlocked(func() {
+			v.initMu.Lock()
+			for st.owner.Load() == owner {
+				v.initDone.Wait()
+			}
+			env.initWait = nil
+			v.initMu.Unlock()
+		})
+		v.initMu.Lock()
+	}
+	v.initMu.Unlock()
+	return nil, nil
+}
+
+// waitsOn reports whether execution o waits, directly or through other
+// waiters, on a class env is initialising.  initMu is held; the waits
+// form no cycle, since initClass never starts one that would close it.
+func waitsOn(o, env *Env) bool {
+	for o != nil && o.initWait != nil {
+		if o = o.initWait.owner.Load(); o == env {
+			return true
+		}
+	}
+	return false
+}
+
+// runInit initialises c for initClass, whose claim env holds (cl is c's
+// link): the superclass chain first, then c's static slots, then its
+// <clinit>.
+func (v *VM) runInit(env *Env, c *ir.Class, cl *classLink) (*Thrown, error) {
 	if c.Super != "" {
 		// As in the seed, a failed superclass initialisation leaves
-		// this class marked started but slot-less: later static
-		// accesses fault rather than reading phantom zero values.
+		// this class initialised but slot-less: later static accesses
+		// fault rather than reading phantom zero values.
 		sc := v.prog.Class(c.Super)
 		if sc == nil {
 			return nil, &FaultError{Msg: "init: unknown class " + c.Super}
