@@ -109,6 +109,44 @@ type Class struct {
 	// this mark (transform.ProxyOf), never by its name, so archives must
 	// carry it.
 	Meta string
+
+	// byKey indexes indexed, the method list as Program.Add found it, by
+	// name and arity (see Method).
+	byKey   map[methodKey]*Method
+	indexed []*Method
+}
+
+type methodKey struct {
+	name  string
+	nargs int
+}
+
+// methodIndexMin is the shortest method list Program.Add indexes: a
+// shorter one is as quick to scan.
+const methodIndexMin = 16
+
+// indexMethods indexes c's methods by name and arity, the first of a
+// name and arity winning as in a scan, unless the index it has is still
+// current (a class added to a second program is not written again).
+func (c *Class) indexMethods() {
+	if len(c.Methods) < methodIndexMin || c.indexCurrent() {
+		return
+	}
+	idx := make(map[methodKey]*Method, len(c.Methods))
+	for _, m := range c.Methods {
+		k := methodKey{m.Name, len(m.Params)}
+		if idx[k] == nil {
+			idx[k] = m
+		}
+	}
+	c.byKey, c.indexed = idx, c.Methods
+}
+
+// indexCurrent reports whether c's index was built over its method list
+// as it is now: the same backing array and length.  A list appended to,
+// or replaced, since Program.Add is scanned instead.
+func (c *Class) indexCurrent() bool {
+	return c.byKey != nil && len(c.indexed) == len(c.Methods) && &c.indexed[0] == &c.Methods[0]
 }
 
 // Field returns the field declared in c (not supers) with the given name.
@@ -123,18 +161,11 @@ func (c *Class) Field(name string) *Field {
 
 // Method returns the method declared in c with the given name and arity.
 func (c *Class) Method(name string, nargs int) *Method {
+	if c.indexCurrent() {
+		return c.byKey[methodKey{name, nargs}]
+	}
 	for _, m := range c.Methods {
 		if m.Name == name && len(m.Params) == nargs {
-			return m
-		}
-	}
-	return nil
-}
-
-// MethodByKey returns the declared method with the given MethodKey.
-func (c *Class) MethodByKey(key string) *Method {
-	for _, m := range c.Methods {
-		if m.Key() == key {
 			return m
 		}
 	}

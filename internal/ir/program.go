@@ -25,7 +25,8 @@ func NewProgramSize(n int) *Program {
 	return &Program{classes: make(map[string]*Class, n), order: make([]string, 0, n)}
 }
 
-// Add inserts a class.  Adding a duplicate name returns an error.
+// Add inserts a class, indexing its methods (see Class.Method).  Adding a
+// duplicate name returns an error.
 func (p *Program) Add(c *Class) error {
 	if c == nil || c.Name == "" {
 		return fmt.Errorf("add class: nil or unnamed class")
@@ -33,6 +34,7 @@ func (p *Program) Add(c *Class) error {
 	if _, dup := p.classes[c.Name]; dup {
 		return fmt.Errorf("add class: duplicate class %q", c.Name)
 	}
+	c.indexMethods()
 	p.classes[c.Name] = c
 	p.order = append(p.order, c.Name)
 	return nil

@@ -2,9 +2,13 @@ package minijava
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"strings"
 	"testing"
+	"time"
 
+	"rafda/internal/ir"
 	"rafda/internal/vm"
 )
 
@@ -348,5 +352,58 @@ class Main {
 	want := "m=42\np=20\n"
 	if out.String() != want {
 		t.Fatalf("got %q want %q", out.String(), want)
+	}
+}
+
+// wideSource is one class of n static methods, each calling the next.
+func wideSource(n int) string {
+	var b strings.Builder
+	b.WriteString("class Wide {\n")
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&b, "    static int m%d(int x) { if (x <= 0) { return %d; } return m%d(x - 1); }\n", i, i, (i+1)%n)
+	}
+	b.WriteString("}\nclass Main { static void main() {} }\n")
+	return b.String()
+}
+
+// calls reports whether m invokes a method named callee.
+func calls(m *ir.Method, callee string) bool {
+	if m == nil {
+		return false
+	}
+	for _, in := range m.Code {
+		if in.Op == ir.OpInvokeStatic && in.Member == callee {
+			return true
+		}
+	}
+	return false
+}
+
+// TestWideClassCompilesLinearly: the checker and the code generator
+// resolve each call in a class by name and arity without scanning the
+// class's method list, so ten times the methods compile in about ten
+// times the time.  A scan per call made 10,000 methods take ~40 times as
+// long as 1,000; the bound leaves room for a noisy machine.
+func TestWideClassCompilesLinearly(t *testing.T) {
+	best := func(n int) time.Duration {
+		src := wideSource(n)
+		d := time.Duration(math.MaxInt64)
+		for r := 0; r < 3; r++ {
+			start := time.Now()
+			prog, err := Compile(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d = min(d, time.Since(start))
+			if !calls(prog.Class("Wide").Method(fmt.Sprintf("m%d", n-1), 1), "m0") {
+				t.Fatalf("m%d does not call m0", n-1)
+			}
+		}
+		return d
+	}
+	narrow, wide := best(1000), best(10000)
+	t.Logf("1,000 methods %v, 10,000 methods %v", narrow, wide)
+	if wide > 20*narrow {
+		t.Fatalf("10,000 methods took %.0f times as long as 1,000", float64(wide)/float64(narrow))
 	}
 }

@@ -31,11 +31,15 @@ const parkDrainPatience = 100 * time.Millisecond
 // a proxy forwards the request to the object's home node (OpMigrateOut),
 // and the proxy then retargets to the object's new home.
 //
-// Atomicity: the whole snapshot→ship→morph sequence runs while holding
-// the object's invocation gate.  Acquiring the gate drains in-flight
-// gated invocations and blocks new ones, so no gate-holding method call
-// can mutate state between the snapshot and the morph — the lost-update
-// window the migration stress test demonstrates against weaker designs.
+// Atomicity: the whole freeze→snapshot→ship→morph sequence runs while
+// holding the object's invocation gate.  Acquiring the gate drains
+// in-flight gated invocations and blocks new ones, so no gate-holding
+// method call can mutate state between the snapshot and the morph — the
+// lost-update window the migration stress test demonstrates against
+// weaker designs.  The freeze covers writers that hold no gate of the
+// object's (an execution gated elsewhere, writing through accessors):
+// their field stores wait on the gate until the morph, then follow the
+// object to its new home (a failed ship thaws it instead).
 // Blocked invocations resume once the morph completes and transparently
 // forward through the proxy to the object's new home.  Two concurrent
 // Migrate calls on one object serialise on the same gate; the loser
@@ -107,7 +111,7 @@ func (n *Node) migrate(ref vm.Value, targetEndpoint string, ctx trace.Ctx) error
 	for {
 		var parkedWait bool
 		n.machine.ExecOn(obj, func(env *vm.Env) {
-			cls, fields := obj.View()
+			cls := obj.Class()
 			if isProxyClass(cls) {
 				// Lost the race to another migration while waiting for the
 				// gate; retarget through the home instead (outside the gate,
@@ -128,7 +132,13 @@ func (n *Node) migrate(ref vm.Value, targetEndpoint string, ctx trace.Ctx) error
 			}
 
 			drained = time.Since(drainStart)
-			migErr = n.shipAndMorph(obj, base, fields, proto, targetEndpoint, sp)
+			// Freeze before the snapshot: a store by an execution that
+			// holds no gate of obj's waits from here until the morph, so
+			// none lands in a state the ship has already copied.
+			_, fields := obj.Freeze()
+			if migErr = n.shipAndMorph(obj, base, fields, proto, targetEndpoint, sp); migErr != nil {
+				obj.Thaw()
+			}
 		})
 		if parkedWait {
 			time.Sleep(time.Millisecond)

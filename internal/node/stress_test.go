@@ -1,6 +1,8 @@
 package node
 
 import (
+	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -198,6 +200,83 @@ class Main { static void main() {} }`
 	v, err := nodeA.CallOn(ref, "work", vm.IntV(1))
 	if err != nil || v.I != 7 {
 		t.Fatalf("post-migration call: %v %v", v, err)
+	}
+}
+
+// TestUngatedWritesSurviveMigration: a static entry — gated on its
+// class's statics holder, never on the Till — bumps a Till through the
+// Till's accessors while the host migrates the Till to a peer.  Every
+// bump the entry acknowledged must be in the count the Till reads at its
+// new home.  Before field-site stores waited for a migration's frozen
+// object, a store landing between the snapshot and the morph was lost
+// with the local state; before an accessor whose receiver morphed after
+// dispatch was dispatched again, the entry died with "no field total on
+// Till_O_Proxy_inproc".  Each round runs on fresh nodes and migrates
+// while the loop is hot; the peer is in-process, so the bumps that follow
+// the Till there stay cheap under -race.
+func TestUngatedWritesSurviveMigration(t *testing.T) {
+	src := `
+class Till {
+    int total;
+    void bump() { total = total + 1; }
+    int read() { return total; }
+}
+class Pump {
+    static Till till = new Till();
+    static int run(int n) { for (int i = 0; i < n; i = i + 1) { till.bump(); } return n; }
+}
+class Main { static void main() {} }`
+	res := transformSource(t, src)
+	const rounds, bumps = 20, 20000
+	for r := 0; r < rounds; r++ {
+		t.Run(fmt.Sprintf("round%d", r), func(t *testing.T) {
+			nodeA, nodeB, epB := twoNodes(t, res, "inproc")
+			till, err := nodeA.ReadStatic("Pump", "till")
+			if err != nil || till.O == nil {
+				t.Fatalf("read static: %v %v", till, err)
+			}
+			type result struct {
+				acked vm.Value
+				err   error
+			}
+			done := make(chan result, 1)
+			go func() {
+				v, err := nodeA.InvokeStatic("Pump", "run", vm.IntV(bumps))
+				done <- result{v, err}
+			}()
+			// Migrate while the loop is hot and half done.  (On the rare
+			// round where the loop outruns this poll, the migration
+			// lands after it and the round checks nothing.)
+			var out result
+			ran := false
+			for !ran && till.O.Get("total").I < bumps/2 {
+				select {
+				case out = <-done:
+					ran = true
+				default:
+					runtime.Gosched()
+				}
+			}
+			if err := nodeA.Migrate(till, epB); err != nil {
+				t.Fatalf("migrate: %v", err)
+			}
+			if !ran {
+				out = <-done
+			}
+			if out.err != nil {
+				t.Fatalf("Pump.run: %v", out.err)
+			}
+			got, err := nodeA.CallOn(till, "read")
+			if err != nil {
+				t.Fatalf("read: %v", err)
+			}
+			if got.I != out.acked.I {
+				t.Fatalf("%d bumps acknowledged, the Till read %d", out.acked.I, got.I)
+			}
+			if in := count(nodeB, "node.migrations_in"); in != 1 {
+				t.Fatalf("migrations into the peer = %d, want 1", in)
+			}
+		})
 	}
 }
 

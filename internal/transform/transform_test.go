@@ -183,7 +183,7 @@ func TestFigure3Shape(t *testing.T) {
 		t.Fatal("X_O_Proxy_soap missing")
 	}
 	for _, name := range []string{"get_y", "m"} {
-		pm := proxy.MethodByKey(name + "/0")
+		pm := proxy.Method(name, 0)
 		if name == "m" {
 			pm = proxy.Method("m", 1)
 		}

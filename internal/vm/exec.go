@@ -53,9 +53,10 @@ func (c *code) fault(pc int, format string, a ...any) (bool, *Thrown, error) {
 }
 
 // run interprets one bytecode activation in the frame that starts at
-// env.slab[base].  Field and static accesses synchronise on the state
-// lock of the object or class monitor that holds the field; native
-// methods may release the execution's locks via Env.RunUnlocked.
+// env.slab[base].  A field or static access reads or writes one slot of
+// the object or class monitor that holds the field, atomically (see
+// Object); native methods may release the execution's gates via
+// Env.RunUnlocked.
 //
 // f is the frame's window on the slab: locals f[:nl], operand stack
 // f[nl:sp].  Anything that can run other code (an invoke, a class
@@ -216,8 +217,11 @@ func (v *VM) run(env *Env, c *code, base int) (bool, *Thrown, error) {
 			if ref.K != ir.KindRef {
 				return c.fault(pc, "putfield on non-ref %v", ref.K)
 			}
-			if !ref.O.store(in.Member, &b.sites[pc], &f[sp+1]) {
+			switch ref.O.store(env, in.Member, &b.sites[pc], &f[sp+1]) {
+			case absent:
 				return c.fault(pc, "no field %s on %s", in.Member, ref.O.ClassName())
+			case misfit:
+				return c.fault(pc, "putfield of %s to field %s of %s", f[sp+1].K, in.Member, ref.O.ClassName())
 			}
 
 		case ir.OpGetStatic, ir.OpPutStatic:
@@ -249,19 +253,25 @@ func (v *VM) run(env *Env, c *code, base int) (bool, *Thrown, error) {
 			// The site's record is the declaring class's until the first
 			// access finds the field, then the field's slot in the class
 			// monitor's layout, which names the class too.
-			ok := false
+			res := stored
 			if mon := &lk.state.monitor; in.Op == ir.OpGetStatic {
-				ok = mon.load(&f[sp], in.Member, at)
+				if !mon.load(&f[sp], in.Member, at) {
+					res = absent
+				}
 				sp++
 			} else {
 				sp--
-				ok = mon.store(in.Member, at, &f[sp])
+				res = mon.store(env, in.Member, at, &f[sp])
 			}
-			if !ok {
+			switch res {
+			case absent:
 				return false, nil, &FaultError{Msg: fmt.Sprintf("field %s.%s is not static", lk.class.Name, in.Member)}
+			case misfit:
+				return c.fault(pc, "putstatic of %s to field %s.%s", f[sp].K, lk.class.Name, in.Member)
 			}
 
 		case ir.OpInvokeStatic, ir.OpInvokeVirtual, ir.OpInvokeInterface, ir.OpInvokeSpecial:
+		dispatch:
 			at := &b.sites[pc]
 			lk := at.Load()
 			if in.Op == ir.OpInvokeStatic {
@@ -320,6 +330,12 @@ func (v *VM) run(env *Env, c *code, base int) (bool, *Thrown, error) {
 			ret, thrown, err := v.invoke(env, callee, base+cb)
 			f = env.slab[base:end]
 			if err != nil {
+				// An accessor faults on a receiver that a migration
+				// morphed after dispatch: it left its arguments where
+				// they were, so dispatch again on the receiver's class.
+				if callee.accessor != notAccessor && in.Op != ir.OpInvokeSpecial && f[cb].O.Class() != lk.class {
+					goto dispatch
+				}
 				return false, nil, err
 			}
 			sp -= in.NArgs
@@ -588,7 +604,7 @@ func (v *VM) accessorAt(env *Env, callee *code, f []Value, sp int) (int, bool) {
 			return sp, false
 		}
 	} else {
-		if !recv.O.store(code[2].Member, &b.sites[2], &f[sp-1]) {
+		if recv.O.store(env, code[2].Member, &b.sites[2], &f[sp-1]) != stored {
 			return sp, false
 		}
 		sp -= 2

@@ -35,9 +35,11 @@ type link struct {
 	sub   bool        // catch, throw: class is the named class or extends it
 
 	// Field and static sites: objects with this layout — a static site's
-	// class monitor once its slots exist — keep the field in slot.
+	// class monitor once its slots exist — keep the field in slot, which
+	// holds values of kind (none in a raw object's layout).
 	layout *layout
 	slot   int
+	kind   ir.Kind
 }
 
 type methodKey struct {
@@ -125,7 +127,7 @@ func (v *VM) classLink(c *ir.Class) *classLink {
 	cl := &classLink{class: c, codes: make(map[*ir.Method]*code, len(c.Methods))}
 	cl.self = link{class: c, state: &cl.state}
 	cl.state.monitor.class.Store(c)
-	cl.state.monitor.layout = noFields
+	cl.state.monitor.start(noFields, nil)
 	for _, m := range c.Methods {
 		nargs := len(m.Params)
 		if !m.Static {

@@ -2,9 +2,11 @@ package vm
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"rafda/internal/ir"
 )
@@ -148,9 +150,10 @@ type layout struct {
 }
 
 // newLayout builds the layout of names, whose slots start at zeros (nil
-// or one per name).  Each slot's site record is self plus the slot: a
-// static layout's records carry the class and state, so one record
-// serves a static site's init check and its slot.
+// or one per name).  Each slot's site record is self plus the slot and
+// its declared kind (none for a raw object's): a static layout's records
+// carry the class and state, so one record serves a static site's init
+// check and its slot.
 func newLayout(self link, names []string, zeros []Value) *layout {
 	l := &layout{
 		names: names,
@@ -162,6 +165,9 @@ func newLayout(self link, names []string, zeros []Value) *layout {
 		l.index[n] = i
 		l.refs[i] = self
 		l.refs[i].layout, l.refs[i].slot = l, i
+		if zeros != nil {
+			l.refs[i].kind = zeros[i].K
+		}
 	}
 	return l
 }
@@ -179,10 +185,8 @@ func (l *layout) slotFor(owner, name string, v *Value) (int, error) {
 	if !ok {
 		return 0, &FaultError{Msg: fmt.Sprintf("no field %s on %s", name, owner)}
 	}
-	if l.zeros != nil {
-		if z := &l.zeros[i]; v.K != z.K && !(refLike(z) && isNull(v)) {
-			return 0, &FaultError{Msg: fmt.Sprintf("field %s of %s holds %s, not %s", name, owner, z.K, v.K)}
-		}
+	if k := l.refs[i].kind; !fits(k, v) {
+		return 0, &FaultError{Msg: fmt.Sprintf("field %s of %s holds %s, not %s", name, owner, k, v.K)}
 	}
 	return i, nil
 }
@@ -196,9 +200,118 @@ func (l *layout) fill(owner string, vals []Value, fields map[string]Value) error
 		}
 	}
 	for k, v := range fields {
-		vals[l.index[k]] = v
+		i := l.index[k]
+		storeSlot(&vals[i], l.refs[i].kind, &v)
 	}
 	return nil
+}
+
+// A slot of a declared kind other than string keeps its value in one
+// word of its Value — I for an int or bool, the bits of F, O, A — and
+// every access to it, under the state lock or not, reads or writes that
+// word alone with one atomic operation; its K is the declared kind,
+// written only before the slot is published.  A string is two words and
+// a raw object's slots have no declared kind: those are read and written
+// whole, and only under the state lock.
+
+// oneWord reports whether a slot of kind k is one atomic word.
+func oneWord(k ir.Kind) bool {
+	return k >= ir.KindBool && k <= ir.KindArray && k != ir.KindString
+}
+
+// fits reports whether v may go in a slot of kind k: a value of that
+// kind, null in a reference or array slot, anything in a raw object's.
+func fits(k ir.Kind, v *Value) bool {
+	return k == 0 || v.K == k || ((k == ir.KindRef || k == ir.KindArray) && isNull(v))
+}
+
+// loadSlot copies slot s, of kind k, into *dst.
+func loadSlot(dst, s *Value, k ir.Kind) {
+	switch k {
+	case ir.KindBool, ir.KindInt:
+		*dst = Value{K: k, I: atomic.LoadInt64(&s.I)}
+	case ir.KindFloat:
+		*dst = Value{K: k, F: math.Float64frombits(atomic.LoadUint64((*uint64)(unsafe.Pointer(&s.F))))}
+	case ir.KindRef:
+		*dst = Value{K: k, O: (*Object)(atomic.LoadPointer((*unsafe.Pointer)(unsafe.Pointer(&s.O))))}
+	case ir.KindArray:
+		*dst = Value{K: k, A: (*Array)(atomic.LoadPointer((*unsafe.Pointer)(unsafe.Pointer(&s.A))))}
+	default:
+		*dst = *s
+	}
+}
+
+// storeSlot writes v, which fits kind k, to slot s.
+func storeSlot(s *Value, k ir.Kind, v *Value) {
+	switch k {
+	case ir.KindBool, ir.KindInt:
+		atomic.StoreInt64(&s.I, v.I)
+	case ir.KindFloat:
+		atomic.StoreUint64((*uint64)(unsafe.Pointer(&s.F)), math.Float64bits(v.F))
+	case ir.KindRef:
+		atomic.StorePointer((*unsafe.Pointer)(unsafe.Pointer(&s.O)), unsafe.Pointer(v.O))
+	case ir.KindArray:
+		atomic.StorePointer((*unsafe.Pointer)(unsafe.Pointer(&s.A)), unsafe.Pointer(v.A))
+	default:
+		*s = *v
+	}
+}
+
+// slots is one state of an object: a layout and the values of its slots,
+// published whole through Object.cur.  A morph publishes a new state and
+// a freeze the same layout and values marked frozen; after publication
+// only the values change, slot by slot.
+type slots struct {
+	layout *layout
+	vals   []Value
+	frozen bool // a migration is snapshotting the object: field-site stores wait
+}
+
+// site returns the site record of name in s — from the site cache at
+// when it holds s's layout, else from the layout, refreshing at (an
+// object of another class, or one morphed since the site last ran) — or
+// nil when the layout has no such field.
+func (s *slots) site(name string, at *atomic.Pointer[link]) *link {
+	if ref := at.Load(); ref != nil && ref.layout == s.layout {
+		return ref
+	}
+	return s.resite(name, at)
+}
+
+// resite is site on a miss of the site cache.
+func (s *slots) resite(name string, at *atomic.Pointer[link]) *link {
+	i, ok := s.layout.index[name]
+	if !ok {
+		return nil
+	}
+	ref := &s.layout.refs[i]
+	at.Store(ref)
+	return ref
+}
+
+// access is the outcome of a field-site store.
+type access uint8
+
+const (
+	stored access = iota
+	absent        // the object has no field of that name
+	misfit        // the value is not of the field's kind
+	frozen        // a migration is snapshotting the object (see Object.Freeze)
+)
+
+// target is where a store of v to name goes in s, or why it goes nowhere.
+func (s *slots) target(name string, at *atomic.Pointer[link], v *Value) (*link, access) {
+	if s.frozen {
+		return nil, frozen
+	}
+	ref := s.site(name, at)
+	switch {
+	case ref == nil:
+		return nil, absent
+	case !fits(ref.kind, v):
+		return nil, misfit
+	}
+	return ref, stored
 }
 
 // Object is a heap object: an instance of its class with its instance
@@ -214,17 +327,23 @@ func (l *layout) fill(owner string, vals []Value, fields map[string]Value) error
 // redirects every existing reference — the mechanism behind Figure 1's
 // replacement of C with Cp.
 //
-// Thread safety: two locks with distinct roles.
+// Thread safety (docs/CONCURRENCY.md §6):
 //
-//   - mu guards the layout and the slot vector for the duration of one
-//     read/write/morph, so individual heap operations are atomic and a
-//     slot index is never applied to the wrong layout, no matter which
-//     goroutines race.  The class pointer is written under mu together
-//     with them but read with a single atomic load: dispatch needs only
+//   - The layout and the slot vector are one state behind the atomic
+//     pointer cur, so a slot index is never applied to the wrong
+//     layout, no matter which goroutines race.  A field or static site
+//     loads the state and reads or writes one slot word with one atomic
+//     operation and no lock; a store then re-loads the state and, when
+//     a morph or a freeze published another meanwhile, stores again
+//     against that one.
+//   - mu serialises what spans slots — SetFields, ReadFields, View,
+//     Freeze, Thaw and the morph — and every access to a two-word slot
+//     (a string, a raw object's).  The class pointer is written under mu
+//     with the state but read with one atomic load: dispatch needs only
 //     the class, and a morph racing it is ordered either side.
 //   - gate is the object's invocation gate (a monitor): the node runtime
 //     holds it for the whole of an inbound method invocation targeting
-//     this object, and migration holds it across snapshot→ship→morph.
+//     this object, and migration holds it across freeze→ship→morph.
 //     Invocations of *different* objects therefore run in parallel while
 //     invocations of the same object — and migrations — serialise.
 //
@@ -232,10 +351,10 @@ func (l *layout) fill(owner string, vals []Value, fields map[string]Value) error
 // objects inside one execution, so self-calls and local call chains
 // cannot self-deadlock; see docs/CONCURRENCY.md for the full contract.
 type Object struct {
-	mu     sync.Mutex
-	class  atomic.Pointer[ir.Class]
-	layout *layout
-	vals   []Value
+	mu    sync.Mutex
+	class atomic.Pointer[ir.Class]
+	cur   atomic.Pointer[slots]
+	own   slots // the state the object is allocated with, which cur first points at
 
 	gate sync.Mutex
 
@@ -263,6 +382,12 @@ type Object struct {
 	parked atomic.Int32
 }
 
+// start gives o, not yet shared, its first state.
+func (o *Object) start(l *layout, vals []Value) {
+	o.own = slots{layout: l, vals: vals}
+	o.cur.Store(&o.own)
+}
+
 // Parked returns the number of executions currently parked mid-method
 // with this object's gate released (see Env.RunUnlocked).
 func (o *Object) Parked() int32 { return o.parked.Load() }
@@ -275,12 +400,13 @@ func NewRawObject(class *ir.Class, fields map[string]Value) *Object {
 	for k := range fields {
 		names = append(names, k)
 	}
-	l := newLayout(link{}, names, nil)
-	o := &Object{layout: l, vals: make([]Value, len(names))}
-	o.class.Store(class)
+	vals := make([]Value, len(names))
 	for i, k := range names {
-		o.vals[i] = fields[k]
+		vals[i] = fields[k]
 	}
+	o := &Object{}
+	o.start(newLayout(link{}, names, nil), vals)
+	o.class.Store(class)
 	return o
 }
 
@@ -303,76 +429,129 @@ func (o *Object) Get(name string) Value {
 }
 
 // Field reads a field and reports whether the object has it.
-func (o *Object) Field(name string) (Value, bool) {
+func (o *Object) Field(name string) (v Value, ok bool) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	if i, ok := o.layout.index[name]; ok {
-		return o.vals[i], true
+	s := o.cur.Load()
+	i, ok := s.layout.index[name]
+	if ok {
+		loadSlot(&v, &s.vals[i], s.layout.refs[i].kind)
 	}
-	return Value{}, false
+	return v, ok
 }
 
 // Set writes a field.  A name the object's layout lacks, or a value that
 // does not fit the field's type, is refused and the object left as it was.
+// A by-name write does not wait for a frozen object (see Freeze).
 func (o *Object) Set(name string, v Value) error {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	i, err := o.layout.slotFor(o.ClassName(), name, &v)
+	s := o.cur.Load()
+	i, err := s.layout.slotFor(o.ClassName(), name, &v)
 	if err == nil {
-		o.vals[i] = v
+		storeSlot(&s.vals[i], s.layout.refs[i].kind, &v)
 	}
 	return err
 }
 
 // load is Field for a field or static site: it copies the field into
 // *dst and reports whether the object has it, leaving *dst alone when
-// not.  at caches the slot the name had in the layout the site last saw.
+// not.  at caches the site record of the name in the layout the site
+// last saw.
 func (o *Object) load(dst *Value, name string, at *atomic.Pointer[link]) bool {
-	o.mu.Lock()
-	i := o.siteSlot(name, at)
-	if i >= 0 {
-		*dst = o.vals[i]
+	s := o.cur.Load()
+	ref := at.Load()
+	if ref == nil || ref.layout != s.layout {
+		if ref = s.resite(name, at); ref == nil {
+			return false
+		}
 	}
-	o.mu.Unlock()
-	return i >= 0
+	if !oneWord(ref.kind) {
+		return o.loadLocked(dst, name, at)
+	}
+	loadSlot(dst, &s.vals[ref.slot], ref.kind)
+	return true
 }
 
-// store is Set for a field or static site, whose value the verifier has
-// type-checked; at as in load.  A name the object lacks is refused.
-func (o *Object) store(name string, at *atomic.Pointer[link], v *Value) bool {
+// loadLocked is load for a two-word slot.
+func (o *Object) loadLocked(dst *Value, name string, at *atomic.Pointer[link]) bool {
 	o.mu.Lock()
-	i := o.siteSlot(name, at)
-	if i >= 0 {
-		o.vals[i] = *v
+	defer o.mu.Unlock()
+	s := o.cur.Load()
+	ref := s.site(name, at)
+	if ref != nil {
+		loadSlot(dst, &s.vals[ref.slot], ref.kind)
 	}
-	o.mu.Unlock()
-	return i >= 0
+	return ref != nil
 }
 
-// siteSlot returns the slot of name, or -1 when the object has none:
-// from the site cache at when it holds the object's layout, else from
-// the layout, refreshing at (an object of another class, or one morphed
-// since the site last ran).  Caller holds o.mu.
-func (o *Object) siteSlot(name string, at *atomic.Pointer[link]) int {
-	if ref := at.Load(); ref != nil && ref.layout == o.layout {
-		return ref.slot
+// store is Set for a field or static site of env's execution; at as in
+// load.  It writes nothing to a name the object lacks, or a value not of
+// the field's kind.  A store then re-loads the state: when a morph or a
+// freeze published another since its load, the state it wrote may not be
+// the one that stays, so it stores again against the new one.
+func (o *Object) store(env *Env, name string, at *atomic.Pointer[link], v *Value) access {
+	s := o.cur.Load()
+	if ref := at.Load(); ref != nil && ref.layout == s.layout && ref.kind == v.K && oneWord(v.K) && !s.frozen {
+		storeSlot(&s.vals[ref.slot], ref.kind, v)
+		if o.cur.Load() == s {
+			return stored
+		}
 	}
-	i, ok := o.layout.index[name]
-	if !ok {
-		return -1
+	return o.storeSlow(env, name, at, v)
+}
+
+// storeSlow is store off its fast path: a site-cache miss, a null, a
+// two-word slot, a refused store, a state published since the load, or a
+// frozen object.  A store that meets a frozen object waits on the
+// object's gate, which the migration that froze it holds until it has
+// morphed or thawed the object, and then stores against the state it
+// finds.  While it waits its execution's gates are parked, as for a wait
+// on another execution's class initialisation: the migration may need
+// one of them.
+func (o *Object) storeSlow(env *Env, name string, at *atomic.Pointer[link], v *Value) access {
+	for {
+		s := o.cur.Load()
+		ref, res := s.target(name, at, v)
+		if res == stored {
+			if !oneWord(ref.kind) {
+				res = o.storeLocked(name, at, v)
+			} else if storeSlot(&s.vals[ref.slot], ref.kind, v); o.cur.Load() != s {
+				continue
+			}
+		}
+		if res != frozen {
+			return res
+		}
+		env.RunUnlocked(func() {
+			o.gate.Lock()
+			o.gate.Unlock()
+		})
 	}
-	at.Store(&o.layout.refs[i])
-	return i
+}
+
+// storeLocked is store for a two-word slot.
+func (o *Object) storeLocked(name string, at *atomic.Pointer[link], v *Value) access {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	s := o.cur.Load()
+	ref, res := s.target(name, at, v)
+	if res == stored {
+		storeSlot(&s.vals[ref.slot], ref.kind, v)
+	}
+	return res
 }
 
 // SetFields writes several fields under one lock acquisition, so readers
-// never observe a torn multi-field update (proxy retargeting writes the
-// GUID/endpoint/proto/target quadruple this way).  When Set would refuse
-// one of them, it writes none.
+// that take the lock never observe a torn multi-field update (proxy
+// retargeting writes the GUID/endpoint/proto/target quadruple this way).
+// When Set would refuse one of them, it writes none.  Like Set, it does
+// not wait for a frozen object.
 func (o *Object) SetFields(m map[string]Value) error {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	return o.layout.fill(o.ClassName(), o.vals, m)
+	s := o.cur.Load()
+	return s.layout.fill(o.ClassName(), s.vals, m)
 }
 
 // ReadFields copies the values of the named fields into out (same
@@ -382,9 +561,10 @@ func (o *Object) SetFields(m map[string]Value) error {
 // observed torn).  A name the object lacks reads as the zero Value.
 func (o *Object) ReadFields(names []string, out []Value) {
 	o.mu.Lock()
+	s := o.cur.Load()
 	for i, n := range names {
-		if s, ok := o.layout.index[n]; ok {
-			out[i] = o.vals[s]
+		if j, ok := s.layout.index[n]; ok {
+			loadSlot(&out[i], &s.vals[j], s.layout.refs[j].kind)
 		} else {
 			out[i] = Value{}
 		}
@@ -394,15 +574,47 @@ func (o *Object) ReadFields(names []string, out []Value) {
 
 // View returns the object's class and a copy of its fields, both taken
 // under one lock acquisition — a consistent snapshot for marshalling and
-// migration.
+// replication.
 func (o *Object) View() (*ir.Class, map[string]Value) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	fields := make(map[string]Value, len(o.vals))
-	for i, v := range o.vals {
-		fields[o.layout.names[i]] = v
+	return o.view(o.cur.Load())
+}
+
+// view is View of state s; the caller holds mu.
+func (o *Object) view(s *slots) (*ir.Class, map[string]Value) {
+	fields := make(map[string]Value, len(s.vals))
+	for i := range s.vals {
+		var v Value
+		loadSlot(&v, &s.vals[i], s.layout.refs[i].kind)
+		fields[s.layout.names[i]] = v
 	}
 	return o.class.Load(), fields
+}
+
+// Freeze is View for a migration, which holds o's gate: it marks o's
+// state frozen before it copies the fields.  Until a morph replaces the
+// frozen state or Thaw releases it, a field-site store to o writes
+// nothing and waits for o's gate instead (see storeSlow), so every
+// store acknowledged to its execution is either in the snapshot or made
+// again against the state that follows.  Reads never wait, and neither
+// do by-name writes (Set, SetFields).
+func (o *Object) Freeze() (*ir.Class, map[string]Value) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	s := o.cur.Load()
+	o.cur.Store(&slots{layout: s.layout, vals: s.vals, frozen: true})
+	return o.view(s)
+}
+
+// Thaw releases a frozen object whose migration did not morph it: stores
+// that waited proceed against the state Freeze snapshotted.
+func (o *Object) Thaw() {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if s := o.cur.Load(); s.frozen {
+		o.cur.Store(&slots{layout: s.layout, vals: s.vals})
+	}
 }
 
 // Epoch returns the object's morph count.  Executions record it at gate

@@ -682,10 +682,10 @@ func (v *VM) SetStatic(class, field string, val Value) error {
 // reference to obj now observes the new class — this implements proxy
 // substitution for live objects.  A field newClass does not declare, or a
 // value that does not fit its type, refuses the morph and leaves obj
-// unchanged.  The swap itself is atomic under the object's state lock;
-// callers that must also exclude in-flight invocations (migration) hold
-// the object's gate via ExecOn around the whole snapshot→ship→morph
-// sequence.
+// unchanged.  The swap itself publishes class, layout and slots under the
+// object's state lock, and releases a frozen object; callers that must
+// also exclude in-flight invocations (migration) hold the object's gate
+// via ExecOn around the whole freeze→ship→morph sequence.
 func (v *VM) Morph(obj *Object, newClass string, fields map[string]Value) error {
 	cl := v.linked(newClass)
 	if cl == nil {
@@ -698,7 +698,7 @@ func (v *VM) Morph(obj *Object, newClass string, fields map[string]Value) error 
 	}
 	obj.mu.Lock()
 	obj.class.Store(cl.class)
-	obj.layout, obj.vals = l, vals
+	obj.cur.Store(&slots{layout: l, vals: vals})
 	obj.epoch.Add(1)
 	obj.mu.Unlock()
 	return nil
@@ -786,7 +786,8 @@ func (v *VM) alloc(c *ir.Class, st *classState) (*Object, error) {
 		return nil, &FaultError{Msg: "new: cannot instantiate " + c.Name}
 	}
 	l := v.layoutOf(c, st)
-	o := &Object{layout: l, vals: slices.Clone(l.zeros)}
+	o := &Object{}
+	o.start(l, slices.Clone(l.zeros))
 	o.class.Store(c)
 	return o, nil
 }
@@ -945,7 +946,7 @@ func (v *VM) runInit(env *Env, c *ir.Class, cl *classLink) (*Thrown, error) {
 	l := v.fieldLayout(cl.self, c, true)
 	mon := &cl.state.monitor
 	mon.mu.Lock()
-	mon.layout, mon.vals = l, slices.Clone(l.zeros)
+	mon.cur.Store(&slots{layout: l, vals: slices.Clone(l.zeros)})
 	mon.mu.Unlock()
 
 	if clinit := c.StaticInit(); clinit != nil {
