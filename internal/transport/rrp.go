@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -136,16 +137,16 @@ func (s *rrpServer) acceptLoop(h Handler) {
 	}
 }
 
-// serveRRPConn is one connection's read loop: decode each frame (its
-// identifiers interned in the loop's own bounded string table), admit
-// it (see admit) and hand the request to a parked worker of this
-// connection, starting a new worker only while fewer than maxInflight
-// exist.  Workers send their responses themselves — in completion
-// order, not arrival order — so a slow call delays only itself; later
-// requests on the same connection overtake it and their responses go
-// out first.
+// serveRRPConn is one connection's read loop: decode each frame where
+// it was read (its identifiers interned in the loop's own bounded
+// string table), admit it (see admit) and hand the request to a parked
+// worker of this connection, starting a new worker only while fewer
+// than maxInflight exist.  Workers send their responses themselves — in
+// completion order, not arrival order — so a slow call delays only
+// itself; later requests on the same connection overtake it and their
+// responses go out first.
 func serveRRPConn(conn net.Conn, h Handler, maxInflight int, ov *overload) {
-	br := bufio.NewReaderSize(conn, rrpBufSize)
+	fr := newFrameReader(conn)
 	sc := &rrpServeConn{h: h, sem: make(chan struct{}, maxInflight), work: make(chan *wire.Request), ov: ov}
 	sc.out = sender{conn: conn, outbox: make(chan outFrame, outboxDepth), stalls: ov.stalls,
 		fail: func(error) { _ = conn.Close() }} // stops the read loop below
@@ -163,12 +164,11 @@ func serveRRPConn(conn net.Conn, h Handler, maxInflight int, ov *overload) {
 	workers := 0
 	var strs wire.StringTable // this loop's alone: the identifiers its frames repeat
 	for {
-		bufp, frame, err := readFrame(br)
+		frame, err := fr.next()
 		if err != nil {
 			return
 		}
 		req, err := strs.DecodeRequest(frame)
-		putFrameBuf(bufp)
 		if err != nil {
 			return
 		}
@@ -414,11 +414,17 @@ func (t *RRP) Dial(endpoint string) (Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("rrp dial %s: %w", addr, err)
 	}
+	return newRRPClient(conn), nil
+}
+
+// newRRPClient starts the reader and writer goroutines of a client on
+// conn; fail stops both.
+func newRRPClient(conn net.Conn) *rrpClient {
 	c := &rrpClient{conn: conn, pending: make(map[uint64]chan rrpResult)}
 	c.out = sender{conn: conn, outbox: make(chan outFrame, outboxDepth), dead: make(chan struct{}), fail: c.fail}
 	go c.out.writeLoop()
 	go c.readLoop()
-	return c, nil
+	return c
 }
 
 type rrpResult struct {
@@ -487,15 +493,14 @@ func (c *rrpClient) Call(req *wire.Request) (*wire.Response, error) {
 // they arrive — in whatever order the server completed them — and hands
 // each to the waiting call.
 func (c *rrpClient) readLoop() {
-	br := bufio.NewReaderSize(c.conn, rrpBufSize)
+	fr := newFrameReader(c.conn)
 	for {
-		bufp, frame, err := readFrame(br)
+		frame, err := fr.next()
 		if err != nil {
 			c.fail(err)
 			return
 		}
 		resp, err := wire.DecodeResponseBytes(frame)
-		putFrameBuf(bufp)
 		if err != nil {
 			c.fail(fmt.Errorf("rrp decode: %w", err))
 			return
@@ -549,8 +554,14 @@ func (c *rrpClient) Close() error {
 }
 
 const (
-	maxFrame   = 64 << 20
-	rrpBufSize = 64 << 10
+	maxFrame = 64 << 20
+	// rrpBufSize is a connection's read buffer: a frame up to this size
+	// is decoded in place, and it holds a 64 KiB payload and its prefix.
+	rrpBufSize = 128 << 10
+	// maxKeptFrame caps a frame buffer kept for reuse, read side or
+	// write side: a larger one is dropped after use, so one huge
+	// payload does not pin memory.
+	maxKeptFrame = 1 << 20
 	// outboxDepth bounds frames queued for the writer goroutine; senders
 	// block (backpressure) when the writer falls this far behind.
 	outboxDepth = 512
@@ -581,8 +592,7 @@ func getFrameBuf() *[]byte {
 }
 
 func putFrameBuf(bufp *[]byte) {
-	// Drop oversized buffers so one huge payload doesn't pin memory.
-	if cap(*bufp) > 1<<20 {
+	if cap(*bufp) > maxKeptFrame {
 		return
 	}
 	*bufp = (*bufp)[:0]
@@ -603,28 +613,57 @@ func appendLengthPrefix(buf []byte) []byte {
 	return buf[start:]
 }
 
-// readFrame reads one length-prefixed frame into a pooled buffer and
-// returns the pool token together with the payload slice.  The caller
-// must putFrameBuf the token once the payload has been decoded.
-func readFrame(br *bufio.Reader) (*[]byte, []byte, error) {
-	n, err := binary.ReadUvarint(br)
+// frameReader reads one connection's length-prefixed frames.  A frame
+// that fits the read buffer is returned in place and discarded at the
+// next call; a larger one is read into a buffer of the reader's own that
+// grows only as the frame's bytes arrive, so a peer that announces a
+// large frame and stalls holds little memory.
+type frameReader struct {
+	br    *bufio.Reader
+	inBuf int    // length of the in-place frame last returned
+	big   []byte // the buffer of frames larger than the read buffer
+}
+
+func newFrameReader(r io.Reader) *frameReader {
+	return &frameReader{br: bufio.NewReaderSize(r, rrpBufSize)}
+}
+
+// next returns the next frame's payload, valid until the following
+// call: decode it before reading again, into values that do not alias
+// it.
+func (fr *frameReader) next() ([]byte, error) {
+	if fr.inBuf > 0 {
+		_, _ = fr.br.Discard(fr.inBuf) // cannot fail: the bytes are buffered
+		fr.inBuf = 0
+	}
+	if cap(fr.big) > maxKeptFrame {
+		fr.big = nil
+	}
+	n, err := binary.ReadUvarint(fr.br)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if n > maxFrame {
-		return nil, nil, errors.New("frame too large")
+		return nil, errors.New("frame too large")
 	}
-	bufp := getFrameBuf()
-	var frame []byte
-	if uint64(cap(*bufp)) >= n {
-		frame = (*bufp)[:n]
-	} else {
-		frame = make([]byte, n)
-		*bufp = frame
+	if int(n) <= fr.br.Size() {
+		frame, err := fr.br.Peek(int(n))
+		if err != nil {
+			return nil, err
+		}
+		fr.inBuf = int(n)
+		return frame, nil
 	}
-	if _, err := io.ReadFull(br, frame); err != nil {
-		putFrameBuf(bufp)
-		return nil, nil, err
+	// Grow by doubling, reading each step before the next allocation.
+	frame := fr.big[:0]
+	for len(frame) < int(n) {
+		step := min(int(n)-len(frame), max(len(frame), rrpBufSize))
+		frame = slices.Grow(frame, step)
+		if _, err := io.ReadFull(fr.br, frame[len(frame):len(frame)+step]); err != nil {
+			return nil, err
+		}
+		frame = frame[:len(frame)+step]
 	}
-	return bufp, frame, nil
+	fr.big = frame
+	return frame, nil
 }

@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"bufio"
 	"fmt"
 	"net"
 	"runtime"
@@ -542,14 +541,13 @@ func rawRRPServer(t *testing.T, respond func(req *wire.Request) []*wire.Response
 			return
 		}
 		defer conn.Close()
-		br := bufio.NewReader(conn)
+		fr := newFrameReader(conn)
 		for {
-			bufp, frame, err := readFrame(br)
+			frame, err := fr.next()
 			if err != nil {
 				return
 			}
 			req, err := wire.DecodeRequestBytes(frame)
-			putFrameBuf(bufp)
 			if err != nil {
 				return
 			}

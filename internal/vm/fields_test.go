@@ -9,6 +9,8 @@ import (
 	"time"
 
 	"rafda/internal/ir"
+	"rafda/internal/stdlib"
+	"rafda/internal/verifier"
 )
 
 // slotsSource: a Cell holds a field of every kind a slot can have, and a
@@ -232,5 +234,34 @@ func TestFrozenStoreParksGates(t *testing.T) {
 	}
 	if got := target.Get("i"); got.I != 7 {
 		t.Fatalf("after the thaw i = %v, want the waiting store's 7", got)
+	}
+}
+
+// TestVerifierLeavesFieldKindsToRunTime pins a limit of the verifier: it
+// checks that a field resolves, not the kind of value stored into it.  A
+// hand-built body that stores an int into P's string field s verifies
+// clean, and the VM refuses the store when it runs.
+func TestVerifierLeavesFieldKindsToRunTime(t *testing.T) {
+	p := stdlib.Program()
+	p.MustAdd(&ir.Class{Name: "P", Super: ir.ObjectClass,
+		Fields: []ir.Field{{Name: "s", Type: ir.String, Access: ir.AccessPublic}}})
+	p.MustAdd(&ir.Class{Name: "T", Super: ir.ObjectClass, Methods: []*ir.Method{
+		staticMethod("f", ir.Void, nil, []ir.Instr{
+			{Op: ir.OpNew, Owner: "P"},
+			{Op: ir.OpConstInt, A: 7},
+			{Op: ir.OpPutField, Owner: "P", Member: "s"},
+			{Op: ir.OpReturn},
+		}),
+	}})
+	if errs := verifier.Verify(p); len(errs) > 0 {
+		t.Fatalf("the verifier now checks value kinds (%v): update this test and DESIGN.md", errs)
+	}
+	v, err := New(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := v.Invoke("T", "f", Value{}, nil); err == nil ||
+		!strings.Contains(err.Error(), "putfield of int to field s of P") {
+		t.Fatalf("an int stored into a string field: %v", err)
 	}
 }
