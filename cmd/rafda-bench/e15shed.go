@@ -256,24 +256,32 @@ func e15Shed(p profile, report *E15Report) error {
 	callWG.Wait()
 
 	// Server-side truth: the shed rows of the introspection snapshot.  A
-	// policy's total is the sum of its rows (per class, per tenant).
+	// policy's total is the sum of its rows (per class, per tenant), and
+	// a map stays nil when its policy has no rows.
 	rows, err := metricRows(srv)
 	if err != nil {
 		return fmt.Errorf("shed-srv introspection: %w", err)
 	}
 	for _, r := range rows {
+		var byKey *map[string]uint64
 		switch r.Name {
 		case "shed.priority":
 			arm.ShedPriority += uint64(r.Value)
+			byKey = &arm.ByPriority
 		case "shed.fairshare":
 			arm.ShedFairShare += uint64(r.Value)
+			byKey = &arm.ByTenant
 		case "shed.codel":
 			arm.ShedCoDel += uint64(r.Value)
 		}
+		if byKey == nil {
+			continue
+		}
+		if *byKey == nil {
+			*byKey = make(map[string]uint64)
+		}
+		(*byKey)[r.Key] = uint64(r.Value)
 	}
-	sample := srv.ShedStats()
-	arm.ByPriority = sample.ByPriority
-	arm.ByTenant = sample.ByTenant
 
 	sloBarMs := float64(p.sloP99) / float64(time.Millisecond)
 	hpOK := true

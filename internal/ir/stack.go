@@ -7,6 +7,18 @@ import "fmt"
 // unresolvable target counts as pushing one; an invalid opcode moves
 // nothing.
 func (p *Program) StackEffect(in *Instr) (pops, pushes int) {
+	void := false
+	switch in.Op {
+	case OpInvokeStatic, OpInvokeVirtual, OpInvokeInterface, OpInvokeSpecial:
+		_, m, err := p.ResolveMethod(in.Owner, in.Member, in.NArgs)
+		void = err == nil && m.Return.IsVoid()
+	}
+	return effect(in, void)
+}
+
+// effect is StackEffect for an instruction whose invoke target, if it
+// has one, is already resolved: void says that it returns nothing.
+func effect(in *Instr, void bool) (pops, pushes int) {
 	switch in.Op {
 	case OpConstInt, OpConstFloat, OpConstString, OpConstBool, OpConstNull,
 		OpLoad, OpNew, OpGetStatic:
@@ -32,7 +44,7 @@ func (p *Program) StackEffect(in *Instr) (pops, pushes int) {
 		if in.Op != OpInvokeStatic {
 			pops++
 		}
-		if _, m, err := p.ResolveMethod(in.Owner, in.Member, in.NArgs); err == nil && m.Return.IsVoid() {
+		if void {
 			pushes = 0
 		}
 		return pops, pushes
@@ -50,12 +62,12 @@ type StackFault struct {
 
 // Depths walks m's control-flow graph from pc 0 at depth 0 and from each
 // handler target at depth 1 (the thrown object), giving each instruction
-// the depth at which the walk first reaches it.  It returns the deepest
-// such depth and the first fault the walk meets, or nil.  The walk goes
-// on past a fault — an underflowing instruction continues from an empty
-// stack, a join keeps its first depth — so deepest covers every
-// reachable instruction.  Targets outside the code are not followed.
-func (p *Program) Depths(m *Method) (deepest int, fault *StackFault) {
+// the depth at which the walk first reaches it; void[pc] says that the
+// invoke at pc returns nothing.  It returns the deepest such depth and
+// the first fault the walk meets, or nil; the walk stops at a fault, so
+// only a faultless walk's deepest covers the whole body.  Targets outside
+// the code are not followed.
+func Depths(m *Method, void []bool) (deepest int, fault *StackFault) {
 	code := m.Code
 	depth := make([]int, len(code)) // entry depth plus one; 0 is unreached
 	var work []int
@@ -79,15 +91,15 @@ func (p *Program) Depths(m *Method) (deepest int, fault *StackFault) {
 	for _, h := range m.Handlers {
 		enter(h.Target, 1)
 	}
-	for len(work) > 0 {
+	for len(work) > 0 && fault == nil {
 		pc := work[len(work)-1]
 		work = work[:len(work)-1]
 		in := &code[pc]
-		pops, pushes := p.StackEffect(in)
+		pops, pushes := effect(in, void[pc])
 		d := depth[pc] - 1
 		if d < pops {
 			report(pc, "stack underflow: depth %d, need %d", d, pops)
-			d = pops
+			break
 		}
 		d += pushes - pops
 		switch in.Op {

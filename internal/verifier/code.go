@@ -4,39 +4,58 @@ import (
 	"rafda/internal/ir"
 )
 
+// Frame limits: a load or store names a slot below maxFrameLocals, and
+// no path through a body holds more than maxFrameOperands operands, so
+// the interpreter's frame for a verified method is bounded.
+const (
+	maxFrameLocals   = 1 << 16
+	maxFrameOperands = 1 << 10
+)
+
 // checkCode checks a method body: every instruction's operands must
-// resolve and its jump target be in range; then the program's stack walk
-// (ir.Program.Depths) must find no underflow, no join reached at two
-// depths and no path falling off the end of the code.
-func (v *verifier) checkCode(c *ir.Class, m *ir.Method) {
+// resolve and its jump target and slot be in range; then the stack walk
+// (ir.Depths) must find no underflow, no join reached at two depths, no
+// path falling off the end of the code and no stack deeper than
+// maxFrameOperands.  It returns the deepest stack.
+func (v *verifier) checkCode(c *ir.Class, m *ir.Method) (deepest int) {
 	ok := true
+	void := make([]bool, len(m.Code)) // an invoke of a void method
 	for pc := range m.Code {
-		if !v.checkInstr(c, m, pc, &m.Code[pc]) {
+		if !v.checkInstr(c, m, pc, &m.Code[pc], &void[pc]) {
 			ok = false
 		}
 	}
 	if !ok {
-		return
+		return 0
 	}
-	if _, fault := v.p.Depths(m); fault != nil {
+	deepest, fault := ir.Depths(m, void)
+	switch {
+	case fault != nil:
 		v.errf(c.Name, m.Name, fault.PC, "%s", fault.Msg)
+	case deepest > maxFrameOperands:
+		v.errf(c.Name, m.Name, -1, "stack depth %d above %d", deepest, maxFrameOperands)
 	}
+	return deepest
 }
 
-// checkInstr validates one instruction's operands.
-func (v *verifier) checkInstr(c *ir.Class, m *ir.Method, pc int, in *ir.Instr) bool {
+// checkInstr validates one instruction's operands, and sets *void for an
+// invoke whose target returns nothing.
+func (v *verifier) checkInstr(c *ir.Class, m *ir.Method, pc int, in *ir.Instr, void *bool) bool {
 	fail := func(format string, a ...any) bool {
 		v.errf(c.Name, m.Name, pc, format, a...)
 		return false
 	}
 	switch in.Op {
-	case ir.OpLoad:
-		if in.A < 0 {
-			return fail("load of negative slot %d", in.A)
+	case ir.OpLoad, ir.OpStore:
+		what := "load of"
+		if in.Op == ir.OpStore {
+			what = "store to"
 		}
-	case ir.OpStore:
-		if in.A < 0 {
-			return fail("store to negative slot %d", in.A)
+		switch {
+		case in.A < 0:
+			return fail("%s negative slot %d", what, in.A)
+		case in.A >= maxFrameLocals:
+			return fail("%s slot %d at or above %d", what, in.A, maxFrameLocals)
 		}
 
 	case ir.OpNew:
@@ -69,6 +88,7 @@ func (v *verifier) checkInstr(c *ir.Class, m *ir.Method, pc int, in *ir.Instr) b
 		if in.Op != ir.OpInvokeStatic && dm.Static {
 			return fail("instance invoke of static method %s.%s", in.Owner, in.Member)
 		}
+		*void = dm.Return.IsVoid()
 
 	case ir.OpNewArray:
 		if in.TypeRef == nil {

@@ -4,6 +4,12 @@
 // been verified by a standard compiler".  The front end's output and the
 // transformer's output are both verified in tests, which guards the
 // transformation's structural correctness independently of execution.
+// The interpreter runs CheckMethod on each method's first activation and
+// refuses a method that fails it, so the code it runs has the shape this
+// package checks: operands that resolve, jumps and slots in range, and
+// one bounded stack depth at every instruction.  Value kinds are not
+// checked: an int stored into a string field verifies and faults only
+// when run.
 package verifier
 
 import (
@@ -52,6 +58,18 @@ func Verify(p *ir.Program) []error {
 		v.errs = append(v.errs, errs...)
 	}
 	return v.errs
+}
+
+// CheckMethod checks one method of class c as Verify does, and returns
+// the first problem found or, when there is none, the deepest operand
+// stack that any path through the method's code holds.
+func CheckMethod(p *ir.Program, c *ir.Class, m *ir.Method) (deepest int, err error) {
+	v := &verifier{p: p}
+	deepest = v.checkMethod(c, m)
+	if len(v.errs) > 0 {
+		return 0, v.errs[0]
+	}
+	return deepest, nil
 }
 
 type verifier struct {
@@ -217,7 +235,9 @@ func (v *verifier) checkType(class, method string, t ir.Type, allowVoid bool) {
 	}
 }
 
-func (v *verifier) checkMethod(c *ir.Class, m *ir.Method) {
+// checkMethod reports m's problems and returns the deepest stack of its
+// code.
+func (v *verifier) checkMethod(c *ir.Class, m *ir.Method) (deepest int) {
 	for _, pt := range m.Params {
 		v.checkType(c.Name, m.Name, pt, false)
 	}
@@ -242,7 +262,7 @@ func (v *verifier) checkMethod(c *ir.Class, m *ir.Method) {
 		v.errf(c.Name, m.Name, -1, "<clinit> must be static")
 	}
 	if len(m.Code) > 0 {
-		v.checkCode(c, m)
+		deepest = v.checkCode(c, m)
 	}
 	for _, h := range m.Handlers {
 		if h.Start < 0 || h.End > len(m.Code) || h.Start >= h.End {
@@ -255,4 +275,5 @@ func (v *verifier) checkMethod(c *ir.Class, m *ir.Method) {
 			v.errf(c.Name, m.Name, -1, "handler catches unknown class %s", h.CatchClass)
 		}
 	}
+	return deepest
 }

@@ -45,7 +45,8 @@ func (v *VM) invoke(env *Env, c *code, base int) (ret bool, thrown *Thrown, err 
 	return ret, thrown, err
 }
 
-// fault reports malformed code at pc of c.
+// fault reports a fault at pc of c that the verifier does not rule out:
+// an operand of the wrong kind, or the step limit.
 func (c *code) fault(pc int, format string, a ...any) (bool, *Thrown, error) {
 	return false, nil, &FaultError{
 		Msg: fmt.Sprintf("%s.%s pc=%d: %s", c.class.Name, c.m.Name, pc, fmt.Sprintf(format, a...)),
@@ -58,14 +59,19 @@ func (c *code) fault(pc int, format string, a ...any) (bool, *Thrown, error) {
 // Object); native methods may release the execution's gates via
 // Env.RunUnlocked.
 //
+// Only code the verifier accepted runs (see VM.linkBody), so run tests
+// nothing about the code's shape: every pc it reaches is in the code,
+// every operand an instruction pops is there, every slot a load or store
+// names is in the frame, and every type and static field an instruction
+// names resolves.  What it tests is what the verifier does not prove:
+// value kinds, nulls, indexes and divisors, and the step and depth
+// limits.
+//
 // f is the frame's window on the slab: locals f[:nl], operand stack
-// f[nl:sp].  Anything that can run other code (an invoke, a class
-// initialiser) can grow — that is, move — the slab, so f is re-derived
-// after it.  The frame is one slot longer than the deepest stack the link
-// pass found, and the loop refuses to start an instruction with that slot
-// taken: no instruction pushes more than one operand net, so a push never
-// needs its own bounds test and code that outgrows its frame faults
-// instead of writing into the next.
+// f[nl:sp].  The frame holds the deepest stack the verifier's walk found,
+// so a push never needs a bounds test.  Anything that can run other code
+// (an invoke, a class initialiser) can grow — that is, move — the slab,
+// so f is re-derived after it.
 //
 // Every throw site sets pendingThrow and jumps to the throw block at the
 // end of the loop body, which looks the exception up in this frame's
@@ -74,6 +80,9 @@ func (v *VM) run(env *Env, c *code, base int) (bool, *Thrown, error) {
 	b := c.body.Load()
 	if b == nil {
 		b = v.linkBody(c)
+	}
+	if b.refused != nil {
+		return false, nil, b.refused
 	}
 	end := base + b.size
 	env.reserve(end)
@@ -92,14 +101,8 @@ func (v *VM) run(env *Env, c *code, base int) (bool, *Thrown, error) {
 	var pendingThrow *Thrown
 
 	for {
-		if pc < 0 || pc >= len(code) {
-			return c.fault(pc, "pc out of range (len=%d)", len(code))
-		}
 		if env.steps++; env.steps > v.maxSteps {
 			return c.fault(pc, "step limit exceeded")
-		}
-		if sp >= len(f) {
-			return c.fault(pc, "operand stack overflow")
 		}
 
 		in := &code[pc]
@@ -125,47 +128,25 @@ func (v *VM) run(env *Env, c *code, base int) (bool, *Thrown, error) {
 			sp++
 
 		case ir.OpLoad:
-			if in.A < 0 || in.A >= int64(nl) {
-				return c.fault(pc, "load: bad slot %d", in.A)
-			}
 			f[sp] = f[in.A]
 			sp++
 		case ir.OpStore:
-			if in.A < 0 || in.A >= int64(nl) {
-				return c.fault(pc, "store: bad slot %d", in.A)
-			}
-			if sp == nl {
-				return c.fault(pc, "store: empty stack")
-			}
 			sp--
 			f[in.A] = f[sp]
 
 		case ir.OpDup:
-			if sp == nl {
-				return c.fault(pc, "dup: empty stack")
-			}
 			f[sp] = f[sp-1]
 			sp++
 		case ir.OpPop:
-			if sp == nl {
-				return c.fault(pc, "pop: empty stack")
-			}
 			sp--
 		case ir.OpSwap:
-			if sp-nl < 2 {
-				return c.fault(pc, "swap: underflow")
-			}
 			f[sp-1], f[sp-2] = f[sp-2], f[sp-1]
 
 		case ir.OpNew:
 			at := &b.sites[pc]
 			lk := at.Load()
 			if lk == nil {
-				cl := v.linked(in.Owner)
-				if cl == nil {
-					return false, nil, &FaultError{Msg: "init: unknown class " + in.Owner}
-				}
-				lk = &cl.self
+				lk = &v.linked(in.Owner).self
 				at.Store(lk)
 			}
 			if !lk.state.done.Load() {
@@ -187,9 +168,6 @@ func (v *VM) run(env *Env, c *code, base int) (bool, *Thrown, error) {
 			sp++
 
 		case ir.OpGetField:
-			if sp == nl {
-				return c.fault(pc, "getfield: underflow")
-			}
 			ref := &f[sp-1]
 			if isNull(ref) {
 				pendingThrow = v.throwSys(stdlib.NullPointerClass,
@@ -204,9 +182,6 @@ func (v *VM) run(env *Env, c *code, base int) (bool, *Thrown, error) {
 			}
 
 		case ir.OpPutField:
-			if sp-nl < 2 {
-				return c.fault(pc, "putfield: underflow")
-			}
 			sp -= 2
 			ref := &f[sp]
 			if isNull(ref) {
@@ -225,17 +200,12 @@ func (v *VM) run(env *Env, c *code, base int) (bool, *Thrown, error) {
 			}
 
 		case ir.OpGetStatic, ir.OpPutStatic:
-			if in.Op == ir.OpPutStatic && sp == nl {
-				return c.fault(pc, "putstatic: underflow")
-			}
 			at := &b.sites[pc]
 			lk := at.Load()
 			if lk == nil {
-				// Static fields are inherited: link to the declaring class.
-				dc, _, err := v.prog.ResolveField(in.Owner, in.Member)
-				if err != nil {
-					return false, nil, &FaultError{Msg: err.Error()}
-				}
+				// Static fields are inherited: link to the declaring class,
+				// which the verifier found.
+				dc, _, _ := v.prog.ResolveField(in.Owner, in.Member)
 				lk = &v.classLink(dc).self
 				at.Store(lk)
 			}
@@ -252,7 +222,9 @@ func (v *VM) run(env *Env, c *code, base int) (bool, *Thrown, error) {
 			}
 			// The site's record is the declaring class's until the first
 			// access finds the field, then the field's slot in the class
-			// monitor's layout, which names the class too.
+			// monitor's layout, which names the class too.  The monitor
+			// has no slots when the class's superclass failed to
+			// initialise.
 			res := stored
 			if mon := &lk.state.monitor; in.Op == ir.OpGetStatic {
 				if !mon.load(&f[sp], in.Member, at) {
@@ -265,7 +237,7 @@ func (v *VM) run(env *Env, c *code, base int) (bool, *Thrown, error) {
 			}
 			switch res {
 			case absent:
-				return false, nil, &FaultError{Msg: fmt.Sprintf("field %s.%s is not static", lk.class.Name, in.Member)}
+				return false, nil, &FaultError{Msg: fmt.Sprintf("no static field %s.%s", lk.class.Name, in.Member)}
 			case misfit:
 				return c.fault(pc, "putstatic of %s to field %s.%s", f[sp].K, lk.class.Name, in.Member)
 			}
@@ -274,14 +246,7 @@ func (v *VM) run(env *Env, c *code, base int) (bool, *Thrown, error) {
 		dispatch:
 			at := &b.sites[pc]
 			lk := at.Load()
-			if in.Op == ir.OpInvokeStatic {
-				if sp-nl < in.NArgs {
-					return c.fault(pc, "invokestatic: underflow")
-				}
-			} else {
-				if sp-nl < in.NArgs+1 {
-					return c.fault(pc, "%s: underflow", in.Op)
-				}
+			if in.Op != ir.OpInvokeStatic {
 				ref := &f[sp-in.NArgs-1]
 				if isNull(ref) {
 					pendingThrow = v.throwSys(stdlib.NullPointerClass,
@@ -296,7 +261,7 @@ func (v *VM) run(env *Env, c *code, base int) (bool, *Thrown, error) {
 					}
 					if rc := ref.O.Class(); lk == nil || lk.class != rc {
 						var err error
-						if lk, err = v.resolve(rc, in.Member, in.NArgs); err != nil {
+						if lk, err = v.dispatch(rc, in.Owner, in.Member, in.NArgs); err != nil {
 							return false, nil, &FaultError{Msg: err.Error()}
 						}
 						at.Store(lk)
@@ -304,18 +269,12 @@ func (v *VM) run(env *Env, c *code, base int) (bool, *Thrown, error) {
 				}
 			}
 			if lk == nil {
-				// Exact dispatch on Owner: statics, constructors, super calls.
-				var err error
-				if lk, err = v.lookup(in.Owner, in.Member, in.NArgs); err != nil {
-					return false, nil, &FaultError{Msg: err.Error()}
-				}
+				// Exact dispatch on Owner: statics, constructors, super
+				// calls.  The verifier resolved the method.
+				lk, _ = v.lookup(in.Owner, in.Member, in.NArgs)
 				at.Store(lk)
 			}
 			callee := lk.code
-			if in.Op == ir.OpInvokeStatic && callee.nargs != in.NArgs {
-				return c.fault(pc, "invokestatic of instance method %s.%s", in.Owner, in.Member)
-			}
-			// Accessors are instance methods, which invokestatic refused.
 			if callee.accessor != notAccessor {
 				if next, ok := v.accessorAt(env, callee, f, sp); ok {
 					sp = next
@@ -323,10 +282,15 @@ func (v *VM) run(env *Env, c *code, base int) (bool, *Thrown, error) {
 				}
 			}
 			// The callee's frame starts at its arguments, and its result
-			// comes back in the frame's first slot: where the push goes,
-			// unless a static method reached through an instance invoke
-			// left the receiver below.
+			// comes back in the frame's first slot, where the push goes.
+			// A static method reached through an instance invoke (one
+			// that hides an instance method in a subclass) takes no
+			// receiver, so its arguments move down over it.
 			cb := sp - callee.nargs
+			if callee.m.Static && in.Op != ir.OpInvokeStatic {
+				cb--
+				copy(f[cb:], f[cb+1:sp])
+			}
 			ret, thrown, err := v.invoke(env, callee, base+cb)
 			f = env.slab[base:end]
 			if err != nil {
@@ -338,28 +302,16 @@ func (v *VM) run(env *Env, c *code, base int) (bool, *Thrown, error) {
 				}
 				return false, nil, err
 			}
-			sp -= in.NArgs
-			if in.Op != ir.OpInvokeStatic {
-				sp--
-			}
+			sp = cb
 			if thrown != nil {
 				pendingThrow = thrown
 				goto throw
 			}
 			if ret {
-				if sp != cb {
-					f[sp] = f[cb]
-				}
 				sp++
 			}
 
 		case ir.OpNewArray:
-			if sp == nl {
-				return c.fault(pc, "newarray: underflow")
-			}
-			if in.TypeRef == nil {
-				return c.fault(pc, "newarray: missing element type")
-			}
 			n := &f[sp-1]
 			if n.I < 0 || n.I > maxArrayLen {
 				pendingThrow = v.throwSys(stdlib.IndexBoundsClass,
@@ -369,9 +321,6 @@ func (v *VM) run(env *Env, c *code, base int) (bool, *Thrown, error) {
 			*n = ArrayV(NewArray(*in.TypeRef, int(n.I)))
 
 		case ir.OpALoad:
-			if sp-nl < 2 {
-				return c.fault(pc, "aload: underflow")
-			}
 			sp--
 			idx, arr := f[sp].I, &f[sp-1]
 			if isNull(arr) {
@@ -389,9 +338,6 @@ func (v *VM) run(env *Env, c *code, base int) (bool, *Thrown, error) {
 			*arr = arr.A.Vals[idx]
 
 		case ir.OpAStore:
-			if sp-nl < 3 {
-				return c.fault(pc, "astore: underflow")
-			}
 			sp -= 3
 			arr, idx := &f[sp], f[sp+1].I
 			if isNull(arr) {
@@ -409,9 +355,6 @@ func (v *VM) run(env *Env, c *code, base int) (bool, *Thrown, error) {
 			arr.A.Vals[idx] = f[sp+2]
 
 		case ir.OpArrayLen:
-			if sp == nl {
-				return c.fault(pc, "arraylen: underflow")
-			}
 			arr := &f[sp-1]
 			if isNull(arr) {
 				pendingThrow = v.throwSys(stdlib.NullPointerClass, "length of null array")
@@ -423,9 +366,6 @@ func (v *VM) run(env *Env, c *code, base int) (bool, *Thrown, error) {
 			*arr = IntV(int64(len(arr.A.Vals)))
 
 		case ir.OpAdd, ir.OpSub, ir.OpMul, ir.OpDiv, ir.OpRem:
-			if sp-nl < 2 {
-				return c.fault(pc, "%s: underflow", in.Op)
-			}
 			sp--
 			x, y := &f[sp-1], &f[sp]
 			if x.K == ir.KindFloat || y.K == ir.KindFloat {
@@ -454,9 +394,6 @@ func (v *VM) run(env *Env, c *code, base int) (bool, *Thrown, error) {
 			}
 
 		case ir.OpNeg:
-			if sp == nl {
-				return c.fault(pc, "neg: underflow")
-			}
 			if a := &f[sp-1]; a.K == ir.KindFloat {
 				*a = FloatV(-a.F)
 			} else {
@@ -464,22 +401,13 @@ func (v *VM) run(env *Env, c *code, base int) (bool, *Thrown, error) {
 			}
 
 		case ir.OpNot:
-			if sp == nl {
-				return c.fault(pc, "not: underflow")
-			}
 			f[sp-1] = BoolV(f[sp-1].I == 0)
 
 		case ir.OpConcat:
-			if sp-nl < 2 {
-				return c.fault(pc, "concat: underflow")
-			}
 			sp--
 			f[sp-1] = StringV(f[sp-1].S + f[sp].S)
 
 		case ir.OpCmpEq, ir.OpCmpNe, ir.OpCmpLt, ir.OpCmpLe, ir.OpCmpGt, ir.OpCmpGe:
-			if sp-nl < 2 {
-				return c.fault(pc, "%s: underflow", in.Op)
-			}
 			sp--
 			res, err := compare(in.Op, &f[sp-1], &f[sp])
 			if err != nil {
@@ -491,18 +419,12 @@ func (v *VM) run(env *Env, c *code, base int) (bool, *Thrown, error) {
 			pc = int(in.A)
 			continue
 		case ir.OpJumpIf:
-			if sp == nl {
-				return c.fault(pc, "jump.if: underflow")
-			}
 			sp--
 			if f[sp].Bool() {
 				pc = int(in.A)
 				continue
 			}
 		case ir.OpJumpIfNot:
-			if sp == nl {
-				return c.fault(pc, "jump.ifnot: underflow")
-			}
 			sp--
 			if !f[sp].Bool() {
 				pc = int(in.A)
@@ -510,12 +432,6 @@ func (v *VM) run(env *Env, c *code, base int) (bool, *Thrown, error) {
 			}
 
 		case ir.OpCast:
-			if sp == nl {
-				return c.fault(pc, "cast: underflow")
-			}
-			if in.TypeRef == nil {
-				return c.fault(pc, "cast: missing target type")
-			}
 			res, thrown, err := v.cast(f[sp-1], in.TypeRef, &b.sites[pc])
 			if err != nil {
 				return c.fault(pc, "%v", err)
@@ -527,12 +443,6 @@ func (v *VM) run(env *Env, c *code, base int) (bool, *Thrown, error) {
 			f[sp-1] = res
 
 		case ir.OpInstanceOf:
-			if sp == nl {
-				return c.fault(pc, "instanceof: underflow")
-			}
-			if in.TypeRef == nil {
-				return c.fault(pc, "instanceof: missing target type")
-			}
 			val := &f[sp-1]
 			*val = BoolV(val.K == ir.KindRef && val.O != nil && in.TypeRef.Kind == ir.KindRef &&
 				v.kindAt(&b.sites[pc], val.O, in.TypeRef.Name).ok)
@@ -540,16 +450,10 @@ func (v *VM) run(env *Env, c *code, base int) (bool, *Thrown, error) {
 		case ir.OpReturn:
 			return false, nil, nil
 		case ir.OpReturnValue:
-			if sp == nl {
-				return c.fault(pc, "return.v: empty stack")
-			}
 			f[0] = f[sp-1]
 			return true, nil, nil
 
 		case ir.OpThrow:
-			if sp == nl {
-				return c.fault(pc, "throw: empty stack")
-			}
 			sp--
 			ref := &f[sp]
 			if isNull(ref) {
@@ -561,9 +465,6 @@ func (v *VM) run(env *Env, c *code, base int) (bool, *Thrown, error) {
 			}
 			pendingThrow = &Thrown{Obj: ref.O}
 			goto throw
-
-		default:
-			return c.fault(pc, "unimplemented opcode %s", in.Op)
 		}
 		pc++
 		continue
@@ -584,10 +485,11 @@ func (v *VM) run(env *Env, c *code, base int) (bool, *Thrown, error) {
 // of activating it, and returns the caller's new stack top.  It charges
 // the steps the activation would have, and shares the accessor's own
 // field-site caches with it.  Whenever the activation would do anything
-// but read or write the field — a receiver that is no object, the depth
-// limit, a step budget that runs out inside the accessor, a field the
-// receiver lacks — it reports false having changed nothing, and the call
-// goes through invoke, which faults exactly as it always has.
+// but read or write the field — a method the verifier refused, a receiver
+// that is no object, the depth limit, a step budget that runs out inside
+// the accessor, a field the receiver lacks — it reports false having
+// changed nothing, and the call goes through invoke, which faults exactly
+// as it always has.
 func (v *VM) accessorAt(env *Env, callee *code, f []Value, sp int) (int, bool) {
 	n := int64(callee.nargs) + 2 // the loads, the field access, the return
 	recv := &f[sp-callee.nargs]
@@ -597,6 +499,9 @@ func (v *VM) accessorAt(env *Env, callee *code, f []Value, sp int) (int, bool) {
 	b := callee.body.Load()
 	if b == nil {
 		b = v.linkBody(callee)
+	}
+	if b.refused != nil {
+		return sp, false
 	}
 	code := callee.m.Code
 	if callee.accessor == getter {

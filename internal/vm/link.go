@@ -1,10 +1,12 @@
 package vm
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 
 	"rafda/internal/ir"
+	"rafda/internal/verifier"
 )
 
 // Linking resolves each name the interpreter meets — a method, a field, a
@@ -72,24 +74,17 @@ type code struct {
 	accessor accessorKind
 
 	native atomic.Pointer[nativeBinding] // native methods, see callNative
-	body   atomic.Pointer[body]          // bytecode methods, built on first activation
+	body   atomic.Pointer[body]          // bytecode methods, verified and built on first activation
 }
 
-// body is a bytecode method's frame shape and per-instruction caches.
+// body is a verified bytecode method's frame shape and per-instruction
+// caches, or the verifier's refusal of its code.
 type body struct {
-	nlocals int // arguments, then every slot a load/store names
-	size    int // nlocals + deepest operand stack + 1 (see VM.run)
+	refused *FaultError // "link: <the verifier's message>"; nothing else is set
+	nlocals int         // arguments, then every slot a load/store names
+	size    int         // nlocals + deepest operand stack
 	sites   []atomic.Pointer[link]
 }
-
-// Frame bounds for hand-built code: a load/store slot at or beyond
-// maxFrameLocals faults when executed instead of sizing a frame, and a
-// frame holds at most maxFrameOperands operands (the interpreter's
-// per-instruction overflow check catches code that goes deeper).
-const (
-	maxFrameLocals   = 1 << 16
-	maxFrameOperands = 1 << 10
-)
 
 // put interns v under k in a copy-on-write table; the first record
 // stored for a key wins.
@@ -193,6 +188,27 @@ func (v *VM) resolve(c *ir.Class, name string, nargs int) (*link, error) {
 	return put(cl, &cl.methods, k, &link{class: c, code: v.classLink(dc).codes[m]}), nil
 }
 
+// dispatch is resolve for an invokevirtual or invokeinterface of
+// owner.name/nargs on a receiver of class c.  The verifier's walk of the
+// calling code pushed a result where owner's method returns one, so a
+// target that differs from it in that is refused.
+func (v *VM) dispatch(c *ir.Class, owner, name string, nargs int) (*link, error) {
+	lk, err := v.resolve(c, name, nargs)
+	if err != nil {
+		return nil, err
+	}
+	declared, _ := v.lookup(owner, name, nargs) // the verifier resolved it
+	if void := lk.code.m.Return.IsVoid(); void != declared.code.m.Return.IsVoid() {
+		returns := "a value"
+		if void {
+			returns = "nothing"
+		}
+		return nil, fmt.Errorf("dispatch of %s.%s/%d to %s.%s/%d, which returns %s",
+			owner, name, nargs, lk.code.class.Name, name, nargs, returns)
+	}
+	return lk, nil
+}
+
 // lookup is resolve for the by-name entry points.
 func (v *VM) lookup(class, method string, nargs int) (*link, error) {
 	cl := v.linked(class)
@@ -229,21 +245,24 @@ func (v *VM) kind(c *ir.Class, name string) *link {
 	})
 }
 
-// linkBody sizes c's frame and allocates its site caches.
+// linkBody verifies c's code (verifier.CheckMethod), then sizes its
+// frame from the verified stack walk and allocates its site caches.  Code
+// the verifier refuses is linked as refused: every activation of it
+// faults with the verifier's message, and it is not verified again.
+// Concurrent first links each verify; the first body stored wins.
 func (v *VM) linkBody(c *code) *body {
-	code := c.m.Code
-	nlocals := c.nargs
-	for i := range code {
-		in := &code[i]
-		if (in.Op == ir.OpLoad || in.Op == ir.OpStore) && in.A >= int64(nlocals) && in.A < maxFrameLocals {
-			nlocals = int(in.A) + 1
+	b := &body{nlocals: c.nargs}
+	if deepest, err := verifier.CheckMethod(v.prog, c.class, c.m); err != nil {
+		b.refused = &FaultError{Msg: "link: " + err.Error()}
+	} else {
+		code := c.m.Code
+		for i := range code {
+			if in := &code[i]; (in.Op == ir.OpLoad || in.Op == ir.OpStore) && in.A >= int64(b.nlocals) {
+				b.nlocals = int(in.A) + 1
+			}
 		}
-	}
-	deepest, _ := v.prog.Depths(c.m) // faulty code faults in run instead
-	b := &body{
-		nlocals: nlocals,
-		size:    nlocals + min(deepest, maxFrameOperands) + 1,
-		sites:   make([]atomic.Pointer[link], len(code)),
+		b.size = b.nlocals + deepest
+		b.sites = make([]atomic.Pointer[link], len(code))
 	}
 	if !c.body.CompareAndSwap(nil, b) {
 		b = c.body.Load()

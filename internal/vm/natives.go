@@ -25,8 +25,9 @@ type nativeBinding struct {
 // keeps nothing, so a later registration is still seen.  The caller's env
 // is passed through so the native runs inside the same execution (same
 // depth budget, same held locks); its args are a view of the slab, valid
-// until it returns.  A non-void result goes to env.slab[base], as a
-// bytecode method's does.
+// until it returns.  A non-void method's result goes to env.slab[base],
+// as a bytecode method's does, and a void method's is dropped: the
+// caller's stack holds a result exactly when the method declares one.
 func (v *VM) callNative(env *Env, c *code, base int) (bool, *Thrown, error) {
 	nb := c.native.Load()
 	if nb == nil {
@@ -49,7 +50,7 @@ func (v *VM) callNative(env *Env, c *code, base int) (bool, *Thrown, error) {
 	} else {
 		res, thrown, err = nb.class(env, c.m.Name, recv, args)
 	}
-	if thrown != nil || err != nil || res.IsVoid() {
+	if thrown != nil || err != nil || c.m.Return.IsVoid() {
 		return false, thrown, err
 	}
 	env.slab[base] = res

@@ -515,9 +515,12 @@ class Main { static void main() {} }`, WithMaxDepth(50), WithMaxSteps(100_000))
 	}
 }
 
-// TestSlabFrameBounds: frames are sized from the code, so hand-built code
-// may use any slot it names, and what it cannot be sized for faults with
-// the interpreter's usual messages instead of touching another frame.
+// TestSlabFrameBounds: frames are sized from the verified code, so
+// hand-built code may use any slot below the verifier's limit and any
+// stack depth up to its limit; code of any other shape is refused when
+// first linked, with the verifier's message, and what the verifier does
+// not check — operand kinds — faults when run, without touching another
+// frame.
 func TestSlabFrameBounds(t *testing.T) {
 	run := func(code ...ir.Instr) (Value, error) {
 		callee := staticMethod("f", ir.Int, nil, code)
@@ -529,32 +532,55 @@ func TestSlabFrameBounds(t *testing.T) {
 		})
 		return MustNew(buildClass(callee, caller)).Invoke("T", "g", Value{}, nil)
 	}
-	if got, err := run(
-		ir.Instr{Op: ir.OpConstInt, A: 31}, ir.Instr{Op: ir.OpStore, A: 9},
-		ir.Instr{Op: ir.OpLoad, A: 9}, ir.Instr{Op: ir.OpReturnValue},
-	); err != nil || got.I != 42 {
-		t.Fatalf("store to a slot beyond MaxLocals: %v %v", got, err)
+	// deep pushes n constants 1 and returns the last.
+	deep := func(n int) []ir.Instr {
+		code := make([]ir.Instr, n+1)
+		for i := range n {
+			code[i] = ir.Instr{Op: ir.OpConstInt, A: 1}
+		}
+		code[n] = ir.Instr{Op: ir.OpReturnValue}
+		return code
+	}
+	for _, tc := range []struct {
+		what string
+		want int64
+		code []ir.Instr
+	}{
+		{"store to a slot beyond MaxLocals", 42, []ir.Instr{
+			{Op: ir.OpConstInt, A: 31}, {Op: ir.OpStore, A: 9}, {Op: ir.OpLoad, A: 9}, {Op: ir.OpReturnValue},
+		}},
+		{"the last slot below the limit", 42, []ir.Instr{
+			{Op: ir.OpConstInt, A: 31}, {Op: ir.OpStore, A: 1<<16 - 1}, {Op: ir.OpLoad, A: 1<<16 - 1}, {Op: ir.OpReturnValue},
+		}},
+		{"the deepest stack allowed", 12, deep(1 << 10)},
+	} {
+		if got, err := run(tc.code...); err != nil || got != IntV(tc.want) {
+			t.Errorf("%s: %v %v, want %d", tc.what, got, err, tc.want)
+		}
 	}
 	for _, tc := range []struct {
 		want string
 		code []ir.Instr
 	}{
-		{"load: bad slot -1", []ir.Instr{{Op: ir.OpLoad, A: -1}, {Op: ir.OpReturnValue}}},
-		{"load: bad slot 70000", []ir.Instr{{Op: ir.OpLoad, A: 70000}, {Op: ir.OpReturnValue}}},
-		{"store: bad slot 70000", []ir.Instr{{Op: ir.OpConstInt}, {Op: ir.OpStore, A: 70000}, {Op: ir.OpReturn}}},
-		{"swap: underflow", []ir.Instr{{Op: ir.OpConstInt}, {Op: ir.OpSwap}, {Op: ir.OpReturnValue}}},
-		{"add: underflow", []ir.Instr{{Op: ir.OpConstInt}, {Op: ir.OpAdd}, {Op: ir.OpReturnValue}}},
-		{"operand stack overflow", []ir.Instr{{Op: ir.OpConstInt, A: 1}, {Op: ir.OpJump, A: 0}}},
-		{"arraylen on non-array int", []ir.Instr{{Op: ir.OpConstInt, A: 5}, {Op: ir.OpArrayLen}, {Op: ir.OpReturnValue}}},
-		{"aload on non-array int", []ir.Instr{{Op: ir.OpConstInt, A: 5}, {Op: ir.OpConstInt}, {Op: ir.OpALoad}, {Op: ir.OpReturnValue}}},
-		{"astore on non-array ref", []ir.Instr{
+		{"link: T.f pc=0: load of negative slot -1", []ir.Instr{{Op: ir.OpLoad, A: -1}, {Op: ir.OpReturnValue}}},
+		{"link: T.f pc=0: load of slot 65536 at or above 65536", []ir.Instr{{Op: ir.OpLoad, A: 1 << 16}, {Op: ir.OpReturnValue}}},
+		{"link: T.f pc=1: store to slot 70000 at or above 65536", []ir.Instr{
+			{Op: ir.OpConstInt}, {Op: ir.OpStore, A: 70000}, {Op: ir.OpConstInt}, {Op: ir.OpReturnValue},
+		}},
+		{"link: T.f pc=1: stack underflow: depth 1, need 2", []ir.Instr{{Op: ir.OpConstInt}, {Op: ir.OpSwap}, {Op: ir.OpReturnValue}}},
+		{"link: T.f pc=1: stack underflow: depth 1, need 2", []ir.Instr{{Op: ir.OpConstInt}, {Op: ir.OpAdd}, {Op: ir.OpReturnValue}}},
+		{"link: T.f pc=0: inconsistent stack depth at join: 0 vs 1", []ir.Instr{{Op: ir.OpConstInt, A: 1}, {Op: ir.OpJump, A: 0}}},
+		{"link: T.f: stack depth 1025 above 1024", deep(1<<10 + 1)},
+		{"T.f pc=1: arraylen on non-array int", []ir.Instr{{Op: ir.OpConstInt, A: 5}, {Op: ir.OpArrayLen}, {Op: ir.OpReturnValue}}},
+		{"T.f pc=2: aload on non-array int", []ir.Instr{{Op: ir.OpConstInt, A: 5}, {Op: ir.OpConstInt}, {Op: ir.OpALoad}, {Op: ir.OpReturnValue}}},
+		{"T.f pc=3: astore on non-array ref", []ir.Instr{
 			{Op: ir.OpNew, Owner: "T"}, {Op: ir.OpConstInt}, {Op: ir.OpConstInt, A: 1}, {Op: ir.OpAStore},
 			{Op: ir.OpConstInt}, {Op: ir.OpReturnValue},
 		}},
 	} {
 		_, err := run(tc.code...)
 		var fault *FaultError
-		if !errors.As(err, &fault) || !strings.HasSuffix(fault.Msg, ": "+tc.want) {
+		if !errors.As(err, &fault) || fault.Msg != tc.want {
 			t.Errorf("want fault %q, got %v", tc.want, err)
 		}
 	}

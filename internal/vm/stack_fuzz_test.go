@@ -3,8 +3,7 @@ package vm
 import (
 	"errors"
 	"fmt"
-	"slices"
-	"strings"
+	"regexp"
 	"testing"
 
 	"rafda/internal/ir"
@@ -21,11 +20,17 @@ var fuzzOps = []ir.Op{
 	ir.OpJump, ir.OpJumpIf, ir.OpJumpIfNot, ir.OpReturn,
 }
 
+// bigSlots are the slots a load or store names when its operand byte is
+// 0xfd or above: the last slot the verifier allows, the first it
+// refuses, and one no frame could hold.
+var bigSlots = [...]int64{1<<16 - 1, 1 << 16, 1 << 60}
+
 // fuzzBody decodes data into a static method body T.f: a flags byte (bit
 // 0: f returns int, bit 1: one catch-all handler whose start, end and
 // target are the next three bytes), then two bytes per instruction.
-// Slots are 0-3, jumps land inside the body, and a return is the one that
-// matches f's type, so every operand is one the verifier accepts.
+// Slots are 0-3 or one of bigSlots, jumps land inside the body, and a
+// return is the one that matches f's type, so every operand but a big
+// slot is one the verifier accepts.
 func fuzzBody(data []byte) *ir.Method {
 	if len(data) == 0 {
 		data = []byte{0}
@@ -54,6 +59,9 @@ func fuzzBody(data []byte) *ir.Method {
 			in.A = int64(arg & 1)
 		case ir.OpLoad, ir.OpStore:
 			in.A = int64(arg % 4)
+			if i := int(arg) - (256 - len(bigSlots)); i >= 0 {
+				in.A = bigSlots[i]
+			}
 		case ir.OpJump, ir.OpJumpIf, ir.OpJumpIfNot:
 			in.A = int64(int(arg) % n)
 		case ir.OpReturn:
@@ -79,10 +87,15 @@ func fuzzCaller(f *ir.Method) *ir.Method {
 	return staticMethod("g", f.Return, nil, []ir.Instr{{Op: ir.OpInvokeStatic, Owner: "T", Member: "f"}, ret})
 }
 
-// FuzzStackDepths holds the one operand-stack walk (ir.Program.Depths) to
-// its two readers: it terminates on any body; a body the verifier accepts
-// never overflows the frame the interpreter sized from it; and a fault it
-// reports is the verifier's error, message and pc alike.  It also holds
+// fuzzEnds is every way a verified f or g may fault: the step limit, or
+// a comparison of values of kinds it cannot compare.  A body that
+// verifies never faults on its shape.
+var fuzzEnds = regexp.MustCompile(`^T\.[fg] pc=\d+: (step limit exceeded|cannot (compare|order) \S+ and \S+)$`)
+
+// FuzzStackDepths holds the VM to the verifier's stack check.  A body the
+// verifier refuses is refused when first invoked, with the verifier's
+// message.  A body it accepts runs without a Go panic and ends only in a
+// value, a throw, the step limit or a value-kind fault.  It also holds
 // the calling convention to a direct call: when f, invoked directly, ends
 // with a value or an uncaught exception, g, which calls it, ends the same
 // way.
@@ -101,39 +114,40 @@ func FuzzStackDepths(f *testing.F) {
 		{1, 0, 1, 0, 0, 10, 0, 19, 0},                                             // div by zero, uncaught
 		{3, 0, 2, 4, 0, 7, 0, 0, 10, 0, 19, 0, 5, 0, 0, 42, 19, 0},                // div by zero caught: 42
 		{3, 0, 2, 4, 0, 5, 0, 0, 11, 0, 19, 0, 5, 0, 0, 3, 0, 4, 7, 0, 19, 0},     // rem by zero caught: 3+4
+		{1, 0, 9, 3, 0xfd, 3, 0xfd, 19, 0},                                        // store, load the last slot
+		{1, 2, 0xfe, 19, 0},                                                       // load the first slot past it
+		{0, 0, 1, 3, 0xff, 19, 0},                                                 // store far past it
+		{1, 1, 1, 0, 0, 13, 0, 19, 0},                                             // cmp.eq of bool and int
 	} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m := fuzzBody(data)
 		p := buildClass(m, fuzzCaller(m))
-		_, fault := p.Depths(m)
 		var errs []string
 		for _, err := range verifier.Verify(p) {
 			errs = append(errs, err.Error())
 		}
-		if fault != nil {
-			want := fmt.Sprintf("T.f pc=%d: %s", fault.PC, fault.Msg)
-			if !slices.Contains(errs, want) {
-				t.Fatalf("walk reports %q, verifier reports %q\n%s", want, errs, ir.Sprint(p.Class("T"), ir.PrintOptions{Code: true}))
-			}
-		}
+		show := func() string { return ir.Sprint(p.Class("T"), ir.PrintOptions{Code: true}) }
+		res, err := MustNew(p, WithMaxSteps(2000)).Invoke("T", "f", Value{}, nil)
 		if len(errs) > 0 {
+			if want := "vm fault: link: " + errs[0]; fmt.Sprint(err) != want {
+				t.Fatalf("f() = %v, %v, want the refusal %q\n%s", res, err, want, show())
+			}
 			return
 		}
-		res, err := MustNew(p, WithMaxSteps(2000)).Invoke("T", "f", Value{}, nil)
 		var fe *FaultError
-		if errors.As(err, &fe) && strings.Contains(fe.Msg, "operand stack overflow") {
-			t.Fatalf("verified body overflowed its frame: %v\n%s", err, ir.Sprint(p.Class("T"), ir.PrintOptions{Code: true}))
-		}
-		if fe != nil {
+		if errors.As(err, &fe) {
+			if !fuzzEnds.MatchString(fe.Msg) {
+				t.Fatalf("verified body faulted: %v\n%s", err, show())
+			}
 			return
 		}
 		// g spends two steps of its own: the invoke and the return.  The
 		// runs are on two VMs, so an object compares by its class.
 		gres, gerr := MustNew(p, WithMaxSteps(2002)).Invoke("T", "g", Value{}, nil)
 		if gres.K != res.K || gres.String() != res.String() || fmt.Sprint(gerr) != fmt.Sprint(err) {
-			t.Fatalf("f() = %v, %v but g() = %v, %v\n%s", res, err, gres, gerr, ir.Sprint(p.Class("T"), ir.PrintOptions{Code: true}))
+			t.Fatalf("f() = %v, %v but g() = %v, %v\n%s", res, err, gres, gerr, show())
 		}
 	})
 }

@@ -176,10 +176,10 @@ func TestStaticSiteAllocs(t *testing.T) {
 	}
 }
 
-// TestStaticSiteFaults pins what a static site reports for a field that
-// is no static of the class, and for a class whose superclass failed to
-// initialise: it has no slots, so its statics fault rather than read as
-// phantom zero values.
+// TestStaticSiteFaults pins what a static site reports for a class whose
+// superclass failed to initialise — it has no slots, so its statics fault
+// rather than read as phantom zero values — and that a method naming a
+// field that is no static of the class is refused when first linked.
 func TestStaticSiteFaults(t *testing.T) {
 	p := stdlib.Program()
 	p.MustAdd(&ir.Class{
@@ -218,9 +218,9 @@ func TestStaticSiteFaults(t *testing.T) {
 	v := MustNew(p)
 	for _, tc := range []struct{ method, want string }{
 		{"child", "uncaught sys.RuntimeException: boom"},
-		{"child", "vm fault: field Child.n is not static"},
-		{"inst", "vm fault: field K.inst is not static"},
-		{"put", "vm fault: field K.inst is not static"},
+		{"child", "vm fault: no static field Child.n"},
+		{"inst", "vm fault: link: Reader.inst pc=0: unresolved static field K.inst"},
+		{"put", "vm fault: link: Reader.put pc=1: unresolved static field K.inst"},
 	} {
 		if _, err := v.Invoke("Reader", tc.method, Value{}, nil); err == nil || err.Error() != tc.want {
 			t.Errorf("Reader.%s: %v, want %q", tc.method, err, tc.want)

@@ -120,12 +120,16 @@ func throwSiteProgram(body []ir.Instr) *ir.Program {
 	own := &ir.Method{
 		Name: "own", Return: exc, Static: true, Access: ir.AccessPublic, MaxLocals: 1, Code: code,
 		Handlers: []ir.TryHandler{
-			{Start: 0, End: site, Target: wrong},
 			{Start: site, End: site + 1, Target: wrong, CatchClass: remote},
 			{Start: site + 1, End: site + 2, Target: wrong},
 			{Start: site, End: site + 1, Target: right},
 			{Start: site, End: site + 1, Target: wrong},
 		},
+	}
+	if site > 0 {
+		// The range before the site: it is empty when the site is pc
+		// 0, and the verifier refuses an empty range.
+		own.Handlers = append([]ir.TryHandler{{Start: 0, End: site, Target: wrong}}, own.Handlers...)
 	}
 	callee := &ir.Method{
 		Name: "callee", Return: exc, Static: true, Access: ir.AccessPublic, MaxLocals: 1, Code: code,
@@ -234,15 +238,22 @@ func TestThrowSitesReachHandlers(t *testing.T) {
 
 // resultProgram is T with the callers the result-placement pins run.
 func resultProgram() *ir.Program {
-	seven := staticMethod("seven", ir.Int, nil, []ir.Instr{
+	// T's instance seven() answers 0; S, a T, hides it with a static
+	// seven() that answers 7.
+	seven := &ir.Method{Name: "seven", Return: ir.Int, Access: ir.AccessPublic, MaxLocals: 1, Code: []ir.Instr{
+		{Op: ir.OpConstInt, A: 0},
+		{Op: ir.OpReturnValue},
+	}}
+	hiding := staticMethod("seven", ir.Int, nil, []ir.Instr{
 		{Op: ir.OpConstInt, A: 7},
 		{Op: ir.OpReturnValue},
 	})
-	// 100 + seven(), seven reached through an instance invoke on a T: the
-	// receiver stays below the static callee's window.
+	// 100 + seven(), the static seven reached through an instance invoke
+	// on an S, at the caller's deepest stack: the static callee takes no
+	// receiver, and its result lands where the receiver was.
 	viaInstance := staticMethod("viaInstance", ir.Int, nil, []ir.Instr{
 		{Op: ir.OpConstInt, A: 100},
-		{Op: ir.OpNew, Owner: "T"},
+		{Op: ir.OpNew, Owner: "S"},
 		{Op: ir.OpInvokeVirtual, Owner: "T", Member: "seven"},
 		{Op: ir.OpAdd},
 		{Op: ir.OpReturnValue},
@@ -261,6 +272,15 @@ func resultProgram() *ir.Program {
 		{Op: ir.OpSub},
 		{Op: ir.OpReturnValue},
 	})
+	// 40 + 2 around a call of each native that hands back what its
+	// method does not declare: no value from none(), which returns an
+	// int and is popped, and a value from loud(), which returns nothing.
+	quirky := func(name, callee string, drop ...ir.Instr) *ir.Method {
+		code := []ir.Instr{{Op: ir.OpConstInt, A: 40}, {Op: ir.OpInvokeStatic, Owner: "T", Member: callee}}
+		code = append(code, drop...)
+		code = append(code, ir.Instr{Op: ir.OpConstInt, A: 2}, ir.Instr{Op: ir.OpAdd}, ir.Instr{Op: ir.OpReturnValue})
+		return staticMethod(name, ir.Int, nil, code)
+	}
 	// 5 + grow(600), where grow calls deep(600) by name.
 	grows := staticMethod("grows", ir.Int, nil, []ir.Instr{
 		{Op: ir.OpConstInt, A: 5},
@@ -288,14 +308,18 @@ func resultProgram() *ir.Program {
 	p := stdlib.Program()
 	p.MustAdd(&ir.Class{Name: "T", Super: ir.ObjectClass, Methods: []*ir.Method{
 		seven, viaInstance, natives, grows, deep,
+		quirky("callsNone", "none", ir.Instr{Op: ir.OpPop}), quirky("callsLoud", "loud"),
 		native("twice", ir.Int, ir.Int), native("nothing", ir.Void), native("grow", ir.Int, ir.Int),
+		native("none", ir.Int), native("loud", ir.Void),
 	}})
+	p.MustAdd(&ir.Class{Name: "S", Super: "T", Methods: []*ir.Method{hiding}})
 	return p
 }
 
 // TestResultsLandWhereCallersRead: a callee's result is the value its
 // caller's next instruction reads, whichever way it was reached and
-// whoever produced it.
+// whoever produced it, and a native's caller finds a result exactly when
+// the method declares one.
 func TestResultsLandWhereCallersRead(t *testing.T) {
 	v := MustNew(resultProgram())
 	v.RegisterNative("T", "twice", 1, func(_ *Env, _ Value, args []Value) (Value, *Thrown, error) {
@@ -303,6 +327,12 @@ func TestResultsLandWhereCallersRead(t *testing.T) {
 	})
 	v.RegisterNative("T", "nothing", 0, func(*Env, Value, []Value) (Value, *Thrown, error) {
 		return Value{}, nil, nil
+	})
+	v.RegisterNative("T", "none", 0, func(*Env, Value, []Value) (Value, *Thrown, error) {
+		return Value{}, nil, nil
+	})
+	v.RegisterNative("T", "loud", 0, func(*Env, Value, []Value) (Value, *Thrown, error) {
+		return IntV(5), nil, nil
 	})
 	grew := false
 	v.RegisterNative("T", "grow", 1, func(env *Env, _ Value, args []Value) (Value, *Thrown, error) {
@@ -318,6 +348,8 @@ func TestResultsLandWhereCallersRead(t *testing.T) {
 		{"viaInstance", 107},
 		{"natives", 1041},
 		{"grows", 5 + 600*601/2},
+		{"callsNone", 42},
+		{"callsLoud", 42},
 	} {
 		got, err := v.Invoke("T", tc.method, Value{}, nil)
 		if err != nil || got != IntV(tc.want) {

@@ -54,8 +54,9 @@ const (
 	DefaultMaxDepth = 1024
 )
 
-// FaultError reports a VM-level fault: malformed code, unknown classes,
-// step or depth limits.  Distinct from program-level thrown exceptions.
+// FaultError reports a VM-level fault: code the verifier refused, an
+// operand of the wrong kind, unknown classes, step or depth limits.
+// Distinct from program-level thrown exceptions.
 type FaultError struct {
 	Msg string
 }

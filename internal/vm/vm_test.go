@@ -209,11 +209,14 @@ func TestExceptionHandlerDispatch(t *testing.T) {
 }
 
 func TestNullChecks(t *testing.T) {
-	prog := buildClass(staticMethod("f", ir.Int, nil, []ir.Instr{
-		{Op: ir.OpConstNull, TypeRef: &ir.Type{Kind: ir.KindRef, Name: ir.ObjectClass}},
-		{Op: ir.OpGetField, Owner: ir.ObjectClass, Member: "whatever"},
-		{Op: ir.OpReturnValue},
-	}))
+	prog := stdlib.Program()
+	prog.MustAdd(&ir.Class{Name: "T", Super: ir.ObjectClass,
+		Fields: []ir.Field{{Name: "whatever", Type: ir.Int}},
+		Methods: []*ir.Method{staticMethod("f", ir.Int, nil, []ir.Instr{
+			{Op: ir.OpConstNull, TypeRef: &ir.Type{Kind: ir.KindRef, Name: "T"}},
+			{Op: ir.OpGetField, Owner: "T", Member: "whatever"},
+			{Op: ir.OpReturnValue},
+		})}})
 	v := MustNew(prog)
 	_, err := v.Invoke("T", "f", Value{}, nil)
 	var unc *UncaughtError

@@ -377,36 +377,6 @@ func (n *Node) DedupStats() DedupStats {
 	}
 }
 
-// ShedSample is the load-shedding plane's refusals by priority class
-// (decimal) and by tenant (caller endpoint, or "~other" past the
-// table's bound); a map is nil when nothing was shed on its axis.
-type ShedSample struct {
-	ByPriority map[string]uint64
-	ByTenant   map[string]uint64
-}
-
-// ShedStats snapshots the cumulative shed tables, read from the
-// "shed.priority" and "shed.fairshare" rows of the metrics registry.
-func (n *Node) ShedStats() ShedSample {
-	var s ShedSample
-	for _, r := range n.n.Metrics().Snapshot() {
-		var m *map[string]uint64
-		switch r.Name {
-		case "shed.priority":
-			m = &s.ByPriority
-		case "shed.fairshare":
-			m = &s.ByTenant
-		default:
-			continue
-		}
-		if *m == nil {
-			*m = make(map[string]uint64)
-		}
-		(*m)[r.Key] = uint64(r.Value)
-	}
-	return s
-}
-
 // IntrospectJSON renders one introspection section of this node as
 // JSON — the same snapshot wire.OpIntrospect serves to remote callers
 // (rafdac's trace/top views, rafda-node's /debug/rafda endpoint).
