@@ -117,8 +117,24 @@ func newHarness(t *testing.T, cfg Config) *harness {
 	return h
 }
 
+// objVM is a VM over one class C_O_Local, whose instances the tests
+// make hot.
+var objVM = func() *vm.VM {
+	p := ir.NewProgram()
+	p.MustAdd(&ir.Class{Name: "C_O_Local", Super: ir.ObjectClass})
+	return vm.MustNew(p)
+}()
+
+func newObject() *vm.Object {
+	o, err := objVM.NewObject("C_O_Local")
+	if err != nil {
+		panic(err)
+	}
+	return o
+}
+
 func (h *harness) hotObject(guid string, calls int, from string) *vm.Object {
-	obj := vm.NewRawObject(&ir.Class{Name: "C_O_Local"}, map[string]vm.Value{})
+	obj := newObject()
 	h.local[obj] = true
 	s := h.rec.ForObject(obj, guid, "C")
 	for i := 0; i < calls; i++ {
@@ -604,7 +620,7 @@ func TestUnclassifiedTrafficNotReplicated(t *testing.T) {
 // surface as a destination, only as unitemised calls.
 func TestOverflowNeverProposed(t *testing.T) {
 	rec := telemetry.NewRecorder(nil)
-	obj := vm.NewRawObject(&ir.Class{Name: "C_O_Local"}, map[string]vm.Value{})
+	obj := newObject()
 	s := rec.ForObject(obj, "g", "C")
 	for i := 0; i < metrics.FamilyMax+10; i++ {
 		ep := fmt.Sprintf("rrp://10.0.%d.%d:1", i/256, i%256)

@@ -258,7 +258,19 @@ func (p *Program) ResolveMethod(cname, name string, nargs int) (*Class, *Method,
 		}
 		cur = cc.Super
 	}
-	return nil, nil, fmt.Errorf("resolve: no method %s.%s/%d", cname, name, nargs)
+	return nil, nil, &noMethodError{cname, name, nargs}
+}
+
+// noMethodError is ResolveMethod's miss, formatted only when it is read:
+// the verifier looks up the method each method overrides, and most
+// override none.
+type noMethodError struct {
+	class, name string
+	nargs       int
+}
+
+func (e *noMethodError) Error() string {
+	return fmt.Sprintf("resolve: no method %s.%s/%d", e.class, e.name, e.nargs)
 }
 
 // ResolveField looks up field `name` starting at class cname and walking

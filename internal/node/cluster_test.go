@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"rafda/internal/cluster"
-	"rafda/internal/ir"
 	"rafda/internal/policy"
 	"rafda/internal/transform"
 	"rafda/internal/vm"
@@ -159,7 +158,9 @@ func TestAffinitySamplesWindowRollups(t *testing.T) {
 	call := func(guid, class, from string, times int) {
 		o := objs[guid]
 		if o == nil {
-			o = vm.NewRawObject(&ir.Class{Name: class}, map[string]vm.Value{"n": vm.IntV(1)})
+			if o, err = n.machine.NewObject(class); err != nil {
+				t.Fatal(err)
+			}
 			objs[guid] = o
 		}
 		s := rec.ForObject(o, guid, "Counter")
@@ -177,7 +178,7 @@ func TestAffinitySamplesWindowRollups(t *testing.T) {
 	call("hot", "Counter_O_Local", epA, 10)
 	call("warm", "Counter_O_Local", epA, 12)
 	call("warm2", "Counter_O_Local", epC, 12)
-	call("proxy", "Counter_O_Proxy", epA, 100) // not migratable
+	call("proxy", transform.OProxy("Counter", "inproc"), epA, 100) // not migratable
 	got := rt.AffinitySamples(2)
 	if len(got) != 2 || got[0].GUID != "hot" || got[1].GUID != "warm" {
 		t.Fatalf("rollups = %+v, want [hot warm]", got)

@@ -328,9 +328,25 @@ func (n *Node) dispatchMigrateIn(req *wire.Request) *wire.Response {
 		return wire.Errorf(req, "node %s: cannot adopt non-substitutable class %s", n.name, req.Class)
 	}
 	n.migIn.Inc()
+	return n.adopt(req, func(g string) {
+		// Adopt the object's shipped dedup history under its GUID: a
+		// caller's retry of a call the old home already completed
+		// replays its recorded response instead of executing twice.
+		if len(req.Dedup) > 0 {
+			n.dedupTab.Adopt(g, req.Dedup)
+		}
+	})
+}
+
+// adopt rebuilds the object a migration or a replica install ships — a
+// new local instance of req.Class holding req.Fields — exports it, and
+// answers with its reference; adopted runs in the same execution with
+// the object's GUID.  Like creation, the object is unshared until its
+// reference is returned, so the rebuild runs ungated.  A field the class
+// does not declare, or a value that does not fit one, is an error for
+// the peer, and nothing is exported.
+func (n *Node) adopt(req *wire.Request, adopted func(g string)) *wire.Response {
 	resp := &wire.Response{ID: req.ID}
-	// Like creation: the adopted object is unshared until its reference
-	// is returned, so the rebuild runs ungated.
 	n.machine.Exec(func(env *vm.Env) {
 		obj, err := env.New(transform.OLocal(req.Class))
 		if err != nil {
@@ -347,14 +363,8 @@ func (n *Node) dispatchMigrateIn(req *wire.Request) *wire.Response {
 			return
 		}
 		resp.Result = mv
-		// Adopt the object's shipped dedup history under its GUID here
-		// (marshalValue just exported it): a caller's retry of a call the
-		// old home already completed replays its recorded response
-		// instead of executing twice.
-		if len(req.Dedup) > 0 {
-			if g, ok := n.exports.GUIDOf(obj); ok {
-				n.dedupTab.Adopt(g, req.Dedup)
-			}
+		if g, ok := n.exports.GUIDOf(obj); ok {
+			adopted(g)
 		}
 	})
 	return resp

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"rafda/internal/intercept"
+	"rafda/internal/ir"
 	"rafda/internal/policy"
 	"rafda/internal/stdlib"
 	"rafda/internal/transform"
@@ -155,5 +156,85 @@ func TestRemoteExceptionMustBeThrowable(t *testing.T) {
 		if !errors.As(err, &uncaught) || uncaught.Class != tc.wantClass || uncaught.Message != tc.wantMsg {
 			t.Errorf("ExClass %s: %v, want uncaught %s: %s", tc.exClass, err, tc.wantClass, tc.wantMsg)
 		}
+	}
+}
+
+// accSource's Acc takes an int, a string and an int array.
+const accSource = `
+class Acc {
+    int total;
+    int add(int n) { total = total + n; return total; }
+    string greet(string s) { return "hi " + s; }
+    int sum(int[] a) {
+        int s = 0;
+        for (int i = 0; i < a.length; i = i + 1) { s = s + a[i]; }
+        return s;
+    }
+    int get() { return total; }
+}
+class Mk { static Acc make() { return new Acc(); } }
+class Main { static void main() {} }`
+
+// TestOutsideValuesAreKindChecked sends calls from a raw peer whose
+// arguments are not of the declared kinds: each gets an error response
+// naming the method's parameter, or the array's element type, and both
+// kinds, and the object's total is left as it was.  The same arguments
+// through the host's CallOn are refused alike.
+func TestOutsideValuesAreKindChecked(t *testing.T) {
+	n, err := New(Config{Name: "home", Result: transformSource(t, accSource)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { n.Close() })
+	ep, err := n.Serve("rrp", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := rawCall(t, ep, &wire.Request{ID: 1, Op: wire.OpMigrateIn, Class: "Acc",
+		Fields: []wire.NamedValue{{Name: "total", Value: wire.Value{Kind: wire.KInt, Int: 5}}}})
+	if in.Err != "" || in.Result.Ref == nil {
+		t.Fatalf("adopting an Acc: %+v", in)
+	}
+	id := in.Result.Ref.GUID
+	obj, _ := n.exports.Get(id)
+	call := func(method string, args ...wire.Value) *wire.Response {
+		return rawCall(t, ep, &wire.Request{ID: 2, Op: wire.OpInvoke, GUID: id, Method: method, Args: args})
+	}
+	str := func(s string) wire.Value { return wire.Value{Kind: wire.KString, Str: s} }
+	num := func(i int64) wire.Value { return wire.Value{Kind: wire.KInt, Int: i} }
+	for _, tc := range []struct {
+		method string
+		arg    wire.Value
+		host   vm.Value
+		want   string
+	}{
+		{"add", str("7"), vm.StringV("7"), "argument 0 of Acc_O_Local.add is string, not int"},
+		{"add", wire.Value{Kind: wire.KBool, Bool: true}, vm.BoolV(true), "argument 0 of Acc_O_Local.add is bool, not int"},
+		{"add", wire.Value{Kind: wire.KNull}, vm.NullV(), "argument 0 of Acc_O_Local.add is null, not int"},
+		{"add", wire.Value{Kind: wire.KFloat, Float: 2.5}, vm.FloatV(2.5), "argument 0 of Acc_O_Local.add is float, not int"},
+		{"greet", num(3), vm.IntV(3), "argument 0 of Acc_O_Local.greet is int, not string"},
+		{"sum", wire.Value{Kind: wire.KArray, Elem: "I", Arr: []wire.Value{str("a"), num(3)}},
+			vm.Value{}, "array of int holds string at index 0"},
+		{"sum", wire.Value{Kind: wire.KArray, Elem: "S", Arr: []wire.Value{str("a")}},
+			vm.ArrayV(&vm.Array{Elem: ir.String, Vals: []vm.Value{vm.StringV("a")}}),
+			"argument 0 of Acc_O_Local.sum is string[], not int[]"},
+	} {
+		if resp := call(tc.method, tc.arg); !strings.Contains(resp.Err, tc.want) {
+			t.Errorf("%s(%v): response %+v, want an error containing %q", tc.method, tc.arg, resp, tc.want)
+		}
+		if tc.host.K != 0 {
+			if got, err := n.CallOn(vm.RefV(obj), tc.method, tc.host); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("CallOn %s(%v) = %v %v, want an error containing %q", tc.method, tc.host, got, err, tc.want)
+			}
+		}
+		if got := call("get"); got.Err != "" || got.Result.Int != 5 {
+			t.Fatalf("after %s(%v) the total is %+v, want 5", tc.method, tc.arg, got)
+		}
+	}
+	if got := call("sum", wire.Value{Kind: wire.KArray, Elem: "I", Arr: []wire.Value{num(4), num(3)}}); got.Err != "" || got.Result.Int != 7 {
+		t.Fatalf("sum([4, 3]) = %+v, want 7", got)
+	}
+	if got := call("add", num(2)); got.Err != "" || got.Result.Int != 7 {
+		t.Fatalf("add(2) = %+v, want 7", got)
 	}
 }

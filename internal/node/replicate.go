@@ -444,34 +444,15 @@ func (n *Node) dispatchReplicaInstall(req *wire.Request) *wire.Response {
 	if err != nil {
 		return wire.Errorf(req, "node %s: replica install: %v", n.name, err)
 	}
-	resp := &wire.Response{ID: req.ID}
-	n.machine.Exec(func(env *vm.Env) {
-		obj, err := env.New(transform.OLocal(req.Class))
-		if err != nil {
-			resp.Err = err.Error()
-			return
+	return n.adopt(req, func(g string) {
+		rc := &replicaCopy{
+			class: req.Class, primaryGUID: req.GUID,
+			primaryEndpoint: req.Endpoint, primaryProto: proto,
 		}
-		if err := n.setFields(env, obj, req.Fields); err != nil {
-			resp.Err = err.Error()
-			return
-		}
-		mv, err := n.marshalValue(vm.RefV(obj), "")
-		if err != nil {
-			resp.Err = err.Error()
-			return
-		}
-		resp.Result = mv
-		if g, ok := n.exports.GUIDOf(obj); ok {
-			rc := &replicaCopy{
-				class: req.Class, primaryGUID: req.GUID,
-				primaryEndpoint: req.Endpoint, primaryProto: proto,
-			}
-			rc.epoch.Store(req.Epoch)
-			n.replCopies.Store(g, rc)
-			n.replActive.Store(true)
-		}
+		rc.epoch.Store(req.Epoch)
+		n.replCopies.Store(g, rc)
+		n.replActive.Store(true)
 	})
-	return resp
 }
 
 // dispatchReplicaUpdate applies one committed write to a replica copy,

@@ -8,8 +8,19 @@ import (
 	"rafda/internal/vm"
 )
 
+// objVM is a VM over one class X, whose instances the tests export.
+var objVM = func() *vm.VM {
+	p := ir.NewProgram()
+	p.MustAdd(&ir.Class{Name: "X", Super: ir.ObjectClass})
+	return vm.MustNew(p)
+}()
+
 func obj() *vm.Object {
-	return vm.NewRawObject(&ir.Class{Name: "X"}, map[string]vm.Value{})
+	o, err := objVM.NewObject("X")
+	if err != nil {
+		panic(err)
+	}
+	return o
 }
 
 func TestEnsureIdempotent(t *testing.T) {

@@ -14,8 +14,20 @@ import (
 	"rafda/internal/wire"
 )
 
+// objVM is a VM over one class C_O_Local, whose instances the tests
+// record calls on.
+var objVM = func() *vm.VM {
+	p := ir.NewProgram()
+	p.MustAdd(&ir.Class{Name: "C_O_Local", Super: ir.ObjectClass})
+	return vm.MustNew(p)
+}()
+
 func obj() *vm.Object {
-	return vm.NewRawObject(&ir.Class{Name: "C_O_Local"}, map[string]vm.Value{})
+	o, err := objVM.NewObject("C_O_Local")
+	if err != nil {
+		panic(err)
+	}
+	return o
 }
 
 // pinned returns an object kept alive until the test ends: the recorder

@@ -1,6 +1,8 @@
 package verifier
 
 import (
+	"sync"
+
 	"rafda/internal/ir"
 )
 
@@ -13,22 +15,26 @@ const (
 )
 
 // checkCode checks a method body: every instruction's operands must
-// resolve and its jump target and slot be in range; then the stack walk
-// (ir.Depths) must find no underflow, no join reached at two depths, no
-// path falling off the end of the code and no stack deeper than
-// maxFrameOperands.  It returns the deepest stack.
+// resolve and its jump target and slot be in range; then the walk
+// (ir.Depths) must find every operand of the kind its instruction takes,
+// and no underflow, no join of two depths or two operand kinds, no load
+// of a local unset on some path, no path falling off the end of the code
+// and no stack deeper than maxFrameOperands.  It returns the deepest
+// stack.
 func (v *verifier) checkCode(c *ir.Class, m *ir.Method) (deepest int) {
 	ok := true
-	void := make([]bool, len(m.Code)) // an invoke of a void method
+	t := tables.Get().(*codeTables)
+	defer tables.Put(t)
+	callee, field := t.reset(len(m.Code))
 	for pc := range m.Code {
-		if !v.checkInstr(c, m, pc, &m.Code[pc], &void[pc]) {
+		if !v.checkInstr(c, m, pc, &m.Code[pc], &callee[pc], &field[pc]) {
 			ok = false
 		}
 	}
 	if !ok {
 		return 0
 	}
-	deepest, fault := ir.Depths(m, void)
+	deepest, fault := ir.Depths(m, callee, field)
 	switch {
 	case fault != nil:
 		v.errf(c.Name, m.Name, fault.PC, "%s", fault.Msg)
@@ -38,9 +44,31 @@ func (v *verifier) checkCode(c *ir.Class, m *ir.Method) (deepest int) {
 	return deepest
 }
 
-// checkInstr validates one instruction's operands, and sets *void for an
-// invoke whose target returns nothing.
-func (v *verifier) checkInstr(c *ir.Class, m *ir.Method, pc int, in *ir.Instr, void *bool) bool {
+// codeTables are the per-pc tables checkCode fills: what each invoke
+// resolves to and the type of each accessed field.  They are recycled
+// from method to method.
+type codeTables struct {
+	callee []*ir.Method
+	field  []*ir.Type
+}
+
+var tables = sync.Pool{New: func() any { return new(codeTables) }}
+
+// reset returns t's tables for a body of n instructions.  checkInstr
+// sets the entry of every invoke and field access, and ir.Depths reads
+// no other.
+func (t *codeTables) reset(n int) ([]*ir.Method, []*ir.Type) {
+	if cap(t.callee) < n {
+		t.callee, t.field = make([]*ir.Method, n), make([]*ir.Type, n)
+	}
+	t.callee, t.field = t.callee[:n], t.field[:n]
+	return t.callee, t.field
+}
+
+// checkInstr validates one instruction's operands, and sets *callee to
+// the method an invoke resolves to and *field to the type of the field a
+// field access names.
+func (v *verifier) checkInstr(c *ir.Class, m *ir.Method, pc int, in *ir.Instr, callee **ir.Method, field **ir.Type) bool {
 	fail := func(format string, a ...any) bool {
 		v.errf(c.Name, m.Name, pc, format, a...)
 		return false
@@ -68,14 +96,18 @@ func (v *verifier) checkInstr(c *ir.Class, m *ir.Method, pc int, in *ir.Instr, v
 		}
 
 	case ir.OpGetField, ir.OpPutField:
-		if _, _, err := v.p.ResolveField(in.Owner, in.Member); err != nil {
+		_, f, err := v.p.ResolveField(in.Owner, in.Member)
+		if err != nil {
 			return fail("unresolved field %s.%s", in.Owner, in.Member)
 		}
+		*field = &f.Type
 
 	case ir.OpGetStatic, ir.OpPutStatic:
-		if _, f, err := v.p.ResolveField(in.Owner, in.Member); err != nil || !f.Static {
+		_, f, err := v.p.ResolveField(in.Owner, in.Member)
+		if err != nil || !f.Static {
 			return fail("unresolved static field %s.%s", in.Owner, in.Member)
 		}
+		*field = &f.Type
 
 	case ir.OpInvokeStatic, ir.OpInvokeVirtual, ir.OpInvokeInterface, ir.OpInvokeSpecial:
 		_, dm, err := v.p.ResolveMethod(in.Owner, in.Member, in.NArgs)
@@ -88,7 +120,7 @@ func (v *verifier) checkInstr(c *ir.Class, m *ir.Method, pc int, in *ir.Instr, v
 		if in.Op != ir.OpInvokeStatic && dm.Static {
 			return fail("instance invoke of static method %s.%s", in.Owner, in.Member)
 		}
-		*void = dm.Return.IsVoid()
+		*callee = dm
 
 	case ir.OpNewArray:
 		if in.TypeRef == nil {

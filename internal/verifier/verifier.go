@@ -4,12 +4,15 @@
 // been verified by a standard compiler".  The front end's output and the
 // transformer's output are both verified in tests, which guards the
 // transformation's structural correctness independently of execution.
-// The interpreter runs CheckMethod on each method's first activation and
-// refuses a method that fails it, so the code it runs has the shape this
-// package checks: operands that resolve, jumps and slots in range, and
-// one bounded stack depth at every instruction.  Value kinds are not
-// checked: an int stored into a string field verifies and faults only
-// when run.
+// The interpreter runs CheckMethod on each method's first activation,
+// and on each native when it binds, and refuses a method that fails it,
+// so the code it runs has the shape and the kinds this package checks:
+// operands that resolve, jumps and slots in range, one bounded stack
+// depth at every instruction, every operand of the kind its instruction
+// takes and every store, argument and return of a kind that fits its
+// declared type (ir.Depths), and overrides that declare the kinds of the
+// methods they override.  Class names are not tracked: whether a
+// reference's class has a field or method is checked when it runs.
 package verifier
 
 import (
@@ -182,9 +185,14 @@ func (v *verifier) checkImplements(c *ir.Class) {
 			return
 		}
 		for _, m := range ic.Methods {
-			if dc, dm, err := v.p.ResolveMethod(c.Name, m.Name, len(m.Params)); err != nil || dm.Abstract {
-				_ = dc
+			dc, dm, err := v.p.ResolveMethod(c.Name, m.Name, len(m.Params))
+			switch {
+			case err != nil || dm.Abstract:
 				v.errf(c.Name, "", -1, "does not implement %s.%s/%d", iface, m.Name, len(m.Params))
+			case dc != c && !sameTypes(dm, m):
+				// An inherited implementation: the inheriting class is
+				// the first to meet the interface.
+				v.errf(c.Name, "", -1, "implements %s.%s with %s.%s", iface, m.Signature(), dc.Name, dm.Signature())
 			}
 		}
 		for _, super := range ic.Interfaces {
@@ -216,6 +224,53 @@ func (v *verifier) checkImplements(c *ir.Class) {
 			}
 		}
 	}
+}
+
+// checkOverride checks that m declares the parameter and return types
+// of each method it overrides or implements: the one its superclass
+// chain resolves, and the one each of its class's interfaces does.  The
+// interpreter dispatches a call that the caller's code was verified
+// against the overridden method, so the two must agree.  Constructors
+// and static initialisers override nothing, and neither does a static
+// method of a static one: calls of those are never dispatched.
+func (v *verifier) checkOverride(c *ir.Class, m *ir.Method) {
+	if m.IsConstructor() || m.IsStaticInit() {
+		return
+	}
+	check := func(from string) {
+		dc, dm, err := v.p.ResolveMethod(from, m.Name, len(m.Params))
+		if err == nil && !(m.Static && dm.Static) && !sameTypes(m, dm) {
+			v.errf(c.Name, m.Name, -1, "declares %s but overrides %s.%s", m.Signature(), dc.Name, dm.Signature())
+		}
+	}
+	if c.Super != "" {
+		check(c.Super)
+	}
+	for _, i := range c.Interfaces {
+		check(i)
+	}
+}
+
+// sameTypes reports whether methods a and b declare parameter and
+// return types of the same kinds, as the verifier tracks them: for an
+// array, elements of the same kinds; class names do not count.
+func sameTypes(a, b *ir.Method) bool {
+	if !sameKinds(a.Return, b.Return) || len(a.Params) != len(b.Params) {
+		return false
+	}
+	for i := range a.Params {
+		if !sameKinds(a.Params[i], b.Params[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+func sameKinds(a, b ir.Type) bool {
+	for a.Kind == ir.KindArray && b.Kind == ir.KindArray {
+		a, b = *a.Elem, *b.Elem
+	}
+	return a.Kind == b.Kind
 }
 
 func (v *verifier) classOf(name string) *ir.Class {
@@ -258,6 +313,7 @@ func (v *verifier) checkMethod(c *ir.Class, m *ir.Method) (deepest int) {
 	if m.IsConstructor() && m.Static {
 		v.errf(c.Name, m.Name, -1, "constructor cannot be static")
 	}
+	v.checkOverride(c, m)
 	if m.IsStaticInit() && !m.Static {
 		v.errf(c.Name, m.Name, -1, "<clinit> must be static")
 	}

@@ -1,8 +1,10 @@
 package vm
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"strings"
 	"sync/atomic"
 
 	"rafda/internal/ir"
@@ -46,7 +48,8 @@ func (v *VM) invoke(env *Env, c *code, base int) (ret bool, thrown *Thrown, err 
 }
 
 // fault reports a fault at pc of c that the verifier does not rule out:
-// an operand of the wrong kind, or the step limit.
+// the step limit, a receiver without the field a site names, or a throw
+// of an object that is not a Throwable.
 func (c *code) fault(pc int, format string, a ...any) (bool, *Thrown, error) {
 	return false, nil, &FaultError{
 		Msg: fmt.Sprintf("%s.%s pc=%d: %s", c.class.Name, c.m.Name, pc, fmt.Sprintf(format, a...)),
@@ -59,13 +62,16 @@ func (c *code) fault(pc int, format string, a ...any) (bool, *Thrown, error) {
 // Object); native methods may release the execution's gates via
 // Env.RunUnlocked.
 //
-// Only code the verifier accepted runs (see VM.linkBody), so run tests
-// nothing about the code's shape: every pc it reaches is in the code,
-// every operand an instruction pops is there, every slot a load or store
-// names is in the frame, and every type and static field an instruction
+// Only code the verifier accepted runs (see VM.linkBody), and values
+// from outside are checked where they enter (VM.enter, VM.callNative), so
+// run tests nothing about the code's shape or its values' kinds: every
+// pc it reaches is in the code, every operand an instruction pops is
+// there and of the kind it takes, every slot a load or store names is in
+// the frame and set, and every type and static field an instruction
 // names resolves.  What it tests is what the verifier does not prove:
-// value kinds, nulls, indexes and divisors, and the step and depth
-// limits.
+// nulls, indexes and divisors, the class of a receiver (a field site
+// finds no field on an object that lacks it, as a morphed proxy does; a
+// thrown object must be a Throwable), and the step and depth limits.
 //
 // f is the frame's window on the slab: locals f[:nl], operand stack
 // f[nl:sp].  The frame holds the deepest stack the verifier's walk found,
@@ -160,10 +166,7 @@ func (v *VM) run(env *Env, c *code, base int) (bool, *Thrown, error) {
 					goto throw
 				}
 			}
-			obj, err := v.alloc(lk.class, lk.state)
-			if err != nil {
-				return false, nil, err
-			}
+			obj, _ := v.alloc(lk.class, lk.state) // the verifier found the class instantiable
 			f[sp] = RefV(obj)
 			sp++
 
@@ -173,9 +176,6 @@ func (v *VM) run(env *Env, c *code, base int) (bool, *Thrown, error) {
 				pendingThrow = v.throwSys(stdlib.NullPointerClass,
 					fmt.Sprintf("read of field %s on null", in.Member))
 				goto throw
-			}
-			if ref.K != ir.KindRef {
-				return c.fault(pc, "getfield on non-ref %v", ref.K)
 			}
 			if !ref.O.load(ref, in.Member, &b.sites[pc]) {
 				return c.fault(pc, "no field %s on %s", in.Member, ref.O.ClassName())
@@ -189,14 +189,8 @@ func (v *VM) run(env *Env, c *code, base int) (bool, *Thrown, error) {
 					fmt.Sprintf("write of field %s on null", in.Member))
 				goto throw
 			}
-			if ref.K != ir.KindRef {
-				return c.fault(pc, "putfield on non-ref %v", ref.K)
-			}
-			switch ref.O.store(env, in.Member, &b.sites[pc], &f[sp+1]) {
-			case absent:
+			if !ref.O.store(env, in.Member, &b.sites[pc], &f[sp+1]) {
 				return c.fault(pc, "no field %s on %s", in.Member, ref.O.ClassName())
-			case misfit:
-				return c.fault(pc, "putfield of %s to field %s of %s", f[sp+1].K, in.Member, ref.O.ClassName())
 			}
 
 		case ir.OpGetStatic, ir.OpPutStatic:
@@ -225,21 +219,16 @@ func (v *VM) run(env *Env, c *code, base int) (bool, *Thrown, error) {
 			// monitor's layout, which names the class too.  The monitor
 			// has no slots when the class's superclass failed to
 			// initialise.
-			res := stored
+			var found bool
 			if mon := &lk.state.monitor; in.Op == ir.OpGetStatic {
-				if !mon.load(&f[sp], in.Member, at) {
-					res = absent
-				}
+				found = mon.load(&f[sp], in.Member, at)
 				sp++
 			} else {
 				sp--
-				res = mon.store(env, in.Member, at, &f[sp])
+				found = mon.store(env, in.Member, at, &f[sp])
 			}
-			switch res {
-			case absent:
+			if !found {
 				return false, nil, &FaultError{Msg: fmt.Sprintf("no static field %s.%s", lk.class.Name, in.Member)}
-			case misfit:
-				return c.fault(pc, "putstatic of %s to field %s.%s", f[sp].K, lk.class.Name, in.Member)
 			}
 
 		case ir.OpInvokeStatic, ir.OpInvokeVirtual, ir.OpInvokeInterface, ir.OpInvokeSpecial:
@@ -256,9 +245,6 @@ func (v *VM) run(env *Env, c *code, base int) (bool, *Thrown, error) {
 				if in.Op != ir.OpInvokeSpecial {
 					// Dynamic dispatch: the site remembers the last
 					// receiver class and what the method resolved to there.
-					if ref.K != ir.KindRef {
-						return c.fault(pc, "%s on non-ref value", in.Op)
-					}
 					if rc := ref.O.Class(); lk == nil || lk.class != rc {
 						var err error
 						if lk, err = v.dispatch(rc, in.Owner, in.Member, in.NArgs); err != nil {
@@ -327,9 +313,6 @@ func (v *VM) run(env *Env, c *code, base int) (bool, *Thrown, error) {
 				pendingThrow = v.throwSys(stdlib.NullPointerClass, "index of null array")
 				goto throw
 			}
-			if arr.K != ir.KindArray {
-				return c.fault(pc, "aload on non-array %v", arr.K)
-			}
 			if idx < 0 || int(idx) >= len(arr.A.Vals) {
 				pendingThrow = v.throwSys(stdlib.IndexBoundsClass,
 					fmt.Sprintf("index %d out of range %d", idx, len(arr.A.Vals)))
@@ -344,9 +327,6 @@ func (v *VM) run(env *Env, c *code, base int) (bool, *Thrown, error) {
 				pendingThrow = v.throwSys(stdlib.NullPointerClass, "store to null array")
 				goto throw
 			}
-			if arr.K != ir.KindArray {
-				return c.fault(pc, "astore on non-array %v", arr.K)
-			}
 			if idx < 0 || int(idx) >= len(arr.A.Vals) {
 				pendingThrow = v.throwSys(stdlib.IndexBoundsClass,
 					fmt.Sprintf("index %d out of range %d", idx, len(arr.A.Vals)))
@@ -359,9 +339,6 @@ func (v *VM) run(env *Env, c *code, base int) (bool, *Thrown, error) {
 			if isNull(arr) {
 				pendingThrow = v.throwSys(stdlib.NullPointerClass, "length of null array")
 				goto throw
-			}
-			if arr.K != ir.KindArray {
-				return c.fault(pc, "arraylen on non-array %v", arr.K)
 			}
 			*arr = IntV(int64(len(arr.A.Vals)))
 
@@ -409,11 +386,7 @@ func (v *VM) run(env *Env, c *code, base int) (bool, *Thrown, error) {
 
 		case ir.OpCmpEq, ir.OpCmpNe, ir.OpCmpLt, ir.OpCmpLe, ir.OpCmpGt, ir.OpCmpGe:
 			sp--
-			res, err := compare(in.Op, &f[sp-1], &f[sp])
-			if err != nil {
-				return c.fault(pc, "%v", err)
-			}
-			f[sp-1] = BoolV(res)
+			f[sp-1] = BoolV(compare(in.Op, &f[sp-1], &f[sp]))
 
 		case ir.OpJump:
 			pc = int(in.A)
@@ -432,10 +405,7 @@ func (v *VM) run(env *Env, c *code, base int) (bool, *Thrown, error) {
 			}
 
 		case ir.OpCast:
-			res, thrown, err := v.cast(f[sp-1], in.TypeRef, &b.sites[pc])
-			if err != nil {
-				return c.fault(pc, "%v", err)
-			}
+			res, thrown := v.cast(f[sp-1], in.TypeRef, &b.sites[pc])
 			if thrown != nil {
 				pendingThrow = thrown
 				goto throw
@@ -460,7 +430,7 @@ func (v *VM) run(env *Env, c *code, base int) (bool, *Thrown, error) {
 				pendingThrow = v.throwSys(stdlib.NullPointerClass, "throw of null")
 				goto throw
 			}
-			if ref.K != ir.KindRef || !v.kind(ref.O.Class(), ir.ThrowableClass).sub {
+			if !v.kind(ref.O.Class(), ir.ThrowableClass).sub {
 				return c.fault(pc, "throw of non-throwable %s", *ref)
 			}
 			pendingThrow = &Thrown{Obj: ref.O}
@@ -485,15 +455,15 @@ func (v *VM) run(env *Env, c *code, base int) (bool, *Thrown, error) {
 // of activating it, and returns the caller's new stack top.  It charges
 // the steps the activation would have, and shares the accessor's own
 // field-site caches with it.  Whenever the activation would do anything
-// but read or write the field — a method the verifier refused, a receiver
-// that is no object, the depth limit, a step budget that runs out inside
-// the accessor, a field the receiver lacks — it reports false having
+// but read or write the field — a method the verifier refused, the depth
+// limit, a step budget that runs out inside the accessor, a field the
+// receiver lacks — it reports false having
 // changed nothing, and the call goes through invoke, which faults exactly
 // as it always has.
 func (v *VM) accessorAt(env *Env, callee *code, f []Value, sp int) (int, bool) {
 	n := int64(callee.nargs) + 2 // the loads, the field access, the return
 	recv := &f[sp-callee.nargs]
-	if env.depth >= v.maxDepth || env.steps > v.maxSteps-n || recv.K != ir.KindRef || recv.O == nil {
+	if env.depth >= v.maxDepth || env.steps > v.maxSteps-n {
 		return sp, false
 	}
 	b := callee.body.Load()
@@ -509,7 +479,7 @@ func (v *VM) accessorAt(env *Env, callee *code, f []Value, sp int) (int, bool) {
 			return sp, false
 		}
 	} else {
-		if recv.O.store(env, code[2].Member, &b.sites[2], &f[sp-1]) != stored {
+		if !recv.O.store(env, code[2].Member, &b.sites[2], &f[sp-1]) {
 			return sp, false
 		}
 		sp -= 2
@@ -568,8 +538,6 @@ func floatArith(op ir.Op, a, b float64) Value {
 	}
 }
 
-func numericKind(k ir.Kind) bool { return k == ir.KindInt || k == ir.KindFloat }
-
 func numAsFloat(v *Value) float64 {
 	if v.K == ir.KindFloat {
 		return v.F
@@ -577,132 +545,88 @@ func numAsFloat(v *Value) float64 {
 	return float64(v.I)
 }
 
-func compare(op ir.Op, a, b *Value) (bool, error) {
-	// Equality on references is identity; on primitives, value equality.
-	if op == ir.OpCmpEq || op == ir.OpCmpNe {
-		eq, err := valuesEqual(a, b)
-		if err != nil {
-			return false, err
-		}
-		if op == ir.OpCmpNe {
-			return !eq, nil
-		}
-		return eq, nil
+// compare is a comparison of operands the verifier found comparable:
+// numbers or strings, and for equality also bools or references.
+func compare(op ir.Op, a, b *Value) bool {
+	switch op {
+	case ir.OpCmpEq:
+		return valuesEqual(a, b)
+	case ir.OpCmpNe:
+		return !valuesEqual(a, b)
 	}
 	var c int
 	switch {
-	case a.K == ir.KindString && b.K == ir.KindString:
-		switch {
-		case a.S < b.S:
-			c = -1
-		case a.S > b.S:
-			c = 1
-		}
-	case a.K == ir.KindFloat || b.K == ir.KindFloat:
-		af, bf := numAsFloat(a), numAsFloat(b)
-		switch {
-		case af < bf:
-			c = -1
-		case af > bf:
-			c = 1
-		}
+	case a.K == ir.KindString:
+		c = strings.Compare(a.S, b.S)
 	case a.K == ir.KindInt && b.K == ir.KindInt:
-		switch {
-		case a.I < b.I:
-			c = -1
-		case a.I > b.I:
-			c = 1
-		}
-	default:
-		return false, fmt.Errorf("cannot order %v and %v", a.K, b.K)
+		c = cmp.Compare(a.I, b.I)
+	case numAsFloat(a) < numAsFloat(b):
+		c = -1
+	case numAsFloat(a) > numAsFloat(b):
+		c = 1
 	}
 	switch op {
 	case ir.OpCmpLt:
-		return c < 0, nil
+		return c < 0
 	case ir.OpCmpLe:
-		return c <= 0, nil
+		return c <= 0
 	case ir.OpCmpGt:
-		return c > 0, nil
-	case ir.OpCmpGe:
-		return c >= 0, nil
+		return c > 0
 	}
-	return false, fmt.Errorf("bad comparison op %s", op)
+	return c >= 0
 }
 
-func refLike(v *Value) bool { return v.K == ir.KindRef || v.K == ir.KindArray }
-
-func valuesEqual(a, b *Value) (bool, error) {
+// valuesEqual is equality of two operands the verifier found comparable:
+// identity on references, value equality otherwise.
+func valuesEqual(a, b *Value) bool {
 	switch {
 	case a.K == ir.KindRef && b.K == ir.KindRef:
-		return a.O == b.O, nil
+		return a.O == b.O
 	case a.K == ir.KindArray && b.K == ir.KindArray:
-		return a.A == b.A, nil
-	case refLike(a) && refLike(b):
-		// Mixed object/array comparison (e.g. a null literal, which is
-		// typed as an object reference, against an array): equal only
-		// when both are null.
-		return isNull(a) && isNull(b), nil
-	case a.K == ir.KindString && b.K == ir.KindString:
-		return a.S == b.S, nil
-	case a.K == ir.KindBool && b.K == ir.KindBool:
-		return a.I == b.I, nil
-	case numericKind(a.K) && numericKind(b.K):
-		if a.K == ir.KindFloat || b.K == ir.KindFloat {
-			return numAsFloat(a) == numAsFloat(b), nil
-		}
-		return a.I == b.I, nil
-	default:
-		return false, fmt.Errorf("cannot compare %v and %v", a.K, b.K)
+		return a.A == b.A
+	case a.K == ir.KindRef || a.K == ir.KindArray:
+		// An object against an array (a null literal, typed as an object
+		// reference, against an array): equal only when both are null.
+		return isNull(a) && isNull(b)
+	case a.K == ir.KindString:
+		return a.S == b.S
+	case a.K == ir.KindFloat || b.K == ir.KindFloat:
+		return numAsFloat(a) == numAsFloat(b)
 	}
+	return a.I == b.I
 }
 
-// cast applies a checked reference cast or a numeric conversion.
-func (v *VM) cast(val Value, target *ir.Type, at *atomic.Pointer[link]) (Value, *Thrown, error) {
+// cast applies a conversion or checked cast the verifier found possible:
+// int, float or bool to int, int or float to float, a reference or null
+// to a class, an array or null to an array type, and a string or bool to
+// its own type.
+func (v *VM) cast(val Value, target *ir.Type, at *atomic.Pointer[link]) (Value, *Thrown) {
 	switch target.Kind {
 	case ir.KindInt:
 		if val.K == ir.KindFloat {
-			return IntV(int64(val.F)), nil, nil
+			return IntV(int64(val.F)), nil
 		}
-		if val.K == ir.KindInt || val.K == ir.KindBool {
-			return IntV(val.I), nil, nil
-		}
+		return IntV(val.I), nil
 	case ir.KindFloat:
 		if val.K == ir.KindInt {
-			return FloatV(float64(val.I)), nil, nil
-		}
-		if val.K == ir.KindFloat {
-			return val, nil, nil
+			return FloatV(float64(val.I)), nil
 		}
 	case ir.KindRef:
-		if val.K == ir.KindArray && val.A == nil {
-			return NullV(), nil, nil
+		if val.K == ir.KindArray { // a null array
+			return NullV(), nil
 		}
-		if val.K == ir.KindRef {
-			if val.O == nil || v.kindAt(at, val.O, target.Name).ok {
-				return val, nil, nil
-			}
+		if val.O != nil && !v.kindAt(at, val.O, target.Name).ok {
 			return Value{}, v.throwSys(stdlib.ClassCastClass,
-				fmt.Sprintf("%s is not a %s", val.O.ClassName(), target.Name)), nil
+				fmt.Sprintf("%s is not a %s", val.O.ClassName(), target.Name))
 		}
 	case ir.KindArray:
-		if val.K == ir.KindRef && val.O == nil {
-			return Value{K: ir.KindArray}, nil, nil
+		if val.K == ir.KindRef { // a null reference
+			return Value{K: ir.KindArray}, nil
 		}
-		if val.K == ir.KindArray {
-			if val.A == nil || val.A.Elem.Equal(*target.Elem) {
-				return val, nil, nil
-			}
+		if val.A != nil && !val.A.Elem.Equal(*target.Elem) {
 			return Value{}, v.throwSys(stdlib.ClassCastClass,
-				fmt.Sprintf("%s[] is not a %s[]", val.A.Elem, target.Elem)), nil
-		}
-	case ir.KindString:
-		if val.K == ir.KindString {
-			return val, nil, nil
-		}
-	case ir.KindBool:
-		if val.K == ir.KindBool {
-			return val, nil, nil
+				fmt.Sprintf("%s[] is not a %s[]", val.A.Elem, target.Elem))
 		}
 	}
-	return Value{}, nil, fmt.Errorf("cannot cast %v to %s", val.K, target)
+	return val, nil
 }

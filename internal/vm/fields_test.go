@@ -237,11 +237,10 @@ func TestFrozenStoreParksGates(t *testing.T) {
 	}
 }
 
-// TestVerifierLeavesFieldKindsToRunTime pins a limit of the verifier: it
-// checks that a field resolves, not the kind of value stored into it.  A
-// hand-built body that stores an int into P's string field s verifies
-// clean, and the VM refuses the store when it runs.
-func TestVerifierLeavesFieldKindsToRunTime(t *testing.T) {
+// TestVerifierRefusesFieldKinds: a body that stores an int into P's
+// string field s fails the verifier, and the VM refuses it when it is
+// first called, before it runs.
+func TestVerifierRefusesFieldKinds(t *testing.T) {
 	p := stdlib.Program()
 	p.MustAdd(&ir.Class{Name: "P", Super: ir.ObjectClass,
 		Fields: []ir.Field{{Name: "s", Type: ir.String, Access: ir.AccessPublic}}})
@@ -253,15 +252,15 @@ func TestVerifierLeavesFieldKindsToRunTime(t *testing.T) {
 			{Op: ir.OpReturn},
 		}),
 	}})
-	if errs := verifier.Verify(p); len(errs) > 0 {
-		t.Fatalf("the verifier now checks value kinds (%v): update this test and DESIGN.md", errs)
+	const want = "T.f pc=2: putfield of int to string field P.s"
+	if errs := verifier.Verify(p); len(errs) != 1 || errs[0].Error() != want {
+		t.Fatalf("Verify = %v, want [%s]", errs, want)
 	}
 	v, err := New(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := v.Invoke("T", "f", Value{}, nil); err == nil ||
-		!strings.Contains(err.Error(), "putfield of int to field s of P") {
+	if _, err := v.Invoke("T", "f", Value{}, nil); err == nil || err.Error() != "vm fault: link: "+want {
 		t.Fatalf("an int stored into a string field: %v", err)
 	}
 }

@@ -38,7 +38,8 @@ type link struct {
 
 	// Field and static sites: objects with this layout — a static site's
 	// class monitor once its slots exist — keep the field in slot, which
-	// holds values of kind (none in a raw object's layout).
+	// holds values of kind.  A field site holds a record of its field's
+	// kind alone until it first finds the field (see VM.linkBody).
 	layout *layout
 	slot   int
 	kind   ir.Kind
@@ -172,10 +173,6 @@ func accessorOf(m *ir.Method) accessorKind {
 // resolve finds the method name/nargs for receiver class c: its by-name
 // method table first, the program's resolution order on a miss.
 func (v *VM) resolve(c *ir.Class, name string, nargs int) (*link, error) {
-	if c == nil {
-		_, _, err := v.prog.ResolveMethod("<nil>", name, nargs)
-		return nil, err
-	}
 	cl := v.classLink(c)
 	k := methodKey{name, nargs}
 	if t := get(&cl.methods, k); t != nil {
@@ -189,24 +186,45 @@ func (v *VM) resolve(c *ir.Class, name string, nargs int) (*link, error) {
 }
 
 // dispatch is resolve for an invokevirtual or invokeinterface of
-// owner.name/nargs on a receiver of class c.  The verifier's walk of the
-// calling code pushed a result where owner's method returns one, so a
-// target that differs from it in that is refused.
+// owner.name/nargs on a receiver of class c.  The verifier checked the
+// calling code against owner's method, and refuses an override whose
+// types differ from the method it overrides, so on a receiver of a
+// subclass of owner the two agree.  The verifier tracks kinds, not
+// classes, though: a receiver of an unrelated class can have a method of
+// that name with other types, and it is refused.
 func (v *VM) dispatch(c *ir.Class, owner, name string, nargs int) (*link, error) {
 	lk, err := v.resolve(c, name, nargs)
 	if err != nil {
 		return nil, err
 	}
 	declared, _ := v.lookup(owner, name, nargs) // the verifier resolved it
-	if void := lk.code.m.Return.IsVoid(); void != declared.code.m.Return.IsVoid() {
-		returns := "a value"
-		if void {
-			returns = "nothing"
-		}
-		return nil, fmt.Errorf("dispatch of %s.%s/%d to %s.%s/%d, which returns %s",
-			owner, name, nargs, lk.code.class.Name, name, nargs, returns)
+	if m, d := lk.code.m, declared.code.m; m != d && !sameTypes(m, d) {
+		return nil, fmt.Errorf("dispatch of %s.%s to %s.%s, which has other types",
+			owner, d.Signature(), lk.code.class.Name, m.Signature())
 	}
 	return lk, nil
+}
+
+// sameTypes reports whether methods a and b declare parameter and
+// return types of the same kinds, as the verifier tracks them: for an
+// array, elements of the same kinds; class names do not count.
+func sameTypes(a, b *ir.Method) bool {
+	if !sameKinds(a.Return, b.Return) || len(a.Params) != len(b.Params) {
+		return false
+	}
+	for i := range a.Params {
+		if !sameKinds(a.Params[i], b.Params[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+func sameKinds(a, b ir.Type) bool {
+	for a.Kind == ir.KindArray && b.Kind == ir.KindArray {
+		a, b = *a.Elem, *b.Elem
+	}
+	return a.Kind == b.Kind
 }
 
 // lookup is resolve for the by-name entry points.
@@ -231,9 +249,6 @@ func (v *VM) linked(class string) *classLink {
 // kind answers whether class c is assignable to (ok) and a subclass of
 // (sub) the named type, from c's verdict table.
 func (v *VM) kind(c *ir.Class, name string) *link {
-	if c == nil {
-		return &link{} // a raw object without a class is nothing
-	}
 	cl := v.classLink(c)
 	if k := get(&cl.kinds, name); k != nil {
 		return k
@@ -245,24 +260,39 @@ func (v *VM) kind(c *ir.Class, name string) *link {
 	})
 }
 
+// fieldKinds are the records a field site starts from: fieldKinds[k]
+// holds kind k and no layout.
+var fieldKinds = func() (t [ir.KindArray + 1]link) {
+	for k := range t {
+		t[k].kind = ir.Kind(k)
+	}
+	return t
+}()
+
 // linkBody verifies c's code (verifier.CheckMethod), then sizes its
-// frame from the verified stack walk and allocates its site caches.  Code
-// the verifier refuses is linked as refused: every activation of it
-// faults with the verifier's message, and it is not verified again.
-// Concurrent first links each verify; the first body stored wins.
+// frame from the verified walk and allocates its site caches, each field
+// site's holding the kind of the field the verifier resolved (see
+// slots.resite).  Code the verifier refuses is linked as refused: every
+// activation of it faults with the verifier's message, and it is not
+// verified again.  Concurrent first links each verify; the first body
+// stored wins.
 func (v *VM) linkBody(c *code) *body {
 	b := &body{nlocals: c.nargs}
 	if deepest, err := verifier.CheckMethod(v.prog, c.class, c.m); err != nil {
 		b.refused = &FaultError{Msg: "link: " + err.Error()}
 	} else {
 		code := c.m.Code
+		b.sites = make([]atomic.Pointer[link], len(code))
 		for i := range code {
-			if in := &code[i]; (in.Op == ir.OpLoad || in.Op == ir.OpStore) && in.A >= int64(b.nlocals) {
-				b.nlocals = int(in.A) + 1
+			switch in := &code[i]; in.Op {
+			case ir.OpLoad, ir.OpStore:
+				b.nlocals = max(b.nlocals, int(in.A)+1)
+			case ir.OpGetField, ir.OpPutField:
+				_, f, _ := v.prog.ResolveField(in.Owner, in.Member)
+				b.sites[i].Store(&fieldKinds[f.Type.Kind])
 			}
 		}
 		b.size = b.nlocals + deepest
-		b.sites = make([]atomic.Pointer[link], len(code))
 	}
 	if !c.body.CompareAndSwap(nil, b) {
 		b = c.body.Load()

@@ -2,6 +2,7 @@ package vm
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 
@@ -155,10 +156,11 @@ func TestFirstLinkRace(t *testing.T) {
 	}
 }
 
-// TestDispatchToOtherReturn: virtual dispatch that lands on an override
-// that returns nothing where the method it overrides returns a value —
-// or the reverse — faults, instead of leaving the caller's stack at
-// another depth than its verified walk assumed.
+// TestDispatchToOtherReturn: an override that returns nothing where the
+// method it overrides returns a value — or the reverse — is refused by
+// the verifier, and a dispatch that lands on it faults, so a call never
+// leaves the caller's stack at another depth than its verified walk
+// assumed.
 func TestDispatchToOtherReturn(t *testing.T) {
 	p := stdlib.Program()
 	inst := func(name string, ret ir.Type, code ...ir.Instr) *ir.Method {
@@ -181,10 +183,20 @@ func TestDispatchToOtherReturn(t *testing.T) {
 			{Op: ir.OpNew, Owner: "S"}, {Op: ir.OpInvokeVirtual, Owner: "T", Member: "quiet"}, {Op: ir.OpReturnValue},
 		}),
 	}})
+	var errs []string
+	for _, err := range verifier.Verify(p) {
+		errs = append(errs, err.Error())
+	}
+	if want := []string{
+		"S.seven: declares seven()V but overrides T.seven()I",
+		"S.quiet: declares quiet()I but overrides T.quiet()V",
+	}; !slices.Equal(errs, want) {
+		t.Errorf("Verify = %q, want %q", errs, want)
+	}
 	v := MustNew(p)
 	for method, want := range map[string]string{
-		"seven": "vm fault: dispatch of T.seven/0 to S.seven/0, which returns nothing",
-		"quiet": "vm fault: dispatch of T.quiet/0 to S.quiet/0, which returns a value",
+		"seven": "vm fault: dispatch of T.seven()I to S.seven()V, which has other types",
+		"quiet": "vm fault: dispatch of T.quiet()V to S.quiet()I, which has other types",
 	} {
 		if got, err := v.Invoke("U", method, Value{}, nil); err == nil || err.Error() != want {
 			t.Errorf("U.%s() = %v %v, want %q", method, got, err, want)

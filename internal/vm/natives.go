@@ -9,6 +9,7 @@ import (
 
 	"rafda/internal/ir"
 	"rafda/internal/stdlib"
+	"rafda/internal/verifier"
 )
 
 // nativeBinding is a native method's implementation: an exact
@@ -28,13 +29,14 @@ type nativeBinding struct {
 // until it returns.  A non-void method's result goes to env.slab[base],
 // as a bytecode method's does, and a void method's is dropped: the
 // caller's stack holds a result exactly when the method declares one.
+// The result comes from outside verified code, so one that does not fit
+// the declared return type is refused.
 func (v *VM) callNative(env *Env, c *code, base int) (bool, *Thrown, error) {
 	nb := c.native.Load()
 	if nb == nil {
-		if nb = v.bindNative(c); nb == nil {
-			return false, nil, &FaultError{
-				Msg: fmt.Sprintf("unbound native method %s.%s/%d", c.class.Name, c.m.Name, len(c.m.Params)),
-			}
+		var err error
+		if nb, err = v.bindNative(c); err != nil {
+			return false, nil, err
 		}
 	}
 	var recv Value
@@ -53,26 +55,37 @@ func (v *VM) callNative(env *Env, c *code, base int) (bool, *Thrown, error) {
 	if thrown != nil || err != nil || c.m.Return.IsVoid() {
 		return false, thrown, err
 	}
+	if !fitsType(&c.m.Return, &res) {
+		return false, nil, &FaultError{Msg: fmt.Sprintf("native %s.%s returned %s, not %s",
+			c.class.Name, c.m.Name, kindOf(&res), &c.m.Return)}
+	}
 	env.slab[base] = res
 	return true, nil, nil
 }
 
 // bindNative looks c's implementation up in the native tables and keeps
-// it in c; nil when there is none.
-func (v *VM) bindNative(c *code) *nativeBinding {
+// it in c.  It binds only a declaration the verifier accepts
+// (verifier.CheckMethod), whose types agree with any method it
+// overrides, and finds nothing to bind when the tables have no entry.
+func (v *VM) bindNative(c *code) (*nativeBinding, error) {
 	v.regMu.Lock()
 	defer v.regMu.Unlock()
 	if nb := c.native.Load(); nb != nil {
-		return nb
+		return nb, nil
 	}
 	nb := &nativeBinding{exact: v.natives[nativeKey{c.class.Name, c.m.Name, len(c.m.Params)}]}
 	if nb.exact == nil {
 		if nb.class = v.classNatives[c.class.Name]; nb.class == nil {
-			return nil
+			return nil, &FaultError{
+				Msg: fmt.Sprintf("unbound native method %s.%s/%d", c.class.Name, c.m.Name, len(c.m.Params)),
+			}
 		}
 	}
+	if _, err := verifier.CheckMethod(v.prog, c.class, c.m); err != nil {
+		return nil, &FaultError{Msg: "link: " + err.Error()}
+	}
 	c.native.Store(nb)
-	return nb
+	return nb, nil
 }
 
 // registerSystemNatives binds the sys.* library implementations.  It runs

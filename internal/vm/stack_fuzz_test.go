@@ -7,18 +7,35 @@ import (
 	"testing"
 
 	"rafda/internal/ir"
+	"rafda/internal/stdlib"
 	"rafda/internal/verifier"
 )
 
 // fuzzOps are the instructions FuzzStackDepths builds bodies from; each
-// takes its operand (a slot, a constant or a jump target) from one byte.
+// takes its operand (a slot, a constant, a jump target, a field of T or a
+// type) from one byte.  The operands they pop are of whatever kinds the
+// instructions before them pushed.
 var fuzzOps = []ir.Op{
 	ir.OpConstInt, ir.OpConstBool, ir.OpLoad, ir.OpStore,
 	ir.OpDup, ir.OpPop, ir.OpSwap,
 	ir.OpAdd, ir.OpSub, ir.OpMul, ir.OpDiv, ir.OpRem, ir.OpNeg,
 	ir.OpCmpEq, ir.OpCmpLt, ir.OpCmpGe,
 	ir.OpJump, ir.OpJumpIf, ir.OpJumpIfNot, ir.OpReturn,
+	ir.OpConstString, ir.OpConstFloat, ir.OpConstNull, ir.OpNot, ir.OpConcat,
+	ir.OpNew, ir.OpGetField, ir.OpPutField,
+	ir.OpNewArray, ir.OpALoad, ir.OpAStore, ir.OpArrayLen,
+	ir.OpCast, ir.OpInstanceOf, ir.OpInvokeVirtual, ir.OpThrow,
 }
+
+// fuzzFields are T's instance fields, one of each kind a field access
+// meets; fuzzTypes are the types newarray, cast and const.null name.
+var (
+	fuzzFields = []ir.Field{
+		{Name: "i", Type: ir.Int}, {Name: "s", Type: ir.String},
+		{Name: "a", Type: ir.ArrayOf(ir.Int)}, {Name: "r", Type: ir.Ref("T")},
+	}
+	fuzzTypes = []ir.Type{ir.Int, ir.Float, ir.Ref("T"), ir.ArrayOf(ir.Int)}
+)
 
 // bigSlots are the slots a load or store names when its operand byte is
 // 0xfd or above: the last slot the verifier allows, the first it
@@ -28,9 +45,10 @@ var bigSlots = [...]int64{1<<16 - 1, 1 << 16, 1 << 60}
 // fuzzBody decodes data into a static method body T.f: a flags byte (bit
 // 0: f returns int, bit 1: one catch-all handler whose start, end and
 // target are the next three bytes), then two bytes per instruction.
-// Slots are 0-3 or one of bigSlots, jumps land inside the body, and a
-// return is the one that matches f's type, so every operand but a big
-// slot is one the verifier accepts.
+// Slots are 0-3 or one of bigSlots, jumps land inside the body, names
+// resolve, and a return is the one that matches f's type, so every
+// operand but a big slot is one the verifier accepts: what it refuses
+// are the shapes and kinds of the values the body moves.
 func fuzzBody(data []byte) *ir.Method {
 	if len(data) == 0 {
 		data = []byte{0}
@@ -68,6 +86,25 @@ func fuzzBody(data []byte) *ir.Method {
 			if flags&1 != 0 {
 				in.Op = ir.OpReturnValue
 			}
+		case ir.OpConstString:
+			in.Str = string(rune('a' + arg%26))
+		case ir.OpConstFloat:
+			in.F = float64(arg) / 4
+		case ir.OpConstNull, ir.OpNewArray, ir.OpCast:
+			t := fuzzTypes[int(arg)%len(fuzzTypes)]
+			in.TypeRef = &t
+		case ir.OpInstanceOf:
+			in.TypeRef = &fuzzTypes[2]
+		case ir.OpNew:
+			in.Owner = "T"
+		case ir.OpGetField, ir.OpPutField:
+			in.Owner, in.Member = "T", fuzzFields[int(arg)%len(fuzzFields)].Name
+		case ir.OpInvokeVirtual:
+			// T's accessors of i, which a call site runs in place.
+			in.Owner, in.Member = "T", "get_i"
+			if arg&1 != 0 {
+				in.Member, in.NArgs = "set_i", 1
+			}
 		}
 		code[i] = in
 	}
@@ -87,18 +124,39 @@ func fuzzCaller(f *ir.Method) *ir.Method {
 	return staticMethod("g", f.Return, nil, []ir.Instr{{Op: ir.OpInvokeStatic, Owner: "T", Member: "f"}, ret})
 }
 
-// fuzzEnds is every way a verified f or g may fault: the step limit, or
-// a comparison of values of kinds it cannot compare.  A body that
-// verifies never faults on its shape.
-var fuzzEnds = regexp.MustCompile(`^T\.[fg] pc=\d+: (step limit exceeded|cannot (compare|order) \S+ and \S+)$`)
+// fuzzProgram is class T with the fuzzed f, its caller g, fuzzFields and
+// the accessors of i.
+func fuzzProgram(f *ir.Method) *ir.Program {
+	accessor := func(name string, ret ir.Type, params []ir.Type, code ...ir.Instr) *ir.Method {
+		return &ir.Method{Name: name, Params: params, Return: ret, Access: ir.AccessPublic, Code: code}
+	}
+	p := stdlib.Program()
+	p.MustAdd(&ir.Class{Name: "T", Super: ir.ObjectClass, Fields: fuzzFields, Methods: []*ir.Method{
+		f, fuzzCaller(f),
+		accessor("get_i", ir.Int, nil,
+			ir.Instr{Op: ir.OpLoad}, ir.Instr{Op: ir.OpGetField, Owner: "T", Member: "i"}, ir.Instr{Op: ir.OpReturnValue}),
+		accessor("set_i", ir.Void, []ir.Type{ir.Int},
+			ir.Instr{Op: ir.OpLoad}, ir.Instr{Op: ir.OpLoad, A: 1},
+			ir.Instr{Op: ir.OpPutField, Owner: "T", Member: "i"}, ir.Instr{Op: ir.OpReturn}),
+	}})
+	return p
+}
 
-// FuzzStackDepths holds the VM to the verifier's stack check.  A body the
+// fuzzEnds is every way a verified f or g may fault: the step limit, in
+// them or in an accessor they call; a field access or a call of T's
+// accessors on an object without them (a caught exception is a ref, which
+// a T's field or invoke site takes, as the verifier tracks no classes);
+// or a throw of an object that is not a Throwable.  A body that verifies
+// never faults on its shape or on the kinds of its values.
+var fuzzEnds = regexp.MustCompile(`^(T\.\w+ pc=\d+: (step limit exceeded|no field [isar] on sys\.\w+|throw of non-throwable <T>)|resolve: no method sys\.\w+\.[gs]et_i/[01])$`)
+
+// FuzzStackDepths holds the VM to the verifier's walk.  A body the
 // verifier refuses is refused when first invoked, with the verifier's
 // message.  A body it accepts runs without a Go panic and ends only in a
-// value, a throw, the step limit or a value-kind fault.  It also holds
-// the calling convention to a direct call: when f, invoked directly, ends
-// with a value or an uncaught exception, g, which calls it, ends the same
-// way.
+// value of its declared kind, a throw, or one of the faults fuzzEnds
+// lists.  It also holds the calling convention to a direct call:
+// when f, invoked directly, ends with a value or an uncaught exception,
+// g, which calls it, ends the same way.
 func FuzzStackDepths(f *testing.F) {
 	for _, seed := range [][]byte{
 		{0},                           // return
@@ -117,13 +175,28 @@ func FuzzStackDepths(f *testing.F) {
 		{1, 0, 9, 3, 0xfd, 3, 0xfd, 19, 0},                                        // store, load the last slot
 		{1, 2, 0xfe, 19, 0},                                                       // load the first slot past it
 		{0, 0, 1, 3, 0xff, 19, 0},                                                 // store far past it
-		{1, 1, 1, 0, 0, 13, 0, 19, 0},                                             // cmp.eq of bool and int
+		{1, 1, 1, 0, 0, 13, 0, 19, 0},                                             // cmp.eq of bool and int: refused
+		{1, 20, 0, 0, 1, 7, 0, 19, 0},                                             // add of string and int: refused
+		{1, 21, 8, 0, 1, 7, 0, 32, 0, 19, 0},                                      // 2.0 + 1 cast to int
+		{0, 25, 0, 0, 5, 27, 0, 19, 0},                                            // new T; putfield T.i 5
+		{1, 25, 0, 4, 0, 0, 5, 27, 0, 34, 0, 19, 0},                               // ... then get_i() at its call site
+		{1, 25, 0, 0, 5, 27, 1, 19, 0},                                            // putfield T.s of an int: refused
+		{1, 25, 0, 26, 2, 31, 0, 19, 0},                                           // new T; getfield T.a; arraylen: NPE
+		{1, 0, 3, 28, 0, 4, 0, 0, 1, 0, 9, 30, 0, 0, 1, 29, 0, 19, 0},             // a = new int[3]; a[1] = 9; a[1]
+		{1, 0, 3, 28, 0, 0, 0, 6, 0, 29, 0, 19, 0},                                // aload with an array index: refused
+		{1, 22, 3, 0, 0, 29, 0, 19, 0},                                            // aload on a null int[]: NPE
+		{0, 25, 0, 35, 0},                                                         // throw of a T
+		{1, 3, 0, 2, 0, 19, 0},                                                    // store of nothing: underflow
+		{1, 2, 0, 19, 0},                                                          // load of an unset local: refused
+		{1, 0, 1, 3, 0, 1, 0, 17, 6, 20, 0, 3, 0, 2, 0, 19, 0},                    // a local of two kinds at a join: refused
+		[]byte("210C$0$\x00.070b00070"),                                           // getfield T.i of a caught exception: no field
+		[]byte("210C$0$\x00.070\"00070"),                                          // get_i() of a caught exception: no method
 	} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m := fuzzBody(data)
-		p := buildClass(m, fuzzCaller(m))
+		p := fuzzProgram(m)
 		var errs []string
 		for _, err := range verifier.Verify(p) {
 			errs = append(errs, err.Error())
@@ -142,6 +215,9 @@ func FuzzStackDepths(f *testing.F) {
 				t.Fatalf("verified body faulted: %v\n%s", err, show())
 			}
 			return
+		}
+		if err == nil && res.K != m.Return.Kind && !(res.IsVoid() && m.Return.IsVoid()) {
+			t.Fatalf("verified body returned %v of kind %v, want a %s\n%s", res, res.K, m.Return, show())
 		}
 		// g spends two steps of its own: the invoke and the return.  The
 		// runs are on two VMs, so an object compares by its class.

@@ -273,8 +273,9 @@ func resultProgram() *ir.Program {
 		{Op: ir.OpReturnValue},
 	})
 	// 40 + 2 around a call of each native that hands back what its
-	// method does not declare: no value from none(), which returns an
-	// int and is popped, and a value from loud(), which returns nothing.
+	// method does not declare: no value from none() and a string from
+	// wrong(), which return an int that is popped, and a value from
+	// loud(), which returns nothing.
 	quirky := func(name, callee string, drop ...ir.Instr) *ir.Method {
 		code := []ir.Instr{{Op: ir.OpConstInt, A: 40}, {Op: ir.OpInvokeStatic, Owner: "T", Member: callee}}
 		code = append(code, drop...)
@@ -308,9 +309,10 @@ func resultProgram() *ir.Program {
 	p := stdlib.Program()
 	p.MustAdd(&ir.Class{Name: "T", Super: ir.ObjectClass, Methods: []*ir.Method{
 		seven, viaInstance, natives, grows, deep,
-		quirky("callsNone", "none", ir.Instr{Op: ir.OpPop}), quirky("callsLoud", "loud"),
+		quirky("callsNone", "none", ir.Instr{Op: ir.OpPop}), quirky("callsWrong", "wrong", ir.Instr{Op: ir.OpPop}),
+		quirky("callsLoud", "loud"),
 		native("twice", ir.Int, ir.Int), native("nothing", ir.Void), native("grow", ir.Int, ir.Int),
-		native("none", ir.Int), native("loud", ir.Void),
+		native("none", ir.Int), native("wrong", ir.Int), native("loud", ir.Void),
 	}})
 	p.MustAdd(&ir.Class{Name: "S", Super: "T", Methods: []*ir.Method{hiding}})
 	return p
@@ -319,7 +321,8 @@ func resultProgram() *ir.Program {
 // TestResultsLandWhereCallersRead: a callee's result is the value its
 // caller's next instruction reads, whichever way it was reached and
 // whoever produced it, and a native's caller finds a result exactly when
-// the method declares one.
+// the method declares one: a non-void native that returns nothing, or a
+// value of another kind, is refused when it returns.
 func TestResultsLandWhereCallersRead(t *testing.T) {
 	v := MustNew(resultProgram())
 	v.RegisterNative("T", "twice", 1, func(_ *Env, _ Value, args []Value) (Value, *Thrown, error) {
@@ -330,6 +333,9 @@ func TestResultsLandWhereCallersRead(t *testing.T) {
 	})
 	v.RegisterNative("T", "none", 0, func(*Env, Value, []Value) (Value, *Thrown, error) {
 		return Value{}, nil, nil
+	})
+	v.RegisterNative("T", "wrong", 0, func(*Env, Value, []Value) (Value, *Thrown, error) {
+		return StringV("7"), nil, nil
 	})
 	v.RegisterNative("T", "loud", 0, func(*Env, Value, []Value) (Value, *Thrown, error) {
 		return IntV(5), nil, nil
@@ -348,12 +354,19 @@ func TestResultsLandWhereCallersRead(t *testing.T) {
 		{"viaInstance", 107},
 		{"natives", 1041},
 		{"grows", 5 + 600*601/2},
-		{"callsNone", 42},
 		{"callsLoud", 42},
 	} {
 		got, err := v.Invoke("T", tc.method, Value{}, nil)
 		if err != nil || got != IntV(tc.want) {
 			t.Errorf("%s() = %v %v, want %d", tc.method, got, err, tc.want)
+		}
+	}
+	for method, want := range map[string]string{
+		"callsNone":  "vm fault: native T.none returned nothing, not int",
+		"callsWrong": "vm fault: native T.wrong returned string, not int",
+	} {
+		if got, err := v.Invoke("T", method, Value{}, nil); err == nil || err.Error() != want {
+			t.Errorf("%s() = %v %v, want %q", method, got, err, want)
 		}
 	}
 	if !grew {
@@ -391,5 +404,15 @@ func TestNewArrayLengthBound(t *testing.T) {
 		if got, err := v.Invoke("T", "f", Value{}, []Value{IntV(n)}); err != nil || got.I != want {
 			t.Errorf("new int[%d] = %v %v, want the handler's %d", n, got, err, want)
 		}
+	}
+}
+
+// TestThrowOfNonThrowable: the verifier proves that a throw's operand is
+// a reference, not that its class is a Throwable, so a throw of any
+// other object faults when it runs.
+func TestThrowOfNonThrowable(t *testing.T) {
+	prog := buildClass(staticMethod("f", ir.Void, nil, []ir.Instr{{Op: ir.OpNew, Owner: "T"}, {Op: ir.OpThrow}}))
+	if _, err := MustNew(prog).Invoke("T", "f", Value{}, nil); err == nil || err.Error() != "vm fault: T.f pc=1: throw of non-throwable <T>" {
+		t.Fatalf("throw of a T: %v", err)
 	}
 }

@@ -138,36 +138,35 @@ func NewArray(elem ir.Type, n int) *Array {
 // instance of a class shares the class's layout (built on first
 // allocation, see VM.layoutOf), and a class's static fields are the
 // slots of its monitor on a layout of their own (built when the class
-// initialises, see VM.initClass); NewRawObject gives its object a
-// private layout of exactly the fields it is given.  An object holds
-// exactly the fields of its layout: a write of a name the layout lacks
-// is refused, never added.  Layouts are immutable.
+// initialises, see VM.initClass).  An object holds exactly the fields
+// of its layout: a write of a name the layout lacks is refused, never
+// added.  Layouts are immutable.
 type layout struct {
 	names []string
 	index map[string]int
-	refs  []link  // refs[i] is what a field or static site caches for slot i
-	zeros []Value // slot defaults, one per name (nil for a raw object's layout)
+	refs  []link    // refs[i] is what a field or static site caches for slot i
+	types []ir.Type // declared types, one per name
+	zeros []Value   // slot defaults, one per name
 }
 
-// newLayout builds the layout of names, whose slots start at zeros (nil
-// or one per name).  Each slot's site record is self plus the slot and
-// its declared kind (none for a raw object's): a static layout's records
-// carry the class and state, so one record serves a static site's init
-// check and its slot.
-func newLayout(self link, names []string, zeros []Value) *layout {
+// newLayout builds the layout of names, declared of types, whose slots
+// start at their types' zero values.  Each slot's site record is self
+// plus the slot and its declared kind: a static layout's records carry
+// the class and state, so one record serves a static site's init check
+// and its slot.
+func newLayout(self link, names []string, types []ir.Type) *layout {
 	l := &layout{
 		names: names,
 		index: make(map[string]int, len(names)),
 		refs:  make([]link, len(names)),
-		zeros: zeros,
+		types: types,
+		zeros: make([]Value, len(names)),
 	}
 	for i, n := range names {
 		l.index[n] = i
+		l.zeros[i] = ZeroValue(types[i])
 		l.refs[i] = self
-		l.refs[i].layout, l.refs[i].slot = l, i
-		if zeros != nil {
-			l.refs[i].kind = zeros[i].K
-		}
+		l.refs[i].layout, l.refs[i].slot, l.refs[i].kind = l, i, l.zeros[i].K
 	}
 	return l
 }
@@ -177,15 +176,14 @@ func newLayout(self link, names []string, zeros []Value) *layout {
 var noFields = newLayout(link{}, nil, nil)
 
 // slotFor returns the slot a by-name write of v to name goes to, or an
-// error when the layout has no such field or v does not fit its type: a
-// value of the declared kind, or null in a reference or array field.  A
-// raw object's layout knows no types and takes any value.
+// error when the layout has no such field or v does not fit its declared
+// type (see fitsType).
 func (l *layout) slotFor(owner, name string, v *Value) (int, error) {
 	i, ok := l.index[name]
 	if !ok {
 		return 0, &FaultError{Msg: fmt.Sprintf("no field %s on %s", name, owner)}
 	}
-	if k := l.refs[i].kind; !fits(k, v) {
+	if k := l.refs[i].kind; !fitsType(&l.types[i], v) {
 		return 0, &FaultError{Msg: fmt.Sprintf("field %s of %s holds %s, not %s", name, owner, k, v.K)}
 	}
 	return i, nil
@@ -210,19 +208,40 @@ func (l *layout) fill(owner string, vals []Value, fields map[string]Value) error
 // word of its Value — I for an int or bool, the bits of F, O, A — and
 // every access to it, under the state lock or not, reads or writes that
 // word alone with one atomic operation; its K is the declared kind,
-// written only before the slot is published.  A string is two words and
-// a raw object's slots have no declared kind: those are read and written
-// whole, and only under the state lock.
+// written only before the slot is published.  A string is two words: it
+// is read and written whole, and only under the state lock.
 
 // oneWord reports whether a slot of kind k is one atomic word.
 func oneWord(k ir.Kind) bool {
 	return k >= ir.KindBool && k <= ir.KindArray && k != ir.KindString
 }
 
-// fits reports whether v may go in a slot of kind k: a value of that
-// kind, null in a reference or array slot, anything in a raw object's.
-func fits(k ir.Kind, v *Value) bool {
-	return k == 0 || v.K == k || ((k == ir.KindRef || k == ir.KindArray) && isNull(v))
+// fitsType reports whether v, a value from outside verified code — a
+// call's argument, a native's result, a by-name field write — may be
+// held where t is declared: a value of t's kind — an array of t's
+// element type — or null where t is a reference or an array.
+func fitsType(t *ir.Type, v *Value) bool {
+	switch {
+	case isNull(v):
+		return t.Kind == ir.KindRef || t.Kind == ir.KindArray
+	case v.K != t.Kind:
+		return false
+	}
+	return t.Kind != ir.KindArray || v.A.Elem.Equal(*t.Elem)
+}
+
+// kindOf renders v's kind for a refusal: an array's element type, null,
+// or nothing for the void value.
+func kindOf(v *Value) string {
+	switch {
+	case v.IsVoid():
+		return "nothing"
+	case isNull(v):
+		return "null"
+	case v.K == ir.KindArray:
+		return v.A.Elem.String() + "[]"
+	}
+	return v.K.String()
 }
 
 // loadSlot copies slot s, of kind k, into *dst.
@@ -278,13 +297,20 @@ func (s *slots) site(name string, at *atomic.Pointer[link]) *link {
 	return s.resite(name, at)
 }
 
-// resite is site on a miss of the site cache.
+// resite is site on a miss of the site cache.  A field site's cache
+// holds, from the first activation on, a record of the kind the verifier
+// resolved its field to (see VM.linkBody): a field of that name and
+// another kind, on an object of a class the code was not verified
+// against, is not the site's field.
 func (s *slots) resite(name string, at *atomic.Pointer[link]) *link {
 	i, ok := s.layout.index[name]
 	if !ok {
 		return nil
 	}
 	ref := &s.layout.refs[i]
+	if want := at.Load(); want != nil && want.kind != 0 && want.kind != ref.kind {
+		return nil
+	}
 	at.Store(ref)
 	return ref
 }
@@ -295,21 +321,17 @@ type access uint8
 const (
 	stored access = iota
 	absent        // the object has no field of that name
-	misfit        // the value is not of the field's kind
 	frozen        // a migration is snapshotting the object (see Object.Freeze)
 )
 
-// target is where a store of v to name goes in s, or why it goes nowhere.
-func (s *slots) target(name string, at *atomic.Pointer[link], v *Value) (*link, access) {
+// target is where a store to name goes in s, or why it goes nowhere.
+func (s *slots) target(name string, at *atomic.Pointer[link]) (*link, access) {
 	if s.frozen {
 		return nil, frozen
 	}
 	ref := s.site(name, at)
-	switch {
-	case ref == nil:
+	if ref == nil {
 		return nil, absent
-	case !fits(ref.kind, v):
-		return nil, misfit
 	}
 	return ref, stored
 }
@@ -338,9 +360,9 @@ func (s *slots) target(name string, at *atomic.Pointer[link], v *Value) (*link, 
 //     against that one.
 //   - mu serialises what spans slots — SetFields, ReadFields, View,
 //     Freeze, Thaw and the morph — and every access to a two-word slot
-//     (a string, a raw object's).  The class pointer is written under mu
-//     with the state but read with one atomic load: dispatch needs only
-//     the class, and a morph racing it is ordered either side.
+//     (a string).  The class pointer is written under mu with the state
+//     but read with one atomic load: dispatch needs only the class, and
+//     a morph racing it is ordered either side.
 //   - gate is the object's invocation gate (a monitor): the node runtime
 //     holds it for the whole of an inbound method invocation targeting
 //     this object, and migration holds it across freeze→ship→morph.
@@ -391,24 +413,6 @@ func (o *Object) start(l *layout, vals []Value) {
 // Parked returns the number of executions currently parked mid-method
 // with this object's gate released (see Env.RunUnlocked).
 func (o *Object) Parked() int32 { return o.parked.Load() }
-
-// NewRawObject builds an object directly from a class and field map; the
-// normal allocation path is VM.NewObject / Env.New.  The object gets a
-// private layout of exactly the given fields.
-func NewRawObject(class *ir.Class, fields map[string]Value) *Object {
-	names := make([]string, 0, len(fields))
-	for k := range fields {
-		names = append(names, k)
-	}
-	vals := make([]Value, len(names))
-	for i, k := range names {
-		vals[i] = fields[k]
-	}
-	o := &Object{}
-	o.start(newLayout(link{}, names, nil), vals)
-	o.class.Store(class)
-	return o
-}
 
 // Class returns the object's current dynamic class.
 func (o *Object) Class() *ir.Class { return o.class.Load() }
@@ -486,33 +490,34 @@ func (o *Object) loadLocked(dst *Value, name string, at *atomic.Pointer[link]) b
 }
 
 // store is Set for a field or static site of env's execution; at as in
-// load.  It writes nothing to a name the object lacks, or a value not of
-// the field's kind.  A store then re-loads the state: when a morph or a
+// load.  It writes v, which the verifier found fits the field, and
+// reports whether the object has the field; it writes nothing to a name
+// the object lacks.  A store then re-loads the state: when a morph or a
 // freeze published another since its load, the state it wrote may not be
 // the one that stays, so it stores again against the new one.
-func (o *Object) store(env *Env, name string, at *atomic.Pointer[link], v *Value) access {
+func (o *Object) store(env *Env, name string, at *atomic.Pointer[link], v *Value) bool {
 	s := o.cur.Load()
-	if ref := at.Load(); ref != nil && ref.layout == s.layout && ref.kind == v.K && oneWord(v.K) && !s.frozen {
+	if ref := at.Load(); ref != nil && ref.layout == s.layout && oneWord(ref.kind) && !s.frozen {
 		storeSlot(&s.vals[ref.slot], ref.kind, v)
 		if o.cur.Load() == s {
-			return stored
+			return true
 		}
 	}
 	return o.storeSlow(env, name, at, v)
 }
 
-// storeSlow is store off its fast path: a site-cache miss, a null, a
-// two-word slot, a refused store, a state published since the load, or a
-// frozen object.  A store that meets a frozen object waits on the
+// storeSlow is store off its fast path: a site-cache miss, a two-word
+// slot, a field the object lacks, a state published since the load, or
+// a frozen object.  A store that meets a frozen object waits on the
 // object's gate, which the migration that froze it holds until it has
 // morphed or thawed the object, and then stores against the state it
 // finds.  While it waits its execution's gates are parked, as for a wait
 // on another execution's class initialisation: the migration may need
 // one of them.
-func (o *Object) storeSlow(env *Env, name string, at *atomic.Pointer[link], v *Value) access {
+func (o *Object) storeSlow(env *Env, name string, at *atomic.Pointer[link], v *Value) bool {
 	for {
 		s := o.cur.Load()
-		ref, res := s.target(name, at, v)
+		ref, res := s.target(name, at)
 		if res == stored {
 			if !oneWord(ref.kind) {
 				res = o.storeLocked(name, at, v)
@@ -521,7 +526,7 @@ func (o *Object) storeSlow(env *Env, name string, at *atomic.Pointer[link], v *V
 			}
 		}
 		if res != frozen {
-			return res
+			return res == stored
 		}
 		env.RunUnlocked(func() {
 			o.gate.Lock()
@@ -535,7 +540,7 @@ func (o *Object) storeLocked(name string, at *atomic.Pointer[link], v *Value) ac
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	s := o.cur.Load()
-	ref, res := s.target(name, at, v)
+	ref, res := s.target(name, at)
 	if res == stored {
 		storeSlot(&s.vals[ref.slot], ref.kind, v)
 	}

@@ -54,9 +54,10 @@ const (
 	DefaultMaxDepth = 1024
 )
 
-// FaultError reports a VM-level fault: code the verifier refused, an
-// operand of the wrong kind, unknown classes, step or depth limits.
-// Distinct from program-level thrown exceptions.
+// FaultError reports a VM-level fault: code the verifier refused, a
+// value from outside of a kind other than the one declared, a receiver
+// without the field or method a site names, unknown classes, step or
+// depth limits.  Distinct from program-level thrown exceptions.
 type FaultError struct {
 	Msg string
 }
@@ -762,14 +763,14 @@ func (v *VM) layoutOf(c *ir.Class, st *classState) *layout {
 // is what each slot's site record carries besides the slot.
 func (v *VM) fieldLayout(self link, c *ir.Class, static bool) *layout {
 	var names []string
-	var zeros []Value
+	var types []ir.Type
 	seen := make(map[string]bool)
 	for cur, steps := c, 0; cur != nil && steps <= v.prog.Len(); steps++ {
 		for _, f := range cur.Fields {
 			if f.Static == static && !seen[f.Name] {
 				seen[f.Name] = true
 				names = append(names, f.Name)
-				zeros = append(zeros, ZeroValue(f.Type))
+				types = append(types, f.Type)
 			}
 		}
 		if static || cur.Super == "" {
@@ -777,7 +778,7 @@ func (v *VM) fieldLayout(self link, c *ir.Class, static bool) *layout {
 		}
 		cur = v.prog.Class(cur.Super)
 	}
-	return newLayout(self, names, zeros)
+	return newLayout(self, names, types)
 }
 
 // alloc creates a zeroed instance of c, whose state is st (no
@@ -838,8 +839,14 @@ func (v *VM) callOn(env *Env, obj *Object, method string, args []Value) (Value, 
 // enter activates c from outside the interpreter loop: the receiver and
 // arguments are copied to the top of env's slab, above every live frame,
 // and the result is read back from the first slot of that window (which
-// a method without arguments is given too).
+// a method without arguments is given too).  It is the one door for
+// values from outside verified code — the host's, the wire's, a
+// native's — so it checks them against the types the verifier assumed
+// (see admit).
 func (v *VM) enter(env *Env, c *code, recv Value, args []Value) (Value, *Thrown, error) {
+	if err := c.admit(recv, args); err != nil {
+		return Value{}, nil, err
+	}
 	base := env.sp
 	end := base + max(c.nargs, 1)
 	env.reserve(end)
@@ -860,6 +867,21 @@ func (v *VM) enter(env *Env, c *code, recv Value, args []Value) (Value, *Thrown,
 	}
 	env.sp = base
 	return res, thrown, err
+}
+
+// admit checks a call of c from outside verified code: an instance
+// method's receiver must be a reference (a null one throws inside), and
+// each argument must fit its parameter's declared type.
+func (c *code) admit(recv Value, args []Value) error {
+	if !c.m.Static && recv.K != ir.KindRef {
+		return &FaultError{Msg: fmt.Sprintf("receiver of %s.%s is %s, not a reference", c.class.Name, c.m.Name, kindOf(&recv))}
+	}
+	for i := range args {
+		if t := &c.m.Params[i]; !fitsType(t, &args[i]) {
+			return &FaultError{Msg: fmt.Sprintf("argument %d of %s.%s is %s, not %s", i, c.class.Name, c.m.Name, kindOf(&args[i]), t)}
+		}
+	}
+	return nil
 }
 
 // initClass initialises c (and its superclasses) on first use, as the
