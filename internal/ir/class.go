@@ -79,6 +79,21 @@ func (m *Method) Signature() string {
 	return b.String()
 }
 
+// SameTypes reports whether m and o declare parameter and return types
+// of the same shape (Type.SameShape): what a call verified against one
+// assumes of the other.
+func (m *Method) SameTypes(o *Method) bool {
+	if !m.Return.SameShape(o.Return) || len(m.Params) != len(o.Params) {
+		return false
+	}
+	for i := range m.Params {
+		if !m.Params[i].SameShape(o.Params[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 // Key identifies a method within a class by name and arity.  The IR, like
 // the paper's presentation, does not support overloading on types, only on
 // arity (the mini-Java front end enforces this).

@@ -89,15 +89,6 @@ func kindName(t Type) string {
 	return t.Kind.String()
 }
 
-// sameShape reports whether a and b are the same kind and, for arrays,
-// have elements of the same shape; class names do not count.
-func sameShape(a, b Type) bool {
-	for a.Kind == KindArray && b.Kind == KindArray {
-		a, b = *a.Elem, *b.Elem
-	}
-	return a.Kind == b.Kind
-}
-
 // refLike reports whether a value of walk type t may be null.
 func refLike(t Type) bool { return t.Kind == KindRef || t.Kind == KindArray || t.Kind == kindNull }
 
@@ -108,7 +99,7 @@ func fits(t, decl Type) bool {
 	if t.Kind == kindNull {
 		return decl.Kind == KindRef || decl.Kind == KindArray
 	}
-	return sameShape(t, decl)
+	return t.SameShape(decl)
 }
 
 // merge joins t into *have, the type a join point holds, and reports
@@ -116,7 +107,7 @@ func fits(t, decl Type) bool {
 // any reference or array and gives way to it.
 func merge(have *Type, t Type) (changed, ok bool) {
 	switch {
-	case sameShape(*have, t) || (t.Kind == kindNull && refLike(*have)):
+	case have.SameShape(t) || (t.Kind == kindNull && refLike(*have)):
 		return false, true
 	case have.Kind == kindNull && refLike(t):
 		*have = t

@@ -101,6 +101,16 @@ func (t Type) Equal(o Type) bool {
 	return true
 }
 
+// SameShape reports whether t and o are the same kind and, for arrays,
+// have elements of the same shape; class names do not count.  It is the
+// agreement the verifier proves of the values it tracks.
+func (t Type) SameShape(o Type) bool {
+	for t.Kind == KindArray && o.Kind == KindArray {
+		t, o = *t.Elem, *o.Elem
+	}
+	return t.Kind == o.Kind
+}
+
 // BaseElem returns the innermost non-array element type of t.
 func (t Type) BaseElem() Type {
 	for t.Kind == KindArray {

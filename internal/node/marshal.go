@@ -117,7 +117,7 @@ func (n *Node) unmarshalValue(env *vm.Env, v wire.Value) (vm.Value, error) {
 			if err != nil {
 				return vm.Value{}, err
 			}
-			if !elemFits(elem, ev) {
+			if !ev.Fits(elem) {
 				what := ev.K.String()
 				if ev.IsNullRef() {
 					what = "null"
@@ -130,22 +130,6 @@ func (n *Node) unmarshalValue(env *vm.Env, v wire.Value) (vm.Value, error) {
 	default:
 		return vm.Value{}, fmt.Errorf("cannot unmarshal value kind %v", v.Kind)
 	}
-}
-
-// elemFits reports whether ev may be an element of an array of elem: a
-// value of elem's kind — an array of elem's element type — or null where
-// elem is a reference or an array.  It is the check the VM makes of a
-// value from outside where it enters verified code, made here of each
-// element of an array a peer sends, since the VM checks an array's
-// element type but not its elements.
-func elemFits(elem ir.Type, ev vm.Value) bool {
-	switch {
-	case ev.IsNullRef():
-		return elem.IsRef() || elem.IsArray()
-	case ev.K != elem.Kind:
-		return false
-	}
-	return !elem.IsArray() || ev.A.Elem.Equal(*elem.Elem)
 }
 
 func (n *Node) unmarshalRef(env *vm.Env, ref *wire.RemoteRef) (vm.Value, error) {

@@ -23,8 +23,11 @@ const (
 // stack.
 func (v *verifier) checkCode(c *ir.Class, m *ir.Method) (deepest int) {
 	ok := true
-	t := tables.Get().(*codeTables)
-	defer tables.Put(t)
+	t := v.kept
+	if t == nil {
+		t = tables.Get().(*codeTables)
+		defer tables.Put(t)
+	}
 	callee, field := t.reset(len(m.Code))
 	for pc := range m.Code {
 		if !v.checkInstr(c, m, pc, &m.Code[pc], &callee[pc], &field[pc]) {
@@ -45,8 +48,8 @@ func (v *verifier) checkCode(c *ir.Class, m *ir.Method) (deepest int) {
 }
 
 // codeTables are the per-pc tables checkCode fills: what each invoke
-// resolves to and the type of each accessed field.  They are recycled
-// from method to method.
+// resolves to and the type of each accessed field.  Verify recycles them
+// from method to method; CheckMethod returns its field table.
 type codeTables struct {
 	callee []*ir.Method
 	field  []*ir.Type

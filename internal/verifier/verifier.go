@@ -65,19 +65,21 @@ func Verify(p *ir.Program) []error {
 
 // CheckMethod checks one method of class c as Verify does, and returns
 // the first problem found or, when there is none, the deepest operand
-// stack that any path through the method's code holds.
-func CheckMethod(p *ir.Program, c *ir.Class, m *ir.Method) (deepest int, err error) {
-	v := &verifier{p: p}
+// stack that any path through the method's code holds and, for each pc
+// of a field access, the declared type of the field it resolved to.
+func CheckMethod(p *ir.Program, c *ir.Class, m *ir.Method) (deepest int, fields []*ir.Type, err error) {
+	v := &verifier{p: p, kept: new(codeTables)}
 	deepest = v.checkMethod(c, m)
 	if len(v.errs) > 0 {
-		return 0, v.errs[0]
+		return 0, nil, v.errs[0]
 	}
-	return deepest, nil
+	return deepest, v.kept.field, nil
 }
 
 type verifier struct {
 	p    *ir.Program
 	errs []error
+	kept *codeTables // CheckMethod's tables, which it returns; nil: checkCode recycles pooled ones
 }
 
 func (v *verifier) errf(class, method string, pc int, format string, a ...any) {
@@ -189,7 +191,7 @@ func (v *verifier) checkImplements(c *ir.Class) {
 			switch {
 			case err != nil || dm.Abstract:
 				v.errf(c.Name, "", -1, "does not implement %s.%s/%d", iface, m.Name, len(m.Params))
-			case dc != c && !sameTypes(dm, m):
+			case dc != c && !dm.SameTypes(m):
 				// An inherited implementation: the inheriting class is
 				// the first to meet the interface.
 				v.errf(c.Name, "", -1, "implements %s.%s with %s.%s", iface, m.Signature(), dc.Name, dm.Signature())
@@ -239,7 +241,7 @@ func (v *verifier) checkOverride(c *ir.Class, m *ir.Method) {
 	}
 	check := func(from string) {
 		dc, dm, err := v.p.ResolveMethod(from, m.Name, len(m.Params))
-		if err == nil && !(m.Static && dm.Static) && !sameTypes(m, dm) {
+		if err == nil && !(m.Static && dm.Static) && !m.SameTypes(dm) {
 			v.errf(c.Name, m.Name, -1, "declares %s but overrides %s.%s", m.Signature(), dc.Name, dm.Signature())
 		}
 	}
@@ -249,28 +251,6 @@ func (v *verifier) checkOverride(c *ir.Class, m *ir.Method) {
 	for _, i := range c.Interfaces {
 		check(i)
 	}
-}
-
-// sameTypes reports whether methods a and b declare parameter and
-// return types of the same kinds, as the verifier tracks them: for an
-// array, elements of the same kinds; class names do not count.
-func sameTypes(a, b *ir.Method) bool {
-	if !sameKinds(a.Return, b.Return) || len(a.Params) != len(b.Params) {
-		return false
-	}
-	for i := range a.Params {
-		if !sameKinds(a.Params[i], b.Params[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-func sameKinds(a, b ir.Type) bool {
-	for a.Kind == ir.KindArray && b.Kind == ir.KindArray {
-		a, b = *a.Elem, *b.Elem
-	}
-	return a.Kind == b.Kind
 }
 
 func (v *verifier) classOf(name string) *ir.Class {

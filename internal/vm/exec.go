@@ -70,7 +70,8 @@ func (c *code) fault(pc int, format string, a ...any) (bool, *Thrown, error) {
 // the frame and set, and every type and static field an instruction
 // names resolves.  What it tests is what the verifier does not prove:
 // nulls, indexes and divisors, the class of a receiver (a field site
-// finds no field on an object that lacks it, as a morphed proxy does; a
+// finds no field on an object that lacks it, as a morphed proxy does, or
+// whose field of that name has another shape than the verified one; a
 // thrown object must be a Throwable), and the step and depth limits.
 //
 // f is the frame's window on the slab: locals f[:nl], operand stack

@@ -38,11 +38,13 @@ type link struct {
 
 	// Field and static sites: objects with this layout — a static site's
 	// class monitor once its slots exist — keep the field in slot, which
-	// holds values of kind.  A field site holds a record of its field's
-	// kind alone until it first finds the field (see VM.linkBody).
+	// holds values of kind and is declared of type typ.  A field site
+	// holds a record of its field's type alone until it first finds the
+	// field (see VM.linkBody).
 	layout *layout
 	slot   int
 	kind   ir.Kind
+	typ    *ir.Type
 }
 
 type methodKey struct {
@@ -198,33 +200,11 @@ func (v *VM) dispatch(c *ir.Class, owner, name string, nargs int) (*link, error)
 		return nil, err
 	}
 	declared, _ := v.lookup(owner, name, nargs) // the verifier resolved it
-	if m, d := lk.code.m, declared.code.m; m != d && !sameTypes(m, d) {
+	if m, d := lk.code.m, declared.code.m; m != d && !m.SameTypes(d) {
 		return nil, fmt.Errorf("dispatch of %s.%s to %s.%s, which has other types",
 			owner, d.Signature(), lk.code.class.Name, m.Signature())
 	}
 	return lk, nil
-}
-
-// sameTypes reports whether methods a and b declare parameter and
-// return types of the same kinds, as the verifier tracks them: for an
-// array, elements of the same kinds; class names do not count.
-func sameTypes(a, b *ir.Method) bool {
-	if !sameKinds(a.Return, b.Return) || len(a.Params) != len(b.Params) {
-		return false
-	}
-	for i := range a.Params {
-		if !sameKinds(a.Params[i], b.Params[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-func sameKinds(a, b ir.Type) bool {
-	for a.Kind == ir.KindArray && b.Kind == ir.KindArray {
-		a, b = *a.Elem, *b.Elem
-	}
-	return a.Kind == b.Kind
 }
 
 // lookup is resolve for the by-name entry points.
@@ -260,25 +240,16 @@ func (v *VM) kind(c *ir.Class, name string) *link {
 	})
 }
 
-// fieldKinds are the records a field site starts from: fieldKinds[k]
-// holds kind k and no layout.
-var fieldKinds = func() (t [ir.KindArray + 1]link) {
-	for k := range t {
-		t[k].kind = ir.Kind(k)
-	}
-	return t
-}()
-
 // linkBody verifies c's code (verifier.CheckMethod), then sizes its
 // frame from the verified walk and allocates its site caches, each field
-// site's holding the kind of the field the verifier resolved (see
+// site's holding the type of the field the verifier resolved (see
 // slots.resite).  Code the verifier refuses is linked as refused: every
 // activation of it faults with the verifier's message, and it is not
 // verified again.  Concurrent first links each verify; the first body
 // stored wins.
 func (v *VM) linkBody(c *code) *body {
 	b := &body{nlocals: c.nargs}
-	if deepest, err := verifier.CheckMethod(v.prog, c.class, c.m); err != nil {
+	if deepest, fields, err := verifier.CheckMethod(v.prog, c.class, c.m); err != nil {
 		b.refused = &FaultError{Msg: "link: " + err.Error()}
 	} else {
 		code := c.m.Code
@@ -288,8 +259,7 @@ func (v *VM) linkBody(c *code) *body {
 			case ir.OpLoad, ir.OpStore:
 				b.nlocals = max(b.nlocals, int(in.A)+1)
 			case ir.OpGetField, ir.OpPutField:
-				_, f, _ := v.prog.ResolveField(in.Owner, in.Member)
-				b.sites[i].Store(&fieldKinds[f.Type.Kind])
+				b.sites[i].Store(&link{typ: fields[i]})
 			}
 		}
 		b.size = b.nlocals + deepest

@@ -55,7 +55,7 @@ func (v *VM) callNative(env *Env, c *code, base int) (bool, *Thrown, error) {
 	if thrown != nil || err != nil || c.m.Return.IsVoid() {
 		return false, thrown, err
 	}
-	if !fitsType(&c.m.Return, &res) {
+	if !res.Fits(c.m.Return) {
 		return false, nil, &FaultError{Msg: fmt.Sprintf("native %s.%s returned %s, not %s",
 			c.class.Name, c.m.Name, kindOf(&res), &c.m.Return)}
 	}
@@ -81,7 +81,7 @@ func (v *VM) bindNative(c *code) (*nativeBinding, error) {
 			}
 		}
 	}
-	if _, err := verifier.CheckMethod(v.prog, c.class, c.m); err != nil {
+	if _, _, err := verifier.CheckMethod(v.prog, c.class, c.m); err != nil {
 		return nil, &FaultError{Msg: "link: " + err.Error()}
 	}
 	c.native.Store(nb)

@@ -403,6 +403,27 @@ func TestAccessorSite(t *testing.T) {
 				t.Fatalf("K.x = %v after the refused store", k.Get("x"))
 			}
 		}},
+		// A subclass field named like a superclass field is its slot
+		// (see VM.fieldLayout): A's code, verified against A's A[] xs,
+		// meets B's int[] xs, and its field site finds no field xs of
+		// A's element type on B.
+		{"subclass field of another element type", nil, func(t *testing.T, _ *VM) {
+			v := compileVM(t, `
+class A {
+    A[] xs;
+    int f() { return xs[0].g(); }
+    int g() { return 1; }
+}
+class B extends A {
+    int[] xs;
+    B() { xs = new int[1]; }
+}
+class Main {
+    static int run() { A a = new B(); return a.f(); }
+}`)
+			_, err := v.Invoke("Main", "run", Value{}, nil)
+			fault(t, err, "A.f pc=1: no field xs on B")
+		}},
 		{"override that is no accessor", nil, func(t *testing.T, v *VM) {
 			got, err := v.Invoke("Loop", "alternate", Value{}, []Value{newX(t, v, "P", 1), newX(t, v, "Q", 2)})
 			if err != nil || got.I != 1_102_001_102 {

@@ -12,8 +12,8 @@ import (
 )
 
 // fuzzOps are the instructions FuzzStackDepths builds bodies from; each
-// takes its operand (a slot, a constant, a jump target, a field of T or a
-// type) from one byte.  The operands they pop are of whatever kinds the
+// takes its operand (a slot, a constant, a jump target, a field of T, a
+// class to instantiate or a type) from one byte.  The operands they pop are of whatever kinds the
 // instructions before them pushed.
 var fuzzOps = []ir.Op{
 	ir.OpConstInt, ir.OpConstBool, ir.OpLoad, ir.OpStore,
@@ -97,6 +97,10 @@ func fuzzBody(data []byte) *ir.Method {
 			in.TypeRef = &fuzzTypes[2]
 		case ir.OpNew:
 			in.Owner = "T"
+			if arg&1 != 0 {
+				// A U, whose own field a holds a string[].
+				in.Op, in.Owner, in.Member = ir.OpInvokeStatic, "U", "make"
+			}
 		case ir.OpGetField, ir.OpPutField:
 			in.Owner, in.Member = "T", fuzzFields[int(arg)%len(fuzzFields)].Name
 		case ir.OpInvokeVirtual:
@@ -125,7 +129,9 @@ func fuzzCaller(f *ir.Method) *ir.Method {
 }
 
 // fuzzProgram is class T with the fuzzed f, its caller g, fuzzFields and
-// the accessors of i.
+// the accessors of i; and U, a subclass of T whose field a is a string[]
+// in T's int[] a's slot (see VM.fieldLayout), with U.make, which returns
+// a U whose a holds one string.
 func fuzzProgram(f *ir.Method) *ir.Program {
 	accessor := func(name string, ret ir.Type, params []ir.Type, code ...ir.Instr) *ir.Method {
 		return &ir.Method{Name: name, Params: params, Return: ret, Access: ir.AccessPublic, Code: code}
@@ -139,16 +145,24 @@ func fuzzProgram(f *ir.Method) *ir.Program {
 			ir.Instr{Op: ir.OpLoad}, ir.Instr{Op: ir.OpLoad, A: 1},
 			ir.Instr{Op: ir.OpPutField, Owner: "T", Member: "i"}, ir.Instr{Op: ir.OpReturn}),
 	}})
+	p.MustAdd(&ir.Class{Name: "U", Super: "T", Fields: []ir.Field{{Name: "a", Type: ir.ArrayOf(ir.String)}}, Methods: []*ir.Method{
+		staticMethod("make", ir.Ref("T"), nil, []ir.Instr{
+			{Op: ir.OpNew, Owner: "U"}, {Op: ir.OpDup}, {Op: ir.OpConstInt, A: 1}, {Op: ir.OpNewArray, TypeRef: &ir.String},
+			{Op: ir.OpDup}, {Op: ir.OpConstInt}, {Op: ir.OpConstString, Str: "u"}, {Op: ir.OpAStore},
+			{Op: ir.OpPutField, Owner: "U", Member: "a"}, {Op: ir.OpReturnValue},
+		}),
+	}})
 	return p
 }
 
 // fuzzEnds is every way a verified f or g may fault: the step limit, in
-// them or in an accessor they call; a field access or a call of T's
+// them or in a method they call; a field access or a call of T's
 // accessors on an object without them (a caught exception is a ref, which
-// a T's field or invoke site takes, as the verifier tracks no classes);
-// or a throw of an object that is not a Throwable.  A body that verifies
+// a T's field or invoke site takes, as the verifier tracks no classes),
+// or an access of T's a on a U; or a throw of an object that is not a
+// Throwable.  A body that verifies
 // never faults on its shape or on the kinds of its values.
-var fuzzEnds = regexp.MustCompile(`^(T\.\w+ pc=\d+: (step limit exceeded|no field [isar] on sys\.\w+|throw of non-throwable <T>)|resolve: no method sys\.\w+\.[gs]et_i/[01])$`)
+var fuzzEnds = regexp.MustCompile(`^([TU]\.\w+ pc=\d+: (step limit exceeded|no field [isar] on sys\.\w+|no field a on U|throw of non-throwable <[TU]>)|resolve: no method sys\.\w+\.[gs]et_i/[01])$`)
 
 // FuzzStackDepths holds the VM to the verifier's walk.  A body the
 // verifier refuses is refused when first invoked, with the verifier's
@@ -182,6 +196,7 @@ func FuzzStackDepths(f *testing.F) {
 		{1, 25, 0, 4, 0, 0, 5, 27, 0, 34, 0, 19, 0},                               // ... then get_i() at its call site
 		{1, 25, 0, 0, 5, 27, 1, 19, 0},                                            // putfield T.s of an int: refused
 		{1, 25, 0, 26, 2, 31, 0, 19, 0},                                           // new T; getfield T.a; arraylen: NPE
+		{1, 25, 1, 26, 2, 0, 0, 29, 0, 19, 0},                                     // U.make(); getfield T.a; aload 0: no field
 		{1, 0, 3, 28, 0, 4, 0, 0, 1, 0, 9, 30, 0, 0, 1, 29, 0, 19, 0},             // a = new int[3]; a[1] = 9; a[1]
 		{1, 0, 3, 28, 0, 0, 0, 6, 0, 29, 0, 19, 0},                                // aload with an array index: refused
 		{1, 22, 3, 0, 0, 29, 0, 19, 0},                                            // aload on a null int[]: NPE

@@ -151,7 +151,7 @@ type layout struct {
 
 // newLayout builds the layout of names, declared of types, whose slots
 // start at their types' zero values.  Each slot's site record is self
-// plus the slot and its declared kind: a static layout's records carry
+// plus the slot and its declared kind and type: a static layout's records carry
 // the class and state, so one record serves a static site's init check
 // and its slot.
 func newLayout(self link, names []string, types []ir.Type) *layout {
@@ -166,7 +166,7 @@ func newLayout(self link, names []string, types []ir.Type) *layout {
 		l.index[n] = i
 		l.zeros[i] = ZeroValue(types[i])
 		l.refs[i] = self
-		l.refs[i].layout, l.refs[i].slot, l.refs[i].kind = l, i, l.zeros[i].K
+		l.refs[i].layout, l.refs[i].slot, l.refs[i].kind, l.refs[i].typ = l, i, l.zeros[i].K, &types[i]
 	}
 	return l
 }
@@ -177,13 +177,13 @@ var noFields = newLayout(link{}, nil, nil)
 
 // slotFor returns the slot a by-name write of v to name goes to, or an
 // error when the layout has no such field or v does not fit its declared
-// type (see fitsType).
+// type (see Value.Fits).
 func (l *layout) slotFor(owner, name string, v *Value) (int, error) {
 	i, ok := l.index[name]
 	if !ok {
 		return 0, &FaultError{Msg: fmt.Sprintf("no field %s on %s", name, owner)}
 	}
-	if k := l.refs[i].kind; !fitsType(&l.types[i], v) {
+	if k := l.refs[i].kind; !v.Fits(l.types[i]) {
 		return 0, &FaultError{Msg: fmt.Sprintf("field %s of %s holds %s, not %s", name, owner, k, v.K)}
 	}
 	return i, nil
@@ -216,13 +216,14 @@ func oneWord(k ir.Kind) bool {
 	return k >= ir.KindBool && k <= ir.KindArray && k != ir.KindString
 }
 
-// fitsType reports whether v, a value from outside verified code — a
-// call's argument, a native's result, a by-name field write — may be
-// held where t is declared: a value of t's kind — an array of t's
-// element type — or null where t is a reference or an array.
-func fitsType(t *ir.Type, v *Value) bool {
+// Fits reports whether v, a value from outside verified code — a call's
+// argument, a native's result, a by-name field write, an element of an
+// array a peer sends — may be held where t is declared: a value of t's
+// kind — an array of t's element type — or null where t is a reference
+// or an array.
+func (v Value) Fits(t ir.Type) bool {
 	switch {
-	case isNull(v):
+	case isNull(&v):
 		return t.Kind == ir.KindRef || t.Kind == ir.KindArray
 	case v.K != t.Kind:
 		return false
@@ -298,17 +299,20 @@ func (s *slots) site(name string, at *atomic.Pointer[link]) *link {
 }
 
 // resite is site on a miss of the site cache.  A field site's cache
-// holds, from the first activation on, a record of the kind the verifier
-// resolved its field to (see VM.linkBody): a field of that name and
-// another kind, on an object of a class the code was not verified
-// against, is not the site's field.
+// holds, from the first activation on, a record of the type the verifier
+// resolved its field to (see VM.linkBody).  The verifier tracks shapes,
+// not classes, so the code may meet an object of a class it was not
+// verified against — an unrelated class, or a subclass whose field of
+// the same name is the superclass's slot (see VM.fieldLayout).  A field
+// there of another shape (Type.SameShape), array elements included, is
+// not the site's field.
 func (s *slots) resite(name string, at *atomic.Pointer[link]) *link {
 	i, ok := s.layout.index[name]
 	if !ok {
 		return nil
 	}
 	ref := &s.layout.refs[i]
-	if want := at.Load(); want != nil && want.kind != 0 && want.kind != ref.kind {
+	if want := at.Load(); want != nil && want.typ != nil && !want.typ.SameShape(*ref.typ) {
 		return nil
 	}
 	at.Store(ref)

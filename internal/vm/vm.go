@@ -877,7 +877,7 @@ func (c *code) admit(recv Value, args []Value) error {
 		return &FaultError{Msg: fmt.Sprintf("receiver of %s.%s is %s, not a reference", c.class.Name, c.m.Name, kindOf(&recv))}
 	}
 	for i := range args {
-		if t := &c.m.Params[i]; !fitsType(t, &args[i]) {
+		if t := c.m.Params[i]; !args[i].Fits(t) {
 			return &FaultError{Msg: fmt.Sprintf("argument %d of %s.%s is %s, not %s", i, c.class.Name, c.m.Name, kindOf(&args[i]), t)}
 		}
 	}
