@@ -1,7 +1,7 @@
 package ir
 
 import (
-	"sort"
+	"iter"
 	"strconv"
 	"strings"
 )
@@ -187,15 +187,9 @@ func (c *Class) Method(name string, nargs int) *Method {
 	return nil
 }
 
-// Constructors returns the declared constructors in declaration order.
-func (c *Class) Constructors() []*Method {
-	var out []*Method
-	for _, m := range c.Methods {
-		if m.IsConstructor() {
-			out = append(out, m)
-		}
-	}
-	return out
+// Constructors yields the declared constructors in declaration order.
+func (c *Class) Constructors() iter.Seq[*Method] {
+	return c.methodsWhere(func(m *Method) bool { return m.IsConstructor() })
 }
 
 // StaticInit returns the static initialiser, or nil.
@@ -218,95 +212,88 @@ func (c *Class) HasNativeMethod() bool {
 	return false
 }
 
-// InstanceFields returns declared non-static fields.
-func (c *Class) InstanceFields() []Field {
-	var out []Field
-	for _, f := range c.Fields {
-		if !f.Static {
-			out = append(out, f)
-		}
-	}
-	return out
+// InstanceFields yields the declared non-static fields in declaration
+// order.
+func (c *Class) InstanceFields() iter.Seq[Field] {
+	return c.fieldsWhere(false)
 }
 
-// StaticFields returns declared static fields.
-func (c *Class) StaticFields() []Field {
-	var out []Field
-	for _, f := range c.Fields {
-		if f.Static {
-			out = append(out, f)
-		}
-	}
-	return out
+// StaticFields yields the declared static fields in declaration order.
+func (c *Class) StaticFields() iter.Seq[Field] {
+	return c.fieldsWhere(true)
 }
 
-// InstanceMethods returns declared non-static, non-constructor methods.
-func (c *Class) InstanceMethods() []*Method {
-	var out []*Method
-	for _, m := range c.Methods {
-		if !m.Static && !m.IsConstructor() {
-			out = append(out, m)
-		}
-	}
-	return out
+// InstanceMethods yields the declared non-static, non-constructor methods
+// in declaration order.
+func (c *Class) InstanceMethods() iter.Seq[*Method] {
+	return c.methodsWhere(func(m *Method) bool { return !m.Static && !m.IsConstructor() })
 }
 
-// StaticMethods returns declared static methods excluding <clinit>.
-func (c *Class) StaticMethods() []*Method {
-	var out []*Method
-	for _, m := range c.Methods {
-		if m.Static && !m.IsStaticInit() {
-			out = append(out, m)
-		}
-	}
-	return out
+// StaticMethods yields the declared static methods, <clinit> excluded, in
+// declaration order.
+func (c *Class) StaticMethods() iter.Seq[*Method] {
+	return c.methodsWhere(func(m *Method) bool { return m.Static && !m.IsStaticInit() })
 }
 
-// ReferencedClasses returns the names of every class or interface that c
-// references: in its super/interface clauses, field types, method
-// signatures, and instruction operands.  The result is sorted and
-// duplicate-free and excludes c itself.
-func (c *Class) ReferencedClasses() []string {
-	set := map[string]bool{}
-	addType := func(t Type) {
-		b := t.BaseElem()
-		if b.Kind == KindRef {
-			set[b.Name] = true
+// fieldsWhere and methodsWhere are the member filters' one loop each:
+// they yield in place, so a filter allocates nothing.
+func (c *Class) fieldsWhere(static bool) iter.Seq[Field] {
+	return func(yield func(Field) bool) {
+		for _, f := range c.Fields {
+			if f.Static == static && !yield(f) {
+				return
+			}
+		}
+	}
+}
+
+func (c *Class) methodsWhere(keep func(*Method) bool) iter.Seq[*Method] {
+	return func(yield func(*Method) bool) {
+		for _, m := range c.Methods {
+			if keep(m) && !yield(m) {
+				return
+			}
+		}
+	}
+}
+
+// VisitReferences calls visit with the name of every class or interface
+// that c references: its super and interface clauses, field types,
+// method signatures, handler catch classes and instruction operands.  A
+// name is visited once per mention, so it may repeat, and c's own name
+// may be among them; the walk allocates nothing.
+func (c *Class) VisitReferences(visit func(name string)) {
+	visitType := func(t Type) {
+		if b := t.BaseElem(); b.Kind == KindRef {
+			visit(b.Name)
 		}
 	}
 	if c.Super != "" {
-		set[c.Super] = true
+		visit(c.Super)
 	}
 	for _, i := range c.Interfaces {
-		set[i] = true
+		visit(i)
 	}
 	for _, f := range c.Fields {
-		addType(f.Type)
+		visitType(f.Type)
 	}
 	for _, m := range c.Methods {
 		for _, p := range m.Params {
-			addType(p)
+			visitType(p)
 		}
-		addType(m.Return)
+		visitType(m.Return)
 		for _, h := range m.Handlers {
 			if h.CatchClass != "" {
-				set[h.CatchClass] = true
+				visit(h.CatchClass)
 			}
 		}
 		for _, in := range m.Code {
 			if in.Owner != "" {
-				set[in.Owner] = true
+				visit(in.Owner)
 			}
 			if in.TypeRef != nil {
-				addType(*in.TypeRef)
+				visitType(*in.TypeRef)
 			}
 		}
 	}
-	delete(set, c.Name)
-	out := make([]string, 0, len(set))
-	for n := range set {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }

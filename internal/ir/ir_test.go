@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -139,6 +140,41 @@ func sampleClass() *Class {
 				}},
 			{Name: "nat", Return: Void, Native: true, Access: AccessPublic},
 		},
+	}
+}
+
+// The member filters yield the declared members of their kind in order,
+// and allocate nothing doing it.
+func TestMemberFilters(t *testing.T) {
+	c := sampleClass()
+	c.Methods = append(c.Methods,
+		&Method{Name: StaticInitName, Static: true, Return: Void},
+		&Method{Name: "s", Static: true, Return: Void})
+	var names []string
+	walk := func() {
+		names = names[:0]
+		for f := range c.InstanceFields() {
+			names = append(names, f.Name)
+		}
+		for f := range c.StaticFields() {
+			names = append(names, f.Name)
+		}
+		for m := range c.Constructors() {
+			names = append(names, m.Name)
+		}
+		for m := range c.InstanceMethods() {
+			names = append(names, m.Name)
+		}
+		for m := range c.StaticMethods() {
+			names = append(names, m.Name)
+		}
+	}
+	walk()
+	if got, want := strings.Join(names, " "), "x names count <init> work nat s"; got != want {
+		t.Fatalf("filters yield %q, want %q", got, want)
+	}
+	if n := testing.AllocsPerRun(10, walk); n != 0 {
+		t.Errorf("member filters allocate %.0f per walk, want 0", n)
 	}
 }
 
@@ -285,10 +321,20 @@ func TestReferencedClasses(t *testing.T) {
 			{Op: OpReturn},
 		},
 	})
-	got := c.ReferencedClasses()
+	seen := map[string]bool{}
+	c.VisitReferences(func(name string) { seen[name] = true })
+	delete(seen, c.Name)
+	var got []string
+	for n := range seen {
+		got = append(got, n)
+	}
+	sort.Strings(got)
 	want := []string{"demo.Iface", "other.Made", "other.Nulled", ObjectClass, ThrowableClass}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("referenced = %v want %v", got, want)
+	}
+	if n := testing.AllocsPerRun(10, func() { c.VisitReferences(func(string) {}) }); n != 0 {
+		t.Errorf("VisitReferences allocates %.0f per walk, want 0", n)
 	}
 }
 
@@ -305,6 +351,37 @@ func TestCloneIndependence(t *testing.T) {
 	}
 	if orig.Methods[1].Code[0].A != 1 {
 		t.Fatal("clone shares code")
+	}
+}
+
+// A copied class is sealed: each of its slices has its length as its
+// capacity, so an append to one cannot write into another.
+func TestCloneClassSealed(t *testing.T) {
+	c := &Class{
+		Name:       "K",
+		Super:      ObjectClass,
+		Interfaces: make([]string, 1, 4),
+		Fields:     make([]Field, 1, 4),
+		Methods: []*Method{{
+			Name:     "m",
+			Params:   make([]Type, 1, 4),
+			Code:     make([]Instr, 2, 8),
+			Handlers: make([]TryHandler, 1, 4),
+		}},
+	}
+	n := CloneClass(c)
+	m := n.Methods[0]
+	for what, lc := range map[string][2]int{
+		"Interfaces": {len(n.Interfaces), cap(n.Interfaces)},
+		"Fields":     {len(n.Fields), cap(n.Fields)},
+		"Methods":    {len(n.Methods), cap(n.Methods)},
+		"Params":     {len(m.Params), cap(m.Params)},
+		"Code":       {len(m.Code), cap(m.Code)},
+		"Handlers":   {len(m.Handlers), cap(m.Handlers)},
+	} {
+		if lc[0] != lc[1] {
+			t.Errorf("clone's %s: len %d, cap %d", what, lc[0], lc[1])
+		}
 	}
 }
 
@@ -476,5 +553,44 @@ func TestRewrite(t *testing.T) {
 	code[3].A = 2
 	if _, _, err := Rewrite(code, []TryHandler{{Start: 0, End: 9, Target: 4}}, fn); err == nil {
 		t.Fatal("handler past the body rewrote")
+	}
+}
+
+// A Rewriter reused from body to body returns what Rewrite returns, each
+// body and handler table exactly as long as its contents and not
+// sharing the Rewriter's buffer, and once warm allocates only those.
+func TestRewriterReuse(t *testing.T) {
+	double := func(out []Instr, _ int, in Instr) ([]Instr, error) {
+		if in.Op == OpPop {
+			return append(out, in, in), nil
+		}
+		return append(out, in), nil
+	}
+	long := []Instr{{Op: OpPop}, {Op: OpPop}, {Op: OpJump, A: 3}, {Op: OpReturn}}
+	short := []Instr{{Op: OpPop}, {Op: OpReturn}}
+	handlers := []TryHandler{{Start: 0, End: 1, Target: 1}}
+	var r Rewriter
+	first, _, err := r.Rewrite(long, nil, double)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, hs, err := r.Rewrite(short, handlers, double)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, wantH, _ := Rewrite(short, handlers, double)
+	if !reflect.DeepEqual(second, want) || !reflect.DeepEqual(hs, wantH) {
+		t.Fatalf("reused rewriter gave %v %v, want %v %v", second, hs, want, wantH)
+	}
+	if first[0].Op != OpPop || first[4].A != 5 || len(first) != 6 {
+		t.Fatalf("the second body changed the first: %v", first)
+	}
+	for name, lc := range map[string][2]int{"first": {len(first), cap(first)}, "second": {len(second), cap(second)}, "handlers": {len(hs), cap(hs)}} {
+		if lc[0] != lc[1] {
+			t.Errorf("%s: len %d, cap %d", name, lc[0], lc[1])
+		}
+	}
+	if n := testing.AllocsPerRun(10, func() { r.Rewrite(long, handlers, double) }); n != 2 {
+		t.Errorf("a warm Rewriter allocates %.0f per body, want 2 (body, handlers)", n)
 	}
 }

@@ -2,6 +2,7 @@ package ir
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"rafda/internal/par"
@@ -10,19 +11,19 @@ import (
 // Program is a set of classes closed under reference (when complete).
 // It corresponds to the class path of the application being transformed.
 type Program struct {
-	classes map[string]*Class
-	order   []string // insertion order, for deterministic iteration
+	index map[string]int // name -> position in list
+	list  []*Class       // insertion order, for deterministic iteration
 }
 
 // NewProgram returns an empty program.
 func NewProgram() *Program {
-	return &Program{classes: make(map[string]*Class)}
+	return &Program{index: make(map[string]int)}
 }
 
 // NewProgramSize returns an empty program with room for n classes, so a
 // builder that knows its class count adds them without regrowing.
 func NewProgramSize(n int) *Program {
-	return &Program{classes: make(map[string]*Class, n), order: make([]string, 0, n)}
+	return &Program{index: make(map[string]int, n), list: make([]*Class, 0, n)}
 }
 
 // Add inserts a class, indexing its methods (see Class.Method).  Adding a
@@ -31,12 +32,12 @@ func (p *Program) Add(c *Class) error {
 	if c == nil || c.Name == "" {
 		return fmt.Errorf("add class: nil or unnamed class")
 	}
-	if _, dup := p.classes[c.Name]; dup {
+	if _, dup := p.index[c.Name]; dup {
 		return fmt.Errorf("add class: duplicate class %q", c.Name)
 	}
 	c.indexMethods()
-	p.classes[c.Name] = c
-	p.order = append(p.order, c.Name)
+	p.index[c.Name] = len(p.list)
+	p.list = append(p.list, c)
 	return nil
 }
 
@@ -47,33 +48,50 @@ func (p *Program) MustAdd(c *Class) {
 	}
 }
 
-// Remove deletes a class by name; missing names are ignored.
+// Remove deletes a class by name; missing names are ignored.  The
+// classes after it move up one position.
 func (p *Program) Remove(name string) {
-	if _, ok := p.classes[name]; !ok {
+	i, ok := p.index[name]
+	if !ok {
 		return
 	}
-	delete(p.classes, name)
-	for i, n := range p.order {
-		if n == name {
-			p.order = append(p.order[:i], p.order[i+1:]...)
-			break
-		}
+	delete(p.index, name)
+	p.list = slices.Delete(p.list, i, i+1)
+	for j := i; j < len(p.list); j++ {
+		p.index[p.list[j].Name] = j
 	}
 }
 
 // Class returns the class with the given name, or nil.
-func (p *Program) Class(name string) *Class { return p.classes[name] }
+func (p *Program) Class(name string) *Class {
+	if i, ok := p.index[name]; ok {
+		return p.list[i]
+	}
+	return nil
+}
+
+// Index returns the named class's position in insertion order (the
+// order of Names and Classes), or -1 if the program lacks it, so a walk
+// can keep per-class state in a slice rather than a map keyed by name.
+func (p *Program) Index(name string) int {
+	if i, ok := p.index[name]; ok {
+		return i
+	}
+	return -1
+}
 
 // Has reports whether the program contains the named class.
-func (p *Program) Has(name string) bool { _, ok := p.classes[name]; return ok }
+func (p *Program) Has(name string) bool { _, ok := p.index[name]; return ok }
 
 // Len returns the number of classes.
-func (p *Program) Len() int { return len(p.classes) }
+func (p *Program) Len() int { return len(p.list) }
 
 // Names returns all class names in insertion order.
 func (p *Program) Names() []string {
-	out := make([]string, len(p.order))
-	copy(out, p.order)
+	out := make([]string, len(p.list))
+	for i, c := range p.list {
+		out[i] = c.Name
+	}
 	return out
 }
 
@@ -86,11 +104,7 @@ func (p *Program) SortedNames() []string {
 
 // Classes returns the classes in insertion order.
 func (p *Program) Classes() []*Class {
-	out := make([]*Class, 0, len(p.order))
-	for _, n := range p.order {
-		out = append(out, p.classes[n])
-	}
-	return out
+	return slices.Clone(p.list)
 }
 
 // Clone returns a deep copy of the program; mutating the copy (as the
@@ -108,11 +122,11 @@ func (p *Program) Clone() *Program {
 // a superclass chain longer than the class count has revisited a class.
 func (p *Program) IsSubclassOf(sub, sup string) bool {
 	name := sub
-	for steps := 0; name != "" && steps <= len(p.classes); steps++ {
+	for steps := 0; name != "" && steps <= len(p.list); steps++ {
 		if name == sup {
 			return true
 		}
-		c := p.classes[name]
+		c := p.Class(name)
 		if c == nil {
 			return false
 		}
@@ -162,7 +176,7 @@ func (p *Program) ifaceReach(i, iface string, seen *visited) bool {
 	if !seen.enter(i) {
 		return false
 	}
-	c := p.classes[i]
+	c := p.Class(i)
 	if c == nil {
 		return false
 	}
@@ -179,8 +193,8 @@ func (p *Program) ifaceReach(i, iface string, seen *visited) bool {
 func (p *Program) Implements(name, iface string) bool {
 	var seen visited
 	cur := name
-	for steps := 0; cur != "" && steps <= len(p.classes); steps++ {
-		c := p.classes[cur]
+	for steps := 0; cur != "" && steps <= len(p.list); steps++ {
+		c := p.Class(cur)
 		if c == nil {
 			return false
 		}
@@ -212,7 +226,7 @@ func (p *Program) ifaceMethod(iname, name string, nargs int, seen *visited) (*Cl
 	if !seen.enter(iname) {
 		return nil, nil
 	}
-	ic := p.classes[iname]
+	ic := p.Class(iname)
 	if ic == nil {
 		return nil, nil
 	}
@@ -232,8 +246,8 @@ func (p *Program) ifaceMethod(iname, name string, nargs int, seen *visited) (*Cl
 // declaring class and the method, or an error.
 func (p *Program) ResolveMethod(cname, name string, nargs int) (*Class, *Method, error) {
 	cur := cname
-	for steps := 0; cur != "" && steps <= len(p.classes); steps++ {
-		c := p.classes[cur]
+	for steps := 0; cur != "" && steps <= len(p.list); steps++ {
+		c := p.Class(cur)
 		if c == nil {
 			return nil, nil, fmt.Errorf("resolve %s.%s/%d: unknown class %q", cname, name, nargs, cur)
 		}
@@ -246,8 +260,8 @@ func (p *Program) ResolveMethod(cname, name string, nargs int) (*Class, *Method,
 	// abstract declaration (used by the verifier for interface types).
 	var seen visited
 	cur = cname
-	for steps := 0; cur != "" && steps <= len(p.classes); steps++ {
-		cc := p.classes[cur]
+	for steps := 0; cur != "" && steps <= len(p.list); steps++ {
+		cc := p.Class(cur)
 		if cc == nil {
 			break
 		}
@@ -277,8 +291,8 @@ func (e *noMethodError) Error() string {
 // the superclass chain.
 func (p *Program) ResolveField(cname, name string) (*Class, *Field, error) {
 	cur := cname
-	for steps := 0; cur != "" && steps <= len(p.classes); steps++ {
-		c := p.classes[cur]
+	for steps := 0; cur != "" && steps <= len(p.list); steps++ {
+		c := p.Class(cur)
 		if c == nil {
 			return nil, nil, fmt.Errorf("resolve field %s.%s: unknown class %q", cname, name, cur)
 		}
@@ -294,14 +308,13 @@ func (p *Program) ResolveField(cname, name string) (*Class, *Field, error) {
 // from the program (sorted).  An empty result means the program is closed.
 // Classes are scanned on par.For's workers.
 func (p *Program) MissingReferences() []string {
-	classes := p.Classes()
-	perClass := make([][]string, len(classes))
-	par.For(len(classes), func(i int) {
-		for _, r := range classes[i].ReferencedClasses() {
+	perClass := make([][]string, len(p.list))
+	par.For(len(p.list), func(i int) {
+		p.list[i].VisitReferences(func(r string) {
 			if !p.Has(r) {
 				perClass[i] = append(perClass[i], r)
 			}
-		}
+		})
 	})
 	missing := map[string]bool{}
 	for _, refs := range perClass {
@@ -317,31 +330,72 @@ func (p *Program) MissingReferences() []string {
 	return out
 }
 
-// CloneClass returns a deep copy of a class.
+// CloneClass returns a deep copy of a class.  Each of the copy's slices
+// has its length as its capacity, so appending to one never writes into
+// another; the methods' bodies, parameters and handlers are carved from
+// one array of each per class.
 func CloneClass(c *Class) *Class {
 	n := *c
-	n.Interfaces = append([]string(nil), c.Interfaces...)
-	n.Fields = append([]Field(nil), c.Fields...)
+	n.byKey, n.indexed = nil, nil
+	n.Interfaces = exactCopy(c.Interfaces)
+	n.Fields = exactCopy(c.Fields)
+	var nCode, nParams, nHandlers, nTypeRefs int
+	for _, m := range c.Methods {
+		nCode += len(m.Code)
+		nParams += len(m.Params)
+		nHandlers += len(m.Handlers)
+		for _, in := range m.Code {
+			if in.TypeRef != nil {
+				nTypeRefs++
+			}
+		}
+	}
+	methods := make([]Method, len(c.Methods))
+	code := make([]Instr, nCode)
+	params := make([]Type, nParams)
+	handlers := make([]TryHandler, nHandlers)
+	typeRefs := make([]Type, nTypeRefs)
 	n.Methods = make([]*Method, len(c.Methods))
 	for i, m := range c.Methods {
-		n.Methods[i] = CloneMethod(m)
+		nm := &methods[i]
+		*nm = *m
+		nm.Params = Carve(&params, len(m.Params))
+		copy(nm.Params, m.Params)
+		nm.Handlers = Carve(&handlers, len(m.Handlers))
+		copy(nm.Handlers, m.Handlers)
+		nm.Code = Carve(&code, len(m.Code))
+		copy(nm.Code, m.Code)
+		for j, in := range nm.Code {
+			if in.TypeRef != nil {
+				t := Carve(&typeRefs, 1)
+				t[0] = *in.TypeRef
+				nm.Code[j].TypeRef = &t[0]
+			}
+		}
+		n.Methods[i] = nm
 	}
 	return &n
 }
 
-// CloneMethod returns a deep copy of a method.
-func CloneMethod(m *Method) *Method {
-	n := *m
-	n.Params = append([]Type(nil), m.Params...)
-	n.Handlers = append([]TryHandler(nil), m.Handlers...)
-	n.Code = make([]Instr, len(m.Code))
-	for i, in := range m.Code {
-		ci := in
-		if in.TypeRef != nil {
-			t := *in.TypeRef
-			ci.TypeRef = &t
-		}
-		n.Code[i] = ci
+// exactCopy returns a copy of s whose capacity is its length, or nil for
+// an empty s.
+func exactCopy[S ~[]E, E any](s S) S {
+	if len(s) == 0 {
+		return nil
 	}
-	return &n
+	return append(make(S, 0, len(s)), s...)
+}
+
+// Carve hands out the next n elements of *slab, sealed (capacity n, so
+// an append to it cannot write into the next one), and advances *slab
+// past them.  n == 0 hands out nil.  A builder that knows how many
+// elements its output needs makes one slab of that size and carves every
+// slice from it.
+func Carve[S ~[]E, E any](slab *S, n int) S {
+	if n == 0 {
+		return nil
+	}
+	s := (*slab)[:n:n]
+	*slab = (*slab)[n:]
+	return s
 }

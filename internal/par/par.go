@@ -25,11 +25,20 @@ const chunk = 64
 // stops further chunks being handed out and is re-raised on the caller's
 // goroutine once the other workers have finished.
 func For(n int, fn func(i int)) {
+	ForWith(n, func(_ *struct{}, i int) { fn(i) })
+}
+
+// ForWith is For with scratch state: each worker owns one S, zero at its
+// start, and passes it to every call of fn it makes, so fn can keep
+// working memory from one index to the next.  What fn leaves in the
+// scratch must not change any index's result.
+func ForWith[S any](n int, fn func(scratch *S, i int)) {
 	chunks := (n + chunk - 1) / chunk
 	workers := min(runtime.GOMAXPROCS(0), chunks)
 	if workers <= 1 {
+		var scratch S
 		for i := range n {
-			fn(i)
+			fn(&scratch, i)
 		}
 		return
 	}
@@ -47,13 +56,14 @@ func For(n int, fn func(i int)) {
 				once.Do(func() { panicked = r })
 			}
 		}()
+		var scratch S
 		for {
 			c := int(next.Add(1)) - 1
 			if c >= chunks {
 				return
 			}
 			for i := c * chunk; i < min((c+1)*chunk, n); i++ {
-				fn(i)
+				fn(&scratch, i)
 			}
 		}
 	}

@@ -54,3 +54,33 @@ func TestForPanicReachesCaller(t *testing.T) {
 	})
 	t.Error("For returned normally")
 }
+
+// TestForWithScratchPerWorker gives each worker its own scratch: the
+// indices one scratch sees ascend (a worker takes chunks in order), and
+// together the scratches see every index once.  Under -race a scratch
+// shared between workers is a data race.
+func TestForWithScratchPerWorker(t *testing.T) {
+	for _, procs := range []int{1, 4} {
+		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			n := 5*chunk + 3
+			counts := make([]int32, n)
+			var disorder atomic.Int32
+			ForWith(n, func(seen *[]int, i int) {
+				if k := len(*seen); k > 0 && (*seen)[k-1] >= i {
+					disorder.Add(1)
+				}
+				*seen = append(*seen, i)
+				atomic.AddInt32(&counts[i], 1)
+			})
+			if disorder.Load() != 0 {
+				t.Fatalf("%d indices reached a scratch out of order", disorder.Load())
+			}
+			for i, c := range counts {
+				if c != 1 {
+					t.Fatalf("index %d ran %d times", i, c)
+				}
+			}
+		})
+	}
+}

@@ -145,10 +145,11 @@ func Analyze(prog *ir.Program, exclude ...string) *Analysis {
 				expanded[i] = true
 				// Superclass of a non-transformable class.
 				mark(c.Super, Cause{Reason: ReasonSuperOfNonTransformable, Via: c.Name})
-				// Everything a non-transformable class references.
-				for _, r := range c.ReferencedClasses() {
+				// Everything a non-transformable class references (its
+				// own name is among them, already marked).
+				c.VisitReferences(func(r string) {
 					mark(r, Cause{Reason: ReasonReferenced, Via: c.Name})
-				}
+				})
 				continue
 			}
 			// Subclass of a non-transformable class (other than

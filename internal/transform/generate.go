@@ -3,161 +3,261 @@ package transform
 import "rafda/internal/ir"
 
 // transformer carries the read-only state shared while generating one
-// program: the source program and its finished analysis.  Its methods
+// program: the source classes, the name table and, once the first pass
+// has run, every family's classes with its _O_Int built.  Its methods
 // only read it, so families for different classes build concurrently.
 type transformer struct {
-	a         *Analysis
-	src       *ir.Program
+	*nameTable
+	classes   []*ir.Class // the source program's, in program order
 	protocols []string
+	// built holds each transformable class's generated classes by slot
+	// (nil for a class that is not transformable); the first pass builds
+	// slot 0, its _O_Int.
+	built [][]ir.Class
 }
 
-// family builds the full generated family for one transformable class:
-// _O_Int, _O_Local, _C_Int, _C_Local, _O_Factory, _C_Factory, then
-// _O_Proxy_* and _C_Proxy_* per protocol.
-func (t *transformer) family(c *ir.Class) ([]*ir.Class, error) {
-	oint := t.makeOInt(c)
-	olocal, err := t.makeOLocal(c)
-	if err != nil {
-		return nil, err
-	}
-	cint := t.makeCInt(c)
-	clocal, err := t.makeCLocal(c)
-	if err != nil {
-		return nil, err
-	}
-	ofac, err := t.makeOFactory(c)
-	if err != nil {
-		return nil, err
-	}
-	cfac, err := t.makeCFactory(c)
-	if err != nil {
-		return nil, err
-	}
-	generated := make([]*ir.Class, 0, 6+2*len(t.protocols))
-	generated = append(generated, oint, olocal, cint, clocal, ofac, cfac)
-	for _, proto := range t.protocols {
-		generated = append(generated,
-			t.makeOProxy(c, proto),
-			t.makeCProxy(c, proto))
-	}
-	return generated, nil
+// shape counts the members of a class that its family is built from, so
+// that each family is carved from arrays of exactly its size.
+type shape struct {
+	instFields, staticFields   int
+	instMethods, staticMethods int
+	instParams, staticParams   int
+	ctors, ctorParams          int
+	staticInit                 *ir.Method
 }
 
-// propertyPair builds the abstract get_/set_ declarations for one field.
-func (t *transformer) propertyPair(f ir.Field) []*ir.Method {
-	ft := mapType(t.a, f.Type)
-	get := &ir.Method{
-		Name: Getter(f.Name), Return: ft,
-		Abstract: true, Access: ir.AccessPublic,
+func shapeOf(c *ir.Class) shape {
+	s := shape{staticInit: c.StaticInit()}
+	for range c.InstanceFields() {
+		s.instFields++
 	}
-	set := &ir.Method{
-		Name: Setter(f.Name), Params: []ir.Type{ft}, Return: ir.Void,
-		Abstract: true, Access: ir.AccessPublic,
+	for range c.StaticFields() {
+		s.staticFields++
 	}
-	return []*ir.Method{get, set}
+	for m := range c.InstanceMethods() {
+		s.instMethods++
+		s.instParams += len(m.Params)
+	}
+	for m := range c.StaticMethods() {
+		s.staticMethods++
+		s.staticParams += len(m.Params)
+	}
+	for m := range c.Constructors() {
+		s.ctors++
+		s.ctorParams += len(m.Params)
+	}
+	return s
+}
+
+// slabs are one builder's backing arrays, each sized for what it builds.
+// Every slice a built class holds is carved from them sealed (ir.Carve),
+// so an append to one never writes into its neighbour.
+type slabs struct {
+	methods []ir.Method
+	lists   []*ir.Method
+	fields  []ir.Field
+	types   []ir.Type
+	strs    []string
+	code    []ir.Instr
+}
+
+// method places m in the methods slab.
+func (s *slabs) method(m ir.Method) *ir.Method {
+	p := &ir.Carve(&s.methods, 1)[0]
+	*p = m
+	return p
+}
+
+// list carves an empty method list with room for n.
+func (s *slabs) list(n int) []*ir.Method { return ir.Carve(&s.lists, n)[:0] }
+
+// body carves a copy of instrs.
+func (s *slabs) body(instrs ...ir.Instr) []ir.Instr {
+	b := ir.Carve(&s.code, len(instrs))
+	copy(b, instrs)
+	return b
+}
+
+// one carves a one-element slice holding v.
+func one[E any](slab *[]E, v E) []E {
+	s := ir.Carve(slab, 1)
+	s[0] = v
+	return s
+}
+
+// makeOInt extracts the instance interface A_O_Int (§2.1) into slot 0
+// of the family's classes.  When the superclass is transformable the
+// interface extends the superclass's, so interface-typed references are
+// substitutable along the hierarchy.  The rest of the family takes its
+// signatures from it, and the proxies of subclasses their members.
+func (t *transformer) makeOInt(c *ir.Class, n *familyNames) {
+	sh := shapeOf(c)
+	nMethods := 2*sh.instFields + sh.instMethods
+	s := slabs{
+		methods: make([]ir.Method, nMethods),
+		lists:   make([]*ir.Method, nMethods),
+		types:   make([]ir.Type, sh.instFields+sh.instParams),
+	}
+	fam := make([]ir.Class, t.slots)
+	t.built[n.index] = fam
+	oint := &fam[slotOInt]
+	*oint = ir.Class{
+		Name:        n.name[slotOInt],
+		IsInterface: true,
+		Abstract:    true,
+		Meta:        n.meta[slotOInt],
+		Methods:     s.list(nMethods),
+	}
+	if sup := t.of(c.Super); sup != nil {
+		oint.Interfaces = []string{sup.name[slotOInt]}
+	}
+	for f := range c.InstanceFields() {
+		oint.Methods = t.propertyPair(&s, oint.Methods, f)
+	}
+	for m := range c.InstanceMethods() {
+		oint.Methods = append(oint.Methods, t.abstractSig(&s, m))
+	}
+}
+
+// propertyPair appends the abstract get_/set_ declarations for one field.
+func (t *transformer) propertyPair(s *slabs, list []*ir.Method, f ir.Field) []*ir.Method {
+	ft := t.mapType(f.Type)
+	return append(list,
+		s.method(ir.Method{
+			Name: t.getter(f.Name), Return: ft,
+			Abstract: true, Access: ir.AccessPublic,
+		}),
+		s.method(ir.Method{
+			Name: t.setter(f.Name), Params: one(&s.types, ft), Return: ir.Void,
+			Abstract: true, Access: ir.AccessPublic,
+		}))
 }
 
 // abstractSig builds the abstract interface declaration for a method,
 // with mapped signature and public access (§2.1: all members become
 // public since interfaces expose them).
-func (t *transformer) abstractSig(m *ir.Method) *ir.Method {
-	return &ir.Method{
+func (t *transformer) abstractSig(s *slabs, m *ir.Method) *ir.Method {
+	params := ir.Carve(&s.types, len(m.Params))
+	t.mapTypes(params, m.Params)
+	return s.method(ir.Method{
 		Name:     m.Name,
-		Params:   mapTypes(t.a, m.Params),
-		Return:   mapType(t.a, m.Return),
+		Params:   params,
+		Return:   t.mapType(m.Return),
 		Abstract: true,
 		Access:   ir.AccessPublic,
-	}
+	})
 }
 
-// makeOInt extracts the instance interface A_O_Int (§2.1).  When the
-// superclass is transformable the interface extends the superclass's,
-// so interface-typed references are substitutable along the hierarchy.
-func (t *transformer) makeOInt(c *ir.Class) *ir.Class {
-	oint := &ir.Class{
-		Name:        OInt(c.Name),
-		IsInterface: true,
-		Abstract:    true,
-		Meta:        "generated:o-int:" + c.Name,
+// family builds the rest of one transformable class's family around the
+// _O_Int the first pass built: _O_Local, _C_Int, _C_Local, _O_Factory,
+// _C_Factory, then _O_Proxy_* and _C_Proxy_* per protocol.  It stores
+// them in out, in slot order.
+func (t *transformer) family(sc *scratch, c *ir.Class, n *familyNames, out []*ir.Class) error {
+	fam := t.built[n.index]
+	oint := &fam[slotOInt]
+	flat := t.flatOMembers(sc, c)
+	sh := shapeOf(c)
+	cMembers := 2*sh.staticFields + sh.staticMethods
+	protos := len(t.protocols)
+	nMethods := 1 + len(oint.Methods) + // _O_Local
+		cMembers + // _C_Int
+		3 + cMembers + // _C_Local
+		1 + sh.ctors + // _O_Factory
+		2 + cMembers + // _C_Factory
+		protos*(1+len(flat)) + protos*(1+cMembers)
+	clinitBody := 0
+	if sh.staticInit == nil {
+		clinitBody = 1
 	}
-	if t.a.Transformable(c.Super) {
-		oint.Interfaces = []string{OInt(c.Super)}
+	s := slabs{
+		methods: make([]ir.Method, nMethods),
+		lists:   make([]*ir.Method, nMethods),
+		fields:  make([]ir.Field, sh.instFields+1+sh.staticFields+2*protos*len(proxyFields)),
+		types:   make([]ir.Type, sh.staticFields+sh.staticParams+sh.ctors+sh.ctorParams+1),
+		strs:    make([]string, 2+2*protos),
+		code: make([]ir.Instr, 3+7*sh.instFields+ // _O_Local
+			12+7*sh.staticFields+ // _C_Local
+			clinitBody+7*sh.staticFields+3*sh.staticMethods+sh.staticParams+ // _C_Factory
+			2*protos*len(objectCtorBody)),
 	}
-	for _, f := range c.InstanceFields() {
-		oint.Methods = append(oint.Methods, t.propertyPair(f)...)
+	rw := &sc.rw
+	if err := t.makeOLocal(&s, rw, c, n, sh.instFields, oint, &fam[slotOLocal]); err != nil {
+		return err
 	}
-	for _, m := range c.InstanceMethods() {
-		oint.Methods = append(oint.Methods, t.abstractSig(m))
+	cint := &fam[slotCInt]
+	t.makeCInt(&s, c, n, cMembers, cint)
+	if err := t.makeCLocal(&s, rw, c, n, sh.staticFields, cint, &fam[slotCLocal]); err != nil {
+		return err
 	}
-	return oint
+	if err := t.makeOFactory(&s, rw, c, n, sh.ctors, &fam[slotOFactory]); err != nil {
+		return err
+	}
+	if err := t.makeCFactory(&s, rw, c, n, cint, sh.staticInit, &fam[slotCFactory]); err != nil {
+		return err
+	}
+	for j := range t.protocols {
+		t.makeProxy(&s, n, oProxySlot(j), slotOInt, flat, &fam[oProxySlot(j)])
+		t.makeProxy(&s, n, cProxySlot(j), slotCInt, cint.Methods, &fam[cProxySlot(j)])
+	}
+	for i := range fam {
+		out[i] = &fam[i]
+	}
+	return nil
 }
 
 // makeOLocal generates the non-remote implementation A_O_Local (§2.1):
 // fields become private properties, the default constructor is added,
 // and method bodies are rewritten to use only interface types.
-func (t *transformer) makeOLocal(c *ir.Class) (*ir.Class, error) {
-	name := OLocal(c.Name)
+func (t *transformer) makeOLocal(s *slabs, rw *ir.Rewriter, c *ir.Class, n *familyNames, instFields int, oint, ol *ir.Class) error {
+	name := n.name[slotOLocal]
 	super := ir.ObjectClass
-	if t.a.Transformable(c.Super) {
-		super = OLocal(c.Super)
+	if sup := t.of(c.Super); sup != nil {
+		super = sup.name[slotOLocal]
 	}
-	ol := &ir.Class{
+	*ol = ir.Class{
 		Name:       name,
 		Super:      super,
-		Interfaces: []string{OInt(c.Name)},
+		Interfaces: one(&s.strs, n.name[slotOInt]),
 		Abstract:   c.Abstract,
-		Meta:       "generated:o-local:" + c.Name,
+		Meta:       n.meta[slotOLocal],
+		Methods:    s.list(1 + len(oint.Methods)),
 	}
 	// Default parameter-less constructor: chains to the super default
 	// constructor; all original constructor functionality lives in the
 	// factories.
-	ol.Methods = append(ol.Methods, &ir.Method{
+	ol.Methods = append(ol.Methods, s.method(ir.Method{
 		Name: ir.ConstructorName, Return: ir.Void, Access: ir.AccessPublic,
 		MaxLocals: 1,
-		Code: []ir.Instr{
-			{Op: ir.OpLoad, A: 0},
-			{Op: ir.OpInvokeSpecial, Owner: super, Member: ir.ConstructorName},
-			{Op: ir.OpReturn},
-		},
-	})
-	for _, f := range c.InstanceFields() {
-		ft := mapType(t.a, f.Type)
-		ol.Fields = append(ol.Fields, ir.Field{
-			Name: f.Name, Type: ft, Access: ir.AccessPrivate,
-		})
-		ol.Methods = append(ol.Methods,
-			&ir.Method{
-				Name: Getter(f.Name), Return: ft, Access: ir.AccessPublic,
-				MaxLocals: 1,
-				Code: []ir.Instr{
-					{Op: ir.OpLoad, A: 0},
-					{Op: ir.OpGetField, Owner: name, Member: f.Name},
-					{Op: ir.OpReturnValue},
-				},
-			},
-			&ir.Method{
-				Name: Setter(f.Name), Params: []ir.Type{ft}, Return: ir.Void,
-				Access: ir.AccessPublic, MaxLocals: 2,
-				Code: []ir.Instr{
-					{Op: ir.OpLoad, A: 0},
-					{Op: ir.OpLoad, A: 1},
-					{Op: ir.OpPutField, Owner: name, Member: f.Name},
-					{Op: ir.OpReturn},
-				},
-			})
+		Code: s.body(
+			ir.Instr{Op: ir.OpLoad, A: 0},
+			ir.Instr{Op: ir.OpInvokeSpecial, Owner: super, Member: ir.ConstructorName},
+			ir.Instr{Op: ir.OpReturn}),
+	}))
+	// _O_Int declares a get_/set_ pair per instance field, then each
+	// instance method: the signatures here are its.
+	sigs := oint.Methods
+	ol.Fields = ir.Carve(&s.fields, instFields)[:0]
+	for f := range c.InstanceFields() {
+		get, set := sigs[0], sigs[1]
+		sigs = sigs[2:]
+		ol.Fields = append(ol.Fields, ir.Field{Name: f.Name, Type: get.Return, Access: ir.AccessPrivate})
+		pair := s.accessors(name, f.Name, get, set)
+		ol.Methods = append(ol.Methods, pair[:]...)
 	}
-	for _, m := range c.InstanceMethods() {
-		nm := &ir.Method{
+	for m := range c.InstanceMethods() {
+		sig := sigs[0]
+		sigs = sigs[1:]
+		nm := s.method(ir.Method{
 			Name:     m.Name,
-			Params:   mapTypes(t.a, m.Params),
-			Return:   mapType(t.a, m.Return),
+			Params:   sig.Params,
+			Return:   sig.Return,
 			Abstract: m.Abstract,
 			Access:   ir.AccessPublic,
-		}
+		})
 		if !m.Abstract {
-			code, handlers, err := rewriteCode(t.a, codeCtx{ownClass: c.Name}, m.Code, m.Handlers)
+			code, handlers, err := t.rewriteCode(rw, codeCtx{ownClass: c.Name}, m.Code, m.Handlers)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			nm.Code = code
 			nm.Handlers = handlers
@@ -165,238 +265,236 @@ func (t *transformer) makeOLocal(c *ir.Class) (*ir.Class, error) {
 		}
 		ol.Methods = append(ol.Methods, nm)
 	}
-	return ol, nil
+	return nil
+}
+
+// accessors builds the concrete get_/set_ pair over field of class
+// owner, with the signatures of the interface's get and set.
+func (s *slabs) accessors(owner, field string, get, set *ir.Method) [2]*ir.Method {
+	return [2]*ir.Method{
+		s.method(ir.Method{
+			Name: get.Name, Return: get.Return, Access: ir.AccessPublic, MaxLocals: 1,
+			Code: s.body(
+				ir.Instr{Op: ir.OpLoad, A: 0},
+				ir.Instr{Op: ir.OpGetField, Owner: owner, Member: field},
+				ir.Instr{Op: ir.OpReturnValue}),
+		}),
+		s.method(ir.Method{
+			Name: set.Name, Params: set.Params, Return: ir.Void,
+			Access: ir.AccessPublic, MaxLocals: 2,
+			Code: s.body(
+				ir.Instr{Op: ir.OpLoad, A: 0},
+				ir.Instr{Op: ir.OpLoad, A: 1},
+				ir.Instr{Op: ir.OpPutField, Owner: owner, Member: field},
+				ir.Instr{Op: ir.OpReturn}),
+		}),
+	}
+}
+
+// scratch is one worker's working memory, kept from family to family:
+// the body rewriter and the buffers flatOMembers fills.
+type scratch struct {
+	rw   ir.Rewriter
+	flat []*ir.Method
+	seen map[memberKey]bool
+}
+
+// memberKey identifies a member by name and arity.
+type memberKey struct {
+	name  string
+	nargs int
 }
 
 // flatOMembers collects the full member set visible through A_O_Int
-// (its own and every transformable ancestor's), most-derived first.
-// Proxy classes must implement all of them.
-func (t *transformer) flatOMembers(c *ir.Class) []*ir.Method {
-	var out []*ir.Method
-	seen := map[string]bool{}
-	add := func(m *ir.Method) {
-		if !seen[m.Key()] {
-			seen[m.Key()] = true
-			out = append(out, m)
-		}
+// (its own and every transformable ancestor's, each from the _O_Int the
+// first pass built), most-derived first, one per name and arity.  Proxy
+// classes must implement all of them.  The list lives in sc until the
+// next call.
+func (t *transformer) flatOMembers(sc *scratch, c *ir.Class) []*ir.Method {
+	if sc.seen == nil {
+		sc.seen = make(map[memberKey]bool)
 	}
-	for cur := c; cur != nil && t.a.Transformable(cur.Name); cur = t.src.Class(cur.Super) {
-		for _, f := range cur.InstanceFields() {
-			for _, pm := range t.propertyPair(f) {
-				add(pm)
+	clear(sc.seen)
+	sc.flat = sc.flat[:0]
+	// A chain longer than the class count is a cyclic hierarchy.
+	n := t.of(c.Name)
+	for steps := 0; n != nil && steps < len(t.classes); steps++ {
+		for _, m := range t.built[n.index][slotOInt].Methods {
+			if k := (memberKey{m.Name, len(m.Params)}); !sc.seen[k] {
+				sc.seen[k] = true
+				sc.flat = append(sc.flat, m)
 			}
 		}
-		for _, m := range cur.InstanceMethods() {
-			add(t.abstractSig(m))
-		}
-		if cur.Super == "" {
-			break
-		}
+		n = t.of(t.classes[n.index].Super)
 	}
-	return out
-}
-
-// makeOProxy generates A_O_Proxy_<proto>: every interface member is a
-// native method bound by the node runtime to a remote invocation over
-// the protocol's transport.
-func (t *transformer) makeOProxy(c *ir.Class, proto string) *ir.Class {
-	p := &ir.Class{
-		Name:       OProxy(c.Name, proto),
-		Super:      ir.ObjectClass,
-		Interfaces: []string{OInt(c.Name)},
-		Meta:       metaOProxy + proto + ":" + c.Name,
-		Fields:     proxyFields(),
-	}
-	p.Methods = append(p.Methods, proxyCtor(p.Name))
-	for _, m := range t.flatOMembers(c) {
-		nm := *m
-		nm.Abstract = false
-		nm.Native = true
-		p.Methods = append(p.Methods, &nm)
-	}
-	return p
+	return sc.flat
 }
 
 // makeCInt extracts the class interface A_C_Int over static members
 // (§2.2): statics are made non-static so interfaces can capture them.
-func (t *transformer) makeCInt(c *ir.Class) *ir.Class {
-	ci := &ir.Class{
-		Name:        CInt(c.Name),
+func (t *transformer) makeCInt(s *slabs, c *ir.Class, n *familyNames, members int, ci *ir.Class) {
+	*ci = ir.Class{
+		Name:        n.name[slotCInt],
 		IsInterface: true,
 		Abstract:    true,
-		Meta:        "generated:c-int:" + c.Name,
+		Meta:        n.meta[slotCInt],
+		Methods:     s.list(members),
 	}
-	for _, f := range c.StaticFields() {
-		ci.Methods = append(ci.Methods, t.propertyPair(f)...)
+	for f := range c.StaticFields() {
+		ci.Methods = t.propertyPair(s, ci.Methods, f)
 	}
-	for _, m := range c.StaticMethods() {
-		ci.Methods = append(ci.Methods, t.abstractSig(m))
+	for m := range c.StaticMethods() {
+		ci.Methods = append(ci.Methods, t.abstractSig(s, m))
 	}
-	return ci
 }
 
 // makeCLocal generates the singleton local statics implementation (§2.2:
 // "the uniqueness semantics of the static members is guaranteed by
 // requiring that all generated implementations be singletons").
-func (t *transformer) makeCLocal(c *ir.Class) (*ir.Class, error) {
-	name := CLocal(c.Name)
-	cl := &ir.Class{
+func (t *transformer) makeCLocal(s *slabs, rw *ir.Rewriter, c *ir.Class, n *familyNames, staticFields int, cint, cl *ir.Class) error {
+	name := n.name[slotCLocal]
+	cintRef := ir.Ref(cint.Name)
+	*cl = ir.Class{
 		Name:       name,
 		Super:      ir.ObjectClass,
-		Interfaces: []string{CInt(c.Name)},
-		Meta:       "generated:c-local:" + c.Name,
+		Interfaces: one(&s.strs, cint.Name),
+		Meta:       n.meta[slotCLocal],
+		Fields:     ir.Carve(&s.fields, 1+staticFields)[:0],
+		Methods:    s.list(3 + len(cint.Methods)),
 	}
 	// Singleton declarations: private static C_Int me = new C_Local(),
 	// then the class's rewritten initialiser, C_Factory.clinit(me), so
 	// the original initialisation runs as this class's, with the VM's
 	// run-once and wait rules; public static C_Int get_me().
 	cl.Fields = append(cl.Fields, ir.Field{
-		Name: SingletonField, Type: ir.Ref(CInt(c.Name)), Static: true, Access: ir.AccessPrivate,
+		Name: SingletonField, Type: cintRef, Static: true, Access: ir.AccessPrivate,
 	})
 	cl.Methods = append(cl.Methods,
-		&ir.Method{
+		s.method(ir.Method{
 			Name: ir.StaticInitName, Return: ir.Void, Static: true, Access: ir.AccessPrivate,
-			Code: []ir.Instr{
-				{Op: ir.OpNew, Owner: name},
-				{Op: ir.OpDup},
-				{Op: ir.OpInvokeSpecial, Owner: name, Member: ir.ConstructorName},
-				{Op: ir.OpPutStatic, Owner: name, Member: SingletonField},
-				{Op: ir.OpGetStatic, Owner: name, Member: SingletonField},
-				{Op: ir.OpInvokeStatic, Owner: CFactory(c.Name), Member: ClinitMethod, NArgs: 1},
-				{Op: ir.OpReturn},
-			},
-		},
-		&ir.Method{
-			Name: SingletonGet, Return: ir.Ref(CInt(c.Name)), Static: true, Access: ir.AccessPublic,
-			Code: []ir.Instr{
-				{Op: ir.OpGetStatic, Owner: name, Member: SingletonField},
-				{Op: ir.OpReturnValue},
-			},
-		},
-		&ir.Method{
+			Code: s.body(
+				ir.Instr{Op: ir.OpNew, Owner: name},
+				ir.Instr{Op: ir.OpDup},
+				ir.Instr{Op: ir.OpInvokeSpecial, Owner: name, Member: ir.ConstructorName},
+				ir.Instr{Op: ir.OpPutStatic, Owner: name, Member: SingletonField},
+				ir.Instr{Op: ir.OpGetStatic, Owner: name, Member: SingletonField},
+				ir.Instr{Op: ir.OpInvokeStatic, Owner: n.name[slotCFactory], Member: ClinitMethod, NArgs: 1},
+				ir.Instr{Op: ir.OpReturn}),
+		}),
+		s.method(ir.Method{
+			Name: SingletonGet, Return: cintRef, Static: true, Access: ir.AccessPublic,
+			Code: s.body(
+				ir.Instr{Op: ir.OpGetStatic, Owner: name, Member: SingletonField},
+				ir.Instr{Op: ir.OpReturnValue}),
+		}),
+		s.method(ir.Method{
 			Name: ir.ConstructorName, Return: ir.Void, Access: ir.AccessPublic,
 			MaxLocals: 1,
-			Code: []ir.Instr{
-				{Op: ir.OpLoad, A: 0},
-				{Op: ir.OpInvokeSpecial, Owner: ir.ObjectClass, Member: ir.ConstructorName},
-				{Op: ir.OpReturn},
-			},
-		})
-	for _, f := range c.StaticFields() {
-		ft := mapType(t.a, f.Type)
-		cl.Fields = append(cl.Fields, ir.Field{Name: f.Name, Type: ft, Access: ir.AccessPrivate})
-		cl.Methods = append(cl.Methods,
-			&ir.Method{
-				Name: Getter(f.Name), Return: ft, Access: ir.AccessPublic, MaxLocals: 1,
-				Code: []ir.Instr{
-					{Op: ir.OpLoad, A: 0},
-					{Op: ir.OpGetField, Owner: name, Member: f.Name},
-					{Op: ir.OpReturnValue},
-				},
-			},
-			&ir.Method{
-				Name: Setter(f.Name), Params: []ir.Type{ft}, Return: ir.Void,
-				Access: ir.AccessPublic, MaxLocals: 2,
-				Code: []ir.Instr{
-					{Op: ir.OpLoad, A: 0},
-					{Op: ir.OpLoad, A: 1},
-					{Op: ir.OpPutField, Owner: name, Member: f.Name},
-					{Op: ir.OpReturn},
-				},
-			})
+			Code:      s.body(objectCtorBody[:]...),
+		}))
+	// _C_Int declares a get_/set_ pair per static field, then each
+	// static method: the signatures here are its.
+	sigs := cint.Methods
+	for f := range c.StaticFields() {
+		get, set := sigs[0], sigs[1]
+		sigs = sigs[2:]
+		cl.Fields = append(cl.Fields, ir.Field{Name: f.Name, Type: get.Return, Access: ir.AccessPrivate})
+		pair := s.accessors(name, f.Name, get, set)
+		cl.Methods = append(cl.Methods, pair[:]...)
 	}
 	// Original static methods become instance methods (slot shift +1);
 	// own-class static accesses go through `this` as in Figure 4.
-	for _, m := range c.StaticMethods() {
-		code, handlers, err := rewriteCode(t.a, codeCtx{
+	for m := range c.StaticMethods() {
+		sig := sigs[0]
+		sigs = sigs[1:]
+		code, handlers, err := t.rewriteCode(rw, codeCtx{
 			ownClass: c.Name, slotShift: 1, ownStaticsViaLocal0: true,
 		}, m.Code, m.Handlers)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		cl.Methods = append(cl.Methods, &ir.Method{
+		cl.Methods = append(cl.Methods, s.method(ir.Method{
 			Name:      m.Name,
-			Params:    mapTypes(t.a, m.Params),
-			Return:    mapType(t.a, m.Return),
+			Params:    sig.Params,
+			Return:    sig.Return,
 			Access:    ir.AccessPublic,
 			Code:      code,
 			Handlers:  handlers,
 			MaxLocals: m.MaxLocals + 1,
-		})
+		}))
 	}
-	return cl, nil
+	return nil
 }
 
-// makeCProxy generates A_C_Proxy_<proto> for remote static access.
-func (t *transformer) makeCProxy(c *ir.Class, proto string) *ir.Class {
-	p := &ir.Class{
-		Name:       CProxy(c.Name, proto),
+// proxyFields are the bookkeeping fields of every generated proxy.
+var proxyFields = [...]ir.Field{
+	{Name: ProxyFieldGUID, Type: ir.String, Access: ir.AccessPrivate},
+	{Name: ProxyFieldEndpoint, Type: ir.String, Access: ir.AccessPrivate},
+	{Name: ProxyFieldProto, Type: ir.String, Access: ir.AccessPrivate},
+	{Name: ProxyFieldTarget, Type: ir.String, Access: ir.AccessPrivate},
+}
+
+// objectCtorBody is the body of a constructor that chains to sys.Object's
+// (a proxy's, a _C_Local's).
+var objectCtorBody = [...]ir.Instr{
+	{Op: ir.OpLoad, A: 0},
+	{Op: ir.OpInvokeSpecial, Owner: ir.ObjectClass, Member: ir.ConstructorName},
+	{Op: ir.OpReturn},
+}
+
+// makeProxy generates the proxy in slot, A_O_Proxy_<proto> over the
+// _O_Int's flattened members or A_C_Proxy_<proto> over the _C_Int's
+// (the interface in slot iface): every interface member is a native
+// method bound by the node runtime to a remote invocation over the
+// protocol's transport.
+func (t *transformer) makeProxy(s *slabs, n *familyNames, slot, iface int, members []*ir.Method, p *ir.Class) {
+	fields := ir.Carve(&s.fields, len(proxyFields))
+	copy(fields, proxyFields[:])
+	*p = ir.Class{
+		Name:       n.name[slot],
 		Super:      ir.ObjectClass,
-		Interfaces: []string{CInt(c.Name)},
-		Meta:       metaCProxy + proto + ":" + c.Name,
-		Fields:     proxyFields(),
+		Interfaces: one(&s.strs, n.name[iface]),
+		Meta:       n.meta[slot],
+		Fields:     fields,
+		Methods:    s.list(1 + len(members)),
 	}
-	p.Methods = append(p.Methods, proxyCtor(p.Name))
-	for _, f := range c.StaticFields() {
-		for _, pm := range t.propertyPair(f) {
-			nm := *pm
-			nm.Abstract = false
-			nm.Native = true
-			p.Methods = append(p.Methods, &nm)
-		}
-	}
-	for _, m := range c.StaticMethods() {
-		nm := t.abstractSig(m)
+	p.Methods = append(p.Methods, s.method(ir.Method{
+		Name: ir.ConstructorName, Return: ir.Void, Access: ir.AccessPublic,
+		MaxLocals: 1,
+		Code:      s.body(objectCtorBody[:]...),
+	}))
+	for _, m := range members {
+		nm := s.method(*m)
 		nm.Abstract = false
 		nm.Native = true
 		p.Methods = append(p.Methods, nm)
-	}
-	return p
-}
-
-func proxyFields() []ir.Field {
-	return []ir.Field{
-		{Name: ProxyFieldGUID, Type: ir.String, Access: ir.AccessPrivate},
-		{Name: ProxyFieldEndpoint, Type: ir.String, Access: ir.AccessPrivate},
-		{Name: ProxyFieldProto, Type: ir.String, Access: ir.AccessPrivate},
-		{Name: ProxyFieldTarget, Type: ir.String, Access: ir.AccessPrivate},
-	}
-}
-
-func proxyCtor(name string) *ir.Method {
-	return &ir.Method{
-		Name: ir.ConstructorName, Return: ir.Void, Access: ir.AccessPublic,
-		MaxLocals: 1,
-		Code: []ir.Instr{
-			{Op: ir.OpLoad, A: 0},
-			{Op: ir.OpInvokeSpecial, Owner: ir.ObjectClass, Member: ir.ConstructorName},
-			{Op: ir.OpReturn},
-		},
 	}
 }
 
 // makeOFactory generates A_O_Factory (§2.3): a native, policy-driven
 // make() plus one bytecode init method per original constructor holding
 // the rewritten constructor body.
-func (t *transformer) makeOFactory(c *ir.Class) (*ir.Class, error) {
-	name := OFactory(c.Name)
-	f := &ir.Class{
-		Name:  name,
-		Super: ir.ObjectClass,
-		Meta:  "generated:o-factory:" + c.Name,
+func (t *transformer) makeOFactory(s *slabs, rw *ir.Rewriter, c *ir.Class, n *familyNames, ctors int, f *ir.Class) error {
+	ointRef := ir.Ref(n.name[slotOInt])
+	*f = ir.Class{
+		Name:    n.name[slotOFactory],
+		Super:   ir.ObjectClass,
+		Meta:    n.meta[slotOFactory],
+		Methods: s.list(1 + ctors),
 	}
-	f.Methods = append(f.Methods, &ir.Method{
-		Name: MakeMethod, Return: ir.Ref(OInt(c.Name)),
+	f.Methods = append(f.Methods, s.method(ir.Method{
+		Name: MakeMethod, Return: ointRef,
 		Static: true, Native: true, Access: ir.AccessPublic,
-	})
-	for _, ctor := range c.Constructors() {
-		skips := objectSuperCallSkips(t.a, ctor.Code)
-		code, handlers, err := rewriteCode(t.a, codeCtx{ownClass: c.Name, skip: skips}, ctor.Code, ctor.Handlers)
+	}))
+	for ctor := range c.Constructors() {
+		code, handlers, err := t.rewriteCode(rw, codeCtx{ownClass: c.Name, skip: t.superCallSkip(ctor.Code)}, ctor.Code, ctor.Handlers)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		params := append([]ir.Type{ir.Ref(OInt(c.Name))}, mapTypes(t.a, ctor.Params)...)
-		f.Methods = append(f.Methods, &ir.Method{
+		params := ir.Carve(&s.types, 1+len(ctor.Params))
+		params[0] = ointRef
+		t.mapTypes(params[1:], ctor.Params)
+		f.Methods = append(f.Methods, s.method(ir.Method{
 			Name:      InitMethod,
 			Params:    params,
 			Return:    ir.Void,
@@ -405,98 +503,100 @@ func (t *transformer) makeOFactory(c *ir.Class) (*ir.Class, error) {
 			Code:      code,
 			Handlers:  handlers,
 			MaxLocals: ctor.MaxLocals,
-		})
+		}))
 	}
-	return f, nil
+	return nil
 }
 
 // makeCFactory generates A_C_Factory (§2.3): native discover(), the
 // clinit method holding the rewritten static initialiser, and forwarders
 // that let any code reach static members through discover() without
 // being implementation-aware.
-func (t *transformer) makeCFactory(c *ir.Class) (*ir.Class, error) {
-	name := CFactory(c.Name)
-	cintName := CInt(c.Name)
-	f := &ir.Class{
-		Name:  name,
-		Super: ir.ObjectClass,
-		Meta:  "generated:c-factory:" + c.Name,
+func (t *transformer) makeCFactory(s *slabs, rw *ir.Rewriter, c *ir.Class, n *familyNames, cint *ir.Class, staticInit *ir.Method, f *ir.Class) error {
+	name := n.name[slotCFactory]
+	cintRef := ir.Ref(cint.Name)
+	*f = ir.Class{
+		Name:    name,
+		Super:   ir.ObjectClass,
+		Meta:    n.meta[slotCFactory],
+		Methods: s.list(2 + len(cint.Methods)),
 	}
-	f.Methods = append(f.Methods, &ir.Method{
-		Name: DiscoverMethod, Return: ir.Ref(cintName),
+	f.Methods = append(f.Methods, s.method(ir.Method{
+		Name: DiscoverMethod, Return: cintRef,
 		Static: true, Native: true, Access: ir.AccessPublic,
-	})
+	}))
 	// clinit(that): rewritten original <clinit> (or empty).
-	clinitMethod := &ir.Method{
+	clinit := s.method(ir.Method{
 		Name:   ClinitMethod,
-		Params: []ir.Type{ir.Ref(cintName)},
+		Params: one(&s.types, cintRef),
 		Return: ir.Void,
 		Static: true,
 		Access: ir.AccessPublic,
-	}
-	if orig := c.StaticInit(); orig != nil {
-		code, handlers, err := rewriteCode(t.a, codeCtx{
+	})
+	if staticInit != nil {
+		code, handlers, err := t.rewriteCode(rw, codeCtx{
 			ownClass: c.Name, slotShift: 1, ownStaticsViaLocal0: true,
-		}, orig.Code, orig.Handlers)
+		}, staticInit.Code, staticInit.Handlers)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		clinitMethod.Code = code
-		clinitMethod.Handlers = handlers
-		clinitMethod.MaxLocals = orig.MaxLocals + 1
+		clinit.Code = code
+		clinit.Handlers = handlers
+		clinit.MaxLocals = staticInit.MaxLocals + 1
 	} else {
-		clinitMethod.Code = []ir.Instr{{Op: ir.OpReturn}}
-		clinitMethod.MaxLocals = 1
+		clinit.Code = s.body(ir.Instr{Op: ir.OpReturn})
+		clinit.MaxLocals = 1
 	}
-	f.Methods = append(f.Methods, clinitMethod)
+	f.Methods = append(f.Methods, clinit)
 
 	// Forwarders: static get_f/set_f and one per static method, each
-	// calling discover() then the interface method.
-	for _, fd := range c.StaticFields() {
-		ft := mapType(t.a, fd.Type)
+	// calling discover() then the interface method with the _C_Int's
+	// signature.
+	discover := ir.Instr{Op: ir.OpInvokeStatic, Owner: name, Member: DiscoverMethod}
+	sigs := cint.Methods
+	for range c.StaticFields() {
+		get, set := sigs[0], sigs[1]
+		sigs = sigs[2:]
 		f.Methods = append(f.Methods,
-			&ir.Method{
-				Name: Getter(fd.Name), Return: ft, Static: true, Access: ir.AccessPublic,
-				Code: []ir.Instr{
-					{Op: ir.OpInvokeStatic, Owner: name, Member: DiscoverMethod},
-					{Op: ir.OpInvokeInterface, Owner: cintName, Member: Getter(fd.Name)},
-					{Op: ir.OpReturnValue},
-				},
-			},
-			&ir.Method{
-				Name: Setter(fd.Name), Params: []ir.Type{ft}, Return: ir.Void,
+			s.method(ir.Method{
+				Name: get.Name, Return: get.Return, Static: true, Access: ir.AccessPublic,
+				Code: s.body(
+					discover,
+					ir.Instr{Op: ir.OpInvokeInterface, Owner: cint.Name, Member: get.Name},
+					ir.Instr{Op: ir.OpReturnValue}),
+			}),
+			s.method(ir.Method{
+				Name: set.Name, Params: set.Params, Return: ir.Void,
 				Static: true, Access: ir.AccessPublic, MaxLocals: 1,
-				Code: []ir.Instr{
-					{Op: ir.OpInvokeStatic, Owner: name, Member: DiscoverMethod},
-					{Op: ir.OpLoad, A: 0},
-					{Op: ir.OpInvokeInterface, Owner: cintName, Member: Setter(fd.Name), NArgs: 1},
-					{Op: ir.OpReturn},
-				},
-			})
+				Code: s.body(
+					discover,
+					ir.Instr{Op: ir.OpLoad, A: 0},
+					ir.Instr{Op: ir.OpInvokeInterface, Owner: cint.Name, Member: set.Name, NArgs: 1},
+					ir.Instr{Op: ir.OpReturn}),
+			}))
 	}
-	for _, m := range c.StaticMethods() {
-		params := mapTypes(t.a, m.Params)
-		b := ir.NewCodeBuilder()
-		b.Invoke(ir.OpInvokeStatic, name, DiscoverMethod, 0)
-		for i := range params {
-			b.Load(i)
+	for m := range c.StaticMethods() {
+		sig := sigs[0]
+		sigs = sigs[1:]
+		code := ir.Carve(&s.code, 3+len(sig.Params))
+		code[0] = discover
+		for i := range sig.Params {
+			code[1+i] = ir.Instr{Op: ir.OpLoad, A: int64(i)}
 		}
-		b.Invoke(ir.OpInvokeInterface, cintName, m.Name, len(params))
+		code[len(code)-2] = ir.Instr{Op: ir.OpInvokeInterface, Owner: cint.Name, Member: m.Name, NArgs: len(sig.Params)}
+		code[len(code)-1] = ir.Instr{Op: ir.OpReturnValue}
 		if m.Return.IsVoid() {
-			b.Return()
-		} else {
-			b.ReturnValue()
+			code[len(code)-1] = ir.Instr{Op: ir.OpReturn}
 		}
-		b.SetMinLocals(len(params))
-		f.Methods = append(f.Methods, &ir.Method{
+		f.Methods = append(f.Methods, s.method(ir.Method{
 			Name:      m.Name,
-			Params:    params,
-			Return:    mapType(t.a, m.Return),
+			Params:    sig.Params,
+			Return:    sig.Return,
 			Static:    true,
 			Access:    ir.AccessPublic,
-			Code:      b.MustBuild(),
-			MaxLocals: len(params),
-		})
+			Code:      code,
+			MaxLocals: len(sig.Params),
+		}))
 	}
-	return f, nil
+	return nil
 }

@@ -22,6 +22,7 @@ import (
 	"strings"
 
 	"rafda/internal/ir"
+	"rafda/internal/par"
 )
 
 // Name suffixes of generated classes, following the paper's naming.
@@ -131,6 +132,178 @@ func ProxyOf(c *ir.Class) (base, proto string, classSide, ok bool) {
 		proto, base, _ = strings.Cut(rest, ":")
 	}
 	return base, proto, classSide, ok
+}
+
+// A transformable class's generated classes by slot, in the order
+// Transform emits them: the six below, then an _O_Proxy_ and a _C_Proxy_
+// per protocol (oProxySlot, cProxySlot).
+const (
+	slotOInt = iota
+	slotOLocal
+	slotCInt
+	slotCLocal
+	slotOFactory
+	slotCFactory
+	fixedSlots
+)
+
+// fixedSlotNames are the fixed slots' name suffixes and Meta mark
+// prefixes.
+var fixedSlotNames = [fixedSlots]struct{ suffix, meta string }{
+	{SuffixOInt, "generated:o-int:"},
+	{SuffixOLocal, "generated:o-local:"},
+	{SuffixCInt, "generated:c-int:"},
+	{SuffixCLocal, "generated:c-local:"},
+	{SuffixOFactory, "generated:o-factory:"},
+	{SuffixCFactory, "generated:c-factory:"},
+}
+
+func oProxySlot(j int) int { return fixedSlots + 2*j }
+func cProxySlot(j int) int { return fixedSlots + 2*j + 1 }
+
+// familyNames is one transformable class's name-table entry: the name
+// and Meta mark of each class of its family, by slot.
+type familyNames struct {
+	index int // the class's position in the source program
+	name  []string
+	meta  []string
+}
+
+// propNames are one field name's property methods.
+type propNames struct{ get, set string }
+
+// nameTable is what a rewrite site or builder asks of a class name — is
+// the class transformable, and what is each of its generated classes
+// called — answered by one lookup, and the get_/set_ names of every
+// field a transformable class declares.  Transform builds it before the
+// fan-out and its workers only read it.
+type nameTable struct {
+	byClass map[string]*familyNames // transformable classes only
+	props   map[string]propNames
+	slots   int // classes per family
+}
+
+// newNameTable builds the table for the transformable classes of
+// classes (program order) under protocols.  Each family's names and
+// marks are substrings of one string built for it.
+func newNameTable(classes []*ir.Class, a *Analysis, protocols []string) *nameTable {
+	t := &nameTable{props: make(map[string]propNames), slots: fixedSlots + 2*len(protocols)}
+	var entries []familyNames
+	for i, c := range classes {
+		if a.Transformable(c.Name) {
+			entries = append(entries, familyNames{index: i})
+		}
+	}
+	strs := make([]string, 2*t.slots*len(entries))
+	par.For(len(entries), func(k int) {
+		e := &entries[k]
+		e.name = strs[2*t.slots*k:][:t.slots:t.slots]
+		e.meta = strs[(2*k+1)*t.slots:][:t.slots:t.slots]
+		e.build(classes[e.index].Name, protocols)
+	})
+	t.byClass = make(map[string]*familyNames, len(entries))
+	for k := range entries {
+		c := classes[entries[k].index]
+		t.byClass[c.Name] = &entries[k]
+		for _, f := range c.Fields {
+			if _, ok := t.props[f.Name]; !ok {
+				both := GetPrefix + f.Name + SetPrefix + f.Name
+				t.props[f.Name] = propNames{both[:len(both)/2], both[len(both)/2:]}
+			}
+		}
+	}
+	return t
+}
+
+// familyPieces calls piece with the parts of each slot's name and then
+// of its Meta mark, in slot order; a piece has at most four parts.
+func familyPieces(base string, protocols []string, piece func(parts [4]string)) {
+	for _, s := range fixedSlotNames {
+		piece([4]string{base, s.suffix})
+		piece([4]string{s.meta, base})
+	}
+	for _, p := range protocols {
+		piece([4]string{base, SuffixOProxy, p})
+		piece([4]string{metaOProxy, p, ":", base})
+		piece([4]string{base, SuffixCProxy, p})
+		piece([4]string{metaCProxy, p, ":", base})
+	}
+}
+
+// build fills e's names and marks for class base, all cut from one
+// string.
+func (e *familyNames) build(base string, protocols []string) {
+	size := 0
+	familyPieces(base, protocols, func(parts [4]string) { size += pieceLen(parts) })
+	var b strings.Builder
+	b.Grow(size)
+	familyPieces(base, protocols, func(parts [4]string) {
+		for _, s := range parts {
+			b.WriteString(s)
+		}
+	})
+	all, k := b.String(), 0
+	familyPieces(base, protocols, func(parts [4]string) {
+		n := pieceLen(parts)
+		if k%2 == 0 {
+			e.name[k/2] = all[:n]
+		} else {
+			e.meta[k/2] = all[:n]
+		}
+		all, k = all[n:], k+1
+	})
+}
+
+func pieceLen(parts [4]string) int {
+	n := 0
+	for _, s := range parts {
+		n += len(s)
+	}
+	return n
+}
+
+// of returns class's entry, or nil if class is not transformable.
+func (t *nameTable) of(class string) *familyNames { return t.byClass[class] }
+
+// getter and setter name field's property methods.  A name no
+// transformable class declares (code naming a missing field) is built.
+func (t *nameTable) getter(field string) string {
+	if p, ok := t.props[field]; ok {
+		return p.get
+	}
+	return Getter(field)
+}
+
+func (t *nameTable) setter(field string) string {
+	if p, ok := t.props[field]; ok {
+		return p.set
+	}
+	return Setter(field)
+}
+
+// mapType rewrites reference types of transformable classes to their
+// extracted instance interfaces (§2.1: "affected type signatures ... must
+// be adapted to use the interfaces").  A type that maps to itself is
+// returned as it is, sharing its element (ir.Type is immutable).
+func (t *nameTable) mapType(ty ir.Type) ir.Type {
+	switch ty.Kind {
+	case ir.KindRef:
+		if n := t.of(ty.Name); n != nil {
+			return ir.Ref(n.name[slotOInt])
+		}
+	case ir.KindArray:
+		if e := t.mapType(*ty.Elem); e != *ty.Elem {
+			return ir.ArrayOf(e)
+		}
+	}
+	return ty
+}
+
+// mapTypes maps src into dst, which has its length.
+func (t *nameTable) mapTypes(dst, src []ir.Type) {
+	for i, ty := range src {
+		dst[i] = t.mapType(ty)
+	}
 }
 
 // proxyTwin is ReadOnly's effects alias: a generated proxy's natives

@@ -19,43 +19,26 @@ type codeCtx struct {
 	// the paper's Figures 4 and 5 show, instead of going through the
 	// factory forwarders.
 	ownStaticsViaLocal0 bool
-	// skip contains old pcs to drop entirely (e.g. the implicit
-	// sys.Object super-constructor call when a constructor body moves
-	// into a factory init method).
-	skip map[int]bool
+	// skip is how many leading pcs to drop (the implicit sys.Object
+	// super-constructor call when a constructor body moves into a
+	// factory init method; see superCallSkip).
+	skip int
 }
 
-// mapType rewrites reference types of transformable classes to their
-// extracted instance interfaces (§2.1: "affected type signatures ... must
-// be adapted to use the interfaces").
-func mapType(a *Analysis, t ir.Type) ir.Type {
-	switch t.Kind {
-	case ir.KindRef:
-		if a.Transformable(t.Name) {
-			return ir.Ref(OInt(t.Name))
-		}
-		return t
-	case ir.KindArray:
-		return ir.ArrayOf(mapType(a, *t.Elem))
-	default:
-		return t
-	}
-}
-
-func mapTypes(a *Analysis, ts []ir.Type) []ir.Type {
-	out := make([]ir.Type, len(ts))
-	for i, t := range ts {
-		out[i] = mapType(a, t)
-	}
-	return out
-}
-
-// rewriteCode rewrites one method body for the transformed world
-// (ir.Rewrite remaps jump targets and exception-handler ranges).
-func rewriteCode(a *Analysis, ctx codeCtx, code []ir.Instr, handlers []ir.TryHandler) ([]ir.Instr, []ir.TryHandler, error) {
-	out, outH, err := ir.Rewrite(code, handlers, func(out []ir.Instr, pc int, in ir.Instr) ([]ir.Instr, error) {
-		if ctx.skip[pc] {
+// rewriteCode rewrites one method body for the transformed world on rw
+// (ir.Rewriter remaps jump targets and exception-handler ranges).
+func (t *nameTable) rewriteCode(rw *ir.Rewriter, ctx codeCtx, code []ir.Instr, handlers []ir.TryHandler) ([]ir.Instr, []ir.TryHandler, error) {
+	out, outH, err := rw.Rewrite(code, handlers, func(out []ir.Instr, pc int, in ir.Instr) ([]ir.Instr, error) {
+		if pc < ctx.skip {
 			return out, nil
+		}
+		var n *familyNames
+		switch in.Op {
+		case ir.OpGetField, ir.OpPutField, ir.OpGetStatic, ir.OpPutStatic,
+			ir.OpInvokeVirtual, ir.OpInvokeInterface, ir.OpInvokeStatic, ir.OpInvokeSpecial, ir.OpNew:
+			if n = t.of(in.Owner); n == nil {
+				return append(out, in), nil
+			}
 		}
 		switch in.Op {
 		case ir.OpLoad, ir.OpStore:
@@ -63,82 +46,53 @@ func rewriteCode(a *Analysis, ctx codeCtx, code []ir.Instr, handlers []ir.TryHan
 			out = append(out, in)
 
 		case ir.OpGetField:
-			if a.Transformable(in.Owner) {
-				out = append(out, ir.Instr{Op: ir.OpInvokeInterface, Owner: OInt(in.Owner), Member: Getter(in.Member)})
-			} else {
-				out = append(out, in)
-			}
+			out = append(out, ir.Instr{Op: ir.OpInvokeInterface, Owner: n.name[slotOInt], Member: t.getter(in.Member)})
 
 		case ir.OpPutField:
-			if a.Transformable(in.Owner) {
-				out = append(out, ir.Instr{Op: ir.OpInvokeInterface, Owner: OInt(in.Owner), Member: Setter(in.Member), NArgs: 1})
-			} else {
-				out = append(out, in)
-			}
+			out = append(out, ir.Instr{Op: ir.OpInvokeInterface, Owner: n.name[slotOInt], Member: t.setter(in.Member), NArgs: 1})
 
 		case ir.OpGetStatic:
-			if !a.Transformable(in.Owner) {
-				out = append(out, in)
-				break
-			}
 			if ctx.ownStaticsViaLocal0 && in.Owner == ctx.ownClass {
-				out = append(out, ir.Instr{Op: ir.OpLoad, A: 0})
-				out = append(out, ir.Instr{Op: ir.OpInvokeInterface, Owner: CInt(in.Owner), Member: Getter(in.Member)})
+				out = append(out,
+					ir.Instr{Op: ir.OpLoad, A: 0},
+					ir.Instr{Op: ir.OpInvokeInterface, Owner: n.name[slotCInt], Member: t.getter(in.Member)})
 			} else {
-				out = append(out, ir.Instr{Op: ir.OpInvokeStatic, Owner: CFactory(in.Owner), Member: Getter(in.Member)})
+				out = append(out, ir.Instr{Op: ir.OpInvokeStatic, Owner: n.name[slotCFactory], Member: t.getter(in.Member)})
 			}
 
 		case ir.OpPutStatic:
-			if !a.Transformable(in.Owner) {
-				out = append(out, in)
-				break
-			}
 			if ctx.ownStaticsViaLocal0 && in.Owner == ctx.ownClass {
-				out = append(out, ir.Instr{Op: ir.OpLoad, A: 0})
-				out = append(out, ir.Instr{Op: ir.OpSwap})
-				out = append(out, ir.Instr{Op: ir.OpInvokeInterface, Owner: CInt(in.Owner), Member: Setter(in.Member), NArgs: 1})
+				out = append(out,
+					ir.Instr{Op: ir.OpLoad, A: 0},
+					ir.Instr{Op: ir.OpSwap},
+					ir.Instr{Op: ir.OpInvokeInterface, Owner: n.name[slotCInt], Member: t.setter(in.Member), NArgs: 1})
 			} else {
-				out = append(out, ir.Instr{Op: ir.OpInvokeStatic, Owner: CFactory(in.Owner), Member: Setter(in.Member), NArgs: 1})
+				out = append(out, ir.Instr{Op: ir.OpInvokeStatic, Owner: n.name[slotCFactory], Member: t.setter(in.Member), NArgs: 1})
 			}
 
 		case ir.OpInvokeVirtual, ir.OpInvokeInterface:
-			if a.Transformable(in.Owner) {
-				out = append(out, ir.Instr{Op: ir.OpInvokeInterface, Owner: OInt(in.Owner), Member: in.Member, NArgs: in.NArgs})
-			} else {
-				out = append(out, in)
-			}
+			out = append(out, ir.Instr{Op: ir.OpInvokeInterface, Owner: n.name[slotOInt], Member: in.Member, NArgs: in.NArgs})
 
 		case ir.OpInvokeStatic:
-			if a.Transformable(in.Owner) {
-				out = append(out, ir.Instr{Op: ir.OpInvokeStatic, Owner: CFactory(in.Owner), Member: in.Member, NArgs: in.NArgs})
-			} else {
-				out = append(out, in)
-			}
+			out = append(out, ir.Instr{Op: ir.OpInvokeStatic, Owner: n.name[slotCFactory], Member: in.Member, NArgs: in.NArgs})
 
 		case ir.OpInvokeSpecial:
-			if !a.Transformable(in.Owner) {
-				out = append(out, in)
-				break
-			}
 			if in.Member != ir.ConstructorName {
 				return nil, fmt.Errorf("invokespecial of non-constructor %s.%s in transformable code", in.Owner, in.Member)
 			}
 			// NEW A; DUP; args; INVOKESPECIAL A.<init>/n  becomes
 			// make(); DUP; args; INVOKESTATIC A_O_Factory.init/n+1 —
 			// init takes the object as an extra leading parameter.
-			out = append(out, ir.Instr{Op: ir.OpInvokeStatic, Owner: OFactory(in.Owner), Member: InitMethod, NArgs: in.NArgs + 1})
+			out = append(out, ir.Instr{Op: ir.OpInvokeStatic, Owner: n.name[slotOFactory], Member: InitMethod, NArgs: in.NArgs + 1})
 
 		case ir.OpNew:
-			if a.Transformable(in.Owner) {
-				out = append(out, ir.Instr{Op: ir.OpInvokeStatic, Owner: OFactory(in.Owner), Member: MakeMethod})
-			} else {
-				out = append(out, in)
-			}
+			out = append(out, ir.Instr{Op: ir.OpInvokeStatic, Owner: n.name[slotOFactory], Member: MakeMethod})
 
 		case ir.OpCast, ir.OpInstanceOf, ir.OpNewArray, ir.OpConstNull:
 			if in.TypeRef != nil {
-				mt := mapType(a, *in.TypeRef)
-				in.TypeRef = &mt
+				if mt := t.mapType(*in.TypeRef); mt != *in.TypeRef {
+					in.TypeRef = &mt
+				}
 			}
 			out = append(out, in)
 
@@ -153,18 +107,19 @@ func rewriteCode(a *Analysis, ctx codeCtx, code []ir.Instr, handlers []ir.TryHan
 	return out, outH, nil
 }
 
-// objectSuperCallSkips finds the leading `LOAD 0; INVOKESPECIAL
-// <non-transformable-super>.<init>/0` pattern of a constructor so that
-// the factory init method can drop it (the interface-typed `that` cannot
-// meaningfully run a foreign constructor, and sys.Object's is a no-op).
-func objectSuperCallSkips(a *Analysis, code []ir.Instr) map[int]bool {
+// superCallSkip returns how many leading pcs of a constructor body its
+// factory init method drops: the two of a leading `LOAD 0; INVOKESPECIAL
+// <non-transformable-super>.<init>/0` (the interface-typed `that` cannot
+// meaningfully run a foreign constructor, and sys.Object's is a no-op),
+// else none.
+func (t *nameTable) superCallSkip(code []ir.Instr) int {
 	if len(code) >= 2 &&
 		code[0].Op == ir.OpLoad && code[0].A == 0 &&
 		code[1].Op == ir.OpInvokeSpecial &&
 		code[1].Member == ir.ConstructorName &&
 		code[1].NArgs == 0 &&
-		!a.Transformable(code[1].Owner) {
-		return map[int]bool{0: true, 1: true}
+		t.of(code[1].Owner) == nil {
+		return 2
 	}
-	return nil
+	return 0
 }

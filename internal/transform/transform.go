@@ -102,33 +102,54 @@ func Reconstruct(prog *ir.Program) (*Result, error) {
 // and returns the componentised program.  The input program is not
 // modified.  Each class's family (or, for a non-transformable class, its
 // copy) is built on par.For's workers and merged in program order, so
-// the output is the same at any GOMAXPROCS.
+// the output is the same at any GOMAXPROCS.  Every generated name comes
+// from one table built first; a first pass builds each _O_Int, and the
+// second each family around it, its proxies taking their members from
+// the _O_Ints of the class and its ancestors.
 func Transform(prog *ir.Program, opts Options) (*Result, error) {
 	protocols := opts.Protocols
 	if len(protocols) == 0 {
 		protocols = append([]string(nil), DefaultProtocols...)
 	}
 	analysis := Analyze(prog, opts.Exclude...)
-	t := &transformer{a: analysis, src: prog, protocols: protocols}
-
 	classes := prog.Classes()
-	families := make([][]*ir.Class, len(classes))
-	errs := make([]error, len(classes))
+	names := newNameTable(classes, analysis, protocols)
+	t := &transformer{
+		nameTable: names,
+		classes:   classes,
+		protocols: protocols,
+		built:     make([][]ir.Class, len(classes)),
+	}
 	par.For(len(classes), func(i int) {
-		c := classes[i]
-		if !analysis.Transformable(c.Name) {
-			families[i] = []*ir.Class{ir.CloneClass(c)}
-			return
+		if n := t.of(classes[i].Name); n != nil {
+			t.makeOInt(classes[i], n)
 		}
-		families[i], errs[i] = t.family(c)
 	})
 
-	total := 0
-	for _, f := range families {
-		total += len(f)
+	// Each class's output is its family's classes, or its copy, at its
+	// place in one list.
+	total := len(classes) + len(names.byClass)*(t.slots-1)
+	all := make([]*ir.Class, total)
+	families := make([][]*ir.Class, len(classes))
+	for i := range classes {
+		size := 1
+		if t.built[i] != nil {
+			size = t.slots
+		}
+		families[i] = ir.Carve(&all, size)
 	}
+	errs := make([]error, len(classes))
+	par.ForWith(len(classes), func(sc *scratch, i int) {
+		c := classes[i]
+		if n := t.of(c.Name); n != nil {
+			errs[i] = t.family(sc, c, n, families[i])
+			return
+		}
+		families[i][0] = ir.CloneClass(c)
+	})
+
 	out := ir.NewProgramSize(total)
-	res := &Result{Program: out, Analysis: analysis, Protocols: protocols}
+	res := &Result{Program: out, Analysis: analysis, Protocols: protocols, Transformed: make([]string, 0, len(names.byClass))}
 	for i, c := range classes {
 		if errs[i] != nil {
 			return nil, fmt.Errorf("transform %s: %w", c.Name, errs[i])
@@ -138,7 +159,7 @@ func Transform(prog *ir.Program, opts Options) (*Result, error) {
 				return nil, duplicateError(analysis, classes, families, i, g.Name)
 			}
 		}
-		if analysis.Transformable(c.Name) {
+		if t.built[i] != nil {
 			res.Transformed = append(res.Transformed, c.Name)
 		}
 	}

@@ -49,8 +49,8 @@ func Verify(p *ir.Program) []error {
 	for _, missing := range p.MissingReferences() {
 		v.errs = append(v.errs, &Error{Class: missing, PC: -1, Msg: "referenced class is missing from the program"})
 	}
-	v.checkHierarchy()
 	classes := p.Classes()
+	v.checkHierarchy(classes)
 	perClass := make([][]error, len(classes))
 	par.For(len(classes), func(i int) {
 		cv := &verifier{p: p}
@@ -86,43 +86,42 @@ func (v *verifier) errf(class, method string, pc int, format string, a ...any) {
 	v.errs = append(v.errs, &Error{Class: class, Method: method, PC: pc, Msg: fmt.Sprintf(format, a...)})
 }
 
-// checkHierarchy detects superclass/interface cycles.
-func (v *verifier) checkHierarchy() {
+// checkHierarchy detects superclass/interface cycles: a depth-first walk
+// whose colours are kept by program position (ir.Program.Index).
+func (v *verifier) checkHierarchy(classes []*ir.Class) {
 	const (
 		white = 0
 		grey  = 1
 		black = 2
 	)
-	state := map[string]int{}
-	var visit func(name string) bool
-	visit = func(name string) bool {
-		switch state[name] {
+	state := make([]uint8, len(classes))
+	var visit func(i int) bool
+	visit = func(i int) bool {
+		switch state[i] {
 		case grey:
 			return false
 		case black:
 			return true
 		}
-		state[name] = grey
-		c := v.p.Class(name)
-		if c != nil {
-			if c.Super != "" && v.p.Has(c.Super) {
-				if !visit(c.Super) {
-					v.errf(name, "", -1, "superclass cycle through %s", c.Super)
-				}
+		state[i] = grey
+		c := classes[i]
+		if j := v.p.Index(c.Super); j >= 0 {
+			if !visit(j) {
+				v.errf(c.Name, "", -1, "superclass cycle through %s", c.Super)
 			}
-			for _, i := range c.Interfaces {
-				if v.p.Has(i) {
-					if !visit(i) {
-						v.errf(name, "", -1, "interface cycle through %s", i)
-					}
+		}
+		for _, iface := range c.Interfaces {
+			if j := v.p.Index(iface); j >= 0 {
+				if !visit(j) {
+					v.errf(c.Name, "", -1, "interface cycle through %s", iface)
 				}
 			}
 		}
-		state[name] = black
+		state[i] = black
 		return true
 	}
-	for _, n := range v.p.Names() {
-		visit(n)
+	for i := range classes {
+		visit(i)
 	}
 }
 

@@ -72,11 +72,11 @@ func makeWrapper(a *transform.Analysis, prog *ir.Program, c *ir.Class) *ir.Class
 		})
 	}
 	for cur := c; cur != nil && a.Transformable(cur.Name); {
-		for _, f := range cur.InstanceFields() {
+		for f := range cur.InstanceFields() {
 			forward(transform.Getter(f.Name), nil, f.Type)
 			forward(transform.Setter(f.Name), []ir.Type{f.Type}, ir.Void)
 		}
-		for _, m := range cur.InstanceMethods() {
+		for m := range cur.InstanceMethods() {
 			if m.Native {
 				continue
 			}

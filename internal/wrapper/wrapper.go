@@ -74,7 +74,7 @@ func Transform(prog *ir.Program, exclude ...string) (*Result, error) {
 // through the interception points.
 func augmentClass(a *transform.Analysis, c *ir.Class) (*ir.Class, error) {
 	n := ir.CloneClass(c)
-	for _, f := range c.InstanceFields() {
+	for f := range c.InstanceFields() {
 		n.Methods = append(n.Methods,
 			&ir.Method{
 				Name: transform.Getter(f.Name), Return: f.Type, Access: ir.AccessPublic,
@@ -114,7 +114,7 @@ func augmentClass(a *transform.Analysis, c *ir.Class) (*ir.Class, error) {
 // isAccessor reports whether m is one of the accessors just generated
 // (their direct field access must survive).
 func isAccessor(c *ir.Class, m *ir.Method) bool {
-	for _, f := range c.InstanceFields() {
+	for f := range c.InstanceFields() {
 		if m.Name == transform.Getter(f.Name) && len(m.Params) == 0 {
 			return true
 		}
