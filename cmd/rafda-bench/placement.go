@@ -347,7 +347,7 @@ func e10(p profile, out string) error {
 				evMu.Lock()
 				report.Events = append(report.Events, E10Event{
 					Node: name, AtMs: time.Since(phaseStart).Milliseconds(),
-					Tick: e.Tick, Kind: e.Kind, Peer: e.Peer, GUID: e.GUID,
+					Tick: e.Tick, Kind: string(e.Kind), Peer: e.Peer, GUID: e.GUID,
 					Class: e.Class, From: e.From, To: e.To, Detail: e.Detail,
 				})
 				evMu.Unlock()

@@ -36,6 +36,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"net/http"
@@ -105,10 +106,8 @@ func run() error {
 		return err
 	}
 	// The archive may be pre-transformed (contains factories) or plain.
-	var tr *rafda.Transformed
-	if hasFactories(prog) {
-		tr, err = rafda.LoadTransformed(prog)
-	} else {
+	tr, err := rafda.LoadTransformed(prog)
+	if errors.Is(err, rafda.ErrNotTransformed) {
 		tr, err = prog.Transform()
 	}
 	if err != nil {
@@ -234,15 +233,6 @@ func dumpDebug(node *rafda.Node) {
 		}
 		fmt.Fprintf(os.Stderr, "=== rafda %s ===\n%s\n", section, out)
 	}
-}
-
-func hasFactories(p *rafda.Program) bool {
-	for _, c := range p.Classes() {
-		if strings.HasSuffix(c, "_O_Factory") {
-			return true
-		}
-	}
-	return false
 }
 
 // decisionLine formats one adapter decision for the -adapt log, with

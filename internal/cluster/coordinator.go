@@ -153,21 +153,40 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// EventKind names what an Event records; it is the kind's JSON text.
+type EventKind string
+
+// The kinds of Event.
+const (
+	EventPeerJoin       EventKind = "peer-join"
+	EventPeerSuspect    EventKind = "peer-suspect"
+	EventPeerDead       EventKind = "peer-dead"
+	EventPeerLeave      EventKind = "peer-leave"
+	EventIntent         EventKind = "intent"
+	EventPropose        EventKind = "propose"
+	EventMigrate        EventKind = "migrate"
+	EventMigrateFail    EventKind = "migrate-fail"
+	EventDir            EventKind = "dir"
+	EventClassApply     EventKind = "class-apply"
+	EventGossipFail     EventKind = "gossip-fail"
+	EventReplicaSet     EventKind = "replica-set"
+	EventReplicaEvict   EventKind = "replica-evict"
+	EventReplicaDrop    EventKind = "replica-drop"
+	EventReplicaPromote EventKind = "replica-promote"
+	EventReplicaDemote  EventKind = "replica-demote"
+)
+
 // Event is one observable coordination occurrence, for the node's
 // control log, tests and the E10 convergence trajectory.
 type Event struct {
-	Tick uint64 `json:"tick"`
-	// Kind is one of: peer-join, peer-suspect, peer-dead, peer-leave,
-	// intent, propose, migrate, migrate-fail, dir, class-apply,
-	// gossip-fail, replica-set, replica-evict, replica-drop,
-	// replica-promote, replica-demote.
-	Kind   string `json:"kind"`
-	Peer   string `json:"peer,omitempty"`
-	GUID   string `json:"guid,omitempty"`
-	Class  string `json:"class,omitempty"`
-	From   string `json:"from,omitempty"`
-	To     string `json:"to,omitempty"`
-	Detail string `json:"detail,omitempty"`
+	Tick   uint64    `json:"tick"`
+	Kind   EventKind `json:"kind"`
+	Peer   string    `json:"peer,omitempty"`
+	GUID   string    `json:"guid,omitempty"`
+	Class  string    `json:"class,omitempty"`
+	From   string    `json:"from,omitempty"`
+	To     string    `json:"to,omitempty"`
+	Detail string    `json:"detail,omitempty"`
 }
 
 // rollupState is one affinity rollup plus its local receipt tick.
@@ -376,11 +395,11 @@ func (c *Coordinator) Tick() {
 		_, err := c.rt.MigrateGUID(in.GUID, in.To)
 		c.mu.Lock()
 		if err != nil {
-			c.logLocked(Event{Kind: "migrate-fail", GUID: in.GUID, Class: in.Class,
+			c.logLocked(Event{Kind: EventMigrateFail, GUID: in.GUID, Class: in.Class,
 				From: in.From, To: in.To, Detail: err.Error()})
 			delete(c.intents, in.GUID)
 		} else {
-			c.logLocked(Event{Kind: "migrate", GUID: in.GUID, Class: in.Class,
+			c.logLocked(Event{Kind: EventMigrate, GUID: in.GUID, Class: in.Class,
 				From: in.From, To: in.To, Peer: in.Proposer, Detail: in.Reason})
 		}
 		c.unlockAndDeliver()
@@ -389,7 +408,7 @@ func (c *Coordinator) Tick() {
 	for _, ep := range targets {
 		if err := c.gossipTo(ep); err != nil {
 			c.mu.Lock()
-			c.logLocked(Event{Kind: "gossip-fail", Peer: ep, Detail: err.Error()})
+			c.logLocked(Event{Kind: EventGossipFail, Peer: ep, Detail: err.Error()})
 			c.unlockAndDeliver()
 		}
 	}
@@ -462,12 +481,12 @@ func (c *Coordinator) merge(in *wire.ClusterPayload) {
 		err := c.rt.ApplyClassPlacement(a.class, a.endpoint)
 		c.mu.Lock()
 		if err != nil {
-			c.logLocked(Event{Kind: "class-apply", Class: a.class, To: a.endpoint, Detail: err.Error()})
+			c.logLocked(Event{Kind: EventClassApply, Class: a.class, To: a.endpoint, Detail: err.Error()})
 		} else {
 			if c.applied[a.class] < a.version {
 				c.applied[a.class] = a.version
 			}
-			c.logLocked(Event{Kind: "class-apply", Class: a.class, To: a.endpoint})
+			c.logLocked(Event{Kind: EventClassApply, Class: a.class, To: a.endpoint})
 		}
 		c.unlockAndDeliver()
 	}
@@ -583,7 +602,7 @@ func (c *Coordinator) proposeMultiHopLocked() {
 			Reason: fmt.Sprintf("rollup: %d/%d calls from %s", best, s.Calls, bestEp),
 		}
 		if c.mergeIntentLocked(in) {
-			c.logLocked(Event{Kind: "propose", GUID: in.GUID, Class: in.Class,
+			c.logLocked(Event{Kind: EventPropose, GUID: in.GUID, Class: in.Class,
 				From: in.From, To: in.To, Peer: c.cfg.ID, Detail: in.Reason})
 		}
 	}

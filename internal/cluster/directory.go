@@ -44,7 +44,7 @@ func (c *Coordinator) mergeDirLocked(entries []wire.DirEntry) []classApply {
 		}
 		c.dir[e.Key] = e
 		changed = true
-		c.logLocked(Event{Kind: "dir", GUID: e.Key, To: e.Ref.Endpoint,
+		c.logLocked(Event{Kind: EventDir, GUID: e.Key, To: e.Ref.Endpoint,
 			Detail: e.Ref.GUID, Peer: e.Origin})
 		class, isClass := isClassKey(e.Key)
 		if isClass {
@@ -109,7 +109,7 @@ func (c *Coordinator) RecordMove(key, class string, ref wire.RemoteRef) {
 	delete(c.intents, key)
 	delete(c.rollups, key)
 	c.rebuildSnapLocked()
-	c.logLocked(Event{Kind: "dir", GUID: key, Class: class, To: ref.Endpoint, Detail: ref.GUID})
+	c.logLocked(Event{Kind: EventDir, GUID: key, Class: class, To: ref.Endpoint, Detail: ref.GUID})
 	c.unlockAndDeliver()
 }
 
@@ -129,7 +129,7 @@ func (c *Coordinator) RecordClassPlacement(class, endpoint string) {
 	}
 	c.applied[class] = v
 	c.rebuildSnapLocked()
-	c.logLocked(Event{Kind: "dir", Class: class, To: endpoint})
+	c.logLocked(Event{Kind: EventDir, Class: class, To: endpoint})
 	c.unlockAndDeliver()
 }
 

@@ -54,7 +54,7 @@ func (c *Coordinator) mergeIntentLocked(in wire.Intent) bool {
 	st, ok := c.intents[in.GUID]
 	if !ok {
 		c.intents[in.GUID] = &intentState{in: in, since: c.tick, lastSeen: c.tick}
-		c.logLocked(Event{Kind: "intent", GUID: in.GUID, Class: in.Class,
+		c.logLocked(Event{Kind: EventIntent, GUID: in.GUID, Class: in.Class,
 			From: in.From, To: in.To, Peer: in.Proposer,
 			Detail: fmt.Sprintf("priority %d: %s", in.Priority, in.Reason)})
 		return true
@@ -68,7 +68,7 @@ func (c *Coordinator) mergeIntentLocked(in wire.Intent) bool {
 		// on it before anyone executes.
 		st.in = in
 		st.since = c.tick
-		c.logLocked(Event{Kind: "intent", GUID: in.GUID, Class: in.Class,
+		c.logLocked(Event{Kind: EventIntent, GUID: in.GUID, Class: in.Class,
 			From: in.From, To: in.To, Peer: in.Proposer,
 			Detail: fmt.Sprintf("priority %d supersedes: %s", in.Priority, in.Reason)})
 		return true

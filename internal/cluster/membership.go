@@ -60,9 +60,9 @@ func (c *Coordinator) mergeDigestLocked(d wire.PeerDigest) {
 			ps.health = Dead
 		}
 		c.peers[d.ID] = ps
-		kind := "peer-join"
+		kind := EventPeerJoin
 		if d.Leaving {
-			kind = "peer-leave"
+			kind = EventPeerLeave
 		}
 		c.logLocked(Event{Kind: kind, Peer: d.ID, From: d.Endpoint})
 		return
@@ -70,7 +70,7 @@ func (c *Coordinator) mergeDigestLocked(d wire.PeerDigest) {
 	if d.Leaving && ps.health != Dead {
 		ps.digest = d
 		ps.health = Dead
-		c.logLocked(Event{Kind: "peer-leave", Peer: d.ID, From: d.Endpoint})
+		c.logLocked(Event{Kind: EventPeerLeave, Peer: d.ID, From: d.Endpoint})
 		return
 	}
 	if d.Heartbeat > ps.digest.Heartbeat && !ps.digest.Leaving {
@@ -78,7 +78,7 @@ func (c *Coordinator) mergeDigestLocked(d wire.PeerDigest) {
 		ps.lastAdvance = c.tick
 		if ps.health != Alive {
 			ps.health = Alive
-			c.logLocked(Event{Kind: "peer-join", Peer: d.ID, From: d.Endpoint,
+			c.logLocked(Event{Kind: EventPeerJoin, Peer: d.ID, From: d.Endpoint,
 				Detail: "recovered"})
 		}
 	}
@@ -95,11 +95,11 @@ func (c *Coordinator) refreshPeersLocked() {
 		switch {
 		case idle >= deadAfter:
 			ps.health = Dead
-			c.logLocked(Event{Kind: "peer-dead", Peer: id, From: ps.digest.Endpoint})
+			c.logLocked(Event{Kind: EventPeerDead, Peer: id, From: ps.digest.Endpoint})
 		case idle >= suspectAfter:
 			if ps.health != Suspect {
 				ps.health = Suspect
-				c.logLocked(Event{Kind: "peer-suspect", Peer: id, From: ps.digest.Endpoint})
+				c.logLocked(Event{Kind: EventPeerSuspect, Peer: id, From: ps.digest.Endpoint})
 			}
 		}
 	}

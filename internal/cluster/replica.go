@@ -91,7 +91,7 @@ func (c *Coordinator) RecordReplicaSet(set wire.ReplicaSet) {
 	set.Origin = c.cfg.ID
 	c.repl[set.GUID] = &replState{set: set}
 	c.rebuildReplSnapLocked()
-	c.logLocked(Event{Kind: "replica-set", GUID: set.GUID, Class: set.Class,
+	c.logLocked(Event{Kind: EventReplicaSet, GUID: set.GUID, Class: set.Class,
 		To: set.Primary, Detail: memberList(set)})
 	c.unlockAndDeliver()
 }
@@ -129,7 +129,7 @@ func (c *Coordinator) EvictReplica(guid, endpoint string) time.Duration {
 		st.set.Version++
 		st.set.Origin = c.cfg.ID
 		c.rebuildReplSnapLocked()
-		c.logLocked(Event{Kind: "replica-evict", GUID: guid, Class: st.set.Class,
+		c.logLocked(Event{Kind: EventReplicaEvict, GUID: guid, Class: st.set.Class,
 			From: endpoint, Detail: memberList(st.set)})
 	}
 	c.unlockAndDeliver()
@@ -149,7 +149,7 @@ func (c *Coordinator) DropReplicaSet(guid string) {
 			Version: st.set.Version + 1, Epoch: st.set.Epoch, Origin: c.cfg.ID}
 		st.leaseUntil = 0
 		c.rebuildReplSnapLocked()
-		c.logLocked(Event{Kind: "replica-drop", GUID: guid, Class: st.set.Class})
+		c.logLocked(Event{Kind: EventReplicaDrop, GUID: guid, Class: st.set.Class})
 	}
 	c.unlockAndDeliver()
 }
@@ -273,7 +273,7 @@ func (c *Coordinator) mergeReplicasLocked(sets []wire.ReplicaSet, from wire.Peer
 			// means we were failed over while partitioned: stand down.
 			if st.set.Primary == c.cfg.Self && set.Primary != c.cfg.Self && st.set.Primary != "" {
 				demoted = append(demoted, set.GUID)
-				c.logLocked(Event{Kind: "replica-demote", GUID: set.GUID,
+				c.logLocked(Event{Kind: EventReplicaDemote, GUID: set.GUID,
 					Class: set.Class, To: set.Primary})
 			}
 			st.set = set
@@ -344,7 +344,7 @@ func (c *Coordinator) replicaTickLocked() (direct []string, promos []promotion) 
 		st.set.Origin = c.cfg.ID
 		st.leaseUntil = 0
 		promos = append(promos, promotion{guid: guid, class: set.Class, selfGUID: selfGUID})
-		c.logLocked(Event{Kind: "replica-promote", GUID: guid, Class: set.Class,
+		c.logLocked(Event{Kind: EventReplicaPromote, GUID: guid, Class: set.Class,
 			From: set.Primary, To: c.cfg.Self, Detail: selfGUID})
 	}
 	if len(promos) > 0 {

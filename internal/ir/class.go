@@ -120,9 +120,9 @@ type Class struct {
 	Methods []*Method
 
 	// Meta records provenance, e.g. "generated:o-proxy:soap:Counter".
-	// It is not informational: the runtime tells a generated proxy by
-	// this mark (transform.ProxyOf), never by its name, so archives must
-	// carry it.
+	// It is not informational: the runtime tells a generated class, its
+	// kind, the class it stands for and a proxy's protocol by this mark
+	// (transform.MarkOf), never by its name, so archives must carry it.
 	Meta string
 
 	// byKey indexes indexed, the method list as Program.Add found it, by

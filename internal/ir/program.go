@@ -245,14 +245,25 @@ func (p *Program) ifaceMethod(iname, name string, nargs int, seen *visited) (*Cl
 // and walking the superclass chain, then superinterfaces.  It returns the
 // declaring class and the method, or an error.
 func (p *Program) ResolveMethod(cname, name string, nargs int) (*Class, *Method, error) {
+	if c, m := p.LookupMethod(cname, name, nargs); m != nil {
+		return c, m, nil
+	}
+	return nil, nil, fmt.Errorf("resolve: no method %s.%s/%d", cname, name, nargs)
+}
+
+// LookupMethod is ResolveMethod for a caller that needs no reason for a
+// miss, such as the verifier looking up the method each method
+// overrides (most override none): a miss, or a superclass chain that
+// names an unknown class, is a nil method.
+func (p *Program) LookupMethod(cname, name string, nargs int) (*Class, *Method) {
 	cur := cname
 	for steps := 0; cur != "" && steps <= len(p.list); steps++ {
 		c := p.Class(cur)
 		if c == nil {
-			return nil, nil, fmt.Errorf("resolve %s.%s/%d: unknown class %q", cname, name, nargs, cur)
+			return nil, nil
 		}
 		if m := c.Method(name, nargs); m != nil {
-			return c, m, nil
+			return c, m
 		}
 		cur = c.Super
 	}
@@ -267,24 +278,12 @@ func (p *Program) ResolveMethod(cname, name string, nargs int) (*Class, *Method,
 		}
 		for _, i := range cc.Interfaces {
 			if dc, dm := p.ifaceMethod(i, name, nargs, &seen); dm != nil {
-				return dc, dm, nil
+				return dc, dm
 			}
 		}
 		cur = cc.Super
 	}
-	return nil, nil, &noMethodError{cname, name, nargs}
-}
-
-// noMethodError is ResolveMethod's miss, formatted only when it is read:
-// the verifier looks up the method each method overrides, and most
-// override none.
-type noMethodError struct {
-	class, name string
-	nargs       int
-}
-
-func (e *noMethodError) Error() string {
-	return fmt.Sprintf("resolve: no method %s.%s/%d", e.class, e.name, e.nargs)
+	return nil, nil
 }
 
 // ResolveField looks up field `name` starting at class cname and walking

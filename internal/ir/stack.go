@@ -13,8 +13,8 @@ func (p *Program) StackEffect(in *Instr) (pops, pushes int) {
 	void := false
 	switch in.Op {
 	case OpInvokeStatic, OpInvokeVirtual, OpInvokeInterface, OpInvokeSpecial:
-		_, m, err := p.ResolveMethod(in.Owner, in.Member, in.NArgs)
-		void = err == nil && m.Return.IsVoid()
+		_, m := p.LookupMethod(in.Owner, in.Member, in.NArgs)
+		void = m != nil && m.Return.IsVoid()
 	}
 	return effect(in, void)
 }

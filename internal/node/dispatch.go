@@ -155,7 +155,7 @@ func (n *Node) servedInvoke(cc *intercept.CallCtx, resp *wire.Response, target *
 	rec := n.telem.Load()
 	var st *telemetry.ObjStats
 	if rec != nil {
-		st = rec.ForObject(target, targetGUID, baseClassOf(target.ClassName()))
+		st = rec.ForObject(target, targetGUID, transform.MarkOf(target.Class()).Base)
 	}
 	name := req.Method
 	if name == "" {
@@ -188,7 +188,7 @@ func (n *Node) servedInvoke(cc *intercept.CallCtx, resp *wire.Response, target *
 			// the old home already completed — and keep its priority.
 			// The class check is stable here: migration morphs only
 			// under this gate.
-			if isProxyObject(target) {
+			if transform.MarkOf(target.Class()).Kind.Proxy() {
 				env.SetForward(req)
 			}
 			if sp != nil {

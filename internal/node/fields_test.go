@@ -7,6 +7,7 @@ import (
 
 	"rafda/internal/intercept"
 	"rafda/internal/ir"
+	"rafda/internal/minijava"
 	"rafda/internal/policy"
 	"rafda/internal/stdlib"
 	"rafda/internal/transform"
@@ -236,5 +237,44 @@ func TestOutsideValuesAreKindChecked(t *testing.T) {
 	}
 	if got := call("add", num(2)); got.Err != "" || got.Result.Int != 7 {
 		t.Fatalf("add(2) = %+v, want 7", got)
+	}
+}
+
+// TestForeignRefNeedsAProxyMark sends a reference whose proxy name is
+// taken by a declared class: the node must refuse it, not make an
+// instance of the declared class and use it as a proxy.
+func TestForeignRefNeedsAProxyMark(t *testing.T) {
+	prog, err := minijava.Compile(`
+class Tag_O_Proxy_rrp { int t; }
+class Keep {
+    int n;
+    int take(Keep k) { n = n + 1; return n; }
+}
+class Main { static void main() {} }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := transform.Transform(prog, transform.Options{Protocols: []string{"rrp"}, Exclude: []string{"Tag_O_Proxy_rrp"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := New(Config{Name: "home", Result: res})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { n.Close() })
+	ep, err := n.Serve("rrp", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := rawCall(t, ep, &wire.Request{ID: 1, Op: wire.OpMigrateIn, Class: "Keep"})
+	if in.Err != "" || in.Result.Ref == nil {
+		t.Fatalf("adopting a Keep: %+v", in)
+	}
+	ref := &wire.RemoteRef{GUID: "far#1", Endpoint: "rrp://127.0.0.1:1", Proto: "rrp", Target: "Tag"}
+	resp := rawCall(t, ep, &wire.Request{ID: 2, Op: wire.OpInvoke, GUID: in.Result.Ref.GUID, Method: "take",
+		Args: []wire.Value{{Kind: wire.KRef, Ref: ref}}})
+	if want := "no proxy class Tag_O_Proxy_rrp"; !strings.Contains(resp.Err, want) {
+		t.Fatalf("take(a reference to Tag over rrp): %+v, want an error containing %q", resp, want)
 	}
 }

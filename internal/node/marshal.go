@@ -70,7 +70,7 @@ func (n *Node) marshalObject(obj *vm.Object, viaProto string) (wire.Value, error
 		// talk to the object's home directly.
 		return wire.Value{Kind: wire.KRef, Ref: ref}, nil
 	}
-	base := baseClassOf(obj.ClassName())
+	base := transform.MarkOf(obj.Class()).Base
 	if !n.result.Substitutable(base) {
 		// Throwables travel via the response exception channel; any
 		// other non-substitutable object cannot cross the boundary.
@@ -154,58 +154,67 @@ func (n *Node) unmarshalRef(env *vm.Env, ref *wire.RemoteRef) (vm.Value, error) 
 		}
 		return vm.Value{}, fmt.Errorf("reference %s points at this node but is not exported", ref.GUID)
 	}
-	// Foreign reference: materialise a proxy.
+	// Foreign reference: materialise a proxy.  A declared class that
+	// only shares the proxy's name is no proxy: it has no proxy's mark.
 	proxyClass := transform.OProxy(ref.Target, ref.Proto)
 	if ref.ClassSide {
 		proxyClass = transform.CProxy(ref.Target, ref.Proto)
 	}
-	if !n.machine.Program().Has(proxyClass) {
+	if !transform.MarkOf(n.machine.Program().Class(proxyClass)).Kind.Proxy() {
 		return vm.Value{}, fmt.Errorf("no proxy class %s for incoming reference", proxyClass)
 	}
 	obj, err := env.New(proxyClass)
 	if err != nil {
 		return vm.Value{}, err
 	}
-	setProxyFields(obj, ref.GUID, ref.Endpoint, ref.Proto, ref.Target)
+	setProxyRef(obj, ref.GUID, ref.Endpoint)
 	return vm.RefV(obj), nil
 }
 
 // proxyRefOf returns the remote reference obj holds when it is a proxy
 // — a reference it was handed, or its own forwarding address once
 // migrated away — and nil otherwise.  The class check keeps
-// non-proxies allocation-free (a proxy never morphs back); View keeps
-// the GUID/endpoint pair consistent against a concurrent retarget.
+// non-proxies allocation-free (a proxy never morphs back); the proxy's
+// mark names the class and protocol, its fields the GUID and endpoint.
 func proxyRefOf(obj *vm.Object) *wire.RemoteRef {
-	if !isProxyObject(obj) {
+	m := transform.MarkOf(obj.Class())
+	if !m.Kind.Proxy() {
 		return nil
 	}
-	cls, fields := obj.View()
-	base, proto, classSide, _ := transform.ProxyOf(cls)
+	id, endpoint := readProxyRef(obj)
 	return &wire.RemoteRef{
-		GUID:      fields[transform.ProxyFieldGUID].S,
-		Endpoint:  fields[transform.ProxyFieldEndpoint].S,
-		Proto:     proto,
-		Target:    orString(fields[transform.ProxyFieldTarget].S, base),
-		ClassSide: classSide,
+		GUID:      id,
+		Endpoint:  endpoint,
+		Proto:     m.Proto,
+		Target:    m.Base,
+		ClassSide: m.Kind == transform.KindCProxy,
 	}
 }
 
-// setProxyFields writes the proxy reference quadruple in one atomic
-// update, so a concurrent reader never sees a torn GUID/endpoint pair.
-// Every generated proxy class declares the quadruple as strings, so the
-// write to a proxy is never refused.
-func setProxyFields(obj *vm.Object, id, endpoint, proto, target string) {
-	_ = obj.SetFields(proxyFields(id, endpoint, proto, target))
+// readProxyRef reads proxy's GUID and endpoint in one consistent
+// snapshot: a concurrent retarget (migration) can never hand out the
+// GUID of one home and the endpoint of another.  It allocates nothing:
+// it runs on every proxy call.
+func readProxyRef(proxy *vm.Object) (id, endpoint string) {
+	names := [2]string{transform.ProxyFieldGUID, transform.ProxyFieldEndpoint}
+	var ref [2]vm.Value
+	proxy.ReadFields(names[:], ref[:])
+	return ref[0].S, ref[1].S
 }
 
-// proxyFields is a proxy's reference quadruple, as written by a retarget
-// or a morph into a proxy.
-func proxyFields(id, endpoint, proto, target string) map[string]vm.Value {
+// setProxyRef retargets proxy at the object id served at endpoint, both
+// written in one atomic update.  Every generated proxy class declares
+// the pair as strings, so the write is never refused.
+func setProxyRef(proxy *vm.Object, id, endpoint string) {
+	_ = proxy.SetFields(proxyRef(id, endpoint))
+}
+
+// proxyRef is a proxy's reference as one write: the values setProxyRef
+// stores, and those a morph into a proxy starts with.
+func proxyRef(id, endpoint string) map[string]vm.Value {
 	return map[string]vm.Value{
 		transform.ProxyFieldGUID:     vm.StringV(id),
 		transform.ProxyFieldEndpoint: vm.StringV(endpoint),
-		transform.ProxyFieldProto:    vm.StringV(proto),
-		transform.ProxyFieldTarget:   vm.StringV(target),
 	}
 }
 
@@ -253,11 +262,4 @@ func (n *Node) setFields(env *vm.Env, obj *vm.Object, fields []wire.NamedValue) 
 		return fmt.Errorf("node %s: %w", n.name, err)
 	}
 	return nil
-}
-
-func orString(a, b string) string {
-	if a != "" {
-		return a
-	}
-	return b
 }

@@ -78,7 +78,7 @@ func (n *Node) migrate(ref vm.Value, targetEndpoint string, ctx trace.Ctx) error
 	// Fast path: already a proxy — forward the migration to the home
 	// node.  (A stale answer is harmless: the gated re-check below
 	// catches a migration that completes after this look.)
-	if isProxyObject(obj) {
+	if transform.MarkOf(obj.Class()).Kind.Proxy() {
 		return n.migrateViaHome(obj, targetEndpoint, ctx)
 	}
 	// A replicated primary dissolves its replica set before moving: the
@@ -112,15 +112,15 @@ func (n *Node) migrate(ref vm.Value, targetEndpoint string, ctx trace.Ctx) error
 		var parkedWait bool
 		n.machine.ExecOn(obj, func(env *vm.Env) {
 			cls := obj.Class()
-			if isProxyClass(cls) {
+			m := transform.MarkOf(cls)
+			if m.Kind.Proxy() {
 				// Lost the race to another migration while waiting for the
 				// gate; retarget through the home instead (outside the gate,
 				// since migrateViaHome re-acquires it).
 				viaProxy = true
 				return
 			}
-			base, kind := transform.BaseOfGenerated(cls.Name)
-			if kind != transform.SuffixOLocal {
+			if m.Kind != transform.KindOLocal {
 				migErr = fmt.Errorf("node %s: cannot migrate %s (only local transformed instances move)", n.name, cls.Name)
 				return
 			}
@@ -136,7 +136,7 @@ func (n *Node) migrate(ref vm.Value, targetEndpoint string, ctx trace.Ctx) error
 			// holds no gate of obj's waits from here until the morph, so
 			// none lands in a state the ship has already copied.
 			_, fields := obj.Freeze()
-			if migErr = n.shipAndMorph(obj, base, fields, proto, targetEndpoint, sp); migErr != nil {
+			if migErr = n.shipAndMorph(obj, m.Base, fields, proto, targetEndpoint, sp); migErr != nil {
 				obj.Thaw()
 			}
 		})
@@ -221,8 +221,7 @@ func (n *Node) shipAndMorph(obj *vm.Object, base string, fields map[string]vm.Va
 	// Morph the local object into a proxy to its new home.  All
 	// existing references (including this node's export-table entry,
 	// which now forwards) follow automatically.
-	pf := proxyFields(newRef.GUID, newRef.Endpoint, newRef.Proto, base)
-	if err := n.machine.Morph(obj, transform.OProxy(base, newRef.Proto), pf); err != nil {
+	if err := n.machine.Morph(obj, transform.OProxy(base, newRef.Proto), proxyRef(newRef.GUID, newRef.Endpoint)); err != nil {
 		return fmt.Errorf("node %s: morph after migrate: %w", n.name, err)
 	}
 	if sp != nil {
@@ -246,9 +245,7 @@ func (n *Node) shipAndMorph(obj *vm.Object, base string, fields map[string]vm.Va
 func (n *Node) migrateViaHome(proxy *vm.Object, targetEndpoint string, ctx trace.Ctx) error {
 	var retErr error
 	n.machine.ExecOn(proxy, func(env *vm.Env) {
-		_, fields := proxy.View()
-		home := fields[transform.ProxyFieldEndpoint].S
-		id := fields[transform.ProxyFieldGUID].S
+		id, home := readProxyRef(proxy)
 		if home == targetEndpoint {
 			return // already there
 		}
@@ -270,7 +267,7 @@ func (n *Node) migrateViaHome(proxy *vm.Object, targetEndpoint string, ctx trace
 			retErr = fmt.Errorf("node %s: migrate-out returned no reference", n.name)
 		default:
 			r := resp.Result.Ref
-			setProxyFields(proxy, r.GUID, r.Endpoint, r.Proto, r.Target)
+			setProxyRef(proxy, r.GUID, r.Endpoint)
 		}
 	})
 	return retErr

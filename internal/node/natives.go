@@ -83,7 +83,7 @@ func (n *Node) discover(env *vm.Env, class string) (vm.Value, *vm.Thrown, error)
 	if err != nil {
 		return vm.Value{}, nil, err
 	}
-	setProxyFields(obj, guid.ClassGUID(class), pl.Endpoint, pl.Proto, class)
+	setProxyRef(obj, guid.ClassGUID(class), pl.Endpoint)
 	me := vm.RefV(obj)
 	n.singMu.Lock()
 	n.singletons[class] = singletonEntry{val: me, version: ver}
@@ -94,30 +94,25 @@ func (n *Node) discover(env *vm.Env, class string) (vm.Value, *vm.Thrown, error)
 // registerProxyNatives binds the class-level native handler of every
 // generated proxy class: each method call marshals its arguments, sends
 // an invocation over the proxy's transport, and unmarshals the reply.
+// The handler keeps the class's mark: the class it stands for names
+// the call in messages and telemetry.
 func (n *Node) registerProxyNatives() {
 	for _, c := range n.result.Program.Classes() {
-		_, _, classSide, ok := transform.ProxyOf(c)
-		if !ok {
+		m := transform.MarkOf(c)
+		if !m.Kind.Proxy() {
 			continue
 		}
 		n.machine.RegisterClassNative(c.Name, func(env *vm.Env, method string, recv vm.Value, args []vm.Value) (vm.Value, *vm.Thrown, error) {
-			return n.proxyInvoke(env, classSide, method, recv, args)
+			return n.proxyInvoke(env, m, method, recv, args)
 		})
 	}
 }
 
-// proxyTripleFields is the proxy reference triple resolveProxy reads on
-// every call, in ReadFields order.
-var proxyTripleFields = [3]string{
-	transform.ProxyFieldEndpoint,
-	transform.ProxyFieldTarget,
-	transform.ProxyFieldGUID,
-}
-
 // proxyInvoke performs one method invocation on behalf of a proxy
-// object: resolve where the call goes, collapse it to a local call when
-// that is this node or send it otherwise, and decode the reply.
-func (n *Node) proxyInvoke(env *vm.Env, classSide bool, method string, recv vm.Value, args []vm.Value) (vm.Value, *vm.Thrown, error) {
+// object of the class marked m: resolve where the call goes, collapse
+// it to a local call when that is this node or send it otherwise, and
+// decode the reply.
+func (n *Node) proxyInvoke(env *vm.Env, m transform.Mark, method string, recv vm.Value, args []vm.Value) (vm.Value, *vm.Thrown, error) {
 	if recv.O == nil {
 		return vm.Value{}, remoteError(env, "proxy invocation on null"), nil
 	}
@@ -129,7 +124,8 @@ func (n *Node) proxyInvoke(env *vm.Env, classSide bool, method string, recv vm.V
 	// old home already completed.  Taking it unconditionally keeps it
 	// from leaking into a later nested call of the same execution.
 	fwd, _ := env.TakeForward().(*wire.Request)
-	t := n.resolveProxy(recv.O, classSide, method, len(args))
+	classSide := m.Kind == transform.KindCProxy
+	t := n.resolveProxy(recv.O, m, method, len(args))
 
 	// Same node: this node's own replica serving a routed read, or a
 	// proxy pointing at this very node (e.g. after an object is migrated
@@ -178,11 +174,11 @@ func (n *Node) proxyInvoke(env *vm.Env, classSide bool, method string, recv vm.V
 		// The callee served through a forwarding proxy and told us where
 		// the object now lives: retarget our proxy so the next call goes
 		// to the new home directly (and, when the new home is this node,
-		// collapses to a local call).  SetFields writes the reference
-		// quadruple atomically; racing retargets both carry valid homes,
+		// collapses to a local call).  setProxyRef writes the GUID and
+		// endpoint atomically; racing retargets both carry valid homes,
 		// last wins.
 		if r := resp.Redirect; r != nil && !classSide && !t.routed && r.GUID != "" && r.Endpoint != "" {
-			setProxyFields(recv.O, r.GUID, r.Endpoint, r.Proto, orString(r.Target, t.class))
+			setProxyRef(recv.O, r.GUID, r.Endpoint)
 		}
 	}
 	return n.decodeResult(env, resp, err, t.endpoint, t.class, method)
@@ -198,16 +194,12 @@ type proxyTarget struct {
 	replica *vm.Object
 }
 
-// resolveProxy reads proxy's reference and resolves it for one call.
-func (n *Node) resolveProxy(proxy *vm.Object, classSide bool, method string, nargs int) proxyTarget {
-	// One consistent snapshot of the proxy's reference triple: a
-	// concurrent retarget (migration) can never hand us the GUID of one
-	// home and the endpoint of another.  ReadFields is the
-	// allocation-free form of View — this runs on every proxy call.
-	var triple [3]vm.Value
-	proxy.ReadFields(proxyTripleFields[:], triple[:])
-	t := proxyTarget{endpoint: triple[0].S, class: triple[1].S, id: triple[2].S}
-	if classSide {
+// resolveProxy reads the reference of proxy, of the class marked m, and
+// resolves it for one call.
+func (n *Node) resolveProxy(proxy *vm.Object, m transform.Mark, method string, nargs int) proxyTarget {
+	t := proxyTarget{class: m.Base}
+	t.id, t.endpoint = readProxyRef(proxy)
+	if m.Kind == transform.KindCProxy {
 		return t
 	}
 	// Directory-first resolution: when this node is in a cluster and the
@@ -218,8 +210,8 @@ func (n *Node) resolveProxy(proxy *vm.Object, classSide bool, method string, nar
 	// forwarding chain one hop at a time (and pay every intermediate
 	// node once more).  Costs one atomic load when not clustered.
 	if ref, ok := n.resolveViaDirectory(t.id, t.endpoint); ok {
-		if p, _, err := transport.SplitEndpoint(ref.Endpoint); err == nil {
-			setProxyFields(proxy, ref.GUID, ref.Endpoint, p, orString(ref.Target, t.class))
+		if _, _, err := transport.SplitEndpoint(ref.Endpoint); err == nil {
+			setProxyRef(proxy, ref.GUID, ref.Endpoint)
 			t.id, t.endpoint = ref.GUID, ref.Endpoint
 		}
 	}
@@ -298,7 +290,7 @@ func (n *Node) callLocal(env *vm.Env, obj *vm.Object, method string, args []vm.V
 			// record here the placement engine would weigh the object's
 			// local usage as zero against the first burst of remote
 			// traffic.
-			st = rec.ForObject(obj, n.exports.Ensure(obj), baseClassOf(obj.ClassName()))
+			st = rec.ForObject(obj, n.exports.Ensure(obj), transform.MarkOf(obj.Class()).Base)
 		}
 		st.RecordLocal()
 		st.RecordEffect(writer)

@@ -30,7 +30,6 @@ import (
 	"rafda/internal/cluster"
 	"rafda/internal/dedup"
 	"rafda/internal/intercept"
-	"rafda/internal/ir"
 	"rafda/internal/metrics"
 	"rafda/internal/policy"
 	"rafda/internal/registry"
@@ -322,8 +321,7 @@ func (n *Node) IsMigratable(obj *vm.Object) bool {
 	if obj == nil {
 		return false
 	}
-	_, kind := transform.BaseOfGenerated(obj.ClassName())
-	return kind == transform.SuffixOLocal
+	return transform.MarkOf(obj.Class()).Kind == transform.KindOLocal
 }
 
 // Exports returns the number of exported objects.
@@ -459,7 +457,7 @@ func (n *Node) RunMain(mainClass string) error {
 // InvokeStatic calls an original static method.  It is the host-language
 // entry point used by examples, tests and benchmarks.
 func (n *Node) InvokeStatic(class, method string, args ...vm.Value) (vm.Value, error) {
-	if !n.machine.Program().Has(transform.CFactory(class)) {
+	if !n.result.Substitutable(class) {
 		return n.machine.Invoke(class, method, vm.Value{}, args)
 	}
 	return n.callStatics(class, method, args)
@@ -467,7 +465,7 @@ func (n *Node) InvokeStatic(class, method string, args ...vm.Value) (vm.Value, e
 
 // ReadStatic reads an original static field.
 func (n *Node) ReadStatic(class, field string) (vm.Value, error) {
-	if !n.machine.Program().Has(transform.CFactory(class)) {
+	if !n.result.Substitutable(class) {
 		return n.machine.GetStatic(class, field)
 	}
 	return n.callStatics(class, transform.Getter(field), nil)
@@ -475,7 +473,7 @@ func (n *Node) ReadStatic(class, field string) (vm.Value, error) {
 
 // WriteStatic writes an original static field.
 func (n *Node) WriteStatic(class, field string, val vm.Value) error {
-	if !n.machine.Program().Has(transform.CFactory(class)) {
+	if !n.result.Substitutable(class) {
 		return n.machine.SetStatic(class, field, val)
 	}
 	_, err := n.callStatics(class, transform.Setter(field), []vm.Value{val})
@@ -530,27 +528,4 @@ func (n *Node) hostCall(call func(env *vm.Env) (vm.Value, *vm.Thrown, error)) (r
 		return vm.Value{}, err
 	}
 	return res, nil
-}
-
-// baseClassOf maps a generated implementation class name back to the
-// original class ("C_O_Local" -> "C"); non-generated names map to
-// themselves.
-func baseClassOf(name string) string {
-	if base, kind := transform.BaseOfGenerated(name); kind != "" {
-		return base
-	}
-	return name
-}
-
-// isProxyClass reports whether c is a generated proxy class.
-func isProxyClass(c *ir.Class) bool {
-	_, _, _, ok := transform.ProxyOf(c)
-	return ok
-}
-
-// isProxyObject reports whether obj is currently a generated proxy
-// instance (the answer can change under a concurrent migration; callers
-// that need a stable answer hold the object's gate).
-func isProxyObject(obj *vm.Object) bool {
-	return isProxyClass(obj.Class())
 }

@@ -127,8 +127,8 @@ func (n *Node) Replicate(ref vm.Value, endpoints ...string) error {
 	var retErr error
 	n.machine.ExecOn(obj, func(env *vm.Env) {
 		cls, fields := obj.View()
-		base, kind := transform.BaseOfGenerated(cls.Name)
-		if kind != transform.SuffixOLocal {
+		m := transform.MarkOf(cls)
+		if m.Kind != transform.KindOLocal {
 			retErr = fmt.Errorf("node %s: cannot replicate %s (only local transformed instances replicate)", n.name, cls.Name)
 			return
 		}
@@ -164,7 +164,7 @@ func (n *Node) Replicate(ref vm.Value, endpoints ...string) error {
 				continue
 			}
 			req := &wire.Request{
-				Op: wire.OpReplicaInstall, GUID: id, Class: base,
+				Op: wire.OpReplicaInstall, GUID: id, Class: m.Base,
 				Endpoint: co.Self(), Epoch: firstEpoch, Fields: fvs,
 				Caller: n.callerEndpoint(proto),
 			}
@@ -185,11 +185,11 @@ func (n *Node) Replicate(ref vm.Value, endpoints ...string) error {
 				n.name, id, strings.Join(failures, "; "))
 			return
 		}
-		pr := &primaryReplica{guid: id, class: base, epoch: firstEpoch, members: members}
+		pr := &primaryReplica{guid: id, class: m.Base, epoch: firstEpoch, members: members}
 		n.replPrim.Store(id, pr)
 		n.replActive.Store(true)
 		co.RecordReplicaSet(wire.ReplicaSet{
-			GUID: id, Class: base, Primary: co.Self(), Epoch: firstEpoch, Replicas: members,
+			GUID: id, Class: m.Base, Primary: co.Self(), Epoch: firstEpoch, Replicas: members,
 		})
 	})
 	return retErr
@@ -236,7 +236,7 @@ func (n *Node) replicaWriteBarrier(obj *vm.Object, id string, ctx trace.Ctx) uin
 	skip := false
 	n.machine.ExecOn(obj, func(env *vm.Env) {
 		cls, fields := obj.View()
-		if isProxyClass(cls) {
+		if transform.MarkOf(cls).Kind.Proxy() {
 			skip = true // migrated away between the write and the barrier
 			return
 		}
@@ -577,9 +577,9 @@ func (n *Node) demoteReplica(id string) {
 		return
 	}
 	n.machine.ExecOn(obj, func(env *vm.Env) {
-		if isProxyObject(obj) {
+		if transform.MarkOf(obj.Class()).Kind.Proxy() {
 			return // already morphed (e.g. a racing migration)
 		}
-		_ = n.machine.Morph(obj, transform.OProxy(pr.class, proto), proxyFields(id, set.Primary, proto, pr.class))
+		_ = n.machine.Morph(obj, transform.OProxy(pr.class, proto), proxyRef(id, set.Primary))
 	})
 }

@@ -1,6 +1,8 @@
 package node
 
 import (
+	"cmp"
+
 	"rafda/internal/trace"
 	"rafda/internal/vm"
 	"rafda/internal/wire"
@@ -62,7 +64,7 @@ func (n *Node) send(req *wire.Request, l leg) (*wire.Response, error) {
 	}
 	var sp *trace.Span
 	if l.name != "" {
-		sp = n.startSpan(l.parent, l.kind, l.name, orString(l.target, l.endpoint))
+		sp = n.startSpan(l.parent, l.kind, l.name, cmp.Or(l.target, l.endpoint))
 		if sp != nil {
 			sp.Note = l.note
 			l.parent = sp.Ctx()

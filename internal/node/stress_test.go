@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"rafda/internal/policy"
+	"rafda/internal/transform"
 	"rafda/internal/vm"
 )
 
@@ -335,7 +336,7 @@ class Main { static void main() {} }`
 				}
 				cls := ref.O.ClassName()
 				local := cls == "Cell_O_Local"
-				proxy := !local && isProxyObject(ref.O)
+				proxy := !local && transform.MarkOf(ref.O.Class()).Kind.Proxy()
 				if !local && !proxy {
 					errs <- &vm.FaultError{Msg: "creation landed on neither placement: " + cls}
 					return

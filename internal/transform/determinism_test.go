@@ -17,8 +17,9 @@ import (
 // under -race the fan-out itself is raced.
 const (
 	// jdkTransformSHA256 is the sha256 of ir.EncodeProgram over the
-	// JDKLike() corpus (seed 1) transformed with protocols [rrp].
-	jdkTransformSHA256 = "81d90e908303735f3c8e80add3b4cfeff6899191790abb1bf62e25742542ef54"
+	// JDKLike() corpus (seed 1) transformed with protocols [rrp], whose
+	// proxies declare only __guid and __endpoint.
+	jdkTransformSHA256 = "4a46f342651b0bf40b961d00cfc5049704e6f09e62315ee1337855dd8d286135"
 	// jdkGeneratedClasses is that output's class count.
 	jdkGeneratedClasses = 42598
 	// jdkCausesSHA256 digests Analyze's cause map over the same corpus

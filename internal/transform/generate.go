@@ -430,8 +430,6 @@ func (t *transformer) makeCLocal(s *slabs, rw *ir.Rewriter, c *ir.Class, n *fami
 var proxyFields = [...]ir.Field{
 	{Name: ProxyFieldGUID, Type: ir.String, Access: ir.AccessPrivate},
 	{Name: ProxyFieldEndpoint, Type: ir.String, Access: ir.AccessPrivate},
-	{Name: ProxyFieldProto, Type: ir.String, Access: ir.AccessPrivate},
-	{Name: ProxyFieldTarget, Type: ir.String, Access: ir.AccessPrivate},
 }
 
 // objectCtorBody is the body of a constructor that chains to sys.Object's

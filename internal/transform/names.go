@@ -25,17 +25,41 @@ import (
 	"rafda/internal/par"
 )
 
-// Name suffixes of generated classes, following the paper's naming.
+// Kind is what a class is to the runtime: a declared class, or one of
+// the classes Transform generates for a transformable class.
+type Kind uint8
+
 const (
-	SuffixOInt     = "_O_Int"
-	SuffixOLocal   = "_O_Local"
-	SuffixOProxy   = "_O_Proxy_"
-	SuffixCInt     = "_C_Int"
-	SuffixCLocal   = "_C_Local"
-	SuffixCProxy   = "_C_Proxy_"
-	SuffixOFactory = "_O_Factory"
-	SuffixCFactory = "_C_Factory"
+	KindDeclared Kind = iota
+	KindOInt
+	KindOLocal
+	KindCInt
+	KindCLocal
+	KindOFactory
+	KindCFactory
+	KindOProxy
+	KindCProxy
+	kinds
 )
+
+// Proxy reports whether k is an instance or a statics proxy.
+func (k Kind) Proxy() bool { return k == KindOProxy || k == KindCProxy }
+
+// kindNames are each generated kind's name suffix, following the
+// paper's naming, and Meta mark prefix.  A fixed kind's name and mark go
+// on with the original class's name, a proxy's with "<protocol>" and
+// "<protocol>:<base>".  A declared class may share a generated class's
+// name but never its mark.
+var kindNames = [kinds]struct{ suffix, mark string }{
+	KindOInt:     {"_O_Int", "generated:o-int:"},
+	KindOLocal:   {"_O_Local", "generated:o-local:"},
+	KindCInt:     {"_C_Int", "generated:c-int:"},
+	KindCLocal:   {"_C_Local", "generated:c-local:"},
+	KindOFactory: {"_O_Factory", "generated:o-factory:"},
+	KindCFactory: {"_C_Factory", "generated:c-factory:"},
+	KindOProxy:   {"_O_Proxy_", "generated:o-proxy:"},
+	KindCProxy:   {"_C_Proxy_", "generated:c-proxy:"},
+}
 
 // Property-method prefixes (§2.1: every attribute becomes a property).
 const (
@@ -43,13 +67,12 @@ const (
 	SetPrefix = "set_"
 )
 
-// Proxy bookkeeping fields present on every generated proxy class.  The
-// node runtime reads/writes them directly at the VM level.
+// The two fields every generated proxy declares: the GUID and endpoint
+// of the object it stands for, which the node runtime reads and writes
+// at the VM level.  The proxy's mark names the rest of the reference.
 const (
 	ProxyFieldGUID     = "__guid"
 	ProxyFieldEndpoint = "__endpoint"
-	ProxyFieldProto    = "__proto"
-	ProxyFieldTarget   = "__target" // remote class name
 )
 
 // Factory method names (§2.3).
@@ -63,28 +86,28 @@ const (
 )
 
 // OInt returns the instance-interface name for class a.
-func OInt(a string) string { return a + SuffixOInt }
+func OInt(a string) string { return a + kindNames[KindOInt].suffix }
 
 // OLocal returns the local instance-implementation name for class a.
-func OLocal(a string) string { return a + SuffixOLocal }
+func OLocal(a string) string { return a + kindNames[KindOLocal].suffix }
 
 // OProxy returns the instance-proxy name for class a over a protocol.
-func OProxy(a, proto string) string { return a + SuffixOProxy + proto }
+func OProxy(a, proto string) string { return a + kindNames[KindOProxy].suffix + proto }
 
 // CInt returns the class-interface (statics) name for class a.
-func CInt(a string) string { return a + SuffixCInt }
+func CInt(a string) string { return a + kindNames[KindCInt].suffix }
 
 // CLocal returns the local statics-implementation name for class a.
-func CLocal(a string) string { return a + SuffixCLocal }
+func CLocal(a string) string { return a + kindNames[KindCLocal].suffix }
 
 // CProxy returns the statics-proxy name for class a over a protocol.
-func CProxy(a, proto string) string { return a + SuffixCProxy + proto }
+func CProxy(a, proto string) string { return a + kindNames[KindCProxy].suffix + proto }
 
 // OFactory returns the object-factory name for class a.
-func OFactory(a string) string { return a + SuffixOFactory }
+func OFactory(a string) string { return a + kindNames[KindOFactory].suffix }
 
 // CFactory returns the class-factory name for class a.
-func CFactory(a string) string { return a + SuffixCFactory }
+func CFactory(a string) string { return a + kindNames[KindCFactory].suffix }
 
 // Getter and Setter name the property methods for a field.
 func Getter(field string) string { return GetPrefix + field }
@@ -92,51 +115,45 @@ func Getter(field string) string { return GetPrefix + field }
 // Setter names the property setter for a field.
 func Setter(field string) string { return SetPrefix + field }
 
-// BaseOfGenerated recovers the original class name from a generated name
-// and reports the generated kind ("", if name is not generated).
-func BaseOfGenerated(name string) (base, kind string) {
-	for _, s := range []string{SuffixOInt, SuffixOLocal, SuffixCInt, SuffixCLocal, SuffixOFactory, SuffixCFactory} {
-		if strings.HasSuffix(name, s) {
-			return strings.TrimSuffix(name, s), s
-		}
-	}
-	if i := strings.LastIndex(name, SuffixOProxy); i > 0 {
-		return name[:i], SuffixOProxy
-	}
-	if i := strings.LastIndex(name, SuffixCProxy); i > 0 {
-		return name[:i], SuffixCProxy
-	}
-	return "", ""
+// Mark is what a class's Meta mark says of it.
+type Mark struct {
+	Kind Kind
+	// Base is the class it stands for: a generated class's original
+	// class, a declared class itself.
+	Base  string
+	Proto string // a proxy's protocol
 }
 
-// Meta marks of generated proxy classes, followed by "<protocol>:<base>".
-// A declared class may share a proxy's name but never its mark.
-const (
-	metaOProxy = "generated:o-proxy:"
-	metaCProxy = "generated:c-proxy:"
-)
-
-// ProxyOf reports whether c is a generated proxy class and, if so, the
-// original class it stands for, its protocol and whether it is a
-// statics (class-side) proxy.
-func ProxyOf(c *ir.Class) (base, proto string, classSide, ok bool) {
+// MarkOf reads c's Meta mark.  It is the one way the runtime learns
+// whether a class is generated, of which kind and for which class: a
+// class with no generated mark is KindDeclared, whatever its name.
+func MarkOf(c *ir.Class) Mark {
 	if c == nil {
-		return "", "", false, false
+		return Mark{}
 	}
-	rest, ok := strings.CutPrefix(c.Meta, metaOProxy)
-	if !ok {
-		rest, ok = strings.CutPrefix(c.Meta, metaCProxy)
-		classSide = ok
+	if !strings.HasPrefix(c.Meta, "generated:") {
+		return Mark{Base: c.Name}
 	}
-	if ok {
-		proto, base, _ = strings.Cut(rest, ":")
+	for k := KindOInt; k < kinds; k++ {
+		rest, ok := strings.CutPrefix(c.Meta, kindNames[k].mark)
+		if !ok {
+			continue
+		}
+		if !k.Proxy() {
+			return Mark{Kind: k, Base: rest}
+		}
+		if proto, base, ok := strings.Cut(rest, ":"); ok {
+			return Mark{Kind: k, Base: base, Proto: proto}
+		}
+		break
 	}
-	return base, proto, classSide, ok
+	return Mark{Base: c.Name}
 }
 
 // A transformable class's generated classes by slot, in the order
-// Transform emits them: the six below, then an _O_Proxy_ and a _C_Proxy_
-// per protocol (oProxySlot, cProxySlot).
+// Transform emits them: the six below, which are the fixed kinds in Kind
+// order, then an _O_Proxy_ and a _C_Proxy_ per protocol (oProxySlot,
+// cProxySlot).
 const (
 	slotOInt = iota
 	slotOLocal
@@ -146,17 +163,6 @@ const (
 	slotCFactory
 	fixedSlots
 )
-
-// fixedSlotNames are the fixed slots' name suffixes and Meta mark
-// prefixes.
-var fixedSlotNames = [fixedSlots]struct{ suffix, meta string }{
-	{SuffixOInt, "generated:o-int:"},
-	{SuffixOLocal, "generated:o-local:"},
-	{SuffixCInt, "generated:c-int:"},
-	{SuffixCLocal, "generated:c-local:"},
-	{SuffixOFactory, "generated:o-factory:"},
-	{SuffixCFactory, "generated:c-factory:"},
-}
 
 func oProxySlot(j int) int { return fixedSlots + 2*j }
 func cProxySlot(j int) int { return fixedSlots + 2*j + 1 }
@@ -218,15 +224,15 @@ func newNameTable(classes []*ir.Class, a *Analysis, protocols []string) *nameTab
 // familyPieces calls piece with the parts of each slot's name and then
 // of its Meta mark, in slot order; a piece has at most four parts.
 func familyPieces(base string, protocols []string, piece func(parts [4]string)) {
-	for _, s := range fixedSlotNames {
-		piece([4]string{base, s.suffix})
-		piece([4]string{s.meta, base})
+	for _, k := range kindNames[KindOInt : KindCFactory+1] {
+		piece([4]string{base, k.suffix})
+		piece([4]string{k.mark, base})
 	}
 	for _, p := range protocols {
-		piece([4]string{base, SuffixOProxy, p})
-		piece([4]string{metaOProxy, p, ":", base})
-		piece([4]string{base, SuffixCProxy, p})
-		piece([4]string{metaCProxy, p, ":", base})
+		piece([4]string{base, kindNames[KindOProxy].suffix, p})
+		piece([4]string{kindNames[KindOProxy].mark, p, ":", base})
+		piece([4]string{base, kindNames[KindCProxy].suffix, p})
+		piece([4]string{kindNames[KindCProxy].mark, p, ":", base})
 	}
 }
 
@@ -309,12 +315,11 @@ func (t *nameTable) mapTypes(dst, src []ir.Type) {
 // proxyTwin is ReadOnly's effects alias: a generated proxy's natives
 // forward to the local class of the same side.
 func proxyTwin(c *ir.Class) string {
-	base, _, classSide, ok := ProxyOf(c)
-	switch {
-	case !ok:
-		return ""
-	case classSide:
-		return CLocal(base)
+	switch m := MarkOf(c); m.Kind {
+	case KindOProxy:
+		return OLocal(m.Base)
+	case KindCProxy:
+		return CLocal(m.Base)
 	}
-	return OLocal(base)
+	return ""
 }

@@ -1,6 +1,7 @@
 package transform
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -75,22 +76,27 @@ func (r *Result) ReadOnly(class, methodKey string) bool {
 	return r.effects.ReadOnly(class, methodKey)
 }
 
+// ErrNotTransformed is Reconstruct's refusal of a program that holds no
+// generated factory: it has not been transformed.
+var ErrNotTransformed = errors.New("program contains no generated factories; not a transformed program")
+
 // Reconstruct rebuilds a Result from an already-transformed program
 // (e.g. decoded from an archive): substituted classes are recognised by
-// their generated factories, protocols by the proxy classes present.
+// their generated factories, protocols by the proxy classes present,
+// each by its mark.
 func Reconstruct(prog *ir.Program) (*Result, error) {
 	res := &Result{Program: prog}
 	protos := map[string]bool{}
 	for _, c := range prog.Classes() {
-		if base, kind := BaseOfGenerated(c.Name); kind == SuffixOFactory {
-			res.Transformed = append(res.Transformed, base)
-		}
-		if _, proto, _, ok := ProxyOf(c); ok {
-			protos[proto] = true
+		switch m := MarkOf(c); m.Kind {
+		case KindOFactory:
+			res.Transformed = append(res.Transformed, m.Base)
+		case KindOProxy, KindCProxy:
+			protos[m.Proto] = true
 		}
 	}
 	if len(res.Transformed) == 0 {
-		return nil, fmt.Errorf("program contains no generated factories; not a transformed program")
+		return nil, ErrNotTransformed
 	}
 	for p := range protos {
 		res.Protocols = append(res.Protocols, p)
@@ -189,7 +195,7 @@ func duplicateError(a *Analysis, classes []*ir.Class, families [][]*ir.Class, i 
 // factory forwarder when mainClass was transformed, or the original
 // class otherwise.
 func (r *Result) MainEntry(mainClass string) (class, method string) {
-	if r.Program.Has(CFactory(mainClass)) {
+	if r.Substitutable(mainClass) {
 		return CFactory(mainClass), "main"
 	}
 	return mainClass, "main"

@@ -247,8 +247,8 @@ func scanMethod(p *ir.Program, m *ir.Method) (writes bool, callees []string) {
 // resolveExact names the single target of a static/special invoke,
 // walking the super chain the way the VM's exact dispatch does.
 func resolveExact(p *ir.Program, in *ir.Instr) string {
-	cls, m, err := p.ResolveMethod(in.Owner, in.Member, in.NArgs)
-	if err != nil || cls == nil || m == nil {
+	cls, m := p.LookupMethod(in.Owner, in.Member, in.NArgs)
+	if m == nil {
 		return unknownTarget
 	}
 	return effectKey(cls.Name, m.Key())

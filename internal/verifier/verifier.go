@@ -159,12 +159,11 @@ func (v *verifier) checkClass(c *ir.Class) {
 		fields[f.Name] = true
 		v.checkType(c.Name, "", f.Type, false)
 	}
-	methods := map[string]bool{}
 	for _, m := range c.Methods {
-		if methods[m.Key()] {
+		// The lookup answers the first method of a name and arity.
+		if c.Method(m.Name, len(m.Params)) != m {
 			v.errf(c.Name, m.Name, -1, "duplicate method (same name and arity)")
 		}
-		methods[m.Key()] = true
 		v.checkMethod(c, m)
 	}
 	// Concrete classes must implement their interfaces.
@@ -239,8 +238,8 @@ func (v *verifier) checkOverride(c *ir.Class, m *ir.Method) {
 		return
 	}
 	check := func(from string) {
-		dc, dm, err := v.p.ResolveMethod(from, m.Name, len(m.Params))
-		if err == nil && !(m.Static && dm.Static) && !m.SameTypes(dm) {
+		dc, dm := v.p.LookupMethod(from, m.Name, len(m.Params))
+		if dm != nil && !(m.Static && dm.Static) && !m.SameTypes(dm) {
 			v.errf(c.Name, m.Name, -1, "declares %s but overrides %s.%s", m.Signature(), dc.Name, dm.Signature())
 		}
 	}

@@ -553,7 +553,7 @@ func (o *Object) storeLocked(name string, at *atomic.Pointer[link], v *Value) ac
 
 // SetFields writes several fields under one lock acquisition, so readers
 // that take the lock never observe a torn multi-field update (proxy
-// retargeting writes the GUID/endpoint/proto/target quadruple this way).
+// retargeting writes the GUID/endpoint pair this way).
 // When Set would refuse one of them, it writes none.  Like Set, it does
 // not wait for a frozen object.
 func (o *Object) SetFields(m map[string]Value) error {
@@ -566,7 +566,7 @@ func (o *Object) SetFields(m map[string]Value) error {
 // ReadFields copies the values of the named fields into out (same
 // length, same order) under one lock acquisition — the allocation-free
 // consistent multi-field read the proxy hot path uses for the
-// GUID/endpoint/target triple (a concurrent retarget can never be
+// GUID/endpoint pair (a concurrent retarget can never be
 // observed torn).  A name the object lacks reads as the zero Value.
 func (o *Object) ReadFields(names []string, out []Value) {
 	o.mu.Lock()

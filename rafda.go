@@ -176,9 +176,15 @@ func (p *Program) Transform(opts ...TransformOption) (*Transformed, error) {
 	return &Transformed{res: res}, nil
 }
 
+// ErrNotTransformed is LoadTransformed's refusal of a program that
+// holds no generated factory, such as a plain `rafdac compile` archive.
+var ErrNotTransformed = transform.ErrNotTransformed
+
 // LoadTransformed reconstructs a Transformed from an already-transformed
 // program (e.g. a decoded archive produced by `rafdac transform`), so
-// nodes can be built without re-running the transformation.
+// nodes can be built without re-running the transformation.  A plain
+// program is refused with ErrNotTransformed, whatever its classes are
+// called.
 func LoadTransformed(p *Program) (*Transformed, error) {
 	res, err := transform.Reconstruct(p.ir)
 	if err != nil {
