@@ -113,9 +113,25 @@ func BenchmarkE3_Figure1(b *testing.B) {
 // the wrapper-per-object baseline the paper says has "significantly
 // greater overhead".
 func BenchmarkE4_InterpositionOverhead(b *testing.B) {
-	for _, variant := range []string{"original", "rafda-local", "wrapper"} {
+	for _, variant := range e4Variants {
 		b.Run(variant, func(b *testing.B) {
 			run, err := e4Machine(hotLoopSource, variant)
+			if err != nil {
+				b.Fatal(err)
+			}
+			benchCalls(b, 1, func(int) error { return run() })
+		})
+	}
+}
+
+// BenchmarkE4_Creation is InterpositionOverhead for object creation: one
+// op makes hotLoopIters two-int objects, through the factory's make() in
+// the transformed program.  allocs/op and B/op over hotLoopIters are the
+// per-object figures EXPERIMENTS.md E4 records.
+func BenchmarkE4_Creation(b *testing.B) {
+	for _, variant := range e4Variants {
+		b.Run(variant, func(b *testing.B) {
+			run, err := e4Machine(creationSource, variant)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -215,8 +215,32 @@ class Driver {
 }
 class Main { static void main() {} }`
 
+// creationSource is E4's creation workload: one run makes hotLoopIters
+// two-int objects, so the allocator and, in the transformed program, the
+// factory's make() — a native call — and the separate init are what it
+// measures.
+const creationSource = `
+class P {
+    int x; int y;
+    P(int x, int y) { this.x = x; this.y = y; }
+}
+class Driver {
+    static int run(int n) {
+        int acc = 0;
+        for (int i = 0; i < n; i = i + 1) {
+            P p = new P(i, 1);
+            acc = acc + p.y;
+        }
+        return acc;
+    }
+}
+class Main { static void main() {} }`
+
 // hotLoopIters is the loop length of one Driver.run.
 const hotLoopIters = 1000
+
+// e4Variants are the §3 variants e4Machine builds, in report order.
+var e4Variants = []string{"original", "rafda-local", "wrapper"}
 
 // e4Machine builds src in one §3 variant — "original", "rafda-local"
 // (transformed, everything local) or "wrapper" (the wrapper-per-object
@@ -255,28 +279,33 @@ func e4Machine(src, variant string) (func() error, error) {
 }
 
 // e4 reproduces §3: interposition overhead of the RAFDA transformation
-// vs the wrapper-per-object baseline.
+// vs the wrapper-per-object baseline, for calls and for creation.
 func e4(profile, string) error {
-	per := map[string]time.Duration{}
-	for _, variant := range []string{"original", "rafda-local", "wrapper"} {
-		run, err := e4Machine(hotLoopSource, variant)
-		if err != nil {
-			return err
+	for _, w := range []struct{ what, src string }{
+		{"method calls + field updates", hotLoopSource},
+		{"creations of a two-int object", creationSource},
+	} {
+		per := map[string]driven{}
+		for _, variant := range e4Variants {
+			run, err := e4Machine(w.src, variant)
+			if err != nil {
+				return err
+			}
+			if per[variant], err = drive(load{parallel: 1, calls: 50}, func(int) error { return run() }); err != nil {
+				return err
+			}
 		}
-		d, err := drive(load{parallel: 1, calls: 50}, func(int) error { return run() })
-		if err != nil {
-			return err
+		orig := per["original"].perCall()
+		fmt.Printf("workload: %d %s per run (§3 comparison)\n\n", hotLoopIters, w.what)
+		fmt.Printf("  %-22s %12s %10s %12s\n", "variant", "per-run", "vs orig", "allocs/iter")
+		for _, variant := range e4Variants {
+			d := per[variant]
+			fmt.Printf("  %-22s %12v %9.2fx %12.2f\n", variant, d.perCall().Round(time.Microsecond),
+				float64(d.perCall())/float64(orig), float64(d.allocs)/float64(d.calls*hotLoopIters))
 		}
-		per[variant] = d.perCall()
+		fmt.Printf("\npaper: wrappers are \"much simpler ... significantly greater overhead\": wrapper/rafda = %.2fx\n\n",
+			float64(per["wrapper"].perCall())/float64(per["rafda-local"].perCall()))
 	}
-	orig := per["original"]
-	fmt.Printf("workload: %d method calls + field updates per run (§3 comparison)\n\n", hotLoopIters)
-	fmt.Printf("  %-22s %12s %10s\n", "variant", "per-run", "vs orig")
-	for _, variant := range []string{"original", "rafda-local", "wrapper"} {
-		fmt.Printf("  %-22s %12v %9.2fx\n", variant, per[variant].Round(time.Microsecond), float64(per[variant])/float64(orig))
-	}
-	fmt.Printf("\npaper: wrappers are \"much simpler ... significantly greater overhead\": wrapper/rafda = %.2fx\n",
-		float64(per["wrapper"])/float64(per["rafda-local"]))
 	return nil
 }
 

@@ -87,3 +87,43 @@ class Main {
 		t.Fatalf("snapshot lacks a kind (have %v); the test proves less than it claims", kinds)
 	}
 }
+
+// TestTopOfIdleServer: top's own requests are plane requests, so a server
+// that served no program call reads node.calls_in 0 however often top
+// looks at it, and node.plane_in counts the looks.
+func TestTopOfIdleServer(t *testing.T) {
+	prog, err := rafda.CompileString(`class Main { static void main() {} }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := prog.Transform(rafda.WithProtocols("rrp"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	server, err := tr.NewNode(rafda.NodeConfig{Name: "idle"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer server.Close()
+	ep, err := server.Serve("rrp", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	for range 2 {
+		out.Reset()
+		if err := topOnce(&out, []string{ep}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rows := map[string]string{}
+	for _, line := range strings.Split(out.String(), "\n") {
+		if f := strings.Fields(line); len(f) == 2 {
+			rows[f[0]] = f[1]
+		}
+	}
+	if rows["node.calls_in"] != "0" || rows["node.plane_in"] != "1" {
+		t.Fatalf("second top of an idle server: calls_in %q, plane_in %q, want 0 and 1\n%s",
+			rows["node.calls_in"], rows["node.plane_in"], out.String())
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"rafda/internal/corpus"
+	"rafda/internal/minijava"
 	"rafda/internal/policy"
 	"rafda/internal/transform"
 	"rafda/internal/vm"
@@ -99,4 +100,79 @@ func TestNodeBootAllocsPerClass(t *testing.T) {
 		t.Fatalf("node.New allocates %.2f times per class over %d classes; want at most %d", per, classes, bootAllocsPerClass)
 	}
 	t.Logf("%.0f allocs to boot %d classes (%.2f per class, pin %d)", allocs, classes, allocs/float64(classes), bootAllocsPerClass)
+}
+
+// newSource: Driver.make(k) creates k two-int Ps.
+const newSource = `
+class P {
+    int x; int y;
+    P(int x, int y) { this.x = x; this.y = y; }
+}
+class Driver {
+    static int make(int k) {
+        int s = 0;
+        for (int i = 0; i < k; i = i + 1) { P p = new P(i, 1); s = s + p.y; }
+        return s;
+    }
+}
+class Main { static void main() {} }`
+
+// TestAllocPinLocalNew: a local new of a two-int class allocates as
+// often as the original program's — once, header and slots together —
+// through BindLocal's factory and through the node's policy-reading one.
+// The factories built the local class's name on every make, and an
+// object was a header and a slot vector: 3 against the original's 2.
+// Skipped under -race, where sync.Pool drops a quarter of its items.
+func TestAllocPinLocalNew(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("sync.Pool drops a quarter of its items under the race detector")
+	}
+	prog, err := minijava.Compile(newSource)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := transform.Transform(prog, transform.Options{Protocols: []string{"rrp"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	original := vm.MustNew(prog)
+	bound := vm.MustNew(res.Program)
+	transform.BindLocal(bound, res)
+	n, err := New(Config{Name: "local", Result: res})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	for _, c := range []struct {
+		name   string
+		create func(k int64) (vm.Value, error)
+	}{
+		{"original", func(k int64) (vm.Value, error) {
+			return original.Invoke("Driver", "make", vm.Value{}, []vm.Value{vm.IntV(k)})
+		}},
+		{"BindLocal", func(k int64) (vm.Value, error) {
+			return bound.Invoke(transform.CFactory("Driver"), "make", vm.Value{}, []vm.Value{vm.IntV(k)})
+		}},
+		{"node", func(k int64) (vm.Value, error) { return n.InvokeStatic("Driver", "make", vm.IntV(k)) }},
+	} {
+		if per := allocsPerObject(t, c.create); per != 1 {
+			t.Errorf("%s: a new P(int, int) allocates %v times, want 1", c.name, per)
+		}
+	}
+}
+
+// allocsPerObject is what one more of create's objects allocates: the
+// difference between making 1,000 and making none, per object.
+func allocsPerObject(t *testing.T, create func(k int64) (vm.Value, error)) float64 {
+	t.Helper()
+	const k = 1000
+	run := func(k int64) func() {
+		return func() {
+			if v, err := create(k); err != nil || v.I != k {
+				t.Fatalf("make(%d) = %v, %v", k, v, err)
+			}
+		}
+	}
+	run(k)()
+	return (testing.AllocsPerRun(20, run(k)) - testing.AllocsPerRun(20, run(0))) / k
 }

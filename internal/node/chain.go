@@ -14,7 +14,7 @@ import (
 // is an ordered interceptor around the effect switch.  The fixed order
 // (docs/CONCURRENCY.md §16, docs/INTERCEPT.md):
 //
-//	count → plane → priority-shed → fair-share → CoDel → user… → dedup → trace → effect switch
+//	plane → priority-shed → fair-share → CoDel → user… → dedup → trace → effect switch
 //
 // Two placements are load-bearing.  The shedding tier runs after the
 // plane interceptor — ping, gossip and introspection must stay
@@ -29,8 +29,8 @@ import (
 // buildChain composes the node's dispatch chain around the effect
 // switch with the given user interceptors spliced in.
 func (n *Node) buildChain(user []intercept.Interceptor) *intercept.Chain {
-	ics := make([]intercept.Interceptor, 0, 5+len(user))
-	ics = append(ics, n.countInterceptor, n.planeInterceptor)
+	ics := make([]intercept.Interceptor, 0, 4+len(user))
+	ics = append(ics, n.planeInterceptor)
 	ics = append(ics, n.shedIcs...)
 	ics = append(ics, user...)
 	ics = append(ics, n.dedupInterceptor, n.traceInterceptor)
@@ -49,26 +49,27 @@ func (n *Node) Use(ics ...intercept.Interceptor) {
 	n.chain.Store(n.buildChain(slices.Clone(n.userIcs)))
 }
 
-// countInterceptor is the outermost tier: the inbound-call counter.
-func (n *Node) countInterceptor(cc *intercept.CallCtx, next intercept.Handler) (*wire.Response, error) {
-	n.callsIn.Inc()
-	return next(cc)
-}
-
-// planeInterceptor short-circuits the effect-free plane ops.  They
+// planeInterceptor is the outermost tier.  It counts every inbound
+// request, a plane op into node.plane_in and any other into
+// node.calls_in, and short-circuits the effect-free plane ops.  They
 // never carry tokens, skip the dedup window, and — by running above the
 // shedding tier — stay answerable under overload.
 func (n *Node) planeInterceptor(cc *intercept.CallCtx, next intercept.Handler) (*wire.Response, error) {
 	req := cc.Req
+	var resp *wire.Response
 	switch req.Op {
 	case wire.OpPing:
-		return &wire.Response{ID: req.ID, Result: wire.Value{Kind: wire.KString, Str: n.name}}, nil
+		resp = &wire.Response{ID: req.ID, Result: wire.Value{Kind: wire.KString, Str: n.name}}
 	case wire.OpGossip:
-		return n.dispatchGossip(req), nil
+		resp = n.dispatchGossip(req)
 	case wire.OpIntrospect:
-		return n.dispatchIntrospect(req), nil
+		resp = n.dispatchIntrospect(req)
+	default:
+		n.callsIn.Inc()
+		return next(cc)
 	}
-	return next(cc)
+	n.planeIn.Inc()
+	return resp, nil
 }
 
 // dedupInterceptor guards the side-effectful tiers below it with the

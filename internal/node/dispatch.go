@@ -34,7 +34,7 @@ import (
 // (docs/CONCURRENCY.md §7).
 //
 // Structurally, dispatch runs the request through the node's
-// interceptor chain (chain.go): counting, plane short-circuits, the
+// interceptor chain (chain.go): counting and plane short-circuits, the
 // proactive shedding tier, user interceptors, the dedup window and
 // trace emission are all ordered interceptors around the effect switch
 // (rootDispatch).  The chain pointer is swapped atomically by Use, so

@@ -18,10 +18,12 @@ import (
 // registerFactoryNatives binds make and discover for every transformed
 // class.  These are the paper's only implementation-aware methods: they
 // consult the policy table and build either local implementations or
-// proxies.
+// proxies.  Each make resolves its class's _O_Local here, once, so a
+// local creation reads the policy with one atomic load and allocates
+// only the object.
 func (n *Node) registerFactoryNatives() {
 	for _, class := range n.result.Transformed {
-		class := class
+		impl := n.machine.ClassRef(transform.OLocal(class))
 		n.machine.RegisterNative(transform.OFactory(class), transform.MakeMethod, 0,
 			func(env *vm.Env, _ vm.Value, _ []vm.Value) (vm.Value, *vm.Thrown, error) {
 				pl, _ := n.pol.For(class)
@@ -29,7 +31,7 @@ func (n *Node) registerFactoryNatives() {
 					if rec := n.telem.Load(); rec != nil {
 						rec.RecordCreateLocal(class)
 					}
-					return env.Construct(transform.OLocal(class), nil)
+					return env.ConstructRef(impl, nil)
 				}
 				if rec := n.telem.Load(); rec != nil {
 					rec.RecordCreateRemote(class, pl.Endpoint)

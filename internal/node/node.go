@@ -130,12 +130,13 @@ type Node struct {
 	// metrics is the node's instrument registry (never nil), the single
 	// source of the introspection snapshot's "metrics" rows.  The
 	// activity counters below are its "node.*" instruments: proxy
-	// invocations sent, inbound requests, constructions served, and
+	// invocations sent, inbound program requests, inbound plane requests
+	// (ping, gossip, introspection), constructions served, and
 	// migrations shipped and adopted.  expiries counts calls whose
 	// budget ran out in an object's gate queue, into the same
 	// "overload.deadline_expiries" counter transport admission bumps.
-	metrics                                             *metrics.Registry
-	callsOut, callsIn, creates, migOut, migIn, expiries *metrics.Counter
+	metrics                                                      *metrics.Registry
+	callsOut, callsIn, planeIn, creates, migOut, migIn, expiries *metrics.Counter
 
 	// telem is the optional metrics plane (nil = disabled, the zero-cost
 	// default).  Loaded with one atomic read on the dispatch and
@@ -247,6 +248,7 @@ func New(cfg Config) (*Node, error) {
 		metrics:    mreg,
 		callsOut:   mreg.Counter("node.calls_out"),
 		callsIn:    mreg.Counter("node.calls_in"),
+		planeIn:    mreg.Counter("node.plane_in"),
 		creates:    mreg.Counter("node.creates"),
 		migOut:     mreg.Counter("node.migrations_out"),
 		migIn:      mreg.Counter("node.migrations_in"),

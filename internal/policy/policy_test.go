@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 )
@@ -161,5 +162,67 @@ func TestKindString(t *testing.T) {
 	}
 	if Kind(9).String() == "" {
 		t.Fatal("unknown kind string empty")
+	}
+}
+
+// TestSnapshotUnderRace: writers place a class with SetClass, and with
+// SetClassIf at a version they read, while readers call For and Version.
+// Each write publishes one version, so a version is claimed by one
+// writer only: a SetClassIf that read a stale version never wins.  Every
+// (placement, version) pair a reader sees is the one the writer of that
+// version wrote.  Run it under -race.
+func TestSnapshotUnderRace(t *testing.T) {
+	tab := NewTable()
+	var (
+		mu    sync.Mutex
+		wrote = map[uint64]string{0: ""} // version -> endpoint placed by its writer
+		seen  = map[uint64]string{}
+	)
+	claim := func(v uint64, endpoint string) {
+		mu.Lock()
+		defer mu.Unlock()
+		if prev, dup := wrote[v]; dup {
+			t.Errorf("version %d published twice: %q and %q", v, prev, endpoint)
+		}
+		wrote[v] = endpoint
+	}
+	var wg sync.WaitGroup
+	for w := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range 300 {
+				pl, _ := RemoteAt(fmt.Sprintf("rrp://w%d:%d", w, i))
+				if w%2 == 0 {
+					claim(tab.SetClass("C", pl), pl.Endpoint)
+				} else if v := tab.Version(); tab.SetClassIf("C", pl, v) {
+					claim(v+1, pl.Endpoint)
+				}
+			}
+		}()
+	}
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 1000 {
+				pl, v := tab.For("C")
+				if tab.Version() < v {
+					t.Error("version went backwards")
+				}
+				mu.Lock()
+				seen[v] = pl.Endpoint
+				mu.Unlock()
+			}
+		}()
+	}
+	wg.Wait()
+	for v, endpoint := range seen {
+		if want, ok := wrote[v]; !ok || want != endpoint {
+			t.Errorf("read %q at version %d, whose writer placed %q", endpoint, v, want)
+		}
+	}
+	if last := tab.Version(); uint64(len(wrote)) != last+1 {
+		t.Errorf("%d versions claimed up to version %d", len(wrote)-1, last)
 	}
 }

@@ -12,7 +12,8 @@ import (
 // "local version of the transformed application that executes within a
 // single address space" — the distributed runtime (internal/node)
 // registers richer, policy-driven implementations of the same natives
-// instead.
+// instead.  Each make resolves its A_O_Local here, once, so a local new
+// costs what the original's does: one allocation.
 //
 // The singleton is A_C_Local's static, made by its <clinit>, which then
 // runs the class's rewritten initialiser: the VM initialises a class once
@@ -21,10 +22,10 @@ import (
 // touches included.
 func BindLocal(machine *vm.VM, r *Result) {
 	for _, class := range r.Transformed {
-		local := CLocal(class)
+		local, impl := CLocal(class), machine.ClassRef(OLocal(class))
 		machine.RegisterNative(OFactory(class), MakeMethod, 0,
 			func(env *vm.Env, _ vm.Value, _ []vm.Value) (vm.Value, *vm.Thrown, error) {
-				return env.Construct(OLocal(class), nil)
+				return env.ConstructRef(impl, nil)
 			})
 		machine.RegisterNative(CFactory(class), DiscoverMethod, 0,
 			func(env *vm.Env, _ vm.Value, _ []vm.Value) (vm.Value, *vm.Thrown, error) {

@@ -125,7 +125,7 @@ func (v *VM) classLink(c *ir.Class) *classLink {
 	cl := &classLink{class: c, codes: make(map[*ir.Method]*code, len(c.Methods))}
 	cl.self = link{class: c, state: &cl.state}
 	cl.state.monitor.class.Store(c)
-	cl.state.monitor.start(noFields, nil)
+	cl.state.monitor.cur.Store(&unset)
 	for _, m := range c.Methods {
 		nargs := len(m.Params)
 		if !m.Static {
@@ -215,6 +215,33 @@ func (v *VM) lookup(class, method string, nargs int) (*link, error) {
 		return nil, err
 	}
 	return v.resolve(cl.class, method, nargs)
+}
+
+// ClassRef is a class of a VM's program resolved by name once, for a host
+// that instantiates it over and over — a factory's make (Env.ConstructRef):
+// the link tables are one atomic load away, where a by-name entry point
+// looks the name up in the program on every call.
+type ClassRef struct {
+	v    *VM
+	name string
+	c    *ir.Class                 // nil when the program has no such class
+	cl   atomic.Pointer[classLink] // c's link tables, once first used
+}
+
+// ClassRef resolves the named class of v's program.  A name the program
+// lacks makes a reference whose every use faults, as a by-name use does.
+func (v *VM) ClassRef(name string) *ClassRef {
+	return &ClassRef{v: v, name: name, c: v.prog.Class(name)}
+}
+
+// link returns r's link tables, nil when r names no class.
+func (r *ClassRef) link() *classLink {
+	if cl := r.cl.Load(); cl != nil || r.c == nil {
+		return cl
+	}
+	cl := r.v.classLink(r.c)
+	r.cl.Store(cl)
+	return cl
 }
 
 // linked returns the named class's link tables (nil when the program has

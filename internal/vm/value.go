@@ -172,8 +172,12 @@ func newLayout(self link, names []string, types []ir.Type) *layout {
 }
 
 // noFields is the layout of a class monitor before its class's
-// initialisation has made its static slots.
-var noFields = newLayout(link{}, nil, nil)
+// initialisation has made its static slots, and unset the state every
+// such monitor shares (it has no slot to write).
+var (
+	noFields = newLayout(link{}, nil, nil)
+	unset    = slots{layout: noFields}
+)
 
 // slotFor returns the slot a by-name write of v to name goes to, or an
 // error when the layout has no such field or v does not fit its declared
@@ -353,6 +357,13 @@ func (s *slots) target(name string, at *atomic.Pointer[link]) (*link, access) {
 // redirects every existing reference — the mechanism behind Figure 1's
 // replacement of C with Cp.
 //
+// Layout (DESIGN.md, "Object layout"): an instance is one allocation —
+// the Object at its base, then its first state, then that state's slots
+// (see newInstance); only a layout of more than maxInline slots keeps its
+// slots in a second one.  The header holds what every access needs: the
+// class, the state pointer, the gate, and a pointer to the side record,
+// which holds the rest and exists only once something needs it.
+//
 // Thread safety (docs/CONCURRENCY.md §6):
 //
 //   - The layout and the slot vector are one state behind the atomic
@@ -362,11 +373,12 @@ func (s *slots) target(name string, at *atomic.Pointer[link]) (*link, access) {
 //     operation and no lock; a store then re-loads the state and, when
 //     a morph or a freeze published another meanwhile, stores again
 //     against that one.
-//   - mu serialises what spans slots — SetFields, ReadFields, View,
-//     Freeze, Thaw and the morph — and every access to a two-word slot
-//     (a string).  The class pointer is written under mu with the state
-//     but read with one atomic load: dispatch needs only the class, and
-//     a morph racing it is ordered either side.
+//   - The state lock (side.mu) serialises what spans slots — SetFields,
+//     ReadFields, View, Freeze, Thaw and the morph — every access by
+//     name, and every access to a two-word slot (a string).  The class
+//     pointer is written under it with the state but read with one
+//     atomic load: dispatch needs only the class, and a morph racing it
+//     is ordered either side.
 //   - gate is the object's invocation gate (a monitor): the node runtime
 //     holds it for the whole of an inbound method invocation targeting
 //     this object, and migration holds it across freeze→ship→morph.
@@ -377,12 +389,21 @@ func (s *slots) target(name string, at *atomic.Pointer[link]) (*link, access) {
 // objects inside one execution, so self-calls and local call chains
 // cannot self-deadlock; see docs/CONCURRENCY.md for the full contract.
 type Object struct {
-	mu    sync.Mutex
 	class atomic.Pointer[ir.Class]
 	cur   atomic.Pointer[slots]
-	own   slots // the state the object is allocated with, which cur first points at
+	gate  sync.Mutex
+	ext   atomic.Pointer[side] // nil until the object first needs its side record
+}
 
-	gate sync.Mutex
+// side is the part of an object's header few objects need, installed by
+// whichever goroutine needs it first (Object.side): at the object's first
+// access by name (the node's marshalling, export and proxy bookkeeping),
+// to a string slot, freeze, morph, park, or telemetry record.  An object
+// only made and then read and written at its field sites — the local
+// objects of a program, most of its heap — never has one.
+type side struct {
+	// mu is the state lock (see Object).
+	mu sync.Mutex
 
 	// epoch counts morphs.  An execution that parked in RunUnlocked
 	// while holding this object's gate compares the epoch on gate
@@ -395,7 +416,7 @@ type Object struct {
 	// telem is the object's telemetry slot: an opaque per-object stats
 	// record (internal/telemetry.ObjStats) installed lazily by the node
 	// runtime.  The VM never reads it; it lives here so the hot
-	// dispatch path reaches the counters with one atomic load and no
+	// dispatch path reaches the counters with two atomic loads and no
 	// map lookup or lock below the invocation gate.
 	telem atomic.Value
 
@@ -408,15 +429,84 @@ type Object struct {
 	parked atomic.Int32
 }
 
-// start gives o, not yet shared, its first state.
-func (o *Object) start(l *layout, vals []Value) {
-	o.own = slots{layout: l, vals: vals}
-	o.cur.Store(&o.own)
+// side returns o's side record, installing an empty one if o has none.
+func (o *Object) side() *side {
+	if s := o.ext.Load(); s != nil {
+		return s
+	}
+	o.ext.CompareAndSwap(nil, new(side))
+	return o.ext.Load()
+}
+
+// lock takes o's state lock and returns the record that holds it.
+func (o *Object) lock() *side {
+	s := o.side()
+	s.mu.Lock()
+	return s
+}
+
+// maxInline is the largest layout whose slots are allocated with their
+// object (newInstance).
+const maxInline = 8
+
+// inline is one allocation holding an Object, its first state and the
+// slots of that state: V is [n]Value, one size class per slot count n up
+// to maxInline, or struct{} for an object whose slots are allocated apart
+// (or that has none).  The Object comes first, so a pointer to it is a
+// pointer to the allocation's base — what weak pointers and cleanups
+// attach to.
+type inline[V any] struct {
+	Object
+	own  slots
+	vals V
+}
+
+// inlineOf holds, at index n-1, the allocator of objects of n slots.
+var inlineOf = [maxInline]func(*layout) *Object{
+	allocInline[[1]Value], allocInline[[2]Value], allocInline[[3]Value], allocInline[[4]Value],
+	allocInline[[5]Value], allocInline[[6]Value], allocInline[[7]Value], allocInline[[8]Value],
+}
+
+// allocInline allocates an object of layout l, whose slot count is V's
+// length, in one allocation.
+func allocInline[V any](l *layout) *Object {
+	p := new(inline[V])
+	return p.start(&p.own, l, unsafe.Slice((*Value)(unsafe.Pointer(&p.vals)), len(l.zeros)))
+}
+
+// newInstance allocates an object of layout l, its slots at their zero
+// values and its class not yet set: in one allocation up to maxInline
+// slots, in two past it.
+func newInstance(l *layout) *Object {
+	if n := len(l.zeros); n > 0 && n <= maxInline {
+		return inlineOf[n-1](l)
+	}
+	p := new(inline[struct{}])
+	return p.start(&p.own, l, make([]Value, len(l.zeros)))
+}
+
+// start gives o, not yet shared, its first state: own, of layout l, with
+// slots vals, which are new and so zeroed, at their zero values.  A slot's
+// zero value is its kind and nothing else, so only the kinds are written:
+// copying l.zeros whole would copy pointer words, behind write barriers
+// whenever the collector runs.
+func (o *Object) start(own *slots, l *layout, vals []Value) *Object {
+	for i := range vals {
+		vals[i].K = l.zeros[i].K
+	}
+	*own = slots{layout: l, vals: vals}
+	o.cur.Store(own)
+	return o
 }
 
 // Parked returns the number of executions currently parked mid-method
 // with this object's gate released (see Env.RunUnlocked).
-func (o *Object) Parked() int32 { return o.parked.Load() }
+func (o *Object) Parked() int32 {
+	if s := o.ext.Load(); s != nil {
+		return s.parked.Load()
+	}
+	return 0
+}
 
 // Class returns the object's current dynamic class.
 func (o *Object) Class() *ir.Class { return o.class.Load() }
@@ -438,8 +528,8 @@ func (o *Object) Get(name string) Value {
 
 // Field reads a field and reports whether the object has it.
 func (o *Object) Field(name string) (v Value, ok bool) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
+	sd := o.lock()
+	defer sd.mu.Unlock()
 	s := o.cur.Load()
 	i, ok := s.layout.index[name]
 	if ok {
@@ -452,8 +542,8 @@ func (o *Object) Field(name string) (v Value, ok bool) {
 // does not fit the field's type, is refused and the object left as it was.
 // A by-name write does not wait for a frozen object (see Freeze).
 func (o *Object) Set(name string, v Value) error {
-	o.mu.Lock()
-	defer o.mu.Unlock()
+	sd := o.lock()
+	defer sd.mu.Unlock()
 	s := o.cur.Load()
 	i, err := s.layout.slotFor(o.ClassName(), name, &v)
 	if err == nil {
@@ -483,8 +573,8 @@ func (o *Object) load(dst *Value, name string, at *atomic.Pointer[link]) bool {
 
 // loadLocked is load for a two-word slot.
 func (o *Object) loadLocked(dst *Value, name string, at *atomic.Pointer[link]) bool {
-	o.mu.Lock()
-	defer o.mu.Unlock()
+	sd := o.lock()
+	defer sd.mu.Unlock()
 	s := o.cur.Load()
 	ref := s.site(name, at)
 	if ref != nil {
@@ -541,8 +631,8 @@ func (o *Object) storeSlow(env *Env, name string, at *atomic.Pointer[link], v *V
 
 // storeLocked is store for a two-word slot.
 func (o *Object) storeLocked(name string, at *atomic.Pointer[link], v *Value) access {
-	o.mu.Lock()
-	defer o.mu.Unlock()
+	sd := o.lock()
+	defer sd.mu.Unlock()
 	s := o.cur.Load()
 	ref, res := s.target(name, at)
 	if res == stored {
@@ -557,8 +647,8 @@ func (o *Object) storeLocked(name string, at *atomic.Pointer[link], v *Value) ac
 // When Set would refuse one of them, it writes none.  Like Set, it does
 // not wait for a frozen object.
 func (o *Object) SetFields(m map[string]Value) error {
-	o.mu.Lock()
-	defer o.mu.Unlock()
+	sd := o.lock()
+	defer sd.mu.Unlock()
 	s := o.cur.Load()
 	return s.layout.fill(o.ClassName(), s.vals, m)
 }
@@ -569,7 +659,7 @@ func (o *Object) SetFields(m map[string]Value) error {
 // GUID/endpoint pair (a concurrent retarget can never be
 // observed torn).  A name the object lacks reads as the zero Value.
 func (o *Object) ReadFields(names []string, out []Value) {
-	o.mu.Lock()
+	sd := o.lock()
 	s := o.cur.Load()
 	for i, n := range names {
 		if j, ok := s.layout.index[n]; ok {
@@ -578,15 +668,15 @@ func (o *Object) ReadFields(names []string, out []Value) {
 			out[i] = Value{}
 		}
 	}
-	o.mu.Unlock()
+	sd.mu.Unlock()
 }
 
 // View returns the object's class and a copy of its fields, both taken
 // under one lock acquisition — a consistent snapshot for marshalling and
 // replication.
 func (o *Object) View() (*ir.Class, map[string]Value) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
+	sd := o.lock()
+	defer sd.mu.Unlock()
 	return o.view(o.cur.Load())
 }
 
@@ -609,8 +699,8 @@ func (o *Object) view(s *slots) (*ir.Class, map[string]Value) {
 // again against the state that follows.  Reads never wait, and neither
 // do by-name writes (Set, SetFields).
 func (o *Object) Freeze() (*ir.Class, map[string]Value) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
+	sd := o.lock()
+	defer sd.mu.Unlock()
 	s := o.cur.Load()
 	o.cur.Store(&slots{layout: s.layout, vals: s.vals, frozen: true})
 	return o.view(s)
@@ -619,8 +709,8 @@ func (o *Object) Freeze() (*ir.Class, map[string]Value) {
 // Thaw releases a frozen object whose migration did not morph it: stores
 // that waited proceed against the state Freeze snapshotted.
 func (o *Object) Thaw() {
-	o.mu.Lock()
-	defer o.mu.Unlock()
+	sd := o.lock()
+	defer sd.mu.Unlock()
 	if s := o.cur.Load(); s.frozen {
 		o.cur.Store(&slots{layout: s.layout, vals: s.vals})
 	}
@@ -629,23 +719,34 @@ func (o *Object) Thaw() {
 // Epoch returns the object's morph count.  Executions record it at gate
 // acquisition and re-check after blocking I/O; migration is the only
 // morph source, so a changed epoch means "this object moved".
-func (o *Object) Epoch() uint64 { return o.epoch.Load() }
+func (o *Object) Epoch() uint64 {
+	if s := o.ext.Load(); s != nil {
+		return s.epoch.Load()
+	}
+	return 0
+}
 
 // Telemetry returns the object's telemetry record, or nil when none has
 // been installed.
-func (o *Object) Telemetry() any { return o.telem.Load() }
+func (o *Object) Telemetry() any {
+	if s := o.ext.Load(); s != nil {
+		return s.telem.Load()
+	}
+	return nil
+}
 
 // TelemetryOrInit returns the object's telemetry record, installing
 // mk() atomically on first use.  All installations must use one
 // concrete type.  installed reports whether this call's mk() value won
 // the race (so the caller can register it in a side index exactly once).
 func (o *Object) TelemetryOrInit(mk func() any) (rec any, installed bool) {
-	if v := o.telem.Load(); v != nil {
+	s := o.side()
+	if v := s.telem.Load(); v != nil {
 		return v, false
 	}
 	nv := mk()
-	if o.telem.CompareAndSwap(nil, nv) {
+	if s.telem.CompareAndSwap(nil, nv) {
 		return nv, true
 	}
-	return o.telem.Load(), false
+	return s.telem.Load(), false
 }

@@ -16,8 +16,9 @@
 //     under a mutex and are expected at boot, before traffic; a native
 //     method looks them up on its first successful call and keeps that
 //     binding, so registering it again later changes nothing.
-//   - Every heap Object carries its own state lock (field reads/writes
-//     and morphs are individually atomic) and an invocation gate that
+//   - Every heap Object has its own state lock (field reads/writes
+//     and morphs are individually atomic; the lock lives in a side
+//     record the object gets on first need) and an invocation gate that
 //     callers acquire via ExecOn to serialise whole invocations — and
 //     migrations — per object.  Executions entered through different
 //     objects run in parallel.
@@ -306,7 +307,12 @@ func (e *Env) New(class string) (*Object, error) { return e.vm.NewObject(class) 
 
 // Construct allocates and runs the matching constructor.
 func (e *Env) Construct(class string, args []Value) (Value, *Thrown, error) {
-	return e.vm.construct(e, class, args)
+	return e.vm.construct(e, e.vm.linked(class), class, args)
+}
+
+// ConstructRef is Construct of the class r names, without looking it up.
+func (e *Env) ConstructRef(r *ClassRef, args []Value) (Value, *Thrown, error) {
+	return e.vm.construct(e, r.link(), r.name, args)
 }
 
 // Throw builds a Thrown of the given system exception class.
@@ -326,7 +332,7 @@ func (e *Env) Throw(class, msg string) *Thrown { return e.vm.throwSys(class, msg
 // the frames' view.
 func (e *Env) RunUnlocked(f func()) {
 	for i := len(e.gates) - 1; i >= 0; i-- {
-		e.gates[i].obj.parked.Add(1)
+		e.gates[i].obj.side().parked.Add(1)
 		e.gates[i].obj.gate.Unlock()
 	}
 	depth, sp := e.depth, e.sp
@@ -337,7 +343,7 @@ func (e *Env) RunUnlocked(f func()) {
 		e.depth, e.sp = depth, sp
 		for _, g := range e.gates {
 			g.obj.gate.Lock()
-			g.obj.parked.Add(-1)
+			g.obj.side().parked.Add(-1)
 		}
 		if !completed {
 			return // f panicked; don't replace its panic
@@ -655,7 +661,7 @@ func (v *VM) NewObject(class string) (*Object, error) {
 // Construct allocates an instance and runs its arity-matching constructor.
 func (v *VM) Construct(class string, args []Value) (res Value, err error) {
 	v.Exec(func(env *Env) {
-		res, err = v.flatten(v.construct(env, class, args))
+		res, err = v.flatten(v.construct(env, v.linked(class), class, args))
 	})
 	return res, err
 }
@@ -698,11 +704,11 @@ func (v *VM) Morph(obj *Object, newClass string, fields map[string]Value) error 
 	if err := l.fill(newClass, vals, fields); err != nil {
 		return err
 	}
-	obj.mu.Lock()
+	sd := obj.lock()
 	obj.class.Store(cl.class)
 	obj.cur.Store(&slots{layout: l, vals: vals})
-	obj.epoch.Add(1)
-	obj.mu.Unlock()
+	sd.epoch.Add(1)
+	sd.mu.Unlock()
 	return nil
 }
 
@@ -787,20 +793,22 @@ func (v *VM) alloc(c *ir.Class, st *classState) (*Object, error) {
 	if c.IsInterface || c.Abstract {
 		return nil, &FaultError{Msg: "new: cannot instantiate " + c.Name}
 	}
-	l := v.layoutOf(c, st)
-	o := &Object{}
-	o.start(l, slices.Clone(l.zeros))
+	o := newInstance(v.layoutOf(c, st))
 	o.class.Store(c)
 	return o, nil
 }
 
-func (v *VM) construct(env *Env, class string, args []Value) (Value, *Thrown, error) {
-	cl := v.linked(class)
+// construct instantiates cl, the link tables of the named class (nil
+// when the program has no such class), and runs its constructor of
+// args' arity.
+func (v *VM) construct(env *Env, cl *classLink, class string, args []Value) (Value, *Thrown, error) {
 	if cl == nil {
 		return Value{}, nil, &FaultError{Msg: "init: unknown class " + class}
 	}
-	if thrown, err := v.initClass(env, cl.class); thrown != nil || err != nil {
-		return Value{}, thrown, err
+	if !cl.state.done.Load() {
+		if thrown, err := v.initClass(env, cl.class); thrown != nil || err != nil {
+			return Value{}, thrown, err
+		}
 	}
 	obj, err := v.alloc(cl.class, &cl.state)
 	if err != nil {
@@ -968,9 +976,9 @@ func (v *VM) runInit(env *Env, c *ir.Class, cl *classLink) (*Thrown, error) {
 	// morph, and a static call may hold the monitor's gate meanwhile.
 	l := v.fieldLayout(cl.self, c, true)
 	mon := &cl.state.monitor
-	mon.mu.Lock()
+	sd := mon.lock()
 	mon.cur.Store(&slots{layout: l, vals: slices.Clone(l.zeros)})
-	mon.mu.Unlock()
+	sd.mu.Unlock()
 
 	if clinit := c.StaticInit(); clinit != nil {
 		_, thrown, err := v.enter(env, cl.codes[clinit], Value{}, nil)
