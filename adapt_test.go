@@ -31,7 +31,7 @@ func TestAdaptiveMigrationConverges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := prog.Transform(WithProtocols("rrp"))
+	tr, err := prog.Transform()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestAdapterDecisionsReachSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := prog.Transform(WithProtocols("rrp"))
+	tr, err := prog.Transform()
 	if err != nil {
 		t.Fatal(err)
 	}

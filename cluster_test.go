@@ -29,7 +29,7 @@ func clusterTrio(t *testing.T, propose [3]bool) (nodes [3]*Node, clusters [3]*Cl
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := prog.Transform(WithProtocols("rrp"))
+	tr, err := prog.Transform()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +308,7 @@ func TestPlaceClassAtOwnEndpointIsLocal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := prog.Transform(WithProtocols("rrp"))
+	tr, err := prog.Transform()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -52,7 +52,7 @@ func BenchmarkE1_TransformCorpus500(b *testing.B) {
 	p.Classes = 500
 	prog := corpus.Generate(p)
 	benchCalls(b, 1, func(int) error {
-		_, err := transform.Transform(prog, transform.Options{Protocols: []string{"rrp"}})
+		_, err := transform.Transform(prog, transform.Options{})
 		return err
 	})
 }
@@ -214,7 +214,7 @@ func BenchmarkE5_WANLatencyDominates(b *testing.B) {
 // live object between nodes (including the in-place proxy morph).
 func BenchmarkE6_Redistribution(b *testing.B) {
 	b.Run("policy-flip", func(b *testing.B) {
-		tr, err := transformed(figure1Source, allProtocols...)
+		tr, err := transformed(figure1Source)
 		if err != nil {
 			b.Fatal(err)
 		}

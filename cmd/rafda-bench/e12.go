@@ -80,7 +80,7 @@ type E12Report struct {
 // e12Nodes deploys a faulty two-node pair (driver, server) and returns
 // the server's endpoint.
 func e12Nodes(seed uint64) (driver, server *rafda.Node, epServer string, closeAll func(), err error) {
-	tr, err := transformed(counterSource, "rrp")
+	tr, err := transformed(counterSource)
 	if err != nil {
 		return nil, nil, "", nil, err
 	}

@@ -91,7 +91,7 @@ func e13(p profile, out string) error {
 		Heartbeat: e10Heartbeat.String(),
 		Replicas:  3,
 	}
-	tr, err := transformed(e13Source, "rrp")
+	tr, err := transformed(e13Source)
 	if err != nil {
 		return err
 	}

@@ -96,7 +96,7 @@ type e14Span struct {
 // overhead arm — a clean simulated LAN, tracing on or off on BOTH
 // sides — with the counter placed remotely and one instance made.
 func e14Pair(prefix string, noTrace bool) (driver *rafda.Node, ref *rafda.Ref, closeAll func(), err error) {
-	tr, err := transformed(counterSource, "rrp")
+	tr, err := transformed(counterSource)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -305,7 +305,7 @@ func e14NodeSpans(n *rafda.Node) ([]e14Span, E14NodeRing, error) {
 // one span whose parent is missing from the union.
 func e14Audit(auditCalls int, seed uint64) (E14SeedAudit, error) {
 	row := E14SeedAudit{Seed: seed}
-	tr, err := transformed(counterSource, "rrp")
+	tr, err := transformed(counterSource)
 	if err != nil {
 		return row, err
 	}

@@ -230,7 +230,7 @@ func e15(p profile, out string) error {
 
 // e15Main runs the churn/SLO arm and fills the report's main-arm rows.
 func e15Main(p profile, report *E15Report) error {
-	tr, err := transformed(e15Source, "rrp")
+	tr, err := transformed(e15Source)
 	if err != nil {
 		return err
 	}

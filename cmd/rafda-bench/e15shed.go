@@ -125,7 +125,7 @@ func e15Shed(p profile, report *E15Report) error {
 		{"bg-01", "bg", 0, 0.09},
 	}
 
-	tr, err := transformed(e15Source, "rrp")
+	tr, err := transformed(e15Source)
 	if err != nil {
 		return err
 	}

@@ -201,13 +201,13 @@ func timedPhase(l load, call func(g int) error) ([]Bucket, error) {
 	return d.buckets, nil
 }
 
-// transformed compiles src and transforms it for protos.
-func transformed(src string, protos ...string) (*rafda.Transformed, error) {
+// transformed compiles and transforms src.
+func transformed(src string) (*rafda.Transformed, error) {
 	prog, err := rafda.CompileString(src)
 	if err != nil {
 		return nil, err
 	}
-	return prog.Transform(rafda.WithProtocols(protos...))
+	return prog.Transform()
 }
 
 // deploy builds one node per config over tr, each serving proto, and

@@ -14,7 +14,7 @@ import (
 	"rafda/internal/wrapper"
 )
 
-// allProtocols is every proxy family the paper names (§1).
+// allProtocols is every transport a proxy's endpoint can name.
 var allProtocols = []string{"inproc", "rrp", "soap", "json"}
 
 // figureXSource is the paper's Figure 2 class X with its collaborators.
@@ -47,7 +47,7 @@ class Main {
 // e1 prints the generated family for the paper's Figure 2 class X,
 // reproducing the listings of Figures 3, 4 and 5.
 func e1(profile, string) error {
-	tr, err := transformed(figureXSource, "soap", "rrp")
+	tr, err := transformed(figureXSource)
 	if err != nil {
 		return err
 	}
@@ -56,8 +56,8 @@ func e1(profile, string) error {
 		title   string
 		classes []string
 	}{
-		{"Figure 3 — instance members transformation:", []string{"X_O_Int", "X_O_Local", "X_O_Proxy_soap"}},
-		{"Figure 4 — static members transformation:", []string{"X_C_Int", "X_C_Local", "X_C_Proxy_rrp"}},
+		{"Figure 3 — instance members transformation:", []string{"X_O_Int", "X_O_Local", "X_O_Proxy"}},
+		{"Figure 4 — static members transformation:", []string{"X_C_Int", "X_C_Local", "X_C_Proxy"}},
 		{"Figure 5 — factories:", []string{"X_O_Factory", "X_C_Factory"}},
 	} {
 		fmt.Println(fig.title)
@@ -145,7 +145,7 @@ func figure1(mode string) (use func() error, closeAll func(), err error) {
 		}
 		return use, func() {}, nil
 	}
-	tr, err := transformed(figure1Source, allProtocols...)
+	tr, err := transformed(figure1Source)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -255,7 +255,7 @@ func e4Machine(src, variant string) (func() error, error) {
 	case "original":
 		machine = vm.MustNew(prog)
 	case "rafda-local":
-		res, err := transform.Transform(prog, transform.Options{Protocols: []string{"rrp"}})
+		res, err := transform.Transform(prog, transform.Options{})
 		if err != nil {
 			return nil, err
 		}
@@ -324,7 +324,7 @@ class Main { static void main() {} }`
 // echoPair deploys EchoSvc on a server behind proto on net and returns
 // the client node and its proxy to one instance.
 func echoPair(proto string, net rafda.NetProfile) (*rafda.Node, *rafda.Ref, func(), error) {
-	tr, err := transformed(echoSource, allProtocols...)
+	tr, err := transformed(echoSource)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -392,7 +392,7 @@ class Main { static void main() {} }`
 // e6Nodes deploys nodes a and b over rrp and returns a's reference to
 // Holder.held, the object e6 migrates (its sum is 6 wherever it lives).
 func e6Nodes() (nodes []*rafda.Node, eps []string, held *rafda.Ref, closeAll func(), err error) {
-	tr, err := transformed(bagSource, allProtocols...)
+	tr, err := transformed(bagSource)
 	if err != nil {
 		return nil, nil, nil, nil, err
 	}

@@ -75,7 +75,7 @@ type E9Report struct {
 
 // e9Nodes deploys the E9 driver and server over the simulated LAN.
 func e9Nodes() (driver, server *rafda.Node, epServer string, closeAll func(), err error) {
-	tr, err := transformed(counterSource, "rrp")
+	tr, err := transformed(counterSource)
 	if err != nil {
 		return nil, nil, "", nil, err
 	}
@@ -309,7 +309,7 @@ func lanNodes(tr *rafda.Transformed, names ...string) ([]*rafda.Node, []string, 
 // to the manual-optimal deployment.
 func e10(p profile, out string) error {
 	report := E10Report{header: newHeader("e10"), Parallel: e9Parallel, Heartbeat: e10Heartbeat.String()}
-	tr, err := transformed(counterSource, "rrp")
+	tr, err := transformed(counterSource)
 	if err != nil {
 		return err
 	}

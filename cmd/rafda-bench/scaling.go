@@ -63,7 +63,7 @@ func e8Node(objects int) (*node.Node, []vm.Value, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	res, err := transform.Transform(prog, transform.Options{Protocols: []string{"rrp"}})
+	res, err := transform.Transform(prog, transform.Options{})
 	if err != nil {
 		return nil, nil, err
 	}

@@ -2,7 +2,7 @@
 //
 //	rafdac compile  -o prog.rar file.mj...         compile sources
 //	rafdac analyze  [-exclude A,B] file.mj|.rar    substitutability report
-//	rafdac transform [-protocols p,q] [-o out.rar] file.mj|.rar
+//	rafdac transform [-exclude A,B] [-o out.rar] file.mj|.rar
 //	rafdac disasm   [-code] [-class C] file.mj|.rar
 //	rafdac run      [-main C] [-transformed] file.mj|.rar
 //	rafdac verify   file.mj|.rar
@@ -150,7 +150,6 @@ func cmdAnalyze(args []string) error {
 func cmdTransform(args []string) error {
 	fs := flag.NewFlagSet("transform", flag.ContinueOnError)
 	out := fs.String("o", "prog.transformed.rar", "output archive")
-	protocols := fs.String("protocols", "rrp,soap,json", "proxy protocol families")
 	exclude := fs.String("exclude", "", "comma-separated classes to exclude")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -159,7 +158,7 @@ func cmdTransform(args []string) error {
 	if err != nil {
 		return err
 	}
-	opts := []rafda.TransformOption{rafda.WithProtocols(strings.Split(*protocols, ",")...)}
+	var opts []rafda.TransformOption
 	if *exclude != "" {
 		opts = append(opts, rafda.WithExclude(strings.Split(*exclude, ",")...))
 	}

@@ -30,7 +30,7 @@ class Main {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := prog.Transform(rafda.WithProtocols("rrp"))
+	tr, err := prog.Transform()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestTopOfIdleServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := prog.Transform(rafda.WithProtocols("rrp"))
+	tr, err := prog.Transform()
 	if err != nil {
 		t.Fatal(err)
 	}

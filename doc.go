@@ -10,8 +10,9 @@
 //	program             --Analyze-->  substitutability analysis (§2.4)
 //	program             --Transform-> componentised program (§2.1–2.3):
 //	                                  per class A: A_O_Int, A_O_Local,
-//	                                  A_O_Proxy_<proto>, A_C_Int, A_C_Local,
-//	                                  A_C_Proxy_<proto>, A_O_Factory, A_C_Factory
+//	                                  A_O_Proxy, A_C_Int, A_C_Local,
+//	                                  A_C_Proxy, A_O_Factory, A_C_Factory;
+//	                                  a proxy's endpoint names its transport
 //	transformed program --NewNode-->  address spaces that place classes by
 //	                                  policy, proxy remote instances over
 //	                                  rrp/soap/json/inproc transports,

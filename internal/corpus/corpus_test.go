@@ -90,7 +90,7 @@ func TestTransformableSubsetActuallyTransforms(t *testing.T) {
 	p := JDKLike()
 	p.Classes = 300
 	prog := Generate(p)
-	res, err := transform.Transform(prog, transform.Options{Protocols: []string{"rrp"}})
+	res, err := transform.Transform(prog, transform.Options{})
 	if err != nil {
 		t.Fatalf("transform: %v", err)
 	}

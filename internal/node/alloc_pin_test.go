@@ -84,7 +84,7 @@ const bootAllocsPerClass = 2
 func TestNodeBootAllocsPerClass(t *testing.T) {
 	params := corpus.JDKLike()
 	params.Classes = 1000
-	res, err := transform.Transform(corpus.Generate(params), transform.Options{Protocols: []string{"rrp"}})
+	res, err := transform.Transform(corpus.Generate(params), transform.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestAllocPinLocalNew(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := transform.Transform(prog, transform.Options{Protocols: []string{"rrp"}})
+	res, err := transform.Transform(prog, transform.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -178,7 +178,7 @@ func TestAffinitySamplesWindowRollups(t *testing.T) {
 	call("hot", "Counter_O_Local", epA, 10)
 	call("warm", "Counter_O_Local", epA, 12)
 	call("warm2", "Counter_O_Local", epC, 12)
-	call("proxy", transform.OProxy("Counter", "inproc"), epA, 100) // not migratable
+	call("proxy", transform.OProxy("Counter"), epA, 100) // not migratable
 	got := rt.AffinitySamples(2)
 	if len(got) != 2 || got[0].GUID != "hot" || got[1].GUID != "warm" {
 		t.Fatalf("rollups = %+v, want [hot warm]", got)

@@ -245,7 +245,7 @@ func TestOutsideValuesAreKindChecked(t *testing.T) {
 // instance of the declared class and use it as a proxy.
 func TestForeignRefNeedsAProxyMark(t *testing.T) {
 	prog, err := minijava.Compile(`
-class Tag_O_Proxy_rrp { int t; }
+class Tag_O_Proxy { int t; }
 class Keep {
     int n;
     int take(Keep k) { n = n + 1; return n; }
@@ -254,7 +254,7 @@ class Main { static void main() {} }`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := transform.Transform(prog, transform.Options{Protocols: []string{"rrp"}, Exclude: []string{"Tag_O_Proxy_rrp"}})
+	res, err := transform.Transform(prog, transform.Options{Exclude: []string{"Tag_O_Proxy"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +274,7 @@ class Main { static void main() {} }`)
 	ref := &wire.RemoteRef{GUID: "far#1", Endpoint: "rrp://127.0.0.1:1", Proto: "rrp", Target: "Tag"}
 	resp := rawCall(t, ep, &wire.Request{ID: 2, Op: wire.OpInvoke, GUID: in.Result.Ref.GUID, Method: "take",
 		Args: []wire.Value{{Kind: wire.KRef, Ref: ref}}})
-	if want := "no proxy class Tag_O_Proxy_rrp"; !strings.Contains(resp.Err, want) {
+	if want := "no proxy class Tag_O_Proxy"; !strings.Contains(resp.Err, want) {
 		t.Fatalf("take(a reference to Tag over rrp): %+v, want an error containing %q", resp, want)
 	}
 }

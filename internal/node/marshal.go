@@ -156,9 +156,9 @@ func (n *Node) unmarshalRef(env *vm.Env, ref *wire.RemoteRef) (vm.Value, error) 
 	}
 	// Foreign reference: materialise a proxy.  A declared class that
 	// only shares the proxy's name is no proxy: it has no proxy's mark.
-	proxyClass := transform.OProxy(ref.Target, ref.Proto)
+	proxyClass := transform.OProxy(ref.Target)
 	if ref.ClassSide {
-		proxyClass = transform.CProxy(ref.Target, ref.Proto)
+		proxyClass = transform.CProxy(ref.Target)
 	}
 	if !transform.MarkOf(n.machine.Program().Class(proxyClass)).Kind.Proxy() {
 		return vm.Value{}, fmt.Errorf("no proxy class %s for incoming reference", proxyClass)
@@ -175,17 +175,19 @@ func (n *Node) unmarshalRef(env *vm.Env, ref *wire.RemoteRef) (vm.Value, error) 
 // — a reference it was handed, or its own forwarding address once
 // migrated away — and nil otherwise.  The class check keeps
 // non-proxies allocation-free (a proxy never morphs back); the proxy's
-// mark names the class and protocol, its fields the GUID and endpoint.
+// mark names the class, its fields the GUID and endpoint, and the
+// endpoint the protocol.
 func proxyRefOf(obj *vm.Object) *wire.RemoteRef {
 	m := transform.MarkOf(obj.Class())
 	if !m.Kind.Proxy() {
 		return nil
 	}
 	id, endpoint := readProxyRef(obj)
+	proto, _, _ := transport.SplitEndpoint(endpoint)
 	return &wire.RemoteRef{
 		GUID:      id,
 		Endpoint:  endpoint,
-		Proto:     m.Proto,
+		Proto:     proto,
 		Target:    m.Base,
 		ClassSide: m.Kind == transform.KindCProxy,
 	}

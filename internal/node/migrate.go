@@ -221,7 +221,7 @@ func (n *Node) shipAndMorph(obj *vm.Object, base string, fields map[string]vm.Va
 	// Morph the local object into a proxy to its new home.  All
 	// existing references (including this node's export-table entry,
 	// which now forwards) follow automatically.
-	if err := n.machine.Morph(obj, transform.OProxy(base, newRef.Proto), proxyRef(newRef.GUID, newRef.Endpoint)); err != nil {
+	if err := n.machine.Morph(obj, transform.OProxy(base), proxyRef(newRef.GUID, newRef.Endpoint)); err != nil {
 		return fmt.Errorf("node %s: morph after migrate: %w", n.name, err)
 	}
 	if sp != nil {

@@ -52,7 +52,8 @@ func (n *Node) registerFactoryNatives() {
 // The create leg is a client span on the execution's trace and spends
 // from its deadline, like any call the execution makes.
 func (n *Node) remoteCreate(env *vm.Env, class string, pl policy.Placement) (vm.Value, *vm.Thrown, error) {
-	req := &wire.Request{Op: wire.OpCreate, Class: class, Caller: n.callerEndpoint(pl.Proto)}
+	proto, _, _ := transport.SplitEndpoint(pl.Endpoint)
+	req := &wire.Request{Op: wire.OpCreate, Class: class, Caller: n.callerEndpoint(proto)}
 	resp, err := n.send(req, leg{
 		endpoint: pl.Endpoint, parent: envCtx(env), kind: trace.KindClient, name: wire.OpCreate.String(),
 		deadline: env.DeadlineUs(), unlock: env,
@@ -77,11 +78,7 @@ func (n *Node) discover(env *vm.Env, class string) (vm.Value, *vm.Thrown, error)
 		return val, nil, nil
 	}
 	n.singMu.Unlock()
-	proxyClass := transform.CProxy(class, pl.Proto)
-	if !n.machine.Program().Has(proxyClass) {
-		return vm.Value{}, remoteError(env, "no %s proxy generated for statics of %s", pl.Proto, class), nil
-	}
-	obj, err := env.New(proxyClass)
+	obj, err := env.New(transform.CProxy(class))
 	if err != nil {
 		return vm.Value{}, nil, err
 	}

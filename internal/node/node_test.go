@@ -56,9 +56,7 @@ func transformSource(t *testing.T, src string) *transform.Result {
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	res, err := transform.Transform(prog, transform.Options{
-		Protocols: []string{"inproc", "rrp", "soap", "json"},
-	})
+	res, err := transform.Transform(prog, transform.Options{})
 	if err != nil {
 		t.Fatalf("transform: %v", err)
 	}
@@ -449,8 +447,66 @@ class Main { static void main() { } }`
 		t.Error("server served no post-migration calls")
 	}
 	// The client-side object really morphed into a proxy.
-	if !strings.Contains(ref.O.ClassName(), "_O_Proxy_") {
+	if !strings.HasSuffix(ref.O.ClassName(), "_O_Proxy") {
 		t.Errorf("object did not morph: now %s", ref.O.ClassName())
+	}
+}
+
+// TestRedirectedProxyShipsItsEndpointsProtocol: a client's proxy to an
+// object served over rrp follows it to a soap endpoint by redirect.
+// The reference the client then ships for it, as it would as a call's
+// argument, must name the protocol of the endpoint it carries.
+func TestRedirectedProxyShipsItsEndpointsProtocol(t *testing.T) {
+	res := transformSource(t, `
+class Store {
+    int total;
+    Store(int t) { this.total = t; }
+    int add(int d) { total = total + d; return total; }
+}
+class Main {
+    static Store open() { return new Store(7); }
+    static void main() { }
+}`)
+	client, home, epHome := twoNodes(t, res, "rrp")
+	away, err := New(Config{Name: "away", Result: res})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { away.Close() })
+	epAway, err := away.Serve("soap", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl, err := policy.RemoteAt(epHome)
+	if err != nil {
+		t.Fatal(err)
+	}
+	client.Policy().SetClass("Store", pl)
+	store, err := client.InvokeStatic("Main", "open")
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, _ := readProxyRef(store.O)
+	obj, ok := home.exports.Get(id)
+	if !ok {
+		t.Fatalf("home does not export %s", id)
+	}
+	if err := home.Migrate(vm.RefV(obj), epAway); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := client.CallOn(store, "add", vm.IntV(1)); err != nil || got.I != 8 {
+		t.Fatalf("add through the old home = %v, %v; want 8", got, err)
+	}
+	if _, ep := readProxyRef(store.O); ep != epAway {
+		t.Fatalf("proxy endpoint %s after the redirect, want %s", ep, epAway)
+	}
+	shipped, err := client.marshalValue(store, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := shipped.Ref
+	if ref == nil || ref.Endpoint != epAway || ref.Proto != "soap" {
+		t.Fatalf("shipped %+v, want endpoint %s over soap", ref, epAway)
 	}
 }
 
@@ -729,7 +785,7 @@ class Main { static void main() {} }`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := transform.Transform(prog, transform.Options{Protocols: []string{"rrp"}})
+	res, err := transform.Transform(prog, transform.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

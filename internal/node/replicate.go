@@ -572,14 +572,13 @@ func (n *Node) demoteReplica(id string) {
 	if !okSet || set.Primary == "" || n.servesEndpoint(set.Primary) {
 		return
 	}
-	proto, _, err := transport.SplitEndpoint(set.Primary)
-	if err != nil || !n.machine.Program().Has(transform.OProxy(pr.class, proto)) {
+	if _, _, err := transport.SplitEndpoint(set.Primary); err != nil {
 		return
 	}
 	n.machine.ExecOn(obj, func(env *vm.Env) {
 		if transform.MarkOf(obj.Class()).Kind.Proxy() {
 			return // already morphed (e.g. a racing migration)
 		}
-		_ = n.machine.Morph(obj, transform.OProxy(pr.class, proto), proxyRef(id, set.Primary))
+		_ = n.machine.Morph(obj, transform.OProxy(pr.class), proxyRef(id, set.Primary))
 	})
 }

@@ -648,7 +648,7 @@ func TestConcurrentFirstVerdicts(t *testing.T) {
 		writer        bool // the serial verdict
 	}
 	var queries []query
-	for _, class := range []string{transform.OLocal("Item"), transform.OProxy("Item", "inproc")} {
+	for _, class := range []string{transform.OLocal("Item"), transform.OProxy("Item")} {
 		for _, m := range []struct {
 			name  string
 			nargs int

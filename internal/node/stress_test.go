@@ -212,7 +212,7 @@ class Main { static void main() {} }`
 // object, a store landing between the snapshot and the morph was lost
 // with the local state; before an accessor whose receiver morphed after
 // dispatch was dispatched again, the entry died with "no field total on
-// Till_O_Proxy_inproc".  Each round runs on fresh nodes and migrates
+// Till_O_Proxy".  Each round runs on fresh nodes and migrates
 // while the loop is hot; the peer is in-process, so the bumps that follow
 // the Till there stay cheap under -race.
 func TestUngatedWritesSurviveMigration(t *testing.T) {

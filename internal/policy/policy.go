@@ -35,10 +35,10 @@ func (k Kind) String() string {
 }
 
 // Placement says where instances (and the statics singleton) of a class
-// live and which proxy protocol reaches them.
+// live.  A remote placement's endpoint names the transport that reaches
+// them.
 type Placement struct {
 	Kind     Kind
-	Proto    string // proxy protocol, for Remote
 	Endpoint string // remote node endpoint, for Remote
 }
 
@@ -48,11 +48,10 @@ var LocalPlacement = Placement{Kind: Local}
 // RemoteAt builds a remote placement from a full endpoint
 // ("proto://addr").
 func RemoteAt(endpoint string) (Placement, error) {
-	i := strings.Index(endpoint, "://")
-	if i <= 0 {
+	if strings.Index(endpoint, "://") <= 0 {
 		return Placement{}, fmt.Errorf("bad endpoint %q", endpoint)
 	}
-	return Placement{Kind: Remote, Proto: endpoint[:i], Endpoint: endpoint}, nil
+	return Placement{Kind: Remote, Endpoint: endpoint}, nil
 }
 
 // Table maps classes to placements.  Rules are exact class names; the

@@ -20,7 +20,7 @@ func TestRulesAndVersioning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if remote.Proto != "rrp" || remote.Endpoint != "rrp://10.0.0.1:7" {
+	if remote.Kind != Remote || remote.Endpoint != "rrp://10.0.0.1:7" {
 		t.Fatalf("%+v", remote)
 	}
 	tab.SetClass("C", remote)

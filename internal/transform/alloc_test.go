@@ -15,7 +15,7 @@ const maxTransformAllocsPerClass = 11.1
 
 func TestCorpusTransformAllocs(t *testing.T) {
 	prog := corpus.Generate(corpus.JDKLike())
-	opts := Options{Protocols: []string{"rrp"}}
+	opts := Options{}
 	allocs := testing.AllocsPerRun(1, func() {
 		if _, err := Transform(prog, opts); err != nil {
 			t.Fatal(err)
@@ -33,7 +33,7 @@ func TestCorpusTransformAllocs(t *testing.T) {
 // shared arrays, so an append to a slice with room to spare would write
 // into its neighbour.
 func TestCorpusOutputSealed(t *testing.T) {
-	res, err := Transform(corpus.Generate(corpus.JDKLike()), Options{Protocols: []string{"rrp"}})
+	res, err := Transform(corpus.Generate(corpus.JDKLike()), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

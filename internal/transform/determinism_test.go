@@ -17,9 +17,9 @@ import (
 // under -race the fan-out itself is raced.
 const (
 	// jdkTransformSHA256 is the sha256 of ir.EncodeProgram over the
-	// JDKLike() corpus (seed 1) transformed with protocols [rrp], whose
-	// proxies declare only __guid and __endpoint.
-	jdkTransformSHA256 = "4a46f342651b0bf40b961d00cfc5049704e6f09e62315ee1337855dd8d286135"
+	// JDKLike() corpus (seed 1) transformed with Options{}: one proxy
+	// pair per family, each proxy declaring only __guid and __endpoint.
+	jdkTransformSHA256 = "b2691cf5754be998396fe96af0b7ade75336661f1b05dcffbc2c6016912896aa"
 	// jdkGeneratedClasses is that output's class count.
 	jdkGeneratedClasses = 42598
 	// jdkCausesSHA256 digests Analyze's cause map over the same corpus
@@ -29,7 +29,7 @@ const (
 	// verdictsDigest); jdkAnalysed and jdkReadOnly count the methods
 	// digested and those read-only.  Constructors and static
 	// initialisers always answer writer.
-	jdkVerdictsSHA256 = "53dec498741de475274cbe41934b32d5ef1b513ddbf9dc6194d97a0c5e5ee77b"
+	jdkVerdictsSHA256 = "1b84afe13cb3fe57e165c4a8a04215479a6501df97e5892fd04df1f396e2b21c"
 	jdkAnalysed       = 104591
 	jdkReadOnly       = 46716
 )
@@ -72,10 +72,18 @@ func TestCorpusTransformDeterministic(t *testing.T) {
 	if got := causesDigest(prog, Analyze(prog)); got != jdkCausesSHA256 {
 		t.Errorf("cause map digest = %s, want %s", got, jdkCausesSHA256)
 	}
-	for _, procs := range []int{1, 4} {
-		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
-			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-			res, err := Transform(prog, Options{Protocols: []string{"rrp"}})
+	// The deprecated Options.Protocols is ignored: the second run names
+	// every transport and must give the same output.
+	for _, run := range []struct {
+		procs int
+		opts  Options
+	}{
+		{1, Options{}},
+		{4, Options{Protocols: []string{"inproc", "rrp", "soap", "json"}}},
+	} {
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d", run.procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(run.procs))
+			res, err := Transform(prog, run.opts)
 			if err != nil {
 				t.Fatal(err)
 			}

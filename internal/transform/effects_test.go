@@ -25,7 +25,7 @@ func transformRRP(t *testing.T, src string) *Result {
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	res, err := Transform(prog, Options{Protocols: []string{"rrp"}})
+	res, err := Transform(prog, Options{})
 	if err != nil {
 		t.Fatalf("transform: %v", err)
 	}
@@ -40,7 +40,7 @@ func transformRRP(t *testing.T, src string) *Result {
 // local twin's verdicts.
 func TestEffectsSurviveTransform(t *testing.T) {
 	res := transformRRP(t, effectsSource)
-	local, proxy := OLocal("Counter"), OProxy("Counter", "rrp")
+	local, proxy := OLocal("Counter"), OProxy("Counter")
 	cases := []struct {
 		class, key string
 		readOnly   bool

@@ -218,7 +218,7 @@ class Main { static void main() {} }`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Transform(prog, Options{Protocols: []string{"rrp"}})
+	res, err := Transform(prog, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,13 +242,13 @@ class Main { static void main() {} }`)
 		t.Fatal("Leaf_O_Local not assignable to Base_O_Int")
 	}
 	// The proxy implements the flattened interface: all three methods.
-	proxy := p.Class("Leaf_O_Proxy_rrp")
+	proxy := p.Class("Leaf_O_Proxy")
 	for _, m := range []string{"b", "m", "l"} {
 		if proxy.Method(m, 0) == nil {
 			t.Errorf("proxy missing %s", m)
 		}
 	}
-	if !p.AssignableTo("Leaf_O_Proxy_rrp", "Base_O_Int") {
+	if !p.AssignableTo("Leaf_O_Proxy", "Base_O_Int") {
 		t.Fatal("proxy not assignable up the interface chain")
 	}
 }
@@ -319,7 +319,7 @@ class Main { static void main() {} }`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Transform(prog, Options{Protocols: []string{"rrp", "soap"}})
+	res, err := Transform(prog, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,14 +333,7 @@ class Main { static void main() {} }`)
 	if !rec.Substitutable("C") || !rec.Substitutable("Main") {
 		t.Fatal("reconstructed substitutable set wrong")
 	}
-	protos := map[string]bool{}
-	for _, p := range rec.Protocols {
-		protos[p] = true
-	}
-	if len(protos) != 2 || !protos["rrp"] || !protos["soap"] {
-		t.Fatalf("reconstructed protocols %v", rec.Protocols)
-	}
-	if !rec.ReadOnly(OProxy("C", "rrp"), "get/0") || rec.ReadOnly("C_O_Proxy_zz", "get/0") {
+	if !rec.ReadOnly(OProxy("C"), "get/0") || rec.ReadOnly("C_O_Proxy_zz", "get/0") {
 		t.Fatal("a proxy's native must take its twin's verdict, a declared native stays a writer")
 	}
 	// A plain program is rejected.

@@ -8,8 +8,7 @@ import "rafda/internal/ir"
 // only read it, so families for different classes build concurrently.
 type transformer struct {
 	*nameTable
-	classes   []*ir.Class // the source program's, in program order
-	protocols []string
+	classes []*ir.Class // the source program's, in program order
 	// built holds each transformable class's generated classes by slot
 	// (nil for a class that is not transformable); the first pass builds
 	// slot 0, its _O_Int.
@@ -98,7 +97,7 @@ func (t *transformer) makeOInt(c *ir.Class, n *familyNames) {
 		lists:   make([]*ir.Method, nMethods),
 		types:   make([]ir.Type, sh.instFields+sh.instParams),
 	}
-	fam := make([]ir.Class, t.slots)
+	fam := make([]ir.Class, familySize)
 	t.built[n.index] = fam
 	oint := &fam[slotOInt]
 	*oint = ir.Class{
@@ -150,21 +149,21 @@ func (t *transformer) abstractSig(s *slabs, m *ir.Method) *ir.Method {
 
 // family builds the rest of one transformable class's family around the
 // _O_Int the first pass built: _O_Local, _C_Int, _C_Local, _O_Factory,
-// _C_Factory, then _O_Proxy_* and _C_Proxy_* per protocol.  It stores
-// them in out, in slot order.
+// _C_Factory, _O_Proxy and _C_Proxy.  It stores them in out, in slot
+// order.
 func (t *transformer) family(sc *scratch, c *ir.Class, n *familyNames, out []*ir.Class) error {
 	fam := t.built[n.index]
 	oint := &fam[slotOInt]
 	flat := t.flatOMembers(sc, c)
 	sh := shapeOf(c)
 	cMembers := 2*sh.staticFields + sh.staticMethods
-	protos := len(t.protocols)
 	nMethods := 1 + len(oint.Methods) + // _O_Local
 		cMembers + // _C_Int
 		3 + cMembers + // _C_Local
 		1 + sh.ctors + // _O_Factory
 		2 + cMembers + // _C_Factory
-		protos*(1+len(flat)) + protos*(1+cMembers)
+		1 + len(flat) + // _O_Proxy
+		1 + cMembers // _C_Proxy
 	clinitBody := 0
 	if sh.staticInit == nil {
 		clinitBody = 1
@@ -172,13 +171,13 @@ func (t *transformer) family(sc *scratch, c *ir.Class, n *familyNames, out []*ir
 	s := slabs{
 		methods: make([]ir.Method, nMethods),
 		lists:   make([]*ir.Method, nMethods),
-		fields:  make([]ir.Field, sh.instFields+1+sh.staticFields+2*protos*len(proxyFields)),
+		fields:  make([]ir.Field, sh.instFields+1+sh.staticFields+2*len(proxyFields)),
 		types:   make([]ir.Type, sh.staticFields+sh.staticParams+sh.ctors+sh.ctorParams+1),
-		strs:    make([]string, 2+2*protos),
+		strs:    make([]string, 4),
 		code: make([]ir.Instr, 3+7*sh.instFields+ // _O_Local
 			12+7*sh.staticFields+ // _C_Local
 			clinitBody+7*sh.staticFields+3*sh.staticMethods+sh.staticParams+ // _C_Factory
-			2*protos*len(objectCtorBody)),
+			2*len(objectCtorBody)), // the proxies
 	}
 	rw := &sc.rw
 	if err := t.makeOLocal(&s, rw, c, n, sh.instFields, oint, &fam[slotOLocal]); err != nil {
@@ -195,10 +194,8 @@ func (t *transformer) family(sc *scratch, c *ir.Class, n *familyNames, out []*ir
 	if err := t.makeCFactory(&s, rw, c, n, cint, sh.staticInit, &fam[slotCFactory]); err != nil {
 		return err
 	}
-	for j := range t.protocols {
-		t.makeProxy(&s, n, oProxySlot(j), slotOInt, flat, &fam[oProxySlot(j)])
-		t.makeProxy(&s, n, cProxySlot(j), slotCInt, cint.Methods, &fam[cProxySlot(j)])
-	}
+	t.makeProxy(&s, n, slotOProxy, slotOInt, flat, &fam[slotOProxy])
+	t.makeProxy(&s, n, slotCProxy, slotCInt, cint.Methods, &fam[slotCProxy])
 	for i := range fam {
 		out[i] = &fam[i]
 	}
@@ -440,11 +437,11 @@ var objectCtorBody = [...]ir.Instr{
 	{Op: ir.OpReturn},
 }
 
-// makeProxy generates the proxy in slot, A_O_Proxy_<proto> over the
-// _O_Int's flattened members or A_C_Proxy_<proto> over the _C_Int's
-// (the interface in slot iface): every interface member is a native
-// method bound by the node runtime to a remote invocation over the
-// protocol's transport.
+// makeProxy generates the proxy in slot, A_O_Proxy over the _O_Int's
+// flattened members or A_C_Proxy over the _C_Int's (the interface in
+// slot iface): every interface member is a native method bound by the
+// node runtime to a remote invocation over the transport its endpoint
+// names.
 func (t *transformer) makeProxy(s *slabs, n *familyNames, slot, iface int, members []*ir.Method, p *ir.Class) {
 	fields := ir.Carve(&s.fields, len(proxyFields))
 	copy(fields, proxyFields[:])

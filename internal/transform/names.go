@@ -6,9 +6,9 @@
 // For every substitutable class A it generates:
 //
 //   - A_O_Int: interface over A's instance members (§2.1), with
-//     implementations A_O_Local and A_O_Proxy_<protocol>;
+//     implementations A_O_Local and A_O_Proxy;
 //   - A_C_Int: interface over A's static members (§2.2), with singleton
-//     implementations A_C_Local and A_C_Proxy_<protocol>;
+//     implementations A_C_Local and A_C_Proxy;
 //   - A_O_Factory: object creation (make) and per-constructor
 //     initialisation (init) methods (§2.3);
 //   - A_C_Factory: class discovery (discover), static initialisation
@@ -16,6 +16,12 @@
 //
 // Every reference in transformable code is rewritten to use the extracted
 // interfaces, so only make and discover are implementation-aware.
+//
+// The paper generates one proxy per protocol (A_O_Proxy_SOAP, ...),
+// because a Java proxy's code is its protocol's code.  Here every proxy
+// method is a native the node runtime binds to one remote invocation
+// that goes wherever the proxy's endpoint points, so a family has one
+// proxy pair and the endpoint's scheme names the transport.
 package transform
 
 import (
@@ -46,10 +52,9 @@ const (
 func (k Kind) Proxy() bool { return k == KindOProxy || k == KindCProxy }
 
 // kindNames are each generated kind's name suffix, following the
-// paper's naming, and Meta mark prefix.  A fixed kind's name and mark go
-// on with the original class's name, a proxy's with "<protocol>" and
-// "<protocol>:<base>".  A declared class may share a generated class's
-// name but never its mark.
+// paper's naming, and Meta mark prefix; both go on with the original
+// class's name.  A declared class may share a generated class's name
+// but never its mark.
 var kindNames = [kinds]struct{ suffix, mark string }{
 	KindOInt:     {"_O_Int", "generated:o-int:"},
 	KindOLocal:   {"_O_Local", "generated:o-local:"},
@@ -57,8 +62,8 @@ var kindNames = [kinds]struct{ suffix, mark string }{
 	KindCLocal:   {"_C_Local", "generated:c-local:"},
 	KindOFactory: {"_O_Factory", "generated:o-factory:"},
 	KindCFactory: {"_C_Factory", "generated:c-factory:"},
-	KindOProxy:   {"_O_Proxy_", "generated:o-proxy:"},
-	KindCProxy:   {"_C_Proxy_", "generated:c-proxy:"},
+	KindOProxy:   {"_O_Proxy", "generated:o-proxy:"},
+	KindCProxy:   {"_C_Proxy", "generated:c-proxy:"},
 }
 
 // Property-method prefixes (§2.1: every attribute becomes a property).
@@ -91,8 +96,8 @@ func OInt(a string) string { return a + kindNames[KindOInt].suffix }
 // OLocal returns the local instance-implementation name for class a.
 func OLocal(a string) string { return a + kindNames[KindOLocal].suffix }
 
-// OProxy returns the instance-proxy name for class a over a protocol.
-func OProxy(a, proto string) string { return a + kindNames[KindOProxy].suffix + proto }
+// OProxy returns the instance-proxy name for class a.
+func OProxy(a string) string { return a + kindNames[KindOProxy].suffix }
 
 // CInt returns the class-interface (statics) name for class a.
 func CInt(a string) string { return a + kindNames[KindCInt].suffix }
@@ -100,8 +105,8 @@ func CInt(a string) string { return a + kindNames[KindCInt].suffix }
 // CLocal returns the local statics-implementation name for class a.
 func CLocal(a string) string { return a + kindNames[KindCLocal].suffix }
 
-// CProxy returns the statics-proxy name for class a over a protocol.
-func CProxy(a, proto string) string { return a + kindNames[KindCProxy].suffix + proto }
+// CProxy returns the statics-proxy name for class a.
+func CProxy(a string) string { return a + kindNames[KindCProxy].suffix }
 
 // OFactory returns the object-factory name for class a.
 func OFactory(a string) string { return a + kindNames[KindOFactory].suffix }
@@ -120,8 +125,7 @@ type Mark struct {
 	Kind Kind
 	// Base is the class it stands for: a generated class's original
 	// class, a declared class itself.
-	Base  string
-	Proto string // a proxy's protocol
+	Base string
 }
 
 // MarkOf reads c's Meta mark.  It is the one way the runtime learns
@@ -135,25 +139,15 @@ func MarkOf(c *ir.Class) Mark {
 		return Mark{Base: c.Name}
 	}
 	for k := KindOInt; k < kinds; k++ {
-		rest, ok := strings.CutPrefix(c.Meta, kindNames[k].mark)
-		if !ok {
-			continue
+		if base, ok := strings.CutPrefix(c.Meta, kindNames[k].mark); ok {
+			return Mark{Kind: k, Base: base}
 		}
-		if !k.Proxy() {
-			return Mark{Kind: k, Base: rest}
-		}
-		if proto, base, ok := strings.Cut(rest, ":"); ok {
-			return Mark{Kind: k, Base: base, Proto: proto}
-		}
-		break
 	}
 	return Mark{Base: c.Name}
 }
 
 // A transformable class's generated classes by slot, in the order
-// Transform emits them: the six below, which are the fixed kinds in Kind
-// order, then an _O_Proxy_ and a _C_Proxy_ per protocol (oProxySlot,
-// cProxySlot).
+// Transform emits them: the generated kinds in Kind order.
 const (
 	slotOInt = iota
 	slotOLocal
@@ -161,11 +155,10 @@ const (
 	slotCLocal
 	slotOFactory
 	slotCFactory
-	fixedSlots
+	slotOProxy
+	slotCProxy
+	familySize
 )
-
-func oProxySlot(j int) int { return fixedSlots + 2*j }
-func cProxySlot(j int) int { return fixedSlots + 2*j + 1 }
 
 // familyNames is one transformable class's name-table entry: the name
 // and Meta mark of each class of its family, by slot.
@@ -186,26 +179,25 @@ type propNames struct{ get, set string }
 type nameTable struct {
 	byClass map[string]*familyNames // transformable classes only
 	props   map[string]propNames
-	slots   int // classes per family
 }
 
 // newNameTable builds the table for the transformable classes of
-// classes (program order) under protocols.  Each family's names and
-// marks are substrings of one string built for it.
-func newNameTable(classes []*ir.Class, a *Analysis, protocols []string) *nameTable {
-	t := &nameTable{props: make(map[string]propNames), slots: fixedSlots + 2*len(protocols)}
+// classes (program order).  Each family's names and marks are
+// substrings of one string built for it.
+func newNameTable(classes []*ir.Class, a *Analysis) *nameTable {
+	t := &nameTable{props: make(map[string]propNames)}
 	var entries []familyNames
 	for i, c := range classes {
 		if a.Transformable(c.Name) {
 			entries = append(entries, familyNames{index: i})
 		}
 	}
-	strs := make([]string, 2*t.slots*len(entries))
+	strs := make([]string, 2*familySize*len(entries))
 	par.For(len(entries), func(k int) {
 		e := &entries[k]
-		e.name = strs[2*t.slots*k:][:t.slots:t.slots]
-		e.meta = strs[(2*k+1)*t.slots:][:t.slots:t.slots]
-		e.build(classes[e.index].Name, protocols)
+		e.name = strs[2*familySize*k:][:familySize:familySize]
+		e.meta = strs[(2*k+1)*familySize:][:familySize:familySize]
+		e.build(classes[e.index].Name)
 	})
 	t.byClass = make(map[string]*familyNames, len(entries))
 	for k := range entries {
@@ -221,51 +213,28 @@ func newNameTable(classes []*ir.Class, a *Analysis, protocols []string) *nameTab
 	return t
 }
 
-// familyPieces calls piece with the parts of each slot's name and then
-// of its Meta mark, in slot order; a piece has at most four parts.
-func familyPieces(base string, protocols []string, piece func(parts [4]string)) {
-	for _, k := range kindNames[KindOInt : KindCFactory+1] {
-		piece([4]string{base, k.suffix})
-		piece([4]string{k.mark, base})
-	}
-	for _, p := range protocols {
-		piece([4]string{base, kindNames[KindOProxy].suffix, p})
-		piece([4]string{kindNames[KindOProxy].mark, p, ":", base})
-		piece([4]string{base, kindNames[KindCProxy].suffix, p})
-		piece([4]string{kindNames[KindCProxy].mark, p, ":", base})
-	}
-}
-
-// build fills e's names and marks for class base, all cut from one
-// string.
-func (e *familyNames) build(base string, protocols []string) {
+// build fills e's names and marks for class base, by slot, all cut
+// from one string.
+func (e *familyNames) build(base string) {
+	generated := kindNames[KindOInt:]
 	size := 0
-	familyPieces(base, protocols, func(parts [4]string) { size += pieceLen(parts) })
+	for _, k := range generated {
+		size += 2*len(base) + len(k.suffix) + len(k.mark)
+	}
 	var b strings.Builder
 	b.Grow(size)
-	familyPieces(base, protocols, func(parts [4]string) {
-		for _, s := range parts {
-			b.WriteString(s)
-		}
-	})
-	all, k := b.String(), 0
-	familyPieces(base, protocols, func(parts [4]string) {
-		n := pieceLen(parts)
-		if k%2 == 0 {
-			e.name[k/2] = all[:n]
-		} else {
-			e.meta[k/2] = all[:n]
-		}
-		all, k = all[n:], k+1
-	})
-}
-
-func pieceLen(parts [4]string) int {
-	n := 0
-	for _, s := range parts {
-		n += len(s)
+	for _, k := range generated {
+		b.WriteString(base)
+		b.WriteString(k.suffix)
+		b.WriteString(k.mark)
+		b.WriteString(base)
 	}
-	return n
+	all := b.String()
+	for slot, k := range generated {
+		name, meta := len(base)+len(k.suffix), len(k.mark)+len(base)
+		e.name[slot], e.meta[slot] = all[:name], all[name:name+meta]
+		all = all[name+meta:]
+	}
 }
 
 // of returns class's entry, or nil if class is not transformable.

@@ -11,16 +11,10 @@ import (
 	"rafda/internal/verifier"
 )
 
-// DefaultProtocols is the proxy family generated when none is specified,
-// mirroring the paper's "e.g. SOAP-based, RMI-based" examples: soap is
-// XML-over-HTTP, rrp (RAFDA Remote Protocol) is the binary TCP protocol
-// playing the RMI role, json is JSON-over-HTTP.
-var DefaultProtocols = []string{"rrp", "soap", "json"}
-
 // Options configure a transformation.
 type Options struct {
-	// Protocols lists the proxy protocol suffixes to generate.  Empty
-	// means DefaultProtocols.
+	// Deprecated: Protocols is ignored.  A family has one proxy pair,
+	// and a proxy's endpoint names the transport it calls over.
 	Protocols []string
 	// Exclude bars classes from transformation by policy; exclusion
 	// closes transitively per §2.4.
@@ -36,8 +30,6 @@ type Result struct {
 	// Analysis is the substitutability analysis the transformation used;
 	// nil when the Result was reconstructed from an archive.
 	Analysis *Analysis
-	// Protocols are the proxy protocols generated.
-	Protocols []string
 	// Transformed lists the classes that were substituted, in program
 	// order.
 	Transformed []string
@@ -82,24 +74,16 @@ var ErrNotTransformed = errors.New("program contains no generated factories; not
 
 // Reconstruct rebuilds a Result from an already-transformed program
 // (e.g. decoded from an archive): substituted classes are recognised by
-// their generated factories, protocols by the proxy classes present,
-// each by its mark.
+// the marks of their generated factories.
 func Reconstruct(prog *ir.Program) (*Result, error) {
 	res := &Result{Program: prog}
-	protos := map[string]bool{}
 	for _, c := range prog.Classes() {
-		switch m := MarkOf(c); m.Kind {
-		case KindOFactory:
+		if m := MarkOf(c); m.Kind == KindOFactory {
 			res.Transformed = append(res.Transformed, m.Base)
-		case KindOProxy, KindCProxy:
-			protos[m.Proto] = true
 		}
 	}
 	if len(res.Transformed) == 0 {
 		return nil, ErrNotTransformed
-	}
-	for p := range protos {
-		res.Protocols = append(res.Protocols, p)
 	}
 	return res, nil
 }
@@ -113,17 +97,12 @@ func Reconstruct(prog *ir.Program) (*Result, error) {
 // second each family around it, its proxies taking their members from
 // the _O_Ints of the class and its ancestors.
 func Transform(prog *ir.Program, opts Options) (*Result, error) {
-	protocols := opts.Protocols
-	if len(protocols) == 0 {
-		protocols = append([]string(nil), DefaultProtocols...)
-	}
 	analysis := Analyze(prog, opts.Exclude...)
 	classes := prog.Classes()
-	names := newNameTable(classes, analysis, protocols)
+	names := newNameTable(classes, analysis)
 	t := &transformer{
 		nameTable: names,
 		classes:   classes,
-		protocols: protocols,
 		built:     make([][]ir.Class, len(classes)),
 	}
 	par.For(len(classes), func(i int) {
@@ -134,13 +113,13 @@ func Transform(prog *ir.Program, opts Options) (*Result, error) {
 
 	// Each class's output is its family's classes, or its copy, at its
 	// place in one list.
-	total := len(classes) + len(names.byClass)*(t.slots-1)
+	total := len(classes) + len(names.byClass)*(familySize-1)
 	all := make([]*ir.Class, total)
 	families := make([][]*ir.Class, len(classes))
 	for i := range classes {
 		size := 1
 		if t.built[i] != nil {
-			size = t.slots
+			size = familySize
 		}
 		families[i] = ir.Carve(&all, size)
 	}
@@ -155,7 +134,7 @@ func Transform(prog *ir.Program, opts Options) (*Result, error) {
 	})
 
 	out := ir.NewProgramSize(total)
-	res := &Result{Program: out, Analysis: analysis, Protocols: protocols, Transformed: make([]string, 0, len(names.byClass))}
+	res := &Result{Program: out, Analysis: analysis, Transformed: make([]string, 0, len(names.byClass))}
 	for i, c := range classes {
 		if errs[i] != nil {
 			return nil, fmt.Errorf("transform %s: %w", c.Name, errs[i])

@@ -100,9 +100,7 @@ func TestGeneratedFamilyForX(t *testing.T) {
 	p := res.Program
 	want := []string{
 		"X_O_Int", "X_O_Local", "X_C_Int", "X_C_Local", "X_O_Factory", "X_C_Factory",
-	}
-	for _, proto := range res.Protocols {
-		want = append(want, "X_O_Proxy_"+proto, "X_C_Proxy_"+proto)
+		"X_O_Proxy", "X_C_Proxy",
 	}
 	for _, name := range want {
 		if !p.Has(name) {
@@ -178,9 +176,9 @@ func TestFigure3Shape(t *testing.T) {
 			sawGetY, sawN, ir.Sprint(olocal, ir.PrintOptions{Code: true}))
 	}
 	// The proxies implement the same interface with native methods.
-	proxy := res.Program.Class("X_O_Proxy_soap")
+	proxy := res.Program.Class("X_O_Proxy")
 	if proxy == nil {
-		t.Fatal("X_O_Proxy_soap missing")
+		t.Fatal("X_O_Proxy missing")
 	}
 	for _, name := range []string{"get_y", "m"} {
 		pm := proxy.Method(name, 0)

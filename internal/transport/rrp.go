@@ -212,8 +212,10 @@ func (sc *rrpServeConn) worker(req *wire.Request) {
 	defer sc.wg.Done()
 	for ok := true; ok; req, ok = <-sc.work {
 		sc.out.respond(sc.h(req))
-		<-sc.sem
+		// Lower the gauge before freeing the slot: once the slot is
+		// free the read loop may admit the next request and raise it.
 		sc.ov.inflight.Add(-1)
+		<-sc.sem
 	}
 }
 

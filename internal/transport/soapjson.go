@@ -16,7 +16,8 @@ type (
 )
 
 // soapEnvelope wraps messages in a SOAP-style XML envelope, as the
-// paper's A_O_Proxy_SOAP family would.
+// paper's A_O_Proxy_SOAP family would (a proxy here reaches soap through
+// its endpoint).
 type soapEnvelope[T any] struct {
 	XMLName xml.Name `xml:"Envelope"`
 	NS      string   `xml:"xmlns,attr"`

@@ -64,7 +64,7 @@ func local(tb testing.TB, src string) *vm.VM {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	res, err := transform.Transform(prog, transform.Options{Protocols: []string{"rrp"}})
+	res, err := transform.Transform(prog, transform.Options{})
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -18,7 +18,7 @@ func TestDeclaredFactoryNameIsNotAFactory(t *testing.T) {
 class Box { int v; int get() { return v; } }
 class Tag_O_Factory { int t; }
 class Main { static void main() { Box b = new Box(); Tag_O_Factory t = new Tag_O_Factory(); } }`)
-	tr, err := prog.Transform(WithProtocols("rrp"), WithExclude("Tag_O_Factory"))
+	tr, err := prog.Transform(WithExclude("Tag_O_Factory"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ class Keeper {
     static int poke() { return held.bump(); }
 }
 class Main { static void main() {} }`)
-	tr, err := prog.Transform(WithProtocols("rrp"), WithExclude("Cell_O_Local"))
+	tr, err := prog.Transform(WithExclude("Cell_O_Local"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -185,7 +185,7 @@ func TestPlacementEquivalence(t *testing.T) {
 		if err := prog.Run("Main", &want); err != nil {
 			t.Fatalf("%s: original: %v", p.name, err)
 		}
-		tr, err := prog.Transform(WithProtocols("rrp", "soap"))
+		tr, err := prog.Transform()
 		if err != nil {
 			t.Fatalf("%s: %v", p.name, err)
 		}

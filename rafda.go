@@ -147,8 +147,10 @@ func (a *Analysis) Stats() Stats {
 // TransformOption configures Transform.
 type TransformOption func(*transform.Options)
 
-// WithProtocols selects the proxy protocol families to generate
-// (default: rrp, soap, json).
+// WithProtocols sets transform.Options.Protocols, which is ignored.
+//
+// Deprecated: a transformed class has one proxy pair, whose endpoint
+// names the transport it calls over.
 func WithProtocols(protos ...string) TransformOption {
 	return func(o *transform.Options) { o.Protocols = protos }
 }
@@ -201,11 +203,6 @@ func (t *Transformed) TransformedClasses() []string {
 	out := append([]string(nil), t.res.Transformed...)
 	sort.Strings(out)
 	return out
-}
-
-// Protocols returns the generated proxy protocol families.
-func (t *Transformed) Protocols() []string {
-	return append([]string(nil), t.res.Protocols...)
 }
 
 // Analysis returns the substitutability analysis the transformation used.

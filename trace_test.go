@@ -48,7 +48,7 @@ func traceFixture(t *testing.T) *Transformed {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := prog.Transform(WithProtocols("rrp"))
+	tr, err := prog.Transform()
 	if err != nil {
 		t.Fatal(err)
 	}
