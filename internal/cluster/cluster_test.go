@@ -72,7 +72,7 @@ func (r *fakeRuntime) MigrateGUID(guid, endpoint string) (wire.RemoteRef, error)
 	r.net.migrations = append(r.net.migrations, fmt.Sprintf("%s:%s->%s", guid, r.self, endpoint))
 	self := r.net.nodes[r.self]
 	r.net.mu.Unlock()
-	ref := wire.RemoteRef{GUID: newGUID, Endpoint: endpoint, Proto: "rrp", Target: "C"}
+	ref := wire.RemoteRef{GUID: newGUID, Endpoint: endpoint, Target: "C"}
 	// Mirror the real node runtime: a successful migration is published
 	// into the home's directory.
 	self.RecordMove(guid, "C", ref)
@@ -230,8 +230,8 @@ func TestDirectoryMergeAndChainCollapse(t *testing.T) {
 	joinAll(t, a, b, c)
 
 	// Object moves a->b then (under its new GUID) b->c; entries chain.
-	a.RecordMove("g1", "C", wire.RemoteRef{GUID: "g2", Endpoint: b.Self(), Proto: "rrp", Target: "C"})
-	b.RecordMove("g2", "C", wire.RemoteRef{GUID: "g3", Endpoint: c.Self(), Proto: "rrp", Target: "C"})
+	a.RecordMove("g1", "C", wire.RemoteRef{GUID: "g2", Endpoint: b.Self(), Target: "C"})
+	b.RecordMove("g2", "C", wire.RemoteRef{GUID: "g3", Endpoint: c.Self(), Target: "C"})
 	tickAll(3, a, b, c)
 
 	for _, co := range []*Coordinator{a, b, c} {
@@ -250,9 +250,9 @@ func TestDirectoryVersionWins(t *testing.T) {
 
 	// Two successive moves recorded at a; b must converge on the later
 	// version even if gossip replays the older entry afterwards.
-	a.RecordMove("g", "C", wire.RemoteRef{GUID: "gx", Endpoint: "rrp://x", Proto: "rrp"})
+	a.RecordMove("g", "C", wire.RemoteRef{GUID: "gx", Endpoint: "rrp://x"})
 	old := a.Directory()[0]
-	a.RecordMove("g", "C", wire.RemoteRef{GUID: "gy", Endpoint: "rrp://y", Proto: "rrp"})
+	a.RecordMove("g", "C", wire.RemoteRef{GUID: "gy", Endpoint: "rrp://y"})
 	tickAll(2, a, b)
 	b.HandleGossip(&wire.ClusterPayload{
 		From: wire.PeerDigest{ID: "a", Endpoint: a.Self(), Heartbeat: 1},

@@ -1,10 +1,6 @@
 package minijava
 
-import (
-	"fmt"
-
-	"rafda/internal/ir"
-)
+import "rafda/internal/ir"
 
 // exprAsClassName interprets an Ident / FieldAccess chain as a (possibly
 // dotted) class name, or returns "".
@@ -411,6 +407,3 @@ func concatable(t ir.Type) bool {
 		return false
 	}
 }
-
-// typeString is a fmt helper used in error messages.
-func typeString(t ir.Type) string { return fmt.Sprintf("%s", t) }

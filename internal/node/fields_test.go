@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"rafda/internal/guid"
 	"rafda/internal/intercept"
 	"rafda/internal/ir"
 	"rafda/internal/minijava"
@@ -271,10 +272,55 @@ class Main { static void main() {} }`)
 	if in.Err != "" || in.Result.Ref == nil {
 		t.Fatalf("adopting a Keep: %+v", in)
 	}
-	ref := &wire.RemoteRef{GUID: "far#1", Endpoint: "rrp://127.0.0.1:1", Proto: "rrp", Target: "Tag"}
+	ref := &wire.RemoteRef{GUID: "far#1", Endpoint: "rrp://127.0.0.1:1", Target: "Tag"}
 	resp := rawCall(t, ep, &wire.Request{ID: 2, Op: wire.OpInvoke, GUID: in.Result.Ref.GUID, Method: "take",
 		Args: []wire.Value{{Kind: wire.KRef, Ref: ref}}})
 	if want := "no proxy class Tag_O_Proxy"; !strings.Contains(resp.Err, want) {
 		t.Fatalf("take(a reference to Tag over rrp): %+v, want an error containing %q", resp, want)
+	}
+}
+
+// TestForeignRefProxyFollowsGUID: a foreign reference's GUID alone says
+// which proxy it becomes — a class GUID the statics proxy of its class,
+// any other the instance proxy of its Target — and a class GUID whose
+// Target names another class is refused, as input from outside.
+func TestForeignRefProxyFollowsGUID(t *testing.T) {
+	res := transformSource(t, `
+class Conf { static int k; static int get() { return k; } }
+class Item { int v; int get() { return v; } }
+class Main { static void main() {} }`)
+	n, err := New(Config{Name: "client", Result: res})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { n.Close() })
+	const far = "rrp://127.0.0.1:1"
+	for _, tc := range []struct {
+		ref       wire.RemoteRef
+		want, err string
+	}{
+		{ref: wire.RemoteRef{GUID: guid.ClassGUID("Conf"), Endpoint: far, Target: "Conf"}, want: "Conf_C_Proxy"},
+		{ref: wire.RemoteRef{GUID: "far#1", Endpoint: far, Target: "Item"}, want: "Item_O_Proxy"},
+		{ref: wire.RemoteRef{GUID: "far#2", Endpoint: far, Target: "Conf"}, want: "Conf_O_Proxy"},
+		{ref: wire.RemoteRef{GUID: guid.ClassGUID("Conf"), Endpoint: far, Target: "Item"}, err: `names class "Item"`},
+	} {
+		var got vm.Value
+		n.machine.Exec(func(env *vm.Env) { got, err = n.unmarshalRef(env, &tc.ref) })
+		if tc.err != "" {
+			if err == nil || !strings.Contains(err.Error(), tc.err) {
+				t.Errorf("%+v: got %v, %v; want an error containing %q", tc.ref, got, err, tc.err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%+v: %v", tc.ref, err)
+		}
+		if got.O == nil || got.O.ClassName() != tc.want {
+			t.Errorf("%+v became %v, want a %s", tc.ref, got, tc.want)
+			continue
+		}
+		if id, ep := readProxyRef(got.O); id != tc.ref.GUID || ep != far {
+			t.Errorf("%s holds %s at %s, want %s at %s", tc.want, id, ep, tc.ref.GUID, far)
+		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"rafda/internal/guid"
 	"rafda/internal/ir"
 	"rafda/internal/transform"
-	"rafda/internal/transport"
 	"rafda/internal/vm"
 	"rafda/internal/wire"
 )
@@ -80,13 +79,8 @@ func (n *Node) marshalObject(obj *vm.Object, viaProto string) (wire.Value, error
 	if ep == "" {
 		return wire.Value{}, fmt.Errorf("node %s exports object of %s but serves no transport", n.name, base)
 	}
-	id := n.exports.Ensure(obj)
-	proto, _, _ := transport.SplitEndpoint(ep)
 	return wire.Value{Kind: wire.KRef, Ref: &wire.RemoteRef{
-		GUID:     id,
-		Endpoint: ep,
-		Proto:    proto,
-		Target:   base,
+		GUID: n.exports.Ensure(obj), Endpoint: ep, Target: base,
 	}}, nil
 }
 
@@ -154,11 +148,23 @@ func (n *Node) unmarshalRef(env *vm.Env, ref *wire.RemoteRef) (vm.Value, error) 
 		}
 		return vm.Value{}, fmt.Errorf("reference %s points at this node but is not exported", ref.GUID)
 	}
-	// Foreign reference: materialise a proxy.  A declared class that
-	// only shares the proxy's name is no proxy: it has no proxy's mark.
-	proxyClass := transform.OProxy(ref.Target)
-	if ref.ClassSide {
-		proxyClass = transform.CProxy(ref.Target)
+	// Foreign reference: materialise a proxy.
+	return n.newProxy(env, ref.GUID, ref.Endpoint, ref.Target)
+}
+
+// newProxy makes a proxy for the object id of class served at endpoint,
+// the one place a node makes one.  A class GUID names a statics proxy
+// (A_C_Proxy) of its own class, and class must be that class: a
+// reference naming another is refused, since it comes from outside.
+// Any other GUID names an instance proxy (A_O_Proxy).  A declared class
+// that only shares the proxy's name is no proxy: it has no proxy's mark.
+func (n *Node) newProxy(env *vm.Env, id, endpoint, class string) (vm.Value, error) {
+	proxyClass := transform.OProxy(class)
+	if statics, ok := guid.IsClassGUID(id); ok {
+		if statics != class {
+			return vm.Value{}, fmt.Errorf("reference %s names class %q", id, class)
+		}
+		proxyClass = transform.CProxy(class)
 	}
 	if !transform.MarkOf(n.machine.Program().Class(proxyClass)).Kind.Proxy() {
 		return vm.Value{}, fmt.Errorf("no proxy class %s for incoming reference", proxyClass)
@@ -167,7 +173,7 @@ func (n *Node) unmarshalRef(env *vm.Env, ref *wire.RemoteRef) (vm.Value, error) 
 	if err != nil {
 		return vm.Value{}, err
 	}
-	setProxyRef(obj, ref.GUID, ref.Endpoint)
+	setProxyRef(obj, id, endpoint)
 	return vm.RefV(obj), nil
 }
 
@@ -175,22 +181,14 @@ func (n *Node) unmarshalRef(env *vm.Env, ref *wire.RemoteRef) (vm.Value, error) 
 // — a reference it was handed, or its own forwarding address once
 // migrated away — and nil otherwise.  The class check keeps
 // non-proxies allocation-free (a proxy never morphs back); the proxy's
-// mark names the class, its fields the GUID and endpoint, and the
-// endpoint the protocol.
+// mark names the class and its fields the GUID and endpoint.
 func proxyRefOf(obj *vm.Object) *wire.RemoteRef {
 	m := transform.MarkOf(obj.Class())
 	if !m.Kind.Proxy() {
 		return nil
 	}
 	id, endpoint := readProxyRef(obj)
-	proto, _, _ := transport.SplitEndpoint(endpoint)
-	return &wire.RemoteRef{
-		GUID:      id,
-		Endpoint:  endpoint,
-		Proto:     proto,
-		Target:    m.Base,
-		ClassSide: m.Kind == transform.KindCProxy,
-	}
+	return &wire.RemoteRef{GUID: id, Endpoint: endpoint, Target: m.Base}
 }
 
 // readProxyRef reads proxy's GUID and endpoint in one consistent

@@ -78,12 +78,10 @@ func (n *Node) discover(env *vm.Env, class string) (vm.Value, *vm.Thrown, error)
 		return val, nil, nil
 	}
 	n.singMu.Unlock()
-	obj, err := env.New(transform.CProxy(class))
+	me, err := n.newProxy(env, guid.ClassGUID(class), pl.Endpoint, class)
 	if err != nil {
 		return vm.Value{}, nil, err
 	}
-	setProxyRef(obj, guid.ClassGUID(class), pl.Endpoint)
-	me := vm.RefV(obj)
 	n.singMu.Lock()
 	n.singletons[class] = singletonEntry{val: me, version: ver}
 	n.singMu.Unlock()

@@ -455,7 +455,7 @@ class Main { static void main() { } }`
 // TestRedirectedProxyShipsItsEndpointsProtocol: a client's proxy to an
 // object served over rrp follows it to a soap endpoint by redirect.
 // The reference the client then ships for it, as it would as a call's
-// argument, must name the protocol of the endpoint it carries.
+// argument, must carry the soap endpoint: its scheme is the protocol.
 func TestRedirectedProxyShipsItsEndpointsProtocol(t *testing.T) {
 	res := transformSource(t, `
 class Store {
@@ -505,7 +505,7 @@ class Main {
 		t.Fatal(err)
 	}
 	ref := shipped.Ref
-	if ref == nil || ref.Endpoint != epAway || ref.Proto != "soap" {
+	if ref == nil || ref.Endpoint != epAway || !strings.HasPrefix(ref.Endpoint, "soap://") {
 		t.Fatalf("shipped %+v, want endpoint %s over soap", ref, epAway)
 	}
 }

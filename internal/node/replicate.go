@@ -65,7 +65,6 @@ type replicaCopy struct {
 	class           string
 	primaryGUID     string
 	primaryEndpoint string
-	primaryProto    string
 	// epoch is the write epoch of the local copy's state.  Written only
 	// under the replica object's invocation gate; read lock-free when a
 	// served read stamps its response (also under the gate, so the stamp
@@ -413,10 +412,7 @@ func (n *Node) forwardToPrimary(req *wire.Request, rc *replicaCopy) *wire.Respon
 		kind: trace.KindReplicaRead, name: "forward-primary", target: rc.primaryGUID,
 		deadline: req.DeadlineUs, fwd: req,
 	})
-	redirect := &wire.RemoteRef{
-		GUID: rc.primaryGUID, Endpoint: rc.primaryEndpoint,
-		Proto: rc.primaryProto, Target: rc.class,
-	}
+	redirect := &wire.RemoteRef{GUID: rc.primaryGUID, Endpoint: rc.primaryEndpoint, Target: rc.class}
 	if err != nil {
 		out := wire.Errorf(req, "node %s: replica %s cannot reach primary %s: %v",
 			n.name, req.GUID, rc.primaryEndpoint, err)
@@ -440,15 +436,11 @@ func (n *Node) dispatchReplicaInstall(req *wire.Request) *wire.Response {
 	if req.GUID == "" || req.Endpoint == "" {
 		return wire.Errorf(req, "node %s: replica install without primary identity", n.name)
 	}
-	proto, _, err := transport.SplitEndpoint(req.Endpoint)
-	if err != nil {
+	if _, _, err := transport.SplitEndpoint(req.Endpoint); err != nil {
 		return wire.Errorf(req, "node %s: replica install: %v", n.name, err)
 	}
 	return n.adopt(req, func(g string) {
-		rc := &replicaCopy{
-			class: req.Class, primaryGUID: req.GUID,
-			primaryEndpoint: req.Endpoint, primaryProto: proto,
-		}
+		rc := &replicaCopy{class: req.Class, primaryGUID: req.GUID, primaryEndpoint: req.Endpoint}
 		rc.epoch.Store(req.Epoch)
 		n.replCopies.Store(g, rc)
 		n.replActive.Store(true)
@@ -543,11 +535,7 @@ func (n *Node) promoteReplica(id, class, selfGUID string) {
 		n.replPrim.Store(selfGUID, pr)
 	}
 	n.replActive.Store(true)
-	if proto, _, err := transport.SplitEndpoint(co.Self()); err == nil {
-		co.RecordMove(id, class, wire.RemoteRef{
-			GUID: id, Endpoint: co.Self(), Proto: proto, Target: class,
-		})
-	}
+	co.RecordMove(id, class, wire.RemoteRef{GUID: id, Endpoint: co.Self(), Target: class})
 }
 
 // demoteReplica is the node's cluster.Runtime.Demote: a Version merge

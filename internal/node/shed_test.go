@@ -169,6 +169,18 @@ func TestPriorityPreemptionAtSaturation(t *testing.T) {
 // served within its share.
 func TestFairShareUnderFlooding(t *testing.T) {
 	n, c, flood, victim := shedNode(t, 8, intercept.ShedConfig{FairShareAt: 2})
+	// The transport's inflight gauge counts a call once it holds a slot,
+	// before the fair-share tier has counted it for its tenant, so the
+	// gauge alone cannot say both floods are in the tenant's count.  A
+	// user interceptor sits below the shedding tier: a flood that
+	// reaches it has been counted and admitted.
+	admitted := make(chan struct{}, 2)
+	n.Use(func(cc *intercept.CallCtx, next intercept.Handler) (*wire.Response, error) {
+		if cc.Req.Method == "slow" {
+			admitted <- struct{}{}
+		}
+		return next(cc)
+	})
 
 	var wg sync.WaitGroup
 	for i := 0; i < 2; i++ {
@@ -182,6 +194,13 @@ func TestFairShareUnderFlooding(t *testing.T) {
 				t.Errorf("flood call: %+v %v", resp, err)
 			}
 		}(uint64(i + 1))
+	}
+	for i := 0; i < 2; i++ {
+		select {
+		case <-admitted:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%d of 2 flood calls admitted after 5s", i)
+		}
 	}
 	waitInflight(t, n, 2)
 

@@ -456,5 +456,5 @@ func valueSize(v *wire.Value) int {
 }
 
 func refSize(r *wire.RemoteRef) int {
-	return len(r.GUID) + len(r.Endpoint) + len(r.Proto) + len(r.Target) + 1
+	return len(r.GUID) + len(r.Endpoint) + len(r.Target)
 }

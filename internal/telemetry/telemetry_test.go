@@ -394,7 +394,7 @@ func TestSizeEstimates(t *testing.T) {
 	resp := &wire.Response{Result: wire.Value{Kind: wire.KString, Str: "hello"}}
 	withRedirect := &wire.Response{
 		Result:   wire.Value{Kind: wire.KString, Str: "hello"},
-		Redirect: &wire.RemoteRef{GUID: "g", Endpoint: "rrp://b:1", Proto: "rrp", Target: "C"},
+		Redirect: &wire.RemoteRef{GUID: "g", Endpoint: "rrp://b:1", Target: "C"},
 	}
 	if ResponseSize(withRedirect) <= ResponseSize(resp) {
 		t.Fatal("redirect must grow the estimate")

@@ -90,17 +90,11 @@ const (
 	SingletonGet   = "get_me"
 )
 
-// OInt returns the instance-interface name for class a.
-func OInt(a string) string { return a + kindNames[KindOInt].suffix }
-
 // OLocal returns the local instance-implementation name for class a.
 func OLocal(a string) string { return a + kindNames[KindOLocal].suffix }
 
 // OProxy returns the instance-proxy name for class a.
 func OProxy(a string) string { return a + kindNames[KindOProxy].suffix }
-
-// CInt returns the class-interface (statics) name for class a.
-func CInt(a string) string { return a + kindNames[KindCInt].suffix }
 
 // CLocal returns the local statics-implementation name for class a.
 func CLocal(a string) string { return a + kindNames[KindCLocal].suffix }

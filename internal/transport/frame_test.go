@@ -60,7 +60,7 @@ func TestDecodedNeverAliasesReadBuffer(t *testing.T) {
 		return wire.AppendResponse(nil, &wire.Response{ID: 9,
 			Result:  wire.Value{Kind: wire.KString, Str: fill(c, long)},
 			ExClass: fill(c, 7), ExMsg: fill(c, 8), Err: fill(c, 9),
-			Redirect: &wire.RemoteRef{GUID: fill(c, 16), Endpoint: fill(c, 14), Proto: fill(c, 3), Target: fill(c, 4)}})
+			Redirect: &wire.RemoteRef{GUID: fill(c, 16), Endpoint: fill(c, 14), Target: fill(c, 4)}})
 	}
 	// twoFrames returns the first frame's payload decoded by decode and
 	// reads the second over it.

@@ -86,17 +86,20 @@ func AppendResponse(dst []byte, resp *Response) []byte {
 }
 
 // appendRef encodes an optional RemoteRef as a presence byte plus the
-// reference fields.
+// reference's body.
 func appendRef(dst []byte, ref *RemoteRef) []byte {
 	if ref == nil {
 		return append(dst, 0)
 	}
-	dst = append(dst, 1)
+	return appendRefBody(append(dst, 1), ref)
+}
+
+// appendRefBody encodes a reference's fields: the one body a KRef value
+// and an optional reference share.
+func appendRefBody(dst []byte, ref *RemoteRef) []byte {
 	dst = appendString(dst, ref.GUID)
 	dst = appendString(dst, ref.Endpoint)
-	dst = appendString(dst, ref.Proto)
-	dst = appendString(dst, ref.Target)
-	return appendBool(dst, ref.ClassSide)
+	return appendString(dst, ref.Target)
 }
 
 // DecodeRequestBytes decodes exactly one request from b.  Trailing bytes
@@ -252,11 +255,7 @@ func appendValue(dst []byte, v *Value) []byte {
 	case KString:
 		dst = appendString(dst, v.Str)
 	case KRef:
-		dst = appendString(dst, v.Ref.GUID)
-		dst = appendString(dst, v.Ref.Endpoint)
-		dst = appendString(dst, v.Ref.Proto)
-		dst = appendString(dst, v.Ref.Target)
-		dst = appendBool(dst, v.Ref.ClassSide)
+		dst = appendRefBody(dst, v.Ref)
 	case KArray:
 		dst = appendString(dst, v.Elem)
 		dst = binary.AppendUvarint(dst, uint64(len(v.Arr)))
@@ -477,17 +476,16 @@ func (d *bdec) ref() *RemoteRef {
 	if !d.boolean() {
 		return nil
 	}
-	r := &RemoteRef{
-		GUID:     d.str(),
-		Endpoint: d.str(),
-		Proto:    d.str(),
-		Target:   d.str(),
-	}
-	r.ClassSide = d.boolean()
+	r := d.refBody()
 	if d.err != nil {
 		return nil
 	}
-	return r
+	return &r
+}
+
+// refBody decodes a reference's fields written by appendRefBody.
+func (d *bdec) refBody() RemoteRef {
+	return RemoteRef{GUID: d.str(), Endpoint: d.str(), Target: d.str()}
 }
 
 // cluster decodes an optional gossip payload written by appendCluster.
@@ -595,13 +593,8 @@ func (d *bdec) value(depth int) Value {
 	case KString:
 		v.Str = d.str()
 	case KRef:
-		v.Ref = &RemoteRef{
-			GUID:     d.str(),
-			Endpoint: d.str(),
-			Proto:    d.str(),
-			Target:   d.str(),
-		}
-		v.Ref.ClassSide = d.boolean()
+		r := d.refBody()
+		v.Ref = &r
 	case KArray:
 		if depth == maxArrayDepth {
 			d.fail("arrays nested deeper than %d", maxArrayDepth)

@@ -53,7 +53,7 @@ func seedRequests() []*Request {
 			From:  PeerDigest{ID: "a", Endpoint: "rrp://a:1", Heartbeat: 5},
 			Peers: []PeerDigest{{ID: "b", Endpoint: "rrp://b:1", Heartbeat: 3, Leaving: true}},
 			Dir: []DirEntry{{Key: "g#0",
-				Ref:     RemoteRef{GUID: "g#1", Endpoint: "rrp://b:1", Proto: "rrp", Target: "C"},
+				Ref:     RemoteRef{GUID: "g#1", Endpoint: "rrp://b:1", Target: "C"},
 				Version: 2, Origin: "b"}},
 			Intents: []Intent{{GUID: "g#1", Class: "C", From: "rrp://b:1",
 				To: "rrp://c:1", Proposer: "a", Priority: 12, Reason: "affinity"}},
@@ -74,8 +74,8 @@ func seedResponses() []*Response {
 		{ID: 3, ExClass: "sys.Exception", ExMsg: "boom"},
 		{ID: 4, Err: "unknown GUID"},
 		{ID: 5, Result: Value{Kind: KRef, Ref: &RemoteRef{GUID: "g#2",
-			Endpoint: "rrp://b:1", Proto: "rrp", Target: "C"}},
-			Redirect: &RemoteRef{GUID: "g#3", Endpoint: "rrp://c:1", Proto: "rrp", Target: "C"}},
+			Endpoint: "rrp://b:1", Target: "C"}},
+			Redirect: &RemoteRef{GUID: "g#3", Endpoint: "rrp://c:1", Target: "C"}},
 		{ID: 6, Result: Value{Kind: KInt, Int: 7}, Epoch: 19},
 		{ID: 7, Cluster: &ClusterPayload{
 			From: PeerDigest{ID: "b", Endpoint: "rrp://b:1", Heartbeat: 8},

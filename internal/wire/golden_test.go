@@ -34,7 +34,7 @@ func goldenCluster() *ClusterPayload {
 		From:  PeerDigest{ID: "a", Endpoint: "rrp://a:1", Heartbeat: 5},
 		Peers: []PeerDigest{{ID: "b", Endpoint: "rrp://b:1", Heartbeat: 3, Leaving: true}},
 		Dir: []DirEntry{{Key: "g#0",
-			Ref:     RemoteRef{GUID: "g#1", Endpoint: "rrp://b:1", Proto: "rrp", Target: "C"},
+			Ref:     RemoteRef{GUID: "g#1", Endpoint: "rrp://b:1", Target: "C"},
 			Version: 2, Origin: "b"}},
 		Intents: []Intent{{GUID: "g#1", Class: "C", From: "rrp://b:1", To: "rrp://c:1",
 			Proposer: "a", Priority: -12, Reason: "affinity"}},
@@ -52,8 +52,8 @@ func goldenClusterBytes(s spec) spec {
 	s = s.str("a", "rrp://a:1").uv(5, 0)                       // digest
 	s = s.uv(1).str("b", "rrp://b:1").uv(3, 1)                 // npeers digest*
 	s = s.uv(1).str("g#0")                                     // ndir key
-	s = s.uv(1).str("g#1", "rrp://b:1", "rrp", "C")            //   ref?
-	s = s.uv(0, 2).str("b")                                    //   classSide version origin
+	s = s.uv(1).str("g#1", "rrp://b:1", "C")                   //   ref?
+	s = s.uv(2).str("b")                                       //   version origin
 	s = s.uv(1).str("g#1", "C", "rrp://b:1", "rrp://c:1", "a") // nintents ...proposer
 	s = s.zz(-12).str("affinity")                              //   priority reason
 	s = s.uv(1).str("g#1", "C", "rrp://b:1").uv(100)           // nstats guid class home calls
@@ -69,13 +69,13 @@ func goldenClusterBytes(s spec) spec {
 func TestGoldenFrames(t *testing.T) {
 	resp := Response{ID: 4, Result: Value{Kind: KString, Str: "ok"},
 		ExClass: "E", ExMsg: "boom", Err: "bad",
-		Redirect: &RemoteRef{GUID: "g#2", Endpoint: "rrp://c:1", Proto: "rrp", Target: "C", ClassSide: true},
+		Redirect: &RemoteRef{GUID: "class:C", Endpoint: "rrp://c:1", Target: "C"},
 		Cluster:  goldenCluster(), Epoch: 11}
 	var wantResp spec
 	wantResp = wantResp.uv(4)
-	wantResp = wantResp.uv(uint64(KString)).str("ok")                   // value
-	wantResp = wantResp.str("E", "boom", "bad")                         // exClass exMsg err
-	wantResp = wantResp.uv(1).str("g#2", "rrp://c:1", "rrp", "C").uv(1) // redirect?
+	wantResp = wantResp.uv(uint64(KString)).str("ok")          // value
+	wantResp = wantResp.str("E", "boom", "bad")                // exClass exMsg err
+	wantResp = wantResp.uv(1).str("class:C", "rrp://c:1", "C") // redirect?
 	wantResp = goldenClusterBytes(wantResp)
 	wantResp = wantResp.uv(11) // epoch
 
@@ -86,7 +86,7 @@ func TestGoldenFrames(t *testing.T) {
 			{Kind: KBool, Bool: true},
 			{Kind: KInt, Int: -3},
 			{Kind: KFloat, Float: 1.5},
-			{Kind: KRef, Ref: &RemoteRef{GUID: "g#3", Endpoint: "rrp://b:1", Proto: "rrp", Target: "D"}},
+			{Kind: KRef, Ref: &RemoteRef{GUID: "g#3", Endpoint: "rrp://b:1", Target: "D"}},
 			{Kind: KArray, Elem: "I", Arr: []Value{{Kind: KInt, Int: 7}}},
 		},
 		Fields:     []NamedValue{{Name: "f", Value: Value{Kind: KInt, Int: 2}}},
@@ -106,7 +106,7 @@ func TestGoldenFrames(t *testing.T) {
 	wantReq = wantReq.uv(uint64(KVoid), uint64(KNull), uint64(KBool), 1)
 	wantReq = wantReq.uv(uint64(KInt)).zz(-3)
 	wantReq = wantReq.uv(uint64(KFloat), math.Float64bits(1.5))
-	wantReq = wantReq.uv(uint64(KRef)).str("g#3", "rrp://b:1", "rrp", "D").uv(0)
+	wantReq = wantReq.uv(uint64(KRef)).str("g#3", "rrp://b:1", "D")
 	wantReq = wantReq.uv(uint64(KArray)).str("I").uv(1, uint64(KInt)).zz(7)
 	wantReq = wantReq.uv(1).str("f").uv(uint64(KInt)).zz(2) // nfields (name value)*
 	wantReq = wantReq.str("rrp://b:1", "rrp://a:1")         // endpoint caller

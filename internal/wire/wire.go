@@ -128,15 +128,14 @@ func (k ValueKind) String() string {
 
 // RemoteRef identifies an exported object (or class singleton) on some
 // node.  Proxies are constructed from it; passing a proxy on re-marshals
-// the same reference, so references retarget transparently.
+// the same reference, so references retarget transparently.  The
+// endpoint's scheme is the transport, and a class GUID
+// (guid.ClassGUID) marks a statics reference.
 type RemoteRef struct {
 	GUID     string `json:"guid" xml:"guid,attr"`
 	Endpoint string `json:"endpoint" xml:"endpoint,attr"`
-	Proto    string `json:"proto" xml:"proto,attr"`
 	// Target is the original (pre-transformation) class name.
 	Target string `json:"target" xml:"target,attr"`
-	// ClassSide marks a statics (A_C_*) reference.
-	ClassSide bool `json:"classSide,omitempty" xml:"classSide,attr,omitempty"`
 }
 
 // Value is one marshalled argument or result.

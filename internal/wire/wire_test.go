@@ -30,11 +30,9 @@ func randomValue(r *rand.Rand, depth int) Value {
 		return Value{Kind: KString, Str: randString(r)}
 	case k == 6:
 		return Value{Kind: KRef, Ref: &RemoteRef{
-			GUID:      randString(r),
-			Endpoint:  "rrp://127.0.0.1:1",
-			Proto:     "rrp",
-			Target:    "C",
-			ClassSide: r.Intn(2) == 1,
+			GUID:     randString(r),
+			Endpoint: "rrp://127.0.0.1:1",
+			Target:   "C",
 		}}
 	default:
 		if depth <= 0 {
@@ -109,9 +107,8 @@ func randomCluster(r *rand.Rand) *ClusterPayload {
 	}
 	for i := 0; i < r.Intn(4); i++ {
 		c.Dir = append(c.Dir, DirEntry{
-			Key: randString(r),
-			Ref: RemoteRef{GUID: randString(r), Endpoint: randString(r),
-				Proto: "rrp", Target: randString(r)},
+			Key:     randString(r),
+			Ref:     RemoteRef{GUID: randString(r), Endpoint: randString(r), Target: randString(r)},
 			Version: r.Uint64(),
 			Origin:  randString(r),
 		})
@@ -224,7 +221,6 @@ func TestBinaryResponseRoundTripProperty(t *testing.T) {
 			resp.Redirect = &RemoteRef{
 				GUID:     randString(r),
 				Endpoint: "rrp://127.0.0.1:2",
-				Proto:    "rrp",
 				Target:   randString(r),
 			}
 		}
@@ -359,7 +355,7 @@ func TestBytesCodecEdgeValues(t *testing.T) {
 		ID: 0, Op: OpInvoke, GUID: "", Class: "", Method: "",
 		Args: []Value{
 			{Kind: KString, Str: ""},
-			{Kind: KRef, Ref: &RemoteRef{GUID: "", Endpoint: "", Proto: "", Target: "", ClassSide: true}},
+			{Kind: KRef, Ref: &RemoteRef{GUID: "", Endpoint: "", Target: ""}},
 			{Kind: KArray, Elem: "I", Arr: []Value{
 				{Kind: KArray, Elem: "S", Arr: []Value{{Kind: KString, Str: ""}}},
 				{Kind: KNull},

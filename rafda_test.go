@@ -176,6 +176,74 @@ class Main {
 	}
 }
 
+// TestPublicPlaceDefault: a remote default sends the new of a class
+// with no rule of its own to the default endpoint, a class rule
+// overrides the default, and a local default makes creation local again.
+func TestPublicPlaceDefault(t *testing.T) {
+	prog, err := CompileString(`
+class Service {
+    int hits;
+    int ping() { hits = hits + 1; return hits; }
+}
+class Other {
+    int hits;
+    int ping() { hits = hits + 1; return hits; }
+}
+class Main {
+    static int useService() { Service s = new Service(); return s.ping() + s.ping(); }
+    static int useOther() { Other o = new Other(); return o.ping() + o.ping(); }
+}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := prog.Transform()
+	if err != nil {
+		t.Fatal(err)
+	}
+	server, err := tr.NewNode(NodeConfig{Name: "srv"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer server.Close()
+	ep, err := server.Serve("rrp", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	client, err := tr.NewNode(NodeConfig{Name: "cli"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	if _, err := client.Serve("rrp", ""); err != nil {
+		t.Fatal(err)
+	}
+	// Main keeps a rule of its own so its statics run at the client.
+	if err := client.PlaceClass("Main", "local"); err != nil {
+		t.Fatal(err)
+	}
+	call := func(method string, wantCreates uint64) {
+		t.Helper()
+		if got, err := client.Call("Main", method); err != nil || got.(int64) != 3 {
+			t.Fatalf("%s = %v, %v; want 3", method, got, err)
+		}
+		if got := server.Stats().Creates; got != wantCreates {
+			t.Fatalf("after %s the server created %d objects, want %d", method, got, wantCreates)
+		}
+	}
+	if err := client.PlaceDefault(ep); err != nil {
+		t.Fatal(err)
+	}
+	call("useOther", 1)
+	if err := client.PlaceClass("Service", "local"); err != nil {
+		t.Fatal(err)
+	}
+	call("useService", 1)
+	if err := client.PlaceDefault("local"); err != nil {
+		t.Fatal(err)
+	}
+	call("useOther", 1)
+}
+
 func TestPublicMigration(t *testing.T) {
 	prog, err := CompileString(`
 class Counter {
